@@ -1,0 +1,6 @@
+"""``python -m perfbench`` is ``python3 perfbench/run.py``."""
+
+import runpy
+from pathlib import Path
+
+runpy.run_path(str(Path(__file__).with_name("run.py")), run_name="__main__")

@@ -55,6 +55,7 @@ __all__ = [
     "decode_shard",
     "frame_capacity",
     "write_encoded",
+    "encoded_parts",
     "read_encoded",
 ]
 
@@ -494,6 +495,22 @@ def write_encoded(encoded: EncodedShard, region: np.ndarray) -> int:
         region[offset : offset + nbytes] = array.view(np.uint8).reshape(-1)
         offset += _aligned(nbytes)
     return offset
+
+
+def encoded_parts(encoded: EncodedShard) -> list:
+    """The frame :func:`write_encoded` writes, as buffers to gather-send.
+
+    One int64 header array, then per payload array a ``uint8`` view of the
+    array's own memory (no copy) and the zero bytes that pad it to the next
+    8-byte boundary; ``b"".join`` of the result is the frame byte-for-byte.
+    """
+    header = [_SCHEME_CODES[encoded.scheme], encoded.size, len(encoded.arrays)]
+    payload: list = []
+    for array in encoded.arrays:
+        array = np.ascontiguousarray(array)
+        header += (_DTYPE_CODES[array.dtype], array.size)
+        payload += (array.reshape(-1).view(np.uint8), bytes(-array.nbytes % 8))
+    return [np.array(header, dtype=np.int64).view(np.uint8), *payload]
 
 
 def read_encoded(region: np.ndarray, shard: int) -> EncodedShard:

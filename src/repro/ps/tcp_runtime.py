@@ -518,8 +518,8 @@ class TcpServer:
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, selectors.EVENT_READ, "listener")
         self._peers: dict[str, _Peer] = {}
-        self._pending: list[TcpConnection] = []
-        self._watchers: list[TcpConnection] = []
+        self._pending: set[TcpConnection] = set()
+        self._watchers: set[TcpConnection] = set()
         self._reports: dict[str, WorkerReport] = {}
         self._errors: list[str] = []
         self._profile: dict | None = None
@@ -624,7 +624,7 @@ class TcpServer:
                 return
             conn = TcpConnection(sock)
             conn.settimeout(self.plan.wait_timeout)
-            self._pending.append(conn)
+            self._pending.add(conn)
             self._selector.register(conn, selectors.EVENT_READ, "conn")
 
     def _retire(self, conn: TcpConnection) -> None:
@@ -637,21 +637,13 @@ class TcpServer:
         self._wire_received += conn.bytes_received
         conn.close()
 
-    def _peer_of(self, conn) -> _Peer | None:
-        for peer in self._peers.values():
-            if peer.conn is conn:
-                return peer
-        return None
-
     def _connection_lost(self, conn) -> None:
-        peer = self._peer_of(conn)
-        if peer is not None:
+        peer = self._peers.get(conn.owner)  # the join stamped the owner
+        if peer is not None and peer.conn is conn:
             self._worker_dead(peer.worker_id, "process died (connection lost)")
             return
-        if conn in self._pending:
-            self._pending.remove(conn)
-        if conn in self._watchers:
-            self._watchers.remove(conn)
+        self._pending.discard(conn)
+        self._watchers.discard(conn)
         self._retire(conn)
 
     def _dispatch(self, conn, header: dict, frames) -> None:
@@ -670,9 +662,8 @@ class TcpServer:
             worker_id = str(header.get("worker", "?"))
             self._worker_dead(worker_id, str(header.get("message", "worker error")))
         elif kind == "watch":
-            if conn in self._pending:
-                self._pending.remove(conn)
-            self._watchers.append(conn)
+            self._pending.discard(conn)
+            self._watchers.add(conn)
         else:
             _LOGGER.warning("ignoring unknown message type %r", kind)
 
@@ -685,8 +676,7 @@ class TcpServer:
             # declares tear-prone workers so their connection losses are
             # recorded as events, not run errors.
             self._chaos_workers.add(worker_id)
-        if conn in self._pending:
-            self._pending.remove(conn)
+        self._pending.discard(conn)
         if self._aborted:
             self._try_send(conn, {"type": "reject", "reason": "run aborted"})
             self._retire(conn)
@@ -726,6 +716,7 @@ class TcpServer:
         self._joined_ever.add(worker_id)
         now = time.monotonic()
         self._peers[worker_id] = _Peer(conn=conn, worker_id=worker_id, last_seen=now)
+        conn.owner = worker_id
         self._last_progress = now
 
         reply = self._store.pull()

@@ -19,9 +19,8 @@ stop open-coding their plumbing:
 * :class:`TcpConnection` — a length-prefixed binary protocol over a socket.
   Control messages are a JSON envelope; shard payloads are framed with the
   *same self-describing format the shared-memory mailboxes already use*
-  (:func:`repro.ps.compression.write_encoded`), so a packed gradient buffer
-  or a codec-encoded push goes from worker memory onto the wire with one
-  vectorized copy and **no pickle on the hot path**.
+  (:func:`repro.ps.compression.write_encoded`), with **no pickle and no
+  staging copy on the hot path**.
 
 Wire format of one TCP message (all integers little-endian)::
 
@@ -34,6 +33,18 @@ payload arrays to 8-byte boundaries) and every frame starts 8-byte aligned
 within the body, so the receiver parses frames as zero-copy NumPy views of
 the received buffer (:func:`repro.ps.compression.read_encoded`).
 
+Copies per message, user space: **none on send** — the message is a list
+of buffers (prefix + envelope, frame heads, then views of the payload
+arrays themselves, :func:`repro.ps.compression.encoded_parts`) handed to
+``sendmsg``; **none on receive** — the body is ``recv_into``'d one reusable
+per-connection buffer and decoded in place.  The receive side's price is
+an ownership rule: *frames are valid until the next receive on the same
+connection*.  The tcp runtime's worker (``_load_weights`` copies into the
+replica) and server (``handle_push`` applies or stages a copy; codec state
+is ``np.array``-copied) both consume a message before asking for the next,
+and :meth:`TcpConnection.read_ready` returns at most one message per call
+so a selector loop cannot be handed two messages sharing one buffer.
+
 The module also owns the transport *registry* the spec layer validates
 against (``"shm"``/``"pipe"`` select the gradient path of the process
 backend; ``"tcp"`` is the socket backend's wire transport).
@@ -42,13 +53,16 @@ backend; ``"tcp"`` is the socket backend's wire transport).
 from __future__ import annotations
 
 import json
+import random
+import select
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 
-from repro.ps.compression import EncodedShard, frame_capacity, read_encoded, write_encoded
+from repro.ps.compression import EncodedShard, encoded_parts, read_encoded
 
 __all__ = [
     "TRANSPORTS",
@@ -171,11 +185,8 @@ class PipeConnection:
 # ----------------------------------------------------------------------
 _LEN = struct.Struct("<Q")
 _FRAME_HEAD = struct.Struct("<QQ")
-_RECV_CHUNK = 1 << 18
-
-
-def _aligned8(nbytes: int) -> int:
-    return (nbytes + 7) & ~7
+#: Buffers handed to one ``sendmsg`` call (IOV_MAX is 1024 on Linux/BSD).
+_IOV_BATCH = 512
 
 
 class TcpConnection:
@@ -183,17 +194,28 @@ class TcpConnection:
 
     One connection is owned by one logical peer (a worker, a coordinator
     watching for results, or the server's view of either).  Sending is
-    thread-safe (a worker's heartbeat thread shares the socket with its
-    training loop); receiving must stay on a single thread.
+    thread-safe and atomic per message (a worker's heartbeat thread shares
+    the socket with its training loop); receiving must stay on a single
+    thread.
+
+    The socket runs non-blocking and every wait is an explicit ``poll``
+    against a monotonic deadline, so a timeout bounds a *whole message* in
+    either direction however slowly the peer dribbles, and the two
+    directions never share (or race on) a socket-level timeout.
 
     Two receive styles serve the two sides of the protocol:
 
     * :meth:`recv` — blocking, for workers and watchers ("wait for my OK").
-    * :meth:`read_ready` — buffered, for the server's selector loop: called
-      when ``select`` reports readability, it consumes what the kernel has
-      and returns every *complete* message, keeping partial frames buffered
-      until the next readiness event.  A worker dying mid-frame therefore
-      surfaces as :class:`ConnectionClosed`, never as a torn message.
+    * :meth:`read_ready` — for the server's selector loop: called when
+      ``select`` reports readability, it drains the kernel without blocking
+      and returns the message it completed, if any.  A worker dying
+      mid-frame therefore surfaces as :class:`ConnectionClosed`, never as a
+      torn message.
+
+    **Frame lifetime.**  Received frames are views of this connection's one
+    receive buffer: they are valid until the next :meth:`recv` or
+    :meth:`read_ready` call on the same connection.  Consume (apply, load,
+    or copy) them before receiving again.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -202,148 +224,156 @@ class TcpConnection:
         except OSError:
             pass  # not a TCP socket (e.g. a socketpair in tests)
         self._sock = sock
+        self._timeout = sock.gettimeout()  # whole-message send deadline
+        sock.setblocking(False)
+        # One poller per direction: the heartbeat thread may wait to send
+        # while the training loop waits to receive.
+        self._readable, self._writable = select.poll(), select.poll()
+        self._readable.register(sock, select.POLLIN)
+        self._writable.register(sock, select.POLLOUT)
         self._send_lock = threading.Lock()
-        self._buffer = bytearray()
+        # [u64 body_len][body] of the message in flight: ``_have`` bytes of
+        # it are in, ``_end`` is 8 until the prefix is, then 8 + body_len.
+        self._inbox = np.empty(_LEN.size, dtype=np.uint8)
+        self._have, self._end = 0, _LEN.size
         self._bytes_sent = 0
         self._bytes_received = 0
+        #: Set by whoever tracks this connection (the server: a worker id).
+        self.owner: str | None = None
 
-    # -- encoding ------------------------------------------------------
+    # -- framing -------------------------------------------------------
     @staticmethod
-    def _encode(header: dict, shards: tuple[EncodedShard, ...]) -> bytearray:
+    def _parts(header: dict, shards) -> list:
+        """One message as the buffers that make it up — payloads uncopied."""
         header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        header_block = _aligned8(len(header_bytes))
-        regions = [
-            frame_capacity(tuple(array.nbytes for array in shard.arrays))
-            for shard in shards
-        ]
-        body_len = 8 + header_block + sum(
-            _FRAME_HEAD.size + region for region in regions
-        )
-        message = bytearray(_LEN.size + body_len)
-        _LEN.pack_into(message, 0, body_len)
-        offset = _LEN.size
-        _LEN.pack_into(message, offset, len(header_bytes))
-        offset += 8
-        message[offset : offset + len(header_bytes)] = header_bytes
-        offset += header_block
-        view = np.frombuffer(message, dtype=np.uint8)
-        for shard, region in zip(shards, regions):
-            _FRAME_HEAD.pack_into(message, offset, shard.shard, region)
-            offset += _FRAME_HEAD.size
-            write_encoded(shard, view[offset : offset + region])
-            offset += region
-        return message
+        frames: list = []
+        for shard in shards:
+            region = encoded_parts(shard)
+            frames.append(_FRAME_HEAD.pack(shard.shard, sum(map(len, region))))
+            frames += region
+        envelope = _LEN.pack(len(header_bytes)) + header_bytes
+        envelope += bytes(-len(envelope) % 8)
+        body_len = len(envelope) + sum(map(len, frames))
+        return [_LEN.pack(body_len) + envelope, *frames]
 
     @staticmethod
-    def _decode(body: bytes) -> tuple[dict, tuple[EncodedShard, ...]]:
-        view = np.frombuffer(body, dtype=np.uint8)
+    def _decode(body: np.ndarray) -> tuple[dict, tuple[EncodedShard, ...]]:
         (header_len,) = _LEN.unpack_from(body, 0)
-        header = json.loads(bytes(body[8 : 8 + header_len]).decode("utf-8"))
-        offset = 8 + _aligned8(header_len)
+        header = json.loads(body[8 : 8 + header_len].tobytes())
+        offset = 8 + header_len + -header_len % 8
         shards = []
         while offset < len(body):
             shard, region = _FRAME_HEAD.unpack_from(body, offset)
             offset += _FRAME_HEAD.size
-            shards.append(read_encoded(view[offset : offset + region], int(shard)))
+            shards.append(read_encoded(body[offset : offset + region], int(shard)))
             offset += region
         return header, tuple(shards)
+
+    def _wait(self, poller, deadline: float | None) -> None:
+        """Block until ``poller``'s event; ``TimeoutError`` past ``deadline``."""
+        if deadline is None:
+            poller.poll()
+        elif not poller.poll(max(deadline - time.monotonic(), 0.0) * 1000.0):
+            raise TimeoutError("timed out")
 
     # -- sending -------------------------------------------------------
     def send(self, header: dict, shards: tuple[EncodedShard, ...] = ()) -> int:
         """Ship one message; returns its size in bytes on the wire.
 
-        ``shards`` are framed with :func:`~repro.ps.compression.write_encoded`
-        — one vectorized copy per payload array into the outgoing buffer,
-        then a single ``sendall``.  A peer that died raises
-        :class:`ConnectionClosed`.
+        Gather-sends the envelope, the frame headers and the payload
+        arrays' own memory with ``sendmsg`` — no staging copy.  A peer
+        that died, or that does not take the whole message within the
+        :meth:`settimeout` budget, raises :class:`ConnectionClosed`.
         """
-        return self.send_raw(self._encode(header, tuple(shards)))
+        return self._ship(self._parts(header, shards))
 
-    def encode(self, header: dict, shards: tuple[EncodedShard, ...] = ()) -> bytearray:
+    def encode(self, header: dict, shards: tuple[EncodedShard, ...] = ()) -> bytes:
         """Frame a message without sending it (chaos injection, tests)."""
-        return self._encode(header, tuple(shards))
+        return b"".join(self._parts(header, shards))
 
     def send_raw(self, message) -> int:
         """Ship pre-framed bytes as-is; the chaos layer uses this to put a
         deliberately truncated message on the wire before tearing the
         socket, so the peer sees a genuine mid-frame EOF."""
+        return self._ship([message])
+
+    def _ship(self, pending: list) -> int:
+        """``sendmsg`` until every buffer is out: one lock, one deadline."""
+        total = sum(map(len, pending))
+        deadline = None if self._timeout is None else time.monotonic() + self._timeout
         try:
             with self._send_lock:
-                self._sock.sendall(message)
-        except (BrokenPipeError, ConnectionError, OSError) as error:
+                while pending:
+                    try:
+                        sent = self._sock.sendmsg(pending[:_IOV_BATCH])
+                    except BlockingIOError:
+                        self._wait(self._writable, deadline)
+                        continue
+                    done = 0  # buffers fully out; a short write splits the next
+                    while done < len(pending) and sent >= len(pending[done]):
+                        sent -= len(pending[done])
+                        done += 1
+                    del pending[:done]
+                    if sent:
+                        pending[0] = pending[0][sent:]
+                self._bytes_sent += total
+        except OSError as error:
             raise ConnectionClosed(str(error) or "send failed") from error
-        self._bytes_sent += len(message)
-        return len(message)
+        return total
 
-    # -- blocking receive ----------------------------------------------
+    # -- receiving -----------------------------------------------------
     def recv(self, timeout: float | None = None):
         """Block until one complete message arrives and return it.
 
         Raises :class:`ConnectionClosed` on EOF (including EOF in the middle
         of a frame — a crashed peer) and ``socket.timeout`` when ``timeout``
-        elapses with no complete message.
+        elapses with no complete message, however many bytes trickled in.
         """
-        self._sock.settimeout(timeout)
+        return self._receive(True, None if timeout is None else time.monotonic() + timeout)
+
+    def read_ready(self) -> list:
+        """Drain the kernel without blocking; return ``[message]`` or ``[]``.
+
+        For use after ``select``/``selectors`` reported this socket
+        readable.  At most one message per call — the frames alias the
+        receive buffer, so the caller must consume them before the next
+        one is read; level-triggered ``select`` re-fires for what is left.
+        """
+        message = self._receive(False, None)
+        return [] if message is None else [message]
+
+    def _receive(self, wait: bool, deadline: float | None):
         while True:
-            message = self._pop_message()
-            if message is not None:
-                return message
+            if self._have == self._end:
+                if self._end > _LEN.size:  # body complete: hand out views
+                    body = self._inbox[_LEN.size : self._end]
+                    self._have, self._end = 0, _LEN.size
+                    return self._decode(body)
+                (body_len,) = _LEN.unpack_from(self._inbox)
+                if body_len < _LEN.size:
+                    raise ConnectionClosed(f"corrupt message length {body_len}")
+                self._end += body_len
+                if self._end > len(self._inbox):  # grows to the largest message
+                    self._inbox = np.empty(self._end, dtype=np.uint8)
             try:
-                chunk = self._sock.recv(_RECV_CHUNK)
-            except TimeoutError:
-                raise
+                count = self._sock.recv_into(self._inbox[self._have : self._end])
+            except BlockingIOError:
+                if not wait:
+                    return None
+                self._wait(self._readable, deadline)
+                continue
             except OSError as error:
                 # A hard-killed peer surfaces as ECONNRESET here, not EOF;
                 # normalize so callers only handle ConnectionClosed.
                 raise ConnectionClosed(str(error) or "recv failed") from error
-            if not chunk:
+            if not count:
                 raise ConnectionClosed("peer closed the connection")
-            self._buffer.extend(chunk)
-            self._bytes_received += len(chunk)
-
-    # -- selector-driven receive ---------------------------------------
-    def read_ready(self) -> list:
-        """Consume readable bytes and return every complete buffered message.
-
-        For use after ``select``/``selectors`` reported this socket
-        readable: performs one ``recv`` (never blocking in that situation),
-        then drains the reassembly buffer.  Returns ``[]`` while a message
-        is still partial.
-        """
-        try:
-            chunk = self._sock.recv(_RECV_CHUNK)
-        except (BlockingIOError, InterruptedError, TimeoutError):  # pragma: no cover
-            # Spurious readiness on a non-blocking or timeout-armed socket:
-            # no data this round, keep the buffered partials.
-            chunk = b"\x00"[:0]
-        except OSError as error:
-            raise ConnectionClosed(str(error) or "recv failed") from error
-        if not chunk:
-            raise ConnectionClosed("peer closed the connection")
-        self._buffer.extend(chunk)
-        self._bytes_received += len(chunk)
-        messages = []
-        while True:
-            message = self._pop_message()
-            if message is None:
-                return messages
-            messages.append(message)
-
-    def _pop_message(self):
-        buffer = self._buffer
-        if len(buffer) < _LEN.size:
-            return None
-        (body_len,) = _LEN.unpack_from(buffer, 0)
-        total = _LEN.size + body_len
-        if len(buffer) < total:
-            return None
-        body = bytes(buffer[_LEN.size : total])
-        del buffer[:total]
-        return self._decode(body)
+            self._have += count
+            self._bytes_received += count
 
     def settimeout(self, timeout: float | None) -> None:
-        """Arm a socket-level timeout (guards server-side sends from hanging)."""
-        self._sock.settimeout(timeout)
+        """Bound every later send (guards server-side sends from hanging)."""
+        self._timeout = timeout
 
     # -- bookkeeping ---------------------------------------------------
     @property
@@ -353,7 +383,7 @@ class TcpConnection:
 
     @property
     def bytes_received(self) -> int:
-        """Total bytes received (including still-buffered partials)."""
+        """Total bytes received (including a still-partial message)."""
         return self._bytes_received
 
     def fileno(self) -> int:
@@ -395,9 +425,6 @@ def connect_tcp(
     ``ConnectionError`` with the last underlying error once the budget is
     exhausted.
     """
-    import random
-    import time
-
     host, port = parse_address(address)
     deadline = time.monotonic() + timeout
     interval = retry_interval

@@ -179,6 +179,29 @@ class TestEndToEnd:
         coded_pushed = sum(r.pushed_wire_bytes for r in coded.worker_reports)
         assert 0 < coded_pushed < dense_pushed
 
+    @pytest.mark.parametrize(
+        "compression, pushed, received",
+        [("none", 156224, 315048), ("topk:0.01", 2352, 7472)],
+    )
+    def test_wire_byte_totals_match_the_staging_transport(
+        self, compression, pushed, received
+    ):
+        # Totals recorded with the bytearray-staging TcpConnection this
+        # transport replaced: same traffic, same bytes.  Heartbeats are
+        # pushed past the end of the run; what is left to vary in
+        # tcp_bytes_received is the digit count of the floats (timestamp,
+        # loss, wait times) in the push/done envelopes, a few 8-byte pads.
+        plan = tiny_plan(
+            compression=compression, heartbeat_interval=20.0, heartbeat_timeout=60.0
+        )
+        result = TcpTrainer(plan).run()
+        assert result.errors == []
+        for report in result.worker_reports:
+            assert report.pushed_wire_bytes == pushed
+            assert report.pulled_bytes == 195280
+        assert result.server_statistics["tcp_bytes_sent"] == 392080
+        assert abs(result.server_statistics["tcp_bytes_received"] - received) <= 64
+
 
 class TestElasticMembership:
     def test_worker_death_mid_run_detected_and_survived(self):

@@ -245,6 +245,94 @@ def _iterations_per_worker(
     return max(1, math.ceil(spec.resolved_epochs() * partition_size / batch_size))
 
 
+def _plan_fields(
+    spec: ExperimentSpec, workload: Workload, num_workers: int, wait_timeout: float
+) -> dict:
+    """The spec as the fields every wall-clock runtime's plan shares.
+
+    One translation for the threaded, process and tcp backends, so one spec
+    cannot train differently per backend without saying so.
+    """
+    # The liveness guard treats "no push for wait_timeout seconds" as a
+    # hang; a slowed-down worker legitimately spends its slowdown asleep
+    # every iteration, so the guard must comfortably exceed it.
+    max_slowdown = max((float(v) for v in spec.slowdowns.values()), default=0.0)
+    return {
+        "paradigm": spec.paradigm,
+        "paradigm_kwargs": dict(spec.paradigm_kwargs),
+        "num_workers": num_workers,
+        "iterations_per_worker": _iterations_per_worker(spec, workload, num_workers),
+        "batch_size": spec.resolved_batch_size(),
+        "learning_rate": spec.learning_rate,
+        "momentum": spec.momentum,
+        "weight_decay": spec.weight_decay,
+        "slowdowns": {key: float(value) for key, value in spec.slowdowns.items()},
+        "evaluate_every_pushes": spec.resolved_evaluate_every_updates(),
+        "dtype": spec.dtype,
+        "compression": spec.compression,
+        "aggregation": spec.aggregation,
+        "faults": spec.faults,
+        "seed": spec.seed,
+        "wait_timeout": max(wait_timeout, 4.0 * max_slowdown + 60.0),
+    }
+
+
+def _registry_plan_fields(spec: ExperimentSpec, profile: bool) -> dict:
+    """What a plan needs for its processes to rebuild the workload themselves."""
+    if spec.workload not in available_workloads():
+        raise ValueError(
+            f"unknown workload {spec.workload!r}; known workloads: "
+            f"{sorted(available_workloads())}"
+        )
+    return {
+        "workload": spec.workload,
+        "workload_kwargs": dict(spec.workload_kwargs),
+        "scale_fields": dataclasses.asdict(spec.resolved_scale()),
+        "profile": profile,
+        "net_faults": spec.net_faults,
+    }
+
+
+def _run_result(
+    spec: ExperimentSpec, backend_name: str, provenance: Provenance, result
+) -> RunResult:
+    """A wall-clock runtime's :class:`TrainingResult` as the unified result.
+
+    The runtimes evaluate the initial (t=0) and final model themselves, so
+    the curve arrives complete.
+    """
+    total_updates = int(result.server_statistics.get("store_version", 0))
+    staleness = result.server_statistics.get("update_staleness")
+    if staleness is None:  # the server died before reporting statistics
+        staleness = StalenessTracker().summary()
+    return RunResult(
+        backend=backend_name,
+        paradigm=spec.paradigm,
+        paradigm_label=spec.label,
+        times=np.asarray(result.evaluation_times, dtype=np.float64),
+        accuracies=np.asarray(result.evaluation_accuracies, dtype=np.float64),
+        losses=np.asarray(result.evaluation_losses, dtype=np.float64),
+        total_time=result.wall_time,
+        total_updates=total_updates,
+        throughput=iteration_throughput(
+            total_updates=total_updates,
+            total_time=max(result.wall_time, 1e-12),
+            samples_per_update=spec.resolved_batch_size(),
+        ),
+        staleness=staleness,
+        wait_time_per_worker={
+            report.worker_id: report.total_wait_time
+            for report in result.worker_reports
+        },
+        worker_reports=list(result.worker_reports),
+        server_statistics=result.server_statistics,
+        provenance=provenance,
+        errors=list(result.errors),
+        events=list(result.events),
+        profile=result.profile,
+    )
+
+
 @register_backend("simulated")
 class SimulatedBackend:
     """Discrete-event simulation backend (virtual time, real gradients)."""
@@ -368,26 +456,10 @@ class ThreadedBackend:
             len(spec.cluster.worker_ids)
         )
 
-        batch_size = spec.resolved_batch_size()
-        iterations_per_worker = _iterations_per_worker(spec, workload, num_workers)
         config = DistributedTrainingConfig(
-            paradigm=spec.paradigm,
-            paradigm_kwargs=dict(spec.paradigm_kwargs),
-            num_workers=num_workers,
-            iterations_per_worker=iterations_per_worker,
-            batch_size=batch_size,
-            learning_rate=spec.learning_rate,
-            momentum=spec.momentum,
-            weight_decay=spec.weight_decay,
-            slowdowns={key: float(value) for key, value in spec.slowdowns.items()},
-            evaluate_every_pushes=spec.resolved_evaluate_every_updates(),
+            **_plan_fields(spec, workload, num_workers, wait_timeout=120.0),
             num_shards=spec.num_shards,
             shard_strategy=spec.shard_strategy,
-            dtype=spec.dtype,
-            compression=spec.compression,
-            aggregation=spec.aggregation,
-            faults=spec.faults,
-            seed=spec.seed,
         )
         trainer = assemble_training(
             config,
@@ -401,66 +473,11 @@ class ThreadedBackend:
 
             first = trainer.workers[0]
             profiler = LayerProfiler(first.model, loss_fn=first.loss_fn).attach()
-
-        # Evaluate the initial model so the curve starts at t=0, exactly
-        # like the simulated backend's first evaluation.
-        times: list[float] = []
-        accuracies: list[float] = []
-        losses: list[float] = []
-        # Evaluations read zero-copy state views; the evaluation model
-        # copies them into its own arrays (copies happen only at the
-        # API-result boundary below).
-        if trainer.evaluate_fn is not None:
-            accuracy, loss = trainer.evaluate_fn(trainer.server.store.state_views())
-            times.append(0.0)
-            accuracies.append(accuracy)
-            losses.append(loss)
-
         result = trainer.run()
-        profile_data = None
         if profiler is not None:
             profiler.detach()
-            profile_data = {
-                "worker_id": trainer.workers[0].worker_id,
-                **profiler.as_dict(),
-            }
-        times.extend(result.evaluation_times)
-        accuracies.extend(result.evaluation_accuracies)
-        losses.extend(result.evaluation_losses)
-        if trainer.evaluate_fn is not None:
-            accuracy, loss = trainer.evaluate_fn(trainer.server.store.state_views())
-            times.append(result.wall_time)
-            accuracies.append(accuracy)
-            losses.append(loss)
-
-        total_updates = int(result.server_statistics["store_version"])
-        throughput = iteration_throughput(
-            total_updates=total_updates,
-            total_time=max(result.wall_time, 1e-12),
-            samples_per_update=batch_size,
-        )
-        return RunResult(
-            backend=self.name,
-            paradigm=spec.paradigm,
-            paradigm_label=spec.label,
-            times=np.asarray(times, dtype=np.float64),
-            accuracies=np.asarray(accuracies, dtype=np.float64),
-            losses=np.asarray(losses, dtype=np.float64),
-            total_time=result.wall_time,
-            total_updates=total_updates,
-            throughput=throughput,
-            staleness=result.server_statistics["update_staleness"],
-            wait_time_per_worker={
-                report.worker_id: report.total_wait_time
-                for report in result.worker_reports
-            },
-            worker_reports=list(result.worker_reports),
-            server_statistics=result.server_statistics,
-            provenance=provenance,
-            errors=list(result.errors),
-            events=list(result.events),
-            profile=profile_data,
-        )
+            result.profile = {"worker_id": first.worker_id, **profiler.as_dict()}
+        return _run_result(spec, self.name, provenance, result)
 
 
 @register_backend("process")
@@ -528,24 +545,12 @@ class ProcessBackend:
                 "object: worker processes rebuild the workload from the "
                 "registry, so pass a registered workload name in the spec"
             )
-        if spec.workload not in available_workloads():
-            raise ValueError(
-                f"unknown workload {spec.workload!r}; known workloads: "
-                f"{sorted(available_workloads())}"
-            )
+        registry_fields = _registry_plan_fields(spec, profile)
         provenance = _provenance(spec, self.name, None, cluster)
         built_workload = _build_workload(spec)
         num_workers = cluster.num_workers if cluster is not None else (
             len(spec.cluster.worker_ids)
         )
-
-        batch_size = spec.resolved_batch_size()
-        iterations_per_worker = _iterations_per_worker(spec, built_workload, num_workers)
-        # The server treats "no push for wait_timeout seconds" as a hang; a
-        # slowed-down worker legitimately spends its slowdown asleep every
-        # iteration, so the guard must comfortably exceed it.
-        max_slowdown = max((float(v) for v in spec.slowdowns.values()), default=0.0)
-        wait_timeout = max(self.wait_timeout, 4.0 * max_slowdown + 60.0)
         transport = self.transport
         if spec.transport is not None:
             if spec.transport == "tcp":
@@ -556,68 +561,14 @@ class ProcessBackend:
                 )
             transport = spec.transport
         plan = ProcessTrainingPlan(
-            workload=spec.workload,
-            workload_kwargs=dict(spec.workload_kwargs),
-            scale_fields=dataclasses.asdict(spec.resolved_scale()),
-            paradigm=spec.paradigm,
-            paradigm_kwargs=dict(spec.paradigm_kwargs),
-            num_workers=num_workers,
-            iterations_per_worker=iterations_per_worker,
-            batch_size=batch_size,
-            learning_rate=spec.learning_rate,
-            momentum=spec.momentum,
-            weight_decay=spec.weight_decay,
-            slowdowns={key: float(value) for key, value in spec.slowdowns.items()},
-            evaluate_every_pushes=spec.resolved_evaluate_every_updates(),
+            **_plan_fields(spec, built_workload, num_workers, self.wait_timeout),
+            **registry_fields,
             num_shards=spec.num_shards,
             shard_strategy=spec.shard_strategy,
-            dtype=spec.dtype,
-            profile=profile,
-            compression=spec.compression,
-            aggregation=spec.aggregation,
-            faults=spec.faults,
-            net_faults=spec.net_faults,
-            seed=spec.seed,
             transport=transport,
-            wait_timeout=wait_timeout,
         )
         trainer = ProcessTrainer(plan, context=self.context, workload=built_workload)
-        result = trainer.run()
-
-        total_updates = int(result.server_statistics.get("store_version", 0))
-        throughput = iteration_throughput(
-            total_updates=total_updates,
-            total_time=max(result.wall_time, 1e-12),
-            samples_per_update=batch_size,
-        )
-        # The server process evaluates the initial (t=0) and final model
-        # itself, so the curve arrives complete — unlike the threaded
-        # backend, where this adapter brackets the run with evaluations.
-        staleness = result.server_statistics.get("update_staleness")
-        if staleness is None:
-            staleness = StalenessTracker().summary()
-        return RunResult(
-            backend=self.name,
-            paradigm=spec.paradigm,
-            paradigm_label=spec.label,
-            times=np.asarray(result.evaluation_times, dtype=np.float64),
-            accuracies=np.asarray(result.evaluation_accuracies, dtype=np.float64),
-            losses=np.asarray(result.evaluation_losses, dtype=np.float64),
-            total_time=result.wall_time,
-            total_updates=total_updates,
-            throughput=throughput,
-            staleness=staleness,
-            wait_time_per_worker={
-                report.worker_id: report.total_wait_time
-                for report in result.worker_reports
-            },
-            worker_reports=list(result.worker_reports),
-            server_statistics=result.server_statistics,
-            provenance=provenance,
-            errors=list(result.errors),
-            events=list(result.events),
-            profile=result.profile,
-        )
+        return _run_result(spec, self.name, provenance, trainer.run())
 
 
 def tcp_plan_from_spec(
@@ -639,11 +590,7 @@ def tcp_plan_from_spec(
     ``checkpoint_path`` enables periodic atomic checkpoints and
     restore-on-start.
     """
-    if spec.workload not in available_workloads():
-        raise ValueError(
-            f"unknown workload {spec.workload!r}; known workloads: "
-            f"{sorted(available_workloads())}"
-        )
+    registry_fields = _registry_plan_fields(spec, profile)
     if spec.transport not in (None, "tcp"):
         raise ValueError(
             f"spec pins transport={spec.transport!r}; the tcp backend "
@@ -656,35 +603,12 @@ def tcp_plan_from_spec(
             "the tcp backend serves a monolithic store (num_shards=1); "
             "use the threaded or process backend for sharded stores"
         )
-    built_workload = _build_workload(spec)
     if num_workers is None:
         num_workers = len(spec.cluster.worker_ids)
-    # Same liveness-guard stretching as the process backend: declared
-    # slowdowns are legitimate idleness, not hangs.
-    max_slowdown = max((float(v) for v in spec.slowdowns.values()), default=0.0)
-    wait_timeout = max(wait_timeout, 4.0 * max_slowdown + 60.0)
     heartbeat_timeout = float(spec.cluster.heartbeat_timeout)
     return TcpTrainingPlan(
-        workload=spec.workload,
-        workload_kwargs=dict(spec.workload_kwargs),
-        scale_fields=dataclasses.asdict(spec.resolved_scale()),
-        paradigm=spec.paradigm,
-        paradigm_kwargs=dict(spec.paradigm_kwargs),
-        num_workers=num_workers,
-        iterations_per_worker=_iterations_per_worker(spec, built_workload, num_workers),
-        batch_size=spec.resolved_batch_size(),
-        learning_rate=spec.learning_rate,
-        momentum=spec.momentum,
-        weight_decay=spec.weight_decay,
-        slowdowns={key: float(value) for key, value in spec.slowdowns.items()},
-        evaluate_every_pushes=spec.resolved_evaluate_every_updates(),
-        dtype=spec.dtype,
-        profile=profile,
-        compression=spec.compression,
-        aggregation=spec.aggregation,
-        faults=spec.faults,
-        net_faults=spec.net_faults,
-        seed=spec.seed,
+        **_plan_fields(spec, _build_workload(spec), num_workers, wait_timeout),
+        **registry_fields,
         address=address if address is not None else spec.cluster.address,
         # One lost heartbeat must not kill a worker: probe at a quarter of
         # the declared timeout (capped at the 1 s default cadence).
@@ -692,7 +616,6 @@ def tcp_plan_from_spec(
         heartbeat_timeout=heartbeat_timeout,
         checkpoint_path=checkpoint_path,
         checkpoint_every_pushes=checkpoint_every_pushes,
-        wait_timeout=wait_timeout,
     )
 
 
@@ -765,39 +688,4 @@ class TcpBackend:
             checkpoint_every_pushes=self.checkpoint_every_pushes,
         )
         trainer = TcpTrainer(plan, context=self.context, external_address=self.address)
-        result = trainer.run()
-
-        batch_size = plan.batch_size
-        total_updates = int(result.server_statistics.get("store_version", 0))
-        throughput = iteration_throughput(
-            total_updates=total_updates,
-            total_time=max(result.wall_time, 1e-12),
-            samples_per_update=batch_size,
-        )
-        # Like the process backend, the server evaluates the initial (t=0)
-        # and final model itself, so the curve arrives complete.
-        staleness = result.server_statistics.get("update_staleness")
-        if staleness is None:
-            staleness = StalenessTracker().summary()
-        return RunResult(
-            backend=self.name,
-            paradigm=spec.paradigm,
-            paradigm_label=spec.label,
-            times=np.asarray(result.evaluation_times, dtype=np.float64),
-            accuracies=np.asarray(result.evaluation_accuracies, dtype=np.float64),
-            losses=np.asarray(result.evaluation_losses, dtype=np.float64),
-            total_time=result.wall_time,
-            total_updates=total_updates,
-            throughput=throughput,
-            staleness=staleness,
-            wait_time_per_worker={
-                report.worker_id: report.total_wait_time
-                for report in result.worker_reports
-            },
-            worker_reports=list(result.worker_reports),
-            server_statistics=result.server_statistics,
-            provenance=provenance,
-            errors=list(result.errors),
-            events=list(result.events),
-            profile=result.profile,
-        )
+        return _run_result(spec, self.name, provenance, trainer.run())

@@ -17,6 +17,9 @@ This subpackage provides that framework built from scratch:
   worker receives the OK signal.
 * :class:`Worker` — a model replica bound to a data partition that computes
   gradients from its (possibly stale) local weights.
+* :class:`WorkerLoop` / :class:`ServerSession` — the step protocol itself
+  (:mod:`repro.ps.session`), written once and shared by the three runtimes
+  below, which only move bytes and wake peers.
 * :class:`ThreadedTrainer` — a real concurrent runtime in which every worker
   is a Python thread and synchronization is enforced with condition
   variables; useful to demonstrate the framework end to end on one machine.
@@ -46,6 +49,7 @@ from repro.ps.messages import (
 )
 from repro.ps.server import AppliedPush, ParameterServer, PushResponse
 from repro.ps.worker import Worker, GradientComputation
+from repro.ps.session import ServerSession, TrainingPlan, WorkerLoop
 from repro.ps.runtime import ThreadedTrainer, ThreadedTrainingResult
 from repro.ps.process_runtime import (
     ProcessTrainer,
@@ -114,6 +118,9 @@ __all__ = [
     "PushResponse",
     "Worker",
     "GradientComputation",
+    "ServerSession",
+    "TrainingPlan",
+    "WorkerLoop",
     "ThreadedTrainer",
     "ThreadedTrainingResult",
     "ProcessTrainer",

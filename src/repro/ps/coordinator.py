@@ -15,110 +15,41 @@ wrapper around it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
-from repro.core.factory import make_policy, validate_paradigm
 from repro.data.dataset import ArrayDataset
-from repro.data.loader import MiniBatchLoader
-from repro.data.partitioner import partition_dataset
-from repro.metrics.accuracy import evaluate_model
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.module import Module
-from repro.optim.schedules import ConstantSchedule
-from repro.optim.sgd import SGD
-from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
-from repro.ps.compression import make_codec, validate_codec_spec
-from repro.ps.faults import FaultInjector, parse_fault_specs
+from repro.ps.faults import parse_fault_specs
 from repro.ps.runtime import ThreadedTrainer, ThreadedTrainingResult
+from repro.ps.session import (
+    TrainingPlan,
+    build_evaluator,
+    build_server,
+    replica_builder,
+)
 from repro.ps.sharding import make_store
-from repro.ps.server import ParameterServer
-from repro.ps.worker import Worker
 from repro.utils.rng import RngStream
 
 __all__ = [
     "DistributedTrainingConfig",
-    "partition_for_workers",
-    "build_worker",
     "assemble_training",
     "train_distributed",
 ]
 
 
-def partition_for_workers(streams: RngStream, train_dataset, num_workers: int):
-    """The canonical per-worker data partitioning.
-
-    Must be called exactly once per :class:`~repro.utils.rng.RngStream`
-    instance (the ``"partition"`` stream is stateful), which is how both
-    the threaded coordinator and every worker process of the multi-process
-    runtime arrive at byte-identical partitions from the same master seed.
-    """
-    return partition_dataset(train_dataset, num_workers, rng=streams.get("partition"))
-
-
-def build_worker(
-    index: int,
-    partitions,
-    global_model: Module,
-    model_builder: Callable[[np.random.Generator], Module],
-    streams: RngStream,
-    batch_size: int,
-    micro_batches: int = 1,
-    use_workspace: bool = True,
-) -> Worker:
-    """One worker replica, exactly as :func:`assemble_training` builds it.
-
-    Shared with :mod:`repro.ps.process_runtime` so the replica recipe —
-    stream names, loader construction, initial-weight overwrite from the
-    global model — lives in one place and the two runtimes cannot drift
-    apart on cross-substrate determinism.  ``use_workspace`` (default on)
-    runs the replica on the allocation-free workspace kernels.
-    """
-    loader = MiniBatchLoader(
-        partitions[index],
-        batch_size=batch_size,
-        rng=streams.get(f"loader-{index}"),
-    )
-    replica = model_builder(streams.get(f"model-{index}"))
-    replica.load_state_dict(global_model.state_dict())
-    return Worker(
-        worker_id=f"worker-{index}",
-        model=replica,
-        loader=loader,
-        loss_fn=SoftmaxCrossEntropy(),
-        micro_batches=micro_batches,
-        use_workspace=use_workspace,
-    )
-
-
-@dataclass
-class DistributedTrainingConfig:
+@dataclass(frozen=True, kw_only=True)
+class DistributedTrainingConfig(TrainingPlan):
     """Configuration of a threaded distributed training run.
+
+    Everything in :class:`~repro.ps.session.TrainingPlan` (``num_workers``
+    is the number of worker threads), plus the store layout:
 
     Attributes
     ----------
-    paradigm:
-        ``"bsp"``, ``"asp"``, ``"ssp"`` or ``"dssp"``.
-    paradigm_kwargs:
-        Parameters of the paradigm (e.g. ``{"staleness": 3}`` for SSP or
-        ``{"s_lower": 3, "s_upper": 15}`` for DSSP).
-    num_workers:
-        Number of worker threads.
-    iterations_per_worker:
-        Push iterations each worker performs.
-    batch_size:
-        Mini-batch size per worker iteration.
-    micro_batches:
-        Number of micro-batches aggregated per push (models multi-GPU workers).
-    learning_rate, momentum, weight_decay:
-        Server-side SGD hyper-parameters.
-    slowdowns:
-        Optional per-worker artificial slowdown in seconds per iteration,
-        keyed by worker id (``"worker-0"``, ...), to emulate heterogeneity.
-    evaluate_every_pushes:
-        Evaluate the global model every N pushes (0 disables evaluation).
     num_shards:
         Number of parameter-server shards.  1 (the default) uses the
         monolithic :class:`KeyValueStore`; more builds a
@@ -127,80 +58,15 @@ class DistributedTrainingConfig:
         pulls.
     shard_strategy:
         Key partitioning strategy, ``"size"`` (balanced) or ``"hash"``.
-    dtype:
-        Element dtype of the server-held weights, ``"float64"`` (default)
-        or ``"float32"`` (halves push/pull payloads; what the paper's MXNet
-        setup uses).
-    use_workspace:
-        Run worker replicas (and the evaluation model) on the
-        allocation-free workspace compute kernels (default on; the
-        reference kernels remain available for comparison benchmarks).
-    compression:
-        Optional push codec spec (e.g. ``"topk:0.01"``, ``"fp16"``; see
-        :mod:`repro.ps.compression`).  Each worker gets its own codec
-        instance (error-feedback residuals are per worker) and the server
-        decodes the payload back into the fused flat update path.
-    aggregation:
-        Optional robust-aggregation spec (e.g. ``"trimmed_mean:1"``,
-        ``"median"``; see :mod:`repro.ps.aggregation`).  ``None`` and
-        ``"mean"`` keep the immediate-apply fast path; any other
-        aggregator buffers a window of pushes server-side and applies
-        their robust combination at once.
-    faults:
-        Optional fault plan (see :mod:`repro.ps.faults`): per-worker
-        crash / byzantine / corrupt / flaky entries injected into the run.
-    seed:
-        Master seed for data order and weight initialization.
     """
 
-    paradigm: str = "dssp"
-    paradigm_kwargs: dict = field(default_factory=lambda: {"s_lower": 3, "s_upper": 15})
-    num_workers: int = 4
-    iterations_per_worker: int = 20
-    batch_size: int = 32
-    micro_batches: int = 1
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    slowdowns: Mapping[str, float] = field(default_factory=dict)
-    evaluate_every_pushes: int = 0
     num_shards: int = 1
     shard_strategy: str = "size"
-    dtype: str = "float64"
-    use_workspace: bool = True
-    compression: str | None = None
-    aggregation: str | None = None
-    faults: tuple = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.compression is not None:
-            validate_codec_spec(self.compression)
-        if self.aggregation is not None:
-            validate_aggregation_spec(self.aggregation)
-        self.faults = tuple(self.faults)
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if self.iterations_per_worker <= 0:
-            raise ValueError("iterations_per_worker must be positive")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        super().__post_init__()
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        # Fail fast on paradigm typos instead of erroring mid-run.
-        validate_paradigm(self.paradigm, self.paradigm_kwargs)
-        # A slowdown keyed on a nonexistent worker is a silent typo: the run
-        # would proceed with the slowdown ignored.  Reject it here.
-        valid_ids = {f"worker-{index}" for index in range(self.num_workers)}
-        unknown = sorted(set(self.slowdowns) - valid_ids)
-        if unknown:
-            raise ValueError(
-                f"slowdowns name nonexistent workers {unknown}; "
-                f"valid ids: {sorted(valid_ids)}"
-            )
-        if self.faults:
-            worker_ids = [f"worker-{index}" for index in range(self.num_workers)]
-            parse_fault_specs(self.faults, worker_ids)
 
 
 def assemble_training(
@@ -215,19 +81,16 @@ def assemble_training(
     model; every replica is immediately overwritten with the global initial
     weights so all workers start from the same point, as in the paper.
 
-    The returned trainer exposes its ``server`` and ``evaluate_fn`` (built
-    whenever a test dataset is given), which lets callers such as
-    :class:`repro.api.ThreadedBackend` evaluate the global model outside the
-    trainer's own push-driven cadence.
+    The returned trainer exposes its ``server``, ``workers`` and
+    ``evaluate_fn`` (built whenever a test dataset is given), which lets
+    callers drive or evaluate the pieces outside the trainer's own run.
     """
-    streams = RngStream(config.seed)
-    policy = make_policy(config.paradigm, **config.paradigm_kwargs)
-
-    worker_ids = [f"worker-{index}" for index in range(config.num_workers)]
-    fault_plan = parse_fault_specs(config.faults, worker_ids)
-    injector = FaultInjector(fault_plan, streams) if fault_plan else None
-
-    global_model = model_builder(streams.get("init"))
+    workload = SimpleNamespace(
+        model_builder=model_builder,
+        train_dataset=train_dataset,
+        test_dataset=test_dataset,
+    )
+    global_model = model_builder(RngStream(config.seed).get("init"))
     store = make_store(
         initial_weights={name: p.data for name, p in global_model.named_parameters()},
         initial_buffers=global_model.buffers(),
@@ -235,65 +98,21 @@ def assemble_training(
         strategy=config.shard_strategy,
         dtype=config.dtype,
     )
-    optimizer = SGD(
-        learning_rate=config.learning_rate,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-    )
-    server = ParameterServer(
-        store=store,
-        optimizer=optimizer,
-        policy=policy,
-        learning_rate_schedule=ConstantSchedule(config.learning_rate),
-        aggregator=(
-            make_aggregator(config.aggregation)
-            if config.aggregation is not None
-            else None
-        ),
-        fault_injector=injector,
-    )
-
-    partitions = partition_for_workers(streams, train_dataset, config.num_workers)
+    server = build_server(config, store)
+    build = replica_builder(config, workload)
     workers = []
-    for index in range(len(partitions)):
-        server.register_worker(f"worker-{index}")
-        worker = build_worker(
-            index,
-            partitions,
-            global_model,
-            model_builder,
-            streams,
-            batch_size=config.batch_size,
-            micro_batches=config.micro_batches,
-            use_workspace=config.use_workspace,
-        )
-        if config.compression is not None:
-            # One codec per worker: error-feedback residuals are worker
-            # state.  The deterministic per-worker stream keeps stochastic
-            # codecs (int8 rounding) reproducible across runtimes.
-            codec = make_codec(config.compression)
-            codec.reseed(streams.get(f"codec-{index}"))
-            worker.set_codec(codec)
-        workers.append(worker)
-
-    evaluate_fn = None
-    if test_dataset is not None:
-        eval_model = model_builder(streams.get("eval"))
-        if config.use_workspace:
-            eval_model.enable_workspace()
-
-        def evaluate_fn(state: Mapping[str, np.ndarray]) -> tuple[float, float]:
-            eval_model.load_state_dict(dict(state))
-            return evaluate_model(eval_model, test_dataset, batch_size=config.batch_size)
-
+    for index, worker_id in enumerate(config.worker_ids):
+        server.register_worker(worker_id)
+        workers.append(build(index))  # the trainer packs them to the store's layout
     return ThreadedTrainer(
         server=server,
         workers=workers,
         iterations_per_worker=config.iterations_per_worker,
         slowdowns=config.slowdowns,
-        evaluate_fn=evaluate_fn,
+        evaluate_fn=build_evaluator(config, workload),
         evaluate_every_pushes=config.evaluate_every_pushes,
-        fault_plan=fault_plan if fault_plan else None,
+        wait_timeout=config.wait_timeout,
+        fault_plan=parse_fault_specs(config.faults, config.worker_ids) or None,
     )
 
 

@@ -18,11 +18,10 @@ keeps the hot path as flat as the thread version:
   worker's memory directly.  The ``"pipe"`` transport ships the packed
   buffers through the pipe instead (simpler, fully copying) and exists for
   comparison and as a fallback.
-* **Clock coordination** moves onto process-safe primitives: the
-  BSP/ASP/SSP/DSSP policy objects (:mod:`repro.core`) live in the server
-  process and are driven by push messages exactly as the threaded runtime
-  drives them under its global lock; the per-worker OK signal — a
-  ``threading.Event`` in the thread world — becomes a per-worker
+* **Clock coordination** moves onto process-safe primitives: the server
+  side of the step protocol (:class:`repro.ps.session.ServerSession`) lives
+  in the server process and is driven by push messages; the per-worker OK
+  signal — a ``threading.Event`` in the thread world — becomes a per-worker
   ``multiprocessing.Semaphore`` (released by the server, acquired by the
   worker: one futex operation each way, no pickling), a shared ``Event``
   flags aborts, and the start line is a ``multiprocessing.Barrier`` so
@@ -30,8 +29,8 @@ keeps the hot path as flat as the thread version:
   (comparatively slow) setup.
 
 Determinism and fidelity: every process rebuilds the workload from the
-registry (:mod:`repro.experiments.workloads`) with the same master seed, and
-:class:`repro.utils.rng.RngStream` streams are name-addressed, so dataset,
+registry (:mod:`repro.experiments.workloads`) with the same master seed and
+builds its pieces with the recipes of :mod:`repro.ps.session`, so dataset,
 partitioning and replica initialization are byte-identical to what
 :func:`repro.ps.coordinator.assemble_training` builds for the threaded
 runtime — one spec trains the same model on either substrate.
@@ -53,27 +52,20 @@ import multiprocessing
 import os
 import selectors
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.factory import make_policy, validate_paradigm
-from repro.metrics.accuracy import evaluate_model
-from repro.optim.schedules import ConstantSchedule
-from repro.optim.sgd import SGD
-from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
-from repro.ps.compression import (
-    make_codec,
-    read_encoded,
-    validate_codec_spec,
-    write_encoded,
-)
-from repro.ps.faults import FaultInjector, parse_fault_specs
-from repro.ps.messages import PushRequest, WorkerReport
+from repro.ps.compression import read_encoded, write_encoded
 from repro.ps.netfaults import NetFaultSchedule, parse_net_fault_specs
-from repro.ps.runtime import ThreadedTrainingResult
-from repro.ps.server import ParameterServer
+from repro.ps.session import (
+    Resume,
+    ServerSession,
+    TrainingResult,
+    WorkerLoop,
+    WorkloadPlan,
+    plan_codec,
+)
 from repro.ps.transport import ConnectionClosed, PipeConnection, validate_transport
 from repro.ps.shm import (
     SharedFlatStore,
@@ -97,7 +89,7 @@ _LOGGER = get_logger("ps.process_runtime")
 #: The process runtime reports through the same result schema as the
 #: threaded runtime — same fields, same semantics, wall-clock time measured
 #: from the moment every process clears the start barrier.
-ProcessTrainingResult = ThreadedTrainingResult
+ProcessTrainingResult = TrainingResult
 
 #: Gradient paths this runtime supports, a subset of the transport registry
 #: (:mod:`repro.ps.transport`); ``"tcp"`` belongs to the socket runtime.
@@ -119,130 +111,59 @@ def default_context_name() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-@dataclass(frozen=True)
-class ProcessTrainingPlan:
+def resolve_context(context=None):
+    """A multiprocessing context from a context, a start-method name or ``None``."""
+    if context is None or isinstance(context, str):
+        return multiprocessing.get_context(context or default_context_name())
+    return context
+
+
+def reap(processes) -> None:
+    """Join every child, terminating the ones that do not exit."""
+    for process in processes:
+        process.join(timeout=5.0)
+    for process in processes:
+        if process.is_alive():  # pragma: no cover - hard-abort path
+            process.terminate()
+            process.join(timeout=5.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ProcessTrainingPlan(WorkloadPlan):
     """Picklable description of one multi-process training run.
 
-    Carries plain data only — workload *name* plus the resolved scale's
-    fields rather than built objects — because worker and server processes
-    rebuild everything locally from it (mandatory under the ``spawn`` start
-    method, and what keeps the runtime deterministic under ``fork`` too).
+    Everything in :class:`~repro.ps.session.WorkloadPlan`, plus the store
+    layout and the gradient path:
 
     Attributes
     ----------
-    workload, workload_kwargs, scale_fields:
-        Registry name, extra builder arguments and the resolved
-        :class:`~repro.experiments.config.ExperimentScale` as a field dict.
-    paradigm, paradigm_kwargs:
-        Synchronization paradigm, validated at construction.
-    num_workers, iterations_per_worker, batch_size, micro_batches:
-        Run shape; every worker performs the same number of push iterations
-        (the invariant that keeps BSP rounds deadlock-free).
-    learning_rate, momentum, weight_decay:
-        Server-side SGD hyper-parameters.
-    slowdowns:
-        Per-worker artificial seconds of sleep per iteration (heterogeneity).
-    evaluate_every_pushes:
-        Server-side evaluation cadence (0 disables periodic evaluation; the
-        initial and final model are always evaluated).
-    num_shards, shard_strategy, dtype:
-        Parameter-store layout, identical semantics to the other runtimes.
-    use_workspace:
-        Run worker replicas (and the server's evaluation model) on the
-        allocation-free workspace compute kernels (default on).
-    profile:
-        Worker 0 attaches a per-layer profiler
-        (:class:`repro.utils.profiler.LayerProfiler`) and ships the timing
-        breakdown with its final report; it lands in
-        ``ProcessTrainingResult.profile``.
-    compression:
-        Optional push codec spec (e.g. ``"topk:0.01"``; see
-        :mod:`repro.ps.compression`).  Under the ``"shm"`` transport the
-        gradient mailboxes shrink to the codec's worst-case *encoded*
-        frame size and carry self-describing frames the server parses
-        zero-copy; under ``"pipe"`` the encoded arrays replace the packed
-        buffers in the push message.  ``None`` and the identity ``"none"``
-        codec both take the uncoded fast path (the dense mailbox already
-        ships exactly the bytes ``none`` would frame).
-    aggregation:
-        Optional robust-aggregation spec (:mod:`repro.ps.aggregation`,
-        e.g. ``"trimmed_mean:1"``).  The server process buffers a window
-        of pushes and applies their robust combination; ``None``/``"mean"``
-        keep the immediate-apply fast path.
-    faults:
-        Optional fault plan (:mod:`repro.ps.faults`).  Injected crashes
-        leave gracefully — the worker announces its death over the pipe
-        and exits, so membership re-bounds elastically on *both*
-        transports — unlike the hard ``crash_at`` test hooks below, which
-        exercise the unannounced-death protocol windows.
-    net_faults:
-        Optional network-chaos entries (:mod:`repro.ps.netfaults`).  Only
-        the ``"pipe"`` transport accepts them, and only the ``delay`` and
-        ``drop`` kinds: a pipe can add latency before a push, and a
-        dropped push is a permanent elastic death because pipes have no
-        reconnect path.  The tcp backend supports the full fault set.
-    seed:
-        Master seed shared by every process's :class:`~repro.utils.rng.RngStream`.
+    num_shards, shard_strategy:
+        Parameter-store layout, identical semantics to the threaded runtime.
     transport:
         ``"shm"`` (gradient mailboxes in shared memory, default) or
         ``"pipe"`` (packed gradients pickled through the worker's pipe).
-    wait_timeout:
-        Safety timeout (seconds) for any blocking wait — OK signals, the
-        start barrier, server-side idle polls — after which the run aborts
-        with an error instead of hanging.
-    crash_at:
-        Test-only fault injection: ``{worker_id: iteration}`` makes that
-        worker die with ``os._exit(1)`` (no cleanup, as a real crash would)
-        at the start of that iteration.
-    crash_after_push:
-        Test-only fault injection: ``{worker_id: iteration}`` makes that
-        worker die immediately *after sending* that iteration's push —
-        mid-protocol, while the server still owes it an OK.  Exercises the
-        death-during-push window the EOF handling must cover.
+        With a ``compression`` codec the ``"shm"`` mailboxes shrink to the
+        codec's worst-case *encoded* frame size and carry self-describing
+        frames the server parses zero-copy; under ``"pipe"`` the encoded
+        arrays replace the packed buffers in the push message.
+    net_faults:
+        Only the ``"pipe"`` transport accepts them, and only the ``delay``
+        and ``drop`` kinds: a pipe can add latency before a push, and a
+        dropped push is a permanent elastic death because pipes have no
+        reconnect path.  The tcp backend supports the full fault set.
+    faults:
+        Injected crashes leave gracefully — the worker announces its death
+        over the pipe and exits, so membership re-bounds elastically on
+        *both* transports — unlike the hard ``crash_at`` test hooks, which
+        exercise the unannounced-death protocol windows.
     """
 
-    workload: str
-    scale_fields: dict
-    workload_kwargs: dict = field(default_factory=dict)
-    paradigm: str = "dssp"
-    paradigm_kwargs: dict = field(default_factory=lambda: {"s_lower": 3, "s_upper": 15})
-    num_workers: int = 4
-    iterations_per_worker: int = 20
-    batch_size: int = 32
-    micro_batches: int = 1
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    slowdowns: Mapping[str, float] = field(default_factory=dict)
-    evaluate_every_pushes: int = 0
     num_shards: int = 1
     shard_strategy: str = "size"
-    dtype: str = "float64"
-    use_workspace: bool = True
-    profile: bool = False
-    compression: str | None = None
-    aggregation: str | None = None
-    faults: tuple = ()
-    net_faults: tuple = ()
-    seed: int = 0
     transport: str = "shm"
-    wait_timeout: float = 120.0
-    crash_at: Mapping[str, int] = field(default_factory=dict)
-    crash_after_push: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.compression is not None:
-            validate_codec_spec(self.compression)
-        if self.aggregation is not None:
-            validate_aggregation_spec(self.aggregation)
-        object.__setattr__(self, "faults", tuple(self.faults))
-        if self.faults:
-            parse_fault_specs(
-                self.faults, [f"worker-{index}" for index in range(self.num_workers)]
-            )
-        object.__setattr__(
-            self, "net_faults", tuple(dict(entry) for entry in self.net_faults)
-        )
+        super().__post_init__()
         if self.net_faults:
             if self.transport != "pipe":
                 raise ValueError(
@@ -252,62 +173,18 @@ class ProcessTrainingPlan:
                 )
             parse_net_fault_specs(
                 self.net_faults,
-                [f"worker-{index}" for index in range(self.num_workers)],
+                self.worker_ids,
                 allowed_kinds=("delay", "drop"),
                 context="the process pipe transport",
             )
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if self.iterations_per_worker <= 0:
-            raise ValueError("iterations_per_worker must be positive")
-        if self.batch_size <= 0 or self.micro_batches <= 0:
-            raise ValueError("batch_size and micro_batches must be positive")
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
         validate_transport(self.transport, allowed=_TRANSPORTS)
-        validate_paradigm(self.paradigm, self.paradigm_kwargs)
-        valid_ids = {f"worker-{index}" for index in range(self.num_workers)}
-        unknown = sorted(
-            {*self.slowdowns, *self.crash_at, *self.crash_after_push} - valid_ids
-        )
-        if unknown:
-            raise ValueError(
-                f"slowdowns/crash_at name nonexistent workers {unknown}; "
-                f"valid ids: {sorted(valid_ids)}"
-            )
-
-    def build_workload(self):
-        """Rebuild the workload in the calling process (registry + scale).
-
-        Imported lazily: :mod:`repro.experiments` sits above :mod:`repro.ps`
-        in the layering, so the runtime only touches it at run time (child
-        processes), never at import time.
-        """
-        from repro.experiments.config import ExperimentScale
-        from repro.experiments.workloads import build_workload
-
-        return build_workload(
-            self.workload, ExperimentScale(**self.scale_fields), **self.workload_kwargs
-        )
 
 
 # ----------------------------------------------------------------------
 # Gradient mailboxes
 # ----------------------------------------------------------------------
-def _plan_codec(plan):
-    """The plan's push codec instance, or ``None`` for uncoded pushes.
-
-    ``compression=None`` and the identity ``"none"`` codec both resolve to
-    ``None``: the dense float64 mailbox (shm) / packed-buffer payload
-    (pipe) already ships exactly the bytes the ``none`` codec would frame,
-    so skipping the framing keeps that path bit-for-bit and zero-overhead.
-    """
-    if plan.compression is None:
-        return None
-    codec = make_codec(plan.compression)
-    return None if codec.name == "none" else codec
-
-
 def _framed_mailbox_regions(handle, segment, codec) -> dict[int, np.ndarray]:
     """Per-shard uint8 frame regions of one worker's mailbox (codec mode).
 
@@ -396,48 +273,21 @@ def _server_main(
 ) -> None:
     """Entry point of the server process.
 
-    Owns the :class:`~repro.ps.server.ParameterServer` (shared-memory store,
-    optimizer, synchronization policy) and drives it from push messages,
-    releasing workers through their OK semaphores.  Also owns evaluation:
-    the initial model at t=0 (before the start barrier, so setup cost stays
-    out of the curve), every ``evaluate_every_pushes`` pushes, and the
-    final model — reading the weights through copy-on-write leases so
-    evaluation never blocks the update path.
+    Owns the :class:`~repro.ps.session.ServerSession` over the shared-memory
+    store and drives it from pipe messages, releasing workers through their
+    OK semaphores.  The initial model is evaluated before the start barrier,
+    so setup cost stays out of the curve.
     """
     _close_unrelated(unrelated)
     store = None
     mailboxes: list[SharedSegment] = []
     try:
         store = SharedFlatStore(handle, writer=True)
-        policy = make_policy(plan.paradigm, **plan.paradigm_kwargs)
-        worker_ids = [f"worker-{index}" for index in range(plan.num_workers)]
-        streams = RngStream(plan.seed)
-        fault_plan = parse_fault_specs(plan.faults, worker_ids)
-        injector = FaultInjector(fault_plan, streams) if fault_plan else None
-        # One shared event log: the injector's records and the workers'
-        # shipped network-chaos events land in the same list, in arrival
-        # order, exactly as the TCP runtime reports them.
-        events: list = injector.events if injector is not None else []
-        server = ParameterServer(
-            store=store,
-            optimizer=SGD(
-                learning_rate=plan.learning_rate,
-                momentum=plan.momentum,
-                weight_decay=plan.weight_decay,
-            ),
-            policy=policy,
-            learning_rate_schedule=ConstantSchedule(plan.learning_rate),
-            aggregator=(
-                make_aggregator(plan.aggregation)
-                if plan.aggregation is not None
-                else None
-            ),
-            fault_injector=injector,
-        )
-        for worker_id in worker_ids:
-            server.register_worker(worker_id)
+        session = ServerSession.from_plan(plan, store, plan.build_workload())
+        for worker_id in plan.worker_ids:
+            session.join(worker_id)
 
-        codec = _plan_codec(plan)
+        codec = plan_codec(plan)
         codec_name = codec.name if codec is not None else None
         grad_views: dict[int, dict[int, np.ndarray]] = {}
         grad_regions: dict[int, dict[int, np.ndarray]] = {}
@@ -452,35 +302,13 @@ def _server_main(
                 else:
                     grad_views[index] = _mailbox_views(handle, segment)
 
-        workload = plan.build_workload()
-        eval_model = workload.model_builder(streams.get("eval"))
-        if plan.use_workspace:
-            eval_model.enable_workspace()
-
-        def evaluate() -> tuple[float, float]:
-            with store.leased_state() as views:
-                eval_model.load_state_dict(dict(views))
-            return evaluate_model(
-                eval_model, workload.test_dataset, batch_size=plan.batch_size
-            )
-
-        eval_times: list[float] = []
-        eval_accuracies: list[float] = []
-        eval_losses: list[float] = []
-        accuracy, loss = evaluate()
-        eval_times.append(0.0)
-        eval_accuracies.append(accuracy)
-        eval_losses.append(loss)
-
+        session.evaluate(0.0)
         barrier.wait(timeout=plan.wait_timeout)
-        start = time.monotonic()
+        session.start()
 
         live: dict = {
             PipeConnection(conn): index for index, conn in enumerate(conns)
         }
-        reports: dict[int, WorkerReport] = {}
-        errors: list[str] = []
-        worker_profile: dict | None = None
         # Persistent selector: registering the worker pipes once is
         # measurably cheaper than multiprocessing.connection.wait's
         # per-call selector construction on the per-push hot path.
@@ -499,21 +327,19 @@ def _server_main(
             for ok in oks:
                 ok.release()
 
-        index_of = {f"worker-{index}": index for index in range(plan.num_workers)}
+        index_of = {worker_id: index for index, worker_id in enumerate(plan.worker_ids)}
+
+        def release(worker_ids) -> None:
+            for released in worker_ids:
+                oks[index_of[released]].release()
+
         fatal = False
         dead: set[int] = set()
-        # Liveness guard: "no push for this long" aborts the run as hung.
-        # The threshold adapts to the workload — a heavy model legitimately
-        # goes quiet for a whole iteration (e.g. every BSP round starts with
-        # all workers computing simultaneously), so once iteration times are
-        # observed the guard stretches to comfortably exceed them.
-        idle_timeout = plan.wait_timeout
-        last_push_time: dict[int, float] = {}
-        while len(reports) + len(dead) < plan.num_workers and not fatal:
-            ready = selector.select(timeout=idle_timeout)
+        while len(session.reports) + len(dead) < plan.num_workers and not fatal:
+            ready = selector.select(timeout=session.idle_timeout)
             if not ready:
-                errors.append(
-                    f"server: no worker progress for {idle_timeout:.0f}s, aborting"
+                session.errors.append(
+                    f"server: no worker progress for {session.idle_timeout:.0f}s, aborting"
                 )
                 abort_all()
                 break
@@ -529,7 +355,8 @@ def _server_main(
                         # Announced its injected crash already ("leave"
                         # message); this EOF is just the pipe closing.
                         continue
-                    errors.append(f"{worker_id}: process died (connection lost)")
+                    reason = "process died (connection lost)"
+                    session.errors.append(f"{worker_id}: {reason}")
                     if plan.transport == "pipe":
                         # Elastic death on the pipe transport: everything the
                         # dead worker owned travelled through this (now
@@ -541,32 +368,20 @@ def _server_main(
                         # inside the shared-memory store cannot be declared
                         # harmless from here.
                         dead.add(index)
-                        if worker_id in server.worker_ids:
-                            for released in server.deregister_worker(worker_id):
-                                oks[index_of[released]].release()
+                        release(session.leave(worker_id, reason=reason))
                         continue
                     abort_all()
                     fatal = True
                     break
                 kind = header["type"]
                 if kind == "push":
-                    base_version = header["base_version"]
-                    timestamp = header["timestamp"]
-                    loss = header["loss"]
-                    buffers = header["buffers"]
-                    previous = last_push_time.get(index)
-                    last_push_time[index] = timestamp
-                    if previous is not None:
-                        idle_timeout = max(
-                            idle_timeout, plan.wait_timeout + 4.0 * (timestamp - previous)
-                        )
                     flat_gradients = None
                     encoded = None
                     if codec is not None:
                         if plan.transport == "shm":
                             # Self-describing frames: parsed zero-copy out
-                            # of the worker's mailbox, decoded inside
-                            # handle_push before the worker is released.
+                            # of the worker's mailbox, decoded inside the
+                            # push before the worker is released.
                             encoded = tuple(
                                 read_encoded(region, shard)
                                 for shard, region in sorted(
@@ -579,116 +394,38 @@ def _server_main(
                         flat_gradients = grad_views[index]
                     else:
                         flat_gradients = payload
-                    request = PushRequest(
-                        worker_id=worker_id,
-                        gradients={},
-                        base_version=base_version,
-                        timestamp=timestamp,
-                        buffers=buffers or {},
-                        local_loss=loss,
-                        flat_gradients=flat_gradients,
-                        encoded_gradients=encoded,
-                        codec=codec_name,
+                    header["codec"] = codec_name
+                    response = session.push(
+                        worker_id,
+                        header,
+                        flat=flat_gradients,
+                        encoded=encoded,
+                        buffers=header["buffers"],
                     )
-                    response = server.handle_push(request)
-                    for released in response.released_workers:
-                        oks[index_of[released]].release()
-                    if response.release_now:
-                        oks[index].release()
-                    if (
-                        plan.evaluate_every_pushes > 0
-                        and server.pushes_handled % plan.evaluate_every_pushes == 0
-                    ):
-                        accuracy, loss = evaluate()
-                        eval_times.append(time.monotonic() - start)
-                        eval_accuracies.append(accuracy)
-                        eval_losses.append(loss)
+                    release(response.to_release)
                 elif kind == "leave":
                     # Injected crash: the worker announced its death and
                     # exited.  Elastic on both transports — nothing of the
                     # dead worker's is left in flight on the shared store.
                     dead.add(index)
-                    events.extend(
-                        dict(event) for event in header.get("events") or []
-                    )
-                    if injector is not None:
-                        injector.record(
-                            "crash", worker_id, clock=header.get("clock", 0)
-                        )
-                    server.discard_staged(worker_id)
-                    if worker_id in server.worker_ids:
-                        for released in server.deregister_worker(worker_id):
-                            oks[index_of[released]].release()
+                    release(session.leave(worker_id, events=header.get("events")))
                 elif kind == "done":
-                    reports[index] = WorkerReport(**header["report"])
-                    events.extend(
-                        dict(event) for event in header.get("events") or []
+                    session.done(
+                        worker_id, header["report"], header.get("events"), payload
                     )
-                    if payload is not None:
-                        worker_profile = payload
                     drop(conn)
                 elif kind == "error":
-                    errors.append(f"{worker_id}: {header['message']}")
+                    session.errors.append(f"{worker_id}: {header['message']}")
                     drop(conn)
                     abort_all()
                     fatal = True
                     break
         selector.close()
-
-        # Apply the tail window of a buffered robust aggregator before the
-        # final evaluation sees the weights.
-        server.flush_staged()
-
-        wall_time = time.monotonic() - start
-        for index, report in reports.items():
-            policy.clock_table.record_wait(
-                f"worker-{index}", report.total_wait_time
-            )
-        accuracy, loss = evaluate()
-        eval_times.append(wall_time)
-        eval_accuracies.append(accuracy)
-        eval_losses.append(loss)
-
-        ordered_reports = [
-            reports.get(
-                index,
-                WorkerReport(
-                    worker_id=f"worker-{index}",
-                    iterations=0,
-                    samples_processed=0,
-                    total_wait_time=0.0,
-                    total_compute_time=0.0,
-                    mean_loss=float("nan"),
-                ),
-            )
-            for index in range(plan.num_workers)
-        ]
-        statistics = server.statistics()
-        statistics["cow_fallbacks"] = store.cow_fallbacks
-        result_conn.send(
-            ProcessTrainingResult(
-                wall_time=wall_time,
-                worker_reports=ordered_reports,
-                server_statistics=statistics,
-                evaluation_times=eval_times,
-                evaluation_accuracies=eval_accuracies,
-                evaluation_losses=eval_losses,
-                errors=errors,
-                events=list(events),
-                profile=worker_profile,
-            )
-        )
+        result_conn.send(session.finish(cow_fallbacks=store.cow_fallbacks))
     except Exception as error:  # noqa: BLE001 - the coordinator must hear about it
         _LOGGER.exception("server process failed")
         try:
-            result_conn.send(
-                ProcessTrainingResult(
-                    wall_time=0.0,
-                    worker_reports=[],
-                    server_statistics={},
-                    errors=[f"server: {error}"],
-                )
-            )
+            result_conn.send(ProcessTrainingResult.failed(f"server: {error}"))
         except (BrokenPipeError, OSError):
             pass
     finally:
@@ -702,212 +439,146 @@ def _server_main(
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _worker_main(plan, handle, index, conn, barrier, ok, abort, unrelated=()) -> None:
-    """Entry point of one worker process.
+class _ProcessLink:
+    """One worker process's link: pipe out, OK semaphore in, pulls from shm.
 
-    Rebuilds its data partition and model replica from the plan's seed,
-    rebinds the replica onto the server's flat layout
-    (:meth:`~repro.ps.worker.Worker.attach_flat_layout` — with the gradient
-    side living in this worker's shared mailbox under the ``"shm"``
-    transport), then loops: compute → push (pipe message) → wait for the OK
-    semaphore → zero-copy pull from shared memory.
+    Pushes use the pipe as a control plane (and, under the ``"pipe"``
+    transport, as the data plane too); the OK is one semaphore token; pulls
+    lease the store's current copy-on-write slot straight out of shared
+    memory.  With the ``"shm"`` transport the replica's gradient side lives
+    in this worker's shared mailbox, so the push message carries scalars.
     """
-    _close_unrelated(unrelated)
-    worker_id = f"worker-{index}"
-    conn = PipeConnection(conn)
-    client = None
-    mailbox = None
-    try:
-        workload = plan.build_workload()
-        streams = RngStream(plan.seed)
-        # The same assembly recipe the threaded coordinator uses — shared
-        # helpers, so dataset partitioning and replica initialization stay
-        # byte-identical across substrates by construction.
-        from repro.ps.coordinator import build_worker, partition_for_workers
 
-        global_model = workload.model_builder(streams.get("init"))
-        partitions = partition_for_workers(
-            streams, workload.train_dataset, plan.num_workers
-        )
-        worker = build_worker(
-            index,
-            partitions,
-            global_model,
-            workload.model_builder,
-            streams,
-            batch_size=plan.batch_size,
-            micro_batches=plan.micro_batches,
-            use_workspace=plan.use_workspace,
-        )
-        profiler = None
-        if plan.profile and index == 0:
-            from repro.utils.profiler import LayerProfiler
+    layouts = gradient_buffers = None
 
-            profiler = LayerProfiler(worker.model, loss_fn=worker.loss_fn).attach()
-
-        layouts = tuple(
-            (spec.index, spec.build_layout().weight_segments)
-            for spec in handle.shard_specs
-        )
-        codec = _plan_codec(plan)
-        if codec is not None:
-            codec.reseed(streams.get(f"codec-{index}"))
-            worker.set_codec(codec)
-        gradient_buffers = None
-        grad_regions: dict[int, np.ndarray] = {}
-        if plan.transport == "shm":
-            mailbox = SharedSegment.attach(handle.grad_segments[index])
-            if codec is not None:
-                # Codec mode: the mailbox carries encoded frames, so the
-                # replica keeps private gradient buffers and the encoder
-                # writes frames after each backward pass.
-                grad_regions = _framed_mailbox_regions(handle, mailbox, codec)
-            else:
-                gradient_buffers = _mailbox_views(handle, mailbox)
-        worker.attach_flat_layout(layouts, gradient_buffers=gradient_buffers)
-
-        client = ShmStoreClient(handle)
-        worker.load_reply(client.pull_reply())
-
-        barrier.wait(timeout=plan.wait_timeout)
-        start = time.monotonic()
-        slowdown = plan.slowdowns.get(worker_id, 0.0)
-        crash_iteration = plan.crash_at.get(worker_id)
-        crash_after = plan.crash_after_push.get(worker_id)
-        fault_plan = parse_fault_specs(
-            plan.faults, [f"worker-{i}" for i in range(plan.num_workers)]
-        )
-        fault_crash = fault_plan.crash_at().get(worker_id)
-        flaky = fault_plan.flaky_for(worker_id)
-        net_plan = parse_net_fault_specs(
-            plan.net_faults, [f"worker-{i}" for i in range(plan.num_workers)]
-        )
-        net_schedule = (
+    def __init__(self, plan, handle, index, conn, barrier, ok, abort) -> None:
+        self._plan, self._handle, self._index = plan, handle, index
+        self._conn, self._barrier, self._ok, self._abort = conn, barrier, ok, abort
+        self._client = None
+        self._mailbox = None
+        self._regions: dict[int, np.ndarray] = {}
+        worker_id = f"worker-{index}"
+        net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
+        self._schedule = (
             NetFaultSchedule(net_plan, worker_id, plan.seed)
             if net_plan.for_worker(worker_id)
             else None
         )
-        total_wait = 0.0
-        total_compute = 0.0
 
-        for iteration in range(plan.iterations_per_worker):
-            if abort.is_set():
-                return
-            if crash_iteration is not None and iteration >= crash_iteration:
-                os._exit(1)  # test hook: die like a real crash, no cleanup
-            if fault_crash is not None and iteration >= fault_crash:
-                # Injected crash: announce the death so the server can
-                # deregister elastically, then exit without a report.
-                conn.send({"type": "leave", "worker": index, "clock": iteration})
-                return
-            compute_start = time.monotonic()
-            computation = worker.compute_gradients()
-            if slowdown > 0:
-                time.sleep(slowdown)
-            if flaky is not None and flaky.slow(iteration):
-                time.sleep(flaky.delay)
-            total_compute += time.monotonic() - compute_start
+    def _events(self) -> list:
+        return list(self._schedule.events) if self._schedule is not None else []
 
-            flat_gradients, encoded, _ = worker.prepare_push(computation)
-            if encoded is not None and plan.transport == "shm":
-                for shard_payload in encoded:
-                    write_encoded(shard_payload, grad_regions[shard_payload.shard])
-                payload = None  # the frames now sit in the mailbox
-            elif encoded is not None:
-                payload = encoded
-            elif plan.transport == "shm":
-                payload = None  # the gradient already sits in the mailbox
+    def open(self) -> Resume:
+        plan, handle = self._plan, self._handle
+        self.layouts = tuple(
+            (spec.index, spec.build_layout().weight_segments)
+            for spec in handle.shard_specs
+        )
+        if plan.transport == "shm":
+            self._mailbox = SharedSegment.attach(handle.grad_segments[self._index])
+            codec = plan_codec(plan)
+            if codec is not None:
+                # Codec mode: the mailbox carries encoded frames, so the
+                # replica keeps private gradient buffers and the encoder
+                # writes frames after each backward pass.
+                self._regions = _framed_mailbox_regions(handle, self._mailbox, codec)
             else:
-                payload = dict(flat_gradients or {})
-            if net_schedule is not None:
-                # Pipe transport supports delay/drop only (plan validation
-                # enforces it), so the throttle byte count is irrelevant.
-                decision = net_schedule.next_push(0)
-                if decision.delay > 0:
-                    time.sleep(decision.delay)
-                if decision.drop is not None:
-                    # A dropped push on a pipe is a permanent death: pipes
-                    # have no reconnect path, so the worker announces the
-                    # torn connection and leaves the membership elastically.
-                    conn.send(
-                        {
-                            "type": "leave",
-                            "worker": index,
-                            "clock": iteration,
-                            "events": list(net_schedule.events),
-                        }
-                    )
-                    return
-            conn.send(
-                {
-                    "type": "push",
-                    "worker": index,
-                    "base_version": computation.base_version,
-                    "timestamp": time.monotonic() - start,
-                    "loss": computation.loss,
-                    "samples": computation.samples,
-                    "buffers": dict(computation.buffers) or None,
-                },
-                payload,
-            )
-            if crash_after is not None and iteration >= crash_after:
-                os._exit(1)  # test hook: die mid-protocol, push sent but no OK taken
+                self.gradient_buffers = _mailbox_views(handle, self._mailbox)
+        self._client = ShmStoreClient(handle)
+        return Resume(0, self._client.pull_reply())
 
-            # Peers run the same per-iteration workload, so this worker's
-            # own compute time bounds how long a healthy OK can take to
-            # arrive (slowdown-stretched waits are already in the plan's
-            # wait_timeout via the backend).  Stretch the guard accordingly
-            # rather than mistaking a heavy iteration for a hang.
-            compute_elapsed = time.monotonic() - compute_start
-            ok_timeout = plan.wait_timeout + 4.0 * compute_elapsed
-            wait_start = time.monotonic()
-            if not ok.acquire(timeout=ok_timeout):
-                raise TimeoutError(
-                    f"waited more than {ok_timeout:.0f}s for the OK signal"
-                )
-            if abort.is_set():
-                return
-            total_wait += time.monotonic() - wait_start
+    def ready(self, worker) -> bool:
+        self._barrier.wait(timeout=self._plan.wait_timeout)
+        return True
 
-            worker.load_reply(client.pull_reply())
+    def push(self, header, computation, flat, encoded) -> bool:
+        if self._abort.is_set():
+            return False
+        shm = self._plan.transport == "shm"
+        if encoded is not None and shm:
+            for shard_payload in encoded:
+                write_encoded(shard_payload, self._regions[shard_payload.shard])
+            payload = None  # the frames now sit in the mailbox
+        elif encoded is not None:
+            payload = encoded
+        elif shm:
+            payload = None  # the gradient already sits in the mailbox
+        else:
+            payload = dict(flat or {})
+        if self._schedule is not None:
+            # Pipe transport supports delay/drop only (plan validation
+            # enforces it), so the throttle byte count is irrelevant.
+            decision = self._schedule.next_push(0)
+            if decision.delay > 0:
+                time.sleep(decision.delay)
+            if decision.drop is not None:
+                # A dropped push on a pipe is a permanent death: pipes
+                # have no reconnect path, so the worker announces the
+                # torn connection and leaves the membership elastically.
+                self.leave(header["seq"])
+                return False
+        self._conn.send(
+            {
+                "type": "push",
+                "worker": self._index,
+                "base_version": header["base_version"],
+                "timestamp": header["timestamp"],
+                "loss": header["loss"],
+                "samples": header["samples"],
+                "buffers": dict(computation.buffers) or None,
+            },
+            payload,
+        )
+        return True
 
-        profile = None
-        if profiler is not None:
-            profiler.detach()
-            profile = {"worker_id": worker_id, **profiler.as_dict()}
-        conn.send(
+    def await_ok(self, timeout: float):
+        if not self._ok.acquire(timeout=timeout):
+            raise TimeoutError(f"waited more than {timeout:.0f}s for the OK signal")
+        if self._abort.is_set():
+            return None
+        return self._client.pull_reply()
+
+    def leave(self, clock: int, rejoin_after=None) -> None:
+        # Announce the death so the server can deregister elastically; the
+        # process then exits without a report.
+        message = {"type": "leave", "worker": self._index, "clock": clock}
+        if self._schedule is not None:
+            message["events"] = self._events()
+        self._conn.send(message)
+
+    def done(self, report: dict, profile) -> None:
+        self._conn.send(
             {
                 "type": "done",
-                "worker": index,
-                "events": (
-                    list(net_schedule.events) if net_schedule is not None else []
-                ),
-                "report": {
-                    "worker_id": worker_id,
-                    "iterations": worker.iterations,
-                    "samples_processed": worker.samples_processed,
-                    "total_wait_time": total_wait,
-                    "total_compute_time": total_compute,
-                    "mean_loss": worker.mean_loss,
-                    "pushed_wire_bytes": worker.pushed_wire_bytes,
-                    "pushed_raw_bytes": worker.pushed_raw_bytes,
-                    "pulled_bytes": worker.pulled_bytes,
-                },
+                "worker": self._index,
+                "events": self._events(),
+                "report": report,
             },
             profile,
         )
-    except Exception as error:  # noqa: BLE001 - report, then die quietly
-        _LOGGER.exception("worker %s failed", worker_id)
+
+    def error(self, message: str) -> None:
         try:
-            conn.send({"type": "error", "worker": index, "message": str(error)})
+            self._conn.send({"type": "error", "worker": self._index, "message": message})
         except (BrokenPipeError, ConnectionError, OSError):
             pass
+
+    def close(self) -> None:
+        if self._client is not None:
+            self._client.close()
+        if self._mailbox is not None:
+            self._mailbox.close()
+        self._conn.close()
+
+
+def _worker_main(plan, handle, index, conn, barrier, ok, abort, unrelated=()) -> None:
+    """Entry point of one worker process: the step protocol over a pipe link."""
+    _close_unrelated(unrelated)
+    link = _ProcessLink(plan, handle, index, PipeConnection(conn), barrier, ok, abort)
+    try:
+        WorkerLoop.from_plan(plan, index, link).run()
     finally:
-        if client is not None:
-            client.close()
-        if mailbox is not None:
-            mailbox.close()
-        conn.close()
+        link.close()
 
 
 # ----------------------------------------------------------------------
@@ -934,13 +605,7 @@ class ProcessTrainer:
         """
         self.plan = plan
         self.workload = workload
-        if context is None or isinstance(context, str):
-            self.context = multiprocessing.get_context(
-                context or default_context_name()
-            )
-        else:
-            self.context = context
-        self._result: ProcessTrainingResult | None = None
+        self.context = resolve_context(context)
 
     def run(self) -> ProcessTrainingResult:
         """Run the training to completion and return the collected results.
@@ -958,7 +623,7 @@ class ProcessTrainer:
             for name, parameter in global_model.named_parameters()
         }
         initial_buffers = global_model.buffers()
-        codec = _plan_codec(plan)
+        codec = plan_codec(plan)
         grad_mailbox_nbytes = None
         if codec is not None and plan.transport == "shm":
             grad_mailbox_nbytes = _codec_mailbox_nbytes(
@@ -1039,16 +704,9 @@ class ProcessTrainer:
             for conn in (*server_conns, *worker_conns):
                 conn.close()
 
-            result = self._await_result(result_recv, server)
-            self._result = result
-            return result
+            return self._await_result(result_recv, server)
         finally:
-            for process in processes:
-                process.join(timeout=5.0)
-            for process in processes:
-                if process.is_alive():  # pragma: no cover - hard-abort path
-                    process.terminate()
-                    process.join(timeout=5.0)
+            reap(processes)
             handle.unlink_all()
 
     def _await_result(self, result_recv, server) -> ProcessTrainingResult:
@@ -1060,22 +718,16 @@ class ProcessTrainer:
         the server dying without a result.
         """
         while True:
+            # Liveness is read before the poll, so a result that raced the
+            # server's exit is still picked up by one final poll.
+            alive = server.is_alive()
             if result_recv.poll(0.25):
                 try:
                     return result_recv.recv()
                 except (EOFError, OSError):
                     break
-            if not server.is_alive():
-                # One final poll: the result may have raced the exit.
-                if result_recv.poll(0.25):
-                    try:
-                        return result_recv.recv()
-                    except (EOFError, OSError):
-                        break
+            if not alive:
                 break
-        return ProcessTrainingResult(
-            wall_time=0.0,
-            worker_reports=[],
-            server_statistics={},
-            errors=["server process died without reporting a result"],
+        return ProcessTrainingResult.failed(
+            "server process died without reporting a result"
         )

@@ -1,10 +1,11 @@
 """Thread-based parameter-server runtime.
 
-Every worker runs in its own Python thread; the server is shared and
-protected by a lock; the OK signal of each worker is a ``threading.Event``.
-This runtime exercises the framework as a genuinely concurrent system on one
-machine (the GIL serializes NumPy-bound compute to a degree, but the
-synchronization behaviour — who waits for whom, and for how long — is real).
+Every worker runs the shared step protocol (:mod:`repro.ps.session`) in its
+own Python thread; the server is shared and protected by a lock; the OK
+signal of each worker is a ``threading.Event``.  This runtime exercises the
+framework as a genuinely concurrent system on one machine (the GIL
+serializes NumPy-bound compute to a degree, but the synchronization
+behaviour — who waits for whom, and for how long — is real).
 
 Against a sharded store (``store.supports_concurrent_apply``) the gradient
 application runs *outside* the global server lock, under the store's own
@@ -15,8 +16,8 @@ it already holds and receives only the entries dirtied since.
 
 Against a flat store (``store.flat_layouts``) each worker's replica is
 repacked to mirror the server's per-shard buffers, so a full pull moves one
-packed buffer per shard instead of N named arrays, and periodic evaluation
-reads zero-copy state views instead of deep-copying the model.
+packed buffer per shard instead of N named arrays, and evaluation reads
+zero-copy state views instead of deep-copying the model.
 
 Per-worker artificial slowdowns emulate heterogeneous devices: a worker with
 ``slowdown=0.01`` sleeps ten milliseconds per iteration, so it behaves like
@@ -26,51 +27,99 @@ the paper's GTX 1060 next to a faster GTX 1080 Ti.
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.ps.callbacks import Callback, CallbackList
 from repro.ps.faults import FaultPlan
-from repro.ps.messages import PullRequest, PushRequest, WorkerReport
+from repro.ps.messages import PullRequest
 from repro.ps.server import ParameterServer
+from repro.ps.session import Resume, ServerSession, TrainingResult, WorkerLoop
 from repro.ps.worker import Worker
-from repro.utils.logging import get_logger
 
 __all__ = ["ThreadedTrainer", "ThreadedTrainingResult"]
 
-_LOGGER = get_logger("ps.runtime")
+#: Everything the threaded runtime reports at the end of a run.
+ThreadedTrainingResult = TrainingResult
 
 
-@dataclass
-class ThreadedTrainingResult:
-    """Everything the threaded runtime reports at the end of a run."""
+class _ThreadLink:
+    """One worker thread's link: the server lock plus its OK event."""
 
-    wall_time: float
-    worker_reports: list[WorkerReport]
-    server_statistics: dict
-    evaluation_times: list[float] = field(default_factory=list)
-    evaluation_accuracies: list[float] = field(default_factory=list)
-    evaluation_losses: list[float] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    #: Structured fault/membership events (crashes, rejoins, corrupted
-    #: pushes, aggregator rejections) in server observation order.
-    events: list = field(default_factory=list)
-    #: Per-layer forward/backward timing breakdown of one worker's replica
-    #: (see repro.utils.profiler); None unless profiling was requested.
-    profile: dict | None = None
+    layouts = gradient_buffers = None  # replicas arrive packed by the trainer
 
-    @property
-    def final_accuracy(self) -> float:
-        """Accuracy of the last evaluation (0.0 when none ran)."""
-        return self.evaluation_accuracies[-1] if self.evaluation_accuracies else 0.0
+    def __init__(self, trainer: "ThreadedTrainer", session: ServerSession, worker: Worker):
+        self._trainer = trainer
+        self._session = session
+        self._worker = worker
+        self._ok = trainer._ok_events[worker.worker_id]
 
-    @property
-    def best_accuracy(self) -> float:
-        """Best accuracy over all evaluations (0.0 when none ran)."""
-        return max(self.evaluation_accuracies, default=0.0)
+    def _wake(self, worker_ids) -> None:
+        for worker_id in worker_ids:
+            self._trainer._ok_events[worker_id].set()
+
+    def open(self) -> Resume:
+        with self._trainer._lock:
+            return Resume(0, self._session.server.handle_pull())
+
+    def ready(self, worker: Worker) -> bool:
+        return True
+
+    def push(self, header, computation, flat, encoded) -> bool:
+        trainer, session, worker_id = self._trainer, self._session, self._worker.worker_id
+        if trainer._abort.is_set():
+            return False
+        gradients = dict(
+            named=computation.gradients, flat=flat, encoded=encoded,
+            buffers=computation.buffers,
+        )
+        staged = None
+        if trainer._concurrent_apply:
+            # Per-shard locks inside the store make this safe without the
+            # global lock; disjoint-shard pushes run in parallel.
+            staged = session.apply(worker_id, header, **gradients)
+        with trainer._lock:
+            self._ok.clear()
+            response = session.push(worker_id, header, staged=staged, **gradients)
+            self._wake(response.to_release)
+            trainer.callbacks.on_push(
+                {"response": response, "worker_id": worker_id, "iteration": header["seq"]}
+            )
+        return True
+
+    def await_ok(self, timeout: float):
+        if not self._ok.wait(timeout=timeout):
+            raise TimeoutError(
+                f"worker {self._worker.worker_id!r} waited more than {timeout:.0f}s for OK"
+            )
+        if self._trainer._abort.is_set():
+            return None
+        request = None
+        if self._trainer._delta_pulls:
+            request = PullRequest(
+                worker_id=self._worker.worker_id,
+                known_version=self._worker.local_version,
+            )
+        with self._trainer._lock:
+            return self._session.server.handle_pull(request)
+
+    def leave(self, clock: int, rejoin_after=None) -> None:
+        # The thread exits without error — a crash is an injected fault, not
+        # a run failure — and the membership change re-bounds the policy so
+        # workers the dead straggler was blocking get their OK.
+        with self._trainer._lock:
+            self._wake(self._session.leave(self._worker.worker_id))
+
+    def done(self, report: dict, profile) -> None:
+        with self._trainer._lock:
+            self._session.done(self._worker.worker_id, report, profile=profile)
+
+    def error(self, message: str) -> None:
+        self._session.errors.append(f"{self._worker.worker_id}: {message}")
+        self._trainer._abort.set()
+        # Release everyone so the run terminates promptly.
+        self._wake(list(self._trainer._ok_events))
 
 
 class ThreadedTrainer:
@@ -102,10 +151,12 @@ class ThreadedTrainer:
             emulate slower devices.
         evaluate_fn:
             Callable mapping a full global state to ``(accuracy, loss)``;
-            evaluated every ``evaluate_every_pushes`` pushes when positive.
+            evaluated before the first and after the last push, and every
+            ``evaluate_every_pushes`` pushes when positive.
         wait_timeout:
-            Safety timeout for a blocked worker; exceeding it aborts the run
-            with an error instead of hanging the test suite.
+            Safety timeout for a blocked worker (stretched by four times the
+            worker's own compute time); exceeding it aborts the run with an
+            error instead of hanging the test suite.
         fault_plan:
             Optional :class:`repro.ps.faults.FaultPlan` governing crashes
             (a worker thread exits mid-run after ``after_clock`` pushes and
@@ -128,7 +179,6 @@ class ThreadedTrainer:
         self.callbacks = CallbackList(callbacks)
         self.wait_timeout = float(wait_timeout)
         self.fault_plan = fault_plan
-        self._crash_at = fault_plan.crash_at() if fault_plan is not None else {}
 
         self._lock = threading.Lock()
         self._concurrent_apply = bool(
@@ -144,205 +194,38 @@ class ThreadedTrainer:
         self._ok_events: dict[str, threading.Event] = {
             worker.worker_id: threading.Event() for worker in workers
         }
-        self._errors: list[str] = []
-        self._result: ThreadedTrainingResult | None = None
-        self._compute_times: dict[str, float] = {}
-        # Wait time survives here even after a crashed worker is
-        # deregistered from the clock table.
-        self._wait_times: dict[str, float] = {}
-        self._eval_times: list[float] = []
-        self._eval_accuracies: list[float] = []
-        self._eval_losses: list[float] = []
-        self._start_time = 0.0
         self._abort = threading.Event()
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def run(self) -> ThreadedTrainingResult:
         """Run the training to completion and return the collected results."""
-        self._start_time = time.monotonic()
-        self.callbacks.on_training_start({"server": self.server, "workers": self.workers})
-
-        threads = [
-            threading.Thread(target=self._worker_loop, args=(worker,), daemon=True)
+        session = ServerSession(
+            self.server,
+            [worker.worker_id for worker in self.workers],
+            evaluate_fn=self.evaluate_fn,
+            evaluate_every_pushes=self.evaluate_every_pushes,
+            wait_timeout=self.wait_timeout,
+            on_evaluation=self.callbacks.on_evaluation,
+        )
+        loops = [
+            WorkerLoop(
+                worker.worker_id,
+                _ThreadLink(self, session, worker),
+                worker=worker,
+                iterations=self.iterations_per_worker,
+                wait_timeout=self.wait_timeout,
+                slowdown=self.slowdowns.get(worker.worker_id, 0.0),
+                fault_plan=self.fault_plan,
+            )
             for worker in self.workers
         ]
+        session.evaluate(0.0)
+        session.start()
+        self.callbacks.on_training_start({"server": self.server, "workers": self.workers})
+        threads = [threading.Thread(target=loop.run, daemon=True) for loop in loops]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-
-        # Apply the tail window of a buffered robust aggregator: with the
-        # run over, no further pushes will complete the window.
-        self.server.flush_staged()
-
-        wall_time = time.monotonic() - self._start_time
-        reports = [self._make_report(worker) for worker in self.workers]
-        injector = self.server.fault_injector
-        result = ThreadedTrainingResult(
-            wall_time=wall_time,
-            worker_reports=reports,
-            server_statistics=self.server.statistics(),
-            evaluation_times=self._eval_times,
-            evaluation_accuracies=self._eval_accuracies,
-            evaluation_losses=self._eval_losses,
-            errors=list(self._errors),
-            events=list(injector.events) if injector is not None else [],
-        )
+        result = session.finish()
         self.callbacks.on_training_end({"result": result})
-        self._result = result
         return result
-
-    # ------------------------------------------------------------------
-    # Worker thread body
-    # ------------------------------------------------------------------
-    def _worker_loop(self, worker: Worker) -> None:
-        worker_id = worker.worker_id
-        slowdown = self.slowdowns.get(worker_id, 0.0)
-        crash_clock = self._crash_at.get(worker_id)
-        flaky = self.fault_plan.flaky_for(worker_id) if self.fault_plan else None
-        total_wait = 0.0
-        total_compute = 0.0
-        try:
-            with self._lock:
-                reply = self.server.handle_pull()
-            worker.load_reply(reply)
-
-            for iteration in range(self.iterations_per_worker):
-                if self._abort.is_set():
-                    return
-                if crash_clock is not None and iteration >= crash_clock:
-                    self._crash_worker(worker_id, iteration)
-                    return
-                compute_start = time.monotonic()
-                computation = worker.compute_gradients()
-                if slowdown > 0:
-                    time.sleep(slowdown)
-                if flaky is not None and flaky.slow(iteration):
-                    time.sleep(flaky.delay)
-                total_compute += time.monotonic() - compute_start
-
-                flat_gradients, encoded, codec_name = worker.prepare_push(computation)
-                request = PushRequest(
-                    worker_id=worker_id,
-                    gradients=computation.gradients,
-                    base_version=computation.base_version,
-                    timestamp=time.monotonic() - self._start_time,
-                    buffers=computation.buffers,
-                    local_loss=computation.loss,
-                    flat_gradients=flat_gradients,
-                    encoded_gradients=encoded,
-                    codec=codec_name,
-                )
-                applied = None
-                if self._concurrent_apply:
-                    # Per-shard locks inside the store make this safe without
-                    # the global lock; disjoint-shard pushes run in parallel.
-                    applied = self.server.apply_push(request)
-                with self._lock:
-                    self._ok_events[worker_id].clear()
-                    if applied is not None:
-                        response = self.server.finish_push(request, applied)
-                    else:
-                        response = self.server.handle_push(request)
-                    for released in response.released_workers:
-                        self._ok_events[released].set()
-                    if response.release_now:
-                        self._ok_events[worker_id].set()
-                    self._maybe_evaluate()
-                    self.callbacks.on_push(
-                        {"response": response, "worker_id": worker_id, "iteration": iteration}
-                    )
-
-                wait_start = time.monotonic()
-                if not self._ok_events[worker_id].wait(timeout=self.wait_timeout):
-                    raise TimeoutError(
-                        f"worker {worker_id!r} waited more than {self.wait_timeout}s for OK"
-                    )
-                total_wait += time.monotonic() - wait_start
-
-                with self._lock:
-                    reply = self.server.handle_pull(self._pull_request(worker))
-                worker.load_reply(reply)
-        except Exception as error:  # noqa: BLE001 - worker failures must not hang the run
-            _LOGGER.exception("worker %s failed", worker_id)
-            self._errors.append(f"{worker_id}: {error}")
-            self._abort.set()
-            # Release everyone so the run terminates promptly.
-            for event in self._ok_events.values():
-                event.set()
-        finally:
-            self._record_worker_times(worker_id, total_wait, total_compute)
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _crash_worker(self, worker_id: str, clock: int) -> None:
-        """Simulate a worker death: discard staged work, deregister, release.
-
-        The thread exits without error — a crash is an injected fault, not
-        a run failure — and the membership change re-bounds the policy so
-        workers the dead straggler was blocking get their OK.
-        """
-        with self._lock:
-            injector = self.server.fault_injector
-            if injector is not None:
-                injector.record("crash", worker_id, clock=clock)
-            _LOGGER.info("injected crash: worker %s after %d pushes", worker_id, clock)
-            self.server.discard_staged(worker_id)
-            for released in self.server.deregister_worker(worker_id):
-                self._ok_events[released].set()
-
-    def _pull_request(self, worker: Worker) -> PullRequest | None:
-        """Delta pull request for ``worker`` (None when the store is full-pull)."""
-        if not self._delta_pulls:
-            return None
-        return PullRequest(worker_id=worker.worker_id, known_version=worker.local_version)
-
-    def _record_worker_times(self, worker_id: str, wait: float, compute: float) -> None:
-        with self._lock:
-            self._wait_times[worker_id] = wait
-            self._compute_times[worker_id] = compute
-            try:
-                self.server.policy.clock_table.record_wait(worker_id, wait)
-            except KeyError:
-                pass  # crashed out mid-run and already deregistered
-
-    def _maybe_evaluate(self) -> None:
-        """Evaluate the global weights every ``evaluate_every_pushes`` pushes.
-
-        Called with the server lock held.
-        """
-        if self.evaluate_fn is None or self.evaluate_every_pushes <= 0:
-            return
-        if self.server.pushes_handled % self.evaluate_every_pushes != 0:
-            return
-        # Zero-copy state views: the evaluation model copies them into its
-        # own arrays, and copy-on-write keeps them stable meanwhile.
-        accuracy, loss = self.evaluate_fn(self.server.store.state_views())
-        now = time.monotonic() - self._start_time
-        self._eval_times.append(now)
-        self._eval_accuracies.append(accuracy)
-        self._eval_losses.append(loss)
-        self.callbacks.on_evaluation({"time": now, "accuracy": accuracy, "loss": loss})
-
-    def _make_report(self, worker: Worker) -> WorkerReport:
-        compute_times = self._compute_times
-        try:
-            total_wait = self.server.policy.clock_table.total_wait_time(worker.worker_id)
-        except KeyError:
-            # Crashed workers are gone from the clock table; fall back to
-            # the trainer-side record taken as the thread unwound.
-            total_wait = self._wait_times.get(worker.worker_id, 0.0)
-        return WorkerReport(
-            worker_id=worker.worker_id,
-            iterations=worker.iterations,
-            samples_processed=worker.samples_processed,
-            total_wait_time=total_wait,
-            total_compute_time=compute_times.get(worker.worker_id, 0.0),
-            mean_loss=worker.mean_loss,
-            pushed_wire_bytes=worker.pushed_wire_bytes,
-            pushed_raw_bytes=worker.pushed_raw_bytes,
-            pulled_bytes=worker.pulled_bytes,
-        )

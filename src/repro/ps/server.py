@@ -59,6 +59,13 @@ class PushResponse:
     staleness: int
     used_extra_credit: bool
 
+    @property
+    def to_release(self) -> tuple[str, ...]:
+        """Every worker this push sends an OK to (the pusher last, if at all)."""
+        if self.release_now:
+            return (*self.released_workers, self.worker_id)
+        return self.released_workers
+
 
 class ParameterServer:
     """Applies pushed gradients and enforces a synchronization paradigm."""

@@ -6,15 +6,17 @@ signals, a start barrier sized at launch.  This runtime drops all three
 assumptions and speaks the length-prefixed socket protocol of
 :mod:`repro.ps.transport` instead:
 
-* **One server process** owns the :class:`~repro.ps.server.ParameterServer`
-  (monolithic :class:`~repro.ps.kvstore.KeyValueStore`, optimizer, policy)
-  behind a listening socket.  It can be started standalone
-  (``python -m repro serve SPEC --bind host:port``) or self-hosted by
-  :class:`TcpTrainer` on an ephemeral port.
-* **Workers connect by address.**  A ``join`` is answered with a
-  ``welcome`` carrying the flat layout and the packed weights; every push
-  is answered (eventually — the policy decides when) with an ``ok`` that
-  piggybacks the fresh weights, so one round trip covers push + pull.
+* **One server process** owns the server side of the step protocol
+  (:class:`repro.ps.session.ServerSession` over a monolithic
+  :class:`~repro.ps.kvstore.KeyValueStore`) behind a listening socket.
+  It can be started standalone (``python -m repro serve SPEC --bind
+  host:port``) or self-hosted by :class:`TcpTrainer` on an ephemeral port.
+* **Workers connect by address** and run the shared
+  :class:`~repro.ps.session.WorkerLoop` over the connection.  A ``join``
+  is answered with a ``welcome`` carrying the flat layout and the packed
+  weights; every push is answered (eventually — the policy decides when)
+  with an ``ok`` that piggybacks the fresh weights, so one round trip
+  covers push + pull.
   Gradients travel as the same self-describing frames the shared-memory
   mailboxes use — codec-encoded pushes go from worker memory onto the wire
   unchanged, and the ``none``/uncoded path stays bit-for-bit dense.
@@ -53,44 +55,38 @@ coordinator       ``watch`` → ``result {result}`` on completion
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import selectors
 import signal
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from repro.core.factory import make_policy, validate_paradigm
 from repro.core.staleness import StalenessSummary
-from repro.metrics.accuracy import evaluate_model
-from repro.optim.schedules import ConstantSchedule
-from repro.optim.sgd import SGD
-from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
 from repro.ps.checkpoint import load_codec_states, restore_into, save_checkpoint
-from repro.ps.faults import FaultInjector, parse_fault_specs
 from repro.ps.netfaults import (
     ChaosConnection,
     NetFaultSchedule,
     RetryBudget,
     parse_net_fault_specs,
 )
-from repro.ps.compression import (
-    EncodedShard,
-    decode_shard,
-    make_codec,
-    validate_codec_spec,
-)
+from repro.ps.compression import EncodedShard, decode_shard
 from repro.ps.flatbuffer import Segment
 from repro.ps.kvstore import KeyValueStore
-from repro.ps.messages import FlatPullPayload, PullReply, PushRequest, WorkerReport
-from repro.ps.runtime import ThreadedTrainingResult
-from repro.ps.server import ParameterServer
+from repro.ps.messages import FlatPullPayload, PullReply, WorkerReport
+from repro.ps.process_runtime import reap, resolve_context
+from repro.ps.session import (
+    Resume,
+    ServerSession,
+    TrainingResult,
+    WorkerLoop,
+    WorkloadPlan,
+    plan_codec,
+)
 from repro.ps.transport import (
     ConnectionClosed,
     TcpConnection,
@@ -115,7 +111,7 @@ __all__ = [
 _LOGGER = get_logger("ps.tcp_runtime")
 
 #: Same result schema as the threaded and process runtimes.
-TcpTrainingResult = ThreadedTrainingResult
+TcpTrainingResult = TrainingResult
 
 #: Synthetic frame shard ids: real gradient shards sit below, the packed
 #: non-trainable buffers ride at ``_BUFFER_SHARD``, codec error-feedback
@@ -124,13 +120,12 @@ _BUFFER_SHARD = 1 << 20
 _CODEC_SHARD_BASE = 1 << 21
 
 
-@dataclass(frozen=True)
-class TcpTrainingPlan:
+@dataclass(frozen=True, kw_only=True)
+class TcpTrainingPlan(WorkloadPlan):
     """Picklable description of one socket-backed training run.
 
-    The shape mirrors :class:`~repro.ps.process_runtime.ProcessTrainingPlan`
-    (plain data only; every process rebuilds from the registry), minus the
-    shared-memory knobs and plus the networking ones:
+    Everything in :class:`~repro.ps.session.WorkloadPlan` (the store is
+    monolithic, so no shard fields), plus the networking knobs:
 
     Attributes
     ----------
@@ -154,62 +149,18 @@ class TcpTrainingPlan:
         (elastic), and members may die without stopping the run.
     """
 
-    workload: str
-    scale_fields: dict
-    workload_kwargs: dict = field(default_factory=dict)
-    paradigm: str = "dssp"
-    paradigm_kwargs: dict = field(default_factory=lambda: {"s_lower": 3, "s_upper": 15})
-    num_workers: int = 4
-    iterations_per_worker: int = 20
-    batch_size: int = 32
-    micro_batches: int = 1
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    slowdowns: Mapping[str, float] = field(default_factory=dict)
-    evaluate_every_pushes: int = 0
-    dtype: str = "float64"
-    use_workspace: bool = True
-    profile: bool = False
-    compression: str | None = None
-    aggregation: str | None = None
-    faults: tuple = ()
-    net_faults: tuple = ()
-    seed: int = 0
     address: str = "127.0.0.1:0"
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 10.0
     checkpoint_path: str | None = None
     checkpoint_every_pushes: int = 0
-    wait_timeout: float = 120.0
-    crash_at: Mapping[str, int] = field(default_factory=dict)
-    crash_after_push: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.compression is not None:
-            validate_codec_spec(self.compression)
-        if self.aggregation is not None:
-            validate_aggregation_spec(self.aggregation)
-        object.__setattr__(self, "faults", tuple(self.faults))
-        if self.faults:
-            parse_fault_specs(
-                self.faults, [f"worker-{index}" for index in range(self.num_workers)]
-            )
-        object.__setattr__(
-            self, "net_faults", tuple(dict(entry) for entry in self.net_faults)
-        )
+        super().__post_init__()
         if self.net_faults:
             parse_net_fault_specs(
-                self.net_faults,
-                [f"worker-{index}" for index in range(self.num_workers)],
-                context="the tcp backend",
+                self.net_faults, self.worker_ids, context="the tcp backend"
             )
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if self.iterations_per_worker <= 0:
-            raise ValueError("iterations_per_worker must be positive")
-        if self.batch_size <= 0 or self.micro_batches <= 0:
-            raise ValueError("batch_size and micro_batches must be positive")
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat interval and timeout must be positive")
         if self.heartbeat_timeout <= 2 * self.heartbeat_interval:
@@ -220,38 +171,11 @@ class TcpTrainingPlan:
         if self.checkpoint_every_pushes < 0:
             raise ValueError("checkpoint_every_pushes must be non-negative")
         parse_address(self.address)
-        validate_paradigm(self.paradigm, self.paradigm_kwargs)
-        valid_ids = {f"worker-{index}" for index in range(self.num_workers)}
-        unknown = sorted(
-            {*self.slowdowns, *self.crash_at, *self.crash_after_push} - valid_ids
-        )
-        if unknown:
-            raise ValueError(
-                f"slowdowns/crash_at name nonexistent workers {unknown}; "
-                f"valid ids: {sorted(valid_ids)}"
-            )
-
-    def build_workload(self):
-        """Rebuild the workload in the calling process (registry + scale)."""
-        from repro.experiments.config import ExperimentScale
-        from repro.experiments.workloads import build_workload
-
-        return build_workload(
-            self.workload, ExperimentScale(**self.scale_fields), **self.workload_kwargs
-        )
 
 
 # ----------------------------------------------------------------------
 # Wire helpers
 # ----------------------------------------------------------------------
-def _plan_codec(plan):
-    """The plan's push codec instance, or ``None`` for uncoded pushes."""
-    if plan.compression is None:
-        return None
-    codec = make_codec(plan.compression)
-    return None if codec.name == "none" else codec
-
-
 def _dense_frame(shard: int, array: np.ndarray) -> EncodedShard:
     """Wrap one flat array as a dense self-describing frame."""
     flat = np.ascontiguousarray(array).reshape(-1)
@@ -388,68 +312,46 @@ class TcpServer:
     def serve(self) -> TcpTrainingResult | None:
         plan = self.plan
         workload = plan.build_workload()
-        streams = RngStream(plan.seed)
-        global_model = workload.model_builder(streams.get("init"))
-        initial_weights = {
-            name: parameter.data
-            for name, parameter in global_model.named_parameters()
-        }
-        initial_buffers = global_model.buffers()
-        store = KeyValueStore(initial_weights, initial_buffers, dtype=plan.dtype)
-        optimizer = SGD(
-            learning_rate=plan.learning_rate,
-            momentum=plan.momentum,
-            weight_decay=plan.weight_decay,
+        global_model = workload.model_builder(RngStream(plan.seed).get("init"))
+        store = KeyValueStore(
+            {name: parameter.data for name, parameter in global_model.named_parameters()},
+            global_model.buffers(),
+            dtype=plan.dtype,
         )
-        policy = make_policy(plan.paradigm, **plan.paradigm_kwargs)
-        worker_ids = [f"worker-{index}" for index in range(plan.num_workers)]
-        fault_plan = parse_fault_specs(plan.faults, worker_ids)
+        session = self._session = ServerSession.from_plan(plan, store, workload)
+        server = session.server
+        self._store, self._server, self._policy = store, server, server.policy
         # One chronological event log owns every structured event of the run
         # (injected faults, chaos drops, reconnects, server restarts); the
         # fault injector appends into the same list.
-        self._events: list[dict] = []
-        self._injector = FaultInjector(fault_plan, streams) if fault_plan else None
-        if self._injector is not None:
-            self._injector.events = self._events
-        self._net_plan = parse_net_fault_specs(plan.net_faults, worker_ids)
+        self._events = session.events
+        self._injector = server.fault_injector
+        self._push_watermarks = session.watermarks
+        self._net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
         # Workers whose socket the chaos plan may legitimately tear: their
         # connection losses are events, not run errors.
         self._chaos_workers = {
             worker_id
-            for worker_id in worker_ids
+            for worker_id in plan.worker_ids
             if self._net_plan.tears_connections(worker_id)
         }
-        server = ParameterServer(
-            store=store,
-            optimizer=optimizer,
-            policy=policy,
-            learning_rate_schedule=ConstantSchedule(plan.learning_rate),
-            aggregator=(
-                make_aggregator(plan.aggregation)
-                if plan.aggregation is not None
-                else None
-            ),
-            fault_injector=self._injector,
-        )
-        self._store, self._server, self._policy = store, server, policy
 
         # Restart path: restore weights, optimizer state, clocks, residuals,
         # push watermarks and the event history of previous incarnations.
         self._restored_clocks: dict[str, int] = {}
         self._codec_states: dict[str, dict[str, np.ndarray]] = {}
-        self._push_watermarks: dict[str, int] = {}
         self._restarts = 0
         checkpoint = Path(plan.checkpoint_path).with_suffix(".npz") if plan.checkpoint_path else None
         if checkpoint is not None and checkpoint.exists():
-            metadata = restore_into(checkpoint, store, optimizer)
+            metadata = restore_into(checkpoint, store, server.optimizer)
             self._restored_clocks = {
                 str(worker): int(clock)
                 for worker, clock in metadata.extra.get("worker_clocks", {}).items()
             }
-            self._push_watermarks = {
-                str(worker): int(seq)
+            self._push_watermarks.update(
+                (str(worker), int(seq))
                 for worker, seq in metadata.extra.get("push_watermarks", {}).items()
-            }
+            )
             self._codec_states = load_codec_states(checkpoint)
             self._events.extend(
                 dict(event) for event in metadata.extra.get("events", [])
@@ -470,33 +372,14 @@ class TcpServer:
             )
         self._checkpoint = checkpoint
 
-        self._codec = _plan_codec(plan)
+        self._codec = plan_codec(plan)
         self._want_codec_state = checkpoint is not None and self._codec is not None
-        layout_wire = _layout_to_wire(store.flat_layouts[0][1])
-        buffer_order = [
+        self._layout_wire = _layout_to_wire(store.flat_layouts[0][1])
+        self._buffer_order = [
             [name, list(np.asarray(value).shape)]
             for name, value in store.buffers.items()
         ]
-        self._layout_wire, self._buffer_order = layout_wire, buffer_order
-
-        eval_model = workload.model_builder(streams.get("eval"))
-        if plan.use_workspace:
-            eval_model.enable_workspace()
-
-        def evaluate() -> tuple[float, float]:
-            eval_model.load_state_dict(dict(store.state_views()))
-            return evaluate_model(
-                eval_model, workload.test_dataset, batch_size=plan.batch_size
-            )
-
-        self._evaluate = evaluate
-        self._eval_times: list[float] = []
-        self._eval_accuracies: list[float] = []
-        self._eval_losses: list[float] = []
-        accuracy, loss = evaluate()
-        self._eval_times.append(0.0)
-        self._eval_accuracies.append(accuracy)
-        self._eval_losses.append(loss)
+        session.evaluate(0.0)
 
         host, port = parse_address(plan.address)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -520,29 +403,20 @@ class TcpServer:
         self._peers: dict[str, _Peer] = {}
         self._pending: set[TcpConnection] = set()
         self._watchers: set[TcpConnection] = set()
-        self._reports: dict[str, WorkerReport] = {}
-        self._errors: list[str] = []
-        self._profile: dict | None = None
-        self._joined_ever: set[str] = set()
+        self._errors = session.errors
         self._started = False
         self._aborted = False
         self._abort_deadline = 0.0
-        self._start_time: float | None = None
         self._wire_sent = 0
         self._wire_received = 0
-        expected = {f"worker-{index}" for index in range(plan.num_workers)}
-        self._expected = expected
+        self._expected = set(plan.worker_ids)
 
         restarting = False
         try:
             if self._ready_callback is not None:
                 self._ready_callback(self.bound_address)
 
-            idle_timeout = plan.wait_timeout
-            last_progress = time.monotonic()
-            self._last_push_time: dict[str, float] = {}
-            self._idle_timeout = idle_timeout
-            self._last_progress = last_progress
+            self._last_progress = time.monotonic()
             poll = min(1.0, plan.heartbeat_timeout / 4.0)
 
             while True:
@@ -561,7 +435,7 @@ class TcpServer:
                     # Chaos-torn workers are mid-redial, not gone: linger
                     # until they report done (the liveness guard still
                     # bounds a worker that never makes it back).
-                    if not (self._chaos_workers - set(self._reports)):
+                    if not (self._chaos_workers - set(session.reports)):
                         break  # everyone done (or dead) — the run is over
                 events = self._selector.select(timeout=poll)
                 now = time.monotonic()
@@ -584,16 +458,17 @@ class TcpServer:
                             peer.worker_id,
                             f"no heartbeat for {plan.heartbeat_timeout:.0f}s",
                         )
-                # Liveness guard, adaptive like the process runtime's.  Once
+                # Liveness guard (the session adapts it to the push
+                # intervals it observes).  Once
                 # aborted it must not re-fire: _abort_all re-arms the linger
                 # deadline, and a guard that trips every iteration would
                 # push that deadline forever into the future.
                 if (
                     not self._aborted
-                    and now - self._last_progress > self._idle_timeout
+                    and now - self._last_progress > session.idle_timeout
                 ):
                     self._errors.append(
-                        f"server: no worker progress for {self._idle_timeout:.0f}s, aborting"
+                        f"server: no worker progress for {session.idle_timeout:.0f}s, aborting"
                     )
                     self._abort_all("no worker progress")
             return self._finish()
@@ -688,7 +563,8 @@ class TcpServer:
             )
             self._retire(conn)
             return
-        if worker_id in self._restored_clocks and worker_id not in self._joined_ever:
+        rejoining = worker_id in self._session.joined
+        if worker_id in self._restored_clocks and not rejoining:
             clock = self._restored_clocks[worker_id]
         elif self._started:
             # A returning worker resumes exactly after its last push the
@@ -706,14 +582,13 @@ class TcpServer:
                 clock = self._policy.clock_table.slowest_clock()
         else:
             clock = 0
-        if self._injector is not None and self._started and worker_id in self._joined_ever:
+        if self._injector is not None and self._started and rejoining:
             self._injector.record("rejoin", worker_id, clock=clock)
-        elif worker_id in self._joined_ever or worker_id in self._restored_clocks:
+        elif rejoining or worker_id in self._restored_clocks:
             self._events.append(
                 {"kind": "reconnect", "worker": worker_id, "clock": int(clock)}
             )
-        self._server.register_worker(worker_id, clock)
-        self._joined_ever.add(worker_id)
+        self._session.join(worker_id, clock)
         now = time.monotonic()
         self._peers[worker_id] = _Peer(conn=conn, worker_id=worker_id, last_seen=now)
         conn.owner = worker_id
@@ -750,8 +625,8 @@ class TcpServer:
 
         if not self._started and self._expected <= set(self._peers):
             self._started = True
-            self._start_time = time.monotonic()
-            self._last_progress = self._start_time
+            self._session.start()
+            self._last_progress = time.monotonic()
             for peer in list(self._peers.values()):
                 self._try_send(peer.conn, {"type": "start"}, worker_id=peer.worker_id)
             _LOGGER.info("all %d expected workers joined; training started", len(self._expected))
@@ -773,21 +648,12 @@ class TcpServer:
         if not planned and not chaos:
             self._errors.append(f"{worker_id}: {reason}")
         self._last_progress = time.monotonic()
-        if self._injector is not None:
-            try:
-                clock = self._policy.clock_table.clock(worker_id)
-            except KeyError:
-                clock = 0
-            self._injector.record("crash", worker_id, clock=clock, reason=reason)
-        elif chaos:
+        if self._injector is None and chaos:
             self._events.append(
                 {"kind": "connection_lost", "worker": worker_id, "reason": reason}
             )
-        self._server.discard_staged(worker_id)
-        if worker_id in self._server.worker_ids:
-            released = self._server.deregister_worker(worker_id)
-            for other in released:
-                self._send_ok(other)
+        for other in self._session.leave(worker_id, reason=reason):
+            self._send_ok(other)
         _LOGGER.warning("%s removed: %s", worker_id, reason)
         if not self._started and worker_id in self._expected:
             # The start barrier can never complete without its membership.
@@ -801,17 +667,14 @@ class TcpServer:
             return
         report = dict(header["report"])
         report["mean_loss"] = _float_or_nan(report.get("mean_loss", "nan"))
-        self._reports[worker_id] = WorkerReport(**report)
         # Worker-side chaos and retry events ride along with the report.
-        self._events.extend(dict(event) for event in header.get("events") or [])
-        if header.get("profile") is not None:
-            self._profile = header["profile"]
+        self._session.done(
+            worker_id, report, header.get("events"), header.get("profile")
+        )
         self._retire(peer.conn)
         self._last_progress = time.monotonic()
-        if worker_id in self._server.worker_ids:
-            released = self._server.deregister_worker(worker_id)
-            for other in released:
-                self._send_ok(other)
+        for other in self._session.release(worker_id):
+            self._send_ok(other)
 
     def _abort_all(self, reason: str) -> None:
         self._aborted = True
@@ -839,15 +702,6 @@ class TcpServer:
         now = time.monotonic()
         peer.last_seen = now
         self._last_progress = now
-        timestamp = float(header["timestamp"])
-        previous = self._last_push_time.get(worker_id)
-        self._last_push_time[worker_id] = timestamp
-        if previous is not None:
-            self._idle_timeout = max(
-                self._idle_timeout,
-                self.plan.wait_timeout + 4.0 * (timestamp - previous),
-            )
-
         gradient_frames = []
         buffer_frame = None
         codec_frames = []
@@ -872,52 +726,14 @@ class TcpServer:
                 for key, frame in zip(keys, codec_frames)
             }
 
-        seq = header.get("seq")
-        request = PushRequest(
-            worker_id=worker_id,
-            gradients={},
-            base_version=int(header["base_version"]),
-            timestamp=timestamp,
-            buffers=buffers,
-            local_loss=_float_or_nan(header.get("loss", "nan")),
-            flat_gradients=None,
-            encoded_gradients=tuple(gradient_frames),
-            codec=header.get("codec"),
-            seq=None if seq is None else int(seq),
+        header["loss"] = _float_or_nan(header.get("loss", "nan"))
+        response = self._session.push(
+            worker_id, header, encoded=tuple(gradient_frames), buffers=buffers
         )
-        watermark = self._push_watermarks.get(worker_id)
-        if request.seq is not None and watermark is not None and request.seq <= watermark:
-            # Exactly-once: a retransmission of a push this server already
-            # owns (the worker never saw its OK, or replayed after a
-            # reconnect).  Advance the policy clock — the worker's progress
-            # is real — but leave weights, optimizer and staleness untouched.
-            response = self._server.acknowledge_duplicate(request)
-            self._events.append(
-                {
-                    "kind": "duplicate_push",
-                    "worker": worker_id,
-                    "seq": request.seq,
-                    "watermark": watermark,
-                }
-            )
-        else:
-            response = self._server.handle_push(request)
-            if request.seq is not None:
-                self._push_watermarks[worker_id] = request.seq
-        for released in response.released_workers:
+        for released in response.to_release:
             self._send_ok(released)
-        if response.release_now:
-            self._send_ok(worker_id)
 
         plan = self.plan
-        if (
-            plan.evaluate_every_pushes > 0
-            and self._server.pushes_handled % plan.evaluate_every_pushes == 0
-        ):
-            accuracy, loss = self._evaluate()
-            self._eval_times.append(time.monotonic() - (self._start_time or now))
-            self._eval_accuracies.append(accuracy)
-            self._eval_losses.append(loss)
         if (
             self._checkpoint is not None
             and plan.checkpoint_every_pushes > 0
@@ -974,55 +790,11 @@ class TcpServer:
         self._peers.clear()
 
     def _finish(self) -> TcpTrainingResult:
-        plan = self.plan
-        wall_time = (
-            time.monotonic() - self._start_time if self._start_time is not None else 0.0
+        result = self._session.finish(
+            tcp_bytes_sent=self._wire_sent, tcp_bytes_received=self._wire_received
         )
-        # Apply the tail window of a buffered robust aggregator before the
-        # final evaluation sees the weights.
-        self._server.flush_staged()
-        for worker_id, report in self._reports.items():
-            try:
-                self._policy.clock_table.record_wait(worker_id, report.total_wait_time)
-            except KeyError:
-                pass  # finished workers are deregistered from the table
-        accuracy, loss = self._evaluate()
-        self._eval_times.append(wall_time)
-        self._eval_accuracies.append(accuracy)
-        self._eval_losses.append(loss)
         if self._checkpoint is not None:
             self._save_checkpoint()
-
-        ordered_ids = [f"worker-{index}" for index in range(plan.num_workers)]
-        ordered_ids += sorted(self._joined_ever - set(ordered_ids))
-        reports = [
-            self._reports.get(
-                worker_id,
-                WorkerReport(
-                    worker_id=worker_id,
-                    iterations=0,
-                    samples_processed=0,
-                    total_wait_time=0.0,
-                    total_compute_time=0.0,
-                    mean_loss=float("nan"),
-                ),
-            )
-            for worker_id in ordered_ids
-        ]
-        statistics = self._server.statistics()
-        statistics["tcp_bytes_sent"] = self._wire_sent
-        statistics["tcp_bytes_received"] = self._wire_received
-        result = TcpTrainingResult(
-            wall_time=wall_time,
-            worker_reports=reports,
-            server_statistics=statistics,
-            evaluation_times=self._eval_times,
-            evaluation_accuracies=self._eval_accuracies,
-            evaluation_losses=self._eval_losses,
-            errors=self._errors,
-            events=[dict(event) for event in self._events],
-            profile=self._profile,
-        )
         wire = result_to_wire(result)
         for watcher in self._watchers:
             try:
@@ -1062,69 +834,32 @@ class _Heartbeat:
         self._stop.set()
 
 
-def _build_tcp_worker(plan: TcpTrainingPlan, index: int, layout, with_profiler: bool):
-    """(Re)build this worker's replica, partition and codec from the seed.
+def _pull_reply(layout, header: dict, frames) -> PullReply:
+    """The weight frames of a welcome/ok message as a pull reply.
 
-    Deterministic by construction: a rebuild is byte-identical to the
-    original build, which is what lets a rejoining worker reconstruct the
-    exact state a given resume clock implies (plus ``loader.skip``).
+    Zero-copy: the payloads are views of the connection's receive buffer,
+    valid until the next receive — the loop loads them before it does.
     """
-    workload = plan.build_workload()
-    streams = RngStream(plan.seed)
-    from repro.ps.coordinator import build_worker, partition_for_workers
-
-    global_model = workload.model_builder(streams.get("init"))
-    partitions = partition_for_workers(streams, workload.train_dataset, plan.num_workers)
-    worker = build_worker(
-        index,
-        partitions,
-        global_model,
-        workload.model_builder,
-        streams,
-        batch_size=plan.batch_size,
-        micro_batches=plan.micro_batches,
-        use_workspace=plan.use_workspace,
-    )
-    profiler = None
-    if with_profiler:
-        from repro.utils.profiler import LayerProfiler
-
-        profiler = LayerProfiler(worker.model, loss_fn=worker.loss_fn).attach()
-    codec = _plan_codec(plan)
-    if codec is not None:
-        codec.reseed(streams.get(f"codec-{index}"))
-    worker.attach_flat_layout(((0, layout),))
-    if codec is not None:
-        worker.set_codec(codec)
-    return worker, profiler
-
-
-def _load_weights(worker, layout, header: dict, frames) -> None:
-    """Feed the weight frame of a welcome/ok message into the replica."""
     weight_frames = [frame for frame in frames if frame.shard < _BUFFER_SHARD]
-    payloads = tuple(
-        FlatPullPayload(shard=frame.shard, buffer=decode_shard(frame), layout=layout)
-        for frame in weight_frames
-    )
-    worker.load_reply(
-        PullReply(
-            weights={},
-            buffers={},
-            version=int(header["version"]),
-            flat_weights=payloads,
-            wire_nbytes=sum(frame.nbytes for frame in weight_frames),
-        )
+    return PullReply(
+        weights={},
+        buffers={},
+        version=int(header["version"]),
+        flat_weights=tuple(
+            FlatPullPayload(shard=frame.shard, buffer=decode_shard(frame), layout=layout)
+            for frame in weight_frames
+        ),
+        wire_nbytes=sum(frame.nbytes for frame in weight_frames),
     )
 
 
-def _load_codec_state(worker, header: dict, frames) -> None:
+def _codec_state(header: dict, frames) -> dict | None:
+    """Checkpointed error-feedback residuals riding on a welcome, if any."""
     keys = header.get("codec_state_keys")
-    if not keys or worker.codec is None:
-        return
+    if not keys:
+        return None
     state_frames = [frame for frame in frames if frame.shard >= _CODEC_SHARD_BASE]
-    worker.codec.load_state_dict(
-        {str(key): np.array(decode_shard(frame)) for key, frame in zip(keys, state_frames)}
-    )
+    return {str(key): np.array(decode_shard(frame)) for key, frame in zip(keys, state_frames)}
 
 
 def _join_server(
@@ -1159,85 +894,96 @@ def _join_server(
         # anything else (stray start/ok from a past life) is ignorable here
 
 
-def _await_start(conn: TcpConnection, plan: TcpTrainingPlan):
-    """Block until the server broadcasts ``start`` (or abort/restart)."""
-    while True:
-        header, _ = conn.recv(timeout=plan.wait_timeout)
-        kind = header.get("type")
-        if kind in ("start", "abort", "restart"):
-            return header
+class _TcpLink:
+    """One worker's link over a :class:`TcpConnection`.
 
-
-class _RunAborted(Exception):
-    """The server told this worker the run is over."""
-
-
-def run_tcp_worker(plan: TcpTrainingPlan, index: int, address: str | None = None) -> None:
-    """Entry point of one TCP worker (run in its own process).
-
-    Joins the server at ``address`` (default: the plan's), trains until
-    ``iterations_per_worker`` pushes are acknowledged, and reports.  A
-    connection loss or a ``restart`` message triggers the reconnect path:
-    retry/backoff back to the address, rejoin, and resume from the clock
-    the server assigns — rebuilding the replica and fast-forwarding the
-    data stream when that clock disagrees with local progress.
+    ``join``/``welcome`` opens it (the welcome carries the flat layout, the
+    clock to resume at and the packed weights), a background thread
+    heartbeats, every push is answered — when the policy says so — by an
+    ``ok`` that piggybacks the fresh weights.  A lost connection, an
+    unanswered push or a ``restart`` message triggers the budgeted redial:
+    rejoin, and tell the loop where the server resumes it.
     """
-    worker_id = f"worker-{index}"
-    address = address or plan.address
-    conn: TcpConnection | None = None
-    heartbeat: _Heartbeat | None = None
-    net_plan = parse_net_fault_specs(
-        plan.net_faults, [f"worker-{i}" for i in range(plan.num_workers)]
-    )
-    schedule = (
-        NetFaultSchedule(net_plan, worker_id, plan.seed)
-        if net_plan.for_worker(worker_id)
-        else None
-    )
-    worker_events: list[dict] = []
 
-    def rejoin():
+    gradient_buffers = None
+
+    def __init__(self, plan: TcpTrainingPlan, index: int, address: str) -> None:
+        self._plan = plan
+        self._worker_id = worker_id = f"worker-{index}"
+        self._address = address
+        self._conn: TcpConnection | None = None
+        self._heartbeat: _Heartbeat | None = None
+        net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
+        self._tearable = net_plan.tears_connections(worker_id)
+        self._schedule = (
+            NetFaultSchedule(net_plan, worker_id, plan.seed)
+            if net_plan.for_worker(worker_id)
+            else None
+        )
+        self._retries: list[dict] = []
+        self.layouts = None
+        self._buffer_order: list = []
+        self._want_state = False
+        self._await_start = False
+        self._running = False
+        self._codec = None
+        self._send_error: ConnectionClosed | None = None
+
+    def _join(self, timeout: float) -> Resume:
+        conn, welcome, frames = _join_server(
+            self._plan, self._worker_id, self._address, timeout, chaos=self._tearable
+        )
+        if self._schedule is not None:
+            conn = ChaosConnection(conn, self._schedule)
+        self._conn = conn
+        if self.layouts is None:
+            self.layouts = ((0, _layout_from_wire(welcome["layout"])),)
+            self._buffer_order = welcome["buffers"]
+        self._want_state = bool(welcome.get("want_codec_state", False))
+        self._await_start = not welcome["started"]
+        return Resume(
+            clock=int(welcome["clock"]),
+            reply=_pull_reply(self.layouts[0][1], welcome, frames),
+            codec_state=_codec_state(welcome, frames),
+        )
+
+    def open(self) -> Resume:
+        return self._join(self._plan.wait_timeout)
+
+    def ready(self, worker) -> bool:
+        # The replica's codec: pushes ship its error-feedback residuals when
+        # the server checkpoints them (``want_codec_state``).
+        self._codec = worker.codec
+        self._heartbeat = _Heartbeat(
+            self._conn, self._worker_id, self._plan.heartbeat_interval
+        ).start()
+        while self._await_start:
+            header, _ = self._conn.recv(timeout=self._plan.wait_timeout)
+            kind = header.get("type")
+            if kind in ("abort", "restart"):
+                _LOGGER.info(
+                    "worker %s stopping: %s",
+                    self._worker_id, header.get("reason", "server went away"),
+                )
+                return False
+            self._await_start = kind != "start"
+        if not self._running and self._schedule is not None:
+            # Partition windows count from here, not process startup —
+            # model build and data loading must not eat the window.
+            self._schedule.mark_start()
+        self._running = True
+        return True
+
+    def _rejoin(self) -> Resume:
         """Reconnect after a server restart (or lost connection)."""
-        nonlocal conn, heartbeat, worker, profiler, completed, drawn, want_state
-        if heartbeat is not None:
-            heartbeat.stop()
-        if conn is not None:
-            conn.close()
-        if schedule is not None:
+        self.close()
+        if self._schedule is not None:
             # A partitioned worker cannot reach the server until the window
             # closes; the chaos layer holds the redial, not the server.
-            schedule.hold_reconnect()
-        conn, welcome, frames = _join_server(
-            plan,
-            worker_id,
-            address,
-            timeout=min(plan.wait_timeout, 10.0),
-            chaos=net_plan.tears_connections(worker_id),
-        )
-        if schedule is not None:
-            conn = ChaosConnection(conn, schedule)
-        completed = int(welcome["clock"])
-        want_state = bool(welcome.get("want_codec_state", False))
-        if completed != drawn:
-            # The server resumed us at a clock our stateful data stream has
-            # moved past (or never reached): rebuild deterministically and
-            # fast-forward, so the recomputed iterations replay the exact
-            # batches an uninterrupted run would have drawn.
-            if profiler is not None:
-                profiler.detach()
-                profiler = None
-            worker, _ = _build_tcp_worker(plan, index, layout, with_profiler=False)
-            worker.loader.skip(completed * plan.micro_batches)
-            drawn = completed
-        _load_codec_state(worker, welcome, frames)
-        _load_weights(worker, layout, welcome, frames)
-        heartbeat = _Heartbeat(conn, worker_id, plan.heartbeat_interval).start()
-        if not welcome["started"]:
-            header = _await_start(conn, plan)
-            if header.get("type") != "start":
-                raise _RunAborted(header.get("reason", "server went away"))
+            self._schedule.hold_reconnect()
+        return self._join(min(self._plan.wait_timeout, 10.0))
 
-    def recover(reason: str):
+    def _recover(self, reason: str) -> Resume:
         """Budgeted rejoin: bounded exponential backoff, jittered sleeps.
 
         Retries transient failures (server restarting, the server still
@@ -1246,242 +992,155 @@ def run_tcp_worker(plan: TcpTrainingPlan, index: int, address: str | None = None
         must never wedge the training loop forever.
         """
         budget = RetryBudget(
-            max_attempts=8, base_delay=0.1, max_delay=2.0, deadline=plan.wait_timeout
+            max_attempts=8, base_delay=0.1, max_delay=2.0,
+            deadline=self._plan.wait_timeout,
         )
         last_error: Exception | None = None
         for attempt in budget.attempts():
             try:
-                rejoin()
-                worker_events.append(
-                    {
-                        "kind": "retry",
-                        "worker": worker_id,
-                        "seq": completed,
-                        "attempts": attempt + 1,
-                        "reason": reason,
-                    }
-                )
-                return
+                resume = self._rejoin()
             except (ConnectionError, TimeoutError, OSError) as error:
                 last_error = error
             except RuntimeError as error:
                 if "duplicate" not in str(error):
                     raise
                 last_error = error
-        raise RuntimeError(
-            f"{worker_id}: reconnect budget exhausted after {reason}: {last_error}"
-        )
-
-    try:
-        conn, welcome, frames = _join_server(
-            plan,
-            worker_id,
-            address,
-            timeout=plan.wait_timeout,
-            chaos=net_plan.tears_connections(worker_id),
-        )
-        if schedule is not None:
-            conn = ChaosConnection(conn, schedule)
-        layout = _layout_from_wire(welcome["layout"])
-        buffer_order = welcome["buffers"]
-        want_state = bool(welcome.get("want_codec_state", False))
-        completed = int(welcome["clock"])
-        worker, profiler = _build_tcp_worker(
-            plan, index, layout, with_profiler=plan.profile and index == 0
-        )
-        drawn = completed
-        if completed:
-            worker.loader.skip(completed * plan.micro_batches)
-        _load_codec_state(worker, welcome, frames)
-        _load_weights(worker, layout, welcome, frames)
-        heartbeat = _Heartbeat(conn, worker_id, plan.heartbeat_interval).start()
-        if not welcome["started"]:
-            header = _await_start(conn, plan)
-            if header.get("type") != "start":
-                raise _RunAborted(header.get("reason", "server went away"))
-
-        if schedule is not None:
-            # Partition windows count from here, not process startup —
-            # model build and data loading must not eat the window.
-            schedule.mark_start()
-        start = time.monotonic()
-        slowdown = plan.slowdowns.get(worker_id, 0.0)
-        crash_iteration = plan.crash_at.get(worker_id)
-        crash_after = plan.crash_after_push.get(worker_id)
-        fault_plan = parse_fault_specs(
-            plan.faults, [f"worker-{i}" for i in range(plan.num_workers)]
-        )
-        fault_crash = fault_plan.crash_at().get(worker_id)
-        fault_rejoin = fault_plan.rejoin_after().get(worker_id)
-        flaky = fault_plan.flaky_for(worker_id)
-        total_wait = 0.0
-        total_compute = 0.0
-
-        while completed < plan.iterations_per_worker:
-            if crash_iteration is not None and completed >= crash_iteration:
-                os._exit(1)  # test hook: die like a real crash, no cleanup
-            if fault_crash is not None and completed >= fault_crash:
-                # Injected crash: drop the socket like a real death.  The
-                # server sees EOF, records the crash, deregisters us and
-                # re-bounds the policy over the survivors.
-                fault_crash = None  # fires once
-                if heartbeat is not None:
-                    heartbeat.stop()
-                conn.close()
-                if fault_rejoin is None:
-                    _LOGGER.info("worker %s: injected crash (permanent)", worker_id)
-                    return
-                time.sleep(fault_rejoin * plan.heartbeat_interval)
-                rejoin()  # elastic membership: resume at the server's clock
-                continue
-            compute_start = time.monotonic()
-            computation = worker.compute_gradients()
-            drawn += 1
-            if slowdown > 0:
-                time.sleep(slowdown)
-            if flaky is not None and flaky.slow(completed):
-                time.sleep(flaky.delay)
-            compute_elapsed = time.monotonic() - compute_start
-            total_compute += compute_elapsed
-
-            flat_gradients, encoded, codec_name = worker.prepare_push(computation)
-            if encoded is not None:
-                frames_out = list(encoded)
             else:
-                frames_out = [
-                    _dense_frame(shard, buffer)
-                    for shard, buffer in sorted((flat_gradients or {}).items())
-                ]
-            header = {
-                "type": "push",
-                "worker": worker_id,
-                # Sequence number = iteration index: the server's per-worker
-                # watermark dedups any retransmission, so a push whose OK
-                # was lost is applied exactly once.
-                "seq": completed,
-                "base_version": computation.base_version,
-                "timestamp": time.monotonic() - start,
-                "loss": _json_safe(float(computation.loss)),
-                "samples": computation.samples,
-                "codec": codec_name,
-            }
-            if computation.buffers and buffer_order:
-                frames_out.append(
-                    _dense_frame(
-                        _BUFFER_SHARD, _pack_buffers(computation.buffers, buffer_order)
-                    )
+                self._retries.append(
+                    {
+                        "kind": "retry",
+                        "worker": self._worker_id,
+                        "seq": resume.clock,
+                        "attempts": attempt + 1,
+                        "reason": reason,
+                    }
                 )
-            if want_state and worker.codec is not None:
-                state = worker.codec.state_dict()
-                if state:
-                    keys = sorted(state)
-                    header["codec_state_keys"] = keys
-                    frames_out.extend(
-                        _dense_frame(_CODEC_SHARD_BASE + position, state[key])
-                        for position, key in enumerate(keys)
-                    )
+                return resume
+        raise RuntimeError(
+            f"{self._worker_id}: reconnect budget exhausted after {reason}: {last_error}"
+        )
 
-            try:
-                conn.send(header, tuple(frames_out))
-                if crash_after is not None and completed >= crash_after:
-                    os._exit(1)  # test hook: die mid-protocol, before the OK
-                # The OK may take a while: peers run the same per-iteration
-                # workload, so this worker's own compute time bounds a
-                # healthy wait (same guard as the process runtime).
-                wait_start = time.monotonic()
-                ok_timeout = plan.wait_timeout + 4.0 * compute_elapsed
-                while True:
-                    reply, reply_frames = conn.recv(timeout=ok_timeout)
-                    kind = reply.get("type")
-                    if kind in ("ok", "abort", "restart"):
-                        break
-            except ConnectionClosed as closed:
-                recover(str(closed) or "connection closed")
-                continue
-            except TimeoutError:
-                # The OK never came (hung or wedged server).  Redial and
-                # retransmit: the server's per-worker watermark makes a
-                # push whose OK was lost idempotent.
-                recover("push acknowledgement timed out")
-                continue
-            if kind == "abort":
-                raise _RunAborted(reply.get("reason", "aborted"))
-            if kind == "restart":
-                recover("server restart")
-                continue
-            total_wait += time.monotonic() - wait_start
-            _load_weights(worker, layout, reply, reply_frames)
-            completed += 1
+    def push(self, header, computation, flat, encoded) -> bool:
+        if encoded is not None:
+            frames = list(encoded)
+        else:
+            frames = [
+                _dense_frame(shard, buffer)
+                for shard, buffer in sorted((flat or {}).items())
+            ]
+        envelope = {"type": "push", "worker": self._worker_id, **header}
+        envelope["loss"] = _json_safe(float(header["loss"]))
+        if computation.buffers and self._buffer_order:
+            frames.append(
+                _dense_frame(
+                    _BUFFER_SHARD, _pack_buffers(computation.buffers, self._buffer_order)
+                )
+            )
+        if self._want_state and self._codec is not None:
+            state = self._codec.state_dict()
+            if state:
+                keys = sorted(state)
+                envelope["codec_state_keys"] = keys
+                frames.extend(
+                    _dense_frame(_CODEC_SHARD_BASE + position, state[key])
+                    for position, key in enumerate(keys)
+                )
+        try:
+            self._conn.send(envelope, tuple(frames))
+        except ConnectionClosed as closed:
+            self._send_error = closed  # await_ok redials and resumes
+        return True
 
-        profile = None
-        if profiler is not None:
-            profiler.detach()
-            profile = {"worker_id": worker_id, **profiler.as_dict()}
-        conn.send(
+    def await_ok(self, timeout: float):
+        try:
+            if self._send_error is not None:
+                closed, self._send_error = self._send_error, None
+                raise closed
+            while True:
+                reply, frames = self._conn.recv(timeout=timeout)
+                kind = reply.get("type")
+                if kind in ("ok", "abort", "restart"):
+                    break
+        except ConnectionClosed as closed:
+            return self._recover(str(closed) or "connection closed")
+        except TimeoutError:
+            # The OK never came (hung or wedged server).  Redial and
+            # retransmit: the server's per-worker watermark makes a
+            # push whose OK was lost idempotent.
+            return self._recover("push acknowledgement timed out")
+        if kind == "abort":
+            _LOGGER.info(
+                "worker %s stopping: %s", self._worker_id, reply.get("reason", "aborted")
+            )
+            return None
+        if kind == "restart":
+            return self._recover("server restart")
+        return _pull_reply(self.layouts[0][1], reply, frames)
+
+    def leave(self, clock: int, rejoin_after=None) -> Resume | None:
+        # Injected crash: drop the socket like a real death.  The server
+        # sees EOF, records the crash, deregisters us and re-bounds the
+        # policy over the survivors.
+        self.close()
+        if rejoin_after is None:
+            _LOGGER.info("worker %s: injected crash (permanent)", self._worker_id)
+            return None
+        time.sleep(rejoin_after * self._plan.heartbeat_interval)
+        return self._rejoin()  # elastic membership: resume at the server's clock
+
+    def done(self, report: dict, profile) -> None:
+        chaos_events = self._schedule.events if self._schedule is not None else []
+        self._conn.send(
             {
                 "type": "done",
-                "worker": worker_id,
-                "events": _json_safe(
-                    [*(schedule.events if schedule is not None else []), *worker_events]
-                ),
-                "report": _json_safe(
-                    {
-                        "worker_id": worker_id,
-                        "iterations": worker.iterations,
-                        "samples_processed": worker.samples_processed,
-                        "total_wait_time": total_wait,
-                        "total_compute_time": total_compute,
-                        "mean_loss": worker.mean_loss,
-                        "pushed_wire_bytes": worker.pushed_wire_bytes,
-                        "pushed_raw_bytes": worker.pushed_raw_bytes,
-                        "pulled_bytes": worker.pulled_bytes,
-                    }
-                ),
+                "worker": self._worker_id,
+                "events": _json_safe([*chaos_events, *self._retries]),
+                "report": _json_safe(report),
                 "profile": _json_safe(profile) if profile is not None else None,
             }
         )
-    except _RunAborted as stop:
-        _LOGGER.info("worker %s stopping: %s", worker_id, stop)
-    except Exception as error:  # noqa: BLE001 - report, then die quietly
-        _LOGGER.exception("worker %s failed", worker_id)
-        if conn is not None:
-            try:
-                conn.send(
-                    {"type": "error", "worker": worker_id, "message": str(error)}
-                )
-            except ConnectionClosed:
-                pass
+
+    def error(self, message: str) -> None:
+        if self._conn is None:
+            return
+        try:
+            self._conn.send(
+                {"type": "error", "worker": self._worker_id, "message": message}
+            )
+        except ConnectionClosed:
+            pass
+
+    def close(self) -> None:
+        if self._heartbeat is not None:
+            self._heartbeat.stop()
+        if self._conn is not None:
+            self._conn.close()
+
+
+def run_tcp_worker(plan: TcpTrainingPlan, index: int, address: str | None = None) -> None:
+    """Entry point of one TCP worker (run in its own process).
+
+    Joins the server at ``address`` (default: the plan's) and runs the step
+    protocol until ``iterations_per_worker`` pushes are acknowledged; the
+    link rides out connection losses and server restarts on the way.
+    """
+    link = _TcpLink(plan, index, address or plan.address)
+    try:
+        WorkerLoop.from_plan(plan, index, link).run()
     finally:
-        if heartbeat is not None:
-            heartbeat.stop()
-        if conn is not None:
-            conn.close()
+        link.close()
 
 
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
-def _serve_entry(plan: TcpTrainingPlan, ready_conn) -> None:
-    """Server child-process entry: report the bound address, then serve."""
+def _serve_entry(plan: TcpTrainingPlan, ready_conn, result_conn=None) -> None:
+    """Server child-process entry: report the bound address, then serve.
 
-    def ready(address: str) -> None:
-        ready_conn.send(address)
-        ready_conn.close()
-
-    TcpServer(plan, ready_callback=ready).serve()
-
-
-def _worker_entry(plan: TcpTrainingPlan, index: int, address: str) -> None:
-    run_tcp_worker(plan, index, address)
-
-
-def _supervised_serve_entry(plan: TcpTrainingPlan, ready_conn, result_conn) -> None:
-    """Server child under a supervisor: report address, serve, ship outcome.
-
-    The result pipe carries ``("result", wire)`` on completion or
-    ``("restart", None)`` after a graceful SIGTERM checkpoint; a hard
-    crash (``kill -9``) ships nothing, which is exactly how the
-    supervisor tells the two apart.
+    Under a supervisor, ``result_conn`` carries ``("result", wire)`` on
+    completion or ``("restart", None)`` after a graceful SIGTERM
+    checkpoint; a hard crash (``kill -9``) ships nothing, which is exactly
+    how the supervisor tells the two apart.
     """
 
     def ready(address: str) -> None:
@@ -1489,6 +1148,8 @@ def _supervised_serve_entry(plan: TcpTrainingPlan, ready_conn, result_conn) -> N
         ready_conn.close()
 
     result = TcpServer(plan, ready_callback=ready).serve()
+    if result_conn is None:
+        return
     try:
         if result is None:
             result_conn.send(("restart", None))
@@ -1497,6 +1158,10 @@ def _supervised_serve_entry(plan: TcpTrainingPlan, ready_conn, result_conn) -> N
         result_conn.close()
     except (BrokenPipeError, OSError):  # pragma: no cover - supervisor died
         pass
+
+
+def _worker_entry(plan: TcpTrainingPlan, index: int, address: str) -> None:
+    run_tcp_worker(plan, index, address)
 
 
 class TcpSupervisor:
@@ -1533,14 +1198,7 @@ class TcpSupervisor:
         self.plan = plan
         self.max_restarts = max_restarts
         self._ready_callback = ready_callback
-        if context is None or isinstance(context, str):
-            from repro.ps.process_runtime import default_context_name
-
-            self.context = multiprocessing.get_context(
-                context or default_context_name()
-            )
-        else:
-            self.context = context
+        self.context = resolve_context(context)
         self._stop = threading.Event()
         self.bound_address: str | None = None
         self.server_pid: int | None = None
@@ -1558,7 +1216,7 @@ class TcpSupervisor:
             ready_recv, ready_send = self.context.Pipe(duplex=False)
             result_recv, result_send = self.context.Pipe(duplex=False)
             child = self.context.Process(
-                target=_supervised_serve_entry,
+                target=_serve_entry,
                 args=(plan, ready_send, result_send),
                 name="repro-tcp-server",
                 daemon=True,
@@ -1571,11 +1229,8 @@ class TcpSupervisor:
             if not ready_recv.poll(plan.wait_timeout):
                 child.terminate()
                 child.join(timeout=5.0)
-                return TcpTrainingResult(
-                    wall_time=0.0,
-                    worker_reports=[],
-                    server_statistics={},
-                    errors=["supervised tcp server never reported its address"],
+                return TcpTrainingResult.failed(
+                    "supervised tcp server never reported its address"
                 )
             address = ready_recv.recv()
             ready_recv.close()
@@ -1608,14 +1263,9 @@ class TcpSupervisor:
             # (no payload at all): relaunch from the latest checkpoint.
             self.restarts += 1
             if self.restarts > self.max_restarts:
-                return TcpTrainingResult(
-                    wall_time=0.0,
-                    worker_reports=[],
-                    server_statistics={},
-                    errors=[
-                        f"supervised tcp server died {self.restarts} times "
-                        f"(limit {self.max_restarts}); giving up"
-                    ],
+                return TcpTrainingResult.failed(
+                    f"supervised tcp server died {self.restarts} times "
+                    f"(limit {self.max_restarts}); giving up"
                 )
             _LOGGER.warning(
                 "supervised server died (exitcode %s); restart %d/%d from %s",
@@ -1645,15 +1295,7 @@ class TcpTrainer:
     ) -> None:
         self.plan = plan
         self.external_address = external_address
-        if context is None or isinstance(context, str):
-            from repro.ps.process_runtime import default_context_name
-
-            self.context = multiprocessing.get_context(
-                context or default_context_name()
-            )
-        else:
-            self.context = context
-        self._result: TcpTrainingResult | None = None
+        self.context = resolve_context(context)
 
     def run(self) -> TcpTrainingResult:
         """Run to completion; failures surface in ``result.errors``."""
@@ -1692,18 +1334,11 @@ class TcpTrainer:
                 )
                 process.start()
                 processes.append(process)
-            result = self._await_result(watch, server_process, address)
-            self._result = result
-            return result
+            return self._await_result(watch, server_process, address)
         finally:
             if watch is not None:
                 watch.close()
-            for process in processes:
-                process.join(timeout=5.0)
-            for process in processes:
-                if process.is_alive():  # pragma: no cover - hard-abort path
-                    process.terminate()
-                    process.join(timeout=5.0)
+            reap(processes)
 
     def _await_result(self, watch, server_process, address) -> TcpTrainingResult:
         """Wait on the watch channel, tolerating a restarting server.
@@ -1743,9 +1378,4 @@ class TcpTrainer:
 
     @staticmethod
     def _dead_server_result() -> TcpTrainingResult:
-        return TcpTrainingResult(
-            wall_time=0.0,
-            worker_reports=[],
-            server_statistics={},
-            errors=["tcp server died without reporting a result"],
-        )
+        return TcpTrainingResult.failed("tcp server died without reporting a result")

@@ -1,0 +1,317 @@
+"""The step protocol without threads or sockets.
+
+``WorkerLoop`` runs against a scripted in-memory link and ``ServerSession``
+is fed hand-built pushes, so the protocol's corner cases — retransmissions,
+resume-at-clock, leaves, aborts, missing reports — are exact rather than
+raced.  Also pins the one plan validation the three runtimes share.
+"""
+
+import dataclasses
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.experiments.config import TINY
+from repro.models import mlp
+from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
+from repro.ps.process_runtime import ProcessTrainingPlan
+from repro.ps.session import Resume, ServerSession, WorkerLoop, replica_builder
+from repro.ps.sharding import make_store
+from repro.ps.tcp_runtime import TcpTrainingPlan
+from repro.utils.rng import RngStream
+
+
+@pytest.fixture
+def workload(tiny_flat_datasets):
+    train, test = tiny_flat_datasets
+    return SimpleNamespace(
+        model_builder=lambda rng: mlp(
+            input_dim=train.inputs.shape[1], hidden_dims=(8,), num_classes=4, rng=rng
+        ),
+        train_dataset=train,
+        test_dataset=test,
+    )
+
+
+def make_store_for(plan, workload):
+    model = workload.model_builder(RngStream(plan.seed).get("init"))
+    return make_store(
+        initial_weights={name: p.data for name, p in model.named_parameters()},
+        initial_buffers=model.buffers(),
+    )
+
+
+def make_session(workload, **plan_fields):
+    plan = DistributedTrainingConfig(batch_size=16, **plan_fields)
+    session = ServerSession.from_plan(plan, make_store_for(plan, workload), workload)
+    for worker_id in plan.worker_ids:
+        session.join(worker_id)
+    return session
+
+
+def hand_push(session, worker_id, timestamp, **header):
+    size = session.server.store.flat_layouts[0][1][-1].hi
+    return session.push(
+        worker_id,
+        {"base_version": 0, "timestamp": timestamp, "loss": 1.0, **header},
+        flat={0: np.full(size, 0.125)},
+    )
+
+
+class ScriptedLink:
+    """An in-memory link: never-changing weights, scripted answers to pushes."""
+
+    gradient_buffers = None
+
+    def __init__(self, store, script=()):
+        self.store = store
+        self.layouts = store.flat_layouts
+        self.script = list(script)  # per push: "ok" (default), "abort" or a resume clock
+        self.pushed = []  # (seq, copy of the packed gradient)
+        self.timeouts = []
+        self.readied = []
+        self.left = []
+        self.reports = []
+        self.errors = []
+
+    def open(self):
+        return Resume(0, self.store.pull())
+
+    def ready(self, worker):
+        self.readied.append(worker)
+        return True
+
+    def push(self, header, computation, flat, encoded):
+        self.pushed.append((header["seq"], flat[0].copy()))
+        return True
+
+    def await_ok(self, timeout):
+        self.timeouts.append(timeout)
+        answer = self.script.pop(0) if self.script else "ok"
+        if answer == "abort":
+            return None
+        if answer == "ok":
+            return self.store.pull()
+        return Resume(answer, self.store.pull())
+
+    def leave(self, clock, rejoin_after=None):
+        self.left.append(clock)
+        return None
+
+    def done(self, report, profile):
+        self.reports.append(report)
+
+    def error(self, message):
+        self.errors.append(message)
+
+
+def make_loop(workload, script=(), **loop_fields):
+    plan = DistributedTrainingConfig(num_workers=2, batch_size=16, micro_batches=2)
+    link = ScriptedLink(make_store_for(plan, workload), script)
+    loop = WorkerLoop(
+        "worker-1",
+        link,
+        iterations=4,
+        wait_timeout=5.0,
+        build=lambda: replica_builder(plan, workload)(1, link.layouts),
+        **loop_fields,
+    )
+    return loop, link
+
+
+class TestWorkerLoop:
+    def test_runs_the_budget_and_reports_once(self, workload):
+        loop, link = make_loop(workload, slowdown=0.01)
+        report = loop.run()
+        assert [seq for seq, _ in link.pushed] == [0, 1, 2, 3]
+        assert link.reports == [report] and link.errors == []
+        assert report["worker_id"] == "worker-1" and report["iterations"] == 4
+        assert report["samples_processed"] == 4 * 2 * 16
+        # One liveness guard: the plan's timeout plus four times this
+        # worker's own compute time, slowdown included.
+        assert all(timeout >= 5.0 + 4 * 0.01 for timeout in link.timeouts)
+
+    def test_resume_at_another_clock_rebuilds_and_fast_forwards(self, workload):
+        # Three pushes drawn, then the server says "you are at clock 1".
+        loop, link = make_loop(workload, script=["ok", "ok", 1])
+        report = loop.run()
+        assert [seq for seq, _ in link.pushed] == [0, 1, 2, 1, 2, 3]
+        first, rebuilt = link.readied
+        assert rebuilt is not first and loop.worker is rebuilt
+        # The weights never change here, so a gradient is a function of its
+        # batches alone: the replayed iterations must redraw exactly the
+        # batches 1 x micro_batches .. of an uninterrupted run.
+        assert np.array_equal(link.pushed[3][1], link.pushed[1][1])
+        assert np.array_equal(link.pushed[4][1], link.pushed[2][1])
+        assert not np.array_equal(link.pushed[3][1], link.pushed[0][1])
+        assert report["iterations"] == 3  # the rebuilt replica's own count
+
+    def test_resume_at_the_clock_already_drawn_keeps_the_replica(self, workload):
+        # The OK of push 1 was lost after the server applied it: resume at 2.
+        loop, link = make_loop(workload, script=["ok", 2])
+        loop.run()
+        assert [seq for seq, _ in link.pushed] == [0, 1, 2, 3]
+        assert link.readied[0] is link.readied[1]
+
+    def test_abort_during_the_ok_wait_ends_without_a_report(self, workload):
+        loop, link = make_loop(workload, script=["ok", "abort"])
+        assert loop.run() is None
+        assert [seq for seq, _ in link.pushed] == [0, 1]
+        assert link.reports == [] and link.errors == []
+
+    def test_injected_crash_leaves_at_its_clock(self, workload):
+        from repro.ps.faults import parse_fault_specs
+
+        faults = parse_fault_specs(
+            [{"worker": 1, "kind": "crash", "after_clock": 2}], ["worker-0", "worker-1"]
+        )
+        loop, link = make_loop(workload, fault_plan=faults)
+        assert loop.run() is None
+        assert link.left == [2] and len(link.pushed) == 2 and link.reports == []
+
+
+class TestServerSession:
+    def test_retransmission_advances_the_clock_but_not_the_weights(self, workload):
+        session = make_session(workload, paradigm="asp", paradigm_kwargs={}, num_workers=1)
+        store, clocks = session.server.store, session.server.policy.clock_table
+        hand_push(session, "worker-0", 0.0, seq=0)
+        applied_once = {name: value.copy() for name, value in store.snapshot().items()}
+        assert store.version == 1 and session.watermarks == {"worker-0": 0}
+
+        response = hand_push(session, "worker-0", 0.1, seq=0)
+        assert response.to_release == ("worker-0",)
+        assert store.version == 1 and clocks.clock("worker-0") == 2
+        assert all(
+            np.array_equal(applied_once[name], value)
+            for name, value in store.snapshot().items()
+        )
+        assert session.events == [
+            {"kind": "duplicate_push", "worker": "worker-0", "seq": 0, "watermark": 0}
+        ]
+
+        hand_push(session, "worker-0", 0.2)  # no sequence number: no dedupe
+        assert store.version == 2 and session.watermarks == {"worker-0": 0}
+        assert len(session.events) == 1
+
+    def test_leave_releases_exactly_who_the_policy_returns(self, workload):
+        session = make_session(workload, paradigm="bsp", paradigm_kwargs={}, num_workers=3)
+        assert hand_push(session, "worker-0", 0.0).to_release == ()
+        assert hand_push(session, "worker-1", 0.0).to_release == ()
+        # The round was waiting on worker-2 alone: its departure completes it.
+        assert sorted(session.leave("worker-2")) == ["worker-0", "worker-1"]
+        assert session.server.worker_ids == ["worker-0", "worker-1"]
+        assert session.leave("worker-2") == ()  # already gone
+
+    def test_idle_guard_stretches_with_observed_push_intervals(self, workload):
+        session = make_session(
+            workload, paradigm="asp", paradigm_kwargs={}, num_workers=1, wait_timeout=10.0
+        )
+        hand_push(session, "worker-0", 1.0)
+        assert session.idle_timeout == 10.0
+        hand_push(session, "worker-0", 4.0)
+        assert session.idle_timeout == 10.0 + 4 * 3.0
+
+    def test_finish_fills_reports_for_workers_that_never_reported(self, workload):
+        session = make_session(
+            workload, paradigm="asp", paradigm_kwargs={}, num_workers=2,
+            evaluate_every_pushes=1,
+        )
+        session.evaluate(0.0)
+        session.start()
+        hand_push(session, "worker-1", 0.0)
+        session.done(
+            "worker-1",
+            {
+                "worker_id": "worker-1", "iterations": 1, "samples_processed": 16,
+                "total_wait_time": 0.5, "total_compute_time": 0.25, "mean_loss": 1.0,
+            },
+            events=[{"kind": "retry", "worker": "worker-1"}],
+        )
+        session.join("worker-9")  # an elastic extra that dies silently
+        result = session.finish(extra=7)
+        assert [r.worker_id for r in result.worker_reports] == [
+            "worker-0", "worker-1", "worker-9",
+        ]
+        silent, reported, extra = result.worker_reports
+        assert reported.iterations == 1 and reported.total_wait_time == 0.5
+        for placeholder in (silent, extra):
+            assert placeholder.iterations == 0 and np.isnan(placeholder.mean_loss)
+        assert result.events == [{"kind": "retry", "worker": "worker-1"}]
+        assert result.server_statistics["extra"] == 7
+        assert result.server_statistics["store_version"] == 1
+        # Initial, periodic (every push) and final evaluation.
+        assert len(result.evaluation_times) == 3
+        assert result.evaluation_times[0] == 0.0
+        assert result.evaluation_times[-1] == result.wall_time
+
+
+PLAN_CLASSES = {
+    "threaded": lambda **fields: DistributedTrainingConfig(**fields),
+    "process": lambda **fields: ProcessTrainingPlan(
+        workload="mlp", scale_fields=dataclasses.asdict(TINY), **fields
+    ),
+    "tcp": lambda **fields: TcpTrainingPlan(
+        workload="mlp", scale_fields=dataclasses.asdict(TINY), **fields
+    ),
+}
+
+
+@pytest.mark.parametrize("make_plan", PLAN_CLASSES.values(), ids=PLAN_CLASSES.keys())
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"micro_batches": 0}, "micro_batches must be positive"),
+        ({"slowdowns": {"worker-0": -0.5}}, "slowdowns must be non-negative"),
+        ({"evaluate_every_pushes": -1}, "evaluate_every_pushes must be non-negative"),
+        ({"wait_timeout": 0.0}, "wait_timeout must be positive"),
+    ],
+)
+def test_every_plan_rejects_the_same_bad_values(make_plan, fields, message):
+    assert make_plan().num_workers == 4  # the defaults themselves are fine
+    with pytest.raises(ValueError, match=message):
+        make_plan(**fields)
+
+
+class TestOneLivenessGuard:
+    def test_threaded_run_survives_slowdowns_beyond_its_wait_timeout(self, workload):
+        # Every BSP round the peers are legitimately quiet for a whole
+        # slowdown — five times the configured timeout.  The guard adds four
+        # times the waiting worker's own (equally slowed) compute time.
+        config = DistributedTrainingConfig(
+            paradigm="bsp",
+            paradigm_kwargs={},
+            num_workers=2,
+            iterations_per_worker=3,
+            batch_size=16,
+            slowdowns={"worker-0": 0.25, "worker-1": 0.25},
+            wait_timeout=0.05,
+        )
+        result = assemble_training(
+            config, workload.model_builder, workload.train_dataset
+        ).run()
+        assert result.errors == []
+        assert result.server_statistics["store_version"] == 6
+
+    def test_threaded_backend_stretches_the_guard_over_declared_slowdowns(
+        self, monkeypatch
+    ):
+        from repro.api import ClusterConfig, ExperimentSpec, backends
+
+        captured = {}
+
+        def capture(config, *_args):
+            captured["config"] = config
+            raise KeyboardInterrupt  # stop before any training happens
+
+        monkeypatch.setattr(backends, "assemble_training", capture)
+        spec = ExperimentSpec(
+            name="guard",
+            workload="mlp",
+            scale="tiny",
+            cluster=ClusterConfig(num_workers=2, gpus_per_worker=1),
+            slowdowns={"worker-1": 30.0},
+        )
+        with pytest.raises(KeyboardInterrupt):
+            backends.ThreadedBackend().run(spec)
+        assert captured["config"].wait_timeout == 4 * 30.0 + 60.0

@@ -7,11 +7,11 @@ iterates *compute gradients -> push -> wait for OK -> pull -> continue*.
 
 This subpackage provides that framework built from scratch:
 
-* :class:`KeyValueStore` — versioned storage of the global weights.
-* :class:`ShardedKeyValueStore` / :class:`ShardRouter` — the same storage
-  partitioned across key-routed shards with per-shard version counters and
-  copy-on-write delta pulls (a drop-in replacement for the monolithic
-  store).
+* :class:`ShardedKeyValueStore` / :class:`ShardRouter` — versioned
+  storage of the global weights, partitioned across key-routed shards with
+  per-shard version counters and copy-on-write (delta) pulls.  It is the
+  one store: :class:`KeyValueStore` constructs it over a single heap
+  shard, :class:`SharedFlatStore` over shards in shared memory.
 * :class:`ParameterServer` — applies pushed gradients with an optimizer and
   consults a :class:`repro.core.SynchronizationPolicy` to decide when each
   worker receives the OK signal.
@@ -49,18 +49,16 @@ from repro.ps.messages import (
 )
 from repro.ps.server import AppliedPush, ParameterServer, PushResponse
 from repro.ps.worker import Worker, GradientComputation
-from repro.ps.session import ServerSession, TrainingPlan, WorkerLoop
-from repro.ps.runtime import ThreadedTrainer, ThreadedTrainingResult
+from repro.ps.session import ServerSession, TrainingPlan, TrainingResult, WorkerLoop
+from repro.ps.runtime import ThreadedTrainer
 from repro.ps.process_runtime import (
     ProcessTrainer,
     ProcessTrainingPlan,
-    ProcessTrainingResult,
 )
 from repro.ps.tcp_runtime import (
     TcpServer,
     TcpTrainer,
     TcpTrainingPlan,
-    TcpTrainingResult,
 )
 from repro.ps.transport import (
     ConnectionClosed,
@@ -120,16 +118,14 @@ __all__ = [
     "GradientComputation",
     "ServerSession",
     "TrainingPlan",
+    "TrainingResult",
     "WorkerLoop",
     "ThreadedTrainer",
-    "ThreadedTrainingResult",
     "ProcessTrainer",
     "ProcessTrainingPlan",
-    "ProcessTrainingResult",
     "TcpServer",
     "TcpTrainer",
     "TcpTrainingPlan",
-    "TcpTrainingResult",
     "ConnectionClosed",
     "PipeConnection",
     "TcpConnection",

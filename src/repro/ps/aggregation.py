@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ps.compression import parse_name_spec
+
 __all__ = [
     "Aggregator",
     "MeanAggregator",
@@ -102,51 +104,12 @@ def available_aggregators() -> tuple[str, ...]:
 
 
 def parse_aggregation_spec(spec: str) -> tuple[str, dict[str, float]]:
-    """Parse ``"name"``, ``"name:value"`` or ``"name:key=val,..."``.
+    """Parse an aggregation spec (grammar: :func:`~repro.ps.compression.parse_name_spec`).
 
     The bare-value shorthand assigns the aggregator's ``positional``
-    parameter (``trimmed_mean:1`` means ``trimmed_mean:k=1``).  Unknown
-    aggregator names and malformed parameters raise ``ValueError`` naming
-    the accepted aggregators.
+    parameter (``trimmed_mean:1`` means ``trimmed_mean:k=1``).
     """
-    if not isinstance(spec, str) or not spec.strip():
-        raise ValueError(
-            f"aggregation spec must be a non-empty string; "
-            f"available aggregators: {', '.join(available_aggregators())}"
-        )
-    name, sep, rest = spec.partition(":")
-    name = name.strip()
-    if name not in _AGGREGATORS:
-        raise ValueError(
-            f"unknown aggregator {name!r}; available aggregators: "
-            f"{', '.join(available_aggregators())}"
-        )
-    cls = _AGGREGATORS[name]
-    params: dict[str, float] = {}
-    if sep:
-        for part in rest.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" in part:
-                key, _, value = part.partition("=")
-                key = key.strip()
-            elif cls.positional is not None:
-                key, value = cls.positional, part
-            else:
-                raise ValueError(
-                    f"aggregator {name!r} takes no positional parameter "
-                    f"(got {part!r}); use key=value"
-                )
-            if key in params:
-                raise ValueError(f"duplicate aggregator parameter {key!r} in {spec!r}")
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"aggregator parameter {key}={value.strip()!r} is not a number"
-                ) from None
-    return name, params
+    return parse_name_spec(spec, _AGGREGATORS, "aggregator", "aggregation")
 
 
 def make_aggregator(spec: str) -> Aggregator:

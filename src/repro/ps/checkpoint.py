@@ -6,11 +6,11 @@ the global weights, the non-trainable buffers, the optimizer state (including
 momentum velocity) and the store version, serialized to a single ``.npz``
 file plus a small JSON header.
 
-Checkpoints are layout-agnostic: a checkpoint written from a sharded store
-additionally records the per-shard push counters, and restoring crosses
-layouts freely (monolithic → sharded, sharded → monolithic, different shard
-counts).  When the per-shard counters cannot be mapped onto the target
-layout they are reset to the global version, a safe upper bound.
+Checkpoints are layout-agnostic: every checkpoint records the per-shard
+push counters, and restoring crosses layouts freely (one shard → many, many
+→ one, different shard counts, heap ↔ shared memory).  When the per-shard
+counters cannot be mapped onto the target layout they are reset to the
+global version, a safe upper bound.
 
 Worker-side codec state rides along too: error-feedback codecs
 (:mod:`repro.ps.compression`) hold per-worker residuals of the components
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.optim.optimizer import Optimizer
-from repro.ps.kvstore import KeyValueStore
+from repro.ps.sharding import ShardedKeyValueStore
 
 __all__ = [
     "CheckpointMetadata",
@@ -71,7 +71,7 @@ class CheckpointMetadata:
 
 def save_checkpoint(
     path: str | Path,
-    store: KeyValueStore,
+    store: ShardedKeyValueStore,
     optimizer: Optimizer,
     paradigm: str = "unknown",
     extra: dict | None = None,
@@ -108,10 +108,11 @@ def save_checkpoint(
                 raise ValueError(f"codec state key {key!r} may not contain '::'")
             arrays[f"{_CODEC_PREFIX}{worker_id}::{key}"] = np.asarray(value)
 
-    header_extra = {"optimizer": optimizer_state, **(extra or {})}
-    shard_versions = getattr(store, "shard_versions", None)
-    if shard_versions is not None:
-        header_extra["shard_versions"] = [int(v) for v in shard_versions]
+    header_extra = {
+        "optimizer": optimizer_state,
+        **(extra or {}),
+        "shard_versions": [int(v) for v in store.shard_versions],
+    }
     metadata = CheckpointMetadata(
         version=store.version,
         paradigm=paradigm,
@@ -196,7 +197,7 @@ def load_codec_states(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
 
 
 def restore_into(
-    path: str | Path, store: KeyValueStore, optimizer: Optimizer
+    path: str | Path, store: ShardedKeyValueStore, optimizer: Optimizer
 ) -> CheckpointMetadata:
     """Restore a checkpoint into an existing store and optimizer.
 

@@ -49,6 +49,7 @@ __all__ = [
     "SignificanceCodec",
     "register_codec",
     "available_codecs",
+    "parse_name_spec",
     "parse_codec_spec",
     "validate_codec_spec",
     "make_codec",
@@ -164,26 +165,26 @@ def available_codecs() -> tuple[str, ...]:
     return tuple(sorted(_CODECS))
 
 
-def parse_codec_spec(spec: str) -> tuple[str, dict[str, float]]:
+def parse_name_spec(
+    spec: str, registry: dict, noun: str, field: str
+) -> tuple[str, dict[str, float]]:
     """Parse ``"name"``, ``"name:value"`` or ``"name:key=val,..."``.
 
-    The bare-value shorthand assigns the codec's ``positional`` parameter
-    (``topk:0.01`` means ``topk:density=0.01``).  Unknown codec names and
-    malformed parameters raise ``ValueError`` naming the accepted codecs.
+    The grammar shared by the codec and aggregator registries: ``registry``
+    maps names to classes whose ``positional`` attribute names the parameter
+    a bare value is assigned to, ``noun`` ("codec", "aggregator") and
+    ``field`` (the spec field the string came from) word the errors.
+    Unknown names and malformed parameters raise ``ValueError`` naming the
+    accepted ones.
     """
+    available = f"available {noun}s: {', '.join(sorted(registry))}"
     if not isinstance(spec, str) or not spec.strip():
-        raise ValueError(
-            f"compression spec must be a non-empty string; "
-            f"available codecs: {', '.join(available_codecs())}"
-        )
+        raise ValueError(f"{field} spec must be a non-empty string; {available}")
     name, sep, rest = spec.partition(":")
     name = name.strip()
-    if name not in _CODECS:
-        raise ValueError(
-            f"unknown codec {name!r}; available codecs: "
-            f"{', '.join(available_codecs())}"
-        )
-    cls = _CODECS[name]
+    if name not in registry:
+        raise ValueError(f"unknown {noun} {name!r}; {available}")
+    cls = registry[name]
     params: dict[str, float] = {}
     if sep:
         for part in rest.split(","):
@@ -197,18 +198,27 @@ def parse_codec_spec(spec: str) -> tuple[str, dict[str, float]]:
                 key, value = cls.positional, part
             else:
                 raise ValueError(
-                    f"codec {name!r} takes no positional parameter "
+                    f"{noun} {name!r} takes no positional parameter "
                     f"(got {part!r}); use key=value"
                 )
             if key in params:
-                raise ValueError(f"duplicate codec parameter {key!r} in {spec!r}")
+                raise ValueError(f"duplicate {noun} parameter {key!r} in {spec!r}")
             try:
                 params[key] = float(value)
             except ValueError:
                 raise ValueError(
-                    f"codec parameter {key}={value.strip()!r} is not a number"
+                    f"{noun} parameter {key}={value.strip()!r} is not a number"
                 ) from None
     return name, params
+
+
+def parse_codec_spec(spec: str) -> tuple[str, dict[str, float]]:
+    """Parse a compression spec (grammar: :func:`parse_name_spec`).
+
+    The bare-value shorthand assigns the codec's ``positional`` parameter
+    (``topk:0.01`` means ``topk:density=0.01``).
+    """
+    return parse_name_spec(spec, _CODECS, "codec", "compression")
 
 
 def make_codec(spec: str) -> GradientCodec:

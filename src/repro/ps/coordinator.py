@@ -24,9 +24,10 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
 from repro.ps.faults import parse_fault_specs
-from repro.ps.runtime import ThreadedTrainer, ThreadedTrainingResult
+from repro.ps.runtime import ThreadedTrainer
 from repro.ps.session import (
     TrainingPlan,
+    TrainingResult,
     build_evaluator,
     build_server,
     replica_builder,
@@ -51,11 +52,11 @@ class DistributedTrainingConfig(TrainingPlan):
     Attributes
     ----------
     num_shards:
-        Number of parameter-server shards.  1 (the default) uses the
-        monolithic :class:`KeyValueStore`; more builds a
-        :class:`repro.ps.sharding.ShardedKeyValueStore`, which lets pushes
-        to disjoint shards run concurrently and serves copy-on-write delta
-        pulls.
+        Number of shards the one store
+        (:class:`repro.ps.sharding.ShardedKeyValueStore`) partitions the
+        keys across.  With 1 (the default) pushes are applied serially and
+        every pull carries the full model; more lets pushes to disjoint
+        shards run concurrently and serves copy-on-write delta pulls.
     shard_strategy:
         Key partitioning strategy, ``"size"`` (balanced) or ``"hash"``.
     """
@@ -121,7 +122,7 @@ def train_distributed(
     model_builder: Callable[[np.random.Generator], Module],
     train_dataset: ArrayDataset,
     test_dataset: ArrayDataset | None = None,
-) -> ThreadedTrainingResult:
+) -> TrainingResult:
     """Deprecated one-call wrapper: assemble and run a threaded training run.
 
     Prefer ``repro.api.run_experiment(spec, backend="threaded")``, which runs

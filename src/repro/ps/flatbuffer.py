@@ -210,15 +210,21 @@ class FlatShard:
     """All of a shard's entries packed into one contiguous ``np.ndarray``.
 
     The copy-on-write trio — :meth:`lease`, :meth:`release`,
-    :meth:`materialize` — is the storage contract runtimes build on, and it
-    is deliberately overridable: :class:`repro.ps.shm.SharedFlatShard`
+    :meth:`materialize` — is the storage contract the store
+    (:class:`repro.ps.sharding.ShardedKeyValueStore`) is written against,
+    and it is deliberately overridable: :class:`repro.ps.shm.SharedFlatShard`
     keeps the packing machinery of this class but relocates the buffer into
     a ``multiprocessing.shared_memory`` segment and the lease counters into
-    its shared header, turning the same protocol cross-process.
+    its shared header, turning the same protocol cross-process.  The shard
+    also carries what the store keeps per shard: ``index``, the writer
+    ``lock`` and ``version`` (pushes that touched it).
     """
 
     __slots__ = (
         "key",
+        "index",
+        "lock",
+        "version",
         "layout",
         "_flat",
         "_leases",
@@ -241,6 +247,12 @@ class FlatShard:
         """
         self._dtype = np.dtype(dtype)
         self.key = f"flatshard:{next(_SHARD_KEYS)}"
+        # What the owning store keeps per shard: its position (the store
+        # renumbers it), the lock serializing writers, and the count of
+        # pushes that touched it.
+        self.index = 0
+        self.lock = threading.RLock()
+        self.version = 0
         self.layout = FlatLayout(
             {name: np.asarray(value).shape for name, value in weights.items()},
             {name: np.asarray(value).shape for name, value in (buffers or {}).items()},
@@ -295,6 +307,11 @@ class FlatShard:
     def buffer(self) -> np.ndarray:
         """The live flat buffer (internal; mutate only after :meth:`materialize`)."""
         return self._flat
+
+    @property
+    def flat(self) -> "FlatShard":
+        """The packed storage of a store's shard entry: the shard itself."""
+        return self
 
     # ------------------------------------------------------------------
     # Reads
@@ -356,6 +373,13 @@ class FlatShard:
             if self._leases:
                 self._flat = self._flat.copy()
                 self._leases = 0
+
+    def mark_mutated(self) -> None:
+        """Signal a completed write to readers that poll for changes.
+
+        Nothing to do on the heap — threads read the store's per-key stamps;
+        the shared-memory shard bumps a counter other processes can see.
+        """
 
     # ------------------------------------------------------------------
     # Writes (call ``materialize`` first)

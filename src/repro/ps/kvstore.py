@@ -1,305 +1,10 @@
-"""Versioned key-value store for the globally shared weights."""
+"""Import path of the one-shard store.
 
-from __future__ import annotations
+:class:`KeyValueStore` is :class:`repro.ps.sharding.ShardedKeyValueStore`
+constructed over a single heap shard; both it and the dtype check live in
+:mod:`repro.ps.sharding` with the rest of the store.
+"""
 
-from collections import OrderedDict
-from collections.abc import Mapping
-
-import numpy as np
-
-from repro.optim.optimizer import Optimizer
-from repro.ps.flatbuffer import FlatShard, SnapshotViews
-from repro.ps.messages import FlatPullPayload, PullReply
+from repro.ps.sharding import KeyValueStore, normalize_store_dtype
 
 __all__ = ["KeyValueStore", "normalize_store_dtype"]
-
-_SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def normalize_store_dtype(dtype: np.dtype | str) -> np.dtype:
-    """Validate and normalize a store dtype (``float32`` or ``float64``).
-
-    The paper's MXNet setup keeps weights in float32 on the wire; float64 is
-    the historical default of this reproduction.  Restricting to the two
-    keeps checkpoints portable and the transfer-size accounting honest.
-    """
-    resolved = np.dtype(dtype)
-    if resolved not in _SUPPORTED_DTYPES:
-        raise ValueError(
-            f"store dtype must be float32 or float64, got {resolved.name!r}"
-        )
-    return resolved
-
-
-class KeyValueStore:
-    """Holds the global model state on the server.
-
-    Two kinds of entries are stored:
-
-    * *weights* — trainable parameters, updated by applying pushed gradients
-      through an :class:`repro.optim.Optimizer`;
-    * *buffers* — non-trainable state (e.g. batch-norm running statistics),
-      overwritten wholesale when a worker pushes fresher values.
-
-    ``version`` counts the number of gradient applications, which is the
-    quantity used to measure update staleness.
-
-    This is the *monolithic* store: one partition and one version counter.
-    All entries live in a single packed :class:`repro.ps.flatbuffer.FlatShard`,
-    so pulls hand out zero-copy read-only views (stabilized by a shard-level
-    copy-on-write lease) and gradient application is one fused vectorized
-    update over the packed buffer.  The sharded variant
-    (:class:`repro.ps.sharding.ShardedKeyValueStore`) is a drop-in
-    replacement with key-partitioned shards and delta pulls.
-    """
-
-    #: Pushes must be serialized by the caller (no internal locking).
-    supports_concurrent_apply = False
-    #: Pulls always carry the full model regardless of ``known_version``.
-    supports_delta_pull = False
-
-    def __init__(
-        self,
-        initial_weights: Mapping[str, np.ndarray],
-        initial_buffers: Mapping[str, np.ndarray] | None = None,
-        dtype: np.dtype | str = np.float64,
-    ) -> None:
-        if not initial_weights:
-            raise ValueError("initial_weights must contain at least one parameter")
-        self._dtype = normalize_store_dtype(dtype)
-        self._flat = FlatShard(initial_weights, initial_buffers, dtype=self._dtype)
-        self._weight_names = list(initial_weights)
-        self._buffer_names = list(initial_buffers or {})
-        self._weight_name_set = frozenset(self._weight_names)
-        self._buffer_name_set = frozenset(self._buffer_names)
-        # Static name → (shard, segment) tables backing the lazy snapshot
-        # mappings, so a pull costs O(1) instead of O(parameters).
-        layout = self._flat.layout
-        self._weight_entries = OrderedDict(
-            (name, (0, layout.segment(name))) for name in self._weight_names
-        )
-        self._buffer_entries = OrderedDict(
-            (name, (0, layout.segment(name))) for name in self._buffer_names
-        )
-        self._state_entries = OrderedDict(
-            (name, (0, layout.segment(name)))
-            for name in (*self._weight_names, *self._buffer_names)
-        )
-        self._version = 0
-
-    def _snapshot_views(self, entries) -> SnapshotViews:
-        """Lease the buffer and wrap ``entries`` as lazy stable views."""
-        self._flat.lease()
-        return SnapshotViews(entries, {0: self._flat.buffer})
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def dtype(self) -> np.dtype:
-        """Element dtype of every stored array."""
-        return self._dtype
-
-    @property
-    def version(self) -> int:
-        """Number of gradient updates applied so far."""
-        return self._version
-
-    @property
-    def parameter_names(self) -> list[str]:
-        """Names of the trainable parameters."""
-        return list(self._weight_names)
-
-    @property
-    def num_parameters(self) -> int:
-        """Total scalar count of the trainable parameters."""
-        return int(self._flat.layout.weights_end)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes transferred by one full pull (weights plus buffers)."""
-        return int(self._flat.nbytes)
-
-    @property
-    def flat_layouts(self) -> tuple[tuple[int, tuple], ...]:
-        """Per-shard weight layouts, for workers that pack their replicas."""
-        return ((0, self._flat.layout.weight_segments),)
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    @property
-    def weights(self) -> SnapshotViews:
-        """Zero-copy read-only views of the current weights.
-
-        The views are stable snapshots: the next update re-materializes the
-        packed buffer (copy-on-write) instead of mutating what was handed
-        out.  Callers that need writable, independent arrays should use
-        :meth:`snapshot` / :meth:`weights_snapshot`.
-        """
-        return self._snapshot_views(self._weight_entries)
-
-    @property
-    def buffers(self) -> SnapshotViews:
-        """Zero-copy read-only views of the current buffers (see :attr:`weights`)."""
-        return self._snapshot_views(self._buffer_entries)
-
-    def state_views(self) -> SnapshotViews:
-        """Read-only views of weights and buffers combined (zero-copy).
-
-        The evaluation path loads these into a separate model (which copies
-        into its own arrays), so no deep copy of the global state is needed.
-        """
-        return self._snapshot_views(self._state_entries)
-
-    def weights_snapshot(self) -> "OrderedDict[str, np.ndarray]":
-        """Deep copy of the current weights."""
-        return OrderedDict(
-            (name, self._flat.copy_out(name)) for name in self._weight_names
-        )
-
-    def buffers_snapshot(self) -> "OrderedDict[str, np.ndarray]":
-        """Deep copy of the current buffers."""
-        return OrderedDict(
-            (name, self._flat.copy_out(name)) for name in self._buffer_names
-        )
-
-    def snapshot(self) -> "OrderedDict[str, np.ndarray]":
-        """Deep copy of weights and buffers combined (writable, independent)."""
-        return OrderedDict(
-            (name, self._flat.copy_out(name))
-            for name in (*self._weight_names, *self._buffer_names)
-        )
-
-    def full_state(self) -> "OrderedDict[str, np.ndarray]":
-        """Weights and buffers combined (for loading into an evaluation model)."""
-        return self.snapshot()
-
-    def pull(self, known_version: int | None = None) -> PullReply:
-        """Build the reply to a pull request.
-
-        The monolithic store always sends the complete model;
-        ``known_version`` is accepted for interface compatibility with the
-        sharded store (which answers with a delta of the dirtied keys).
-        The reply's arrays are zero-copy read-only views: the store
-        re-materializes the packed buffer before the next update that would
-        touch it, so every view is a stable snapshot.  The whole weight
-        block additionally rides along as one flat payload.
-        """
-        del known_version  # full pulls only
-        flat = self._flat
-        flat.lease()
-        captured = flat.buffer
-        snapshot = {0: captured}
-        released = False
-
-        def release_fn() -> None:
-            nonlocal released
-            if not released:
-                released = True
-                flat.release(captured)
-
-        return PullReply(
-            weights=SnapshotViews(self._weight_entries, snapshot),
-            buffers=SnapshotViews(self._buffer_entries, snapshot),
-            version=self._version,
-            is_delta=False,
-            flat_weights=(
-                FlatPullPayload(
-                    shard=0,
-                    buffer=flat.flat_weights_view(),
-                    layout=flat.layout.weight_segments,
-                ),
-            ),
-            release_fn=release_fn,
-            wire_nbytes=int(flat.nbytes),
-        )
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def apply_gradients(
-        self,
-        gradients: Mapping[str, np.ndarray],
-        optimizer: Optimizer,
-        scale: float = 1.0,
-        flat_gradients: Mapping[int, np.ndarray] | None = None,
-    ) -> int:
-        """Apply a gradient dictionary with ``optimizer`` and bump the version.
-
-        The gradients are packed into contiguous runs of the flat buffer and
-        applied as one fused vectorized update; a push that already carries
-        the packed buffer (``flat_gradients`` from a layout-attached worker)
-        skips the gather entirely.  Like the shared-memory store, a push may
-        carry *only* the packed buffer (``gradients={}``) — that is what the
-        TCP runtime decodes straight off the wire.  Returns the new version.
-        """
-        if not self._weight_name_set.issuperset(gradients):
-            unknown = set(gradients) - self._weight_name_set
-            raise KeyError(f"gradients refer to unknown parameters: {sorted(unknown)[:5]}")
-        self._flat.materialize()
-        update = None
-        if flat_gradients is not None and len(gradients) in (0, len(self._weight_names)):
-            packed = flat_gradients.get(0)
-            if packed is not None and packed.size == self._flat.layout.weights_end:
-                update = self._flat.make_flat_update(packed)
-        if update is None:
-            if not gradients:
-                raise ValueError(
-                    "push carried neither per-name gradients nor a full-size "
-                    "packed flat buffer"
-                )
-            update = self._flat.make_update(gradients)
-        optimizer.step_flat([update], scale=scale)
-        self._version += 1
-        return self._version
-
-    def update_buffers(self, buffers: Mapping[str, np.ndarray]) -> None:
-        """Overwrite buffer entries with fresher worker-side values.
-
-        Buffer names must already exist in the store; unknown names raise
-        ``KeyError`` (like :meth:`apply_gradients` does for weights) so a
-        mis-keyed push fails loudly instead of growing the store silently.
-        """
-        unknown = set(buffers) - set(self._buffer_names)
-        if unknown:
-            raise KeyError(f"buffers refer to unknown entries: {sorted(unknown)[:5]}")
-        for name, value in buffers.items():
-            value = np.asarray(value, dtype=self._dtype)
-            if self._flat.layout.segment(name).shape != value.shape:
-                raise ValueError(
-                    f"buffer shape mismatch for {name!r}: "
-                    f"{self._flat.layout.segment(name).shape} vs {value.shape}"
-                )
-        self._flat.materialize()
-        for name, value in buffers.items():
-            self._flat.write(name, value)
-
-    def overwrite_weights(self, weights: Mapping[str, np.ndarray]) -> None:
-        """Replace the stored weights (used by checkpoint restore)."""
-        unknown = set(weights) - set(self._weight_names)
-        if unknown:
-            raise KeyError(f"unknown parameters: {sorted(unknown)[:5]}")
-        for name, value in weights.items():
-            value = np.asarray(value, dtype=self._dtype)
-            if value.shape != self._flat.layout.segment(name).shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: "
-                    f"{self._flat.layout.segment(name).shape} vs {value.shape}"
-                )
-        self._flat.materialize()
-        for name, value in weights.items():
-            self._flat.write(name, value)
-
-    def restore_version(
-        self, version: int, shard_versions: list[int] | None = None
-    ) -> None:
-        """Reset the update counter (used by checkpoint restore).
-
-        ``shard_versions`` is accepted (and ignored) so a checkpoint written
-        from a sharded store restores cleanly into a monolithic one.
-        """
-        if version < 0:
-            raise ValueError(f"version must be >= 0, got {version}")
-        del shard_versions
-        self._version = int(version)

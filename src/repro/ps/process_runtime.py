@@ -66,6 +66,7 @@ from repro.ps.session import (
     WorkloadPlan,
     plan_codec,
 )
+from repro.ps.sharding import partition_state
 from repro.ps.transport import ConnectionClosed, PipeConnection, validate_transport
 from repro.ps.shm import (
     SharedFlatStore,
@@ -79,17 +80,11 @@ from repro.utils.rng import RngStream
 
 __all__ = [
     "ProcessTrainingPlan",
-    "ProcessTrainingResult",
     "ProcessTrainer",
     "default_context_name",
 ]
 
 _LOGGER = get_logger("ps.process_runtime")
-
-#: The process runtime reports through the same result schema as the
-#: threaded runtime — same fields, same semantics, wall-clock time measured
-#: from the moment every process clears the start barrier.
-ProcessTrainingResult = TrainingResult
 
 #: Gradient paths this runtime supports, a subset of the transport registry
 #: (:mod:`repro.ps.transport`); ``"tcp"`` belongs to the socket runtime.
@@ -207,23 +202,16 @@ def _framed_mailbox_regions(handle, segment, codec) -> dict[int, np.ndarray]:
 def _codec_mailbox_nbytes(plan, initial_weights, initial_buffers, codec) -> int:
     """Total mailbox bytes for codec-framed pushes (one region per shard).
 
-    Rebuilds the same :class:`~repro.ps.sharding.ShardRouter` partition
-    :func:`~repro.ps.shm.create_shared_store` uses, so these capacities
+    Partitions with :func:`~repro.ps.sharding.partition_state`, as
+    :func:`~repro.ps.shm.create_shared_store` does, so these capacities
     match the regions :func:`_framed_mailbox_regions` later slices out of
     the created segments.
     """
-    from repro.ps.sharding import ShardRouter  # local import: avoids a cycle
-
-    itemsize = np.dtype(plan.dtype).itemsize
-    sizes = {
-        name: np.asarray(value).size * itemsize
-        for name, value in {**dict(initial_weights), **dict(initial_buffers or {})}.items()
-    }
-    router = ShardRouter(sizes, num_shards=plan.num_shards, strategy=plan.shard_strategy)
-    totals = [0] * router.num_shards
-    for name, value in dict(initial_weights).items():
-        totals[router.shard_of(name)] += int(np.asarray(value).size)
-    return sum(codec.max_encoded_nbytes(total) for total in totals)
+    parts = partition_state(
+        initial_weights, initial_buffers, plan.num_shards, plan.shard_strategy, plan.dtype
+    )
+    totals = [sum(np.asarray(value).size for value in weights.values()) for weights, _ in parts]
+    return sum(codec.max_encoded_nbytes(int(total)) for total in totals)
 
 
 def _mailbox_views(
@@ -425,7 +413,7 @@ def _server_main(
     except Exception as error:  # noqa: BLE001 - the coordinator must hear about it
         _LOGGER.exception("server process failed")
         try:
-            result_conn.send(ProcessTrainingResult.failed(f"server: {error}"))
+            result_conn.send(TrainingResult.failed(f"server: {error}"))
         except (BrokenPipeError, OSError):
             pass
     finally:
@@ -589,7 +577,7 @@ class ProcessTrainer:
 
     Mirrors :class:`repro.ps.runtime.ThreadedTrainer`'s role: build the
     shared substrate, launch the children, collect one
-    :class:`ProcessTrainingResult`.  The coordinator itself does no
+    :class:`TrainingResult`.  The coordinator itself does no
     training work — after the start barrier it only waits for the server's
     result, reaps children, and guarantees segment cleanup.
     """
@@ -607,7 +595,7 @@ class ProcessTrainer:
         self.workload = workload
         self.context = resolve_context(context)
 
-    def run(self) -> ProcessTrainingResult:
+    def run(self) -> TrainingResult:
         """Run the training to completion and return the collected results.
 
         Always returns a result — child failures surface in
@@ -709,7 +697,7 @@ class ProcessTrainer:
             reap(processes)
             handle.unlink_all()
 
-    def _await_result(self, result_recv, server) -> ProcessTrainingResult:
+    def _await_result(self, result_recv, server) -> TrainingResult:
         """Wait for the server's result, tolerating a dead server process.
 
         No absolute deadline here: a healthy run may take arbitrarily long,
@@ -728,6 +716,6 @@ class ProcessTrainer:
                     break
             if not alive:
                 break
-        return ProcessTrainingResult.failed(
+        return TrainingResult.failed(
             "server process died without reporting a result"
         )

@@ -38,10 +38,7 @@ from repro.ps.server import ParameterServer
 from repro.ps.session import Resume, ServerSession, TrainingResult, WorkerLoop
 from repro.ps.worker import Worker
 
-__all__ = ["ThreadedTrainer", "ThreadedTrainingResult"]
-
-#: Everything the threaded runtime reports at the end of a run.
-ThreadedTrainingResult = TrainingResult
+__all__ = ["ThreadedTrainer"]
 
 
 class _ThreadLink:
@@ -181,22 +178,18 @@ class ThreadedTrainer:
         self.fault_plan = fault_plan
 
         self._lock = threading.Lock()
-        self._concurrent_apply = bool(
-            getattr(server.store, "supports_concurrent_apply", False)
-        )
-        self._delta_pulls = bool(getattr(server.store, "supports_delta_pull", False))
+        self._concurrent_apply = server.store.supports_concurrent_apply
+        self._delta_pulls = server.store.supports_delta_pull
         # Mirror the store's packed layout in every replica so full pulls
         # land as one buffer copy per shard.
-        layouts = getattr(server.store, "flat_layouts", None)
-        if layouts:
-            for worker in workers:
-                worker.attach_flat_layout(layouts)
+        for worker in workers:
+            worker.attach_flat_layout(server.store.flat_layouts)
         self._ok_events: dict[str, threading.Event] = {
             worker.worker_id: threading.Event() for worker in workers
         }
         self._abort = threading.Event()
 
-    def run(self) -> ThreadedTrainingResult:
+    def run(self) -> TrainingResult:
         """Run the training to completion and return the collected results."""
         session = ServerSession(
             self.server,

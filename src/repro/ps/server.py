@@ -19,8 +19,8 @@ from repro.optim.optimizer import Optimizer
 from repro.ps.aggregation import Aggregator
 from repro.ps.compression import decode_shard
 from repro.ps.faults import FaultInjector
-from repro.ps.kvstore import KeyValueStore
 from repro.ps.messages import PullReply, PullRequest, PushRequest
+from repro.ps.sharding import ShardedKeyValueStore
 from repro.utils.logging import get_logger
 
 __all__ = ["AppliedPush", "PushResponse", "ParameterServer"]
@@ -72,7 +72,7 @@ class ParameterServer:
 
     def __init__(
         self,
-        store: KeyValueStore,
+        store: ShardedKeyValueStore,
         optimizer: Optimizer,
         policy: SynchronizationPolicy,
         gradient_scale: float | None = None,

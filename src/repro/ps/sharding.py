@@ -1,4 +1,4 @@
-"""Sharded parameter storage: packed per-shard tensors, copy-on-write pulls.
+"""The parameter store: packed per-shard tensors, copy-on-write pulls.
 
 The paper's experiments run on the standard parameter-server architecture in
 which the global model is *partitioned across server shards*: each shard owns
@@ -9,12 +9,14 @@ reproduces that shape in-process:
 * :class:`ShardRouter` — deterministic assignment of parameter keys to
   shards, either by a stable hash of the key name or by greedy size
   balancing (largest-tensor-first into the least-loaded shard);
-* :class:`ShardedKeyValueStore` — a drop-in replacement for
-  :class:`repro.ps.kvstore.KeyValueStore` that keeps per-shard version
-  counters (how many pushes touched each shard) next to the global update
-  counter, guards every shard with its own lock so pushes to disjoint
-  shards can be applied concurrently, and answers pulls with
-  **copy-on-write snapshots**.
+* :class:`ShardedKeyValueStore` — the one store implementation.  It keeps
+  per-shard version counters (how many pushes touched each shard) next to
+  the global update counter, guards every shard with its own lock so pushes
+  to disjoint shards can be applied concurrently, and answers pulls with
+  **copy-on-write snapshots**.  A monolithic store is the same class over
+  one shard (:class:`KeyValueStore`); the process runtime's store is the
+  same class over shards that live in shared memory
+  (:class:`repro.ps.shm.SharedFlatStore`).
 
 Each shard's entries live in one contiguous packed buffer
 (:class:`repro.ps.flatbuffer.FlatShard`), which makes the hot path
@@ -29,10 +31,10 @@ would mutate a leased shard first re-materializes it — one vectorized copy
 of the packed buffer — so every view handed out earlier keeps observing
 exactly the snapshot it was given.  Copy cost is therefore one buffer copy
 per shard per update interval, instead of one copy per pulled key per pull.
-A pull request carrying the worker's ``known_version`` receives a delta
-holding only the keys dirtied after that version (tracked via per-key
-version stamps); a worker already at the tip receives an empty reply that
-takes no lease and triggers no copy at all.
+On a store with more than one shard, a pull request carrying the worker's
+``known_version`` receives a delta holding only the keys dirtied after that
+version (tracked via per-key version stamps); a worker already at the tip
+receives an empty reply that takes no lease and triggers no copy at all.
 """
 
 from __future__ import annotations
@@ -41,17 +43,25 @@ import threading
 import zlib
 from collections import OrderedDict
 from collections.abc import Mapping
+from contextlib import contextmanager
 
 import numpy as np
 
 from repro.optim.optimizer import Optimizer
 from repro.ps.flatbuffer import FlatShard, SnapshotViews
-from repro.ps.kvstore import KeyValueStore, normalize_store_dtype
 from repro.ps.messages import FlatPullPayload, PullReply
 
-__all__ = ["ShardRouter", "ShardedKeyValueStore", "make_store"]
+__all__ = [
+    "KeyValueStore",
+    "ShardRouter",
+    "ShardedKeyValueStore",
+    "make_store",
+    "normalize_store_dtype",
+    "partition_state",
+]
 
 _STRATEGIES = ("hash", "size")
+_SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class ShardRouter:
@@ -148,31 +158,85 @@ class ShardRouter:
         return max(self._shard_sizes) / mean
 
 
-class _Shard:
-    """One partition: its packed buffer, version counter and lock."""
+def normalize_store_dtype(dtype: np.dtype | str) -> np.dtype:
+    """Validate and normalize a store dtype (``float32`` or ``float64``).
 
-    __slots__ = ("index", "flat", "version", "lock")
+    The paper's MXNet setup keeps weights in float32 on the wire; float64 is
+    the historical default of this reproduction.  Restricting to the two
+    keeps checkpoints portable and the transfer-size accounting honest.
+    """
+    resolved = np.dtype(dtype)
+    if resolved not in _SUPPORTED_DTYPES:
+        raise ValueError(
+            f"store dtype must be float32 or float64, got {resolved.name!r}"
+        )
+    return resolved
 
-    def __init__(
-        self,
-        index: int,
-        weights: Mapping[str, np.ndarray],
-        buffers: Mapping[str, np.ndarray],
-        dtype: np.dtype,
-    ) -> None:
-        self.index = index
-        self.flat = FlatShard(weights, buffers, dtype=dtype)
-        self.version = 0
-        self.lock = threading.RLock()
+
+def partition_state(
+    initial_weights: Mapping[str, np.ndarray],
+    initial_buffers: Mapping[str, np.ndarray] | None,
+    num_shards: int,
+    strategy: str,
+    dtype: np.dtype | str,
+) -> "list[tuple[OrderedDict, OrderedDict]]":
+    """Validate an initial model and split it into per-shard entries.
+
+    Returns one ``(weights, buffers)`` pair of ordered mappings per shard,
+    each in declaration order, so the packed layout — and therefore every
+    flat payload — is deterministic for a given :class:`ShardRouter`.  The
+    heap store, :func:`repro.ps.shm.create_shared_store` and the process
+    runtime's mailbox sizing all partition through here, so no two of them
+    can disagree on which shard owns a key.
+    """
+    if not initial_weights:
+        raise ValueError("initial_weights must contain at least one parameter")
+    itemsize = normalize_store_dtype(dtype).itemsize
+    initial_buffers = initial_buffers or {}
+    overlap = set(initial_weights) & set(initial_buffers)
+    if overlap:
+        raise ValueError(f"names used as both weight and buffer: {sorted(overlap)[:5]}")
+    sizes = {
+        name: np.asarray(value).size * itemsize
+        for name, value in (*initial_weights.items(), *initial_buffers.items())
+    }
+    router = ShardRouter(sizes, num_shards=num_shards, strategy=strategy)
+    parts = [(OrderedDict(), OrderedDict()) for _ in range(router.num_shards)]
+    for name, value in initial_weights.items():
+        parts[router.shard_of(name)][0][name] = value
+    for name, value in initial_buffers.items():
+        parts[router.shard_of(name)][1][name] = value
+    return parts
+
+
+def flat_payloads(shards) -> "tuple[FlatPullPayload, ...]":
+    """One packed weight-block payload per (already leased) shard that has weights."""
+    return tuple(
+        FlatPullPayload(
+            shard=shard.index,
+            buffer=shard.flat_weights_view(),
+            layout=shard.layout.weight_segments,
+        )
+        for shard in shards
+        if shard.layout.weights_end
+    )
 
 
 class ShardedKeyValueStore:
-    """Key-partitioned, per-shard-versioned store with copy-on-write pulls.
+    """The parameter store: versioned, key-partitioned, copy-on-write pulls.
 
-    Drop-in replacement for :class:`repro.ps.kvstore.KeyValueStore`: the
-    whole public surface (``version``, snapshots, ``apply_gradients``,
-    ``update_buffers``, ``overwrite_weights``, ``pull``) behaves
-    identically from the caller's perspective.  Internally:
+    Two kinds of entries are stored: *weights* — trainable parameters,
+    updated by applying pushed gradients through an
+    :class:`repro.optim.Optimizer` — and *buffers* — non-trainable state
+    (e.g. batch-norm running statistics), overwritten wholesale when a
+    worker pushes fresher values.  ``version`` counts the gradient
+    applications, which is the quantity used to measure update staleness.
+
+    The store is written once over a list of shard objects.  A shard
+    (:class:`~repro.ps.flatbuffer.FlatShard` on the heap,
+    :class:`repro.ps.shm.SharedFlatShard` in a shared-memory segment) owns
+    where its packed bytes live and how copy-on-write is done; everything
+    else lives here:
 
     * keys are partitioned across ``num_shards`` shards by a
       :class:`ShardRouter`, and each shard's entries are packed into one
@@ -181,16 +245,17 @@ class ShardedKeyValueStore:
       gradient keys live on disjoint shards run concurrently (the global
       version counter is the only shared point, guarded by its own lock);
     * each shard counts the pushes that touched it (``shard_versions``);
-      the global ``version`` still counts every gradient application, which
-      keeps staleness measurement identical to the monolithic store;
-    * pulls hand out zero-copy read-only views and, given the puller's
-      ``known_version``, only the entries dirtied after it.
-    """
+      the global ``version`` counts every gradient application, so
+      staleness measurement does not depend on the shard count;
+    * pulls hand out zero-copy read-only views and, on a store with more
+      than one shard, only the entries dirtied after the puller's
+      ``known_version``.
 
-    #: Internal per-shard locks make concurrent ``apply_gradients`` safe.
-    supports_concurrent_apply = True
-    #: Pulls with a ``known_version`` receive delta replies.
-    supports_delta_pull = True
+    :class:`KeyValueStore` (one heap shard) and
+    :class:`repro.ps.shm.SharedFlatStore` (shards attached from a
+    :class:`~repro.ps.shm.SharedStoreHandle`) are constructors of this
+    class.
+    """
 
     def __init__(
         self,
@@ -200,61 +265,50 @@ class ShardedKeyValueStore:
         strategy: str = "size",
         dtype: np.dtype | str = np.float64,
     ) -> None:
-        if not initial_weights:
-            raise ValueError("initial_weights must contain at least one parameter")
-        self._dtype = normalize_store_dtype(dtype)
-        initial_buffers = initial_buffers or {}
-        overlap = set(initial_weights) & set(initial_buffers)
-        if overlap:
-            raise ValueError(f"names used as both weight and buffer: {sorted(overlap)[:5]}")
-
-        sizes = {
-            name: np.asarray(value).size * self._dtype.itemsize
-            for name, value in {**dict(initial_weights), **dict(initial_buffers)}.items()
-        }
-        self._router = ShardRouter(sizes, num_shards=num_shards, strategy=strategy)
-        self._weight_names = list(initial_weights)
-        self._buffer_names = list(initial_buffers)
-        # Pack each shard's entries in declaration order (weights first),
-        # so the layout — and therefore every flat payload — is
-        # deterministic for a given router.
-        self._shards: list[_Shard] = []
-        for index in range(self._router.num_shards):
-            shard_weights = OrderedDict(
-                (name, initial_weights[name])
-                for name in self._weight_names
-                if self._router.shard_of(name) == index
-            )
-            shard_buffers = OrderedDict(
-                (name, initial_buffers[name])
-                for name in self._buffer_names
-                if self._router.shard_of(name) == index
-            )
-            self._shards.append(_Shard(index, shard_weights, shard_buffers, self._dtype))
-
+        dtype = normalize_store_dtype(dtype)
+        shards = []
+        for index, (weights, buffers) in enumerate(
+            partition_state(initial_weights, initial_buffers, num_shards, strategy, dtype)
+        ):
+            shard = FlatShard(weights, buffers, dtype=dtype)
+            shard.index = index
+            shards.append(shard)
         self._version = 0
         self._version_lock = threading.Lock()
-        # Global version at which each entry (weight or buffer) last changed;
-        # a pull with known_version v resends exactly the keys stamped > v.
-        self._last_update: dict[str, int] = {name: 0 for name in sizes}
+        self._bind(shards, dtype, list(initial_weights), list(initial_buffers or {}))
+
+    def _bind(
+        self,
+        shards: list[FlatShard],
+        dtype: np.dtype,
+        weight_names: list[str],
+        buffer_names: list[str],
+    ) -> None:
+        """Build the name tables over ``shards`` (shared by every constructor)."""
+        self._shards = shards
+        self._dtype = dtype
+        self._weight_names = weight_names
+        self._buffer_names = buffer_names
+        #: Per-shard locks make concurrent ``apply_gradients`` safe, and
+        #: pulls with a ``known_version`` receive delta replies — both only
+        #: mean something with more than one shard; a one-shard store is
+        #: applied to serially and answers every pull with the full model.
+        self.supports_concurrent_apply = self.supports_delta_pull = len(shards) > 1
         # Static name → (shard, segment) tables backing the lazy snapshot
         # mappings, so a full pull costs O(shards) instead of O(parameters).
-        self._weight_name_set = frozenset(self._weight_names)
-        self._weight_entries = OrderedDict(
-            (name, (self._router.shard_of(name),
-                    self._shard_for(name).flat.layout.segment(name)))
-            for name in self._weight_names
-        )
-        self._buffer_entries = OrderedDict(
-            (name, (self._router.shard_of(name),
-                    self._shard_for(name).flat.layout.segment(name)))
-            for name in self._buffer_names
-        )
+        located = {
+            name: (shard.index, shard.layout.segment(name))
+            for shard in shards
+            for name in (*shard.layout.weight_names, *shard.layout.buffer_names)
+        }
+        self._weight_entries = OrderedDict((name, located[name]) for name in weight_names)
+        self._buffer_entries = OrderedDict((name, located[name]) for name in buffer_names)
         self._state_entries = OrderedDict(
-            (name, entry)
-            for name, entry in (*self._weight_entries.items(),
-                                *self._buffer_entries.items())
+            (*self._weight_entries.items(), *self._buffer_entries.items())
         )
+        # Global version at which each entry (weight or buffer) last changed;
+        # a pull with known_version v resends exactly the keys stamped > v.
+        self._last_update: dict[str, int] = dict.fromkeys(self._state_entries, 0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -263,11 +317,6 @@ class ShardedKeyValueStore:
     def dtype(self) -> np.dtype:
         """Element dtype of every stored array."""
         return self._dtype
-
-    @property
-    def router(self) -> ShardRouter:
-        """The key → shard router."""
-        return self._router
 
     @property
     def num_shards(self) -> int:
@@ -292,184 +341,203 @@ class ShardedKeyValueStore:
     @property
     def num_parameters(self) -> int:
         """Total scalar count of the trainable parameters."""
-        return int(sum(shard.flat.layout.weights_end for shard in self._shards))
+        return int(sum(shard.layout.weights_end for shard in self._shards))
 
     @property
     def nbytes(self) -> int:
         """Bytes transferred by one full pull (weights plus buffers)."""
-        return int(sum(shard.flat.nbytes for shard in self._shards))
+        return sum(self.shard_nbytes)
 
     @property
     def shard_nbytes(self) -> list[int]:
         """Full-pull payload bytes held by each shard."""
-        return [int(shard.flat.nbytes) for shard in self._shards]
+        return [int(shard.nbytes) for shard in self._shards]
 
     @property
     def flat_layouts(self) -> tuple[tuple[int, tuple], ...]:
         """Per-shard weight layouts, for workers that pack their replicas."""
-        return tuple(
-            (shard.index, shard.flat.layout.weight_segments) for shard in self._shards
-        )
+        return tuple((shard.index, shard.layout.weight_segments) for shard in self._shards)
 
     def shard_of(self, key: str) -> int:
-        """Shard index owning ``key``."""
-        return self._router.shard_of(key)
+        """Shard index owning ``key`` (``KeyError`` if the store has no such entry)."""
+        return self._state_entries[key][0]
 
     # ------------------------------------------------------------------
-    # Locking helpers
+    # Leases
     # ------------------------------------------------------------------
-    def _acquire_all(self) -> list[_Shard]:
-        shards = list(self._shards)
+    @staticmethod
+    @contextmanager
+    def _locked(shards: list[FlatShard]):
+        """Hold the locks of ``shards`` (taken in index order) for the body."""
         for shard in shards:
             shard.lock.acquire()
-        return shards
+        try:
+            yield
+        finally:
+            for shard in reversed(shards):
+                shard.lock.release()
 
     @staticmethod
-    def _release(shards: list[_Shard]) -> None:
-        for shard in reversed(shards):
-            shard.lock.release()
+    def _lease(shards: list[FlatShard]) -> dict[int, np.ndarray]:
+        """Lease ``shards`` (caller holds their locks); shard index → leased buffer."""
+        snapshot = {}
+        for shard in shards:
+            shard.lease()
+            snapshot[shard.index] = shard.buffer
+        return snapshot
 
-    def _shard_for(self, name: str) -> _Shard:
-        return self._shards[self._router.shard_of(name)]
+    def _release_fn(self, snapshot: Mapping[int, np.ndarray]):
+        """Idempotent closure dropping one lease per captured shard buffer."""
+        pairs = [(self._shards[index], buffer) for index, buffer in snapshot.items()]
+        released = False
+
+        def release_fn() -> None:
+            nonlocal released
+            if not released:
+                released = True
+                for shard, buffer in pairs:
+                    shard.release(buffer)
+
+        return release_fn
+
+    def _lease_all(self) -> dict[int, np.ndarray]:
+        """Lease every shard in one lock acquisition: a point-in-time snapshot.
+
+        Consistent even while concurrent pushes are in flight; copy-on-write
+        keeps the captured buffers stable afterwards.
+        """
+        with self._locked(self._shards):
+            return self._lease(self._shards)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _collect_copies(self, names) -> "OrderedDict[str, np.ndarray]":
-        """Deep copies of ``names``, taken under all shard locks."""
-        shards = self._acquire_all()
-        try:
-            return OrderedDict(
-                (name, self._shard_for(name).flat.copy_out(name)) for name in names
-            )
-        finally:
-            self._release(shards)
+    def _snapshot_views(self, entries) -> Mapping[str, np.ndarray]:
+        """Lease every shard and wrap ``entries`` as lazy stable views.
 
-    def _snapshot_views(self, entries) -> SnapshotViews:
-        """Lease every shard and wrap ``entries`` as lazy stable views."""
-        shards = self._acquire_all()
+        The lease is never handed back: the next write re-materializes the
+        leased buffer and garbage collection reclaims the old one.
+        """
+        return SnapshotViews(entries, self._lease_all())
+
+    @contextmanager
+    def leased_state(self):
+        """Stable read-only views of weights+buffers for the ``with`` body.
+
+        Leases every shard (see :meth:`_lease_all`), yields a lazy
+        :class:`~repro.ps.flatbuffer.SnapshotViews`, and hands the leases
+        back on exit — the zero-copy read that costs the next write no
+        copy-on-write copy.
+        """
+        snapshot = self._lease_all()
         try:
-            buffers = {}
-            for shard in shards:
-                shard.flat.lease()
-                buffers[shard.index] = shard.flat.buffer
-            return SnapshotViews(entries, buffers)
+            yield SnapshotViews(self._state_entries, snapshot)
         finally:
-            self._release(shards)
+            self._release_fn(snapshot)()
+
+    def _copies(self, entries) -> "OrderedDict[str, np.ndarray]":
+        """Deep copies of ``entries``, taken under :meth:`leased_state`."""
+        with self.leased_state() as views:
+            return OrderedDict((name, np.array(views[name])) for name in entries)
 
     @property
-    def weights(self) -> SnapshotViews:
-        """Zero-copy read-only views of the weights (stable COW snapshots)."""
+    def weights(self) -> Mapping[str, np.ndarray]:
+        """Zero-copy read-only views of the current weights.
+
+        The views are stable snapshots: the next update re-materializes the
+        packed buffer (copy-on-write) instead of mutating what was handed
+        out.  Callers that need writable, independent arrays should use
+        :meth:`snapshot` / :meth:`weights_snapshot`.
+        """
         return self._snapshot_views(self._weight_entries)
 
     @property
-    def buffers(self) -> SnapshotViews:
-        """Zero-copy read-only views of the buffers (stable COW snapshots)."""
+    def buffers(self) -> Mapping[str, np.ndarray]:
+        """Zero-copy read-only views of the current buffers (see :attr:`weights`)."""
         return self._snapshot_views(self._buffer_entries)
 
-    def state_views(self) -> SnapshotViews:
+    def state_views(self) -> Mapping[str, np.ndarray]:
         """Read-only views of weights and buffers combined (zero-copy).
 
-        Taken under all shard locks in one acquisition, so the combined
-        snapshot is point-in-time consistent even while concurrent pushes
-        are in flight — copy-on-write keeps the views stable afterwards.
+        The evaluation path loads these into a separate model (which copies
+        into its own arrays), so no deep copy of the global state is needed.
         """
         return self._snapshot_views(self._state_entries)
 
     def weights_snapshot(self) -> "OrderedDict[str, np.ndarray]":
         """Deep copy of the current weights (original declaration order)."""
-        return self._collect_copies(self._weight_names)
+        return self._copies(self._weight_entries)
 
     def buffers_snapshot(self) -> "OrderedDict[str, np.ndarray]":
         """Deep copy of the current buffers."""
-        return self._collect_copies(self._buffer_names)
+        return self._copies(self._buffer_entries)
 
     def snapshot(self) -> "OrderedDict[str, np.ndarray]":
         """Deep copy of weights and buffers combined (writable, independent)."""
-        return self._collect_copies([*self._weight_names, *self._buffer_names])
+        return self._copies(self._state_entries)
 
     def full_state(self) -> "OrderedDict[str, np.ndarray]":
         """Weights and buffers combined (for loading into an evaluation model).
 
-        Taken under all shard locks in one acquisition, so the combined
-        snapshot is point-in-time consistent even while concurrent pushes
-        are in flight (calling the two snapshot methods separately would
-        allow a push to land between them).
+        One lease covers both, so the combined snapshot is point-in-time
+        consistent (calling the two snapshot methods separately would allow
+        a push to land between them).
         """
         return self.snapshot()
 
     def pull(self, known_version: int | None = None) -> PullReply:
         """Build a copy-on-write reply to a pull request.
 
-        Without ``known_version`` the reply covers the full model (and
-        carries each shard's weight block as one flat payload); with it,
-        only the entries dirtied after that version.  Either way the arrays
-        are zero-copy read-only views of the live storage: the store
-        re-materializes a shard's buffer before the next update that would
-        touch it (see the module docstring), so every view is a stable
-        snapshot.  A worker already at the tip receives an empty delta
-        without taking any lease — no copy is ever paid for it.
+        Without ``known_version`` — and always on a one-shard store — the
+        reply covers the full model and carries each shard's weight block
+        as one flat payload; with it, only the entries dirtied after that
+        version.  Either way the arrays are zero-copy read-only views of
+        the live storage: the store re-materializes a shard's buffer before
+        the next update that would touch it (see the module docstring), so
+        every view is a stable snapshot.  A worker already at the tip
+        receives an empty delta without taking any lease — no copy is ever
+        paid for it.
         """
-        shards = self._acquire_all()
-        try:
-            version = self._version
-            if known_version is None:
+        with self._locked(self._shards):
+            version = self.version
+            if known_version is None or not self.supports_delta_pull:
                 # Full pull: lazy snapshot mappings over every shard buffer
                 # plus one packed payload per shard — O(shards), no per-key
                 # work, no copies.
-                snapshot: dict[int, np.ndarray] = {}
-                flat_payloads: list[FlatPullPayload] = []
-                wire_nbytes = 0
-                for shard in shards:
-                    shard.flat.lease()
-                    snapshot[shard.index] = shard.flat.buffer
-                    wire_nbytes += shard.flat.nbytes
-                    if shard.flat.layout.weights_end:
-                        flat_payloads.append(
-                            FlatPullPayload(
-                                shard=shard.index,
-                                buffer=shard.flat.flat_weights_view(),
-                                layout=shard.flat.layout.weight_segments,
-                            )
-                        )
+                snapshot = self._lease(self._shards)
                 return PullReply(
                     weights=SnapshotViews(self._weight_entries, snapshot),
                     buffers=SnapshotViews(self._buffer_entries, snapshot),
                     version=version,
                     is_delta=False,
-                    flat_weights=tuple(flat_payloads),
+                    flat_weights=flat_payloads(self._shards),
                     release_fn=self._release_fn(snapshot),
-                    wire_nbytes=int(wire_nbytes),
+                    wire_nbytes=self.nbytes,
                 )
 
-            weights: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            leased: set[int] = set()
-            since = int(known_version)
-            if since < version:
-                # Fast path guard: with since >= version every weight stamp
-                # (<= version) is already known, so the scan is skipped.
-                for name in self._weight_names:
-                    if self._last_update[name] <= since:
-                        continue
-                    shard = self._shard_for(name)
-                    weights[name] = shard.flat.view(name)
-                    leased.add(shard.index)
-            for name in self._buffer_names:
-                # Inclusive comparison, unlike the weights: buffer writes do
-                # not bump the version, so a buffer stamped with the worker's
-                # known version may have been written *after* that worker's
-                # pull returned.  Resending at the boundary is a small
-                # overhead that keeps the delta contract exact.
-                if self._last_update[name] < since:
-                    continue
-                shard = self._shard_for(name)
-                buffers[name] = shard.flat.view(name)
-                leased.add(shard.index)
-            snapshot = {}
-            for index in leased:
-                self._shards[index].flat.lease()
-                snapshot[index] = self._shards[index].flat.buffer
+            # Delta pull.  With since >= version every weight stamp (<=
+            # version) is already known, so that scan is skipped.  Buffers
+            # compare inclusively: buffer writes do not bump the version, so
+            # a buffer stamped with the worker's known version may have been
+            # written *after* that worker's pull returned.  Resending at the
+            # boundary is a small overhead that keeps the delta contract
+            # exact.
+            since, stamps = int(known_version), self._last_update
+            dirty_weights = [
+                name
+                for name in (self._weight_names if since < version else ())
+                if stamps[name] > since
+            ]
+            dirty_buffers = [name for name in self._buffer_names if stamps[name] >= since]
+            owners = {self.shard_of(name) for name in (*dirty_weights, *dirty_buffers)}
+            snapshot = self._lease([self._shards[index] for index in sorted(owners)])
+
+            def views(names):
+                return OrderedDict(
+                    (name, self._shards[self.shard_of(name)].view(name)) for name in names
+                )
+
+            weights, buffers = views(dirty_weights), views(dirty_buffers)
             return PullReply(
                 weights=weights,
                 buffers=buffers,
@@ -477,30 +545,16 @@ class ShardedKeyValueStore:
                 is_delta=True,
                 release_fn=self._release_fn(snapshot) if snapshot else None,
                 wire_nbytes=int(
-                    sum(value.nbytes for value in weights.values())
-                    + sum(value.nbytes for value in buffers.values())
+                    sum(value.nbytes for value in (*weights.values(), *buffers.values()))
                 ),
             )
-        finally:
-            self._release(shards)
-
-    def _release_fn(self, snapshot: Mapping[int, np.ndarray]):
-        """Idempotent closure dropping one lease per captured shard buffer."""
-        pairs = [(self._shards[index].flat, buffer) for index, buffer in snapshot.items()]
-        released = False
-
-        def release_fn() -> None:
-            nonlocal released
-            if not released:
-                released = True
-                for flat, buffer in pairs:
-                    flat.release(buffer)
-
-        return release_fn
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
+    def _check_writer(self) -> None:
+        """Refuse writes through a read-only attachment (a heap store has none)."""
+
     def apply_gradients(
         self,
         gradients: Mapping[str, np.ndarray],
@@ -516,98 +570,112 @@ class ShardedKeyValueStore:
         them as fused vectorized updates (one
         :meth:`~repro.optim.Optimizer.step_flat` call for the whole push); a
         full-model push that already carries the per-shard packed buffers
-        (``flat_gradients`` from a layout-attached worker) skips both the
-        per-name routing and the gather.  Like the monolithic store, a push
-        may carry *only* the packed buffers (``gradients={}``) — the shape
-        the server's buffered aggregation path applies.  Returns the new
-        global version.
+        (``flat_gradients`` from a layout-attached worker, typically views
+        straight into its shared-memory mailbox) skips both the per-name
+        routing and the gather.  A push may carry *only* the packed buffers
+        (``gradients={}``) — the shape the TCP runtime decodes off the wire
+        and the server's buffered aggregation path applies.  Returns the
+        new global version.
         """
+        self._check_writer()
         names = list(gradients)
         use_flat = (
             flat_gradients is not None
             and len(names) in (0, len(self._weight_names))
-            and self._weight_name_set.issuperset(names)
+            and gradients.keys() <= self._weight_entries.keys()
             and all(
-                shard.flat.layout.weights_end == 0
+                shard.layout.weights_end == 0
                 or (
                     flat_gradients.get(shard.index) is not None
-                    and flat_gradients[shard.index].size
-                    == shard.flat.layout.weights_end
+                    and flat_gradients[shard.index].size == shard.layout.weights_end
                 )
                 for shard in self._shards
             )
         )
         if use_flat:
-            touched = [
-                shard for shard in self._shards if shard.flat.layout.weights_end
-            ]
+            touched = [shard for shard in self._shards if shard.layout.weights_end]
+            # A packed push covers every weight, named or not.
+            names = self._weight_names
         else:
             if not names:
                 raise ValueError(
                     "push carried neither per-name gradients nor full-size "
                     "packed flat buffers for every shard"
                 )
-            weight_names = self._weight_name_set
             by_shard: dict[int, dict[str, np.ndarray]] = {}
             for name in names:
-                if name not in weight_names:
+                if name not in self._weight_entries:
                     raise KeyError(f"gradients refer to unknown parameters: [{name!r}]")
-                by_shard.setdefault(self._router.shard_of(name), {})[name] = gradients[name]
+                by_shard.setdefault(self.shard_of(name), {})[name] = gradients[name]
             touched = [self._shards[index] for index in sorted(by_shard)]
 
-        for shard in touched:
-            shard.lock.acquire()
-        try:
+        with self._locked(touched):
             updates = []
             for shard in touched:
                 # Copy-on-write: holders of earlier pull views keep the old
-                # buffer; the fused update mutates a fresh private copy.
-                shard.flat.materialize()
+                # buffer; the fused update mutates a private one.
+                shard.materialize()
                 if use_flat:
-                    updates.append(
-                        shard.flat.make_flat_update(flat_gradients[shard.index])
-                    )
+                    updates.append(shard.make_flat_update(flat_gradients[shard.index]))
                 else:
-                    updates.append(shard.flat.make_update(by_shard[shard.index]))
+                    updates.append(shard.make_update(by_shard[shard.index]))
             optimizer.step_flat(updates, scale=scale)
             with self._version_lock:
                 self._version += 1
                 new_version = self._version
             for shard in touched:
                 shard.version += 1
+                shard.mark_mutated()
             for name in names:
                 self._last_update[name] = new_version
             return new_version
-        finally:
-            for shard in reversed(touched):
-                shard.lock.release()
+
+    def _write_entries(self, table, values, unknown: str, mismatch: str) -> None:
+        """Overwrite entries of ``table``: validate everything, then write.
+
+        Every name and shape is checked before the first byte moves, so a
+        rejected call leaves the store untouched.  A shard's entries are
+        written under its lock, after the copy-on-write that keeps
+        outstanding pull views stable, and stamped at the version read
+        under that lock: any pull that completed before the write saw a
+        version <= the stamp, so the inclusive buffer comparison in
+        :meth:`pull` resends the new value on that worker's next delta pull.
+        """
+        self._check_writer()
+        missing = set(values) - table.keys()
+        if missing:
+            raise KeyError(f"{unknown}: {sorted(missing)[:5]}")
+        by_shard: dict[int, list[tuple[str, np.ndarray]]] = {}
+        for name, value in values.items():
+            value = np.asarray(value, dtype=self._dtype)
+            index, segment = table[name]
+            if value.shape != segment.shape:
+                raise ValueError(f"{mismatch} for {name!r}: {segment.shape} vs {value.shape}")
+            by_shard.setdefault(index, []).append((name, value))
+        for index, entries in by_shard.items():
+            shard = self._shards[index]
+            with shard.lock:
+                shard.materialize()
+                stamp = self.version
+                for name, value in entries:
+                    shard.write(name, value)
+                    self._last_update[name] = stamp
+                shard.mark_mutated()
 
     def update_buffers(self, buffers: Mapping[str, np.ndarray]) -> None:
         """Overwrite buffer entries with fresher worker-side values.
 
-        Unknown buffer names raise ``KeyError`` (matching
-        :meth:`apply_gradients`); shapes must match the stored arrays.
+        Buffer names must already exist in the store; unknown names raise
+        ``KeyError`` (like :meth:`apply_gradients` does for weights) so a
+        mis-keyed push fails loudly instead of growing the store silently.
+        Shapes must match the stored arrays.
         """
-        unknown = set(buffers) - set(self._buffer_names)
-        if unknown:
-            raise KeyError(f"buffers refer to unknown entries: {sorted(unknown)[:5]}")
-        for name, value in buffers.items():
-            shard = self._shard_for(name)
-            value = np.asarray(value, dtype=self._dtype)
-            with shard.lock:
-                segment = shard.flat.layout.segment(name)
-                if segment.shape != value.shape:
-                    raise ValueError(
-                        f"buffer shape mismatch for {name!r}: "
-                        f"{segment.shape} vs {value.shape}"
-                    )
-                shard.flat.materialize()
-                shard.flat.write(name, value)
-                # Stamp read under the shard lock: any pull that completed
-                # before this write saw a version <= this stamp, so the
-                # inclusive boundary comparison in pull() guarantees that
-                # worker receives the new value on its next delta pull.
-                self._last_update[name] = self._version
+        self._write_entries(
+            self._buffer_entries,
+            buffers,
+            unknown="buffers refer to unknown entries",
+            mismatch="buffer shape mismatch",
+        )
 
     def overwrite_weights(self, weights: Mapping[str, np.ndarray]) -> None:
         """Replace the stored weights (restore path only).
@@ -617,24 +685,9 @@ class ShardedKeyValueStore:
         pulls from workers already at the current version would not see
         the overwrite.
         """
-        unknown = set(weights) - set(self._weight_names)
-        if unknown:
-            raise KeyError(f"unknown parameters: {sorted(unknown)[:5]}")
-        stamp = self._version
-        for name, value in weights.items():
-            shard = self._shard_for(name)
-            value = np.asarray(value, dtype=self._dtype)
-            with shard.lock:
-                segment = shard.flat.layout.segment(name)
-                if value.shape != segment.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name!r}: "
-                        f"{segment.shape} vs {value.shape}"
-                    )
-                # Copy-on-write keeps outstanding pull views stable.
-                shard.flat.materialize()
-                shard.flat.write(name, value)
-                self._last_update[name] = stamp
+        self._write_entries(
+            self._weight_entries, weights, unknown="unknown parameters", mismatch="shape mismatch"
+        )
 
     def restore_version(
         self, version: int, shard_versions: list[int] | None = None
@@ -643,27 +696,44 @@ class ShardedKeyValueStore:
 
         ``shard_versions`` restores the per-shard counters exactly when the
         checkpoint was written by a store with the same shard count;
-        otherwise (monolithic checkpoint, or a different shard layout) every
-        shard counter is set to the global version, a safe upper bound.
-        Every entry is stamped as dirty at ``version`` so the next delta
-        pull from any worker resends the restored state in full.
+        otherwise (a different shard layout) every shard counter is set to
+        the global version, a safe upper bound.  Every entry is stamped as
+        dirty at ``version`` so the next delta pull from any worker resends
+        the restored state in full.
         """
+        self._check_writer()
         if version < 0:
             raise ValueError(f"version must be >= 0, got {version}")
-        shards = self._acquire_all()
-        try:
+        if shard_versions is None or len(shard_versions) != len(self._shards):
+            shard_versions = [version] * len(self._shards)
+        with self._locked(self._shards):
             with self._version_lock:
                 self._version = int(version)
-            if shard_versions is not None and len(shard_versions) == len(self._shards):
-                for shard, shard_version in zip(self._shards, shard_versions):
-                    shard.version = int(shard_version)
-            else:
-                for shard in self._shards:
-                    shard.version = int(version)
-            for name in self._last_update:
-                self._last_update[name] = int(version)
-        finally:
-            self._release(shards)
+            for shard, shard_version in zip(self._shards, shard_versions):
+                shard.version = int(shard_version)
+            self._last_update = dict.fromkeys(self._last_update, int(version))
+
+
+class KeyValueStore(ShardedKeyValueStore):
+    """The store over a single heap shard.
+
+    One partition and one version counter: pushes must be serialized by the
+    caller and every pull carries the full model as one flat payload,
+    whatever ``known_version`` says.
+    """
+
+    def __init__(
+        self,
+        initial_weights: Mapping[str, np.ndarray],
+        initial_buffers: Mapping[str, np.ndarray] | None = None,
+        dtype: np.dtype | str = np.float64,
+    ) -> None:
+        super().__init__(initial_weights, initial_buffers, num_shards=1, dtype=dtype)
+
+    @property
+    def _flat(self) -> FlatShard:
+        """The one shard (tests and benchmarks inspect its packed buffer)."""
+        return self._shards[0]
 
 
 def make_store(
@@ -673,17 +743,13 @@ def make_store(
     num_shards: int = 1,
     strategy: str = "size",
     dtype: np.dtype | str = np.float64,
-):
-    """Build the store for a given shard count.
+) -> ShardedKeyValueStore:
+    """Build the heap store for a given shard count.
 
-    ``num_shards == 1`` returns the monolithic :class:`KeyValueStore`
-    (globally locked pushes, full-model pulls); more returns a
-    :class:`ShardedKeyValueStore`.  Every assembly path (coordinator,
-    simulator, tests) goes through this factory so the two layouts stay
-    constructed identically.
+    Every assembly path (coordinator, simulator, TCP server, tests) goes
+    through this factory.  One shard is spelled :class:`KeyValueStore`;
+    the routing strategy cannot matter there.
     """
-    if num_shards <= 0:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
     if num_shards == 1:
         return KeyValueStore(initial_weights, initial_buffers, dtype=dtype)
     return ShardedKeyValueStore(

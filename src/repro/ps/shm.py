@@ -1,6 +1,6 @@
 """Shared-memory parameter storage for the multi-process runtime.
 
-The thread-based runtime shares one address space, so PR 3's packed flat
+The thread-based runtime shares one address space, so the packed flat
 buffers (:mod:`repro.ps.flatbuffer`) are visible to every worker for free.
 The *process* runtime (:mod:`repro.ps.process_runtime`) has no shared heap —
 but a packed shard is exactly one contiguous array, which is exactly the
@@ -23,11 +23,9 @@ Three layers:
   the **cross-process copy-on-write lease protocol**: the thread-level
   refcounted leases of :class:`~repro.ps.flatbuffer.FlatShard` generalized
   to lease counters that live in the segment itself.
-* :class:`SharedFlatStore` — the server-process store over those shards,
-  API-compatible with the stores in :mod:`repro.ps.kvstore` /
-  :mod:`repro.ps.sharding` as far as :class:`~repro.ps.server.ParameterServer`
-  is concerned (``version``, ``apply_gradients``, ``update_buffers``,
-  ``nbytes``, state snapshots).
+* :class:`SharedFlatStore` — the store of :mod:`repro.ps.sharding`
+  constructed over those shards (the server attaches as the one writer);
+  :class:`ShmStoreClient` is a worker's read-only attachment of it.
 
 Cross-process copy-on-write
 ---------------------------
@@ -81,15 +79,19 @@ import os
 import secrets
 from collections import OrderedDict
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.ps.flatbuffer import FlatLayout, FlatShard, SnapshotViews
-from repro.ps.kvstore import normalize_store_dtype
-from repro.ps.messages import FlatPullPayload, PullReply
+from repro.ps.flatbuffer import FlatLayout, FlatShard
+from repro.ps.messages import PullReply
+from repro.ps.sharding import (
+    ShardedKeyValueStore,
+    flat_payloads,
+    normalize_store_dtype,
+    partition_state,
+)
 
 __all__ = [
     "SharedSegment",
@@ -285,65 +287,6 @@ class SharedStoreHandle:
             SharedSegment.unlink_by_name(name)
 
 
-def _capture_leases(
-    shards: "list[SharedFlatShard]", seen_mutations: list[int] | None = None
-):
-    """Lease shard slots and build their packed pull payloads (shared protocol).
-
-    Caller must hold every shard lock.  With ``seen_mutations`` given (the
-    client's per-shard counters from its previous pull), unchanged shards
-    are skipped and the list is updated in place — the cross-process
-    analogue of a delta pull, at shard granularity.  Returns
-    ``(leased, payloads, buffers)`` where ``leased`` is the
-    ``[(shard, slot), ...]`` list a release closure needs and ``buffers``
-    maps shard index → the leased slot buffer.
-    """
-    leased: list[tuple["SharedFlatShard", int]] = []
-    payloads: list[FlatPullPayload] = []
-    buffers: dict[int, np.ndarray] = {}
-    for position, shard in enumerate(shards):
-        if seen_mutations is not None:
-            mutations = shard.mutations
-            if mutations == seen_mutations[position]:
-                continue
-            seen_mutations[position] = mutations
-        slot = shard.lease_current()
-        leased.append((shard, slot))
-        buffer = shard.slot_buffer(slot)
-        buffers[shard.index] = buffer
-        if shard.layout.weights_end:
-            view = buffer[: shard.layout.weights_end]
-            view.flags.writeable = False
-            payloads.append(
-                FlatPullPayload(
-                    shard=shard.index,
-                    buffer=view,
-                    layout=shard.layout.weight_segments,
-                )
-            )
-    return leased, payloads, buffers
-
-
-def _release_fn_for(leased: "list[tuple[SharedFlatShard, int]]"):
-    """Idempotent closure dropping the leases behind one pull reply.
-
-    Takes each shard's lock only for the instantaneous counter decrement;
-    calling the closure twice (or racing `PullReply.release`) is safe.
-    """
-    released = False
-
-    def release_fn() -> None:
-        nonlocal released
-        if released:
-            return
-        released = True
-        for shard, slot in leased:
-            with shard.lock:
-                shard.release_slot(slot)
-
-    return release_fn
-
-
 class SharedFlatShard(FlatShard):
     """A :class:`~repro.ps.flatbuffer.FlatShard` whose buffer lives in shared memory.
 
@@ -356,11 +299,11 @@ class SharedFlatShard(FlatShard):
     Locking is *external*: the mutating process must hold ``self.lock``
     (the shard's ``multiprocessing.Lock`` from the store handle) around
     :meth:`materialize` + mutation + :meth:`mark_mutated`, and readers hold
-    it only for the instantaneous :meth:`lease_current` / :meth:`release_slot`
-    bookkeeping — never during their copy.
+    it only for the instantaneous :meth:`lease` bookkeeping — never during
+    their copy (:meth:`release` takes it itself for the decrement).
     """
 
-    __slots__ = ("index", "segment", "lock", "_header", "_slot_views", "_slots")
+    __slots__ = ("segment", "_header", "_slot_views", "_slots")
 
     def __init__(self, spec: ShardSegmentSpec, segment: SharedSegment, lock) -> None:
         """Bind to one shard's segment (created by :func:`create_shared_store`).
@@ -380,8 +323,9 @@ class SharedFlatShard(FlatShard):
         self._leases = 0  # unused: the shared header is authoritative
         self._lease_lock = None  # unused: external multiprocessing lock
         self.index = spec.index
-        self.segment = segment
         self.lock = lock
+        self.version = 0  # pushes applied through *this* attachment
+        self.segment = segment
         self._slots = spec.slots
         self._header = segment.ndarray(np.int64, spec.header_count, offset=0)
         slot_nbytes = spec.slot_nbytes(layout)
@@ -416,39 +360,22 @@ class SharedFlatShard(FlatShard):
         """Whether the current slot has outstanding leases."""
         return int(self._header[_HEADER_FIXED + self.current_slot]) > 0
 
-    def slot_buffer(self, slot: int) -> np.ndarray:
-        """The full packed buffer of ``slot`` (leased readers copy from it)."""
-        return self._slot_views[slot]
-
-    def resync(self) -> None:
-        """Re-read ``current_slot`` after another process may have moved it.
-
-        Only the server process mutates, so only reader-side attachments
-        (worker pulls, leak checks) ever need this.
-        """
-        self._flat = self._slot_views[self.current_slot]
-
     def lease_current(self) -> int:
         """Record one lease on the current slot; returns the slot index.
 
         Caller must hold ``self.lock``; the subsequent copy-out must happen
-        *outside* the lock, followed by :meth:`release_slot`.
+        *outside* the lock, followed by :meth:`release`.
         """
         slot = self.current_slot
         self._header[_HEADER_FIXED + slot] += 1
         return slot
-
-    def release_slot(self, slot: int) -> None:
-        """Drop one lease taken by :meth:`lease_current` (under ``self.lock``)."""
-        if self._header[_HEADER_FIXED + slot] > 0:
-            self._header[_HEADER_FIXED + slot] -= 1
 
     def mark_mutated(self) -> None:
         """Bump the shard's mutation counter (under ``self.lock``, after a write).
 
         Workers compare it against the value they saw last pull and skip
         shards that did not change — the cross-process analogue of the
-        threaded store's delta pulls, at shard granularity.
+        heap store's delta pulls, at shard granularity.
         """
         self._header[_MUTATIONS] += 1
 
@@ -456,14 +383,24 @@ class SharedFlatShard(FlatShard):
     # Copy-on-write (overrides the thread-level implementations)
     # ------------------------------------------------------------------
     def lease(self) -> None:
-        """Thread-API alias of :meth:`lease_current` (caller holds ``self.lock``)."""
-        self.lease_current()
+        """Lease the current slot and point :attr:`buffer` at it.
+
+        Caller must hold ``self.lock``.  Only the server process moves
+        ``current_slot``, so a reader-side attachment re-reads it here —
+        the views built after a lease always observe the leased slot.
+        """
+        self._flat = self._slot_views[self.lease_current()]
 
     def release(self, buffer: np.ndarray) -> None:
-        """Thread-API release: map ``buffer`` back to its slot and drop one lease."""
+        """Map ``buffer`` back to its slot and drop one lease on it.
+
+        Takes ``self.lock`` only for the instantaneous counter decrement.
+        """
         for slot, view in enumerate(self._slot_views):
             if buffer is view:
-                self.release_slot(slot)
+                with self.lock:
+                    if self._header[_HEADER_FIXED + slot] > 0:
+                        self._header[_HEADER_FIXED + slot] -= 1
                 return
 
     def materialize(self) -> None:
@@ -487,217 +424,60 @@ class SharedFlatShard(FlatShard):
         self._header[_COW_FALLBACKS] += 1  # pragma: no cover - crashed readers only
 
 
-class SharedFlatStore:
-    """Server-process store over shared segments.
+class SharedFlatStore(ShardedKeyValueStore):
+    """The store over shards attached from a :class:`SharedStoreHandle`.
 
-    Drop-in for :class:`~repro.ps.kvstore.KeyValueStore` as far as
-    :class:`~repro.ps.server.ParameterServer` is concerned: ``version``,
-    ``apply_gradients``, ``update_buffers``, ``nbytes`` and the state
-    snapshot accessors all behave identically.  Exactly **one** process may
-    construct it with ``writer=True`` (the server); the shard locks in the
-    handle serialize its mutations against reader leases taken by
-    :class:`ShmStoreClient` attachments in other processes.
+    Everything :class:`~repro.ps.sharding.ShardedKeyValueStore` does, it
+    does here unchanged; this class only adds what the placement forces.
+    The global version lives in the header segment, where every attached
+    process can read it.  Exactly **one** process may attach with
+    ``writer=True`` (the server): the shard locks in the handle serialize
+    its mutations against reader leases taken by :class:`ShmStoreClient`
+    attachments in other processes, and per-key delta stamps and per-shard
+    push counters are that process's own.  And because slots are a finite
+    shared resource with no garbage collector to forgive a leaked lease,
+    the view accessors return copies;
+    :meth:`~repro.ps.sharding.ShardedKeyValueStore.leased_state` is the
+    zero-copy read.
 
-    Delta pulls and concurrent apply are deliberately not advertised: the
-    process runtime replaces per-key deltas with per-shard mutation
-    counters (workers skip unchanged shards wholesale) and the single
-    server process applies pushes serially.
+    Worker processes never call :meth:`pull` — they pull through their own
+    :class:`ShmStoreClient` attachment without involving the server at
+    all, skipping unchanged shards by mutation counter.
     """
-
-    supports_concurrent_apply = False
-    supports_delta_pull = False
 
     def __init__(self, handle: SharedStoreHandle, writer: bool = True) -> None:
         """Attach to the store's segments; ``writer=True`` only in the server."""
-        self._handle = handle
         self._writer = bool(writer)
-        self._dtype = normalize_store_dtype(handle.dtype)
         self._header_segment = SharedSegment.attach(handle.header_segment)
         self._version_view = self._header_segment.ndarray(np.int64, 1, offset=0)
         self._version_lock = handle.version_lock
-        self._shards = [
+        shards = [
             SharedFlatShard(spec, SharedSegment.attach(spec.segment_name), lock)
             for spec, lock in zip(handle.shard_specs, handle.shard_locks)
         ]
-        self._weight_names = [
-            name
-            for shard in self._shards
-            for name in shard.layout.weight_names
-        ]
-        self._buffer_names = [
-            name
-            for shard in self._shards
-            for name in shard.layout.buffer_names
-        ]
-        self._weight_name_set = frozenset(self._weight_names)
-        self._shard_of = {
-            name: shard.index
-            for shard in self._shards
-            for name in (*shard.layout.weight_names, *shard.layout.buffer_names)
-        }
-        self._weight_entries = OrderedDict(
-            (name, (self._shard_of[name], self._shard(name).layout.segment(name)))
-            for name in self._weight_names
-        )
-        self._buffer_entries = OrderedDict(
-            (name, (self._shard_of[name], self._shard(name).layout.segment(name)))
-            for name in self._buffer_names
-        )
-        self._state_entries = OrderedDict(
-            (*self._weight_entries.items(), *self._buffer_entries.items())
+        # The handle does not record declaration order: names come back in
+        # layout order, shard by shard.
+        self._bind(
+            shards,
+            normalize_store_dtype(handle.dtype),
+            [name for shard in shards for name in shard.layout.weight_names],
+            [name for shard in shards for name in shard.layout.buffer_names],
         )
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
-    def dtype(self) -> np.dtype:
-        """Element dtype of every stored array."""
-        return self._dtype
-
-    @property
-    def num_shards(self) -> int:
-        """Number of shards the keys are partitioned across."""
-        return len(self._shards)
-
-    @property
-    def version(self) -> int:
-        """Number of gradient updates applied so far (read from shared memory)."""
+    def _version(self) -> int:
+        """The global version counter, kept in the header segment."""
         return int(self._version_view[0])
 
-    @property
-    def shard_versions(self) -> list[int]:
-        """Per-shard mutation counters."""
-        return [shard.mutations for shard in self._shards]
-
-    @property
-    def parameter_names(self) -> list[str]:
-        """Names of the trainable parameters (layout order)."""
-        return list(self._weight_names)
-
-    @property
-    def num_parameters(self) -> int:
-        """Total scalar count of the trainable parameters."""
-        return int(sum(shard.layout.weights_end for shard in self._shards))
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes transferred by one full pull (weights plus buffers, one slot)."""
-        return int(sum(shard.nbytes for shard in self._shards))
-
-    @property
-    def flat_layouts(self) -> tuple[tuple[int, tuple], ...]:
-        """Per-shard weight layouts, for workers that pack their replicas."""
-        return tuple(
-            (shard.index, shard.layout.weight_segments) for shard in self._shards
-        )
+    @_version.setter
+    def _version(self, value: int) -> None:
+        self._version_view[0] = value
 
     @property
     def cow_fallbacks(self) -> int:
         """Total in-place mutations forced by fully-leased shards (should be 0)."""
         return sum(shard.cow_fallbacks for shard in self._shards)
 
-    def _shard(self, name: str) -> SharedFlatShard:
-        return self._shards[self._shard_of[name]]
-
-    # ------------------------------------------------------------------
-    # Locking helpers
-    # ------------------------------------------------------------------
-    def _acquire_all(self) -> None:
-        for shard in self._shards:
-            shard.lock.acquire()
-
-    def _release_all(self) -> None:
-        for shard in reversed(self._shards):
-            shard.lock.release()
-
-    # ------------------------------------------------------------------
-    # Reads (server-process side)
-    # ------------------------------------------------------------------
-    @contextmanager
-    def leased_state(self):
-        """Stable read-only views of weights+buffers for the ``with`` body.
-
-        Leases every shard's current slot (taken under all shard locks in
-        one acquisition, so the snapshot is cross-shard consistent), yields
-        a lazy :class:`~repro.ps.flatbuffer.SnapshotViews`, and releases the
-        leases on exit.  Unlike the threaded store's ``state_views`` there
-        is no garbage collector to forgive a leaked lease — slots are a
-        finite shared resource — hence the context-manager shape.
-        """
-        self._acquire_all()
-        try:
-            leased, _, buffers = _capture_leases(self._shards)
-        finally:
-            self._release_all()
-        try:
-            yield SnapshotViews(self._state_entries, buffers)
-        finally:
-            _release_fn_for(leased)()
-
-    def state_views(self):
-        """Deep-copied combined state (weights and buffers).
-
-        The threaded stores return zero-copy leased views here; a shared
-        store cannot hand out leases it would never get back, so this
-        returns plain copies taken under :meth:`leased_state`.  Callers on
-        the hot path should use :meth:`leased_state` directly.
-        """
-        with self.leased_state() as views:
-            return OrderedDict((name, np.array(view)) for name, view in views.items())
-
-    def full_state(self):
-        """Alias of :meth:`state_views` (monolithic-store API compatibility)."""
-        return self.state_views()
-
-    def weights_snapshot(self) -> "OrderedDict[str, np.ndarray]":
-        """Deep copy of the current weights."""
-        with self.leased_state() as views:
-            return OrderedDict(
-                (name, np.array(views[name])) for name in self._weight_names
-            )
-
-    def buffers_snapshot(self) -> "OrderedDict[str, np.ndarray]":
-        """Deep copy of the current buffers."""
-        with self.leased_state() as views:
-            return OrderedDict(
-                (name, np.array(views[name])) for name in self._buffer_names
-            )
-
-    def snapshot(self) -> "OrderedDict[str, np.ndarray]":
-        """Deep copy of weights and buffers combined."""
-        return self.state_views()
-
-    def pull(self, known_version: int | None = None) -> PullReply:
-        """Server-process pull: full COW snapshot of every shard.
-
-        Exists for API parity (e.g. the server evaluating a freshly
-        restored model); worker processes never call it — they pull through
-        their own :class:`ShmStoreClient` attachment without involving the
-        server at all.  ``known_version`` is accepted but the reply is
-        always full: per-key delta encoding is replaced by the per-shard
-        mutation counters clients use directly.
-        """
-        del known_version
-        self._acquire_all()
-        try:
-            version = self.version
-            leased, payloads, buffers = _capture_leases(self._shards)
-        finally:
-            self._release_all()
-        return PullReply(
-            weights=SnapshotViews(self._weight_entries, buffers),
-            buffers=SnapshotViews(self._buffer_entries, buffers),
-            version=version,
-            is_delta=False,
-            flat_weights=tuple(payloads),
-            release_fn=_release_fn_for(leased),
-            wire_nbytes=int(sum(buffer.nbytes for buffer in buffers.values())),
-        )
-
-    # ------------------------------------------------------------------
-    # Writes (server process only)
-    # ------------------------------------------------------------------
     def _check_writer(self) -> None:
         if not self._writer:
             raise RuntimeError(
@@ -705,97 +485,10 @@ class SharedFlatStore:
                 "server process may mutate the shared store"
             )
 
-    def apply_gradients(
-        self,
-        gradients: Mapping[str, np.ndarray],
-        optimizer,
-        scale: float = 1.0,
-        flat_gradients: Mapping[int, np.ndarray] | None = None,
-    ) -> int:
-        """Apply one push and return the new global version.
+    def _snapshot_views(self, entries) -> "OrderedDict[str, np.ndarray]":
+        """Copies instead of leased views: nobody would hand the lease back."""
+        return self._copies(entries)
 
-        ``flat_gradients`` (shard index → packed buffer covering the whole
-        weight block) is the fast path the process runtime always uses —
-        the buffers are typically views straight into the pushing worker's
-        shared-memory gradient mailbox.  A per-name ``gradients`` mapping
-        is routed and packed per shard exactly like the threaded stores do.
-        """
-        self._check_writer()
-        use_flat = (
-            flat_gradients is not None
-            and len(gradients) in (0, len(self._weight_names))
-            and all(
-                shard.layout.weights_end == 0
-                or (
-                    flat_gradients.get(shard.index) is not None
-                    and flat_gradients[shard.index].size == shard.layout.weights_end
-                )
-                for shard in self._shards
-            )
-        )
-        if use_flat:
-            touched = [shard for shard in self._shards if shard.layout.weights_end]
-            by_shard: dict[int, dict[str, np.ndarray]] = {}
-        elif gradients:
-            by_shard = {}
-            for name in gradients:
-                if name not in self._weight_name_set:
-                    raise KeyError(f"gradients refer to unknown parameters: [{name!r}]")
-                by_shard.setdefault(self._shard_of[name], {})[name] = gradients[name]
-            touched = [self._shards[index] for index in sorted(by_shard)]
-        else:
-            raise ValueError("push carries neither per-name nor packed gradients")
-
-        for shard in touched:
-            shard.lock.acquire()
-        try:
-            updates = []
-            for shard in touched:
-                shard.materialize()
-                if use_flat:
-                    updates.append(shard.make_flat_update(flat_gradients[shard.index]))
-                else:
-                    updates.append(shard.make_update(by_shard[shard.index]))
-            optimizer.step_flat(updates, scale=scale)
-            for shard in touched:
-                shard.mark_mutated()
-            with self._version_lock:
-                self._version_view[0] += 1
-                return int(self._version_view[0])
-        finally:
-            for shard in reversed(touched):
-                shard.lock.release()
-
-    def update_buffers(self, buffers: Mapping[str, np.ndarray]) -> None:
-        """Overwrite buffer entries (batch-norm statistics) in place."""
-        self._check_writer()
-        unknown = set(buffers) - set(self._buffer_names)
-        if unknown:
-            raise KeyError(f"buffers refer to unknown entries: {sorted(unknown)[:5]}")
-        for name, value in buffers.items():
-            shard = self._shard(name)
-            value = np.asarray(value, dtype=self._dtype)
-            with shard.lock:
-                shard.materialize()
-                shard.write(name, value)
-                shard.mark_mutated()
-
-    def overwrite_weights(self, weights: Mapping[str, np.ndarray]) -> None:
-        """Replace stored weights (restore path)."""
-        self._check_writer()
-        unknown = set(weights) - self._weight_name_set
-        if unknown:
-            raise KeyError(f"unknown parameters: {sorted(unknown)[:5]}")
-        for name, value in weights.items():
-            shard = self._shard(name)
-            with shard.lock:
-                shard.materialize()
-                shard.write(name, np.asarray(value, dtype=self._dtype))
-                shard.mark_mutated()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Drop this process's segment mappings (the segments live on)."""
         for shard in self._shards:
@@ -803,7 +496,7 @@ class SharedFlatStore:
         self._header_segment.close()
 
 
-class ShmStoreClient:
+class ShmStoreClient(SharedFlatStore):
     """A worker-process attachment to the shared store (read path only).
 
     Wraps the lease protocol into the one operation workers need:
@@ -817,55 +510,39 @@ class ShmStoreClient:
 
     def __init__(self, handle: SharedStoreHandle) -> None:
         """Attach to every segment named by ``handle`` (read path only)."""
-        self._handle = handle
-        self._header_segment = SharedSegment.attach(handle.header_segment)
-        self._version_view = self._header_segment.ndarray(np.int64, 1, offset=0)
-        self._shards = [
-            SharedFlatShard(spec, SharedSegment.attach(spec.segment_name), lock)
-            for spec, lock in zip(handle.shard_specs, handle.shard_locks)
-        ]
+        super().__init__(handle, writer=False)
         self._seen_mutations = [-1] * len(self._shards)
-
-    @property
-    def version(self) -> int:
-        """Current global store version (read from shared memory)."""
-        return int(self._version_view[0])
 
     def pull_reply(self) -> PullReply:
         """Lease changed shards and wrap them as a consumable pull reply.
 
         All shard locks are taken for the (instantaneous) lease phase so
         the version/payload combination is cross-shard consistent — the
-        same guarantee the threaded sharded store gives — and released
-        before any data is copied.
+        same guarantee the store's own pulls give — and released before
+        any data is copied.
         """
-        for shard in self._shards:
-            shard.lock.acquire()
-        try:
+        with self._locked(self._shards):
             version = self.version
-            leased, payloads, _ = _capture_leases(
-                self._shards, seen_mutations=self._seen_mutations
-            )
-        finally:
-            for shard in reversed(self._shards):
-                shard.lock.release()
+            changed = [
+                shard
+                for shard, seen in zip(self._shards, self._seen_mutations)
+                if shard.mutations != seen
+            ]
+            for shard in changed:
+                self._seen_mutations[shard.index] = shard.mutations
+            snapshot = self._lease(changed)
+            payloads = flat_payloads(changed)
         return PullReply(
             weights={},
             buffers={},
             version=version,
             is_delta=True,
-            flat_weights=tuple(payloads),
-            release_fn=_release_fn_for(leased),
+            flat_weights=payloads,
+            release_fn=self._release_fn(snapshot),
             # What actually crosses the boundary: one packed weight block
             # per *changed* shard (unchanged shards were skipped above).
             wire_nbytes=int(sum(payload.buffer.nbytes for payload in payloads)),
         )
-
-    def close(self) -> None:
-        """Drop this process's segment mappings."""
-        for shard in self._shards:
-            shard.segment.close()
-        self._header_segment.close()
 
 
 def create_shared_store(
@@ -883,10 +560,10 @@ def create_shared_store(
     """Create every segment of a shared store and write the initial model.
 
     Called once by the coordinating (main) process before any child is
-    spawned.  Keys are partitioned with the same
-    :class:`~repro.ps.sharding.ShardRouter` strategies as the threaded
-    store, each shard's slot 0 is filled with the initial weights/buffers,
-    and — when ``grad_mailboxes > 0`` — one per-worker gradient segment is
+    spawned.  Keys are partitioned by
+    :func:`~repro.ps.sharding.partition_state` exactly as the heap store
+    partitions them, each shard's slot 0 is filled with the initial
+    weights/buffers, and — when ``grad_mailboxes > 0`` — one per-worker gradient segment is
     laid out with every shard's weight block back to back (float64, the
     replica gradient dtype), so backward passes accumulate directly into
     memory the server can read.  ``grad_mailbox_nbytes`` overrides each
@@ -899,23 +576,10 @@ def create_shared_store(
     ``slots`` must cover the worst-case concurrent readers plus one writer
     target (the process runtime passes ``workers + 2``).
     """
-    from repro.ps.sharding import ShardRouter  # local import: avoids a cycle
-
-    if not initial_weights:
-        raise ValueError("initial_weights must contain at least one parameter")
+    store_dtype = normalize_store_dtype(dtype)
+    parts = partition_state(initial_weights, initial_buffers, num_shards, strategy, store_dtype)
     if slots < 2:
         raise ValueError(f"slots must be >= 2 for copy-on-write, got {slots}")
-    store_dtype = normalize_store_dtype(dtype)
-    initial_buffers = initial_buffers or {}
-    overlap = set(initial_weights) & set(initial_buffers)
-    if overlap:
-        raise ValueError(f"names used as both weight and buffer: {sorted(overlap)[:5]}")
-
-    sizes = {
-        name: np.asarray(value).size * store_dtype.itemsize
-        for name, value in {**dict(initial_weights), **dict(initial_buffers)}.items()
-    }
-    router = ShardRouter(sizes, num_shards=num_shards, strategy=strategy)
     run_id = secrets.token_hex(4)
 
     header = SharedSegment.create(
@@ -927,22 +591,16 @@ def create_shared_store(
         view = header.ndarray(np.int64, 1)
         view[0] = 0
         del view
-        for index in range(router.num_shards):
-            weight_shapes = tuple(
-                (name, tuple(np.asarray(initial_weights[name]).shape))
-                for name in initial_weights
-                if router.shard_of(name) == index
-            )
-            buffer_shapes = tuple(
-                (name, tuple(np.asarray(initial_buffers[name]).shape))
-                for name in initial_buffers
-                if router.shard_of(name) == index
-            )
+        for index, (weights, buffers) in enumerate(parts):
             spec = ShardSegmentSpec(
                 index=index,
                 segment_name=f"repro-{run_id}-shard{index}",
-                weight_shapes=weight_shapes,
-                buffer_shapes=buffer_shapes,
+                weight_shapes=tuple(
+                    (name, tuple(np.asarray(value).shape)) for name, value in weights.items()
+                ),
+                buffer_shapes=tuple(
+                    (name, tuple(np.asarray(value).shape)) for name, value in buffers.items()
+                ),
                 dtype=store_dtype.name,
                 slots=int(slots),
             )
@@ -954,11 +612,8 @@ def create_shared_store(
             head = segment.ndarray(np.int64, spec.header_count)
             head[:] = 0
             slot0 = segment.ndarray(store_dtype, layout.size, offset=spec.data_offset)
-            for name, _ in (*weight_shapes, *buffer_shapes):
+            for name, value in (*weights.items(), *buffers.items()):
                 seg = layout.segment(name)
-                value = initial_weights.get(name)
-                if value is None:
-                    value = initial_buffers[name]
                 slot0[seg.lo : seg.hi] = np.asarray(value, dtype=store_dtype).ravel()
             del head, slot0
             specs.append(spec)

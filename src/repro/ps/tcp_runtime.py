@@ -7,8 +7,8 @@ assumptions and speaks the length-prefixed socket protocol of
 :mod:`repro.ps.transport` instead:
 
 * **One server process** owns the server side of the step protocol
-  (:class:`repro.ps.session.ServerSession` over a monolithic
-  :class:`~repro.ps.kvstore.KeyValueStore`) behind a listening socket.
+  (:class:`repro.ps.session.ServerSession` over a one-shard store from
+  :func:`~repro.ps.sharding.make_store`) behind a listening socket.
   It can be started standalone (``python -m repro serve SPEC --bind
   host:port``) or self-hosted by :class:`TcpTrainer` on an ephemeral port.
 * **Workers connect by address** and run the shared
@@ -76,7 +76,6 @@ from repro.ps.netfaults import (
 )
 from repro.ps.compression import EncodedShard, decode_shard
 from repro.ps.flatbuffer import Segment
-from repro.ps.kvstore import KeyValueStore
 from repro.ps.messages import FlatPullPayload, PullReply, WorkerReport
 from repro.ps.process_runtime import reap, resolve_context
 from repro.ps.session import (
@@ -87,6 +86,7 @@ from repro.ps.session import (
     WorkloadPlan,
     plan_codec,
 )
+from repro.ps.sharding import make_store
 from repro.ps.transport import (
     ConnectionClosed,
     TcpConnection,
@@ -99,7 +99,6 @@ from repro.utils.rng import RngStream
 
 __all__ = [
     "TcpTrainingPlan",
-    "TcpTrainingResult",
     "TcpServer",
     "TcpSupervisor",
     "TcpTrainer",
@@ -109,9 +108,6 @@ __all__ = [
 ]
 
 _LOGGER = get_logger("ps.tcp_runtime")
-
-#: Same result schema as the threaded and process runtimes.
-TcpTrainingResult = TrainingResult
 
 #: Synthetic frame shard ids: real gradient shards sit below, the packed
 #: non-trainable buffers ride at ``_BUFFER_SHARD``, codec error-feedback
@@ -230,7 +226,7 @@ def _float_or_nan(value) -> float:
     return float("nan") if value == "nan" else float(value)
 
 
-def result_to_wire(result: TcpTrainingResult) -> dict:
+def result_to_wire(result: TrainingResult) -> dict:
     """Serialize a training result into a JSON-safe dictionary."""
     statistics = dict(result.server_statistics)
     staleness = statistics.get("update_staleness")
@@ -251,7 +247,7 @@ def result_to_wire(result: TcpTrainingResult) -> dict:
     )
 
 
-def result_from_wire(data: dict) -> TcpTrainingResult:
+def result_from_wire(data: dict) -> TrainingResult:
     """Reconstruct a training result from :func:`result_to_wire` output."""
     statistics = dict(data.get("server_statistics", {}))
     staleness = statistics.get("update_staleness")
@@ -262,7 +258,7 @@ def result_from_wire(data: dict) -> TcpTrainingResult:
         raw = dict(raw)
         raw["mean_loss"] = _float_or_nan(raw.get("mean_loss", "nan"))
         reports.append(WorkerReport(**raw))
-    return TcpTrainingResult(
+    return TrainingResult(
         wall_time=float(data.get("wall_time", 0.0)),
         worker_reports=reports,
         server_statistics=statistics,
@@ -293,7 +289,7 @@ class TcpServer:
     ``serve()`` runs one complete training job: accept joins until the
     expected membership is present, broadcast ``start``, drive the policy
     from pushes, survive worker deaths, and return the collected
-    :class:`TcpTrainingResult` (also shipped to every ``watch``
+    :class:`TrainingResult` (also shipped to every ``watch``
     connection).  On SIGTERM it checkpoints, notifies workers to
     reconnect, and returns ``None`` — the restart contract.
     """
@@ -309,11 +305,11 @@ class TcpServer:
         self._shutdown.set()
 
     # ------------------------------------------------------------------
-    def serve(self) -> TcpTrainingResult | None:
+    def serve(self) -> TrainingResult | None:
         plan = self.plan
         workload = plan.build_workload()
         global_model = workload.model_builder(RngStream(plan.seed).get("init"))
-        store = KeyValueStore(
+        store = make_store(
             {name: parameter.data for name, parameter in global_model.named_parameters()},
             global_model.buffers(),
             dtype=plan.dtype,
@@ -789,7 +785,7 @@ class TcpServer:
             self._retire(peer.conn)
         self._peers.clear()
 
-    def _finish(self) -> TcpTrainingResult:
+    def _finish(self) -> TrainingResult:
         result = self._session.finish(
             tcp_bytes_sent=self._wire_sent, tcp_bytes_received=self._wire_received
         )
@@ -1209,7 +1205,7 @@ class TcpSupervisor:
         """Stop supervising: forward SIGTERM to the child, don't respawn."""
         self._stop.set()
 
-    def run(self) -> TcpTrainingResult | None:
+    def run(self) -> TrainingResult | None:
         """Supervise until the run completes; ``None`` after a shutdown."""
         plan = self.plan
         while True:
@@ -1229,7 +1225,7 @@ class TcpSupervisor:
             if not ready_recv.poll(plan.wait_timeout):
                 child.terminate()
                 child.join(timeout=5.0)
-                return TcpTrainingResult.failed(
+                return TrainingResult.failed(
                     "supervised tcp server never reported its address"
                 )
             address = ready_recv.recv()
@@ -1263,7 +1259,7 @@ class TcpSupervisor:
             # (no payload at all): relaunch from the latest checkpoint.
             self.restarts += 1
             if self.restarts > self.max_restarts:
-                return TcpTrainingResult.failed(
+                return TrainingResult.failed(
                     f"supervised tcp server died {self.restarts} times "
                     f"(limit {self.max_restarts}); giving up"
                 )
@@ -1297,7 +1293,7 @@ class TcpTrainer:
         self.external_address = external_address
         self.context = resolve_context(context)
 
-    def run(self) -> TcpTrainingResult:
+    def run(self) -> TrainingResult:
         """Run to completion; failures surface in ``result.errors``."""
         plan = self.plan
         processes = []
@@ -1340,7 +1336,7 @@ class TcpTrainer:
                 watch.close()
             reap(processes)
 
-    def _await_result(self, watch, server_process, address) -> TcpTrainingResult:
+    def _await_result(self, watch, server_process, address) -> TrainingResult:
         """Wait on the watch channel, tolerating a restarting server.
 
         No absolute deadline (the server aborts itself on stalls); the
@@ -1377,5 +1373,5 @@ class TcpTrainer:
             watch.close()
 
     @staticmethod
-    def _dead_server_result() -> TcpTrainingResult:
-        return TcpTrainingResult.failed("tcp server died without reporting a result")
+    def _dead_server_result() -> TrainingResult:
+        return TrainingResult.failed("tcp server died without reporting a result")

@@ -139,12 +139,12 @@ class SimulationConfig:
         lists as future work; see
         :func:`repro.experiments.ablations.fluctuating_environment_ablation`.
     num_server_shards:
-        Number of parameter-server shards.  1 (the default) keeps the
-        monolithic store; more splits the model across a
-        :class:`repro.ps.sharding.ShardedKeyValueStore` — workers then pull
-        copy-on-write deltas, and the simulated push/pull time is gated by
-        the most-loaded shard instead of the full payload (parallel
-        per-shard transfers).
+        Number of shards the store
+        (:class:`repro.ps.sharding.ShardedKeyValueStore`) splits the model
+        across.  With more than 1 (the default) workers pull copy-on-write
+        deltas, and the simulated push/pull time is gated by the
+        most-loaded shard instead of the full payload (parallel per-shard
+        transfers).
     shard_strategy:
         Key partitioning strategy for the sharded store (``"size"`` or
         ``"hash"``).
@@ -468,16 +468,14 @@ class SimulatedTraining:
         sample_shape = self.train_dataset.sample_shape
         cost = config.timing_cost or estimate_model_cost(global_model, sample_shape)
         store = server.store
-        if getattr(store, "num_shards", 1) > 1:
-            # Per-shard transfer cost: the simulated push/pull is gated by
-            # the most-loaded shard, with the split taken from the router.
-            total_bytes = max(store.nbytes, 1)
-            # Empty shards transfer nothing and cannot gate the operation.
-            shard_fractions = tuple(
-                nbytes / total_bytes for nbytes in store.shard_nbytes if nbytes > 0
-            ) or (1.0,)
-        else:
-            shard_fractions = (1.0,)
+        # Per-shard transfer cost: the simulated push/pull is gated by the
+        # most-loaded shard, with the split taken from the store's
+        # partition (one shard: the whole payload).  Empty shards transfer
+        # nothing and cannot gate the operation.
+        total_bytes = max(store.nbytes, 1)
+        shard_fractions = tuple(
+            nbytes / total_bytes for nbytes in store.shard_nbytes if nbytes > 0
+        ) or (1.0,)
         push_wire_fraction = 1.0
         if config.compression is not None:
             # The codec's a-priori estimate of encoded-vs-dense push bytes;
@@ -587,13 +585,11 @@ class SimulatedTraining:
                 )
             )
 
-        delta_pulls = bool(getattr(server.store, "supports_delta_pull", False))
+        delta_pulls = server.store.supports_delta_pull
         # Mirror the store's packed layout in every replica so full pulls
         # move one buffer per shard instead of N named arrays.
-        flat_layouts = getattr(server.store, "flat_layouts", None)
-        if flat_layouts:
-            for worker in workers.values():
-                worker.attach_flat_layout(flat_layouts)
+        for worker in workers.values():
+            worker.attach_flat_layout(server.store.flat_layouts)
 
         def pull_into(worker_id: str) -> None:
             """Refresh a worker's replica (delta pull when the store can)."""
@@ -800,11 +796,6 @@ class SimulatedTraining:
             iteration_time_summary=iteration_time_summary,
             queue_trace=list(topo_model.state.queue_trace) if topo_model else [],
         )
-
-
-#: Backwards-compatible alias; the label helper lives with the policy
-#: registry so every front end renders run labels identically.
-_paradigm_label = paradigm_label
 
 
 def simulate_training(

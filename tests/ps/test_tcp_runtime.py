@@ -105,9 +105,9 @@ class TestPlanValidation:
 
 class TestWireResult:
     def test_round_trip_preserves_everything(self):
-        from repro.ps.runtime import ThreadedTrainingResult
+        from repro.ps.session import TrainingResult
 
-        original = ThreadedTrainingResult(
+        original = TrainingResult(
             wall_time=1.25,
             worker_reports=[
                 WorkerReport(

@@ -1,10 +1,9 @@
 """Element-wise activation layers.
 
-All four activations are workspace-aware: with a workspace enabled
-(:meth:`~repro.nn.module.Module.enable_workspace`) the mask/output/gradient
-arrays live in grow-once reusable buffers and every elementwise op writes
-through ``out=``, producing bit-identical values with zero steady-state
-allocations.  :class:`ReLU` additionally offers opt-in in-place operation.
+The mask/output/gradient arrays live in the layer's grow-once
+:class:`~repro.nn.workspace.Workspace` and every elementwise op writes
+through ``out=``: zero steady-state allocations.  Returned arrays are views
+of that arena, valid until the layer's next forward/backward.
 """
 
 from __future__ import annotations
@@ -17,47 +16,18 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
 
 class ReLU(Module):
-    """Rectified linear unit: ``max(x, 0)``.
+    """Rectified linear unit: ``max(x, 0)``."""
 
-    ``inplace=True`` (opt-in) overwrites the input array instead of writing
-    a separate output.  That is safe when the producing layer does not need
-    its own output for backward (true of every layer here: convolution
-    caches columns, batch-norm caches the normalized tensor) and the input
-    is not consumed — or owned — by anyone else: do not make an in-place
-    ReLU the *first* layer of a model (its input may be a view of caller or
-    dataset memory) or of a :class:`~repro.nn.container.Residual` body or
-    shortcut.  The in-place write only happens in training mode — eval
-    pipelines commonly feed dataset slices, which an in-place op would
-    corrupt permanently — and read-only or non-float64 inputs silently fall
-    back to the copying path.
-    """
-
-    def __init__(self, inplace: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.inplace = bool(inplace)
         self._mask: np.ndarray | None = None
-
-    def _write_inplace(self, inputs: np.ndarray) -> bool:
-        return self.inplace and self.training and inputs.flags.writeable
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
-        workspace = self._workspace
-        if workspace is None:
-            if self._write_inplace(inputs):
-                mask = inputs > 0
-                np.multiply(inputs, mask, out=inputs)
-                self._mask = mask
-                return inputs
-            self._mask = inputs > 0
-            return inputs * self._mask
-        mask = workspace.get("mask", inputs.shape, dtype=bool)
+        mask = self._workspace.get("mask", inputs.shape, dtype=bool)
         np.greater(inputs, 0, out=mask)
         self._mask = mask
-        if self._write_inplace(inputs):
-            np.multiply(inputs, mask, out=inputs)
-            return inputs
-        output = workspace.get("output", inputs.shape)
+        output = self._workspace.get("output", inputs.shape)
         np.multiply(inputs, mask, out=output)
         return output
 
@@ -65,10 +35,7 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        workspace = self._workspace
-        if workspace is None:
-            return grad_output * self._mask
-        grad_input = workspace.get("grad_input", grad_output.shape)
+        grad_input = self._workspace.get("grad_input", grad_output.shape)
         np.multiply(grad_output, self._mask, out=grad_input)
         return grad_input
 
@@ -85,14 +52,10 @@ class LeakyReLU(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
-        workspace = self._workspace
-        if workspace is None:
-            self._mask = inputs > 0
-            return np.where(self._mask, inputs, inputs * self.negative_slope)
-        mask = workspace.get("mask", inputs.shape, dtype=bool)
+        mask = self._workspace.get("mask", inputs.shape, dtype=bool)
         np.greater(inputs, 0, out=mask)
         self._mask = mask
-        output = workspace.get("output", inputs.shape)
+        output = self._workspace.get("output", inputs.shape)
         np.multiply(inputs, self.negative_slope, out=output)
         np.copyto(output, inputs, where=mask)
         return output
@@ -101,10 +64,7 @@ class LeakyReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        workspace = self._workspace
-        if workspace is None:
-            return np.where(self._mask, grad_output, grad_output * self.negative_slope)
-        grad_input = workspace.get("grad_input", grad_output.shape)
+        grad_input = self._workspace.get("grad_input", grad_output.shape)
         np.multiply(grad_output, self.negative_slope, out=grad_input)
         np.copyto(grad_input, grad_output, where=self._mask)
         return grad_input
@@ -119,11 +79,7 @@ class Sigmoid(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
-        workspace = self._workspace
-        if workspace is None:
-            self._output = 1.0 / (1.0 + np.exp(-inputs))
-            return self._output
-        output = workspace.get("output", inputs.shape)
+        output = self._workspace.get("output", inputs.shape)
         np.negative(inputs, out=output)
         np.exp(output, out=output)
         output += 1.0
@@ -135,12 +91,9 @@ class Sigmoid(Module):
         if self._output is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        workspace = self._workspace
-        if workspace is None:
-            return grad_output * self._output * (1.0 - self._output)
-        grad_input = workspace.get("grad_input", grad_output.shape)
+        grad_input = self._workspace.get("grad_input", grad_output.shape)
         np.multiply(grad_output, self._output, out=grad_input)
-        scratch = workspace.get("scratch", grad_output.shape)
+        scratch = self._workspace.get("scratch", grad_output.shape)
         np.subtract(1.0, self._output, out=scratch)
         grad_input *= scratch
         return grad_input
@@ -155,11 +108,7 @@ class Tanh(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
-        workspace = self._workspace
-        if workspace is None:
-            self._output = np.tanh(inputs)
-            return self._output
-        output = workspace.get("output", inputs.shape)
+        output = self._workspace.get("output", inputs.shape)
         np.tanh(inputs, out=output)
         self._output = output
         return output
@@ -168,12 +117,9 @@ class Tanh(Module):
         if self._output is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        workspace = self._workspace
-        if workspace is None:
-            return grad_output * (1.0 - self._output**2)
-        scratch = workspace.get("scratch", grad_output.shape)
+        scratch = self._workspace.get("scratch", grad_output.shape)
         np.multiply(self._output, self._output, out=scratch)
         np.subtract(1.0, scratch, out=scratch)
-        grad_input = workspace.get("grad_input", grad_output.shape)
+        grad_input = self._workspace.get("grad_input", grad_output.shape)
         np.multiply(grad_output, scratch, out=grad_input)
         return grad_input

@@ -78,20 +78,14 @@ class Residual(Module):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         body_out = self.body.forward(inputs)
         shortcut_out = self.shortcut.forward(inputs)
-        workspace = self._workspace
-        if workspace is None:
-            return body_out + shortcut_out
-        output = workspace.get("output", body_out.shape)
+        output = self._workspace.get("output", body_out.shape)
         np.add(body_out, shortcut_out, out=output)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_body = self.body.backward(grad_output)
         grad_shortcut = self.shortcut.backward(grad_output)
-        workspace = self._workspace
-        if workspace is None:
-            return grad_body + grad_shortcut
-        grad_input = workspace.get("grad_input", grad_body.shape)
+        grad_input = self._workspace.get("grad_input", grad_body.shape)
         np.add(grad_body, grad_shortcut, out=grad_input)
         return grad_input
 

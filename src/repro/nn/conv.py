@@ -19,15 +19,12 @@ class Conv2d(Module):
     becomes a single matrix multiply; the backward pass uses the transposed
     multiply plus col2im for the input gradient.
 
-    With a workspace enabled (:meth:`~repro.nn.module.Module.enable_workspace`)
-    the column matrix, the padding scratch, the output map and every gradient
-    temporary live in grow-once reusable buffers and the matrix multiplies
-    write through ``out=`` — zero steady-state allocations.  Outputs and
-    parameter gradients are bit-identical to the reference path; the
+    The column matrix, the padding scratch, the output map and every gradient
+    temporary live in the layer's grow-once workspace and the matrix
+    multiplies write through ``out=`` — zero steady-state allocations.  The
     stride-1 input gradient uses the correlation form (see
-    :meth:`_grad_input_correlation`) and agrees to rounding error instead.
-    Returned arrays are then views of workspace storage, valid until this
-    layer's next forward/backward.
+    :meth:`_grad_input_correlation`).  Returned arrays are views of workspace
+    storage, valid until this layer's next forward/backward.
     """
 
     def __init__(
@@ -81,45 +78,27 @@ class Conv2d(Module):
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
 
         workspace = self._workspace
-        if workspace is None:
-            cols = im2col(
-                inputs, self.kernel_size, self.kernel_size, self.stride, self.padding
-            )
-            output = cols @ weight_matrix.T
-            if self.bias is not None:
-                output = output + self.bias.data
-            output = output.reshape(n, out_h, out_w, self.out_channels).transpose(
-                0, 3, 1, 2
-            )
-        else:
-            padded = None
-            if self.padding > 0:
-                # Border entries stay zero from buffer creation; im2col only
-                # rewrites the interior.
-                padded = workspace.get(
-                    "fwd_padded", self._padded_shape(inputs.shape)
-                )
-            cols = im2col(
-                inputs,
-                self.kernel_size,
-                self.kernel_size,
-                self.stride,
-                self.padding,
-                out=workspace.get(
-                    "cols",
-                    (n * out_h * out_w, weight_matrix.shape[1]),
-                ),
-                padded=padded,
-            )
-            flat = workspace.get("fwd_out2d", (n * out_h * out_w, self.out_channels))
-            np.matmul(cols, weight_matrix.T, out=flat)
-            if self.bias is not None:
-                flat += self.bias.data
-            # Same zero-copy transposed view of the matmul result the
-            # reference path returns — consumers read it in place.
-            output = flat.reshape(n, out_h, out_w, self.out_channels).transpose(
-                0, 3, 1, 2
-            )
+        padded = None
+        if self.padding > 0:
+            # Border entries stay zero from buffer creation; im2col only
+            # rewrites the interior.
+            padded = workspace.get("fwd_padded", self._padded_shape(inputs.shape))
+        cols = im2col(
+            inputs,
+            self.kernel_size,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+            out=workspace.get("cols", (n * out_h * out_w, weight_matrix.shape[1])),
+            padded=padded,
+        )
+        flat = workspace.get("fwd_out2d", (n * out_h * out_w, self.out_channels))
+        np.matmul(cols, weight_matrix.T, out=flat)
+        if self.bias is not None:
+            flat += self.bias.data
+        # Zero-copy transposed view of the matmul result — consumers read it
+        # in place.
+        output = flat.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
         self._cache_cols = cols
         self._cache_input_shape = inputs.shape
@@ -133,22 +112,6 @@ class Conv2d(Module):
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
 
         workspace = self._workspace
-        if workspace is None:
-            grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-            grad_weight = grad_matrix.T @ self._cache_cols
-            self.weight.accumulate_grad(grad_weight.reshape(self.weight.data.shape))
-            if self.bias is not None:
-                self.bias.accumulate_grad(grad_matrix.sum(axis=0))
-            grad_cols = grad_matrix @ weight_matrix
-            return col2im(
-                grad_cols,
-                self._cache_input_shape,
-                self.kernel_size,
-                self.kernel_size,
-                self.stride,
-                self.padding,
-            )
-
         staged = workspace.get("bwd_grad_nhwc", (n, out_h, out_w, self.out_channels))
         staged[...] = grad_output.transpose(0, 2, 3, 1)
         grad_matrix = staged.reshape(-1, self.out_channels)
@@ -194,9 +157,9 @@ class Conv2d(Module):
         matmul with the exact same FLOP count, and no scatter-add at all,
         which is substantially faster (the scatter was ~25% of a ResNet
         step).  The matmul reduces over (out-channel, ky, kx) in one go
-        where the reference path reduces per offset, so the result agrees
-        with the reference to rounding error (documented tolerance) rather
-        than bit-for-bit.
+        where col2im reduces per offset, so the result agrees with the
+        col2im oracle (``tests/nn/reference_layers.py``) to rounding error
+        rather than bit-for-bit.
         """
         n, c, h, w = self._cache_input_shape
         kernel = self.kernel_size

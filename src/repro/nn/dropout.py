@@ -31,9 +31,6 @@ class Dropout(Module):
             return inputs
         keep = 1.0 - self.p
         workspace = self._workspace
-        if workspace is None:
-            self._mask = (self._rng.random(inputs.shape) < keep) / keep
-            return inputs * self._mask
         draws = workspace.get("draws", inputs.shape)
         self._rng.random(out=draws)
         kept = workspace.get("kept", inputs.shape, dtype=bool)
@@ -49,9 +46,6 @@ class Dropout(Module):
         grad_output = np.asarray(grad_output, dtype=np.float64)
         if self._mask is None:
             return grad_output
-        workspace = self._workspace
-        if workspace is None:
-            return grad_output * self._mask
-        grad_input = workspace.get("grad_input", grad_output.shape)
+        grad_input = self._workspace.get("grad_input", grad_output.shape)
         np.multiply(grad_output, self._mask, out=grad_input)
         return grad_input

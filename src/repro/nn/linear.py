@@ -58,13 +58,7 @@ class Linear(Module):
                 f"expected input of shape (N, {self.in_features}), got {inputs.shape}"
             )
         self._cache_input = inputs
-        workspace = self._workspace
-        if workspace is None:
-            output = inputs @ self.weight.data.T
-            if self.bias is not None:
-                output = output + self.bias.data
-            return output
-        output = workspace.get("output", (inputs.shape[0], self.out_features))
+        output = self._workspace.get("output", (inputs.shape[0], self.out_features))
         np.matmul(inputs, self.weight.data.T, out=output)
         if self.bias is not None:
             output += self.bias.data
@@ -75,11 +69,6 @@ class Linear(Module):
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         workspace = self._workspace
-        if workspace is None:
-            self.weight.accumulate_grad(grad_output.T @ self._cache_input)
-            if self.bias is not None:
-                self.bias.accumulate_grad(grad_output.sum(axis=0))
-            return grad_output @ self.weight.data
         grad_weight = workspace.get("grad_weight", self.weight.data.shape)
         np.matmul(grad_output.T, self._cache_input, out=grad_weight)
         self.weight.accumulate_grad(grad_weight)

@@ -5,16 +5,15 @@ returning the gradient with respect to the predictions, so that the training
 loop is ``loss.forward(...); grad = loss.backward(); model.backward(grad)``.
 
 Losses are not :class:`~repro.nn.module.Module` instances, but they follow
-the same workspace convention: :meth:`enable_workspace` gives the loss a
-private buffer arena and the forward/backward computations reuse it with
-``out=``-style numpy calls, bit-for-bit equal to the reference path.
+the same workspace convention: each loss owns a private buffer arena and the
+forward/backward computations reuse it with ``out=``-style numpy calls, so
+the gradient ``backward()`` returns is valid until the next ``backward()``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, one_hot, softmax
 from repro.nn.workspace import Workspace
 
 __all__ = ["SoftmaxCrossEntropy", "MeanSquaredError"]
@@ -25,17 +24,7 @@ class SoftmaxCrossEntropy:
 
     def __init__(self) -> None:
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._workspace: Workspace | None = None
-
-    def enable_workspace(self) -> "SoftmaxCrossEntropy":
-        """Draw the loss's temporaries from a reusable buffer arena."""
         self._workspace = Workspace()
-        return self
-
-    def disable_workspace(self) -> "SoftmaxCrossEntropy":
-        """Restore the allocating reference path."""
-        self._workspace = None
-        return self
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
         """Return the mean cross-entropy loss over the batch."""
@@ -47,19 +36,15 @@ class SoftmaxCrossEntropy:
             raise ValueError(
                 f"labels must have shape ({logits.shape[0]},), got {labels.shape}"
             )
-        workspace = self._workspace
-        if workspace is None:
-            log_probs = log_softmax(logits, axis=1)
-        else:
-            # log_softmax with every temporary reused: shifted logits,
-            # exponentials and the log-sum all live in workspace buffers.
-            log_probs = workspace.get("log_probs", logits.shape)
-            np.subtract(logits, np.max(logits, axis=1, keepdims=True), out=log_probs)
-            exps = workspace.get("exps", logits.shape)
-            np.exp(log_probs, out=exps)
-            norm = exps.sum(axis=1, keepdims=True)
-            np.log(norm, out=norm)
-            log_probs -= norm
+        # log_softmax with every temporary reused: shifted logits,
+        # exponentials and the log-sum all live in workspace buffers.
+        log_probs = self._workspace.get("log_probs", logits.shape)
+        np.subtract(logits, np.max(logits, axis=1, keepdims=True), out=log_probs)
+        exps = self._workspace.get("exps", logits.shape)
+        np.exp(log_probs, out=exps)
+        norm = exps.sum(axis=1, keepdims=True)
+        np.log(norm, out=norm)
+        log_probs -= norm
         losses = -log_probs[np.arange(labels.shape[0]), labels]
         self._cache = (logits, labels)
         return float(losses.mean())
@@ -69,14 +54,9 @@ class SoftmaxCrossEntropy:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         logits, labels = self._cache
-        workspace = self._workspace
-        if workspace is None:
-            probabilities = softmax(logits, axis=1)
-            encoded = one_hot(labels, logits.shape[1], dtype=probabilities.dtype)
-            return (probabilities - encoded) / logits.shape[0]
         # Fused form of (softmax - one_hot) / N: subtracting 1.0 at the
         # label positions is bit-identical to subtracting a one-hot matrix.
-        grad = workspace.get("grad", logits.shape)
+        grad = self._workspace.get("grad", logits.shape)
         np.subtract(logits, np.max(logits, axis=1, keepdims=True), out=grad)
         np.exp(grad, out=grad)
         grad /= grad.sum(axis=1, keepdims=True)
@@ -93,17 +73,7 @@ class MeanSquaredError:
 
     def __init__(self) -> None:
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._workspace: Workspace | None = None
-
-    def enable_workspace(self) -> "MeanSquaredError":
-        """Draw the loss's temporaries from a reusable buffer arena."""
         self._workspace = Workspace()
-        return self
-
-    def disable_workspace(self) -> "MeanSquaredError":
-        """Restore the allocating reference path."""
-        self._workspace = None
-        return self
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         predictions = np.asarray(predictions, dtype=np.float64)
@@ -113,10 +83,7 @@ class MeanSquaredError:
                 f"predictions shape {predictions.shape} != targets shape {targets.shape}"
             )
         self._cache = (predictions, targets)
-        workspace = self._workspace
-        if workspace is None:
-            return float(np.mean((predictions - targets) ** 2))
-        diff = workspace.get("diff", predictions.shape)
+        diff = self._workspace.get("diff", predictions.shape)
         np.subtract(predictions, targets, out=diff)
         np.multiply(diff, diff, out=diff)
         return float(np.mean(diff))
@@ -125,10 +92,7 @@ class MeanSquaredError:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         predictions, targets = self._cache
-        workspace = self._workspace
-        if workspace is None:
-            return 2.0 * (predictions - targets) / predictions.size
-        grad = workspace.get("grad", predictions.shape)
+        grad = self._workspace.get("grad", predictions.shape)
         np.subtract(predictions, targets, out=grad)
         grad *= 2.0
         grad /= predictions.size

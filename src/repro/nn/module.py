@@ -22,13 +22,20 @@ class Module:
     :meth:`register_module`.  State is addressed hierarchically with
     dot-separated names (``"features.0.weight"``), which is the naming scheme
     used by the parameter server's key-value store.
+
+    Every module owns a private :class:`Workspace` from which its kernels
+    draw their temporaries and results.  The array a layer returns is a view
+    of that arena, valid until the same layer's next ``forward`` or
+    ``backward``; copy it to keep it longer.  Two different layers never
+    share storage.  (Pass-through layers — ``Identity``, ``Flatten``,
+    ``Dropout`` in eval mode — hand back their input instead.)
     """
 
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self._workspace: Workspace | None = None
+        self._workspace = Workspace()
         self.training = True
 
     # ------------------------------------------------------------------
@@ -90,30 +97,6 @@ class Module:
     # ------------------------------------------------------------------
     # Workspace (allocation-free hot path)
     # ------------------------------------------------------------------
-    def enable_workspace(self) -> "Module":
-        """Give every module in the tree its own buffer :class:`Workspace`.
-
-        Workspace-aware layers then draw their im2col columns, padding
-        scratch, activation maps and gradient temporaries from grow-once
-        reusable buffers instead of allocating per step; the computed
-        values are bit-for-bit those of the reference path.  Each module
-        owns a private arena, so buffers never alias across layers.
-        """
-        for _, module in self.named_modules():
-            module._workspace = Workspace()
-        return self
-
-    def disable_workspace(self) -> "Module":
-        """Drop every workspace in the tree, restoring the reference path."""
-        for _, module in self.named_modules():
-            module._workspace = None
-        return self
-
-    @property
-    def workspace_enabled(self) -> bool:
-        """Whether this module currently draws temporaries from a workspace."""
-        return self._workspace is not None
-
     def workspace_stats(self) -> dict:
         """Aggregate workspace counters over the module tree.
 
@@ -125,10 +108,9 @@ class Module:
         allocations = buffers = nbytes = 0
         for _, module in self.named_modules():
             workspace = module._workspace
-            if workspace is not None:
-                allocations += workspace.allocations
-                buffers += workspace.num_buffers
-                nbytes += workspace.nbytes
+            allocations += workspace.allocations
+            buffers += workspace.num_buffers
+            nbytes += workspace.nbytes
         return {"allocations": allocations, "buffers": buffers, "nbytes": nbytes}
 
     # ------------------------------------------------------------------

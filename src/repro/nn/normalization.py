@@ -5,17 +5,15 @@ parameter server propagates them alongside the weights so the evaluation
 model sees sensible statistics regardless of which worker computed the most
 recent update.
 
-With a workspace enabled the layers run a fused, allocation-free kernel:
-the centered input is materialized once into a reused buffer, the variance
-and backward statistics are single-pass ``einsum`` contractions (no squared
-or product temporaries — the reference path allocates a fresh
-multi-megabyte temporary inside ``np.var`` and in each broadcast
-expression), and the scale/shift is folded into a per-channel
-``gamma/std`` multiplier.  The fused kernel is mathematically identical to
-the reference but associates the floating-point operations differently, so
-its results agree to rounding error (~1e-15 relative in float64) rather
-than bit-for-bit — the documented tolerance pinned by
-``tests/nn/test_workspace.py``.
+The layers run a fused, allocation-free kernel: the centered input is
+materialized once into a reused workspace buffer, the variance and backward
+statistics are single-pass ``einsum`` contractions (no squared or product
+temporaries), and the scale/shift is folded into a per-channel ``gamma/std``
+multiplier.  The fused kernel is mathematically identical to the textbook
+formula kept as the test oracle (``tests/nn/reference_layers.py``) but
+associates the floating-point operations differently, so the two agree to
+rounding error (~1e-15 relative in float64) rather than bit-for-bit — the
+documented tolerance pinned by ``tests/nn/test_workspace.py``.
 """
 
 from __future__ import annotations
@@ -45,10 +43,6 @@ class _BatchNormBase(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
         self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # Whether the cached tensors came from the fused (workspace) forward
-        # (which caches the *centered* input) or the reference forward
-        # (which caches the *normalized* input).
-        self._cache_fused = False
 
     # The per-shape layers reduce/broadcast over different axes.
     _reduce_axes: tuple[int, ...] = (0,)
@@ -57,36 +51,16 @@ class _BatchNormBase(Module):
         return array
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        self._check_shape(inputs)
-        workspace = self._workspace
-        if workspace is not None:
-            return self._forward_workspace(inputs, workspace)
-        if self.training:
-            mean = inputs.mean(axis=self._reduce_axes)
-            var = inputs.var(axis=self._reduce_axes)
-            self._update_running_stats(inputs, mean, var)
-        else:
-            mean = self._buffers["running_mean"]
-            var = self._buffers["running_var"]
-
-        inv_std = 1.0 / np.sqrt(self._reshape_stats(var) + self.eps)
-        normalized = (inputs - self._reshape_stats(mean)) * inv_std
-        output = self._reshape_stats(self.gamma.data) * normalized + self._reshape_stats(
-            self.beta.data
-        )
-        self._cache = (normalized, inv_std, inputs)
-        self._cache_fused = False
-        return output
-
-    def _forward_workspace(self, inputs: np.ndarray, workspace) -> np.ndarray:
         """Fused forward: centered once, variance without a squared temporary,
         scale and shift folded into two passes over the data.
 
-        The cache keeps ``(centered, inv_std)`` instead of the reference
-        path's materialized ``normalized`` — backward re-derives what it
-        needs per channel, saving a full-size buffer and pass.
+        The cache keeps ``(centered, inv_std)`` instead of a materialized
+        ``normalized`` tensor — backward re-derives what it needs per
+        channel, saving a full-size buffer and pass.
         """
+        inputs = np.asarray(inputs, dtype=np.float64)
+        self._check_shape(inputs)
+        workspace = self._workspace
         centered = workspace.get("centered", inputs.shape)
         count = inputs.size // self.num_features
         if self.training:
@@ -108,7 +82,6 @@ class _BatchNormBase(Module):
         np.multiply(centered, scale, out=output)
         output += self._reshape_stats(self.beta.data)
         self._cache = (centered, inv_std, inputs)
-        self._cache_fused = True
         return output
 
     def _update_running_stats(
@@ -122,55 +95,23 @@ class _BatchNormBase(Module):
         running_var[...] = (1 - self.momentum) * running_var + self.momentum * unbiased_var
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalized, inv_std, inputs = self._cache
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        if self._cache_fused:
-            workspace = self._workspace
-            if workspace is None:
-                raise RuntimeError(
-                    "workspace was disabled between forward and backward"
-                )
-            return self._backward_workspace(grad_output, normalized, inv_std, inputs, workspace)
-
-        self.gamma.accumulate_grad((grad_output * normalized).sum(axis=self._reduce_axes))
-        self.beta.accumulate_grad(grad_output.sum(axis=self._reduce_axes))
-
-        if not self.training:
-            # In eval mode the normalization statistics are constants.
-            return grad_output * self._reshape_stats(self.gamma.data) * inv_std
-
-        count = inputs.size // self.num_features
-        grad_normalized = grad_output * self._reshape_stats(self.gamma.data)
-        sum_grad = grad_normalized.sum(axis=self._reduce_axes)
-        sum_grad_norm = (grad_normalized * normalized).sum(axis=self._reduce_axes)
-        grad_input = (
-            grad_normalized
-            - self._reshape_stats(sum_grad) / count
-            - normalized * self._reshape_stats(sum_grad_norm) / count
-        ) * inv_std
-        return grad_input
-
-    def _backward_workspace(
-        self,
-        grad_output: np.ndarray,
-        centered: np.ndarray,
-        inv_std: np.ndarray,
-        inputs: np.ndarray,
-        workspace,
-    ) -> np.ndarray:
-        """Fused backward, derived from the reference formula by pushing the
+        """Fused backward, derived from the textbook formula by pushing the
         per-element reductions down to per-channel scalars.
 
-        With ``n̂ = ĉ·inv_std`` and ``gn = g·γ``, the reference input
+        With ``n̂ = ĉ·inv_std`` and ``gn = g·γ``, the textbook input
         gradient ``(gn - Σgn/m - n̂·Σ(gn·n̂)/m)·inv_std`` becomes
 
             scale·(g - Σg/m) - ĉ·(scale·inv_std²·Σ(g·ĉ)/m),   scale = γ·inv_std
 
         so only two full-size passes write memory and both reductions are
         single-pass contractions (no grad_normalized temporary at all).
+        In eval mode the normalization statistics are constants.
         """
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        centered, inv_std, inputs = self._cache
+        grad_output = np.asarray(grad_output, dtype=np.float64)
+        workspace = self._workspace
         inv_std_flat = inv_std.reshape(self.num_features)
         grad_centered_sum = self._correlate(grad_output, centered)
         self.gamma.accumulate_grad(grad_centered_sum * inv_std_flat)

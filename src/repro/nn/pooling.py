@@ -1,9 +1,7 @@
 """Spatial pooling layers.
 
-All three layers are workspace-aware: the im2col column matrices, the
-col2im padding scratch and the output/gradient maps come from grow-once
-reusable buffers when a workspace is enabled, with values bit-identical to
-the reference path.
+The im2col column matrices, the col2im padding scratch and the
+output/gradient maps come from each layer's grow-once workspace.
 """
 
 from __future__ import annotations
@@ -16,27 +14,26 @@ from repro.nn.module import Module
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
 
-def _pool_cols(layer, inputs: np.ndarray, workspace) -> np.ndarray:
-    """The pooling column matrix, drawn from the workspace when available."""
+def _pool_cols(layer, inputs: np.ndarray) -> np.ndarray:
+    """The pooling column matrix, drawn from the layer's workspace."""
     n, c, h, w = inputs.shape
     out_h = conv_output_size(h, layer.kernel_size, layer.stride, layer.padding)
     out_w = conv_output_size(w, layer.kernel_size, layer.stride, layer.padding)
     window = layer.kernel_size * layer.kernel_size
-    out = padded = None
-    if workspace is not None:
-        out = workspace.get("cols", (n * out_h * out_w, c * window))
-        if layer.padding > 0:
-            padded = workspace.get(
-                "fwd_padded",
-                (n, c, h + 2 * layer.padding, w + 2 * layer.padding),
-            )
+    workspace = layer._workspace
+    padded = None
+    if layer.padding > 0:
+        padded = workspace.get(
+            "fwd_padded",
+            (n, c, h + 2 * layer.padding, w + 2 * layer.padding),
+        )
     return im2col(
         inputs,
         layer.kernel_size,
         layer.kernel_size,
         layer.stride,
         layer.padding,
-        out=out,
+        out=workspace.get("cols", (n * out_h * out_w, c * window)),
         padded=padded,
     )
 
@@ -62,20 +59,14 @@ class MaxPool2d(Module):
         window = self.kernel_size * self.kernel_size
 
         workspace = self._workspace
-        cols = _pool_cols(self, inputs, workspace).reshape(-1, c, window)
-        if workspace is None:
-            argmax = cols.argmax(axis=2)
-            output = np.take_along_axis(cols, argmax[..., None], axis=2).squeeze(2)
-            output = output.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-        else:
-            argmax = workspace.get("argmax", (n * out_h * out_w, c), dtype=np.intp)
-            np.argmax(cols, axis=2, out=argmax)
-            flat = workspace.get("fwd_flat", (n * out_h * out_w, c))
-            # max(out=) writes the pooled values with no temporary; argmax
-            # (needed for backward routing) selects the same elements.
-            np.max(cols, axis=2, out=flat)
-            # Zero-copy transposed view, exactly like the reference path.
-            output = flat.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
+        cols = _pool_cols(self, inputs).reshape(-1, c, window)
+        argmax = workspace.get("argmax", (n * out_h * out_w, c), dtype=np.intp)
+        np.argmax(cols, axis=2, out=argmax)
+        flat = workspace.get("fwd_flat", (n * out_h * out_w, c))
+        # max(out=) writes the pooled values with no temporary; argmax
+        # (needed for backward routing) selects the same elements.
+        np.max(cols, axis=2, out=flat)
+        output = flat.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
         self._cache_argmax = argmax
         self._cache_input_shape = inputs.shape
@@ -89,25 +80,20 @@ class MaxPool2d(Module):
         window = self.kernel_size * self.kernel_size
 
         workspace = self._workspace
-        if workspace is None:
-            grad_cols = np.zeros((n * out_h * out_w, c, window), dtype=np.float64)
-            grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, c)
-            padded = stage = None
-        else:
-            grad_cols = workspace.get(
-                "bwd_grad_cols", (n * out_h * out_w, c, window), zero=True
-            )
-            staged = workspace.get("bwd_grad_nhwc", (n, out_h, out_w, c))
-            staged[...] = grad_output.transpose(0, 2, 3, 1)
-            grad_flat = staged.reshape(-1, c)
-            padded, stage = col2im_scratch(
-                workspace,
-                self._cache_input_shape,
-                self.kernel_size,
-                self.kernel_size,
-                self.stride,
-                self.padding,
-            )
+        grad_cols = workspace.get(
+            "bwd_grad_cols", (n * out_h * out_w, c, window), zero=True
+        )
+        staged = workspace.get("bwd_grad_nhwc", (n, out_h, out_w, c))
+        staged[...] = grad_output.transpose(0, 2, 3, 1)
+        grad_flat = staged.reshape(-1, c)
+        padded, stage = col2im_scratch(
+            workspace,
+            self._cache_input_shape,
+            self.kernel_size,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+        )
         np.put_along_axis(grad_cols, self._cache_argmax[..., None], grad_flat[..., None], axis=2)
         return col2im(
             grad_cols.reshape(n * out_h * out_w, c * window),
@@ -140,16 +126,11 @@ class AvgPool2d(Module):
         out_w = conv_output_size(w, self.kernel_size, self.stride, self.padding)
         window = self.kernel_size * self.kernel_size
 
-        workspace = self._workspace
-        cols = _pool_cols(self, inputs, workspace).reshape(-1, c, window)
-        if workspace is None:
-            output = cols.mean(axis=2).reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-        else:
-            flat = workspace.get("fwd_flat", (n * out_h * out_w, c))
-            np.mean(cols, axis=2, out=flat)
-            output = flat.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
+        cols = _pool_cols(self, inputs).reshape(-1, c, window)
+        flat = self._workspace.get("fwd_flat", (n * out_h * out_w, c))
+        np.mean(cols, axis=2, out=flat)
         self._cache_input_shape = inputs.shape
-        return output
+        return flat.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache_input_shape is None:
@@ -159,24 +140,19 @@ class AvgPool2d(Module):
         window = self.kernel_size * self.kernel_size
 
         workspace = self._workspace
-        if workspace is None:
-            grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, c) / window
-            grad_cols = np.repeat(grad_flat[..., None], window, axis=2)
-            padded = stage = None
-        else:
-            staged = workspace.get("bwd_grad_nhwc", (n, out_h, out_w, c))
-            np.divide(grad_output.transpose(0, 2, 3, 1), window, out=staged)
-            grad_flat = staged.reshape(-1, c)
-            grad_cols = workspace.get("bwd_grad_cols", (n * out_h * out_w, c, window))
-            grad_cols[...] = grad_flat[..., None]
-            padded, stage = col2im_scratch(
-                workspace,
-                self._cache_input_shape,
-                self.kernel_size,
-                self.kernel_size,
-                self.stride,
-                self.padding,
-            )
+        staged = workspace.get("bwd_grad_nhwc", (n, out_h, out_w, c))
+        np.divide(grad_output.transpose(0, 2, 3, 1), window, out=staged)
+        grad_flat = staged.reshape(-1, c)
+        grad_cols = workspace.get("bwd_grad_cols", (n * out_h * out_w, c, window))
+        grad_cols[...] = grad_flat[..., None]
+        padded, stage = col2im_scratch(
+            workspace,
+            self._cache_input_shape,
+            self.kernel_size,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+        )
         return col2im(
             grad_cols.reshape(n * out_h * out_w, c * window),
             self._cache_input_shape,
@@ -201,10 +177,7 @@ class GlobalAvgPool2d(Module):
         if inputs.ndim != 4:
             raise ValueError(f"expected (N, C, H, W) input, got shape {inputs.shape}")
         self._cache_input_shape = inputs.shape
-        workspace = self._workspace
-        if workspace is None:
-            return inputs.mean(axis=(2, 3))
-        output = workspace.get("output", inputs.shape[:2])
+        output = self._workspace.get("output", inputs.shape[:2])
         np.mean(inputs, axis=(2, 3), out=output)
         return output
 
@@ -213,9 +186,6 @@ class GlobalAvgPool2d(Module):
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._cache_input_shape
         grad_output = np.asarray(grad_output, dtype=np.float64).reshape(n, c, 1, 1)
-        workspace = self._workspace
-        if workspace is None:
-            return np.broadcast_to(grad_output / (h * w), self._cache_input_shape).copy()
-        grad_input = workspace.get("grad_input", self._cache_input_shape)
+        grad_input = self._workspace.get("grad_input", self._cache_input_shape)
         np.divide(grad_output, h * w, out=grad_input)
         return grad_input

@@ -1,26 +1,25 @@
 """Grow-once buffer arena backing the allocation-free compute hot path.
 
-Every training step of the reference layers allocates its im2col column
-matrix, col2im padding scratch, activation maps and gradient temporaries
-from scratch; at ResNet depth those are multi-megabyte arrays whose
-``mmap``/``munmap`` round trips and page-zeroing dominate the numpy compute
-itself.  A :class:`Workspace` removes that cost: each module owns one arena
-and draws every temporary from it with :meth:`Workspace.get`, which
-allocates a buffer the *first* time a ``(tag, shape, dtype)`` combination is
-requested and returns the same storage forever after.  In steady state
-(shapes repeating step after step) a workspace-enabled model performs zero
-per-step buffer allocations — pinned by ``tests/nn/test_workspace.py``
-through the monotonic :attr:`Workspace.allocations` counter.
+Allocating each step's im2col column matrix, col2im padding scratch,
+activation maps and gradient temporaries from scratch costs more than the
+numpy compute itself at ResNet depth: they are multi-megabyte arrays whose
+``mmap``/``munmap`` round trips and page-zeroing dominate.  A
+:class:`Workspace` removes that cost: each module owns one arena and draws
+every temporary from it with :meth:`Workspace.get`, which allocates a buffer
+the *first* time a ``(tag, shape, dtype)`` combination is requested and
+returns the same storage forever after.  In steady state (shapes repeating
+step after step) a model performs zero per-step buffer allocations — pinned
+by ``tests/nn/test_workspace.py`` through the monotonic
+:attr:`Workspace.allocations` counter.
 
 Buffers are *zero-initialized on creation* so callers that only ever write
 an interior region (e.g. the padded im2col input, whose border must read as
 zero) can skip re-clearing it on reuse; callers that accumulate (col2im
 scatter-add) pass ``zero=True`` to have the buffer cleared on every return.
 
-Workspaces are enabled per module tree with
-:meth:`repro.nn.module.Module.enable_workspace` — each module gets its own
-arena, so buffers can never alias across layers — and the layer kernels
-produce bit-for-bit the results of the reference (workspace-less) path.
+Every :class:`repro.nn.module.Module` and loss creates its own arena at
+construction, so buffers can never alias across layers; what a layer returns
+is a view of its arena, valid until that layer's next forward/backward.
 """
 
 from __future__ import annotations

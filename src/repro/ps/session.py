@@ -102,10 +102,6 @@ class TrainingPlan:
         Element dtype of the server-held weights, ``"float64"`` (default)
         or ``"float32"`` (halves push/pull payloads; what the paper's MXNet
         setup uses).
-    use_workspace:
-        Run worker replicas (and the evaluation model) on the
-        allocation-free workspace compute kernels (default on; the
-        reference kernels remain available for comparison benchmarks).
     compression:
         Optional push codec spec (e.g. ``"topk:0.01"``, ``"fp16"``; see
         :mod:`repro.ps.compression`).  Each worker gets its own codec
@@ -144,7 +140,6 @@ class TrainingPlan:
     slowdowns: Mapping[str, float] = field(default_factory=dict)
     evaluate_every_pushes: int = 0
     dtype: str = "float64"
-    use_workspace: bool = True
     compression: str | None = None
     aggregation: str | None = None
     faults: tuple = ()
@@ -340,7 +335,6 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
             loader=loader,
             loss_fn=SoftmaxCrossEntropy(),
             micro_batches=plan.micro_batches,
-            use_workspace=plan.use_workspace,
         )
         codec = plan_codec(plan)
         if codec is not None:
@@ -386,8 +380,6 @@ def build_evaluator(plan: TrainingPlan, workload):
     if workload.test_dataset is None:
         return None
     eval_model = workload.model_builder(RngStream(plan.seed).get("eval"))
-    if plan.use_workspace:
-        eval_model.enable_workspace()
 
     def evaluate_fn(state: Mapping[str, np.ndarray]) -> tuple[float, float]:
         eval_model.load_state_dict(dict(state))

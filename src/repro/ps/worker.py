@@ -58,7 +58,6 @@ class Worker:
         loader: MiniBatchLoader,
         loss_fn,
         micro_batches: int = 1,
-        use_workspace: bool = False,
     ) -> None:
         if micro_batches <= 0:
             raise ValueError("micro_batches must be positive")
@@ -67,13 +66,6 @@ class Worker:
         self.loader = loader
         self.loss_fn = loss_fn
         self.micro_batches = int(micro_batches)
-        if use_workspace:
-            # Allocation-free hot path: the replica and the loss draw their
-            # im2col columns, activation maps and gradient temporaries from
-            # grow-once reusable buffers (see repro.nn.workspace).
-            self.model.enable_workspace()
-            if hasattr(self.loss_fn, "enable_workspace"):
-                self.loss_fn.enable_workspace()
         self._local_version = 0
         self._iterations = 0
         self._samples_processed = 0

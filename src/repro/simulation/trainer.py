@@ -151,9 +151,6 @@ class SimulationConfig:
     dtype:
         Element dtype of the server-held weights (``"float64"`` or
         ``"float32"``).
-    use_workspace:
-        Run worker replicas and the evaluation model on the allocation-free
-        workspace compute kernels (default on; see :mod:`repro.nn.workspace`).
     compression:
         Optional push codec spec (e.g. ``"topk:0.01"``; see
         :mod:`repro.ps.compression`).  Workers encode their real gradients
@@ -222,7 +219,6 @@ class SimulationConfig:
     num_server_shards: int = 1
     shard_strategy: str = "size"
     dtype: str = "float64"
-    use_workspace: bool = True
     profile: bool = False
     compression: str | None = None
     aggregation: str | None = None
@@ -432,7 +428,6 @@ class SimulatedTraining:
                 model=replica,
                 loader=loader,
                 loss_fn=SoftmaxCrossEntropy(),
-                use_workspace=config.use_workspace,
             )
             if config.compression is not None:
                 # One codec per worker: error-feedback residuals are worker
@@ -452,8 +447,6 @@ class SimulatedTraining:
         config = self.config
         global_model = self.model_builder(self._streams.get("init"))
         eval_model = self.model_builder(self._streams.get("eval"))
-        if config.use_workspace:
-            eval_model.enable_workspace()
         server = self._build_server(global_model)
         workers = self._build_workers(global_model, server)
         profiler = None

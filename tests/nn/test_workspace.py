@@ -1,16 +1,16 @@
-"""Workspace hot-path tests: arena semantics, bit-for-bit kernel
-equivalence against the reference path, steady-state allocation freedom,
-gradient checks, and the in-place ReLU.
+"""Compute-path tests: arena semantics, bit-for-bit kernel equivalence
+against the test oracle (``tests/nn/reference_layers.py``), steady-state
+allocation freedom, the aliasing rule, and gradient checks.
 
-Equivalence contract (see docs/performance.md): every workspace kernel is
-bit-for-bit identical to its reference implementation given the same input
-array, with two documented-tolerance exceptions that re-associate the
-arithmetic and agree to rounding error instead: fused BatchNorm (folded
-scale-shift, single-pass statistics) and the stride-1 convolution input
-gradient (correlation with the flipped kernel instead of a col2im
-scatter-add).  At the whole-model level intermediate layouts differ too
-(the workspace path keeps activations contiguous), so reductions round
-differently in the last ulp and the curves agree to the same tolerance.
+Equivalence contract (see docs/performance.md): every kernel is bit-for-bit
+identical to its oracle given the same input array, with two
+documented-tolerance exceptions that re-associate the arithmetic and agree
+to rounding error instead: fused BatchNorm (folded scale-shift, single-pass
+statistics) and the stride-1 convolution input gradient (correlation with
+the flipped kernel instead of a col2im scatter-add).  At the whole-model
+level intermediate layouts differ too (the library keeps activations
+contiguous), so reductions round differently in the last ulp and the curves
+agree to the same tolerance.
 """
 
 import numpy as np
@@ -35,8 +35,11 @@ from repro.nn import (
     Tanh,
     Workspace,
 )
-from repro.models.resnet import resnet20
+from repro.models.mlp import mlp
+from repro.models.resnet import cifar_resnet, resnet20
+from tests.nn import reference_layers
 from tests.nn.gradcheck import input_gradient_error, parameter_gradient_error
+from tests.nn.reference_layers import as_reference
 
 TOLERANCE = 1e-6
 
@@ -94,27 +97,36 @@ class TestWorkspaceArena:
 
 
 # ----------------------------------------------------------------------
-# Module-level enable/disable
+# Every module owns an arena from construction
 # ----------------------------------------------------------------------
+def _training_step(model, loss, inputs, labels):
+    out = model.forward(inputs)
+    loss.forward(out, labels)
+    model.zero_grad()
+    model.backward(loss.backward())
+
+
+#: Models built directly — no runtime, no opt-in call — with an input shape.
+MODEL_CASES = [
+    pytest.param(
+        lambda r: mlp(12, [8, 8], 4, dropout=0.2, batch_norm=True, rng=r), (6, 12), id="mlp"
+    ),
+    pytest.param(
+        lambda r: cifar_resnet(8, num_classes=4, base_width=4, rng=r), (4, 3, 8, 8),
+        id="cifar_resnet",
+    ),
+]
+
+
 class TestModuleWorkspacePlumbing:
-    def test_enable_gives_every_module_its_own_arena(self, rng):
+    def test_every_module_owns_a_distinct_arena(self, rng):
         model = resnet20(num_classes=10, rng=rng)
-        model.enable_workspace()
         arenas = {id(m._workspace) for _, m in model.named_modules()}
         count = sum(1 for _ in model.named_modules())
         assert len(arenas) == count  # one private arena each
-        assert model.workspace_enabled
-
-    def test_disable_restores_reference_path(self, rng):
-        layer = Linear(4, 3, rng=rng)
-        layer.enable_workspace().disable_workspace()
-        assert not layer.workspace_enabled
-        out = layer.forward(rng.normal(size=(2, 4)))
-        assert out.flags.owndata  # freshly allocated, not a workspace view
 
     def test_stats_aggregate_over_the_tree(self, rng):
         model = Sequential(Linear(4, 4, rng=rng), ReLU(), Linear(4, 2, rng=rng))
-        model.enable_workspace()
         model.forward(rng.normal(size=(3, 4)))
         stats = model.workspace_stats()
         assert stats["allocations"] > 0
@@ -126,11 +138,10 @@ class TestModuleWorkspacePlumbing:
 # Bit-for-bit equivalence with the reference kernels
 # ----------------------------------------------------------------------
 def _pair(make_layer):
-    """Two identically initialized layers: reference and workspace-enabled."""
-    reference = make_layer(np.random.default_rng(7))
-    workspace = make_layer(np.random.default_rng(7))
-    workspace.enable_workspace()
-    return reference, workspace
+    """Two identically initialized layers: the oracle and the library's."""
+    reference = as_reference(make_layer(np.random.default_rng(7)))
+    production = make_layer(np.random.default_rng(7))
+    return reference, production
 
 
 def _forward_backward(layer, inputs, grad):
@@ -221,9 +232,31 @@ class TestBitForBitEquivalence:
                     buffer, dict(workspaced.buffers())[name], rtol=1e-12, err_msg=name
                 )
 
+    @pytest.mark.parametrize("cls,shape", [(BatchNorm1d, (16, 5)), (BatchNorm2d, (4, 5, 6, 6))])
+    def test_batchnorm_train_eval_train_reuses_one_buffer_set(self, cls, shape, rng):
+        """Mode switches change which statistics are used, not which buffers."""
+        reference, layer = _pair(lambda r: cls(shape[1]))
+        grad = rng.normal(size=shape)
+        counts = []
+        for training in (True, False, True):
+            inputs = rng.normal(loc=0.5, size=shape)
+            for bn in (reference, layer):
+                bn.train(training)
+            expected = _forward_backward(reference, inputs, grad)
+            out, grad_input, grads = _forward_backward(layer, inputs, grad)
+            np.testing.assert_allclose(expected[0], out, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(expected[1], grad_input, rtol=1e-9, atol=1e-13)
+            for name, value in expected[2].items():
+                np.testing.assert_allclose(value, grads[name], rtol=1e-9, atol=1e-13)
+            for name, buffer in reference.buffers().items():
+                np.testing.assert_allclose(buffer, layer.buffers()[name], rtol=1e-12)
+            counts.append(layer.workspace_stats()["allocations"])
+        # Eval backward skips the training-only scratch, so it adds nothing.
+        assert counts == [counts[0]] * 3
+
     def test_dropout_matches_reference_exactly(self):
-        reference = Dropout(0.4, rng=np.random.default_rng(11))
-        workspaced = Dropout(0.4, rng=np.random.default_rng(11)).enable_workspace()
+        reference = reference_layers.Dropout(0.4, rng=np.random.default_rng(11))
+        workspaced = Dropout(0.4, rng=np.random.default_rng(11))
         inputs = np.random.default_rng(0).normal(size=(8, 8))
         grad = np.random.default_rng(1).normal(size=(8, 8))
         for _ in range(2):  # identical RNG consumption on both paths
@@ -251,8 +284,8 @@ class TestBitForBitEquivalence:
         np.testing.assert_allclose(expected[1], actual[1], rtol=1e-9, atol=1e-12)
 
     def test_softmax_cross_entropy_matches_exactly(self, rng):
-        reference = SoftmaxCrossEntropy()
-        workspaced = SoftmaxCrossEntropy().enable_workspace()
+        reference = reference_layers.SoftmaxCrossEntropy()
+        workspaced = SoftmaxCrossEntropy()
         logits = rng.normal(size=(6, 9))
         labels = rng.integers(0, 9, size=6)
         expected_loss = reference.forward(logits, labels)
@@ -262,8 +295,8 @@ class TestBitForBitEquivalence:
             assert np.array_equal(workspaced.backward(), expected_grad)
 
     def test_mean_squared_error_matches_exactly(self, rng):
-        reference = MeanSquaredError()
-        workspaced = MeanSquaredError().enable_workspace()
+        reference = reference_layers.MeanSquaredError()
+        workspaced = MeanSquaredError()
         predictions = rng.normal(size=(5, 3))
         targets = rng.normal(size=(5, 3))
         expected_loss = reference.forward(predictions, targets)
@@ -273,11 +306,10 @@ class TestBitForBitEquivalence:
             assert np.array_equal(workspaced.backward(), expected_grad)
 
     def test_whole_model_agrees_to_documented_tolerance(self, rng):
-        """Reference and workspace resnets agree to rounding error."""
-        reference = resnet20(num_classes=10, rng=np.random.default_rng(42))
+        """Oracle and library resnets agree to rounding error."""
+        reference = as_reference(resnet20(num_classes=10, rng=np.random.default_rng(42)))
         workspaced = resnet20(num_classes=10, rng=np.random.default_rng(42))
-        workspaced.enable_workspace()
-        loss_ref, loss_ws = SoftmaxCrossEntropy(), SoftmaxCrossEntropy().enable_workspace()
+        loss_ref, loss_ws = reference_layers.SoftmaxCrossEntropy(), SoftmaxCrossEntropy()
         inputs = rng.normal(size=(4, 3, 12, 12))
         labels = rng.integers(0, 10, size=4)
 
@@ -315,8 +347,7 @@ class TestFunctionalDtypes:
 class TestAllocationFreedom:
     def test_resnet_step_allocates_nothing_after_warmup(self, rng):
         model = resnet20(num_classes=10, rng=np.random.default_rng(0))
-        model.enable_workspace()
-        loss = SoftmaxCrossEntropy().enable_workspace()
+        loss = SoftmaxCrossEntropy()
         inputs = rng.normal(size=(4, 3, 12, 12))
         labels = rng.integers(0, 10, size=4)
 
@@ -334,9 +365,42 @@ class TestAllocationFreedom:
         assert model.workspace_stats()["allocations"] == baseline
         assert loss._workspace.allocations == len(loss._workspace._buffers)
 
+    @pytest.mark.parametrize("build,input_shape", MODEL_CASES)
+    def test_directly_built_model_freezes_allocations_after_one_step(
+        self, build, input_shape, rng
+    ):
+        model, loss = build(rng), SoftmaxCrossEntropy()
+        inputs = rng.normal(size=input_shape)
+        labels = rng.integers(0, 4, size=input_shape[0])
+        _training_step(model, loss, inputs, labels)
+        baseline = model.workspace_stats()["allocations"]
+        assert baseline > 0
+        for _ in range(3):
+            _training_step(model, loss, inputs, labels)
+        assert model.workspace_stats()["allocations"] == baseline
+
+    def test_ragged_final_batch_keeps_one_buffer_set_per_shape(self, rng):
+        """An epoch's short last batch adds its own buffers once; returning
+        to the full batch reuses the first set and still matches the oracle."""
+        def build(r):
+            return mlp(12, [8], 4, batch_norm=True, rng=r)
+
+        reference, model = _pair(build)
+        full, ragged = rng.normal(size=(8, 12)), rng.normal(size=(3, 12))
+        grads = {8: rng.normal(size=(8, 4)), 3: rng.normal(size=(3, 4))}
+        counts = []
+        for inputs in (full, ragged, full, ragged, full):
+            grad = grads[inputs.shape[0]]
+            expected = _forward_backward(reference, inputs, grad)
+            out, grad_input, _ = _forward_backward(model, inputs, grad)
+            np.testing.assert_allclose(expected[0], out, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(expected[1], grad_input, rtol=1e-9, atol=1e-13)
+            counts.append(model.workspace_stats()["allocations"])
+        assert counts[0] < counts[1]  # the ragged shape's buffers, once
+        assert counts[1:] == [counts[1]] * 4  # then frozen, whichever shape comes
+
     def test_alternating_batch_sizes_stay_allocation_free_once_seen(self, rng):
         layer = Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0))
-        layer.enable_workspace()
         small = rng.normal(size=(2, 2, 6, 6))
         large = rng.normal(size=(4, 2, 6, 6))
         for inputs in (small, large):  # warm both shapes
@@ -348,7 +412,60 @@ class TestAllocationFreedom:
 
 
 # ----------------------------------------------------------------------
-# Gradient checks on the workspace path
+# The aliasing rule (documented on repro.nn.Module)
+# ----------------------------------------------------------------------
+class TestAliasingRule:
+    """What a layer returns is a view of its own arena, valid until that
+    layer's next forward/backward; different layers never share storage."""
+
+    def test_returned_arrays_are_arena_views_overwritten_by_the_next_call(self, rng):
+        layer = Linear(4, 3, rng=rng)
+        first_in, second_in = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        first = layer.forward(first_in)
+        kept = first.copy()
+        assert any(
+            np.shares_memory(first, buffer) for buffer in layer._workspace._buffers.values()
+        )
+        second = layer.forward(second_in)
+        assert np.shares_memory(first, second)  # same storage, new values
+        assert not np.array_equal(kept, first)
+        grad = layer.backward(np.ones((2, 3)))
+        assert grad.any()
+        assert np.shares_memory(grad, layer.backward(np.zeros((2, 3))))
+        assert not grad.any()  # the zero gradient's result replaced it
+
+    def test_an_output_survives_another_layers_forward_and_backward(self, rng):
+        """Holding layer A's output while layer B runs is what Sequential
+        and both branches of a Residual rely on."""
+        first, second = Linear(4, 4, rng=rng), Linear(4, 4, rng=rng)
+        held = first.forward(rng.normal(size=(2, 4)))
+        snapshot = held.copy()
+        second.forward(held)
+        second.backward(np.ones((2, 4)))
+        assert np.array_equal(held, snapshot)
+
+    @pytest.mark.parametrize("build,input_shape", MODEL_CASES)
+    def test_no_two_layers_share_storage(self, build, input_shape, rng):
+        model = build(rng)
+        _training_step(
+            model,
+            SoftmaxCrossEntropy(),
+            rng.normal(size=input_shape),
+            rng.integers(0, 4, size=input_shape[0]),
+        )
+        spans = []
+        for _, module in model.named_modules():
+            for buffer in module._workspace._buffers.values():
+                start = buffer.__array_interface__["data"][0]
+                spans.append((start, start + buffer.nbytes))
+        spans.sort()
+        assert len(spans) == model.workspace_stats()["buffers"] > 0
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end <= start  # address ranges are pairwise disjoint
+
+
+# ----------------------------------------------------------------------
+# Gradient checks
 # ----------------------------------------------------------------------
 class TestWorkspaceGradients:
     @pytest.mark.parametrize(
@@ -363,62 +480,17 @@ class TestWorkspaceGradients:
     )
     def test_input_gradients_match_numerical(self, make_layer, input_shape, rng):
         layer = make_layer(rng)
-        layer.enable_workspace()
         inputs = np.random.default_rng(5).normal(size=input_shape)
         assert input_gradient_error(layer, inputs) < TOLERANCE
 
     def test_conv_parameter_gradients_match_numerical(self, rng):
         layer = Conv2d(2, 3, 3, stride=1, padding=1, rng=rng)
-        layer.enable_workspace()
         inputs = np.random.default_rng(5).normal(size=(2, 2, 4, 4))
         assert parameter_gradient_error(layer, inputs) < TOLERANCE
 
     def test_fused_batchnorm_gradients_match_numerical(self, rng):
         for layer, shape in ((BatchNorm1d(5), (8, 5)), (BatchNorm2d(3), (4, 3, 3, 3))):
-            layer.enable_workspace()
             inputs = np.random.default_rng(5).normal(size=shape)
             assert input_gradient_error(layer, inputs) < 1e-5
             assert parameter_gradient_error(layer, inputs) < 1e-5
 
-
-# ----------------------------------------------------------------------
-# In-place ReLU
-# ----------------------------------------------------------------------
-class TestInPlaceReLU:
-    def test_inplace_overwrites_its_input(self):
-        layer = ReLU(inplace=True)
-        inputs = np.array([-1.0, 2.0, -3.0, 4.0])
-        output = layer.forward(inputs)
-        assert output is inputs
-        assert np.array_equal(inputs, [0.0, 2.0, 0.0, 4.0])
-
-    def test_inplace_backward_matches_reference(self, rng):
-        values = rng.normal(size=(4, 4))
-        grad = rng.normal(size=(4, 4))
-        reference = ReLU()
-        expected = reference.forward(values.copy())
-        expected_grad = reference.backward(grad)
-        inplace = ReLU(inplace=True)
-        assert np.array_equal(inplace.forward(values.copy()), expected)
-        assert np.array_equal(inplace.backward(grad), expected_grad)
-
-    def test_inplace_falls_back_on_read_only_input(self):
-        layer = ReLU(inplace=True)
-        inputs = np.array([-1.0, 2.0])
-        inputs.setflags(write=False)
-        output = layer.forward(inputs)
-        assert output is not inputs
-        assert np.array_equal(output, [0.0, 2.0])
-        assert np.array_equal(inputs, [-1.0, 2.0])
-
-    def test_inplace_with_workspace(self, rng):
-        layer = ReLU(inplace=True)
-        layer.enable_workspace()
-        inputs = rng.normal(size=(3, 3))
-        expected = np.maximum(inputs, 0.0)
-        output = layer.forward(inputs)
-        assert output is inputs
-        assert np.array_equal(output, expected)
-        baseline = layer.workspace_stats()["allocations"]
-        layer.forward(rng.normal(size=(3, 3)))
-        assert layer.workspace_stats()["allocations"] == baseline

@@ -91,30 +91,17 @@ class TestWorker:
         with pytest.raises(ValueError):
             make_worker(train, micro_batches=0)
 
-    def test_use_workspace_enables_model_and_loss_arenas(self, tiny_flat_datasets):
+    def test_workers_always_have_model_and_loss_arenas(self, tiny_flat_datasets):
         train, _ = tiny_flat_datasets
-        rng = np.random.default_rng(0)
-        model = build_model(rng, input_dim=train.inputs.shape[1])
-        loader = MiniBatchLoader(train, batch_size=16, rng=np.random.default_rng(1))
-        worker = Worker(
-            worker_id="w0",
-            model=model,
-            loader=loader,
-            loss_fn=SoftmaxCrossEntropy(),
-            use_workspace=True,
-        )
-        assert worker.model.workspace_enabled
-        assert worker.loss_fn._workspace is not None
+        worker = make_worker(train)
         # Steady state: iterating allocates no new workspace buffers.
         worker.compute_gradients()
         baseline = worker.model.workspace_stats()["allocations"]
+        loss_baseline = worker.loss_fn._workspace.allocations
+        assert baseline > 0 and loss_baseline > 0
         worker.compute_gradients()
         assert worker.model.workspace_stats()["allocations"] == baseline
-
-    def test_workspace_off_by_default_on_direct_construction(self, tiny_flat_datasets):
-        train, _ = tiny_flat_datasets
-        worker = make_worker(train)
-        assert not worker.model.workspace_enabled
+        assert worker.loss_fn._workspace.allocations == loss_baseline
 
 
 def build_threaded_trainer(
@@ -220,10 +207,7 @@ class TestThreadedTrainer:
 
 
 class TestCoordinator:
-    @pytest.mark.parametrize("use_workspace", [True, False])
-    def test_assemble_training_honours_use_workspace(
-        self, tiny_flat_datasets, use_workspace
-    ):
+    def test_assembled_workers_always_have_arenas(self, tiny_flat_datasets):
         from repro.ps.coordinator import assemble_training
 
         train, test = tiny_flat_datasets
@@ -233,7 +217,6 @@ class TestCoordinator:
             num_workers=2,
             iterations_per_worker=2,
             batch_size=16,
-            use_workspace=use_workspace,
         )
         trainer = assemble_training(
             config,
@@ -241,11 +224,11 @@ class TestCoordinator:
             train_dataset=train,
             test_dataset=test,
         )
-        for worker in trainer.workers:
-            assert worker.model.workspace_enabled is use_workspace
-            assert (worker.loss_fn._workspace is not None) is use_workspace
         result = trainer.run()
         assert result.errors == []
+        for worker in trainer.workers:
+            assert worker.model.workspace_stats()["allocations"] > 0
+            assert worker.loss_fn._workspace.allocations > 0
 
     def test_train_distributed_end_to_end(self, tiny_flat_datasets):
         train, test = tiny_flat_datasets

@@ -23,7 +23,7 @@ from repro.ps.messages import PullReply, PullRequest, PushRequest
 from repro.ps.sharding import ShardedKeyValueStore
 from repro.utils.logging import get_logger
 
-__all__ = ["AppliedPush", "PushResponse", "ParameterServer"]
+__all__ = ["AppliedPush", "PushResponse", "ParameterServer", "decode_push"]
 
 _LOGGER = get_logger("ps.server")
 
@@ -41,6 +41,9 @@ class AppliedPush:
     worker_id: str
     new_version: int
     staleness: int
+    #: The store applied exactly what the push's frames decode to, as its
+    #: own update (no injected corruption, no aggregation window, no buffers).
+    verbatim: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,27 @@ class PushResponse:
         if self.release_now:
             return (*self.released_workers, self.worker_id)
         return self.released_workers
+
+
+def decode_push(encoded, pool: dict) -> dict:
+    """Decode codec-compressed shard payloads into flat gradients.
+
+    Dense payloads decode zero-copy (the ``none`` codec hands the server
+    the very array the worker packed, keeping that path bit-for-bit
+    identical to an uncompressed push); sparse/quantized payloads decode
+    into ``pool`` (shard → float64 scratch), so steady-state pushes stay
+    allocation-free.  A worker's mirror replays logged pushes through it too.
+    """
+    flat_gradients: dict[int, np.ndarray] = {}
+    for payload in encoded:
+        if payload.scheme == "dense":
+            flat_gradients[payload.shard] = decode_shard(payload)
+            continue
+        scratch = pool.get(payload.shard)
+        if scratch is None or scratch.size != payload.size:
+            scratch = pool[payload.shard] = np.empty(payload.size, dtype=np.float64)
+        flat_gradients[payload.shard] = decode_shard(payload, out=scratch)
+    return flat_gradients
 
 
 class ParameterServer:
@@ -263,12 +287,13 @@ class ParameterServer:
         flat_gradients = request.flat_gradients
         if request.encoded_gradients is not None:
             flat_gradients = self._decode_push(request.encoded_gradients)
+        verbatim = request.encoded_gradients is not None and not request.buffers
         if self.fault_injector is not None:
             corrupted = self.fault_injector.corrupt_push(
                 request.worker_id, flat_gradients
             )
             if corrupted is not None:
-                flat_gradients = corrupted
+                flat_gradients, verbatim = corrupted, False
         if self._buffered:
             applied = self._stage_push(request, flat_gradients)
         else:
@@ -285,33 +310,18 @@ class ParameterServer:
                 worker_id=request.worker_id,
                 new_version=new_version,
                 staleness=new_version - 1 - request.base_version,
+                verbatim=verbatim,
             )
         if request.buffers:
             self.store.update_buffers(request.buffers)
         return applied
 
     def _decode_push(self, encoded) -> dict:
-        """Decode codec-compressed shard payloads into flat gradients.
-
-        Dense payloads decode zero-copy (the ``none`` codec hands the
-        server the very array the worker packed, keeping that path
-        bit-for-bit identical to an uncompressed push); sparse/quantized
-        payloads decode into pooled per-thread scratch, so steady-state
-        pushes stay allocation-free.
-        """
-        flat_gradients: dict[int, np.ndarray] = {}
-        for payload in encoded:
-            if payload.scheme == "dense":
-                flat_gradients[payload.shard] = decode_shard(payload)
-                continue
-            pool = getattr(self._decode_scratch, "pool", None)
-            if pool is None:
-                pool = self._decode_scratch.pool = {}
-            scratch = pool.get(payload.shard)
-            if scratch is None or scratch.size != payload.size:
-                scratch = pool[payload.shard] = np.empty(payload.size, dtype=np.float64)
-            flat_gradients[payload.shard] = decode_shard(payload, out=scratch)
-        return flat_gradients
+        """Decode a push into this thread's pooled scratch (:func:`decode_push`)."""
+        pool = getattr(self._decode_scratch, "pool", None)
+        if pool is None:
+            pool = self._decode_scratch.pool = {}
+        return decode_push(encoded, pool)
 
     # ------------------------------------------------------------------
     # Buffered aggregation

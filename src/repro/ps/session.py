@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Protocol
 
 import numpy as np
@@ -42,7 +43,8 @@ from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
 from repro.ps.compression import make_codec, validate_codec_spec
 from repro.ps.faults import FaultInjector, FaultPlan, parse_fault_specs
 from repro.ps.messages import PullReply, PushRequest, WorkerReport
-from repro.ps.server import AppliedPush, ParameterServer, PushResponse
+from repro.ps.server import AppliedPush, ParameterServer, PushResponse, decode_push
+from repro.ps.sharding import make_store
 from repro.ps.worker import GradientComputation, Worker
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
@@ -55,8 +57,12 @@ __all__ = [
     "Link",
     "WorkerLoop",
     "ServerSession",
+    "LogEntry",
+    "UpdateLog",
+    "Mirror",
     "plan_codec",
     "replica_builder",
+    "build_optimizer",
     "build_server",
     "build_evaluator",
 ]
@@ -350,16 +356,21 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
     return build
 
 
+def build_optimizer(plan: TrainingPlan) -> SGD:
+    """The plan's update rule — the server's, and every worker mirror's."""
+    return SGD(
+        learning_rate=plan.learning_rate,
+        momentum=plan.momentum,
+        weight_decay=plan.weight_decay,
+    )
+
+
 def build_server(plan: TrainingPlan, store) -> ParameterServer:
     """The plan's :class:`ParameterServer` over ``store`` (no workers yet)."""
     fault_plan = parse_fault_specs(plan.faults, plan.worker_ids)
     return ParameterServer(
         store=store,
-        optimizer=SGD(
-            learning_rate=plan.learning_rate,
-            momentum=plan.momentum,
-            weight_decay=plan.weight_decay,
-        ),
+        optimizer=build_optimizer(plan),
         policy=make_policy(plan.paradigm, **plan.paradigm_kwargs),
         learning_rate_schedule=ConstantSchedule(plan.learning_rate),
         aggregator=(
@@ -388,6 +399,123 @@ def build_evaluator(plan: TrainingPlan, workload):
         )
 
     return evaluate_fn
+
+
+# ----------------------------------------------------------------------
+# Update-log pulls
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class LogEntry:
+    """One applied push: everything a :class:`Mirror` needs to repeat it."""
+
+    version: int
+    learning_rate: float
+    scale: float
+    frames: tuple
+
+    @property
+    def nbytes(self) -> int:
+        """Payload bytes of the encoded frames."""
+        return sum(frame.nbytes for frame in self.frames)
+
+
+class UpdateLog:
+    """The encoded pushes behind the store's most recent versions.
+
+    The store at version ``v`` is a function of the ordered pushes, so a
+    worker at ``b`` that mirrors the update rule (:class:`Mirror`) needs
+    only the pushes of ``(b, v]``.  They are kept while they total fewer
+    than ``budget`` bytes (the dense weights — beyond that a dense reply is
+    cheaper); ``floor`` is the lowest base still served, ``reason`` why.
+    """
+
+    def __init__(self, version: int, budget: int) -> None:
+        self.budget = budget
+        self.floor = self.tip = version
+        self.reason = "gap"  # nothing was recorded before the log began
+        self.entries: deque[LogEntry] = deque()
+        self.nbytes = 0
+
+    def record(self, version: int, learning_rate: float, scale: float, frames) -> None:
+        """Log the push that produced ``version``.  ``frames=None`` marks an
+        *opaque* update (what was applied is not what the frames decode to),
+        and so does a push over half the budget or a version the log did not
+        see coming: nothing before it replays, so the log restarts there."""
+        tip, self.tip = self.tip, version
+        nbytes = sum(frame.nbytes for frame in frames or ())
+        if frames is None or version != tip + 1 or 2 * nbytes > self.budget:
+            self.entries.clear()
+            self.nbytes = 0
+            self.floor, self.reason = version, "opaque"
+            return
+        # Copies: the frames alias the sender's receive buffer.
+        kept = tuple(
+            replace(frame, arrays=tuple(array.copy() for array in frame.arrays))
+            for frame in frames
+        )
+        self.entries.append(LogEntry(version, learning_rate, scale, kept))
+        self.nbytes += nbytes
+        while self.nbytes >= self.budget:
+            evicted = self.entries.popleft()
+            self.nbytes -= evicted.nbytes
+            self.floor, self.reason = evicted.version, "bytes"
+
+    def since(self, base: int, version: int) -> tuple[list[LogEntry] | None, str | None]:
+        """``(entries of (base, version], None)``, or ``(None, why not)``."""
+        if version != self.tip:  # the store moved without a push (a flush)
+            return None, "opaque"
+        if base < self.floor:
+            return None, self.reason
+        return [entry for entry in self.entries if entry.version > base], None
+
+
+class Mirror:
+    """A worker's copy of the server's one-shard store *and* update rule.
+
+    Built from a dense reply; a log reply goes through :meth:`replay` — the
+    ``apply_gradients`` + ``step_flat`` code the server ran, in the same
+    order — which leaves the weights bit-identical to the dense pull it
+    replaces.  Costs one more copy of the weights, a velocity buffer and a
+    decode scratch.
+    """
+
+    def __init__(self, optimizer: SGD, layout, flat_weights, version: int, velocity=None):
+        """Adopt the server's packed weights and optimizer state at ``version``.
+
+        ``optimizer`` must be built as the server's was
+        (:func:`build_optimizer`), ``layout`` is the server's packed layout.
+        """
+
+        def named(flat: np.ndarray) -> dict[str, np.ndarray]:
+            return {s.name: flat[s.lo : s.hi].reshape(s.shape) for s in layout}
+
+        self.optimizer = optimizer
+        self.store = make_store(named(flat_weights), dtype=flat_weights.dtype)
+        if self.store.flat_layouts[0][1] != tuple(layout):
+            raise RuntimeError("the mirror packs a different layout than the server")
+        self.store.restore_version(version)
+        if velocity is not None:
+            optimizer.load_state_dict({**optimizer.state_dict(), "velocity": named(velocity)})
+        self._scratch: dict[int, np.ndarray] = {}
+
+    def replay(self, entries, version: int) -> PullReply:
+        """Apply the logged pushes up to ``version``; the reply a pull would give.
+
+        Only the entry that continues the mirror's version is ever applied
+        (older ones already are); falling short of ``version`` raises —
+        never train on the wrong weights.
+        """
+        store = self.store
+        for entry in entries:
+            if entry.version == store.version + 1:
+                self.optimizer.learning_rate = entry.learning_rate
+                gradients = decode_push(entry.frames, self._scratch)
+                store.apply_gradients({}, self.optimizer, entry.scale, gradients)
+        if store.version < version:
+            raise RuntimeError(
+                f"update log has a version gap: mirror at {store.version}, reply at {version}"
+            )
+        return store.pull()
 
 
 # ----------------------------------------------------------------------
@@ -691,6 +819,13 @@ class ServerSession:
         self._on_evaluation = on_evaluation
         self._last_push_time: dict[str, float] = {}
         self._start: float | None = None
+        #: Set by a runtime whose links hold a :class:`Mirror` (one-shard
+        #: store); ``None`` answers every pull densely.
+        self.update_log: UpdateLog | None = None
+        #: How pulls were answered, and the payload bytes of each kind.
+        self.pull_replies = Counter(log=0, dense=0, log_bytes=0, dense_bytes=0)
+        self._mirrored: set[str] = set()
+        self._bases: dict[str, int] = {}
 
     @classmethod
     def from_plan(cls, plan: TrainingPlan, store, workload) -> "ServerSession":
@@ -761,10 +896,18 @@ class ServerSession:
             codec=header.get("codec"),
             seq=None if seq is None else int(seq),
         )
+        self._bases[worker_id] = request.base_version
         watermark = self.watermarks.get(worker_id)
         if request.seq is not None and watermark is not None and request.seq <= watermark:
             return request, None
-        return request, self.server.apply_push(request)
+        server, log = self.server, self.update_log
+        if log is None:
+            return request, server.apply_push(request)
+        learning_rate, scale = server.optimizer.learning_rate, server.gradient_scale()
+        applied = server.apply_push(request)
+        frames = request.encoded_gradients if applied.verbatim else None
+        log.record(server.store.version, learning_rate, scale, frames)
+        return request, applied
 
     def push(self, worker_id: str, header: Mapping, *, staged=None, **gradients) -> PushResponse:
         """One push, start to finish; ``response.to_release`` gets the OKs.
@@ -806,6 +949,42 @@ class ServerSession:
             if evaluation is not None and self._on_evaluation is not None:
                 self._on_evaluation(evaluation)
         return response
+
+    # -- pulls: the update log, or the dense weights --------------------
+    def updates_for(self, worker_id: str) -> list[LogEntry] | None:
+        """The pushes from ``worker_id``'s last push base to the tip, or
+        ``None``: answer densely.  When the log cannot bridge the span the
+        reason becomes a ``dense_pull`` event — once, because the dense OK
+        leaves the worker without a mirror until its next welcome."""
+        if worker_id not in self._mirrored:
+            return None
+        base, version = self._bases.get(worker_id, -1), self.server.store.version
+        entries, reason = self.update_log.since(base, version)
+        if entries is None:
+            self._mirrored.discard(worker_id)
+            self.events.append({"kind": "dense_pull", "worker": worker_id, "reason": reason})
+            return None
+        self.pull_replies.update(log=1, log_bytes=sum(entry.nbytes for entry in entries))
+        return entries
+
+    def dense_pull(self, worker_id: str, welcome: bool = False):
+        """The dense reply's content, ``(reply, mirrored, velocity)``: under
+        an update log a ``welcome`` makes the worker a mirror holder
+        (``velocity``: the packed optimizer state, ``None`` while empty)."""
+        store = self.server.store
+        reply = store.pull()
+        nbytes = sum(payload.buffer.nbytes for payload in reply.flat_weights)
+        mirrored = welcome and self.update_log is not None
+        velocity = None
+        if mirrored:
+            self._mirrored.add(worker_id)
+            state = self.server.optimizer.state_dict().get("velocity")
+            if state:  # step_flat keeps a velocity for every packed segment
+                segments = store.flat_layouts[0][1]
+                velocity = np.concatenate([state[s.name].ravel() for s in segments])
+                nbytes += velocity.nbytes
+        self.pull_replies.update(dense=1, dense_bytes=nbytes)
+        return reply, mirrored, velocity
 
     # -- membership changes --------------------------------------------
     def release(self, worker_id: str) -> tuple[str, ...]:

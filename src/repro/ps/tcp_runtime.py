@@ -15,8 +15,12 @@ assumptions and speaks the length-prefixed socket protocol of
   :class:`~repro.ps.session.WorkerLoop` over the connection.  A ``join``
   is answered with a ``welcome`` carrying the flat layout and the packed
   weights; every push is answered (eventually — the policy decides when)
-  with an ``ok`` that piggybacks the fresh weights, so one round trip
-  covers push + pull.
+  with an ``ok`` that piggybacks the pull, so one round trip covers push +
+  pull.  On a codec run that pull is the **update log**: the encoded
+  pushes the worker has not seen, replayed through its mirror of the
+  server's update rule (:class:`repro.ps.session.Mirror`) — bit for bit
+  the weights a dense pull carries.  A span the log cannot bridge, and
+  every reply of a run without a codec, gets the dense weights.
   Gradients travel as the same self-describing frames the shared-memory
   mailboxes use — codec-encoded pushes go from worker memory onto the wire
   unchanged, and the ``none``/uncoded path stays bit-for-bit dense.
@@ -46,9 +50,11 @@ worker → server   ``join {worker, codec}``, ``push {base_version,
                   + gradient/buffer/codec-state frames, ``heartbeat``,
                   ``done {report, profile}``, ``error {message}``
 server → worker   ``welcome {clock, version, started, layout, buffers,
-                  want_codec_state}`` + weight/codec-state frames,
-                  ``start``, ``ok {version}`` + weight frames,
-                  ``abort {reason}``, ``restart``, ``reject {reason}``
+                  want_codec_state, [mirror]}`` + weight/optimizer-state/
+                  codec-state frames, ``start``, ``ok {version}`` + weight
+                  frames, or ``ok {version, log: [[version, lr, scale,
+                  nframes], …]}`` + the logged push frames, ``abort
+                  {reason}``, ``restart``, ``reject {reason}``
 coordinator       ``watch`` → ``result {result}`` on completion
 ================  =====================================================
 """
@@ -61,6 +67,7 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -79,11 +86,15 @@ from repro.ps.flatbuffer import Segment
 from repro.ps.messages import FlatPullPayload, PullReply, WorkerReport
 from repro.ps.process_runtime import reap, resolve_context
 from repro.ps.session import (
+    LogEntry,
+    Mirror,
     Resume,
     ServerSession,
     TrainingResult,
+    UpdateLog,
     WorkerLoop,
     WorkloadPlan,
+    build_optimizer,
     plan_codec,
 )
 from repro.ps.sharding import make_store
@@ -110,9 +121,11 @@ __all__ = [
 _LOGGER = get_logger("ps.tcp_runtime")
 
 #: Synthetic frame shard ids: real gradient shards sit below, the packed
-#: non-trainable buffers ride at ``_BUFFER_SHARD``, codec error-feedback
-#: state frames at ``_CODEC_SHARD_BASE + i``.
+#: non-trainable buffers ride at ``_BUFFER_SHARD``, the packed optimizer
+#: state of a mirroring dense reply at ``_VELOCITY_SHARD``, codec
+#: error-feedback state frames at ``_CODEC_SHARD_BASE + i``.
 _BUFFER_SHARD = 1 << 20
+_VELOCITY_SHARD = _BUFFER_SHARD + 1
 _CODEC_SHARD_BASE = 1 << 21
 
 
@@ -370,6 +383,10 @@ class TcpServer:
 
         self._codec = plan_codec(plan)
         self._want_codec_state = checkpoint is not None and self._codec is not None
+        if self._codec is not None:
+            # Encoded pushes are small enough to answer pulls with; dense
+            # ones never are, so a codec-less run keeps no log at all.
+            session.update_log = UpdateLog(store.version, store.nbytes)
         self._layout_wire = _layout_to_wire(store.flat_layouts[0][1])
         self._buffer_order = [
             [name, list(np.asarray(value).shape)]
@@ -590,33 +607,25 @@ class TcpServer:
         conn.owner = worker_id
         self._last_progress = now
 
-        reply = self._store.pull()
-        welcome_frames = [
-            _dense_frame(payload.shard, payload.buffer)
-            for payload in reply.flat_weights
-        ]
         welcome = {
             "type": "welcome",
             "worker": worker_id,
-            "version": reply.version,
             "clock": clock,
             "started": self._started,
             "layout": self._layout_wire,
             "buffers": self._buffer_order,
             "want_codec_state": self._want_codec_state,
         }
+        codec_frames = []
         state = self._codec_states.get(worker_id) if self._codec is not None else None
         if state:
             keys = sorted(state)
             welcome["codec_state_keys"] = keys
-            welcome_frames.extend(
+            codec_frames = [
                 _dense_frame(_CODEC_SHARD_BASE + index, state[key])
                 for index, key in enumerate(keys)
-            )
-        try:
-            self._try_send(conn, welcome, tuple(welcome_frames), worker_id=worker_id)
-        finally:
-            reply.release()
+            ]
+        self._send_dense(conn, worker_id, welcome, codec_frames)
         _LOGGER.info("%s joined at clock %d (%s)", worker_id, clock, conn.peername())
 
         if not self._started and self._expected <= set(self._peers):
@@ -741,17 +750,33 @@ class TcpServer:
         peer = self._peers.get(worker_id)
         if peer is None:
             return
-        reply = self._store.pull()
+        entries = self._session.updates_for(worker_id)
+        if entries is None:
+            self._send_dense(peer.conn, worker_id, {"type": "ok"})
+            return
+        log = [[e.version, e.learning_rate, e.scale, len(e.frames)] for e in entries]
+        header = {"type": "ok", "version": self._store.version, "log": log}
+        frames = chain.from_iterable(entry.frames for entry in entries)
+        self._try_send(peer.conn, header, frames, worker_id=worker_id)
+
+    def _send_dense(self, conn, worker_id: str, header: dict, extra_frames=()) -> None:
+        """Send ``header`` with the packed weights: a welcome, or an OK the
+        update log cannot answer.  Under a log a welcome also (re)builds the
+        worker's mirror, so the packed optimizer state rides along."""
+        reply, mirrored, velocity = self._session.dense_pull(
+            worker_id, welcome=header["type"] == "welcome"
+        )
+        frames = [
+            _dense_frame(payload.shard, payload.buffer)
+            for payload in reply.flat_weights
+        ]
+        header["version"] = reply.version
+        if mirrored:
+            header["mirror"] = True
+        if velocity is not None:
+            frames.append(_dense_frame(_VELOCITY_SHARD, velocity))
         try:
-            self._try_send(
-                peer.conn,
-                {"type": "ok", "version": reply.version},
-                tuple(
-                    _dense_frame(payload.shard, payload.buffer)
-                    for payload in reply.flat_weights
-                ),
-                worker_id=worker_id,
-            )
+            self._try_send(conn, header, (*frames, *extra_frames), worker_id=worker_id)
         finally:
             reply.release()
 
@@ -787,7 +812,9 @@ class TcpServer:
 
     def _finish(self) -> TrainingResult:
         result = self._session.finish(
-            tcp_bytes_sent=self._wire_sent, tcp_bytes_received=self._wire_received
+            tcp_bytes_sent=self._wire_sent,
+            tcp_bytes_received=self._wire_received,
+            pull_replies=dict(self._session.pull_replies),
         )
         if self._checkpoint is not None:
             self._save_checkpoint()
@@ -845,7 +872,8 @@ def _pull_reply(layout, header: dict, frames) -> PullReply:
             FlatPullPayload(shard=frame.shard, buffer=decode_shard(frame), layout=layout)
             for frame in weight_frames
         ),
-        wire_nbytes=sum(frame.nbytes for frame in weight_frames),
+        # Weights plus the optimizer state a mirroring reply carries.
+        wire_nbytes=sum(f.nbytes for f in frames if f.shard < _CODEC_SHARD_BASE),
     )
 
 
@@ -896,9 +924,9 @@ class _TcpLink:
     ``join``/``welcome`` opens it (the welcome carries the flat layout, the
     clock to resume at and the packed weights), a background thread
     heartbeats, every push is answered — when the policy says so — by an
-    ``ok`` that piggybacks the fresh weights.  A lost connection, an
-    unanswered push or a ``restart`` message triggers the budgeted redial:
-    rejoin, and tell the loop where the server resumes it.
+    ``ok`` that piggybacks the pull (update log or weights).  A lost
+    connection, an unanswered push or a ``restart`` message triggers the
+    budgeted redial: rejoin, and tell the loop where the server resumes it.
     """
 
     gradient_buffers = None
@@ -923,6 +951,7 @@ class _TcpLink:
         self._await_start = False
         self._running = False
         self._codec = None
+        self._mirror: Mirror | None = None
         self._send_error: ConnectionClosed | None = None
 
     def _join(self, timeout: float) -> Resume:
@@ -939,9 +968,39 @@ class _TcpLink:
         self._await_start = not welcome["started"]
         return Resume(
             clock=int(welcome["clock"]),
-            reply=_pull_reply(self.layouts[0][1], welcome, frames),
+            reply=self._dense_reply(welcome, frames),
             codec_state=_codec_state(welcome, frames),
         )
+
+    def _dense_reply(self, header: dict, frames) -> PullReply:
+        """A welcome's or dense OK's weights; a ``mirror`` one (re)builds the
+        mirror, any other leaves this worker without one (its optimizer
+        state would be stale) until the next welcome."""
+        layout = self.layouts[0][1]
+        reply = _pull_reply(layout, header, frames)
+        if header.get("mirror"):
+            velocity = [decode_shard(f) for f in frames if f.shard == _VELOCITY_SHARD]
+            self._mirror = Mirror(
+                build_optimizer(self._plan),
+                layout,
+                reply.flat_weights[0].buffer,
+                reply.version,
+                *velocity,
+            )
+        else:
+            self._mirror = None
+        return reply
+
+    def _log_reply(self, header: dict, frames) -> PullReply:
+        """Replay an OK's update log through the mirror; its weights."""
+        entries, offset = [], 0
+        for version, learning_rate, scale, count in header["log"]:
+            entries.append(
+                LogEntry(version, learning_rate, scale, frames[offset : offset + count])
+            )
+            offset += count
+        reply = self._mirror.replay(entries, int(header["version"]))
+        return replace(reply, wire_nbytes=sum(frame.nbytes for frame in frames))
 
     def open(self) -> Resume:
         return self._join(self._plan.wait_timeout)
@@ -1071,7 +1130,9 @@ class _TcpLink:
             return None
         if kind == "restart":
             return self._recover("server restart")
-        return _pull_reply(self.layouts[0][1], reply, frames)
+        if "log" in reply:
+            return self._log_reply(reply, frames)
+        return self._dense_reply(reply, frames)
 
     def leave(self, clock: int, rejoin_after=None) -> Resume | None:
         # Injected crash: drop the socket like a real death.  The server

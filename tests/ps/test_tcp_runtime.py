@@ -196,11 +196,30 @@ class TestEndToEnd:
         )
         result = TcpTrainer(plan).run()
         assert result.errors == []
+        statistics = result.server_statistics
+        pulled = [report.pulled_bytes for report in result.worker_reports]
         for report in result.worker_reports:
             assert report.pushed_wire_bytes == pushed
-            assert report.pulled_bytes == 195280
-        assert result.server_statistics["tcp_bytes_sent"] == 392080
-        assert abs(result.server_statistics["tcp_bytes_received"] - received) <= 64
+        if compression == "none":
+            assert pulled == [195280, 195280]
+            assert statistics["tcp_bytes_sent"] == 392080
+            assert statistics["pull_replies"] == {
+                "log": 0, "dense": 10, "log_bytes": 0, "dense_bytes": 390560
+            }
+        else:
+            # Update-log pulls: the dense welcome (39,056 B) plus one 588 B
+            # frame per store version up to the worker's last OK — which of
+            # the 8 versions that is depends on the interleaving, but the
+            # last OK of the run carries the log up to version 8.
+            versions = [(nbytes - 39056) / 588 for nbytes in pulled]
+            assert all(v in (4, 5, 6, 7, 8) for v in versions) and max(versions) == 8
+            replies = statistics["pull_replies"]
+            assert (replies["log"], replies["dense"]) == (8, 2)
+            assert replies["log_bytes"] + replies["dense_bytes"] == sum(pulled)
+            # The socket counter falls with it: envelopes are all that is left.
+            assert 0 < statistics["tcp_bytes_sent"] - sum(pulled) < 4096
+            assert not [e for e in result.events if e["kind"] == "dense_pull"]
+        assert abs(statistics["tcp_bytes_received"] - received) <= 64
 
 
 class TestElasticMembership:
@@ -406,19 +425,21 @@ class TestFaultInjection:
 class TestGracefulRestart:
     def _spawn_server(self, ctx, plan):
         ready_recv, ready_send = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_serve_entry, args=(plan, ready_send), daemon=True)
+        result_recv, result_send = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_serve_entry, args=(plan, ready_send, result_send), daemon=True
+        )
         process.start()
         ready_send.close()
+        result_send.close()
         assert ready_recv.poll(30.0), "server never reported its address"
         address = ready_recv.recv()
         ready_recv.close()
-        return process, address
+        return process, address, result_recv
 
-    def test_sigterm_restart_resumes_bit_for_bit(self, tmp_path):
-        # SIGTERM mid-run → checkpoint (weights, momentum, worker clocks) →
-        # new server on the same port → worker reconnects with backoff and
-        # replays deterministically.  On the 'none' codec the final model
-        # must be byte-identical to an uninterrupted run of the same plan.
+    def _run_with_a_sigterm_restart(self, tmp_path, **fields):
+        """An uninterrupted reference run, then the same plan with the server
+        SIGTERMed and relaunched mid-run; the relaunched server's result."""
         ctx = multiprocessing.get_context("spawn" if os.name == "nt" else "fork")
         base = dict(
             paradigm="bsp",
@@ -430,6 +451,7 @@ class TestGracefulRestart:
             slowdowns={"worker-0": 0.4},
             checkpoint_every_pushes=1,
             wait_timeout=30.0,
+            **fields,
         )
 
         reference = tiny_plan(
@@ -441,7 +463,7 @@ class TestGracefulRestart:
         interrupted = tiny_plan(
             checkpoint_path=str(tmp_path / "interrupted.npz"), **base
         )
-        server, address = self._spawn_server(ctx, interrupted)
+        server, address, _ = self._spawn_server(ctx, interrupted)
         worker = ctx.Process(
             target=_worker_entry, args=(interrupted, 0, address), daemon=True
         )
@@ -452,8 +474,10 @@ class TestGracefulRestart:
         assert server.exitcode == 0
 
         relaunched = dataclasses.replace(interrupted, address=address)
-        server2, address2 = self._spawn_server(ctx, relaunched)
+        server2, address2, result_recv = self._spawn_server(ctx, relaunched)
         assert address2 == address  # SO_REUSEADDR: same port, worker finds it
+        assert result_recv.poll(60.0)
+        kind, wire = result_recv.recv()
         server2.join(timeout=60.0)
         worker.join(timeout=60.0)
         assert server2.exitcode == 0 and worker.exitcode == 0
@@ -466,6 +490,34 @@ class TestGracefulRestart:
             assert set(ref_arrays) == set(got_arrays)
             for key, value in ref_arrays.items():
                 assert np.array_equal(value, got_arrays[key]), key
+        assert kind == "result"
+        return result_from_wire(wire)
+
+    def test_sigterm_restart_resumes_bit_for_bit(self, tmp_path):
+        # SIGTERM mid-run → checkpoint (weights, momentum, worker clocks) →
+        # new server on the same port → worker reconnects with backoff and
+        # replays deterministically.  On the 'none' codec the final model
+        # must be byte-identical to an uninterrupted run of the same plan.
+        self._run_with_a_sigterm_restart(tmp_path)
+
+    def test_sigterm_restart_re_mirrors_a_codec_worker(self, tmp_path):
+        # With topk the worker follows the server through update-log pulls.
+        # The rejoin's welcome ships the checkpointed momentum next to the
+        # weights, so the very first OK after it is a log reply again — and
+        # the run still ends byte-identical to the uninterrupted one.
+        result = self._run_with_a_sigterm_restart(tmp_path, compression="topk:0.01")
+        assert result.errors == []
+        replies = result.server_statistics["pull_replies"]
+        assert replies["dense"] == 1 and 1 <= replies["log"] <= 5
+        # The welcome: 39,056 B of weights and as many of momentum.
+        assert replies["dense_bytes"] == 2 * 39056
+        assert replies["log_bytes"] == 588 * replies["log"]
+        kinds = [event["kind"] for event in result.events]
+        assert "server_restart" in kinds and "dense_pull" not in kinds
+        assert result.server_statistics["store_version"] == 6
+        # The rebuilt replica counts from the rejoin: its pulls are these.
+        (report,) = result.worker_reports
+        assert report.pulled_bytes == replies["dense_bytes"] + replies["log_bytes"]
 
 
 def _assert_checkpoints_match(reference_path, chaos_path):

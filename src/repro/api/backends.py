@@ -1,6 +1,6 @@
 """Pluggable execution backends for :class:`~repro.api.ExperimentSpec`.
 
-A backend turns one spec into one :class:`~repro.api.RunResult`.  Three ship
+A backend turns one spec into one :class:`~repro.api.RunResult`.  Four ship
 with the reproduction:
 
 * :class:`SimulatedBackend` — the discrete-event simulator: virtual time,
@@ -44,9 +44,8 @@ from repro.api.result import Provenance, RunResult, git_revision
 from repro.api.spec import ExperimentSpec
 from repro.core.staleness import StalenessTracker
 from repro.experiments.workloads import Workload, available_workloads, build_workload
-from repro.metrics.throughput import iteration_throughput
+from repro.metrics.throughput import EMPTY_PERCENTILES, iteration_throughput
 from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
-from repro.ps.messages import WorkerReport
 from repro.ps.process_runtime import ProcessTrainer, ProcessTrainingPlan
 from repro.ps.tcp_runtime import TcpTrainer, TcpTrainingPlan
 from repro.simulation.cluster import ClusterSpec
@@ -294,12 +293,17 @@ def _registry_plan_fields(spec: ExperimentSpec, profile: bool) -> dict:
 
 
 def _run_result(
-    spec: ExperimentSpec, backend_name: str, provenance: Provenance, result
+    spec: ExperimentSpec,
+    backend_name: str,
+    provenance: Provenance,
+    result,
+    percentiles=EMPTY_PERCENTILES,
 ) -> RunResult:
-    """A wall-clock runtime's :class:`TrainingResult` as the unified result.
+    """A backend's :class:`TrainingResult` as the unified result.
 
-    The runtimes evaluate the initial (t=0) and final model themselves, so
-    the curve arrives complete.
+    Every backend's session evaluates the initial (t=0) and final model
+    itself, so the curve arrives complete; ``percentiles`` are the iteration
+    times only the simulator observes.
     """
     total_updates = int(result.server_statistics.get("store_version", 0))
     staleness = result.server_statistics.get("update_staleness")
@@ -330,6 +334,7 @@ def _run_result(
         errors=list(result.errors),
         events=list(result.events),
         profile=result.profile,
+        iteration_time_percentiles=percentiles,
     )
 
 
@@ -390,46 +395,8 @@ class SimulatedBackend:
         sim = SimulatedTraining(
             config, workload.model_builder, workload.train_dataset, workload.test_dataset
         ).run()
-
-        reports = [
-            WorkerReport(
-                worker_id=worker_id,
-                iterations=sim.iterations_per_worker[worker_id],
-                samples_processed=sim.iterations_per_worker[worker_id]
-                * config.batch_size,
-                total_wait_time=sim.wait_time_per_worker[worker_id],
-                # The simulator does not decompose per-worker busy time, so
-                # "compute" here is everything that was not synchronization
-                # waiting (iteration compute plus communication).
-                total_compute_time=max(
-                    sim.total_virtual_time - sim.wait_time_per_worker[worker_id], 0.0
-                ),
-                mean_loss=sim.mean_loss_per_worker[worker_id],
-                pushed_wire_bytes=sim.pushed_wire_bytes_per_worker.get(worker_id, 0),
-                pushed_raw_bytes=sim.pushed_raw_bytes_per_worker.get(worker_id, 0),
-                pulled_bytes=sim.pulled_bytes_per_worker.get(worker_id, 0),
-            )
-            for worker_id in sim.iterations_per_worker
-        ]
-        return RunResult(
-            backend=self.name,
-            paradigm=sim.paradigm,
-            paradigm_label=sim.paradigm_label,
-            times=sim.times,
-            accuracies=sim.accuracies,
-            losses=sim.losses,
-            total_time=sim.total_virtual_time,
-            total_updates=sim.total_updates,
-            throughput=sim.throughput,
-            staleness=sim.staleness_summary,
-            wait_time_per_worker=dict(sim.wait_time_per_worker),
-            worker_reports=reports,
-            server_statistics=sim.server_statistics,
-            provenance=provenance,
-            errors=[],
-            events=list(sim.events),
-            profile=sim.profile,
-            iteration_time_percentiles=sim.iteration_time_summary,
+        return _run_result(
+            spec, self.name, provenance, sim, percentiles=sim.iteration_time_summary
         )
 
 

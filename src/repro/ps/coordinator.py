@@ -25,15 +25,7 @@ from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
 from repro.ps.faults import parse_fault_specs
 from repro.ps.runtime import ThreadedTrainer
-from repro.ps.session import (
-    TrainingPlan,
-    TrainingResult,
-    build_evaluator,
-    build_server,
-    replica_builder,
-)
-from repro.ps.sharding import make_store
-from repro.utils.rng import RngStream
+from repro.ps.session import TrainingPlan, TrainingResult, assemble
 
 __all__ = [
     "DistributedTrainingConfig",
@@ -91,26 +83,15 @@ def assemble_training(
         train_dataset=train_dataset,
         test_dataset=test_dataset,
     )
-    global_model = model_builder(RngStream(config.seed).get("init"))
-    store = make_store(
-        initial_weights={name: p.data for name, p in global_model.named_parameters()},
-        initial_buffers=global_model.buffers(),
-        num_shards=config.num_shards,
-        strategy=config.shard_strategy,
-        dtype=config.dtype,
+    server, workers, evaluate_fn = assemble(
+        config, workload, num_shards=config.num_shards, shard_strategy=config.shard_strategy
     )
-    server = build_server(config, store)
-    build = replica_builder(config, workload)
-    workers = []
-    for index, worker_id in enumerate(config.worker_ids):
-        server.register_worker(worker_id)
-        workers.append(build(index))  # the trainer packs them to the store's layout
     return ThreadedTrainer(
         server=server,
-        workers=workers,
+        workers=workers,  # the trainer packs them to the store's layout
         iterations_per_worker=config.iterations_per_worker,
         slowdowns=config.slowdowns,
-        evaluate_fn=build_evaluator(config, workload),
+        evaluate_fn=evaluate_fn,
         evaluate_every_pushes=config.evaluate_every_pushes,
         wait_timeout=config.wait_timeout,
         fault_plan=parse_fault_specs(config.faults, config.worker_ids) or None,

@@ -1,8 +1,9 @@
 """The parameter server: weight updates plus synchronization decisions.
 
-The server is deliberately free of threads and I/O — it is a state machine
-driven by push events — so the exact same object serves the thread-based
-runtime (:mod:`repro.ps.runtime`) and the discrete-event simulator
+The server is deliberately free of threads, I/O and clocks — it is a state
+machine driven by push events — so the exact same object serves every
+backend through :class:`repro.ps.session.ServerSession`: the three
+wall-clock runtimes and the discrete-event simulator
 (:mod:`repro.simulation.trainer`).
 """
 

@@ -5,7 +5,9 @@ synchronization policy (BSP, ASP, SSP, DSSP; :mod:`repro.core`) decides when
 that goes out — and pulls the fresh weights.  This module holds that
 protocol exactly once; the wall-clock runtimes (:mod:`repro.ps.runtime`,
 :mod:`repro.ps.process_runtime`, :mod:`repro.ps.tcp_runtime`) only move
-bytes and wake peers (``docs/architecture.md`` has the walk-through).
+bytes and wake peers, and the simulator (:mod:`repro.simulation.trainer`)
+drives the same :class:`ServerSession` under a virtual clock
+(``docs/architecture.md`` has the walk-through).
 
 * :class:`WorkerLoop` is the worker side, talking to the server through a
   :class:`Link` — the only thing a runtime implements for its workers.
@@ -14,8 +16,9 @@ bytes and wake peers (``docs/architecture.md`` has the walk-through).
   end-of-run result.  Runtimes keep their select loops, pipes, sockets and
   wire formats and call into it.
 * :class:`TrainingPlan` describes a run; the runtimes' plan classes extend
-  it with their own fields, and the ``build_*`` functions are the one
-  recipe turning a plan into server, evaluator and worker replicas.
+  it with their own fields, and the ``build_*`` functions and
+  :func:`assemble` are the one recipe turning a plan into server, evaluator
+  and worker replicas.
 
 Nothing here knows which runtime is calling: a push without a sequence
 number simply skips dedupe, a link that never answers :class:`Resume` never
@@ -65,6 +68,7 @@ __all__ = [
     "build_optimizer",
     "build_server",
     "build_evaluator",
+    "assemble",
 ]
 
 _LOGGER = get_logger("ps.session")
@@ -75,7 +79,7 @@ _LOGGER = get_logger("ps.session")
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, kw_only=True)
 class TrainingPlan:
-    """What every wall-clock runtime needs to know about one training run.
+    """What every backend needs to know about one training run.
 
     Plain data, validated at construction so a typo fails before any
     process, thread or socket exists.  The runtimes' own plan classes
@@ -101,9 +105,11 @@ class TrainingPlan:
         Per-worker artificial seconds of sleep per iteration, keyed by
         worker id (``"worker-0"``, ...), to emulate heterogeneity.
     evaluate_every_pushes:
-        Evaluate the global model every N pushes (0 disables the periodic
-        evaluations; the initial and final model are always evaluated when
-        a test set exists).
+        Evaluate the global model whenever the store version has advanced
+        by N since the last evaluation — every N pushes under an
+        immediate-apply server (0 disables the periodic evaluations; the
+        initial and final model are always evaluated when a test set
+        exists).
     dtype:
         Element dtype of the server-held weights, ``"float64"`` (default)
         or ``"float32"`` (halves push/pull payloads; what the paper's MXNet
@@ -328,15 +334,16 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
     )
 
     def build(index: int, layouts=None, gradient_buffers=None) -> Worker:
+        worker_id = f"worker-{index}"  # stream names are keyed by worker id
         loader = MiniBatchLoader(
             partitions[index],
             batch_size=plan.batch_size,
-            rng=streams.get(f"loader-{index}"),
+            rng=streams.get(f"loader-{worker_id}"),
         )
-        replica = workload.model_builder(streams.get(f"model-{index}"))
+        replica = workload.model_builder(streams.get(f"model-{worker_id}"))
         replica.load_state_dict(global_model.state_dict())
         worker = Worker(
-            worker_id=f"worker-{index}",
+            worker_id=worker_id,
             model=replica,
             loader=loader,
             loss_fn=SoftmaxCrossEntropy(),
@@ -347,7 +354,7 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
             # One codec per worker: error-feedback residuals are worker
             # state.  The deterministic per-worker stream keeps stochastic
             # codecs (int8 rounding) reproducible across runtimes.
-            codec.reseed(streams.get(f"codec-{index}"))
+            codec.reseed(streams.get(f"codec-{worker_id}"))
             worker.set_codec(codec)
         if layouts:
             worker.attach_flat_layout(layouts, gradient_buffers=gradient_buffers)
@@ -365,14 +372,18 @@ def build_optimizer(plan: TrainingPlan) -> SGD:
     )
 
 
-def build_server(plan: TrainingPlan, store) -> ParameterServer:
-    """The plan's :class:`ParameterServer` over ``store`` (no workers yet)."""
+def build_server(plan: TrainingPlan, store, schedule=None) -> ParameterServer:
+    """The plan's :class:`ParameterServer` over ``store`` (no workers yet).
+
+    ``schedule`` replaces the constant learning rate for a caller that
+    reports training progress (``server.set_progress``).
+    """
     fault_plan = parse_fault_specs(plan.faults, plan.worker_ids)
     return ParameterServer(
         store=store,
         optimizer=build_optimizer(plan),
         policy=make_policy(plan.paradigm, **plan.paradigm_kwargs),
-        learning_rate_schedule=ConstantSchedule(plan.learning_rate),
+        learning_rate_schedule=schedule or ConstantSchedule(plan.learning_rate),
         aggregator=(
             make_aggregator(plan.aggregation) if plan.aggregation is not None else None
         ),
@@ -395,10 +406,34 @@ def build_evaluator(plan: TrainingPlan, workload):
     def evaluate_fn(state: Mapping[str, np.ndarray]) -> tuple[float, float]:
         eval_model.load_state_dict(dict(state))
         return evaluate_model(
-            eval_model, workload.test_dataset, batch_size=plan.batch_size
+            eval_model, workload.test_dataset, batch_size=max(plan.batch_size, 64)
         )
 
     return evaluate_fn
+
+
+def assemble(plan: TrainingPlan, workload, *, num_shards=1, shard_strategy="size", schedule=None):
+    """An in-process run's pieces: ``(server, workers, evaluate_fn)``.
+
+    Global model → store → server → one registered replica per expected
+    worker, all starting from the global initial weights as in the paper.
+    The replicas are not packed yet: the caller attaches the store's layout.
+    """
+    global_model = workload.model_builder(RngStream(plan.seed).get("init"))
+    store = make_store(
+        initial_weights={name: p.data for name, p in global_model.named_parameters()},
+        initial_buffers=global_model.buffers(),
+        num_shards=num_shards,
+        strategy=shard_strategy,
+        dtype=plan.dtype,
+    )
+    server = build_server(plan, store, schedule)
+    build = replica_builder(plan, workload)
+    workers = []
+    for index, worker_id in enumerate(plan.worker_ids):
+        server.register_worker(worker_id)
+        workers.append(build(index))
+    return server, workers, build_evaluator(plan, workload)
 
 
 # ----------------------------------------------------------------------
@@ -787,11 +822,13 @@ class ServerSession:
         evaluate_every_pushes: int = 0,
         wait_timeout: float = 120.0,
         on_evaluation: Callable[[dict], None] | None = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         """Wrap ``server``; ``worker_ids`` is the expected membership.
 
         ``evaluate_fn`` maps a full state to ``(accuracy, loss)``;
-        ``on_evaluation`` is told about every *periodic* evaluation.
+        ``on_evaluation`` is told about every *periodic* evaluation;
+        ``clock`` is the run's time source (the simulator's is virtual).
         """
         self.server = server
         self.worker_ids = list(worker_ids)
@@ -817,6 +854,9 @@ class ServerSession:
         self.evaluation_accuracies: list[float] = []
         self.evaluation_losses: list[float] = []
         self._on_evaluation = on_evaluation
+        self._clock = clock
+        #: ``(at, store version)`` of the last recorded evaluation.
+        self._evaluated: tuple[float | None, int] = (None, server.store.version)
         self._last_push_time: dict[str, float] = {}
         self._start: float | None = None
         #: Set by a runtime whose links hold a :class:`Mirror` (one-shard
@@ -845,17 +885,23 @@ class ServerSession:
         self.joined.add(worker_id)
 
     def start(self) -> None:
-        """The start line: wall-clock time counts from here."""
-        self._start = time.monotonic()
+        """The start line: run time counts from here."""
+        self._start = self._clock()
 
     def elapsed(self) -> float:
         """Seconds since :meth:`start` (0.0 before it)."""
-        return time.monotonic() - self._start if self._start is not None else 0.0
+        return self._clock() - self._start if self._start is not None else 0.0
 
     def evaluate(self, at: float) -> dict | None:
-        """Evaluate the global model and record it at run time ``at``."""
-        if self.evaluate_fn is None:
+        """Evaluate the global model and record it at run time ``at``.
+
+        A no-op for the ``(at, version)`` it last recorded: a run that ends
+        at the instant of its last periodic evaluation adds no second point.
+        """
+        point = (at, self.server.store.version)
+        if self.evaluate_fn is None or point == self._evaluated:
             return None
+        self._evaluated = point
         # State views: the evaluation model copies them into its own arrays,
         # and copy-on-write keeps them stable meanwhile.
         accuracy, loss = self.evaluate_fn(self.server.store.state_views())
@@ -941,9 +987,11 @@ class ServerSession:
                 self.idle_timeout,
                 self.wait_timeout + 4.0 * (request.timestamp - previous),
             )
+        # Keyed on the store version, not on pushes handled: a duplicate or
+        # a staged push advances nothing and must not evaluate again.
         if (
             self.evaluate_every_pushes > 0
-            and self.server.pushes_handled % self.evaluate_every_pushes == 0
+            and self.server.store.version - self._evaluated[1] >= self.evaluate_every_pushes
         ):
             evaluation = self.evaluate(self.elapsed())
             if evaluation is not None and self._on_evaluation is not None:

@@ -1,23 +1,30 @@
 """Simulated distributed training: virtual time, real gradients.
 
-The simulator drives the same :class:`repro.ps.server.ParameterServer` and
-:class:`repro.ps.worker.Worker` objects as the threaded runtime, but instead
-of real threads and wall-clock time it advances a virtual clock with a
-discrete-event loop:
+The simulator runs the one server protocol — the same
+:class:`repro.ps.session.ServerSession`, built by the same plan recipes
+(:func:`repro.ps.session.assemble`), as the three wall-clock runtimes — with
+a :class:`VirtualClock` as the session's time source.  What is the
+simulator's own is *when* things happen, decided by a discrete-event loop:
 
 1. every worker starts by pulling the initial weights and schedules its
    first *push arrival* after one simulated iteration time (compute time on
    its device plus push/pull communication time on its link);
 2. the earliest push arrival is processed: the worker's gradient is computed
-   *for real* from its (possibly stale) local weights, applied at the server,
-   and the synchronization policy decides whether the worker continues
-   immediately or waits;
+   *for real* from its (possibly stale) local weights and handed to
+   ``session.push``, which applies it, lets the synchronization policy
+   decide whether the worker continues immediately or waits, and evaluates
+   the global model on the plan's cadence;
 3. released workers pull the fresh weights and schedule their next push;
    blocked workers are released (and their waiting time recorded) when a
-   later push satisfies their policy condition;
-4. the global model is periodically evaluated on the test set, producing the
-   accuracy-versus-virtual-time curves that correspond to the paper's
-   figures.
+   later push — or a crash, ``session.leave`` — satisfies their condition;
+4. ``session.finish`` closes the run exactly as it closes a wall-clock one,
+   producing the accuracy-versus-virtual-time curves that correspond to the
+   paper's figures.
+
+The worker side is this event loop rather than a
+:class:`~repro.ps.session.WorkerLoop` over a link on purpose: a worker loop
+blocks in ``await_ok``, and a link whose wait cannot block would hide the
+very thing the simulator decides — the delivery time of every OK.
 
 Because gradients are real, stale updates genuinely perturb convergence —
 ASP pays an accuracy cost, BSP pays a time cost, and SSP/DSSP trade between
@@ -29,16 +36,13 @@ laptop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from repro.core.dssp import DynamicStaleSynchronousParallel
-from repro.core.factory import make_policy, paradigm_label, validate_paradigm
+from repro.core.factory import paradigm_label
 from repro.data.dataset import ArrayDataset
-from repro.data.loader import MiniBatchLoader
-from repro.data.partitioner import partition_dataset
-from repro.metrics.accuracy import evaluate_model
 from repro.metrics.convergence import time_to_accuracy
 from repro.metrics.throughput import (
     EMPTY_PERCENTILES,
@@ -48,17 +52,10 @@ from repro.metrics.throughput import (
     percentile_summary,
 )
 from repro.metrics.tracker import ExperimentTracker
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.module import Module
-from repro.optim.schedules import ConstantSchedule, MultiStepSchedule
-from repro.optim.sgd import SGD
-from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
-from repro.ps.compression import make_codec, validate_codec_spec
-from repro.ps.faults import FaultInjector, parse_fault_specs
-from repro.ps.messages import PullRequest, PushRequest
-from repro.ps.server import ParameterServer
-from repro.ps.sharding import make_store
-from repro.ps.worker import Worker
+from repro.optim.schedules import MultiStepSchedule
+from repro.ps.faults import parse_fault_specs
+from repro.ps.session import ServerSession, TrainingPlan, TrainingResult, assemble, plan_codec
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.clock import VirtualClock
 from repro.simulation.events import Event, EventKind, EventQueue
@@ -261,63 +258,60 @@ class SimulationConfig:
                 )
             if self.num_server_shards != 1:
                 raise ValueError("ring allreduce requires num_server_shards=1")
-        if self.compression is not None:
-            validate_codec_spec(self.compression)
-        if self.aggregation is not None:
-            validate_aggregation_spec(self.aggregation)
-        self.faults = tuple(self.faults)
-        if self.faults:
-            parse_fault_specs(
-                self.faults, [spec.worker_id for spec in self.cluster.workers]
+        if self.cluster.worker_ids != [f"worker-{i}" for i in range(self.cluster.num_workers)]:
+            raise ValueError(
+                "the simulator runs the shared training plan, whose workers are named "
+                f"worker-0 … worker-(n-1) in cluster order; got {self.cluster.worker_ids}"
             )
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.num_server_shards <= 0:
             raise ValueError("num_server_shards must be positive")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         if self.max_updates is not None and self.max_updates <= 0:
             raise ValueError("max_updates must be positive when given")
         if self.epoch_accounting not in ("global", "per_worker"):
             raise ValueError(
                 f"epoch_accounting must be 'global' or 'per_worker', got {self.epoch_accounting!r}"
             )
-        # Fail fast: a typo in the paradigm name or its kwargs must surface
-        # here, at config construction, not minutes into a run.
-        validate_paradigm(self.paradigm, self.paradigm_kwargs)
+        self.faults = tuple(self.faults)
+        # Fail fast: a typo in the paradigm, codec, aggregator or fault plan
+        # must surface here, at config construction, not minutes into a run.
+        self.plan()
+
+    def plan(self) -> TrainingPlan:
+        """The run as the plan every backend shares (validated on construction)."""
+        return TrainingPlan(
+            paradigm=self.paradigm,
+            paradigm_kwargs=dict(self.paradigm_kwargs),
+            num_workers=self.cluster.num_workers,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            momentum=self.momentum,
+            weight_decay=self.weight_decay,
+            evaluate_every_pushes=max(self.evaluate_every_updates, 0),
+            dtype=self.dtype,
+            compression=self.compression,
+            aggregation=self.aggregation,
+            faults=self.faults,
+            seed=self.seed,
+        )
 
 
 @dataclass
-class SimulationResult:
-    """Everything a simulated run reports."""
+class SimulationResult(TrainingResult):
+    """A :class:`TrainingResult` in virtual seconds, plus what only the simulator sees.
 
-    paradigm: str
-    paradigm_label: str
-    times: np.ndarray
-    accuracies: np.ndarray
-    losses: np.ndarray
-    total_virtual_time: float
-    total_updates: int
-    throughput: ThroughputSummary
-    wait_time_per_worker: dict[str, float]
-    iterations_per_worker: dict[str, int]
-    mean_loss_per_worker: dict[str, float]
-    staleness_summary: object
-    server_statistics: dict
-    tracker: ExperimentTracker
-    trace: SimulationTrace
-    controller_decisions: int = 0
-    #: Per-worker push/pull transfer accounting (actual encoded byte counts,
-    #: matching what the real runtimes report; see repro.metrics.throughput).
-    pushed_wire_bytes_per_worker: dict[str, int] = field(default_factory=dict)
-    pushed_raw_bytes_per_worker: dict[str, int] = field(default_factory=dict)
-    pulled_bytes_per_worker: dict[str, int] = field(default_factory=dict)
-    #: Per-layer timing breakdown of the first worker's replica (real
-    #: wall-clock compute, not virtual time); None unless profiling was on.
-    profile: dict | None = None
-    #: Structured fault/membership events (crashes, corrupted pushes,
-    #: aggregator rejections) in server observation order; empty when clean.
-    events: list = field(default_factory=list)
+    ``wall_time`` and ``evaluation_times`` are virtual; everything the result
+    has always offered (``times``, ``total_virtual_time``, ``total_updates``,
+    the ``*_per_worker`` dicts, ...) stays readable as views of the shared
+    fields.
+    """
+
+    paradigm: str = ""
+    paradigm_label: str = ""
+    throughput: ThroughputSummary | None = None
+    tracker: ExperimentTracker = field(default_factory=ExperimentTracker)
+    trace: SimulationTrace = field(default_factory=SimulationTrace)
     #: Tail statistics of per-worker iteration intervals (push-to-push
     #: virtual time, including synchronization waits) pooled across workers.
     iteration_time_summary: PercentileSummary = EMPTY_PERCENTILES
@@ -326,15 +320,28 @@ class SimulationResult:
     #: empty for flat runs and degenerate topologies with no shared links.
     queue_trace: list = field(default_factory=list)
 
-    @property
-    def final_accuracy(self) -> float:
-        """Accuracy of the last evaluation."""
-        return float(self.accuracies[-1]) if self.accuracies.size else 0.0
+    # The evaluation curve and the server's counters, under the names the
+    # simulator has always reported them by.
+    times = property(lambda self: np.asarray(self.evaluation_times, dtype=np.float64))
+    accuracies = property(lambda self: np.asarray(self.evaluation_accuracies, dtype=np.float64))
+    losses = property(lambda self: np.asarray(self.evaluation_losses, dtype=np.float64))
+    total_virtual_time = property(lambda self: self.wall_time)
+    total_updates = property(lambda self: self.server_statistics["store_version"])
+    staleness_summary = property(lambda self: self.server_statistics["update_staleness"])
+    controller_decisions = property(
+        lambda self: self.server_statistics["controller_invocations"]
+    )
 
-    @property
-    def best_accuracy(self) -> float:
-        """Best accuracy over the run."""
-        return float(self.accuracies.max()) if self.accuracies.size else 0.0
+    def _per_worker(self, name: str) -> dict:
+        """One :class:`~repro.ps.messages.WorkerReport` field, keyed by worker id."""
+        return {report.worker_id: getattr(report, name) for report in self.worker_reports}
+
+    wait_time_per_worker = property(lambda self: self._per_worker("total_wait_time"))
+    iterations_per_worker = property(lambda self: self._per_worker("iterations"))
+    mean_loss_per_worker = property(lambda self: self._per_worker("mean_loss"))
+    pushed_wire_bytes_per_worker = property(lambda self: self._per_worker("pushed_wire_bytes"))
+    pushed_raw_bytes_per_worker = property(lambda self: self._per_worker("pushed_raw_bytes"))
+    pulled_bytes_per_worker = property(lambda self: self._per_worker("pulled_bytes"))
 
     @property
     def total_wait_time(self) -> float:
@@ -357,110 +364,42 @@ class SimulatedTraining:
         test_dataset: ArrayDataset,
     ) -> None:
         self.config = config
-        self.model_builder = model_builder
-        self.train_dataset = train_dataset
-        self.test_dataset = test_dataset
-        self._streams = RngStream(config.seed)
-        self._fault_plan = parse_fault_specs(
-            config.faults, [spec.worker_id for spec in config.cluster.workers]
-        )
-        self._injector = (
-            FaultInjector(self._fault_plan, self._streams)
-            if config.faults
-            else None
+        self.plan = config.plan()
+        self.workload = SimpleNamespace(
+            model_builder=model_builder, train_dataset=train_dataset, test_dataset=test_dataset
         )
 
-    # ------------------------------------------------------------------
-    # Assembly
-    # ------------------------------------------------------------------
-    def _build_server(self, global_model: Module) -> ParameterServer:
-        config = self.config
-        store = make_store(
-            initial_weights={name: p.data for name, p in global_model.named_parameters()},
-            initial_buffers=global_model.buffers(),
-            num_shards=config.num_server_shards,
-            strategy=config.shard_strategy,
-            dtype=config.dtype,
-        )
-        optimizer = SGD(
-            learning_rate=config.learning_rate,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
-        )
+    def run(self) -> SimulationResult:
+        """Execute the simulation and return its result."""
+        config, plan = self.config, self.plan
+        train_dataset = self.workload.train_dataset
+        schedule = None
         if config.lr_milestones:
             schedule = MultiStepSchedule(
                 config.learning_rate, config.lr_milestones, decay=config.lr_decay
             )
-        else:
-            schedule = ConstantSchedule(config.learning_rate)
-        policy = make_policy(config.paradigm, **config.paradigm_kwargs)
-        aggregator = (
-            make_aggregator(config.aggregation)
-            if config.aggregation is not None
-            else None
+        server, replicas, evaluator = assemble(
+            plan,
+            self.workload,
+            num_shards=config.num_server_shards,
+            shard_strategy=config.shard_strategy,
+            schedule=schedule,
         )
-        return ParameterServer(
-            store=store,
-            optimizer=optimizer,
-            policy=policy,
-            learning_rate_schedule=schedule,
-            aggregator=aggregator,
-            fault_injector=self._injector,
-        )
-
-    def _build_workers(self, global_model: Module, server: ParameterServer) -> dict[str, Worker]:
-        config = self.config
-        partitions = partition_dataset(
-            self.train_dataset, config.cluster.num_workers, rng=self._streams.get("partition")
-        )
-        workers: dict[str, Worker] = {}
-        for spec, partition in zip(config.cluster.workers, partitions):
-            server.register_worker(spec.worker_id)
-            loader = MiniBatchLoader(
-                partition,
-                batch_size=config.batch_size,
-                rng=self._streams.get(f"loader-{spec.worker_id}"),
-            )
-            replica = self.model_builder(self._streams.get(f"model-{spec.worker_id}"))
-            replica.load_state_dict(global_model.state_dict())
-            worker = Worker(
-                worker_id=spec.worker_id,
-                model=replica,
-                loader=loader,
-                loss_fn=SoftmaxCrossEntropy(),
-            )
-            if config.compression is not None:
-                # One codec per worker: error-feedback residuals are worker
-                # state, and the per-worker stream keeps stochastic codecs
-                # deterministic.
-                codec = make_codec(config.compression)
-                codec.reseed(self._streams.get(f"codec-{spec.worker_id}"))
-                worker.set_codec(codec)
-            workers[spec.worker_id] = worker
-        return workers
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-    def run(self) -> SimulationResult:
-        """Execute the simulation and return its result."""
-        config = self.config
-        global_model = self.model_builder(self._streams.get("init"))
-        eval_model = self.model_builder(self._streams.get("eval"))
-        server = self._build_server(global_model)
-        workers = self._build_workers(global_model, server)
+        store = server.store
+        workers = {worker.worker_id: worker for worker in replicas}
+        # Mirror the store's packed layout in every replica so full pulls
+        # move one buffer per shard instead of N named arrays.
+        for worker in replicas:
+            worker.attach_flat_layout(store.flat_layouts)
         profiler = None
         if config.profile:
             from repro.utils.profiler import LayerProfiler
 
-            first_worker = next(iter(workers.values()))
-            profiler = LayerProfiler(
-                first_worker.model, loss_fn=first_worker.loss_fn
-            ).attach()
+            profiler = LayerProfiler(replicas[0].model, loss_fn=replicas[0].loss_fn).attach()
 
-        sample_shape = self.train_dataset.sample_shape
-        cost = config.timing_cost or estimate_model_cost(global_model, sample_shape)
-        store = server.store
+        cost = config.timing_cost or estimate_model_cost(
+            replicas[0].model, train_dataset.sample_shape
+        )
         # Per-shard transfer cost: the simulated push/pull is gated by the
         # most-loaded shard, with the split taken from the store's
         # partition (one shard: the whole payload).  Empty shards transfer
@@ -469,21 +408,19 @@ class SimulatedTraining:
         shard_fractions = tuple(
             nbytes / total_bytes for nbytes in store.shard_nbytes if nbytes > 0
         ) or (1.0,)
-        push_wire_fraction = 1.0
-        if config.compression is not None:
-            # The codec's a-priori estimate of encoded-vs-dense push bytes;
-            # clamped because the time model treats >1 as a spec error (an
-            # inflating codec still pays at most the dense charge).
-            push_wire_fraction = min(1.0, make_codec(config.compression).wire_fraction())
+        # The codec's a-priori estimate of encoded-vs-dense push bytes;
+        # clamped because the time model treats >1 as a spec error (an
+        # inflating codec still pays at most the dense charge).
+        codec = plan_codec(plan)
+        push_wire_fraction = 1.0 if codec is None else min(1.0, codec.wire_fraction())
         # The topology path replaces only the *cost* model; the flat path is
         # kept verbatim when no topology (and no collective pattern) is
         # requested so existing runs stay bit-for-bit.
         topo_model: TopologyTimeModel | None = None
         if config.topology is not None or config.comm_pattern != "ps":
-            worker_ids = [spec.worker_id for spec in config.cluster.workers]
             topology = build_topology(
                 config.topology if config.topology is not None else "flat",
-                worker_ids,
+                plan.worker_ids,
                 config.cluster.workers[0].network,
             )
             topo_model = TopologyTimeModel(
@@ -493,7 +430,7 @@ class SimulatedTraining:
                 time_scale=config.time_scale,
                 push_wire_fraction=push_wire_fraction,
                 comm_pattern=config.comm_pattern,
-                worker_ids=worker_ids,
+                worker_ids=plan.worker_ids,
             )
         time_model = IterationTimeModel(
             cost,
@@ -502,35 +439,52 @@ class SimulatedTraining:
             shard_fractions=shard_fractions,
             push_wire_fraction=push_wire_fraction,
         )
-        timing_rng = self._streams.get("timing") if config.timing_jitter else None
+        timing_rng = RngStream(config.seed).get("timing") if config.timing_jitter else None
 
-        partition_size = len(self.train_dataset) // config.cluster.num_workers
+        partition_size = len(train_dataset) // config.cluster.num_workers
         iterations_per_worker = max(
             1, int(np.ceil(config.epochs * partition_size / config.batch_size))
         )
         total_update_budget = max(
-            1, int(np.ceil(config.epochs * len(self.train_dataset) / config.batch_size))
+            1, int(np.ceil(config.epochs * len(train_dataset) / config.batch_size))
         )
         if config.epoch_accounting == "global":
             # Workers keep iterating until the global update budget is spent;
             # a fast worker may contribute more updates than its own share.
-            quota = {worker_id: total_update_budget for worker_id in workers}
+            quota = dict.fromkeys(workers, total_update_budget)
+            max_updates = config.max_updates or total_update_budget
         else:
-            quota = {worker_id: iterations_per_worker for worker_id in workers}
+            quota = dict.fromkeys(workers, iterations_per_worker)
+            max_updates = config.max_updates or (iterations_per_worker * len(workers))
 
         clock = VirtualClock()
         queue = EventQueue()
         trace = SimulationTrace()
         tracker = ExperimentTracker()
 
-        blocked_since: dict[str, float] = {}
-        wait_time: dict[str, float] = {worker_id: 0.0 for worker_id in workers}
-        iterations_done: dict[str, int] = {worker_id: 0 for worker_id in workers}
-        loss_sum: dict[str, float] = {worker_id: 0.0 for worker_id in workers}
-        samples_processed = 0
-        last_eval_update = -1
+        def evaluate_fn(state) -> tuple[float, float]:
+            """The plan's evaluator; every point also lands in tracker and trace."""
+            accuracy, loss = evaluator(state)
+            tracker.record("accuracy", clock.now, accuracy, step=store.version)
+            tracker.record("test_loss", clock.now, loss, step=store.version)
+            trace.record(clock.now, "evaluation", accuracy=accuracy, loss=loss)
+            return accuracy, loss
 
-        crash_at = self._fault_plan.crash_at()
+        session = ServerSession(
+            server,
+            plan.worker_ids,
+            evaluate_fn=evaluate_fn,
+            evaluate_every_pushes=plan.evaluate_every_pushes,
+            clock=lambda: clock.now,
+        )
+
+        blocked_since: dict[str, float] = {}
+        wait_time = dict.fromkeys(workers, 0.0)
+        iterations_done = dict.fromkeys(workers, 0)
+        loss_sum = dict.fromkeys(workers, 0.0)
+        samples_processed = 0
+        fault_plan = parse_fault_specs(plan.faults, plan.worker_ids)
+        crash_at = fault_plan.crash_at()
 
         def iteration_time(worker_id: str, now: float) -> float:
             spec = config.cluster.worker(worker_id)
@@ -551,70 +505,46 @@ class SimulatedTraining:
                         f"for worker {worker_id!r}"
                     )
                 duration *= factor
-            flaky = self._fault_plan.flaky_for(worker_id)
+            flaky = fault_plan.flaky_for(worker_id)
             if flaky is not None and flaky.slow(iterations_done[worker_id]):
                 duration *= flaky.scale
             return duration
 
-        def evaluate(now: float) -> None:
-            nonlocal last_eval_update
-            # Zero-copy state views: load_state_dict copies them into the
-            # evaluation model's own arrays.
-            eval_model.load_state_dict(dict(server.store.state_views()))
-            accuracy, loss = evaluate_model(
-                eval_model, self.test_dataset, batch_size=max(config.batch_size, 64)
-            )
-            tracker.record("accuracy", now, accuracy, step=server.store.version)
-            tracker.record("test_loss", now, loss, step=server.store.version)
-            trace.record(now, "evaluation", accuracy=accuracy, loss=loss)
-            last_eval_update = server.store.version
-
-        def schedule_push(worker_id: str, now: float) -> None:
-            queue.push(
-                Event(
-                    time=now + iteration_time(worker_id, now),
-                    kind=EventKind.PUSH_ARRIVAL,
-                    worker_id=worker_id,
-                )
-            )
-
-        delta_pulls = server.store.supports_delta_pull
-        # Mirror the store's packed layout in every replica so full pulls
-        # move one buffer per shard instead of N named arrays.
-        for worker in workers.values():
-            worker.attach_flat_layout(server.store.flat_layouts)
-
-        def pull_into(worker_id: str) -> None:
-            """Refresh a worker's replica (delta pull when the store can)."""
+        def resume(worker_id: str, now: float) -> None:
+            """Deliver an OK: pull (a delta when the store can), schedule the next push."""
             worker = workers[worker_id]
-            request = None
-            if delta_pulls:
-                request = PullRequest(worker_id=worker_id, known_version=worker.local_version)
-            worker.load_reply(server.handle_pull(request))
-
-        def release_worker(worker_id: str, now: float, waited: float) -> None:
-            wait_time[worker_id] += waited
-            trace.record(now, "release", worker_id=worker_id, wait_time=waited)
-            pull_into(worker_id)
+            known = worker.local_version if store.supports_delta_pull else None
+            worker.load_reply(store.pull(known))
             if iterations_done[worker_id] < quota[worker_id]:
-                schedule_push(worker_id, now)
+                arrival = now + iteration_time(worker_id, now)
+                queue.push(Event(time=arrival, kind=EventKind.PUSH_ARRIVAL, worker_id=worker_id))
+
+        def release(worker_ids, now: float) -> None:
+            """Previously blocked workers get their OK; their wait ends now."""
+            for worker_id in worker_ids:
+                waited = now - blocked_since.pop(worker_id, now)
+                wait_time[worker_id] += waited
+                trace.record(now, "release", worker_id=worker_id, wait_time=waited)
+                resume(worker_id, now)
 
         # Initial pulls and first pushes.  One pull per worker: replies are
         # consumed (and their copy-on-write leases released) by load_reply,
         # so a shared reply must not outlive the first consumer.
         for worker_id, worker in workers.items():
-            worker.load_reply(server.handle_pull())
-            schedule_push(worker_id, 0.0)
-        evaluate(0.0)
+            worker.load_reply(store.pull())
+            queue.push(
+                Event(
+                    time=iteration_time(worker_id, 0.0),
+                    kind=EventKind.PUSH_ARRIVAL,
+                    worker_id=worker_id,
+                )
+            )
+        session.evaluate(0.0)
+        session.start()
 
-        if config.epoch_accounting == "global":
-            max_updates = config.max_updates or total_update_budget
-        else:
-            max_updates = config.max_updates or (iterations_per_worker * len(workers))
-        while queue and server.store.version < max_updates:
+        while queue and store.version < max_updates:
             event = queue.pop()
-            clock.advance_to(event.time)
-            now = clock.now
+            now = clock.advance_to(event.time)
             if event.kind is not EventKind.PUSH_ARRIVAL:
                 continue
             worker_id = event.worker_id
@@ -623,39 +553,33 @@ class SimulatedTraining:
                 # The worker dies at its fault clock: its push never lands,
                 # any staged (unapplied) contribution is rejected, and the
                 # policy re-bounds exactly as for a real runtime death.
-                self._injector.record(
-                    "crash", worker_id, clock=iterations_done[worker_id], time=now
-                )
                 trace.record(now, "crash", worker_id=worker_id)
-                server.discard_staged(worker_id)
-                for released_id in server.deregister_worker(worker_id):
-                    waited = now - blocked_since.pop(released_id, now)
-                    release_worker(released_id, now, waited)
+                release(session.leave(worker_id, time=now), now)
                 continue
             worker = workers[worker_id]
 
             computation = worker.compute_gradients()
             samples_processed += computation.samples
-            progress_epochs = samples_processed / max(len(self.train_dataset), 1)
-            server.set_progress(progress_epochs)
+            server.set_progress(samples_processed / max(len(train_dataset), 1))
 
-            flat_gradients, encoded, codec_name = worker.prepare_push(computation)
-            response = server.handle_push(
-                PushRequest(
-                    worker_id=worker_id,
-                    gradients=computation.gradients,
-                    base_version=computation.base_version,
-                    timestamp=now,
-                    buffers=computation.buffers,
-                    local_loss=computation.loss,
-                    flat_gradients=flat_gradients,
-                    encoded_gradients=encoded,
-                    codec=codec_name,
-                )
+            flat, encoded, codec_name = worker.prepare_push(computation)
+            header = {
+                "base_version": computation.base_version,
+                "timestamp": now,
+                "loss": computation.loss,
+                "codec": codec_name,
+            }
+            response = session.push(
+                worker_id,
+                header,
+                named=computation.gradients,
+                flat=flat,
+                encoded=encoded,
+                buffers=computation.buffers,
             )
             iterations_done[worker_id] += 1
             loss_sum[worker_id] += computation.loss
-            tracker.record("train_loss", now, computation.loss, step=server.store.version)
+            tracker.record("train_loss", now, computation.loss, step=store.version)
             trace.record(
                 now,
                 "push",
@@ -663,56 +587,54 @@ class SimulatedTraining:
                 staleness=response.staleness,
                 version=response.new_version,
             )
-
             if response.release_now:
-                pull_into(worker_id)
-                if iterations_done[worker_id] < quota[worker_id]:
-                    schedule_push(worker_id, now)
+                resume(worker_id, now)
             else:
                 blocked_since[worker_id] = now
                 trace.record(now, "block", worker_id=worker_id)
-
-            for released_id in response.released_workers:
-                waited = now - blocked_since.pop(released_id, now)
-                release_worker(released_id, now, waited)
-
-            if (
-                config.evaluate_every_updates > 0
-                and server.store.version - last_eval_update >= config.evaluate_every_updates
-            ):
-                evaluate(now)
+            release(response.released_workers, now)
 
         # Any still-blocked workers are released at the end of the run so
         # their waiting time up to the final event is accounted for.
         final_time = clock.now
-        for worker_id, since in list(blocked_since.items()):
+        for worker_id, since in blocked_since.items():
             wait_time[worker_id] += final_time - since
-        # A buffered aggregator may hold a partially-filled tail window;
-        # apply it so the final evaluation sees every surviving push.
-        server.flush_staged()
-        if server.store.version != last_eval_update:
-            evaluate(final_time)
-
-        accuracy_series = tracker.series("accuracy")
-        loss_series = tracker.series("test_loss")
-        throughput = iteration_throughput(
-            total_updates=server.store.version,
-            total_time=max(final_time, 1e-12),
-            samples_per_update=config.batch_size,
-        )
-        policy = server.policy
-        controller_decisions = (
-            len(policy.controller_decisions())
-            if isinstance(policy, DynamicStaleSynchronousParallel)
-            else 0
-        )
-        profile = None
+        profiles = {}
         if profiler is not None:
             profiler.detach()
-            profile = {
-                "worker_id": next(iter(workers)),
-                **profiler.as_dict(),
+            profiled = replicas[0].worker_id
+            profiles[profiled] = {"worker_id": profiled, **profiler.as_dict()}
+        ring = config.comm_pattern == "ring_allreduce"
+        for worker_id, worker in workers.items():
+            done = iterations_done[worker_id]
+            report = {
+                "worker_id": worker_id,
+                "iterations": done,
+                "samples_processed": worker.samples_processed,
+                "total_wait_time": wait_time[worker_id],
+                # The simulator does not decompose per-worker busy time, so
+                # "compute" is everything that was not synchronization
+                # waiting (iteration compute plus communication).
+                "total_compute_time": max(final_time - wait_time[worker_id], 0.0),
+                "mean_loss": loss_sum[worker_id] / done if done else 0.0,
+                "pushed_wire_bytes": worker.pushed_wire_bytes,
+                "pushed_raw_bytes": worker.pushed_raw_bytes,
+                "pulled_bytes": worker.pulled_bytes,
             }
+            if ring:
+                # Model-costed ring accounting: each round wires
+                # 2*(n-1)/n * payload per worker and pulls nothing from a
+                # server (the substrate's PS transfers never happen on the
+                # simulated wire).  Raw bytes stay the dense payload.
+                ring_wire = topo_model.ring_wire_bytes_per_iteration()
+                report["pushed_wire_bytes"] = int(round(done * ring_wire))
+                report["pushed_raw_bytes"] = int(round(done * float(cost.parameter_bytes)))
+                report["pulled_bytes"] = 0
+            session.done(worker_id, report, profile=profiles.get(worker_id))
+        # The shared end of run: the buffered aggregator's tail window, then
+        # the final evaluation (skipped when one already sits at this instant).
+        result = session.finish()
+
         # Tail statistics of iteration intervals: per-worker push-to-push
         # virtual time (the first interval measured from t=0), pooled across
         # workers — this is what the topology sweeps' p50/p90/p99 report.
@@ -721,72 +643,27 @@ class SimulatedTraining:
             times = trace.push_times(worker_id)
             if times.size:
                 interval_samples.extend(np.diff(times, prepend=0.0).tolist())
-        iteration_time_summary = percentile_summary(interval_samples)
-
-        pushed_wire = {
-            worker_id: worker.pushed_wire_bytes
-            for worker_id, worker in workers.items()
-        }
-        pushed_raw = {
-            worker_id: worker.pushed_raw_bytes
-            for worker_id, worker in workers.items()
-        }
-        pulled = {
-            worker_id: worker.pulled_bytes for worker_id, worker in workers.items()
-        }
-        if topo_model is not None and config.comm_pattern == "ring_allreduce":
-            # Model-costed ring accounting: each round wires
-            # 2*(n-1)/n * payload per worker and pulls nothing from a server
-            # (the substrate's PS transfers never happen on the simulated
-            # wire).  Raw bytes stay the dense payload per iteration.
-            ring_wire = topo_model.ring_wire_bytes_per_iteration()
-            payload = float(topo_model.cost.parameter_bytes)
-            pushed_wire = {
-                worker_id: int(round(iterations_done[worker_id] * ring_wire))
-                for worker_id in workers
-            }
-            pushed_raw = {
-                worker_id: int(round(iterations_done[worker_id] * payload))
-                for worker_id in workers
-            }
-            pulled = {worker_id: 0 for worker_id in workers}
 
         label = paradigm_label(config.paradigm, config.paradigm_kwargs)
         _LOGGER.info(
             "%s finished: %.0f virtual seconds, %d updates, final accuracy %.3f",
             label,
             final_time,
-            server.store.version,
-            accuracy_series.values[-1] if len(accuracy_series) else 0.0,
+            store.version,
+            result.final_accuracy,
         )
         return SimulationResult(
+            **vars(result),
             paradigm=config.paradigm,
             paradigm_label=label,
-            times=accuracy_series.times,
-            accuracies=accuracy_series.values,
-            losses=loss_series.values,
-            total_virtual_time=final_time,
-            total_updates=server.store.version,
-            throughput=throughput,
-            wait_time_per_worker=dict(wait_time),
-            iterations_per_worker=dict(iterations_done),
-            mean_loss_per_worker={
-                worker_id: loss_sum[worker_id] / iterations_done[worker_id]
-                if iterations_done[worker_id]
-                else 0.0
-                for worker_id in workers
-            },
-            staleness_summary=server.staleness_tracker.summary(),
-            server_statistics=server.statistics(),
+            throughput=iteration_throughput(
+                total_updates=store.version,
+                total_time=max(final_time, 1e-12),
+                samples_per_update=config.batch_size,
+            ),
             tracker=tracker,
             trace=trace,
-            controller_decisions=controller_decisions,
-            pushed_wire_bytes_per_worker=pushed_wire,
-            pushed_raw_bytes_per_worker=pushed_raw,
-            pulled_bytes_per_worker=pulled,
-            profile=profile,
-            events=list(self._injector.events) if self._injector else [],
-            iteration_time_summary=iteration_time_summary,
+            iteration_time_summary=percentile_summary(interval_samples),
             queue_trace=list(topo_model.state.queue_trace) if topo_model else [],
         )
 

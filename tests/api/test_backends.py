@@ -94,6 +94,22 @@ class TestSimulatedBackend:
         assert iterations["worker-0"] < iterations["worker-1"]
 
 
+    def test_samples_processed_counts_the_ragged_final_batch(self):
+        # tiny / 3 workers: partitions of 107, 107 and 106 samples, so one
+        # epoch of batch 32 ends on a batch of 11 or 10 — what the worker
+        # consumed, not iterations x batch_size (128), is what is reported.
+        spec = TINY_SPEC.replace(
+            cluster=ClusterConfig(num_workers=3, gpus_per_worker=1),
+            paradigm="bsp",
+            paradigm_kwargs={},
+            batch_size=32,
+            epoch_accounting="per_worker",
+        )
+        reports = run_experiment(spec, "simulated").worker_reports
+        assert [report.iterations for report in reports] == [4, 4, 4]
+        assert sorted(report.samples_processed for report in reports) == [106, 107, 107]
+
+
 class TestThreadedBackend:
     def test_runs_and_reports(self, threaded_result):
         result = threaded_result

@@ -16,7 +16,14 @@ from repro.experiments.config import TINY
 from repro.models import mlp
 from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
 from repro.ps.process_runtime import ProcessTrainingPlan
-from repro.ps.session import Resume, ServerSession, WorkerLoop, replica_builder
+from repro.ps.session import (
+    Resume,
+    ServerSession,
+    WorkerLoop,
+    build_evaluator,
+    build_server,
+    replica_builder,
+)
 from repro.ps.sharding import make_store
 from repro.ps.tcp_runtime import TcpTrainingPlan
 from repro.utils.rng import RngStream
@@ -193,6 +200,48 @@ class TestServerSession:
         hand_push(session, "worker-0", 0.2)  # no sequence number: no dedupe
         assert store.version == 2 and session.watermarks == {"worker-0": 0}
         assert len(session.events) == 1
+
+    def test_retransmission_right_after_an_evaluation_does_not_evaluate_again(
+        self, workload
+    ):
+        # The cadence is keyed on the store version: a duplicate advances the
+        # policy clock but no weights, so there is nothing new to evaluate.
+        session = make_session(
+            workload, paradigm="asp", paradigm_kwargs={}, num_workers=2,
+            evaluate_every_pushes=2,
+        )
+        session.evaluate(0.0)
+        session.start()
+        hand_push(session, "worker-0", 0.0, seq=0)
+        hand_push(session, "worker-1", 0.0, seq=0)
+        assert len(session.evaluation_times) == 2  # initial + version 2
+        hand_push(session, "worker-1", 0.1, seq=0)
+        assert session.server.store.version == 2
+        assert len(session.evaluation_times) == 2
+        hand_push(session, "worker-0", 0.2, seq=1)
+        hand_push(session, "worker-1", 0.2, seq=1)
+        assert len(session.evaluation_times) == 3  # version 4
+
+    def test_evaluate_is_a_no_op_for_the_point_it_last_recorded(self, workload):
+        ticks = iter([0.0, 1.5, 1.5])  # start, periodic evaluation, finish: a virtual clock
+        plan = DistributedTrainingConfig(
+            batch_size=16, paradigm="asp", paradigm_kwargs={}, num_workers=1,
+            evaluate_every_pushes=1,
+        )
+        session = ServerSession(
+            build_server(plan, make_store_for(plan, workload)),
+            plan.worker_ids,
+            evaluate_fn=build_evaluator(plan, workload),
+            evaluate_every_pushes=1,
+            clock=lambda: next(ticks),
+        )
+        session.join("worker-0")
+        session.evaluate(0.0)
+        session.start()
+        hand_push(session, "worker-0", 1.5)
+        result = session.finish()
+        # The run ended at the instant of its last periodic evaluation.
+        assert result.evaluation_times == [0.0, 1.5] and result.wall_time == 1.5
 
     def test_leave_releases_exactly_who_the_policy_returns(self, workload):
         session = make_session(workload, paradigm="bsp", paradigm_kwargs={}, num_workers=3)

@@ -199,6 +199,29 @@ class TestSimulatedTraining:
         with pytest.raises(ValueError):
             SimulationConfig(cluster=cluster, epoch_accounting="sometimes")
 
+    def test_worker_ids_must_follow_the_shared_plan(self):
+        import dataclasses
+
+        from repro.simulation.cluster import ClusterSpec
+
+        (spec,) = homogeneous_cluster(num_workers=1).workers
+        cluster = ClusterSpec(workers=(dataclasses.replace(spec, worker_id="gpu-a"),))
+        with pytest.raises(ValueError, match=r"worker-0 … worker-\(n-1\)"):
+            SimulationConfig(cluster=cluster)
+
+    def test_result_is_a_training_result_with_the_old_names(self, flat_problem):
+        from repro.ps.session import TrainingResult
+
+        train, test = flat_problem
+        result = run(train, test, "ssp")
+        assert isinstance(result, TrainingResult) and result.errors == []
+        assert result.total_virtual_time == result.wall_time == result.times[-1]
+        assert result.total_updates == result.server_statistics["store_version"]
+        assert result.iterations_per_worker == {
+            report.worker_id: report.iterations for report in result.worker_reports
+        }
+        assert sum(result.iterations_per_worker.values()) == result.total_updates
+
     def test_trace_contains_push_and_evaluation_events(self, flat_problem):
         train, test = flat_problem
         result = run(train, test, "bsp")

@@ -60,6 +60,8 @@ class Sequential(Module):
         grad = grad_output
         for module in reversed(self._modules.values()):
             grad = module.backward(grad)
+            if grad is None:  # an entry layer marked ``input_grad_unused``
+                break
         return grad
 
 

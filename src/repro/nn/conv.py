@@ -122,6 +122,8 @@ class Conv2d(Module):
             grad_bias = workspace.get("bwd_grad_bias", (self.out_channels,))
             np.sum(grad_matrix, axis=0, out=grad_bias)
             self.bias.accumulate_grad(grad_bias)
+        if self.input_grad_unused:
+            return None
         if self.stride == 1 and self.padding < self.kernel_size:
             return self._grad_input_correlation(grad_output, workspace)
         grad_cols = workspace.get("bwd_grad_cols", self._cache_cols.shape)

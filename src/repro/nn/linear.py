@@ -76,6 +76,8 @@ class Linear(Module):
             grad_bias = workspace.get("grad_bias", (self.out_features,))
             np.sum(grad_output, axis=0, out=grad_bias)
             self.bias.accumulate_grad(grad_bias)
+        if self.input_grad_unused:
+            return None
         grad_input = workspace.get("grad_input", self._cache_input.shape)
         np.matmul(grad_output, self.weight.data, out=grad_input)
         return grad_input

@@ -31,6 +31,12 @@ class Module:
     ``Dropout`` in eval mode — hand back their input instead.)
     """
 
+    #: Set by a :class:`~repro.ps.worker.Worker` on its replica's entry
+    #: layer, whose input gradient nobody reads: ``Linear`` / ``Conv2d`` then
+    #: skip computing it and their ``backward`` returns ``None``, where a
+    #: ``Sequential`` stops.  Everywhere else ``backward`` returns the gradient.
+    input_grad_unused = False
+
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()

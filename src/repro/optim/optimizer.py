@@ -28,6 +28,10 @@ __all__ = ["Optimizer"]
 class Optimizer:
     """Base class: applies gradient dictionaries to weight dictionaries."""
 
+    #: Whether :meth:`step_flat` takes sparse runs (``FlatUpdate.runs``) in
+    #: this configuration; where it does not, sparse pushes are densified.
+    sparse_runs = False
+
     def __init__(self, learning_rate: float) -> None:
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {learning_rate}")

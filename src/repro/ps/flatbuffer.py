@@ -148,16 +148,20 @@ class FlatUpdate:
     Consumed by :meth:`repro.optim.Optimizer.step_flat`.  ``runs`` holds the
     packed gradient as the fewest contiguous segments ``(lo, hi, grad)``
     where ``grad`` is a private scratch array the optimizer may mutate in
-    place.  ``velocity_size``/``layout`` let stateful optimizers keep their
-    per-shard state (e.g. momentum velocity) as one flat buffer aligned with
-    the weight block while still exporting it per-name for checkpoints.
+    place.  A *sparse* run carries the tuple ``(indices, values)`` instead:
+    sorted, unique positions relative to ``lo`` and the gradient there, zero
+    everywhere else, both read-only — handed only to an optimizer whose
+    ``sparse_runs`` is true.  ``velocity_size``/``layout`` let stateful
+    optimizers keep their per-shard state (e.g. momentum velocity) as one
+    flat buffer aligned with the weight block while still exporting it
+    per-name for checkpoints.
     """
 
     key: str
     weights: np.ndarray
     velocity_size: int
     layout: tuple[Segment, ...]
-    runs: list[tuple[int, int, np.ndarray]]
+    runs: list[tuple[int, int, np.ndarray | tuple]]
 
 
 class SnapshotViews(Mapping):
@@ -452,17 +456,29 @@ class FlatShard:
             runs=self.pack_runs(gradients),
         )
 
-    def make_flat_update(self, flat_gradient: np.ndarray) -> FlatUpdate:
+    def make_flat_update(self, flat_gradient) -> FlatUpdate:
         """Build the update for an already-packed full-shard gradient.
 
         ``flat_gradient`` must cover the whole weight block in layout order
         (workers with a packed replica accumulate it directly — see
         :meth:`repro.ps.worker.Worker.attach_flat_layout`).  No gathering,
         no scratch: the single run aliases the caller's buffer, which the
-        optimizer treats as read-only.
+        optimizer treats as read-only.  A ``sparse`` encoded payload
+        (:class:`repro.ps.compression.EncodedShard`) becomes one sparse run,
+        its indices checked here because they come off the wire.
         """
         end = self.layout.weights_end
-        if flat_gradient.ndim != 1 or flat_gradient.size != end:
+        if not isinstance(flat_gradient, np.ndarray):
+            indices, values = flat_gradient.arrays
+            in_order = indices.size == 0 or (
+                indices[0] >= 0 and indices[-1] < end and (indices[1:] > indices[:-1]).all()
+            )
+            if flat_gradient.size != end or indices.size != values.size or not in_order:
+                raise ValueError(
+                    f"sparse gradient needs sorted unique indices into {end} elements"
+                )
+            flat_gradient = (indices, values)
+        elif flat_gradient.ndim != 1 or flat_gradient.size != end:
             raise ValueError(
                 f"flat gradient must be a 1-D array of {end} elements, "
                 f"got shape {flat_gradient.shape}"

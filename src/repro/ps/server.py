@@ -71,24 +71,30 @@ class PushResponse:
         return self.released_workers
 
 
-def decode_push(encoded, pool: dict) -> dict:
+def decode_push(encoded, pool: dict, sparse: bool) -> dict:
     """Decode codec-compressed shard payloads into flat gradients.
 
     Dense payloads decode zero-copy (the ``none`` codec hands the server
     the very array the worker packed, keeping that path bit-for-bit
     identical to an uncompressed push); sparse/quantized payloads decode
     into ``pool`` (shard → float64 scratch), so steady-state pushes stay
-    allocation-free.  A worker's mirror replays logged pushes through it too.
+    allocation-free.  With ``sparse`` (the applying optimizer's
+    ``sparse_runs``) a sparse payload stays as it is: the store turns it
+    into a sparse run and no scratch is ever allocated.  A worker's mirror
+    replays logged pushes through this too, with its own optimizer's answer
+    — the same one, so both sides run the same kernel on the same entry.
     """
-    flat_gradients: dict[int, np.ndarray] = {}
+    flat_gradients: dict = {}
     for payload in encoded:
-        if payload.scheme == "dense":
+        if sparse and payload.scheme == "sparse":
+            flat_gradients[payload.shard] = payload
+        elif payload.scheme == "dense":
             flat_gradients[payload.shard] = decode_shard(payload)
-            continue
-        scratch = pool.get(payload.shard)
-        if scratch is None or scratch.size != payload.size:
-            scratch = pool[payload.shard] = np.empty(payload.size, dtype=np.float64)
-        flat_gradients[payload.shard] = decode_shard(payload, out=scratch)
+        else:
+            scratch = pool.get(payload.shard)
+            if scratch is None or scratch.size != payload.size:
+                scratch = pool[payload.shard] = np.empty(payload.size, dtype=np.float64)
+            flat_gradients[payload.shard] = decode_shard(payload, out=scratch)
     return flat_gradients
 
 
@@ -285,16 +291,25 @@ class ParameterServer:
                 f"({request.base_version} > {self.store.version})"
             )
 
-        flat_gradients = request.flat_gradients
-        if request.encoded_gradients is not None:
-            flat_gradients = self._decode_push(request.encoded_gradients)
-        verbatim = request.encoded_gradients is not None and not request.buffers
+        flat_gradients, encoded = request.flat_gradients, request.encoded_gradients
+        # Sparse frames stay sparse wherever the update is the frames' own:
+        # a pure function of (frames, optimizer), so a mirror replaying the
+        # logged push takes the same kernel.  A buffered window is dense,
+        # and so is what a fault injector looks at to decide.
+        sparse = self.optimizer.sparse_runs and not self._buffered
+        if encoded is not None:
+            flat_gradients = self._decode_push(
+                encoded, sparse and self.fault_injector is None
+            )
+        verbatim = encoded is not None and not request.buffers
         if self.fault_injector is not None:
             corrupted = self.fault_injector.corrupt_push(
                 request.worker_id, flat_gradients
             )
             if corrupted is not None:
                 flat_gradients, verbatim = corrupted, False
+            elif encoded is not None and sparse:
+                flat_gradients = self._decode_push(encoded, True)
         if self._buffered:
             applied = self._stage_push(request, flat_gradients)
         else:
@@ -317,12 +332,12 @@ class ParameterServer:
             self.store.update_buffers(request.buffers)
         return applied
 
-    def _decode_push(self, encoded) -> dict:
+    def _decode_push(self, encoded, sparse: bool) -> dict:
         """Decode a push into this thread's pooled scratch (:func:`decode_push`)."""
         pool = getattr(self._decode_scratch, "pool", None)
         if pool is None:
             pool = self._decode_scratch.pool = {}
-        return decode_push(encoded, pool)
+        return decode_push(encoded, pool, sparse)
 
     # ------------------------------------------------------------------
     # Buffered aggregation

@@ -447,11 +447,20 @@ class LogEntry:
     learning_rate: float
     scale: float
     frames: tuple
+    #: Who pushed it, and that push's ``seq`` (``None``: not numbered).
+    worker_id: str | None = None
+    seq: int | None = None
 
     @property
     def nbytes(self) -> int:
         """Payload bytes of the encoded frames."""
         return sum(frame.nbytes for frame in self.frames)
+
+    def frames_for(self, worker_id: str) -> tuple:
+        """The frames an OK to ``worker_id`` carries: none for its own
+        numbered push — it still holds them, the OK names the ``seq``."""
+        own = self.seq is not None and self.worker_id == worker_id
+        return () if own else self.frames
 
 
 class UpdateLog:
@@ -462,6 +471,9 @@ class UpdateLog:
     only the pushes of ``(b, v]``.  They are kept while they total fewer
     than ``budget`` bytes (the dense weights — beyond that a dense reply is
     cheaper); ``floor`` is the lowest base still served, ``reason`` why.
+    Each entry also records who pushed it (worker id and ``seq``), so an OK
+    can leave out the frames its recipient sent; ``nbytes``, eviction and
+    the budget count the bytes *stored*, not the fewer bytes sent.
     """
 
     def __init__(self, version: int, budget: int) -> None:
@@ -471,7 +483,10 @@ class UpdateLog:
         self.entries: deque[LogEntry] = deque()
         self.nbytes = 0
 
-    def record(self, version: int, learning_rate: float, scale: float, frames) -> None:
+    def record(
+        self, version: int, learning_rate: float, scale: float, frames,
+        worker_id: str | None = None, seq: int | None = None,
+    ) -> None:
         """Log the push that produced ``version``.  ``frames=None`` marks an
         *opaque* update (what was applied is not what the frames decode to),
         and so does a push over half the budget or a version the log did not
@@ -488,7 +503,7 @@ class UpdateLog:
             replace(frame, arrays=tuple(array.copy() for array in frame.arrays))
             for frame in frames
         )
-        self.entries.append(LogEntry(version, learning_rate, scale, kept))
+        self.entries.append(LogEntry(version, learning_rate, scale, kept, worker_id, seq))
         self.nbytes += nbytes
         while self.nbytes >= self.budget:
             evicted = self.entries.popleft()
@@ -510,8 +525,8 @@ class Mirror:
     Built from a dense reply; a log reply goes through :meth:`replay` — the
     ``apply_gradients`` + ``step_flat`` code the server ran, in the same
     order — which leaves the weights bit-identical to the dense pull it
-    replaces.  Costs one more copy of the weights, a velocity buffer and a
-    decode scratch.
+    replaces.  Costs one more copy of the weights, a velocity buffer and —
+    only where a frame has to be densified — a decode scratch.
     """
 
     def __init__(self, optimizer: SGD, layout, flat_weights, version: int, velocity=None):
@@ -540,15 +555,20 @@ class Mirror:
         (older ones already are); falling short of ``version`` raises —
         never train on the wrong weights.
         """
-        store = self.store
+        store, optimizer = self.store, self.optimizer
+        skipped = None
         for entry in entries:
             if entry.version == store.version + 1:
-                self.optimizer.learning_rate = entry.learning_rate
-                gradients = decode_push(entry.frames, self._scratch)
-                store.apply_gradients({}, self.optimizer, entry.scale, gradients)
+                optimizer.learning_rate = entry.learning_rate
+                gradients = decode_push(entry.frames, self._scratch, optimizer.sparse_runs)
+                store.apply_gradients({}, optimizer, entry.scale, gradients)
+            elif entry.version > store.version:
+                skipped = entry.version
+                break
         if store.version < version:
             raise RuntimeError(
-                f"update log has a version gap: mirror at {store.version}, reply at {version}"
+                f"update log has a version gap: mirror at {store.version}, reply at {version}, "
+                + (f"the next entry is version {skipped}" if skipped else "no entry left")
             )
         return store.pull()
 
@@ -952,7 +972,7 @@ class ServerSession:
         learning_rate, scale = server.optimizer.learning_rate, server.gradient_scale()
         applied = server.apply_push(request)
         frames = request.encoded_gradients if applied.verbatim else None
-        log.record(server.store.version, learning_rate, scale, frames)
+        log.record(server.store.version, learning_rate, scale, frames, worker_id, request.seq)
         return request, applied
 
     def push(self, worker_id: str, header: Mapping, *, staged=None, **gradients) -> PushResponse:
@@ -1012,7 +1032,8 @@ class ServerSession:
             self._mirrored.discard(worker_id)
             self.events.append({"kind": "dense_pull", "worker": worker_id, "reason": reason})
             return None
-        self.pull_replies.update(log=1, log_bytes=sum(entry.nbytes for entry in entries))
+        sent = (frame.nbytes for entry in entries for frame in entry.frames_for(worker_id))
+        self.pull_replies.update(log=1, log_bytes=sum(sent))
         return entries
 
     def dense_pull(self, worker_id: str, welcome: bool = False):

@@ -17,8 +17,9 @@ assumptions and speaks the length-prefixed socket protocol of
   weights; every push is answered (eventually — the policy decides when)
   with an ``ok`` that piggybacks the pull, so one round trip covers push +
   pull.  On a codec run that pull is the **update log**: the encoded
-  pushes the worker has not seen, replayed through its mirror of the
-  server's update rule (:class:`repro.ps.session.Mirror`) — bit for bit
+  pushes the worker has not seen (its own it replays from the frames it
+  kept), through its mirror of the server's update rule
+  (:class:`repro.ps.session.Mirror`) — bit for bit
   the weights a dense pull carries.  A span the log cannot bridge, and
   every reply of a run without a codec, gets the dense weights.
   Gradients travel as the same self-describing frames the shared-memory
@@ -53,8 +54,9 @@ server → worker   ``welcome {clock, version, started, layout, buffers,
                   want_codec_state, [mirror]}`` + weight/optimizer-state/
                   codec-state frames, ``start``, ``ok {version}`` + weight
                   frames, or ``ok {version, log: [[version, lr, scale,
-                  nframes], …]}`` + the logged push frames, ``abort
-                  {reason}``, ``restart``, ``reject {reason}``
+                  nframes, seq|null], …]}`` + the logged push frames
+                  (none for the recipient's own push: its ``seq``),
+                  ``abort {reason}``, ``restart``, ``reject {reason}``
 coordinator       ``watch`` → ``result {result}`` on completion
 ================  =====================================================
 """
@@ -754,10 +756,14 @@ class TcpServer:
         if entries is None:
             self._send_dense(peer.conn, worker_id, {"type": "ok"})
             return
-        log = [[e.version, e.learning_rate, e.scale, len(e.frames)] for e in entries]
+        # The recipient's own push travels as its ``seq`` and no frames.
+        sent = [entry.frames_for(worker_id) for entry in entries]
+        log = [
+            [e.version, e.learning_rate, e.scale, len(frames), None if frames else e.seq]
+            for e, frames in zip(entries, sent)
+        ]
         header = {"type": "ok", "version": self._store.version, "log": log}
-        frames = chain.from_iterable(entry.frames for entry in entries)
-        self._try_send(peer.conn, header, frames, worker_id=worker_id)
+        self._try_send(peer.conn, header, chain.from_iterable(sent), worker_id=worker_id)
 
     def _send_dense(self, conn, worker_id: str, header: dict, extra_frames=()) -> None:
         """Send ``header`` with the packed weights: a welcome, or an OK the
@@ -952,6 +958,10 @@ class _TcpLink:
         self._running = False
         self._codec = None
         self._mirror: Mirror | None = None
+        #: ``(seq, frames)`` of the push in flight: a log OK names it by
+        #: ``seq`` instead of echoing it.  A reference, not a copy — codecs
+        #: encode into fresh arrays and the loop sends nothing before the OK.
+        self._held: tuple = (None, ())
         self._send_error: ConnectionClosed | None = None
 
     def _join(self, timeout: float) -> Resume:
@@ -992,13 +1002,29 @@ class _TcpLink:
         return reply
 
     def _log_reply(self, header: dict, frames) -> PullReply:
-        """Replay an OK's update log through the mirror; its weights."""
+        """Replay an OK's update log through the mirror; its weights.
+
+        An entry naming a ``seq`` is this worker's own push, replayed from
+        the frames it kept, at that entry's position.  A ``seq`` it does not
+        hold or frames left over raise: never train on the wrong weights.
+        """
         entries, offset = [], 0
-        for version, learning_rate, scale, count in header["log"]:
-            entries.append(
-                LogEntry(version, learning_rate, scale, frames[offset : offset + count])
+        for version, learning_rate, scale, count, seq in header["log"]:
+            if seq is None:
+                sent = frames[offset : offset + count]
+                offset += count
+            elif seq != self._held[0]:
+                raise RuntimeError(
+                    f"update log names push seq {seq} of {self._worker_id}, "
+                    f"which holds seq {self._held[0]}"
+                )
+            else:
+                sent = self._held[1]
+            entries.append(LogEntry(version, learning_rate, scale, sent))
+        if offset != len(frames):
+            raise RuntimeError(
+                f"update log counts {offset} frames, the OK carried {len(frames)}"
             )
-            offset += count
         reply = self._mirror.replay(entries, int(header["version"]))
         return replace(reply, wire_nbytes=sum(frame.nbytes for frame in frames))
 
@@ -1078,6 +1104,7 @@ class _TcpLink:
     def push(self, header, computation, flat, encoded) -> bool:
         if encoded is not None:
             frames = list(encoded)
+            self._held = (header["seq"], encoded)
         else:
             frames = [
                 _dense_frame(shard, buffer)

@@ -22,6 +22,9 @@ from typing import Mapping
 import numpy as np
 
 from repro.data.loader import MiniBatchLoader
+from repro.nn.container import Sequential
+from repro.nn.conv import Conv2d
+from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.ps.messages import PullReply
 from repro.utils.serialization import scale_state
@@ -66,6 +69,14 @@ class Worker:
         self.loader = loader
         self.loss_fn = loss_fn
         self.micro_batches = int(micro_batches)
+        # Nobody reads the gradient w.r.t. the replica's input: its entry
+        # layer — the first child with parameters, through Sequentials only;
+        # what sits before it has nothing to accumulate — skips that matmul.
+        entry = model
+        while isinstance(entry, Sequential):
+            entry = next((child for child in entry if child.parameters()), None)
+        if isinstance(entry, (Linear, Conv2d)):
+            entry.input_grad_unused = True
         self._local_version = 0
         self._iterations = 0
         self._samples_processed = 0

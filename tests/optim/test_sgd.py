@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.staleness_aware import StalenessAwareSGD
+from repro.ps.compression import EncodedShard, decode_shard, make_codec
+from repro.ps.flatbuffer import FlatShard
 
 
 def make_weights():
@@ -129,3 +132,85 @@ class TestStalenessAwareSgd:
         optimizer = StalenessAwareSGD(0.1)
         with pytest.raises(ValueError):
             optimizer.set_staleness(-1)
+
+
+class TestSparseRuns:
+    """A sparse push through the sparse kernel vs its dense decode through
+    the dense one: the same numbers.
+
+    ``np.array_equal``, not ``tobytes()``: where the gradient is zero the
+    dense kernel still adds it, and IEEE ``-0.0 + 0.0`` is ``+0.0`` — a
+    negative-zero velocity changes sign there and stays as it is here.
+    """
+
+    SIZE = 3 * SGD._CHUNK // 2 + 7  # two chunks, the second one ragged
+
+    def run_pair(self, codec, dtype, momentum, steps=3):
+        rng = np.random.default_rng(0)
+        initial = {"w": rng.standard_normal(self.SIZE - 5), "b": rng.standard_normal(5)}
+        shards = [FlatShard(initial, dtype=dtype) for _ in range(2)]
+        optimizers = [SGD(0.05, momentum=momentum) for _ in range(2)]
+        codec = make_codec(codec)
+        for _ in range(steps):
+            encoded = codec.encode(0, rng.standard_normal(self.SIZE))
+            assert encoded.scheme == "sparse"
+            for shard, optimizer, push in zip(
+                shards, optimizers, (decode_shard(encoded), encoded)
+            ):
+                optimizer.step_flat([shard.make_flat_update(push)], scale=0.5)
+        return shards, optimizers, encoded
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("codec", ["topk:0.01", "significance:2.0"])
+    def test_sparse_run_equals_the_dense_run_of_the_same_push(self, codec, dtype, momentum):
+        (dense, sparse), (dense_opt, sparse_opt), _ = self.run_pair(codec, dtype, momentum)
+        assert sparse.buffer.dtype == np.dtype(dtype)
+        assert np.array_equal(dense.buffer, sparse.buffer)
+        velocity, expected = sparse_opt.state_dict()["velocity"], dense_opt.state_dict()["velocity"]
+        assert velocity.keys() == expected.keys() == ({"w", "b"} if momentum else set())
+        for name in expected:
+            assert velocity[name].dtype == np.dtype(dtype)
+            assert np.array_equal(velocity[name], expected[name])
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_an_empty_push_still_decays_the_velocity(self, momentum):
+        # Nothing is significant at this threshold: k = 0 on every push but
+        # the first, which seeds a velocity for the later ones to decay.
+        shards, optimizers, _ = self.run_pair("topk:0.01", "float64", momentum, steps=1)
+        before = shards[1].buffer.copy()
+        empty = make_codec("significance:1e9").encode(0, np.ones(self.SIZE))
+        assert empty.arrays[0].size == 0
+        for shard, optimizer, push in zip(shards, optimizers, (decode_shard(empty), empty)):
+            optimizer.step_flat([shard.make_flat_update(push)], scale=0.5)
+        assert np.array_equal(shards[0].buffer, shards[1].buffer)
+        assert np.array_equal(before, shards[1].buffer) == (momentum == 0.0)
+
+    def test_a_negative_zero_velocity_is_the_one_difference(self):
+        shards = [FlatShard({"w": np.ones(4)}) for _ in range(2)]
+        optimizers = [SGD(0.05, momentum=0.9) for _ in range(2)]
+        empty = EncodedShard(0, 4, "sparse", (np.empty(0, np.int32), np.empty(0)))
+        for shard, optimizer, push in zip(shards, optimizers, (decode_shard(empty), empty)):
+            optimizer.load_state_dict(
+                {**optimizer.state_dict(), "velocity": {"w": np.full(4, -0.0)}}
+            )
+            optimizer.step_flat([shard.make_flat_update(push)], scale=1.0)
+        dense, sparse = (optimizer.state_dict()["velocity"]["w"] for optimizer in optimizers)
+        assert np.array_equal(dense, sparse)
+        assert not np.signbit(dense).any() and np.signbit(sparse).all()
+
+    def test_only_plain_and_heavy_ball_sgd_take_sparse_runs(self):
+        assert SGD(0.1).sparse_runs and SGD(0.1, momentum=0.9).sparse_runs
+        assert StalenessAwareSGD(0.1, momentum=0.9).sparse_runs
+        assert not SGD(0.1, momentum=0.9, weight_decay=1e-4).sparse_runs
+        assert not SGD(0.1, momentum=0.9, nesterov=True).sparse_runs
+        assert not Optimizer(0.1).sparse_runs
+
+    @pytest.mark.parametrize(
+        "indices", [[3, 1], [1, 1], [-1, 2], [2, 9]], ids=["unsorted", "duplicate", "negative", "beyond"]
+    )
+    def test_indices_off_the_wire_are_checked(self, indices):
+        shard = FlatShard({"w": np.ones(9)})
+        push = EncodedShard(0, 9, "sparse", (np.array(indices, np.int32), np.ones(2)))
+        with pytest.raises(ValueError, match="sorted unique indices"):
+            shard.make_flat_update(push)

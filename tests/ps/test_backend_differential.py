@@ -29,9 +29,9 @@ CONFIGURATIONS = {
 
 # 1 worker x 20 iterations of the tiny MLP: per-codec bytes pushed, and the
 # dense bytes pulled (the initial pull plus one per acknowledged push).  On
-# a codec run tcp answers each push with the update log instead — here the
-# worker's own frames echoed back — so it pulls the welcome plus what it
-# pushed.
+# a codec run tcp answers each push with the update log instead — here only
+# the worker's own push, which an OK names and never echoes — so it pulls
+# the welcome and nothing more.
 PUSHED_WIRE_BYTES = {None: 781120, "topk:0.01": 11760, "int8": 97960}
 PULLED_BYTES = 820176
 WELCOME_BYTES = PULLED_BYTES // 21
@@ -39,7 +39,7 @@ WELCOME_BYTES = PULLED_BYTES // 21
 
 def pulled_bytes(backend, compression):
     if backend == "tcp" and compression is not None:
-        return WELCOME_BYTES + PUSHED_WIRE_BYTES[compression]
+        return WELCOME_BYTES
     return PULLED_BYTES
 
 

@@ -11,13 +11,19 @@ dict-of-arrays path through push, pull and checkpoint round-trips.
 import numpy as np
 import pytest
 
+from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
 from repro.optim.staleness_aware import StalenessAwareSGD
+from repro.ps.aggregation import make_aggregator
 from repro.ps.checkpoint import restore_into, save_checkpoint
+from repro.ps.compression import decode_shard, make_codec
+from repro.ps.faults import FaultInjector, parse_fault_specs
 from repro.ps.flatbuffer import FlatLayout, FlatShard
 from repro.ps.kvstore import KeyValueStore
-from repro.ps.messages import PullRequest
+from repro.ps.messages import PullRequest, PushRequest
+from repro.ps.server import ParameterServer
 from repro.ps.sharding import ShardedKeyValueStore, make_store
+from repro.utils.rng import RngStream
 
 
 def make_arrays(num=6, seed=0):
@@ -623,3 +629,121 @@ class TestDeltaPullThroughServer:
             PullRequest(worker_id="w0", known_version=server.store.version)
         )
         assert reply.is_delta and not reply.weights
+
+
+class CountingSGD(SGD):
+    """SGD that counts the runs its sparse kernel took."""
+
+    sparse_calls = 0
+
+    def _apply_sparse(self, *args):
+        self.sparse_calls += 1
+        super()._apply_sparse(*args)
+
+
+class TestSparsePushes:
+    """A sparse-coded push through ``ParameterServer.apply_push``: applied
+    as a sparse run where the update rule allows, densified everywhere else
+    — either way the numbers of the dense decode applied densely.
+
+    ``np.array_equal`` rather than byte equality where the sparse kernel
+    ran: the dense kernel adds the zero gradient too, and IEEE
+    ``-0.0 + 0.0`` is ``+0.0`` (tests/optim/test_sgd.py pins that case).
+    """
+
+    NUM_SHARDS = 4
+
+    def server(self, dtype="float64", **options):
+        store = make_store(make_arrays(num=8), num_shards=self.NUM_SHARDS, dtype=dtype)
+        server = ParameterServer(store, policy=make_policy("asp"), **options)
+        server.register_worker("worker-0")
+        return server
+
+    def pushes(self, server, codec, count=3):
+        """``count`` coded pushes: as frames, and as their dense decode."""
+        codec, rng = make_codec(codec), np.random.default_rng(3)
+        for step in range(count):
+            encoded = tuple(
+                codec.encode(shard, rng.standard_normal(segments[-1].hi))
+                for shard, segments in server.store.flat_layouts
+            )
+            assert {payload.scheme for payload in encoded} == {"sparse"}
+            common = dict(worker_id="worker-0", gradients={}, base_version=step, timestamp=step)
+            yield (
+                PushRequest(**common, encoded_gradients=encoded),
+                PushRequest(**common, flat_gradients={p.shard: decode_shard(p) for p in encoded}),
+            )
+
+    @staticmethod
+    def state(server):
+        weights = {name: view.copy() for name, view in server.store.weights.items()}
+        return weights, server.optimizer.state_dict()["velocity"]
+
+    @staticmethod
+    def decode_pool(server):
+        return getattr(server._decode_scratch, "pool", {})
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("codec", ["topk:0.25", "significance:1.0", "significance:1e9"])
+    def test_sparse_frames_are_applied_sparsely_to_every_shard(self, codec, dtype, momentum):
+        optimizer = CountingSGD(0.1, momentum=momentum)
+        sparse = self.server(dtype, optimizer=optimizer)
+        dense = self.server(dtype, optimizer=SGD(0.1, momentum=momentum))
+        for coded, decoded in self.pushes(sparse, codec):
+            assert sparse.apply_push(coded).verbatim
+            dense.apply_push(decoded)
+        assert optimizer.sparse_calls == 3 * self.NUM_SHARDS
+        assert self.decode_pool(sparse) == {}  # nothing densified: no scratch exists
+        for got, expected in zip(self.state(sparse), self.state(dense)):
+            assert got.keys() == expected.keys()
+            for name in expected:
+                assert got[name].dtype == expected[name].dtype == np.dtype(dtype)
+                assert np.array_equal(got[name], expected[name]), name
+
+    @pytest.mark.parametrize(
+        "optimizer, aggregation",
+        [
+            ({"momentum": 0.9, "weight_decay": 1e-3}, None),
+            ({"momentum": 0.9, "nesterov": True}, None),
+            ({"momentum": 0.9}, "median"),
+        ],
+        ids=["weight_decay", "nesterov", "buffered"],
+    )
+    def test_what_cannot_run_sparsely_is_densified_first(self, optimizer, aggregation):
+        def server():
+            aggregator = make_aggregator(aggregation) if aggregation else None
+            return self.server(optimizer=CountingSGD(0.1, **optimizer), aggregator=aggregator)
+
+        sparse, dense = server(), server()
+        for coded, decoded in self.pushes(sparse, "topk:0.25"):
+            sparse.apply_push(coded)
+            dense.apply_push(decoded)
+        assert sparse.optimizer.sparse_calls == 0
+        assert sorted(self.decode_pool(sparse)) == list(range(self.NUM_SHARDS))
+        for got, expected in zip(self.state(sparse), self.state(dense)):
+            for name in expected:
+                assert got[name].tobytes() == expected[name].tobytes(), name
+
+    def test_a_fault_injector_decides_on_a_dense_decode_and_honest_pushes_stay_sparse(self):
+        plan = parse_fault_specs(
+            [{"worker": 0, "kind": "byzantine", "mode": "sign_flip", "after_clock": 2}],
+            ["worker-0"],
+        )
+        optimizer = CountingSGD(0.1, momentum=0.9)
+        watched = self.server(
+            optimizer=optimizer, fault_injector=FaultInjector(plan, RngStream(0))
+        )
+        plain = self.server(optimizer=SGD(0.1, momentum=0.9))
+        first, second, third = (coded for coded, _ in self.pushes(watched, "topk:0.25"))
+        for request in (first, second):
+            assert watched.apply_push(request).verbatim
+            plain.apply_push(request)
+        # The kernel a mirror (which has no injector) will replay them with.
+        assert optimizer.sparse_calls == 2 * self.NUM_SHARDS
+        for got, expected in zip(self.state(watched), self.state(plain)):
+            for name in expected:
+                assert got[name].tobytes() == expected[name].tobytes(), name
+        assert not watched.apply_push(third).verbatim  # corrupted: applied densely
+        assert optimizer.sparse_calls == 2 * self.NUM_SHARDS
+        assert sorted(self.decode_pool(watched)) == list(range(self.NUM_SHARDS))

@@ -1,13 +1,15 @@
 """Update-log pulls on the seam: ``ServerSession`` + ``Mirror``, no sockets.
 
 Scripted workers push codec-encoded gradients through a real
-``ServerSession`` and answer every OK the way the tcp link does — replay
-the log through a ``Mirror``, or reload it from the dense reply.  After
-every OK the mirror must hold the store's exact bytes (weights *and*
-momentum), whatever the codec, the update rule or the membership did in
-between.
+``ServerSession``; every log OK is written by the tcp server's own
+``_send_ok`` and read by a real ``_TcpLink`` (over connections that keep
+the message instead of sending it), so a worker's own push comes back as
+its ``seq`` and is replayed from the frames the link kept.  After every OK
+the mirror must hold the store's exact bytes (weights *and* momentum),
+whatever the codec, the update rule or the membership did in between.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.optim.sgd import SGD
 from repro.ps.compression import make_codec
 from repro.ps.coordinator import DistributedTrainingConfig
 from repro.ps.server import ParameterServer
+from repro.ps.tcp_runtime import TcpServer, TcpTrainingPlan, _Peer, _TcpLink
 from repro.ps.session import (
     LogEntry,
     Mirror,
@@ -52,13 +55,22 @@ def velocity_bytes(optimizer) -> dict:
     return {k: v.tobytes() for k, v in optimizer.state_dict()["velocity"].items()}
 
 
+class Wire:
+    """Stands in for a ``TcpConnection``: keeps the last message sent, its
+    header through JSON as on the wire."""
+
+    def send(self, header, frames=()):
+        self.header, self.frames = json.loads(json.dumps(header)), list(frames)
+
+
 class Cluster:
-    """A ``ServerSession`` and scripted workers that answer OKs like the tcp link."""
+    """A ``ServerSession`` and scripted workers whose log OKs travel from the
+    tcp server's ``_send_ok`` to a tcp link's ``_log_reply``."""
 
     def __init__(self, codec, optimizer=None, dtype="float64", buffers=None, **plan_fields):
         fields = {"paradigm": "asp", "paradigm_kwargs": {}, **plan_fields}
-        self.plan = DistributedTrainingConfig(
-            num_workers=3, batch_size=16, dtype=dtype, **fields
+        self.plan = TcpTrainingPlan(
+            workload="mlp", scale_fields={}, num_workers=3, batch_size=16, dtype=dtype, **fields
         )
         self.make_optimizer = (
             (lambda: SGD(0.05, **optimizer)) if optimizer else (lambda: build_optimizer(self.plan))
@@ -74,34 +86,33 @@ class Cluster:
         self.layout = self.store.flat_layouts[0][1]
         self.size = self.layout[-1].hi
         self.rng = np.random.default_rng(1)
-        self.codecs, self.mirrors, self.seqs = {}, {}, {}
+        self.codecs, self.mirrors, self.seqs, self.links = {}, {}, {}, {}
         self.replies = []  # (worker, "log" | "dense", entry count)
+        self.rows = {}  # worker -> the log rows of its last log OK
         self.clock = 0.0
+        # Only ``_send_ok`` runs: these are all it reads.
+        self.tcp = TcpServer(self.plan)
+        self.tcp._session, self.tcp._store, self.tcp._peers = self.session, self.store, {}
         for index, worker_id in enumerate(self.plan.worker_ids):
             self.codecs[worker_id] = make_codec(codec)
             self.codecs[worker_id].reseed(np.random.default_rng(index))
+            self.links[worker_id] = _TcpLink(self.plan, index, "nowhere")
+            self.links[worker_id]._conn = Wire()
+            self.tcp._peers[worker_id] = _Peer(Wire(), worker_id, 0.0)
             self.join(worker_id)
 
     def join(self, worker_id, clock=0):
+        """Join and take the welcome: the dense weights and optimizer state
+        a mirror is built from (with this cluster's optimizer, which a plan
+        cannot always express)."""
         self.session.join(worker_id, clock)
         self.seqs[worker_id] = clock
-        self.dense(worker_id, welcome=True)
-
-    def dense(self, worker_id, welcome=False):
-        reply, mirrored, velocity = self.session.dense_pull(worker_id, welcome=welcome)
-        try:
-            if mirrored:
-                self.mirrors[worker_id] = Mirror(
-                    self.make_optimizer(),
-                    self.layout,
-                    reply.flat_weights[0].buffer,
-                    reply.version,
-                    velocity,
-                )
-            else:
-                self.mirrors.pop(worker_id, None)
-        finally:
-            reply.release()
+        reply, mirrored, velocity = self.session.dense_pull(worker_id, welcome=True)
+        assert mirrored
+        self.mirrors[worker_id] = Mirror(
+            self.make_optimizer(), self.layout, reply.flat_weights[0].buffer, reply.version, velocity
+        )
+        reply.release()
         self.replies.append((worker_id, "dense", 0))
 
     def push(self, worker_id, base_version=None, seq=None, **gradients):
@@ -115,23 +126,29 @@ class Cluster:
             seq = self.seqs[worker_id]
             self.seqs[worker_id] += 1
         self.clock += 1.0
-        response = self.session.push(
-            worker_id,
-            {"base_version": base_version, "timestamp": self.clock, "loss": 1.0, "seq": seq},
-            **gradients,
+        header = {"base_version": base_version, "timestamp": self.clock, "loss": 1.0, "seq": seq}
+        # The link keeps the frames in flight; its envelope goes nowhere.
+        self.links[worker_id].push(
+            header, SimpleNamespace(buffers=None), None, gradients["encoded"]
         )
+        response = self.session.push(worker_id, header, **gradients)
         for released in response.to_release:
             self.ok(released)
         return response
 
     def ok(self, worker_id):
-        entries = self.session.updates_for(worker_id)
-        if entries is None:
-            self.dense(worker_id)
+        wire = self.tcp._peers[worker_id].conn
+        self.tcp._send_ok(worker_id)
+        if "log" not in wire.header:
+            # A dense OK carries no optimizer state: no mirror from here on.
+            self.mirrors.pop(worker_id, None)
+            self.replies.append((worker_id, "dense", 0))
             return
-        reply = self.mirrors[worker_id].replay(entries, self.store.version)
-        reply.release()
-        self.replies.append((worker_id, "log", len(entries)))
+        link = self.links[worker_id]
+        link._mirror = self.mirrors[worker_id]
+        link._log_reply(wire.header, wire.frames).release()
+        self.rows[worker_id] = wire.header["log"]
+        self.replies.append((worker_id, "log", len(wire.header["log"])))
         self.assert_mirrored(worker_id)
 
     def assert_mirrored(self, worker_id):
@@ -170,6 +187,11 @@ def test_mirror_matches_the_store_after_every_ok(codec, optimizer):
     assert cluster.dense_pull_events() == []
     replies = cluster.session.pull_replies
     assert (replies["log"], replies["dense"]) == (kinds.count("log"), 4)
+    # Every OK here answers the recipient's push in flight: named by its seq
+    # (c counts on from its rejoin clock), never echoed, never counted as sent.
+    assert [row[3:] for row in cluster.rows[c]] == [[1, None], [1, None], [0, 4]]
+    foreign = sum(count - 1 for _, kind, count in cluster.replies if kind == "log")
+    assert replies["log_bytes"] == foreign * cluster.session.update_log.entries[0].nbytes
     scales = {entry.scale for entry in cluster.session.update_log.entries}
     assert scales <= {1 / 3, 1 / 2} and 1 / 3 in scales
 
@@ -255,6 +277,49 @@ def test_a_retransmitted_push_gets_an_empty_log():
     assert [e["kind"] for e in cluster.session.events] == ["duplicate_push"]
 
 
+def test_an_ok_delayed_by_a_dssp_block_names_the_own_push_where_it_landed():
+    cluster = Cluster(
+        "topk:0.01", OPTIMIZERS["momentum"], paradigm="dssp",
+        paradigm_kwargs={"s_lower": 1, "s_upper": 2},
+    )
+    a, b, c = cluster.plan.worker_ids
+    cluster.push(b)
+    cluster.push(a)
+    assert cluster.push(a).to_release == ()  # two ahead of c: blocked, OK owed
+    assert cluster.push(b).to_release == ()
+    assert set(cluster.push(c).to_release) == {a, b, c}
+    # b pulled at version 1 and pushed version 4: a's two pushes before its
+    # own in the replay, c's after — [frames sent, seq] per entry.
+    assert [row[0] for row in cluster.rows[b]] == [2, 3, 4, 5]
+    assert [row[3:] for row in cluster.rows[b]] == [[1, None], [1, None], [0, 1], [1, None]]
+    assert [row[3:] for row in cluster.rows[a]] == [[0, 1], [1, None], [1, None]]
+
+
+@pytest.mark.parametrize("held", [None, 7])
+def test_a_log_naming_a_push_the_link_does_not_hold_fails_loudly(held):
+    cluster = Cluster("int8", OPTIMIZERS["momentum"], paradigm="bsp")
+    a, b, c = cluster.plan.worker_ids
+    cluster.push(a)  # blocked until the round is complete
+    link = cluster.links[a]
+    link._held = (held, link._held[1])  # it forgot the push, or kept another
+    cluster.push(b)
+    with pytest.raises(RuntimeError, match=f"names push seq 0 of worker-0, which holds seq {held}"):
+        cluster.push(c)
+    assert cluster.mirrors[a].store.version == 0  # nothing was replayed
+
+
+def test_a_log_reply_must_account_for_every_frame_it_came_with():
+    cluster = Cluster("fp16")
+    a, b, _ = cluster.plan.worker_ids
+    cluster.push(a)
+    cluster.push(b)
+    link, wire = cluster.links[b], cluster.tcp._peers[b].conn
+    assert [row[3:] for row in wire.header["log"]] == [[1, None], [0, 0]]
+    for frames in (wire.frames * 2, []):  # one too many, one too few
+        with pytest.raises(RuntimeError, match="update log counts"):
+            link._log_reply(wire.header, frames)
+
+
 def test_the_log_starts_over_at_a_version_it_did_not_see_coming():
     log = UpdateLog(version=5, budget=1000)
     frame = make_codec("none").encode(0, np.ones(4))
@@ -305,7 +370,55 @@ class GappedLink:
         self.errors.append(message)
 
 
-def test_a_version_gap_fails_the_worker_loudly(tiny_flat_datasets):
+class ForgetfulLink(_TcpLink):
+    """A real tcp link over a scripted connection (itself): the one OK it
+    receives names a push — seq 7 — this worker never made."""
+
+    def __init__(self, plan, store):
+        super().__init__(plan, 0, "nowhere")
+        self.store, self.sent, self._conn = store, [], self
+
+    def open(self):
+        self.layouts = self.store.flat_layouts
+        reply = self.store.pull()
+        self._mirror = Mirror(
+            build_optimizer(self._plan), self.layouts[0][1],
+            reply.flat_weights[0].buffer, reply.version,
+        )
+        return Resume(0, reply)
+
+    def ready(self, worker):
+        return True
+
+    def send(self, header, frames=()):
+        self.sent.append(header)
+
+    def recv(self, timeout):
+        return {"type": "ok", "version": 1, "log": [[1, 0.05, 1.0, 0, 7]]}, []
+
+    @property
+    def errors(self):
+        return [header["message"] for header in self.sent if header["type"] == "error"]
+
+    @property
+    def reports(self):
+        return [header for header in self.sent if header["type"] == "done"]
+
+
+@pytest.mark.parametrize(
+    "make_link, complaint",
+    [
+        (
+            lambda plan, store: GappedLink(store, build_optimizer(plan)),
+            "version gap: mirror at 0, reply at 2, the next entry is version 2",
+        ),
+        (ForgetfulLink, "names push seq 7 of worker-0, which holds seq 0"),
+    ],
+    ids=["version-gap", "unheld-seq"],
+)
+def test_a_log_the_mirror_cannot_replay_fails_the_worker_loudly(
+    tiny_flat_datasets, make_link, complaint
+):
     train, test = tiny_flat_datasets
     workload = SimpleNamespace(
         model_builder=lambda rng: mlp(
@@ -314,17 +427,19 @@ def test_a_version_gap_fails_the_worker_loudly(tiny_flat_datasets):
         train_dataset=train,
         test_dataset=test,
     )
-    plan = DistributedTrainingConfig(num_workers=1, batch_size=16, compression="topk:0.01")
+    plan = TcpTrainingPlan(
+        workload="mlp", scale_fields={}, num_workers=1, batch_size=16, compression="topk:0.01"
+    )
     model = workload.model_builder(RngStream(plan.seed).get("init"))
     store = make_store({name: p.data for name, p in model.named_parameters()})
-    link = GappedLink(store, build_optimizer(plan))
+    link = make_link(plan, store)
     loop = WorkerLoop(
         "worker-0", link, iterations=4, wait_timeout=5.0,
         build=lambda: replica_builder(plan, workload)(0, link.layouts),
     )
     assert loop.run() is None and link.reports == []
     (message,) = link.errors
-    assert "version gap" in message
+    assert complaint in message
     assert loop.completed == 0  # nothing was trained on the unreplayed weights
 
 

@@ -6,12 +6,17 @@ import pytest
 from repro.core.factory import make_policy
 from repro.data.loader import MiniBatchLoader
 from repro.metrics.accuracy import evaluate_model
+from repro.experiments.config import TINY
+from repro.experiments.workloads import build_workload
 from repro.models import mlp
+from repro.nn.conv import Conv2d
+from repro.nn.linear import Linear
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.optim.sgd import SGD
 from repro.ps.coordinator import DistributedTrainingConfig, train_distributed
 from repro.ps.runtime import ThreadedTrainer
 from repro.ps.server import ParameterServer
+from repro.ps.session import assemble
 from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
 
@@ -140,6 +145,40 @@ def build_threaded_trainer(
         evaluate_every_pushes=4,
         wait_timeout=30.0,
     )
+
+
+class TestEntryLayerSkipsItsInputGradient:
+    """A worker marks its replica's entry layer ``input_grad_unused``: one
+    matmul less per step, and not a bit of any gradient or loss changes."""
+
+    @pytest.mark.parametrize("workload, entry", [("mlp", Linear), ("resnet110", Conv2d)])
+    def test_gradients_and_losses_are_byte_equal_with_and_without_the_mark(
+        self, workload, entry
+    ):
+        def replica(marked):
+            plan = DistributedTrainingConfig(num_workers=1, batch_size=16, seed=3)
+            server, (worker,), _ = assemble(plan, build_workload(workload, TINY))
+            worker.attach_flat_layout(server.store.flat_layouts)
+            (layer,) = [
+                module for _, module in worker.model.named_modules() if module.input_grad_unused
+            ]
+            first = next(m for _, m in worker.model.named_modules() if m._parameters)
+            assert layer is first and type(layer) is entry
+            layer.input_grad_unused = marked
+            return worker
+
+        def iterations(worker):
+            for _ in range(3):
+                computation = worker.compute_gradients()
+                yield computation.loss, {
+                    shard: flat.tobytes() for shard, flat in computation.flat_gradients.items()
+                }
+
+        marked, unmarked = replica(True), replica(False)
+        assert list(iterations(marked)) == list(iterations(unmarked))
+        grad = unmarked.loss_fn.backward()
+        assert unmarked.model.backward(grad).shape == unmarked.loader.next_batch()[0].shape
+        assert marked.model.backward(marked.loss_fn.backward()) is None
 
 
 class TestThreadedTrainer:

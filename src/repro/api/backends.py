@@ -28,7 +28,9 @@ processes?" with a one-flag switch (see ``docs/architecture.md`` for the
 backend comparison).  New backends register by name::
 
     @register_backend("ray")
-    class RayBackend: ...
+    class RayBackend:
+        name = "ray"
+        ...
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ import dataclasses
 from repro.api.result import Provenance, RunResult, git_revision
 from repro.api.spec import ExperimentSpec
 from repro.core.staleness import StalenessTracker
-from repro.experiments.workloads import Workload, available_workloads, build_workload
+from repro.experiments.workloads import WORKLOADS, Workload, build_workload
 from repro.metrics.throughput import EMPTY_PERCENTILES, iteration_throughput
 from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
 from repro.ps.process_runtime import ProcessTrainer, ProcessTrainingPlan
 from repro.ps.tcp_runtime import TcpTrainer, TcpTrainingPlan
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.trainer import SimulatedTraining, SimulationConfig
+from repro.utils.registry import Registry
 from repro.version import __version__
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "ThreadedBackend",
     "ProcessBackend",
     "TcpBackend",
+    "BACKENDS",
     "register_backend",
     "get_backend",
     "available_backends",
@@ -92,37 +96,20 @@ class Backend(Protocol):
         ...
 
 
-_BACKENDS: dict[str, type] = {}
-
-
-def register_backend(name: str):
-    """Decorator registering a backend class under ``name``."""
-
-    key = name.strip().lower()
-
-    def decorator(backend_cls: type) -> type:
-        if key in _BACKENDS:
-            raise ValueError(f"backend {key!r} is already registered")
-        backend_cls.name = key
-        _BACKENDS[key] = backend_cls
-        return backend_cls
-
-    return decorator
+#: Backend name → backend class; a name alone selects one, so the classes'
+#: constructor options are not listed as parameters.
+BACKENDS = Registry("backend", configurable=False)
+register_backend = BACKENDS.register
 
 
 def get_backend(name: str) -> Backend:
     """Instantiate a registered backend by name."""
-    key = name.strip().lower()
-    if key not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; available backends: {available_backends()}"
-        )
-    return _BACKENDS[key]()
+    return BACKENDS[name]()
 
 
 def available_backends() -> list[str]:
     """Backend names in registration order."""
-    return list(_BACKENDS)
+    return list(BACKENDS)
 
 
 def run_experiment(
@@ -278,13 +265,8 @@ def _plan_fields(
 
 def _registry_plan_fields(spec: ExperimentSpec, profile: bool) -> dict:
     """What a plan needs for its processes to rebuild the workload themselves."""
-    if spec.workload not in available_workloads():
-        raise ValueError(
-            f"unknown workload {spec.workload!r}; known workloads: "
-            f"{sorted(available_workloads())}"
-        )
     return {
-        "workload": spec.workload,
+        "workload": WORKLOADS.key(spec.workload),
         "workload_kwargs": dict(spec.workload_kwargs),
         "scale_fields": dataclasses.asdict(spec.resolved_scale()),
         "profile": profile,
@@ -341,6 +323,8 @@ def _run_result(
 @register_backend("simulated")
 class SimulatedBackend:
     """Discrete-event simulation backend (virtual time, real gradients)."""
+
+    name = "simulated"
 
     def run(
         self,
@@ -403,6 +387,8 @@ class SimulatedBackend:
 @register_backend("threaded")
 class ThreadedBackend:
     """Thread-per-worker parameter-server backend (wall-clock time)."""
+
+    name = "threaded"
 
     def run(
         self,
@@ -483,6 +469,8 @@ class ProcessBackend:
     workloads are not mistaken for hangs — raise it explicitly only for
     workloads whose very *first* iteration exceeds the default.
     """
+
+    name = "process"
 
     def __init__(
         self,
@@ -612,6 +600,8 @@ class TcpBackend:
     reason (every process rebuilds from the registry): injected workload
     objects and unregistered workload names are rejected loudly.
     """
+
+    name = "tcp"
 
     def __init__(
         self,

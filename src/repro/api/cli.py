@@ -13,10 +13,10 @@ Subcommands:
   wait for workers.  ``--supervise`` adds a watchdog that relaunches the
   server from its latest checkpoint when it dies hard (``kill -9``, OOM).
 * ``validate SPEC.json`` — parse and validate a spec without running it.
-* ``registry`` — list the registered workloads, models, paradigms, backends,
-  transports, scales, devices, networks, topology presets, jitter
-  distributions, communication patterns and gradient codecs a spec may
-  refer to.
+* ``registry`` — list every name a spec or flag may use (backends,
+  paradigms, workloads, models, transports, scales, devices, networks,
+  topology presets, jitters, comm patterns, codecs, aggregators, fault and
+  net-fault kinds), each builder with its parameters.
 """
 
 from __future__ import annotations
@@ -29,28 +29,46 @@ import threading
 from pathlib import Path
 
 from repro.api.backends import (
+    BACKENDS,
     TcpBackend,
-    available_backends,
     get_backend,
     run_experiment,
     tcp_plan_from_spec,
 )
 from repro.api.spec import NAMED_SCALES, NETWORKS, ExperimentSpec
-from repro.core.factory import policy_registry
-from repro.experiments.workloads import available_workloads
+from repro.core.factory import POLICIES
+from repro.experiments.workloads import WORKLOADS
 from repro.metrics.plotting import ascii_curves
-from repro.models.registry import available_models
-from repro.ps.aggregation import available_aggregators
-from repro.ps.compression import available_codecs
-from repro.ps.transport import available_transports
+from repro.models.registry import MODELS
+from repro.ps.aggregation import AGGREGATORS
+from repro.ps.compression import CODECS
+from repro.ps.faults import FAULT_KIND_KEYS
+from repro.ps.netfaults import NET_FAULT_EXAMPLES
+from repro.ps.transport import TRANSPORTS
 from repro.simulation.profiles import GPU_CATALOGUE
-from repro.simulation.topology import (
-    COMM_PATTERNS,
-    available_jitters,
-    available_topology_presets,
+from repro.simulation.topology import COMM_PATTERNS, JITTERS, TOPOLOGY_PRESETS
+from repro.utils.registry import UnknownName
+
+__all__ = ["main", "REGISTRIES"]
+
+#: Every registry, in the order ``registry`` lists them.
+REGISTRIES = (
+    BACKENDS, POLICIES, WORKLOADS, MODELS, TRANSPORTS, NAMED_SCALES, GPU_CATALOGUE,
+    NETWORKS, TOPOLOGY_PRESETS, JITTERS, COMM_PATTERNS, CODECS, AGGREGATORS,
+    FAULT_KIND_KEYS, NET_FAULT_EXAMPLES,
 )
 
-__all__ = ["main"]
+
+def _registered(registry):
+    """An argparse ``type=`` resolving a flag's value through ``registry``."""
+
+    def resolve(text: str) -> str:
+        try:
+            return registry.key(text)
+        except UnknownName as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return resolve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--backend",
         default="simulated",
-        choices=available_backends(),
-        help="execution backend (default: simulated)",
+        type=_registered(BACKENDS),
+        help=f"execution backend: {', '.join(BACKENDS)} (default: simulated)",
     )
     run.add_argument(
         "--output", type=Path, default=None, help="write the full RunResult JSON here"
@@ -90,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--transport",
         default=None,
-        choices=available_transports(),
+        type=_registered(TRANSPORTS),
         help="override the spec's synchronization transport (shm/pipe select "
         "the process backend's gradient mailbox; tcp is implied by "
         "--backend tcp)",
@@ -122,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--comm-pattern",
         default=None,
-        choices=list(COMM_PATTERNS),
+        type=_registered(COMM_PATTERNS),
         help="simulated backend only: override the communication pattern "
         "(ps or ring_allreduce; ring requires paradigm bsp)",
     )
@@ -402,11 +420,7 @@ def _command_validate(arguments: argparse.Namespace) -> int:
     # pre-built workloads under unregistered names), but a spec *file* must
     # name a registered one — the most likely typo this subcommand exists
     # to catch.
-    if spec.workload not in available_workloads():
-        raise ValueError(
-            f"unknown workload {spec.workload!r}; "
-            f"known workloads: {sorted(available_workloads())}"
-        )
+    WORKLOADS.key(spec.workload)
     print(f"{arguments.spec}: OK")
     print(f"  name={spec.name!r} workload={spec.workload!r} paradigm={spec.label!r}")
     print(f"  scale={scale.name!r} epochs={spec.resolved_epochs()} "
@@ -416,28 +430,23 @@ def _command_validate(arguments: argparse.Namespace) -> int:
 
 
 def _command_registry() -> int:
-    print("backends:")
-    for name in available_backends():
-        print(f"  {name}")
-    print("paradigms:")
-    for name, spec in policy_registry().items():
-        parameters = ", ".join(sorted(spec.required)) or "-"
-        print(f"  {name:<12} required: {parameters:<24} {spec.description}")
-    print("workloads:")
-    for name, workload in sorted(available_workloads().items()):
-        print(f"  {name:<12} {workload.description}")
-    print("models:")
-    for name, model in sorted(available_models().items()):
-        print(f"  {name:<20} {model.description}")
-    print(f"transports: {', '.join(available_transports())}")
-    print(f"scales:    {', '.join(sorted(NAMED_SCALES))}")
-    print(f"devices:   {', '.join(sorted(GPU_CATALOGUE))}")
-    print(f"networks:  {', '.join(sorted(NETWORKS))}")
-    print(f"topologies: {', '.join(available_topology_presets())}")
-    print(f"jitters:   {', '.join(available_jitters())}")
-    print(f"comm patterns: {', '.join(COMM_PATTERNS)}")
-    print(f"codecs:    {', '.join(available_codecs())}")
-    print(f"aggregators: {', '.join(available_aggregators())}")
+    """One line per table of values; one line per entry of a table of
+    builders, with the entry's parameters and description."""
+    for registry in REGISTRIES:
+        if not any(map(callable, registry.values())):
+            print(f"{registry.plural}: {', '.join(registry)}")
+            continue
+        print(f"{registry.plural}:")
+        rows = [
+            (name, ", ".join(registry.parameters(name)), registry.descriptions[name])
+            for name in registry
+        ]
+        name_width, parameters_width = (max(len(row[i]) for row in rows) for i in (0, 1))
+        for name, parameters, description in rows:
+            print(
+                f"  {name:<{name_width}}  {parameters:<{parameters_width}}  {description}"
+                .rstrip()
+            )
     return 0
 
 

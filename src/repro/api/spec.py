@@ -35,29 +35,25 @@ from repro.ps.faults import validate_fault_specs
 from repro.ps.netfaults import validate_net_fault_specs
 from repro.ps.transport import parse_address, validate_transport
 from repro.simulation.cluster import ClusterSpec, WorkerSpec
-from repro.simulation.network import (
-    GIGABIT_ETHERNET,
-    INFINIBAND_EDR,
-    LOCAL_PCIE,
-    NetworkModel,
-)
+from repro.simulation.network import GIGABIT_ETHERNET, INFINIBAND_EDR, LOCAL_PCIE
 from repro.simulation.profiles import get_device_profile
 from repro.simulation.topology import (
     canonical_topology_spec,
     validate_comm_pattern,
 )
+from repro.utils.registry import Registry
 
 __all__ = ["ClusterConfig", "ExperimentSpec", "NAMED_SCALES", "NETWORKS"]
 
 #: Named experiment scales a spec may refer to.
-NAMED_SCALES: dict[str, ExperimentScale] = {"tiny": TINY, "small": SMALL, "default": DEFAULT}
+NAMED_SCALES = Registry("scale", {"tiny": TINY, "small": SMALL, "default": DEFAULT})
 
 #: Named network models a cluster config may refer to.
-NETWORKS: dict[str, NetworkModel] = {
+NETWORKS = Registry("network", {
     "infiniband": INFINIBAND_EDR,
     "ethernet": GIGABIT_ETHERNET,
     "local": LOCAL_PCIE,
-}
+})
 
 
 def _reject_unknown_keys(data: dict, allowed: set[str], context: str) -> None:
@@ -137,10 +133,6 @@ class ClusterConfig:
 
     def build(self) -> ClusterSpec:
         """Materialize the simulated :class:`ClusterSpec`."""
-        if self.network not in NETWORKS:
-            raise ValueError(
-                f"unknown network {self.network!r}; known networks: {sorted(NETWORKS)}"
-            )
         network = NETWORKS[self.network]
         if self.kind == "homogeneous":
             names = [self.device] * self.num_workers
@@ -225,7 +217,7 @@ class ExperimentSpec:
         Free-form label recorded in results and file names.
     workload, workload_kwargs:
         Name in the workload registry
-        (:func:`repro.experiments.workloads.available_workloads`) plus extra
+        (:data:`repro.experiments.workloads.WORKLOADS`) plus extra
         builder arguments (e.g. ``{"seed": 3}``).
     scale:
         The name of a preset (``"tiny"``/``"small"``/``"default"``), an
@@ -433,10 +425,6 @@ class ExperimentSpec:
     def resolved_scale(self) -> ExperimentScale:
         """The :class:`ExperimentScale` this spec runs at."""
         if isinstance(self.scale, str):
-            if self.scale not in NAMED_SCALES:
-                raise ValueError(
-                    f"unknown scale {self.scale!r}; known scales: {sorted(NAMED_SCALES)}"
-                )
             return NAMED_SCALES[self.scale]
         if not isinstance(self.scale, dict):
             raise ValueError(

@@ -33,11 +33,10 @@ from repro.core.regret import (
     regret_is_sublinear,
 )
 from repro.core.factory import (
-    PolicySpec,
+    POLICIES,
     available_policies,
     make_policy,
     paradigm_label,
-    policy_registry,
     register_policy,
     validate_paradigm,
 )
@@ -61,9 +60,8 @@ __all__ = [
     "regret_is_sublinear",
     "make_policy",
     "available_policies",
-    "PolicySpec",
+    "POLICIES",
     "register_policy",
-    "policy_registry",
     "validate_paradigm",
     "paradigm_label",
 ]

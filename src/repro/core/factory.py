@@ -1,12 +1,12 @@
 """Registry-backed factory for synchronization policies.
 
 Experiment configurations refer to paradigms by name (``"bsp"``, ``"asp"``,
-``"ssp"``, ``"dssp"``) with keyword parameters; the registry turns those into
-policy objects so configs remain serializable data.  New paradigms register
-themselves with :func:`register_policy` — nothing in this module needs
-editing to add one:
+``"ssp"``, ``"dssp"``) with keyword parameters; :data:`POLICIES` turns those
+into policy objects so configs remain serializable data.  A paradigm's
+parameters are its builder's signature — nothing is declared twice, and
+nothing in this module needs editing to add one:
 
-    @register_policy("gossip", required={"fanout"}, description="...")
+    @register_policy("gossip", description="...")
     def _build_gossip(fanout):
         return GossipParallel(fanout=int(fanout))
 
@@ -17,131 +17,40 @@ threaded coordinator) picks the new paradigm up by name immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.core.asp import AsynchronousParallel
 from repro.core.bsp import BulkSynchronousParallel
 from repro.core.dssp import DynamicStaleSynchronousParallel
-from repro.core.policy import SynchronizationPolicy
 from repro.core.ssp import StaleSynchronousParallel
+from repro.utils.registry import Registry
 
 __all__ = [
-    "PolicySpec",
+    "POLICIES",
     "register_policy",
     "make_policy",
     "available_policies",
-    "policy_registry",
     "validate_paradigm",
     "paradigm_label",
 ]
 
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """Description of one registered synchronization paradigm."""
-
-    name: str
-    builder: Callable[..., SynchronizationPolicy]
-    required: frozenset[str] = field(default_factory=frozenset)
-    optional: frozenset[str] = field(default_factory=frozenset)
-    description: str = ""
-
-    @property
-    def allowed(self) -> frozenset[str]:
-        """All parameter names this paradigm accepts."""
-        return self.required | self.optional
-
-    def build(self, **kwargs) -> SynchronizationPolicy:
-        """Validate ``kwargs`` against the spec and construct the policy."""
-        self.validate(kwargs)
-        return self.builder(**kwargs)
-
-    def validate(self, kwargs: Mapping) -> None:
-        """Raise if ``kwargs`` does not match this paradigm's parameters.
-
-        Unknown parameters raise :class:`TypeError` (mirroring a bad call
-        signature); missing required ones raise :class:`ValueError`.
-        """
-        unknown = set(kwargs) - self.allowed
-        if unknown:
-            raise TypeError(
-                f"unexpected parameters {sorted(unknown)}; allowed: {sorted(self.allowed)}"
-            )
-        missing = self.required - set(kwargs)
-        if missing:
-            raise ValueError(
-                f"{self.name} requires {sorted(missing)!r} parameter(s)"
-            )
-
-
-_POLICIES: dict[str, PolicySpec] = {}
-
-
-def register_policy(
-    name: str,
-    *,
-    required: set[str] | frozenset[str] = frozenset(),
-    optional: set[str] | frozenset[str] = frozenset(),
-    description: str = "",
-) -> Callable[[Callable[..., SynchronizationPolicy]], Callable[..., SynchronizationPolicy]]:
-    """Decorator registering a policy builder under ``name``."""
-    normalized = name.strip().lower()
-
-    def decorator(builder: Callable[..., SynchronizationPolicy]):
-        if normalized in _POLICIES:
-            raise ValueError(f"paradigm {normalized!r} is already registered")
-        _POLICIES[normalized] = PolicySpec(
-            name=normalized,
-            builder=builder,
-            required=frozenset(required),
-            optional=frozenset(optional),
-            description=description,
-        )
-        return builder
-
-    return decorator
-
-
-def policy_registry() -> dict[str, PolicySpec]:
-    """Copy of the registry keyed by paradigm name (registration order)."""
-    return dict(_POLICIES)
+#: Paradigm name → policy builder; the builder's signature is the
+#: paradigm's parameters (missing ones raise ``ValueError``, unknown ones
+#: ``TypeError``).
+POLICIES = Registry("paradigm")
+register_policy = POLICIES.register
 
 
 def available_policies() -> list[str]:
     """Names accepted by :func:`make_policy`, in registration order."""
-    return list(_POLICIES)
+    return list(POLICIES)
 
 
-def _policy_spec(name: str) -> PolicySpec:
-    normalized = name.strip().lower()
-    if normalized not in _POLICIES:
-        raise ValueError(
-            f"unknown paradigm {name!r}; expected one of {available_policies()}"
-        )
-    return _POLICIES[normalized]
-
-
-def make_policy(name: str, **kwargs) -> SynchronizationPolicy:
-    """Construct a synchronization policy by name.
-
-    * ``make_policy("bsp")``
-    * ``make_policy("asp")``
-    * ``make_policy("ssp", staleness=3)``
-    * ``make_policy("dssp", s_lower=3, s_upper=15)``
-    """
-    return _policy_spec(name).build(**kwargs)
-
-
-def validate_paradigm(name: str, kwargs: Mapping) -> None:
-    """Fail fast on a bad paradigm configuration.
-
-    Configs call this at construction time so a typo in ``paradigm_kwargs``
-    (or an unknown paradigm) is rejected before any training work starts,
-    instead of erroring minutes into a run.  Raises exactly what
-    :func:`make_policy` would.
-    """
-    _policy_spec(name).validate(kwargs)
+#: Construct a policy by name: ``make_policy("ssp", staleness=3)``.
+make_policy = POLICIES.make
+#: Raise exactly what :func:`make_policy` would, without building anything —
+#: configs call it at construction so a typo fails before any training.
+validate_paradigm = POLICIES.validate
 
 
 def paradigm_label(name: str, kwargs: Mapping) -> str:
@@ -168,19 +77,14 @@ def _build_asp() -> AsynchronousParallel:
 
 
 @register_policy(
-    "ssp",
-    required={"staleness"},
-    description="Stale Synchronous Parallel with a fixed iteration-lead threshold",
+    "ssp", description="Stale Synchronous Parallel with a fixed iteration-lead threshold"
 )
 def _build_ssp(staleness) -> StaleSynchronousParallel:
     return StaleSynchronousParallel(staleness=int(staleness))
 
 
 @register_policy(
-    "dssp",
-    required={"s_lower", "s_upper"},
-    optional={"enforce_upper_bound"},
-    description="Dynamic SSP: controller picks the threshold within [s_lower, s_upper]",
+    "dssp", description="Dynamic SSP: controller picks the threshold within [s_lower, s_upper]"
 )
 def _build_dssp(s_lower, s_upper, enforce_upper_bound=False) -> DynamicStaleSynchronousParallel:
     return DynamicStaleSynchronousParallel(

@@ -23,11 +23,10 @@ overnight run.
 
 from repro.experiments.config import ExperimentScale, TINY, SMALL, DEFAULT, paper_ssp_thresholds
 from repro.experiments.workloads import (
+    WORKLOADS,
     Workload,
-    WorkloadSpec,
     register_workload,
     build_workload,
-    available_workloads,
     alexnet_workload,
     resnet_workload,
     mlp_workload,
@@ -70,11 +69,10 @@ __all__ = [
     "SMALL",
     "DEFAULT",
     "paper_ssp_thresholds",
+    "WORKLOADS",
     "Workload",
-    "WorkloadSpec",
     "register_workload",
     "build_workload",
-    "available_workloads",
     "alexnet_workload",
     "resnet_workload",
     "mlp_workload",

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.utils.registry import Registry
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import ExperimentSpec
 
@@ -34,12 +36,12 @@ __all__ = [
 ]
 
 #: The four paradigms of the paper's evaluation, with its headline settings.
-SWEEP_PARADIGMS: dict[str, dict] = {
+SWEEP_PARADIGMS = Registry("sweep paradigm", {
     "bsp": {},
     "asp": {},
     "ssp": {"staleness": 3},
     "dssp": {"s_lower": 3, "s_upper": 15},
-}
+})
 
 #: Presets ordered by tail weight: a private lognormal link per worker, two
 #: racks behind shared lognormal uplinks, the same racks with exponential
@@ -130,10 +132,7 @@ def sweep_spec(
     # module-level import would be circular.
     from repro.api.spec import ClusterConfig, ExperimentSpec
 
-    if paradigm not in SWEEP_PARADIGMS:
-        raise ValueError(
-            f"unknown sweep paradigm {paradigm!r}; known: {sorted(SWEEP_PARADIGMS)}"
-        )
+    paradigm = SWEEP_PARADIGMS.key(paradigm)
     return ExperimentSpec(
         name=f"topology-{topology}-{paradigm}",
         workload=workload,

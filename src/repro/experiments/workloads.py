@@ -35,13 +35,13 @@ from repro.models.mlp import mlp
 from repro.models.resnet import cifar_resnet, resnet50
 from repro.nn.module import Module
 from repro.simulation.workload import ModelCost, estimate_model_cost
+from repro.utils.registry import Registry
 
 __all__ = [
     "Workload",
-    "WorkloadSpec",
+    "WORKLOADS",
     "register_workload",
     "build_workload",
-    "available_workloads",
     "alexnet_workload",
     "resnet_workload",
     "mlp_workload",
@@ -68,51 +68,12 @@ class Workload:
         return self.train_dataset.sample_shape
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Description of a registered workload builder."""
-
-    name: str
-    builder: Callable[..., Workload]
-    description: str = ""
-
-    def build(self, scale: ExperimentScale, **kwargs) -> Workload:
-        """Instantiate the workload at ``scale``."""
-        return self.builder(scale, **kwargs)
-
-
-_REGISTRY: dict[str, WorkloadSpec] = {}
-
-
-def register_workload(name: str, *, description: str = ""):
-    """Decorator registering a workload builder under ``name``.
-
-    The builder's signature is ``builder(scale, **kwargs) -> Workload``.
-    """
-
-    def decorator(builder: Callable[..., Workload]) -> Callable[..., Workload]:
-        if name in _REGISTRY:
-            raise ValueError(f"workload {name!r} is already registered")
-        _REGISTRY[name] = WorkloadSpec(
-            name=name, builder=builder, description=description
-        )
-        return builder
-
-    return decorator
-
-
-def build_workload(name: str, scale: ExperimentScale, **kwargs) -> Workload:
-    """Instantiate a registered workload by name."""
-    if name not in _REGISTRY:
-        raise KeyError(
-            f"unknown workload {name!r}; known workloads: {sorted(_REGISTRY)}"
-        )
-    return _REGISTRY[name].build(scale, **kwargs)
-
-
-def available_workloads() -> dict[str, WorkloadSpec]:
-    """Copy of the registry keyed by workload name."""
-    return dict(_REGISTRY)
+#: Workload name → builder ``builder(scale, **kwargs) -> Workload``; the
+#: keyword arguments are the spec's ``workload_kwargs``.
+WORKLOADS = Registry("workload", given=("scale",))
+register_workload = WORKLOADS.register
+#: Instantiate a registered workload by name: ``build_workload(name, scale)``.
+build_workload = WORKLOADS.make
 
 
 def _paper_scale_cost(model: Module, image_size: int = 32) -> ModelCost:

@@ -16,9 +16,10 @@ Every builder accepts ``rng`` for reproducible initialization and returns a
 from repro.models.mlp import mlp, logistic_regression
 from repro.models.alexnet import downsized_alexnet
 from repro.models.resnet import cifar_resnet, resnet20, resnet32, resnet56, resnet110, resnet50
-from repro.models.registry import ModelSpec, build_model, register_model, available_models
+from repro.models.registry import MODELS, ModelSpec, build_model, register_model, available_models
 
 __all__ = [
+    "MODELS",
     "mlp",
     "logistic_regression",
     "downsized_alexnet",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ps.compression import parse_name_spec
+from repro.utils.registry import Registry
 
 __all__ = [
     "Aggregator",
@@ -49,6 +49,7 @@ __all__ = [
     "MedianAggregator",
     "GeometricMedianAggregator",
     "ClipAggregator",
+    "AGGREGATORS",
     "register_aggregator",
     "available_aggregators",
     "parse_aggregation_spec",
@@ -87,45 +88,20 @@ class Aggregator:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_AGGREGATORS: dict[str, type[Aggregator]] = {}
-
-
-def register_aggregator(cls: type[Aggregator]) -> type[Aggregator]:
-    """Class decorator adding an aggregator to the registry under ``cls.name``."""
-    if cls.name in _AGGREGATORS:
-        raise ValueError(f"duplicate aggregator name {cls.name!r}")
-    _AGGREGATORS[cls.name] = cls
-    return cls
+#: Aggregator name → aggregator class; its ``__init__`` is its parameters.
+AGGREGATORS = Registry("aggregator", field="aggregation")
+register_aggregator = AGGREGATORS.add
 
 
 def available_aggregators() -> tuple[str, ...]:
     """Registered aggregator names, sorted."""
-    return tuple(sorted(_AGGREGATORS))
+    return tuple(sorted(AGGREGATORS))
 
 
-def parse_aggregation_spec(spec: str) -> tuple[str, dict[str, float]]:
-    """Parse an aggregation spec (grammar: :func:`~repro.ps.compression.parse_name_spec`).
-
-    The bare-value shorthand assigns the aggregator's ``positional``
-    parameter (``trimmed_mean:1`` means ``trimmed_mean:k=1``).
-    """
-    return parse_name_spec(spec, _AGGREGATORS, "aggregator", "aggregation")
-
-
-def make_aggregator(spec: str) -> Aggregator:
-    """Build an aggregator from a spec string (see :func:`parse_aggregation_spec`)."""
-    name, params = parse_aggregation_spec(spec)
-    try:
-        return _AGGREGATORS[name](**params)
-    except TypeError:
-        raise ValueError(
-            f"invalid parameters {sorted(params)} for aggregator {name!r}"
-        ) from None
-
-
-def validate_aggregation_spec(spec: str) -> None:
-    """Raise ``ValueError`` unless ``spec`` names an aggregator with valid params."""
-    make_aggregator(spec)
+#: Parse an aggregation spec: ``trimmed_mean:1`` means ``trimmed_mean:k=1``.
+parse_aggregation_spec = AGGREGATORS.parse
+#: Build an aggregator from a spec string; ``ValueError`` on a bad one.
+make_aggregator = validate_aggregation_spec = AGGREGATORS.build
 
 
 # ----------------------------------------------------------------------

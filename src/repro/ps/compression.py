@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.registry import Registry
+
 __all__ = [
     "EncodedShard",
     "GradientCodec",
@@ -47,9 +49,9 @@ __all__ = [
     "Int8Codec",
     "TopKCodec",
     "SignificanceCodec",
+    "CODECS",
     "register_codec",
     "available_codecs",
-    "parse_name_spec",
     "parse_codec_spec",
     "validate_codec_spec",
     "make_codec",
@@ -149,92 +151,20 @@ class GradientCodec:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_CODECS: dict[str, type[GradientCodec]] = {}
-
-
-def register_codec(cls: type[GradientCodec]) -> type[GradientCodec]:
-    """Class decorator adding a codec to the registry under ``cls.name``."""
-    if cls.name in _CODECS:
-        raise ValueError(f"duplicate codec name {cls.name!r}")
-    _CODECS[cls.name] = cls
-    return cls
+#: Codec name → codec class; a class's ``__init__`` is its parameters.
+CODECS = Registry("codec", field="compression")
+register_codec = CODECS.add
 
 
 def available_codecs() -> tuple[str, ...]:
     """Registered codec names, sorted."""
-    return tuple(sorted(_CODECS))
+    return tuple(sorted(CODECS))
 
 
-def parse_name_spec(
-    spec: str, registry: dict, noun: str, field: str
-) -> tuple[str, dict[str, float]]:
-    """Parse ``"name"``, ``"name:value"`` or ``"name:key=val,..."``.
-
-    The grammar shared by the codec and aggregator registries: ``registry``
-    maps names to classes whose ``positional`` attribute names the parameter
-    a bare value is assigned to, ``noun`` ("codec", "aggregator") and
-    ``field`` (the spec field the string came from) word the errors.
-    Unknown names and malformed parameters raise ``ValueError`` naming the
-    accepted ones.
-    """
-    available = f"available {noun}s: {', '.join(sorted(registry))}"
-    if not isinstance(spec, str) or not spec.strip():
-        raise ValueError(f"{field} spec must be a non-empty string; {available}")
-    name, sep, rest = spec.partition(":")
-    name = name.strip()
-    if name not in registry:
-        raise ValueError(f"unknown {noun} {name!r}; {available}")
-    cls = registry[name]
-    params: dict[str, float] = {}
-    if sep:
-        for part in rest.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" in part:
-                key, _, value = part.partition("=")
-                key = key.strip()
-            elif cls.positional is not None:
-                key, value = cls.positional, part
-            else:
-                raise ValueError(
-                    f"{noun} {name!r} takes no positional parameter "
-                    f"(got {part!r}); use key=value"
-                )
-            if key in params:
-                raise ValueError(f"duplicate {noun} parameter {key!r} in {spec!r}")
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"{noun} parameter {key}={value.strip()!r} is not a number"
-                ) from None
-    return name, params
-
-
-def parse_codec_spec(spec: str) -> tuple[str, dict[str, float]]:
-    """Parse a compression spec (grammar: :func:`parse_name_spec`).
-
-    The bare-value shorthand assigns the codec's ``positional`` parameter
-    (``topk:0.01`` means ``topk:density=0.01``).
-    """
-    return parse_name_spec(spec, _CODECS, "codec", "compression")
-
-
-def make_codec(spec: str) -> GradientCodec:
-    """Build a codec instance from a spec string (see :func:`parse_codec_spec`)."""
-    name, params = parse_codec_spec(spec)
-    try:
-        return _CODECS[name](**params)
-    except TypeError:
-        raise ValueError(
-            f"invalid parameters {sorted(params)} for codec {name!r}"
-        ) from None
-
-
-def validate_codec_spec(spec: str) -> None:
-    """Raise ``ValueError`` unless ``spec`` names a codec with valid params."""
-    make_codec(spec)
+#: Parse a compression spec: ``topk:0.01`` means ``topk:density=0.01``.
+parse_codec_spec = CODECS.parse
+#: Build a codec instance from a spec string; ``ValueError`` on a bad one.
+make_codec = validate_codec_spec = CODECS.build
 
 
 # ----------------------------------------------------------------------

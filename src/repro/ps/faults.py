@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.registry import Registry
 from repro.utils.rng import RngStream
 
 __all__ = [
@@ -54,20 +55,23 @@ __all__ = [
     "FaultInjector",
     "CORRUPTION_MODES",
     "FAULT_KINDS",
+    "FAULT_KIND_KEYS",
+    "resolve_worker",
     "parse_fault_specs",
     "validate_fault_specs",
 ]
 
-FAULT_KINDS = ("crash", "byzantine", "corrupt", "flaky")
 CORRUPTION_MODES = ("sign_flip", "noise", "bit_flip")
 
-_COMMON_KEYS = {"worker", "kind", "after_clock"}
-_ALLOWED_KEYS = {
+_COMMON_KEYS = frozenset({"worker", "kind", "after_clock"})
+#: Fault kind → the entry keys it accepts.
+FAULT_KIND_KEYS = Registry("fault kind", {
     "crash": _COMMON_KEYS | {"rejoin_after"},
     "byzantine": _COMMON_KEYS | {"mode", "scale"},
     "corrupt": _COMMON_KEYS | {"mode", "scale", "until_clock"},
     "flaky": _COMMON_KEYS | {"scale", "period", "delay"},
-}
+})
+FAULT_KINDS = tuple(FAULT_KIND_KEYS)
 
 
 @dataclass(frozen=True)
@@ -163,24 +167,22 @@ class FaultPlan:
         return tuple(out)
 
 
-def _resolve_worker(value, worker_ids: Sequence[str]) -> str:
-    if isinstance(value, bool):
-        raise ValueError(f"fault worker must be an index or id, got {value!r}")
-    if isinstance(value, int):
+def resolve_worker(value, worker_ids: Sequence[str], what: str = "fault") -> str:
+    """Resolve an index-or-id worker reference against the cluster roster."""
+    if isinstance(value, int) and not isinstance(value, bool):
         if not 0 <= value < len(worker_ids):
             raise ValueError(
-                f"fault worker index {value} out of range for "
-                f"{len(worker_ids)} workers"
+                f"{what} worker index {value} out of range [0, {len(worker_ids)})"
             )
         return worker_ids[value]
     if isinstance(value, str):
         if value not in worker_ids:
             raise ValueError(
-                f"fault worker {value!r} is not in the cluster "
-                f"(workers: {list(worker_ids)})"
+                f"{what} worker {value!r} is not in the cluster "
+                f"(not in the roster {list(worker_ids)})"
             )
         return value
-    raise ValueError(f"fault worker must be an index or id, got {value!r}")
+    raise ValueError(f"{what} worker must be an index or id, got {value!r}")
 
 
 def _require_int(entry: Mapping, key: str, minimum: int) -> int:
@@ -209,19 +211,14 @@ def parse_fault_specs(faults, worker_ids: Sequence[str]) -> FaultPlan:
             raise ValueError(f"each fault must be a mapping, got {entry!r}")
         if "worker" not in entry or "kind" not in entry:
             raise ValueError(f"fault entries need 'worker' and 'kind': {dict(entry)!r}")
-        kind = entry["kind"]
-        if kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {kind!r}; available kinds: "
-                f"{', '.join(FAULT_KINDS)}"
-            )
-        unknown = set(entry) - _ALLOWED_KEYS[kind]
+        kind = FAULT_KIND_KEYS.key(entry["kind"])
+        unknown = set(entry) - FAULT_KIND_KEYS[kind]
         if unknown:
             raise ValueError(
                 f"fault kind {kind!r} does not accept {sorted(unknown)} "
-                f"(allowed: {sorted(_ALLOWED_KEYS[kind])})"
+                f"(allowed: {sorted(FAULT_KIND_KEYS[kind])})"
             )
-        worker = _resolve_worker(entry["worker"], worker_ids)
+        worker = resolve_worker(entry["worker"], worker_ids)
         if worker in seen:
             raise ValueError(f"worker {worker!r} appears in more than one fault")
         seen.add(worker)
@@ -263,9 +260,8 @@ def parse_fault_specs(faults, worker_ids: Sequence[str]) -> FaultPlan:
     return FaultPlan(specs)
 
 
-def validate_fault_specs(faults, worker_ids: Sequence[str]) -> None:
-    """Raise ``ValueError`` unless every fault entry is well-formed."""
-    parse_fault_specs(faults, worker_ids)
+#: Raise ``ValueError`` unless every fault entry is well-formed.
+validate_fault_specs = parse_fault_specs
 
 
 class FaultInjector:

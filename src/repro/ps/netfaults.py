@@ -4,7 +4,7 @@
 module attacks the *network itself*, worker-side, between a healthy
 replica and a healthy server.  Four fault kinds cover the failure modes a
 parameter server meets on a messy cluster, each written codec-style as
-``kind[:params]`` and registered like the compression registry so a typo
+``kind[:params]`` and looked up in :data:`NET_FAULT_EXAMPLES` so a typo
 fails loudly with the accepted list:
 
 * ``delay:ms`` — jittered latency before every data-plane push (uniform in
@@ -50,11 +50,14 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
+from repro.ps.faults import resolve_worker
 from repro.ps.transport import ConnectionClosed
+from repro.utils.registry import Registry
 from repro.utils.rng import RngStream
 
 __all__ = [
     "NET_FAULT_KINDS",
+    "NET_FAULT_EXAMPLES",
     "NetFaultSpec",
     "NetFaultPlan",
     "parse_net_fault_specs",
@@ -65,9 +68,15 @@ __all__ = [
     "RetryBudget",
 ]
 
-#: Registered network-fault kinds, in registry order (mirrors the codec and
-#: fault registries: unknown kinds fail loudly naming this list).
-NET_FAULT_KINDS: tuple[str, ...] = ("delay", "drop", "partition", "throttle")
+#: Network-fault kind → a well-formed example of its spec (what a malformed
+#: one's error shows).
+NET_FAULT_EXAMPLES = Registry("net fault kind", {
+    "delay": "delay:5",
+    "drop": "drop, drop:0.25 or drop:1.0,2",
+    "partition": "partition:2,1",
+    "throttle": "throttle:1000000",
+})
+NET_FAULT_KINDS: tuple[str, ...] = tuple(NET_FAULT_EXAMPLES)
 
 
 @dataclass(frozen=True)
@@ -95,12 +104,7 @@ def _parse_spec_text(text: str) -> dict:
     if not isinstance(text, str) or not text.strip():
         raise ValueError(f"net fault spec must be a non-empty string, got {text!r}")
     kind, _, params = text.strip().partition(":")
-    kind = kind.strip().lower()
-    if kind not in NET_FAULT_KINDS:
-        raise ValueError(
-            f"unknown net fault kind {kind!r}; available kinds: "
-            f"{', '.join(NET_FAULT_KINDS)}"
-        )
+    kind = NET_FAULT_EXAMPLES.key(kind)
     fields: dict = {"kind": kind, "spec": text.strip()}
     try:
         if kind == "delay":
@@ -130,37 +134,10 @@ def _parse_spec_text(text: str) -> dict:
             if not fields["bytes_per_second"] > 0:
                 raise ValueError
     except (TypeError, ValueError):
-        examples = {
-            "delay": "delay:5",
-            "drop": "drop, drop:0.25 or drop:1.0,2",
-            "partition": "partition:2,1",
-            "throttle": "throttle:1000000",
-        }
         raise ValueError(
-            f"malformed net fault spec {text!r}; expected {examples[kind]}"
+            f"malformed net fault spec {text!r}; expected {NET_FAULT_EXAMPLES[kind]}"
         ) from None
     return fields
-
-
-def _resolve_worker(value, worker_ids: Sequence[str]) -> str:
-    """Resolve an index-or-id worker reference against the roster."""
-    if isinstance(value, bool):
-        raise ValueError(f"net fault worker must be an index or id, got {value!r}")
-    if isinstance(value, int):
-        if not 0 <= value < len(worker_ids):
-            raise ValueError(
-                f"net fault worker index {value} out of range "
-                f"[0, {len(worker_ids)})"
-            )
-        return worker_ids[value]
-    if isinstance(value, str):
-        if value not in worker_ids:
-            raise ValueError(
-                f"net fault worker {value!r} is not in the roster "
-                f"{list(worker_ids)}"
-            )
-        return value
-    raise ValueError(f"net fault worker must be an index or id, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -245,7 +222,7 @@ def parse_net_fault_specs(
             )
         worker = None
         if "worker" in entry and entry["worker"] is not None:
-            worker = _resolve_worker(entry["worker"], worker_ids)
+            worker = resolve_worker(entry["worker"], worker_ids, "net fault")
         specs.append(NetFaultSpec(worker=worker, **fields))
     seen: set[tuple[str, str | None]] = set()
     for spec in specs:
@@ -260,14 +237,8 @@ def parse_net_fault_specs(
     return NetFaultPlan(tuple(specs))
 
 
-def validate_net_fault_specs(
-    net_faults,
-    worker_ids: Sequence[str],
-    allowed_kinds: tuple[str, ...] | None = None,
-    context: str = "this backend",
-) -> None:
-    """Validation-only wrapper over :func:`parse_net_fault_specs`."""
-    parse_net_fault_specs(net_faults, worker_ids, allowed_kinds, context)
+#: Validation-only name for :func:`parse_net_fault_specs`.
+validate_net_fault_specs = parse_net_fault_specs
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,7 @@ import time
 import numpy as np
 
 from repro.ps.compression import EncodedShard, encoded_parts, read_encoded
+from repro.utils.registry import Registry
 
 __all__ = [
     "TRANSPORTS",
@@ -79,11 +80,11 @@ __all__ = [
 #: Registered transport names and what selects them.  ``shm``/``pipe`` are
 #: gradient paths of the process backend (``--backend process``); ``tcp``
 #: is the wire transport of the socket backend (``--backend tcp``).
-TRANSPORTS: dict[str, str] = {
+TRANSPORTS = Registry("transport", {
     "shm": "process backend: gradients in shared-memory mailboxes (default)",
     "pipe": "process backend: packed gradients pickled through the worker pipe",
     "tcp": "tcp backend: length-prefixed socket framing, elastic membership",
-}
+})
 
 
 def available_transports() -> tuple[str, ...]:
@@ -98,12 +99,7 @@ def validate_transport(name: str, allowed: tuple[str, ...] | None = None) -> str
     transports otherwise, so a typo in a spec or CLI flag fails loudly
     before any training work starts.
     """
-    key = str(name).strip().lower()
-    if key not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {name!r}; available transports: "
-            f"{', '.join(available_transports())}"
-        )
+    key = TRANSPORTS.key(name)
     if allowed is not None and key not in allowed:
         raise ValueError(
             f"transport {key!r} is not supported here; choose one of "

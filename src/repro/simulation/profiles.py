@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.registry import Registry
+
 __all__ = ["DeviceProfile", "GPU_CATALOGUE", "get_device_profile"]
 
 
@@ -84,18 +86,12 @@ class DeviceProfile:
         )
 
 
-GPU_CATALOGUE: dict[str, DeviceProfile] = {
+GPU_CATALOGUE = Registry("device", {
     "p100": DeviceProfile(name="p100", peak_flops=9.3e12),
     "gtx1080ti": DeviceProfile(name="gtx1080ti", peak_flops=11.3e12),
     "gtx1060": DeviceProfile(name="gtx1060", peak_flops=4.4e12),
     # A deliberately slow straggler profile for ablations.
     "straggler": DeviceProfile(name="straggler", peak_flops=1.5e12, jitter=0.25),
-}
-
-
-def get_device_profile(name: str) -> DeviceProfile:
-    """Look up a profile from the catalogue by name (case-insensitive)."""
-    key = name.strip().lower()
-    if key not in GPU_CATALOGUE:
-        raise KeyError(f"unknown device {name!r}; known devices: {sorted(GPU_CATALOGUE)}")
-    return GPU_CATALOGUE[key]
+})
+#: Look up a profile from the catalogue by name (case-insensitive).
+get_device_profile = GPU_CATALOGUE.__getitem__

@@ -39,11 +39,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.utils.registry import Registry
+
 __all__ = [
     "Link",
     "Topology",
     "TopologyState",
     "TopologyTimeModel",
+    "JITTERS",
     "parse_jitter_spec",
     "make_jitter",
     "available_jitters",
@@ -96,18 +99,18 @@ class ParetoTailJitter:
         return 1.0 + float(rng.pareto(self.alpha))
 
 
-#: name -> (class, positional parameter, validator)
-_JITTERS: dict[str, tuple[type | None, str | None]] = {
-    "none": (None, None),
-    "lognormal": (LogNormalJitter, "sigma"),
-    "exponential": (ExponentialTailJitter, "scale"),
-    "pareto": (ParetoTailJitter, "alpha"),
-}
+#: Jitter name → distribution class (its one field is the spec's value).
+JITTERS = Registry("jitter", {
+    "none": None,
+    "lognormal": LogNormalJitter,
+    "exponential": ExponentialTailJitter,
+    "pareto": ParetoTailJitter,
+})
 
 
 def available_jitters() -> tuple[str, ...]:
     """Registered jitter distribution names, sorted."""
-    return tuple(sorted(_JITTERS))
+    return tuple(sorted(JITTERS))
 
 
 def parse_jitter_spec(spec: str) -> tuple[str, float | None]:
@@ -119,15 +122,10 @@ def parse_jitter_spec(spec: str) -> tuple[str, float | None]:
     if not isinstance(spec, str) or not spec.strip():
         raise ValueError(
             "jitter spec must be a non-empty string; available jitters: "
-            f"{', '.join(available_jitters())}"
+            f"{', '.join(JITTERS)}"
         )
     name, sep, rest = spec.partition(":")
-    name = name.strip()
-    if name not in _JITTERS:
-        raise ValueError(
-            f"unknown jitter {name!r}; available jitters: "
-            f"{', '.join(available_jitters())}"
-        )
+    name = JITTERS.key(name)
     if not sep:
         if name == "none":
             return name, None
@@ -155,8 +153,7 @@ def make_jitter(spec: str):
     name, value = parse_jitter_spec(spec)
     if name == "none" or value == 0.0:
         return None
-    cls, _ = _JITTERS[name]
-    return cls(value)
+    return JITTERS[name](value)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +429,7 @@ def rack_topology(
 #: contended inter-rack uplink) so sweeps are self-contained.  The
 #: ``tail-heavy`` preset swaps the lognormal jitter for exponential tails —
 #: the regime where bounded-staleness paradigms should shine or break.
-TOPOLOGY_PRESETS: dict[str, dict] = {
+TOPOLOGY_PRESETS = Registry("topology preset", {
     "flat": {"kind": "flat"},
     "two-rack": {
         "kind": "racks",
@@ -456,7 +453,7 @@ TOPOLOGY_PRESETS: dict[str, dict] = {
             "shared": True,
         },
     },
-}
+})
 
 _TOPOLOGY_KEYS = {"kind", "num_racks", "leaf", "uplink", "name"}
 _LINK_SPEC_KEYS = {"latency", "bandwidth", "jitter", "shared"}
@@ -495,12 +492,7 @@ def canonical_topology_spec(spec: str | dict) -> dict:
     behind ``ClusterConfig.topology``.
     """
     if isinstance(spec, str):
-        key = spec.strip().lower()
-        if key not in TOPOLOGY_PRESETS:
-            raise ValueError(
-                f"unknown topology preset {spec!r}; known presets: "
-                f"{', '.join(available_topology_presets())}"
-            )
+        key = TOPOLOGY_PRESETS.key(spec)
         return dict(TOPOLOGY_PRESETS[key], name=key)
     if not isinstance(spec, dict):
         raise ValueError(
@@ -537,9 +529,8 @@ def canonical_topology_spec(spec: str | dict) -> dict:
     )
 
 
-def validate_topology_spec(spec: str | dict) -> None:
-    """Raise ``ValueError`` unless ``spec`` describes a buildable topology."""
-    canonical_topology_spec(spec)
+#: Raise ``ValueError`` unless ``spec`` describes a buildable topology.
+validate_topology_spec = canonical_topology_spec
 
 
 def build_topology(spec: str | dict | Topology, worker_ids: Sequence[str], network) -> Topology:
@@ -574,18 +565,12 @@ def build_topology(spec: str | dict | Topology, worker_ids: Sequence[str], netwo
 # Communication patterns
 # ----------------------------------------------------------------------
 #: Communication patterns the simulated backend can cost.
-COMM_PATTERNS: tuple[str, ...] = ("ps", "ring_allreduce")
-
-
-def validate_comm_pattern(name: str) -> str:
-    """Normalize and validate a communication pattern name."""
-    key = str(name).strip().lower()
-    if key not in COMM_PATTERNS:
-        raise ValueError(
-            f"unknown comm_pattern {name!r}; known patterns: "
-            f"{', '.join(COMM_PATTERNS)}"
-        )
-    return key
+COMM_PATTERNS = Registry("comm_pattern", {
+    "ps": "push/pull against the parameter server",
+    "ring_allreduce": "2*(n-1) chunked ring steps per synchronous round (BSP only)",
+})
+#: Normalize and validate a communication pattern name.
+validate_comm_pattern = COMM_PATTERNS.key
 
 
 def ring_allreduce_wire_bytes(payload_nbytes: float, num_workers: int) -> float:

@@ -16,7 +16,7 @@ that the same policy object can be driven by the real thread-based runtime
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.clocks import ClockTable
 
@@ -60,14 +60,15 @@ class PushOutcome:
 
 @dataclass
 class _PolicyStatistics:
-    """Counters every policy accumulates for the experiment reports."""
+    """Fixed-size counters every policy accumulates for the experiment reports."""
 
     pushes: int = 0
     releases: int = 0
     blocks: int = 0
     credit_releases: int = 0
     controller_invocations: int = 0
-    staleness_observations: list[int] = field(default_factory=list)
+    staleness_sum: int = 0
+    staleness_max: int = 0
 
 
 class SynchronizationPolicy:
@@ -165,23 +166,24 @@ class SynchronizationPolicy:
 
     def statistics(self) -> dict:
         """Summary counters for reports: pushes, releases, blocks, staleness."""
-        observations = self._stats.staleness_observations
+        stats = self._stats
         return {
             "paradigm": self.name,
-            "pushes": self._stats.pushes,
-            "releases": self._stats.releases,
-            "blocks": self._stats.blocks,
-            "credit_releases": self._stats.credit_releases,
-            "controller_invocations": self._stats.controller_invocations,
+            "pushes": stats.pushes,
+            "releases": stats.releases,
+            "blocks": stats.blocks,
+            "credit_releases": stats.credit_releases,
+            "controller_invocations": stats.controller_invocations,
             "mean_staleness": (
-                float(sum(observations)) / len(observations) if observations else 0.0
+                float(stats.staleness_sum) / stats.pushes if stats.pushes else 0.0
             ),
-            "max_staleness": max(observations) if observations else 0,
+            "max_staleness": stats.staleness_max,
         }
 
     def _record_outcome(self, outcome: PushOutcome) -> None:
         self._stats.pushes += 1
-        self._stats.staleness_observations.append(outcome.staleness)
+        self._stats.staleness_sum += outcome.staleness
+        self._stats.staleness_max = max(self._stats.staleness_max, outcome.staleness)
         if outcome.release:
             self._stats.releases += 1
             if outcome.used_extra_credit:

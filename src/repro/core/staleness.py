@@ -64,27 +64,21 @@ class StalenessTracker:
 
     def summary(self) -> StalenessSummary:
         """Aggregate statistics over all observations."""
-        if not self._observations:
-            return StalenessSummary.empty()
-        values = np.asarray(self._observations, dtype=np.float64)
-        return StalenessSummary(
-            count=int(values.size),
-            mean=float(values.mean()),
-            maximum=int(values.max()),
-            p50=float(np.percentile(values, 50)),
-            p95=float(np.percentile(values, 95)),
-        )
+        return _summarize(self._observations)
 
     def worker_summary(self, worker_id: str) -> StalenessSummary:
         """Aggregate statistics for one worker."""
-        observations = self._per_worker.get(worker_id, [])
-        if not observations:
-            return StalenessSummary.empty()
-        values = np.asarray(observations, dtype=np.float64)
-        return StalenessSummary(
-            count=int(values.size),
-            mean=float(values.mean()),
-            maximum=int(values.max()),
-            p50=float(np.percentile(values, 50)),
-            p95=float(np.percentile(values, 95)),
-        )
+        return _summarize(self._per_worker.get(worker_id, []))
+
+
+def _summarize(observations: list[int]) -> StalenessSummary:
+    if not observations:
+        return StalenessSummary.empty()
+    values = np.asarray(observations, dtype=np.float64)
+    return StalenessSummary(
+        count=int(values.size),
+        mean=float(values.mean()),
+        maximum=int(values.max()),
+        p50=float(np.percentile(values, 50)),
+        p95=float(np.percentile(values, 95)),
+    )

@@ -82,7 +82,9 @@ class Conv2d(Module):
         if self.padding > 0:
             # Border entries stay zero from buffer creation; im2col only
             # rewrites the interior.
-            padded = workspace.get("fwd_padded", self._padded_shape(inputs.shape))
+            padded = workspace.get(
+                "fwd_padded", (n, self.in_channels, h + 2 * self.padding, w + 2 * self.padding)
+            )
         cols = im2col(
             inputs,
             self.kernel_size,
@@ -155,7 +157,7 @@ class Conv2d(Module):
         For unit stride, ``col2im(grad_cols)`` — one big matmul followed by
         a k*k scatter-add over strided slices — is mathematically a *full*
         correlation of the output gradient with the 180-degree-rotated
-        kernel.  Computing it that way is one strided im2col copy plus one
+        kernel.  Computing it that way is one im2col gather plus one
         matmul with the exact same FLOP count, and no scatter-add at all,
         which is substantially faster (the scatter was ~25% of a ResNet
         step).  The matmul reduces over (out-channel, ky, kx) in one go
@@ -196,9 +198,3 @@ class Conv2d(Module):
         grad_flat = workspace.get("bwd_corr_out", (n * h * w, c))
         np.matmul(grad_cols, flipped, out=grad_flat)
         return grad_flat.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-
-    def _padded_shape(
-        self, input_shape: tuple[int, int, int, int]
-    ) -> tuple[int, int, int, int]:
-        n, c, h, w = input_shape
-        return (n, c, h + 2 * self.padding, w + 2 * self.padding)

@@ -1,17 +1,14 @@
 """Stateless numeric primitives shared by the layers.
 
-The convolution layers are implemented with the classic im2col/col2im
-transformation so that the inner loop is a single matrix multiply.
-``im2col`` builds its patch matrix from a single
-:func:`numpy.lib.stride_tricks.sliding_window_view` copy (no per-offset
-Python loop), and both transforms accept caller-supplied destination and
-padding-scratch arrays so a :class:`repro.nn.workspace.Workspace` can make
-them allocation-free in steady state.  With the optional arrays omitted the
-functions allocate exactly like the historical implementations and return
-bit-identical values.
+The convolution layers use the classic im2col/col2im transformation so the
+inner loop is one matrix multiply.  ``im2col`` is one ``np.take`` gather
+through a cached per-image patch index; both transforms accept caller-supplied
+destination and padding-scratch arrays so a workspace keeps them allocation-free.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +35,17 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+@functools.lru_cache
+def _patch_index(c: int, height: int, width: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Read-only flat offsets into one ``(c, height, width)`` image of its im2col
+    entries, in ``(out_h, out_w, c, kh, kw)`` order; shared by every call."""
+    grid = np.arange(c * height * width).reshape(c, height, width)
+    windows = sliding_window_view(grid, (kh, kw), axis=(1, 2))
+    index = windows[:, ::stride, ::stride].transpose(1, 2, 0, 3, 4).ravel()
+    index.setflags(write=False)
+    return index
+
+
 def im2col(
     images: np.ndarray,
     kernel_h: int,
@@ -54,13 +62,13 @@ def im2col(
     images:
         Array of shape ``(N, C, H, W)``.
     out:
-        Optional destination of shape ``(N * out_h * out_w, C * kernel_h *
-        kernel_w)`` (a reusable workspace buffer); allocated when omitted.
+        Optional C-contiguous destination of shape ``(N * out_h * out_w,
+        C * kernel_h * kernel_w)`` (a workspace buffer); allocated if omitted.
     padded:
         Optional padding scratch of shape ``(N, C, H + 2p, W + 2p)`` whose
         *border entries must already be zero* — only the interior is written
         here, which is what lets a workspace reuse it without re-clearing.
-        Ignored when ``padding == 0`` (the windows then read ``images``
+        Ignored when ``padding == 0`` (the gather then reads ``images``
         directly, skipping the padded copy entirely).
 
     Returns
@@ -73,22 +81,19 @@ def im2col(
 
     if padding > 0:
         if padded is None:
-            padded = np.zeros(
-                (n, c, h + 2 * padding, w + 2 * padding), dtype=images.dtype
-            )
+            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=images.dtype)
         padded[:, :, padding : padding + h, padding : padding + w] = images
         source = padded
     else:
         source = images
 
-    windows = sliding_window_view(source, (kernel_h, kernel_w), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (n, c, out_h, out_w, kh, kw)
     if out is None:
-        out = np.empty(
-            (n * out_h * out_w, c * kernel_h * kernel_w), dtype=images.dtype
-        )
-    out_view = out.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
-    np.copyto(out_view, windows.transpose(0, 2, 3, 1, 4, 5))
+        out = np.empty((n * out_h * out_w, c * kernel_h * kernel_w), dtype=images.dtype)
+    elif not out.flags.c_contiguous:
+        raise ValueError("im2col needs a C-contiguous out= buffer")
+    index = _patch_index(c, *source.shape[2:], kernel_h, kernel_w, stride)
+    # The offsets are in range; mode="raise" (the default) would buffer ``out``.
+    np.take(source.reshape(n, -1), index, axis=1, out=out.reshape(n, -1), mode="clip")
     return out
 
 

@@ -24,8 +24,7 @@ def _pool_cols(layer, inputs: np.ndarray) -> np.ndarray:
     padded = None
     if layer.padding > 0:
         padded = workspace.get(
-            "fwd_padded",
-            (n, c, h + 2 * layer.padding, w + 2 * layer.padding),
+            "fwd_padded", (n, c, h + 2 * layer.padding, w + 2 * layer.padding)
         )
     return im2col(
         inputs,

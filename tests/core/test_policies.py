@@ -1,5 +1,7 @@
 """Tests for the BSP, ASP and SSP synchronization policies."""
 
+import random
+
 import pytest
 
 from repro.core.asp import AsynchronousParallel
@@ -70,6 +72,20 @@ class TestAsp:
         stats = policy.statistics()
         assert stats["pushes"] == 4
         assert stats["blocks"] == 0
+
+    def test_staleness_statistics_match_the_full_observation_list(self):
+        """The running sum and max report what a list of every push would."""
+        rng = random.Random(7)
+        policy = make_policy(AsynchronousParallel, num_workers=4)
+        observed = []
+        for index in range(10_000):
+            worker = f"w{rng.choices(range(4), weights=[8, 4, 2, 1])[0]}"
+            observed.append(policy.on_push(worker, float(index)).staleness)
+        stats = policy.statistics()
+        assert stats["pushes"] == len(observed)
+        assert stats["mean_staleness"] == float(sum(observed)) / len(observed)
+        assert stats["max_staleness"] == max(observed) > 0
+        assert not any(isinstance(value, list) for value in vars(policy._stats).values())
 
 
 class TestSsp:

@@ -1,11 +1,14 @@
 """Tests for the stateless numeric primitives (im2col, softmax, one-hot)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.functional import (
+    _patch_index,
     col2im,
     conv_output_size,
     im2col,
@@ -13,6 +16,81 @@ from repro.nn.functional import (
     one_hot,
     softmax,
 )
+
+
+def naive_im2col(images, kernel, stride, padding):
+    """One row per (image, output y, output x), copied patch by patch."""
+    n, c, h, w = images.shape
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    padded = np.pad(images, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    rows = []
+    for image in range(n):
+        for y in range(out_h):
+            for x in range(out_w):
+                top, left = y * stride, x * stride
+                patch = padded[image, :, top : top + kernel, left : left + kernel]
+                rows.append(patch.ravel())
+    return np.array(rows, dtype=images.dtype)
+
+
+class TestIm2ColAgainstNaiveLoop:
+    """``im2col`` is pinned bit for bit to a loop that shares no primitive."""
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_matches_naive_loop(self, kernel, stride, padding):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+        height, width = 7, 9
+        cases = itertools.product(
+            [1, 3, 24], [1, 5], [np.float32, np.float64], [False, True], [False, True]
+        )
+        for channels, batch, dtype, transposed, buffers in cases:
+            if transposed:
+                images = rng.normal(size=(batch, height, width, channels))
+                images = images.astype(dtype).transpose(0, 3, 1, 2)
+            else:
+                images = rng.normal(size=(batch, channels, height, width)).astype(dtype)
+            expected = naive_im2col(images, kernel, stride, padding)
+            kwargs = {}
+            if buffers:
+                kwargs["out"] = np.full(expected.shape, np.nan, dtype=dtype)
+                if padding:
+                    kwargs["padded"] = np.zeros(
+                        (batch, channels, height + 2 * padding, width + 2 * padding), dtype
+                    )
+            cols = im2col(images, kernel, kernel, stride, padding, **kwargs)
+            assert cols.dtype == dtype
+            assert np.array_equal(cols, expected), (channels, batch, dtype, transposed, buffers)
+            if buffers:
+                assert cols is kwargs["out"]
+
+    def test_interleaved_geometries_of_equal_size_keep_their_own_index(self):
+        rng = np.random.default_rng(0)
+        # Each pair holds the same number of elements in a different geometry.
+        pairs = [
+            (rng.normal(size=(2, 2, 4, 6)), rng.normal(size=(2, 2, 6, 4))),
+            (rng.normal(size=(1, 4, 4, 4)), rng.normal(size=(1, 1, 8, 8))),
+        ]
+        for first, second in pairs:
+            for images in (first, second, first, second):
+                expected = naive_im2col(images, 3, 1, 1)
+                assert np.array_equal(im2col(images, 3, 3, 1, 1), expected)
+        assert not np.array_equal(_patch_index(2, 6, 8, 3, 3, 1), _patch_index(2, 8, 6, 3, 3, 1))
+
+    def test_cached_index_is_read_only(self):
+        index = _patch_index(3, 6, 6, 3, 3, 1)
+        assert index is _patch_index(3, 6, 6, 3, 3, 1)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+    def test_non_contiguous_out_is_rejected(self):
+        images = np.zeros((2, 3, 6, 6))
+        rows, columns = im2col(images, 3, 3, 1, 1).shape
+        with pytest.raises(ValueError, match="C-contiguous"):
+            im2col(images, 3, 3, 1, 1, out=np.empty((columns, rows)).T)
 
 
 class TestConvOutputSize:

@@ -37,6 +37,7 @@ from repro.nn import (
 )
 from repro.models.mlp import mlp
 from repro.models.resnet import cifar_resnet, resnet20
+from repro.nn.functional import _patch_index
 from tests.nn import reference_layers
 from tests.nn.gradcheck import input_gradient_error, parameter_gradient_error
 from tests.nn.reference_layers import as_reference
@@ -357,13 +358,15 @@ class TestAllocationFreedom:
             model.zero_grad()
             model.backward(loss.backward())
 
-        step()  # warm-up allocates every buffer once
+        step()  # warm-up allocates every buffer and builds every patch index once
         baseline = model.workspace_stats()["allocations"]
         assert baseline > 0
+        index_builds = _patch_index.cache_info().misses
         for _ in range(3):
             step()
         assert model.workspace_stats()["allocations"] == baseline
         assert loss._workspace.allocations == len(loss._workspace._buffers)
+        assert _patch_index.cache_info().misses == index_builds
 
     @pytest.mark.parametrize("build,input_shape", MODEL_CASES)
     def test_directly_built_model_freezes_allocations_after_one_step(

@@ -1,4 +1,4 @@
-"""Simulator regression matrix: 25 specs, every reported number dumped as hex.
+"""Simulator regression matrix: 27 specs, every reported number dumped as hex.
 
 A refactor of the simulated backend must leave its outputs bit-identical.
 Dump the matrix on two checkouts and compare leaf by leaf::
@@ -11,8 +11,10 @@ Covers the four paradigms, 1 worker, the ``none``/``topk``/``int8`` codecs,
 4 shards (size and hash), float32, ``per_worker`` accounting, LR milestones,
 ``max_updates``, heterogeneous clusters, ``median``/``trimmed_mean``,
 slowdowns, the ``tail-heavy`` topology, ``ring_allreduce`` and
-crash/byzantine/corrupt/flaky faults.  ``samples_processed`` is left out of
-the dump (PR 21 corrected it on purpose).
+crash/byzantine/corrupt/flaky faults, and two convolutional workloads (a
+heterogeneous ``resnet110`` and the max-pooling ``alexnet``) so the ``nn``
+conv, pooling and batch-norm kernels are covered too.  ``samples_processed``
+is left out of the dump (it was corrected on purpose once).
 """
 
 
@@ -76,8 +78,10 @@ MATRIX = {
         faults=({"worker": 0, "kind": "corrupt", "mode": "bit_flip", "after_clock": 1, "until_clock": 6},)
     ),
     "flaky": dict(faults=({"worker": 1, "kind": "flaky", "period": 2, "scale": 5.0},)),
+    "resnet110-hetero": dict(workload="resnet110", cluster=HETERO, epochs=1.0, batch_size=16),
+    "alexnet": dict(workload="alexnet", epochs=1.0, batch_size=16),
 }
-assert len(MATRIX) == 25
+assert len(MATRIX) == 27
 
 
 def hexed(value):

@@ -9,11 +9,6 @@ Gates (the topology-smoke CI job runs this module at
 ``REPRO_BENCH_SCALE=tiny``; all gates are deterministic — the simulator's
 virtual clock does not time the host machine):
 
-* **Flat parity** — every flat-topology sweep cell is bit-for-bit identical
-  (evaluation times, accuracies, total virtual time, per-worker waits) to
-  the same spec with ``topology=None``, i.e. the seed's flat
-  :class:`~repro.simulation.network.NetworkModel` path.  The topology layer
-  must be a pure generalization, not a reimplementation that drifts.
 * **Determinism** — re-running the tail-heavy column produces identical
   percentile summaries and totals; the FIFO queue traces are equal too.
 * **Headline** — BSP's absolute p99 iteration-time gap over DSSP is
@@ -22,6 +17,9 @@ virtual clock does not time the host machine):
   inherit the round's worst transfer, so heavy-tailed links hurt BSP's
   tail far more than bounded-staleness paradigms.  SSP never beats DSSP's
   p99, and BSP's gap dominates SSP's on every topology.
+
+The ``flat`` column's virtual times are pinned as golden values by
+``tests/simulation/test_topology_parity.py``.
 """
 
 from __future__ import annotations
@@ -72,27 +70,6 @@ def sweep_results():
 
 def _gap(results: dict, topology: str, paradigm: str) -> float:
     return results["p99_gap_vs_dssp"][topology][paradigm]
-
-
-def test_flat_parity_bit_for_bit():
-    """The ``flat`` preset reproduces the seed NetworkModel path exactly."""
-    for paradigm in PARADIGMS:
-        with_topology = sweep_spec("flat", paradigm, **_cell_kwargs())
-        without = with_topology.replace(
-            cluster=with_topology.cluster.replace(topology=None)
-        )
-        a = run_experiment(with_topology, "simulated")
-        b = run_experiment(without, "simulated")
-        assert a.times.tolist() == b.times.tolist(), paradigm
-        assert a.accuracies.tolist() == b.accuracies.tolist(), paradigm
-        assert a.total_time == b.total_time, paradigm
-        assert a.total_updates == b.total_updates, paradigm
-        assert a.wait_time_per_worker == b.wait_time_per_worker, paradigm
-        # The degenerate topology has no shared links, hence no queueing.
-        assert (
-            a.iteration_time_percentiles.to_dict()
-            == b.iteration_time_percentiles.to_dict()
-        ), paradigm
 
 
 def test_tail_heavy_determinism():

@@ -87,8 +87,8 @@ class ClusterConfig:
     preset name (``"flat"``, ``"two-rack"``, ``"tail-heavy"``) or an
     inline topology dict (see
     :func:`repro.simulation.topology.canonical_topology_spec`).  ``None``
-    keeps the flat :class:`NetworkModel` path; the ``"flat"`` preset is
-    its bit-for-bit-identical degenerate topology.  Only the simulated
+    means ``"flat"``: one private link per worker, built from that
+    worker's own :class:`NetworkModel`.  Only the simulated
     backend models topologies — the wall-clock backends reject specs that
     set one rather than silently timing on real hardware.
     """

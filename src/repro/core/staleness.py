@@ -44,37 +44,45 @@ class StalenessSummary:
 
 
 class StalenessTracker:
-    """Records the version lag of every gradient applied at the server."""
+    """Records the version lag of every gradient applied at the server.
+
+    Memory is bounded by the largest staleness seen, not by the number of
+    pushes: the tracker keeps, per worker and overall, how many pushes
+    arrived at each staleness.  Summaries expand those counts when asked;
+    the mean is an exact integer sum and the percentiles depend only on
+    the multiset of values, so they equal a summary of the full history.
+    """
 
     def __init__(self) -> None:
-        self._observations: list[int] = []
+        self._counts: list[int] = []
         self._per_worker: dict[str, list[int]] = {}
 
     def record(self, worker_id: str, staleness: int) -> None:
         """Record that a gradient from ``worker_id`` was ``staleness`` versions old."""
         if staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {staleness}")
-        self._observations.append(int(staleness))
-        self._per_worker.setdefault(worker_id, []).append(int(staleness))
-
-    @property
-    def observations(self) -> list[int]:
-        """All recorded staleness values in arrival order."""
-        return list(self._observations)
+        _count(self._counts, int(staleness))
+        _count(self._per_worker.setdefault(worker_id, []), int(staleness))
 
     def summary(self) -> StalenessSummary:
         """Aggregate statistics over all observations."""
-        return _summarize(self._observations)
+        return _summarize(self._counts)
 
     def worker_summary(self, worker_id: str) -> StalenessSummary:
         """Aggregate statistics for one worker."""
         return _summarize(self._per_worker.get(worker_id, []))
 
 
-def _summarize(observations: list[int]) -> StalenessSummary:
-    if not observations:
+def _count(counts: list[int], staleness: int) -> None:
+    if staleness >= len(counts):
+        counts.extend([0] * (staleness + 1 - len(counts)))
+    counts[staleness] += 1
+
+
+def _summarize(counts: list[int]) -> StalenessSummary:
+    if not counts:
         return StalenessSummary.empty()
-    values = np.asarray(observations, dtype=np.float64)
+    values = np.repeat(np.arange(len(counts), dtype=np.float64), counts)
     return StalenessSummary(
         count=int(values.size),
         mean=float(values.mean()),

@@ -29,7 +29,7 @@ from repro.experiments.workloads import Workload, alexnet_workload, mlp_workload
 from repro.models.mlp import logistic_regression
 from repro.simulation.cluster import ClusterSpec, heterogeneous_cluster, homogeneous_cluster
 from repro.simulation.trainer import SimulationConfig, simulate_training
-from repro.simulation.workload import IterationTimeModel
+from repro.simulation.topology import TopologyTimeModel, build_topology
 
 __all__ = [
     "throughput_ablation",
@@ -90,11 +90,12 @@ def throughput_ablation(
     alexnet = alexnet_workload(scale, seed=seed)
     resnet = resnet_workload(scale, paper_depth=110, seed=seed + 1)
     spec = cluster.workers[0]
-    alexnet_ratio = IterationTimeModel(
-        alexnet.timing_cost, alexnet.paper_batch_size
+    topology = build_topology("flat", {spec.worker_id: spec.network})
+    alexnet_ratio = TopologyTimeModel(
+        alexnet.timing_cost, alexnet.paper_batch_size, topology
     ).compute_to_communication_ratio(spec)
-    resnet_ratio = IterationTimeModel(
-        resnet.timing_cost, resnet.paper_batch_size
+    resnet_ratio = TopologyTimeModel(
+        resnet.timing_cost, resnet.paper_batch_size, topology
     ).compute_to_communication_ratio(spec)
     return ThroughputAblationResult(
         alexnet_throughput=run(alexnet),

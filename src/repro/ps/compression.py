@@ -126,7 +126,7 @@ class GradientCodec:
     # -- capacity and timing model ------------------------------------
     def wire_fraction(self) -> float:
         """Encoded bytes as a fraction of the dense 4-byte-per-parameter
-        wire convention the simulator's :class:`NetworkModel` charges
+        wire convention the simulator's time model charges
         (see ``ModelCost.parameter_bytes``).  An a-priori estimate for
         data-dependent codecs; recorded bytes always use actual sizes."""
         return 1.0

@@ -16,7 +16,7 @@ from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.profiles import DeviceProfile, GPU_CATALOGUE, get_device_profile
 from repro.simulation.network import NetworkModel, INFINIBAND_EDR, GIGABIT_ETHERNET, LOCAL_PCIE
 from repro.simulation.cluster import WorkerSpec, ClusterSpec, homogeneous_cluster, heterogeneous_cluster
-from repro.simulation.workload import ModelCost, estimate_model_cost, IterationTimeModel
+from repro.simulation.workload import ModelCost, estimate_model_cost
 from repro.simulation.topology import (
     Link,
     Topology,
@@ -55,7 +55,6 @@ __all__ = [
     "heterogeneous_cluster",
     "ModelCost",
     "estimate_model_cost",
-    "IterationTimeModel",
     "Link",
     "Topology",
     "TopologyState",

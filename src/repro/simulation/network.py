@@ -1,9 +1,13 @@
-"""Network models for push/pull communication time.
+"""Network profiles of the link between a worker and the server.
 
 One iteration of a worker transfers the gradient to the server (push) and
 the fresh weights back (pull); both transfers move roughly the model's
-parameter payload.  The communication time is modelled as
-``latency + bytes / bandwidth`` per direction.
+parameter payload.  A :class:`NetworkModel` is the profile of one worker's
+link — latency, bandwidth and lognormal jitter — that
+:class:`~repro.simulation.cluster.WorkerSpec` carries; the ``flat``
+topology (:func:`repro.simulation.topology.single_link_topology`) turns it
+into that worker's private link, priced as ``latency + bytes / bandwidth``
+per direction by :class:`repro.simulation.topology.TopologyTimeModel`.
 
 The bandwidth/latency numbers are *effective parameter-server path* values —
 the throughput the push/pull operations of a 2019 parameter-server stack
@@ -25,14 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["NetworkModel", "INFINIBAND_EDR", "GIGABIT_ETHERNET", "LOCAL_PCIE"]
 
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Latency/bandwidth model of the link between a worker and the server."""
+    """Latency/bandwidth profile of the link between a worker and the server."""
 
     name: str
     latency: float
@@ -46,56 +48,6 @@ class NetworkModel:
             raise ValueError("bandwidth must be > 0")
         if self.jitter < 0:
             raise ValueError("jitter must be >= 0")
-
-    def transfer_time(self, nbytes: int, rng: np.random.Generator | None = None) -> float:
-        """Seconds to move ``nbytes`` in one direction."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        base = self.latency + nbytes / self.bandwidth_bytes_per_second
-        if rng is None or self.jitter == 0:
-            return base
-        factor = float(np.exp(rng.normal(0.0, self.jitter)))
-        return base * factor
-
-    def round_trip_time(self, nbytes: int, rng: np.random.Generator | None = None) -> float:
-        """Push + pull time for a payload of ``nbytes`` in each direction."""
-        return self.transfer_time(nbytes, rng) + self.transfer_time(nbytes, rng)
-
-    def sharded_transfer_time(
-        self, shard_nbytes, rng: np.random.Generator | None = None
-    ) -> float:
-        """One-direction transfer time against a sharded parameter server.
-
-        Each shard lives on its own server node, so the per-shard transfers
-        proceed in parallel and the slowest shard gates the operation: the
-        result is the max of the per-shard transfer times.  Every shard
-        still pays the path latency, which is why sharding a tiny,
-        latency-dominated payload buys nothing while a bandwidth-dominated
-        payload speeds up by roughly the (balance-weighted) shard count.
-        """
-        times = [self.transfer_time(int(nbytes), rng) for nbytes in shard_nbytes]
-        if not times:
-            raise ValueError("shard_nbytes must not be empty")
-        return max(times)
-
-    def sharded_round_trip_time(
-        self, shard_nbytes, rng: np.random.Generator | None = None
-    ) -> float:
-        """Push + pull time when the payload is split across shards."""
-        return self.sharded_transfer_time(shard_nbytes, rng) + self.sharded_transfer_time(
-            shard_nbytes, rng
-        )
-
-    def to_topology(self, worker_ids):
-        """The degenerate topology equivalent of this flat model.
-
-        One private link per worker with this model's latency, bandwidth
-        and lognormal jitter — bit-for-bit identical transfer times and
-        RNG consumption (the parity suite's anchor).
-        """
-        from repro.simulation.topology import single_link_topology
-
-        return single_link_topology(worker_ids, self)
 
 
 #: Effective PS-path throughput on the paper's Infiniband EDR cluster.

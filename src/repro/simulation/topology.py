@@ -1,44 +1,44 @@
-"""Topology-aware network cost model and the ring-allreduce pattern.
+"""The simulator's network cost model and the ring-allreduce pattern.
 
-The flat :class:`repro.simulation.network.NetworkModel` treats every
-worker↔server path as one private latency+bandwidth link, which cannot
-produce the two effects real clusters hit DSSP with: *rack bottlenecks*
-(many workers funneling through one shared uplink, so transfers queue
-behind each other) and *heavy-tailed jitter* (the occasional transfer that
-takes 10x the median, which is exactly the straggler regime the paper's
-dynamic staleness bound targets).  This module generalizes the cost model
-to a link graph:
+Every simulated push, pull and ring step is priced here, on a link graph.
+A :class:`~repro.simulation.network.NetworkModel` (one worker's private
+latency+bandwidth link) cannot produce the two effects real clusters hit
+DSSP with: *rack bottlenecks* (many workers funneling through one shared
+uplink, so transfers queue behind each other) and *heavy-tailed jitter*
+(the occasional transfer that takes 10x the median, which is exactly the
+straggler regime the paper's dynamic staleness bound targets).  So:
 
 * a :class:`Link` is one ``latency + bytes/bandwidth`` hop with a pluggable
-  jitter distribution (``none``, the flat model's ``lognormal``, and the
-  heavy-tailed ``exponential`` / ``pareto``);
+  jitter distribution (``none``, ``lognormal``, and the heavy-tailed
+  ``exponential`` / ``pareto``);
 * shared links (``shared=True``) serve transfers FIFO — a transfer arriving
   while the link is busy waits for the queue to drain, and every wait is
   recorded in the state's queue trace;
 * a :class:`Topology` maps each worker to its uplink path (worker → server)
   and derives worker→worker routes by tree routing (drop the common spine,
   descend the destination's path);
-* :class:`TopologyTimeModel` replaces
-  :class:`repro.simulation.workload.IterationTimeModel`'s communication leg
-  with path traversals, and can cost a synchronous ``ring_allreduce``
-  collective (``2*(n-1)`` chunked steps) instead of the PS push/pull pair.
+* :class:`TopologyTimeModel` is the simulator's one time model: compute on
+  the worker's device plus path traversals for the PS push/pull pair (split
+  across server shards when the store is sharded), or a synchronous
+  ``ring_allreduce`` collective (``2*(n-1)`` chunked steps).
 
-The flat model is a *degenerate case*: :func:`single_link_topology` (one
-private lognormal-jittered link per worker) reproduces the flat model's
-virtual times bit-for-bit — same arithmetic, same RNG draw order — which
-is enforced by the parity suite in ``tests/simulation/test_topology_parity.py``
-and the CI gate.  All times inside the topology are *unscaled* network
-seconds; :class:`TopologyTimeModel` applies ``time_scale`` exactly where
-the flat model does so the scaled sums stay bit-for-bit comparable.
+``topology: null`` means the ``flat`` preset: :func:`single_link_topology`
+gives each worker one private, lognormal-jittered link built from that
+worker's own :class:`~repro.simulation.network.NetworkModel`.  Its virtual
+times are pinned as golden values in
+``tests/simulation/test_topology_parity.py``.  All times inside the
+topology are *unscaled* network seconds; :class:`TopologyTimeModel`
+applies ``time_scale`` to the compute and communication legs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.simulation.network import NetworkModel
 from repro.utils.registry import Registry
 
 __all__ = [
@@ -69,13 +69,11 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LogNormalJitter:
-    """The flat model's multiplicative jitter: ``exp(N(0, sigma))``."""
+    """A network profile's multiplicative jitter: ``exp(N(0, sigma))``."""
 
     sigma: float
 
     def draw(self, rng: np.random.Generator) -> float:
-        # Identical call signature to NetworkModel.transfer_time so the
-        # degenerate single-link topology consumes the same draws.
         return float(np.exp(rng.normal(0.0, self.sigma)))
 
 
@@ -146,9 +144,9 @@ def parse_jitter_spec(spec: str) -> tuple[str, float | None]:
 def make_jitter(spec: str):
     """Build a jitter model from a spec string; ``None`` when jitter-free.
 
-    A zero parameter collapses to ``None`` — the degenerate topology must
-    skip the RNG draw entirely when the flat model would, or the two paths
-    desynchronize their jitter streams.
+    A zero parameter collapses to ``None``: a jitter-free link draws
+    nothing from the timing stream, so turning one link's jitter off does
+    not shift every other link's draws.
     """
     name, value = parse_jitter_spec(spec)
     if name == "none" or value == 0.0:
@@ -313,9 +311,9 @@ class TopologyState:
         Store-and-forward: each link is traversed in order, shared links
         serve FIFO (a busy link delays the transfer until it drains).  The
         return value is the *duration* (not the completion time), computed
-        by pure accumulation so a single private link is bit-for-bit
-        ``(latency + nbytes/bandwidth) * jitter`` — the flat model's
-        arithmetic.  A zero-byte transfer still pays every link's latency.
+        by pure accumulation so a single private link is exactly
+        ``(latency + nbytes/bandwidth) * jitter``.  A zero-byte transfer
+        still pays every link's latency.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
@@ -356,24 +354,24 @@ class TopologyState:
 # ----------------------------------------------------------------------
 # Builders and plain-data topology specs
 # ----------------------------------------------------------------------
-def single_link_topology(worker_ids: Sequence[str], network, name: str = "flat") -> Topology:
-    """The degenerate topology: one private link per worker.
+def single_link_topology(networks: Mapping[str, NetworkModel], name: str = "flat") -> Topology:
+    """The ``flat`` topology: one private link per worker.
 
-    Built from a :class:`~repro.simulation.network.NetworkModel`, this
-    reproduces the flat cost model bit-for-bit (same latency/bandwidth
-    arithmetic, one lognormal draw per transfer in the same order).
+    ``networks`` maps each worker id to its own
+    :class:`~repro.simulation.network.NetworkModel`; the worker's link has
+    that profile's latency and bandwidth and draws its lognormal jitter
+    (none when the profile's jitter is 0).
     """
-    jitter = "none" if network.jitter == 0 else f"lognormal:{network.jitter!r}"
     links = [
         Link(
             name=f"link-{worker_id}",
             latency=network.latency,
             bandwidth_bytes_per_second=network.bandwidth_bytes_per_second,
-            jitter=jitter,
+            jitter="none" if network.jitter == 0 else f"lognormal:{network.jitter!r}",
         )
-        for worker_id in worker_ids
+        for worker_id, network in networks.items()
     ]
-    paths = {worker_id: (f"link-{worker_id}",) for worker_id in worker_ids}
+    paths = {worker_id: (f"link-{worker_id}",) for worker_id in networks}
     return Topology(name=name, links=links, paths=paths)
 
 
@@ -423,12 +421,13 @@ def rack_topology(
     return Topology(name=name, links=links, paths=paths)
 
 
-#: Named topology presets a spec may refer to.  ``flat`` is the degenerate
-#: single-link case built from the cluster's network profile; the rack
-#: presets use fixed, documented numbers (a fast intra-rack leaf, a
-#: contended inter-rack uplink) so sweeps are self-contained.  The
-#: ``tail-heavy`` preset swaps the lognormal jitter for exponential tails —
-#: the regime where bounded-staleness paradigms should shine or break.
+#: Named topology presets a spec may refer to.  ``flat`` (what ``None``
+#: means) is one private link per worker built from that worker's network
+#: profile; the rack presets use fixed, documented numbers (a fast
+#: intra-rack leaf, a contended inter-rack uplink) so sweeps are
+#: self-contained.  The ``tail-heavy`` preset swaps the lognormal jitter
+#: for exponential tails — the regime where bounded-staleness paradigms
+#: should shine or break.
 TOPOLOGY_PRESETS = Registry("topology preset", {
     "flat": {"kind": "flat"},
     "two-rack": {
@@ -533,17 +532,20 @@ def canonical_topology_spec(spec: str | dict) -> dict:
 validate_topology_spec = canonical_topology_spec
 
 
-def build_topology(spec: str | dict | Topology, worker_ids: Sequence[str], network) -> Topology:
-    """Materialize a topology for ``worker_ids``.
+def build_topology(
+    spec: str | dict | Topology, networks: Mapping[str, NetworkModel]
+) -> Topology:
+    """Materialize a topology for the workers of ``networks``.
 
+    ``networks`` maps each worker id to its
+    :class:`~repro.simulation.network.NetworkModel`; the ``flat`` kind
+    builds each worker's link from it, the rack kinds use only the ids.
     ``spec`` may be a preset name, a canonical dict, or an already-built
     :class:`Topology` (validated against the worker ids and returned
-    as-is).  ``network`` is the cluster's flat
-    :class:`~repro.simulation.network.NetworkModel`, used by the
-    degenerate ``flat`` kind.
+    as-is).
     """
     if isinstance(spec, Topology):
-        missing = [wid for wid in worker_ids if wid not in spec._paths]
+        missing = [wid for wid in networks if wid not in spec._paths]
         if missing:
             raise ValueError(
                 f"topology {spec.name!r} has no path for worker(s) {missing}"
@@ -551,9 +553,9 @@ def build_topology(spec: str | dict | Topology, worker_ids: Sequence[str], netwo
         return spec
     data = canonical_topology_spec(spec)
     if data["kind"] == "flat":
-        return single_link_topology(worker_ids, network, name=data.get("name", "flat"))
+        return single_link_topology(networks, name=data.get("name", "flat"))
     return rack_topology(
-        worker_ids,
+        list(networks),
         num_racks=data["num_racks"],
         leaf=data["leaf"],
         uplink=data["uplink"],
@@ -642,18 +644,28 @@ def ring_allreduce(arrays: Sequence[np.ndarray], average: bool = True) -> np.nda
 class TopologyTimeModel:
     """Per-iteration times on a topology (PS push/pull or ring allreduce).
 
-    Drop-in replacement for the communication leg of
-    :class:`repro.simulation.workload.IterationTimeModel`: compute time
-    still comes from the worker's device profile, but transfers traverse
-    the link graph (paying FIFO queueing on shared links) instead of one
-    flat link.  The model is stateful — it owns the run's
+    The simulator's one time model: compute time comes from the worker's
+    device profile, and transfers traverse the link graph (paying FIFO
+    queueing on shared links).  The model is stateful — it owns the run's
     :class:`TopologyState` — and must therefore be built fresh per run.
 
-    ``time_scale`` is applied exactly as in the flat model
-    (``scale*compute + scale*(push+pull)``), so a degenerate topology is
-    bit-for-bit identical to the flat path; the queue timeline itself is
-    kept in unscaled network seconds (callers pass scaled virtual ``now``,
-    which is divided back — exact for the default ``time_scale=1.0``).
+    ``time_scale`` uniformly stretches both legs
+    (``scale*compute + scale*(push+pull)``); the experiment harness uses it
+    to map scaled-down models onto second-scale iteration times without
+    affecting any ratio.  The queue timeline itself is kept in unscaled
+    network seconds (callers pass scaled virtual ``now``, which is divided
+    back — exact for the default ``time_scale=1.0``).
+
+    ``shard_fractions`` is each server shard's fraction of the parameter
+    payload, taken from the sharded store's partition; the default
+    ``(1.0,)`` is the single server.  Per-shard transfers run in parallel,
+    so the slowest shard gates each leg; every shard ships a whole number
+    of bytes and pays the path latency, which is why sharding a tiny,
+    latency-dominated payload buys nothing.  ``push_wire_fraction`` scales
+    only the push leg — the gradient a compressing codec ships
+    (:meth:`repro.ps.compression.GradientCodec.wire_fraction`); pulls stay
+    dense.  Jitter draws go compute, then every push shard, then every pull
+    shard.
 
     For ``comm_pattern="ring_allreduce"`` the collective's cost is
     computed once per synchronous round — ``2*(n-1)`` steps, each gated by
@@ -669,6 +681,7 @@ class TopologyTimeModel:
         topology: Topology,
         *,
         time_scale: float = 1.0,
+        shard_fractions: Sequence[float] = (1.0,),
         push_wire_fraction: float = 1.0,
         comm_pattern: str = "ps",
         worker_ids: Sequence[str] | None = None,
@@ -677,6 +690,12 @@ class TopologyTimeModel:
             raise ValueError("batch_size must be positive")
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
+        if not shard_fractions or any(f <= 0 for f in shard_fractions):
+            raise ValueError("shard_fractions must be non-empty and positive")
+        if not np.isclose(sum(shard_fractions), 1.0, atol=1e-6):
+            raise ValueError(
+                f"shard_fractions must sum to 1, got {sum(shard_fractions)}"
+            )
         if not 0.0 < push_wire_fraction <= 1.0:
             raise ValueError(
                 f"push_wire_fraction must be in (0, 1], got {push_wire_fraction}"
@@ -685,6 +704,7 @@ class TopologyTimeModel:
         self.batch_size = int(batch_size)
         self.topology = topology
         self.time_scale = float(time_scale)
+        self.shard_fractions = tuple(float(f) for f in shard_fractions)
         self.push_wire_fraction = float(push_wire_fraction)
         self.comm_pattern = validate_comm_pattern(comm_pattern)
         self.worker_ids = list(worker_ids or topology.worker_ids)
@@ -692,9 +712,18 @@ class TopologyTimeModel:
             raise ValueError("ring allreduce needs at least 2 workers")
         self.state = topology.new_state()
         self._ring_round_times: dict[int, float] = {}
+        payload = cost.parameter_bytes
+        if self.shard_fractions == (1.0,):
+            self._push_bytes = (payload * self.push_wire_fraction,)
+            self._pull_bytes = (payload,)
+        else:
+            shard_bytes = [payload * fraction for fraction in self.shard_fractions]
+            self._push_bytes = tuple(int(b * self.push_wire_fraction) for b in shard_bytes)
+            self._pull_bytes = tuple(int(b) for b in shard_bytes)
 
-    # -- compute leg: identical arithmetic to IterationTimeModel ---------
+    # -- compute leg -----------------------------------------------------
     def _raw_compute(self, spec, rng: np.random.Generator | None) -> float:
+        # The worker's local GPUs split the mini-batch evenly.
         flops = self.cost.iteration_flops(self.batch_size) / spec.gpus_per_worker
         return spec.device.compute_time(flops, rng=rng)
 
@@ -705,19 +734,15 @@ class TopologyTimeModel:
     # -- communication legs ---------------------------------------------
     def _ps_comm(self, worker_id: str, start: float, rng) -> float:
         path = self.topology.worker_path(worker_id)
-        push = self.state.transfer(
-            path,
-            self.cost.parameter_bytes * self.push_wire_fraction,
-            start=start,
-            rng=rng,
-            tag=f"{worker_id}:push",
+        push = max(
+            self.state.transfer(path, nbytes, start=start, rng=rng, tag=f"{worker_id}:push")
+            for nbytes in self._push_bytes
         )
-        pull = self.state.transfer(
-            path,
-            self.cost.parameter_bytes,
-            start=start + push,
-            rng=rng,
-            tag=f"{worker_id}:pull",
+        pull = max(
+            self.state.transfer(
+                path, nbytes, start=start + push, rng=rng, tag=f"{worker_id}:pull"
+            )
+            for nbytes in self._pull_bytes
         )
         return push + pull
 
@@ -782,6 +807,10 @@ class TopologyTimeModel:
         else:
             comm = self._ps_comm(spec.worker_id, start, rng)
         return self.time_scale * raw_compute + self.time_scale * comm
+
+    def compute_to_communication_ratio(self, spec) -> float:
+        """The jitter-free ratio the paper's Section V-C discussion is based on."""
+        return self.compute_time(spec) / max(self.communication_time(spec), 1e-12)
 
     # -- accounting ------------------------------------------------------
     def ring_wire_bytes_per_iteration(self) -> float:

@@ -67,7 +67,7 @@ from repro.simulation.topology import (
     validate_topology_spec,
 )
 from repro.simulation.trace import SimulationTrace
-from repro.simulation.workload import IterationTimeModel, estimate_model_cost
+from repro.simulation.workload import estimate_model_cost
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 
@@ -169,14 +169,12 @@ class SimulationConfig:
         phases.  Every fault draws from the run's named RNG streams, so a
         chaos run replays identically from the seed.
     topology:
-        Optional network topology for the *time* components: a preset name
+        Network topology for the *time* components: a preset name
         (``"flat"``, ``"two-rack"``, ``"tail-heavy"``), an inline topology
         dict, or a prebuilt :class:`repro.simulation.topology.Topology`.
-        ``None`` keeps the flat :class:`NetworkModel` cost path untouched;
-        the ``"flat"`` preset builds the degenerate single-link topology
-        from the cluster's network, which is bit-for-bit identical to
-        ``None`` in virtual time (the parity gate).  Shared rack uplinks
-        queue transfers FIFO, and every queueing delay lands in
+        ``None`` means ``"flat"``: one private link per worker, built from
+        that worker's own :class:`NetworkModel`.  Shared rack uplinks queue
+        transfers FIFO, and every queueing delay lands in
         ``SimulationResult.queue_trace``.
     comm_pattern:
         ``"ps"`` (default): every iteration pays a push and a pull on the
@@ -317,7 +315,7 @@ class SimulationResult(TrainingResult):
     iteration_time_summary: PercentileSummary = EMPTY_PERCENTILES
     #: FIFO queueing records of the topology's shared links (one dict per
     #: shared-link traversal: link, arrival, start, wait, nbytes, tag);
-    #: empty for flat runs and degenerate topologies with no shared links.
+    #: empty when the topology has no shared links (``flat``).
     queue_trace: list = field(default_factory=list)
 
     # The evaluation curve and the server's counters, under the names the
@@ -413,31 +411,18 @@ class SimulatedTraining:
         # inflating codec still pays at most the dense charge).
         codec = plan_codec(plan)
         push_wire_fraction = 1.0 if codec is None else min(1.0, codec.wire_fraction())
-        # The topology path replaces only the *cost* model; the flat path is
-        # kept verbatim when no topology (and no collective pattern) is
-        # requested so existing runs stay bit-for-bit.
-        topo_model: TopologyTimeModel | None = None
-        if config.topology is not None or config.comm_pattern != "ps":
-            topology = build_topology(
-                config.topology if config.topology is not None else "flat",
-                plan.worker_ids,
-                config.cluster.workers[0].network,
-            )
-            topo_model = TopologyTimeModel(
-                cost,
-                batch_size=config.timing_batch_size or config.batch_size,
-                topology=topology,
-                time_scale=config.time_scale,
-                push_wire_fraction=push_wire_fraction,
-                comm_pattern=config.comm_pattern,
-                worker_ids=plan.worker_ids,
-            )
-        time_model = IterationTimeModel(
+        time_model = TopologyTimeModel(
             cost,
             batch_size=config.timing_batch_size or config.batch_size,
+            topology=build_topology(
+                "flat" if config.topology is None else config.topology,
+                {wid: config.cluster.worker(wid).network for wid in plan.worker_ids},
+            ),
             time_scale=config.time_scale,
             shard_fractions=shard_fractions,
             push_wire_fraction=push_wire_fraction,
+            comm_pattern=config.comm_pattern,
+            worker_ids=plan.worker_ids,
         )
         timing_rng = RngStream(config.seed).get("timing") if config.timing_jitter else None
 
@@ -487,16 +472,12 @@ class SimulatedTraining:
         crash_at = fault_plan.crash_at()
 
         def iteration_time(worker_id: str, now: float) -> float:
-            spec = config.cluster.worker(worker_id)
-            if topo_model is not None:
-                duration = topo_model.iteration_time(
-                    spec,
-                    rng=timing_rng,
-                    now=now,
-                    round_index=iterations_done[worker_id],
-                )
-            else:
-                duration = time_model.iteration_time(spec, rng=timing_rng)
+            duration = time_model.iteration_time(
+                config.cluster.worker(worker_id),
+                rng=timing_rng,
+                now=now,
+                round_index=iterations_done[worker_id],
+            )
             if config.slowdown_schedule is not None:
                 factor = float(config.slowdown_schedule(worker_id, now))
                 if factor <= 0:
@@ -626,7 +607,7 @@ class SimulatedTraining:
                 # 2*(n-1)/n * payload per worker and pulls nothing from a
                 # server (the substrate's PS transfers never happen on the
                 # simulated wire).  Raw bytes stay the dense payload.
-                ring_wire = topo_model.ring_wire_bytes_per_iteration()
+                ring_wire = time_model.ring_wire_bytes_per_iteration()
                 report["pushed_wire_bytes"] = int(round(done * ring_wire))
                 report["pushed_raw_bytes"] = int(round(done * float(cost.parameter_bytes)))
                 report["pulled_bytes"] = 0
@@ -664,7 +645,7 @@ class SimulatedTraining:
             tracker=tracker,
             trace=trace,
             iteration_time_summary=percentile_summary(interval_samples),
-            queue_trace=list(topo_model.state.queue_trace) if topo_model else [],
+            queue_trace=list(time_model.state.queue_trace),
         )
 
 

@@ -1,4 +1,4 @@
-"""Model cost estimation and the per-iteration time model.
+"""Model cost estimation for the per-iteration time model.
 
 The paper's Section V-C attributes the opposite throughput orderings of the
 paradigms to the *ratio of computing time to communication time* per
@@ -7,8 +7,9 @@ little, pure CNNs (ResNets) compute a lot but move few parameters.  To make
 that ratio emerge from first principles rather than be hard-coded, this
 module walks a model's layer structure, propagates activation shapes and
 counts the floating-point operations of a forward+backward pass as well as
-the bytes of the parameter payload.  The iteration time model then combines
-the FLOP count with a device profile and the payload with a network model.
+the bytes of the parameter payload.  The time model
+(:class:`repro.simulation.topology.TopologyTimeModel`) then combines the
+FLOP count with a device profile and the payload with the worker's link.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.nn.normalization import BatchNorm1d, BatchNorm2d
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from repro.simulation.cluster import WorkerSpec
 
-__all__ = ["ModelCost", "estimate_model_cost", "IterationTimeModel"]
+__all__ = ["ModelCost", "estimate_model_cost"]
 
 # Backward pass costs roughly twice the forward pass (gradient w.r.t. inputs
 # and w.r.t. weights); 3x forward is the standard engineering estimate.
@@ -131,99 +131,3 @@ def estimate_model_cost(model: Module, input_shape: tuple[int, ...]) -> ModelCos
         num_parameters=num_parameters,
         parameter_bytes=num_parameters * _BYTES_PER_PARAMETER,
     )
-
-
-class IterationTimeModel:
-    """Combines a model cost with worker hardware into per-iteration times."""
-
-    def __init__(
-        self,
-        cost: ModelCost,
-        batch_size: int,
-        time_scale: float = 1.0,
-        shard_fractions: tuple[float, ...] = (1.0,),
-        push_wire_fraction: float = 1.0,
-    ) -> None:
-        """Create the time model.
-
-        ``time_scale`` uniformly stretches all times; the experiment harness
-        uses it to map the scaled-down models onto second-scale iteration
-        times comparable to the paper's axes without affecting any ratio.
-
-        ``shard_fractions`` describes how the parameter payload is split
-        across server shards (each entry is one shard's fraction of the
-        total payload); the default ``(1.0,)`` models the monolithic single
-        server.  Per-shard transfers run in parallel, so communication time
-        is gated by the most-loaded shard — the fractions come straight
-        from the sharded store's router.
-
-        ``push_wire_fraction`` scales only the *push* leg's payload — the
-        gradient a compressing codec ships
-        (:meth:`repro.ps.compression.GradientCodec.wire_fraction`); pulls
-        stay dense.  The default 1.0 charges both directions identically
-        and draws the same jitter sequence as the historical model, so
-        uncompressed simulations are bit-for-bit unchanged.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        if not shard_fractions or any(f <= 0 for f in shard_fractions):
-            raise ValueError("shard_fractions must be non-empty and positive")
-        if not np.isclose(sum(shard_fractions), 1.0, atol=1e-6):
-            raise ValueError(
-                f"shard_fractions must sum to 1, got {sum(shard_fractions)}"
-            )
-        if not 0.0 < push_wire_fraction <= 1.0:
-            raise ValueError(
-                f"push_wire_fraction must be in (0, 1], got {push_wire_fraction}"
-            )
-        self.cost = cost
-        self.batch_size = int(batch_size)
-        self.time_scale = float(time_scale)
-        self.shard_fractions = tuple(float(f) for f in shard_fractions)
-        self.push_wire_fraction = float(push_wire_fraction)
-
-    def compute_time(self, spec: WorkerSpec, rng: np.random.Generator | None = None) -> float:
-        """Gradient-computation time of one iteration on ``spec``'s device.
-
-        The worker's local GPUs split the mini-batch evenly, so more GPUs per
-        worker shorten compute time (as in the paper's 4-GPU workers).
-        """
-        flops = self.cost.iteration_flops(self.batch_size) / spec.gpus_per_worker
-        return self.time_scale * spec.device.compute_time(flops, rng=rng)
-
-    def communication_time(
-        self, spec: WorkerSpec, rng: np.random.Generator | None = None
-    ) -> float:
-        """Push + pull transfer time of one iteration over ``spec``'s link.
-
-        The push leg carries ``push_wire_fraction`` of the dense payload
-        (codec-compressed gradients), the pull leg always the dense
-        weights.  Jitter draws happen push-first in both branches — the
-        same count and order as the uncompressed model, which keeps runs
-        with ``push_wire_fraction=1.0`` bit-for-bit reproducible.
-        """
-        push_scale = self.push_wire_fraction
-        if self.shard_fractions == (1.0,):
-            push = spec.network.transfer_time(
-                self.cost.parameter_bytes * push_scale, rng=rng
-            )
-            pull = spec.network.transfer_time(self.cost.parameter_bytes, rng=rng)
-            return self.time_scale * (push + pull)
-        shard_bytes = [
-            self.cost.parameter_bytes * fraction for fraction in self.shard_fractions
-        ]
-        push = spec.network.sharded_transfer_time(
-            [nbytes * push_scale for nbytes in shard_bytes], rng=rng
-        )
-        pull = spec.network.sharded_transfer_time(shard_bytes, rng=rng)
-        return self.time_scale * (push + pull)
-
-    def iteration_time(self, spec: WorkerSpec, rng: np.random.Generator | None = None) -> float:
-        """Total busy time of one iteration (compute plus communication)."""
-        return self.compute_time(spec, rng=rng) + self.communication_time(spec, rng=rng)
-
-    def compute_to_communication_ratio(self, spec: WorkerSpec) -> float:
-        """The ratio the paper's Section V-C discussion is based on."""
-        return self.compute_time(spec) / max(self.communication_time(spec), 1e-12)

@@ -1,5 +1,6 @@
 """Tests for the policy factory and the staleness tracker."""
 
+import numpy as np
 import pytest
 
 from repro.core.asp import AsynchronousParallel
@@ -78,8 +79,31 @@ class TestStalenessTracker:
         with pytest.raises(ValueError):
             tracker.record("a", -1)
 
-    def test_observations_preserved_in_order(self):
+    def test_summaries_equal_a_full_history(self):
+        # 10k pushes from 5 workers with ASP-like heavy tails: the count
+        # tables summarize exactly as the recorded sequence would.
+        rng = np.random.default_rng(28)
+        workers = [f"w{i}" for i in range(5)]
         tracker = StalenessTracker()
-        tracker.record("a", 2)
-        tracker.record("a", 0)
-        assert tracker.observations == [2, 0]
+        history: dict[str, list[int]] = {w: [] for w in workers}
+        everything: list[int] = []
+        for _ in range(10_000):
+            worker = workers[int(rng.integers(len(workers)))]
+            value = int(rng.geometric(0.05)) - 1
+            tracker.record(worker, value)
+            history[worker].append(value)
+            everything.append(value)
+
+        def reference(values):
+            array = np.asarray(values, dtype=np.float64)
+            return StalenessSummary(
+                count=int(array.size),
+                mean=float(array.mean()),
+                maximum=int(array.max()),
+                p50=float(np.percentile(array, 50)),
+                p95=float(np.percentile(array, 95)),
+            )
+
+        assert tracker.summary() == reference(everything)
+        for worker in workers:
+            assert tracker.worker_summary(worker) == reference(history[worker])

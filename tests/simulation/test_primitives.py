@@ -10,8 +10,21 @@ from repro.simulation.cluster import ClusterSpec, WorkerSpec, heterogeneous_clus
 from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.network import GIGABIT_ETHERNET, INFINIBAND_EDR, NetworkModel
 from repro.simulation.profiles import GPU_CATALOGUE, DeviceProfile, get_device_profile
+from repro.simulation.topology import TopologyTimeModel, build_topology
 from repro.simulation.trace import SimulationTrace
-from repro.simulation.workload import IterationTimeModel, estimate_model_cost
+from repro.simulation.workload import ModelCost, estimate_model_cost
+
+
+def link_transfer(network, nbytes):
+    """One jitter-free transfer over the flat link built from ``network``."""
+    topology = build_topology("flat", {"w": network})
+    return topology.new_state().transfer(topology.worker_path("w"), nbytes)
+
+
+def flat_time_model(cost, spec, **kwargs):
+    """The simulator's time model on ``spec``'s own flat link."""
+    topology = build_topology("flat", {spec.worker_id: spec.network})
+    return TopologyTimeModel(cost, topology=topology, **kwargs)
 
 
 class TestVirtualClock:
@@ -103,15 +116,18 @@ class TestDeviceProfiles:
 
 class TestNetworkModels:
     def test_transfer_time_scales_with_bytes(self):
-        assert GIGABIT_ETHERNET.transfer_time(10_000_000) > GIGABIT_ETHERNET.transfer_time(1_000)
+        assert link_transfer(GIGABIT_ETHERNET, 10_000_000) > link_transfer(GIGABIT_ETHERNET, 1_000)
 
     def test_round_trip_is_two_transfers(self):
         model = NetworkModel(name="x", latency=0.001, bandwidth_bytes_per_second=1e6, jitter=0)
-        assert model.round_trip_time(1_000_000) == pytest.approx(2 * model.transfer_time(1_000_000))
+        spec = homogeneous_cluster(num_workers=1, network=model).workers[0]
+        cost = ModelCost(flops_per_sample=1.0, num_parameters=250_000, parameter_bytes=1_000_000)
+        round_trip = flat_time_model(cost, spec, batch_size=1).communication_time(spec)
+        assert round_trip == pytest.approx(2 * link_transfer(model, 1_000_000))
 
     def test_infiniband_faster_than_ethernet(self):
         payload = 5_000_000
-        assert INFINIBAND_EDR.transfer_time(payload) < GIGABIT_ETHERNET.transfer_time(payload)
+        assert link_transfer(INFINIBAND_EDR, payload) < link_transfer(GIGABIT_ETHERNET, payload)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -119,7 +135,7 @@ class TestNetworkModels:
         with pytest.raises(ValueError):
             NetworkModel(name="x", latency=0, bandwidth_bytes_per_second=0)
         with pytest.raises(ValueError):
-            GIGABIT_ETHERNET.transfer_time(-5)
+            link_transfer(GIGABIT_ETHERNET, -5)
 
 
 class TestClusterSpecs:
@@ -179,8 +195,8 @@ class TestWorkloadCostModel:
         model = downsized_alexnet(num_classes=10, image_size=32, width=32, fc_width=256)
         cost = estimate_model_cost(model, (3, 32, 32))
         cluster = homogeneous_cluster(num_workers=1, gpus_per_worker=4)
-        time_model = IterationTimeModel(cost, batch_size=128)
         spec = cluster.workers[0]
+        time_model = flat_time_model(cost, spec, batch_size=128)
         compute = time_model.compute_time(spec)
         comm = time_model.communication_time(spec)
         assert compute > 0 and comm > 0
@@ -192,20 +208,40 @@ class TestWorkloadCostModel:
         cost = estimate_model_cost(model, (3, 16, 16))
         single = homogeneous_cluster(num_workers=1, gpus_per_worker=1).workers[0]
         quad = homogeneous_cluster(num_workers=1, gpus_per_worker=4).workers[0]
-        time_model = IterationTimeModel(cost, batch_size=64)
+        time_model = flat_time_model(cost, single, batch_size=64)
         assert time_model.compute_time(quad) < time_model.compute_time(single)
 
     def test_validation(self):
         model = resnet20(num_classes=10, base_width=4)
         cost = estimate_model_cost(model, (3, 8, 8))
+        spec = homogeneous_cluster(num_workers=1).workers[0]
         with pytest.raises(ValueError):
-            IterationTimeModel(cost, batch_size=0)
+            flat_time_model(cost, spec, batch_size=0)
         with pytest.raises(ValueError):
-            IterationTimeModel(cost, batch_size=8, time_scale=0)
+            flat_time_model(cost, spec, batch_size=8, time_scale=0)
+        for fractions in ((), (0.5, 0.0, 0.5), (0.5, 0.4)):
+            with pytest.raises(ValueError, match="shard_fractions"):
+                flat_time_model(cost, spec, batch_size=8, shard_fractions=fractions)
         with pytest.raises(ValueError):
             estimate_model_cost(model, ())
         with pytest.raises(ValueError):
             cost.iteration_flops(0)
+
+    def test_slowest_shard_gates_each_leg(self):
+        # Every shard ships a whole number of bytes; one server ships the
+        # codec's fraction of the payload untruncated.
+        network = NetworkModel(name="x", latency=0.5, bandwidth_bytes_per_second=10.0, jitter=0)
+        spec = homogeneous_cluster(num_workers=1, network=network).workers[0]
+        cost = ModelCost(flops_per_sample=1.0, num_parameters=250, parameter_bytes=1001)
+        sharded = flat_time_model(
+            cost, spec, batch_size=1, shard_fractions=(0.25, 0.75), push_wire_fraction=0.1
+        )
+        push = link_transfer(network, int(1001 * 0.75 * 0.1))
+        pull = link_transfer(network, int(1001 * 0.75))
+        assert sharded.communication_time(spec) == push + pull
+        single = flat_time_model(cost, spec, batch_size=1, push_wire_fraction=0.1)
+        push = link_transfer(network, 1001 * 0.1)
+        assert single.communication_time(spec) == push + link_transfer(network, 1001)
 
 
 class TestSimulationTrace:

@@ -49,8 +49,8 @@ class TestJitterSpecs:
         assert available_jitters() == ("exponential", "lognormal", "none", "pareto")
 
     def test_zero_parameter_collapses_to_no_jitter(self):
-        # The degenerate flat topology must skip the RNG draw exactly when
-        # the flat model does, or the two jitter streams desynchronize.
+        # A jitter-free link draws nothing, so it cannot shift the timing
+        # stream every other link draws from.
         assert make_jitter("none") is None
         assert make_jitter("lognormal:0") is None
         assert make_jitter("exponential:0.0") is None
@@ -110,7 +110,7 @@ def two_rack_fixture() -> Topology:
 class TestTopologyGraph:
     def test_single_link_paths(self):
         network = NetworkModel(name="test", latency=1e-3, bandwidth_bytes_per_second=1e9, jitter=0.0)
-        topo = single_link_topology(["w0", "w1"], network)
+        topo = single_link_topology({"w0": network, "w1": network})
         assert topo.worker_ids == ["w0", "w1"]
         (link,) = topo.worker_path("w0")
         assert link.name == "link-w0"
@@ -118,7 +118,7 @@ class TestTopologyGraph:
 
     def test_unknown_worker_raises(self):
         network = NetworkModel(name="test", latency=1e-3, bandwidth_bytes_per_second=1e9, jitter=0.0)
-        topo = single_link_topology(["w0"], network)
+        topo = single_link_topology({"w0": network})
         with pytest.raises(KeyError, match="w9"):
             topo.worker_path("w9")
 
@@ -172,7 +172,7 @@ class TestTopologyGraph:
 class TestFifoQueueing:
     def test_private_links_never_queue(self):
         network = NetworkModel(name="test", latency=0.5, bandwidth_bytes_per_second=1e9, jitter=0.0)
-        topo = single_link_topology(["w0"], network)
+        topo = single_link_topology({"w0": network})
         state = topo.new_state()
         path = topo.worker_path("w0")
         first = state.transfer(path, 1000, start=0.0)
@@ -266,17 +266,21 @@ class TestTopologySpecs:
 
     def test_build_flat_preset_uses_network_profile(self):
         network = NetworkModel(name="test", latency=2e-3, bandwidth_bytes_per_second=1e9, jitter=0.15)
-        topo = build_topology("flat", ["w0", "w1"], network)
+        slow = NetworkModel(name="slow", latency=5e-3, bandwidth_bytes_per_second=1e8, jitter=0.0)
+        topo = build_topology("flat", {"w0": network, "w1": slow})
         link = topo.worker_path("w0")[0]
         assert link.latency == network.latency
         assert link.jitter == f"lognormal:{network.jitter!r}"
+        link = topo.worker_path("w1")[0]
+        assert (link.latency, link.bandwidth_bytes_per_second) == (5e-3, 1e8)
+        assert link.jitter == "none"
 
     def test_build_accepts_prebuilt_topology(self):
         topo = two_rack_fixture()
         network = NetworkModel(name="test", latency=1e-3, bandwidth_bytes_per_second=1e9, jitter=0.0)
-        assert build_topology(topo, ["a", "b"], network) is topo
+        assert build_topology(topo, {"a": network, "b": network}) is topo
         with pytest.raises(ValueError, match="no path"):
-            build_topology(topo, ["a", "missing"], network)
+            build_topology(topo, {"a": network, "missing": network})
 
     def test_comm_pattern_validation(self):
         assert validate_comm_pattern("PS") == "ps"

@@ -87,7 +87,7 @@ def threaded_steps_per_second(workload, num_workers: int) -> float:
     return int(result.server_statistics["store_version"]) / result.wall_time
 
 
-def process_steps_per_second(workload, num_workers: int) -> float:
+def process_steps_per_second(num_workers: int) -> float:
     plan = ProcessTrainingPlan(
         workload="mlp",
         scale_fields=dataclasses.asdict(BENCH_SCALE),
@@ -100,7 +100,8 @@ def process_steps_per_second(workload, num_workers: int) -> float:
         evaluate_every_pushes=0,
         seed=0,
     )
-    result = ProcessTrainer(plan, workload=workload).run()
+    # The forked server and workers reuse the fixture's build of "mlp".
+    result = ProcessTrainer(plan).run()
     assert result.errors == [], result.errors
     return int(result.server_statistics["store_version"]) / result.wall_time
 
@@ -114,12 +115,12 @@ def sweep_results(workload):
         # one-off costs (page-cache population, copy-on-write fork faults)
         # that are not steady-state throughput.
         threaded_steps_per_second(workload, num_workers)
-        process_steps_per_second(workload, num_workers)
+        process_steps_per_second(num_workers)
         threaded_trials = []
         process_trials = []
         for _ in range(TRIALS):
             threaded_trials.append(threaded_steps_per_second(workload, num_workers))
-            process_trials.append(process_steps_per_second(workload, num_workers))
+            process_trials.append(process_steps_per_second(num_workers))
         threaded = statistics.median(threaded_trials)
         process = statistics.median(process_trials)
         results.append(

@@ -264,7 +264,7 @@ def _plan_fields(
 
 
 def _registry_plan_fields(spec: ExperimentSpec, profile: bool) -> dict:
-    """What a plan needs for its processes to rebuild the workload themselves."""
+    """What a plan needs for its processes to build the workload themselves."""
     return {
         "workload": WORKLOADS.key(spec.workload),
         "workload_kwargs": dict(spec.workload_kwargs),
@@ -449,9 +449,9 @@ class ProcessBackend:
     * ``lr_milestones`` and ``max_updates`` are rejected exactly as the
       threaded backend rejects them (one spec must not silently train
       differently per backend);
-    * the workload must be a *registered* name — worker processes rebuild
-      it from the registry, so an injected pre-built :class:`Workload`
-      object cannot be honoured and is rejected loudly.
+    * the workload must be a *registered* name — every process uses the
+      same build of it, so an injected pre-built :class:`Workload` object
+      cannot be honoured and is rejected loudly.
 
     ``transport`` selects how pushed gradients reach the server process:
     ``"shm"`` (default) writes them straight into per-worker shared-memory
@@ -497,12 +497,11 @@ class ProcessBackend:
         if workload is not None:
             raise ValueError(
                 "the process backend cannot honour an injected workload "
-                "object: worker processes rebuild the workload from the "
-                "registry, so pass a registered workload name in the spec"
+                "object: every process uses the registry's build of the "
+                "workload, so pass a registered workload name in the spec"
             )
         registry_fields = _registry_plan_fields(spec, profile)
         provenance = _provenance(spec, self.name, None, cluster)
-        built_workload = _build_workload(spec)
         num_workers = cluster.num_workers if cluster is not None else (
             len(spec.cluster.worker_ids)
         )
@@ -516,13 +515,13 @@ class ProcessBackend:
                 )
             transport = spec.transport
         plan = ProcessTrainingPlan(
-            **_plan_fields(spec, built_workload, num_workers, self.wait_timeout),
+            **_plan_fields(spec, _build_workload(spec), num_workers, self.wait_timeout),
             **registry_fields,
             num_shards=spec.num_shards,
             shard_strategy=spec.shard_strategy,
             transport=transport,
         )
-        trainer = ProcessTrainer(plan, context=self.context, workload=built_workload)
+        trainer = ProcessTrainer(plan, context=self.context)
         return _run_result(spec, self.name, provenance, trainer.run())
 
 
@@ -597,8 +596,8 @@ class TcpBackend:
       the result-watch connection are created here.
 
     The workload restrictions of the process backend apply for the same
-    reason (every process rebuilds from the registry): injected workload
-    objects and unregistered workload names are rejected loudly.
+    reason (every process uses the same build from the registry): injected
+    workload objects and unregistered workload names are rejected loudly.
     """
 
     name = "tcp"
@@ -631,8 +630,8 @@ class TcpBackend:
         if workload is not None:
             raise ValueError(
                 "the tcp backend cannot honour an injected workload object: "
-                "the server and worker processes rebuild the workload from "
-                "the registry, so pass a registered workload name in the spec"
+                "every process uses the registry's build of the workload, "
+                "so pass a registered workload name in the spec"
             )
         provenance = _provenance(spec, self.name, None, cluster)
         num_workers = cluster.num_workers if cluster is not None else None

@@ -73,13 +73,17 @@ def _generate_split(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     labels = rng.integers(0, config.num_classes, size=count)
-    images = prototypes[labels].copy()
+    shifts = np.zeros((count, 2), dtype=np.int64)
     if config.shift_pixels:
         shifts = rng.integers(-config.shift_pixels, config.shift_pixels + 1, size=(count, 2))
-        for index in range(count):
-            images[index] = np.roll(images[index], shift=tuple(shifts[index]), axis=(1, 2))
+    # Each sample's np.roll by (dy, dx), all in one gather:
+    # image[c, y, x] = prototype[c, (y - dy) % height, (x - dx) % width].
+    _, channels, height, width = prototypes.shape
+    rows = ((np.arange(height) - shifts[:, :1]) % height)[:, None, :, None]
+    cols = ((np.arange(width) - shifts[:, 1:]) % width)[:, None, None, :]
+    images = prototypes[labels[:, None, None, None], np.arange(channels)[:, None, None], rows, cols]
     images += rng.normal(0.0, config.noise_scale, size=images.shape)
-    return images.astype(np.float64), labels.astype(np.int64)
+    return images.astype(np.float64, copy=False), labels.astype(np.int64, copy=False)
 
 
 def make_synthetic_image_dataset(

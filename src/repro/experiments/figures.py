@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.controller import SynchronizationController
 from repro.experiments.config import DEFAULT, ExperimentScale, paper_ssp_thresholds
 from repro.experiments.runner import ParadigmComparison, average_curves, run_paradigm_comparison
-from repro.experiments.workloads import Workload, build_workload, resnet_workload
+from repro.experiments.workloads import build_workload, resnet_workload
 from repro.simulation.cluster import ClusterSpec, heterogeneous_cluster, homogeneous_cluster
 
 __all__ = [
@@ -110,15 +110,6 @@ def figure2_waiting_time_prediction(
 # ----------------------------------------------------------------------
 # Figure 3 — homogeneous cluster, three models
 # ----------------------------------------------------------------------
-def _figure3_workload(model: str, scale: ExperimentScale) -> Workload:
-    # Registry-driven: any workload registered with @register_workload can
-    # be swept through the Figure 3 harness without editing this module.
-    try:
-        return build_workload(model, scale)
-    except KeyError as error:
-        raise ValueError(str(error)) from error
-
-
 def figure3(
     model: str = "alexnet",
     scale: ExperimentScale = DEFAULT,
@@ -137,7 +128,7 @@ def figure3(
       *average* SSP curve over the threshold sweep, and
     * one curve per individual SSP threshold (the right panel).
     """
-    workload = _figure3_workload(model, scale)
+    workload = build_workload(model, scale)  # any registered workload
     cluster = cluster or homogeneous_cluster(num_workers=4, gpus_per_worker=4)
     ssp_thresholds = ssp_thresholds or paper_ssp_thresholds()
     epochs = epochs if epochs is not None else scale.epochs

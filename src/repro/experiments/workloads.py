@@ -22,6 +22,7 @@ factory:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,18 +63,37 @@ class Workload:
     #: Mini-batch size the paper trains with; used for the simulated timing.
     paper_batch_size: int = 128
 
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        """Shape of one input sample."""
-        return self.train_dataset.sample_shape
-
 
 #: Workload name → builder ``builder(scale, **kwargs) -> Workload``; the
 #: keyword arguments are the spec's ``workload_kwargs``.
 WORKLOADS = Registry("workload", given=("scale",))
 register_workload = WORKLOADS.register
-#: Instantiate a registered workload by name: ``build_workload(name, scale)``.
-build_workload = WORKLOADS.make
+
+
+@functools.lru_cache(maxsize=4)  # each entry holds a dataset
+def _build(builder, scale: ExperimentScale, params: tuple) -> Workload:
+    workload = builder(scale, **{key: value for key, _, value in params})
+    for dataset in (workload.train_dataset, workload.test_dataset):
+        dataset.inputs.setflags(write=False)
+        dataset.labels.setflags(write=False)
+    return workload
+
+
+def build_workload(name: str, scale: ExperimentScale, /, **params) -> Workload:
+    """Instantiate a registered workload by name, at most once per process.
+
+    Equal ``(builder, scale, params)`` share one :class:`Workload`, so its
+    datasets are read-only, and a forked child reuses its parent's build.
+    Unhashable params build afresh.
+    """
+    WORKLOADS.validate(name, params)
+    params = tuple(sorted((key, type(value), value) for key, value in params.items()))
+    args = (WORKLOADS[name], scale, params)
+    try:
+        hash(args)
+    except TypeError:
+        return _build.__wrapped__(*args)
+    return _build(*args)
 
 
 def _paper_scale_cost(model: Module, image_size: int = 32) -> ModelCost:

@@ -298,11 +298,6 @@ class FlatShard:
         return self.layout.size * self._dtype.itemsize
 
     @property
-    def weights_nbytes(self) -> int:
-        """Payload bytes of the weight block alone."""
-        return self.layout.weights_end * self._dtype.itemsize
-
-    @property
     def leased(self) -> bool:
         """Whether outstanding pull views pin the current buffer."""
         return self._leases > 0

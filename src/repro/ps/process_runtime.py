@@ -28,10 +28,11 @@ keeps the hot path as flat as the thread version:
   wall-clock timing begins only once every process has finished its
   (comparatively slow) setup.
 
-Determinism and fidelity: every process rebuilds the workload from the
-registry (:mod:`repro.experiments.workloads`) with the same master seed and
-builds its pieces with the recipes of :mod:`repro.ps.session`, so dataset,
-partitioning and replica initialization are byte-identical to what
+Determinism and fidelity: every process uses the same build of the
+registered workload (a ``fork`` child inherits the coordinator's, a
+``spawn`` child builds the same bytes) and builds its pieces with the
+recipes of :mod:`repro.ps.session`, so dataset, partitioning and replica
+initialization are byte-identical to what
 :func:`repro.ps.coordinator.assemble_training` builds for the threaded
 runtime — one spec trains the same model on either substrate.
 
@@ -582,17 +583,13 @@ class ProcessTrainer:
     result, reaps children, and guarantees segment cleanup.
     """
 
-    def __init__(self, plan: ProcessTrainingPlan, context=None, workload=None) -> None:
+    def __init__(self, plan: ProcessTrainingPlan, context=None) -> None:
         """Create a trainer for ``plan``.
 
         ``context`` is a multiprocessing context or start-method name;
-        defaults to :func:`default_context_name`.  ``workload`` optionally
-        supplies an already-built workload for the *coordinator's* own use
-        (initial weights); child processes always rebuild from the
-        registry, so it must match ``plan.build_workload()``.
+        defaults to :func:`default_context_name`.
         """
         self.plan = plan
-        self.workload = workload
         self.context = resolve_context(context)
 
     def run(self) -> TrainingResult:
@@ -603,7 +600,7 @@ class ProcessTrainer:
         system carries the plan's ``wait_timeout``.
         """
         plan = self.plan
-        workload = self.workload or plan.build_workload()
+        workload = plan.build_workload()
         streams = RngStream(plan.seed)
         global_model = workload.model_builder(streams.get("init"))
         initial_weights = {

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.factory import make_policy, validate_paradigm
 from repro.data.loader import MiniBatchLoader
-from repro.data.partitioner import partition_dataset
+from repro.data.partitioner import partition_indices
 from repro.metrics.accuracy import evaluate_model
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.optim.schedules import ConstantSchedule
@@ -197,12 +197,12 @@ class TrainingPlan:
 
 @dataclass(frozen=True, kw_only=True)
 class WorkloadPlan(TrainingPlan):
-    """A picklable plan whose processes rebuild the workload from the registry.
+    """A picklable plan whose processes build the workload from the registry.
 
     Carries plain data only — workload *name* plus the resolved scale's
     fields rather than built objects — because worker and server processes
-    rebuild everything locally from it (mandatory under the ``spawn`` start
-    method, and what keeps the runtimes deterministic under ``fork`` too).
+    build everything locally from it (mandatory under the ``spawn`` start
+    method; a ``fork`` child inherits its coordinator's build).
 
     Attributes
     ----------
@@ -246,18 +246,16 @@ class WorkloadPlan(TrainingPlan):
         )
 
     def build_workload(self):
-        """Rebuild the workload in the calling process (registry + scale).
+        """The calling process's build of the workload (registry + scale).
 
         Imported lazily: :mod:`repro.experiments` sits above :mod:`repro.ps`
-        in the layering, so the runtimes only touch it at run time (child
-        processes), never at import time.
+        in the layering, so the runtimes touch it only at run time.
         """
         from repro.experiments.config import ExperimentScale
         from repro.experiments.workloads import build_workload
 
-        return build_workload(
-            self.workload, ExperimentScale(**self.scale_fields), **self.workload_kwargs
-        )
+        scale = ExperimentScale(**self.scale_fields)
+        return build_workload(self.workload, scale, **self.workload_kwargs)
 
 
 @dataclass
@@ -321,6 +319,7 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
     :class:`~repro.utils.rng.RngStream`, so call it once per index; a
     *rebuild* of the same replica (a worker resuming at another clock) needs
     a fresh builder and is then byte-identical to the original build.
+    ``build(index)`` copies out only its own partition of the training set.
 
     ``layouts`` (the store's ``flat_layouts``) repacks the replica to mirror
     the server's buffers; ``gradient_buffers`` optionally supplies the
@@ -329,14 +328,14 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
     """
     streams = RngStream(plan.seed)
     global_model = workload.model_builder(streams.get("init"))
-    partitions = partition_dataset(
-        workload.train_dataset, plan.num_workers, rng=streams.get("partition")
+    partitions = partition_indices(
+        len(workload.train_dataset), plan.num_workers, rng=streams.get("partition")
     )
 
     def build(index: int, layouts=None, gradient_buffers=None) -> Worker:
         worker_id = f"worker-{index}"  # stream names are keyed by worker id
         loader = MiniBatchLoader(
-            partitions[index],
+            workload.train_dataset.subset(partitions[index]),
             batch_size=plan.batch_size,
             rng=streams.get(f"loader-{worker_id}"),
         )
@@ -674,13 +673,9 @@ class WorkerLoop:
     def from_plan(cls, plan: WorkloadPlan, index: int, link: Link) -> "WorkerLoop":
         """The loop of ``worker-<index>``, its replica rebuilt from the plan."""
         worker_id = f"worker-{index}"
-        workload = None
 
         def build() -> Worker:
-            nonlocal workload
-            if workload is None:
-                workload = plan.build_workload()
-            return replica_builder(plan, workload)(
+            return replica_builder(plan, plan.build_workload())(
                 index, link.layouts, link.gradient_buffers
             )
 

@@ -51,11 +51,6 @@ class ModelCost:
             raise ValueError("batch_size must be positive")
         return self.flops_per_sample * batch_size
 
-    @property
-    def communication_ratio_hint(self) -> float:
-        """Bytes moved per FLOP computed — large for FC-heavy models."""
-        return self.parameter_bytes / max(self.flops_per_sample, 1.0)
-
 
 def _forward_flops(module: Module, shape: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
     """FLOPs of one sample through ``module`` plus the output shape.

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.data.loader import MiniBatchLoader
+from repro.data.partitioner import partition_dataset
 from repro.experiments.config import TINY
 from repro.models import mlp
 from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
@@ -364,3 +366,28 @@ class TestOneLivenessGuard:
         with pytest.raises(KeyboardInterrupt):
             backends.ThreadedBackend().run(spec)
         assert captured["config"].wait_timeout == 4 * 30.0 + 60.0
+
+
+@pytest.mark.parametrize("num_workers", [1, 2, 3])
+def test_each_replica_copies_only_its_partition_and_draws_the_same_batches(
+    workload, num_workers
+):
+    """``build(index)`` subsets one partition; the batches are what the
+    all-partitions recipe (``partition_dataset`` up front) drew, byte for byte."""
+    plan = DistributedTrainingConfig(num_workers=num_workers, batch_size=16, seed=3)
+    build = replica_builder(plan, workload)
+    streams = RngStream(plan.seed)
+    partitions = partition_dataset(
+        workload.train_dataset, num_workers, rng=streams.get("partition")
+    )
+    for index, partition in enumerate(partitions):
+        loader = build(index).loader
+        reference = MiniBatchLoader(
+            partition, batch_size=16, rng=streams.get(f"loader-worker-{index}")
+        )
+        assert len(loader.dataset) == len(partition)
+        for _ in range(2 * reference.batches_per_epoch + 1):
+            inputs, labels = loader.next_batch()
+            want_inputs, want_labels = reference.next_batch()
+            assert inputs.tobytes() == want_inputs.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()

@@ -14,8 +14,8 @@ import pytest
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
 from repro.ps.kvstore import KeyValueStore
-from repro.ps.messages import PushRequest
 from repro.ps.server import ParameterServer
+from repro.ps.session import ServerSession
 from repro.ps.sharding import ShardedKeyValueStore
 
 
@@ -74,21 +74,15 @@ def test_full_push_with_sgd_update(benchmark):
         policy=make_policy("dssp", s_lower=3, s_upper=15),
     )
     server.register_worker("w0")
+    session = ServerSession(server, ["w0"])
     gradients = {name: rng.normal(size=value.shape) for name, value in weights.items()}
 
     state = {"version": 0, "time": 0.0}
 
     def push():
         state["time"] += 0.01
-        response = server.handle_push(
-            PushRequest(
-                worker_id="w0",
-                gradients=gradients,
-                base_version=server.store.version,
-                timestamp=state["time"],
-            )
-        )
-        return response
+        header = {"base_version": store.version, "timestamp": state["time"]}
+        return session.push("w0", header, named=gradients)
 
     response = benchmark(push)
     assert response.new_version >= 1

@@ -21,8 +21,8 @@ This subpackage provides that framework built from scratch:
   (:mod:`repro.ps.session`), written once and shared by the three runtimes
   below, which only move bytes and wake peers.
 * :class:`ThreadedTrainer` — a real concurrent runtime in which every worker
-  is a Python thread and synchronization is enforced with condition
-  variables; useful to demonstrate the framework end to end on one machine.
+  is a Python thread, released by its own ``threading.Event``; useful to
+  demonstrate the framework end to end on one machine.
 * :class:`ProcessTrainer` — the multi-process runtime: one OS process per
   worker plus a server process, shards shared zero-copy through
   ``multiprocessing.shared_memory`` (:mod:`repro.ps.shm`), coordination
@@ -32,8 +32,6 @@ This subpackage provides that framework built from scratch:
   (:mod:`repro.ps.transport`), workers connecting by address, elastic
   membership with heartbeat liveness, and checkpoint-based graceful
   restart.
-* :func:`train_distributed` — a convenience coordinator that assembles the
-  pieces from plain configuration.
 """
 
 from repro.ps.flatbuffer import FlatLayout, FlatShard, FlatUpdate, Segment
@@ -41,10 +39,8 @@ from repro.ps.kvstore import KeyValueStore
 from repro.ps.sharding import ShardRouter, ShardedKeyValueStore, make_store
 from repro.ps.messages import (
     PushRequest,
-    PullRequest,
     PullReply,
     FlatPullPayload,
-    OkSignal,
     WorkerReport,
 )
 from repro.ps.server import AppliedPush, ParameterServer, PushResponse
@@ -78,8 +74,7 @@ from repro.ps.shm import (
     ShmStoreClient,
     create_shared_store,
 )
-from repro.ps.coordinator import DistributedTrainingConfig, assemble_training, train_distributed
-from repro.ps.callbacks import Callback, CallbackList, EvaluationRecorder
+from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
 from repro.ps.checkpoint import (
     CheckpointMetadata,
     save_checkpoint,
@@ -106,10 +101,8 @@ __all__ = [
     "ShardedKeyValueStore",
     "make_store",
     "PushRequest",
-    "PullRequest",
     "PullReply",
     "FlatPullPayload",
-    "OkSignal",
     "WorkerReport",
     "ParameterServer",
     "AppliedPush",
@@ -142,10 +135,6 @@ __all__ = [
     "create_shared_store",
     "DistributedTrainingConfig",
     "assemble_training",
-    "train_distributed",
-    "Callback",
-    "CallbackList",
-    "EvaluationRecorder",
     "CheckpointMetadata",
     "save_checkpoint",
     "load_checkpoint",

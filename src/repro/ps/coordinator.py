@@ -1,20 +1,14 @@
-"""Convenience coordinator assembling a full threaded training run.
+"""Assembly of a threaded training run from plain configuration.
 
 :func:`assemble_training` wires together dataset partitioning, model
 replicas, the parameter server with a chosen synchronization paradigm and
-the threaded runtime; :func:`train_distributed` is the legacy one-call
-wrapper around it.
-
-.. deprecated::
-    ``train_distributed`` is kept as a thin shim.  New code should describe
-    the run as a :class:`repro.api.ExperimentSpec` and execute it through
-    :func:`repro.api.run_experiment` (backend ``"threaded"``), which returns
-    the unified :class:`repro.api.RunResult` shared with the simulator.
+the threaded runtime.  To run one, describe it as a
+:class:`repro.api.ExperimentSpec` and call :func:`repro.api.run_experiment`
+(backend ``"threaded"``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -25,12 +19,11 @@ from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
 from repro.ps.faults import parse_fault_specs
 from repro.ps.runtime import ThreadedTrainer
-from repro.ps.session import TrainingPlan, TrainingResult, assemble
+from repro.ps.session import TrainingPlan, assemble
 
 __all__ = [
     "DistributedTrainingConfig",
     "assemble_training",
-    "train_distributed",
 ]
 
 
@@ -97,24 +90,3 @@ def assemble_training(
         fault_plan=parse_fault_specs(config.faults, config.worker_ids) or None,
     )
 
-
-def train_distributed(
-    config: DistributedTrainingConfig,
-    model_builder: Callable[[np.random.Generator], Module],
-    train_dataset: ArrayDataset,
-    test_dataset: ArrayDataset | None = None,
-) -> TrainingResult:
-    """Deprecated one-call wrapper: assemble and run a threaded training run.
-
-    Prefer ``repro.api.run_experiment(spec, backend="threaded")``, which runs
-    the same engine but accepts a serializable :class:`~repro.api.ExperimentSpec`
-    and returns the backend-independent :class:`~repro.api.RunResult`.
-    """
-    warnings.warn(
-        "train_distributed is deprecated; use repro.api.run_experiment("
-        "spec, backend='threaded') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    trainer = assemble_training(config, model_builder, train_dataset, test_dataset)
-    return trainer.run()

@@ -1,7 +1,7 @@
 """Message types exchanged between workers and the parameter server.
 
-The thread-based runtime passes these objects through queues; the simulator
-constructs them as event payloads.  Keeping them as explicit dataclasses
+:class:`repro.ps.session.ServerSession` builds and consumes them on every
+backend.  Keeping them as explicit dataclasses
 (rather than ad-hoc tuples) documents the protocol the paper describes:
 *push* carries gradients and the version of the weights they were computed
 from, *OK* releases a worker, *pull* returns a snapshot of the weights.
@@ -18,10 +18,8 @@ from repro.ps.flatbuffer import Segment
 
 __all__ = [
     "PushRequest",
-    "PullRequest",
     "FlatPullPayload",
     "PullReply",
-    "OkSignal",
     "WorkerReport",
 ]
 
@@ -76,25 +74,6 @@ class PushRequest:
     #: is applied exactly once.  ``None`` keeps the legacy at-most-once
     #: behaviour of in-process transports that cannot drop messages.
     seq: int | None = None
-
-
-@dataclass(frozen=True)
-class PullRequest:
-    """Pull request from a worker to the server.
-
-    Attributes
-    ----------
-    worker_id:
-        Identifier of the pulling worker.
-    known_version:
-        The store version the worker's replica currently holds.  A server
-        backed by a delta-capable store replies with only the entries that
-        changed after this version; ``None`` requests the full model (the
-        initial pull, or a worker recovering from scratch).
-    """
-
-    worker_id: str
-    known_version: int | None = None
 
 
 @dataclass(frozen=True)
@@ -170,14 +149,6 @@ class PullReply:
         if self.wire_nbytes is not None:
             return int(self.wire_nbytes)
         return self.nbytes
-
-
-@dataclass(frozen=True)
-class OkSignal:
-    """Release signal: the worker may pull and start its next iteration."""
-
-    worker_id: str
-    issued_at: float
 
 
 @dataclass(frozen=True)

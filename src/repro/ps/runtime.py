@@ -10,9 +10,9 @@ behaviour — who waits for whom, and for how long — is real).
 Against a sharded store (``store.supports_concurrent_apply``) the gradient
 application runs *outside* the global server lock, under the store's own
 per-shard locks, so pushes whose gradients live on disjoint shards no longer
-serialize; only the policy decision still takes the global lock.  Pulls use
-delta requests against delta-capable stores: each worker reports the version
-it already holds and receives only the entries dirtied since.
+serialize; only the policy decision still takes the global lock.  Every OK
+is what :meth:`ServerSession.reply` builds: against a delta-capable store,
+only the entries dirtied since the worker's last push base.
 
 Against a flat store (``store.flat_layouts``) each worker's replica is
 repacked to mirror the server's per-shard buffers, so a full pull moves one
@@ -31,9 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.ps.callbacks import Callback, CallbackList
 from repro.ps.faults import FaultPlan
-from repro.ps.messages import PullRequest
 from repro.ps.server import ParameterServer
 from repro.ps.session import Resume, ServerSession, TrainingResult, WorkerLoop
 from repro.ps.worker import Worker
@@ -58,7 +56,7 @@ class _ThreadLink:
 
     def open(self) -> Resume:
         with self._trainer._lock:
-            return Resume(0, self._session.server.handle_pull())
+            return Resume(0, self._session.reply(self._worker.worker_id, welcome=True).pull)
 
     def ready(self, worker: Worker) -> bool:
         return True
@@ -80,9 +78,6 @@ class _ThreadLink:
             self._ok.clear()
             response = session.push(worker_id, header, staged=staged, **gradients)
             self._wake(response.to_release)
-            trainer.callbacks.on_push(
-                {"response": response, "worker_id": worker_id, "iteration": header["seq"]}
-            )
         return True
 
     def await_ok(self, timeout: float):
@@ -92,14 +87,8 @@ class _ThreadLink:
             )
         if self._trainer._abort.is_set():
             return None
-        request = None
-        if self._trainer._delta_pulls:
-            request = PullRequest(
-                worker_id=self._worker.worker_id,
-                known_version=self._worker.local_version,
-            )
         with self._trainer._lock:
-            return self._session.server.handle_pull(request)
+            return self._session.reply(self._worker.worker_id).pull
 
     def leave(self, clock: int, rejoin_after=None) -> None:
         # The thread exits without error — a crash is an injected fault, not
@@ -130,7 +119,6 @@ class ThreadedTrainer:
         slowdowns: Mapping[str, float] | None = None,
         evaluate_fn: Callable[[Mapping[str, np.ndarray]], tuple[float, float]] | None = None,
         evaluate_every_pushes: int = 0,
-        callbacks: list[Callback] | None = None,
         wait_timeout: float = 120.0,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -173,13 +161,11 @@ class ThreadedTrainer:
         self.slowdowns = dict(slowdowns or {})
         self.evaluate_fn = evaluate_fn
         self.evaluate_every_pushes = int(evaluate_every_pushes)
-        self.callbacks = CallbackList(callbacks)
         self.wait_timeout = float(wait_timeout)
         self.fault_plan = fault_plan
 
         self._lock = threading.Lock()
         self._concurrent_apply = server.store.supports_concurrent_apply
-        self._delta_pulls = server.store.supports_delta_pull
         # Mirror the store's packed layout in every replica so full pulls
         # land as one buffer copy per shard.
         for worker in workers:
@@ -197,7 +183,6 @@ class ThreadedTrainer:
             evaluate_fn=self.evaluate_fn,
             evaluate_every_pushes=self.evaluate_every_pushes,
             wait_timeout=self.wait_timeout,
-            on_evaluation=self.callbacks.on_evaluation,
         )
         loops = [
             WorkerLoop(
@@ -213,12 +198,9 @@ class ThreadedTrainer:
         ]
         session.evaluate(0.0)
         session.start()
-        self.callbacks.on_training_start({"server": self.server, "workers": self.workers})
         threads = [threading.Thread(target=loop.run, daemon=True) for loop in loops]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        result = session.finish()
-        self.callbacks.on_training_end({"result": result})
-        return result
+        return session.finish()

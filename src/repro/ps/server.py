@@ -20,7 +20,7 @@ from repro.optim.optimizer import Optimizer
 from repro.ps.aggregation import Aggregator
 from repro.ps.compression import decode_shard
 from repro.ps.faults import FaultInjector
-from repro.ps.messages import PullReply, PullRequest, PushRequest
+from repro.ps.messages import PullReply, PushRequest
 from repro.ps.sharding import ShardedKeyValueStore
 from repro.utils.logging import get_logger
 
@@ -241,10 +241,6 @@ class ParameterServer:
         if self._schedule is None:
             return
         self.optimizer.learning_rate = self._schedule.learning_rate(progress)
-
-    def handle_push(self, request: PushRequest) -> PushResponse:
-        """Apply a pushed gradient and decide which workers to release."""
-        return self.finish_push(request, self.apply_push(request))
 
     def acknowledge_duplicate(self, request: PushRequest) -> PushResponse:
         """Acknowledge a retransmitted push without re-applying it.
@@ -478,18 +474,10 @@ class ParameterServer:
             used_extra_credit=outcome.used_extra_credit,
         )
 
-    def handle_pull(self, request: PullRequest | None = None) -> PullReply:
-        """Return a snapshot of the global weights (the pull operation).
-
-        Without a request (or against a store that cannot delta-encode) the
-        reply carries the full model.  A :class:`PullRequest` with a
-        ``known_version`` against a delta-capable store receives only the
-        entries updated after that version.  Replies from flat stores are
-        zero-copy: read-only copy-on-write views, plus one packed buffer
-        per shard on full pulls.
-        """
-        known_version = request.known_version if request is not None else None
-        return self.store.pull(known_version)
+    # Only perfbench/layers.py still calls this; ROADMAP item 1(b) removes it.
+    def handle_pull(self) -> PullReply:
+        """A dense, zero-copy snapshot of the global weights."""
+        return self.store.pull()
 
     # ------------------------------------------------------------------
     # Reporting

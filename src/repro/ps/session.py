@@ -12,8 +12,9 @@ drives the same :class:`ServerSession` under a virtual clock
 * :class:`WorkerLoop` is the worker side, talking to the server through a
   :class:`Link` — the only thing a runtime implements for its workers.
 * :class:`ServerSession` is the server side: the per-push sequence around
-  one :class:`~repro.ps.server.ParameterServer`, membership changes and the
-  end-of-run result.  Runtimes keep their select loops, pipes, sockets and
+  one :class:`~repro.ps.server.ParameterServer`, what each OK carries
+  (:meth:`ServerSession.reply`), membership changes and the end-of-run
+  result.  Runtimes keep their select loops, pipes, sockets and
   wire formats and call into it.
 * :class:`TrainingPlan` describes a run; the runtimes' plan classes extend
   it with their own fields, and the ``build_*`` functions and
@@ -60,6 +61,7 @@ __all__ = [
     "Link",
     "WorkerLoop",
     "ServerSession",
+    "Ok",
     "LogEntry",
     "UpdateLog",
     "Mirror",
@@ -83,10 +85,11 @@ class TrainingPlan:
 
     Plain data, validated at construction so a typo fails before any
     process, thread or socket exists.  The runtimes' own plan classes
-    (:class:`~repro.ps.coordinator.DistributedTrainingConfig`,
-    :class:`~repro.ps.process_runtime.ProcessTrainingPlan`,
+    (:class:`~repro.ps.coordinator.DistributedTrainingConfig` for the
+    threaded trainer, :class:`~repro.ps.process_runtime.ProcessTrainingPlan`,
     :class:`~repro.ps.tcp_runtime.TcpTrainingPlan`) extend it with only the
-    fields that are genuinely theirs.
+    fields that are genuinely theirs; a run is driven through
+    :func:`repro.api.run_experiment`, which builds the right one.
 
     Attributes
     ----------
@@ -133,7 +136,7 @@ class TrainingPlan:
         Master seed of every :class:`~repro.utils.rng.RngStream` in the
         run (data order, weight initialization, codec rounding, faults).
     wait_timeout:
-        Safety timeout (seconds) for any blocking wait — OK signals, start
+        Safety timeout (seconds) for any blocking wait — OKs, start
         barriers, server-side idle polls — after which the run aborts with
         an error instead of hanging.  Workers stretch it by four times
         their own compute time and the server by four times the push
@@ -820,6 +823,27 @@ class WorkerLoop:
 # ----------------------------------------------------------------------
 # Server side
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Ok:
+    """What one OK carries, as :meth:`ServerSession.reply` built it.
+
+    ``kind`` is ``"log"`` (``entries``, replayed through the worker's
+    :class:`Mirror`), ``"delta"`` or ``"dense"`` (``pull``, a store reply
+    whose copy-on-write leases must be released once it is copied out).
+    """
+
+    kind: str
+    version: int
+    pull: PullReply | None = None
+    entries: list[LogEntry] | None = None
+    #: A dense welcome that (re)builds the worker's mirror, and the packed
+    #: optimizer state it needs (``None`` while the optimizer has none).
+    mirrored: bool = False
+    velocity: np.ndarray | None = None
+    #: Why a dense reply is not a log or a delta.
+    reason: str | None = None
+
+
 class ServerSession:
     """The server side of the step protocol around one :class:`ParameterServer`.
 
@@ -836,13 +860,11 @@ class ServerSession:
         evaluate_fn=None,
         evaluate_every_pushes: int = 0,
         wait_timeout: float = 120.0,
-        on_evaluation: Callable[[dict], None] | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         """Wrap ``server``; ``worker_ids`` is the expected membership.
 
         ``evaluate_fn`` maps a full state to ``(accuracy, loss)``;
-        ``on_evaluation`` is told about every *periodic* evaluation;
         ``clock`` is the run's time source (the simulator's is virtual).
         """
         self.server = server
@@ -868,16 +890,16 @@ class ServerSession:
         self.evaluation_times: list[float] = []
         self.evaluation_accuracies: list[float] = []
         self.evaluation_losses: list[float] = []
-        self._on_evaluation = on_evaluation
         self._clock = clock
         #: ``(at, store version)`` of the last recorded evaluation.
         self._evaluated: tuple[float | None, int] = (None, server.store.version)
         self._last_push_time: dict[str, float] = {}
         self._start: float | None = None
         #: Set by a runtime whose links hold a :class:`Mirror` (one-shard
-        #: store); ``None`` answers every pull densely.
+        #: store); ``None``: no OK is a log reply.
         self.update_log: UpdateLog | None = None
-        #: How pulls were answered, and the payload bytes of each kind.
+        #: How OKs were answered (:meth:`reply`), and the payload bytes of
+        #: each kind; ``delta`` keys appear with the first delta.
         self.pull_replies = Counter(log=0, dense=0, log_bytes=0, dense_bytes=0)
         self._mirrored: set[str] = set()
         self._bases: dict[str, int] = {}
@@ -907,7 +929,7 @@ class ServerSession:
         """Seconds since :meth:`start` (0.0 before it)."""
         return self._clock() - self._start if self._start is not None else 0.0
 
-    def evaluate(self, at: float) -> dict | None:
+    def evaluate(self, at: float) -> None:
         """Evaluate the global model and record it at run time ``at``.
 
         A no-op for the ``(at, version)`` it last recorded: a run that ends
@@ -915,7 +937,7 @@ class ServerSession:
         """
         point = (at, self.server.store.version)
         if self.evaluate_fn is None or point == self._evaluated:
-            return None
+            return
         self._evaluated = point
         # State views: the evaluation model copies them into its own arrays,
         # and copy-on-write keeps them stable meanwhile.
@@ -923,7 +945,6 @@ class ServerSession:
         self.evaluation_times.append(at)
         self.evaluation_accuracies.append(accuracy)
         self.evaluation_losses.append(loss)
-        return {"time": at, "accuracy": accuracy, "loss": loss}
 
     # -- the per-push sequence -----------------------------------------
     def apply(
@@ -1008,47 +1029,61 @@ class ServerSession:
             self.evaluate_every_pushes > 0
             and self.server.store.version - self._evaluated[1] >= self.evaluate_every_pushes
         ):
-            evaluation = self.evaluate(self.elapsed())
-            if evaluation is not None and self._on_evaluation is not None:
-                self._on_evaluation(evaluation)
+            self.evaluate(self.elapsed())
         return response
 
-    # -- pulls: the update log, or the dense weights --------------------
-    def updates_for(self, worker_id: str) -> list[LogEntry] | None:
-        """The pushes from ``worker_id``'s last push base to the tip, or
-        ``None``: answer densely.  When the log cannot bridge the span the
-        reason becomes a ``dense_pull`` event — once, because the dense OK
-        leaves the worker without a mirror until its next welcome."""
-        if worker_id not in self._mirrored:
-            return None
-        base, version = self._bases.get(worker_id, -1), self.server.store.version
-        entries, reason = self.update_log.since(base, version)
-        if entries is None:
+    # -- OKs: the update log, a delta, or the dense weights ---------------
+    def reply(self, worker_id: str, *, welcome: bool = False) -> Ok:
+        """What the OK (or, with ``welcome``, the join reply) to ``worker_id`` carries.
+
+        The one OK builder of every runtime that sends weights with its OKs.
+        A mirror holder gets the update-log entries from its last push base
+        to the tip (``log``); else a delta-capable store sends the entries
+        dirtied since that base (``delta``); else the weights go densely
+        (``dense``), and ``reason`` says why nothing smaller: ``welcome``,
+        ``no base`` (no push yet), ``one shard`` (the store serves no
+        deltas), or the log's own ``gap``/``bytes``/``opaque``.  A log that
+        cannot bridge the span also becomes a ``dense_pull`` event — once,
+        because the dense OK leaves the worker without a mirror until its
+        next welcome.  Under an update log a welcome (re)builds the worker's
+        mirror: ``mirrored`` is set and the packed optimizer state rides
+        along as ``velocity`` (``None`` while empty).  Every kind is counted,
+        with its payload bytes, in :attr:`pull_replies`.
+        """
+        store = self.server.store
+        base = self._bases.get(worker_id)
+        if welcome:
+            reason = "welcome"
+        elif worker_id in self._mirrored:
+            version = store.version
+            entries, reason = self.update_log.since(-1 if base is None else base, version)
+            if entries is not None:
+                sent = (f.nbytes for entry in entries for f in entry.frames_for(worker_id))
+                self.pull_replies.update(log=1, log_bytes=sum(sent))
+                return Ok("log", version, entries=entries)
             self._mirrored.discard(worker_id)
             self.events.append({"kind": "dense_pull", "worker": worker_id, "reason": reason})
-            return None
-        sent = (frame.nbytes for entry in entries for frame in entry.frames_for(worker_id))
-        self.pull_replies.update(log=1, log_bytes=sum(sent))
-        return entries
-
-    def dense_pull(self, worker_id: str, welcome: bool = False):
-        """The dense reply's content, ``(reply, mirrored, velocity)``: under
-        an update log a ``welcome`` makes the worker a mirror holder
-        (``velocity``: the packed optimizer state, ``None`` while empty)."""
-        store = self.server.store
-        reply = store.pull()
-        nbytes = sum(payload.buffer.nbytes for payload in reply.flat_weights)
+        elif base is None:
+            reason = "no base"
+        elif not store.supports_delta_pull:
+            reason = "one shard"
+        else:
+            pull = store.pull(base)
+            self.pull_replies.update(delta=1, delta_bytes=pull.wire_nbytes)
+            return Ok("delta", pull.version, pull)
+        pull = store.pull()
+        nbytes = sum(payload.buffer.nbytes for payload in pull.flat_weights)
         mirrored = welcome and self.update_log is not None
         velocity = None
         if mirrored:
             self._mirrored.add(worker_id)
             state = self.server.optimizer.state_dict().get("velocity")
             if state:  # step_flat keeps a velocity for every packed segment
-                segments = store.flat_layouts[0][1]
+                segments = (s for _, layout in store.flat_layouts for s in layout)
                 velocity = np.concatenate([state[s.name].ravel() for s in segments])
                 nbytes += velocity.nbytes
         self.pull_replies.update(dense=1, dense_bytes=nbytes)
-        return reply, mirrored, velocity
+        return Ok("dense", pull.version, pull, mirrored=mirrored, velocity=velocity, reason=reason)
 
     # -- membership changes --------------------------------------------
     def release(self, worker_id: str) -> tuple[str, ...]:

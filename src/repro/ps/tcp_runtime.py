@@ -627,7 +627,7 @@ class TcpServer:
                 _dense_frame(_CODEC_SHARD_BASE + index, state[key])
                 for index, key in enumerate(keys)
             ]
-        self._send_dense(conn, worker_id, welcome, codec_frames)
+        self._send_ok(worker_id, welcome, codec_frames)
         _LOGGER.info("%s joined at clock %d (%s)", worker_id, clock, conn.peername())
 
         if not self._started and self._expected <= set(self._peers):
@@ -748,43 +748,35 @@ class TcpServer:
         ):
             self._save_checkpoint()
 
-    def _send_ok(self, worker_id: str) -> None:
+    def _send_ok(self, worker_id: str, welcome: dict | None = None, extra_frames=()) -> None:
+        """Send ``worker_id`` its OK — or the ``welcome`` header, with its
+        ``extra_frames`` — carrying what the session's :meth:`reply` built:
+        the update log (the recipient's own push travels as its ``seq`` and
+        no frames), or the packed weights plus, for a mirror-building
+        welcome, the optimizer state."""
         peer = self._peers.get(worker_id)
         if peer is None:
             return
-        entries = self._session.updates_for(worker_id)
-        if entries is None:
-            self._send_dense(peer.conn, worker_id, {"type": "ok"})
+        ok = self._session.reply(worker_id, welcome=welcome is not None)
+        header = welcome or {"type": "ok"}
+        header["version"] = ok.version
+        if ok.kind == "log":
+            sent = [entry.frames_for(worker_id) for entry in ok.entries]
+            header["log"] = [
+                [e.version, e.learning_rate, e.scale, len(frames), None if frames else e.seq]
+                for e, frames in zip(ok.entries, sent)
+            ]
+            self._try_send(peer.conn, header, chain.from_iterable(sent), worker_id=worker_id)
             return
-        # The recipient's own push travels as its ``seq`` and no frames.
-        sent = [entry.frames_for(worker_id) for entry in entries]
-        log = [
-            [e.version, e.learning_rate, e.scale, len(frames), None if frames else e.seq]
-            for e, frames in zip(entries, sent)
-        ]
-        header = {"type": "ok", "version": self._store.version, "log": log}
-        self._try_send(peer.conn, header, chain.from_iterable(sent), worker_id=worker_id)
-
-    def _send_dense(self, conn, worker_id: str, header: dict, extra_frames=()) -> None:
-        """Send ``header`` with the packed weights: a welcome, or an OK the
-        update log cannot answer.  Under a log a welcome also (re)builds the
-        worker's mirror, so the packed optimizer state rides along."""
-        reply, mirrored, velocity = self._session.dense_pull(
-            worker_id, welcome=header["type"] == "welcome"
-        )
-        frames = [
-            _dense_frame(payload.shard, payload.buffer)
-            for payload in reply.flat_weights
-        ]
-        header["version"] = reply.version
-        if mirrored:
+        frames = [_dense_frame(payload.shard, payload.buffer) for payload in ok.pull.flat_weights]
+        if ok.mirrored:
             header["mirror"] = True
-        if velocity is not None:
-            frames.append(_dense_frame(_VELOCITY_SHARD, velocity))
+        if ok.velocity is not None:
+            frames.append(_dense_frame(_VELOCITY_SHARD, ok.velocity))
         try:
-            self._try_send(conn, header, (*frames, *extra_frames), worker_id=worker_id)
+            self._try_send(peer.conn, header, (*frames, *extra_frames), worker_id=worker_id)
         finally:
-            reply.release()
+            ok.pull.release()
 
     # -- persistence and teardown --------------------------------------
     def _save_checkpoint(self) -> None:

@@ -40,7 +40,7 @@ arrays themselves, :func:`repro.ps.compression.encoded_parts`) handed to
 per-connection buffer and decoded in place.  The receive side's price is
 an ownership rule: *frames are valid until the next receive on the same
 connection*.  The tcp runtime's worker (``load_reply`` copies into the
-replica) and server (``handle_push`` applies or stages a copy; codec state
+replica) and server (``_handle_push`` applies or stages a copy; codec state
 is ``np.array``-copied) both consume a message before asking for the next,
 and :meth:`TcpConnection.read_ready` returns at most one message per call
 so a selector loop cannot be handed two messages sharing one buffer.

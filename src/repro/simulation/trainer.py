@@ -14,7 +14,8 @@ simulator's own is *when* things happen, decided by a discrete-event loop:
    ``session.push``, which applies it, lets the synchronization policy
    decide whether the worker continues immediately or waits, and evaluates
    the global model on the plan's cadence;
-3. released workers pull the fresh weights and schedule their next push;
+3. released workers load the OK the session builds (``session.reply``:
+   a delta against a sharded store) and schedule their next push;
    blocked workers are released (and their waiting time recorded) when a
    later push — or a crash, ``session.leave`` — satisfies their condition;
 4. ``session.finish`` closes the run exactly as it closes a wall-clock one,
@@ -492,10 +493,8 @@ class SimulatedTraining:
             return duration
 
         def resume(worker_id: str, now: float) -> None:
-            """Deliver an OK: pull (a delta when the store can), schedule the next push."""
-            worker = workers[worker_id]
-            known = worker.local_version if store.supports_delta_pull else None
-            worker.load_reply(store.pull(known))
+            """Deliver an OK (the session's reply), schedule the next push."""
+            workers[worker_id].load_reply(session.reply(worker_id).pull)
             if iterations_done[worker_id] < quota[worker_id]:
                 arrival = now + iteration_time(worker_id, now)
                 queue.push(Event(time=arrival, kind=EventKind.PUSH_ARRIVAL, worker_id=worker_id))
@@ -512,7 +511,7 @@ class SimulatedTraining:
         # consumed (and their copy-on-write leases released) by load_reply,
         # so a shared reply must not outlive the first consumer.
         for worker_id, worker in workers.items():
-            worker.load_reply(store.pull())
+            worker.load_reply(session.reply(worker_id, welcome=True).pull)
             queue.push(
                 Event(
                     time=iteration_time(worker_id, 0.0),

@@ -24,8 +24,8 @@ from repro.ps.aggregation import (
     register_aggregator,
     validate_aggregation_spec,
 )
-from repro.ps.messages import PushRequest
 from repro.ps.server import ParameterServer
+from repro.ps.session import ServerSession
 from repro.ps.sharding import ShardedKeyValueStore
 
 
@@ -204,102 +204,94 @@ def _make_server(aggregator=None, num_workers=3, num_shards=2):
     )
     for index in range(num_workers):
         server.register_worker(f"worker-{index}")
-    return server, store
+    return ServerSession(server, server.worker_ids), store
 
 
-def _flat_push(store, worker_id, seed, base_version=0):
+def _flat_push(session, worker_id, seed, base_version=0, num_flat=None):
+    """Push random packed gradients for every shard (the first ``num_flat``)."""
+    store = session.server.store
     rng = np.random.default_rng(seed)
     flat = {
         shard: rng.normal(size=sum(segment.size for segment in layout))
         for shard, layout in store.flat_layouts
     }
-    snapshot = store.weights_snapshot()
-    return PushRequest(
-        worker_id=worker_id,
-        gradients={name: np.zeros_like(value) for name, value in snapshot.items()},
-        base_version=base_version,
-        timestamp=0.0,
-        flat_gradients=flat,
+    return session.push(
+        worker_id,
+        {"base_version": base_version, "timestamp": 0.0},
+        named={name: np.zeros_like(value) for name, value in store.weights_snapshot().items()},
+        flat=dict(list(flat.items())[:num_flat]),
     )
 
 
 class TestBufferedWindow:
     def test_pushes_stage_until_the_window_fills(self):
-        server, store = _make_server(make_aggregator("trimmed_mean:1"))
+        session, store = _make_server(make_aggregator("trimmed_mean:1"))
         before = store.weights_snapshot()
-        server.handle_push(_flat_push(store, "worker-0", seed=1))
-        server.handle_push(_flat_push(store, "worker-1", seed=2))
+        _flat_push(session, "worker-0", seed=1)
+        _flat_push(session, "worker-1", seed=2)
         for name, value in store.weights_snapshot().items():
             np.testing.assert_array_equal(value, before[name])
         assert store.version == 0
 
-        server.handle_push(_flat_push(store, "worker-2", seed=3))
+        _flat_push(session, "worker-2", seed=3)
         assert store.version == 1
         assert any(
             not np.array_equal(before[name], value)
             for name, value in store.weights_snapshot().items()
         )
-        assert server.statistics()["aggregation"] == {
+        assert session.server.statistics()["aggregation"] == {
             "name": "trimmed_mean",
             "buffered": True,
             "windows_applied": 1,
         }
 
     def test_lapping_worker_flushes_the_partial_window(self):
-        server, store = _make_server(make_aggregator("median"))
-        server.handle_push(_flat_push(store, "worker-0", seed=1))
+        session, store = _make_server(make_aggregator("median"))
+        _flat_push(session, "worker-0", seed=1)
         # The same worker pushing again before the window fills must not
         # overwrite its first contribution: the partial window flushes.
-        server.handle_push(_flat_push(store, "worker-0", seed=2))
+        _flat_push(session, "worker-0", seed=2)
         assert store.version == 1
 
     def test_flush_staged_applies_the_tail(self):
-        server, store = _make_server(make_aggregator("median"))
-        server.handle_push(_flat_push(store, "worker-0", seed=1))
+        session, store = _make_server(make_aggregator("median"))
+        _flat_push(session, "worker-0", seed=1)
         assert store.version == 0
-        server.flush_staged()
+        session.server.flush_staged()
         assert store.version == 1
-        server.flush_staged()  # idempotent on an empty window
+        session.server.flush_staged()  # idempotent on an empty window
         assert store.version == 1
 
     def test_discard_staged_drops_a_dead_workers_push(self):
-        server, store = _make_server(make_aggregator("median"))
-        server.handle_push(_flat_push(store, "worker-0", seed=1))
-        assert server.discard_staged("worker-0")
-        assert not server.discard_staged("worker-0")  # nothing left
-        server.flush_staged()
+        session, store = _make_server(make_aggregator("median"))
+        _flat_push(session, "worker-0", seed=1)
+        assert session.server.discard_staged("worker-0")
+        assert not session.server.discard_staged("worker-0")  # nothing left
+        session.server.flush_staged()
         assert store.version == 0  # the discarded push never landed
 
     def test_deregistration_shrinks_the_window_target(self):
-        server, store = _make_server(make_aggregator("median"))
-        server.handle_push(_flat_push(store, "worker-0", seed=1))
-        server.handle_push(_flat_push(store, "worker-1", seed=2))
+        session, store = _make_server(make_aggregator("median"))
+        _flat_push(session, "worker-0", seed=1)
+        _flat_push(session, "worker-1", seed=2)
         # worker-2 dies before contributing: the staged pair now covers
         # every remaining worker and must flush.
-        server.deregister_worker("worker-2")
+        session.server.deregister_worker("worker-2")
         assert store.version == 1
 
     def test_buffered_push_requires_full_flat_gradients(self):
-        server, store = _make_server(make_aggregator("median"))
-        request = _flat_push(store, "worker-0", seed=1)
-        partial = PushRequest(
-            worker_id=request.worker_id,
-            gradients=request.gradients,
-            base_version=0,
-            timestamp=0.0,
-            flat_gradients=dict(list(request.flat_gradients.items())[:1]),
-        )
+        session, store = _make_server(make_aggregator("median"))
         with pytest.raises(ValueError, match="full"):
-            server.handle_push(partial)
+            _flat_push(session, "worker-0", seed=1, num_flat=1)
 
     def test_window_is_schedule_order_independent(self):
         # Same three pushes, different arrival orders: identical weights
         # (rows stack in sorted worker-id order before combining).
         results = []
         for order in ([0, 1, 2], [2, 0, 1]):
-            server, store = _make_server(make_aggregator("trimmed_mean:1"))
+            session, store = _make_server(make_aggregator("trimmed_mean:1"))
             for index in order:
-                server.handle_push(_flat_push(store, f"worker-{index}", seed=index))
+                _flat_push(session, f"worker-{index}", seed=index)
             results.append(store.weights_snapshot())
         for name in results[0]:
             np.testing.assert_array_equal(results[0][name], results[1][name])
@@ -310,15 +302,15 @@ class TestMeanFastPath:
         plain, plain_store = _make_server(aggregator=None)
         mean, mean_store = _make_server(make_aggregator("mean"))
         for step, worker in enumerate(["worker-0", "worker-1", "worker-2"] * 2):
-            plain.handle_push(_flat_push(plain_store, worker, seed=step, base_version=plain_store.version))
-            mean.handle_push(_flat_push(mean_store, worker, seed=step, base_version=mean_store.version))
+            _flat_push(plain, worker, seed=step, base_version=plain_store.version)
+            _flat_push(mean, worker, seed=step, base_version=mean_store.version)
         assert plain_store.version == mean_store.version
         for name, value in plain_store.weights_snapshot().items():
             np.testing.assert_array_equal(value, mean_store.weights_snapshot()[name])
 
     def test_mean_server_reports_zero_windows(self):
-        server, store = _make_server(make_aggregator("mean"))
-        server.handle_push(_flat_push(store, "worker-0", seed=1))
-        stats = server.statistics()["aggregation"]
+        session, store = _make_server(make_aggregator("mean"))
+        _flat_push(session, "worker-0", seed=1)
+        stats = session.server.statistics()["aggregation"]
         assert stats == {"name": "mean", "buffered": False, "windows_applied": 0}
         assert store.version == 1  # applied immediately, never staged

@@ -29,8 +29,8 @@ from repro.ps.compression import (
     validate_codec_spec,
     write_encoded,
 )
-from repro.ps.messages import PullRequest, PushRequest
 from repro.ps.server import ParameterServer
+from repro.ps.session import ServerSession
 from repro.ps.sharding import ShardedKeyValueStore
 
 
@@ -295,13 +295,19 @@ def _make_server(num_shards=2):
     store = ShardedKeyValueStore(weights, num_shards=num_shards)
     server = ParameterServer(store, SGD(0.1), make_policy("asp"), gradient_scale=1.0)
     server.register_worker("w0")
-    return server, store
+    return ServerSession(server, ["w0"]), store
 
 
-def _named_zero_gradients(store):
-    """Full named-gradient mapping (the flat path validates names/shapes)."""
-    snapshot = store.weights_snapshot()
-    return {name: np.zeros_like(value) for name, value in snapshot.items()}
+def _push(session, base_version=0, **gradients):
+    """One push from ``w0``, with the full named-gradient mapping of zeros
+    the flat path validates names and shapes against."""
+    snapshot = session.server.store.weights_snapshot()
+    return session.push(
+        "w0",
+        {"base_version": base_version, "timestamp": 0.0},
+        named={name: np.zeros_like(value) for name, value in snapshot.items()},
+        **gradients,
+    )
 
 
 def _encoded_push(store, codec, seed=0):
@@ -317,17 +323,9 @@ def _encoded_push(store, codec, seed=0):
 class TestServerDecode:
     @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
     def test_compressed_push_updates_weights(self, codec):
-        server, store = _make_server()
+        session, store = _make_server()
         before = store.weights_snapshot()
-        request = PushRequest(
-            worker_id="w0",
-            gradients=_named_zero_gradients(store),
-            base_version=0,
-            timestamp=0.0,
-            encoded_gradients=_encoded_push(store, codec, seed=3),
-            codec=codec.name,
-        )
-        response = server.handle_push(request)
+        response = _push(session, encoded=_encoded_push(store, codec, seed=3))
         assert response.new_version == 1
         after = store.weights_snapshot()
         changed = any(
@@ -339,55 +337,39 @@ class TestServerDecode:
             assert changed
 
     def test_sparse_push_then_delta_pull_at_tip_leaks_no_lease(self):
-        server, store = _make_server()
+        session, store = _make_server()
         codec = TopKCodec(density=0.05)
         for step in range(3):
-            server.handle_push(PushRequest(
-                worker_id="w0", gradients=_named_zero_gradients(store), base_version=step, timestamp=0.0,
-                encoded_gradients=_encoded_push(store, codec, seed=step),
-                codec=codec.name,
-            ))
+            _push(session, step, encoded=_encoded_push(store, codec, seed=step))
         # Delta pull at the exact version tip: nothing changed since, the
         # reply is empty and must take no copy-on-write lease at all.
-        reply = server.handle_pull(PullRequest("w0", known_version=store.version))
+        reply = store.pull(store.version)
         assert reply.is_delta and not reply.weights
         assert reply.transfer_nbytes() == 0
         assert not any(shard.flat.leased for shard in store._shards)
 
         # A stale pull does lease; releasing it must drop every lease even
         # when interleaved with further sparse pushes.
-        stale = server.handle_pull(PullRequest("w0", known_version=0))
+        stale = store.pull(0)
         assert any(shard.flat.leased for shard in store._shards)
-        server.handle_push(PushRequest(
-            worker_id="w0", gradients=_named_zero_gradients(store), base_version=3, timestamp=0.0,
-            encoded_gradients=_encoded_push(store, codec, seed=9),
-            codec=codec.name,
-        ))
+        _push(session, 3, encoded=_encoded_push(store, codec, seed=9))
         stale.release()
         stale.release()  # idempotent
         assert not any(shard.flat.leased for shard in store._shards)
 
     def test_none_codec_push_bit_for_bit_matches_flat_push(self):
-        server_a, store_a = _make_server()
-        server_b, store_b = _make_server()
+        session_a, store_a = _make_server()
+        session_b, store_b = _make_server()
         rng = np.random.default_rng(5)
         flat = {
             shard: rng.normal(size=sum(segment.size for segment in layout))
             for shard, layout in store_a.flat_layouts
         }
-        server_a.handle_push(PushRequest(
-            worker_id="w0", gradients=_named_zero_gradients(store_a),
-            base_version=0, timestamp=0.0,
-            flat_gradients={shard: buf.copy() for shard, buf in flat.items()},
-        ))
-        server_b.handle_push(PushRequest(
-            worker_id="w0", gradients=_named_zero_gradients(store_b),
-            base_version=0, timestamp=0.0,
-            encoded_gradients=tuple(
-                NoneCodec().encode(shard, buf.copy()) for shard, buf in flat.items()
-            ),
-            codec="none",
-        ))
+        _push(session_a, flat={shard: buf.copy() for shard, buf in flat.items()})
+        _push(
+            session_b,
+            encoded=tuple(NoneCodec().encode(shard, buf.copy()) for shard, buf in flat.items()),
+        )
         for name in store_a.parameter_names:
             np.testing.assert_array_equal(
                 store_a.weights_snapshot()[name], store_b.weights_snapshot()[name]

@@ -20,7 +20,7 @@ from repro.ps.compression import decode_shard, make_codec
 from repro.ps.faults import FaultInjector, parse_fault_specs
 from repro.ps.flatbuffer import FlatLayout, FlatShard
 from repro.ps.kvstore import KeyValueStore
-from repro.ps.messages import PullRequest, PushRequest
+from repro.ps.messages import PushRequest
 from repro.ps.server import ParameterServer
 from repro.ps.sharding import ShardedKeyValueStore, make_store
 from repro.utils.rng import RngStream
@@ -554,8 +554,8 @@ class TestPackedGradientPush:
         from repro.data.loader import MiniBatchLoader
         from repro.models import mlp
         from repro.nn.losses import SoftmaxCrossEntropy
-        from repro.ps.messages import PushRequest
         from repro.ps.server import ParameterServer
+        from repro.ps.session import ServerSession
         from repro.ps.worker import Worker
 
         rng = np.random.default_rng(0)
@@ -586,49 +586,53 @@ class TestPackedGradientPush:
                 gradient_scale=1.0,
             )
             server.register_worker(worker_id)
-            return worker, server
+            return worker, ServerSession(server, [worker_id])
 
-        packed, packed_server = build("packed")
-        plain, plain_server = build("plain")
-        packed.attach_flat_layout(packed_server.store.flat_layouts)
+        packed, packed_session = build("packed")
+        plain, plain_session = build("plain")
+        packed.attach_flat_layout(packed_session.server.store.flat_layouts)
 
         for _ in range(3):
-            for worker, server in ((packed, packed_server), (plain, plain_server)):
+            for worker, session in ((packed, packed_session), (plain, plain_session)):
                 computation = worker.compute_gradients()
-                server.handle_push(
-                    PushRequest(
-                        worker_id=worker.worker_id,
-                        gradients=computation.gradients,
-                        base_version=computation.base_version,
-                        timestamp=0.0,
-                        flat_gradients=computation.flat_gradients,
-                    )
+                session.push(
+                    worker.worker_id,
+                    {"base_version": computation.base_version, "timestamp": 0.0},
+                    named=computation.gradients,
+                    flat=computation.flat_gradients,
                 )
-                worker.load_reply(server.handle_pull())
+                worker.load_reply(session.reply(worker.worker_id).pull)
         assert packed.compute_gradients().flat_gradients is not None
-        packed_state = packed_server.store.weights_snapshot()
-        plain_state = plain_server.store.weights_snapshot()
+        packed_state = packed_session.server.store.weights_snapshot()
+        plain_state = plain_session.server.store.weights_snapshot()
         for name in packed_state:
             assert np.array_equal(packed_state[name], plain_state[name]), name
 
 
 class TestDeltaPullThroughServer:
-    def test_known_version_pull_request_roundtrip(self):
-        """A tip-version PullRequest through the server returns empty."""
+    def test_reply_at_the_version_tip_is_an_empty_delta(self):
+        """A staged push leaves the store at its base: the OK is empty."""
         from repro.core.factory import make_policy
+        from repro.ps.aggregation import make_aggregator
         from repro.ps.server import ParameterServer
+        from repro.ps.session import ServerSession
 
-        weights = make_arrays()
+        store = ShardedKeyValueStore(make_arrays(), num_shards=2)
         server = ParameterServer(
-            store=ShardedKeyValueStore(weights, num_shards=2),
+            store=store,
             optimizer=SGD(0.1),
             policy=make_policy("asp"),
+            aggregator=make_aggregator("median"),
         )
-        server.register_worker("w0")
-        reply = server.handle_pull(
-            PullRequest(worker_id="w0", known_version=server.store.version)
-        )
-        assert reply.is_delta and not reply.weights
+        for worker_id in ("w0", "w1"):
+            server.register_worker(worker_id)
+        session = ServerSession(server, ["w0", "w1"])
+        flat = {shard: np.ones(segments[-1].hi) for shard, segments in store.flat_layouts}
+        session.push("w0", {"base_version": 0, "timestamp": 0.0}, flat=flat)
+        ok = session.reply("w0")
+        assert store.version == 0 and ok.kind == "delta"
+        assert ok.pull.is_delta and not ok.pull.weights
+        assert session.pull_replies["delta_bytes"] == 0
 
 
 class CountingSGD(SGD):

@@ -12,8 +12,8 @@ import pytest
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
 from repro.ps.kvstore import KeyValueStore
-from repro.ps.messages import PushRequest
 from repro.ps.server import ParameterServer
+from repro.ps.session import ServerSession
 from repro.ps.sharding import ShardedKeyValueStore
 
 
@@ -44,19 +44,19 @@ def make_server(store_factory):
         )
         for index in range(num_workers):
             server.register_worker(f"w{index}")
-        return server
+        return ServerSession(server, server.worker_ids)
 
     return factory
 
 
-def push(server, worker_id, gradients=None, base_version=None, timestamp=0.0):
-    return server.handle_push(
-        PushRequest(
-            worker_id=worker_id,
-            gradients=gradients or {"w": np.array([1.0, 0.0])},
-            base_version=server.store.version if base_version is None else base_version,
-            timestamp=timestamp,
-        )
+def push(session, worker_id, gradients=None, base_version=None, timestamp=0.0, **extra):
+    store = session.server.store
+    header = {
+        "base_version": store.version if base_version is None else base_version,
+        "timestamp": timestamp,
+    }
+    return session.push(
+        worker_id, header, named=gradients or {"w": np.array([1.0, 0.0])}, **extra
     )
 
 
@@ -147,17 +147,17 @@ class TestKeyValueStore:
 
 class TestParameterServer:
     def test_registration_validation(self, make_server):
-        server = make_server()
+        session = make_server()
         with pytest.raises(ValueError):
-            server.register_worker("w0")
+            session.server.register_worker("w0")
         with pytest.raises(KeyError):
-            push(server, "stranger")
+            push(session, "stranger")
 
     def test_push_applies_scaled_gradient(self, make_server):
-        server = make_server(num_workers=2)
-        push(server, "w0")
+        session = make_server(num_workers=2)
+        push(session, "w0")
         # Default gradient scale is 1/num_workers = 0.5, learning rate 0.1.
-        assert np.allclose(server.store.weights_snapshot()["w"], [1.0 - 0.05, 1.0])
+        assert np.allclose(session.server.store.weights_snapshot()["w"], [1.0 - 0.05, 1.0])
 
     def test_explicit_gradient_scale(self, store_factory):
         server = ParameterServer(
@@ -167,34 +167,33 @@ class TestParameterServer:
             gradient_scale=1.0,
         )
         server.register_worker("w0")
-        push(server, "w0")
+        push(ServerSession(server, ["w0"]), "w0")
         assert np.allclose(server.store.weights_snapshot()["w"], [0.9, 1.0])
 
     def test_staleness_measured_against_base_version(self, make_server):
-        server = make_server(num_workers=2)
-        push(server, "w0", base_version=0)
-        response = push(server, "w1", base_version=0)
+        session = make_server(num_workers=2)
+        push(session, "w0", base_version=0)
+        response = push(session, "w1", base_version=0)
         assert response.staleness == 1
-        summary = server.staleness_tracker.summary()
+        summary = session.server.staleness_tracker.summary()
         assert summary.maximum == 1
 
     def test_future_base_version_rejected(self, make_server):
-        server = make_server()
+        session = make_server()
         with pytest.raises(ValueError):
-            push(server, "w0", base_version=5)
+            push(session, "w0", base_version=5)
 
     def test_pull_returns_current_version(self, make_server):
-        server = make_server()
-        reply = server.handle_pull()
-        assert reply.version == 0
-        push(server, "w0")
-        assert server.handle_pull().version == 1
+        session = make_server()
+        assert session.reply("w0", welcome=True).version == 0
+        push(session, "w0")
+        assert session.reply("w0").pull.version == 1
 
     def test_bsp_push_reports_released_workers(self, make_server):
-        server = make_server(paradigm="bsp", num_workers=2)
-        first = push(server, "w0", timestamp=1.0)
+        session = make_server(paradigm="bsp", num_workers=2)
+        first = push(session, "w0", timestamp=1.0)
         assert not first.release_now
-        second = push(server, "w1", timestamp=2.0)
+        second = push(session, "w1", timestamp=2.0)
         assert second.release_now
         assert second.released_workers == ("w0",)
 
@@ -214,37 +213,33 @@ class TestParameterServer:
         assert server.optimizer.learning_rate == pytest.approx(0.005)
 
     def test_buffers_propagated_from_push(self, make_server):
-        server = make_server()
-        server.handle_push(
-            PushRequest(
-                worker_id="w0",
-                gradients={"w": np.zeros(2)},
-                base_version=0,
-                timestamp=0.0,
-                buffers={"running_mean": np.array([3.0])},
-            )
+        session = make_server()
+        push(
+            session, "w0", gradients={"w": np.zeros(2)}, base_version=0,
+            buffers={"running_mean": np.array([3.0])},
         )
-        assert server.handle_pull().buffers["running_mean"][0] == 3.0
+        welcome = session.reply("w0", welcome=True)
+        assert welcome.pull.buffers["running_mean"][0] == 3.0
 
     def test_statistics_contains_policy_and_staleness(self, make_server):
-        server = make_server(paradigm="ssp", staleness=2)
-        push(server, "w0")
-        stats = server.statistics()
+        session = make_server(paradigm="ssp", staleness=2)
+        push(session, "w0")
+        stats = session.server.statistics()
         assert stats["paradigm"] == "ssp"
         assert stats["store_version"] == 1
         assert stats["update_staleness"].count == 1
-        assert server.pushes_handled == 1
+        assert session.server.pushes_handled == 1
 
     def test_delta_pull_through_server(self, make_server, store_factory):
-        server = make_server(num_workers=2)
-        push(server, "w0")
-        from repro.ps.messages import PullRequest
-
-        reply = server.handle_pull(PullRequest(worker_id="w1", known_version=0))
+        session = make_server(num_workers=2)
+        push(session, "w0", base_version=0)
+        ok = session.reply("w0")  # the delta base is the push's base, 0
+        reply = ok.pull
         assert reply.version == 1
         if store_factory.layout == "sharded":
-            assert reply.is_delta
+            assert ok.kind == "delta" and reply.is_delta
             assert set(reply.weights) == {"w"}  # only the updated parameter
         else:
+            assert (ok.kind, ok.reason) == ("dense", "one shard")
             assert not reply.is_delta
             assert set(reply.weights) == {"w", "b"}

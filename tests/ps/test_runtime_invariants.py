@@ -15,7 +15,6 @@ from repro.data.loader import MiniBatchLoader
 from repro.models import mlp
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.optim.sgd import SGD
-from repro.ps.callbacks import Callback
 from repro.ps.runtime import ThreadedTrainer
 from repro.ps.server import ParameterServer
 from repro.ps.sharding import make_store
@@ -28,16 +27,6 @@ def store_layout(request):
     concurrent (per-shard-locked) push path must uphold the same guarantees
     as the globally locked monolithic path."""
     return request.param
-
-
-class _StalenessCollector(Callback):
-    """Records the staleness reported by every push response."""
-
-    def __init__(self) -> None:
-        self.staleness: list[int] = []
-
-    def on_push(self, context: dict) -> None:
-        self.staleness.append(context["response"].staleness)
 
 
 def build_trainer(
@@ -74,16 +63,18 @@ def build_trainer(
                 loss_fn=SoftmaxCrossEntropy(),
             )
         )
-    collector = _StalenessCollector()
-    trainer = ThreadedTrainer(
+    return ThreadedTrainer(
         server=server,
         workers=workers,
         iterations_per_worker=iterations,
         slowdowns=slowdowns or {},
-        callbacks=[collector],
         wait_timeout=30.0,
     )
-    return trainer, collector
+
+
+def max_staleness(result) -> int:
+    """The largest staleness of any applied push (every push response's)."""
+    return result.server_statistics["update_staleness"].maximum
 
 
 class TestThreadedInvariants:
@@ -95,7 +86,7 @@ class TestThreadedInvariants:
             ("ssp", {"staleness": 1}),
             ("dssp", {"s_lower": 1, "s_upper": 3}),
         ]:
-            trainer, _collector = build_trainer(
+            trainer = build_trainer(
                 train, paradigm, store_layout=store_layout, **kwargs
             )
             result = trainer.run()
@@ -104,19 +95,19 @@ class TestThreadedInvariants:
 
     def test_bsp_update_staleness_bounded_by_one_round(self, tiny_flat_datasets, store_layout):
         train, _ = tiny_flat_datasets
-        trainer, collector = build_trainer(
+        trainer = build_trainer(
             train, "bsp", num_workers=3, iterations=8, store_layout=store_layout
         )
         result = trainer.run()
         assert result.errors == []
         # Under BSP a gradient can at most miss the other workers' pushes of
         # its own round: staleness < number of workers.
-        assert max(collector.staleness) <= 2
+        assert max_staleness(result) <= 2
 
     def test_ssp_update_staleness_bounded(self, tiny_flat_datasets, store_layout):
         train, _ = tiny_flat_datasets
         staleness_bound = 2
-        trainer, collector = build_trainer(
+        trainer = build_trainer(
             train,
             "ssp",
             store_layout=store_layout,
@@ -129,18 +120,18 @@ class TestThreadedInvariants:
         assert result.errors == []
         # A gradient computed while leading by at most s iterations can miss
         # at most s * (P - 1) + (P - 1) other updates.
-        assert max(collector.staleness) <= (staleness_bound + 1) * 2
+        assert max_staleness(result) <= (staleness_bound + 1) * 2
 
     def test_dssp_waits_no_more_than_ssp_lower_threshold_with_straggler(
         self, tiny_flat_datasets
     ):
         train, _ = tiny_flat_datasets
         slowdowns = {"w2": 0.01}
-        ssp_trainer, _unused = build_trainer(
+        ssp_trainer = build_trainer(
             train, "ssp", num_workers=3, iterations=6, staleness=1, slowdowns=slowdowns
         )
         ssp_result = ssp_trainer.run()
-        dssp_trainer, _unused = build_trainer(
+        dssp_trainer = build_trainer(
             train, "dssp", num_workers=3, iterations=6, s_lower=1, s_upper=6,
             slowdowns=slowdowns,
         )

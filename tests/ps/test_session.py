@@ -7,6 +7,7 @@ raced.  Also pins the one plan validation the three runtimes share.
 """
 
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,11 +17,13 @@ from repro.data.loader import MiniBatchLoader
 from repro.data.partitioner import partition_dataset
 from repro.experiments.config import TINY
 from repro.models import mlp
+from repro.ps.compression import make_codec
 from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
 from repro.ps.process_runtime import ProcessTrainingPlan
 from repro.ps.session import (
     Resume,
     ServerSession,
+    UpdateLog,
     WorkerLoop,
     build_evaluator,
     build_server,
@@ -295,6 +298,136 @@ class TestServerSession:
         assert len(result.evaluation_times) == 3
         assert result.evaluation_times[0] == 0.0
         assert result.evaluation_times[-1] == result.wall_time
+
+
+class TestReply:
+    """``ServerSession.reply``, the one OK builder, on every store and log."""
+
+    @staticmethod
+    def session(workload, num_shards, logged):
+        """Two joined, welcomed workers; worker-1 then worker-0 push from
+        version 0, so worker-0's OK spans a foreign push and its own."""
+        plan = DistributedTrainingConfig(
+            batch_size=16, paradigm="asp", paradigm_kwargs={}, num_workers=2
+        )
+        model = workload.model_builder(RngStream(plan.seed).get("init"))
+        store = make_store(
+            {name: p.data for name, p in model.named_parameters()}, num_shards=num_shards
+        )
+        session = ServerSession(build_server(plan, store), plan.worker_ids)
+        if logged:
+            session.update_log = UpdateLog(store.version, store.nbytes)
+        for worker_id in plan.worker_ids:
+            session.join(worker_id)
+            session.reply(worker_id, welcome=True).pull.release()
+        codec, rng = make_codec("topk:0.1"), np.random.default_rng(0)
+        pushed = {}
+        for worker_id in ("worker-1", "worker-0"):
+            pushed[worker_id] = tuple(
+                codec.encode(shard, rng.standard_normal(segments[-1].hi))
+                for shard, segments in store.flat_layouts
+            )
+            header = {"base_version": 0, "timestamp": 0.0, "seq": 0}
+            session.push(worker_id, header, encoded=pushed[worker_id])
+        return session, store, pushed
+
+    @pytest.mark.parametrize("welcome", [True, False], ids=["welcome", "ok"])
+    @pytest.mark.parametrize("logged", [True, False], ids=["log", "no-log"])
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_kind_counts_and_bytes(self, workload, num_shards, logged, welcome):
+        session, store, pushed = self.session(workload, num_shards, logged)
+        before = Counter(session.pull_replies)
+        ok = session.reply("worker-0", welcome=welcome)
+        counted = dict(Counter(session.pull_replies) - before)
+        assert ok.version == store.version == 2
+        if not welcome and logged:
+            # worker-1's push travels; worker-0's own is named, not echoed.
+            assert ok.kind == "log" and ok.pull is None
+            assert [entry.version for entry in ok.entries] == [1, 2]
+            foreign = sum(frame.nbytes for frame in pushed["worker-1"])
+            assert counted == {"log": 1, "log_bytes": foreign}
+            return
+        if not welcome and num_shards > 1:
+            # The delta base is worker-0's last push base.
+            expected = store.pull(0)
+            assert ok.kind == "delta" and ok.pull.is_delta and ok.reason is None
+            for got, want in ((ok.pull.weights, expected.weights), (ok.pull.buffers, expected.buffers)):
+                assert list(got) == list(want)
+                assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+            assert counted == {"delta": 1, "delta_bytes": expected.wire_nbytes}
+            ok.pull.release()
+            expected.release()
+            return
+        assert ok.kind == "dense" and not ok.pull.is_delta
+        assert ok.reason == ("welcome" if welcome else "one shard")
+        assert ok.mirrored == (welcome and logged)
+        dense_bytes = store.nbytes
+        if ok.mirrored:  # the optimizer state a mirror is built from
+            velocity = session.server.optimizer.state_dict()["velocity"]
+            assert ok.velocity.size == sum(value.size for value in velocity.values())
+            dense_bytes += ok.velocity.nbytes
+        else:
+            assert ok.velocity is None
+        assert counted == {"dense": 1, "dense_bytes": dense_bytes}
+        expected = store.pull()
+        assert [p.buffer.tobytes() for p in ok.pull.flat_weights] == [
+            p.buffer.tobytes() for p in expected.flat_weights
+        ]
+        ok.pull.release()
+        expected.release()
+
+    def test_an_ok_before_any_push_is_dense(self, workload):
+        session, store, _ = self.session(workload, num_shards=4, logged=False)
+        session.join("worker-9")
+        ok = session.reply("worker-9")
+        assert (ok.kind, ok.reason) == ("dense", "no base")
+        ok.pull.release()
+
+
+#: Per-worker ``pulled_bytes`` of sharded runs of the tiny MLP (39,056
+#: weight bytes, 4 shards), recorded before ``ServerSession.reply`` existed.
+#: A dense push stamps every key, so a delta OK carries the whole model and
+#: the first two runs pull exactly (OKs + 1) dense models; a buffered
+#: aggregator leaves a staged pusher at the tip, and its delta is empty.
+DELTA_RUNS = {
+    "simulated-3w-dssp": ("simulated", 3, None, [312448, 312448, 273392]),
+    "threaded-1w": ("threaded", 1, None, [820176]),
+    "simulated-3w-trimmed-mean": ("simulated", 3, "trimmed_mean:1", [781120] * 3),
+}
+
+
+@pytest.mark.parametrize("run", DELTA_RUNS)
+def test_sharded_runs_get_delta_oks(monkeypatch, run):
+    from repro.api import ClusterConfig, ExperimentSpec, run_experiment
+
+    backend, num_workers, aggregation, pinned = DELTA_RUNS[run]
+    kinds = Counter()
+    reply = ServerSession.reply
+
+    def spy(self, worker_id, *, welcome=False):
+        ok = reply(self, worker_id, welcome=welcome)
+        kinds[ok.reason if welcome else ok.kind] += 1
+        return ok
+
+    monkeypatch.setattr(ServerSession, "reply", spy)
+    spec = ExperimentSpec(
+        workload="mlp", scale="tiny", cluster=ClusterConfig(num_workers=num_workers),
+        paradigm="dssp", paradigm_kwargs={"s_lower": 1, "s_upper": 4}, epochs=1.0,
+        batch_size=16, num_shards=4, aggregation=aggregation, seed=0,
+    )
+    result = run_experiment(spec, backend)
+    assert result.errors == []
+    # Every OK is a delta from the worker's last push base; only joins are dense.
+    assert set(kinds) == {"welcome", "delta"} and kinds["welcome"] == num_workers
+    pulled = [report.pulled_bytes for report in result.worker_reports]
+    assert pulled == pinned
+    dense = [
+        (report.iterations + 1) * result.server_statistics["store_nbytes"]
+        for report in result.worker_reports
+    ]
+    assert all(got <= bound for got, bound in zip(pulled, dense))
+    if aggregation is not None:
+        assert sum(pulled) < sum(dense)
 
 
 PLAN_CLASSES = {

@@ -256,27 +256,33 @@ class TestConcurrency:
         assert sharded.supports_concurrent_apply
         assert sharded.supports_delta_pull
 
-    def test_split_push_api_matches_handle_push(self):
-        from repro.ps.messages import PushRequest
+    def test_staged_push_matches_unstaged_push(self):
+        """``ServerSession.apply`` then ``push(staged=)`` — the threaded
+        runtime's split around its lock — lands what one ``push`` does."""
+        from repro.ps.session import ServerSession
 
         weights = make_arrays(num=4)
-        server = ParameterServer(
-            store=ShardedKeyValueStore(weights, num_shards=2),
-            optimizer=SGD(0.1),
-            policy=make_policy("asp"),
-        )
-        server.register_worker("w0")
-        request = PushRequest(
-            worker_id="w0",
-            gradients={name: np.zeros(a.shape) for name, a in weights.items()},
-            base_version=0,
-            timestamp=0.0,
-        )
-        applied = server.apply_push(request)
-        response = server.finish_push(request, applied)
-        assert response.new_version == 1
-        assert response.staleness == 0
-        assert server.pushes_handled == 1
+        rng = np.random.default_rng(1)
+        gradients = {name: rng.normal(size=a.shape) for name, a in weights.items()}
+        header = {"base_version": 0, "timestamp": 0.0}
+        outcomes = []
+        for staged in (False, True):
+            server = ParameterServer(
+                store=ShardedKeyValueStore(weights, num_shards=2),
+                optimizer=SGD(0.1),
+                policy=make_policy("asp"),
+            )
+            server.register_worker("w0")
+            session = ServerSession(server, ["w0"])
+            stage = session.apply("w0", header, named=gradients) if staged else None
+            response = session.push("w0", header, staged=stage, named=gradients)
+            assert (response.new_version, response.staleness) == (1, 0)
+            assert server.pushes_handled == 1
+            outcomes.append((response, server.store.weights_snapshot()))
+        (plain, plain_weights), (split, split_weights) = outcomes
+        assert plain == split
+        for name, value in plain_weights.items():
+            assert np.array_equal(value, split_weights[name])
 
 
 class TestRestore:

@@ -107,12 +107,13 @@ class Cluster:
         cannot always express)."""
         self.session.join(worker_id, clock)
         self.seqs[worker_id] = clock
-        reply, mirrored, velocity = self.session.dense_pull(worker_id, welcome=True)
-        assert mirrored
+        ok = self.session.reply(worker_id, welcome=True)
+        assert (ok.kind, ok.reason, ok.mirrored) == ("dense", "welcome", True)
         self.mirrors[worker_id] = Mirror(
-            self.make_optimizer(), self.layout, reply.flat_weights[0].buffer, reply.version, velocity
+            self.make_optimizer(), self.layout, ok.pull.flat_weights[0].buffer, ok.version,
+            ok.velocity,
         )
-        reply.release()
+        ok.pull.release()
         self.replies.append((worker_id, "dense", 0))
 
     def push(self, worker_id, base_version=None, seq=None, **gradients):

@@ -13,7 +13,8 @@ from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.optim.sgd import SGD
-from repro.ps.coordinator import DistributedTrainingConfig, train_distributed
+from repro.api import ClusterConfig, ExperimentSpec, run_experiment
+from repro.ps.coordinator import DistributedTrainingConfig
 from repro.ps.runtime import ThreadedTrainer
 from repro.ps.server import ParameterServer
 from repro.ps.session import assemble
@@ -269,51 +270,35 @@ class TestCoordinator:
             assert worker.model.workspace_stats()["allocations"] > 0
             assert worker.loss_fn._workspace.allocations > 0
 
-    def test_train_distributed_end_to_end(self, tiny_flat_datasets):
-        train, test = tiny_flat_datasets
-        config = DistributedTrainingConfig(
-            paradigm="dssp",
-            paradigm_kwargs={"s_lower": 1, "s_upper": 4},
-            num_workers=2,
-            iterations_per_worker=5,
+    @staticmethod
+    def threaded_run(**fields):
+        """A 2-worker threaded run of the tiny MLP: 0.5 epochs of 160-sample
+        partitions in batches of 16 is 5 pushes per worker."""
+        spec = ExperimentSpec(
+            workload="mlp",
+            scale="tiny",
+            cluster=ClusterConfig(num_workers=2),
+            epochs=0.5,
             batch_size=16,
             learning_rate=0.05,
-            evaluate_every_pushes=5,
+            evaluate_every_updates=5,
+            **fields,
         )
-        with pytest.warns(DeprecationWarning, match="run_experiment"):
-            result = train_distributed(
-                config,
-                model_builder=lambda rng: build_model(rng, input_dim=train.inputs.shape[1]),
-                train_dataset=train,
-                test_dataset=test,
-            )
+        return run_experiment(spec, backend="threaded")
+
+    def test_threaded_run_end_to_end(self):
+        result = self.threaded_run(paradigm="dssp", paradigm_kwargs={"s_lower": 1, "s_upper": 4})
         assert result.errors == []
         assert len(result.worker_reports) == 2
-        assert len(result.evaluation_accuracies) >= 1
+        assert len(result.accuracies) >= 1
 
-    def test_train_distributed_with_sharded_float32_store(self, tiny_flat_datasets):
-        train, test = tiny_flat_datasets
-        config = DistributedTrainingConfig(
-            paradigm="ssp",
-            paradigm_kwargs={"staleness": 2},
-            num_workers=2,
-            iterations_per_worker=5,
-            batch_size=16,
-            learning_rate=0.05,
-            evaluate_every_pushes=5,
-            num_shards=4,
-            dtype="float32",
+    def test_threaded_run_with_sharded_float32_store(self):
+        result = self.threaded_run(
+            paradigm="ssp", paradigm_kwargs={"staleness": 2}, num_shards=4, dtype="float32"
         )
-        with pytest.warns(DeprecationWarning, match="run_experiment"):
-            result = train_distributed(
-                config,
-                model_builder=lambda rng: build_model(rng, input_dim=train.inputs.shape[1]),
-                train_dataset=train,
-                test_dataset=test,
-            )
         assert result.errors == []
         assert result.server_statistics["store_version"] == 2 * 5
-        assert len(result.evaluation_accuracies) >= 1
+        assert len(result.accuracies) >= 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -85,8 +85,8 @@ class TestDistributedMatchesSingleMachineDirection:
         workers' mini-batches."""
         from repro.core.factory import make_policy
         from repro.ps.kvstore import KeyValueStore
-        from repro.ps.messages import PushRequest
         from repro.ps.server import ParameterServer
+        from repro.ps.session import ServerSession
 
         train, _ = image_problem
         model = downsized_alexnet(
@@ -106,18 +106,14 @@ class TestDistributedMatchesSingleMachineDirection:
         )
         server.register_worker("w0")
         server.register_worker("w1")
+        session = ServerSession(server, ["w0", "w1"])
         for worker_id, (inputs, labels) in zip(("w0", "w1"), batches):
             model.load_state_dict(initial)
             model.zero_grad()
             loss_fn.forward(model.forward(inputs), labels)
             model.backward(loss_fn.backward())
-            server.handle_push(
-                PushRequest(
-                    worker_id=worker_id,
-                    gradients=model.gradients(),
-                    base_version=0,
-                    timestamp=1.0,
-                )
+            session.push(
+                worker_id, {"base_version": 0, "timestamp": 1.0}, named=model.gradients()
             )
         distributed = server.store.weights_snapshot()
 

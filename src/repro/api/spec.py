@@ -40,6 +40,7 @@ from repro.simulation.profiles import get_device_profile
 from repro.simulation.topology import (
     canonical_topology_spec,
     validate_comm_pattern,
+    validate_ring,
 )
 from repro.utils.registry import Registry
 
@@ -345,29 +346,16 @@ class ExperimentSpec:
         object.__setattr__(self, "lr_milestones", tuple(self.lr_milestones))
         object.__setattr__(self, "comm_pattern", validate_comm_pattern(self.comm_pattern))
         if self.comm_pattern == "ring_allreduce":
-            # Mirror the simulator's constraints at spec construction so a
-            # bad spec file fails before any backend starts.
-            if self.paradigm != "bsp":
-                raise ValueError(
-                    "comm_pattern 'ring_allreduce' is a synchronous collective; "
-                    f"it requires paradigm 'bsp', got {self.paradigm!r}"
-                )
-            if len(self.cluster.worker_ids) < 2:
-                raise ValueError("ring allreduce needs at least 2 workers")
-            if self.compression is not None:
-                raise ValueError(
-                    "comm_pattern 'ring_allreduce' does not compose with compression"
-                )
-            if self.aggregation is not None:
-                raise ValueError(
-                    "comm_pattern 'ring_allreduce' does not compose with aggregation"
-                )
-            if self.faults:
-                raise ValueError(
-                    "comm_pattern 'ring_allreduce' does not compose with fault injection"
-                )
-            if self.num_shards != 1:
-                raise ValueError("ring allreduce requires num_shards=1")
+            # The simulator's constraints, at spec construction: a bad spec
+            # file fails before any backend starts.
+            validate_ring(
+                self.paradigm,
+                len(self.cluster.worker_ids),
+                self.num_shards,
+                compression=self.compression,
+                aggregation=self.aggregation,
+                faults=self.faults,
+            )
         if self.compression is not None:
             validate_codec_spec(self.compression)
         if self.aggregation is not None:

@@ -95,15 +95,15 @@ class SynchronizationController:
             self._decisions.append(decision)
             return decision
 
-        extra, wait = self._best_extra_iterations(
-            fast_latest=fast_record.latest_timestamp,
-            fast_interval=fast_interval,
-            slow_latest=slow_record.latest_timestamp,
-            slow_interval=slow_interval,
+        waits = self.predicted_waits(
+            fast_record.latest_timestamp, fast_interval, slow_record.latest_timestamp, slow_interval
         )
+        # Round away floating-point noise so exact ties resolve to the
+        # smaller r (fewer stale iterations for the same predicted wait).
+        extra = int(np.argmin(np.round(waits, 9)))
         decision = ControllerDecision(
             extra_iterations=extra,
-            predicted_wait=wait,
+            predicted_wait=float(waits[extra]),
             fast_interval=fast_interval,
             slow_interval=slow_interval,
             fast_worker=worker_id,
@@ -111,36 +111,6 @@ class SynchronizationController:
         )
         self._decisions.append(decision)
         return decision
-
-    def _best_extra_iterations(
-        self,
-        fast_latest: float,
-        fast_interval: float,
-        slow_latest: float,
-        slow_interval: float,
-    ) -> tuple[int, float]:
-        """Simulate future push times of both workers and minimize |difference|.
-
-        Implements lines 6-8 of Algorithm 2:
-
-        * ``sim_fast[r] = fast_latest + r * fast_interval`` for
-          ``r = 0 .. r_max`` (``r = 0`` is "stop now");
-        * ``sim_slow[k] = slow_latest + (k + 1) * slow_interval`` for
-          ``k = 0 .. r_max`` (the slowest worker's *next* pushes);
-        * ``r*`` is the ``r`` of the pair ``(k, r)`` minimizing
-          ``|sim_slow[k] - sim_fast[r]|``; ties favour the smaller ``r``
-          (fewer stale iterations for the same predicted wait).
-        """
-        r_values = np.arange(self.max_extra_iterations + 1, dtype=np.float64)
-        sim_fast = fast_latest + r_values * fast_interval
-        sim_slow = slow_latest + (r_values + 1.0) * slow_interval
-
-        differences = np.abs(sim_slow[:, None] - sim_fast[None, :])
-        best_wait_per_r = differences.min(axis=0)
-        # Round away floating-point noise so exact ties resolve to the
-        # smaller r (fewer stale iterations for the same predicted wait).
-        best_r = int(np.argmin(np.round(best_wait_per_r, 9)))
-        return best_r, float(best_wait_per_r[best_r])
 
     def predicted_waits(
         self,
@@ -151,8 +121,12 @@ class SynchronizationController:
     ) -> np.ndarray:
         """Predicted waiting time for every candidate ``r`` (Figure 2 series).
 
-        Exposed so the experiment harness can plot the full waiting-time
-        curve the controller optimizes over, as in Figure 2 of the paper.
+        Lines 6-8 of Algorithm 2: ``sim_fast[r] = fast_latest + r *
+        fast_interval`` (``r = 0 .. r_max``, 0 is "stop now") against the
+        slowest worker's next pushes ``sim_slow[k] = slow_latest + (k + 1) *
+        slow_interval``; the wait of ``r`` is the smallest ``|sim_slow[k] -
+        sim_fast[r]|``, and :meth:`decide` takes the ``r`` minimizing it.
+        The experiment harness plots this curve, as in Figure 2.
         """
         if fast_interval <= 0 or slow_interval <= 0:
             raise ValueError("iteration intervals must be positive")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.nn.module import Module
@@ -91,12 +89,3 @@ class Residual(Module):
         np.add(grad_body, grad_shortcut, out=grad_input)
         return grad_input
 
-
-def _ensure_sequence(modules: Sequence[Module]) -> list[Module]:
-    """Validate that every entry is a Module (helper for model builders)."""
-    result: list[Module] = []
-    for module in modules:
-        if not isinstance(module, Module):
-            raise TypeError(f"expected Module, got {type(module)!r}")
-        result.append(module)
-    return result

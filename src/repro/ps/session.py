@@ -60,6 +60,9 @@ __all__ = [
     "Resume",
     "Link",
     "WorkerLoop",
+    "Step",
+    "replica_step",
+    "Tally",
     "ServerSession",
     "Ok",
     "LogEntry",
@@ -579,6 +582,59 @@ class Mirror:
 # Worker side
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
+class Step:
+    """One replica iteration, ready to push: ``flat`` is the replica's packed
+    gradient storage on an uncoded push, else ``encoded`` carries frames."""
+
+    computation: GradientComputation
+    flat: Mapping[int, np.ndarray] | None
+    encoded: tuple | None
+    codec: str | None
+
+
+def replica_step(worker: Worker) -> Step:
+    """Compute ``worker``'s next gradient from the weights it holds, and encode it.
+
+    Touches only state the replica owns (weights, loader, RNG, codec
+    residual): the simulator runs it ahead, in helpers (``simulation.pool``).
+    """
+    computation = worker.compute_gradients()
+    return Step(computation, *worker.prepare_push(computation))
+
+
+class Tally:
+    """A worker's report, counted from the steps whose pushes it sent."""
+
+    def __init__(self) -> None:
+        self.iterations = self.samples = self.wire_bytes = self.raw_bytes = 0
+        self.loss = 0.0
+
+    def add(self, step: Step) -> None:
+        computation = step.computation
+        dense = computation.flat_gradients or computation.gradients
+        raw = sum(np.asarray(gradient).nbytes for gradient in dense.values())
+        self.iterations += 1
+        self.samples += computation.samples
+        self.loss += computation.loss
+        self.raw_bytes += raw
+        self.wire_bytes += raw if step.encoded is None else sum(p.nbytes for p in step.encoded)
+
+    def report(self, worker_id: str, *, wait: float, compute: float, pulled: int) -> dict:
+        """The :class:`~repro.ps.messages.WorkerReport` fields, as a dict."""
+        return {
+            "worker_id": worker_id,
+            "iterations": self.iterations,
+            "samples_processed": self.samples,
+            "total_wait_time": wait,
+            "total_compute_time": compute,
+            "mean_loss": self.loss / self.iterations if self.iterations else float("nan"),
+            "pushed_wire_bytes": self.wire_bytes,
+            "pushed_raw_bytes": self.raw_bytes,
+            "pulled_bytes": pulled,
+        }
+
+
+@dataclass(frozen=True)
 class Resume:
     """Where the server wants a worker to (re)start.
 
@@ -662,6 +718,7 @@ class WorkerLoop:
         self.completed = 0
         self._build = build
         self._drawn = 0
+        self._tally = Tally()  # of the current replica: a rebuild starts afresh
         self._profile = profile
         self._profiler = None
         self._exit_at = exit_at
@@ -728,6 +785,7 @@ class WorkerLoop:
             self.worker = self._build()
             self.worker.loader.skip(resume.clock * self.worker.micro_batches)
             self._drawn = resume.clock
+            self._tally = Tally()
         if self._profile and self._profiler is None:
             from repro.utils.profiler import LayerProfiler
 
@@ -759,7 +817,8 @@ class WorkerLoop:
                     return None
                 continue
             compute_start = time.monotonic()
-            computation = self.worker.compute_gradients()
+            step = replica_step(self.worker)
+            self._tally.add(step)
             self._drawn += 1
             if self.slowdown > 0:
                 time.sleep(self.slowdown)
@@ -768,7 +827,7 @@ class WorkerLoop:
             compute_elapsed = time.monotonic() - compute_start
             total_compute += compute_elapsed
 
-            flat, encoded, codec_name = self.worker.prepare_push(computation)
+            computation = step.computation
             header = {
                 # Sequence number = iteration index: a server that keeps
                 # per-worker watermarks applies a retransmission once.
@@ -777,9 +836,9 @@ class WorkerLoop:
                 "timestamp": time.monotonic() - start,
                 "loss": computation.loss,
                 "samples": computation.samples,
-                "codec": codec_name,
+                "codec": step.codec,
             }
-            if not link.push(header, computation, flat, encoded):
+            if not link.push(header, computation, step.flat, step.encoded):
                 return None
             if self._exit_after_push is not None and clock >= self._exit_after_push:
                 os._exit(1)  # test hook: die mid-protocol, push sent but no OK taken
@@ -804,18 +863,9 @@ class WorkerLoop:
         if self._profiler is not None:
             self._profiler.detach()
             profile = {"worker_id": self.worker_id, **self._profiler.as_dict()}
-        worker = self.worker
-        report = {
-            "worker_id": self.worker_id,
-            "iterations": worker.iterations,
-            "samples_processed": worker.samples_processed,
-            "total_wait_time": total_wait,
-            "total_compute_time": total_compute,
-            "mean_loss": worker.mean_loss,
-            "pushed_wire_bytes": worker.pushed_wire_bytes,
-            "pushed_raw_bytes": worker.pushed_raw_bytes,
-            "pulled_bytes": worker.pulled_bytes,
-        }
+        report = self._tally.report(
+            self.worker_id, wait=total_wait, compute=total_compute, pulled=self.worker.pulled_bytes
+        )
         link.done(report, profile)
         return report
 

@@ -1,16 +1,11 @@
 """Worker-side logic: a model replica bound to a data partition.
 
-A worker owns
-
-* a replica of the model,
-* its partition of the training data (served by a mini-batch loader), and
-* the version number of the global weights its replica currently holds.
-
-One call to :meth:`Worker.compute_gradients` performs the gradient
-computation of one iteration (optionally aggregating several micro-batches,
-which models the paper's "each worker sums the gradients of its 4 GPUs").
-The worker never updates weights itself — that is the server's job — so the
-same class is used by the threaded runtime and the simulator.
+A worker owns a replica of the model, its partition of the training data
+(a mini-batch loader) and the version of the global weights its replica
+holds.  :meth:`Worker.compute_gradients` is one iteration (optionally over
+several micro-batches: the paper's "each worker sums the gradients of its 4
+GPUs").  The server updates the weights, never the worker, so every runtime
+and the simulator use the same class.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.ps.messages import PullReply
-from repro.utils.serialization import scale_state
 
 __all__ = ["GradientComputation", "Worker"]
 
@@ -78,16 +72,8 @@ class Worker:
         if isinstance(entry, (Linear, Conv2d)):
             entry.input_grad_unused = True
         self._local_version = 0
-        self._iterations = 0
-        self._samples_processed = 0
-        self._loss_history: list[float] = []
-        # Push codec (attached via set_codec) and per-worker transfer
-        # accounting: wire bytes are what actually crossed the push/pull
-        # path (encoded sizes under a codec), raw bytes the dense size of
-        # the same gradients.
+        # Push bytes are counted per step (repro.ps.session.Tally).
         self._codec = None
-        self._pushed_wire_bytes = 0
-        self._pushed_raw_bytes = 0
         self._pulled_bytes = 0
         # Per-shard packed replica buffers (see attach_flat_layout); empty
         # until a runtime attaches the server's layout.
@@ -122,32 +108,27 @@ class Worker:
         self._local_version = int(version)
 
     def attach_flat_layout(
-        self, layouts, gradient_buffers: Mapping[int, np.ndarray] | None = None
+        self,
+        layouts,
+        gradient_buffers: Mapping[int, np.ndarray] | None = None,
+        weight_buffers: Mapping[int, np.ndarray] | None = None,
     ) -> None:
         """Repack the replica's parameters to mirror the server's flat layout.
 
         ``layouts`` is the store's ``flat_layouts``: per shard, the segments
         of its packed weight block.  Each parameter's ``data`` *and*
-        ``grad`` storage is rebound to views into worker-side flat buffers
-        with the same offsets, so
+        ``grad`` are rebound to views into per-shard flat buffers at the same
+        offsets, so a full pull (:class:`repro.ps.messages.FlatPullPayload`)
+        lands as one copy per shard (:meth:`load_reply`), and backward
+        accumulates the gradient straight into the packed buffers the server
+        applies with zero gather work.  Per-name delta loads write through
+        the views.
 
-        * a full pull that carries :class:`repro.ps.messages.FlatPullPayload`
-          entries lands as **one vectorized copy per shard** instead of one
-          copy per named tensor (see :meth:`load_reply`), and
-        * the backward pass accumulates the gradient directly into per-shard
-          packed buffers, which travel with the push as
-          ``PushRequest.flat_gradients`` — the server applies them with zero
-          gather work.
-
-        ``gradient_buffers`` optionally supplies the per-shard gradient
+        ``gradient_buffers`` / ``weight_buffers`` optionally supply that
         storage (shard index → float64 array of the shard's weight-block
-        size) instead of freshly allocated arrays.  The process runtime
-        passes views of a shared-memory *mailbox* here, making the pushed
-        gradient visible to the server process with zero serialization —
-        the backward pass writes straight into shared memory.
-
-        Per-name delta loads keep working unchanged — they simply write
-        through the views.
+        size): the process runtime passes its shared-memory mailbox as the
+        gradient, and the simulator's replica helpers share both.  A second
+        call moves the current values into the new storage.
         """
         parameters = dict(self.model.named_parameters())
         replicas: dict[int, np.ndarray] = {}
@@ -167,17 +148,17 @@ class Worker:
                         f"layout shape mismatch for {segment.name!r}: "
                         f"{parameters[segment.name].shape} vs {segment.shape}"
                     )
-            flat = np.empty(size, dtype=np.float64)
-            if gradient_buffers is not None:
-                flat_grad = gradient_buffers[int(shard_index)]
-                if flat_grad.shape != (size,) or flat_grad.dtype != np.float64:
+            flat, flat_grad = (
+                np.empty(size) if given is None else given[int(shard_index)]
+                for given in (weight_buffers, gradient_buffers)
+            )
+            for kind, buffer in (("weight", flat), ("gradient", flat_grad)):
+                if buffer.shape != (size,) or buffer.dtype != np.float64:
                     raise ValueError(
-                        f"gradient buffer for shard {shard_index} must be a "
+                        f"{kind} buffer for shard {shard_index} must be a "
                         f"float64 array of shape ({size},), got "
-                        f"{flat_grad.dtype} {flat_grad.shape}"
+                        f"{buffer.dtype} {buffer.shape}"
                     )
-            else:
-                flat_grad = np.empty(size, dtype=np.float64)
             for segment in segments:
                 parameter = parameters[segment.name]
                 flat[segment.lo : segment.hi] = parameter.data.ravel()
@@ -239,7 +220,7 @@ class Worker:
         self._codec = codec
 
     def prepare_push(self, computation: GradientComputation):
-        """Encode one iteration's gradients and account its wire bytes.
+        """Encode one iteration's gradients.
 
         Returns ``(flat_gradients, encoded_gradients, codec_name)`` ready
         to splice into a :class:`~repro.ps.messages.PushRequest`: without a
@@ -249,15 +230,6 @@ class Worker:
         """
         flat = computation.flat_gradients
         if self._codec is None:
-            if flat is not None:
-                raw = sum(buffer.nbytes for buffer in flat.values())
-            else:
-                raw = sum(
-                    np.asarray(grad).nbytes
-                    for grad in computation.gradients.values()
-                )
-            self._pushed_raw_bytes += raw
-            self._pushed_wire_bytes += raw
             return flat, None, None
         if flat is None:
             raise RuntimeError(
@@ -268,19 +240,7 @@ class Worker:
             self._codec.encode(int(shard), buffer)
             for shard, buffer in sorted(flat.items())
         )
-        self._pushed_raw_bytes += sum(buffer.nbytes for buffer in flat.values())
-        self._pushed_wire_bytes += sum(payload.nbytes for payload in encoded)
         return None, encoded, self._codec.name
-
-    @property
-    def pushed_wire_bytes(self) -> int:
-        """Gradient bytes shipped so far (encoded size under a codec)."""
-        return self._pushed_wire_bytes
-
-    @property
-    def pushed_raw_bytes(self) -> int:
-        """Dense size of the gradients shipped so far."""
-        return self._pushed_raw_bytes
 
     @property
     def pulled_bytes(self) -> int:
@@ -295,56 +255,18 @@ class Worker:
 
         The returned gradients are averaged over the micro-batches, matching
         the behaviour of a worker that averages the gradients produced by its
-        local GPUs before pushing.  With a packed replica attached, the
-        gradient accumulates directly into the per-shard flat buffers (the
-        backward pass writes through the rebound ``grad`` views), so no
-        per-name copies are made and the push carries the packed buffers.
-        """
-        if self._flat_gradients:
-            return self._compute_gradients_packed()
-        self.model.train(True)
-        accumulated: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        total_loss = 0.0
-        total_samples = 0
-        for _ in range(self.micro_batches):
-            inputs, labels = self.loader.next_batch()
-            self.model.zero_grad()
-            outputs = self.model.forward(inputs)
-            loss = self.loss_fn.forward(outputs, labels)
-            self.model.backward(self.loss_fn.backward())
-            gradients = self.model.gradients()
-            if not accumulated:
-                accumulated = gradients
-            else:
-                for name, grad in gradients.items():
-                    accumulated[name] = accumulated[name] + grad
-            total_loss += loss * inputs.shape[0]
-            total_samples += inputs.shape[0]
-
-        averaged = scale_state(accumulated, 1.0 / self.micro_batches)
-        self._iterations += 1
-        self._samples_processed += total_samples
-        mean_loss = total_loss / max(total_samples, 1)
-        self._loss_history.append(mean_loss)
-        return GradientComputation(
-            gradients=averaged,
-            buffers=self.model.buffers(),
-            loss=mean_loss,
-            samples=total_samples,
-            base_version=self._local_version,
-        )
-
-    def _compute_gradients_packed(self) -> GradientComputation:
-        """Packed-replica iteration: accumulate straight into flat buffers.
-
-        Backward accumulates parameter gradients in place, so running the
-        micro-batches without re-zeroing sums exactly the same contributions
-        the dict path sums from per-batch copies; one vectorized scaling per
-        shard then averages them.
+        local GPUs before pushing.  Backward accumulates in place, so the
+        micro-batches run without re-zeroing and one scaling averages them.
+        With a packed replica attached the gradient accumulates straight into
+        the per-shard flat buffers (the rebound ``grad`` views), and the push
+        carries those buffers; otherwise it is a copy per name.
         """
         self.model.train(True)
-        for buffer in self._flat_gradients.values():
+        packed = self._flat_gradients
+        for buffer in packed.values():
             buffer[...] = 0.0
+        if not packed:
+            self.model.zero_grad()
         total_loss = 0.0
         total_samples = 0
         for _ in range(self.micro_batches):
@@ -354,45 +276,16 @@ class Worker:
             self.model.backward(self.loss_fn.backward())
             total_loss += loss * inputs.shape[0]
             total_samples += inputs.shape[0]
+        gradients = self._gradient_views if packed else self.model.gradients()
         if self.micro_batches > 1:
             inverse = 1.0 / self.micro_batches
-            for buffer in self._flat_gradients.values():
+            for buffer in (packed or gradients).values():
                 buffer *= inverse
-        self._iterations += 1
-        self._samples_processed += total_samples
-        mean_loss = total_loss / max(total_samples, 1)
-        self._loss_history.append(mean_loss)
         return GradientComputation(
-            gradients=self._gradient_views,
+            gradients=gradients,
             buffers=self.model.buffers(),
-            loss=mean_loss,
+            loss=total_loss / max(total_samples, 1),
             samples=total_samples,
             base_version=self._local_version,
-            flat_gradients=self._flat_gradients,
+            flat_gradients=packed or None,
         )
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def iterations(self) -> int:
-        """Number of iterations (pushes) this worker has computed."""
-        return self._iterations
-
-    @property
-    def samples_processed(self) -> int:
-        """Total training samples consumed by this worker."""
-        return self._samples_processed
-
-    @property
-    def mean_loss(self) -> float:
-        """Mean training loss over all iterations so far."""
-        if not self._loss_history:
-            return float("nan")
-        return float(np.mean(self._loss_history))
-
-    def recent_loss(self, window: int = 10) -> float:
-        """Mean training loss over the last ``window`` iterations."""
-        if not self._loss_history:
-            return float("nan")
-        return float(np.mean(self._loss_history[-window:]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = ["EventKind", "Event", "EventQueue"]
@@ -19,8 +19,6 @@ class EventKind(Enum):
     """Types of events the training simulator schedules."""
 
     PUSH_ARRIVAL = "push_arrival"
-    WORKER_RELEASED = "worker_released"
-    EVALUATION = "evaluation"
 
 
 @dataclass(frozen=True, order=False)
@@ -30,7 +28,6 @@ class Event:
     time: float
     kind: EventKind
     worker_id: str | None = None
-    payload: dict = field(default_factory=dict)
 
 
 class EventQueue:

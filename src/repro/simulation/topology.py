@@ -59,6 +59,7 @@ __all__ = [
     "build_topology",
     "COMM_PATTERNS",
     "validate_comm_pattern",
+    "validate_ring",
     "ring_allreduce",
     "ring_allreduce_wire_bytes",
 ]
@@ -573,6 +574,24 @@ COMM_PATTERNS = Registry("comm_pattern", {
 })
 #: Normalize and validate a communication pattern name.
 validate_comm_pattern = COMM_PATTERNS.key
+
+
+def validate_ring(paradigm: str, num_workers: int, num_shards: int, **unsupported) -> None:
+    """Raise unless a run can cost ``comm_pattern="ring_allreduce"``: a
+    synchronous dense collective over fixed members, so BSP, at least 2
+    workers, one server shard and none of ``unsupported`` set."""
+    if paradigm != "bsp":
+        raise ValueError(
+            "comm_pattern 'ring_allreduce' is a synchronous collective; "
+            f"it requires paradigm 'bsp', got {paradigm!r}"
+        )
+    if num_workers < 2:
+        raise ValueError("ring allreduce needs at least 2 workers")
+    for name, value in unsupported.items():
+        if value:
+            raise ValueError(f"comm_pattern 'ring_allreduce' does not compose with {name}")
+    if num_shards != 1:
+        raise ValueError("ring allreduce requires a single server shard (num_shards=1)")
 
 
 def ring_allreduce_wire_bytes(payload_nbytes: float, num_workers: int) -> float:

@@ -6,32 +6,26 @@ The simulator runs the one server protocol — the same
 a :class:`VirtualClock` as the session's time source.  What is the
 simulator's own is *when* things happen, decided by a discrete-event loop:
 
-1. every worker starts by pulling the initial weights and schedules its
-   first *push arrival* after one simulated iteration time (compute time on
-   its device plus push/pull communication time on its link);
-2. the earliest push arrival is processed: the worker's gradient is computed
-   *for real* from its (possibly stale) local weights and handed to
-   ``session.push``, which applies it, lets the synchronization policy
-   decide whether the worker continues immediately or waits, and evaluates
-   the global model on the plan's cadence;
-3. released workers load the OK the session builds (``session.reply``:
-   a delta against a sharded store) and schedule their next push;
-   blocked workers are released (and their waiting time recorded) when a
-   later push — or a crash, ``session.leave`` — satisfies their condition;
-4. ``session.finish`` closes the run exactly as it closes a wall-clock one,
-   producing the accuracy-versus-virtual-time curves that correspond to the
-   paper's figures.
+1. every worker loads the initial weights and schedules its first *push
+   arrival* one simulated iteration later (compute time on its device plus
+   push/pull time on its link);
+2. at the earliest push arrival the worker's gradient — computed *for real*
+   from the weights of its last OK — goes to ``session.push``, which applies
+   it, lets the policy decide whether the worker continues or waits, and
+   evaluates the global model on the plan's cadence;
+3. a released worker loads the OK the session builds (``session.reply``)
+   and schedules its next push; a blocked one is released (its wait
+   recorded) when a later push or a crash (``session.leave``) allows;
+4. ``session.finish`` closes the run exactly as it closes a wall-clock one.
 
-The worker side is this event loop rather than a
-:class:`~repro.ps.session.WorkerLoop` over a link on purpose: a worker loop
-blocks in ``await_ok``, and a link whose wait cannot block would hide the
-very thing the simulator decides — the delivery time of every OK.
-
-Because gradients are real, stale updates genuinely perturb convergence —
-ASP pays an accuracy cost, BSP pays a time cost, and SSP/DSSP trade between
-them exactly as in the paper; because time is simulated, heterogeneous GPU
-clusters (Figure 4, Table I) can be reproduced deterministically on a
-laptop.
+The worker side is this loop, not a :class:`~repro.ps.session.WorkerLoop`,
+whose ``await_ok`` would hide what the simulator decides: when each OK is
+delivered.  Its steps are :func:`~repro.ps.session.replica_step`, run by a
+:class:`~repro.simulation.pool.ReplicaPool` anywhere between the OK and the
+push arrival — in forked helpers, bit for bit, when the run is long enough.
+Because gradients are real, stale updates genuinely perturb convergence;
+because time is simulated, heterogeneous clusters (Figure 4, Table I) are
+reproduced deterministically on a laptop.
 """
 
 from __future__ import annotations
@@ -56,15 +50,24 @@ from repro.metrics.tracker import ExperimentTracker
 from repro.nn.module import Module
 from repro.optim.schedules import MultiStepSchedule
 from repro.ps.faults import parse_fault_specs
-from repro.ps.session import ServerSession, TrainingPlan, TrainingResult, assemble, plan_codec
+from repro.ps.session import (
+    ServerSession,
+    Tally,
+    TrainingPlan,
+    TrainingResult,
+    assemble,
+    plan_codec,
+)
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.clock import VirtualClock
 from repro.simulation.events import Event, EventKind, EventQueue
+from repro.simulation.pool import ReplicaPool
 from repro.simulation.topology import (
     Topology,
     TopologyTimeModel,
     build_topology,
     validate_comm_pattern,
+    validate_ring,
     validate_topology_spec,
 )
 from repro.simulation.trace import SimulationTrace
@@ -81,117 +84,70 @@ _LOGGER = get_logger("simulation.trainer")
 class SimulationConfig:
     """Configuration of one simulated training run.
 
+    The fields :meth:`plan` passes on — paradigm and its kwargs, batch
+    size, SGD hyper-parameters, ``dtype``, ``compression``, ``aggregation``,
+    ``faults`` and ``seed`` — mean what they mean in
+    :class:`~repro.ps.session.TrainingPlan`.  A crash fault deregisters the
+    worker at its fault clock; a flaky one multiplies its iteration time by
+    ``scale`` in slow phases; a codec's push is charged its wire fraction of
+    the dense payload.
+
     Attributes
     ----------
     cluster:
         The simulated machines (device profiles, network links, GPUs per
         worker).
-    paradigm, paradigm_kwargs:
-        Synchronization paradigm name and its parameters.
-    epochs:
-        Epoch budget (the paper trains for 300 epochs; the offline defaults
-        are smaller).  How the budget is accounted is controlled by
-        ``epoch_accounting``.
-    epoch_accounting:
-        ``"global"`` (default): training stops once the server has applied
-        ``epochs * len(train) / batch_size`` updates in total, regardless of
-        which workers produced them — on a heterogeneous cluster fast
-        workers therefore contribute more updates and asynchronous-like
-        paradigms finish earlier, as in the paper's Figure 4.
-        ``"per_worker"``: every worker performs exactly its own share of
-        iterations (strict data-parallel epochs); total training time is then
-        gated by the slowest worker for every paradigm.
-    batch_size:
-        Mini-batch size per worker iteration.
-    learning_rate, momentum, weight_decay:
-        Server-side SGD hyper-parameters.
+    epochs, epoch_accounting:
+        Epoch budget (the paper trains 300).  ``"global"`` (default) stops
+        once the server has applied ``epochs * len(train) / batch_size``
+        updates, whoever produced them — fast workers contribute more and
+        asynchronous-like paradigms finish earlier, as in Figure 4.
+        ``"per_worker"``: every worker runs exactly its own share, so the
+        slowest worker gates every paradigm.
     lr_milestones, lr_decay:
-        Epoch milestones at which the learning rate is multiplied by
-        ``lr_decay`` (the paper uses milestones (200, 250) with decay 0.1).
+        Epochs at which the learning rate is multiplied by ``lr_decay``
+        (the paper: (200, 250) and 0.1).
     evaluate_every_updates:
-        Evaluate the global model every N server updates; <= 0 evaluates
-        only at the start and end.
+        Evaluate every N server updates; <= 0 only at the start and end.
     max_updates:
-        Optional hard cap on the number of server updates (safety valve for
-        benchmarks).
+        Optional hard cap on the number of server updates.
     time_scale:
         Uniform stretch applied to all simulated durations.
     timing_jitter:
-        Whether per-iteration times receive random jitter (kept on for
-        realism; turn off for exactly reproducible timing analyses).
-    timing_cost:
-        Optional :class:`repro.simulation.workload.ModelCost` used for the
-        *time* components only.  The experiment harness passes the cost of
-        the paper-scale architecture here while training a scaled-down model,
-        so the compute-to-communication ratio (which drives the paradigms'
-        relative behaviour) matches the paper's hardware even though the
-        arithmetic runs on a smaller network.  When ``None`` the cost is
-        estimated from the trained model itself.
-    timing_batch_size:
-        Mini-batch size used for the *time* components only (the paper uses
-        128); defaults to ``batch_size`` when ``None``.
+        Whether per-iteration times receive random jitter (off for exactly
+        reproducible timing analyses).
+    timing_cost, timing_batch_size:
+        The :class:`repro.simulation.workload.ModelCost` and batch size the
+        *time* components use (default: estimated from the trained model,
+        and ``batch_size``).  The harness passes the paper-scale
+        architecture's, so the compute-to-communication ratio matches the
+        paper's hardware while a scaled-down model does the arithmetic.
     slowdown_schedule:
-        Optional callable ``(worker_id, virtual_time) -> multiplier`` applied
-        to that worker's next iteration time.  Models unstable environments
-        (fluctuating network, transient stragglers) — the scenario the paper
-        lists as future work; see
-        :func:`repro.experiments.ablations.fluctuating_environment_ablation`.
-    num_server_shards:
-        Number of shards the store
-        (:class:`repro.ps.sharding.ShardedKeyValueStore`) splits the model
-        across.  With more than 1 (the default) workers pull copy-on-write
-        deltas, and the simulated push/pull time is gated by the
-        most-loaded shard instead of the full payload (parallel per-shard
-        transfers).
-    shard_strategy:
-        Key partitioning strategy for the sharded store (``"size"`` or
-        ``"hash"``).
-    dtype:
-        Element dtype of the server-held weights (``"float64"`` or
-        ``"float32"``).
-    compression:
-        Optional push codec spec (e.g. ``"topk:0.01"``; see
-        :mod:`repro.ps.compression`).  Workers encode their real gradients
-        (so sparsification genuinely perturbs convergence, as in Figure 3)
-        and the virtual clock charges the *push* leg of every iteration for
-        the codec's wire fraction of the dense payload instead of the full
-        parameter bytes.
-    aggregation:
-        Optional server-side aggregator spec (e.g. ``"trimmed_mean:1"``;
-        see :mod:`repro.ps.aggregation`).  ``None``/``"mean"`` keep the
-        immediate-apply path; robust aggregators buffer each clock window
-        of pushes before applying their combination as one update.
-    faults:
-        Optional chaos plan — per-worker fault entries as in
-        :mod:`repro.ps.faults`.  Crashes deregister the worker at its fault
-        clock (the policy re-bounds, exactly as for a real death), gradient
-        corruption is injected at the server boundary, and flaky workers
-        have their iteration time multiplied by ``scale`` during slow
-        phases.  Every fault draws from the run's named RNG streams, so a
-        chaos run replays identically from the seed.
+        Optional ``(worker_id, virtual_time) -> multiplier`` on that
+        worker's next iteration time: fluctuating networks and transient
+        stragglers, the paper's future work (see
+        :func:`repro.experiments.ablations.fluctuating_environment_ablation`).
+    num_server_shards, shard_strategy:
+        Shards of the store (:class:`repro.ps.sharding.ShardedKeyValueStore`)
+        and their key partitioning (``"size"`` or ``"hash"``).  With more
+        than one, workers pull copy-on-write deltas and the most-loaded
+        shard gates the simulated push/pull.
     topology:
-        Network topology for the *time* components: a preset name
-        (``"flat"``, ``"two-rack"``, ``"tail-heavy"``), an inline topology
-        dict, or a prebuilt :class:`repro.simulation.topology.Topology`.
-        ``None`` means ``"flat"``: one private link per worker, built from
-        that worker's own :class:`NetworkModel`.  Shared rack uplinks queue
-        transfers FIFO, and every queueing delay lands in
-        ``SimulationResult.queue_trace``.
+        A preset name (``"flat"``, ``"two-rack"``, ``"tail-heavy"``), an
+        inline topology dict or a :class:`repro.simulation.topology.Topology`
+        for the *time* components.  ``None`` means ``"flat"``: one private
+        link per worker, from its own :class:`NetworkModel`.  Shared uplinks
+        queue FIFO, and every delay lands in ``SimulationResult.queue_trace``.
     comm_pattern:
-        ``"ps"`` (default): every iteration pays a push and a pull on the
-        worker's server path.  ``"ring_allreduce"``: workers exchange
-        ``2*(n-1)`` chunked ring steps per synchronous round instead;
-        requires the BSP paradigm (the ring is a synchronous collective),
-        a single server shard, and no compression/aggregation/faults.  The
-        gradient *math* still flows through the parameter server (whose
-        sequential sum a ring reduce-scatter reproduces bit-for-bit on
-        identical pushes); only the costed time and wire bytes change.
+        ``"ps"`` (default): a push and a pull per iteration.
+        ``"ring_allreduce"``: ``2*(n-1)`` chunked ring steps per BSP round
+        (:func:`~repro.simulation.topology.validate_ring` lists what it
+        excludes).  The gradient math still flows through the server, whose
+        sequential sum a ring reduce-scatter reproduces bit for bit; only
+        the costed time and wire bytes change.
     profile:
-        Attach a per-layer forward/backward profiler
-        (:class:`repro.utils.profiler.LayerProfiler`) to the first worker's
-        replica and record the breakdown in ``SimulationResult.profile``.
-    seed:
-        Master seed controlling data order, initialization and jitter.
+        Attach a :class:`repro.utils.profiler.LayerProfiler` to the first
+        worker's replica and record it in ``SimulationResult.profile``.
     """
 
     cluster: ClusterSpec
@@ -233,30 +189,14 @@ class SimulationConfig:
                 "use num_server_shards=1 with a topology"
             )
         if self.comm_pattern == "ring_allreduce":
-            if self.paradigm != "bsp":
-                raise ValueError(
-                    "comm_pattern 'ring_allreduce' is a synchronous collective; "
-                    f"it requires paradigm 'bsp', got {self.paradigm!r}"
-                )
-            if self.cluster.num_workers < 2:
-                raise ValueError("ring allreduce needs at least 2 workers")
-            if self.compression is not None:
-                raise ValueError(
-                    "comm_pattern 'ring_allreduce' does not compose with push "
-                    "compression (the ring exchanges dense chunks)"
-                )
-            if self.aggregation is not None:
-                raise ValueError(
-                    "comm_pattern 'ring_allreduce' does not compose with robust "
-                    "aggregation (the ring sums all contributions)"
-                )
-            if self.faults:
-                raise ValueError(
-                    "comm_pattern 'ring_allreduce' does not compose with fault "
-                    "injection (a ring has no elastic membership)"
-                )
-            if self.num_server_shards != 1:
-                raise ValueError("ring allreduce requires num_server_shards=1")
+            validate_ring(
+                self.paradigm,
+                self.cluster.num_workers,
+                self.num_server_shards,
+                compression=self.compression,
+                aggregation=self.aggregation,
+                faults=self.faults,
+            )
         if self.cluster.worker_ids != [f"worker-{i}" for i in range(self.cluster.num_workers)]:
             raise ValueError(
                 "the simulator runs the shared training plan, whose workers are named "
@@ -427,21 +367,15 @@ class SimulatedTraining:
         )
         timing_rng = RngStream(config.seed).get("timing") if config.timing_jitter else None
 
-        partition_size = len(train_dataset) // config.cluster.num_workers
-        iterations_per_worker = max(
-            1, int(np.ceil(config.epochs * partition_size / config.batch_size))
-        )
-        total_update_budget = max(
-            1, int(np.ceil(config.epochs * len(train_dataset) / config.batch_size))
-        )
         if config.epoch_accounting == "global":
             # Workers keep iterating until the global update budget is spent;
             # a fast worker may contribute more updates than its own share.
-            quota = dict.fromkeys(workers, total_update_budget)
-            max_updates = config.max_updates or total_update_budget
+            quota = max(1, int(np.ceil(config.epochs * len(train_dataset) / config.batch_size)))
+            max_updates = config.max_updates or quota
         else:
-            quota = dict.fromkeys(workers, iterations_per_worker)
-            max_updates = config.max_updates or (iterations_per_worker * len(workers))
+            partition_size = len(train_dataset) // config.cluster.num_workers
+            quota = max(1, int(np.ceil(config.epochs * partition_size / config.batch_size)))
+            max_updates = config.max_updates or (quota * len(workers))
 
         clock = VirtualClock()
         queue = EventQueue()
@@ -466,9 +400,8 @@ class SimulatedTraining:
 
         blocked_since: dict[str, float] = {}
         wait_time = dict.fromkeys(workers, 0.0)
-        iterations_done = dict.fromkeys(workers, 0)
-        loss_sum = dict.fromkeys(workers, 0.0)
-        samples_processed = 0
+        # Reports count the steps whose pushes landed, not those run ahead.
+        tallies = {worker_id: Tally() for worker_id in workers}
         fault_plan = parse_fault_specs(plan.faults, plan.worker_ids)
         crash_at = fault_plan.crash_at()
 
@@ -477,7 +410,7 @@ class SimulatedTraining:
                 config.cluster.worker(worker_id),
                 rng=timing_rng,
                 now=now,
-                round_index=iterations_done[worker_id],
+                round_index=tallies[worker_id].iterations,
             )
             if config.slowdown_schedule is not None:
                 factor = float(config.slowdown_schedule(worker_id, now))
@@ -488,16 +421,21 @@ class SimulatedTraining:
                     )
                 duration *= factor
             flaky = fault_plan.flaky_for(worker_id)
-            if flaky is not None and flaky.slow(iterations_done[worker_id]):
+            if flaky is not None and flaky.slow(tallies[worker_id].iterations):
                 duration *= flaky.scale
             return duration
+
+        def schedule(worker_id: str, now: float) -> None:
+            """The replica holds its OK: its next push arrives one iteration later."""
+            arrival = now + iteration_time(worker_id, now)
+            queue.push(Event(time=arrival, kind=EventKind.PUSH_ARRIVAL, worker_id=worker_id))
+            pool.submit(worker_id)
 
         def resume(worker_id: str, now: float) -> None:
             """Deliver an OK (the session's reply), schedule the next push."""
             workers[worker_id].load_reply(session.reply(worker_id).pull)
-            if iterations_done[worker_id] < quota[worker_id]:
-                arrival = now + iteration_time(worker_id, now)
-                queue.push(Event(time=arrival, kind=EventKind.PUSH_ARRIVAL, worker_id=worker_id))
+            if tallies[worker_id].iterations < quota:
+                schedule(worker_id, now)
 
         def release(worker_ids, now: float) -> None:
             """Previously blocked workers get their OK; their wait ends now."""
@@ -507,110 +445,90 @@ class SimulatedTraining:
                 trace.record(now, "release", worker_id=worker_id, wait_time=waited)
                 resume(worker_id, now)
 
-        # Initial pulls and first pushes.  One pull per worker: replies are
-        # consumed (and their copy-on-write leases released) by load_reply,
-        # so a shared reply must not outlive the first consumer.
-        for worker_id, worker in workers.items():
-            worker.load_reply(session.reply(worker_id, welcome=True).pull)
-            queue.push(
-                Event(
-                    time=iteration_time(worker_id, 0.0),
-                    kind=EventKind.PUSH_ARRIVAL,
-                    worker_id=worker_id,
+        # Replica steps run between a worker's OK and its push arrival, in
+        # forked helpers when the run is long enough to repay them.
+        with ReplicaPool(workers, store.flat_layouts, max_updates, profiler) as pool:
+            # Initial pulls and first pushes.  One pull per worker: replies are
+            # consumed (and their copy-on-write leases released) by load_reply,
+            # so a shared reply must not outlive the first consumer.
+            for worker_id, worker in workers.items():
+                worker.load_reply(session.reply(worker_id, welcome=True).pull)
+                schedule(worker_id, 0.0)
+            session.evaluate(0.0)
+            session.start()
+
+            while queue and store.version < max_updates:
+                event = queue.pop()
+                now = clock.advance_to(event.time)
+                worker_id = event.worker_id
+                crash_clock = crash_at.get(worker_id)
+                if crash_clock is not None and tallies[worker_id].iterations >= crash_clock:
+                    # The worker dies at its fault clock: its push never lands,
+                    # any staged (unapplied) contribution is rejected, and the
+                    # policy re-bounds exactly as for a real runtime death.
+                    trace.record(now, "crash", worker_id=worker_id)
+                    release(session.leave(worker_id, time=now), now)
+                    continue
+                step = pool.collect(worker_id)
+                computation = step.computation
+                tallies[worker_id].add(step)
+                samples = sum(tally.samples for tally in tallies.values())
+                server.set_progress(samples / max(len(train_dataset), 1))
+                header = {
+                    "base_version": computation.base_version,
+                    "timestamp": now,
+                    "loss": computation.loss,
+                    "codec": step.codec,
+                }
+                response = session.push(
+                    worker_id,
+                    header,
+                    flat=step.flat,
+                    encoded=step.encoded,
+                    buffers=computation.buffers,
                 )
-            )
-        session.evaluate(0.0)
-        session.start()
+                tracker.record("train_loss", now, computation.loss, step=store.version)
+                trace.record(
+                    now,
+                    "push",
+                    worker_id=worker_id,
+                    staleness=response.staleness,
+                    version=response.new_version,
+                )
+                if response.release_now:
+                    resume(worker_id, now)
+                else:
+                    blocked_since[worker_id] = now
+                    trace.record(now, "block", worker_id=worker_id)
+                release(response.released_workers, now)
 
-        while queue and store.version < max_updates:
-            event = queue.pop()
-            now = clock.advance_to(event.time)
-            if event.kind is not EventKind.PUSH_ARRIVAL:
-                continue
-            worker_id = event.worker_id
-            crash_clock = crash_at.get(worker_id)
-            if crash_clock is not None and iterations_done[worker_id] >= crash_clock:
-                # The worker dies at its fault clock: its push never lands,
-                # any staged (unapplied) contribution is rejected, and the
-                # policy re-bounds exactly as for a real runtime death.
-                trace.record(now, "crash", worker_id=worker_id)
-                release(session.leave(worker_id, time=now), now)
-                continue
-            worker = workers[worker_id]
+            profile = pool.profile
 
-            computation = worker.compute_gradients()
-            samples_processed += computation.samples
-            server.set_progress(samples_processed / max(len(train_dataset), 1))
-
-            flat, encoded, codec_name = worker.prepare_push(computation)
-            header = {
-                "base_version": computation.base_version,
-                "timestamp": now,
-                "loss": computation.loss,
-                "codec": codec_name,
-            }
-            response = session.push(
-                worker_id,
-                header,
-                named=computation.gradients,
-                flat=flat,
-                encoded=encoded,
-                buffers=computation.buffers,
-            )
-            iterations_done[worker_id] += 1
-            loss_sum[worker_id] += computation.loss
-            tracker.record("train_loss", now, computation.loss, step=store.version)
-            trace.record(
-                now,
-                "push",
-                worker_id=worker_id,
-                staleness=response.staleness,
-                version=response.new_version,
-            )
-            if response.release_now:
-                resume(worker_id, now)
-            else:
-                blocked_since[worker_id] = now
-                trace.record(now, "block", worker_id=worker_id)
-            release(response.released_workers, now)
-
-        # Any still-blocked workers are released at the end of the run so
-        # their waiting time up to the final event is accounted for.
+        # Workers still blocked at the end have waited until the final event.
         final_time = clock.now
         for worker_id, since in blocked_since.items():
             wait_time[worker_id] += final_time - since
-        profiles = {}
         if profiler is not None:
             profiler.detach()
-            profiled = replicas[0].worker_id
-            profiles[profiled] = {"worker_id": profiled, **profiler.as_dict()}
-        ring = config.comm_pattern == "ring_allreduce"
+            profile = {"worker_id": replicas[0].worker_id, **profile}
         for worker_id, worker in workers.items():
-            done = iterations_done[worker_id]
-            report = {
-                "worker_id": worker_id,
-                "iterations": done,
-                "samples_processed": worker.samples_processed,
-                "total_wait_time": wait_time[worker_id],
-                # The simulator does not decompose per-worker busy time, so
-                # "compute" is everything that was not synchronization
-                # waiting (iteration compute plus communication).
-                "total_compute_time": max(final_time - wait_time[worker_id], 0.0),
-                "mean_loss": loss_sum[worker_id] / done if done else 0.0,
-                "pushed_wire_bytes": worker.pushed_wire_bytes,
-                "pushed_raw_bytes": worker.pushed_raw_bytes,
-                "pulled_bytes": worker.pulled_bytes,
-            }
-            if ring:
-                # Model-costed ring accounting: each round wires
-                # 2*(n-1)/n * payload per worker and pulls nothing from a
-                # server (the substrate's PS transfers never happen on the
-                # simulated wire).  Raw bytes stay the dense payload.
+            done = tallies[worker_id].iterations
+            # "Compute" is everything that was not synchronization waiting:
+            # the simulator does not split a worker's busy time.
+            report = tallies[worker_id].report(
+                worker_id,
+                wait=wait_time[worker_id],
+                compute=max(final_time - wait_time[worker_id], 0.0),
+                pulled=worker.pulled_bytes,
+            )
+            if config.comm_pattern == "ring_allreduce":
+                # Model-costed: 2*(n-1)/n * payload per round on the wire and
+                # no server pulls; raw bytes stay the dense payload.
                 ring_wire = time_model.ring_wire_bytes_per_iteration()
                 report["pushed_wire_bytes"] = int(round(done * ring_wire))
                 report["pushed_raw_bytes"] = int(round(done * float(cost.parameter_bytes)))
                 report["pulled_bytes"] = 0
-            session.done(worker_id, report, profile=profiles.get(worker_id))
+            session.done(worker_id, report, profile=profile if worker is replicas[0] else None)
         # The shared end of run: the buffered aggregator's tail window, then
         # the final evaluation (skipped when one already sits at this instant).
         result = session.finish()

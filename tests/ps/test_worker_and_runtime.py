@@ -17,7 +17,7 @@ from repro.api import ClusterConfig, ExperimentSpec, run_experiment
 from repro.ps.coordinator import DistributedTrainingConfig
 from repro.ps.runtime import ThreadedTrainer
 from repro.ps.server import ParameterServer
-from repro.ps.session import assemble
+from repro.ps.session import Tally, assemble, replica_step
 from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
 
@@ -47,14 +47,12 @@ class TestWorker:
         assert set(computation.gradients) == set(dict(worker.model.named_parameters()))
         assert computation.samples == 16
         assert np.isfinite(computation.loss)
-        assert worker.iterations == 1
 
     def test_micro_batches_average_gradients(self, tiny_flat_datasets):
         train, _ = tiny_flat_datasets
         worker = make_worker(train, micro_batches=3)
         computation = worker.compute_gradients()
         assert computation.samples == 48
-        assert worker.samples_processed == 48
 
     def test_load_weights_updates_version_and_values(self, tiny_flat_datasets):
         train, _ = tiny_flat_datasets
@@ -85,12 +83,18 @@ class TestWorker:
 
     def test_loss_history_statistics(self, tiny_flat_datasets):
         train, _ = tiny_flat_datasets
-        worker = make_worker(train)
-        assert np.isnan(worker.mean_loss)
-        worker.compute_gradients()
-        worker.compute_gradients()
-        assert np.isfinite(worker.mean_loss)
-        assert np.isfinite(worker.recent_loss())
+        worker = make_worker(train, micro_batches=3)
+        tally = Tally()
+        assert np.isnan(tally.report("w0", wait=0.0, compute=0.0, pulled=0)["mean_loss"])
+        steps = [replica_step(worker) for _ in range(2)]
+        for step in steps:
+            tally.add(step)
+        report = tally.report("w0", wait=0.0, compute=0.0, pulled=0)
+        losses = [step.computation.loss for step in steps]
+        assert report["mean_loss"] == (0.0 + losses[0] + losses[1]) / 2
+        assert (report["iterations"], report["samples_processed"]) == (2, 96)
+        dense = sum(parameter.data.nbytes for _, parameter in worker.model.named_parameters())
+        assert report["pushed_raw_bytes"] == report["pushed_wire_bytes"] == 2 * dense
 
     def test_invalid_micro_batches(self, tiny_flat_datasets):
         train, _ = tiny_flat_datasets

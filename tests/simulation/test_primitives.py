@@ -70,7 +70,7 @@ class TestEventQueue:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            EventQueue().push(Event(time=-1.0, kind=EventKind.EVALUATION))
+            EventQueue().push(Event(time=-1.0, kind=EventKind.PUSH_ARRIVAL))
 
 
 class TestDeviceProfiles:

@@ -8,7 +8,7 @@ Results are recorded to ``BENCH_hotpath.json`` at the repository root so the
 repo tracks the perf trajectory across PRs.
 
 The dict baseline below is a deliberate copy of the pre-flat-buffer seed
-implementation (``KeyValueStore.pull`` deep-copying every array; ``SGD``
+implementation (the seed store's ``pull`` deep-copying every array; ``SGD``
 looping name by name with fresh temporaries), kept here so the comparison
 survives the very refactor it measures.
 
@@ -170,10 +170,7 @@ def time_flat(parameters, gradients, num_shards: int, rounds: int) -> dict:
     step_store = make_store(parameters, num_shards=num_shards, dtype=STORE_DTYPE)
     step_opt = SGD(LEARNING_RATE, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY)
     step_packed = pack_gradients(step_store, gradients)
-    shards = (
-        [(0, step_store._flat)] if num_shards == 1
-        else [(shard.index, shard.flat) for shard in step_store._shards]
-    )
+    shards = [(shard.index, shard.flat) for shard in step_store._shards]
     start = time.perf_counter()
     for _ in range(rounds):
         step_opt.step_flat(

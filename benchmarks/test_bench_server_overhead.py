@@ -4,8 +4,8 @@ The paper's DSSP adds work to the parameter server (clock bookkeeping and
 the synchronization controller); these benchmarks quantify that overhead per
 push for every paradigm and the cost of a full push (policy decision plus
 SGD weight update) on a realistically sized parameter set — plus the pull
-path: the sharded store's copy-on-write delta pulls versus the monolithic
-store's full-model deep copies.
+path: copy-on-write pulls that resend only the shards moved since the
+puller's base, on eight shards versus one.
 """
 
 import numpy as np
@@ -13,10 +13,9 @@ import pytest
 
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
-from repro.ps.kvstore import KeyValueStore
 from repro.ps.server import ParameterServer
 from repro.ps.session import ServerSession
-from repro.ps.sharding import ShardedKeyValueStore
+from repro.ps.sharding import ShardedKeyValueStore, make_store
 
 
 def resnet_scale_weights(layers=10):
@@ -67,7 +66,7 @@ def test_full_push_with_sgd_update(benchmark):
     """One push against a ~1.7M-parameter store (ResNet-110 sized payload)."""
     rng = np.random.default_rng(0)
     weights = resnet_scale_weights()
-    store = KeyValueStore(initial_weights=weights)
+    store = make_store(weights)
     server = ParameterServer(
         store=store,
         optimizer=SGD(learning_rate=0.05, momentum=0.9),
@@ -92,15 +91,15 @@ def test_full_push_with_sgd_update(benchmark):
 def test_pull_latency(benchmark, layout):
     """Time of one pull when only one of ten tensors is dirty per interval.
 
-    The monolithic store deep-copies the full ~13 MB model on every pull;
-    the sharded store hands out copy-on-write views and, given the puller's
-    known version, re-sends only the dirtied tensor.
+    Both stores hand out copy-on-write views of the shards that moved since
+    the puller's known version: the monolithic store's one shard is the
+    full ~13 MB model, the sharded store's is the dirtied tensor's shard.
     """
     weights = resnet_scale_weights()
     if layout == "sharded":
         store = ShardedKeyValueStore(initial_weights=weights, num_shards=8)
     else:
-        store = KeyValueStore(initial_weights=weights)
+        store = make_store(weights)
     optimizer = SGD(learning_rate=0.05)
     name = next(iter(weights))
     gradient = {name: np.ones(weights[name].shape)}
@@ -118,9 +117,9 @@ def test_pull_latency(benchmark, layout):
 
 def test_cow_delta_pull_copies_fewer_bytes():
     """Acceptance check: with few dirty keys the sharded copy-on-write pull
-    moves >= 2x fewer bytes than the monolithic full-model deep copy."""
+    moves >= 2x fewer bytes than the monolithic store's full-model pull."""
     weights = resnet_scale_weights()
-    mono = KeyValueStore(initial_weights=weights)
+    mono = make_store(weights)
     sharded = ShardedKeyValueStore(initial_weights=weights, num_shards=8)
     mono_opt, shard_opt = SGD(0.05), SGD(0.05)
 
@@ -131,10 +130,11 @@ def test_cow_delta_pull_copies_fewer_bytes():
     mono.apply_gradients(gradient, mono_opt)
     sharded.apply_gradients(gradient, shard_opt)
 
-    full_reply = mono.pull(known_version=known)   # monolithic ignores it
+    full_reply = mono.pull(known_version=known)   # its one shard moved: all of it
     delta_reply = sharded.pull(known_version=known)
-    assert not full_reply.is_delta and delta_reply.is_delta
-    assert set(delta_reply.weights) == {name}
-    assert delta_reply.nbytes * 2 <= full_reply.nbytes
-    # With 1 of 10 equal tensors dirty the delta is a tenth of the payload.
-    assert delta_reply.nbytes == full_reply.nbytes // 10
+    shard = sharded.shard_of(name)
+    assert set(delta_reply.weights) == {n for n in weights if sharded.shard_of(n) == shard}
+    assert delta_reply.wire_nbytes * 2 <= full_reply.wire_nbytes
+    # The delta is the dirtied tensor's whole shard (here two of the ten
+    # equal tensors: layer0 and layer8 share it).
+    assert delta_reply.wire_nbytes == sharded.shard_nbytes[shard]

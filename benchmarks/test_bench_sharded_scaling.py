@@ -3,9 +3,9 @@
 Sweeps shard counts (1/2/4/8) against pushing-worker counts on a
 ResNet-scale parameter set and records push throughput plus pull payloads to
 ``BENCH_sharded_scaling.json`` at the repository root, so the repo tracks a
-perf trajectory across PRs.  Shard count 1 is the monolithic
-``KeyValueStore`` driven through the globally locked path — the baseline the
-sharded configurations are compared against.
+perf trajectory across PRs.  Shard count 1 is the monolithic one-shard
+store driven through the globally locked path — the baseline the sharded
+configurations are compared against.
 
 Run directly (``pytest benchmarks/test_bench_sharded_scaling.py -s``) or as
 part of the benchmark suite; the quick CI mode keeps the sweep small.
@@ -22,8 +22,7 @@ import pytest
 
 from benchmarks.conftest import RECORDING, record_result
 from repro.optim.sgd import SGD
-from repro.ps.kvstore import KeyValueStore
-from repro.ps.sharding import ShardedKeyValueStore
+from repro.ps.sharding import make_store
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sharded_scaling.json"
 
@@ -38,9 +37,7 @@ def build_store(num_shards: int):
     weights = {
         f"layer{i}.weight": rng.normal(size=(200, 430)) for i in range(LAYERS)
     }
-    if num_shards == 1:
-        return KeyValueStore(initial_weights=weights)
-    return ShardedKeyValueStore(initial_weights=weights, num_shards=num_shards)
+    return make_store(weights, num_shards=num_shards)
 
 
 def drive(store, num_workers: int) -> dict:
@@ -73,7 +70,7 @@ def drive(store, num_workers: int) -> dict:
                         store.apply_gradients(gradient, optimizer)
                 reply = store.pull(known_version=known)
                 known = reply.version
-                pulled += reply.nbytes
+                pulled += reply.wire_nbytes
                 # A real worker copies the payload into its replica and
                 # releases the copy-on-write lease (Worker.load_reply); an
                 # unreleased lease would charge every push a full-shard copy.

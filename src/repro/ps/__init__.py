@@ -9,9 +9,10 @@ This subpackage provides that framework built from scratch:
 
 * :class:`ShardedKeyValueStore` / :class:`ShardRouter` — versioned
   storage of the global weights, partitioned across key-routed shards with
-  per-shard version counters and copy-on-write (delta) pulls.  It is the
-  one store: :class:`KeyValueStore` constructs it over a single heap
-  shard, :class:`SharedFlatStore` over shards in shared memory.
+  per-shard version counters and copy-on-write pulls that resend only the
+  shards that moved since the puller's base.  It is the one store:
+  :func:`make_store` builds it on the heap (one shard is a monolithic
+  store), :class:`SharedFlatStore` over shards in shared memory.
 * :class:`ParameterServer` — applies pushed gradients with an optimizer and
   consults a :class:`repro.core.SynchronizationPolicy` to decide when each
   worker receives the OK signal.
@@ -35,7 +36,6 @@ This subpackage provides that framework built from scratch:
 """
 
 from repro.ps.flatbuffer import FlatLayout, FlatShard, FlatUpdate, Segment
-from repro.ps.kvstore import KeyValueStore
 from repro.ps.sharding import ShardRouter, ShardedKeyValueStore, make_store
 from repro.ps.messages import (
     PushRequest,
@@ -96,7 +96,6 @@ __all__ = [
     "FlatShard",
     "FlatUpdate",
     "Segment",
-    "KeyValueStore",
     "ShardRouter",
     "ShardedKeyValueStore",
     "make_store",

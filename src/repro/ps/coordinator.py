@@ -39,9 +39,8 @@ class DistributedTrainingConfig(TrainingPlan):
     num_shards:
         Number of shards the one store
         (:class:`repro.ps.sharding.ShardedKeyValueStore`) partitions the
-        keys across.  With 1 (the default) pushes are applied serially and
-        every pull carries the full model; more lets pushes to disjoint
-        shards run concurrently and serves copy-on-write delta pulls.
+        keys across.  With 1 (the default) pushes are applied serially;
+        more lets pushes to disjoint shards run concurrently.
     shard_strategy:
         Key partitioning strategy, ``"size"`` (balanced) or ``"hash"``.
     """

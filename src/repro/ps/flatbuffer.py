@@ -376,7 +376,7 @@ class FlatShard:
     def mark_mutated(self) -> None:
         """Signal a completed write to readers that poll for changes.
 
-        Nothing to do on the heap — threads read the store's per-key stamps;
+        Nothing to do on the heap — threads read the store's shard stamps;
         the shared-memory shard bumps a counter other processes can see.
         """
 

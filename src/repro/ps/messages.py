@@ -96,30 +96,28 @@ class FlatPullPayload:
 class PullReply:
     """Snapshot of the global weights returned to a worker.
 
-    When ``is_delta`` is true the mappings contain only the entries updated
-    after the requesting worker's ``known_version``; loading them on top of
-    the worker's current replica reconstructs the state at ``version``.
+    The mappings hold the entries of the shards that moved since the
+    requesting worker's ``known_version`` (every entry for a worker that
+    knows nothing); loading them on top of the worker's current replica
+    reconstructs the state at ``version``.
 
     ``flat_weights`` optionally carries the same weight payload as
-    ``weights`` packed one-buffer-per-shard (full pulls from flat stores
-    attach it); it is an alternative encoding, not extra data, so it does
-    not count towards :attr:`nbytes`.
+    ``weights`` packed one-buffer-per-shard; it is an alternative encoding,
+    not extra data.
     """
 
     weights: Mapping[str, np.ndarray]
     buffers: Mapping[str, np.ndarray]
     version: int
-    is_delta: bool = False
+    #: Bytes this reply moves over the pull path, precomputed by its
+    #: builder so per-worker transfer accounting never walks the lazy
+    #: snapshot mappings.
+    wire_nbytes: int
     flat_weights: tuple[FlatPullPayload, ...] = ()
     #: Store-provided hook dropping the copy-on-write leases this reply
     #: holds.  Call it (or :meth:`release`) once the payload has been copied
     #: out; no view or payload of this reply may be touched afterwards.
     release_fn: Callable[[], None] | None = None
-    #: Bytes this reply moves over the pull path, precomputed by the store
-    #: (a delta reply counts only the changed segments).  Stores set it so
-    #: per-worker transfer accounting does not have to walk the lazy
-    #: snapshot mappings; ``None`` falls back to :attr:`nbytes`.
-    wire_nbytes: int | None = None
 
     def release(self) -> None:
         """Declare the reply consumed: its snapshot leases are dropped.
@@ -131,24 +129,6 @@ class PullReply:
         """
         if self.release_fn is not None:
             self.release_fn()
-
-    @property
-    def nbytes(self) -> int:
-        """Payload size of this reply (bytes moved over the pull path)."""
-        total = sum(np.asarray(value).nbytes for value in self.weights.values())
-        total += sum(np.asarray(value).nbytes for value in self.buffers.values())
-        return int(total)
-
-    def transfer_nbytes(self) -> int:
-        """Bytes to charge the pull path for this reply.
-
-        Prefers the store-provided :attr:`wire_nbytes` (O(1), and the only
-        honest number for flat replies whose mappings are lazy views);
-        falls back to walking the mappings for legacy constructors.
-        """
-        if self.wire_nbytes is not None:
-            return int(self.wire_nbytes)
-        return self.nbytes
 
 
 @dataclass(frozen=True)
@@ -167,6 +147,6 @@ class WorkerReport:
     #: Dense (uncompressed) size of the same pushed gradients — the
     #: denominator of the run's compression ratio.
     pushed_raw_bytes: int = 0
-    #: Bytes received over the pull path (delta pulls count only changed
-    #: segments).
+    #: Bytes received over the pull path (each OK counts only the shards
+    #: that moved since the worker's base).
     pulled_bytes: int = 0

@@ -11,8 +11,8 @@ Against a sharded store (``store.supports_concurrent_apply``) the gradient
 application runs *outside* the global server lock, under the store's own
 per-shard locks, so pushes whose gradients live on disjoint shards no longer
 serialize; only the policy decision still takes the global lock.  Every OK
-is what :meth:`ServerSession.reply` builds: against a delta-capable store,
-only the entries dirtied since the worker's last push base.
+is what :meth:`ServerSession.reply` builds: the shards that moved since
+the worker's last push base.
 
 Against a flat store (``store.flat_layouts``) each worker's replica is
 repacked to mirror the server's per-shard buffers, so a full pull moves one

@@ -1088,17 +1088,17 @@ class ServerSession:
 
         The one OK builder of every runtime that sends weights with its OKs.
         A mirror holder gets the update-log entries from its last push base
-        to the tip (``log``); else a delta-capable store sends the entries
-        dirtied since that base (``delta``); else the weights go densely
+        to the tip (``log``); else the store sends the shards that moved
+        since that base (``delta``); else the weights go densely
         (``dense``), and ``reason`` says why nothing smaller: ``welcome``,
-        ``no base`` (no push yet), ``one shard`` (the store serves no
-        deltas), or the log's own ``gap``/``bytes``/``opaque``.  A log that
-        cannot bridge the span also becomes a ``dense_pull`` event — once,
-        because the dense OK leaves the worker without a mirror until its
-        next welcome.  Under an update log a welcome (re)builds the worker's
-        mirror: ``mirrored`` is set and the packed optimizer state rides
-        along as ``velocity`` (``None`` while empty).  Every kind is counted,
-        with its payload bytes, in :attr:`pull_replies`.
+        ``no base`` (no push yet), or the log's own ``gap``/``bytes``/
+        ``opaque``.  A log that cannot bridge the span also becomes a
+        ``dense_pull`` event — once, because the dense OK leaves the worker
+        without a mirror until its next welcome.  Under an update log a
+        welcome (re)builds the worker's mirror: ``mirrored`` is set and the
+        packed optimizer state rides along as ``velocity`` (``None`` while
+        empty).  Every kind is counted, with its payload bytes, in
+        :attr:`pull_replies`.
         """
         store = self.server.store
         base = self._bases.get(worker_id)
@@ -1115,8 +1115,6 @@ class ServerSession:
             self.events.append({"kind": "dense_pull", "worker": worker_id, "reason": reason})
         elif base is None:
             reason = "no base"
-        elif not store.supports_delta_pull:
-            reason = "one shard"
         else:
             pull = store.pull(base)
             self.pull_replies.update(delta=1, delta_bytes=pull.wire_nbytes)

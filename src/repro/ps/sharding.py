@@ -14,8 +14,8 @@ reproduces that shape in-process:
   the global update counter, guards every shard with its own lock so pushes
   to disjoint shards can be applied concurrently, and answers pulls with
   **copy-on-write snapshots**.  A monolithic store is the same class over
-  one shard (:class:`KeyValueStore`); the process runtime's store is the
-  same class over shards that live in shared memory
+  one shard (``make_store(..., num_shards=1)``); the process runtime's
+  store is the same class over shards that live in shared memory
   (:class:`repro.ps.shm.SharedFlatStore`).
 
 Each shard's entries live in one contiguous packed buffer
@@ -31,10 +31,11 @@ would mutate a leased shard first re-materializes it — one vectorized copy
 of the packed buffer — so every view handed out earlier keeps observing
 exactly the snapshot it was given.  Copy cost is therefore one buffer copy
 per shard per update interval, instead of one copy per pulled key per pull.
-On a store with more than one shard, a pull request carrying the worker's
-``known_version`` receives a delta holding only the keys dirtied after that
-version (tracked via per-key version stamps); a worker already at the tip
-receives an empty reply that takes no lease and triggers no copy at all.
+Pulls work at shard granularity too.  The store keeps two stamps per shard
+— the version of its last gradient apply and of its last buffer write — and
+a pull carrying the worker's ``known_version`` resends only the shards whose
+stamps moved past it; a worker already at the tip receives an empty reply
+that takes no lease and triggers no copy at all.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.ps.flatbuffer import FlatShard, SnapshotViews
 from repro.ps.messages import FlatPullPayload, PullReply
 
 __all__ = [
-    "KeyValueStore",
     "ShardRouter",
     "ShardedKeyValueStore",
     "make_store",
@@ -247,14 +247,14 @@ class ShardedKeyValueStore:
     * each shard counts the pushes that touched it (``shard_versions``);
       the global ``version`` counts every gradient application, so
       staleness measurement does not depend on the shard count;
-    * pulls hand out zero-copy read-only views and, on a store with more
-      than one shard, only the entries dirtied after the puller's
-      ``known_version``.
+    * each shard also stamps the global version of its last gradient
+      apply and of its last buffer write, and a pull hands out zero-copy
+      read-only views of only the shards whose stamps moved past the
+      puller's ``known_version`` — one rule whatever the shard count.
 
-    :class:`KeyValueStore` (one heap shard) and
-    :class:`repro.ps.shm.SharedFlatStore` (shards attached from a
-    :class:`~repro.ps.shm.SharedStoreHandle`) are constructors of this
-    class.
+    :func:`make_store` builds it on the heap (one shard is a monolithic
+    store) and :class:`repro.ps.shm.SharedFlatStore` over shards attached
+    from a :class:`~repro.ps.shm.SharedStoreHandle`.
     """
 
     def __init__(
@@ -289,11 +289,10 @@ class ShardedKeyValueStore:
         self._dtype = dtype
         self._weight_names = weight_names
         self._buffer_names = buffer_names
-        #: Per-shard locks make concurrent ``apply_gradients`` safe, and
-        #: pulls with a ``known_version`` receive delta replies — both only
-        #: mean something with more than one shard; a one-shard store is
-        #: applied to serially and answers every pull with the full model.
-        self.supports_concurrent_apply = self.supports_delta_pull = len(shards) > 1
+        #: Per-shard locks make concurrent ``apply_gradients`` safe, which
+        #: only means something with more than one shard; a one-shard store
+        #: is applied to serially.
+        self.supports_concurrent_apply = len(shards) > 1
         # Static name → (shard, segment) tables backing the lazy snapshot
         # mappings, so a full pull costs O(shards) instead of O(parameters).
         located = {
@@ -306,9 +305,12 @@ class ShardedKeyValueStore:
         self._state_entries = OrderedDict(
             (*self._weight_entries.items(), *self._buffer_entries.items())
         )
-        # Global version at which each entry (weight or buffer) last changed;
-        # a pull with known_version v resends exactly the keys stamped > v.
-        self._last_update: dict[str, int] = dict.fromkeys(self._state_entries, 0)
+        self._weight_holders = [shard for shard in shards if shard.layout.weights_end]
+        self._buffer_holders = [shard for shard in shards if shard.layout.buffer_names]
+        # Per shard, the version of its last gradient apply and the version
+        # read under its lock at its last buffer write (see :meth:`pull`).
+        self._weights_at = [0] * len(shards)
+        self._buffers_at = [0] * len(shards)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -485,68 +487,46 @@ class ShardedKeyValueStore:
         """
         return self.snapshot()
 
+    @staticmethod
+    def _moved(table, holders, stamps, since):
+        """The ``holders`` of ``table``'s entries stamped ``>= since``, and those entries."""
+        shards = [shard for shard in holders if stamps[shard.index] >= since]
+        if len(shards) < len(holders):
+            held = {shard.index for shard in shards}
+            table = OrderedDict((name, entry) for name, entry in table.items() if entry[0] in held)
+        return shards, table
+
     def pull(self, known_version: int | None = None) -> PullReply:
-        """Build a copy-on-write reply to a pull request.
+        """Lease the shards that moved since ``known_version`` and reply with them.
 
-        Without ``known_version`` — and always on a one-shard store — the
-        reply covers the full model and carries each shard's weight block
-        as one flat payload; with it, only the entries dirtied after that
-        version.  Either way the arrays are zero-copy read-only views of
-        the live storage: the store re-materializes a shard's buffer before
-        the next update that would touch it (see the module docstring), so
-        every view is a stable snapshot.  A worker already at the tip
-        receives an empty delta without taking any lease — no copy is ever
-        paid for it.
+        A shard's weight block is resent when a gradient was applied to it
+        after the base, its buffers when they were written at or after it
+        (buffer writes do not bump the version, so a buffer stamped with the
+        base may postdate the pull that returned it); ``None`` knows nothing
+        (base ``-1``).  The reply carries the weight blocks as
+        ``flat_weights`` plus lazy read-only views of the entries, stable
+        under copy-on-write, and ``wire_nbytes`` counts exactly those bytes.
+        A worker already at the tip gets an empty reply that takes no lease.
         """
+        base = -1 if known_version is None else int(known_version)
         with self._locked(self._shards):
-            version = self.version
-            if known_version is None or not self.supports_delta_pull:
-                # Full pull: lazy snapshot mappings over every shard buffer
-                # plus one packed payload per shard — O(shards), no per-key
-                # work, no copies.
-                snapshot = self._lease(self._shards)
-                return PullReply(
-                    weights=SnapshotViews(self._weight_entries, snapshot),
-                    buffers=SnapshotViews(self._buffer_entries, snapshot),
-                    version=version,
-                    is_delta=False,
-                    flat_weights=flat_payloads(self._shards),
-                    release_fn=self._release_fn(snapshot),
-                    wire_nbytes=self.nbytes,
-                )
-
-            # Delta pull.  With since >= version every weight stamp (<=
-            # version) is already known, so that scan is skipped.  Buffers
-            # compare inclusively: buffer writes do not bump the version, so
-            # a buffer stamped with the worker's known version may have been
-            # written *after* that worker's pull returned.  Resending at the
-            # boundary is a small overhead that keeps the delta contract
-            # exact.
-            since, stamps = int(known_version), self._last_update
-            dirty_weights = [
-                name
-                for name in (self._weight_names if since < version else ())
-                if stamps[name] > since
-            ]
-            dirty_buffers = [name for name in self._buffer_names if stamps[name] >= since]
-            owners = {self.shard_of(name) for name in (*dirty_weights, *dirty_buffers)}
-            snapshot = self._lease([self._shards[index] for index in sorted(owners)])
-
-            def views(names):
-                return OrderedDict(
-                    (name, self._shards[self.shard_of(name)].view(name)) for name in names
-                )
-
-            weights, buffers = views(dirty_weights), views(dirty_buffers)
+            weights, weight_entries = self._moved(
+                self._weight_entries, self._weight_holders, self._weights_at, base + 1
+            )
+            buffers, buffer_entries = self._moved(
+                self._buffer_entries, self._buffer_holders, self._buffers_at, base
+            )
+            snapshot = self._lease([s for s in self._shards if s in weights or s in buffers])
+            scalars = sum(s.layout.weights_end for s in weights) + sum(
+                s.layout.size - s.layout.weights_end for s in buffers
+            )
             return PullReply(
-                weights=weights,
-                buffers=buffers,
-                version=version,
-                is_delta=True,
-                release_fn=self._release_fn(snapshot) if snapshot else None,
-                wire_nbytes=int(
-                    sum(value.nbytes for value in (*weights.values(), *buffers.values()))
-                ),
+                weights=SnapshotViews(weight_entries, snapshot),
+                buffers=SnapshotViews(buffer_entries, snapshot),
+                version=self.version,
+                wire_nbytes=scalars * self._dtype.itemsize,
+                flat_weights=flat_payloads(weights),
+                release_fn=self._release_fn(snapshot),
             )
 
     # ------------------------------------------------------------------
@@ -625,21 +605,21 @@ class ShardedKeyValueStore:
                 new_version = self._version
             for shard in touched:
                 shard.version += 1
+                self._weights_at[shard.index] = new_version
                 shard.mark_mutated()
-            for name in names:
-                self._last_update[name] = new_version
             return new_version
 
-    def _write_entries(self, table, values, unknown: str, mismatch: str) -> None:
+    def _write_entries(self, table, stamps, values, unknown: str, mismatch: str) -> None:
         """Overwrite entries of ``table``: validate everything, then write.
 
         Every name and shape is checked before the first byte moves, so a
         rejected call leaves the store untouched.  A shard's entries are
         written under its lock, after the copy-on-write that keeps
-        outstanding pull views stable, and stamped at the version read
-        under that lock: any pull that completed before the write saw a
-        version <= the stamp, so the inclusive buffer comparison in
-        :meth:`pull` resends the new value on that worker's next delta pull.
+        outstanding pull views stable, and the shard's entry in ``stamps``
+        is set to the version read under that lock: any pull that completed
+        before the write saw a version <= the stamp, so the inclusive buffer
+        comparison in :meth:`pull` resends the shard's buffers on that
+        worker's next pull.
         """
         self._check_writer()
         missing = set(values) - table.keys()
@@ -656,10 +636,9 @@ class ShardedKeyValueStore:
             shard = self._shards[index]
             with shard.lock:
                 shard.materialize()
-                stamp = self.version
+                stamps[index] = self.version
                 for name, value in entries:
                     shard.write(name, value)
-                    self._last_update[name] = stamp
                 shard.mark_mutated()
 
     def update_buffers(self, buffers: Mapping[str, np.ndarray]) -> None:
@@ -671,22 +650,21 @@ class ShardedKeyValueStore:
         Shapes must match the stored arrays.
         """
         self._write_entries(
-            self._buffer_entries,
-            buffers,
-            unknown="buffers refer to unknown entries",
-            mismatch="buffer shape mismatch",
+            self._buffer_entries, self._buffers_at, buffers,
+            unknown="buffers refer to unknown entries", mismatch="buffer shape mismatch",
         )
 
     def overwrite_weights(self, weights: Mapping[str, np.ndarray]) -> None:
         """Replace the stored weights (restore path only).
 
-        Checkpoint restore always follows with :meth:`restore_version`,
-        which resets every per-key stamp; outside that sequence, delta
-        pulls from workers already at the current version would not see
-        the overwrite.
+        The written shards' weight stamps are set to the current version,
+        so pulls from workers already at that version would not see the
+        overwrite; checkpoint restore therefore always follows with
+        :meth:`restore_version`, which resets every shard's stamps.
         """
         self._write_entries(
-            self._weight_entries, weights, unknown="unknown parameters", mismatch="shape mismatch"
+            self._weight_entries, self._weights_at, weights,
+            unknown="unknown parameters", mismatch="shape mismatch",
         )
 
     def restore_version(
@@ -697,9 +675,10 @@ class ShardedKeyValueStore:
         ``shard_versions`` restores the per-shard counters exactly when the
         checkpoint was written by a store with the same shard count;
         otherwise (a different shard layout) every shard counter is set to
-        the global version, a safe upper bound.  Every entry is stamped as
-        dirty at ``version`` so the next delta pull from any worker resends
-        the restored state in full.
+        the global version, a safe upper bound.  Every shard's weight and
+        buffer stamps are set to ``version``, so the next pull from any
+        worker with an older base resends the restored state in full (and
+        one at ``version`` still gets the buffers).
         """
         self._check_writer()
         if version < 0:
@@ -711,29 +690,8 @@ class ShardedKeyValueStore:
                 self._version = int(version)
             for shard, shard_version in zip(self._shards, shard_versions):
                 shard.version = int(shard_version)
-            self._last_update = dict.fromkeys(self._last_update, int(version))
-
-
-class KeyValueStore(ShardedKeyValueStore):
-    """The store over a single heap shard.
-
-    One partition and one version counter: pushes must be serialized by the
-    caller and every pull carries the full model as one flat payload,
-    whatever ``known_version`` says.
-    """
-
-    def __init__(
-        self,
-        initial_weights: Mapping[str, np.ndarray],
-        initial_buffers: Mapping[str, np.ndarray] | None = None,
-        dtype: np.dtype | str = np.float64,
-    ) -> None:
-        super().__init__(initial_weights, initial_buffers, num_shards=1, dtype=dtype)
-
-    @property
-    def _flat(self) -> FlatShard:
-        """The one shard (tests and benchmarks inspect its packed buffer)."""
-        return self._shards[0]
+            self._weights_at = [int(version)] * len(self._shards)
+            self._buffers_at = [int(version)] * len(self._shards)
 
 
 def make_store(
@@ -747,11 +705,8 @@ def make_store(
     """Build the heap store for a given shard count.
 
     Every assembly path (coordinator, simulator, TCP server, tests) goes
-    through this factory.  One shard is spelled :class:`KeyValueStore`;
-    the routing strategy cannot matter there.
+    through this factory; one shard is a monolithic store.
     """
-    if num_shards == 1:
-        return KeyValueStore(initial_weights, initial_buffers, dtype=dtype)
     return ShardedKeyValueStore(
         initial_weights,
         initial_buffers,

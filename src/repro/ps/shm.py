@@ -375,7 +375,7 @@ class SharedFlatShard(FlatShard):
 
         Workers compare it against the value they saw last pull and skip
         shards that did not change — the cross-process analogue of the
-        heap store's delta pulls, at shard granularity.
+        store's shard stamps.
         """
         self._header[_MUTATIONS] += 1
 
@@ -433,8 +433,8 @@ class SharedFlatStore(ShardedKeyValueStore):
     process can read it.  Exactly **one** process may attach with
     ``writer=True`` (the server): the shard locks in the handle serialize
     its mutations against reader leases taken by :class:`ShmStoreClient`
-    attachments in other processes, and per-key delta stamps and per-shard
-    push counters are that process's own.  And because slots are a finite
+    attachments in other processes, and the per-shard pull stamps and push
+    counters are that process's own.  And because slots are a finite
     shared resource with no garbage collector to forgive a leaked lease,
     the view accessors return copies;
     :meth:`~repro.ps.sharding.ShardedKeyValueStore.leased_state` is the
@@ -536,7 +536,6 @@ class ShmStoreClient(SharedFlatStore):
             weights={},
             buffers={},
             version=version,
-            is_delta=True,
             flat_weights=payloads,
             release_fn=self._release_fn(snapshot),
             # What actually crosses the boundary: one packed weight block

@@ -185,10 +185,10 @@ class Worker:
     def load_reply(self, reply: PullReply) -> None:
         """Load a pull reply, taking the packed fast path when possible.
 
-        A full reply from a flat store carries one buffer per shard; with a
+        A reply carries one packed buffer per shard that moved; with a
         packed replica attached, each lands as a single ``np.copyto``.
-        Delta replies (or workers without a packed replica) fall back to the
-        per-name :meth:`load_weights` path.
+        Workers without a packed replica fall back to the per-name
+        :meth:`load_weights` path.
         """
         if reply.flat_weights and self._flat_replicas:
             for payload in reply.flat_weights:
@@ -196,7 +196,7 @@ class Worker:
             self._local_version = int(reply.version)
         else:
             self.load_weights(reply.weights, reply.version)
-        self._pulled_bytes += reply.transfer_nbytes()
+        self._pulled_bytes += reply.wire_nbytes
         # The snapshot is copied into the replica: drop the copy-on-write
         # leases so the store's next update pays no copy for this pull.
         reply.release()

@@ -130,8 +130,7 @@ class SimulationConfig:
     num_server_shards, shard_strategy:
         Shards of the store (:class:`repro.ps.sharding.ShardedKeyValueStore`)
         and their key partitioning (``"size"`` or ``"hash"``).  With more
-        than one, workers pull copy-on-write deltas and the most-loaded
-        shard gates the simulated push/pull.
+        than one, the most-loaded shard gates the simulated push/pull.
     topology:
         A preset name (``"flat"``, ``"two-rack"``, ``"tail-heavy"``), an
         inline topology dict or a :class:`repro.simulation.topology.Topology`

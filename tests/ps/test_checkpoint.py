@@ -12,8 +12,7 @@ from repro.ps.checkpoint import (
     save_checkpoint,
 )
 from repro.ps.compression import TopKCodec, decode_shard
-from repro.ps.kvstore import KeyValueStore
-from repro.ps.sharding import ShardedKeyValueStore
+from repro.ps.sharding import make_store
 from repro.utils.serialization import states_allclose
 
 INITIAL_SHAPES = {"layer.weight": (4, 3), "layer.bias": (3,)}
@@ -27,10 +26,7 @@ def make_store_and_optimizer(num_shards=1):
     rng = np.random.default_rng(0)
     weights = _initial_arrays(rng)
     buffers = {"bn.running_mean": rng.normal(size=3)}
-    if num_shards > 1:
-        store = ShardedKeyValueStore(weights, buffers, num_shards=num_shards)
-    else:
-        store = KeyValueStore(weights, buffers)
+    store = make_store(weights, buffers, num_shards=num_shards)
     optimizer = SGD(learning_rate=0.05, momentum=0.9)
     # Apply a few updates so velocity and version are non-trivial.
     for _ in range(3):
@@ -43,9 +39,7 @@ def make_store_and_optimizer(num_shards=1):
 def make_fresh_store(num_shards=1):
     weights = {name: np.zeros(shape) for name, shape in INITIAL_SHAPES.items()}
     buffers = {"bn.running_mean": np.zeros(3)}
-    if num_shards > 1:
-        return ShardedKeyValueStore(weights, buffers, num_shards=num_shards)
-    return KeyValueStore(weights, buffers)
+    return make_store(weights, buffers, num_shards=num_shards)
 
 
 class TestSaveLoad:
@@ -114,7 +108,7 @@ class TestSaveLoad:
     def test_restore_rejects_mismatched_model(self, tmp_path):
         store, optimizer = make_store_and_optimizer()
         path = save_checkpoint(tmp_path / "ckpt", store, optimizer)
-        other = KeyValueStore(initial_weights={"different": np.zeros(2)})
+        other = make_store({"different": np.zeros(2)})
         with pytest.raises(KeyError):
             restore_into(path, other, SGD(0.05))
 
@@ -168,9 +162,11 @@ class TestShardedCheckpoints:
         # back to the global version, a safe upper bound.
         assert sharded.shard_versions == [3, 3]
         assert states_allclose(sharded.weights_snapshot(), store.weights_snapshot())
-        # The restored state must be resent in full on the next delta pull.
+        # The restored state must be resent in full on the next delta pull:
+        # every shard's weights and buffers.
         delta = sharded.pull(known_version=0)
         assert set(delta.weights) == set(sharded.parameter_names)
+        assert delta.wire_nbytes == sharded.nbytes
 
     def test_sharded_checkpoint_loads_into_monolithic_store(self, tmp_path):
         store, optimizer = make_store_and_optimizer(num_shards=4)

@@ -344,8 +344,8 @@ class TestServerDecode:
         # Delta pull at the exact version tip: nothing changed since, the
         # reply is empty and must take no copy-on-write lease at all.
         reply = store.pull(store.version)
-        assert reply.is_delta and not reply.weights
-        assert reply.transfer_nbytes() == 0
+        assert not reply.weights and not reply.flat_weights
+        assert reply.wire_nbytes == 0
         assert not any(shard.flat.leased for shard in store._shards)
 
         # A stale pull does lease; releasing it must drop every lease even

@@ -19,7 +19,6 @@ from repro.ps.checkpoint import restore_into, save_checkpoint
 from repro.ps.compression import decode_shard, make_codec
 from repro.ps.faults import FaultInjector, parse_fault_specs
 from repro.ps.flatbuffer import FlatLayout, FlatShard
-from repro.ps.kvstore import KeyValueStore
 from repro.ps.messages import PushRequest
 from repro.ps.server import ParameterServer
 from repro.ps.sharding import ShardedKeyValueStore, make_store
@@ -290,10 +289,16 @@ class TestZeroCopyPulls:
             # The layout describes exactly the buffer's contents.
             assert payload.layout[-1].hi == payload.buffer.size
 
-    def test_delta_pull_has_no_flat_payload(self):
+    def test_delta_pull_carries_the_moved_shard_blocks(self):
         weights = make_arrays()
         store = ShardedKeyValueStore(weights, num_shards=2)
         assert store.pull(known_version=0).flat_weights == ()
+        name = store.parameter_names[0]
+        store.apply_gradients({name: np.ones(weights[name].shape)}, SGD(0.1))
+        (payload,) = store.pull(known_version=0).flat_weights
+        shard = store._shards[store.shard_of(name)]
+        assert payload.shard == shard.index
+        assert payload.buffer.tobytes() == shard.flat_weights_view().tobytes()
 
 
 class TestViewPropertiesAndSnapshots:
@@ -341,8 +346,8 @@ class TestEmptyDeltaFastPath:
             {name: np.ones(a.shape) for name, a in weights.items()}, SGD(0.1)
         )
         reply = store.pull(known_version=store.version)
-        assert reply.is_delta
-        assert not reply.weights and not reply.buffers
+        assert not reply.weights and not reply.buffers and not reply.flat_weights
+        assert reply.wire_nbytes == 0
         # No lease taken: the next push must not pay a copy-on-write copy.
         buffers_before = [shard.flat.buffer for shard in store._shards]
         assert all(not shard.flat.leased for shard in store._shards)
@@ -417,7 +422,7 @@ class TestPackedReplicaLoading:
         }
         assert np.isfinite(computation.loss)
 
-    def test_delta_reply_falls_back_to_per_name_path(self):
+    def test_delta_reply_loads_the_moved_shard_block(self):
         from repro.data.dataset import ArrayDataset
         from repro.data.loader import MiniBatchLoader
         from repro.models import mlp
@@ -448,7 +453,7 @@ class TestPackedReplicaLoading:
             {name: np.ones(dict(model.named_parameters())[name].shape)}, SGD(0.1)
         )
         delta = store.pull(known_version=worker.local_version)
-        assert delta.is_delta and not delta.flat_weights
+        assert [payload.shard for payload in delta.flat_weights] == [store.shard_of(name)]
         worker.load_reply(delta)
         assert worker.local_version == store.version
         assert np.array_equal(
@@ -477,7 +482,7 @@ class TestPackedReplicaLoading:
             MiniBatchLoader(dataset, batch_size=8, rng=np.random.default_rng(2)),
             SoftmaxCrossEntropy(),
         )
-        stranger = KeyValueStore({"nope": np.zeros(3)})
+        stranger = make_store({"nope": np.zeros(3)})
         with pytest.raises(KeyError):
             worker.attach_flat_layout(stranger.flat_layouts)
 
@@ -488,15 +493,11 @@ class TestLeaseRelease:
         store = any_store(weights)
         reply = store.pull()
         reply.release()
-        buffers_before = [
-            shard.flat.buffer for shard in getattr(store, "_shards", [])
-        ] or [store._flat.buffer]
+        buffers_before = [shard.flat.buffer for shard in store._shards]
         store.apply_gradients(
             {name: np.ones(a.shape) for name, a in weights.items()}, SGD(0.1)
         )
-        buffers_after = [
-            shard.flat.buffer for shard in getattr(store, "_shards", [])
-        ] or [store._flat.buffer]
+        buffers_after = [shard.flat.buffer for shard in store._shards]
         # No outstanding lease: the push mutated in place, no COW copy.
         for before, after in zip(buffers_before, buffers_after):
             assert after is before
@@ -631,7 +632,7 @@ class TestDeltaPullThroughServer:
         session.push("w0", {"base_version": 0, "timestamp": 0.0}, flat=flat)
         ok = session.reply("w0")
         assert store.version == 0 and ok.kind == "delta"
-        assert ok.pull.is_delta and not ok.pull.weights
+        assert not ok.pull.weights and not ok.pull.flat_weights and ok.pull.wire_nbytes == 0
         assert session.pull_replies["delta_bytes"] == 0
 
 

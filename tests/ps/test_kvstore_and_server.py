@@ -1,9 +1,9 @@
 """Tests for the key-value store and the parameter server.
 
-Every test runs against both store layouts — the monolithic
-``KeyValueStore`` and the ``ShardedKeyValueStore`` — via the parametrized
-``store_factory`` fixture, verifying that the sharded store is a drop-in
-replacement on the whole server surface.
+Every test runs against two shard counts of the one store — a monolithic
+one-shard store and a two-shard ``ShardedKeyValueStore`` — via the
+parametrized ``store_factory`` fixture, verifying that sharding is a drop-in
+change on the whole server surface.
 """
 
 import numpy as np
@@ -11,10 +11,9 @@ import pytest
 
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
-from repro.ps.kvstore import KeyValueStore
 from repro.ps.server import ParameterServer
 from repro.ps.session import ServerSession
-from repro.ps.sharding import ShardedKeyValueStore
+from repro.ps.sharding import ShardedKeyValueStore, make_store
 
 
 @pytest.fixture(params=["monolithic", "sharded"])
@@ -28,7 +27,7 @@ def store_factory(request):
             return ShardedKeyValueStore(
                 initial_weights, initial_buffers, num_shards=2, **kwargs
             )
-        return KeyValueStore(initial_weights, initial_buffers, **kwargs)
+        return make_store(initial_weights, initial_buffers, **kwargs)
 
     factory.layout = request.param
     return factory
@@ -125,11 +124,10 @@ class TestKeyValueStore:
     def test_pull_carries_full_model_by_default(self, store_factory):
         store = store_factory()
         reply = store.pull()
-        assert not reply.is_delta
         assert set(reply.weights) == {"w", "b"}
         assert set(reply.buffers) == {"running_mean"}
         assert reply.version == 0
-        assert reply.nbytes == store.nbytes
+        assert reply.wire_nbytes == store.nbytes
 
     def test_restore_version(self, store_factory):
         store = store_factory()
@@ -236,10 +234,10 @@ class TestParameterServer:
         ok = session.reply("w0")  # the delta base is the push's base, 0
         reply = ok.pull
         assert reply.version == 1
+        # Every store resends the shards that moved since the base: ``w``'s
+        # shard, which on one shard is the whole model.
+        assert (ok.kind, ok.reason) == ("delta", None)
         if store_factory.layout == "sharded":
-            assert ok.kind == "delta" and reply.is_delta
-            assert set(reply.weights) == {"w"}  # only the updated parameter
+            assert set(reply.weights) == {"w"}  # ``b`` lives on the other shard
         else:
-            assert (ok.kind, ok.reason) == ("dense", "one shard")
-            assert not reply.is_delta
             assert set(reply.weights) == {"w", "b"}

@@ -347,10 +347,12 @@ class TestReply:
             foreign = sum(frame.nbytes for frame in pushed["worker-1"])
             assert counted == {"log": 1, "log_bytes": foreign}
             return
-        if not welcome and num_shards > 1:
-            # The delta base is worker-0's last push base.
+        if not welcome:
+            # The delta base is worker-0's last push base; both pushes moved
+            # every shard, so the delta is the whole model on any shard count.
             expected = store.pull(0)
-            assert ok.kind == "delta" and ok.pull.is_delta and ok.reason is None
+            assert ok.kind == "delta" and ok.reason is None
+            assert ok.pull.wire_nbytes == expected.wire_nbytes == store.nbytes
             for got, want in ((ok.pull.weights, expected.weights), (ok.pull.buffers, expected.buffers)):
                 assert list(got) == list(want)
                 assert all(got[name].tobytes() == want[name].tobytes() for name in want)
@@ -358,8 +360,7 @@ class TestReply:
             ok.pull.release()
             expected.release()
             return
-        assert ok.kind == "dense" and not ok.pull.is_delta
-        assert ok.reason == ("welcome" if welcome else "one shard")
+        assert (ok.kind, ok.reason) == ("dense", "welcome")
         assert ok.mirrored == (welcome and logged)
         dense_bytes = store.nbytes
         if ok.mirrored:  # the optimizer state a mirror is built from
@@ -384,15 +385,21 @@ class TestReply:
         ok.pull.release()
 
 
-#: Per-worker ``pulled_bytes`` of sharded runs of the tiny MLP (39,056
-#: weight bytes, 4 shards), recorded before ``ServerSession.reply`` existed.
-#: A dense push stamps every key, so a delta OK carries the whole model and
+#: Per-worker ``pulled_bytes`` of sharded runs (4 shards).  The tiny MLP
+#: (39,056 weight bytes) was recorded before ``ServerSession.reply`` existed:
+#: a dense push moves every shard, so a delta OK carries the whole model and
 #: the first two runs pull exactly (OKs + 1) dense models; a buffered
 #: aggregator leaves a staged pusher at the tip, and its delta is empty.
+#: The tiny resnet110 adds BatchNorm buffers: a staged push still writes
+#: them, so its OK at the tip resends only the buffers of their shards — the
+#: one partial delta, which a single stamp per shard would overcount.
 DELTA_RUNS = {
-    "simulated-3w-dssp": ("simulated", 3, None, [312448, 312448, 273392]),
-    "threaded-1w": ("threaded", 1, None, [820176]),
-    "simulated-3w-trimmed-mean": ("simulated", 3, "trimmed_mean:1", [781120] * 3),
+    "simulated-3w-dssp": ("mlp", "simulated", 3, None, [312448, 312448, 273392]),
+    "threaded-1w": ("mlp", "threaded", 1, None, [820176]),
+    "simulated-3w-trimmed-mean": ("mlp", "simulated", 3, "trimmed_mean:1", [781120] * 3),
+    "resnet110-simulated-3w-trimmed-mean": (
+        "resnet110", "simulated", 3, "trimmed_mean:1", [779040, 862464, 779040]
+    ),
 }
 
 
@@ -400,7 +407,7 @@ DELTA_RUNS = {
 def test_sharded_runs_get_delta_oks(monkeypatch, run):
     from repro.api import ClusterConfig, ExperimentSpec, run_experiment
 
-    backend, num_workers, aggregation, pinned = DELTA_RUNS[run]
+    workload, backend, num_workers, aggregation, pinned = DELTA_RUNS[run]
     kinds = Counter()
     reply = ServerSession.reply
 
@@ -411,7 +418,7 @@ def test_sharded_runs_get_delta_oks(monkeypatch, run):
 
     monkeypatch.setattr(ServerSession, "reply", spy)
     spec = ExperimentSpec(
-        workload="mlp", scale="tiny", cluster=ClusterConfig(num_workers=num_workers),
+        workload=workload, scale="tiny", cluster=ClusterConfig(num_workers=num_workers),
         paradigm="dssp", paradigm_kwargs={"s_lower": 1, "s_upper": 4}, epochs=1.0,
         batch_size=16, num_shards=4, aggregation=aggregation, seed=0,
     )

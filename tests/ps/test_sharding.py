@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
-from repro.ps.kvstore import KeyValueStore
 from repro.ps.server import ParameterServer
 from repro.ps.sharding import ShardedKeyValueStore, ShardRouter, make_store
 
@@ -60,7 +59,15 @@ class TestShardRouter:
 class TestMakeStore:
     def test_factory_selects_layout(self):
         weights = make_arrays(num=2)
-        assert isinstance(make_store(weights, num_shards=1), KeyValueStore)
+        # One shard is the same store under the same pull rule, applied to
+        # serially: nothing moved past the base, nothing is resent.
+        mono = make_store(weights, num_shards=1)
+        assert mono.num_shards == 1 and not mono.supports_concurrent_apply
+        assert mono.pull(known_version=0).wire_nbytes == 0
+        mono.apply_gradients({name: np.ones(a.shape) for name, a in weights.items()}, SGD(0.1))
+        moved = mono.pull(known_version=0)
+        assert moved.wire_nbytes == mono.nbytes and [p.shard for p in moved.flat_weights] == [0]
+        assert mono.pull(known_version=1).wire_nbytes == 0
         sharded = make_store(weights, num_shards=4, dtype="float32")
         assert isinstance(sharded, ShardedKeyValueStore)
         assert sharded.num_shards == 4
@@ -76,7 +83,7 @@ class TestShardedStoreParity:
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 16])
     def test_gradient_application_matches_monolithic(self, num_shards, strategy):
         weights = make_arrays()
-        mono = KeyValueStore(weights)
+        mono = make_store(weights)
         sharded = ShardedKeyValueStore(
             weights, num_shards=num_shards, strategy=strategy
         )
@@ -135,28 +142,39 @@ class TestCopyOnWritePulls:
             assert np.array_equal(value, before[name]), name
             assert not np.allclose(store.weights_snapshot()[name], before[name])
 
-    def test_delta_pull_returns_only_dirty_keys(self):
+    def test_delta_pull_returns_only_moved_shards(self):
         weights = make_arrays()
         store = ShardedKeyValueStore(weights, num_shards=4)
         names = store.parameter_names
+        first, second = store.shard_of(names[0]), store.shard_of(names[1])
+        assert first != second
         store.apply_gradients({names[0]: np.ones(weights[names[0]].shape)}, SGD(0.1))
         store.apply_gradients({names[1]: np.ones(weights[names[1]].shape)}, SGD(0.1))
         delta = store.pull(known_version=1)
-        assert delta.is_delta
-        assert set(delta.weights) == {names[1]}
+        # The whole shard of the moved key goes, and nothing else.
+        assert set(delta.weights) == {n for n in names if store.shard_of(n) == second}
+        assert [payload.shard for payload in delta.flat_weights] == [second]
+        assert delta.wire_nbytes == store.shard_nbytes[second]
         assert delta.version == 2
         # A worker already at the tip gets an empty delta.
-        assert not store.pull(known_version=2).weights
+        tip = store.pull(known_version=2)
+        assert not tip.weights and not tip.flat_weights and tip.wire_nbytes == 0
         # A full pull still carries everything.
         assert set(store.pull().weights) == set(names)
 
     def test_delta_reconstruction_matches_full_state(self):
-        """Applying deltas on top of an old replica reproduces a full pull."""
+        """Copying delta blocks over an old packed replica reproduces a full pull."""
         weights = make_arrays()
         store = ShardedKeyValueStore(weights, num_shards=4)
-        replica = {name: np.array(value) for name, value in store.pull().weights.items()}
+        replica = {p.shard: np.array(p.buffer) for p in store.pull().flat_weights}
         known = 0
         rng = np.random.default_rng(11)
+
+        def load(delta):
+            for payload in delta.flat_weights:
+                replica[payload.shard][...] = payload.buffer
+            return delta.version
+
         for _ in range(6):
             subset = rng.choice(store.parameter_names, size=3, replace=False)
             store.apply_gradients(
@@ -164,16 +182,12 @@ class TestCopyOnWritePulls:
                 SGD(0.2),
             )
             if rng.random() < 0.5:
-                delta = store.pull(known_version=known)
-                for name, value in delta.weights.items():
-                    replica[name] = np.array(value)
-                known = delta.version
-        delta = store.pull(known_version=known)
-        for name, value in delta.weights.items():
-            replica[name] = np.array(value)
-        full = store.weights_snapshot()
-        for name in store.parameter_names:
-            assert np.array_equal(replica[name], full[name]), name
+                known = load(store.pull(known_version=known))
+        load(store.pull(known_version=known))
+        full = store.pull()
+        assert len(full.flat_weights) == len(replica)
+        for payload in full.flat_weights:
+            assert np.array_equal(replica[payload.shard], payload.buffer), payload.shard
 
     def test_delta_bytes_shrink_when_few_keys_dirty(self):
         weights = make_arrays(num=10)
@@ -182,8 +196,8 @@ class TestCopyOnWritePulls:
         name = store.parameter_names[0]
         store.apply_gradients({name: np.ones(weights[name].shape)}, SGD(0.1))
         delta = store.pull(known_version=0)
-        assert delta.nbytes == weights[name].nbytes
-        assert delta.nbytes * 2 <= full.nbytes
+        assert delta.wire_nbytes == store.shard_nbytes[store.shard_of(name)]
+        assert delta.wire_nbytes * 2 <= full.wire_nbytes
 
     def test_buffer_updates_marked_dirty(self):
         weights = make_arrays(num=2)
@@ -192,16 +206,20 @@ class TestCopyOnWritePulls:
         name = store.parameter_names[0]
         store.apply_gradients({name: np.zeros(weights[name].shape)}, SGD(0.1))
         store.update_buffers({"bn.mean": np.full(3, 7.0)})
+        written = store.shard_of("bn.mean")
+        held = {n for n in buffers if store.shard_of(n) == written}
         # Buffer deltas are inclusive at the boundary version: a buffer
         # stamped with the worker's known version may have been written
-        # after that worker's pull returned, so it is resent.
+        # after that worker's pull returned, so its shard's buffers are
+        # resent.
         delta = store.pull(known_version=1)
-        assert set(delta.buffers) == {"bn.mean"}
+        assert set(delta.buffers) == held
         assert np.allclose(delta.buffers["bn.mean"], 7.0)
         assert not delta.weights  # the weight update is already at version 1
-        # A worker two versions behind receives the untouched buffer too
-        # (stamp 0 >= known 0) but never the never-updated one afterwards.
-        assert set(store.pull(known_version=0).buffers) == {"bn.mean", "bn.var"}
+        assert delta.wire_nbytes == sum(buffers[n].nbytes for n in held)
+        # A worker two versions behind receives the shard's buffers too, but
+        # not once the tip has moved past the write.
+        assert set(store.pull(known_version=0).buffers) == held
         store.apply_gradients({name: np.zeros(weights[name].shape)}, SGD(0.1))
         assert set(store.pull(known_version=2).buffers) == set()
 
@@ -250,11 +268,8 @@ class TestConcurrency:
 
     def test_server_concurrent_apply_flags(self):
         weights = make_arrays(num=2)
-        assert not KeyValueStore(weights).supports_concurrent_apply
-        assert not KeyValueStore(weights).supports_delta_pull
-        sharded = ShardedKeyValueStore(weights, num_shards=2)
-        assert sharded.supports_concurrent_apply
-        assert sharded.supports_delta_pull
+        assert not make_store(weights).supports_concurrent_apply
+        assert ShardedKeyValueStore(weights, num_shards=2).supports_concurrent_apply
 
     def test_staged_push_matches_unstaged_push(self):
         """``ServerSession.apply`` then ``push(staged=)`` — the threaded
@@ -304,4 +319,7 @@ class TestRestore:
         store.restore_version(5)
         delta = store.pull(known_version=4)
         assert set(delta.weights) == set(store.parameter_names)
+        assert [payload.shard for payload in delta.flat_weights] == [0, 1]
+        assert delta.wire_nbytes == store.nbytes
         assert delta.version == 5
+        assert store.pull(known_version=5).wire_nbytes == 0

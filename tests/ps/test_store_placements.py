@@ -1,11 +1,10 @@
 """One store, two shard placements.
 
-``KeyValueStore`` (one heap shard), ``ShardedKeyValueStore`` (N heap shards)
-and ``SharedFlatStore`` (shards in shared memory) are constructors of one
-class.  These tests pin what that buys: the same pushes leave bit-identical
-state whatever the placement, writes validate before they touch anything,
-checkpoints cross placements, and a one-shard store keeps the monolithic
-pull contract.
+``ShardedKeyValueStore`` (N heap shards, one included) and ``SharedFlatStore``
+(shards in shared memory) are constructors of one class.  These tests pin
+what that buys: the same pushes leave bit-identical state whatever the
+placement, writes validate before they touch anything, checkpoints cross
+placements, and a one-shard store follows the same pull rule.
 """
 
 import multiprocessing
@@ -15,7 +14,6 @@ import pytest
 
 from repro.optim.sgd import SGD
 from repro.ps.checkpoint import restore_into, save_checkpoint
-from repro.ps.kvstore import KeyValueStore
 from repro.ps.messages import FlatPullPayload
 from repro.ps.sharding import ShardedKeyValueStore, make_store
 from repro.ps.shm import SharedFlatStore, create_shared_store
@@ -103,18 +101,19 @@ class TestPlacementParity:
     @pytest.mark.parametrize("placement", PLACEMENTS)
     def test_capability_flags_follow_the_shard_count(self, build_store, placement):
         store = build_store(placement, *make_state())
-        many = store.num_shards > 1
-        assert store.supports_delta_pull is many
-        assert store.supports_concurrent_apply is many
+        assert store.supports_concurrent_apply is (store.num_shards > 1)
 
     @pytest.mark.parametrize("placement", ["heap-1", "shared-1"])
-    def test_one_shard_pull_is_always_the_full_flat_payload(self, build_store, placement):
+    def test_one_shard_pull_follows_the_shard_rule(self, build_store, placement):
         weights, buffers = make_state()
         store = build_store(placement, weights, buffers)
         name = next(iter(weights))
         store.apply_gradients({name: np.ones(weights[name].shape)}, SGD(0.1))
-        reply = store.pull(known_version=store.version)
-        assert not reply.is_delta
+        tip = store.pull(known_version=store.version)
+        assert not tip.flat_weights and not tip.weights and not tip.buffers
+        assert tip.wire_nbytes == 0
+        # From the base before the push the one shard moved: all of it goes.
+        reply = store.pull(known_version=store.version - 1)
         assert len(reply.flat_weights) == 1
         assert isinstance(reply.flat_weights[0], FlatPullPayload)
         assert reply.flat_weights[0].buffer.size == store.num_parameters
@@ -122,11 +121,12 @@ class TestPlacementParity:
         assert set(reply.weights) == set(weights)
         reply.release()
 
-    def test_one_shard_sharded_store_behaves_like_key_value_store(self):
+    def test_one_shard_make_store_is_the_sharded_store(self):
         weights, _ = make_state()
-        assert isinstance(make_store(weights, num_shards=1), KeyValueStore)
-        assert isinstance(KeyValueStore(weights), ShardedKeyValueStore)
-        assert not ShardedKeyValueStore(weights, num_shards=1).pull(known_version=0).is_delta
+        store = make_store(weights, num_shards=1)
+        assert type(store) is ShardedKeyValueStore and store.num_shards == 1
+        assert store.pull(known_version=0).wire_nbytes == 0
+        assert store.pull().wire_nbytes == store.nbytes
 
     @pytest.mark.parametrize("placement", ["heap-4", "shared-4"])
     def test_packed_only_push_reaches_delta_pulls(self, build_store, placement):
@@ -137,8 +137,8 @@ class TestPlacementParity:
         gradients = {n: np.ones(a.shape) for n, a in weights.items()}
         store.apply_gradients({}, SGD(0.1), flat_gradients=packed(store, gradients))
         delta = store.pull(known_version=0)
-        assert delta.is_delta
         assert set(delta.weights) == set(weights)
+        assert delta.wire_nbytes == store.nbytes
         delta.release()
 
 

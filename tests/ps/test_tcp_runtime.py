@@ -203,8 +203,11 @@ class TestEndToEnd:
         if compression == "none":
             assert pulled == [195280, 195280]
             assert statistics["tcp_bytes_sent"] == 392080
+            # The two welcomes are dense; every OK sends the one shard,
+            # which moved since the base: the same 39,056 B, as a delta.
             assert statistics["pull_replies"] == {
-                "log": 0, "dense": 10, "log_bytes": 0, "dense_bytes": 390560
+                "log": 0, "dense": 2, "log_bytes": 0, "dense_bytes": 78112,
+                "delta": 8, "delta_bytes": 312448,
             }
         else:
             # Update-log pulls: the dense welcome (39,056 B) plus one 588 B
@@ -328,8 +331,9 @@ class TestElasticMembership:
             # Every pull lease (join welcomes, push OKs) must drain; the
             # release runs just after the reply hits the wire, hence the
             # wait.  Growth here would be a copy-on-write leak per cycle.
-            assert wait_until(lambda: store._flat._leases == 0), (
-                f"leaked lease on cycle {cycle}: {store._flat._leases}"
+            (shard,) = store._shards
+            assert wait_until(lambda: shard._leases == 0), (
+                f"leaked lease on cycle {cycle}: {shard._leases}"
             )
             flapper, welcome = join("worker-1")
             assert welcome["started"] is True

@@ -84,7 +84,7 @@ class TestDistributedMatchesSingleMachineDirection:
         in the same direction as one large-batch step on the union of the
         workers' mini-batches."""
         from repro.core.factory import make_policy
-        from repro.ps.kvstore import KeyValueStore
+        from repro.ps.sharding import make_store
         from repro.ps.server import ParameterServer
         from repro.ps.session import ServerSession
 
@@ -98,9 +98,7 @@ class TestDistributedMatchesSingleMachineDirection:
 
         # Two workers, 8 samples each.
         batches = [(train.inputs[:8], train.labels[:8]), (train.inputs[8:16], train.labels[8:16])]
-        store = KeyValueStore(
-            initial_weights={name: p.data.copy() for name, p in model.named_parameters()}
-        )
+        store = make_store({name: p.data.copy() for name, p in model.named_parameters()})
         server = ParameterServer(
             store=store, optimizer=SGD(learning_rate=0.1), policy=make_policy("bsp")
         )

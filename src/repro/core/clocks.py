@@ -25,7 +25,7 @@ shared start barrier, which satisfies both properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["PushRecord", "ClockTable"]
 
@@ -37,8 +37,6 @@ class PushRecord:
     clock: int = 0
     latest_timestamp: float | None = None
     previous_timestamp: float | None = None
-    total_wait_time: float = 0.0
-    push_history: list[float] = field(default_factory=list)
 
     @property
     def latest_interval(self) -> float | None:
@@ -55,9 +53,8 @@ class ClockTable:
     against typos in worker identifiers silently creating phantom workers.
     """
 
-    def __init__(self, keep_history: bool = False) -> None:
+    def __init__(self) -> None:
         self._records: dict[str, PushRecord] = {}
-        self._keep_history = bool(keep_history)
 
     # ------------------------------------------------------------------
     # Registration and recording
@@ -106,15 +103,7 @@ class ClockTable:
         record.previous_timestamp = record.latest_timestamp
         record.latest_timestamp = float(timestamp)
         record.clock += 1
-        if self._keep_history:
-            record.push_history.append(float(timestamp))
         return record.clock
-
-    def record_wait(self, worker_id: str, wait_time: float) -> None:
-        """Accumulate synchronization waiting time for a worker."""
-        if wait_time < 0:
-            raise ValueError(f"wait_time must be >= 0, got {wait_time}")
-        self._get(worker_id).total_wait_time += float(wait_time)
 
     # ------------------------------------------------------------------
     # Queries
@@ -143,7 +132,7 @@ class ClockTable:
         return {worker_id: record.clock for worker_id, record in self._records.items()}
 
     def record(self, worker_id: str) -> PushRecord:
-        """Full push record for a worker (clock, timestamps, waiting time)."""
+        """Full push record for a worker (clock and its two latest timestamps)."""
         return self._get(worker_id)
 
     def slowest_clock(self) -> int:
@@ -181,7 +170,3 @@ class ClockTable:
     def latest_interval(self, worker_id: str) -> float | None:
         """Most recent iteration interval of a worker, if it has pushed twice."""
         return self._get(worker_id).latest_interval
-
-    def total_wait_time(self, worker_id: str) -> float:
-        """Accumulated synchronization waiting time recorded for a worker."""
-        return self._get(worker_id).total_wait_time

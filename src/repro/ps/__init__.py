@@ -20,7 +20,8 @@ This subpackage provides that framework built from scratch:
   gradients from its (possibly stale) local weights.
 * :class:`WorkerLoop` / :class:`ServerSession` — the step protocol itself
   (:mod:`repro.ps.session`), written once and shared by the three runtimes
-  below, which only move bytes and wake peers.
+  below, which only move bytes and wake peers; the process and tcp servers
+  share one dispatch loop too (``ServerLoop``).
 * :class:`ThreadedTrainer` — a real concurrent runtime in which every worker
   is a Python thread, released by its own ``threading.Event``; useful to
   demonstrate the framework end to end on one machine.

@@ -18,15 +18,13 @@ keeps the hot path as flat as the thread version:
   worker's memory directly.  The ``"pipe"`` transport ships the packed
   buffers through the pipe instead (simpler, fully copying) and exists for
   comparison and as a fallback.
-* **Clock coordination** moves onto process-safe primitives: the server
-  side of the step protocol (:class:`repro.ps.session.ServerSession`) lives
-  in the server process and is driven by push messages; the per-worker OK
-  signal — a ``threading.Event`` in the thread world — becomes a per-worker
-  ``multiprocessing.Semaphore`` (released by the server, acquired by the
-  worker: one futex operation each way, no pickling), a shared ``Event``
-  flags aborts, and the start line is a ``multiprocessing.Barrier`` so
-  wall-clock timing begins only once every process has finished its
-  (comparatively slow) setup.
+* **The server process** runs the shared
+  :class:`~repro.ps.session.ServerLoop` over a pipe hub, the server end of
+  the worker pipes.  An OK is one token on the worker's
+  ``multiprocessing.Semaphore`` (one futex operation each way, no
+  pickling), a shared ``Event`` flags aborts, and the start line is a
+  ``multiprocessing.Barrier`` so wall-clock timing begins only once every
+  process has finished its (comparatively slow) setup.
 
 Determinism and fidelity: every process uses the same build of the
 registered workload (a ``fork`` child inherits the coordinator's, a
@@ -38,20 +36,20 @@ runtime — one spec trains the same model on either substrate.
 
 Failure handling: a worker that raises reports the error over its pipe; a
 worker that *dies* is noticed as EOF on its pipe (or as a barrier timeout
-during setup).  Either way the server aborts the remaining workers, the
-coordinator reaps every child, and the shared segments are unlinked in a
-``finally`` block — crashes never leak ``/dev/shm`` entries (pinned by
-``tests/ps/test_process_runtime.py``).  The one unprotected window is a
-process dying while *holding* a shard lock (microseconds per operation);
-like the threaded runtime's lock, that is trusted code, not a failure
-domain the protocol defends against.
+during setup).  The server aborts the remaining workers — except on the
+``"pipe"`` transport, where a dead worker leaves the membership
+elastically — the coordinator reaps every child, and the shared segments
+are unlinked in a ``finally`` block: crashes never leak ``/dev/shm``
+entries (pinned by ``tests/ps/test_process_runtime.py``).  The one
+unprotected window is a process dying while *holding* a shard lock
+(microseconds per operation); like the threaded runtime's lock, that is
+trusted code, not a failure domain the protocol defends against.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import selectors
 import time
 from dataclasses import dataclass
 
@@ -61,6 +59,7 @@ from repro.ps.compression import read_encoded, write_encoded
 from repro.ps.netfaults import NetFaultSchedule, parse_net_fault_specs
 from repro.ps.session import (
     Resume,
+    ServerLoop,
     ServerSession,
     TrainingResult,
     WorkerLoop,
@@ -181,22 +180,30 @@ class ProcessTrainingPlan(WorkloadPlan):
 # ----------------------------------------------------------------------
 # Gradient mailboxes
 # ----------------------------------------------------------------------
-def _framed_mailbox_regions(handle, segment, codec) -> dict[int, np.ndarray]:
-    """Per-shard uint8 frame regions of one worker's mailbox (codec mode).
+def _mailbox(handle: SharedStoreHandle, segment: SharedSegment, codec) -> dict[int, np.ndarray]:
+    """Per-shard regions of one worker's gradient mailbox segment.
 
-    Mirrors :func:`_mailbox_views`: writer (worker) and reader (server)
-    slice the segment with this one function, so the two sides can never
-    disagree on offsets.  Each region holds the codec's worst-case encoded
-    frame for its shard; capacities are 8-byte multiples, keeping every
-    region's int64 frame header aligned.  Slicing a too-small segment
-    raises, so a sizing mismatch fails at attach time, not mid-push.
+    The mailbox packs one region per shard back to back in shard order;
+    both the worker (writer) and the server (reader) slice it with this one
+    function, so the two sides can never disagree on offsets.  Without a
+    codec a region is the shard's packed float64 gradient block (an empty
+    shard gets none).  With one it holds the codec's worst-case encoded
+    frame as bytes; capacities are 8-byte multiples, keeping every region's
+    int64 frame header aligned.  Slicing a too-small segment raises, so a
+    sizing mismatch fails at attach time, not mid-push.
     """
     regions: dict[int, np.ndarray] = {}
     offset = 0
     for spec in handle.shard_specs:
-        capacity = codec.max_encoded_nbytes(spec.build_layout().weights_end)
-        regions[spec.index] = segment.ndarray(np.uint8, capacity, offset=offset)
-        offset += capacity
+        size = spec.build_layout().weights_end
+        if codec is not None:
+            regions[spec.index] = segment.ndarray(
+                np.uint8, codec.max_encoded_nbytes(size), offset=offset
+            )
+            offset += regions[spec.index].nbytes
+        elif size:
+            regions[spec.index] = segment.ndarray(np.float64, size, offset=offset)
+            offset += regions[spec.index].nbytes
     return regions
 
 
@@ -205,35 +212,14 @@ def _codec_mailbox_nbytes(plan, initial_weights, initial_buffers, codec) -> int:
 
     Partitions with :func:`~repro.ps.sharding.partition_state`, as
     :func:`~repro.ps.shm.create_shared_store` does, so these capacities
-    match the regions :func:`_framed_mailbox_regions` later slices out of
-    the created segments.
+    match the regions :func:`_mailbox` later slices out of the created
+    segments.
     """
     parts = partition_state(
         initial_weights, initial_buffers, plan.num_shards, plan.shard_strategy, plan.dtype
     )
     totals = [sum(np.asarray(value).size for value in weights.values()) for weights, _ in parts]
     return sum(codec.max_encoded_nbytes(int(total)) for total in totals)
-
-
-def _mailbox_views(
-    handle: SharedStoreHandle, segment: SharedSegment
-) -> dict[int, np.ndarray]:
-    """Per-shard float64 views into one worker's gradient mailbox segment.
-
-    The mailbox packs every shard's weight block back to back in shard
-    order; both the worker (writer) and the server (reader) slice it with
-    this one function so the two sides can never disagree on offsets.
-    """
-    views: dict[int, np.ndarray] = {}
-    offset = 0
-    for spec in handle.shard_specs:
-        size = spec.build_layout().weights_end
-        if size:
-            views[spec.index] = segment.ndarray(
-                np.float64, size, offset=offset * np.dtype(np.float64).itemsize
-            )
-        offset += size
-    return views
 
 
 # ----------------------------------------------------------------------
@@ -257,15 +243,91 @@ def _close_unrelated(conns) -> None:
             pass
 
 
+class _PipeHub:
+    """The server end of the worker pipes: the :class:`ServerLoop` hub.
+
+    Messages arrive on each worker's pipe; an OK is one token on the
+    worker's semaphore, an abort sets the shared event and wakes everyone.
+    A push's gradient sits in the worker's shared mailbox (``"shm"``) or
+    rides in the message (``"pipe"``).  EOF on a ``"pipe"`` link is an
+    elastic departure: everything the dead worker owned travelled through
+    that pipe.  On ``"shm"`` it is a failure, as is a reported error: a
+    worker dying inside the shared-memory store cannot be declared harmless
+    from here.
+    """
+
+    def __init__(self, plan, handle, store, conns, mailboxes, oks, abort) -> None:
+        self._store, self._abort = store, abort
+        self._oks = dict(zip(plan.worker_ids, oks))
+        self._conns = dict(zip(map(PipeConnection, conns), plan.worker_ids))
+        self._eof = "departure" if plan.transport == "pipe" else "failure"
+        codec = plan_codec(plan)
+        self._codec = codec.name if codec is not None else None
+        self._mailboxes = {
+            worker_id: _mailbox(handle, segment, codec)
+            for worker_id, segment in zip(plan.worker_ids, mailboxes)
+        }
+        self._loop = None
+
+    def attach(self, loop) -> None:
+        self._loop = loop
+        for conn, worker_id in self._conns.items():
+            loop.watch(conn, worker_id)
+
+    def receive(self, ready):
+        for conn, worker_id in ready:
+            try:
+                header, payload = conn.recv()
+            except ConnectionClosed:
+                self._loop.forget(conn)
+                yield worker_id, self._eof, {"reason": "process died (connection lost)"}, None
+                continue
+            kind = header["type"]
+            if kind != "push":  # done, leave and error are a worker's last word
+                self._loop.forget(conn)
+            if kind == "error":
+                header["reason"] = header["message"]
+            yield worker_id, _PIPE_KINDS.get(kind, kind), header, payload
+
+    def gradients(self, worker_id, message, payload) -> dict:
+        message["codec"] = self._codec
+        mailbox = self._mailboxes.get(worker_id)
+        if self._codec is None:
+            return {"flat": payload if mailbox is None else mailbox, "buffers": message["buffers"]}
+        if mailbox is not None:  # self-describing frames, parsed zero-copy
+            payload = tuple(read_encoded(mailbox[shard], shard) for shard in sorted(mailbox))
+        return {"encoded": payload, "buffers": message["buffers"]}
+
+    def ok(self, worker_id) -> None:
+        self._oks[worker_id].release()
+
+    def abort(self, reason) -> None:
+        # Wake every worker out of its OK wait; the abort event tells it
+        # the token is a shutdown, not a release.
+        self._abort.set()
+        for ok in self._oks.values():
+            ok.release()
+
+    def waiting(self) -> bool:
+        return False
+
+    def statistics(self) -> dict:
+        return {"cow_fallbacks": self._store.cow_fallbacks}
+
+
+#: Pipe message kinds as :class:`ServerLoop` events: an announced leave
+#: (injected crash, dropped push) departs elastically on both transports.
+_PIPE_KINDS = {"leave": "departure", "error": "failure"}
+
+
 def _server_main(
     plan, handle, conns, result_conn, barrier, oks, abort, unrelated=()
 ) -> None:
     """Entry point of the server process.
 
-    Owns the :class:`~repro.ps.session.ServerSession` over the shared-memory
-    store and drives it from pipe messages, releasing workers through their
-    OK semaphores.  The initial model is evaluated before the start barrier,
-    so setup cost stays out of the curve.
+    Runs the :class:`~repro.ps.session.ServerLoop` over the shared-memory
+    store and the worker pipes.  The initial model is evaluated before the
+    start barrier, so setup cost stays out of the curve.
     """
     _close_unrelated(unrelated)
     store = None
@@ -275,142 +337,14 @@ def _server_main(
         session = ServerSession.from_plan(plan, store, plan.build_workload())
         for worker_id in plan.worker_ids:
             session.join(worker_id)
-
-        codec = plan_codec(plan)
-        codec_name = codec.name if codec is not None else None
-        grad_views: dict[int, dict[int, np.ndarray]] = {}
-        grad_regions: dict[int, dict[int, np.ndarray]] = {}
         if plan.transport == "shm":
-            for index, name in enumerate(handle.grad_segments):
-                segment = SharedSegment.attach(name)
-                mailboxes.append(segment)
-                if codec is not None:
-                    grad_regions[index] = _framed_mailbox_regions(
-                        handle, segment, codec
-                    )
-                else:
-                    grad_views[index] = _mailbox_views(handle, segment)
-
+            for name in handle.grad_segments:
+                mailboxes.append(SharedSegment.attach(name))
+        hub = _PipeHub(plan, handle, store, conns, mailboxes, oks, abort)
         session.evaluate(0.0)
         barrier.wait(timeout=plan.wait_timeout)
         session.start()
-
-        live: dict = {
-            PipeConnection(conn): index for index, conn in enumerate(conns)
-        }
-        # Persistent selector: registering the worker pipes once is
-        # measurably cheaper than multiprocessing.connection.wait's
-        # per-call selector construction on the per-push hot path.
-        selector = selectors.DefaultSelector()
-        for conn, index in live.items():
-            selector.register(conn, selectors.EVENT_READ, index)
-
-        def drop(conn) -> None:
-            del live[conn]
-            selector.unregister(conn)
-
-        def abort_all() -> None:
-            # Wake every worker out of its OK wait; the abort event tells
-            # it the token is a shutdown, not a release.
-            abort.set()
-            for ok in oks:
-                ok.release()
-
-        index_of = {worker_id: index for index, worker_id in enumerate(plan.worker_ids)}
-
-        def release(worker_ids) -> None:
-            for released in worker_ids:
-                oks[index_of[released]].release()
-
-        fatal = False
-        dead: set[int] = set()
-        while len(session.reports) + len(dead) < plan.num_workers and not fatal:
-            ready = selector.select(timeout=session.idle_timeout)
-            if not ready:
-                session.errors.append(
-                    f"server: no worker progress for {session.idle_timeout:.0f}s, aborting"
-                )
-                abort_all()
-                break
-            for key, _ in ready:
-                conn = key.fileobj
-                index = key.data
-                worker_id = f"worker-{index}"
-                try:
-                    header, payload = conn.recv()
-                except ConnectionClosed:
-                    drop(conn)
-                    if index in dead:
-                        # Announced its injected crash already ("leave"
-                        # message); this EOF is just the pipe closing.
-                        continue
-                    reason = "process died (connection lost)"
-                    session.errors.append(f"{worker_id}: {reason}")
-                    if plan.transport == "pipe":
-                        # Elastic death on the pipe transport: everything the
-                        # dead worker owned travelled through this (now
-                        # closed) pipe, so deregistering it and re-bounding
-                        # the policy over the survivors is safe — blocked
-                        # fast workers whose wait condition the membership
-                        # change satisfied wake up immediately.  The shm
-                        # transport keeps its abort contract: a worker dying
-                        # inside the shared-memory store cannot be declared
-                        # harmless from here.
-                        dead.add(index)
-                        release(session.leave(worker_id, reason=reason))
-                        continue
-                    abort_all()
-                    fatal = True
-                    break
-                kind = header["type"]
-                if kind == "push":
-                    flat_gradients = None
-                    encoded = None
-                    if codec is not None:
-                        if plan.transport == "shm":
-                            # Self-describing frames: parsed zero-copy out
-                            # of the worker's mailbox, decoded inside the
-                            # push before the worker is released.
-                            encoded = tuple(
-                                read_encoded(region, shard)
-                                for shard, region in sorted(
-                                    grad_regions[index].items()
-                                )
-                            )
-                        else:
-                            encoded = payload
-                    elif plan.transport == "shm":
-                        flat_gradients = grad_views[index]
-                    else:
-                        flat_gradients = payload
-                    header["codec"] = codec_name
-                    response = session.push(
-                        worker_id,
-                        header,
-                        flat=flat_gradients,
-                        encoded=encoded,
-                        buffers=header["buffers"],
-                    )
-                    release(response.to_release)
-                elif kind == "leave":
-                    # Injected crash: the worker announced its death and
-                    # exited.  Elastic on both transports — nothing of the
-                    # dead worker's is left in flight on the shared store.
-                    dead.add(index)
-                    release(session.leave(worker_id, events=header.get("events")))
-                elif kind == "done":
-                    session.done(
-                        worker_id, header["report"], header.get("events"), payload
-                    )
-                    drop(conn)
-                elif kind == "error":
-                    session.errors.append(f"{worker_id}: {header['message']}")
-                    drop(conn)
-                    abort_all()
-                    fatal = True
-                    break
-        selector.close()
-        result_conn.send(session.finish(cow_fallbacks=store.cow_fallbacks))
+        result_conn.send(ServerLoop(session, hub).run())
     except Exception as error:  # noqa: BLE001 - the coordinator must hear about it
         _LOGGER.exception("server process failed")
         try:
@@ -443,8 +377,7 @@ class _ProcessLink:
     def __init__(self, plan, handle, index, conn, barrier, ok, abort) -> None:
         self._plan, self._handle, self._index = plan, handle, index
         self._conn, self._barrier, self._ok, self._abort = conn, barrier, ok, abort
-        self._client = None
-        self._mailbox = None
+        self._client = self._mailbox = None
         self._regions: dict[int, np.ndarray] = {}
         worker_id = f"worker-{index}"
         net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
@@ -466,13 +399,12 @@ class _ProcessLink:
         if plan.transport == "shm":
             self._mailbox = SharedSegment.attach(handle.grad_segments[self._index])
             codec = plan_codec(plan)
-            if codec is not None:
-                # Codec mode: the mailbox carries encoded frames, so the
-                # replica keeps private gradient buffers and the encoder
-                # writes frames after each backward pass.
-                self._regions = _framed_mailbox_regions(handle, self._mailbox, codec)
-            else:
-                self.gradient_buffers = _mailbox_views(handle, self._mailbox)
+            self._regions = _mailbox(handle, self._mailbox, codec)
+            if codec is None:
+                # The replica's gradients live in the mailbox.  With a codec
+                # the replica keeps private gradient buffers and the encoder
+                # writes frames into the mailbox after each backward pass.
+                self.gradient_buffers = self._regions
         self._client = ShmStoreClient(handle)
         return Resume(0, self._client.pull_reply())
 
@@ -483,17 +415,12 @@ class _ProcessLink:
     def push(self, header, computation, flat, encoded) -> bool:
         if self._abort.is_set():
             return False
-        shm = self._plan.transport == "shm"
-        if encoded is not None and shm:
-            for shard_payload in encoded:
-                write_encoded(shard_payload, self._regions[shard_payload.shard])
-            payload = None  # the frames now sit in the mailbox
-        elif encoded is not None:
-            payload = encoded
-        elif shm:
-            payload = None  # the gradient already sits in the mailbox
+        if self._plan.transport == "shm":
+            payload = None  # the gradient (or its frames) sits in the mailbox
+            for frame in encoded or ():
+                write_encoded(frame, self._regions[frame.shard])
         else:
-            payload = dict(flat or {})
+            payload = encoded if encoded is not None else dict(flat or {})
         if self._schedule is not None:
             # Pipe transport supports delay/drop only (plan validation
             # enforces it), so the throttle byte count is irrelevant.
@@ -509,7 +436,6 @@ class _ProcessLink:
         self._conn.send(
             {
                 "type": "push",
-                "worker": self._index,
                 "base_version": header["base_version"],
                 "timestamp": header["timestamp"],
                 "loss": header["loss"],
@@ -530,7 +456,7 @@ class _ProcessLink:
     def leave(self, clock: int, rejoin_after=None) -> None:
         # Announce the death so the server can deregister elastically; the
         # process then exits without a report.
-        message = {"type": "leave", "worker": self._index, "clock": clock}
+        message = {"type": "leave", "clock": clock}
         if self._schedule is not None:
             message["events"] = self._events()
         self._conn.send(message)
@@ -539,7 +465,6 @@ class _ProcessLink:
         self._conn.send(
             {
                 "type": "done",
-                "worker": self._index,
                 "events": self._events(),
                 "report": report,
             },
@@ -548,7 +473,7 @@ class _ProcessLink:
 
     def error(self, message: str) -> None:
         try:
-            self._conn.send({"type": "error", "worker": self._index, "message": message})
+            self._conn.send({"type": "error", "message": message})
         except (BrokenPipeError, ConnectionError, OSError):
             pass
 

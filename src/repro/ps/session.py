@@ -14,8 +14,11 @@ drives the same :class:`ServerSession` under a virtual clock
 * :class:`ServerSession` is the server side: the per-push sequence around
   one :class:`~repro.ps.server.ParameterServer`, what each OK carries
   (:meth:`ServerSession.reply`), membership changes and the end-of-run
-  result.  Runtimes keep their select loops, pipes, sockets and
-  wire formats and call into it.
+  result.
+* :class:`ServerLoop` drives a session from messages for the process and
+  tcp runtimes, over a :class:`Hub` — the server end of their links, and
+  the only thing such a runtime implements for its server.  The threaded
+  runtime and the simulator call the session directly.
 * :class:`TrainingPlan` describes a run; the runtimes' plan classes extend
   it with their own fields, and the ``build_*`` functions and
   :func:`assemble` are the one recipe turning a plan into server, evaluator
@@ -29,10 +32,11 @@ triggers a rebuild.
 from __future__ import annotations
 
 import os
+import selectors
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Iterable, Iterator, Mapping, Protocol
 
 import numpy as np
 
@@ -64,6 +68,8 @@ __all__ = [
     "replica_step",
     "Tally",
     "ServerSession",
+    "Hub",
+    "ServerLoop",
     "Ok",
     "LogEntry",
     "UpdateLog",
@@ -898,7 +904,7 @@ class ServerSession:
     """The server side of the step protocol around one :class:`ParameterServer`.
 
     Single-threaded by contract: the process and tcp runtimes call it from
-    their one server loop, the threaded runtime under its server lock
+    their :class:`ServerLoop`, the threaded runtime under its server lock
     (except :meth:`apply`, which is as thread-safe as the store).
     """
 
@@ -974,6 +980,11 @@ class ServerSession:
     def start(self) -> None:
         """The start line: run time counts from here."""
         self._start = self._clock()
+
+    @property
+    def started(self) -> bool:
+        """Whether the start line (:meth:`start`) has passed."""
+        return self._start is not None
 
     def elapsed(self) -> float:
         """Seconds since :meth:`start` (0.0 before it)."""
@@ -1167,18 +1178,11 @@ class ServerSession:
             self.profile = profile
 
     def finish(self, **extra_statistics) -> TrainingResult:
-        """Close the run: tail window, waits, final evaluation, the result."""
+        """Close the run: tail window, final evaluation, the result."""
         # Apply the tail window of a buffered robust aggregator before the
         # final evaluation sees the weights.
         self.server.flush_staged()
         wall_time = self.elapsed()
-        for worker_id, report in self.reports.items():
-            try:
-                self.server.policy.clock_table.record_wait(
-                    worker_id, report.total_wait_time
-                )
-            except KeyError:
-                pass  # deregistered: finished elastically or died
         self.evaluate(wall_time)
         ordered = [*self.worker_ids, *sorted(self.joined - set(self.worker_ids))]
         reports = [
@@ -1206,3 +1210,151 @@ class ServerSession:
             events=[dict(event) for event in self.events],
             profile=self.profile,
         )
+
+
+class Hub(Protocol):
+    """The server end of a runtime's links — all a server runtime implements.
+
+    A hub turns its transport's traffic into events for :class:`ServerLoop`,
+    each a ``(worker_id, kind, message, payload)`` tuple whose ``worker_id``
+    is the *owner of the connection* it came from, never a field of the
+    message.  ``kind`` is one of:
+
+    * ``"push"`` — ``message`` is the push header, ``payload`` whatever
+      :meth:`gradients` needs;
+    * ``"done"`` — ``message["report"]`` and ``message.get("events")``, and
+      the worker's profile (or ``None``) as ``payload``;
+    * ``"join"`` — the hub registered (and welcomed) the worker itself;
+    * ``"departure"`` — the worker left the run: ``message.get("reason")``
+      (``None`` for an announced leave), ``message.get("events")``, and
+      ``message.get("chaos")`` when the net-fault plan may tear its link;
+    * ``"failure"`` — the run cannot go on: ``message["reason"]``.
+
+    Everything else on the wire (accepts, heartbeats, watchers) stays
+    inside the hub.
+    """
+
+    def attach(self, loop: "ServerLoop") -> None:
+        """Watch the hub's connections through ``loop.watch``."""
+
+    def receive(self, ready: Iterable[tuple]) -> Iterator[tuple]:
+        """The events of the ``(conn, data)`` pairs ``loop.watch`` registered
+        that are ready to read — a generator: the loop handles each event
+        before the hub reads on, so code after a ``yield`` sees its effect."""
+
+    def gradients(self, worker_id: str, message: dict, payload) -> dict:
+        """The gradient keywords of :meth:`ServerSession.push` for one push."""
+
+    def ok(self, worker_id: str) -> None:
+        """Deliver ``worker_id``'s OK."""
+
+    def abort(self, reason: str) -> None:
+        """Tell every connected worker the run is over."""
+
+    def waiting(self) -> bool:
+        """Whether the run must go on although no worker is registered."""
+
+    def statistics(self) -> dict:
+        """The transport's entries for the result's server statistics."""
+
+
+class ServerLoop:
+    """The server side of the step protocol over a :class:`Hub`.
+
+    The process and tcp runtimes' one dispatch loop: a push goes through
+    :meth:`ServerSession.push` and the workers it releases get their OKs; a
+    ``done`` records the report and deregisters the worker, so a finished
+    worker stops counting in the policy's membership; a departure leaves
+    the membership elastically, recorded as an error unless the fault plan
+    or the net-fault plan scheduled it; a failure records its reason and
+    aborts.  No push, join, done or departure for the session's
+    ``idle_timeout`` aborts a hung run.  The run is over once it started and
+    no worker is registered (or it aborted), unless the hub still waits.
+    """
+
+    def __init__(self, session: ServerSession, hub: Hub, *, poll: float | None = None) -> None:
+        """``poll`` bounds one wait for traffic (default: the idle timeout)."""
+        self.session = session
+        self.hub = hub
+        self.poll = poll
+        self.aborted = False
+        # One persistent selector: registering each connection once is
+        # measurably cheaper than building a selector per wait on the
+        # per-push hot path (as ``multiprocessing.connection.wait`` does).
+        self._selector = selectors.DefaultSelector()
+        self._progress = time.monotonic()
+
+    def watch(self, conn, data=None) -> None:
+        """Read ``conn`` from the next wait on; ``data`` rides along with it."""
+        self._selector.register(conn, selectors.EVENT_READ, data)
+
+    def forget(self, conn) -> None:
+        """Stop reading ``conn`` (already forgotten: a no-op)."""
+        try:
+            self._selector.unregister(conn)
+        except (KeyError, ValueError):
+            pass
+
+    def run(self) -> TrainingResult:
+        """Dispatch until the run is over; the session's result."""
+        session, hub = self.session, self.hub
+        try:
+            hub.attach(self)
+            self._progress = time.monotonic()
+            while not self._over():
+                ready = self._selector.select(self.poll or session.idle_timeout)
+                for event in hub.receive(self._live(ready)):
+                    self._progress = time.monotonic()
+                    self._dispatch(*event)
+                    if self.aborted:
+                        break
+                if not self.aborted and time.monotonic() - self._progress > session.idle_timeout:
+                    session.errors.append(
+                        f"server: no worker progress for {session.idle_timeout:.0f}s, aborting"
+                    )
+                    self.abort("no worker progress")
+        finally:
+            self._selector.close()
+        return session.finish(**hub.statistics())
+
+    def abort(self, reason: str) -> None:
+        """Stop the run: every connected worker hears ``reason``."""
+        self.aborted = True
+        self.hub.abort(reason)
+
+    def _over(self) -> bool:
+        session = self.session
+        ended = self.aborted or (session.started and not session.server.num_workers)
+        return ended and not self.hub.waiting()
+
+    def _live(self, ready):
+        """The ready ``(conn, data)`` pairs, skipping any forgotten meanwhile."""
+        registered = self._selector.get_map()
+        for key, _ in ready:
+            if registered.get(key.fd) is key:
+                yield key.fileobj, key.data
+
+    def _dispatch(self, worker_id: str, kind: str, message: dict, payload) -> None:
+        session, hub = self.session, self.hub
+        if kind == "push":
+            gradients = hub.gradients(worker_id, message, payload)
+            released = session.push(worker_id, message, **gradients).to_release
+        elif kind == "done":
+            session.done(worker_id, message["report"], message.get("events"), payload)
+            released = session.release(worker_id)
+        elif kind == "departure":
+            reason = message.get("reason")
+            injector = session.server.fault_injector
+            planned = injector is not None and worker_id in injector.plan.crash_at()
+            if reason is not None and not planned and not message.get("chaos"):
+                session.errors.append(f"{worker_id}: {reason}")
+            details = {} if reason is None else {"reason": reason}
+            released = session.leave(worker_id, message.get("events"), **details)
+        elif kind == "failure":
+            session.errors.append(f"{worker_id}: {message['reason']}")
+            self.abort(message["reason"])
+            return
+        else:  # "join": the hub registered the worker; it counts as progress
+            return
+        for released_id in released:
+            hub.ok(released_id)

@@ -6,10 +6,13 @@ signals, a start barrier sized at launch.  This runtime drops all three
 assumptions and speaks the length-prefixed socket protocol of
 :mod:`repro.ps.transport` instead:
 
-* **One server process** owns the server side of the step protocol
-  (:class:`repro.ps.session.ServerSession` over a one-shard store from
-  :func:`~repro.ps.sharding.make_store`) behind a listening socket.
-  It can be started standalone (``python -m repro serve SPEC --bind
+* **One server process** runs the shared
+  :class:`~repro.ps.session.ServerLoop` (a one-shard store from
+  :func:`~repro.ps.sharding.make_store`) behind a listening socket; its
+  hub, the server end of the links, owns accepts, ``join``/``welcome``,
+  heartbeats, ``watch`` connections and the OK frames.  A message acts for
+  the worker whose connection joined, whatever its header names.  The
+  server can be started standalone (``python -m repro serve SPEC --bind
   host:port``) or self-hosted by :class:`TcpTrainer` on an ephemeral port.
 * **Workers connect by address** and run the shared
   :class:`~repro.ps.session.WorkerLoop` over the connection.  A ``join``
@@ -26,10 +29,11 @@ assumptions and speaks the length-prefixed socket protocol of
   mailboxes use — codec-encoded pushes go from worker memory onto the wire
   unchanged, and the ``none``/uncoded path stays bit-for-bit dense.
 * **Membership is elastic.**  Workers may join and leave mid-run: a late
-  joiner registers at the cluster's slowest clock, a worker that dies
-  (heartbeat timeout or EOF — including mid-push) is deregistered, the
-  SSP/DSSP staleness bound is recomputed over the remaining membership,
-  and every worker whose wait condition that satisfies gets its OK.  The
+  joiner registers at the cluster's slowest clock, a worker that finishes
+  or dies (heartbeat timeout, EOF — including mid-push — or a reported
+  error) is deregistered, the SSP/DSSP staleness bound is recomputed over
+  the remaining membership, and every worker whose wait condition that
+  satisfies gets its OK.  The
   run continues and still converges; the death is recorded in
   ``result.errors``.
 * **The server is restartable.**  On SIGTERM it checkpoints atomically
@@ -63,7 +67,6 @@ coordinator       ``watch`` → ``result {result}`` on completion
 
 from __future__ import annotations
 
-import selectors
 import signal
 import socket
 import threading
@@ -91,6 +94,7 @@ from repro.ps.session import (
     LogEntry,
     Mirror,
     Resume,
+    ServerLoop,
     ServerSession,
     TrainingResult,
     UpdateLog,
@@ -224,6 +228,24 @@ def _unpack_buffers(flat: np.ndarray, order: list) -> dict[str, np.ndarray]:
     return out
 
 
+def _codec_state_frames(header: dict, state) -> list:
+    """Frames carrying codec error-feedback ``state``; ``header`` names its keys."""
+    keys = sorted(state or ())
+    if keys:
+        header["codec_state_keys"] = keys
+    return [_dense_frame(_CODEC_SHARD_BASE + index, state[key]) for index, key in enumerate(keys)]
+
+
+def _codec_state(header: dict, frames) -> dict | None:
+    """The error-feedback residuals a welcome or push carries, if any —
+    copied, because they outlive the message's receive buffer."""
+    keys = header.get("codec_state_keys")
+    if not keys:
+        return None
+    state_frames = [frame for frame in frames if frame.shard >= _CODEC_SHARD_BASE]
+    return {str(key): np.array(decode_shard(frame)) for key, frame in zip(keys, state_frames)}
+
+
 def _json_safe(value):
     """Recursively convert NumPy scalars so the result survives JSON."""
     if isinstance(value, dict):
@@ -298,15 +320,372 @@ class _Peer:
     last_seen: float
 
 
+class _Restart(Exception):
+    """SIGTERM reached the server: checkpoint, send the workers away, exit."""
+
+
+class _TcpHub:
+    """The server end of the tcp links: the :class:`ServerLoop` hub.
+
+    Accepts connections; answers a ``join`` with the ``welcome`` (the worker
+    registers at the clock it resumes at) and, once the expected membership
+    is present, sends ``start``; tracks heartbeats and ``watch``
+    connections; turns push frames into gradients and an OK into frames.
+    EOF, heartbeat silence and a reported ``error`` are departures.  A
+    worker the net-fault plan may tear rides its reconnect path, so the run
+    waits for it.  With a checkpoint path it restores the checkpoint when
+    one exists, and checkpoints every ``checkpoint_every_pushes`` pushes;
+    a set ``shutdown`` event (SIGTERM) raises :class:`_Restart`.
+    """
+
+    def __init__(self, plan: TcpTrainingPlan, session: ServerSession, listener=None, shutdown=None):
+        self.plan, self.session = plan, session
+        self._listener, self._shutdown = listener, shutdown
+        store = session.server.store
+        self._codec = plan_codec(plan)
+        self._layout = _layout_to_wire(store.flat_layouts[0][1])
+        self._buffer_order = [
+            [name, list(np.asarray(value).shape)] for name, value in store.buffers.items()
+        ]
+        net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
+        #: Workers whose socket the chaos plan may legitimately tear: their
+        #: connection losses are events, not run errors.
+        self._chaos = {w for w in plan.worker_ids if net_plan.tears_connections(w)}
+        self._peers: dict[str, _Peer] = {}
+        self._conns: set[TcpConnection] = set()  # every accepted one still open
+        self.watchers: set[TcpConnection] = set()
+        self._departed: list[tuple[str, str, bool]] = []
+        self._aborted = False
+        self._linger = 0.0
+        self._sent = self._received = 0
+        self._loop = None
+        self._restored: dict[str, int] = {}
+        self.codec_states: dict[str, dict[str, np.ndarray]] = {}
+        self.restarts = 0
+        self._checkpoint = (
+            Path(plan.checkpoint_path).with_suffix(".npz") if plan.checkpoint_path else None
+        )
+        if self._checkpoint is not None and self._checkpoint.exists():
+            self._restore()
+        if self._codec is not None:
+            # Encoded pushes are small enough to answer pulls with; dense
+            # ones never are, so a codec-less run keeps no log at all.
+            session.update_log = UpdateLog(store.version, store.nbytes)
+
+    # -- the hub -------------------------------------------------------
+    def attach(self, loop) -> None:
+        self._loop = loop
+        if self._listener is not None:
+            loop.watch(self._listener)
+
+    def receive(self, ready):
+        if self._shutdown is not None and self._shutdown.is_set():
+            raise _Restart
+        for conn, _ in ready:
+            if conn is self._listener:
+                self._accept()
+                continue
+            try:
+                messages = conn.read_ready()
+            except ConnectionClosed:
+                messages = ()
+                self._lost(conn)
+            for header, frames in messages:
+                yield from self._read(conn, header, frames)
+            yield from self._drain()
+        now = time.monotonic()
+        for peer in list(self._peers.values()):  # a silent worker is a dead worker
+            if now - peer.last_seen > self.plan.heartbeat_timeout:
+                self._depart(peer.worker_id, f"no heartbeat for {self.plan.heartbeat_timeout:.0f}s")
+        yield from self._drain()
+
+    def gradients(self, worker_id, message, payload) -> dict:
+        state = _codec_state(message, payload)
+        if state:  # kept for the next checkpoint
+            self.codec_states[worker_id] = state
+        message["loss"] = _float_or_nan(message.get("loss", "nan"))
+        buffers = {}
+        for frame in payload:
+            if frame.shard == _BUFFER_SHARD:
+                buffers = _unpack_buffers(decode_shard(frame), self._buffer_order)
+        gradient_frames = tuple(frame for frame in payload if frame.shard < _BUFFER_SHARD)
+        return {"encoded": gradient_frames, "buffers": buffers}
+
+    def ok(self, worker_id: str, welcome: dict | None = None, extra_frames=()) -> None:
+        """Send ``worker_id`` its OK — or the ``welcome`` header, with its
+        ``extra_frames`` — carrying what the session's :meth:`reply` built:
+        the update log (the recipient's own push travels as its ``seq`` and
+        no frames), or the packed weights plus, for a mirror-building
+        welcome, the optimizer state."""
+        peer = self._peers.get(worker_id)
+        if peer is None:
+            return
+        ok = self.session.reply(worker_id, welcome=welcome is not None)
+        header = welcome or {"type": "ok"}
+        header["version"] = ok.version
+        if ok.kind == "log":
+            sent = [entry.frames_for(worker_id) for entry in ok.entries]
+            header["log"] = [
+                [e.version, e.learning_rate, e.scale, len(frames), None if frames else e.seq]
+                for e, frames in zip(ok.entries, sent)
+            ]
+            self._send(peer.conn, header, chain.from_iterable(sent), worker_id=worker_id)
+            return
+        frames = [_dense_frame(payload.shard, payload.buffer) for payload in ok.pull.flat_weights]
+        if ok.mirrored:
+            header["mirror"] = True
+        if ok.velocity is not None:
+            frames.append(_dense_frame(_VELOCITY_SHARD, ok.velocity))
+        try:
+            self._send(peer.conn, header, (*frames, *extra_frames), worker_id=worker_id)
+        finally:
+            ok.pull.release()
+
+    def abort(self, reason: str) -> None:
+        self._aborted = True
+        self._linger = time.monotonic() + 1.0
+        self.broadcast({"type": "abort", "reason": reason})
+
+    def waiting(self) -> bool:
+        if self._aborted:
+            # Linger briefly so stragglers racing the abort (a join already
+            # in flight) get an explicit ``reject``, not a connection refused.
+            return time.monotonic() < self._linger
+        # Chaos-torn workers are mid-redial, not gone: wait until they report
+        # done (the liveness guard still bounds one that never makes it back).
+        return bool(self._chaos - set(self.session.reports))
+
+    def statistics(self) -> dict:
+        return {
+            "tcp_bytes_sent": self._sent,
+            "tcp_bytes_received": self._received,
+            "pull_replies": dict(self.session.pull_replies),
+        }
+
+    # -- connections and membership ------------------------------------
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # BlockingIOError: none left
+                return
+            conn = TcpConnection(sock)
+            conn.settimeout(self.plan.wait_timeout)
+            self._conns.add(conn)
+            self._loop.watch(conn)
+
+    def _read(self, conn, header: dict, frames):
+        kind = header.get("type")
+        if kind == "join":
+            yield from self._join(conn, header)
+            return
+        if kind == "watch":
+            self.watchers.add(conn)
+            return
+        # The sender is the connection's owner: the header never names it.
+        peer = self._peers.get(conn.owner)
+        if peer is None or peer.conn is not conn:
+            return  # not a member (any more): e.g. a push racing a deregistration
+        peer.last_seen = time.monotonic()
+        if kind == "push":
+            yield peer.worker_id, kind, header, frames
+            every = self.plan.checkpoint_every_pushes
+            if every and self.session.server.pushes_handled % every == 0:
+                self.checkpoint()
+        elif kind == "done":
+            del self._peers[peer.worker_id]
+            self._retire(conn)
+            report = dict(header["report"])
+            report["mean_loss"] = _float_or_nan(report.get("mean_loss", "nan"))
+            # Worker-side chaos and retry events ride along with the report.
+            yield peer.worker_id, kind, {**header, "report": report}, header.get("profile")
+        elif kind == "error":
+            self._depart(peer.worker_id, str(header.get("message", "worker error")))
+        elif kind != "heartbeat":
+            _LOGGER.warning("ignoring unknown message type %r", kind)
+
+    def _join(self, conn, header: dict):
+        session = self.session
+        worker_id = str(header["worker"])
+        if header.get("chaos"):
+            # Standalone serve mode: the chaos plan lives in the *run*
+            # spec, not necessarily the server's — the join envelope
+            # declares tear-prone workers so their connection losses are
+            # recorded as events, not run errors.
+            self._chaos.add(worker_id)
+        if self._aborted or worker_id in self._peers:
+            reason = "run aborted" if self._aborted else f"duplicate join for {worker_id!r}"
+            self._send(conn, {"type": "reject", "reason": reason})
+            self._retire(conn)
+            return
+        rejoining = worker_id in session.joined
+        if worker_id in self._restored and not rejoining:
+            clock = self._restored[worker_id]
+        elif session.started:
+            # A returning worker resumes exactly after its last push the
+            # server owns (the exactly-once watermark); a brand-new elastic
+            # joiner starts at the cluster's slowest clock.
+            watermark = session.watermarks.get(worker_id)
+            if watermark is not None:
+                clock = watermark + 1
+            elif worker_id in self._chaos:
+                # A chaos-torn worker with no watermark lost its very first
+                # push: replay from zero so no work is dropped.
+                clock = 0
+            else:
+                clock = session.server.policy.clock_table.slowest_clock()
+        else:
+            clock = 0
+        injector = session.server.fault_injector
+        if injector is not None and session.started and rejoining:
+            injector.record("rejoin", worker_id, clock=clock)
+        elif rejoining or worker_id in self._restored:
+            session.events.append({"kind": "reconnect", "worker": worker_id, "clock": int(clock)})
+        session.join(worker_id, clock)
+        self._peers[worker_id] = _Peer(conn=conn, worker_id=worker_id, last_seen=time.monotonic())
+        conn.owner = worker_id
+
+        welcome = {
+            "type": "welcome",
+            "worker": worker_id,
+            "clock": clock,
+            "started": session.started,
+            "layout": self._layout,
+            "buffers": self._buffer_order,
+            "want_codec_state": self._checkpoint is not None and self._codec is not None,
+        }
+        state = self.codec_states.get(worker_id) if self._codec is not None else None
+        self.ok(worker_id, welcome, _codec_state_frames(welcome, state))
+        _LOGGER.info("%s joined at clock %d (%s)", worker_id, clock, conn.peername())
+
+        if not session.started and set(self.plan.worker_ids) <= set(self._peers):
+            session.start()
+            for peer in list(self._peers.values()):
+                self._send(peer.conn, {"type": "start"}, worker_id=peer.worker_id)
+            _LOGGER.info("all %d expected workers joined; training started", self.plan.num_workers)
+        yield worker_id, "join", header, None
+
+    def _lost(self, conn) -> None:
+        peer = self._peers.get(conn.owner)  # the join stamped the owner
+        if peer is not None and peer.conn is conn:
+            self._depart(peer.worker_id, "process died (connection lost)")
+            return
+        self.watchers.discard(conn)
+        self._retire(conn)
+
+    def _depart(self, worker_id: str, reason: str) -> None:
+        """Drop ``worker_id``'s connection; :meth:`_drain` reports the departure."""
+        peer = self._peers.pop(worker_id, None)
+        if peer is None:
+            return
+        self._retire(peer.conn)
+        chaos = worker_id in self._chaos
+        if chaos and self.session.server.fault_injector is None:
+            self.session.events.append(
+                {"kind": "connection_lost", "worker": worker_id, "reason": reason}
+            )
+        self._departed.append((worker_id, reason, chaos))
+        _LOGGER.warning("%s removed: %s", worker_id, reason)
+
+    def _drain(self):
+        while self._departed:
+            worker_id, reason, chaos = self._departed.pop(0)
+            yield worker_id, "departure", {"reason": reason, "chaos": chaos}, None
+            if not self.session.started and worker_id in self.plan.worker_ids:
+                # The start line can never be reached without its membership.
+                yield "server", "failure", {"reason": "expected worker died before start"}, None
+
+    def _send(self, conn, header: dict, frames=(), worker_id: str | None = None) -> None:
+        try:
+            conn.send(header, tuple(frames))
+        except ConnectionClosed:
+            if worker_id is not None:
+                self._depart(worker_id, "connection lost while sending")
+
+    def _retire(self, conn: TcpConnection) -> None:
+        """Forget and close one connection, keeping wire totals."""
+        self._loop.forget(conn)
+        self._conns.discard(conn)
+        self._sent += conn.bytes_sent
+        self._received += conn.bytes_received
+        conn.close()
+
+    # -- persistence and teardown --------------------------------------
+    def _restore(self) -> None:
+        """Restart path: weights, optimizer state, clocks, residuals, push
+        watermarks and the event history of previous incarnations."""
+        session, checkpoint = self.session, self._checkpoint
+        store = session.server.store
+        extra = restore_into(checkpoint, store, session.server.optimizer).extra
+        self._restored = {
+            str(worker): int(clock) for worker, clock in extra.get("worker_clocks", {}).items()
+        }
+        session.watermarks.update(
+            (str(worker), int(seq)) for worker, seq in extra.get("push_watermarks", {}).items()
+        )
+        self.codec_states = load_codec_states(checkpoint)
+        session.events.extend(dict(event) for event in extra.get("events", []))
+        self.restarts = int(extra.get("restarts", 0)) + 1
+        session.events.append(
+            {
+                "kind": "server_restart",
+                "worker": "server",
+                "restart": self.restarts,
+                "version": int(store.version),
+                "clocks": dict(self._restored),
+            }
+        )
+        _LOGGER.info(
+            "restored checkpoint %s at version %d (clocks=%s, watermarks=%s)",
+            checkpoint, store.version, self._restored, session.watermarks,
+        )
+
+    def checkpoint(self) -> None:
+        """Save the run atomically (no checkpoint path: a no-op)."""
+        if self._checkpoint is None:
+            return
+        session = self.session
+        save_checkpoint(
+            self._checkpoint,
+            session.server.store,
+            session.server.optimizer,
+            paradigm=self.plan.paradigm,
+            extra={
+                "worker_clocks": session.server.policy.clock_table.clocks(),
+                # Watermarks and event history travel with the weights so a
+                # restarted server dedups retransmissions consistently with
+                # the state it restored, and the result's event log spans
+                # every incarnation.
+                "push_watermarks": dict(session.watermarks),
+                "events": _json_safe(list(session.events)),
+                "restarts": self.restarts,
+            },
+            codec_states=self.codec_states or None,
+        )
+
+    def broadcast(self, header: dict) -> None:
+        """Send every connected worker ``header`` and close its connection."""
+        for peer in self._peers.values():
+            self._send(peer.conn, header)
+            self._retire(peer.conn)
+        self._peers.clear()
+
+    def close(self, keep_watchers: bool = False) -> None:
+        for conn in list(self._conns):
+            if not (keep_watchers and conn in self.watchers):
+                self._retire(conn)
+
+
 class TcpServer:
     """The standalone parameter-server process behind a listening socket.
 
-    ``serve()`` runs one complete training job: accept joins until the
-    expected membership is present, broadcast ``start``, drive the policy
-    from pushes, survive worker deaths, and return the collected
-    :class:`TrainingResult` (also shipped to every ``watch``
-    connection).  On SIGTERM it checkpoints, notifies workers to
-    reconnect, and returns ``None`` — the restart contract.
+    ``serve()`` runs one complete training job: a
+    :class:`~repro.ps.session.ServerLoop` over the tcp hub accepts joins
+    until the expected membership is present, drives the policy from
+    pushes, survives worker deaths, and returns the collected
+    :class:`TrainingResult` (also shipped to every ``watch`` connection).
+    On SIGTERM it checkpoints, notifies workers to reconnect, and returns
+    ``None`` — the restart contract.
     """
 
     def __init__(self, plan: TcpTrainingPlan, ready_callback=None) -> None:
@@ -314,12 +693,12 @@ class TcpServer:
         self._ready_callback = ready_callback
         self._shutdown = threading.Event()
         self.bound_address: str | None = None
+        self.session: ServerSession | None = None
 
     def request_shutdown(self, *_args) -> None:
         """Ask ``serve()`` to checkpoint and exit (signal-handler safe)."""
         self._shutdown.set()
 
-    # ------------------------------------------------------------------
     def serve(self) -> TrainingResult | None:
         plan = self.plan
         workload = plan.build_workload()
@@ -329,81 +708,14 @@ class TcpServer:
             global_model.buffers(),
             dtype=plan.dtype,
         )
-        session = self._session = ServerSession.from_plan(plan, store, workload)
-        server = session.server
-        self._store, self._server, self._policy = store, server, server.policy
-        # One chronological event log owns every structured event of the run
-        # (injected faults, chaos drops, reconnects, server restarts); the
-        # fault injector appends into the same list.
-        self._events = session.events
-        self._injector = server.fault_injector
-        self._push_watermarks = session.watermarks
-        self._net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
-        # Workers whose socket the chaos plan may legitimately tear: their
-        # connection losses are events, not run errors.
-        self._chaos_workers = {
-            worker_id
-            for worker_id in plan.worker_ids
-            if self._net_plan.tears_connections(worker_id)
-        }
-
-        # Restart path: restore weights, optimizer state, clocks, residuals,
-        # push watermarks and the event history of previous incarnations.
-        self._restored_clocks: dict[str, int] = {}
-        self._codec_states: dict[str, dict[str, np.ndarray]] = {}
-        self._restarts = 0
-        checkpoint = Path(plan.checkpoint_path).with_suffix(".npz") if plan.checkpoint_path else None
-        if checkpoint is not None and checkpoint.exists():
-            metadata = restore_into(checkpoint, store, server.optimizer)
-            self._restored_clocks = {
-                str(worker): int(clock)
-                for worker, clock in metadata.extra.get("worker_clocks", {}).items()
-            }
-            self._push_watermarks.update(
-                (str(worker), int(seq))
-                for worker, seq in metadata.extra.get("push_watermarks", {}).items()
-            )
-            self._codec_states = load_codec_states(checkpoint)
-            self._events.extend(
-                dict(event) for event in metadata.extra.get("events", [])
-            )
-            self._restarts = int(metadata.extra.get("restarts", 0)) + 1
-            self._events.append(
-                {
-                    "kind": "server_restart",
-                    "worker": "server",
-                    "restart": self._restarts,
-                    "version": int(store.version),
-                    "clocks": dict(self._restored_clocks),
-                }
-            )
-            _LOGGER.info(
-                "restored checkpoint %s at version %d (clocks=%s, watermarks=%s)",
-                checkpoint, store.version, self._restored_clocks, self._push_watermarks,
-            )
-        self._checkpoint = checkpoint
-
-        self._codec = plan_codec(plan)
-        self._want_codec_state = checkpoint is not None and self._codec is not None
-        if self._codec is not None:
-            # Encoded pushes are small enough to answer pulls with; dense
-            # ones never are, so a codec-less run keeps no log at all.
-            session.update_log = UpdateLog(store.version, store.nbytes)
-        self._layout_wire = _layout_to_wire(store.flat_layouts[0][1])
-        self._buffer_order = [
-            [name, list(np.asarray(value).shape)]
-            for name, value in store.buffers.items()
-        ]
-        session.evaluate(0.0)
-
+        self.session = session = ServerSession.from_plan(plan, store, workload)
         host, port = parse_address(plan.address)
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(64)
+        listener = socket.create_server((host, port), backlog=64)  # SO_REUSEADDR on POSIX
         listener.setblocking(False)
         self.bound_address = format_address(host, listener.getsockname()[1])
         _LOGGER.info("tcp server listening on %s", self.bound_address)
+        hub = _TcpHub(plan, session, listener, self._shutdown)
+        session.evaluate(0.0)
 
         # Only the main thread may install signal handlers; elsewhere the
         # owner calls request_shutdown() directly.
@@ -412,447 +724,53 @@ class TcpServer:
             previous_handler = signal.signal(signal.SIGTERM, self.request_shutdown)
         except ValueError:
             pass
-
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(listener, selectors.EVENT_READ, "listener")
-        self._peers: dict[str, _Peer] = {}
-        self._pending: set[TcpConnection] = set()
-        self._watchers: set[TcpConnection] = set()
-        self._errors = session.errors
-        self._started = False
-        self._aborted = False
-        self._abort_deadline = 0.0
-        self._wire_sent = 0
-        self._wire_received = 0
-        self._expected = set(plan.worker_ids)
-
         restarting = False
         try:
             if self._ready_callback is not None:
                 self._ready_callback(self.bound_address)
-
-            self._last_progress = time.monotonic()
-            poll = min(1.0, plan.heartbeat_timeout / 4.0)
-
-            while True:
-                if self._shutdown.is_set():
-                    restarting = True
-                    self._graceful_restart()
-                    return None
-                now = time.monotonic()
-                if self._aborted:
-                    # Linger briefly after an abort so stragglers racing the
-                    # shutdown (a join already in flight) get an explicit
-                    # ``reject`` instead of a connection refused.
-                    if not self._peers and now >= self._abort_deadline:
-                        break
-                elif self._started and not self._peers:
-                    # Chaos-torn workers are mid-redial, not gone: linger
-                    # until they report done (the liveness guard still
-                    # bounds a worker that never makes it back).
-                    if not (self._chaos_workers - set(session.reports)):
-                        break  # everyone done (or dead) — the run is over
-                events = self._selector.select(timeout=poll)
-                now = time.monotonic()
-                for key, _ in events:
-                    if key.data == "listener":
-                        self._accept_all(listener)
-                        continue
-                    conn = key.fileobj
-                    try:
-                        messages = conn.read_ready()
-                    except ConnectionClosed:
-                        self._connection_lost(conn)
-                        continue
-                    for header, frames in messages:
-                        self._dispatch(conn, header, frames)
-                # Heartbeat sweep: a silent worker is a dead worker.
-                for peer in list(self._peers.values()):
-                    if now - peer.last_seen > plan.heartbeat_timeout:
-                        self._worker_dead(
-                            peer.worker_id,
-                            f"no heartbeat for {plan.heartbeat_timeout:.0f}s",
-                        )
-                # Liveness guard (the session adapts it to the push
-                # intervals it observes).  Once
-                # aborted it must not re-fire: _abort_all re-arms the linger
-                # deadline, and a guard that trips every iteration would
-                # push that deadline forever into the future.
-                if (
-                    not self._aborted
-                    and now - self._last_progress > session.idle_timeout
-                ):
-                    self._errors.append(
-                        f"server: no worker progress for {session.idle_timeout:.0f}s, aborting"
-                    )
-                    self._abort_all("no worker progress")
-            return self._finish()
+            loop = ServerLoop(session, hub, poll=min(1.0, plan.heartbeat_timeout / 4.0))
+            try:
+                result = loop.run()
+            except _Restart:
+                restarting = True
+                hub.checkpoint()
+                hub.broadcast({"type": "restart"})  # reconnect to the next incarnation
+                return None
+            hub.checkpoint()
+            wire = result_to_wire(result)
+            for watcher in hub.watchers:
+                try:
+                    watcher.send({"type": "result", "result": wire})
+                except ConnectionClosed:
+                    pass
+            return result
         finally:
             if previous_handler is not None:
                 try:
                     signal.signal(signal.SIGTERM, previous_handler)
                 except ValueError:  # pragma: no cover - non-main thread
                     pass
-            for conn in (
-                *(peer.conn for peer in self._peers.values()),
-                *self._pending,
-                *([] if restarting else self._watchers),
-            ):
-                self._retire(conn)
-            self._selector.unregister(listener)
+            hub.close(keep_watchers=restarting)
             listener.close()
-            self._selector.close()
-
-    # ------------------------------------------------------------------
-    def _accept_all(self, listener) -> None:
-        while True:
-            try:
-                sock, _ = listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:  # pragma: no cover - listener closed
-                return
-            conn = TcpConnection(sock)
-            conn.settimeout(self.plan.wait_timeout)
-            self._pending.add(conn)
-            self._selector.register(conn, selectors.EVENT_READ, "conn")
-
-    def _retire(self, conn: TcpConnection) -> None:
-        """Unregister and close one connection, keeping wire totals."""
-        try:
-            self._selector.unregister(conn)
-        except (KeyError, ValueError):
-            pass
-        self._wire_sent += conn.bytes_sent
-        self._wire_received += conn.bytes_received
-        conn.close()
-
-    def _connection_lost(self, conn) -> None:
-        peer = self._peers.get(conn.owner)  # the join stamped the owner
-        if peer is not None and peer.conn is conn:
-            self._worker_dead(peer.worker_id, "process died (connection lost)")
-            return
-        self._pending.discard(conn)
-        self._watchers.discard(conn)
-        self._retire(conn)
-
-    def _dispatch(self, conn, header: dict, frames) -> None:
-        kind = header.get("type")
-        if kind == "join":
-            self._handle_join(conn, header)
-        elif kind == "push":
-            self._handle_push(conn, header, frames)
-        elif kind == "heartbeat":
-            peer = self._peers.get(str(header.get("worker", "")))
-            if peer is not None and peer.conn is conn:
-                peer.last_seen = time.monotonic()
-        elif kind == "done":
-            self._handle_done(conn, header)
-        elif kind == "error":
-            worker_id = str(header.get("worker", "?"))
-            self._worker_dead(worker_id, str(header.get("message", "worker error")))
-        elif kind == "watch":
-            self._pending.discard(conn)
-            self._watchers.add(conn)
-        else:
-            _LOGGER.warning("ignoring unknown message type %r", kind)
-
-    # -- membership ----------------------------------------------------
-    def _handle_join(self, conn, header: dict) -> None:
-        worker_id = str(header["worker"])
-        if header.get("chaos"):
-            # Standalone serve mode: the chaos plan lives in the *run*
-            # spec, not necessarily the server's — the join envelope
-            # declares tear-prone workers so their connection losses are
-            # recorded as events, not run errors.
-            self._chaos_workers.add(worker_id)
-        self._pending.discard(conn)
-        if self._aborted:
-            self._try_send(conn, {"type": "reject", "reason": "run aborted"})
-            self._retire(conn)
-            return
-        if worker_id in self._peers:
-            self._try_send(
-                conn,
-                {"type": "reject", "reason": f"duplicate join for {worker_id!r}"},
-            )
-            self._retire(conn)
-            return
-        rejoining = worker_id in self._session.joined
-        if worker_id in self._restored_clocks and not rejoining:
-            clock = self._restored_clocks[worker_id]
-        elif self._started:
-            # A returning worker resumes exactly after its last push the
-            # server owns (the exactly-once watermark); a brand-new elastic
-            # joiner starts at the cluster's slowest clock.
-            watermark = self._push_watermarks.get(worker_id)
-            if watermark is not None:
-                clock = watermark + 1
-            elif worker_id in self._chaos_workers:
-                # A chaos-torn worker with no watermark lost its very first
-                # push: replay from zero so no work is dropped (elastic
-                # joiners below still start at the cluster's slowest clock).
-                clock = 0
-            else:
-                clock = self._policy.clock_table.slowest_clock()
-        else:
-            clock = 0
-        if self._injector is not None and self._started and rejoining:
-            self._injector.record("rejoin", worker_id, clock=clock)
-        elif rejoining or worker_id in self._restored_clocks:
-            self._events.append(
-                {"kind": "reconnect", "worker": worker_id, "clock": int(clock)}
-            )
-        self._session.join(worker_id, clock)
-        now = time.monotonic()
-        self._peers[worker_id] = _Peer(conn=conn, worker_id=worker_id, last_seen=now)
-        conn.owner = worker_id
-        self._last_progress = now
-
-        welcome = {
-            "type": "welcome",
-            "worker": worker_id,
-            "clock": clock,
-            "started": self._started,
-            "layout": self._layout_wire,
-            "buffers": self._buffer_order,
-            "want_codec_state": self._want_codec_state,
-        }
-        codec_frames = []
-        state = self._codec_states.get(worker_id) if self._codec is not None else None
-        if state:
-            keys = sorted(state)
-            welcome["codec_state_keys"] = keys
-            codec_frames = [
-                _dense_frame(_CODEC_SHARD_BASE + index, state[key])
-                for index, key in enumerate(keys)
-            ]
-        self._send_ok(worker_id, welcome, codec_frames)
-        _LOGGER.info("%s joined at clock %d (%s)", worker_id, clock, conn.peername())
-
-        if not self._started and self._expected <= set(self._peers):
-            self._started = True
-            self._session.start()
-            self._last_progress = time.monotonic()
-            for peer in list(self._peers.values()):
-                self._try_send(peer.conn, {"type": "start"}, worker_id=peer.worker_id)
-            _LOGGER.info("all %d expected workers joined; training started", len(self._expected))
-
-    def _worker_dead(self, worker_id: str, reason: str) -> None:
-        peer = self._peers.pop(worker_id, None)
-        if peer is None:
-            return
-        self._retire(peer.conn)
-        # A death the fault plan scheduled is chaos, not failure: it becomes
-        # a "crash" event (same as every other backend), not a run error.
-        # The same goes for a socket the net-fault plan may tear (drop or
-        # partition): the worker is alive and will ride the reconnect path.
-        planned = (
-            self._injector is not None
-            and worker_id in self._injector.plan.crash_at()
-        )
-        chaos = worker_id in self._chaos_workers
-        if not planned and not chaos:
-            self._errors.append(f"{worker_id}: {reason}")
-        self._last_progress = time.monotonic()
-        if self._injector is None and chaos:
-            self._events.append(
-                {"kind": "connection_lost", "worker": worker_id, "reason": reason}
-            )
-        for other in self._session.leave(worker_id, reason=reason):
-            self._send_ok(other)
-        _LOGGER.warning("%s removed: %s", worker_id, reason)
-        if not self._started and worker_id in self._expected:
-            # The start barrier can never complete without its membership.
-            self._errors.append("server: expected worker died before start")
-            self._abort_all("expected worker died before start")
-
-    def _handle_done(self, conn, header: dict) -> None:
-        worker_id = str(header["worker"])
-        peer = self._peers.pop(worker_id, None)
-        if peer is None or peer.conn is not conn:
-            return
-        report = dict(header["report"])
-        report["mean_loss"] = _float_or_nan(report.get("mean_loss", "nan"))
-        # Worker-side chaos and retry events ride along with the report.
-        self._session.done(
-            worker_id, report, header.get("events"), header.get("profile")
-        )
-        self._retire(peer.conn)
-        self._last_progress = time.monotonic()
-        for other in self._session.release(worker_id):
-            self._send_ok(other)
-
-    def _abort_all(self, reason: str) -> None:
-        self._aborted = True
-        self._abort_deadline = time.monotonic() + 1.0
-        for peer in list(self._peers.values()):
-            self._try_send(peer.conn, {"type": "abort", "reason": reason})
-            self._retire(peer.conn)
-        self._peers.clear()
-
-    def _try_send(self, conn, header: dict, frames=(), worker_id: str | None = None) -> bool:
-        try:
-            conn.send(header, tuple(frames))
-            return True
-        except ConnectionClosed:
-            if worker_id is not None:
-                self._worker_dead(worker_id, "connection lost while sending")
-            return False
-
-    # -- training ------------------------------------------------------
-    def _handle_push(self, conn, header: dict, frames) -> None:
-        worker_id = str(header["worker"])
-        peer = self._peers.get(worker_id)
-        if peer is None or peer.conn is not conn:
-            return  # push raced a deregistration; the worker will rejoin
-        now = time.monotonic()
-        peer.last_seen = now
-        self._last_progress = now
-        gradient_frames = []
-        buffer_frame = None
-        codec_frames = []
-        for frame in frames:
-            if frame.shard >= _CODEC_SHARD_BASE:
-                codec_frames.append(frame)
-            elif frame.shard == _BUFFER_SHARD:
-                buffer_frame = frame
-            else:
-                gradient_frames.append(frame)
-        buffers = (
-            _unpack_buffers(decode_shard(buffer_frame), self._buffer_order)
-            if buffer_frame is not None
-            else {}
-        )
-        keys = header.get("codec_state_keys")
-        if keys:
-            # Copy: the decoded views alias this message's receive buffer,
-            # but the residual state outlives it (until the next checkpoint).
-            self._codec_states[worker_id] = {
-                str(key): np.array(decode_shard(frame))
-                for key, frame in zip(keys, codec_frames)
-            }
-
-        header["loss"] = _float_or_nan(header.get("loss", "nan"))
-        response = self._session.push(
-            worker_id, header, encoded=tuple(gradient_frames), buffers=buffers
-        )
-        for released in response.to_release:
-            self._send_ok(released)
-
-        plan = self.plan
-        if (
-            self._checkpoint is not None
-            and plan.checkpoint_every_pushes > 0
-            and self._server.pushes_handled % plan.checkpoint_every_pushes == 0
-        ):
-            self._save_checkpoint()
-
-    def _send_ok(self, worker_id: str, welcome: dict | None = None, extra_frames=()) -> None:
-        """Send ``worker_id`` its OK — or the ``welcome`` header, with its
-        ``extra_frames`` — carrying what the session's :meth:`reply` built:
-        the update log (the recipient's own push travels as its ``seq`` and
-        no frames), or the packed weights plus, for a mirror-building
-        welcome, the optimizer state."""
-        peer = self._peers.get(worker_id)
-        if peer is None:
-            return
-        ok = self._session.reply(worker_id, welcome=welcome is not None)
-        header = welcome or {"type": "ok"}
-        header["version"] = ok.version
-        if ok.kind == "log":
-            sent = [entry.frames_for(worker_id) for entry in ok.entries]
-            header["log"] = [
-                [e.version, e.learning_rate, e.scale, len(frames), None if frames else e.seq]
-                for e, frames in zip(ok.entries, sent)
-            ]
-            self._try_send(peer.conn, header, chain.from_iterable(sent), worker_id=worker_id)
-            return
-        frames = [_dense_frame(payload.shard, payload.buffer) for payload in ok.pull.flat_weights]
-        if ok.mirrored:
-            header["mirror"] = True
-        if ok.velocity is not None:
-            frames.append(_dense_frame(_VELOCITY_SHARD, ok.velocity))
-        try:
-            self._try_send(peer.conn, header, (*frames, *extra_frames), worker_id=worker_id)
-        finally:
-            ok.pull.release()
-
-    # -- persistence and teardown --------------------------------------
-    def _save_checkpoint(self) -> None:
-        save_checkpoint(
-            self._checkpoint,
-            self._store,
-            self._server.optimizer,
-            paradigm=self.plan.paradigm,
-            extra={
-                "worker_clocks": self._policy.clock_table.clocks(),
-                # Watermarks and event history travel with the weights so a
-                # restarted server dedups retransmissions consistently with
-                # the state it restored, and the result's event log spans
-                # every incarnation.
-                "push_watermarks": dict(self._push_watermarks),
-                "events": _json_safe(list(self._events)),
-                "restarts": self._restarts,
-            },
-            codec_states=self._codec_states or None,
-        )
-
-    def _graceful_restart(self) -> None:
-        """SIGTERM path: persist everything, tell workers to come back."""
-        if self._checkpoint is not None:
-            self._save_checkpoint()
-            _LOGGER.info("checkpointed to %s for restart", self._checkpoint)
-        for peer in list(self._peers.values()):
-            self._try_send(peer.conn, {"type": "restart"})
-            self._retire(peer.conn)
-        self._peers.clear()
-
-    def _finish(self) -> TrainingResult:
-        result = self._session.finish(
-            tcp_bytes_sent=self._wire_sent,
-            tcp_bytes_received=self._wire_received,
-            pull_replies=dict(self._session.pull_replies),
-        )
-        if self._checkpoint is not None:
-            self._save_checkpoint()
-        wire = result_to_wire(result)
-        for watcher in self._watchers:
-            try:
-                watcher.send({"type": "result", "result": wire})
-            except ConnectionClosed:
-                pass
-        return result
 
 
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-class _Heartbeat:
-    """Background thread pinging the server every ``interval`` seconds."""
+def _heartbeat(conn: TcpConnection, worker_id: str, interval: float) -> threading.Event:
+    """Ping the server every ``interval`` seconds from a background thread,
+    until the returned event is set."""
+    stop = threading.Event()
 
-    def __init__(self, conn: TcpConnection, worker_id: str, interval: float) -> None:
-        self._conn = conn
-        self._worker_id = worker_id
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"heartbeat-{worker_id}", daemon=True
-        )
-
-    def start(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
+    def run() -> None:
+        while not stop.wait(interval):
             try:
-                self._conn.send({"type": "heartbeat", "worker": self._worker_id})
+                conn.send({"type": "heartbeat", "worker": worker_id})
             except ConnectionClosed:
                 return  # the main loop will notice and reconnect
 
-    def stop(self) -> None:
-        self._stop.set()
+    threading.Thread(target=run, name=f"heartbeat-{worker_id}", daemon=True).start()
+    return stop
 
 
 def _pull_reply(layout, header: dict, frames) -> PullReply:
@@ -875,47 +793,6 @@ def _pull_reply(layout, header: dict, frames) -> PullReply:
     )
 
 
-def _codec_state(header: dict, frames) -> dict | None:
-    """Checkpointed error-feedback residuals riding on a welcome, if any."""
-    keys = header.get("codec_state_keys")
-    if not keys:
-        return None
-    state_frames = [frame for frame in frames if frame.shard >= _CODEC_SHARD_BASE]
-    return {str(key): np.array(decode_shard(frame)) for key, frame in zip(keys, state_frames)}
-
-
-def _join_server(
-    plan: TcpTrainingPlan,
-    worker_id: str,
-    address: str,
-    timeout: float,
-    chaos: bool = False,
-):
-    """Connect (with retry/backoff), join, and return the welcome.
-
-    ``timeout`` bounds the connect *and* the welcome wait — a rejoin
-    under a retry budget must pay one attempt for an unanswered join,
-    not the whole budget.  ``chaos`` marks this worker as one whose
-    connection the chaos plan may tear: a standalone server (spec
-    without ``net_faults``) learns it from the join envelope, so the
-    tears stay events rather than run errors.
-    """
-    conn = connect_tcp(address, timeout=timeout)
-    header = {"type": "join", "worker": worker_id, "codec": plan.compression}
-    if chaos:
-        header["chaos"] = True
-    conn.send(header)
-    while True:
-        header, frames = conn.recv(timeout=timeout)
-        kind = header.get("type")
-        if kind == "welcome":
-            return conn, header, frames
-        if kind == "reject":
-            conn.close()
-            raise RuntimeError(f"server rejected join: {header.get('reason')}")
-        # anything else (stray start/ok from a past life) is ignorable here
-
-
 class _TcpLink:
     """One worker's link over a :class:`TcpConnection`.
 
@@ -934,7 +811,7 @@ class _TcpLink:
         self._worker_id = worker_id = f"worker-{index}"
         self._address = address
         self._conn: TcpConnection | None = None
-        self._heartbeat: _Heartbeat | None = None
+        self._heartbeat: threading.Event | None = None
         net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
         self._tearable = net_plan.tears_connections(worker_id)
         self._schedule = (
@@ -957,9 +834,26 @@ class _TcpLink:
         self._send_error: ConnectionClosed | None = None
 
     def _join(self, timeout: float) -> Resume:
-        conn, welcome, frames = _join_server(
-            self._plan, self._worker_id, self._address, timeout, chaos=self._tearable
-        )
+        """Connect, join, and resume where the welcome says.
+
+        ``timeout`` bounds the connect *and* the welcome wait — a rejoin
+        under a retry budget must pay one attempt for an unanswered join,
+        not the whole budget.  A worker whose connection the chaos plan may
+        tear says so in its join: a standalone server (spec without
+        ``net_faults``) learns it there, so the tears stay events rather
+        than run errors.
+        """
+        conn = connect_tcp(self._address, timeout=timeout)
+        join = {"type": "join", "worker": self._worker_id, "codec": self._plan.compression}
+        if self._tearable:
+            join["chaos"] = True
+        conn.send(join)
+        welcome, frames = conn.recv(timeout=timeout)
+        while welcome.get("type") != "welcome":  # a stray start/ok from a past life
+            if welcome.get("type") == "reject":
+                conn.close()
+                raise RuntimeError(f"server rejected join: {welcome.get('reason')}")
+            welcome, frames = conn.recv(timeout=timeout)
         if self._schedule is not None:
             conn = ChaosConnection(conn, self._schedule)
         self._conn = conn
@@ -1027,9 +921,7 @@ class _TcpLink:
         # The replica's codec: pushes ship its error-feedback residuals when
         # the server checkpoints them (``want_codec_state``).
         self._codec = worker.codec
-        self._heartbeat = _Heartbeat(
-            self._conn, self._worker_id, self._plan.heartbeat_interval
-        ).start()
+        self._heartbeat = _heartbeat(self._conn, self._worker_id, self._plan.heartbeat_interval)
         while self._await_start:
             header, _ = self._conn.recv(timeout=self._plan.wait_timeout)
             kind = header.get("type")
@@ -1111,14 +1003,7 @@ class _TcpLink:
                 )
             )
         if self._want_state and self._codec is not None:
-            state = self._codec.state_dict()
-            if state:
-                keys = sorted(state)
-                envelope["codec_state_keys"] = keys
-                frames.extend(
-                    _dense_frame(_CODEC_SHARD_BASE + position, state[key])
-                    for position, key in enumerate(keys)
-                )
+            frames.extend(_codec_state_frames(envelope, self._codec.state_dict()))
         try:
             self._conn.send(envelope, tuple(frames))
         except ConnectionClosed as closed:
@@ -1188,7 +1073,7 @@ class _TcpLink:
 
     def close(self) -> None:
         if self._heartbeat is not None:
-            self._heartbeat.stop()
+            self._heartbeat.set()
         if self._conn is not None:
             self._conn.close()
 
@@ -1234,6 +1119,23 @@ def _serve_entry(plan: TcpTrainingPlan, ready_conn, result_conn=None) -> None:
         result_conn.close()
     except (BrokenPipeError, OSError):  # pragma: no cover - supervisor died
         pass
+
+
+def _spawn_server(context, plan: TcpTrainingPlan, result_conn=None):
+    """Start a :func:`_serve_entry` child: it, and the address it bound
+    (``None`` when it reported none within the plan's ``wait_timeout``)."""
+    ready_recv, ready_send = context.Pipe(duplex=False)
+    child = context.Process(
+        target=_serve_entry,
+        args=(plan, ready_send, result_conn),
+        name="repro-tcp-server",
+        daemon=True,
+    )
+    child.start()
+    ready_send.close()
+    address = ready_recv.recv() if ready_recv.poll(plan.wait_timeout) else None
+    ready_recv.close()
+    return child, address
 
 
 def _worker_entry(plan: TcpTrainingPlan, index: int, address: str) -> None:
@@ -1289,27 +1191,17 @@ class TcpSupervisor:
         """Supervise until the run completes; ``None`` after a shutdown."""
         plan = self.plan
         while True:
-            ready_recv, ready_send = self.context.Pipe(duplex=False)
             result_recv, result_send = self.context.Pipe(duplex=False)
-            child = self.context.Process(
-                target=_serve_entry,
-                args=(plan, ready_send, result_send),
-                name="repro-tcp-server",
-                daemon=True,
-            )
-            child.start()
+            child, address = _spawn_server(self.context, plan, result_send)
             self._child = child
             self.server_pid = child.pid
-            ready_send.close()
             result_send.close()
-            if not ready_recv.poll(plan.wait_timeout):
+            if address is None:
                 child.terminate()
                 child.join(timeout=5.0)
                 return TrainingResult.failed(
                     "supervised tcp server never reported its address"
                 )
-            address = ready_recv.recv()
-            ready_recv.close()
             if self.bound_address is None:
                 # Pin the first child's (possibly ephemeral) port: every
                 # restart must rebind the address the workers redial.
@@ -1383,20 +1275,10 @@ class TcpTrainer:
             if self.external_address is not None:
                 address = self.external_address
             else:
-                ready_recv, ready_send = self.context.Pipe(duplex=False)
-                server_process = self.context.Process(
-                    target=_serve_entry,
-                    args=(plan, ready_send),
-                    name="repro-tcp-server",
-                    daemon=True,
-                )
-                server_process.start()
+                server_process, address = _spawn_server(self.context, plan)
                 processes.append(server_process)
-                ready_send.close()
-                if not ready_recv.poll(plan.wait_timeout):
+                if address is None:
                     raise RuntimeError("tcp server did not report its address")
-                address = ready_recv.recv()
-                ready_recv.close()
             # Watch first: guarantees the result channel exists before any
             # worker can possibly finish the run.
             watch = connect_tcp(address, timeout=plan.wait_timeout)
@@ -1425,33 +1307,27 @@ class TcpTrainer:
         """
         try:
             while True:
+                # Liveness is read before the wait, so a result that raced
+                # the server's exit is still picked up by one final wait.
+                alive = server_process is None or server_process.is_alive()
                 try:
                     header, _ = watch.recv(timeout=0.5)
                 except TimeoutError:
-                    if server_process is not None and not server_process.is_alive():
-                        try:
-                            header, _ = watch.recv(timeout=0.5)
-                        except (TimeoutError, ConnectionClosed):
-                            return self._dead_server_result()
-                        if header.get("type") == "result":
-                            return result_from_wire(header["result"])
-                        return self._dead_server_result()
-                    continue
+                    if alive:
+                        continue
+                    break
                 except ConnectionClosed:
                     # Server went away: either a graceful restart (reconnect,
                     # like the workers do) or a death (error result).
+                    watch.close()
                     try:
-                        watch.close()
                         watch = connect_tcp(address, timeout=self.plan.wait_timeout)
                         watch.send({"type": "watch"})
-                        continue
                     except (ConnectionError, OSError):
-                        return self._dead_server_result()
+                        break
+                    continue
                 if header.get("type") == "result":
                     return result_from_wire(header["result"])
         finally:
             watch.close()
-
-    @staticmethod
-    def _dead_server_result() -> TrainingResult:
         return TrainingResult.failed("tcp server died without reporting a result")

@@ -53,15 +53,6 @@ class TestRecording:
         table.record_push("a", 3.5)
         assert table.latest_interval("a") == pytest.approx(2.5)
 
-    def test_wait_time_accumulates(self, table):
-        table.record_wait("a", 1.0)
-        table.record_wait("a", 0.5)
-        assert table.total_wait_time("a") == pytest.approx(1.5)
-
-    def test_negative_wait_rejected(self, table):
-        with pytest.raises(ValueError):
-            table.record_wait("a", -0.1)
-
 
 class TestQueries:
     def test_slowest_and_fastest(self, table):
@@ -94,13 +85,6 @@ class TestQueries:
         assert empty.fastest_clock() == 0
         with pytest.raises(RuntimeError):
             empty.slowest_worker()
-
-    def test_history_kept_when_requested(self):
-        table = ClockTable(keep_history=True)
-        table.register_worker("a")
-        table.record_push("a", 1.0)
-        table.record_push("a", 2.0)
-        assert table.record("a").push_history == [1.0, 2.0]
 
 
 class TestElasticMembership:

@@ -294,7 +294,7 @@ class TestElasticMembership:
         flapper.recv(timeout=10.0)
 
         server = box["server"]
-        store, policy = server._store, server._policy
+        store, policy = server.session.server.store, server.session.server.policy
         records = policy.clock_table._records
         size = store.flat_layouts[0][1][-1].hi
         pushes = 0
@@ -323,7 +323,7 @@ class TestElasticMembership:
             flapper.close()
             assert wait_until(lambda: "worker-1" not in records)
             assert set(records) == {"worker-0"}
-            assert server._server.worker_ids == ["worker-0"]
+            assert server.session.server.worker_ids == ["worker-0"]
             # The SSP bound re-computed over the survivor: its pushes keep
             # being released even far past the flapper's last clock.
             push_ok()
@@ -348,6 +348,107 @@ class TestElasticMembership:
         assert not thread.is_alive()
         result = box["result"]
         assert result.server_statistics["store_version"] == pushes
+
+    @pytest.mark.parametrize("kind", ["error", "done"])
+    def test_a_connection_speaks_only_for_its_own_worker(self, kind):
+        # worker-0's socket sends an error or a done whose header names
+        # worker-1.  The server must act for the socket's owner: worker-0
+        # leaves, and worker-1 stays registered and keeps getting OKs.
+        from repro.ps.tcp_runtime import TcpServer, _dense_frame
+
+        plan = tiny_plan(
+            paradigm="ssp",
+            paradigm_kwargs={"staleness": 2},
+            iterations_per_worker=64,
+            wait_timeout=30.0,
+        )
+        ready = threading.Event()
+        box = {}
+
+        def run_server():
+            def on_ready(address):
+                box["address"] = address
+                ready.set()
+
+            box["server"] = server = TcpServer(plan, ready_callback=on_ready)
+            box["result"] = server.serve()
+
+        thread = threading.Thread(target=run_server, daemon=True)
+        thread.start()
+        assert ready.wait(30.0)
+
+        def wait_until(predicate, timeout=10.0):
+            deadline = time.monotonic() + timeout
+            while time.monotonic() < deadline:
+                if predicate():
+                    return True
+                time.sleep(0.01)
+            return False
+
+        def join(worker_id):
+            conn = connect_tcp(box["address"], timeout=10.0)
+            conn.send({"type": "join", "worker": worker_id, "codec": None})
+            header, _ = conn.recv(timeout=10.0)
+            assert header["type"] == "welcome"
+            return conn
+
+        spoofer = join("worker-0")
+        victim = join("worker-1")
+        for conn in (spoofer, victim):
+            header, _ = conn.recv(timeout=10.0)
+            assert header["type"] == "start"
+
+        server = box["server"]
+        records = server.session.server.policy.clock_table._records
+        size = server.session.server.store.flat_layouts[0][1][-1].hi
+
+        def report(worker_id):
+            return {
+                "worker_id": worker_id,
+                "iterations": 0,
+                "samples_processed": 0,
+                "total_wait_time": 0.0,
+                "total_compute_time": 0.0,
+                "mean_loss": "nan",
+            }
+
+        spoof = {"type": kind, "worker": "worker-1"}
+        if kind == "error":
+            spoof["message"] = "spoofed"
+        else:
+            spoof.update(report=report("worker-0"), events=[])
+        spoofer.send(spoof)
+        assert wait_until(lambda: "worker-0" not in records), sorted(records)
+        assert set(records) == {"worker-1"}
+        assert server.session.server.worker_ids == ["worker-1"]
+
+        for _ in range(3):
+            victim.send(
+                {
+                    "type": "push",
+                    "worker": "worker-1",
+                    "base_version": 0,
+                    "timestamp": 0.0,
+                    "loss": 1.0,
+                    "samples": 16,
+                    "codec": None,
+                },
+                (_dense_frame(0, np.zeros(size)),),
+            )
+            while True:
+                reply, _ = victim.recv(timeout=10.0)
+                if reply["type"] == "ok":
+                    break
+        victim.send({"type": "done", "worker": "worker-1", "report": report("worker-1")})
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        spoofer.close()
+        victim.close()
+        result = box["result"]
+        assert result.errors == (["worker-0: spoofed"] if kind == "error" else [])
+        assert result.server_statistics["store_version"] == 3
+        finished = {"worker-0", "worker-1"} if kind == "done" else {"worker-1"}
+        assert set(server.session.reports) == finished
 
     def test_duplicate_join_then_abort_then_late_join(self):
         # Protocol-level race coverage, deterministic because we are the
@@ -625,7 +726,7 @@ class TestExactlyOnce:
             assert header["type"] == "start"
 
         server = box["server"]
-        size = server._store.flat_layouts[0][1][-1].hi
+        size = server.session.server.store.flat_layouts[0][1][-1].hi
 
         def push(seq):
             conn.send(
@@ -647,21 +748,21 @@ class TestExactlyOnce:
                     return reply
 
         push(seq=0)
-        assert server._store.version == 1
-        applied_once = {k: v.copy() for k, v in server._store.snapshot().items()}
+        assert server.session.server.store.version == 1
+        applied_once = {k: v.copy() for k, v in server.session.server.store.snapshot().items()}
 
         push(seq=0)  # retransmission: acked, weights untouched
-        assert server._store.version == 1
-        after_duplicate = server._store.snapshot()
+        assert server.session.server.store.version == 1
+        after_duplicate = server.session.server.store.snapshot()
         assert all(
             np.array_equal(applied_once[key], after_duplicate[key])
             for key in applied_once
         )
-        assert server._push_watermarks["worker-0"] == 0
+        assert server.session.watermarks["worker-0"] == 0
 
         push(seq=1)  # progress resumes past the duplicate
-        assert server._store.version == 2
-        assert server._push_watermarks["worker-0"] == 1
+        assert server.session.server.store.version == 2
+        assert server.session.watermarks["worker-0"] == 1
 
         conn.close()
         thread.join(timeout=60.0)

@@ -1,8 +1,8 @@
 """Update-log pulls on the seam: ``ServerSession`` + ``Mirror``, no sockets.
 
 Scripted workers push codec-encoded gradients through a real
-``ServerSession``; every log OK is written by the tcp server's own
-``_send_ok`` and read by a real ``_TcpLink`` (over connections that keep
+``ServerSession``; every log OK is written by the tcp hub's own ``ok``
+and read by a real ``_TcpLink`` (over connections that keep
 the message instead of sending it), so a worker's own push comes back as
 its ``seq`` and is replayed from the frames the link kept.  After every OK
 the mirror must hold the store's exact bytes (weights *and* momentum),
@@ -20,7 +20,7 @@ from repro.optim.sgd import SGD
 from repro.ps.compression import make_codec
 from repro.ps.coordinator import DistributedTrainingConfig
 from repro.ps.server import ParameterServer
-from repro.ps.tcp_runtime import TcpServer, TcpTrainingPlan, _Peer, _TcpLink
+from repro.ps.tcp_runtime import TcpTrainingPlan, _Peer, _TcpHub, _TcpLink
 from repro.ps.session import (
     LogEntry,
     Mirror,
@@ -65,7 +65,7 @@ class Wire:
 
 class Cluster:
     """A ``ServerSession`` and scripted workers whose log OKs travel from the
-    tcp server's ``_send_ok`` to a tcp link's ``_log_reply``."""
+    tcp hub's ``ok`` to a tcp link's ``_log_reply``."""
 
     def __init__(self, codec, optimizer=None, dtype="float64", buffers=None, **plan_fields):
         fields = {"paradigm": "asp", "paradigm_kwargs": {}, **plan_fields}
@@ -90,15 +90,14 @@ class Cluster:
         self.replies = []  # (worker, "log" | "dense", entry count)
         self.rows = {}  # worker -> the log rows of its last log OK
         self.clock = 0.0
-        # Only ``_send_ok`` runs: these are all it reads.
-        self.tcp = TcpServer(self.plan)
-        self.tcp._session, self.tcp._store, self.tcp._peers = self.session, self.store, {}
+        # Only the hub's ``ok`` runs, to the peers registered here.
+        self.hub = _TcpHub(self.plan, self.session)
         for index, worker_id in enumerate(self.plan.worker_ids):
             self.codecs[worker_id] = make_codec(codec)
             self.codecs[worker_id].reseed(np.random.default_rng(index))
             self.links[worker_id] = _TcpLink(self.plan, index, "nowhere")
             self.links[worker_id]._conn = Wire()
-            self.tcp._peers[worker_id] = _Peer(Wire(), worker_id, 0.0)
+            self.hub._peers[worker_id] = _Peer(Wire(), worker_id, 0.0)
             self.join(worker_id)
 
     def join(self, worker_id, clock=0):
@@ -138,8 +137,8 @@ class Cluster:
         return response
 
     def ok(self, worker_id):
-        wire = self.tcp._peers[worker_id].conn
-        self.tcp._send_ok(worker_id)
+        wire = self.hub._peers[worker_id].conn
+        self.hub.ok(worker_id)
         if "log" not in wire.header:
             # A dense OK carries no optimizer state: no mirror from here on.
             self.mirrors.pop(worker_id, None)
@@ -314,7 +313,7 @@ def test_a_log_reply_must_account_for_every_frame_it_came_with():
     a, b, _ = cluster.plan.worker_ids
     cluster.push(a)
     cluster.push(b)
-    link, wire = cluster.links[b], cluster.tcp._peers[b].conn
+    link, wire = cluster.links[b], cluster.hub._peers[b].conn
     assert [row[3:] for row in wire.header["log"]] == [[1, None], [0, 0]]
     for frames in (wire.frames * 2, []):  # one too many, one too few
         with pytest.raises(RuntimeError, match="update log counts"):

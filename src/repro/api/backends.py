@@ -420,17 +420,7 @@ class ThreadedBackend:
             workload.train_dataset,
             workload.test_dataset,
         )
-        profiler = None
-        if profile:
-            from repro.utils.profiler import LayerProfiler
-
-            first = trainer.workers[0]
-            profiler = LayerProfiler(first.model, loss_fn=first.loss_fn).attach()
-        result = trainer.run()
-        if profiler is not None:
-            profiler.detach()
-            result.profile = {"worker_id": first.worker_id, **profiler.as_dict()}
-        return _run_result(spec, self.name, provenance, result)
+        return _run_result(spec, self.name, provenance, trainer.run(profile=profile))
 
 
 @register_backend("process")

@@ -98,8 +98,12 @@ class _ThreadLink:
             self._wake(self._session.leave(self._worker.worker_id))
 
     def done(self, report: dict, profile) -> None:
+        # A finished worker stops counting in the policy's membership and
+        # the buffered window target, as under the process and tcp servers.
+        worker_id = self._worker.worker_id
         with self._trainer._lock:
-            self._session.done(self._worker.worker_id, report, profile=profile)
+            self._session.done(worker_id, report, profile=profile)
+            self._wake(self._session.release(worker_id))
 
     def error(self, message: str) -> None:
         self._session.errors.append(f"{self._worker.worker_id}: {message}")
@@ -175,8 +179,9 @@ class ThreadedTrainer:
         }
         self._abort = threading.Event()
 
-    def run(self) -> TrainingResult:
-        """Run the training to completion and return the collected results."""
+    def run(self, *, profile: bool = False) -> TrainingResult:
+        """Run the training to completion and return the collected results;
+        with ``profile``, the first worker's per-layer breakdown included."""
         session = ServerSession(
             self.server,
             [worker.worker_id for worker in self.workers],
@@ -193,6 +198,7 @@ class ThreadedTrainer:
                 wait_timeout=self.wait_timeout,
                 slowdown=self.slowdowns.get(worker.worker_id, 0.0),
                 fault_plan=self.fault_plan,
+                profile=profile and worker is self.workers[0],
             )
             for worker in self.workers
         ]

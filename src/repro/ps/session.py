@@ -688,12 +688,13 @@ class Link(Protocol):
 
 
 class WorkerLoop:
-    """The worker side of the step protocol, over a :class:`Link`."""
+    """The worker side of the step protocol: a step machine, driven over a
+    :class:`Link` by :meth:`run` or at virtual instants by the simulator."""
 
     def __init__(
         self,
         worker_id: str,
-        link: Link,
+        link: Link | None,
         *,
         iterations: int,
         wait_timeout: float,
@@ -704,6 +705,8 @@ class WorkerLoop:
         profile: bool = False,
         exit_at: int | None = None,
         exit_after_push: int | None = None,
+        clock: Callable[[], float] = time.monotonic,
+        steps: Callable[[], Step] | None = None,
     ) -> None:
         """Create the loop around a ready ``worker`` or a ``build`` recipe.
 
@@ -712,6 +715,8 @@ class WorkerLoop:
         ``fault_plan`` contributes this worker's injected crash (with its
         optional rejoin delay) and flaky slow phases; ``exit_at`` /
         ``exit_after_push`` are the hard ``os._exit`` test hooks.
+        ``clock`` times waits and stamps pushes; ``steps`` replaces
+        ``replica_step(worker)`` as the source of each iteration.
         """
         if worker is None and build is None:
             raise ValueError("WorkerLoop needs a worker or a build recipe")
@@ -723,6 +728,11 @@ class WorkerLoop:
         self.slowdown = float(slowdown)
         self.completed = 0
         self._build = build
+        self._clock = clock
+        self._steps = steps or (lambda: replica_step(self.worker))
+        self._start = clock()
+        self._sent_at: float | None = None  # when the push awaiting its OK went out
+        self._wait = self._compute = 0.0
         self._drawn = 0
         self._tally = Tally()  # of the current replica: a rebuild starts afresh
         self._profile = profile
@@ -758,6 +768,58 @@ class WorkerLoop:
             exit_after_push=plan.crash_after_push.get(worker_id),
         )
 
+    # -- the step machine ------------------------------------------------
+    def crash_due(self) -> bool:
+        """Whether this worker's injected crash is due now; fires once."""
+        if self._crash_clock is None or self.completed < self._crash_clock:
+            return False
+        self._crash_clock = None
+        return True
+
+    def step(self) -> Step:
+        """Run the next iteration and count it: its push is about to be sent."""
+        step = self._steps()
+        self._tally.add(step)
+        self._drawn += 1
+        return step
+
+    def header(self, step: Step) -> dict:
+        """The push header of ``step``, stamped by the loop's clock."""
+        computation = step.computation
+        return {
+            # Sequence number = iteration index: a server that keeps
+            # per-worker watermarks applies a retransmission once.
+            "seq": self.completed,
+            "base_version": computation.base_version,
+            "timestamp": self._clock() - self._start,
+            "loss": computation.loss,
+            "samples": computation.samples,
+            "codec": step.codec,
+        }
+
+    def sent(self) -> None:
+        """The push is out: waiting for its OK starts now."""
+        self._sent_at = self._clock()
+
+    def deliver(self, reply: PullReply) -> float:
+        """Load the OK's ``reply`` and complete the iteration; the wait it ended."""
+        waited = self._clock() - self._sent_at
+        self._wait += waited
+        self._sent_at = None
+        self.worker.load_reply(reply)
+        self.completed += 1
+        return waited
+
+    def report(self) -> dict:
+        """The final report; a push still unanswered counts as waiting until now."""
+        wait = self._wait
+        if self._sent_at is not None:
+            wait += self._clock() - self._sent_at
+        return self._tally.report(
+            self.worker_id, wait=wait, compute=self._compute, pulled=self.worker.pulled_bytes
+        )
+
+    # -- the blocking driver ---------------------------------------------
     def run(self) -> dict | None:
         """Train to the iteration budget; the report, or ``None`` without one.
 
@@ -802,58 +864,43 @@ class WorkerLoop:
             self.worker.codec.load_state_dict(dict(resume.codec_state))
         self.worker.load_reply(resume.reply)
         self.completed = resume.clock
+        self._sent_at = None  # a resumed push's OK never comes
         return self.link.ready(self.worker)
 
     def _run(self) -> dict | None:
         link = self.link
         if not self._enter(link.open()):
             return None
-        start = time.monotonic()
-        total_wait = 0.0
-        total_compute = 0.0
+        self._start = self._clock()
         while self.completed < self.iterations:
             clock = self.completed
             if self._exit_at is not None and clock >= self._exit_at:
                 os._exit(1)  # test hook: die like a real crash, no cleanup
-            if self._crash_clock is not None and clock >= self._crash_clock:
-                # Injected crash (fires once): the link announces or enacts
-                # the death; an elastic one says where to rejoin.
-                self._crash_clock = None
+            if self.crash_due():
+                # Injected crash: the link announces or enacts the death; an
+                # elastic one says where to rejoin.
                 if not self._enter(link.leave(clock, self._rejoin_after)):
                     return None
                 continue
-            compute_start = time.monotonic()
-            step = replica_step(self.worker)
-            self._tally.add(step)
-            self._drawn += 1
+            compute_start = self._clock()
+            step = self.step()
             if self.slowdown > 0:
                 time.sleep(self.slowdown)
             if self._flaky is not None and self._flaky.slow(clock):
                 time.sleep(self._flaky.delay)
-            compute_elapsed = time.monotonic() - compute_start
-            total_compute += compute_elapsed
+            compute_elapsed = self._clock() - compute_start
+            self._compute += compute_elapsed
 
-            computation = step.computation
-            header = {
-                # Sequence number = iteration index: a server that keeps
-                # per-worker watermarks applies a retransmission once.
-                "seq": clock,
-                "base_version": computation.base_version,
-                "timestamp": time.monotonic() - start,
-                "loss": computation.loss,
-                "samples": computation.samples,
-                "codec": step.codec,
-            }
-            if not link.push(header, computation, step.flat, step.encoded):
+            if not link.push(self.header(step), step.computation, step.flat, step.encoded):
                 return None
             if self._exit_after_push is not None and clock >= self._exit_after_push:
                 os._exit(1)  # test hook: die mid-protocol, push sent but no OK taken
 
+            self.sent()
             # Peers run the same per-iteration workload, so this worker's
             # own compute time (slowdown included) bounds how long a healthy
             # OK can take: stretch the guard rather than mistake a heavy
             # iteration for a hang.
-            wait_start = time.monotonic()
             outcome = link.await_ok(self.wait_timeout + 4.0 * compute_elapsed)
             if isinstance(outcome, Resume):
                 if not self._enter(outcome):
@@ -861,17 +908,13 @@ class WorkerLoop:
                 continue
             if outcome is None:
                 return None
-            total_wait += time.monotonic() - wait_start
-            self.worker.load_reply(outcome)
-            self.completed += 1
+            self.deliver(outcome)
 
         profile = None
         if self._profiler is not None:
             self._profiler.detach()
             profile = {"worker_id": self.worker_id, **self._profiler.as_dict()}
-        report = self._tally.report(
-            self.worker_id, wait=total_wait, compute=total_compute, pulled=self.worker.pulled_bytes
-        )
+        report = self.report()
         link.done(report, profile)
         return report
 

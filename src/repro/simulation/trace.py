@@ -2,8 +2,8 @@
 
 Every push, release, block and evaluation is recorded with its virtual
 timestamp so that experiments can reconstruct per-worker timelines — the
-kind of picture Figure 1 and Figure 2 of the paper draw — and compute
-waiting-time statistics per paradigm.
+kind of picture Figure 1 and Figure 2 of the paper draw.  Waiting times
+are the worker reports' (``SimulationResult.wait_time_per_worker``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class TraceRecord:
 
 
 class SimulationTrace:
-    """Append-only list of trace records with analysis helpers."""
+    """Append-only list of trace records."""
 
     def __init__(self) -> None:
         self._records: list[TraceRecord] = []
@@ -39,18 +39,9 @@ class SimulationTrace:
             TraceRecord(time=float(time), kind=kind, worker_id=worker_id, details=details)
         )
 
-    @property
-    def records(self) -> list[TraceRecord]:
-        """All records in insertion order."""
-        return list(self._records)
-
     def of_kind(self, kind: str) -> list[TraceRecord]:
         """Records matching ``kind``."""
         return [record for record in self._records if record.kind == kind]
-
-    def for_worker(self, worker_id: str) -> list[TraceRecord]:
-        """Records attributed to one worker."""
-        return [record for record in self._records if record.worker_id == worker_id]
 
     def push_times(self, worker_id: str) -> np.ndarray:
         """Virtual times of a worker's pushes."""
@@ -59,24 +50,6 @@ class SimulationTrace:
              if record.kind == "push" and record.worker_id == worker_id],
             dtype=np.float64,
         )
-
-    def iteration_intervals(self, worker_id: str) -> np.ndarray:
-        """Differences between consecutive push times of a worker."""
-        times = self.push_times(worker_id)
-        if times.size < 2:
-            return np.zeros(0, dtype=np.float64)
-        return np.diff(times)
-
-    def total_wait_time(self, worker_id: str | None = None) -> float:
-        """Sum of recorded waiting durations (optionally for one worker)."""
-        total = 0.0
-        for record in self._records:
-            if record.kind != "release":
-                continue
-            if worker_id is not None and record.worker_id != worker_id:
-                continue
-            total += float(record.details.get("wait_time", 0.0))
-        return total
 
     def __len__(self) -> int:
         return len(self._records)

@@ -18,9 +18,10 @@ simulator's own is *when* things happen, decided by a discrete-event loop:
    recorded) when a later push or a crash (``session.leave``) allows;
 4. ``session.finish`` closes the run exactly as it closes a wall-clock one.
 
-The worker side is this loop, not a :class:`~repro.ps.session.WorkerLoop`,
-whose ``await_ok`` would hide what the simulator decides: when each OK is
-delivered.  Its steps are :func:`~repro.ps.session.replica_step`, run by a
+Each worker side is the shared :class:`~repro.ps.session.WorkerLoop`,
+driven as a step machine on the virtual clock: this loop decides *when*
+each OK is delivered, the step machine counts, stamps, times the wait and
+reports.  Its steps are :func:`~repro.ps.session.replica_step`, run by a
 :class:`~repro.simulation.pool.ReplicaPool` anywhere between the OK and the
 push arrival — in forked helpers, bit for bit, when the run is long enough.
 Because gradients are real, stale updates genuinely perturb convergence;
@@ -31,6 +32,7 @@ reproduced deterministically on a laptop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable
 
@@ -52,9 +54,9 @@ from repro.optim.schedules import MultiStepSchedule
 from repro.ps.faults import parse_fault_specs
 from repro.ps.session import (
     ServerSession,
-    Tally,
     TrainingPlan,
     TrainingResult,
+    WorkerLoop,
     assemble,
     plan_codec,
 )
@@ -397,19 +399,12 @@ class SimulatedTraining:
             clock=lambda: clock.now,
         )
 
-        blocked_since: dict[str, float] = {}
-        wait_time = dict.fromkeys(workers, 0.0)
-        # Reports count the steps whose pushes landed, not those run ahead.
-        tallies = {worker_id: Tally() for worker_id in workers}
         fault_plan = parse_fault_specs(plan.faults, plan.worker_ids)
-        crash_at = fault_plan.crash_at()
 
         def iteration_time(worker_id: str, now: float) -> float:
+            done = loops[worker_id].completed
             duration = time_model.iteration_time(
-                config.cluster.worker(worker_id),
-                rng=timing_rng,
-                now=now,
-                round_index=tallies[worker_id].iterations,
+                config.cluster.worker(worker_id), rng=timing_rng, now=now, round_index=done
             )
             if config.slowdown_schedule is not None:
                 factor = float(config.slowdown_schedule(worker_id, now))
@@ -420,7 +415,7 @@ class SimulatedTraining:
                     )
                 duration *= factor
             flaky = fault_plan.flaky_for(worker_id)
-            if flaky is not None and flaky.slow(tallies[worker_id].iterations):
+            if flaky is not None and flaky.slow(done):
                 duration *= flaky.scale
             return duration
 
@@ -430,104 +425,94 @@ class SimulatedTraining:
             queue.push(Event(time=arrival, kind=EventKind.PUSH_ARRIVAL, worker_id=worker_id))
             pool.submit(worker_id)
 
-        def resume(worker_id: str, now: float) -> None:
-            """Deliver an OK (the session's reply), schedule the next push."""
-            workers[worker_id].load_reply(session.reply(worker_id).pull)
-            if tallies[worker_id].iterations < quota:
+        def resume(worker_id: str, now: float) -> float:
+            """Deliver an OK (the session's reply), schedule the next push; the wait."""
+            loop = loops[worker_id]
+            waited = loop.deliver(session.reply(worker_id).pull)
+            if loop.completed < loop.iterations:
                 schedule(worker_id, now)
+            return waited
 
         def release(worker_ids, now: float) -> None:
             """Previously blocked workers get their OK; their wait ends now."""
             for worker_id in worker_ids:
-                waited = now - blocked_since.pop(worker_id, now)
-                wait_time[worker_id] += waited
-                trace.record(now, "release", worker_id=worker_id, wait_time=waited)
-                resume(worker_id, now)
+                trace.record(now, "release", worker_id=worker_id, wait_time=resume(worker_id, now))
 
         # Replica steps run between a worker's OK and its push arrival, in
         # forked helpers when the run is long enough to repay them.
         with ReplicaPool(workers, store.flat_layouts, max_updates, profiler) as pool:
-            # Initial pulls and first pushes.  One pull per worker: replies are
+            # Each replica's worker side is the shared step machine, on the
+            # virtual clock, its steps collected from the pool.  Initial pulls
+            # and first pushes: one pull per worker, because replies are
             # consumed (and their copy-on-write leases released) by load_reply,
             # so a shared reply must not outlive the first consumer.
+            loops: dict[str, WorkerLoop] = {}
             for worker_id, worker in workers.items():
+                loops[worker_id] = WorkerLoop(
+                    worker_id, None, iterations=quota, wait_timeout=plan.wait_timeout,
+                    worker=worker, fault_plan=fault_plan, clock=lambda: clock.now,
+                    steps=partial(pool.collect, worker_id),
+                )
                 worker.load_reply(session.reply(worker_id, welcome=True).pull)
                 schedule(worker_id, 0.0)
             session.evaluate(0.0)
             session.start()
 
+            samples = 0
             while queue and store.version < max_updates:
                 event = queue.pop()
                 now = clock.advance_to(event.time)
                 worker_id = event.worker_id
-                crash_clock = crash_at.get(worker_id)
-                if crash_clock is not None and tallies[worker_id].iterations >= crash_clock:
+                loop = loops[worker_id]
+                if loop.crash_due():
                     # The worker dies at its fault clock: its push never lands,
                     # any staged (unapplied) contribution is rejected, and the
                     # policy re-bounds exactly as for a real runtime death.
                     trace.record(now, "crash", worker_id=worker_id)
                     release(session.leave(worker_id, time=now), now)
                     continue
-                step = pool.collect(worker_id)
+                step = loop.step()
                 computation = step.computation
-                tallies[worker_id].add(step)
-                samples = sum(tally.samples for tally in tallies.values())
+                samples += computation.samples
                 server.set_progress(samples / max(len(train_dataset), 1))
-                header = {
-                    "base_version": computation.base_version,
-                    "timestamp": now,
-                    "loss": computation.loss,
-                    "codec": step.codec,
-                }
                 response = session.push(
-                    worker_id,
-                    header,
-                    flat=step.flat,
-                    encoded=step.encoded,
+                    worker_id, loop.header(step), flat=step.flat, encoded=step.encoded,
                     buffers=computation.buffers,
                 )
+                loop.sent()
                 tracker.record("train_loss", now, computation.loss, step=store.version)
                 trace.record(
-                    now,
-                    "push",
-                    worker_id=worker_id,
-                    staleness=response.staleness,
+                    now, "push", worker_id=worker_id, staleness=response.staleness,
                     version=response.new_version,
                 )
                 if response.release_now:
                     resume(worker_id, now)
                 else:
-                    blocked_since[worker_id] = now
                     trace.record(now, "block", worker_id=worker_id)
                 release(response.released_workers, now)
 
             profile = pool.profile
 
-        # Workers still blocked at the end have waited until the final event.
         final_time = clock.now
-        for worker_id, since in blocked_since.items():
-            wait_time[worker_id] += final_time - since
         if profiler is not None:
             profiler.detach()
             profile = {"worker_id": replicas[0].worker_id, **profile}
-        for worker_id, worker in workers.items():
-            done = tallies[worker_id].iterations
+        for worker_id, loop in loops.items():
+            # A push still unanswered has waited until the final event.
+            report = loop.report()
             # "Compute" is everything that was not synchronization waiting:
             # the simulator does not split a worker's busy time.
-            report = tallies[worker_id].report(
-                worker_id,
-                wait=wait_time[worker_id],
-                compute=max(final_time - wait_time[worker_id], 0.0),
-                pulled=worker.pulled_bytes,
-            )
+            report["total_compute_time"] = max(final_time - report["total_wait_time"], 0.0)
             if config.comm_pattern == "ring_allreduce":
                 # Model-costed: 2*(n-1)/n * payload per round on the wire and
                 # no server pulls; raw bytes stay the dense payload.
+                done = report["iterations"]
                 ring_wire = time_model.ring_wire_bytes_per_iteration()
                 report["pushed_wire_bytes"] = int(round(done * ring_wire))
                 report["pushed_raw_bytes"] = int(round(done * float(cost.parameter_bytes)))
                 report["pulled_bytes"] = 0
-            session.done(worker_id, report, profile=profile if worker is replicas[0] else None)
+            first = loop.worker is replicas[0]
+            session.done(worker_id, report, profile=profile if first else None)
         # The shared end of run: the buffered aggregator's tail window, then
         # the final evaluation (skipped when one already sits at this instant).
         result = session.finish()

@@ -25,6 +25,7 @@ from repro.ps.session import (
     ServerSession,
     UpdateLog,
     WorkerLoop,
+    assemble,
     build_evaluator,
     build_server,
     replica_builder,
@@ -181,6 +182,73 @@ class TestWorkerLoop:
         loop, link = make_loop(workload, fault_plan=faults)
         assert loop.run() is None
         assert link.left == [2] and len(link.pushed) == 2 and link.reports == []
+
+
+class TestStepMachine:
+    """``WorkerLoop``'s steps driven by hand, as the simulator drives them."""
+
+    def test_waits_run_from_the_send_to_the_ok_on_the_loop_clock(self, workload):
+        now = [0.0]
+        plan = DistributedTrainingConfig(
+            batch_size=16, paradigm="bsp", paradigm_kwargs={}, num_workers=2
+        )
+        server, replicas, _ = assemble(plan, workload)
+        session = ServerSession(server, plan.worker_ids, clock=lambda: now[0])
+        loops = {}
+        for worker in replicas:
+            worker.attach_flat_layout(server.store.flat_layouts)
+            worker.load_reply(session.reply(worker.worker_id, welcome=True).pull)
+            loops[worker.worker_id] = WorkerLoop(
+                worker.worker_id, None, iterations=3, wait_timeout=1.0, worker=worker,
+                clock=lambda: now[0],
+            )
+        session.start()
+
+        def push(worker_id, at):
+            now[0] = at
+            loop = loops[worker_id]
+            step = loop.step()
+            header = loop.header(step)
+            assert header["timestamp"] == at and header["seq"] == loop.completed
+            response = session.push(
+                worker_id, header, flat=step.flat, encoded=step.encoded,
+                buffers=step.computation.buffers,
+            )
+            loop.sent()
+            return response
+
+        def deliver(worker_id):
+            return loops[worker_id].deliver(session.reply(worker_id).pull)
+
+        for blocked_at, round_at in ((1.0, 3.0), (4.0, 7.5)):
+            assert not push("worker-0", blocked_at).release_now
+            response = push("worker-1", round_at)
+            assert response.release_now and response.released_workers == ("worker-0",)
+            assert deliver("worker-1") == 0.0
+            assert deliver("worker-0") == round_at - blocked_at
+        push("worker-0", 8.0)  # never answered: it waits until the end
+        now[0] = 10.0
+        reports = {worker_id: loop.report() for worker_id, loop in loops.items()}
+        assert reports["worker-0"]["total_wait_time"] == 2.0 + 3.5 + 2.0
+        assert reports["worker-0"]["iterations"] == 3
+        assert reports["worker-1"]["total_wait_time"] == 0.0
+        assert reports["worker-1"]["iterations"] == 2
+
+    def test_a_resume_discards_the_pending_wait(self, workload):
+        now = [0.0]
+        # Push 1's OK never comes: the server resumes the worker at clock 1.
+        loop, link = make_loop(workload, script=["ok", 1], clock=lambda: now[0])
+        answer = link.await_ok
+
+        def await_ok(timeout):
+            outcome = answer(timeout)
+            now[0] += 100.0 if isinstance(outcome, Resume) else 1.0
+            return outcome
+
+        link.await_ok = await_ok
+        report = loop.run()
+        assert [seq for seq, _ in link.pushed] == [0, 1, 1, 2, 3]
+        assert report["total_wait_time"] == 4.0  # four OKs, one second each
 
 
 class TestServerSession:

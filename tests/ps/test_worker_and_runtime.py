@@ -210,6 +210,14 @@ class TestThreadedTrainer:
         assert trainer.server.store.version == 2 * 4
         assert all(report.iterations == 4 for report in result.worker_reports)
 
+    def test_finished_workers_leave_the_membership(self, tiny_flat_datasets):
+        # As under the process and tcp servers: a worker's done deregisters it.
+        train, test = tiny_flat_datasets
+        trainer = build_threaded_trainer(train, test, paradigm="asp", num_workers=3)
+        result = trainer.run()
+        assert result.errors == []
+        assert trainer.server.num_workers == 0
+
     def test_evaluations_recorded(self, tiny_flat_datasets):
         train, test = tiny_flat_datasets
         trainer = build_threaded_trainer(train, test, paradigm="asp", iterations=6)

@@ -21,7 +21,8 @@ from pathlib import Path
 from benchmarks.conftest import RECORDING, record_result, run_once
 from repro.api import ClusterConfig, ExperimentSpec, run_experiment
 from repro.experiments.workloads import build_workload
-from repro.simulation.trainer import SimulationConfig, simulate_training
+from repro.ps.plan import TrainingPlan
+from repro.simulation.trainer import SimulatedTraining, SimulationOptions
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_api_overhead.json"
 
@@ -47,20 +48,21 @@ def run_direct() -> None:
     """The pre-facade path: build everything by hand, call the engine."""
     scale = SPEC.resolved_scale()
     workload = build_workload(SPEC.workload, scale)
-    config = SimulationConfig(
-        cluster=SPEC.cluster.build(),
+    cluster = SPEC.cluster.build()
+    plan = TrainingPlan(
         paradigm=SPEC.paradigm,
         paradigm_kwargs=dict(SPEC.paradigm_kwargs),
-        epochs=SPEC.resolved_epochs(),
+        num_workers=cluster.num_workers,
         batch_size=SPEC.resolved_batch_size(),
-        evaluate_every_updates=0,
-        timing_cost=workload.timing_cost,
-        timing_batch_size=workload.paper_batch_size,
         seed=SPEC.seed,
     )
-    simulate_training(
-        config, workload.model_builder, workload.train_dataset, workload.test_dataset
+    options = SimulationOptions(
+        cluster=cluster,
+        epochs=SPEC.resolved_epochs(),
+        timing_cost=workload.timing_cost,
+        timing_batch_size=workload.paper_batch_size,
     )
+    SimulatedTraining(plan, workload, options).run()
 
 
 def run_facade() -> None:

@@ -35,8 +35,9 @@ import pytest
 from benchmarks.conftest import RECORDING, record_result
 from repro.experiments.config import ExperimentScale
 from repro.experiments.workloads import build_workload
-from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
+from repro.ps.plan import TrainingPlan
 from repro.ps.process_runtime import ProcessTrainer, ProcessTrainingPlan
+from repro.ps.runtime import ThreadedTrainer
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_process_scaling.json"
 
@@ -69,7 +70,7 @@ def workload():
 
 
 def threaded_steps_per_second(workload, num_workers: int) -> float:
-    config = DistributedTrainingConfig(
+    plan = TrainingPlan(
         paradigm="asp",
         paradigm_kwargs={},
         num_workers=num_workers,
@@ -79,10 +80,7 @@ def threaded_steps_per_second(workload, num_workers: int) -> float:
         evaluate_every_pushes=0,
         seed=0,
     )
-    trainer = assemble_training(
-        config, workload.model_builder, workload.train_dataset, workload.test_dataset
-    )
-    result = trainer.run()
+    result = ThreadedTrainer.from_plan(plan, workload).run()
     assert result.errors == [], result.errors
     return int(result.server_statistics["store_version"]) / result.wall_time
 

@@ -47,11 +47,12 @@ from repro.api.spec import ExperimentSpec
 from repro.core.staleness import StalenessTracker
 from repro.experiments.workloads import WORKLOADS, Workload, build_workload
 from repro.metrics.throughput import EMPTY_PERCENTILES, iteration_throughput
-from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
+from repro.ps.plan import TrainingPlan, WorkloadPlan
 from repro.ps.process_runtime import ProcessTrainer, ProcessTrainingPlan
+from repro.ps.runtime import ThreadedTrainer
 from repro.ps.tcp_runtime import TcpTrainer, TcpTrainingPlan
 from repro.simulation.cluster import ClusterSpec
-from repro.simulation.trainer import SimulatedTraining, SimulationConfig
+from repro.simulation.trainer import SimulatedTraining, SimulationOptions
 from repro.utils.registry import Registry
 from repro.version import __version__
 
@@ -66,6 +67,7 @@ __all__ = [
     "get_backend",
     "available_backends",
     "run_experiment",
+    "plan_from_spec",
     "tcp_plan_from_spec",
 ]
 
@@ -218,37 +220,40 @@ def _reject_topology(spec: ExperimentSpec, backend_name: str) -> None:
         )
 
 
-def _iterations_per_worker(
-    spec: ExperimentSpec, workload: Workload, num_workers: int
-) -> int:
-    """Convert the spec's epoch budget into an equal per-worker iteration count.
+def plan_from_spec(
+    spec: ExperimentSpec,
+    workload: Workload,
+    num_workers: int,
+    *,
+    plan_type: type[TrainingPlan] = TrainingPlan,
+    profile: bool = False,
+    wait_timeout: float = 120.0,
+    **deployment,
+) -> TrainingPlan:
+    """The spec as the ``plan_type`` a backend runs: one translation for all four.
 
-    One definition for every wall-clock runtime: the same *total* budget as
-    the simulator's ``"global"`` epoch accounting, distributed evenly.
+    So one spec cannot train differently per backend without saying so.
+    The epoch budget becomes an equal per-worker iteration count — the same
+    *total* as the simulator's ``"global"`` accounting, which keeps its
+    epochs in :class:`~repro.simulation.trainer.SimulationOptions`.  A
+    :class:`~repro.ps.plan.WorkloadPlan` also carries what lets its
+    processes build the workload themselves; ``deployment`` holds the
+    runtime's own fields (transport, address, heartbeats, checkpoint).
     """
     batch_size = spec.resolved_batch_size()
     partition_size = max(len(workload.train_dataset) // num_workers, 1)
-    return max(1, math.ceil(spec.resolved_epochs() * partition_size / batch_size))
-
-
-def _plan_fields(
-    spec: ExperimentSpec, workload: Workload, num_workers: int, wait_timeout: float
-) -> dict:
-    """The spec as the fields every wall-clock runtime's plan shares.
-
-    One translation for the threaded, process and tcp backends, so one spec
-    cannot train differently per backend without saying so.
-    """
     # The liveness guard treats "no push for wait_timeout seconds" as a
     # hang; a slowed-down worker legitimately spends its slowdown asleep
     # every iteration, so the guard must comfortably exceed it.
     max_slowdown = max((float(v) for v in spec.slowdowns.values()), default=0.0)
-    return {
+    fields = {
         "paradigm": spec.paradigm,
         "paradigm_kwargs": dict(spec.paradigm_kwargs),
         "num_workers": num_workers,
-        "iterations_per_worker": _iterations_per_worker(spec, workload, num_workers),
-        "batch_size": spec.resolved_batch_size(),
+        "iterations_per_worker": max(
+            1, math.ceil(spec.resolved_epochs() * partition_size / batch_size)
+        ),
+        "batch_size": batch_size,
         "learning_rate": spec.learning_rate,
         "momentum": spec.momentum,
         "weight_decay": spec.weight_decay,
@@ -256,22 +261,22 @@ def _plan_fields(
         "evaluate_every_pushes": spec.resolved_evaluate_every_updates(),
         "dtype": spec.dtype,
         "compression": spec.compression,
+        "num_shards": spec.num_shards,
+        "shard_strategy": spec.shard_strategy,
         "aggregation": spec.aggregation,
         "faults": spec.faults,
         "seed": spec.seed,
         "wait_timeout": max(wait_timeout, 4.0 * max_slowdown + 60.0),
-    }
-
-
-def _registry_plan_fields(spec: ExperimentSpec, profile: bool) -> dict:
-    """What a plan needs for its processes to build the workload themselves."""
-    return {
-        "workload": WORKLOADS.key(spec.workload),
-        "workload_kwargs": dict(spec.workload_kwargs),
-        "scale_fields": dataclasses.asdict(spec.resolved_scale()),
         "profile": profile,
-        "net_faults": spec.net_faults,
     }
+    if issubclass(plan_type, WorkloadPlan):
+        fields.update(
+            workload=WORKLOADS.key(spec.workload),
+            workload_kwargs=dict(spec.workload_kwargs),
+            scale_fields=dataclasses.asdict(spec.resolved_scale()),
+            net_faults=spec.net_faults,
+        )
+    return plan_type(**fields, **deployment)
 
 
 def _run_result(
@@ -341,44 +346,20 @@ class SimulatedBackend:
         workload = workload or _build_workload(spec)
         cluster = cluster or spec.cluster.build()
 
-        slowdown_schedule = None
-        if spec.slowdowns:
-            factors = {key: float(value) for key, value in spec.slowdowns.items()}
-
-            def slowdown_schedule(worker_id: str, now: float) -> float:
-                return factors.get(worker_id, 1.0)
-
-        config = SimulationConfig(
+        plan = plan_from_spec(spec, workload, cluster.num_workers, profile=profile)
+        options = SimulationOptions(
             cluster=cluster,
-            paradigm=spec.paradigm,
-            paradigm_kwargs=dict(spec.paradigm_kwargs),
             epochs=spec.resolved_epochs(),
             epoch_accounting=spec.epoch_accounting,
-            batch_size=spec.resolved_batch_size(),
-            learning_rate=spec.learning_rate,
-            momentum=spec.momentum,
-            weight_decay=spec.weight_decay,
             lr_milestones=spec.lr_milestones,
             lr_decay=spec.lr_decay,
-            evaluate_every_updates=spec.resolved_evaluate_every_updates(),
             max_updates=spec.max_updates,
             timing_cost=workload.timing_cost,
             timing_batch_size=workload.paper_batch_size,
-            slowdown_schedule=slowdown_schedule,
-            num_server_shards=spec.num_shards,
-            shard_strategy=spec.shard_strategy,
-            dtype=spec.dtype,
-            profile=profile,
-            compression=spec.compression,
-            aggregation=spec.aggregation,
-            faults=spec.faults,
             topology=spec.cluster.topology,
             comm_pattern=spec.comm_pattern,
-            seed=spec.seed,
         )
-        sim = SimulatedTraining(
-            config, workload.model_builder, workload.train_dataset, workload.test_dataset
-        ).run()
+        sim = SimulatedTraining(plan, workload, options).run()
         return _run_result(
             spec, self.name, provenance, sim, percentiles=sim.iteration_time_summary
         )
@@ -409,18 +390,9 @@ class ThreadedBackend:
             len(spec.cluster.worker_ids)
         )
 
-        config = DistributedTrainingConfig(
-            **_plan_fields(spec, workload, num_workers, wait_timeout=120.0),
-            num_shards=spec.num_shards,
-            shard_strategy=spec.shard_strategy,
-        )
-        trainer = assemble_training(
-            config,
-            workload.model_builder,
-            workload.train_dataset,
-            workload.test_dataset,
-        )
-        return _run_result(spec, self.name, provenance, trainer.run(profile=profile))
+        plan = plan_from_spec(spec, workload, num_workers, profile=profile)
+        trainer = ThreadedTrainer.from_plan(plan, workload)
+        return _run_result(spec, self.name, provenance, trainer.run(profile=plan.profile))
 
 
 @register_backend("process")
@@ -490,7 +462,6 @@ class ProcessBackend:
                 "object: every process uses the registry's build of the "
                 "workload, so pass a registered workload name in the spec"
             )
-        registry_fields = _registry_plan_fields(spec, profile)
         provenance = _provenance(spec, self.name, None, cluster)
         num_workers = cluster.num_workers if cluster is not None else (
             len(spec.cluster.worker_ids)
@@ -504,12 +475,9 @@ class ProcessBackend:
                     "backend (python -m repro run SPEC --backend tcp)"
                 )
             transport = spec.transport
-        plan = ProcessTrainingPlan(
-            **_plan_fields(spec, _build_workload(spec), num_workers, self.wait_timeout),
-            **registry_fields,
-            num_shards=spec.num_shards,
-            shard_strategy=spec.shard_strategy,
-            transport=transport,
+        plan = plan_from_spec(
+            spec, _build_workload(spec), num_workers, plan_type=ProcessTrainingPlan,
+            profile=profile, wait_timeout=self.wait_timeout, transport=transport,
         )
         trainer = ProcessTrainer(plan, context=self.context)
         return _run_result(spec, self.name, provenance, trainer.run())
@@ -534,7 +502,6 @@ def tcp_plan_from_spec(
     ``checkpoint_path`` enables periodic atomic checkpoints and
     restore-on-start.
     """
-    registry_fields = _registry_plan_fields(spec, profile)
     if spec.transport not in (None, "tcp"):
         raise ValueError(
             f"spec pins transport={spec.transport!r}; the tcp backend "
@@ -542,17 +509,12 @@ def tcp_plan_from_spec(
             "the process backend"
         )
     _reject_topology(spec, "tcp")
-    if spec.num_shards != 1:
-        raise ValueError(
-            "the tcp backend serves a monolithic store (num_shards=1); "
-            "use the threaded or process backend for sharded stores"
-        )
     if num_workers is None:
         num_workers = len(spec.cluster.worker_ids)
     heartbeat_timeout = float(spec.cluster.heartbeat_timeout)
-    return TcpTrainingPlan(
-        **_plan_fields(spec, _build_workload(spec), num_workers, wait_timeout),
-        **registry_fields,
+    return plan_from_spec(
+        spec, _build_workload(spec), num_workers, plan_type=TcpTrainingPlan,
+        profile=profile, wait_timeout=wait_timeout,
         address=address if address is not None else spec.cluster.address,
         # One lost heartbeat must not kill a worker: probe at a quarter of
         # the declared timeout (capped at the 1 s default cadence).

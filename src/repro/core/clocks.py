@@ -153,12 +153,6 @@ class ClockTable:
             raise RuntimeError("no workers registered")
         return min(self._records, key=lambda worker_id: self._records[worker_id].clock)
 
-    def fastest_worker(self) -> str:
-        """Identifier of a worker with the maximum clock (ties: registration order)."""
-        if not self._records:
-            raise RuntimeError("no workers registered")
-        return max(self._records, key=lambda worker_id: self._records[worker_id].clock)
-
     def is_fastest(self, worker_id: str) -> bool:
         """True when ``worker_id`` has the (joint) maximum clock."""
         return self.clock(worker_id) >= self.fastest_clock()

@@ -76,10 +76,6 @@ class DynamicStaleSynchronousParallel(SynchronizationPolicy):
         """Remaining extra-iteration credit ``r_p`` of a worker."""
         return self._credits.get(worker_id, 0)
 
-    def effective_threshold_of(self, worker_id: str) -> int:
-        """Current effective staleness threshold for a worker (``s_L + r_p``)."""
-        return self.s_lower + self.credit(worker_id)
-
     def controller_decisions(self) -> list[ControllerDecision]:
         """History of controller invocations (for analysis and Figure 2)."""
         return self.controller.decisions

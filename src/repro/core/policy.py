@@ -159,11 +159,6 @@ class SynchronizationPolicy:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def blocked_workers(self) -> list[str]:
-        """Workers currently waiting for the OK signal."""
-        return list(self._blocked)
-
     def statistics(self) -> dict:
         """Summary counters for reports: pushes, releases, blocks, staleness."""
         stats = self._stats

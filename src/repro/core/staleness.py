@@ -47,30 +47,23 @@ class StalenessTracker:
     """Records the version lag of every gradient applied at the server.
 
     Memory is bounded by the largest staleness seen, not by the number of
-    pushes: the tracker keeps, per worker and overall, how many pushes
-    arrived at each staleness.  Summaries expand those counts when asked;
+    pushes: the tracker keeps how many pushes arrived at each staleness.  Summaries expand those counts when asked;
     the mean is an exact integer sum and the percentiles depend only on
     the multiset of values, so they equal a summary of the full history.
     """
 
     def __init__(self) -> None:
         self._counts: list[int] = []
-        self._per_worker: dict[str, list[int]] = {}
 
-    def record(self, worker_id: str, staleness: int) -> None:
-        """Record that a gradient from ``worker_id`` was ``staleness`` versions old."""
+    def record(self, staleness: int) -> None:
+        """Record that an applied gradient was ``staleness`` versions old."""
         if staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {staleness}")
         _count(self._counts, int(staleness))
-        _count(self._per_worker.setdefault(worker_id, []), int(staleness))
 
     def summary(self) -> StalenessSummary:
         """Aggregate statistics over all observations."""
         return _summarize(self._counts)
-
-    def worker_summary(self, worker_id: str) -> StalenessSummary:
-        """Aggregate statistics for one worker."""
-        return _summarize(self._per_worker.get(worker_id, []))
 
 
 def _count(counts: list[int], staleness: int) -> None:

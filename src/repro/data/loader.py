@@ -41,28 +41,13 @@ class MiniBatchLoader:
         self._rng = rng
         self._order = np.arange(len(dataset), dtype=np.int64)
         self._cursor = 0
-        self._epochs_completed = 0
         if self.shuffle:
             self._rng.shuffle(self._order)
-
-    @property
-    def epochs_completed(self) -> int:
-        """Number of full passes over the dataset delivered so far."""
-        return self._epochs_completed
-
-    @property
-    def batches_per_epoch(self) -> int:
-        """Number of batches produced by one :meth:`epoch` pass."""
-        full, remainder = divmod(len(self.dataset), self.batch_size)
-        if remainder and not self.drop_last:
-            return full + 1
-        return max(full, 1) if not self.drop_last else full
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the next mini-batch, reshuffling at epoch boundaries."""
         if self._cursor >= len(self.dataset):
             self._cursor = 0
-            self._epochs_completed += 1
             if self.shuffle:
                 self._rng.shuffle(self._order)
         end = min(self._cursor + self.batch_size, len(self.dataset))
@@ -93,7 +78,6 @@ class MiniBatchLoader:
                 continue
             if self._cursor >= len(self.dataset):
                 self._cursor = 0
-                self._epochs_completed += 1
                 if self.shuffle:
                     self._rng.shuffle(self._order)
             self._cursor = min(self._cursor + self.batch_size, len(self.dataset))

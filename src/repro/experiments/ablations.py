@@ -16,7 +16,8 @@ These go beyond the paper's figures to exercise the discussion sections:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from repro.experiments.config import DEFAULT, ExperimentScale
 from repro.experiments.runner import run_paradigm_comparison
 from repro.experiments.workloads import Workload, alexnet_workload, mlp_workload, resnet_workload
 from repro.models.mlp import logistic_regression
+from repro.ps.plan import TrainingPlan
 from repro.simulation.cluster import ClusterSpec, heterogeneous_cluster, homogeneous_cluster
-from repro.simulation.trainer import SimulationConfig, simulate_training
+from repro.simulation.trainer import SimulatedTraining, SimulationOptions
 from repro.simulation.topology import TopologyTimeModel, build_topology
 
 __all__ = [
@@ -135,25 +137,25 @@ def dssp_range_ablation(
     ranges = ranges or [(3, 3), (3, 6), (3, 9), (3, 15), (0, 15), (6, 15)]
     epochs = epochs if epochs is not None else max(scale.epochs / 2, 1.0)
     workload = resnet_workload(scale, paper_depth=110, seed=seed)
-    cluster = heterogeneous_cluster()
+    options = SimulationOptions(
+        cluster=heterogeneous_cluster(),
+        epochs=epochs,
+        timing_cost=workload.timing_cost,
+        timing_batch_size=workload.paper_batch_size,
+    )
 
     entries = []
     for s_lower, s_upper in ranges:
-        config = SimulationConfig(
-            cluster=cluster,
+        plan = TrainingPlan(
             paradigm="dssp",
             paradigm_kwargs={"s_lower": s_lower, "s_upper": s_upper},
-            epochs=epochs,
+            num_workers=options.cluster.num_workers,
             batch_size=scale.batch_size,
             learning_rate=0.05,
-            evaluate_every_updates=scale.evaluate_every_updates,
-            timing_cost=workload.timing_cost,
-            timing_batch_size=workload.paper_batch_size,
+            evaluate_every_pushes=scale.evaluate_every_updates,
             seed=seed,
         )
-        result = simulate_training(
-            config, workload.model_builder, workload.train_dataset, workload.test_dataset
-        )
+        result = SimulatedTraining(plan, workload, options).run()
         entries.append(
             RangeAblationEntry(
                 s_lower=s_lower,
@@ -229,25 +231,25 @@ def fluctuating_environment_ablation(
         raise ValueError("degradation_factor must be >= 1")
     epochs = epochs if epochs is not None else max(scale.epochs / 2, 1.0)
     workload = mlp_workload(scale, seed=seed)
-    cluster = homogeneous_cluster(num_workers=4, gpus_per_worker=4)
+    options = SimulationOptions(
+        cluster=homogeneous_cluster(num_workers=4, gpus_per_worker=4),
+        epochs=epochs,
+        timing_cost=workload.timing_cost,
+        timing_batch_size=workload.paper_batch_size,
+    )
+
+    def plan(paradigm: str, paradigm_kwargs: dict, evaluate_every: int) -> TrainingPlan:
+        return TrainingPlan(
+            paradigm=paradigm,
+            paradigm_kwargs=paradigm_kwargs,
+            num_workers=4,
+            batch_size=scale.batch_size,
+            evaluate_every_pushes=evaluate_every,
+            seed=seed,
+        )
 
     # Estimate the unperturbed run length to place the degradation window.
-    probe = simulate_training(
-        SimulationConfig(
-            cluster=cluster,
-            paradigm="asp",
-            paradigm_kwargs={},
-            epochs=epochs,
-            batch_size=scale.batch_size,
-            evaluate_every_updates=0,
-            timing_cost=workload.timing_cost,
-            timing_batch_size=workload.paper_batch_size,
-            seed=seed,
-        ),
-        workload.model_builder,
-        workload.train_dataset,
-        workload.test_dataset,
-    )
+    probe = SimulatedTraining(plan("asp", {}, 0), workload, options).run()
     window = (probe.total_virtual_time / 3.0, 2.0 * probe.total_virtual_time / 3.0)
 
     def slowdown(worker_id: str, now: float) -> float:
@@ -262,22 +264,11 @@ def fluctuating_environment_ablation(
         ("dssp", {"s_lower": 3, "s_upper": 15}),
     ]
     entries = []
+    fluctuating = replace(options, slowdown_schedule=slowdown)
     for name, kwargs in paradigms:
-        config = SimulationConfig(
-            cluster=cluster,
-            paradigm=name,
-            paradigm_kwargs=kwargs,
-            epochs=epochs,
-            batch_size=scale.batch_size,
-            evaluate_every_updates=scale.evaluate_every_updates,
-            timing_cost=workload.timing_cost,
-            timing_batch_size=workload.paper_batch_size,
-            slowdown_schedule=slowdown,
-            seed=seed,
-        )
-        result = simulate_training(
-            config, workload.model_builder, workload.train_dataset, workload.test_dataset
-        )
+        result = SimulatedTraining(
+            plan(name, kwargs, scale.evaluate_every_updates), workload, fluctuating
+        ).run()
         entries.append(
             FluctuationAblationEntry(
                 paradigm_label=result.paradigm_label,
@@ -334,18 +325,22 @@ def regret_experiment(
 
     batch_size = 32
     epochs = steps * batch_size * num_workers / num_train
-    config = SimulationConfig(
-        cluster=homogeneous_cluster(num_workers=num_workers, gpus_per_worker=1),
+    plan = TrainingPlan(
         paradigm=paradigm,
         paradigm_kwargs=paradigm_kwargs,
-        epochs=epochs,
+        num_workers=num_workers,
         batch_size=batch_size,
         learning_rate=0.1,
         momentum=0.0,
-        evaluate_every_updates=0,
         seed=seed,
     )
-    result = simulate_training(config, builder, flat_train, flat_test)
+    options = SimulationOptions(
+        cluster=homogeneous_cluster(num_workers=num_workers, gpus_per_worker=1), epochs=epochs
+    )
+    workload = SimpleNamespace(
+        model_builder=builder, train_dataset=flat_train, test_dataset=flat_test
+    )
+    result = SimulatedTraining(plan, workload, options).run()
 
     losses = result.tracker.series("train_loss").values
     optimal_loss = float(np.min(losses[-max(len(losses) // 10, 1):]))

@@ -18,6 +18,9 @@ This subpackage provides that framework built from scratch:
   worker receives the OK signal.
 * :class:`Worker` — a model replica bound to a data partition that computes
   gradients from its (possibly stale) local weights.
+* :class:`TrainingPlan` — one training run as validated plain data
+  (:mod:`repro.ps.plan`), the description every backend receives, with the
+  one recipe that builds its server, evaluator and worker replicas.
 * :class:`WorkerLoop` / :class:`ServerSession` — the step protocol itself
   (:mod:`repro.ps.session`), written once and shared by the three runtimes
   below, which only move bytes and wake peers; the process and tcp servers
@@ -46,8 +49,9 @@ from repro.ps.messages import (
 )
 from repro.ps.server import AppliedPush, ParameterServer, PushResponse
 from repro.ps.worker import Worker, GradientComputation
-from repro.ps.session import ServerSession, TrainingPlan, TrainingResult, WorkerLoop
-from repro.ps.runtime import ThreadedTrainer
+from repro.ps.plan import TrainingPlan
+from repro.ps.session import ServerSession, TrainingResult, WorkerLoop
+from repro.ps.runtime import DistributedTrainingConfig, ThreadedTrainer, assemble_training
 from repro.ps.process_runtime import (
     ProcessTrainer,
     ProcessTrainingPlan,
@@ -75,7 +79,6 @@ from repro.ps.shm import (
     ShmStoreClient,
     create_shared_store,
 )
-from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
 from repro.ps.checkpoint import (
     CheckpointMetadata,
     save_checkpoint,

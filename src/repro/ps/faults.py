@@ -141,10 +141,6 @@ class FaultPlan:
         spec = self._by_worker.get(worker_id)
         return spec if spec is not None and spec.kind == "flaky" else None
 
-    def corrupts_anyone(self) -> bool:
-        """Whether any spec injects gradient corruption."""
-        return any(spec.kind in ("byzantine", "corrupt") for spec in self.specs)
-
     def to_dicts(self) -> tuple[dict, ...]:
         """Spec-surface form (what ``ExperimentSpec.to_dict`` serializes)."""
         out = []
@@ -292,10 +288,6 @@ class FaultInjector:
         event = {"kind": kind, "worker": worker, **fields}
         self.events.append(event)
         return event
-
-    def worker_clock(self, worker_id: str) -> int:
-        """Pushes seen from ``worker_id`` so far (the injector's clock)."""
-        return self._clocks.get(worker_id, 0)
 
     def corrupt_push(
         self, worker_id: str, flat_gradients: Mapping[int, np.ndarray] | None

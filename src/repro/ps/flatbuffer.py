@@ -329,11 +329,6 @@ class FlatShard:
         """Zero-copy read-only view of the whole weight block (one slice)."""
         return self._readonly(self._flat[: self.layout.weights_end])
 
-    def copy_out(self, name: str) -> np.ndarray:
-        """Independent writable copy of one entry."""
-        segment = self.layout.segment(name)
-        return self._flat[segment.lo : segment.hi].reshape(segment.shape).copy()
-
     # ------------------------------------------------------------------
     # Copy-on-write
     # ------------------------------------------------------------------

@@ -29,9 +29,9 @@ keeps the hot path as flat as the thread version:
 Determinism and fidelity: every process uses the same build of the
 registered workload (a ``fork`` child inherits the coordinator's, a
 ``spawn`` child builds the same bytes) and builds its pieces with the
-recipes of :mod:`repro.ps.session`, so dataset, partitioning and replica
+recipes of :mod:`repro.ps.plan`, so dataset, partitioning and replica
 initialization are byte-identical to what
-:func:`repro.ps.coordinator.assemble_training` builds for the threaded
+:meth:`repro.ps.runtime.ThreadedTrainer.from_plan` builds for the threaded
 runtime — one spec trains the same model on either substrate.
 
 Failure handling: a worker that raises reports the error over its pipe; a
@@ -57,14 +57,13 @@ import numpy as np
 
 from repro.ps.compression import read_encoded, write_encoded
 from repro.ps.netfaults import NetFaultSchedule, parse_net_fault_specs
+from repro.ps.plan import WorkloadPlan, plan_codec
 from repro.ps.session import (
     Resume,
     ServerLoop,
     ServerSession,
     TrainingResult,
     WorkerLoop,
-    WorkloadPlan,
-    plan_codec,
 )
 from repro.ps.sharding import partition_state
 from repro.ps.transport import ConnectionClosed, PipeConnection, validate_transport
@@ -127,13 +126,11 @@ def reap(processes) -> None:
 class ProcessTrainingPlan(WorkloadPlan):
     """Picklable description of one multi-process training run.
 
-    Everything in :class:`~repro.ps.session.WorkloadPlan`, plus the store
-    layout and the gradient path:
+    Everything in :class:`~repro.ps.plan.WorkloadPlan`, plus the gradient
+    path:
 
     Attributes
     ----------
-    num_shards, shard_strategy:
-        Parameter-store layout, identical semantics to the threaded runtime.
     transport:
         ``"shm"`` (gradient mailboxes in shared memory, default) or
         ``"pipe"`` (packed gradients pickled through the worker's pipe).
@@ -153,8 +150,6 @@ class ProcessTrainingPlan(WorkloadPlan):
         exercise the unannounced-death protocol windows.
     """
 
-    num_shards: int = 1
-    shard_strategy: str = "size"
     transport: str = "shm"
 
     def __post_init__(self) -> None:
@@ -172,8 +167,6 @@ class ProcessTrainingPlan(WorkloadPlan):
                 allowed_kinds=("delay", "drop"),
                 context="the process pipe transport",
             )
-        if self.num_shards <= 0:
-            raise ValueError("num_shards must be positive")
         validate_transport(self.transport, allowed=_TRANSPORTS)
 
 

@@ -27,16 +27,20 @@ the paper's GTX 1060 next to a faster GTX 1080 Ti.
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.ps.faults import FaultPlan
+from repro.data.dataset import ArrayDataset
+from repro.nn.module import Module
+from repro.ps.faults import FaultPlan, parse_fault_specs
+from repro.ps.plan import TrainingPlan, assemble
 from repro.ps.server import ParameterServer
 from repro.ps.session import Resume, ServerSession, TrainingResult, WorkerLoop
 from repro.ps.worker import Worker
 
-__all__ = ["ThreadedTrainer"]
+__all__ = ["ThreadedTrainer", "DistributedTrainingConfig", "assemble_training"]
 
 
 class _ThreadLink:
@@ -179,6 +183,27 @@ class ThreadedTrainer:
         }
         self._abort = threading.Event()
 
+    @classmethod
+    def from_plan(cls, plan: TrainingPlan, workload) -> "ThreadedTrainer":
+        """The trainer a plan describes; ``workload`` needs ``model_builder``,
+        ``train_dataset`` and ``test_dataset`` (``None``: no evaluations).
+
+        Every replica starts from the global initial weights, as in the
+        paper; the trainer exposes its ``server``, ``workers`` and
+        ``evaluate_fn`` for callers that drive the pieces themselves.
+        """
+        server, workers, evaluate_fn = assemble(plan, workload)
+        return cls(
+            server=server,
+            workers=workers,  # the trainer packs them to the store's layout
+            iterations_per_worker=plan.iterations_per_worker,
+            slowdowns=plan.slowdowns,
+            evaluate_fn=evaluate_fn,
+            evaluate_every_pushes=plan.evaluate_every_pushes,
+            wait_timeout=plan.wait_timeout,
+            fault_plan=parse_fault_specs(plan.faults, plan.worker_ids) or None,
+        )
+
     def run(self, *, profile: bool = False) -> TrainingResult:
         """Run the training to completion and return the collected results;
         with ``profile``, the first worker's per-layer breakdown included."""
@@ -210,3 +235,21 @@ class ThreadedTrainer:
         for thread in threads:
             thread.join()
         return session.finish()
+
+
+# Only perfbench/layers.py still uses the two names below; ROADMAP item 3(b)
+# removes them.  A run's description is the plan itself.
+DistributedTrainingConfig = TrainingPlan
+
+
+def assemble_training(
+    config: TrainingPlan,
+    model_builder: Callable[[np.random.Generator], Module],
+    train_dataset: ArrayDataset,
+    test_dataset: ArrayDataset | None = None,
+) -> ThreadedTrainer:
+    """:meth:`ThreadedTrainer.from_plan` over a workload given as its parts."""
+    workload = SimpleNamespace(
+        model_builder=model_builder, train_dataset=train_dataset, test_dataset=test_dataset
+    )
+    return ThreadedTrainer.from_plan(config, workload)

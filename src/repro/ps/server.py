@@ -453,7 +453,7 @@ class ParameterServer:
 
     def finish_push(self, request: PushRequest, applied: AppliedPush) -> PushResponse:
         """Synchronization half of a push: record staleness, consult policy."""
-        self.staleness_tracker.record(request.worker_id, applied.staleness)
+        self.staleness_tracker.record(applied.staleness)
         outcome = self.policy.on_push(request.worker_id, request.timestamp)
         released = tuple(self.policy.pop_releasable())
         self._pushes_handled += 1
@@ -474,7 +474,7 @@ class ParameterServer:
             used_extra_credit=outcome.used_extra_credit,
         )
 
-    # Only perfbench/layers.py still calls this; ROADMAP item 1(b) removes it.
+    # Only perfbench/layers.py still calls this; ROADMAP item 3(b) removes it.
     def handle_pull(self) -> PullReply:
         """A dense, zero-copy snapshot of the global weights."""
         return self.store.pull()

@@ -122,16 +122,6 @@ class ShardRouter:
         """Partitioning strategy (``"hash"`` or ``"size"``)."""
         return self._strategy
 
-    @property
-    def assignments(self) -> dict[str, int]:
-        """Copy of the key → shard mapping."""
-        return dict(self._assignments)
-
-    @property
-    def shard_sizes(self) -> list[int]:
-        """Total routed payload bytes per shard."""
-        return list(self._shard_sizes)
-
     def shard_of(self, key: str) -> int:
         """Shard index owning ``key``.
 
@@ -145,10 +135,6 @@ class ShardRouter:
             if self._strategy == "hash":
                 return self._hash_shard(key)
             raise KeyError(f"key {key!r} was not routed by this size-balanced router") from None
-
-    def shards_for(self, keys) -> list[int]:
-        """Sorted list of the distinct shards owning ``keys``."""
-        return sorted({self.shard_of(key) for key in keys})
 
     def balance(self) -> float:
         """Max shard load divided by the mean load (1.0 is a perfect split)."""
@@ -470,22 +456,9 @@ class ShardedKeyValueStore:
         """Deep copy of the current weights (original declaration order)."""
         return self._copies(self._weight_entries)
 
-    def buffers_snapshot(self) -> "OrderedDict[str, np.ndarray]":
-        """Deep copy of the current buffers."""
-        return self._copies(self._buffer_entries)
-
     def snapshot(self) -> "OrderedDict[str, np.ndarray]":
         """Deep copy of weights and buffers combined (writable, independent)."""
         return self._copies(self._state_entries)
-
-    def full_state(self) -> "OrderedDict[str, np.ndarray]":
-        """Weights and buffers combined (for loading into an evaluation model).
-
-        One lease covers both, so the combined snapshot is point-in-time
-        consistent (calling the two snapshot methods separately would allow
-        a push to land between them).
-        """
-        return self.snapshot()
 
     @staticmethod
     def _moved(table, holders, stamps, since):

@@ -90,6 +90,7 @@ from repro.ps.compression import EncodedShard, decode_shard
 from repro.ps.flatbuffer import Segment
 from repro.ps.messages import FlatPullPayload, PullReply, WorkerReport
 from repro.ps.process_runtime import reap, resolve_context
+from repro.ps.plan import WorkloadPlan, build_optimizer, plan_codec
 from repro.ps.session import (
     LogEntry,
     Mirror,
@@ -99,9 +100,6 @@ from repro.ps.session import (
     TrainingResult,
     UpdateLog,
     WorkerLoop,
-    WorkloadPlan,
-    build_optimizer,
-    plan_codec,
 )
 from repro.ps.sharding import make_store
 from repro.ps.transport import (
@@ -139,8 +137,8 @@ _CODEC_SHARD_BASE = 1 << 21
 class TcpTrainingPlan(WorkloadPlan):
     """Picklable description of one socket-backed training run.
 
-    Everything in :class:`~repro.ps.session.WorkloadPlan` (the store is
-    monolithic, so no shard fields), plus the networking knobs:
+    Everything in :class:`~repro.ps.plan.WorkloadPlan` (the store is
+    monolithic: ``num_shards`` must be 1), plus the networking knobs:
 
     Attributes
     ----------
@@ -172,6 +170,11 @@ class TcpTrainingPlan(WorkloadPlan):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.num_shards != 1:
+            raise ValueError(
+                "the tcp backend serves a monolithic store (num_shards=1); "
+                "use the threaded or process backend for sharded stores"
+            )
         if self.net_faults:
             parse_net_fault_specs(
                 self.net_faults, self.worker_ids, context="the tcp backend"

@@ -30,12 +30,7 @@ from repro.simulation.topology import (
     rack_topology,
 )
 from repro.simulation.trace import TraceRecord, SimulationTrace
-from repro.simulation.trainer import (
-    SimulationConfig,
-    SimulationResult,
-    SimulatedTraining,
-    simulate_training,
-)
+from repro.simulation.trainer import SimulationOptions, SimulationResult, SimulatedTraining
 
 __all__ = [
     "VirtualClock",
@@ -67,8 +62,7 @@ __all__ = [
     "rack_topology",
     "TraceRecord",
     "SimulationTrace",
-    "SimulationConfig",
+    "SimulationOptions",
     "SimulationResult",
     "SimulatedTraining",
-    "simulate_training",
 ]

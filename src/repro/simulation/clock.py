@@ -26,10 +26,3 @@ class VirtualClock:
             )
         self._now = float(timestamp)
         return self._now
-
-    def advance_by(self, delta: float) -> float:
-        """Move the clock forward by ``delta`` seconds."""
-        if delta < 0:
-            raise ValueError("delta must be >= 0")
-        self._now += float(delta)
-        return self._now

@@ -65,17 +65,6 @@ class ClusterSpec:
                 return spec
         raise KeyError(f"unknown worker {worker_id!r}")
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        """True when workers do not all share the same device profile."""
-        names = {worker.device.name for worker in self.workers}
-        return len(names) > 1
-
-    def speed_ratio(self) -> float:
-        """Ratio of the fastest to the slowest device's sustained throughput."""
-        speeds = [worker.device.sustained_flops for worker in self.workers]
-        return max(speeds) / min(speeds)
-
 
 def homogeneous_cluster(
     num_workers: int = 4,

@@ -185,12 +185,6 @@ class Link:
         # dataclass caches it for the hot traversal loop.
         object.__setattr__(self, "jitter_model", make_jitter(self.jitter))
 
-    def base_time(self, nbytes: float) -> float:
-        """Jitter-free seconds to move ``nbytes`` across this link."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        return self.latency + nbytes / self.bandwidth_bytes_per_second
-
 
 class Topology:
     """A rack/link graph mapping every worker to its path to the server."""
@@ -346,10 +340,6 @@ class TopologyState:
             else:
                 elapsed += service
         return elapsed
-
-    def busy_until(self, link_name: str) -> float:
-        """When a shared link's current queue drains (0.0 when idle)."""
-        return self._busy_until.get(link_name, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -39,10 +39,6 @@ class SimulationTrace:
             TraceRecord(time=float(time), kind=kind, worker_id=worker_id, details=details)
         )
 
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        """Records matching ``kind``."""
-        return [record for record in self._records if record.kind == kind]
-
     def push_times(self, worker_id: str) -> np.ndarray:
         """Virtual times of a worker's pushes."""
         return np.array(

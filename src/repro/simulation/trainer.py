@@ -1,9 +1,12 @@
 """Simulated distributed training: virtual time, real gradients.
 
 The simulator runs the one server protocol — the same
-:class:`repro.ps.session.ServerSession`, built by the same plan recipes
-(:func:`repro.ps.session.assemble`), as the three wall-clock runtimes — with
-a :class:`VirtualClock` as the session's time source.  What is the
+:class:`repro.ps.session.ServerSession`, built from the same
+:class:`~repro.ps.plan.TrainingPlan` by the same recipe
+(:func:`repro.ps.plan.assemble`), as the three wall-clock runtimes — with
+a :class:`VirtualClock` as the session's time source, and
+:class:`SimulationOptions` for what only a simulation has: the modelled
+cluster, the time model and the epoch budget.  What is the
 simulator's own is *when* things happen, decided by a discrete-event loop:
 
 1. every worker loads the initial weights and schedules its first *push
@@ -33,13 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from repro.core.factory import paradigm_label
-from repro.data.dataset import ArrayDataset
 from repro.metrics.convergence import time_to_accuracy
 from repro.metrics.throughput import (
     EMPTY_PERCENTILES,
@@ -49,17 +50,10 @@ from repro.metrics.throughput import (
     percentile_summary,
 )
 from repro.metrics.tracker import ExperimentTracker
-from repro.nn.module import Module
 from repro.optim.schedules import MultiStepSchedule
 from repro.ps.faults import parse_fault_specs
-from repro.ps.session import (
-    ServerSession,
-    TrainingPlan,
-    TrainingResult,
-    WorkerLoop,
-    assemble,
-    plan_codec,
-)
+from repro.ps.plan import TrainingPlan, assemble, plan_codec
+from repro.ps.session import ServerSession, TrainingResult, WorkerLoop
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.clock import VirtualClock
 from repro.simulation.events import Event, EventKind, EventQueue
@@ -77,28 +71,28 @@ from repro.simulation.workload import estimate_model_cost
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 
-__all__ = ["SimulationConfig", "SimulationResult", "SimulatedTraining", "simulate_training"]
+__all__ = ["SimulationOptions", "SimulationResult", "SimulatedTraining"]
 
 _LOGGER = get_logger("simulation.trainer")
 
 
-@dataclass
-class SimulationConfig:
-    """Configuration of one simulated training run.
+@dataclass(frozen=True, kw_only=True)
+class SimulationOptions:
+    """What only the simulator reads, next to the run's :class:`TrainingPlan`.
 
-    The fields :meth:`plan` passes on — paradigm and its kwargs, batch
-    size, SGD hyper-parameters, ``dtype``, ``compression``, ``aggregation``,
-    ``faults`` and ``seed`` — mean what they mean in
-    :class:`~repro.ps.session.TrainingPlan`.  A crash fault deregisters the
-    worker at its fault clock; a flaky one multiplies its iteration time by
-    ``scale`` in slow phases; a codec's push is charged its wire fraction of
-    the dense payload.
+    The plan says *what* trains — paradigm, batch size, SGD, codec,
+    aggregator, faults, shards, evaluation cadence, seed — exactly as for
+    the wall-clock backends (its ``slowdowns`` multiply a worker's iteration
+    time; a crash fault deregisters the worker at its fault clock; a flaky
+    one multiplies its iteration time by ``scale`` in slow phases; a codec's
+    push is charged its wire fraction of the dense payload).  These options
+    say how long it takes in virtual time, and when it stops.
 
     Attributes
     ----------
     cluster:
         The simulated machines (device profiles, network links, GPUs per
-        worker).
+        worker), one per plan worker, named ``worker-0`` … in order.
     epochs, epoch_accounting:
         Epoch budget (the paper trains 300).  ``"global"`` (default) stops
         once the server has applied ``epochs * len(train) / batch_size``
@@ -109,19 +103,15 @@ class SimulationConfig:
     lr_milestones, lr_decay:
         Epochs at which the learning rate is multiplied by ``lr_decay``
         (the paper: (200, 250) and 0.1).
-    evaluate_every_updates:
-        Evaluate every N server updates; <= 0 only at the start and end.
     max_updates:
         Optional hard cap on the number of server updates.
-    time_scale:
-        Uniform stretch applied to all simulated durations.
     timing_jitter:
         Whether per-iteration times receive random jitter (off for exactly
         reproducible timing analyses).
     timing_cost, timing_batch_size:
         The :class:`repro.simulation.workload.ModelCost` and batch size the
         *time* components use (default: estimated from the trained model,
-        and ``batch_size``).  The harness passes the paper-scale
+        and the plan's ``batch_size``).  The harness passes the paper-scale
         architecture's, so the compute-to-communication ratio matches the
         paper's hardware while a scaled-down model does the arithmetic.
     slowdown_schedule:
@@ -129,16 +119,13 @@ class SimulationConfig:
         worker's next iteration time: fluctuating networks and transient
         stragglers, the paper's future work (see
         :func:`repro.experiments.ablations.fluctuating_environment_ablation`).
-    num_server_shards, shard_strategy:
-        Shards of the store (:class:`repro.ps.sharding.ShardedKeyValueStore`)
-        and their key partitioning (``"size"`` or ``"hash"``).  With more
-        than one, the most-loaded shard gates the simulated push/pull.
     topology:
         A preset name (``"flat"``, ``"two-rack"``, ``"tail-heavy"``), an
         inline topology dict or a :class:`repro.simulation.topology.Topology`
         for the *time* components.  ``None`` means ``"flat"``: one private
         link per worker, from its own :class:`NetworkModel`.  Shared uplinks
         queue FIFO, and every delay lands in ``SimulationResult.queue_trace``.
+        It models a single server endpoint, so the plan keeps one shard.
     comm_pattern:
         ``"ps"`` (default): a push and a pull per iteration.
         ``"ring_allreduce"``: ``2*(n-1)`` chunked ring steps per BSP round
@@ -146,95 +133,33 @@ class SimulationConfig:
         excludes).  The gradient math still flows through the server, whose
         sequential sum a ring reduce-scatter reproduces bit for bit; only
         the costed time and wire bytes change.
-    profile:
-        Attach a :class:`repro.utils.profiler.LayerProfiler` to the first
-        worker's replica and record it in ``SimulationResult.profile``.
     """
 
     cluster: ClusterSpec
-    paradigm: str = "dssp"
-    paradigm_kwargs: dict = field(default_factory=lambda: {"s_lower": 3, "s_upper": 15})
     epochs: float = 3.0
     epoch_accounting: str = "global"
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
     lr_milestones: tuple[float, ...] = ()
     lr_decay: float = 0.1
-    evaluate_every_updates: int = 20
     max_updates: int | None = None
-    time_scale: float = 1.0
     timing_jitter: bool = True
     timing_cost: object | None = None
     timing_batch_size: int | None = None
     slowdown_schedule: Callable[[str, float], float] | None = None
-    num_server_shards: int = 1
-    shard_strategy: str = "size"
-    dtype: str = "float64"
-    profile: bool = False
-    compression: str | None = None
-    aggregation: str | None = None
-    faults: tuple = ()
     topology: str | dict | Topology | None = None
     comm_pattern: str = "ps"
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        self.comm_pattern = validate_comm_pattern(self.comm_pattern)
+        object.__setattr__(self, "comm_pattern", validate_comm_pattern(self.comm_pattern))
         if self.topology is not None and not isinstance(self.topology, Topology):
             validate_topology_spec(self.topology)
-        if self.topology is not None and self.num_server_shards != 1:
-            raise ValueError(
-                "topology-aware timing models a single server endpoint; "
-                "use num_server_shards=1 with a topology"
-            )
-        if self.comm_pattern == "ring_allreduce":
-            validate_ring(
-                self.paradigm,
-                self.cluster.num_workers,
-                self.num_server_shards,
-                compression=self.compression,
-                aggregation=self.aggregation,
-                faults=self.faults,
-            )
-        if self.cluster.worker_ids != [f"worker-{i}" for i in range(self.cluster.num_workers)]:
-            raise ValueError(
-                "the simulator runs the shared training plan, whose workers are named "
-                f"worker-0 … worker-(n-1) in cluster order; got {self.cluster.worker_ids}"
-            )
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
-        if self.num_server_shards <= 0:
-            raise ValueError("num_server_shards must be positive")
         if self.max_updates is not None and self.max_updates <= 0:
             raise ValueError("max_updates must be positive when given")
         if self.epoch_accounting not in ("global", "per_worker"):
             raise ValueError(
                 f"epoch_accounting must be 'global' or 'per_worker', got {self.epoch_accounting!r}"
             )
-        self.faults = tuple(self.faults)
-        # Fail fast: a typo in the paradigm, codec, aggregator or fault plan
-        # must surface here, at config construction, not minutes into a run.
-        self.plan()
-
-    def plan(self) -> TrainingPlan:
-        """The run as the plan every backend shares (validated on construction)."""
-        return TrainingPlan(
-            paradigm=self.paradigm,
-            paradigm_kwargs=dict(self.paradigm_kwargs),
-            num_workers=self.cluster.num_workers,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            evaluate_every_pushes=max(self.evaluate_every_updates, 0),
-            dtype=self.dtype,
-            compression=self.compression,
-            aggregation=self.aggregation,
-            faults=self.faults,
-            seed=self.seed,
-        )
 
 
 @dataclass
@@ -294,37 +219,47 @@ class SimulationResult(TrainingResult):
 
 
 class SimulatedTraining:
-    """Discrete-event simulation of one distributed training run."""
+    """Discrete-event simulation of one distributed training run.
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        model_builder: Callable[[np.random.Generator], Module],
-        train_dataset: ArrayDataset,
-        test_dataset: ArrayDataset,
-    ) -> None:
-        self.config = config
-        self.plan = config.plan()
-        self.workload = SimpleNamespace(
-            model_builder=model_builder, train_dataset=train_dataset, test_dataset=test_dataset
-        )
+    ``workload`` needs ``model_builder``, ``train_dataset`` and
+    ``test_dataset``; ``options`` must model exactly the plan's workers.
+    """
+
+    def __init__(self, plan: TrainingPlan, workload, options: SimulationOptions) -> None:
+        if options.cluster.worker_ids != plan.worker_ids:
+            raise ValueError(
+                "the simulator runs the plan's workers, named worker-0 … worker-(n-1) "
+                f"in cluster order: the plan has {plan.num_workers}, "
+                f"the cluster {options.cluster.worker_ids}"
+            )
+        if options.topology is not None and plan.num_shards != 1:
+            raise ValueError(
+                "topology-aware timing models a single server endpoint; "
+                "use num_shards=1 with a topology"
+            )
+        if options.comm_pattern == "ring_allreduce":
+            validate_ring(
+                plan.paradigm,
+                plan.num_workers,
+                plan.num_shards,
+                compression=plan.compression,
+                aggregation=plan.aggregation,
+                faults=plan.faults,
+            )
+        self.plan = plan
+        self.workload = workload
+        self.options = options
 
     def run(self) -> SimulationResult:
         """Execute the simulation and return its result."""
-        config, plan = self.config, self.plan
+        options, plan = self.options, self.plan
         train_dataset = self.workload.train_dataset
         schedule = None
-        if config.lr_milestones:
+        if options.lr_milestones:
             schedule = MultiStepSchedule(
-                config.learning_rate, config.lr_milestones, decay=config.lr_decay
+                plan.learning_rate, options.lr_milestones, decay=options.lr_decay
             )
-        server, replicas, evaluator = assemble(
-            plan,
-            self.workload,
-            num_shards=config.num_server_shards,
-            shard_strategy=config.shard_strategy,
-            schedule=schedule,
-        )
+        server, replicas, evaluator = assemble(plan, self.workload, schedule)
         store = server.store
         workers = {worker.worker_id: worker for worker in replicas}
         # Mirror the store's packed layout in every replica so full pulls
@@ -332,12 +267,12 @@ class SimulatedTraining:
         for worker in replicas:
             worker.attach_flat_layout(store.flat_layouts)
         profiler = None
-        if config.profile:
+        if plan.profile:
             from repro.utils.profiler import LayerProfiler
 
             profiler = LayerProfiler(replicas[0].model, loss_fn=replicas[0].loss_fn).attach()
 
-        cost = config.timing_cost or estimate_model_cost(
+        cost = options.timing_cost or estimate_model_cost(
             replicas[0].model, train_dataset.sample_shape
         )
         # Per-shard transfer cost: the simulated push/pull is gated by the
@@ -355,28 +290,27 @@ class SimulatedTraining:
         push_wire_fraction = 1.0 if codec is None else min(1.0, codec.wire_fraction())
         time_model = TopologyTimeModel(
             cost,
-            batch_size=config.timing_batch_size or config.batch_size,
+            batch_size=options.timing_batch_size or plan.batch_size,
             topology=build_topology(
-                "flat" if config.topology is None else config.topology,
-                {wid: config.cluster.worker(wid).network for wid in plan.worker_ids},
+                "flat" if options.topology is None else options.topology,
+                {wid: options.cluster.worker(wid).network for wid in plan.worker_ids},
             ),
-            time_scale=config.time_scale,
             shard_fractions=shard_fractions,
             push_wire_fraction=push_wire_fraction,
-            comm_pattern=config.comm_pattern,
+            comm_pattern=options.comm_pattern,
             worker_ids=plan.worker_ids,
         )
-        timing_rng = RngStream(config.seed).get("timing") if config.timing_jitter else None
+        timing_rng = RngStream(plan.seed).get("timing") if options.timing_jitter else None
 
-        if config.epoch_accounting == "global":
+        if options.epoch_accounting == "global":
             # Workers keep iterating until the global update budget is spent;
             # a fast worker may contribute more updates than its own share.
-            quota = max(1, int(np.ceil(config.epochs * len(train_dataset) / config.batch_size)))
-            max_updates = config.max_updates or quota
+            quota = max(1, int(np.ceil(options.epochs * len(train_dataset) / plan.batch_size)))
+            max_updates = options.max_updates or quota
         else:
-            partition_size = len(train_dataset) // config.cluster.num_workers
-            quota = max(1, int(np.ceil(config.epochs * partition_size / config.batch_size)))
-            max_updates = config.max_updates or (quota * len(workers))
+            partition_size = len(train_dataset) // plan.num_workers
+            quota = max(1, int(np.ceil(options.epochs * partition_size / plan.batch_size)))
+            max_updates = options.max_updates or (quota * len(workers))
 
         clock = VirtualClock()
         queue = EventQueue()
@@ -404,16 +338,16 @@ class SimulatedTraining:
         def iteration_time(worker_id: str, now: float) -> float:
             done = loops[worker_id].completed
             duration = time_model.iteration_time(
-                config.cluster.worker(worker_id), rng=timing_rng, now=now, round_index=done
+                options.cluster.worker(worker_id), rng=timing_rng, now=now, round_index=done
             )
-            if config.slowdown_schedule is not None:
-                factor = float(config.slowdown_schedule(worker_id, now))
-                if factor <= 0:
-                    raise ValueError(
-                        f"slowdown_schedule returned non-positive factor {factor} "
-                        f"for worker {worker_id!r}"
-                    )
-                duration *= factor
+            factor = float(plan.slowdowns.get(worker_id, 1.0))
+            if options.slowdown_schedule is not None:
+                factor *= float(options.slowdown_schedule(worker_id, now))
+            if factor <= 0:
+                raise ValueError(
+                    f"non-positive slowdown factor {factor} for worker {worker_id!r}"
+                )
+            duration *= factor
             flaky = fault_plan.flaky_for(worker_id)
             if flaky is not None and flaky.slow(done):
                 duration *= flaky.scale
@@ -503,7 +437,7 @@ class SimulatedTraining:
             # "Compute" is everything that was not synchronization waiting:
             # the simulator does not split a worker's busy time.
             report["total_compute_time"] = max(final_time - report["total_wait_time"], 0.0)
-            if config.comm_pattern == "ring_allreduce":
+            if options.comm_pattern == "ring_allreduce":
                 # Model-costed: 2*(n-1)/n * payload per round on the wire and
                 # no server pulls; raw bytes stay the dense payload.
                 done = report["iterations"]
@@ -526,7 +460,7 @@ class SimulatedTraining:
             if times.size:
                 interval_samples.extend(np.diff(times, prepend=0.0).tolist())
 
-        label = paradigm_label(config.paradigm, config.paradigm_kwargs)
+        label = paradigm_label(plan.paradigm, plan.paradigm_kwargs)
         _LOGGER.info(
             "%s finished: %.0f virtual seconds, %d updates, final accuracy %.3f",
             label,
@@ -536,12 +470,12 @@ class SimulatedTraining:
         )
         return SimulationResult(
             **vars(result),
-            paradigm=config.paradigm,
+            paradigm=plan.paradigm,
             paradigm_label=label,
             throughput=iteration_throughput(
                 total_updates=store.version,
                 total_time=max(final_time, 1e-12),
-                samples_per_update=config.batch_size,
+                samples_per_update=plan.batch_size,
             ),
             tracker=tracker,
             trace=trace,
@@ -549,12 +483,3 @@ class SimulatedTraining:
             queue_trace=list(time_model.state.queue_trace),
         )
 
-
-def simulate_training(
-    config: SimulationConfig,
-    model_builder: Callable[[np.random.Generator], Module],
-    train_dataset: ArrayDataset,
-    test_dataset: ArrayDataset,
-) -> SimulationResult:
-    """Convenience wrapper: build and run a :class:`SimulatedTraining`."""
-    return SimulatedTraining(config, model_builder, train_dataset, test_dataset).run()

@@ -17,7 +17,7 @@ class TestClusterConfig:
             kind="heterogeneous", devices=("gtx1080ti", "gtx1060"), network="ethernet"
         )
         cluster = config.build()
-        assert cluster.is_heterogeneous
+        assert [spec.device.name for spec in cluster.workers] == ["gtx1080ti", "gtx1060"]
         assert config.worker_ids == ["worker-0", "worker-1"]
 
     def test_invalid_kind_rejected(self):

@@ -100,13 +100,6 @@ class TestExtraIterationCredits:
         assert outcome.blocked
         assert outcome.controller_extra_iterations is None
 
-    def test_effective_threshold_varies_per_worker(self):
-        policy = make_dssp(s_lower=1, s_upper=9)
-        self._warm_up(policy)
-        policy.on_push("w0", 3.0)
-        assert policy.effective_threshold_of("w0") >= policy.s_lower
-        assert policy.effective_threshold_of("w1") == policy.s_lower
-
 
 class TestUpperBoundEnforcement:
     def _drive_fast_worker(self, policy, iterations=30):

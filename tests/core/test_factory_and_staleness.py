@@ -59,39 +59,27 @@ class TestStalenessTracker:
     def test_summary_statistics(self):
         tracker = StalenessTracker()
         for value in (0, 1, 2, 3, 10):
-            tracker.record("w0", value)
+            tracker.record(value)
         summary = tracker.summary()
         assert summary.count == 5
         assert summary.maximum == 10
         assert summary.mean == pytest.approx(3.2)
         assert summary.p50 == pytest.approx(2.0)
 
-    def test_per_worker_summary(self):
-        tracker = StalenessTracker()
-        tracker.record("a", 1)
-        tracker.record("b", 5)
-        assert tracker.worker_summary("a").maximum == 1
-        assert tracker.worker_summary("b").maximum == 5
-        assert tracker.worker_summary("missing").count == 0
-
     def test_negative_staleness_rejected(self):
         tracker = StalenessTracker()
         with pytest.raises(ValueError):
-            tracker.record("a", -1)
+            tracker.record(-1)
 
     def test_summaries_equal_a_full_history(self):
-        # 10k pushes from 5 workers with ASP-like heavy tails: the count
-        # tables summarize exactly as the recorded sequence would.
+        # 10k pushes with ASP-like heavy tails: the count table summarizes
+        # exactly as the recorded sequence would.
         rng = np.random.default_rng(28)
-        workers = [f"w{i}" for i in range(5)]
         tracker = StalenessTracker()
-        history: dict[str, list[int]] = {w: [] for w in workers}
         everything: list[int] = []
         for _ in range(10_000):
-            worker = workers[int(rng.integers(len(workers)))]
             value = int(rng.geometric(0.05)) - 1
-            tracker.record(worker, value)
-            history[worker].append(value)
+            tracker.record(value)
             everything.append(value)
 
         def reference(values):
@@ -105,5 +93,3 @@ class TestStalenessTracker:
             )
 
         assert tracker.summary() == reference(everything)
-        for worker in workers:
-            assert tracker.worker_summary(worker) == reference(history[worker])

@@ -107,12 +107,11 @@ class TestSsp:
 
     def test_blocked_worker_released_when_slowest_catches_up(self):
         policy = make_policy(StaleSynchronousParallel, num_workers=2, staleness=2)
-        for index in range(3):
-            policy.on_push("w0", float(index))
-        assert policy.blocked_workers == ["w0"]
+        outcomes = [policy.on_push("w0", float(index)) for index in range(3)]
+        assert outcomes[-1].blocked
         policy.on_push("w1", 10.0)
         assert policy.pop_releasable() == ["w0"]
-        assert policy.blocked_workers == []
+        assert policy.pop_releasable() == []
 
     def test_lead_bound_holds_over_random_schedule(self):
         policy = make_policy(StaleSynchronousParallel, num_workers=3, staleness=2)

@@ -84,11 +84,6 @@ class TestMiniBatchLoader:
             inputs, labels = loader.next_batch()
             assert inputs.shape[0] == 4
             assert labels.shape[0] == 4
-        assert loader.epochs_completed == 2
-
-    def test_batches_per_epoch(self):
-        loader = MiniBatchLoader(make_dataset(10), batch_size=4, rng=np.random.default_rng(0))
-        assert loader.batches_per_epoch == 3
 
     def test_shuffle_changes_order_but_not_content(self):
         dataset = make_dataset(16)

@@ -106,31 +106,36 @@ class TestFluctuatingEnvironmentAblation:
 
 
 class TestSlowdownSchedule:
-    def test_schedule_slows_targeted_worker(self, tiny_flat_datasets):
+    @staticmethod
+    def simulate(tiny_flat_datasets, schedule):
+        from types import SimpleNamespace
+
         from repro.models import mlp
-        from repro.simulation.trainer import SimulationConfig, simulate_training
+        from repro.ps.plan import TrainingPlan
+        from repro.simulation.trainer import SimulatedTraining, SimulationOptions
 
         train, test = tiny_flat_datasets
         input_dim = train.inputs.shape[1]
+        workload = SimpleNamespace(
+            model_builder=lambda rng: mlp(
+                input_dim=input_dim, hidden_dims=(8,), num_classes=4, rng=rng
+            ),
+            train_dataset=train,
+            test_dataset=test,
+        )
+        plan = TrainingPlan(paradigm="asp", paradigm_kwargs={}, num_workers=2, batch_size=16)
+        options = SimulationOptions(
+            cluster=homogeneous_cluster(num_workers=2, gpus_per_worker=1),
+            epochs=1.0,
+            slowdown_schedule=schedule,
+        )
+        return SimulatedTraining(plan, workload, options).run()
 
-        def builder(rng):
-            return mlp(input_dim=input_dim, hidden_dims=(8,), num_classes=4, rng=rng)
-
-        def run(schedule):
-            config = SimulationConfig(
-                cluster=homogeneous_cluster(num_workers=2, gpus_per_worker=1),
-                paradigm="asp",
-                paradigm_kwargs={},
-                epochs=1.0,
-                batch_size=16,
-                evaluate_every_updates=0,
-                slowdown_schedule=schedule,
-                seed=0,
-            )
-            return simulate_training(config, builder, train, test)
-
-        baseline = run(None)
-        slowed = run(lambda worker_id, now: 4.0 if worker_id == "worker-0" else 1.0)
+    def test_schedule_slows_targeted_worker(self, tiny_flat_datasets):
+        baseline = self.simulate(tiny_flat_datasets, None)
+        slowed = self.simulate(
+            tiny_flat_datasets, lambda worker_id, now: 4.0 if worker_id == "worker-0" else 1.0
+        )
         assert slowed.total_virtual_time > baseline.total_virtual_time
         assert (
             slowed.iterations_per_worker["worker-0"]
@@ -138,25 +143,5 @@ class TestSlowdownSchedule:
         )
 
     def test_non_positive_factor_rejected(self, tiny_flat_datasets):
-        from repro.models import mlp
-        from repro.simulation.trainer import SimulationConfig, simulate_training
-
-        train, test = tiny_flat_datasets
-        input_dim = train.inputs.shape[1]
-        config = SimulationConfig(
-            cluster=homogeneous_cluster(num_workers=2, gpus_per_worker=1),
-            paradigm="asp",
-            paradigm_kwargs={},
-            epochs=1.0,
-            batch_size=16,
-            evaluate_every_updates=0,
-            slowdown_schedule=lambda worker_id, now: 0.0,
-            seed=0,
-        )
         with pytest.raises(ValueError):
-            simulate_training(
-                config,
-                lambda rng: mlp(input_dim=input_dim, hidden_dims=(8,), num_classes=4, rng=rng),
-                train,
-                test,
-            )
+            self.simulate(tiny_flat_datasets, lambda worker_id, now: 0.0)

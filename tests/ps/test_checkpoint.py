@@ -52,7 +52,7 @@ class TestSaveLoad:
 
         weights, buffers, velocity, metadata = load_checkpoint(path)
         assert states_allclose(weights, store.weights_snapshot())
-        assert states_allclose(buffers, store.buffers_snapshot())
+        assert states_allclose(buffers, store.buffers)
         assert set(velocity) == {"layer.weight", "layer.bias"}
         assert metadata.version == 3
         assert metadata.paradigm == "dssp"
@@ -134,7 +134,7 @@ class TestShardedCheckpoints:
         assert fresh_store.version == 3
         assert fresh_store.shard_versions == saved_shard_versions
         assert states_allclose(fresh_store.weights_snapshot(), store.weights_snapshot())
-        assert states_allclose(fresh_store.buffers_snapshot(), store.buffers_snapshot())
+        assert states_allclose(fresh_store.buffers, store.buffers)
 
     def test_sharded_restore_resumes_identically(self, tmp_path):
         store, optimizer = make_store_and_optimizer(num_shards=2)

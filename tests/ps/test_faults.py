@@ -42,7 +42,6 @@ class TestParsing:
     def test_empty_plan_is_falsy(self):
         plan = parse_fault_specs([], WORKERS)
         assert not plan and len(plan) == 0
-        assert not plan.corrupts_anyone()
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -178,7 +177,6 @@ class TestSpecWindows:
         assert plan.rejoin_after() == {"worker-0": 3}
         assert plan.flaky_for("worker-2").kind == "flaky"
         assert plan.flaky_for("worker-0") is None
-        assert not plan.corrupts_anyone()
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +228,6 @@ class TestCorruption:
         second = injector.corrupt_push("worker-0", {0: grad})
         assert first is not None
         assert first[0] is second[0]  # pooled scratch, reused across pushes
-        assert injector.worker_clock("worker-0") == 4
 
     def test_unfaulted_workers_pass_through(self):
         injector = _injector(

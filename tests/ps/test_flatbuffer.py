@@ -187,7 +187,7 @@ class TestFusedOptimizerParity:
         # on the dict path.
         restored = SGD(0.1, momentum=0.9)
         restored.load_state_dict(state)
-        reference = {name: shard.copy_out(name) for name in weights}
+        reference = {name: shard.view(name).copy() for name in weights}
         optimizer.step_flat([shard.make_update(gradients)])
         restored.step(reference, gradients)
         for name in weights:

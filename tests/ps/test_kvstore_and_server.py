@@ -80,7 +80,7 @@ class TestKeyValueStore:
     def test_buffers_updated_by_overwrite(self, store_factory):
         store = store_factory()
         store.update_buffers({"running_mean": np.array([2.0])})
-        assert store.buffers_snapshot()["running_mean"][0] == 2.0
+        assert store.buffers["running_mean"][0] == 2.0
         with pytest.raises(ValueError):
             store.update_buffers({"running_mean": np.zeros(3)})
 
@@ -88,11 +88,6 @@ class TestKeyValueStore:
         store = store_factory()
         with pytest.raises(KeyError):
             store.update_buffers({"brand_new": np.zeros(1)})
-
-    def test_full_state_combines_weights_and_buffers(self, store_factory):
-        store = store_factory()
-        state = store.full_state()
-        assert set(state) == {"w", "b", "running_mean"}
 
     def test_counts_and_bytes(self, store_factory):
         store = store_factory()

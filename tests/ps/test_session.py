@@ -18,18 +18,10 @@ from repro.data.partitioner import partition_dataset
 from repro.experiments.config import TINY
 from repro.models import mlp
 from repro.ps.compression import make_codec
-from repro.ps.coordinator import DistributedTrainingConfig, assemble_training
+from repro.ps.plan import TrainingPlan, assemble, build_evaluator, build_server, replica_builder
 from repro.ps.process_runtime import ProcessTrainingPlan
-from repro.ps.session import (
-    Resume,
-    ServerSession,
-    UpdateLog,
-    WorkerLoop,
-    assemble,
-    build_evaluator,
-    build_server,
-    replica_builder,
-)
+from repro.ps.runtime import ThreadedTrainer
+from repro.ps.session import Resume, ServerSession, UpdateLog, WorkerLoop
 from repro.ps.sharding import make_store
 from repro.ps.tcp_runtime import TcpTrainingPlan
 from repro.utils.rng import RngStream
@@ -56,7 +48,7 @@ def make_store_for(plan, workload):
 
 
 def make_session(workload, **plan_fields):
-    plan = DistributedTrainingConfig(batch_size=16, **plan_fields)
+    plan = TrainingPlan(batch_size=16, **plan_fields)
     session = ServerSession.from_plan(plan, make_store_for(plan, workload), workload)
     for worker_id in plan.worker_ids:
         session.join(worker_id)
@@ -120,7 +112,7 @@ class ScriptedLink:
 
 
 def make_loop(workload, script=(), **loop_fields):
-    plan = DistributedTrainingConfig(num_workers=2, batch_size=16, micro_batches=2)
+    plan = TrainingPlan(num_workers=2, batch_size=16, micro_batches=2)
     link = ScriptedLink(make_store_for(plan, workload), script)
     loop = WorkerLoop(
         "worker-1",
@@ -189,7 +181,7 @@ class TestStepMachine:
 
     def test_waits_run_from_the_send_to_the_ok_on_the_loop_clock(self, workload):
         now = [0.0]
-        plan = DistributedTrainingConfig(
+        plan = TrainingPlan(
             batch_size=16, paradigm="bsp", paradigm_kwargs={}, num_workers=2
         )
         server, replicas, _ = assemble(plan, workload)
@@ -297,7 +289,7 @@ class TestServerSession:
 
     def test_evaluate_is_a_no_op_for_the_point_it_last_recorded(self, workload):
         ticks = iter([0.0, 1.5, 1.5])  # start, periodic evaluation, finish: a virtual clock
-        plan = DistributedTrainingConfig(
+        plan = TrainingPlan(
             batch_size=16, paradigm="asp", paradigm_kwargs={}, num_workers=1,
             evaluate_every_pushes=1,
         )
@@ -375,7 +367,7 @@ class TestReply:
     def session(workload, num_shards, logged):
         """Two joined, welcomed workers; worker-1 then worker-0 push from
         version 0, so worker-0's OK spans a foreign push and its own."""
-        plan = DistributedTrainingConfig(
+        plan = TrainingPlan(
             batch_size=16, paradigm="asp", paradigm_kwargs={}, num_workers=2
         )
         model = workload.model_builder(RngStream(plan.seed).get("init"))
@@ -506,7 +498,7 @@ def test_sharded_runs_get_delta_oks(monkeypatch, run):
 
 
 PLAN_CLASSES = {
-    "threaded": lambda **fields: DistributedTrainingConfig(**fields),
+    "threaded": TrainingPlan,
     "process": lambda **fields: ProcessTrainingPlan(
         workload="mlp", scale_fields=dataclasses.asdict(TINY), **fields
     ),
@@ -537,7 +529,7 @@ class TestOneLivenessGuard:
         # Every BSP round the peers are legitimately quiet for a whole
         # slowdown — five times the configured timeout.  The guard adds four
         # times the waiting worker's own (equally slowed) compute time.
-        config = DistributedTrainingConfig(
+        config = TrainingPlan(
             paradigm="bsp",
             paradigm_kwargs={},
             num_workers=2,
@@ -546,9 +538,7 @@ class TestOneLivenessGuard:
             slowdowns={"worker-0": 0.25, "worker-1": 0.25},
             wait_timeout=0.05,
         )
-        result = assemble_training(
-            config, workload.model_builder, workload.train_dataset
-        ).run()
+        result = ThreadedTrainer.from_plan(config, workload).run()
         assert result.errors == []
         assert result.server_statistics["store_version"] == 6
 
@@ -559,11 +549,11 @@ class TestOneLivenessGuard:
 
         captured = {}
 
-        def capture(config, *_args):
-            captured["config"] = config
+        def capture(plan, workload):
+            captured["config"] = plan
             raise KeyboardInterrupt  # stop before any training happens
 
-        monkeypatch.setattr(backends, "assemble_training", capture)
+        monkeypatch.setattr(backends.ThreadedTrainer, "from_plan", capture)
         spec = ExperimentSpec(
             name="guard",
             workload="mlp",
@@ -582,7 +572,7 @@ def test_each_replica_copies_only_its_partition_and_draws_the_same_batches(
 ):
     """``build(index)`` subsets one partition; the batches are what the
     all-partitions recipe (``partition_dataset`` up front) drew, byte for byte."""
-    plan = DistributedTrainingConfig(num_workers=num_workers, batch_size=16, seed=3)
+    plan = TrainingPlan(num_workers=num_workers, batch_size=16, seed=3)
     build = replica_builder(plan, workload)
     streams = RngStream(plan.seed)
     partitions = partition_dataset(
@@ -594,7 +584,8 @@ def test_each_replica_copies_only_its_partition_and_draws_the_same_batches(
             partition, batch_size=16, rng=streams.get(f"loader-worker-{index}")
         )
         assert len(loader.dataset) == len(partition)
-        for _ in range(2 * reference.batches_per_epoch + 1):
+        batches_per_epoch = -(-len(partition) // 16)
+        for _ in range(2 * batches_per_epoch + 1):
             inputs, labels = loader.next_batch()
             want_inputs, want_labels = reference.next_batch()
             assert inputs.tobytes() == want_inputs.tobytes()

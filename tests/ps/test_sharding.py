@@ -21,7 +21,7 @@ class TestShardRouter:
         sizes = {name: array.nbytes for name, array in make_arrays().items()}
         first = ShardRouter(sizes, num_shards=3, strategy="hash")
         second = ShardRouter(sizes, num_shards=3, strategy="hash")
-        assert first.assignments == second.assignments
+        assert [first.shard_of(key) for key in sizes] == [second.shard_of(key) for key in sizes]
         # Hash routing resolves keys it was not built with.
         assert 0 <= first.shard_of("never.seen") < 3
 
@@ -29,7 +29,6 @@ class TestShardRouter:
         rng = np.random.default_rng(1)
         sizes = {f"p{i}": int(rng.integers(1, 1000)) for i in range(64)}
         router = ShardRouter(sizes, num_shards=4, strategy="size")
-        assert sum(router.shard_sizes) == sum(sizes.values())
         assert router.balance() < 1.1  # near-even split
         with pytest.raises(KeyError):
             router.shard_of("never.seen")
@@ -38,14 +37,7 @@ class TestShardRouter:
         sizes = {name: array.nbytes for name, array in make_arrays().items()}
         for strategy in ("hash", "size"):
             router = ShardRouter(sizes, num_shards=3, strategy=strategy)
-            assert set(router.assignments) == set(sizes)
-            assert all(0 <= shard < 3 for shard in router.assignments.values())
-
-    def test_shards_for_returns_sorted_distinct(self):
-        sizes = {name: array.nbytes for name, array in make_arrays().items()}
-        router = ShardRouter(sizes, num_shards=4, strategy="size")
-        shards = router.shards_for(sizes)
-        assert shards == sorted(set(shards))
+            assert all(0 <= router.shard_of(key) < 3 for key in sizes)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -152,7 +152,7 @@ class TestWritesValidateFirst:
             store.update_buffers({"m": np.ones(3), "v": np.ones(1)})
         with pytest.raises(KeyError, match="unknown entries"):
             store.update_buffers({"m": np.ones(3), "nope": np.ones(1)})
-        assert np.array_equal(store.buffers_snapshot()["m"], np.zeros(3))
+        assert np.array_equal(store.buffers["m"], np.zeros(3))
 
     @pytest.mark.parametrize("placement", ["heap-1", "heap-4", "shared-4"])
     def test_rejected_overwrite_weights_writes_nothing(self, build_store, placement):

@@ -18,7 +18,7 @@ import pytest
 from repro.models import mlp
 from repro.optim.sgd import SGD
 from repro.ps.compression import make_codec
-from repro.ps.coordinator import DistributedTrainingConfig
+from repro.ps.plan import TrainingPlan, build_optimizer, build_server, replica_builder
 from repro.ps.server import ParameterServer
 from repro.ps.tcp_runtime import TcpTrainingPlan, _Peer, _TcpHub, _TcpLink
 from repro.ps.session import (
@@ -28,9 +28,6 @@ from repro.ps.session import (
     ServerSession,
     UpdateLog,
     WorkerLoop,
-    build_optimizer,
-    build_server,
-    replica_builder,
 )
 from repro.ps.sharding import make_store
 from repro.utils.rng import RngStream
@@ -444,7 +441,7 @@ def test_a_log_the_mirror_cannot_replay_fails_the_worker_loudly(
 
 
 def test_build_server_uses_the_one_optimizer_recipe():
-    plan = DistributedTrainingConfig(momentum=0.5, weight_decay=0.01, learning_rate=0.2)
+    plan = TrainingPlan(momentum=0.5, weight_decay=0.01, learning_rate=0.2)
     store = make_store({"w": np.zeros(3)})
     server = build_server(plan, store)
     assert isinstance(server, ParameterServer)

@@ -1,4 +1,4 @@
-"""Tests for the worker logic, the threaded runtime and the coordinator."""
+"""Tests for the worker logic and the threaded runtime."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,10 @@ from repro.nn.linear import Linear
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.optim.sgd import SGD
 from repro.api import ClusterConfig, ExperimentSpec, run_experiment
-from repro.ps.coordinator import DistributedTrainingConfig
+from repro.ps.plan import TrainingPlan, assemble
 from repro.ps.runtime import ThreadedTrainer
 from repro.ps.server import ParameterServer
-from repro.ps.session import Tally, assemble, replica_step
+from repro.ps.session import Tally, replica_step
 from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
 
@@ -161,7 +161,7 @@ class TestEntryLayerSkipsItsInputGradient:
         self, workload, entry
     ):
         def replica(marked):
-            plan = DistributedTrainingConfig(num_workers=1, batch_size=16, seed=3)
+            plan = TrainingPlan(num_workers=1, batch_size=16, seed=3)
             server, (worker,), _ = assemble(plan, build_workload(workload, TINY))
             worker.attach_flat_layout(server.store.flat_layouts)
             (layer,) = [
@@ -260,22 +260,22 @@ class TestThreadedTrainer:
 
 class TestCoordinator:
     def test_assembled_workers_always_have_arenas(self, tiny_flat_datasets):
-        from repro.ps.coordinator import assemble_training
+        from types import SimpleNamespace
 
         train, test = tiny_flat_datasets
-        config = DistributedTrainingConfig(
+        config = TrainingPlan(
             paradigm="asp",
             paradigm_kwargs={},
             num_workers=2,
             iterations_per_worker=2,
             batch_size=16,
         )
-        trainer = assemble_training(
-            config,
+        workload = SimpleNamespace(
             model_builder=lambda rng: build_model(rng, input_dim=train.inputs.shape[1]),
             train_dataset=train,
             test_dataset=test,
         )
+        trainer = ThreadedTrainer.from_plan(config, workload)
         result = trainer.run()
         assert result.errors == []
         for worker in trainer.workers:
@@ -314,24 +314,24 @@ class TestCoordinator:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DistributedTrainingConfig(num_workers=0)
+            TrainingPlan(num_workers=0)
         with pytest.raises(ValueError):
-            DistributedTrainingConfig(iterations_per_worker=0)
+            TrainingPlan(iterations_per_worker=0)
         with pytest.raises(ValueError):
-            DistributedTrainingConfig(batch_size=0)
+            TrainingPlan(batch_size=0)
         with pytest.raises(ValueError):
-            DistributedTrainingConfig(num_shards=0)
+            TrainingPlan(num_shards=0)
 
     def test_config_rejects_bad_paradigm_kwargs_at_construction(self):
         # Fail fast: the typo'd kwarg must not survive until mid-run.
         with pytest.raises(TypeError):
-            DistributedTrainingConfig(paradigm="ssp", paradigm_kwargs={"stalness": 3})
+            TrainingPlan(paradigm="ssp", paradigm_kwargs={"stalness": 3})
         with pytest.raises(ValueError):
-            DistributedTrainingConfig(paradigm="gossip", paradigm_kwargs={})
+            TrainingPlan(paradigm="gossip", paradigm_kwargs={})
 
     def test_config_rejects_slowdowns_for_nonexistent_workers(self):
         with pytest.raises(ValueError, match="nonexistent workers"):
-            DistributedTrainingConfig(num_workers=2, slowdowns={"worker-7": 0.01})
+            TrainingPlan(num_workers=2, slowdowns={"worker-7": 0.01})
         # Valid ids are accepted.
-        config = DistributedTrainingConfig(num_workers=2, slowdowns={"worker-1": 0.01})
+        config = TrainingPlan(num_workers=2, slowdowns={"worker-1": 0.01})
         assert config.slowdowns == {"worker-1": 0.01}

@@ -32,15 +32,12 @@ class TestVirtualClock:
         clock = VirtualClock()
         assert clock.now == 0.0
         clock.advance_to(5.0)
-        clock.advance_by(2.5)
-        assert clock.now == 7.5
+        assert clock.now == 5.0
 
     def test_cannot_go_backwards(self):
         clock = VirtualClock(start=3.0)
         with pytest.raises(ValueError):
             clock.advance_to(2.0)
-        with pytest.raises(ValueError):
-            clock.advance_by(-1.0)
         with pytest.raises(ValueError):
             VirtualClock(start=-1.0)
 
@@ -142,15 +139,12 @@ class TestClusterSpecs:
     def test_homogeneous_cluster_matches_paper_setup(self):
         cluster = homogeneous_cluster(num_workers=4, gpus_per_worker=4)
         assert cluster.num_workers == 4
-        assert not cluster.is_heterogeneous
         assert all(spec.device.name == "p100" for spec in cluster.workers)
         assert all(spec.gpus_per_worker == 4 for spec in cluster.workers)
 
     def test_heterogeneous_cluster_default_devices(self):
         cluster = heterogeneous_cluster()
-        assert cluster.is_heterogeneous
         assert [spec.device.name for spec in cluster.workers] == ["gtx1080ti", "gtx1060"]
-        assert cluster.speed_ratio() > 1.5
 
     def test_worker_lookup(self):
         cluster = homogeneous_cluster(num_workers=2)
@@ -251,7 +245,6 @@ class TestSimulationTrace:
         trace.record(1.0, "push", worker_id="a", staleness=1)
         trace.record(1.5, "release", worker_id="b", wait_time=0.5)
         assert len(trace) == 3
-        assert len(trace.of_kind("push")) == 2
         assert np.allclose(trace.push_times("a"), [0.0, 1.0])
 
     def test_negative_time_rejected(self):

@@ -69,19 +69,6 @@ class TestJitterSpecs:
 
 
 class TestLink:
-    def test_base_time_is_latency_plus_transfer(self):
-        link = Link(name="l", latency=0.5, bandwidth_bytes_per_second=100.0)
-        assert link.base_time(50) == 0.5 + 50 / 100.0
-
-    def test_zero_bytes_still_pays_latency(self):
-        link = Link(name="l", latency=0.25, bandwidth_bytes_per_second=10.0)
-        assert link.base_time(0) == 0.25
-
-    def test_negative_bytes_rejected(self):
-        link = Link(name="l", latency=0.1, bandwidth_bytes_per_second=10.0)
-        with pytest.raises(ValueError, match="nbytes"):
-            link.base_time(-1)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -193,7 +180,6 @@ class TestFifoQueueing:
         assert first["wait"] == 0.0
         assert second["wait"] == pytest.approx(2.0)
         assert second["start"] == pytest.approx(first["start"] + 2.0)
-        assert state.busy_until("uplink-rack0") == pytest.approx(0.2 + 4.0)
 
     def test_idle_link_does_not_delay_late_arrivals(self):
         topo = two_rack_fixture()

@@ -18,16 +18,18 @@ Two invariants protect the historical numbers:
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset
 from repro.models import mlp
+from repro.ps.plan import TrainingPlan
 from repro.simulation.cluster import ClusterSpec, WorkerSpec, homogeneous_cluster
 from repro.simulation.network import GIGABIT_ETHERNET, INFINIBAND_EDR, NetworkModel
 from repro.simulation.profiles import get_device_profile
-from repro.simulation.trainer import SimulationConfig, simulate_training
+from repro.simulation.trainer import SimulatedTraining, SimulationOptions
 from repro.simulation.workload import estimate_model_cost
 
 PARADIGMS = ("bsp", "asp", "ssp", "dssp")
@@ -61,23 +63,26 @@ def network(jitter: float) -> NetworkModel:
 
 def run(
     train, test, paradigm, *, jitter, topology, num_workers=4, seed=0,
-    epochs=2.0, cluster=None, **kwargs,
+    epochs=2.0, cluster=None, num_shards=1, **options,
 ):
-    config = SimulationConfig(
-        cluster=cluster or homogeneous_cluster(
-            num_workers=num_workers, gpus_per_worker=1, network=network(jitter)
-        ),
+    cluster = cluster or homogeneous_cluster(
+        num_workers=num_workers, gpus_per_worker=1, network=network(jitter)
+    )
+    plan = TrainingPlan(
         paradigm=paradigm,
         paradigm_kwargs=paradigm_kwargs(paradigm),
-        epochs=epochs,
+        num_workers=cluster.num_workers,
         batch_size=16,
         learning_rate=0.05,
-        evaluate_every_updates=8,
-        topology=topology,
+        evaluate_every_pushes=8,
+        num_shards=num_shards,
         seed=seed,
-        **kwargs,
     )
-    return simulate_training(config, builder_for(train), train, test)
+    workload = SimpleNamespace(
+        model_builder=builder_for(train), train_dataset=train, test_dataset=test
+    )
+    options = SimulationOptions(cluster=cluster, epochs=epochs, topology=topology, **options)
+    return SimulatedTraining(plan, workload, options).run()
 
 
 def hexed(result) -> dict:
@@ -303,7 +308,7 @@ class TestPerWorkerNetwork:
         train, test = tiny_flat_datasets
         result = run(
             train, test, "dssp", jitter=None, topology=None,
-            cluster=mixed_cluster(), num_server_shards=shards,
+            cluster=mixed_cluster(), num_shards=shards,
         )
         assert hexed(result) == MIXED_GOLDEN[shards]
 

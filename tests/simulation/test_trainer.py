@@ -1,12 +1,19 @@
 """Integration tests for the discrete-event training simulator."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset
+from repro.experiments.config import TINY
 from repro.models import mlp
-from repro.simulation.cluster import heterogeneous_cluster, homogeneous_cluster
-from repro.simulation.trainer import SimulationConfig, simulate_training
+from repro.ps.plan import TrainingPlan
+from repro.ps.process_runtime import ProcessTrainingPlan
+from repro.ps.tcp_runtime import TcpTrainingPlan
+from repro.simulation.cluster import ClusterSpec, heterogeneous_cluster, homogeneous_cluster
+from repro.simulation.trainer import SimulatedTraining, SimulationOptions
 
 
 @pytest.fixture
@@ -33,19 +40,32 @@ def compute_heavy_timing_cost():
     )
 
 
-def run(train, test, paradigm, cluster=None, epochs=2.0, seed=0, **kwargs):
-    config = SimulationConfig(
-        cluster=cluster or homogeneous_cluster(num_workers=2, gpus_per_worker=1),
+def simulate(train, test, options, builder=None, **plan_fields):
+    """One simulated run of ``options.cluster``; ``plan_fields`` go to the plan."""
+    plan = TrainingPlan(num_workers=options.cluster.num_workers, **plan_fields)
+    workload = SimpleNamespace(
+        model_builder=builder or builder_for(train), train_dataset=train, test_dataset=test
+    )
+    return SimulatedTraining(plan, workload, options).run()
+
+
+def run(
+    train, test, paradigm, cluster=None, epochs=2.0, seed=0, num_shards=1,
+    paradigm_kwargs=None, **options,
+):
+    cluster = cluster or homogeneous_cluster(num_workers=2, gpus_per_worker=1)
+    return simulate(
+        train,
+        test,
+        SimulationOptions(cluster=cluster, epochs=epochs, **options),
         paradigm=paradigm,
-        paradigm_kwargs=kwargs.pop("paradigm_kwargs", _default_kwargs(paradigm)),
-        epochs=epochs,
+        paradigm_kwargs=_default_kwargs(paradigm) if paradigm_kwargs is None else paradigm_kwargs,
         batch_size=16,
         learning_rate=0.05,
-        evaluate_every_updates=8,
+        evaluate_every_pushes=8,
+        num_shards=num_shards,
         seed=seed,
-        **kwargs,
     )
-    return simulate_training(config, builder_for(train), train, test)
 
 
 def _default_kwargs(paradigm):
@@ -154,17 +174,12 @@ class TestSimulatedTraining:
 
     def test_max_updates_caps_run(self, flat_problem):
         train, test = flat_problem
-        config = SimulationConfig(
+        options = SimulationOptions(
             cluster=homogeneous_cluster(num_workers=2, gpus_per_worker=1),
-            paradigm="asp",
-            paradigm_kwargs={},
             epochs=10.0,
-            batch_size=16,
             max_updates=7,
-            evaluate_every_updates=0,
-            seed=0,
         )
-        result = simulate_training(config, builder_for(train), train, test)
+        result = simulate(train, test, options, paradigm="asp", paradigm_kwargs={}, batch_size=16)
         assert result.total_updates == 7
 
     def test_lr_schedule_reduces_learning_rate(self, flat_problem):
@@ -188,27 +203,6 @@ class TestSimulatedTraining:
         fast = run(train, test, "asp")
         assert slow.total_virtual_time > fast.total_virtual_time
 
-    def test_config_validation(self):
-        cluster = homogeneous_cluster(num_workers=1)
-        with pytest.raises(ValueError):
-            SimulationConfig(cluster=cluster, epochs=0)
-        with pytest.raises(ValueError):
-            SimulationConfig(cluster=cluster, batch_size=0)
-        with pytest.raises(ValueError):
-            SimulationConfig(cluster=cluster, max_updates=0)
-        with pytest.raises(ValueError):
-            SimulationConfig(cluster=cluster, epoch_accounting="sometimes")
-
-    def test_worker_ids_must_follow_the_shared_plan(self):
-        import dataclasses
-
-        from repro.simulation.cluster import ClusterSpec
-
-        (spec,) = homogeneous_cluster(num_workers=1).workers
-        cluster = ClusterSpec(workers=(dataclasses.replace(spec, worker_id="gpu-a"),))
-        with pytest.raises(ValueError, match=r"worker-0 … worker-\(n-1\)"):
-            SimulationConfig(cluster=cluster)
-
     def test_result_is_a_training_result_with_the_old_names(self, flat_problem):
         from repro.ps.session import TrainingResult
 
@@ -225,8 +219,9 @@ class TestSimulatedTraining:
     def test_trace_contains_push_and_evaluation_events(self, flat_problem):
         train, test = flat_problem
         result = run(train, test, "bsp")
-        assert len(result.trace.of_kind("push")) == result.total_updates
-        assert len(result.trace.of_kind("evaluation")) == len(result.times)
+        pushes = sum(result.trace.push_times(w).size for w in result.iterations_per_worker)
+        assert pushes == result.total_updates
+        assert len(result.trace) > pushes  # evaluations, releases and blocks too
 
     def test_time_to_accuracy_helper(self, flat_problem):
         train, test = flat_problem
@@ -242,7 +237,7 @@ class TestShardedSimulation:
     def test_sharded_run_completes_for_every_paradigm(self, flat_problem):
         train, test = flat_problem
         for paradigm in ("bsp", "asp", "dssp"):
-            result = run(train, test, paradigm, num_server_shards=4)
+            result = run(train, test, paradigm, num_shards=4)
             expected_updates = int(np.ceil(2.0 * len(train) / 16))
             assert result.total_updates == expected_updates
             assert 0.0 <= result.best_accuracy <= 1.0
@@ -273,21 +268,18 @@ class TestShardedSimulation:
             parameter_bytes=4 * 10_000_000,
         )
 
-        def run_wide(num_server_shards):
-            config = SimulationConfig(
+        def run_wide(num_shards):
+            options = SimulationOptions(
                 cluster=homogeneous_cluster(num_workers=2, gpus_per_worker=1),
-                paradigm="asp",
-                paradigm_kwargs={},
                 epochs=2.0,
-                batch_size=16,
-                evaluate_every_updates=0,
                 timing_cost=comm_heavy,
                 timing_batch_size=128,
                 timing_jitter=False,
-                num_server_shards=num_server_shards,
-                seed=0,
             )
-            return simulate_training(config, wide_builder, train, test)
+            return simulate(
+                train, test, options, wide_builder,
+                paradigm="asp", paradigm_kwargs={}, batch_size=16, num_shards=num_shards,
+            )
 
         mono = run_wide(1)
         sharded = run_wide(4)
@@ -299,8 +291,8 @@ class TestShardedSimulation:
 
     def test_sharded_run_is_deterministic(self, flat_problem):
         train, test = flat_problem
-        first = run(train, test, "dssp", seed=3, num_server_shards=4)
-        second = run(train, test, "dssp", seed=3, num_server_shards=4)
+        first = run(train, test, "dssp", seed=3, num_shards=4)
+        second = run(train, test, "dssp", seed=3, num_shards=4)
         assert np.allclose(first.accuracies, second.accuracies)
         assert first.total_virtual_time == second.total_virtual_time
 
@@ -310,10 +302,69 @@ class TestShardedSimulation:
         train, test = flat_problem
         kwargs = dict(timing_jitter=False, epochs=1.0)
         mono = run(train, test, "bsp", **kwargs)
-        sharded = run(train, test, "bsp", num_server_shards=2, **kwargs)
+        sharded = run(train, test, "bsp", num_shards=2, **kwargs)
         assert np.allclose(mono.accuracies, sharded.accuracies)
 
-    def test_invalid_shard_count_rejected(self):
-        cluster = homogeneous_cluster(num_workers=1)
-        with pytest.raises(ValueError):
-            SimulationConfig(cluster=cluster, num_server_shards=0)
+
+ONE, TWO = homogeneous_cluster(num_workers=1), homogeneous_cluster(num_workers=2)
+
+
+def _renamed_cluster():
+    (spec,) = ONE.workers
+    return ClusterSpec(workers=(dataclasses.replace(spec, worker_id="gpu-a"),))
+
+
+def _construct(plan_type=TrainingPlan, options=None, **plan_fields):
+    """Build (never run) a plan, and a simulation of it when ``options`` is given."""
+    if plan_type is not TrainingPlan:
+        plan_fields.update(workload="mlp", scale_fields=dataclasses.asdict(TINY))
+    plan = plan_type(**plan_fields)
+    if options is not None:
+        SimulatedTraining(plan, None, SimulationOptions(**options))
+
+
+#: Every check the plan, the simulator's options and the simulation itself
+#: make, one row each: (constructor arguments, the complaint).
+REJECTED = {
+    "batch_size": ({"batch_size": 0}, "batch_size must be positive"),
+    "num_shards": ({"num_shards": 0}, "num_shards must be positive"),
+    "epochs": ({"options": {"cluster": ONE, "epochs": 0}}, "epochs must be positive"),
+    "max_updates": (
+        {"options": {"cluster": ONE, "max_updates": 0}}, "max_updates must be positive"
+    ),
+    "epoch_accounting": (
+        {"options": {"cluster": ONE, "epoch_accounting": "sometimes"}}, "epoch_accounting"
+    ),
+    "comm_pattern": ({"options": {"cluster": ONE, "comm_pattern": "gossip"}}, "comm_pattern"),
+    "topology": ({"options": {"cluster": ONE, "topology": "nowhere"}}, "topology"),
+    "ring_paradigm": (
+        {
+            "num_workers": 2, "paradigm": "asp", "paradigm_kwargs": {},
+            "options": {"cluster": TWO, "comm_pattern": "ring_allreduce"},
+        },
+        "requires paradigm 'bsp'",
+    ),
+    "topology_with_shards": (
+        {"num_workers": 1, "num_shards": 2, "options": {"cluster": ONE, "topology": "flat"}},
+        "single server endpoint",
+    ),
+    "cluster_worker_names": (
+        {"num_workers": 1, "options": {"cluster": _renamed_cluster()}},
+        r"worker-0 … worker-\(n-1\)",
+    ),
+    "cluster_size": (
+        {"num_workers": 2, "options": {"cluster": ONE}}, r"worker-0 … worker-\(n-1\)"
+    ),
+    "net_faults_on_shm": (
+        {"plan_type": ProcessTrainingPlan, "net_faults": ({"spec": "delay:5"},)},
+        "transport='pipe'",
+    ),
+    "transport": ({"plan_type": ProcessTrainingPlan, "transport": "pigeon"}, "transport"),
+    "tcp_shards": ({"plan_type": TcpTrainingPlan, "num_shards": 2}, "monolithic store"),
+}
+
+
+@pytest.mark.parametrize("arguments,complaint", REJECTED.values(), ids=REJECTED.keys())
+def test_every_run_description_check_rejects(arguments, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        _construct(**arguments)

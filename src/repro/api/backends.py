@@ -184,22 +184,6 @@ def _reject_transport(spec: ExperimentSpec, backend_name: str) -> None:
         )
 
 
-def _reject_net_faults(spec: ExperimentSpec, backend_name: str) -> None:
-    """Fail loudly when a spec schedules network chaos this backend lacks.
-
-    The simulated backend has no real network to perturb and the threaded
-    backend synchronizes through in-process queues; silently running the
-    spec fault-free would make "the chaos run converged" meaningless.
-    """
-    if spec.net_faults:
-        raise ValueError(
-            f"the {backend_name} backend has no network to inject faults "
-            "into; remove net_faults from the spec or run on the tcp "
-            "backend (the process backend's pipe transport supports "
-            "delay/drop)"
-        )
-
-
 def _reject_topology(spec: ExperimentSpec, backend_name: str) -> None:
     """Fail loudly on topology/pattern fields only the simulator can honour.
 
@@ -265,6 +249,7 @@ def plan_from_spec(
         "shard_strategy": spec.shard_strategy,
         "aggregation": spec.aggregation,
         "faults": spec.faults,
+        "net_faults": spec.net_faults,
         "seed": spec.seed,
         "wait_timeout": max(wait_timeout, 4.0 * max_slowdown + 60.0),
         "profile": profile,
@@ -274,7 +259,6 @@ def plan_from_spec(
             workload=WORKLOADS.key(spec.workload),
             workload_kwargs=dict(spec.workload_kwargs),
             scale_fields=dataclasses.asdict(spec.resolved_scale()),
-            net_faults=spec.net_faults,
         )
     return plan_type(**fields, **deployment)
 
@@ -341,7 +325,6 @@ class SimulatedBackend:
     ) -> RunResult:
         """Execute ``spec`` in the simulator."""
         _reject_transport(spec, self.name)
-        _reject_net_faults(spec, self.name)
         provenance = _provenance(spec, self.name, workload, cluster)
         workload = workload or _build_workload(spec)
         cluster = cluster or spec.cluster.build()
@@ -382,7 +365,6 @@ class ThreadedBackend:
         """Execute ``spec`` on the threaded runtime."""
         _reject_simulator_only_fields(spec, self.name)
         _reject_transport(spec, self.name)
-        _reject_net_faults(spec, self.name)
         _reject_topology(spec, self.name)
         provenance = _provenance(spec, self.name, workload, cluster)
         workload = workload or _build_workload(spec)

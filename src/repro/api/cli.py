@@ -42,8 +42,7 @@ from repro.metrics.plotting import ascii_curves
 from repro.models.registry import MODELS
 from repro.ps.aggregation import AGGREGATORS
 from repro.ps.compression import CODECS
-from repro.ps.faults import FAULT_KIND_KEYS
-from repro.ps.netfaults import NET_FAULT_EXAMPLES
+from repro.ps.faults import FAULT_KIND_KEYS, NET_FAULT_EXAMPLES
 from repro.ps.transport import TRANSPORTS
 from repro.simulation.profiles import GPU_CATALOGUE
 from repro.simulation.topology import COMM_PATTERNS, JITTERS, TOPOLOGY_PRESETS

@@ -31,8 +31,7 @@ from repro.core.factory import paradigm_label, validate_paradigm
 from repro.experiments.config import DEFAULT, SMALL, TINY, ExperimentScale
 from repro.ps.aggregation import validate_aggregation_spec
 from repro.ps.compression import validate_codec_spec
-from repro.ps.faults import validate_fault_specs
-from repro.ps.netfaults import validate_net_fault_specs
+from repro.ps.faults import parse_fault_plan
 from repro.ps.transport import parse_address, validate_transport
 from repro.simulation.cluster import ClusterSpec, WorkerSpec
 from repro.simulation.network import GIGABIT_ETHERNET, INFINIBAND_EDR, LOCAL_PCIE
@@ -245,7 +244,8 @@ class ExperimentSpec:
         training with a different schedule.
     evaluate_every_updates:
         Evaluate the global model every N server updates (``None`` uses the
-        scale's cadence; ``0`` disables periodic evaluation).
+        scale's cadence; ``0`` disables periodic evaluation).  Must be
+        non-negative, whether set here or by an inline ``scale``.
     num_shards, shard_strategy, dtype:
         Parameter-store layout, identical semantics on both backends.
     slowdowns:
@@ -270,26 +270,24 @@ class ExperimentSpec:
         robust aggregators buffer each clock window of pushes on the
         server and apply their combination as one update.  Identical
         semantics on every backend.
-    faults:
-        Optional chaos plan: a list of per-worker fault entries
-        (:mod:`repro.ps.faults`), e.g.
-        ``[{"worker": 2, "kind": "byzantine", "mode": "sign_flip"}]``.
-        Crashes, transient/persistent gradient corruption and slow-node
-        flapping are injected deterministically from ``seed``; the run's
-        chaos history is returned as ``RunResult.events``.  Entries are
-        validated against the cluster here, at spec construction.
-    net_faults:
-        Optional network-chaos plan: a list of entries with a codec-style
-        ``spec`` (``"delay:5"``, ``"drop:0.5,2"``, ``"partition:2,1"``,
-        ``"throttle:1000000"``; see :mod:`repro.ps.netfaults`) and an
-        optional ``worker`` target (index or id; omitted hits every
-        worker).  The tcp backend supports the full set — faults tear
-        real sockets and the run survives via reconnect/retry; the
-        process backend's ``pipe`` transport accepts ``delay``/``drop``
-        only (a dropped push is a permanent elastic death); the
-        simulated and threaded backends reject specs that set any.
-        Fault timing and the resulting event log are deterministic in
-        ``seed``.
+    faults, net_faults:
+        Optional chaos: two entry lists parsed together into one fault
+        plan (:func:`repro.ps.faults.parse_fault_plan`), validated against
+        the cluster here, at spec construction.  ``faults`` holds
+        per-worker entries, e.g.
+        ``[{"worker": 2, "kind": "byzantine", "mode": "sign_flip"}]``:
+        crashes, transient/persistent gradient corruption and slow-node
+        flapping, on every backend.  ``net_faults`` holds entries with a
+        codec-style ``spec`` (``"delay:5"``, ``"drop:0.5,2"``,
+        ``"partition:2,1"``, ``"throttle:1000000"``) and an optional
+        ``worker`` target (index or id; omitted hits every worker).  The
+        tcp backend injects every kind — faults tear real sockets and the
+        run survives via reconnect/retry; the process backend's ``pipe``
+        transport injects ``delay``/``drop`` only (a dropped push is a permanent
+        elastic death); the other backends and transports reject any
+        (each run's plan declares what its links support).  Both are
+        injected deterministically from ``seed``; the run's chaos history
+        is returned as ``RunResult.events``.
     comm_pattern:
         Communication pattern the simulated backend costs: ``"ps"``
         (default — push/pull against the parameter server) or
@@ -361,13 +359,10 @@ class ExperimentSpec:
         if self.aggregation is not None:
             validate_aggregation_spec(self.aggregation)
         object.__setattr__(self, "faults", tuple(self.faults))
-        if self.faults:
-            validate_fault_specs(self.faults, self.cluster.worker_ids)
         object.__setattr__(
             self, "net_faults", tuple(dict(entry) for entry in self.net_faults)
         )
-        if self.net_faults:
-            validate_net_fault_specs(self.net_faults, self.cluster.worker_ids)
+        parse_fault_plan(self.faults, self.net_faults, self.cluster.worker_ids)
         if self.transport is not None:
             object.__setattr__(
                 self, "transport", validate_transport(self.transport)
@@ -382,6 +377,12 @@ class ExperimentSpec:
             raise ValueError("batch_size must be positive when given")
         if self.max_updates is not None and self.max_updates <= 0:
             raise ValueError("max_updates must be positive when given")
+        evaluate_every = self.resolved_evaluate_every_updates()
+        if evaluate_every < 0:
+            raise ValueError(
+                "evaluate_every_updates must be non-negative (as a field or in "
+                f"an inline scale), got {evaluate_every}"
+            )
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
         if self.cluster.topology is not None and self.num_shards != 1:

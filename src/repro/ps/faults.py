@@ -1,16 +1,21 @@
-"""Fault injection: crashes, corrupted gradients, byzantine workers, flapping.
+"""The run's one fault plan, and the worker-fault mechanism.
 
-The paper evaluates DSSP on clean clusters; this module supplies the dirty
-ones.  A *fault plan* is a list of per-worker fault specs declared in the
-experiment spec::
+The paper evaluates DSSP on clean clusters; this module describes the dirty
+ones.  A spec declares two entry lists, which :func:`parse_fault_plan`
+parses together — once per spec and once per
+:class:`~repro.ps.plan.TrainingPlan` — into one frozen :class:`FaultPlan`
+that every backend reads off the plan (``plan.fault_plan``)::
 
     "faults": [
         {"worker": 2, "kind": "byzantine", "mode": "sign_flip", "after_clock": 10},
         {"worker": 1, "kind": "crash", "after_clock": 5},
         {"worker": 0, "kind": "flaky", "scale": 4.0, "period": 3},
-    ]
+    ],
+    "net_faults": [{"spec": "delay:5"}, {"spec": "drop:0.5,2", "worker": 1}]
 
-Fault kinds:
+A ``worker`` is an index into the roster or a worker id.
+
+Worker faults (``faults``, at most one per worker):
 
 * ``crash`` — the worker dies at clock ``after_clock`` (its
   ``after_clock``-th push never happens).  On the TCP backend an optional
@@ -26,17 +31,37 @@ Fault kinds:
   iteration time by ``scale``; the wall-clock runtimes sleep an extra
   ``delay`` seconds per slow-phase iteration.
 
+Network faults (``net_faults``, codec-style ``kind[:params]`` text, at most
+one per kind and target; an entry without ``worker`` hits every worker):
+
+* ``delay:ms`` — jittered latency before every data-plane push (uniform in
+  ``[0.5, 1.5] x ms``);
+* ``drop[:probability[,times]]`` — tear the connection on a push: with the
+  given probability (default 1.0) the push is either cut mid-frame or
+  delivered in full *before* the socket dies, 50/50, so retries exercise
+  both the lost-push and the lost-OK half of exactly-once delivery.
+  ``times`` bounds how often the fault fires (default 1; 0 = unlimited);
+* ``partition:start,duration`` — a wall-clock window (seconds from worker
+  start) during which every push tears the connection and reconnect
+  attempts are held until the window closes;
+* ``throttle:bytes_per_s`` — pace pushes to a byte budget.
+
+Which network-fault kinds a run can inject depends on its links, so each
+plan class declares them (:meth:`~repro.ps.plan.TrainingPlan.net_fault_support`)
+and the plan rejects the rest at construction; the mechanisms live in
+:mod:`repro.ps.netfaults`.
+
 Corruption is injected at the server boundary — after codec decode, before
 the store applies the gradient — which is behaviorally identical to a lying
 worker and gives every backend the same single wiring point
 (:meth:`repro.ps.server.ParameterServer.apply_push`) plus a centralized
-event log.  Crashes and flapping are injected where the behavior lives:
-the runtimes' worker loops and the simulator's cluster model.
+event log (:class:`FaultInjector`).  Crashes and flapping are injected where
+the behavior lives: the shared worker loop and the simulator's time model.
 
 Randomness is drawn from the experiment's name-addressed
-:class:`~repro.utils.rng.RngStream` (stream ``fault-<worker>``), so the
-same spec seed replays the exact same corruption — two runs of one chaos
-plan produce identical fault event logs.
+:class:`~repro.utils.rng.RngStream` (streams ``fault-<worker>`` and
+``netfault-<worker>``), so the same spec seed replays the exact same
+faults — two runs of one chaos plan produce identical fault event logs.
 """
 
 from __future__ import annotations
@@ -51,14 +76,16 @@ from repro.utils.rng import RngStream
 
 __all__ = [
     "FaultSpec",
+    "NetFault",
     "FaultPlan",
     "FaultInjector",
     "CORRUPTION_MODES",
     "FAULT_KINDS",
     "FAULT_KIND_KEYS",
+    "NET_FAULT_EXAMPLES",
+    "NET_FAULT_KINDS",
     "resolve_worker",
-    "parse_fault_specs",
-    "validate_fault_specs",
+    "parse_fault_plan",
 ]
 
 CORRUPTION_MODES = ("sign_flip", "noise", "bit_flip")
@@ -72,6 +99,16 @@ FAULT_KIND_KEYS = Registry("fault kind", {
     "flaky": _COMMON_KEYS | {"scale", "period", "delay"},
 })
 FAULT_KINDS = tuple(FAULT_KIND_KEYS)
+
+#: Network-fault kind → a well-formed example of its spec (what a malformed
+#: one's error shows).
+NET_FAULT_EXAMPLES = Registry("net fault kind", {
+    "delay": "delay:5",
+    "drop": "drop, drop:0.25 or drop:1.0,2",
+    "partition": "partition:2,1",
+    "throttle": "throttle:1000000",
+})
+NET_FAULT_KINDS: tuple[str, ...] = tuple(NET_FAULT_EXAMPLES)
 
 
 @dataclass(frozen=True)
@@ -103,64 +140,90 @@ class FaultSpec:
         return ((clock - self.after_clock) // self.period) % 2 == 0
 
 
+@dataclass(frozen=True)
+class NetFault:
+    """One validated network fault: a kind, its parameters, and a target.
+
+    ``worker`` is a worker id or ``None`` for every worker; ``spec`` keeps
+    the original ``kind:params`` text for event logs.
+    """
+
+    kind: str
+    spec: str
+    worker: str | None = None
+    delay_ms: float = 0.0
+    probability: float = 0.0
+    times: int = 0
+    start: float = 0.0
+    duration: float = 0.0
+    bytes_per_second: float = 0.0
+
+
+@dataclass(frozen=True)
 class FaultPlan:
-    """The validated set of fault specs of one experiment (one per worker)."""
+    """Every fault of one run, parsed: worker faults and network faults."""
 
-    def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
-        self.specs = tuple(specs)
-        self._by_worker = {spec.worker: spec for spec in self.specs}
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
+    faults: tuple[FaultSpec, ...] = ()
+    net_faults: tuple[NetFault, ...] = ()
 
     def for_worker(self, worker_id: str) -> FaultSpec | None:
-        """The fault assigned to ``worker_id``, if any."""
-        return self._by_worker.get(worker_id)
+        """The worker fault assigned to ``worker_id``, if any."""
+        return next((spec for spec in self.faults if spec.worker == worker_id), None)
 
-    def crash_at(self) -> dict[str, int]:
-        """Worker → iteration map of the plan's crashes (the runtimes' hook)."""
-        return {
-            spec.worker: spec.after_clock
-            for spec in self.specs
-            if spec.kind == "crash"
-        }
+    def net_for(self, worker_id: str) -> tuple[NetFault, ...]:
+        """The network faults hitting ``worker_id`` (untargeted ones included)."""
+        return tuple(fault for fault in self.net_faults if fault.worker in (None, worker_id))
 
-    def rejoin_after(self) -> dict[str, int]:
-        """Worker → delay map of crashes that rejoin (TCP backend only)."""
-        return {
-            spec.worker: spec.rejoin_after
-            for spec in self.specs
-            if spec.kind == "crash" and spec.rejoin_after is not None
-        }
+    def net_kinds(self) -> tuple[str, ...]:
+        """Distinct network-fault kinds in the plan, in registry order."""
+        present = {fault.kind for fault in self.net_faults}
+        return tuple(kind for kind in NET_FAULT_KINDS if kind in present)
 
-    def flaky_for(self, worker_id: str) -> FaultSpec | None:
-        """The flaky spec of ``worker_id``, if any."""
-        spec = self._by_worker.get(worker_id)
-        return spec if spec is not None and spec.kind == "flaky" else None
+    def tears_connections(self, worker_id: str) -> bool:
+        """Whether the plan may legitimately tear ``worker_id``'s connection."""
+        return any(fault.kind in ("drop", "partition") for fault in self.net_for(worker_id))
 
-    def to_dicts(self) -> tuple[dict, ...]:
-        """Spec-surface form (what ``ExperimentSpec.to_dict`` serializes)."""
-        out = []
-        for spec in self.specs:
-            entry: dict = {"worker": spec.worker, "kind": spec.kind}
-            if spec.after_clock:
-                entry["after_clock"] = spec.after_clock
-            if spec.mode is not None:
-                entry["mode"] = spec.mode
-            if spec.until_clock is not None:
-                entry["until_clock"] = spec.until_clock
-            if spec.kind in ("byzantine", "corrupt", "flaky") and spec.scale != 1.0:
-                entry["scale"] = spec.scale
-            if spec.kind == "flaky":
-                entry["period"] = spec.period
-                entry["delay"] = spec.delay
-            if spec.rejoin_after is not None:
-                entry["rejoin_after"] = spec.rejoin_after
-            out.append(entry)
-        return tuple(out)
+
+# ----------------------------------------------------------------------
+# The one parser
+# ----------------------------------------------------------------------
+def parse_fault_plan(faults, net_faults, worker_ids: Sequence[str]) -> FaultPlan:
+    """Validate the spec-surface ``faults`` and ``net_faults`` into one plan.
+
+    Both are sequences of mappings (see the module docstring), resolved
+    against the roster ``worker_ids``.  Raises ``ValueError`` on any
+    malformed entry.
+    """
+    plan = FaultPlan(
+        tuple(_worker_fault(entry, worker_ids) for entry in _entries(faults, "fault")),
+        tuple(_net_fault(entry, worker_ids) for entry in _entries(net_faults, "net fault")),
+    )
+    seen: set = set()
+    for spec in plan.faults:
+        if spec.worker in seen:
+            raise ValueError(f"worker {spec.worker!r} appears in more than one fault")
+        seen.add(spec.worker)
+    seen.clear()
+    for fault in plan.net_faults:
+        if (fault.kind, fault.worker) in seen:
+            raise ValueError(
+                f"duplicate net fault kind {fault.kind!r} for "
+                f"{fault.worker or 'every worker'}; give each worker at most "
+                "one spec per kind"
+            )
+        seen.add((fault.kind, fault.worker))
+    return plan
+
+
+def _entries(entries, what: str) -> tuple[Mapping, ...]:
+    """``entries`` as a tuple of mappings, or a ``ValueError``."""
+    if isinstance(entries, (str, Mapping)):
+        raise ValueError(f"{what} entries must be a list of mappings, not a {type(entries).__name__}")
+    entries = tuple(entries)
+    for entry in entries:
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"each {what} entry must be a mapping, got {entry!r}")
+    return entries
 
 
 def resolve_worker(value, worker_ids: Sequence[str], what: str = "fault") -> str:
@@ -190,74 +253,103 @@ def _require_int(entry: Mapping, key: str, minimum: int) -> int:
     return value
 
 
-def parse_fault_specs(faults, worker_ids: Sequence[str]) -> FaultPlan:
-    """Validate the spec-surface fault list into a :class:`FaultPlan`.
-
-    ``faults`` is a sequence of mappings (see the module docstring);
-    ``worker`` entries may be integer indexes into ``worker_ids`` or the
-    ids themselves.  At most one fault per worker.  Raises ``ValueError``
-    on any malformed entry.
-    """
-    specs: list[FaultSpec] = []
-    seen: set[str] = set()
-    if isinstance(faults, Mapping) or isinstance(faults, str):
-        raise ValueError("faults must be a list of fault entries")
-    for entry in faults:
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"each fault must be a mapping, got {entry!r}")
-        if "worker" not in entry or "kind" not in entry:
-            raise ValueError(f"fault entries need 'worker' and 'kind': {dict(entry)!r}")
-        kind = FAULT_KIND_KEYS.key(entry["kind"])
-        unknown = set(entry) - FAULT_KIND_KEYS[kind]
-        if unknown:
-            raise ValueError(
-                f"fault kind {kind!r} does not accept {sorted(unknown)} "
-                f"(allowed: {sorted(FAULT_KIND_KEYS[kind])})"
-            )
-        worker = resolve_worker(entry["worker"], worker_ids)
-        if worker in seen:
-            raise ValueError(f"worker {worker!r} appears in more than one fault")
-        seen.add(worker)
-
-        after_clock = _require_int(entry, "after_clock", 0) if "after_clock" in entry else 0
-        mode = entry.get("mode")
-        if kind in ("byzantine", "corrupt"):
-            if mode not in CORRUPTION_MODES:
-                raise ValueError(
-                    f"fault kind {kind!r} needs a corruption mode; available "
-                    f"modes: {', '.join(CORRUPTION_MODES)} (got {mode!r})"
-                )
-        until_clock = None
-        if kind == "corrupt" and "until_clock" in entry:
-            until_clock = _require_int(entry, "until_clock", after_clock + 1)
-        scale = float(entry.get("scale", 4.0 if kind == "flaky" else 1.0))
-        if scale <= 0:
-            raise ValueError(f"fault scale must be positive, got {scale}")
-        period = _require_int(entry, "period", 1) if "period" in entry else 1
-        delay = float(entry.get("delay", 0.005))
-        if delay < 0:
-            raise ValueError(f"fault delay must be >= 0, got {delay}")
-        rejoin_after = (
+def _worker_fault(entry: Mapping, worker_ids: Sequence[str]) -> FaultSpec:
+    """One ``faults`` entry, validated."""
+    if "worker" not in entry or "kind" not in entry:
+        raise ValueError(f"fault entries need 'worker' and 'kind': {dict(entry)!r}")
+    kind = FAULT_KIND_KEYS.key(entry["kind"])
+    unknown = set(entry) - FAULT_KIND_KEYS[kind]
+    if unknown:
+        raise ValueError(
+            f"fault kind {kind!r} does not accept {sorted(unknown)} "
+            f"(allowed: {sorted(FAULT_KIND_KEYS[kind])})"
+        )
+    worker = resolve_worker(entry["worker"], worker_ids)
+    after_clock = _require_int(entry, "after_clock", 0) if "after_clock" in entry else 0
+    mode = entry.get("mode")
+    if kind in ("byzantine", "corrupt") and mode not in CORRUPTION_MODES:
+        raise ValueError(
+            f"fault kind {kind!r} needs a corruption mode; available "
+            f"modes: {', '.join(CORRUPTION_MODES)} (got {mode!r})"
+        )
+    until_clock = None
+    if kind == "corrupt" and "until_clock" in entry:
+        until_clock = _require_int(entry, "until_clock", after_clock + 1)
+    scale = float(entry.get("scale", 4.0 if kind == "flaky" else 1.0))
+    if scale <= 0:
+        raise ValueError(f"fault scale must be positive, got {scale}")
+    delay = float(entry.get("delay", 0.005))
+    if delay < 0:
+        raise ValueError(f"fault delay must be >= 0, got {delay}")
+    return FaultSpec(
+        worker=worker,
+        kind=kind,
+        after_clock=after_clock,
+        mode=mode,
+        until_clock=until_clock,
+        scale=scale,
+        period=_require_int(entry, "period", 1) if "period" in entry else 1,
+        delay=delay,
+        rejoin_after=(
             _require_int(entry, "rejoin_after", 1) if "rejoin_after" in entry else None
-        )
-        specs.append(
-            FaultSpec(
-                worker=worker,
-                kind=kind,
-                after_clock=after_clock,
-                mode=mode,
-                until_clock=until_clock,
-                scale=scale,
-                period=period,
-                delay=delay,
-                rejoin_after=rejoin_after,
-            )
-        )
-    return FaultPlan(specs)
+        ),
+    )
 
 
-#: Raise ``ValueError`` unless every fault entry is well-formed.
-validate_fault_specs = parse_fault_specs
+def _net_fault(entry: Mapping, worker_ids: Sequence[str]) -> NetFault:
+    """One ``net_faults`` entry: a ``spec`` text and an optional ``worker``."""
+    unknown = set(entry) - {"spec", "worker"}
+    if unknown:
+        raise ValueError(
+            f"unknown net fault keys {sorted(unknown)}; accepted keys: ['spec', 'worker']"
+        )
+    if "spec" not in entry:
+        raise ValueError(f"net fault entry {dict(entry)!r} is missing 'spec'")
+    fields = _net_fault_fields(entry["spec"])
+    if entry.get("worker") is not None:
+        fields["worker"] = resolve_worker(entry["worker"], worker_ids, "net fault")
+    return NetFault(**fields)
+
+
+def _net_fault_fields(text) -> dict:
+    """Parse one ``kind[:params]`` network-fault text into :class:`NetFault` fields."""
+    if not isinstance(text, str) or not text.strip():
+        raise ValueError(f"net fault spec must be a non-empty string, got {text!r}")
+    kind, _, params = text.strip().partition(":")
+    kind = NET_FAULT_EXAMPLES.key(kind)
+    fields: dict = {"kind": kind, "spec": text.strip()}
+    try:
+        if kind == "delay":
+            fields["delay_ms"] = float(params)
+            if not fields["delay_ms"] > 0:
+                raise ValueError
+        elif kind == "drop":
+            probability, times = 1.0, 1
+            if params:
+                parts = params.split(",")
+                if len(parts) > 2:
+                    raise ValueError
+                probability = float(parts[0])
+                if len(parts) == 2:
+                    times = int(parts[1])
+            if not 0.0 < probability <= 1.0 or times < 0:
+                raise ValueError
+            fields["probability"], fields["times"] = probability, times
+        elif kind == "partition":
+            start_text, _, duration_text = params.partition(",")
+            fields["start"] = float(start_text)
+            fields["duration"] = float(duration_text)
+            if fields["start"] < 0 or not fields["duration"] > 0:
+                raise ValueError
+        elif kind == "throttle":
+            fields["bytes_per_second"] = float(params)
+            if not fields["bytes_per_second"] > 0:
+                raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"malformed net fault spec {text!r}; expected {NET_FAULT_EXAMPLES[kind]}"
+        ) from None
+    return fields
 
 
 class FaultInjector:
@@ -279,7 +371,7 @@ class FaultInjector:
         self._clocks: dict[str, int] = {}
         self._rngs = {
             spec.worker: streams.get(f"fault-{spec.worker}")
-            for spec in plan.specs
+            for spec in plan.faults
         }
         self._scratch: dict[str, dict[int, np.ndarray]] = {}
 
@@ -347,5 +439,5 @@ def _corrupt_into(
         bits = rng.integers(0, 52, size=count, dtype=np.uint64)
         raw = out.view(np.uint64)
         raw[indices] ^= np.uint64(1) << bits
-    else:  # pragma: no cover - parse_fault_specs rejects unknown modes
+    else:  # pragma: no cover - parse_fault_plan rejects unknown modes
         raise ValueError(f"unknown corruption mode {mode!r}")

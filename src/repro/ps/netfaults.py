@@ -1,244 +1,39 @@
-"""Deterministic network-fault injection for the socket runtimes.
+"""The network-fault mechanisms of the socket and pipe links.
 
-:mod:`repro.ps.faults` corrupts *payloads* at the server boundary; this
-module attacks the *network itself*, worker-side, between a healthy
-replica and a healthy server.  Four fault kinds cover the failure modes a
-parameter server meets on a messy cluster, each written codec-style as
-``kind[:params]`` and looked up in :data:`NET_FAULT_EXAMPLES` so a typo
-fails loudly with the accepted list:
+:mod:`repro.ps.faults` describes a run's network faults (``delay``,
+``drop``, ``partition``, ``throttle``) as part of its one
+:class:`~repro.ps.faults.FaultPlan`; this module enacts them worker-side,
+between a healthy replica and a healthy server:
 
-* ``delay:ms`` — jittered latency before every data-plane push (uniform in
-  ``[0.5, 1.5] x ms``, drawn from a name-addressed RNG stream);
-* ``drop[:probability[,times]]`` — tear the connection on a push: with the
-  given probability (default 1.0) the push is either cut mid-frame or
-  delivered in full *before* the socket dies, 50/50, so retries exercise
-  both the lost-push and the lost-OK half of exactly-once delivery.
-  ``times`` bounds how often the fault fires (default 1; 0 = unlimited);
-* ``partition:start,duration`` — a wall-clock window (seconds from worker
-  start) during which every push tears the connection and reconnect
-  attempts are held at the chaos layer until the window closes;
-* ``throttle:bytes_per_s`` — pace pushes to a byte budget, sleeping
-  ``message_bytes / rate`` before each send.
-
-Determinism: every probabilistic decision is drawn from
-``RngStream(seed).get(f"netfault-{worker_id}")`` and consumed in a fixed
-per-push order, so two runs of one chaos spec produce identical decision
-sequences and identical event logs (partitions are wall-clock windows;
-their logged event carries the spec'd window, not a timing-dependent push
-index).
-
-The chaos layer plugs into the transport stack at two grains:
-
-* :class:`ChaosConnection` wraps a :class:`~repro.ps.transport.TcpConnection`
-  and perturbs only data-plane ``push`` messages (control traffic —
-  joins, heartbeats, done reports — passes through untouched);
-* :class:`NetFaultSchedule` exposes the raw per-push decisions for
-  transports that cannot tear a socket mid-frame (the process backend's
-  pipe transport applies ``delay``/``drop`` directly; ``drop`` on a pipe
-  is a permanent worker death because pipes have no reconnect path).
-
-:class:`RetryBudget` is the other half of surviving the chaos: bounded
-exponential backoff with jittered sleeps and an overall deadline, used by
-the TCP worker around its reconnect/retry path so a herd of workers
-orphaned by the same fault does not redial in lockstep and a dead server
-fails the worker loudly instead of wedging it forever.
+* :class:`NetFaultSchedule` — the raw per-push decisions of one worker,
+  drawn from ``RngStream(seed).get(f"netfault-{worker_id}")`` in a fixed
+  per-push order, so two runs of one chaos spec produce identical decision
+  sequences and identical event logs (partitions are wall-clock windows;
+  their logged event carries the spec'd window, not a timing-dependent
+  push index).  The process backend's pipe link applies ``delay``/``drop``
+  from it directly; ``drop`` on a pipe is a permanent worker death because
+  pipes have no reconnect path.
+* :class:`ChaosConnection` — wraps a :class:`~repro.ps.transport.TcpConnection`
+  and perturbs only data-plane ``push`` messages (control traffic — joins,
+  heartbeats, done reports — passes through untouched).
+* :class:`RetryBudget` — the other half of surviving the chaos: bounded
+  exponential backoff with jittered sleeps and an overall deadline, used by
+  the TCP worker around its reconnect/retry path so a herd of workers
+  orphaned by the same fault does not redial in lockstep and a dead server
+  fails the worker loudly instead of wedging it forever.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.ps.faults import resolve_worker
+from repro.ps.faults import FaultPlan
 from repro.ps.transport import ConnectionClosed
-from repro.utils.registry import Registry
 from repro.utils.rng import RngStream
 
-__all__ = [
-    "NET_FAULT_KINDS",
-    "NET_FAULT_EXAMPLES",
-    "NetFaultSpec",
-    "NetFaultPlan",
-    "parse_net_fault_specs",
-    "validate_net_fault_specs",
-    "ChaosDecision",
-    "NetFaultSchedule",
-    "ChaosConnection",
-    "RetryBudget",
-]
-
-#: Network-fault kind → a well-formed example of its spec (what a malformed
-#: one's error shows).
-NET_FAULT_EXAMPLES = Registry("net fault kind", {
-    "delay": "delay:5",
-    "drop": "drop, drop:0.25 or drop:1.0,2",
-    "partition": "partition:2,1",
-    "throttle": "throttle:1000000",
-})
-NET_FAULT_KINDS: tuple[str, ...] = tuple(NET_FAULT_EXAMPLES)
-
-
-@dataclass(frozen=True)
-class NetFaultSpec:
-    """One parsed network fault: a kind, its parameters, and a target.
-
-    ``worker`` is a resolved worker id (``"worker-1"``) or ``None`` for
-    every worker; ``spec`` keeps the original ``kind:params`` text for
-    event logs and error messages.
-    """
-
-    kind: str
-    spec: str
-    worker: str | None = None
-    delay_ms: float = 0.0
-    probability: float = 0.0
-    times: int = 0
-    start: float = 0.0
-    duration: float = 0.0
-    bytes_per_second: float = 0.0
-
-
-def _parse_spec_text(text: str) -> dict:
-    """Parse one ``kind[:params]`` chaos spec into constructor fields."""
-    if not isinstance(text, str) or not text.strip():
-        raise ValueError(f"net fault spec must be a non-empty string, got {text!r}")
-    kind, _, params = text.strip().partition(":")
-    kind = NET_FAULT_EXAMPLES.key(kind)
-    fields: dict = {"kind": kind, "spec": text.strip()}
-    try:
-        if kind == "delay":
-            fields["delay_ms"] = float(params)
-            if not fields["delay_ms"] > 0:
-                raise ValueError
-        elif kind == "drop":
-            probability, times = 1.0, 1
-            if params:
-                parts = params.split(",")
-                if len(parts) > 2:
-                    raise ValueError
-                probability = float(parts[0])
-                if len(parts) == 2:
-                    times = int(parts[1])
-            if not 0.0 < probability <= 1.0 or times < 0:
-                raise ValueError
-            fields["probability"], fields["times"] = probability, times
-        elif kind == "partition":
-            start_text, _, duration_text = params.partition(",")
-            fields["start"] = float(start_text)
-            fields["duration"] = float(duration_text)
-            if fields["start"] < 0 or not fields["duration"] > 0:
-                raise ValueError
-        elif kind == "throttle":
-            fields["bytes_per_second"] = float(params)
-            if not fields["bytes_per_second"] > 0:
-                raise ValueError
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"malformed net fault spec {text!r}; expected {NET_FAULT_EXAMPLES[kind]}"
-        ) from None
-    return fields
-
-
-@dataclass(frozen=True)
-class NetFaultPlan:
-    """Every parsed network fault of a run, queryable per worker."""
-
-    specs: tuple[NetFaultSpec, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def for_worker(self, worker_id: str) -> tuple[NetFaultSpec, ...]:
-        """Faults targeting ``worker_id`` (including untargeted globals)."""
-        return tuple(
-            spec
-            for spec in self.specs
-            if spec.worker is None or spec.worker == worker_id
-        )
-
-    def kinds(self) -> tuple[str, ...]:
-        """Distinct fault kinds in the plan, in registry order."""
-        present = {spec.kind for spec in self.specs}
-        return tuple(kind for kind in NET_FAULT_KINDS if kind in present)
-
-    def tears_connections(self, worker_id: str) -> bool:
-        """Whether this plan may legitimately tear ``worker_id``'s socket."""
-        return any(
-            spec.kind in ("drop", "partition") for spec in self.for_worker(worker_id)
-        )
-
-    def to_dicts(self) -> list[dict]:
-        """JSON-safe round-trippable form (inverse of parsing entries)."""
-        entries = []
-        for spec in self.specs:
-            entry = {"spec": spec.spec}
-            if spec.worker is not None:
-                entry["worker"] = spec.worker
-            entries.append(entry)
-        return entries
-
-
-def parse_net_fault_specs(
-    net_faults,
-    worker_ids: Sequence[str],
-    allowed_kinds: tuple[str, ...] | None = None,
-    context: str = "this backend",
-) -> NetFaultPlan:
-    """Parse spec entries into a :class:`NetFaultPlan`, failing loudly.
-
-    Each entry is a mapping with a required ``spec`` (``kind[:params]``)
-    and an optional ``worker`` (index or id; omitted targets every
-    worker).  ``allowed_kinds`` restricts the registry for transports
-    that cannot express every fault (the pipe transport supports only
-    ``delay``/``drop``); the error names both the offender and what
-    ``context`` accepts.
-    """
-    if isinstance(net_faults, (str, Mapping)):
-        raise ValueError(
-            "net_faults must be a sequence of entries like "
-            "[{'spec': 'delay:5', 'worker': 0}], got a single "
-            f"{type(net_faults).__name__}"
-        )
-    specs = []
-    for entry in net_faults:
-        if not isinstance(entry, Mapping):
-            raise ValueError(
-                f"each net fault entry must be a mapping, got {entry!r}"
-            )
-        unknown = set(entry) - {"spec", "worker"}
-        if unknown:
-            raise ValueError(
-                f"unknown net fault keys {sorted(unknown)}; "
-                "accepted keys: ['spec', 'worker']"
-            )
-        if "spec" not in entry:
-            raise ValueError(f"net fault entry {dict(entry)!r} is missing 'spec'")
-        fields = _parse_spec_text(entry["spec"])
-        if allowed_kinds is not None and fields["kind"] not in allowed_kinds:
-            raise ValueError(
-                f"net fault kind {fields['kind']!r} is not supported by "
-                f"{context}; supported kinds: {', '.join(allowed_kinds)}"
-            )
-        worker = None
-        if "worker" in entry and entry["worker"] is not None:
-            worker = resolve_worker(entry["worker"], worker_ids, "net fault")
-        specs.append(NetFaultSpec(worker=worker, **fields))
-    seen: set[tuple[str, str | None]] = set()
-    for spec in specs:
-        key = (spec.kind, spec.worker)
-        if key in seen:
-            target = spec.worker or "every worker"
-            raise ValueError(
-                f"duplicate net fault kind {spec.kind!r} for {target}; "
-                "give each worker at most one spec per kind"
-            )
-        seen.add(key)
-    return NetFaultPlan(tuple(specs))
-
-
-#: Validation-only name for :func:`parse_net_fault_specs`.
-validate_net_fault_specs = parse_net_fault_specs
+__all__ = ["ChaosDecision", "NetFaultSchedule", "ChaosConnection", "RetryBudget"]
 
 
 # ----------------------------------------------------------------------
@@ -271,13 +66,7 @@ class NetFaultSchedule:
     start), falling back to schedule creation if it is never called.
     """
 
-    def __init__(
-        self,
-        plan: NetFaultPlan,
-        worker_id: str,
-        seed: int,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, worker_id: str, seed: int, clock=time.monotonic) -> None:
         self.worker_id = worker_id
         self._clock = clock
         self._origin = clock()
@@ -287,19 +76,11 @@ class NetFaultSchedule:
         self._drops_fired = 0
         self._partition_logged = False
         self._started = False
-        by_kind = {}
-        for spec in plan.for_worker(worker_id):
-            by_kind[spec.kind] = spec
+        by_kind = {fault.kind: fault for fault in plan.net_for(worker_id)}
         self._delay = by_kind.get("delay")
         self._drop = by_kind.get("drop")
         self._partition = by_kind.get("partition")
         self._throttle = by_kind.get("throttle")
-        self._active = bool(by_kind)
-
-    @property
-    def active(self) -> bool:
-        """Whether any fault targets this worker at all."""
-        return self._active
 
     def mark_start(self) -> None:
         """Re-anchor the partition window at training start.

@@ -2,7 +2,8 @@
 
 A :class:`TrainingPlan` is one training run as plain, validated data: the
 threaded, process, tcp and simulated backends all receive one (the api
-layer's :func:`repro.api.backends.plan_from_spec` compiles a spec into it).
+layer's :func:`repro.api.backends.plan_from_spec` compiles a spec into it),
+its faults parsed into one :class:`~repro.ps.faults.FaultPlan`.
 :class:`WorkloadPlan` adds what lets a process build the workload for
 itself.  The ``build_*`` functions, :func:`replica_builder` and
 :func:`assemble` are the one recipe turning a plan into server, evaluator
@@ -26,7 +27,7 @@ from repro.optim.schedules import ConstantSchedule
 from repro.optim.sgd import SGD
 from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
 from repro.ps.compression import make_codec, validate_codec_spec
-from repro.ps.faults import FaultInjector, parse_fault_specs
+from repro.ps.faults import FaultInjector, FaultPlan, parse_fault_plan
 from repro.ps.server import ParameterServer
 from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
@@ -56,8 +57,9 @@ class TrainingPlan:
     simulator read it as it is; the process and tcp runtimes' plan classes
     (:class:`~repro.ps.process_runtime.ProcessTrainingPlan`,
     :class:`~repro.ps.tcp_runtime.TcpTrainingPlan`) extend it with
-    deployment settings only.  A run is driven through
-    :func:`repro.api.run_experiment`, which builds the right one.
+    deployment settings and the network faults their links can inject.  A
+    run is driven through :func:`repro.api.run_experiment`, which builds
+    the right one.
 
     Attributes
     ----------
@@ -104,9 +106,13 @@ class TrainingPlan:
         ``"mean"`` keep the immediate-apply fast path; any other
         aggregator buffers a window of pushes server-side and applies
         their robust combination at once.
-    faults:
-        Optional fault plan (see :mod:`repro.ps.faults`): per-worker
-        crash / byzantine / corrupt / flaky entries injected into the run.
+    faults, net_faults:
+        Optional fault entries (see :mod:`repro.ps.faults`): per-worker
+        crash / byzantine / corrupt / flaky faults, and delay / drop /
+        partition / throttle network faults.  Construction parses both
+        into :attr:`fault_plan`, which is what every backend reads, and
+        rejects network-fault kinds the run's links cannot inject
+        (:meth:`net_fault_support`).
     seed:
         Master seed of every :class:`~repro.utils.rng.RngStream` in the
         run (data order, weight initialization, codec rounding, faults).
@@ -140,9 +146,12 @@ class TrainingPlan:
     shard_strategy: str = "size"
     aggregation: str | None = None
     faults: tuple = ()
+    net_faults: tuple = ()
     seed: int = 0
     wait_timeout: float = 120.0
     profile: bool = False
+    #: ``faults`` and ``net_faults``, parsed once at construction.
+    fault_plan: FaultPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.compression is not None:
@@ -167,7 +176,30 @@ class TrainingPlan:
         if negative:
             raise ValueError(f"slowdowns must be non-negative (got {negative})")
         object.__setattr__(self, "faults", tuple(self.faults))
-        parse_fault_specs(self.faults, self.worker_ids)
+        object.__setattr__(
+            self, "net_faults", tuple(dict(entry) for entry in self.net_faults)
+        )
+        object.__setattr__(
+            self, "fault_plan", parse_fault_plan(self.faults, self.net_faults, self.worker_ids)
+        )
+        kinds, links = self.net_fault_support()
+        unsupported = [kind for kind in self.fault_plan.net_kinds() if kind not in kinds]
+        if unsupported:
+            raise ValueError(
+                f"net fault kinds {unsupported} are not supported by {links}; "
+                f"supported kinds: {', '.join(kinds) or 'none'}"
+            )
+
+    def net_fault_support(self) -> tuple[tuple[str, ...], str]:
+        """The network-fault kinds this run's links can inject, and the links.
+
+        The threaded and simulated backends move pushes in-process: none.
+        """
+        return (), (
+            "the threaded and simulated backends, which have no network to "
+            "inject faults into (run on the tcp backend, or on the process "
+            "backend's pipe transport for delay/drop)"
+        )
 
     @property
     def worker_ids(self) -> list[str]:
@@ -197,9 +229,6 @@ class WorkloadPlan(TrainingPlan):
     workload, workload_kwargs, scale_fields:
         Registry name, extra builder arguments and the resolved
         :class:`~repro.experiments.config.ExperimentScale` as a field dict.
-    net_faults:
-        Optional network-chaos entries (:mod:`repro.ps.netfaults`); which
-        kinds a runtime accepts is its own validation.
     crash_at:
         Test-only fault injection: ``{worker_id: iteration}`` makes that
         worker die with ``os._exit(1)`` (no cleanup, as a real crash would)
@@ -214,15 +243,11 @@ class WorkloadPlan(TrainingPlan):
     workload: str
     scale_fields: dict
     workload_kwargs: dict = field(default_factory=dict)
-    net_faults: tuple = ()
     crash_at: Mapping[str, int] = field(default_factory=dict)
     crash_after_push: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(
-            self, "net_faults", tuple(dict(entry) for entry in self.net_faults)
-        )
         self._reject_unknown_workers(
             "crash_at/crash_after_push", {*self.crash_at, *self.crash_after_push}
         )
@@ -325,7 +350,6 @@ def build_server(plan: TrainingPlan, store, schedule=None) -> ParameterServer:
     ``schedule`` replaces the constant learning rate for a caller that
     reports training progress (``server.set_progress``).
     """
-    fault_plan = parse_fault_specs(plan.faults, plan.worker_ids)
     return ParameterServer(
         store=store,
         optimizer=build_optimizer(plan),
@@ -335,7 +359,9 @@ def build_server(plan: TrainingPlan, store, schedule=None) -> ParameterServer:
             make_aggregator(plan.aggregation) if plan.aggregation is not None else None
         ),
         fault_injector=(
-            FaultInjector(fault_plan, RngStream(plan.seed)) if fault_plan else None
+            FaultInjector(plan.fault_plan, RngStream(plan.seed))
+            if plan.fault_plan.faults
+            else None
         ),
     )
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ps.compression import read_encoded, write_encoded
-from repro.ps.netfaults import NetFaultSchedule, parse_net_fault_specs
+from repro.ps.netfaults import NetFaultSchedule
 from repro.ps.plan import WorkloadPlan, plan_codec
 from repro.ps.session import (
     Resume,
@@ -139,10 +139,10 @@ class ProcessTrainingPlan(WorkloadPlan):
         frames the server parses zero-copy; under ``"pipe"`` the encoded
         arrays replace the packed buffers in the push message.
     net_faults:
-        Only the ``"pipe"`` transport accepts them, and only the ``delay``
-        and ``drop`` kinds: a pipe can add latency before a push, and a
-        dropped push is a permanent elastic death because pipes have no
-        reconnect path.  The tcp backend supports the full fault set.
+        Only the ``"pipe"`` transport injects them, and only the ``delay``
+        and ``drop`` kinds (:meth:`net_fault_support`): a pipe can add
+        latency before a push, and a dropped push is a permanent elastic
+        death because pipes have no reconnect path.
     faults:
         Injected crashes leave gracefully — the worker announces its death
         over the pipe and exits, so membership re-bounds elastically on
@@ -154,20 +154,16 @@ class ProcessTrainingPlan(WorkloadPlan):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.net_faults:
-            if self.transport != "pipe":
-                raise ValueError(
-                    "net_faults on the process backend require transport='pipe' "
-                    "(shm pushes never cross a connection, so there is nothing "
-                    "to perturb); use the tcp backend for the full fault set"
-                )
-            parse_net_fault_specs(
-                self.net_faults,
-                self.worker_ids,
-                allowed_kinds=("delay", "drop"),
-                context="the process pipe transport",
-            )
         validate_transport(self.transport, allowed=_TRANSPORTS)
+
+    def net_fault_support(self) -> tuple[tuple[str, ...], str]:
+        if self.transport == "pipe":
+            return ("delay", "drop"), "the process pipe transport"
+        return (), (
+            "the process backend's shm transport: shm pushes never cross a "
+            "connection, so net_faults require transport='pipe'; use the tcp "
+            "backend for the full fault set"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +369,9 @@ class _ProcessLink:
         self._client = self._mailbox = None
         self._regions: dict[int, np.ndarray] = {}
         worker_id = f"worker-{index}"
-        net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
         self._schedule = (
-            NetFaultSchedule(net_plan, worker_id, plan.seed)
-            if net_plan.for_worker(worker_id)
+            NetFaultSchedule(plan.fault_plan, worker_id, plan.seed)
+            if plan.fault_plan.net_for(worker_id)
             else None
         )
 

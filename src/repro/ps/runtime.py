@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
-from repro.ps.faults import FaultPlan, parse_fault_specs
+from repro.ps.faults import FaultPlan
 from repro.ps.plan import TrainingPlan, assemble
 from repro.ps.server import ParameterServer
 from repro.ps.session import Resume, ServerSession, TrainingResult, WorkerLoop
@@ -201,7 +201,7 @@ class ThreadedTrainer:
             evaluate_fn=evaluate_fn,
             evaluate_every_pushes=plan.evaluate_every_pushes,
             wait_timeout=plan.wait_timeout,
-            fault_plan=parse_fault_specs(plan.faults, plan.worker_ids) or None,
+            fault_plan=plan.fault_plan,
         )
 
     def run(self, *, profile: bool = False) -> TrainingResult:

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Protocol
 import numpy as np
 
 from repro.optim.sgd import SGD
-from repro.ps.faults import FaultPlan, parse_fault_specs
+from repro.ps.faults import FaultPlan
 from repro.ps.messages import PullReply, PushRequest, WorkerReport
 from repro.ps.plan import (
     TrainingPlan,
@@ -401,11 +401,10 @@ class WorkerLoop:
         self._profiler = None
         self._exit_at = exit_at
         self._exit_after_push = exit_after_push
-        self._crash_clock = self._rejoin_after = self._flaky = None
-        if fault_plan:
-            self._crash_clock = fault_plan.crash_at().get(worker_id)
-            self._rejoin_after = fault_plan.rejoin_after().get(worker_id)
-            self._flaky = fault_plan.flaky_for(worker_id)
+        self._fault = fault_plan.for_worker(worker_id) if fault_plan is not None else None
+        self._crash_clock = None
+        if self._fault is not None and self._fault.kind == "crash":
+            self._crash_clock = self._fault.after_clock
 
     @classmethod
     def from_plan(cls, plan: WorkloadPlan, index: int, link: Link) -> "WorkerLoop":
@@ -424,7 +423,7 @@ class WorkerLoop:
             wait_timeout=plan.wait_timeout,
             build=build,
             slowdown=plan.slowdowns.get(worker_id, 0.0),
-            fault_plan=parse_fault_specs(plan.faults, plan.worker_ids),
+            fault_plan=plan.fault_plan,
             profile=plan.profile and index == 0,
             exit_at=plan.crash_at.get(worker_id),
             exit_after_push=plan.crash_after_push.get(worker_id),
@@ -541,15 +540,15 @@ class WorkerLoop:
             if self.crash_due():
                 # Injected crash: the link announces or enacts the death; an
                 # elastic one says where to rejoin.
-                if not self._enter(link.leave(clock, self._rejoin_after)):
+                if not self._enter(link.leave(clock, self._fault.rejoin_after)):
                     return None
                 continue
             compute_start = self._clock()
             step = self.step()
             if self.slowdown > 0:
                 time.sleep(self.slowdown)
-            if self._flaky is not None and self._flaky.slow(clock):
-                time.sleep(self._flaky.delay)
+            if self._fault is not None and self._fault.slow(clock):
+                time.sleep(self._fault.delay)
             compute_elapsed = self._clock() - compute_start
             self._compute += compute_elapsed
 
@@ -856,6 +855,18 @@ class ServerSession:
             return ()
         return self.server.deregister_worker(worker_id)
 
+    def crash_planned(self, worker_id: str) -> bool:
+        """Whether ``worker_id`` leaving now is its injected crash: the fault
+        plan crashes it, and its clock has reached the crash's."""
+        injector = self.server.fault_injector
+        fault = injector.plan.for_worker(worker_id) if injector is not None else None
+        if fault is None or fault.kind != "crash":
+            return False
+        try:
+            return self.server.policy.clock_table.clock(worker_id) >= fault.after_clock
+        except KeyError:  # no longer a member: not this crash
+            return False
+
     def leave(self, worker_id: str, events=(), **details) -> tuple[str, ...]:
         """A worker left or died mid-run; returns who to release.
 
@@ -970,8 +981,9 @@ class ServerLoop:
     :meth:`ServerSession.push` and the workers it releases get their OKs; a
     ``done`` records the report and deregisters the worker, so a finished
     worker stops counting in the policy's membership; a departure leaves
-    the membership elastically, recorded as an error unless the fault plan
-    or the net-fault plan scheduled it; a failure records its reason and
+    the membership elastically, recorded as an error unless it is the
+    worker's injected crash, due at its clock (:meth:`ServerSession.crash_planned`),
+    or the fault plan may tear its link; a failure records its reason and
     aborts.  No push, join, done or departure for the session's
     ``idle_timeout`` aborts a hung run.  The run is over once it started and
     no worker is registered (or it aborted), unless the hub still waits.
@@ -1049,9 +1061,8 @@ class ServerLoop:
             released = session.release(worker_id)
         elif kind == "departure":
             reason = message.get("reason")
-            injector = session.server.fault_injector
-            planned = injector is not None and worker_id in injector.plan.crash_at()
-            if reason is not None and not planned and not message.get("chaos"):
+            planned = message.get("chaos") or session.crash_planned(worker_id)
+            if reason is not None and not planned:
                 session.errors.append(f"{worker_id}: {reason}")
             details = {} if reason is None else {"reason": reason}
             released = session.leave(worker_id, message.get("events"), **details)

@@ -80,12 +80,8 @@ import numpy as np
 
 from repro.core.staleness import StalenessSummary
 from repro.ps.checkpoint import load_codec_states, restore_into, save_checkpoint
-from repro.ps.netfaults import (
-    ChaosConnection,
-    NetFaultSchedule,
-    RetryBudget,
-    parse_net_fault_specs,
-)
+from repro.ps.faults import NET_FAULT_KINDS
+from repro.ps.netfaults import ChaosConnection, NetFaultSchedule, RetryBudget
 from repro.ps.compression import EncodedShard, decode_shard
 from repro.ps.flatbuffer import Segment
 from repro.ps.messages import FlatPullPayload, PullReply, WorkerReport
@@ -175,10 +171,6 @@ class TcpTrainingPlan(WorkloadPlan):
                 "the tcp backend serves a monolithic store (num_shards=1); "
                 "use the threaded or process backend for sharded stores"
             )
-        if self.net_faults:
-            parse_net_fault_specs(
-                self.net_faults, self.worker_ids, context="the tcp backend"
-            )
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat interval and timeout must be positive")
         if self.heartbeat_timeout <= 2 * self.heartbeat_interval:
@@ -189,6 +181,9 @@ class TcpTrainingPlan(WorkloadPlan):
         if self.checkpoint_every_pushes < 0:
             raise ValueError("checkpoint_every_pushes must be non-negative")
         parse_address(self.address)
+
+    def net_fault_support(self) -> tuple[tuple[str, ...], str]:
+        return NET_FAULT_KINDS, "the tcp backend"
 
 
 # ----------------------------------------------------------------------
@@ -350,10 +345,9 @@ class _TcpHub:
         self._buffer_order = [
             [name, list(np.asarray(value).shape)] for name, value in store.buffers.items()
         ]
-        net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
         #: Workers whose socket the chaos plan may legitimately tear: their
         #: connection losses are events, not run errors.
-        self._chaos = {w for w in plan.worker_ids if net_plan.tears_connections(w)}
+        self._chaos = {w for w in plan.worker_ids if plan.fault_plan.tears_connections(w)}
         self._peers: dict[str, _Peer] = {}
         self._conns: set[TcpConnection] = set()  # every accepted one still open
         self.watchers: set[TcpConnection] = set()
@@ -815,11 +809,10 @@ class _TcpLink:
         self._address = address
         self._conn: TcpConnection | None = None
         self._heartbeat: threading.Event | None = None
-        net_plan = parse_net_fault_specs(plan.net_faults, plan.worker_ids)
-        self._tearable = net_plan.tears_connections(worker_id)
+        self._tearable = plan.fault_plan.tears_connections(worker_id)
         self._schedule = (
-            NetFaultSchedule(net_plan, worker_id, plan.seed)
-            if net_plan.for_worker(worker_id)
+            NetFaultSchedule(plan.fault_plan, worker_id, plan.seed)
+            if plan.fault_plan.net_for(worker_id)
             else None
         )
         self._retries: list[dict] = []

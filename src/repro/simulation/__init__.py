@@ -29,7 +29,7 @@ from repro.simulation.topology import (
     single_link_topology,
     rack_topology,
 )
-from repro.simulation.trace import TraceRecord, SimulationTrace
+from repro.simulation.trace import SimulationTrace
 from repro.simulation.trainer import SimulationOptions, SimulationResult, SimulatedTraining
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "ring_allreduce_wire_bytes",
     "single_link_topology",
     "rack_topology",
-    "TraceRecord",
     "SimulationTrace",
     "SimulationOptions",
     "SimulationResult",

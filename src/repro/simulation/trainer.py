@@ -51,7 +51,6 @@ from repro.metrics.throughput import (
 )
 from repro.metrics.tracker import ExperimentTracker
 from repro.optim.schedules import MultiStepSchedule
-from repro.ps.faults import parse_fault_specs
 from repro.ps.plan import TrainingPlan, assemble, plan_codec
 from repro.ps.session import ServerSession, TrainingResult, WorkerLoop
 from repro.simulation.cluster import ClusterSpec
@@ -318,11 +317,10 @@ class SimulatedTraining:
         tracker = ExperimentTracker()
 
         def evaluate_fn(state) -> tuple[float, float]:
-            """The plan's evaluator; every point also lands in tracker and trace."""
+            """The plan's evaluator; every point also lands in the tracker."""
             accuracy, loss = evaluator(state)
             tracker.record("accuracy", clock.now, accuracy, step=store.version)
             tracker.record("test_loss", clock.now, loss, step=store.version)
-            trace.record(clock.now, "evaluation", accuracy=accuracy, loss=loss)
             return accuracy, loss
 
         session = ServerSession(
@@ -332,8 +330,6 @@ class SimulatedTraining:
             evaluate_every_pushes=plan.evaluate_every_pushes,
             clock=lambda: clock.now,
         )
-
-        fault_plan = parse_fault_specs(plan.faults, plan.worker_ids)
 
         def iteration_time(worker_id: str, now: float) -> float:
             done = loops[worker_id].completed
@@ -348,9 +344,9 @@ class SimulatedTraining:
                     f"non-positive slowdown factor {factor} for worker {worker_id!r}"
                 )
             duration *= factor
-            flaky = fault_plan.flaky_for(worker_id)
-            if flaky is not None and flaky.slow(done):
-                duration *= flaky.scale
+            fault = plan.fault_plan.for_worker(worker_id)
+            if fault is not None and fault.slow(done):
+                duration *= fault.scale
             return duration
 
         def schedule(worker_id: str, now: float) -> None:
@@ -359,18 +355,13 @@ class SimulatedTraining:
             queue.push(Event(time=arrival, kind=EventKind.PUSH_ARRIVAL, worker_id=worker_id))
             pool.submit(worker_id)
 
-        def resume(worker_id: str, now: float) -> float:
-            """Deliver an OK (the session's reply), schedule the next push; the wait."""
-            loop = loops[worker_id]
-            waited = loop.deliver(session.reply(worker_id).pull)
-            if loop.completed < loop.iterations:
-                schedule(worker_id, now)
-            return waited
-
-        def release(worker_ids, now: float) -> None:
-            """Previously blocked workers get their OK; their wait ends now."""
+        def resume(worker_ids, now: float) -> None:
+            """Deliver each worker's OK (the session's reply), schedule its next push."""
             for worker_id in worker_ids:
-                trace.record(now, "release", worker_id=worker_id, wait_time=resume(worker_id, now))
+                loop = loops[worker_id]
+                loop.deliver(session.reply(worker_id).pull)
+                if loop.completed < loop.iterations:
+                    schedule(worker_id, now)
 
         # Replica steps run between a worker's OK and its push arrival, in
         # forked helpers when the run is long enough to repay them.
@@ -384,7 +375,7 @@ class SimulatedTraining:
             for worker_id, worker in workers.items():
                 loops[worker_id] = WorkerLoop(
                     worker_id, None, iterations=quota, wait_timeout=plan.wait_timeout,
-                    worker=worker, fault_plan=fault_plan, clock=lambda: clock.now,
+                    worker=worker, fault_plan=plan.fault_plan, clock=lambda: clock.now,
                     steps=partial(pool.collect, worker_id),
                 )
                 worker.load_reply(session.reply(worker_id, welcome=True).pull)
@@ -402,8 +393,7 @@ class SimulatedTraining:
                     # The worker dies at its fault clock: its push never lands,
                     # any staged (unapplied) contribution is rejected, and the
                     # policy re-bounds exactly as for a real runtime death.
-                    trace.record(now, "crash", worker_id=worker_id)
-                    release(session.leave(worker_id, time=now), now)
+                    resume(session.leave(worker_id, time=now), now)
                     continue
                 step = loop.step()
                 computation = step.computation
@@ -415,15 +405,10 @@ class SimulatedTraining:
                 )
                 loop.sent()
                 tracker.record("train_loss", now, computation.loss, step=store.version)
-                trace.record(
-                    now, "push", worker_id=worker_id, staleness=response.staleness,
-                    version=response.new_version,
-                )
+                trace.push(now, worker_id)
                 if response.release_now:
-                    resume(worker_id, now)
-                else:
-                    trace.record(now, "block", worker_id=worker_id)
-                release(response.released_workers, now)
+                    resume([worker_id], now)
+                resume(response.released_workers, now)
 
             profile = pool.profile
 

@@ -1,5 +1,7 @@
 """Tests for the declarative ExperimentSpec (validation + serialization)."""
 
+import dataclasses
+
 import pytest
 
 from repro.api.spec import ClusterConfig, ExperimentSpec, NAMED_SCALES
@@ -109,6 +111,16 @@ class TestSpecValidation:
         spec = ExperimentSpec(scale="tiny", epochs=0.5, batch_size=8, evaluate_every_updates=0)
         assert spec.resolved_epochs() == 0.5
         assert spec.resolved_batch_size() == 8
+        assert spec.resolved_evaluate_every_updates() == 0
+
+    def test_negative_evaluation_cadence_rejected_naming_the_spec_field(self):
+        with pytest.raises(ValueError, match="evaluate_every_updates must be non-negative"):
+            ExperimentSpec(evaluate_every_updates=-1)
+        inline = {**dataclasses.asdict(TINY), "evaluate_every_updates": -4}
+        with pytest.raises(ValueError, match="evaluate_every_updates must be non-negative"):
+            ExperimentSpec(scale=inline)
+        # An explicit field overrides the scale's cadence, so it decides.
+        spec = ExperimentSpec(scale=inline, evaluate_every_updates=0)
         assert spec.resolved_evaluate_every_updates() == 0
 
     def test_slowdowns_validated_against_cluster(self):

@@ -1,7 +1,8 @@
-"""Tests for fault injection (repro.ps.faults).
+"""Tests for the one fault plan and fault injection (repro.ps.faults).
 
-Covers fault-plan parsing and validation, the per-spec corruption and
-slow-phase windows, the corruption math of every mode, the injector's
+Covers the one parser of both entry lists (``faults`` and ``net_faults``)
+as one rejection table plus the plan it builds, the per-spec corruption
+and slow-phase windows, the corruption math of every mode, the injector's
 pooled scratch and event log, and the satellite determinism guarantee:
 two runs of the same chaos plan produce identical fault event logs.
 """
@@ -13,10 +14,11 @@ from repro.api import ClusterConfig, ExperimentSpec, run_experiment
 from repro.ps.faults import (
     CORRUPTION_MODES,
     FAULT_KINDS,
+    NET_FAULT_KINDS,
     FaultInjector,
+    FaultPlan,
     FaultSpec,
-    parse_fault_specs,
-    validate_fault_specs,
+    parse_fault_plan,
 )
 from repro.utils.rng import RngStream
 
@@ -24,116 +26,142 @@ WORKERS = ["worker-0", "worker-1", "worker-2"]
 
 
 # ----------------------------------------------------------------------
-# Parsing and validation
+# The one parser
 # ----------------------------------------------------------------------
-class TestParsing:
+def _crash(worker=0, **fields):
+    return {"worker": worker, "kind": "crash", **fields}
+
+
+#: Every malformed ``faults`` / ``net_faults`` input, one row each:
+#: (faults, net_faults, the complaint).
+REJECTED = {
+    # worker faults
+    "index_out_of_range": ([_crash(9)], (), "out of range"),
+    "unknown_worker_id": ([_crash("worker-9")], (), "not in the cluster"),
+    "unknown_kind_lists_available": (
+        [{"worker": 0, "kind": "meteor"}], (), "crash, byzantine"
+    ),
+    "unknown_kind": ([{"worker": 0, "kind": "?"}], (), "fault kind"),
+    "key_foreign_to_the_kind": ([_crash(mode="sign_flip")], (), "does not accept"),
+    "two_faults_for_one_worker": (
+        [_crash(), {"worker": "worker-0", "kind": "flaky"}], (), "more than one fault"
+    ),
+    "byzantine_without_mode": (
+        [{"worker": 0, "kind": "byzantine"}], (), "corruption mode"
+    ),
+    "unknown_corruption_mode": (
+        [{"worker": 0, "kind": "corrupt", "mode": "gamma_ray"}], (), "corruption mode"
+    ),
+    "until_clock_not_after_after_clock": (
+        [{"worker": 0, "kind": "corrupt", "mode": "noise", "after_clock": 5,
+          "until_clock": 5}],
+        (),
+        "until_clock",
+    ),
+    "negative_after_clock": ([_crash(after_clock=-1)], (), "after_clock"),
+    "zero_scale": (
+        [{"worker": 0, "kind": "byzantine", "mode": "noise", "scale": 0}], (), "scale"
+    ),
+    "zero_rejoin_after": ([_crash(rejoin_after=0)], (), "rejoin_after"),
+    "negative_delay": ([{"worker": 0, "kind": "flaky", "delay": -0.1}], (), "delay"),
+    "faults_not_a_list": ({"worker": 0, "kind": "crash"}, (), "list"),
+    "fault_not_a_mapping": (["crash"], (), "mapping"),
+    "fault_without_worker": ([{"kind": "crash"}], (), "'worker' and 'kind'"),
+    # network faults
+    "unknown_net_kind_lists_registry": (
+        (), [{"spec": "meteor:1"}], ", ".join(NET_FAULT_KINDS)
+    ),
+    **{
+        f"malformed_{bad}": ((), [{"spec": bad}], "expected")
+        for bad in (
+            "delay:0", "delay:-1", "delay:abc", "drop:0", "drop:1.5", "drop:0.5,-1",
+            "drop:0.5,1,2", "partition:-1,1", "partition:2,0", "partition:2",
+            "throttle:0", "throttle:-5",
+        )
+    },
+    "net_fault_not_a_mapping": ((), ["delay:5"], "mapping"),
+    "net_fault_without_spec": ((), [{"worker": 0}], "missing 'spec'"),
+    "net_fault_unknown_key": (
+        (), [{"spec": "delay:5", "kind": "delay"}], "unknown net fault keys"
+    ),
+    "net_faults_not_a_list": ((), {"spec": "delay:5"}, "list of mappings"),
+    "net_fault_index_out_of_range": ((), [{"spec": "delay:5", "worker": 9}], "out of range"),
+    "net_fault_worker_not_in_roster": (
+        (), [{"spec": "delay:5", "worker": "worker-9"}], "not in the roster"
+    ),
+    "net_fault_worker_a_bool": ((), [{"spec": "delay:5", "worker": True}], "index or id"),
+    "two_net_faults_of_a_kind_for_one_target": (
+        (), [{"spec": "delay:5"}, {"spec": "delay:10"}], "duplicate net fault kind"
+    ),
+}
+
+
+@pytest.mark.parametrize("faults,net_faults,complaint", REJECTED.values(), ids=REJECTED.keys())
+def test_the_one_parser_rejects(faults, net_faults, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        parse_fault_plan(faults, net_faults, WORKERS)
+
+
+class TestParsedPlan:
     def test_index_and_id_both_resolve(self):
-        plan = parse_fault_specs(
+        plan = parse_fault_plan(
             [
                 {"worker": 1, "kind": "crash", "after_clock": 3},
                 {"worker": "worker-2", "kind": "byzantine", "mode": "sign_flip"},
             ],
+            [{"spec": "delay:5", "worker": 2}],
             WORKERS,
         )
         assert plan.for_worker("worker-1").kind == "crash"
         assert plan.for_worker("worker-2").mode == "sign_flip"
         assert plan.for_worker("worker-0") is None
+        assert plan.net_faults[0].worker == "worker-2"
 
-    def test_empty_plan_is_falsy(self):
-        plan = parse_fault_specs([], WORKERS)
-        assert not plan and len(plan) == 0
+    def test_empty_lists_give_the_empty_plan(self):
+        assert parse_fault_plan([], (), WORKERS) == FaultPlan()
 
-    def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            parse_fault_specs([{"worker": 9, "kind": "crash"}], WORKERS)
+    def test_every_net_kind_parses(self):
+        plan = parse_fault_plan(
+            (),
+            [
+                {"spec": "delay:5"},
+                {"spec": "drop:0.25,3", "worker": 1},
+                {"spec": "partition:2,1", "worker": "worker-2"},
+                {"spec": "throttle:1000000", "worker": 0},
+            ],
+            WORKERS,
+        )
+        assert plan.net_kinds() == ("delay", "drop", "partition", "throttle")
+        by_kind = {fault.kind: fault for fault in plan.net_faults}
+        assert by_kind["delay"].worker is None
+        assert by_kind["delay"].delay_ms == 5.0
+        assert by_kind["drop"].worker == "worker-1"
+        assert by_kind["drop"].probability == 0.25
+        assert by_kind["drop"].times == 3
+        assert by_kind["partition"].start == 2.0
+        assert by_kind["partition"].duration == 1.0
+        assert by_kind["throttle"].bytes_per_second == 1e6
 
-    def test_unknown_worker_id_rejected(self):
-        with pytest.raises(ValueError, match="not in the cluster"):
-            parse_fault_specs([{"worker": "worker-9", "kind": "crash"}], WORKERS)
+    def test_drop_defaults(self):
+        (drop,) = parse_fault_plan((), [{"spec": "drop"}], WORKERS).net_faults
+        assert drop.probability == 1.0
+        assert drop.times == 1
 
-    def test_unknown_kind_lists_available(self):
-        with pytest.raises(ValueError, match="crash, byzantine"):
-            parse_fault_specs([{"worker": 0, "kind": "meteor"}], WORKERS)
+    def test_net_for_includes_untargeted_faults(self):
+        plan = parse_fault_plan(
+            (), [{"spec": "delay:5"}, {"spec": "drop", "worker": 1}], WORKERS
+        )
+        assert {f.kind for f in plan.net_for("worker-1")} == {"delay", "drop"}
+        assert {f.kind for f in plan.net_for("worker-0")} == {"delay"}
+        assert plan.tears_connections("worker-1")
+        assert not plan.tears_connections("worker-0")
 
-    def test_keys_foreign_to_the_kind_rejected(self):
-        with pytest.raises(ValueError, match="does not accept"):
-            parse_fault_specs(
-                [{"worker": 0, "kind": "crash", "mode": "sign_flip"}], WORKERS
-            )
+    def test_a_training_plan_carries_its_parsed_plan(self):
+        from repro.ps.plan import TrainingPlan
 
-    def test_one_fault_per_worker(self):
-        with pytest.raises(ValueError, match="more than one fault"):
-            parse_fault_specs(
-                [
-                    {"worker": 0, "kind": "crash"},
-                    {"worker": "worker-0", "kind": "flaky"},
-                ],
-                WORKERS,
-            )
-
-    def test_corruption_requires_a_mode(self):
-        with pytest.raises(ValueError, match="corruption mode"):
-            parse_fault_specs([{"worker": 0, "kind": "byzantine"}], WORKERS)
-        with pytest.raises(ValueError, match="corruption mode"):
-            parse_fault_specs(
-                [{"worker": 0, "kind": "corrupt", "mode": "gamma_ray"}], WORKERS
-            )
-
-    def test_until_clock_must_follow_after_clock(self):
-        with pytest.raises(ValueError, match="until_clock"):
-            parse_fault_specs(
-                [
-                    {
-                        "worker": 0,
-                        "kind": "corrupt",
-                        "mode": "noise",
-                        "after_clock": 5,
-                        "until_clock": 5,
-                    }
-                ],
-                WORKERS,
-            )
-
-    def test_numeric_bounds(self):
-        with pytest.raises(ValueError, match="after_clock"):
-            parse_fault_specs([{"worker": 0, "kind": "crash", "after_clock": -1}], WORKERS)
-        with pytest.raises(ValueError, match="scale"):
-            parse_fault_specs(
-                [{"worker": 0, "kind": "byzantine", "mode": "noise", "scale": 0}],
-                WORKERS,
-            )
-        with pytest.raises(ValueError, match="rejoin_after"):
-            parse_fault_specs(
-                [{"worker": 0, "kind": "crash", "rejoin_after": 0}], WORKERS
-            )
-        with pytest.raises(ValueError, match="delay"):
-            parse_fault_specs(
-                [{"worker": 0, "kind": "flaky", "delay": -0.1}], WORKERS
-            )
-
-    def test_faults_must_be_a_list_of_mappings(self):
-        with pytest.raises(ValueError, match="list"):
-            parse_fault_specs({"worker": 0, "kind": "crash"}, WORKERS)
-        with pytest.raises(ValueError, match="mapping"):
-            parse_fault_specs(["crash"], WORKERS)
-        with pytest.raises(ValueError, match="'worker' and 'kind'"):
-            parse_fault_specs([{"kind": "crash"}], WORKERS)
-
-    def test_to_dicts_round_trips_through_parse(self):
-        entries = [
-            {"worker": 0, "kind": "crash", "after_clock": 4, "rejoin_after": 2},
-            {"worker": 1, "kind": "corrupt", "mode": "noise", "scale": 2.0,
-             "after_clock": 1, "until_clock": 9},
-            {"worker": 2, "kind": "flaky", "scale": 3.0, "period": 2},
-        ]
-        plan = parse_fault_specs(entries, WORKERS)
-        again = parse_fault_specs(plan.to_dicts(), WORKERS)
-        assert again.specs == plan.specs
-
-    def test_validate_is_the_raising_form(self):
-        validate_fault_specs([{"worker": 0, "kind": "crash"}], WORKERS)
-        with pytest.raises(ValueError):
-            validate_fault_specs([{"worker": 0, "kind": "?"}], WORKERS)
+        faults = ({"worker": 0, "kind": "crash", "after_clock": 2},)
+        plan = TrainingPlan(num_workers=3, faults=faults)
+        assert plan.fault_plan == parse_fault_plan(faults, (), WORKERS)
 
 
 class TestSpecWindows:
@@ -165,26 +193,26 @@ class TestSpecWindows:
         assert not FaultSpec(worker="w", kind="crash").slow(5)
 
     def test_plan_lookup_helpers(self):
-        plan = parse_fault_specs(
+        plan = parse_fault_plan(
             [
                 {"worker": 0, "kind": "crash", "after_clock": 7, "rejoin_after": 3},
                 {"worker": 1, "kind": "crash", "after_clock": 2},
                 {"worker": 2, "kind": "flaky"},
             ],
+            (),
             WORKERS,
         )
-        assert plan.crash_at() == {"worker-0": 7, "worker-1": 2}
-        assert plan.rejoin_after() == {"worker-0": 3}
-        assert plan.flaky_for("worker-2").kind == "flaky"
-        assert plan.flaky_for("worker-0") is None
+        assert plan.for_worker("worker-0").after_clock == 7
+        assert plan.for_worker("worker-0").rejoin_after == 3
+        assert plan.for_worker("worker-1").rejoin_after is None
+        assert plan.for_worker("worker-2").slow(0)
 
 
 # ----------------------------------------------------------------------
 # Corruption math and the injector
 # ----------------------------------------------------------------------
 def _injector(entries, seed=0):
-    plan = parse_fault_specs(entries, WORKERS)
-    return FaultInjector(plan, RngStream(seed))
+    return FaultInjector(parse_fault_plan(entries, (), WORKERS), RngStream(seed))
 
 
 class TestCorruption:

@@ -17,7 +17,7 @@ from repro.optim.staleness_aware import StalenessAwareSGD
 from repro.ps.aggregation import make_aggregator
 from repro.ps.checkpoint import restore_into, save_checkpoint
 from repro.ps.compression import decode_shard, make_codec
-from repro.ps.faults import FaultInjector, parse_fault_specs
+from repro.ps.faults import FaultInjector, parse_fault_plan
 from repro.ps.flatbuffer import FlatLayout, FlatShard
 from repro.ps.messages import PushRequest
 from repro.ps.server import ParameterServer
@@ -731,8 +731,9 @@ class TestSparsePushes:
                 assert got[name].tobytes() == expected[name].tobytes(), name
 
     def test_a_fault_injector_decides_on_a_dense_decode_and_honest_pushes_stay_sparse(self):
-        plan = parse_fault_specs(
+        plan = parse_fault_plan(
             [{"worker": 0, "kind": "byzantine", "mode": "sign_flip", "after_clock": 2}],
+            (),
             ["worker-0"],
         )
         optimizer = CountingSGD(0.1, momentum=0.9)

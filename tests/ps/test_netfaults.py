@@ -1,11 +1,11 @@
 """Tests for deterministic network-fault injection (repro.ps.netfaults).
 
-Covers the codec-style spec registry (parsing, targeting, backend
-restrictions), the per-push decision schedule and its determinism
-guarantee (two schedules of one seed produce identical decision and
-event sequences), the chaos connection wrapper over a real socketpair
-(torn frames must surface as :class:`ConnectionClosed`, never as partial
-data), and the retry budget's bounded jittered backoff.
+Covers the per-push decision schedule and its determinism guarantee (two
+schedules of one seed produce identical decision and event sequences), the
+chaos connection wrapper over a real socketpair (torn frames must surface
+as :class:`ConnectionClosed`, never as partial data), and the retry
+budget's bounded jittered backoff.  Parsing ``net_faults`` entries is the
+one fault parser's, tested in ``test_faults.py``.
 """
 
 import socket
@@ -13,137 +13,18 @@ import time
 
 import pytest
 
-from repro.ps.netfaults import (
-    NET_FAULT_KINDS,
-    ChaosConnection,
-    NetFaultSchedule,
-    RetryBudget,
-    parse_net_fault_specs,
-    validate_net_fault_specs,
-)
+from repro.ps.faults import parse_fault_plan
+from repro.ps.netfaults import ChaosConnection, ChaosDecision, NetFaultSchedule, RetryBudget
 from repro.ps.transport import ConnectionClosed, TcpConnection
 
 WORKERS = ["worker-0", "worker-1", "worker-2"]
 
 
 # ----------------------------------------------------------------------
-# Parsing and validation
-# ----------------------------------------------------------------------
-class TestParsing:
-    def test_every_kind_parses(self):
-        plan = parse_net_fault_specs(
-            [
-                {"spec": "delay:5"},
-                {"spec": "drop:0.25,3", "worker": 1},
-                {"spec": "partition:2,1", "worker": "worker-2"},
-                {"spec": "throttle:1000000", "worker": 0},
-            ],
-            WORKERS,
-        )
-        assert plan.kinds() == ("delay", "drop", "partition", "throttle")
-        by_kind = {spec.kind: spec for spec in plan.specs}
-        assert by_kind["delay"].worker is None
-        assert by_kind["delay"].delay_ms == 5.0
-        assert by_kind["drop"].worker == "worker-1"
-        assert by_kind["drop"].probability == 0.25
-        assert by_kind["drop"].times == 3
-        assert by_kind["partition"].start == 2.0
-        assert by_kind["partition"].duration == 1.0
-        assert by_kind["throttle"].bytes_per_second == 1e6
-
-    def test_drop_defaults(self):
-        plan = parse_net_fault_specs([{"spec": "drop"}], WORKERS)
-        assert plan.specs[0].probability == 1.0
-        assert plan.specs[0].times == 1
-
-    def test_unknown_kind_lists_registry(self):
-        with pytest.raises(ValueError, match=", ".join(NET_FAULT_KINDS)):
-            parse_net_fault_specs([{"spec": "meteor:1"}], WORKERS)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "delay:0",
-            "delay:-1",
-            "delay:abc",
-            "drop:0",
-            "drop:1.5",
-            "drop:0.5,-1",
-            "drop:0.5,1,2",
-            "partition:-1,1",
-            "partition:2,0",
-            "partition:2",
-            "throttle:0",
-            "throttle:-5",
-        ],
-    )
-    def test_malformed_params_rejected_with_example(self, bad):
-        with pytest.raises(ValueError, match="expected"):
-            parse_net_fault_specs([{"spec": bad}], WORKERS)
-
-    def test_entry_must_be_mapping_with_spec(self):
-        with pytest.raises(ValueError, match="mapping"):
-            parse_net_fault_specs(["delay:5"], WORKERS)
-        with pytest.raises(ValueError, match="missing 'spec'"):
-            parse_net_fault_specs([{"worker": 0}], WORKERS)
-        with pytest.raises(ValueError, match="unknown net fault keys"):
-            parse_net_fault_specs([{"spec": "delay:5", "kind": "delay"}], WORKERS)
-        with pytest.raises(ValueError, match="sequence of entries"):
-            parse_net_fault_specs({"spec": "delay:5"}, WORKERS)
-
-    def test_worker_resolution(self):
-        plan = parse_net_fault_specs(
-            [{"spec": "delay:5", "worker": 2}], WORKERS
-        )
-        assert plan.specs[0].worker == "worker-2"
-        with pytest.raises(ValueError, match="out of range"):
-            parse_net_fault_specs([{"spec": "delay:5", "worker": 9}], WORKERS)
-        with pytest.raises(ValueError, match="not in the roster"):
-            parse_net_fault_specs(
-                [{"spec": "delay:5", "worker": "worker-9"}], WORKERS
-            )
-        with pytest.raises(ValueError, match="index or id"):
-            parse_net_fault_specs([{"spec": "delay:5", "worker": True}], WORKERS)
-
-    def test_duplicate_kind_per_target_rejected(self):
-        with pytest.raises(ValueError, match="duplicate net fault kind"):
-            parse_net_fault_specs(
-                [{"spec": "delay:5"}, {"spec": "delay:10"}], WORKERS
-            )
-
-    def test_allowed_kinds_restriction_names_context(self):
-        with pytest.raises(ValueError, match="process pipe transport"):
-            validate_net_fault_specs(
-                [{"spec": "partition:2,1"}],
-                WORKERS,
-                allowed_kinds=("delay", "drop"),
-                context="the process pipe transport",
-            )
-
-    def test_for_worker_includes_globals(self):
-        plan = parse_net_fault_specs(
-            [{"spec": "delay:5"}, {"spec": "drop", "worker": 1}], WORKERS
-        )
-        assert {s.kind for s in plan.for_worker("worker-1")} == {"delay", "drop"}
-        assert {s.kind for s in plan.for_worker("worker-0")} == {"delay"}
-        assert plan.tears_connections("worker-1")
-        assert not plan.tears_connections("worker-0")
-
-    def test_to_dicts_round_trips(self):
-        entries = [{"spec": "delay:5"}, {"spec": "drop:0.5", "worker": "worker-1"}]
-        plan = parse_net_fault_specs(entries, WORKERS)
-        assert plan.to_dicts() == entries
-        assert parse_net_fault_specs(plan.to_dicts(), WORKERS) == plan
-
-    def test_empty_plan_is_falsy(self):
-        assert not parse_net_fault_specs([], WORKERS)
-
-
-# ----------------------------------------------------------------------
 # The per-push decision schedule
 # ----------------------------------------------------------------------
 def _schedule(specs, worker="worker-0", seed=0, clock=None):
-    plan = parse_net_fault_specs(specs, WORKERS)
+    plan = parse_fault_plan((), specs, WORKERS)
     kwargs = {} if clock is None else {"clock": clock}
     return NetFaultSchedule(plan, worker, seed, **kwargs)
 
@@ -231,10 +112,13 @@ class TestSchedule:
         assert schedule.next_push(0).drop is None
         assert schedule.partition_wait() == 0.0
 
-    def test_inactive_worker_has_inactive_schedule(self):
-        plan = parse_net_fault_specs([{"spec": "drop", "worker": 1}], WORKERS)
-        assert not NetFaultSchedule(plan, "worker-0", 0).active
-        assert NetFaultSchedule(plan, "worker-1", 0).active
+    def test_an_untargeted_worker_is_never_hit(self):
+        plan = parse_fault_plan((), [{"spec": "drop:1.0,0", "worker": 1}], WORKERS)
+        spared = NetFaultSchedule(plan, "worker-0", 0)
+        hit = NetFaultSchedule(plan, "worker-1", 0)
+        assert all(spared.next_push(0) == ChaosDecision(push) for push in range(8))
+        assert all(hit.next_push(0).drop for _ in range(8))
+        assert spared.events == []
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +136,7 @@ def _schedule_with_phase(phase: str) -> NetFaultSchedule:
     yields the wanted phase keeps the test itself deterministic.
     """
     for seed in range(256):
-        plan = parse_net_fault_specs([{"spec": "drop"}], WORKERS)
+        plan = parse_fault_plan((), [{"spec": "drop"}], WORKERS)
         if NetFaultSchedule(plan, "worker-0", seed).next_push(0).drop == phase:
             return NetFaultSchedule(plan, "worker-0", seed)
     pytest.fail(f"no seed under 256 yields a {phase!r} drop")

@@ -21,7 +21,8 @@ from repro.ps.compression import make_codec
 from repro.ps.plan import TrainingPlan, assemble, build_evaluator, build_server, replica_builder
 from repro.ps.process_runtime import ProcessTrainingPlan
 from repro.ps.runtime import ThreadedTrainer
-from repro.ps.session import Resume, ServerSession, UpdateLog, WorkerLoop
+from repro.ps.faults import NET_FAULT_KINDS
+from repro.ps.session import Resume, ServerLoop, ServerSession, UpdateLog, WorkerLoop
 from repro.ps.sharding import make_store
 from repro.ps.tcp_runtime import TcpTrainingPlan
 from repro.utils.rng import RngStream
@@ -166,10 +167,10 @@ class TestWorkerLoop:
         assert link.reports == [] and link.errors == []
 
     def test_injected_crash_leaves_at_its_clock(self, workload):
-        from repro.ps.faults import parse_fault_specs
+        from repro.ps.faults import parse_fault_plan
 
-        faults = parse_fault_specs(
-            [{"worker": 1, "kind": "crash", "after_clock": 2}], ["worker-0", "worker-1"]
+        faults = parse_fault_plan(
+            [{"worker": 1, "kind": "crash", "after_clock": 2}], (), ["worker-0", "worker-1"]
         )
         loop, link = make_loop(workload, fault_plan=faults)
         assert loop.run() is None
@@ -360,6 +361,66 @@ class TestServerSession:
         assert result.evaluation_times[-1] == result.wall_time
 
 
+class ScriptedHub:
+    """A :class:`ServerLoop` hub that hands over a script of events, then idles."""
+
+    def __init__(self, events):
+        self.events = list(events)
+        self.oks = []
+
+    def attach(self, loop):
+        pass
+
+    def receive(self, ready):
+        while self.events:
+            yield self.events.pop(0)
+
+    def gradients(self, worker_id, message, payload):
+        raise AssertionError("the script pushes nothing")
+
+    def ok(self, worker_id):
+        self.oks.append(worker_id)
+
+    def abort(self, reason):
+        pass
+
+    def waiting(self):
+        return False
+
+    def statistics(self):
+        return {}
+
+
+class TestServerLoop:
+    """Which departures the loop counts as failures, exactly."""
+
+    @staticmethod
+    def depart_after(workload, pushes):
+        """worker-0 (crash planned at clock 2) dies after ``pushes`` pushes."""
+        session = make_session(
+            workload, paradigm="asp", paradigm_kwargs={}, num_workers=2,
+            faults=({"worker": 0, "kind": "crash", "after_clock": 2},),
+        )
+        session.start()
+        for timestamp in range(pushes):
+            hand_push(session, "worker-0", float(timestamp))
+        hub = ScriptedHub([
+            ("worker-0", "departure", {"reason": "RuntimeError: boom"}, None),
+            ("worker-1", "departure", {"reason": None}, None),
+        ])
+        return ServerLoop(session, hub, poll=0.01).run()
+
+    def test_a_death_before_the_planned_crash_clock_is_a_failure(self, workload):
+        result = self.depart_after(workload, pushes=0)
+        assert result.errors == ["worker-0: RuntimeError: boom"]
+
+    def test_the_planned_crash_at_its_clock_is_not_a_failure(self, workload):
+        result = self.depart_after(workload, pushes=2)
+        assert result.errors == []
+        assert {"kind": "crash", "worker": "worker-0", "clock": 2,
+                "reason": "RuntimeError: boom"} in result.events
+
+
 class TestReply:
     """``ServerSession.reply``, the one OK builder, on every store and log."""
 
@@ -522,6 +583,32 @@ def test_every_plan_rejects_the_same_bad_values(make_plan, fields, message):
     assert make_plan().num_workers == 4  # the defaults themselves are fine
     with pytest.raises(ValueError, match=message):
         make_plan(**fields)
+
+
+NET_FAULT_EXAMPLE = {
+    "delay": "delay:5", "drop": "drop", "partition": "partition:2,1", "throttle": "throttle:1000",
+}
+NET_FAULT_SUPPORT = {
+    "threaded": (PLAN_CLASSES["threaded"], {}, ()),
+    "process-shm": (PLAN_CLASSES["process"], {}, ()),
+    "process-pipe": (PLAN_CLASSES["process"], {"transport": "pipe"}, ("delay", "drop")),
+    "tcp": (PLAN_CLASSES["tcp"], {}, NET_FAULT_KINDS),
+}
+
+
+@pytest.mark.parametrize(
+    "make_plan,fields,supported", NET_FAULT_SUPPORT.values(), ids=NET_FAULT_SUPPORT.keys()
+)
+@pytest.mark.parametrize("kind", NET_FAULT_KINDS)
+def test_each_plan_accepts_exactly_the_net_faults_its_links_inject(
+    make_plan, fields, supported, kind
+):
+    net_faults = ({"spec": NET_FAULT_EXAMPLE[kind]},)
+    if kind in supported:
+        assert make_plan(net_faults=net_faults, **fields).fault_plan.net_kinds() == (kind,)
+    else:
+        with pytest.raises(ValueError, match=rf"net fault kinds \['{kind}'\] are not supported"):
+            make_plan(net_faults=net_faults, **fields)
 
 
 class TestOneLivenessGuard:

@@ -643,9 +643,10 @@ class TestExactlyOnce:
         # The drop phase (torn mid-frame vs delivered-then-torn) is drawn
         # from the worker's chaos stream, so probing seeds pins the test to
         # a specific phase without touching the production draw order.
-        from repro.ps.netfaults import NetFaultSchedule, parse_net_fault_specs
+        from repro.ps.faults import parse_fault_plan
+        from repro.ps.netfaults import NetFaultSchedule
 
-        plan = parse_net_fault_specs([{"spec": "drop"}], ["worker-0"])
+        plan = parse_fault_plan((), [{"spec": "drop"}], ["worker-0"])
         for seed in range(256):
             if NetFaultSchedule(plan, "worker-0", seed).next_push(0).drop == phase:
                 return seed

@@ -241,12 +241,13 @@ class TestWorkloadCostModel:
 class TestSimulationTrace:
     def test_records_and_queries(self):
         trace = SimulationTrace()
-        trace.record(0.0, "push", worker_id="a", staleness=0)
-        trace.record(1.0, "push", worker_id="a", staleness=1)
-        trace.record(1.5, "release", worker_id="b", wait_time=0.5)
-        assert len(trace) == 3
+        trace.push(0.0, "a")
+        trace.push(1.0, "a")
+        trace.push(1.5, "b")
         assert np.allclose(trace.push_times("a"), [0.0, 1.0])
+        assert np.allclose(trace.push_times("b"), [1.5])
+        assert trace.push_times("c").size == 0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            SimulationTrace().record(-1.0, "push")
+            SimulationTrace().push(-1.0, "a")

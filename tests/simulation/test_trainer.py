@@ -216,12 +216,11 @@ class TestSimulatedTraining:
         }
         assert sum(result.iterations_per_worker.values()) == result.total_updates
 
-    def test_trace_contains_push_and_evaluation_events(self, flat_problem):
+    def test_trace_records_every_push(self, flat_problem):
         train, test = flat_problem
         result = run(train, test, "bsp")
         pushes = sum(result.trace.push_times(w).size for w in result.iterations_per_worker)
         assert pushes == result.total_updates
-        assert len(result.trace) > pushes  # evaluations, releases and blocks too
 
     def test_time_to_accuracy_helper(self, flat_problem):
         train, test = flat_problem

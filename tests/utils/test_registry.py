@@ -12,8 +12,7 @@ from repro.experiments.workloads import WORKLOADS, build_workload
 from repro.models.registry import MODELS, build_model
 from repro.ps.aggregation import AGGREGATORS, make_aggregator
 from repro.ps.compression import CODECS, TopKCodec, make_codec
-from repro.ps.faults import FAULT_KIND_KEYS, parse_fault_specs, resolve_worker
-from repro.ps.netfaults import NET_FAULT_EXAMPLES, parse_net_fault_specs
+from repro.ps.faults import FAULT_KIND_KEYS, NET_FAULT_EXAMPLES, parse_fault_plan, resolve_worker
 from repro.ps.transport import TRANSPORTS, validate_transport
 from repro.simulation.profiles import GPU_CATALOGUE, get_device_profile
 from repro.simulation.topology import (
@@ -155,9 +154,9 @@ def test_every_public_front_normalises_names():
     assert get_device_profile("P100") is GPU_CATALOGUE["p100"]
     assert ExperimentSpec(scale="TINY").resolved_scale() is NAMED_SCALES["tiny"]
     assert build_model("MLP").forward is not None
-    plan = parse_fault_specs([{"worker": 0, "kind": "Crash"}], WORKERS)
-    assert plan.crash_at() == {"worker-0": 0}
-    assert parse_net_fault_specs([{"spec": "DELAY:5"}], WORKERS).kinds() == ("delay",)
+    plan = parse_fault_plan([{"worker": 0, "kind": "Crash"}], [{"spec": "DELAY:5"}], WORKERS)
+    assert plan.for_worker("worker-0").kind == "crash"
+    assert plan.net_kinds() == ("delay",)
 
 
 #: Each registry through its public make_*/build_*/get_*/validate_* front.
@@ -175,8 +174,8 @@ FRONTS = {
     "comm_pattern": validate_comm_pattern,
     "codec": make_codec,
     "aggregator": make_aggregator,
-    "fault kind": lambda name: parse_fault_specs([{"worker": 0, "kind": name}], WORKERS),
-    "net fault kind": lambda name: parse_net_fault_specs([{"spec": f"{name}:1"}], WORKERS),
+    "fault kind": lambda name: parse_fault_plan([{"worker": 0, "kind": name}], (), WORKERS),
+    "net fault kind": lambda name: parse_fault_plan((), [{"spec": f"{name}:1"}], WORKERS),
 }
 
 

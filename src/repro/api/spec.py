@@ -31,7 +31,7 @@ from repro.core.factory import paradigm_label, validate_paradigm
 from repro.experiments.config import DEFAULT, SMALL, TINY, ExperimentScale
 from repro.ps.aggregation import validate_aggregation_spec
 from repro.ps.compression import validate_codec_spec
-from repro.ps.faults import parse_fault_plan
+from repro.ps.faults import fault_entries, parse_fault_plan
 from repro.ps.transport import parse_address, validate_transport
 from repro.simulation.cluster import ClusterSpec, WorkerSpec
 from repro.simulation.network import GIGABIT_ETHERNET, INFINIBAND_EDR, LOCAL_PCIE
@@ -358,10 +358,10 @@ class ExperimentSpec:
             validate_codec_spec(self.compression)
         if self.aggregation is not None:
             validate_aggregation_spec(self.aggregation)
-        object.__setattr__(self, "faults", tuple(self.faults))
-        object.__setattr__(
-            self, "net_faults", tuple(dict(entry) for entry in self.net_faults)
-        )
+        # Through the parser's own check: a bare mapping or string is refused, not split.
+        object.__setattr__(self, "faults", fault_entries(self.faults, "fault"))
+        net_faults = fault_entries(self.net_faults, "net fault")
+        object.__setattr__(self, "net_faults", tuple(dict(entry) for entry in net_faults))
         parse_fault_plan(self.faults, self.net_faults, self.cluster.worker_ids)
         if self.transport is not None:
             object.__setattr__(

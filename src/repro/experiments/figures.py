@@ -28,7 +28,6 @@ __all__ = [
 
 #: The paper's DSSP configuration: s_L = 3, range R = [0, 12]  (s in [3, 15]).
 PAPER_DSSP = ("dssp", {"s_lower": 3, "s_upper": 15})
-PAPER_SSP_REFERENCE = ("ssp", {"staleness": 3})
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ on the gradients and weights these modules expose.
 """
 
 from repro.nn.parameter import Parameter
-from repro.nn.workspace import Workspace
+from repro.nn.workspace import Workspace, share_arenas
 from repro.nn.module import Module
 from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d
@@ -25,6 +25,7 @@ from repro.nn import initializers
 __all__ = [
     "Parameter",
     "Workspace",
+    "share_arenas",
     "Module",
     "Linear",
     "Conv2d",

@@ -3,7 +3,7 @@
 The mask/output/gradient arrays live in the layer's grow-once
 :class:`~repro.nn.workspace.Workspace` and every elementwise op writes
 through ``out=``: zero steady-state allocations.  Returned arrays are views
-of that arena, valid until the layer's next forward/backward.
+of that arena, valid until the next forward/backward on it.
 """
 
 from __future__ import annotations

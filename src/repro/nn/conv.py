@@ -24,7 +24,7 @@ class Conv2d(Module):
     multiplies write through ``out=`` — zero steady-state allocations.  The
     stride-1 input gradient uses the correlation form (see
     :meth:`_grad_input_correlation`).  Returned arrays are views of workspace
-    storage, valid until this layer's next forward/backward.
+    storage, valid until the next forward/backward on that arena.
     """
 
     def __init__(

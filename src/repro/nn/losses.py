@@ -5,9 +5,10 @@ returning the gradient with respect to the predictions, so that the training
 loop is ``loss.forward(...); grad = loss.backward(); model.backward(grad)``.
 
 Losses are not :class:`~repro.nn.module.Module` instances, but they follow
-the same workspace convention: each loss owns a private buffer arena and the
-forward/backward computations reuse it with ``out=``-style numpy calls, so
-the gradient ``backward()`` returns is valid until the next ``backward()``.
+the same workspace convention: each loss owns a buffer arena (shared with
+its twins in replicas that step in turn) and the forward/backward
+computations reuse it with ``out=``-style numpy calls, so the gradient
+``backward()`` returns is valid until the next ``backward()`` on that arena.
 """
 
 from __future__ import annotations

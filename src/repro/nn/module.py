@@ -23,12 +23,14 @@ class Module:
     dot-separated names (``"features.0.weight"``), which is the naming scheme
     used by the parameter server's key-value store.
 
-    Every module owns a private :class:`Workspace` from which its kernels
-    draw their temporaries and results.  The array a layer returns is a view
-    of that arena, valid until the same layer's next ``forward`` or
-    ``backward``; copy it to keep it longer.  Two different layers never
-    share storage.  (Pass-through layers — ``Identity``, ``Flatten``,
-    ``Dropout`` in eval mode — hand back their input instead.)
+    Every module owns a :class:`Workspace` from which its kernels draw their
+    temporaries and results (replicas stepping in turn may share them layer
+    by layer: :func:`~repro.nn.workspace.share_arenas`).  The array a layer
+    returns is a view of that arena, valid until the next ``forward`` or
+    ``backward`` that draws on the arena; copy it to keep it longer.  Two
+    different layers never share storage.  (Pass-through layers —
+    ``Identity``, ``Flatten``, ``Dropout`` in eval mode — hand back their
+    input instead.)
     """
 
     #: Set by a :class:`~repro.ps.worker.Worker` on its replica's entry

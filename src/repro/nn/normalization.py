@@ -115,7 +115,8 @@ class _BatchNormBase(Module):
         inv_std_flat = inv_std.reshape(self.num_features)
         grad_centered_sum = self._correlate(grad_output, centered)
         self.gamma.accumulate_grad(grad_centered_sum * inv_std_flat)
-        self.beta.accumulate_grad(grad_output.sum(axis=self._reduce_axes))
+        sum_grad = grad_output.sum(axis=self._reduce_axes)
+        self.beta.accumulate_grad(sum_grad)
 
         scale = self._reshape_stats(self.gamma.data) * inv_std
         grad_input = workspace.get("bwd_grad_input", grad_output.shape)
@@ -124,7 +125,6 @@ class _BatchNormBase(Module):
             return grad_input
 
         count = inputs.size // self.num_features
-        sum_grad = grad_output.sum(axis=self._reduce_axes)
         np.subtract(grad_output, self._reshape_stats(sum_grad / count), out=grad_input)
         grad_input *= scale
         coefficient = scale * inv_std * inv_std * self._reshape_stats(
@@ -157,9 +157,6 @@ class BatchNorm1d(_BatchNormBase):
             raise ValueError(
                 f"expected input of shape (N, {self.num_features}), got {inputs.shape}"
             )
-
-    def _reshape_stats(self, array: np.ndarray) -> np.ndarray:
-        return array
 
     def _sum_of_squares(self, array: np.ndarray) -> np.ndarray:
         return np.einsum("nc,nc->c", array, array)

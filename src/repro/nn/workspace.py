@@ -18,15 +18,21 @@ zero) can skip re-clearing it on reuse; callers that accumulate (col2im
 scatter-add) pass ``zero=True`` to have the buffer cleared on every return.
 
 Every :class:`repro.nn.module.Module` and loss creates its own arena at
-construction, so buffers can never alias across layers; what a layer returns
-is a view of its arena, valid until that layer's next forward/backward.
+construction, and arenas are never shared across layers.  Replicas of one
+model whose steps run in turn in one process (the simulator's, see
+:mod:`repro.simulation.pool`) share them layer by layer through
+:func:`share_arenas`.  What a layer returns is a view of its arena, valid
+until the next forward/backward of that layer or of its twin in a sharing
+replica.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 
-__all__ = ["Workspace"]
+__all__ = ["Workspace", "share_arenas"]
 
 
 class Workspace:
@@ -87,3 +93,25 @@ class Workspace:
             f"Workspace(buffers={self.num_buffers}, "
             f"nbytes={self.nbytes}, allocations={self.allocations})"
         )
+
+
+def share_arenas(replica, donor) -> None:
+    """Bind each layer of ``replica`` to the arena of the same layer of ``donor``.
+
+    Both are module trees of one architecture, or two losses of one type.
+    Only replicas whose forward/backward passes never overlap may share.
+    Raises ``ValueError``, binding nothing, if the layer names or types differ.
+    """
+    layers = [
+        list(tree.named_modules()) if hasattr(tree, "named_modules") else [("", tree)]
+        for tree in (replica, donor)
+    ]
+    pairs = list(zip_longest(*layers, fillvalue=(None, None)))
+    for (name, layer), (donor_name, donor_layer) in pairs:
+        if name != donor_name or type(layer) is not type(donor_layer):
+            raise ValueError(
+                f"cannot share arenas: layer {name!r} ({type(layer).__name__}) "
+                f"faces {donor_name!r} ({type(donor_layer).__name__})"
+            )
+    for (_, layer), (_, donor_layer) in pairs:
+        layer._workspace = donor_layer._workspace

@@ -85,6 +85,7 @@ __all__ = [
     "NET_FAULT_EXAMPLES",
     "NET_FAULT_KINDS",
     "resolve_worker",
+    "fault_entries",
     "parse_fault_plan",
 ]
 
@@ -195,8 +196,8 @@ def parse_fault_plan(faults, net_faults, worker_ids: Sequence[str]) -> FaultPlan
     malformed entry.
     """
     plan = FaultPlan(
-        tuple(_worker_fault(entry, worker_ids) for entry in _entries(faults, "fault")),
-        tuple(_net_fault(entry, worker_ids) for entry in _entries(net_faults, "net fault")),
+        tuple(_worker_fault(entry, worker_ids) for entry in fault_entries(faults, "fault")),
+        tuple(_net_fault(entry, worker_ids) for entry in fault_entries(net_faults, "net fault")),
     )
     seen: set = set()
     for spec in plan.faults:
@@ -215,8 +216,9 @@ def parse_fault_plan(faults, net_faults, worker_ids: Sequence[str]) -> FaultPlan
     return plan
 
 
-def _entries(entries, what: str) -> tuple[Mapping, ...]:
-    """``entries`` as a tuple of mappings, or a ``ValueError``."""
+def fault_entries(entries, what: str) -> tuple[Mapping, ...]:
+    """``entries`` (``what``: "fault" or "net fault") as a tuple of mappings,
+    or a ``ValueError`` that says what is wrong with them."""
     if isinstance(entries, (str, Mapping)):
         raise ValueError(f"{what} entries must be a list of mappings, not a {type(entries).__name__}")
     entries = tuple(entries)

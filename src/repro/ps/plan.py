@@ -27,7 +27,7 @@ from repro.optim.schedules import ConstantSchedule
 from repro.optim.sgd import SGD
 from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
 from repro.ps.compression import make_codec, validate_codec_spec
-from repro.ps.faults import FaultInjector, FaultPlan, parse_fault_plan
+from repro.ps.faults import FaultInjector, FaultPlan, fault_entries, parse_fault_plan
 from repro.ps.server import ParameterServer
 from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
@@ -175,10 +175,10 @@ class TrainingPlan:
         negative = sorted(w for w, seconds in self.slowdowns.items() if seconds < 0)
         if negative:
             raise ValueError(f"slowdowns must be non-negative (got {negative})")
-        object.__setattr__(self, "faults", tuple(self.faults))
-        object.__setattr__(
-            self, "net_faults", tuple(dict(entry) for entry in self.net_faults)
-        )
+        # Through the parser's own check: a bare mapping or string is refused, not split.
+        object.__setattr__(self, "faults", fault_entries(self.faults, "fault"))
+        net_faults = fault_entries(self.net_faults, "net fault")
+        object.__setattr__(self, "net_faults", tuple(dict(entry) for entry in net_faults))
         object.__setattr__(
             self, "fault_plan", parse_fault_plan(self.faults, self.net_faults, self.worker_ids)
         )

@@ -3,6 +3,8 @@
 A replica's next push depends only on state it owns (its last OK's weights,
 its loader position and RNG, its codec residual), so its step may run
 anywhere between the OK and the push arrival: the results are the same bits.
+Its layers' scratch is not such state: two steps never overlap in one
+process, so every replica draws it from the first replica's arenas.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.nn import share_arenas
 from repro.ps.session import Step, replica_step
 
 __all__ = ["ReplicaPool"]
@@ -65,6 +68,10 @@ class ReplicaPool(contextlib.AbstractContextManager):
         (tests): ``True`` forks at once, ``False`` never.
         """
         self.replicas, self._layouts, self._budget = replicas, layouts, budget
+        first = next(iter(replicas.values()))
+        for worker in replicas.values():
+            share_arenas(worker.model, first.model)
+            share_arenas(worker.loss_fn, first.loss_fn)
         self._profiler, self._profile = profiler, None
         self._times: list[tuple[str, float]] | None = [] if _helpers is None else None
         self._pending: set[str] = set()  # submitted, to run in-process
@@ -89,7 +96,7 @@ class ReplicaPool(contextlib.AbstractContextManager):
     def submit(self, worker_id: str) -> None:
         """``worker_id`` has loaded its OK: its next step may run."""
         times = self._times
-        # Every replica has allocated its nn scratch, which each helper inherits.
+        # Every replica has stepped once, so each helper inherits warm scratch.
         if times is not None and len({worker for worker, _ in times}) == len(self.replicas):
             self._times = None
             cores = _cores()

@@ -308,6 +308,25 @@ class TestNetFaultsField:
                 net_faults=({"spec": "delay:5"}, {"spec": "delay:10"})
             )
 
+    @pytest.mark.parametrize(
+        "field, entries, message",
+        [
+            ("net_faults", ["delay:5"], "each net fault entry must be a mapping, got 'delay:5'"),
+            ("net_faults", "delay:5", "net fault entries must be a list of mappings, not a str"),
+            ("net_faults", {"spec": "delay:5"}, "net fault entries must be a list of mappings, not a dict"),
+            ("faults", {"worker": 0, "kind": "crash"}, "fault entries must be a list of mappings, not a dict"),
+        ],
+    )
+    def test_malformed_entries_get_the_parsers_error(self, field, entries, message):
+        from repro.ps.plan import TrainingPlan
+
+        with pytest.raises(ValueError) as raised:
+            self._spec(**{field: entries})
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            TrainingPlan(num_workers=2, **{field: entries})
+        assert str(raised.value) == message
+
     def test_round_trips_through_dict(self):
         spec = self._spec(
             net_faults=(

@@ -34,6 +34,7 @@ from repro.nn import (
     SoftmaxCrossEntropy,
     Tanh,
     Workspace,
+    share_arenas,
 )
 from repro.models.mlp import mlp
 from repro.models.resnet import cifar_resnet, resnet20
@@ -125,6 +126,39 @@ class TestModuleWorkspacePlumbing:
         arenas = {id(m._workspace) for _, m in model.named_modules()}
         count = sum(1 for _ in model.named_modules())
         assert len(arenas) == count  # one private arena each
+
+    def test_twin_replicas_share_arenas_layer_by_layer(self, rng):
+        model, donor = resnet20(num_classes=10, rng=rng), resnet20(num_classes=10, rng=rng)
+        share_arenas(model, donor)
+        for (_, layer), (_, twin) in zip(model.named_modules(), donor.named_modules()):
+            assert layer._workspace is twin._workspace
+        arenas = {id(m._workspace) for _, m in model.named_modules()}
+        assert len(arenas) == sum(1 for _ in model.named_modules())
+        loss, donor_loss = SoftmaxCrossEntropy(), SoftmaxCrossEntropy()
+        share_arenas(loss, donor_loss)
+        assert loss._workspace is donor_loss._workspace
+
+    @pytest.mark.parametrize(
+        "make_model, make_donor, message",
+        [
+            (lambda r: mlp(4, (8,), 2, rng=r), lambda r: mlp(4, (8, 8), 2, rng=r),
+             r"layer None \(NoneType\) faces '3' \(ReLU\)"),
+            (
+                lambda r: Sequential(Linear(4, 4, rng=r), ReLU()),
+                lambda r: Sequential(Linear(4, 4, rng=r), Tanh()),
+                r"layer '1' \(ReLU\) faces '1' \(Tanh\)",
+            ),
+            (lambda r: resnet20(num_classes=10, rng=r), lambda r: mlp(4, (8,), 2, rng=r), "cannot share"),
+            (lambda r: SoftmaxCrossEntropy(), lambda r: MeanSquaredError(), "SoftmaxCrossEntropy"),
+        ],
+    )
+    def test_different_trees_cannot_share(self, rng, make_model, make_donor, message):
+        model, donor = make_model(rng), make_donor(rng)
+        layers = [m for _, m in model.named_modules()] if hasattr(model, "named_modules") else [model]
+        before = [layer._workspace for layer in layers]
+        with pytest.raises(ValueError, match=message):
+            share_arenas(model, donor)
+        assert [layer._workspace for layer in layers] == before  # nothing bound
 
     def test_stats_aggregate_over_the_tree(self, rng):
         model = Sequential(Linear(4, 4, rng=rng), ReLU(), Linear(4, 2, rng=rng))

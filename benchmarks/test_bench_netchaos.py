@@ -93,7 +93,7 @@ def _summarize(name: str, result, wall: float | None = None) -> dict:
     event_kinds: dict[str, int] = {}
     for event in result.events:
         event_kinds[event["kind"]] = event_kinds.get(event["kind"], 0) + 1
-    wall = result.wall_time if wall is None else wall
+    wall = result.total_time if wall is None else wall
     return {
         "cell": name,
         "steps_per_second": int(result.server_statistics["store_version"]) / wall,

@@ -82,7 +82,7 @@ def threaded_steps_per_second(workload, num_workers: int) -> float:
     )
     result = ThreadedTrainer.from_plan(plan, workload).run()
     assert result.errors == [], result.errors
-    return int(result.server_statistics["store_version"]) / result.wall_time
+    return int(result.server_statistics["store_version"]) / result.total_time
 
 
 def process_steps_per_second(num_workers: int) -> float:
@@ -101,7 +101,7 @@ def process_steps_per_second(num_workers: int) -> float:
     # The forked server and workers reuse the fixture's build of "mlp".
     result = ProcessTrainer(plan).run()
     assert result.errors == [], result.errors
-    return int(result.server_statistics["store_version"]) / result.wall_time
+    return int(result.server_statistics["store_version"]) / result.total_time
 
 
 @pytest.fixture(scope="module")

@@ -94,7 +94,7 @@ def run_point(transport: str, num_workers: int, codec: str | None) -> dict:
     assert result.errors == [], result.errors
     statistics_ = result.server_statistics
     point = {
-        "steps_per_second": int(statistics_["store_version"]) / result.wall_time,
+        "steps_per_second": int(statistics_["store_version"]) / result.total_time,
         "pushed_wire_bytes": sum(
             report.pushed_wire_bytes for report in result.worker_reports
         ),

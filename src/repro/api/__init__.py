@@ -22,7 +22,7 @@ field.
 """
 
 from repro.api.spec import ClusterConfig, ExperimentSpec, NAMED_SCALES, NETWORKS
-from repro.api.result import Provenance, RunResult
+from repro.ps.result import Provenance, RunResult
 from repro.api.backends import (
     Backend,
     ProcessBackend,

@@ -35,20 +35,17 @@ backend comparison).  New backends register by name::
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import subprocess
+from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
-import dataclasses
-
-from repro.api.result import Provenance, RunResult, git_revision
 from repro.api.spec import ExperimentSpec
-from repro.core.staleness import StalenessTracker
 from repro.experiments.workloads import WORKLOADS, Workload, build_workload
-from repro.metrics.throughput import EMPTY_PERCENTILES, iteration_throughput
 from repro.ps.plan import TrainingPlan, WorkloadPlan
 from repro.ps.process_runtime import ProcessTrainer, ProcessTrainingPlan
+from repro.ps.result import Provenance, RunResult
 from repro.ps.runtime import ThreadedTrainer
 from repro.ps.tcp_runtime import TcpTrainer, TcpTrainingPlan
 from repro.simulation.cluster import ClusterSpec
@@ -67,6 +64,7 @@ __all__ = [
     "get_backend",
     "available_backends",
     "run_experiment",
+    "make_provenance",
     "plan_from_spec",
     "tcp_plan_from_spec",
 ]
@@ -86,7 +84,8 @@ class Backend(Protocol):
         cluster: ClusterSpec | None = None,
         profile: bool = False,
     ) -> RunResult:
-        """Execute ``spec`` and return the unified result.
+        """Execute ``spec`` and return its run record (:func:`run_experiment`
+        stamps ``backend`` and ``provenance`` on it).
 
         ``workload`` and ``cluster`` allow callers that already hold built
         objects (e.g. the paradigm-comparison runner reusing one dataset
@@ -122,18 +121,44 @@ def run_experiment(
     cluster: ClusterSpec | None = None,
     profile: bool = False,
 ) -> RunResult:
-    """Run ``spec`` on ``backend`` (a name or a backend instance)."""
+    """Run ``spec`` on ``backend`` (a name or a backend instance); the
+    record comes back stamped with the backend's name and the provenance."""
     if isinstance(backend, str):
         backend = get_backend(backend)
-    return backend.run(spec, workload=workload, cluster=cluster, profile=profile)
+    provenance = make_provenance(spec, backend.name, workload, cluster)
+    result = backend.run(spec, workload=workload, cluster=cluster, profile=profile)
+    return dataclasses.replace(result, backend=backend.name, provenance=provenance)
 
 
-def _provenance(
+_GIT_REVISION: str | None = None
+
+
+def git_revision() -> str:
+    """``git describe`` of the working tree (cached; ``"unknown"`` offline)."""
+    global _GIT_REVISION
+    if _GIT_REVISION is None:
+        try:
+            _GIT_REVISION = subprocess.run(
+                ["git", "describe", "--always", "--dirty", "--tags"],
+                cwd=Path(__file__).resolve().parent,
+                capture_output=True,
+                text=True,
+                timeout=5.0,
+                check=False,
+            ).stdout.strip() or "unknown"
+        except (OSError, subprocess.SubprocessError):
+            _GIT_REVISION = "unknown"
+    return _GIT_REVISION
+
+
+def make_provenance(
     spec: ExperimentSpec,
     backend_name: str,
-    workload: Workload | None,
-    cluster: ClusterSpec | None,
+    workload: Workload | None = None,
+    cluster: ClusterSpec | None = None,
 ) -> Provenance:
+    """The provenance of ``spec`` run on ``backend_name``, with the
+    pre-built objects the caller injected recorded by name."""
     injected = []
     if workload is not None:
         injected.append(f"workload:{workload.name}")
@@ -263,52 +288,6 @@ def plan_from_spec(
     return plan_type(**fields, **deployment)
 
 
-def _run_result(
-    spec: ExperimentSpec,
-    backend_name: str,
-    provenance: Provenance,
-    result,
-    percentiles=EMPTY_PERCENTILES,
-) -> RunResult:
-    """A backend's :class:`TrainingResult` as the unified result.
-
-    Every backend's session evaluates the initial (t=0) and final model
-    itself, so the curve arrives complete; ``percentiles`` are the iteration
-    times only the simulator observes.
-    """
-    total_updates = int(result.server_statistics.get("store_version", 0))
-    staleness = result.server_statistics.get("update_staleness")
-    if staleness is None:  # the server died before reporting statistics
-        staleness = StalenessTracker().summary()
-    return RunResult(
-        backend=backend_name,
-        paradigm=spec.paradigm,
-        paradigm_label=spec.label,
-        times=np.asarray(result.evaluation_times, dtype=np.float64),
-        accuracies=np.asarray(result.evaluation_accuracies, dtype=np.float64),
-        losses=np.asarray(result.evaluation_losses, dtype=np.float64),
-        total_time=result.wall_time,
-        total_updates=total_updates,
-        throughput=iteration_throughput(
-            total_updates=total_updates,
-            total_time=max(result.wall_time, 1e-12),
-            samples_per_update=spec.resolved_batch_size(),
-        ),
-        staleness=staleness,
-        wait_time_per_worker={
-            report.worker_id: report.total_wait_time
-            for report in result.worker_reports
-        },
-        worker_reports=list(result.worker_reports),
-        server_statistics=result.server_statistics,
-        provenance=provenance,
-        errors=list(result.errors),
-        events=list(result.events),
-        profile=result.profile,
-        iteration_time_percentiles=percentiles,
-    )
-
-
 @register_backend("simulated")
 class SimulatedBackend:
     """Discrete-event simulation backend (virtual time, real gradients)."""
@@ -325,7 +304,6 @@ class SimulatedBackend:
     ) -> RunResult:
         """Execute ``spec`` in the simulator."""
         _reject_transport(spec, self.name)
-        provenance = _provenance(spec, self.name, workload, cluster)
         workload = workload or _build_workload(spec)
         cluster = cluster or spec.cluster.build()
 
@@ -342,10 +320,7 @@ class SimulatedBackend:
             topology=spec.cluster.topology,
             comm_pattern=spec.comm_pattern,
         )
-        sim = SimulatedTraining(plan, workload, options).run()
-        return _run_result(
-            spec, self.name, provenance, sim, percentiles=sim.iteration_time_summary
-        )
+        return SimulatedTraining(plan, workload, options).run()
 
 
 @register_backend("threaded")
@@ -366,7 +341,6 @@ class ThreadedBackend:
         _reject_simulator_only_fields(spec, self.name)
         _reject_transport(spec, self.name)
         _reject_topology(spec, self.name)
-        provenance = _provenance(spec, self.name, workload, cluster)
         workload = workload or _build_workload(spec)
         num_workers = cluster.num_workers if cluster is not None else (
             len(spec.cluster.worker_ids)
@@ -374,7 +348,7 @@ class ThreadedBackend:
 
         plan = plan_from_spec(spec, workload, num_workers, profile=profile)
         trainer = ThreadedTrainer.from_plan(plan, workload)
-        return _run_result(spec, self.name, provenance, trainer.run(profile=plan.profile))
+        return trainer.run(profile=plan.profile)
 
 
 @register_backend("process")
@@ -444,7 +418,6 @@ class ProcessBackend:
                 "object: every process uses the registry's build of the "
                 "workload, so pass a registered workload name in the spec"
             )
-        provenance = _provenance(spec, self.name, None, cluster)
         num_workers = cluster.num_workers if cluster is not None else (
             len(spec.cluster.worker_ids)
         )
@@ -462,7 +435,7 @@ class ProcessBackend:
             profile=profile, wait_timeout=self.wait_timeout, transport=transport,
         )
         trainer = ProcessTrainer(plan, context=self.context)
-        return _run_result(spec, self.name, provenance, trainer.run())
+        return trainer.run()
 
 
 def tcp_plan_from_spec(
@@ -567,7 +540,6 @@ class TcpBackend:
                 "every process uses the registry's build of the workload, "
                 "so pass a registered workload name in the spec"
             )
-        provenance = _provenance(spec, self.name, None, cluster)
         num_workers = cluster.num_workers if cluster is not None else None
         plan = tcp_plan_from_spec(
             spec,
@@ -578,4 +550,4 @@ class TcpBackend:
             checkpoint_every_pushes=self.checkpoint_every_pushes,
         )
         trainer = TcpTrainer(plan, context=self.context, external_address=self.address)
-        return _run_result(spec, self.name, provenance, trainer.run())
+        return trainer.run()

@@ -12,6 +12,8 @@ Subcommands:
   [--supervise]`` — run a standalone TCP parameter server for the spec and
   wait for workers.  ``--supervise`` adds a watchdog that relaunches the
   server from its latest checkpoint when it dies hard (``kill -9``, OOM).
+* ``show RUN.json`` — print the summary of a saved run record (the
+  ``--output`` of ``run`` or ``serve``), as ``run`` printed it.
 * ``validate SPEC.json`` — parse and validate a spec without running it.
 * ``registry`` — list every name a spec or flag may use (backends,
   paradigms, workloads, models, transports, scales, devices, networks,
@@ -26,12 +28,14 @@ import json
 import signal
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 from repro.api.backends import (
     BACKENDS,
     TcpBackend,
     get_backend,
+    make_provenance,
     run_experiment,
     tcp_plan_from_spec,
 )
@@ -43,12 +47,13 @@ from repro.models.registry import MODELS
 from repro.ps.aggregation import AGGREGATORS
 from repro.ps.compression import CODECS
 from repro.ps.faults import FAULT_KIND_KEYS, NET_FAULT_EXAMPLES
+from repro.ps.result import RunResult
 from repro.ps.transport import TRANSPORTS
 from repro.simulation.profiles import GPU_CATALOGUE
 from repro.simulation.topology import COMM_PATTERNS, JITTERS, TOPOLOGY_PRESETS
 from repro.utils.registry import UnknownName
 
-__all__ = ["main", "REGISTRIES"]
+__all__ = ["main", "summarize", "REGISTRIES"]
 
 #: Every registry, in the order ``registry`` lists them.
 REGISTRIES = (
@@ -174,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--output", type=Path, default=None,
-        help="write the raw training result JSON here on completion",
+        help="write the RunResult JSON here on completion (the schema of run --output)",
     )
     serve.add_argument(
         "--supervise",
@@ -196,6 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--compression", default=None, help="override the spec's gradient push codec"
     )
 
+    show = commands.add_parser("show", help="print the summary of a saved run record")
+    show.add_argument("record", type=Path, help="a RunResult JSON file (run/serve --output)")
+
     validate = commands.add_parser("validate", help="validate a spec without running")
     validate.add_argument("spec", type=Path)
 
@@ -203,15 +211,80 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_profile(profile: dict, top: int = 12) -> str:
-    """Render the recorded per-layer breakdown as the CLI's profile table."""
-    from repro.utils.profiler import render_profile
+def summarize(result: RunResult) -> str:
+    """The run record as ``run``, ``serve`` and ``show`` print it."""
+    spec = result.provenance.spec if result.provenance is not None else {}
+    scale = spec.get("scale")
+    lines = [
+        f"spec      : {spec.get('name', '?')}",
+        f"backend   : {result.backend}",
+        f"paradigm  : {result.paradigm_label}",
+        f"workload  : {spec.get('workload', '?')} @ scale "
+        f"{scale if isinstance(scale, str) else 'inline'}",
+    ]
+    if result.provenance is not None:
+        lines.append(
+            f"revision  : {result.provenance.git_revision} "
+            f"(repro {result.provenance.repro_version})"
+        )
+    staleness, percentiles = result.staleness, result.iteration_time_percentiles
+    lines += [
+        "",
+        f"total time        : {result.total_time:.2f} s",
+        f"server updates    : {result.total_updates}",
+        f"updates/second    : {result.throughput.updates_per_second:.2f}",
+        f"final accuracy    : {result.final_accuracy:.3f}",
+        f"best accuracy     : {result.best_accuracy:.3f}",
+        f"total wait time   : {result.total_wait_time:.2f} s",
+        f"mean staleness    : {staleness.mean:.2f} (max {staleness.maximum})",
+    ]
+    if percentiles.count:
+        lines.append(
+            f"iteration times   : p50 {percentiles.p50:.4f} s, "
+            f"p90 {percentiles.p90:.4f} s, p99 {percentiles.p99:.4f} s "
+            f"({percentiles.count} intervals)"
+        )
+    if spec.get("compression") is not None:
+        transfers = result.transfers
+        lines.append(
+            f"compression       : {spec['compression']} "
+            f"({transfers.pushed_wire_bytes} push bytes on the wire, "
+            f"{transfers.compression_ratio:.1f}x vs dense)"
+        )
+    if spec.get("aggregation") is not None:
+        windows = result.server_statistics.get("aggregation", {}).get("windows_applied")
+        detail = f" ({windows} buffered windows)" if windows is not None else ""
+        lines.append(f"aggregation       : {spec['aggregation']}{detail}")
+    if result.events:
+        lines.append(f"fault events      : {len(result.events)}")
+        for event in result.events[:20]:
+            fields = " ".join(
+                f"{key}={value}" for key, value in event.items() if key not in ("kind", "worker")
+            )
+            lines.append(
+                f"  {event.get('kind', '?'):<20} {event.get('worker', '?'):<12} {fields}"
+            )
+        if len(result.events) > 20:
+            lines.append(f"  ... and {len(result.events) - 20} more")
+    if result.errors:
+        lines.append(f"errors            : {result.errors}")
+    lines += ["", f"{'worker':<10} {'iterations':>10} {'samples':>9} {'wait (s)':>9} {'mean loss':>10}"]
+    lines += [
+        f"{report.worker_id:<10} {report.iterations:>10d} "
+        f"{report.samples_processed:>9d} {report.total_wait_time:>9.2f} "
+        f"{report.mean_loss:>10.3f}"
+        for report in result.worker_reports
+    ]
+    if result.profile:
+        from repro.utils.profiler import render_profile
 
-    header = (
-        f"per-layer compute breakdown ({profile.get('worker_id', '?')}, "
-        f"slowest {top} layers):"
-    )
-    return header + "\n" + render_profile(profile, top=top)
+        lines += [
+            "",
+            f"per-layer compute breakdown ({result.profile.get('worker_id', '?')}, "
+            "slowest 12 layers):",
+            render_profile(result.profile, top=12),
+        ]
+    return "\n".join(lines)
 
 
 def _parse_net_fault_argument(text: str) -> dict:
@@ -258,73 +331,24 @@ def _command_run(arguments: argparse.Namespace) -> int:
     else:
         backend = get_backend(arguments.backend)
     result = run_experiment(spec, backend, profile=arguments.profile)
-
-    print(f"spec      : {spec.name} ({arguments.spec})")
-    print(f"backend   : {result.backend}")
-    print(f"paradigm  : {result.paradigm_label}")
-    print(f"workload  : {spec.workload} @ scale "
-          f"{spec.scale if isinstance(spec.scale, str) else 'inline'}")
-    print(f"revision  : {result.provenance.git_revision} "
-          f"(repro {result.provenance.repro_version})")
-    print()
-    print(f"total time        : {result.total_time:.2f} s")
-    print(f"server updates    : {result.total_updates}")
-    print(f"updates/second    : {result.throughput.updates_per_second:.2f}")
-    print(f"final accuracy    : {result.final_accuracy:.3f}")
-    print(f"best accuracy     : {result.best_accuracy:.3f}")
-    print(f"total wait time   : {result.total_wait_time:.2f} s")
-    print(f"mean staleness    : {result.staleness.mean:.2f} "
-          f"(max {result.staleness.maximum})")
-    percentiles = result.iteration_time_percentiles
-    if percentiles.count:
-        print(f"iteration times   : p50 {percentiles.p50:.4f} s, "
-              f"p90 {percentiles.p90:.4f} s, p99 {percentiles.p99:.4f} s "
-              f"({percentiles.count} intervals)")
-    if spec.compression is not None and result.transfers is not None:
-        print(f"compression       : {spec.compression} "
-              f"({result.transfers.pushed_wire_bytes} push bytes on the wire, "
-              f"{result.transfers.compression_ratio:.1f}x vs dense)")
-    if spec.aggregation is not None:
-        aggregation = result.server_statistics.get("aggregation", {})
-        windows = aggregation.get("windows_applied")
-        detail = f" ({windows} buffered windows)" if windows is not None else ""
-        print(f"aggregation       : {spec.aggregation}{detail}")
-    if result.events:
-        print(f"fault events      : {len(result.events)}")
-        for event in result.events[:20]:
-            fields = " ".join(
-                f"{key}={value}"
-                for key, value in event.items()
-                if key not in ("kind", "worker")
-            )
-            print(f"  {event.get('kind', '?'):<20} {event.get('worker', '?'):<12} {fields}")
-        if len(result.events) > 20:
-            print(f"  ... and {len(result.events) - 20} more")
-    if result.errors:
-        print(f"errors            : {result.errors}")
-    print()
-    print(f"{'worker':<10} {'iterations':>10} {'samples':>9} {'wait (s)':>9} {'mean loss':>10}")
-    for report in result.worker_reports:
-        print(
-            f"{report.worker_id:<10} {report.iterations:>10d} "
-            f"{report.samples_processed:>9d} {report.total_wait_time:>9.2f} "
-            f"{report.mean_loss:>10.3f}"
-        )
-
-    if arguments.profile and result.profile:
-        print()
-        print(_format_profile(result.profile))
+    print(summarize(result))
 
     if arguments.curve and result.times.size >= 2:
         print()
         print(ascii_curves({result.paradigm_label: result.curve()}))
 
-    if arguments.output is not None:
-        arguments.output.parent.mkdir(parents=True, exist_ok=True)
-        arguments.output.write_text(json.dumps(result.to_dict(), indent=2) + "\n")
-        print()
-        print(f"result written to {arguments.output}")
+    _write(result, arguments.output)
     return 1 if result.errors else 0
+
+
+def _write(result: RunResult, output: Path | None) -> None:
+    """Save the run record as strict JSON (``show`` reads it back)."""
+    if output is None:
+        return
+    output.parent.mkdir(parents=True, exist_ok=True)
+    output.write_text(json.dumps(result.to_dict(), indent=2, allow_nan=False) + "\n")
+    print()
+    print(f"result written to {output}")
 
 
 def _command_serve(arguments: argparse.Namespace) -> int:
@@ -350,7 +374,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         raise ValueError("--checkpoint-every requires --checkpoint")
     if arguments.supervise and arguments.checkpoint is None:
         raise ValueError("--supervise requires --checkpoint")
-    from repro.ps.tcp_runtime import TcpServer, TcpSupervisor, result_to_wire
+    from repro.ps.tcp_runtime import TcpServer, TcpSupervisor
 
     plan = tcp_plan_from_spec(
         spec,
@@ -396,18 +420,18 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     if result is None:
         print("shutdown requested: state checkpointed, workers told to reconnect")
         return 0
-    print(
-        f"run complete: {int(result.server_statistics.get('store_version', 0))} "
-        f"updates in {result.wall_time:.2f} s"
-    )
-    if result.events:
-        print(f"fault events: {len(result.events)}")
-    if result.errors:
-        print(f"errors: {result.errors}")
-    if arguments.output is not None:
-        arguments.output.parent.mkdir(parents=True, exist_ok=True)
-        arguments.output.write_text(json.dumps(result_to_wire(result), indent=2) + "\n")
-        print(f"result written to {arguments.output}")
+    result = replace(result, backend="tcp", provenance=make_provenance(spec, "tcp"))
+    print("run complete")
+    print()
+    print(summarize(result))
+    _write(result, arguments.output)
+    return 1 if result.errors else 0
+
+
+def _command_show(arguments: argparse.Namespace) -> int:
+    """Print the summary of a saved run record (``run``/``serve --output``)."""
+    result = RunResult.from_dict(json.loads(arguments.record.read_text()))
+    print(summarize(result))
     return 1 if result.errors else 0
 
 
@@ -458,6 +482,8 @@ def main(argv: list[str] | None = None) -> int:
             return _command_run(arguments)
         if arguments.command == "serve":
             return _command_serve(arguments)
+        if arguments.command == "show":
+            return _command_show(arguments)
         if arguments.command == "validate":
             return _command_validate(arguments)
         return _command_registry()

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.factory import paradigm_label, validate_paradigm
+from repro.core.factory import make_policy, validate_paradigm
 from repro.experiments.config import DEFAULT, SMALL, TINY, ExperimentScale
 from repro.ps.aggregation import validate_aggregation_spec
 from repro.ps.compression import validate_codec_spec
@@ -441,7 +441,7 @@ class ExperimentSpec:
     @property
     def label(self) -> str:
         """Readable paradigm label, e.g. ``"DSSP s=3, r=12"``."""
-        return paradigm_label(self.paradigm, self.paradigm_kwargs)
+        return make_policy(self.paradigm, **self.paradigm_kwargs).label
 
     def replace(self, **overrides) -> "ExperimentSpec":
         """A copy of this spec with ``overrides`` applied (re-validated)."""

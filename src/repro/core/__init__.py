@@ -36,7 +36,6 @@ from repro.core.factory import (
     POLICIES,
     available_policies,
     make_policy,
-    paradigm_label,
     register_policy,
     validate_paradigm,
 )
@@ -63,5 +62,4 @@ __all__ = [
     "POLICIES",
     "register_policy",
     "validate_paradigm",
-    "paradigm_label",
 ]

@@ -72,6 +72,10 @@ class DynamicStaleSynchronousParallel(SynchronizationPolicy):
         """Maximum extra iterations beyond ``s_lower`` (``s_U - s_L``)."""
         return self.s_upper - self.s_lower
 
+    @property
+    def label(self) -> str:
+        return f"DSSP s={self.s_lower}, r={self.r_max}"
+
     def credit(self, worker_id: str) -> int:
         """Remaining extra-iteration credit ``r_p`` of a worker."""
         return self._credits.get(worker_id, 0)

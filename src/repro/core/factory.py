@@ -17,8 +17,6 @@ threaded coordinator) picks the new paradigm up by name immediately.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.core.asp import AsynchronousParallel
 from repro.core.bsp import BulkSynchronousParallel
 from repro.core.dssp import DynamicStaleSynchronousParallel
@@ -31,7 +29,6 @@ __all__ = [
     "make_policy",
     "available_policies",
     "validate_paradigm",
-    "paradigm_label",
 ]
 
 #: Paradigm name → policy builder; the builder's signature is the
@@ -51,19 +48,6 @@ make_policy = POLICIES.make
 #: Raise exactly what :func:`make_policy` would, without building anything —
 #: configs call it at construction so a typo fails before any training.
 validate_paradigm = POLICIES.validate
-
-
-def paradigm_label(name: str, kwargs: Mapping) -> str:
-    """Readable run label like ``"SSP s=3"`` or ``"DSSP s=3, r=12"``."""
-    normalized = name.strip().lower()
-    label = normalized.upper()
-    if normalized == "ssp":
-        return f"{label} s={kwargs.get('staleness')}"
-    if normalized == "dssp":
-        s_lower = kwargs.get("s_lower")
-        s_upper = kwargs.get("s_upper", s_lower)
-        return f"{label} s={s_lower}, r={int(s_upper) - int(s_lower)}"
-    return label
 
 
 @register_policy("bsp", description="Bulk Synchronous Parallel: all workers barrier every iteration")

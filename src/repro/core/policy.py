@@ -77,6 +77,11 @@ class SynchronizationPolicy:
     #: Human-readable paradigm name, overridden by subclasses.
     name = "base"
 
+    @property
+    def label(self) -> str:
+        """Readable run label like ``"BSP"``; policies with a bound add it."""
+        return self.name.upper()
+
     def __init__(self) -> None:
         self.clock_table = ClockTable()
         self._blocked: dict[str, int] = {}

@@ -27,6 +27,10 @@ class StaleSynchronousParallel(SynchronizationPolicy):
             raise ValueError(f"staleness threshold must be >= 0, got {staleness}")
         self.staleness_threshold = int(staleness)
 
+    @property
+    def label(self) -> str:
+        return f"SSP s={self.staleness_threshold}"
+
     def _decide(
         self, worker_id: str, clock: int, staleness: int, timestamp: float
     ) -> PushOutcome:

@@ -161,9 +161,9 @@ def dssp_range_ablation(
                 s_lower=s_lower,
                 s_upper=s_upper,
                 best_accuracy=result.best_accuracy,
-                total_time=result.total_virtual_time,
+                total_time=result.total_time,
                 total_wait_time=result.total_wait_time,
-                mean_staleness=result.staleness_summary.mean,
+                mean_staleness=result.staleness.mean,
             )
         )
     return entries
@@ -250,7 +250,7 @@ def fluctuating_environment_ablation(
 
     # Estimate the unperturbed run length to place the degradation window.
     probe = SimulatedTraining(plan("asp", {}, 0), workload, options).run()
-    window = (probe.total_virtual_time / 3.0, 2.0 * probe.total_virtual_time / 3.0)
+    window = (probe.total_time / 3.0, 2.0 * probe.total_time / 3.0)
 
     def slowdown(worker_id: str, now: float) -> float:
         if worker_id == "worker-0" and window[0] <= now < window[1]:
@@ -273,7 +273,7 @@ def fluctuating_environment_ablation(
             FluctuationAblationEntry(
                 paradigm_label=result.paradigm_label,
                 best_accuracy=result.best_accuracy,
-                total_time=result.total_virtual_time,
+                total_time=result.total_time,
                 total_wait_time=result.total_wait_time,
                 time_to_half_best=result.time_to_accuracy(0.5 * result.best_accuracy),
             )
@@ -342,7 +342,7 @@ def regret_experiment(
     )
     result = SimulatedTraining(plan, workload, options).run()
 
-    losses = result.tracker.series("train_loss").values
+    losses = np.array([loss for _, _, loss in result.push_trace])
     optimal_loss = float(np.min(losses[-max(len(losses) // 10, 1):]))
     cumulative = empirical_regret(losses, optimal_loss)
 

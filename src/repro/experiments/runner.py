@@ -22,7 +22,7 @@ from repro.simulation.cluster import ClusterSpec
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.api imports this package
     from repro.api.backends import Backend
-    from repro.api.result import RunResult
+    from repro.ps.result import RunResult
 
 __all__ = ["ParadigmComparison", "run_paradigm_comparison", "average_curves"]
 
@@ -99,7 +99,7 @@ def run_paradigm_comparison(
     Pass ``scale`` (a preset name, dict or :class:`ExperimentScale`) so the
     provenance records the scale the workload was actually built at.
     """
-    from repro.api.backends import get_backend
+    from repro.api.backends import get_backend, run_experiment
     from repro.api.spec import ClusterConfig, ExperimentSpec
 
     if not paradigms:
@@ -128,7 +128,7 @@ def run_paradigm_comparison(
     comparison = ParadigmComparison(workload_name=workload.name, cluster=cluster)
     for index, (name, kwargs) in enumerate(paradigms):
         spec = base_spec.replace(paradigm=name, paradigm_kwargs=dict(kwargs))
-        result = backend.run(spec, workload=workload, cluster=cluster)
+        result = run_experiment(spec, backend, workload=workload, cluster=cluster)
         label = labels[index] if labels is not None else result.paradigm_label
         comparison.results[label] = result
     return comparison

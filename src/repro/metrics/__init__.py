@@ -1,7 +1,6 @@
-"""Measurement utilities: accuracy, metric tracking, convergence, throughput."""
+"""Measurement utilities: accuracy, convergence, throughput."""
 
 from repro.metrics.accuracy import top1_accuracy, evaluate_model
-from repro.metrics.tracker import MetricPoint, MetricSeries, ExperimentTracker
 from repro.metrics.convergence import (
     time_to_accuracy,
     accuracy_at_time,
@@ -21,9 +20,6 @@ from repro.metrics.plotting import ascii_curves
 __all__ = [
     "top1_accuracy",
     "evaluate_model",
-    "MetricPoint",
-    "MetricSeries",
-    "ExperimentTracker",
     "time_to_accuracy",
     "accuracy_at_time",
     "area_under_accuracy_curve",

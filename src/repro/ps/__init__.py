@@ -50,7 +50,8 @@ from repro.ps.messages import (
 from repro.ps.server import AppliedPush, ParameterServer, PushResponse
 from repro.ps.worker import Worker, GradientComputation
 from repro.ps.plan import TrainingPlan
-from repro.ps.session import ServerSession, TrainingResult, WorkerLoop
+from repro.ps.result import Provenance, RunResult
+from repro.ps.session import ServerSession, WorkerLoop
 from repro.ps.runtime import DistributedTrainingConfig, ThreadedTrainer, assemble_training
 from repro.ps.process_runtime import (
     ProcessTrainer,
@@ -114,7 +115,8 @@ __all__ = [
     "GradientComputation",
     "ServerSession",
     "TrainingPlan",
-    "TrainingResult",
+    "RunResult",
+    "Provenance",
     "WorkerLoop",
     "ThreadedTrainer",
     "ProcessTrainer",

@@ -126,7 +126,7 @@ class TrainingPlan:
         Worker 0 attaches a per-layer profiler
         (:class:`repro.utils.profiler.LayerProfiler`) and ships the timing
         breakdown with its final report; it lands in
-        :attr:`~repro.ps.session.TrainingResult.profile`.
+        :attr:`~repro.ps.result.RunResult.profile`.
     """
 
     paradigm: str = "dssp"

@@ -58,13 +58,8 @@ import numpy as np
 from repro.ps.compression import read_encoded, write_encoded
 from repro.ps.netfaults import NetFaultSchedule
 from repro.ps.plan import WorkloadPlan, plan_codec
-from repro.ps.session import (
-    Resume,
-    ServerLoop,
-    ServerSession,
-    TrainingResult,
-    WorkerLoop,
-)
+from repro.ps.result import RunResult
+from repro.ps.session import Resume, ServerLoop, ServerSession, WorkerLoop
 from repro.ps.sharding import partition_state
 from repro.ps.transport import ConnectionClosed, PipeConnection, validate_transport
 from repro.ps.shm import (
@@ -337,7 +332,7 @@ def _server_main(
     except Exception as error:  # noqa: BLE001 - the coordinator must hear about it
         _LOGGER.exception("server process failed")
         try:
-            result_conn.send(TrainingResult.failed(f"server: {error}"))
+            result_conn.send(RunResult.failed(f"server: {error}"))
         except (BrokenPipeError, OSError):
             pass
     finally:
@@ -491,7 +486,7 @@ class ProcessTrainer:
 
     Mirrors :class:`repro.ps.runtime.ThreadedTrainer`'s role: build the
     shared substrate, launch the children, collect one
-    :class:`TrainingResult`.  The coordinator itself does no
+    :class:`~repro.ps.result.RunResult`.  The coordinator itself does no
     training work — after the start barrier it only waits for the server's
     result, reaps children, and guarantees segment cleanup.
     """
@@ -505,7 +500,7 @@ class ProcessTrainer:
         self.plan = plan
         self.context = resolve_context(context)
 
-    def run(self) -> TrainingResult:
+    def run(self) -> RunResult:
         """Run the training to completion and return the collected results.
 
         Always returns a result — child failures surface in
@@ -607,7 +602,7 @@ class ProcessTrainer:
             reap(processes)
             handle.unlink_all()
 
-    def _await_result(self, result_recv, server) -> TrainingResult:
+    def _await_result(self, result_recv, server) -> RunResult:
         """Wait for the server's result, tolerating a dead server process.
 
         No absolute deadline here: a healthy run may take arbitrarily long,
@@ -626,6 +621,6 @@ class ProcessTrainer:
                     break
             if not alive:
                 break
-        return TrainingResult.failed(
+        return RunResult.failed(
             "server process died without reporting a result"
         )

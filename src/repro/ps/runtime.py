@@ -36,8 +36,9 @@ from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
 from repro.ps.faults import FaultPlan
 from repro.ps.plan import TrainingPlan, assemble
+from repro.ps.result import RunResult
 from repro.ps.server import ParameterServer
-from repro.ps.session import Resume, ServerSession, TrainingResult, WorkerLoop
+from repro.ps.session import Resume, ServerSession, WorkerLoop
 from repro.ps.worker import Worker
 
 __all__ = ["ThreadedTrainer", "DistributedTrainingConfig", "assemble_training"]
@@ -204,7 +205,7 @@ class ThreadedTrainer:
             fault_plan=plan.fault_plan,
         )
 
-    def run(self, *, profile: bool = False) -> TrainingResult:
+    def run(self, *, profile: bool = False) -> RunResult:
         """Run the training to completion and return the collected results;
         with ``profile``, the first worker's per-layer breakdown included."""
         session = ServerSession(
@@ -213,6 +214,7 @@ class ThreadedTrainer:
             evaluate_fn=self.evaluate_fn,
             evaluate_every_pushes=self.evaluate_every_pushes,
             wait_timeout=self.wait_timeout,
+            batch_size=self.workers[0].loader.batch_size if self.workers else 0,
         )
         loops = [
             WorkerLoop(

@@ -483,11 +483,10 @@ class ParameterServer:
     # Reporting
     # ------------------------------------------------------------------
     def statistics(self) -> dict:
-        """Combined policy and staleness statistics for experiment reports."""
+        """Policy, store and aggregation counters for the run record."""
         stats = self.policy.statistics()
         stats["store_version"] = self.store.version
         stats["store_nbytes"] = int(self.store.nbytes)
-        stats["update_staleness"] = self.staleness_tracker.summary()
         stats["learning_rate"] = self.optimizer.learning_rate
         if self.aggregator is not None:
             stats["aggregation"] = {

@@ -35,11 +35,12 @@ import os
 import selectors
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Protocol
 
 import numpy as np
 
+from repro.metrics.throughput import iteration_throughput
 from repro.optim.sgd import SGD
 from repro.ps.faults import FaultPlan
 from repro.ps.messages import PullReply, PushRequest, WorkerReport
@@ -50,13 +51,13 @@ from repro.ps.plan import (
     build_server,
     replica_builder,
 )
+from repro.ps.result import RunResult
 from repro.ps.server import AppliedPush, ParameterServer, PushResponse, decode_push
 from repro.ps.sharding import make_store
 from repro.ps.worker import GradientComputation, Worker
 from repro.utils.logging import get_logger
 
 __all__ = [
-    "TrainingResult",
     "Resume",
     "Link",
     "WorkerLoop",
@@ -73,40 +74,6 @@ __all__ = [
 ]
 
 _LOGGER = get_logger("ps.session")
-
-
-@dataclass
-class TrainingResult:
-    """Everything a wall-clock runtime reports at the end of a run."""
-
-    wall_time: float
-    worker_reports: list[WorkerReport]
-    server_statistics: dict
-    evaluation_times: list[float] = field(default_factory=list)
-    evaluation_accuracies: list[float] = field(default_factory=list)
-    evaluation_losses: list[float] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    #: Structured fault/membership events (crashes, rejoins, corrupted
-    #: pushes, aggregator rejections) in server observation order.
-    events: list = field(default_factory=list)
-    #: Per-layer forward/backward timing breakdown of one worker's replica
-    #: (see repro.utils.profiler); None unless profiling was requested.
-    profile: dict | None = None
-
-    @classmethod
-    def failed(cls, message: str) -> "TrainingResult":
-        """The result of a run that produced nothing but ``message``."""
-        return cls(wall_time=0.0, worker_reports=[], server_statistics={}, errors=[message])
-
-    @property
-    def final_accuracy(self) -> float:
-        """Accuracy of the last evaluation (0.0 when none ran)."""
-        return self.evaluation_accuracies[-1] if self.evaluation_accuracies else 0.0
-
-    @property
-    def best_accuracy(self) -> float:
-        """Best accuracy over all evaluations (0.0 when none ran)."""
-        return max(self.evaluation_accuracies, default=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -621,13 +588,16 @@ class ServerSession:
         evaluate_every_pushes: int = 0,
         wait_timeout: float = 120.0,
         clock: Callable[[], float] = time.monotonic,
+        batch_size: int = 0,
     ) -> None:
         """Wrap ``server``; ``worker_ids`` is the expected membership.
 
         ``evaluate_fn`` maps a full state to ``(accuracy, loss)``;
-        ``clock`` is the run's time source (the simulator's is virtual).
+        ``clock`` is the run's time source (the simulator's is virtual);
+        ``batch_size`` turns the result's updates/s into samples/s.
         """
         self.server = server
+        self.batch_size = int(batch_size)
         self.worker_ids = list(worker_ids)
         self.evaluate_fn = evaluate_fn
         self.evaluate_every_pushes = int(evaluate_every_pushes)
@@ -659,8 +629,10 @@ class ServerSession:
         #: store); ``None``: no OK is a log reply.
         self.update_log: UpdateLog | None = None
         #: How OKs were answered (:meth:`reply`), and the payload bytes of
-        #: each kind; ``delta`` keys appear with the first delta.
-        self.pull_replies = Counter(log=0, dense=0, log_bytes=0, dense_bytes=0)
+        #: each kind.
+        self.pull_replies = Counter(
+            log=0, delta=0, dense=0, log_bytes=0, delta_bytes=0, dense_bytes=0
+        )
         self._mirrored: set[str] = set()
         self._bases: dict[str, int] = {}
 
@@ -673,6 +645,7 @@ class ServerSession:
             evaluate_fn=build_evaluator(plan, workload),
             evaluate_every_pushes=plan.evaluate_every_pushes,
             wait_timeout=plan.wait_timeout,
+            batch_size=plan.batch_size,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -893,8 +866,12 @@ class ServerSession:
         if profile is not None:
             self.profile = profile
 
-    def finish(self, **extra_statistics) -> TrainingResult:
-        """Close the run: tail window, final evaluation, the result."""
+    def finish(self, **extra_statistics) -> RunResult:
+        """Close the run: tail window, final evaluation, the run record.
+
+        ``extra_statistics`` are the runtime's own counters; every backend's
+        record carries the same keys, a counter its runtime lacks at 0.
+        """
         # Apply the tail window of a buffered robust aggregator before the
         # final evaluation sees the weights.
         self.server.flush_staged()
@@ -913,15 +890,30 @@ class ServerSession:
             )
             for worker_id in ordered
         ]
-        statistics = self.server.statistics()
-        statistics.update(extra_statistics)
-        return TrainingResult(
-            wall_time=wall_time,
+        server = self.server
+        statistics = {
+            **server.statistics(),
+            "pull_replies": dict(self.pull_replies),
+            "cow_fallbacks": 0,
+            "tcp_bytes_sent": 0,
+            "tcp_bytes_received": 0,
+            **extra_statistics,
+        }
+        updates = server.store.version
+        return RunResult(
+            paradigm=server.policy.name,
+            paradigm_label=server.policy.label,
+            times=self.evaluation_times,
+            accuracies=self.evaluation_accuracies,
+            losses=self.evaluation_losses,
+            total_time=wall_time,
+            total_updates=updates,
+            throughput=iteration_throughput(
+                updates, max(wall_time, 1e-12), samples_per_update=self.batch_size
+            ),
+            staleness=server.staleness_tracker.summary(),
             worker_reports=reports,
             server_statistics=statistics,
-            evaluation_times=self.evaluation_times,
-            evaluation_accuracies=self.evaluation_accuracies,
-            evaluation_losses=self.evaluation_losses,
             errors=self.errors,
             events=[dict(event) for event in self.events],
             profile=self.profile,
@@ -1012,7 +1004,7 @@ class ServerLoop:
         except (KeyError, ValueError):
             pass
 
-    def run(self) -> TrainingResult:
+    def run(self) -> RunResult:
         """Dispatch until the run is over; the session's result."""
         session, hub = self.session, self.hub
         try:

@@ -71,29 +71,28 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from repro.core.staleness import StalenessSummary
 from repro.ps.checkpoint import load_codec_states, restore_into, save_checkpoint
 from repro.ps.faults import NET_FAULT_KINDS
 from repro.ps.netfaults import ChaosConnection, NetFaultSchedule, RetryBudget
 from repro.ps.compression import EncodedShard, decode_shard
 from repro.ps.flatbuffer import Segment
-from repro.ps.messages import FlatPullPayload, PullReply, WorkerReport
+from repro.ps.messages import FlatPullPayload, PullReply
 from repro.ps.process_runtime import reap, resolve_context
 from repro.ps.plan import WorkloadPlan, build_optimizer, plan_codec
+from repro.ps.result import RunResult, json_restore, json_safe
 from repro.ps.session import (
     LogEntry,
     Mirror,
     Resume,
     ServerLoop,
     ServerSession,
-    TrainingResult,
     UpdateLog,
     WorkerLoop,
 )
@@ -114,8 +113,6 @@ __all__ = [
     "TcpSupervisor",
     "TcpTrainer",
     "run_tcp_worker",
-    "result_to_wire",
-    "result_from_wire",
 ]
 
 _LOGGER = get_logger("ps.tcp_runtime")
@@ -244,68 +241,6 @@ def _codec_state(header: dict, frames) -> dict | None:
     return {str(key): np.array(decode_shard(frame)) for key, frame in zip(keys, state_frames)}
 
 
-def _json_safe(value):
-    """Recursively convert NumPy scalars so the result survives JSON."""
-    if isinstance(value, dict):
-        return {str(key): _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, float) and value != value:  # NaN → JSON-safe marker
-        return "nan"
-    return value
-
-
-def _float_or_nan(value) -> float:
-    return float("nan") if value == "nan" else float(value)
-
-
-def result_to_wire(result: TrainingResult) -> dict:
-    """Serialize a training result into a JSON-safe dictionary."""
-    statistics = dict(result.server_statistics)
-    staleness = statistics.get("update_staleness")
-    if isinstance(staleness, StalenessSummary):
-        statistics["update_staleness"] = asdict(staleness)
-    return _json_safe(
-        {
-            "wall_time": result.wall_time,
-            "worker_reports": [asdict(report) for report in result.worker_reports],
-            "server_statistics": statistics,
-            "evaluation_times": list(result.evaluation_times),
-            "evaluation_accuracies": list(result.evaluation_accuracies),
-            "evaluation_losses": list(result.evaluation_losses),
-            "errors": list(result.errors),
-            "events": [dict(event) for event in result.events],
-            "profile": result.profile,
-        }
-    )
-
-
-def result_from_wire(data: dict) -> TrainingResult:
-    """Reconstruct a training result from :func:`result_to_wire` output."""
-    statistics = dict(data.get("server_statistics", {}))
-    staleness = statistics.get("update_staleness")
-    if isinstance(staleness, dict):
-        statistics["update_staleness"] = StalenessSummary(**staleness)
-    reports = []
-    for raw in data.get("worker_reports", []):
-        raw = dict(raw)
-        raw["mean_loss"] = _float_or_nan(raw.get("mean_loss", "nan"))
-        reports.append(WorkerReport(**raw))
-    return TrainingResult(
-        wall_time=float(data.get("wall_time", 0.0)),
-        worker_reports=reports,
-        server_statistics=statistics,
-        evaluation_times=[float(t) for t in data.get("evaluation_times", [])],
-        evaluation_accuracies=[float(a) for a in data.get("evaluation_accuracies", [])],
-        evaluation_losses=[_float_or_nan(v) for v in data.get("evaluation_losses", [])],
-        errors=[str(e) for e in data.get("errors", [])],
-        events=[dict(event) for event in data.get("events", [])],
-        profile=data.get("profile"),
-    )
-
-
 # ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
@@ -400,7 +335,7 @@ class _TcpHub:
         state = _codec_state(message, payload)
         if state:  # kept for the next checkpoint
             self.codec_states[worker_id] = state
-        message["loss"] = _float_or_nan(message.get("loss", "nan"))
+        message["loss"] = json_restore(message.get("loss", "nan"))
         buffers = {}
         for frame in payload:
             if frame.shard == _BUFFER_SHARD:
@@ -456,7 +391,6 @@ class _TcpHub:
         return {
             "tcp_bytes_sent": self._sent,
             "tcp_bytes_received": self._received,
-            "pull_replies": dict(self.session.pull_replies),
         }
 
     # -- connections and membership ------------------------------------
@@ -493,7 +427,7 @@ class _TcpHub:
             del self._peers[peer.worker_id]
             self._retire(conn)
             report = dict(header["report"])
-            report["mean_loss"] = _float_or_nan(report.get("mean_loss", "nan"))
+            report["mean_loss"] = json_restore(report.get("mean_loss", "nan"))
             # Worker-side chaos and retry events ride along with the report.
             yield peer.worker_id, kind, {**header, "report": report}, header.get("profile")
         elif kind == "error":
@@ -654,7 +588,7 @@ class _TcpHub:
                 # the state it restored, and the result's event log spans
                 # every incarnation.
                 "push_watermarks": dict(session.watermarks),
-                "events": _json_safe(list(session.events)),
+                "events": json_safe(list(session.events)),
                 "restarts": self.restarts,
             },
             codec_states=self.codec_states or None,
@@ -680,7 +614,8 @@ class TcpServer:
     :class:`~repro.ps.session.ServerLoop` over the tcp hub accepts joins
     until the expected membership is present, drives the policy from
     pushes, survives worker deaths, and returns the collected
-    :class:`TrainingResult` (also shipped to every ``watch`` connection).
+    :class:`~repro.ps.result.RunResult` (its ``to_dict()`` also shipped to every
+    ``watch`` connection).
     On SIGTERM it checkpoints, notifies workers to reconnect, and returns
     ``None`` — the restart contract.
     """
@@ -696,7 +631,7 @@ class TcpServer:
         """Ask ``serve()`` to checkpoint and exit (signal-handler safe)."""
         self._shutdown.set()
 
-    def serve(self) -> TrainingResult | None:
+    def serve(self) -> RunResult | None:
         plan = self.plan
         workload = plan.build_workload()
         global_model = workload.model_builder(RngStream(plan.seed).get("init"))
@@ -734,10 +669,10 @@ class TcpServer:
                 hub.broadcast({"type": "restart"})  # reconnect to the next incarnation
                 return None
             hub.checkpoint()
-            wire = result_to_wire(result)
+            record = result.to_dict()
             for watcher in hub.watchers:
                 try:
-                    watcher.send({"type": "result", "result": wire})
+                    watcher.send({"type": "result", "result": record})
                 except ConnectionClosed:
                     pass
             return result
@@ -991,7 +926,7 @@ class _TcpLink:
                 for shard, buffer in sorted((flat or {}).items())
             ]
         envelope = {"type": "push", "worker": self._worker_id, **header}
-        envelope["loss"] = _json_safe(float(header["loss"]))
+        envelope["loss"] = json_safe(float(header["loss"]))
         if computation.buffers and self._buffer_order:
             frames.append(
                 _dense_frame(
@@ -1051,9 +986,9 @@ class _TcpLink:
             {
                 "type": "done",
                 "worker": self._worker_id,
-                "events": _json_safe([*chaos_events, *self._retries]),
-                "report": _json_safe(report),
-                "profile": _json_safe(profile) if profile is not None else None,
+                "events": json_safe([*chaos_events, *self._retries]),
+                "report": json_safe(report),
+                "profile": json_safe(profile) if profile is not None else None,
             }
         )
 
@@ -1094,7 +1029,7 @@ def run_tcp_worker(plan: TcpTrainingPlan, index: int, address: str | None = None
 def _serve_entry(plan: TcpTrainingPlan, ready_conn, result_conn=None) -> None:
     """Server child-process entry: report the bound address, then serve.
 
-    Under a supervisor, ``result_conn`` carries ``("result", wire)`` on
+    Under a supervisor, ``result_conn`` carries ``("result", result)`` on
     completion or ``("restart", None)`` after a graceful SIGTERM
     checkpoint; a hard crash (``kill -9``) ships nothing, which is exactly
     how the supervisor tells the two apart.
@@ -1111,7 +1046,7 @@ def _serve_entry(plan: TcpTrainingPlan, ready_conn, result_conn=None) -> None:
         if result is None:
             result_conn.send(("restart", None))
         else:
-            result_conn.send(("result", result_to_wire(result)))
+            result_conn.send(("result", result))
         result_conn.close()
     except (BrokenPipeError, OSError):  # pragma: no cover - supervisor died
         pass
@@ -1183,7 +1118,7 @@ class TcpSupervisor:
         """Stop supervising: forward SIGTERM to the child, don't respawn."""
         self._stop.set()
 
-    def run(self) -> TrainingResult | None:
+    def run(self) -> RunResult | None:
         """Supervise until the run completes; ``None`` after a shutdown."""
         plan = self.plan
         while True:
@@ -1195,7 +1130,7 @@ class TcpSupervisor:
             if address is None:
                 child.terminate()
                 child.join(timeout=5.0)
-                return TrainingResult.failed(
+                return RunResult.failed(
                     "supervised tcp server never reported its address"
                 )
             if self.bound_address is None:
@@ -1220,14 +1155,14 @@ class TcpSupervisor:
                 payload = None
             result_recv.close()
             if payload is not None and payload[0] == "result":
-                return result_from_wire(payload[1])
+                return payload[1]
             if self._stop.is_set():
                 return None
             # Either a graceful external SIGTERM ("restart") or a hard crash
             # (no payload at all): relaunch from the latest checkpoint.
             self.restarts += 1
             if self.restarts > self.max_restarts:
-                return TrainingResult.failed(
+                return RunResult.failed(
                     f"supervised tcp server died {self.restarts} times "
                     f"(limit {self.max_restarts}); giving up"
                 )
@@ -1261,7 +1196,7 @@ class TcpTrainer:
         self.external_address = external_address
         self.context = resolve_context(context)
 
-    def run(self) -> TrainingResult:
+    def run(self) -> RunResult:
         """Run to completion; failures surface in ``result.errors``."""
         plan = self.plan
         processes = []
@@ -1294,7 +1229,7 @@ class TcpTrainer:
                 watch.close()
             reap(processes)
 
-    def _await_result(self, watch, server_process, address) -> TrainingResult:
+    def _await_result(self, watch, server_process, address) -> RunResult:
         """Wait on the watch channel, tolerating a restarting server.
 
         No absolute deadline (the server aborts itself on stalls); the
@@ -1323,7 +1258,7 @@ class TcpTrainer:
                         break
                     continue
                 if header.get("type") == "result":
-                    return result_from_wire(header["result"])
+                    return RunResult.from_dict(header["result"])
         finally:
             watch.close()
-        return TrainingResult.failed("tcp server died without reporting a result")
+        return RunResult.failed("tcp server died without reporting a result")

@@ -29,8 +29,7 @@ from repro.simulation.topology import (
     single_link_topology,
     rack_topology,
 )
-from repro.simulation.trace import SimulationTrace
-from repro.simulation.trainer import SimulationOptions, SimulationResult, SimulatedTraining
+from repro.simulation.trainer import SimulationOptions, SimulatedTraining
 
 __all__ = [
     "VirtualClock",
@@ -60,8 +59,6 @@ __all__ = [
     "ring_allreduce_wire_bytes",
     "single_link_topology",
     "rack_topology",
-    "SimulationTrace",
     "SimulationOptions",
-    "SimulationResult",
     "SimulatedTraining",
 ]

@@ -34,25 +34,17 @@ reproduced deterministically on a laptop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.core.factory import paradigm_label
-from repro.metrics.convergence import time_to_accuracy
-from repro.metrics.throughput import (
-    EMPTY_PERCENTILES,
-    PercentileSummary,
-    ThroughputSummary,
-    iteration_throughput,
-    percentile_summary,
-)
-from repro.metrics.tracker import ExperimentTracker
+from repro.metrics.throughput import percentile_summary
 from repro.optim.schedules import MultiStepSchedule
 from repro.ps.plan import TrainingPlan, assemble, plan_codec
-from repro.ps.session import ServerSession, TrainingResult, WorkerLoop
+from repro.ps.result import RunResult
+from repro.ps.session import ServerSession, WorkerLoop
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.clock import VirtualClock
 from repro.simulation.events import Event, EventKind, EventQueue
@@ -65,12 +57,11 @@ from repro.simulation.topology import (
     validate_ring,
     validate_topology_spec,
 )
-from repro.simulation.trace import SimulationTrace
 from repro.simulation.workload import estimate_model_cost
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 
-__all__ = ["SimulationOptions", "SimulationResult", "SimulatedTraining"]
+__all__ = ["SimulationOptions", "SimulatedTraining"]
 
 _LOGGER = get_logger("simulation.trainer")
 
@@ -123,7 +114,7 @@ class SimulationOptions:
         inline topology dict or a :class:`repro.simulation.topology.Topology`
         for the *time* components.  ``None`` means ``"flat"``: one private
         link per worker, from its own :class:`NetworkModel`.  Shared uplinks
-        queue FIFO, and every delay lands in ``SimulationResult.queue_trace``.
+        queue FIFO, and every delay lands in ``RunResult.queue_trace``.
         It models a single server endpoint, so the plan keeps one shard.
     comm_pattern:
         ``"ps"`` (default): a push and a pull per iteration.
@@ -161,62 +152,6 @@ class SimulationOptions:
             )
 
 
-@dataclass
-class SimulationResult(TrainingResult):
-    """A :class:`TrainingResult` in virtual seconds, plus what only the simulator sees.
-
-    ``wall_time`` and ``evaluation_times`` are virtual; everything the result
-    has always offered (``times``, ``total_virtual_time``, ``total_updates``,
-    the ``*_per_worker`` dicts, ...) stays readable as views of the shared
-    fields.
-    """
-
-    paradigm: str = ""
-    paradigm_label: str = ""
-    throughput: ThroughputSummary | None = None
-    tracker: ExperimentTracker = field(default_factory=ExperimentTracker)
-    trace: SimulationTrace = field(default_factory=SimulationTrace)
-    #: Tail statistics of per-worker iteration intervals (push-to-push
-    #: virtual time, including synchronization waits) pooled across workers.
-    iteration_time_summary: PercentileSummary = EMPTY_PERCENTILES
-    #: FIFO queueing records of the topology's shared links (one dict per
-    #: shared-link traversal: link, arrival, start, wait, nbytes, tag);
-    #: empty when the topology has no shared links (``flat``).
-    queue_trace: list = field(default_factory=list)
-
-    # The evaluation curve and the server's counters, under the names the
-    # simulator has always reported them by.
-    times = property(lambda self: np.asarray(self.evaluation_times, dtype=np.float64))
-    accuracies = property(lambda self: np.asarray(self.evaluation_accuracies, dtype=np.float64))
-    losses = property(lambda self: np.asarray(self.evaluation_losses, dtype=np.float64))
-    total_virtual_time = property(lambda self: self.wall_time)
-    total_updates = property(lambda self: self.server_statistics["store_version"])
-    staleness_summary = property(lambda self: self.server_statistics["update_staleness"])
-    controller_decisions = property(
-        lambda self: self.server_statistics["controller_invocations"]
-    )
-
-    def _per_worker(self, name: str) -> dict:
-        """One :class:`~repro.ps.messages.WorkerReport` field, keyed by worker id."""
-        return {report.worker_id: getattr(report, name) for report in self.worker_reports}
-
-    wait_time_per_worker = property(lambda self: self._per_worker("total_wait_time"))
-    iterations_per_worker = property(lambda self: self._per_worker("iterations"))
-    mean_loss_per_worker = property(lambda self: self._per_worker("mean_loss"))
-    pushed_wire_bytes_per_worker = property(lambda self: self._per_worker("pushed_wire_bytes"))
-    pushed_raw_bytes_per_worker = property(lambda self: self._per_worker("pushed_raw_bytes"))
-    pulled_bytes_per_worker = property(lambda self: self._per_worker("pulled_bytes"))
-
-    @property
-    def total_wait_time(self) -> float:
-        """Sum of all workers' synchronization waiting time."""
-        return float(sum(self.wait_time_per_worker.values()))
-
-    def time_to_accuracy(self, target: float) -> float | None:
-        """Virtual time needed to reach ``target`` accuracy (None if never)."""
-        return time_to_accuracy(self.times, self.accuracies, target)
-
-
 class SimulatedTraining:
     """Discrete-event simulation of one distributed training run.
 
@@ -249,7 +184,7 @@ class SimulatedTraining:
         self.workload = workload
         self.options = options
 
-    def run(self) -> SimulationResult:
+    def run(self) -> RunResult:
         """Execute the simulation and return its result."""
         options, plan = self.options, self.plan
         train_dataset = self.workload.train_dataset
@@ -313,22 +248,14 @@ class SimulatedTraining:
 
         clock = VirtualClock()
         queue = EventQueue()
-        trace = SimulationTrace()
-        tracker = ExperimentTracker()
-
-        def evaluate_fn(state) -> tuple[float, float]:
-            """The plan's evaluator; every point also lands in the tracker."""
-            accuracy, loss = evaluator(state)
-            tracker.record("accuracy", clock.now, accuracy, step=store.version)
-            tracker.record("test_loss", clock.now, loss, step=store.version)
-            return accuracy, loss
-
+        push_trace: list[tuple[float, str, float]] = []
         session = ServerSession(
             server,
             plan.worker_ids,
-            evaluate_fn=evaluate_fn,
+            evaluate_fn=evaluator,
             evaluate_every_pushes=plan.evaluate_every_pushes,
             clock=lambda: clock.now,
+            batch_size=plan.batch_size,
         )
 
         def iteration_time(worker_id: str, now: float) -> float:
@@ -404,8 +331,7 @@ class SimulatedTraining:
                     buffers=computation.buffers,
                 )
                 loop.sent()
-                tracker.record("train_loss", now, computation.loss, step=store.version)
-                trace.push(now, worker_id)
+                push_trace.append((now, worker_id, float(computation.loss)))
                 if response.release_now:
                     resume([worker_id], now)
                 resume(response.released_workers, now)
@@ -434,37 +360,22 @@ class SimulatedTraining:
             session.done(worker_id, report, profile=profile if first else None)
         # The shared end of run: the buffered aggregator's tail window, then
         # the final evaluation (skipped when one already sits at this instant).
-        result = session.finish()
-
+        result = replace(
+            session.finish(), queue_trace=list(time_model.state.queue_trace), push_trace=push_trace
+        )
         # Tail statistics of iteration intervals: per-worker push-to-push
         # virtual time (the first interval measured from t=0), pooled across
         # workers — this is what the topology sweeps' p50/p90/p99 report.
-        interval_samples: list[float] = []
-        for worker_id in workers:
-            times = trace.push_times(worker_id)
-            if times.size:
-                interval_samples.extend(np.diff(times, prepend=0.0).tolist())
-
-        label = paradigm_label(plan.paradigm, plan.paradigm_kwargs)
+        intervals = [
+            gap
+            for worker_id in workers
+            for gap in np.diff(result.push_times(worker_id), prepend=0.0).tolist()
+        ]
         _LOGGER.info(
             "%s finished: %.0f virtual seconds, %d updates, final accuracy %.3f",
-            label,
+            result.paradigm_label,
             final_time,
             store.version,
             result.final_accuracy,
         )
-        return SimulationResult(
-            **vars(result),
-            paradigm=plan.paradigm,
-            paradigm_label=label,
-            throughput=iteration_throughput(
-                total_updates=store.version,
-                total_time=max(final_time, 1e-12),
-                samples_per_update=plan.batch_size,
-            ),
-            tracker=tracker,
-            trace=trace,
-            iteration_time_summary=percentile_summary(interval_samples),
-            queue_trace=list(time_model.state.queue_trace),
-        )
-
+        return replace(result, iteration_time_percentiles=percentile_summary(intervals))

@@ -376,10 +376,6 @@ class TestRunResultSerialization:
         assert payload["provenance"]["spec"]["workload"] == "mlp"
         assert len(payload["times"]) == len(payload["accuracies"])
 
-    def test_transitional_aliases(self, simulated_result):
-        assert simulated_result.total_virtual_time == simulated_result.total_time
-        assert simulated_result.staleness_summary is simulated_result.staleness
-
 
 class TestRobustness:
     """The aggregation/faults spec surface through the backends."""

@@ -7,7 +7,7 @@ from repro.experiments.config import DEFAULT, SMALL, TINY, ExperimentScale, pape
 from repro.experiments.report import format_comparison_summary, format_figure_result
 from repro.experiments.runner import average_curves, run_paradigm_comparison
 from repro.experiments.workloads import alexnet_workload, mlp_workload, resnet_workload
-from repro.api.result import RunResult
+from repro.api import RunResult
 from repro.simulation.cluster import homogeneous_cluster
 
 

@@ -136,7 +136,7 @@ class TestSlowdownSchedule:
         slowed = self.simulate(
             tiny_flat_datasets, lambda worker_id, now: 4.0 if worker_id == "worker-0" else 1.0
         )
-        assert slowed.total_virtual_time > baseline.total_virtual_time
+        assert slowed.total_time > baseline.total_time
         assert (
             slowed.iterations_per_worker["worker-0"]
             < slowed.iterations_per_worker["worker-1"]

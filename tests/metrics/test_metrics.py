@@ -1,4 +1,4 @@
-"""Tests for accuracy, metric tracking, convergence and throughput helpers."""
+"""Tests for accuracy, convergence and throughput helpers."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.metrics.convergence import (
     time_to_accuracy,
 )
 from repro.metrics.throughput import iteration_throughput
-from repro.metrics.tracker import ExperimentTracker, MetricSeries
 from repro.models import mlp
 
 
@@ -58,51 +57,6 @@ class TestEvaluateModel:
         dataset = ArrayDataset(rng.normal(size=(8, 4)), rng.integers(0, 2, size=8))
         with pytest.raises(ValueError):
             evaluate_model(model, dataset, batch_size=0)
-
-
-class TestMetricSeries:
-    def test_record_and_query(self):
-        series = MetricSeries("accuracy")
-        series.record(0.0, 0.1)
-        series.record(1.0, 0.5, step=10)
-        assert len(series) == 2
-        assert series.latest().value == 0.5
-        assert series.best().value == 0.5
-        assert series.best(mode="min").value == 0.1
-        assert np.allclose(series.times, [0.0, 1.0])
-
-    def test_time_must_not_go_backwards(self):
-        series = MetricSeries("loss")
-        series.record(1.0, 0.5)
-        with pytest.raises(ValueError):
-            series.record(0.5, 0.4)
-
-    def test_best_mode_validation(self):
-        series = MetricSeries("x")
-        series.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            series.best(mode="median")
-
-    def test_empty_series(self):
-        series = MetricSeries("x")
-        assert series.latest() is None
-        assert series.best() is None
-
-
-class TestExperimentTracker:
-    def test_record_multiple_series(self):
-        tracker = ExperimentTracker()
-        tracker.record("accuracy", 0.0, 0.2)
-        tracker.record("accuracy", 1.0, 0.4)
-        tracker.record("loss", 0.0, 2.0)
-        assert tracker.names() == ["accuracy", "loss"]
-        assert len(tracker.series("accuracy")) == 2
-        exported = tracker.as_dict()
-        assert exported["loss"] == [(0.0, 2.0)]
-
-    def test_unknown_series_is_empty(self):
-        tracker = ExperimentTracker()
-        assert len(tracker.series("nothing")) == 0
 
 
 class TestConvergence:

@@ -220,7 +220,7 @@ class TestParameterServer:
         stats = session.server.statistics()
         assert stats["paradigm"] == "ssp"
         assert stats["store_version"] == 1
-        assert stats["update_staleness"].count == 1
+        assert session.finish().staleness.count == 1
         assert session.server.pushes_handled == 1
 
     def test_delta_pull_through_server(self, make_server, store_factory):

@@ -74,7 +74,7 @@ def build_trainer(
 
 def max_staleness(result) -> int:
     """The largest staleness of any applied push (every push response's)."""
-    return result.server_statistics["update_staleness"].maximum
+    return result.staleness.maximum
 
 
 class TestThreadedInvariants:

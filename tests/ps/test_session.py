@@ -307,7 +307,7 @@ class TestServerSession:
         hand_push(session, "worker-0", 1.5)
         result = session.finish()
         # The run ended at the instant of its last periodic evaluation.
-        assert result.evaluation_times == [0.0, 1.5] and result.wall_time == 1.5
+        assert result.times.tolist() == [0.0, 1.5] and result.total_time == 1.5
 
     def test_leave_releases_exactly_who_the_policy_returns(self, workload):
         session = make_session(workload, paradigm="bsp", paradigm_kwargs={}, num_workers=3)
@@ -356,9 +356,9 @@ class TestServerSession:
         assert result.server_statistics["extra"] == 7
         assert result.server_statistics["store_version"] == 1
         # Initial, periodic (every push) and final evaluation.
-        assert len(result.evaluation_times) == 3
-        assert result.evaluation_times[0] == 0.0
-        assert result.evaluation_times[-1] == result.wall_time
+        assert len(result.times) == 3
+        assert result.times[0] == 0.0
+        assert result.times[-1] == result.total_time
 
 
 class ScriptedHub:

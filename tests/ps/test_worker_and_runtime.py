@@ -206,7 +206,7 @@ class TestThreadedTrainer:
         )
         result = trainer.run()
         assert result.errors == []
-        assert result.wall_time > 0
+        assert result.total_time > 0
         assert trainer.server.store.version == 2 * 4
         assert all(report.iterations == 4 for report in result.worker_reports)
 
@@ -222,9 +222,9 @@ class TestThreadedTrainer:
         train, test = tiny_flat_datasets
         trainer = build_threaded_trainer(train, test, paradigm="asp", iterations=6)
         result = trainer.run()
-        assert len(result.evaluation_accuracies) >= 1
+        assert len(result.accuracies) >= 1
         assert 0.0 <= result.best_accuracy <= 1.0
-        assert result.final_accuracy == result.evaluation_accuracies[-1]
+        assert result.final_accuracy == result.accuracies[-1]
 
     def test_slowdown_increases_waiting_of_fast_worker(self, tiny_flat_datasets):
         train, test = tiny_flat_datasets

@@ -1,5 +1,5 @@
 """Tests for the simulation primitives: clock, events, profiles, network,
-cluster, workload cost model and traces."""
+cluster and workload cost model."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.network import GIGABIT_ETHERNET, INFINIBAND_EDR, NetworkModel
 from repro.simulation.profiles import GPU_CATALOGUE, DeviceProfile, get_device_profile
 from repro.simulation.topology import TopologyTimeModel, build_topology
-from repro.simulation.trace import SimulationTrace
 from repro.simulation.workload import ModelCost, estimate_model_cost
 
 
@@ -237,17 +236,3 @@ class TestWorkloadCostModel:
         push = link_transfer(network, 1001 * 0.1)
         assert single.communication_time(spec) == push + link_transfer(network, 1001)
 
-
-class TestSimulationTrace:
-    def test_records_and_queries(self):
-        trace = SimulationTrace()
-        trace.push(0.0, "a")
-        trace.push(1.0, "a")
-        trace.push(1.5, "b")
-        assert np.allclose(trace.push_times("a"), [0.0, 1.0])
-        assert np.allclose(trace.push_times("b"), [1.5])
-        assert trace.push_times("c").size == 0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            SimulationTrace().push(-1.0, "a")

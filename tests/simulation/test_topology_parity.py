@@ -88,12 +88,12 @@ def run(
 def hexed(result) -> dict:
     """A run's virtual timing as ``float.hex`` strings (waits in worker order)."""
     return {
-        "total": result.total_virtual_time.hex(),
+        "total": result.total_time.hex(),
         "times": [t.hex() for t in result.times.tolist()],
         "waits": [w.hex() for w in result.wait_time_per_worker.values()],
         "iteration": {
             key: value.hex() if isinstance(value, float) else value
-            for key, value in result.iteration_time_summary.to_dict().items()
+            for key, value in result.iteration_time_percentiles.to_dict().items()
         },
     }
 
@@ -296,7 +296,7 @@ class TestFlatGoldenPin:
         train, test = tiny_flat_datasets
         preset = run(train, test, "bsp", jitter=0.2, topology="flat")
         inline = run(train, test, "bsp", jitter=0.2, topology={"kind": "flat"})
-        assert inline.total_virtual_time == preset.total_virtual_time
+        assert inline.total_time == preset.total_time
         assert inline.times.tolist() == preset.times.tolist()
 
 
@@ -337,7 +337,7 @@ class TestPerWorkerNetwork:
             net = spec.network
             leg = net.latency + cost.parameter_bytes / net.bandwidth_bytes_per_second
             compute = spec.device.compute_time(cost.iteration_flops(16))
-            arrivals[spec.worker_id] = result.trace.push_times(spec.worker_id)[0]
+            arrivals[spec.worker_id] = result.push_times(spec.worker_id)[0]
             assert arrivals[spec.worker_id] == pytest.approx(compute + 2 * leg, rel=1e-12)
         assert arrivals["worker-1"] > arrivals["worker-0"]
 
@@ -359,17 +359,17 @@ class TestRackTopologyBehaviour:
         train, test = tiny_flat_datasets
         flat = run(train, test, "bsp", jitter=0.0, topology=None)
         racks = run(train, test, "bsp", jitter=0.0, topology="two-rack")
-        assert racks.total_virtual_time > flat.total_virtual_time
+        assert racks.total_time > flat.total_time
 
     def test_iteration_summary_matches_numpy(self, tiny_flat_datasets):
         train, test = tiny_flat_datasets
         result = run(train, test, "dssp", jitter=0.2, topology="two-rack")
         pooled = []
         for worker_id in result.iterations_per_worker:
-            times = result.trace.push_times(worker_id)
+            times = result.push_times(worker_id)
             if times.size:
                 pooled.extend(np.diff(times, prepend=0.0).tolist())
-        summary = result.iteration_time_summary
+        summary = result.iteration_time_percentiles
         assert summary.count == len(pooled)
         assert summary.p50 == pytest.approx(float(np.percentile(pooled, 50)))
         assert summary.p90 == pytest.approx(float(np.percentile(pooled, 90)))
@@ -407,10 +407,10 @@ class TestTailHeavyDeterminism:
         assert first.queue_trace == second.queue_trace
         assert first.events == second.events
         assert (
-            first.iteration_time_summary.to_dict()
-            == second.iteration_time_summary.to_dict()
+            first.iteration_time_percentiles.to_dict()
+            == second.iteration_time_percentiles.to_dict()
         )
-        assert first.total_virtual_time == second.total_virtual_time
+        assert first.total_time == second.total_time
         assert first.times.tolist() == second.times.tolist()
         assert first.accuracies.tolist() == second.accuracies.tolist()
         assert first.wait_time_per_worker == second.wait_time_per_worker
@@ -419,7 +419,7 @@ class TestTailHeavyDeterminism:
         first = self.big_run(problem, seed=0)
         other = self.big_run(problem, seed=1)
         assert first.queue_trace != other.queue_trace
-        assert first.total_virtual_time != other.total_virtual_time
+        assert first.total_time != other.total_time
 
     def test_all_workers_route_through_two_uplinks(self, problem):
         result = self.big_run(problem)

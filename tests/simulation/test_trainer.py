@@ -83,7 +83,7 @@ class TestSimulatedTraining:
         result = run(train, test, paradigm)
         expected_updates = int(np.ceil(2.0 * len(train) / 16))
         assert result.total_updates == expected_updates
-        assert result.total_virtual_time > 0
+        assert result.total_time > 0
         assert result.times.shape == result.accuracies.shape
         assert np.all(np.diff(result.times) >= 0)
         assert 0.0 <= result.best_accuracy <= 1.0
@@ -100,13 +100,13 @@ class TestSimulatedTraining:
         second = run(train, test, "dssp", seed=3)
         assert np.allclose(first.times, second.times)
         assert np.allclose(first.accuracies, second.accuracies)
-        assert first.total_virtual_time == pytest.approx(second.total_virtual_time)
+        assert first.total_time == pytest.approx(second.total_time)
 
     def test_different_seeds_differ(self, flat_problem):
         train, test = flat_problem
         first = run(train, test, "asp", seed=1)
         second = run(train, test, "asp", seed=2)
-        assert first.total_virtual_time != pytest.approx(second.total_virtual_time)
+        assert first.total_time != pytest.approx(second.total_time)
 
     def test_asp_never_waits_and_bsp_waits(self, flat_problem):
         train, test = flat_problem
@@ -155,7 +155,7 @@ class TestSimulatedTraining:
         )
         # Update staleness can exceed the clock bound only by the in-flight
         # pushes of one round (at most num_workers - 1 extra).
-        assert result.staleness_summary.maximum <= (2 + 1) * 2
+        assert result.staleness.maximum <= (2 + 1) * 2
 
     def test_dssp_records_controller_decisions_on_skewed_cluster(self, flat_problem):
         train, test = flat_problem
@@ -169,7 +169,7 @@ class TestSimulatedTraining:
             timing_cost=compute_heavy_timing_cost(),
             timing_batch_size=128,
         )
-        assert result.controller_decisions > 0
+        assert result.server_statistics["controller_invocations"] > 0
         assert result.paradigm_label == "DSSP s=1, r=5"
 
     def test_max_updates_caps_run(self, flat_problem):
@@ -201,15 +201,15 @@ class TestSimulatedTraining:
         heavy = ModelCost(flops_per_sample=1e9, num_parameters=10_000_000, parameter_bytes=4 * 10_000_000)
         slow = run(train, test, "asp", timing_cost=heavy, timing_batch_size=128)
         fast = run(train, test, "asp")
-        assert slow.total_virtual_time > fast.total_virtual_time
+        assert slow.total_time > fast.total_time
 
-    def test_result_is_a_training_result_with_the_old_names(self, flat_problem):
-        from repro.ps.session import TrainingResult
+    def test_result_is_the_run_record(self, flat_problem):
+        from repro.ps.result import RunResult
 
         train, test = flat_problem
         result = run(train, test, "ssp")
-        assert isinstance(result, TrainingResult) and result.errors == []
-        assert result.total_virtual_time == result.wall_time == result.times[-1]
+        assert isinstance(result, RunResult) and result.errors == []
+        assert result.total_time == result.times[-1]
         assert result.total_updates == result.server_statistics["store_version"]
         assert result.iterations_per_worker == {
             report.worker_id: report.iterations for report in result.worker_reports
@@ -219,7 +219,7 @@ class TestSimulatedTraining:
     def test_trace_records_every_push(self, flat_problem):
         train, test = flat_problem
         result = run(train, test, "bsp")
-        pushes = sum(result.trace.push_times(w).size for w in result.iterations_per_worker)
+        pushes = sum(result.push_times(w).size for w in result.iterations_per_worker)
         assert pushes == result.total_updates
 
     def test_time_to_accuracy_helper(self, flat_problem):
@@ -282,18 +282,18 @@ class TestShardedSimulation:
 
         mono = run_wide(1)
         sharded = run_wide(4)
-        assert sharded.total_virtual_time < mono.total_virtual_time
+        assert sharded.total_time < mono.total_time
         # Four near-equal weight matrices over four shards: the gating shard
         # carries about a third of the payload, so the bandwidth-dominated
         # round trip (and with it the total time) drops well below half.
-        assert sharded.total_virtual_time < mono.total_virtual_time * 0.5
+        assert sharded.total_time < mono.total_time * 0.5
 
     def test_sharded_run_is_deterministic(self, flat_problem):
         train, test = flat_problem
         first = run(train, test, "dssp", seed=3, num_shards=4)
         second = run(train, test, "dssp", seed=3, num_shards=4)
         assert np.allclose(first.accuracies, second.accuracies)
-        assert first.total_virtual_time == second.total_virtual_time
+        assert first.total_time == second.total_time
 
     def test_sharded_matches_monolithic_accuracy_with_same_event_order(self, flat_problem):
         """With timing jitter off and a homogeneous cluster the event order is

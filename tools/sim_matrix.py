@@ -111,7 +111,6 @@ def dump(path):
         payload.pop("provenance")
         for report in payload["worker_reports"]:
             report.pop("samples_processed")
-        payload["server_statistics"] = result.server_statistics
         out[name] = hexed(payload)
         print(name, result.total_updates, f"{result.final_accuracy:.4f}", flush=True)
     json.dump(out, open(path, "w"), indent=1, sort_keys=True)

@@ -85,7 +85,7 @@ class SynchronizationPolicy:
     def __init__(self) -> None:
         self.clock_table = ClockTable()
         self._blocked: dict[str, int] = {}
-        self._stats = _PolicyStatistics()
+        self.counters = _PolicyStatistics()
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -149,7 +149,7 @@ class SynchronizationPolicy:
         ]
         for worker_id in released:
             del self._blocked[worker_id]
-            self._stats.releases += 1
+            self.counters.releases += 1
         return released
 
     def _may_release_blocked(self, worker_id: str, clock_at_block: int) -> bool:
@@ -166,7 +166,7 @@ class SynchronizationPolicy:
     # ------------------------------------------------------------------
     def statistics(self) -> dict:
         """Summary counters for reports: pushes, releases, blocks, staleness."""
-        stats = self._stats
+        stats = self.counters
         return {
             "paradigm": self.name,
             "pushes": stats.pushes,
@@ -181,17 +181,17 @@ class SynchronizationPolicy:
         }
 
     def _record_outcome(self, outcome: PushOutcome) -> None:
-        self._stats.pushes += 1
-        self._stats.staleness_sum += outcome.staleness
-        self._stats.staleness_max = max(self._stats.staleness_max, outcome.staleness)
+        self.counters.pushes += 1
+        self.counters.staleness_sum += outcome.staleness
+        self.counters.staleness_max = max(self.counters.staleness_max, outcome.staleness)
         if outcome.release:
-            self._stats.releases += 1
+            self.counters.releases += 1
             if outcome.used_extra_credit:
-                self._stats.credit_releases += 1
+                self.counters.credit_releases += 1
         else:
-            self._stats.blocks += 1
+            self.counters.blocks += 1
         if outcome.controller_extra_iterations is not None:
-            self._stats.controller_invocations += 1
+            self.counters.controller_invocations += 1
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"{type(self).__name__}(workers={self.num_workers})"

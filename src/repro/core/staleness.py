@@ -53,17 +53,17 @@ class StalenessTracker:
     """
 
     def __init__(self) -> None:
-        self._counts: list[int] = []
+        self.counts: list[int] = []
 
     def record(self, staleness: int) -> None:
         """Record that an applied gradient was ``staleness`` versions old."""
         if staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {staleness}")
-        _count(self._counts, int(staleness))
+        _count(self.counts, int(staleness))
 
     def summary(self) -> StalenessSummary:
         """Aggregate statistics over all observations."""
-        return _summarize(self._counts)
+        return _summarize(self.counts)
 
 
 def _count(counts: list[int], staleness: int) -> None:

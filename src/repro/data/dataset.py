@@ -46,7 +46,7 @@ class ArrayDataset(Dataset):
     def subset(self, indices: np.ndarray) -> "ArrayDataset":
         """Dataset restricted to the given sample indices (copies the data)."""
         indices = np.asarray(indices, dtype=np.int64)
-        return ArrayDataset(self.inputs[indices].copy(), self.labels[indices].copy())
+        return ArrayDataset(self.inputs[indices], self.labels[indices])  # indexing copies
 
     @property
     def num_classes(self) -> int:

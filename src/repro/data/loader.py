@@ -18,6 +18,10 @@ class MiniBatchLoader:
     training schedule ends, so the loader exposes both epoch-style iteration
     (:meth:`epoch`) and an infinite stream (:meth:`next_batch`) that reshuffles
     at every epoch boundary.
+
+    ``rows`` (a worker's partition) restricts it to those rows, gathered from
+    the shared arrays in place: shuffles permute by length alone, so it draws
+    what a loader over ``dataset.subset(rows)`` would, byte for byte.
     """
 
     def __init__(
@@ -28,10 +32,13 @@ class MiniBatchLoader:
         shuffle: bool = True,
         drop_last: bool = False,
         augmentation: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None,
+        rows: np.ndarray | None = None,
     ) -> None:
+        #: The dataset rows this loader draws from, in their given order.
+        self.rows = np.array(np.arange(len(dataset)) if rows is None else rows, dtype=np.int64)
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if drop_last and batch_size > len(dataset):
+        if drop_last and batch_size > len(self.rows):
             raise ValueError("batch_size larger than dataset with drop_last=True")
         self.dataset = dataset
         self.batch_size = int(batch_size)
@@ -39,18 +46,18 @@ class MiniBatchLoader:
         self.drop_last = bool(drop_last)
         self.augmentation = augmentation
         self._rng = rng
-        self._order = np.arange(len(dataset), dtype=np.int64)
+        self._order = self.rows.copy()
         self._cursor = 0
         if self.shuffle:
             self._rng.shuffle(self._order)
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the next mini-batch, reshuffling at epoch boundaries."""
-        if self._cursor >= len(self.dataset):
+        if self._cursor >= len(self._order):
             self._cursor = 0
             if self.shuffle:
                 self._rng.shuffle(self._order)
-        end = min(self._cursor + self.batch_size, len(self.dataset))
+        end = min(self._cursor + self.batch_size, len(self._order))
         indices = self._order[self._cursor : end]
         self._cursor = end
         inputs = self.dataset.inputs[indices]
@@ -76,18 +83,18 @@ class MiniBatchLoader:
             if self.augmentation is not None:
                 self.next_batch()
                 continue
-            if self._cursor >= len(self.dataset):
+            if self._cursor >= len(self._order):
                 self._cursor = 0
                 if self.shuffle:
                     self._rng.shuffle(self._order)
-            self._cursor = min(self._cursor + self.batch_size, len(self.dataset))
+            self._cursor = min(self._cursor + self.batch_size, len(self._order))
 
     def epoch(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Iterate over exactly one epoch of mini-batches."""
-        order = np.arange(len(self.dataset), dtype=np.int64)
+        order = self.rows.copy()
         if self.shuffle:
             self._rng.shuffle(order)
-        for start in range(0, len(self.dataset), self.batch_size):
+        for start in range(0, len(order), self.batch_size):
             indices = order[start : start + self.batch_size]
             if self.drop_last and indices.shape[0] < self.batch_size:
                 break

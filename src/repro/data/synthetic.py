@@ -82,8 +82,12 @@ def _generate_split(
     rows = ((np.arange(height) - shifts[:, :1]) % height)[:, None, :, None]
     cols = ((np.arange(width) - shifts[:, 1:]) % width)[:, None, None, :]
     images = prototypes[labels[:, None, None, None], np.arange(channels)[:, None, None], rows, cols]
-    images += rng.normal(0.0, config.noise_scale, size=images.shape)
-    return images.astype(np.float64, copy=False), labels.astype(np.int64, copy=False)
+    # Noise 256 samples at a time: the draws of one whole-array draw, in the
+    # same order, without a second dataset-sized array.
+    for start in range(0, count, 256):
+        block = images[start : start + 256]
+        block += rng.normal(0.0, config.noise_scale, size=block.shape)
+    return images, labels
 
 
 def make_synthetic_image_dataset(

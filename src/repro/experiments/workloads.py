@@ -8,7 +8,9 @@ A :class:`Workload` packages everything a paradigm-comparison run needs:
 * the :class:`~repro.simulation.workload.ModelCost` of the *paper-scale*
   architecture, used for the simulated timing so the compute-to-
   communication ratio matches the hardware environment the paper measured
-  (see docs/architecture.md, substitution table).
+  (see docs/architecture.md, substitution table).  Each cost is a constant
+  beside its workload, so a run never builds the paper-scale model; a test
+  recomputes every constant with ``estimate_model_cost``.
 
 Workloads are addressable by name through a registry, so an
 :class:`repro.api.ExperimentSpec` can refer to ``"alexnet"`` or
@@ -33,9 +35,9 @@ from repro.data.synthetic import synthetic_cifar10, synthetic_cifar100
 from repro.experiments.config import ExperimentScale
 from repro.models.alexnet import downsized_alexnet
 from repro.models.mlp import mlp
-from repro.models.resnet import cifar_resnet, resnet50
+from repro.models.resnet import cifar_resnet
 from repro.nn.module import Module
-from repro.simulation.workload import ModelCost, estimate_model_cost
+from repro.simulation.workload import ModelCost
 from repro.utils.registry import Registry
 
 __all__ = [
@@ -96,9 +98,8 @@ def build_workload(name: str, scale: ExperimentScale, /, **params) -> Workload:
     return _build(*args)
 
 
-def _paper_scale_cost(model: Module, image_size: int = 32) -> ModelCost:
-    """Cost of a paper-scale architecture on CIFAR-sized (32x32 RGB) inputs."""
-    return estimate_model_cost(model, (3, image_size, image_size))
+#: The paper-scale downsized AlexNet (3 conv of width 32, 2 FC of 256), 32x32 RGB.
+ALEXNET_COST = ModelCost(57566208.0, num_parameters=470826, parameter_bytes=1883304)
 
 
 @register_workload(
@@ -129,16 +130,22 @@ def alexnet_workload(scale: ExperimentScale, seed: int = 0) -> Workload:
             rng=rng,
         )
 
-    reference = downsized_alexnet(num_classes=10, image_size=32, width=32, fc_width=256)
     return Workload(
         name="downsized_alexnet/cifar10",
         model_builder=builder,
         train_dataset=train,
         test_dataset=test,
-        timing_cost=_paper_scale_cost(reference),
+        timing_cost=ALEXNET_COST,
         num_classes=10,
         has_fully_connected_hidden=True,
     )
+
+
+#: ResNet-110 and ResNet-50 (base width 16, 100 classes), 32x32 RGB.
+RESNET_COSTS = {
+    110: ModelCost(1536370176.0, num_parameters=1736564, parameter_bytes=6946256),
+    50: ModelCost(502855680.0, num_parameters=1530356, parameter_bytes=6121424),
+}
 
 
 def resnet_workload(
@@ -172,19 +179,19 @@ def resnet_workload(
             rng=rng,
         )
 
-    if paper_depth == 110:
-        reference = cifar_resnet(depth=110, num_classes=100, base_width=16)
-    else:
-        reference = resnet50(num_classes=100, base_width=16)
     return Workload(
         name=f"resnet{paper_depth}/cifar100",
         model_builder=builder,
         train_dataset=train,
         test_dataset=test,
-        timing_cost=_paper_scale_cost(reference),
+        timing_cost=RESNET_COSTS[paper_depth],
         num_classes=scale.num_classes_cifar100,
         has_fully_connected_hidden=False,
     )
+
+
+#: A 3072-512-256-10 MLP, flattened 32x32 RGB.
+MLP_COST = ModelCost(10241280.0, num_parameters=1707274, parameter_bytes=6829096)
 
 
 @register_workload(
@@ -206,13 +213,12 @@ def mlp_workload(scale: ExperimentScale, seed: int = 2) -> Workload:
     def builder(rng: np.random.Generator) -> Module:
         return mlp(input_dim=input_dim, hidden_dims=(scale.fc_width,), num_classes=10, rng=rng)
 
-    reference = mlp(input_dim=3 * 32 * 32, hidden_dims=(512, 256), num_classes=10)
     return Workload(
         name="mlp/cifar10",
         model_builder=builder,
         train_dataset=flat_train,
         test_dataset=flat_test,
-        timing_cost=estimate_model_cost(reference, (3 * 32 * 32,)),
+        timing_cost=MLP_COST,
         num_classes=10,
         has_fully_connected_hidden=True,
     )

@@ -2,8 +2,8 @@
 
 The mask/output/gradient arrays live in the layer's grow-once
 :class:`~repro.nn.workspace.Workspace` and every elementwise op writes
-through ``out=``: zero steady-state allocations.  Returned arrays are views
-of that arena, valid until the next forward/backward on it.
+through ``out=``: no array is allocated per step (see the workspace module
+for what that leaves).  Returned arrays are views of that arena.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ class Conv2d(Module):
 
     The column matrix, the padding scratch, the output map and every gradient
     temporary live in the layer's grow-once workspace and the matrix
-    multiplies write through ``out=`` — zero steady-state allocations.  The
+    multiplies write through ``out=`` — no array allocated per step.  The
     stride-1 input gradient uses the correlation form (see
     :meth:`_grad_input_correlation`).  Returned arrays are views of workspace
     storage, valid until the next forward/backward on that arena.

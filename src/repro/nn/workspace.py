@@ -8,9 +8,12 @@ numpy compute itself at ResNet depth: they are multi-megabyte arrays whose
 every temporary from it with :meth:`Workspace.get`, which allocates a buffer
 the *first* time a ``(tag, shape, dtype)`` combination is requested and
 returns the same storage forever after.  In steady state (shapes repeating
-step after step) a model performs zero per-step buffer allocations — pinned
-by ``tests/nn/test_workspace.py`` through the monotonic
-:attr:`Workspace.allocations` counter.
+step after step) a model allocates no per-step buffer — pinned by
+``tests/nn/test_workspace.py`` through the monotonic
+:attr:`Workspace.allocations` counter.  The counter sees arena buffers only:
+numpy's iterator buffers (<= 64 KiB per ufunc call, e.g. a broadcast bias
+add or a bool mask's cast) still come and go, and freed heap can hide even
+an array-sized per-step allocation from RSS, so tracemalloc is the check.
 
 Buffers are *zero-initialized on creation* so callers that only ever write
 an interior region (e.g. the padded im2col input, whose border must read as

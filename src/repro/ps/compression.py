@@ -299,7 +299,8 @@ class TopKCodec(GradientCodec):
     gradient, the ``k = density * size`` largest-magnitude components of
     the sum are shipped (sorted int32 indices + float64 values), and the
     remainder becomes the next residual — so every component eventually
-    reaches the server.
+    reaches the server.  Selection runs in pooled scratch: a steady-state
+    encode allocates only its k-sized payload.
     """
 
     name = "topk"
@@ -310,6 +311,8 @@ class TopKCodec(GradientCodec):
             raise ValueError(f"topk density must be in (0, 1], got {density}")
         self.density = float(density)
         self._residuals: dict[int, np.ndarray] = {}
+        #: Shard size → (magnitude, mask) scratch of that size.
+        self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _accumulate(self, shard: int, grad: np.ndarray) -> np.ndarray:
         residual = self._residuals.get(shard)
@@ -322,8 +325,17 @@ class TopKCodec(GradientCodec):
         k = max(1, int(round(self.density * acc.size)))
         if k >= acc.size:
             return np.arange(acc.size, dtype=np.int32)
-        keep = np.argpartition(np.abs(acc), acc.size - k)[acc.size - k :]
-        keep.sort()
+        if acc.size not in self._scratch:
+            self._scratch[acc.size] = (np.empty(acc.size), np.empty(acc.size, bool))
+        magnitude, mask = self._scratch[acc.size]
+        # The k-th largest magnitude, by an in-place partition of the scratch.
+        np.abs(acc, out=magnitude).partition(acc.size - k)
+        threshold = magnitude[acc.size - k]
+        np.greater_equal(np.abs(acc, out=magnitude), threshold, out=mask)
+        keep = np.flatnonzero(mask)
+        if keep.size != k:  # ties at the threshold (or NaNs): argpartition decides
+            keep = np.argpartition(np.abs(acc), acc.size - k)[acc.size - k :]
+            keep.sort()
         return keep.astype(np.int32, copy=False)
 
     def encode(self, shard: int, grad: np.ndarray) -> EncodedShard:

@@ -292,7 +292,8 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
     :class:`~repro.utils.rng.RngStream`, so call it once per index; a
     *rebuild* of the same replica (a worker resuming at another clock) needs
     a fresh builder and is then byte-identical to the original build.
-    ``build(index)`` copies out only its own partition of the training set.
+    ``build(index)``'s loader reads its partition's rows of the shared
+    training set in place.
 
     ``layouts`` (the store's ``flat_layouts``) repacks the replica to mirror
     the server's buffers; ``gradient_buffers`` optionally supplies the
@@ -308,9 +309,10 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
     def build(index: int, layouts=None, gradient_buffers=None) -> Worker:
         worker_id = f"worker-{index}"  # stream names are keyed by worker id
         loader = MiniBatchLoader(
-            workload.train_dataset.subset(partitions[index]),
+            workload.train_dataset,
             batch_size=plan.batch_size,
             rng=streams.get(f"loader-{worker_id}"),
+            rows=partitions[index],
         )
         replica = workload.model_builder(streams.get(f"model-{worker_id}"))
         replica.load_state_dict(global_model.state_dict())

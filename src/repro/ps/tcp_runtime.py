@@ -544,7 +544,7 @@ class _TcpHub:
     # -- persistence and teardown --------------------------------------
     def _restore(self) -> None:
         """Restart path: weights, optimizer state, clocks, residuals, push
-        watermarks and the event history of previous incarnations."""
+        watermarks, and the event history and counters of previous incarnations."""
         session, checkpoint = self.session, self._checkpoint
         store = session.server.store
         extra = restore_into(checkpoint, store, session.server.optimizer).extra
@@ -556,6 +556,11 @@ class _TcpHub:
         )
         self.codec_states = load_codec_states(checkpoint)
         session.events.extend(dict(event) for event in extra.get("events", []))
+        counters = extra.get("counters", {})
+        vars(session.server.policy.counters).update(counters.get("policy", {}))
+        session.server.staleness_tracker.counts[:] = counters.get("staleness", [])
+        session.pull_replies.update(counters.get("pull_replies", {}))
+        self._sent, self._received = counters.get("tcp_bytes", (0, 0))
         self.restarts = int(extra.get("restarts", 0)) + 1
         session.events.append(
             {
@@ -583,13 +588,22 @@ class _TcpHub:
             paradigm=self.plan.paradigm,
             extra={
                 "worker_clocks": session.server.policy.clock_table.clocks(),
-                # Watermarks and event history travel with the weights so a
-                # restarted server dedups retransmissions consistently with
-                # the state it restored, and the result's event log spans
-                # every incarnation.
+                # Watermarks, event history and counters travel with the
+                # weights so a restarted server dedups retransmissions
+                # consistently with the state it restored, and the result's
+                # event log and statistics span every incarnation.
                 "push_watermarks": dict(session.watermarks),
                 "events": json_safe(list(session.events)),
                 "restarts": self.restarts,
+                "counters": {
+                    "policy": vars(session.server.policy.counters),
+                    "staleness": session.server.staleness_tracker.counts,
+                    "pull_replies": dict(session.pull_replies),
+                    "tcp_bytes": [
+                        self._sent + sum(conn.bytes_sent for conn in self._conns),
+                        self._received + sum(conn.bytes_received for conn in self._conns),
+                    ],
+                },
             },
             codec_states=self.codec_states or None,
         )

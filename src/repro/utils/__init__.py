@@ -11,12 +11,6 @@ from repro.utils.serialization import (
     states_allclose,
     clone_state,
 )
-from repro.utils.validation import (
-    check_positive,
-    check_non_negative,
-    check_probability,
-    check_in_range,
-)
 
 __all__ = [
     "RngStream",
@@ -32,8 +26,4 @@ __all__ = [
     "state_nbytes",
     "states_allclose",
     "clone_state",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_in_range",
 ]

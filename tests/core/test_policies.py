@@ -85,7 +85,7 @@ class TestAsp:
         assert stats["pushes"] == len(observed)
         assert stats["mean_staleness"] == float(sum(observed)) / len(observed)
         assert stats["max_staleness"] == max(observed) > 0
-        assert not any(isinstance(value, list) for value in vars(policy._stats).values())
+        assert not any(isinstance(value, list) for value in vars(policy.counters).values())
 
 
 class TestSsp:

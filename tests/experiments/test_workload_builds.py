@@ -10,6 +10,7 @@ synthesis to the bytes the per-sample ``np.roll`` loop produced.
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,10 @@ from repro.api import ClusterConfig, ExperimentSpec, ProcessBackend, run_experim
 from repro.experiments import workloads
 from repro.experiments.config import TINY, ExperimentScale
 from repro.experiments.workloads import WORKLOADS, build_workload, mlp_workload
+from repro.models.alexnet import downsized_alexnet
+from repro.models.mlp import mlp
+from repro.models.resnet import cifar_resnet, resnet50
+from repro.simulation.workload import estimate_model_cost
 from repro.utils.registry import Registry
 
 
@@ -172,3 +177,47 @@ def test_synthesis_is_byte_identical_to_the_per_sample_roll(name, scale):
             digest.update(f"{array.dtype}{array.shape}".encode())
             digest.update(np.ascontiguousarray(array).tobytes())
     assert digest.hexdigest() == DIGESTS[name, scale]
+
+
+def test_an_mlp_build_holds_its_data_once():
+    # Uncached, so the build happens inside the trace: no second
+    # dataset-sized array (the whole-array noise draw) and no paper-scale
+    # reference model on the way.
+    tracemalloc.start()
+    try:
+        workload = workloads._build.__wrapped__(WORKLOADS["mlp"], PERFBENCH_MLP, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = sum(
+        array.nbytes
+        for dataset in (workload.train_dataset, workload.test_dataset)
+        for array in (dataset.inputs, dataset.labels)
+    )
+    assert peak <= 1.25 * data
+
+
+@pytest.mark.parametrize(
+    "cost, reference, input_shape",
+    [
+        (workloads.MLP_COST, lambda: mlp(3 * 32 * 32, (512, 256), 10), (3 * 32 * 32,)),
+        (
+            workloads.ALEXNET_COST,
+            lambda: downsized_alexnet(10, image_size=32, width=32, fc_width=256),
+            (3, 32, 32),
+        ),
+        (
+            workloads.RESNET_COSTS[110],
+            lambda: cifar_resnet(depth=110, num_classes=100, base_width=16),
+            (3, 32, 32),
+        ),
+        (
+            workloads.RESNET_COSTS[50],
+            lambda: resnet50(num_classes=100, base_width=16),
+            (3, 32, 32),
+        ),
+    ],
+    ids=["mlp", "alexnet", "resnet110", "resnet50"],
+)
+def test_each_timing_cost_is_its_paper_scale_reference_estimate(cost, reference, input_shape):
+    assert cost == estimate_model_cost(reference(), input_shape)

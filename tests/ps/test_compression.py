@@ -6,6 +6,8 @@ codec-through-server integration: compressed pushes composed with delta
 pulls at the version tip must not leak copy-on-write leases.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,19 @@ from repro.ps.sharding import ShardedKeyValueStore
 
 def _grad(size: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=size)
+
+
+def _spikes(values: dict[int, float], size: int = 100) -> np.ndarray:
+    acc = np.zeros(size)
+    acc[list(values)] = list(values.values())
+    return acc
+
+
+def _argpartition_keep(acc: np.ndarray, k: int) -> np.ndarray:
+    """The indices top-k keeps by a full ``argpartition`` of ``|acc|``."""
+    keep = np.argpartition(np.abs(acc), acc.size - k)[acc.size - k :]
+    keep.sort()
+    return keep.astype(np.int32)
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +218,45 @@ class TestTopKCodec:
             decode_shard(codec.encode(0, grad.copy()), out=np.empty(40)),
             decode_shard(clone.encode(0, grad.copy()), out=np.empty(40)),
         )
+
+    def test_steady_state_encode_allocates_only_its_payload(self):
+        # The perfbench MLP's gradient: a per-step magnitude or index array
+        # alone would be 1.6 MB; the payload is ~24 KB.
+        codec, grad = TopKCodec(density=0.01), _grad(199_210)
+        codec.encode(0, grad)
+        tracemalloc.start()
+        try:
+            codec.encode(0, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grad.nbytes / 4
+
+    @pytest.mark.parametrize(
+        "acc",
+        [
+            np.zeros(100),  # all zero: every magnitude ties
+            # k=3: the 2.0, then two of five equal magnitudes at the threshold
+            _spikes({5: 2.0, 10: 1.0, 21: -1.0, 30: 1.0, 41: -1.0, 50: 1.0}),
+            _spikes({7: 4.0, 67: -3.0}),  # k >= the non-zero count
+            _grad(100),
+        ],
+        ids=["all-zero", "straddling-ties", "few-non-zeros", "no-ties"],
+    )
+    def test_selection_is_what_argpartition_keeps(self, acc):
+        encoded = TopKCodec(density=0.03).encode(0, acc.copy())
+        np.testing.assert_array_equal(encoded.arrays[0], _argpartition_keep(acc, 3))
+
+    def test_frames_are_the_argpartition_encodes_step_for_step(self):
+        codec, residual = TopKCodec(density=0.01), np.zeros(5000)
+        for seed in range(6):
+            grad = np.round(_grad(5000, seed=seed), 1)  # rounding makes ties
+            residual += grad
+            keep = _argpartition_keep(residual, 50)
+            indices, values = codec.encode(0, grad).arrays
+            np.testing.assert_array_equal(indices, keep)
+            np.testing.assert_array_equal(values, residual[keep])
+            residual[keep] = 0.0
 
     def test_stateless_codec_rejects_state(self):
         with pytest.raises(ValueError, match="no state"):

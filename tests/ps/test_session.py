@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data.loader import MiniBatchLoader
-from repro.data.partitioner import partition_dataset
+from repro.data.partitioner import partition_dataset, partition_indices
 from repro.experiments.config import TINY
 from repro.models import mlp
 from repro.ps.compression import make_codec
@@ -657,20 +657,26 @@ class TestOneLivenessGuard:
 def test_each_replica_copies_only_its_partition_and_draws_the_same_batches(
     workload, num_workers
 ):
-    """``build(index)`` subsets one partition; the batches are what the
-    all-partitions recipe (``partition_dataset`` up front) drew, byte for byte."""
+    """``build(index)`` reads one partition's rows of the workload's own
+    arrays, copying nothing; the batches are what the all-partitions recipe
+    (``partition_dataset`` up front) drew, byte for byte."""
     plan = TrainingPlan(num_workers=num_workers, batch_size=16, seed=3)
     build = replica_builder(plan, workload)
     streams = RngStream(plan.seed)
     partitions = partition_dataset(
         workload.train_dataset, num_workers, rng=streams.get("partition")
     )
+    rows = partition_indices(
+        len(workload.train_dataset), num_workers, rng=RngStream(plan.seed).get("partition")
+    )
     for index, partition in enumerate(partitions):
         loader = build(index).loader
         reference = MiniBatchLoader(
             partition, batch_size=16, rng=streams.get(f"loader-worker-{index}")
         )
-        assert len(loader.dataset) == len(partition)
+        assert loader.dataset is workload.train_dataset
+        assert np.array_equal(loader.rows, rows[index])
+        assert workload.train_dataset.inputs[loader.rows].tobytes() == partition.inputs.tobytes()
         batches_per_epoch = -(-len(partition) // 16)
         for _ in range(2 * batches_per_epoch + 1):
             inputs, labels = loader.next_batch()

@@ -552,7 +552,10 @@ class TestGracefulRestart:
         # new server on the same port → worker reconnects with backoff and
         # replays deterministically.  On the 'none' codec the final model
         # must be byte-identical to an uninterrupted run of the same plan.
-        self._run_with_a_sigterm_restart(tmp_path)
+        result = self._run_with_a_sigterm_restart(tmp_path)
+        # The record counts every incarnation's pushes, not the last one's.
+        pushes = result.server_statistics["pushes"]
+        assert pushes == result.staleness.count == result.total_updates == 6
 
     def test_sigterm_restart_re_mirrors_a_codec_worker(self, tmp_path):
         # With topk the worker follows the server through update-log pulls.
@@ -562,17 +565,21 @@ class TestGracefulRestart:
         result = self._run_with_a_sigterm_restart(tmp_path, compression="topk:0.01")
         assert result.errors == []
         replies = result.server_statistics["pull_replies"]
-        assert replies["dense"] == 1 and 1 <= replies["log"] <= 5
-        # The welcome: 39,056 B of weights and as many of momentum.
-        assert replies["dense_bytes"] == 2 * 39056
+        # Both incarnations count: the first join and the rejoin are the
+        # dense replies, every push's OK is a log reply.
+        assert replies["dense"] == 2 and replies["log"] >= 6
+        # The first welcome: 39,056 B of weights; the rejoin's: those and as
+        # many of momentum.
+        assert replies["dense_bytes"] == 39056 + 2 * 39056
         # One worker: every log entry is its own push, named and not echoed.
         assert replies["log_bytes"] == 0
         kinds = [event["kind"] for event in result.events]
         assert "server_restart" in kinds and "dense_pull" not in kinds
         assert result.server_statistics["store_version"] == 6
-        # The rebuilt replica counts from the rejoin: its pulls are these.
+        # The rebuilt replica counts from the rejoin: its pulls are these,
+        # less the first welcome.
         (report,) = result.worker_reports
-        assert report.pulled_bytes == replies["dense_bytes"] + replies["log_bytes"]
+        assert report.pulled_bytes == replies["dense_bytes"] - 39056 + replies["log_bytes"]
 
 
 def _assert_checkpoints_match(reference_path, chaos_path):

@@ -1,4 +1,4 @@
-"""Tests for the utility modules (rng, serialization, timing, validation, logging)."""
+"""Tests for the utility modules (rng, serialization, timing, logging)."""
 
 import logging
 
@@ -20,12 +20,6 @@ from repro.utils.serialization import (
     unflatten_like,
 )
 from repro.utils.timing import Stopwatch, format_seconds
-from repro.utils.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
 
 
 class TestRng:
@@ -132,28 +126,6 @@ class TestTiming:
         assert format_seconds(3723.0) == "1h02m03.0s"
         with pytest.raises(ValueError):
             format_seconds(-1.0)
-
-
-class TestValidation:
-    def test_check_positive(self):
-        assert check_positive(2, "x") == 2
-        with pytest.raises(ValueError):
-            check_positive(0, "x")
-
-    def test_check_non_negative(self):
-        assert check_non_negative(0, "x") == 0
-        with pytest.raises(ValueError):
-            check_non_negative(-1, "x")
-
-    def test_check_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
-
-    def test_check_in_range(self):
-        assert check_in_range(3, 1, 5, "x") == 3
-        with pytest.raises(ValueError):
-            check_in_range(6, 1, 5, "x")
 
 
 class TestLogging:

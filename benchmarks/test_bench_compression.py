@@ -3,7 +3,7 @@
 Measures each registered codec on the ResNet-110 push path (ResNet-20 in
 quick mode): actual encoded bytes per push against the dense float64 buffer
 the uncompressed path ships, encode + decode+apply latency through the real
-:class:`~repro.ps.server.ParameterServer`, and Figure-3-style accuracy
+:class:`~repro.ps.session.ServerSession`, and Figure-3-style accuracy
 curves per codec on the simulated backend.  Results are recorded to
 ``BENCH_compression.json`` at the repository root.
 
@@ -33,7 +33,7 @@ from repro.models.resnet import resnet20, resnet110
 from repro.optim.sgd import SGD
 from repro.ps.compression import make_codec
 from repro.ps.messages import PushRequest
-from repro.ps.server import ParameterServer
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.sharding import make_store
 
 from benchmarks.conftest import RECORDING, record_result, selected_scale
@@ -88,10 +88,10 @@ def pack_gradients(store, gradients) -> dict[int, np.ndarray]:
 
 def _make_server(parameters):
     store = make_store(parameters, num_shards=NUM_SHARDS, dtype=STORE_DTYPE)
-    server = ParameterServer(
+    server = ServerSession(
         store, SGD(0.05, momentum=0.9), make_policy("asp"), gradient_scale=0.5
     )
-    server.register_worker("bench")
+    server.dispatch(ServerEvent("bench", "join"))
     return server, store
 
 

@@ -13,8 +13,7 @@ import pytest
 
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
-from repro.ps.server import ParameterServer
-from repro.ps.session import ServerSession
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.sharding import ShardedKeyValueStore, make_store
 
 
@@ -67,13 +66,12 @@ def test_full_push_with_sgd_update(benchmark):
     rng = np.random.default_rng(0)
     weights = resnet_scale_weights()
     store = make_store(weights)
-    server = ParameterServer(
+    session = ServerSession(
         store=store,
         optimizer=SGD(learning_rate=0.05, momentum=0.9),
         policy=make_policy("dssp", s_lower=3, s_upper=15),
     )
-    server.register_worker("w0")
-    session = ServerSession(server, ["w0"])
+    session.dispatch(ServerEvent("w0", "join"))
     gradients = {name: rng.normal(size=value.shape) for name, value in weights.items()}
 
     state = {"version": 0, "time": 0.0}
@@ -81,7 +79,7 @@ def test_full_push_with_sgd_update(benchmark):
     def push():
         state["time"] += 0.01
         header = {"base_version": store.version, "timestamp": state["time"]}
-        return session.push("w0", header, named=gradients)
+        return session.dispatch(ServerEvent("w0", "push", header, {"named": gradients}))
 
     response = benchmark(push)
     assert response.new_version >= 1

@@ -13,9 +13,11 @@ This subpackage provides that framework built from scratch:
   shards that moved since the puller's base.  It is the one store:
   :func:`make_store` builds it on the heap (one shard is a monolithic
   store), :class:`SharedFlatStore` over shards in shared memory.
-* :class:`ParameterServer` — applies pushed gradients with an optimizer and
-  consults a :class:`repro.core.SynchronizationPolicy` to decide when each
-  worker receives the OK signal.
+* :class:`ServerSession` — the parameter server: one handler
+  (``dispatch``) for every join, push, finish, departure and failure, which
+  applies pushed gradients with an optimizer and consults a
+  :class:`repro.core.SynchronizationPolicy` to decide when each worker
+  receives the OK signal.
 * :class:`Worker` — a model replica bound to a data partition that computes
   gradients from its (possibly stale) local weights.
 * :class:`TrainingPlan` — one training run as validated plain data
@@ -24,7 +26,7 @@ This subpackage provides that framework built from scratch:
 * :class:`WorkerLoop` / :class:`ServerSession` — the step protocol itself
   (:mod:`repro.ps.session`), written once and shared by the three runtimes
   below, which only move bytes and wake peers; the process and tcp servers
-  share one dispatch loop too (``ServerLoop``).
+  share one loop feeding the session their events too (``ServerLoop``).
 * :class:`ThreadedTrainer` — a real concurrent runtime in which every worker
   is a Python thread, released by its own ``threading.Event``; useful to
   demonstrate the framework end to end on one machine.
@@ -47,11 +49,10 @@ from repro.ps.messages import (
     FlatPullPayload,
     WorkerReport,
 )
-from repro.ps.server import AppliedPush, ParameterServer, PushResponse
 from repro.ps.worker import Worker, GradientComputation
 from repro.ps.plan import TrainingPlan
 from repro.ps.result import Provenance, RunResult
-from repro.ps.session import ServerSession, WorkerLoop
+from repro.ps.session import Outcome, ServerEvent, ServerSession, WorkerLoop
 from repro.ps.runtime import DistributedTrainingConfig, ThreadedTrainer, assemble_training
 from repro.ps.process_runtime import (
     ProcessTrainer,
@@ -108,12 +109,11 @@ __all__ = [
     "PullReply",
     "FlatPullPayload",
     "WorkerReport",
-    "ParameterServer",
-    "AppliedPush",
-    "PushResponse",
     "Worker",
     "GradientComputation",
     "ServerSession",
+    "ServerEvent",
+    "Outcome",
     "TrainingPlan",
     "RunResult",
     "Provenance",

@@ -9,7 +9,7 @@ under the name ``mean``.
 Robust aggregators cannot work push-at-a-time — trimming, medians and
 norm-clipping are defined over a *set* of gradients.  For them the server
 buffers the pushes of one clock window into pooled scratch (see
-:meth:`repro.ps.server.ParameterServer.apply_push`), stacks each shard's
+:meth:`repro.ps.session.ServerSession.apply_push`), stacks each shard's
 contributions into an ``(n, size)`` matrix, and applies the combined result
 as a single fused update.
 

@@ -54,7 +54,7 @@ and the plan rejects the rest at construction; the mechanisms live in
 Corruption is injected at the server boundary — after codec decode, before
 the store applies the gradient — which is behaviorally identical to a lying
 worker and gives every backend the same single wiring point
-(:meth:`repro.ps.server.ParameterServer.apply_push`) plus a centralized
+(:meth:`repro.ps.session.ServerSession.apply_push`) plus a centralized
 event log (:class:`FaultInjector`).  Crashes and flapping are injected where
 the behavior lives: the shared worker loop and the simulator's time model.
 

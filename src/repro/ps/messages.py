@@ -133,14 +133,15 @@ class PullReply:
 
 @dataclass(frozen=True)
 class WorkerReport:
-    """End-of-run summary a worker hands back to the coordinator."""
+    """End-of-run summary a worker hands back to the coordinator (by
+    default: of a worker that never reported)."""
 
     worker_id: str
-    iterations: int
-    samples_processed: int
-    total_wait_time: float
-    total_compute_time: float
-    mean_loss: float
+    iterations: int = 0
+    samples_processed: int = 0
+    total_wait_time: float = 0.0
+    total_compute_time: float = 0.0
+    mean_loss: float = float("nan")
     #: Gradient bytes this worker actually shipped to the server (encoded
     #: size when a push codec is active, dense size otherwise).
     pushed_wire_bytes: int = 0

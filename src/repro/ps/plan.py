@@ -13,6 +13,7 @@ every backend.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -23,12 +24,11 @@ from repro.data.loader import MiniBatchLoader
 from repro.data.partitioner import partition_indices
 from repro.metrics.accuracy import evaluate_model
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.optim.schedules import ConstantSchedule
 from repro.optim.sgd import SGD
 from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
 from repro.ps.compression import make_codec, validate_codec_spec
 from repro.ps.faults import FaultInjector, FaultPlan, fault_entries, parse_fault_plan
-from repro.ps.server import ParameterServer
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
 from repro.utils.rng import RngStream
@@ -39,6 +39,7 @@ __all__ = [
     "plan_codec",
     "replica_builder",
     "build_optimizer",
+    "build_store",
     "build_server",
     "build_evaluator",
     "assemble",
@@ -346,17 +347,35 @@ def build_optimizer(plan: TrainingPlan) -> SGD:
     )
 
 
-def build_server(plan: TrainingPlan, store, schedule=None) -> ParameterServer:
-    """The plan's :class:`ParameterServer` over ``store`` (no workers yet).
+def build_store(plan: TrainingPlan, workload):
+    """The global model's weights in a heap store of the plan's shard layout."""
+    global_model = workload.model_builder(RngStream(plan.seed).get("init"))
+    return make_store(
+        initial_weights={name: p.data for name, p in global_model.named_parameters()},
+        initial_buffers=global_model.buffers(),
+        num_shards=plan.num_shards,
+        strategy=plan.shard_strategy,
+        dtype=plan.dtype,
+    )
 
-    ``schedule`` replaces the constant learning rate for a caller that
-    reports training progress (``server.set_progress``).
+
+def build_server(
+    plan: TrainingPlan, store, workload=None, *, schedule=None, clock=time.monotonic
+) -> ServerSession:
+    """The plan's server over ``store``, expecting the plan's workers (none joined yet).
+
+    With ``workload`` it evaluates on the workload's test set, and
+    ``schedule`` replaces the constant learning rate over the epochs of
+    its training set the pushes add up to; ``clock`` is the run's time
+    source.
     """
-    return ParameterServer(
-        store=store,
-        optimizer=build_optimizer(plan),
-        policy=make_policy(plan.paradigm, **plan.paradigm_kwargs),
-        learning_rate_schedule=schedule or ConstantSchedule(plan.learning_rate),
+    return ServerSession(
+        store,
+        build_optimizer(plan),
+        make_policy(plan.paradigm, **plan.paradigm_kwargs),
+        plan.worker_ids,
+        learning_rate_schedule=schedule,
+        epoch_samples=len(workload.train_dataset) if workload is not None else 0,
         aggregator=(
             make_aggregator(plan.aggregation) if plan.aggregation is not None else None
         ),
@@ -365,6 +384,11 @@ def build_server(plan: TrainingPlan, store, schedule=None) -> ParameterServer:
             if plan.fault_plan.faults
             else None
         ),
+        evaluate_fn=build_evaluator(plan, workload) if workload is not None else None,
+        evaluate_every_pushes=plan.evaluate_every_pushes,
+        wait_timeout=plan.wait_timeout,
+        clock=clock,
+        batch_size=plan.batch_size,
     )
 
 
@@ -387,26 +411,19 @@ def build_evaluator(plan: TrainingPlan, workload):
     return evaluate_fn
 
 
-def assemble(plan: TrainingPlan, workload, schedule=None):
-    """An in-process run's pieces: ``(server, workers, evaluate_fn)``.
+def assemble(plan: TrainingPlan, workload, *, schedule=None, clock=time.monotonic):
+    """An in-process run's pieces: ``(server, workers)``.
 
-    Global model → store (the plan's shard layout) → server → one
-    registered replica per expected worker, all starting from the global
-    initial weights as in the paper.  The replicas are not packed yet: the
-    caller attaches the store's layout.
+    Global model → store (:func:`build_store`) → server → one joined
+    replica per expected worker, all starting from the global initial
+    weights as in the paper.  The replicas are not packed yet: the caller
+    attaches the store's layout.
     """
-    global_model = workload.model_builder(RngStream(plan.seed).get("init"))
-    store = make_store(
-        initial_weights={name: p.data for name, p in global_model.named_parameters()},
-        initial_buffers=global_model.buffers(),
-        num_shards=plan.num_shards,
-        strategy=plan.shard_strategy,
-        dtype=plan.dtype,
-    )
-    server = build_server(plan, store, schedule)
+    store = build_store(plan, workload)
+    server = build_server(plan, store, workload, schedule=schedule, clock=clock)
     build = replica_builder(plan, workload)
     workers = []
     for index, worker_id in enumerate(plan.worker_ids):
-        server.register_worker(worker_id)
+        server.dispatch(ServerEvent(worker_id, "join"))
         workers.append(build(index))
-    return server, workers, build_evaluator(plan, workload)
+    return server, workers

@@ -57,9 +57,9 @@ import numpy as np
 
 from repro.ps.compression import read_encoded, write_encoded
 from repro.ps.netfaults import NetFaultSchedule
-from repro.ps.plan import WorkloadPlan, plan_codec
+from repro.ps.plan import WorkloadPlan, build_server, plan_codec
 from repro.ps.result import RunResult
-from repro.ps.session import Resume, ServerLoop, ServerSession, WorkerLoop
+from repro.ps.session import Resume, ServerEvent, ServerLoop, WorkerLoop
 from repro.ps.sharding import partition_state
 from repro.ps.transport import ConnectionClosed, PipeConnection, validate_transport
 from repro.ps.shm import (
@@ -267,13 +267,16 @@ class _PipeHub:
                 yield worker_id, self._eof, {"reason": "process died (connection lost)"}, None
                 continue
             kind = header["type"]
-            if kind != "push":  # done, leave and error are a worker's last word
+            if kind == "push":
+                payload = self._gradients(worker_id, header, payload)
+            else:  # done, leave and error are a worker's last word
                 self._loop.forget(conn)
             if kind == "error":
                 header["reason"] = header["message"]
             yield worker_id, _PIPE_KINDS.get(kind, kind), header, payload
 
-    def gradients(self, worker_id, message, payload) -> dict:
+    def _gradients(self, worker_id, message, payload) -> dict:
+        """A push's gradient keywords: the mailbox's, or the message's own."""
         message["codec"] = self._codec
         mailbox = self._mailboxes.get(worker_id)
         if self._codec is None:
@@ -318,9 +321,9 @@ def _server_main(
     mailboxes: list[SharedSegment] = []
     try:
         store = SharedFlatStore(handle, writer=True)
-        session = ServerSession.from_plan(plan, store, plan.build_workload())
+        session = build_server(plan, store, plan.build_workload())
         for worker_id in plan.worker_ids:
-            session.join(worker_id)
+            session.dispatch(ServerEvent(worker_id, "join"))
         if plan.transport == "shm":
             for name in handle.grad_segments:
                 mailboxes.append(SharedSegment.attach(name))

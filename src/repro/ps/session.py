@@ -11,14 +11,15 @@ drives the same :class:`ServerSession` under a virtual clock
 
 * :class:`WorkerLoop` is the worker side, talking to the server through a
   :class:`Link` — the only thing a runtime implements for its workers.
-* :class:`ServerSession` is the server side: the per-push sequence around
-  one :class:`~repro.ps.server.ParameterServer`, what each OK carries
-  (:meth:`ServerSession.reply`), membership changes and the end-of-run
-  result.
-* :class:`ServerLoop` drives a session from messages for the process and
-  tcp runtimes, over a :class:`Hub` — the server end of their links, and
-  the only thing such a runtime implements for its server.  The threaded
-  runtime and the simulator call the session directly.
+* :class:`ServerSession` is the parameter server: one handler,
+  :meth:`ServerSession.dispatch`, for every :class:`ServerEvent` (join,
+  push, done, departure, failure) on every backend, the OK builder
+  (:meth:`ServerSession.reply`) and the end-of-run record
+  (:meth:`ServerSession.finish`).
+* :class:`ServerLoop` feeds a session the events of a :class:`Hub` — the
+  server end of the process and tcp runtimes' links, and the only thing
+  such a runtime implements for its server.  The threaded runtime and the
+  simulator dispatch their events directly.
 
 What a run *is* — the :class:`~repro.ps.plan.TrainingPlan` and the recipe
 that builds its server, evaluator and replicas — lives in
@@ -33,31 +34,35 @@ from __future__ import annotations
 
 import os
 import selectors
+import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Mapping, Protocol
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol
 
 import numpy as np
 
+from repro.core.policy import SynchronizationPolicy
+from repro.core.staleness import StalenessTracker
 from repro.metrics.throughput import iteration_throughput
+from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
-from repro.ps.faults import FaultPlan
+from repro.ps.aggregation import Aggregator
+from repro.ps.checkpoint import restore_into, save_checkpoint
+from repro.ps.compression import decode_shard
+from repro.ps.faults import FaultInjector, FaultPlan
 from repro.ps.messages import PullReply, PushRequest, WorkerReport
-from repro.ps.plan import (
-    TrainingPlan,
-    WorkloadPlan,
-    build_evaluator,
-    build_server,
-    replica_builder,
-)
-from repro.ps.result import RunResult
-from repro.ps.server import AppliedPush, ParameterServer, PushResponse, decode_push
-from repro.ps.sharding import make_store
+from repro.ps.result import RunResult, json_safe
+from repro.ps.sharding import ShardedKeyValueStore, make_store
 from repro.ps.worker import GradientComputation, Worker
 from repro.utils.logging import get_logger
 
+if TYPE_CHECKING:
+    from repro.ps.plan import WorkloadPlan
+
 __all__ = [
+    "decode_push",
     "Resume",
     "Link",
     "WorkerLoop",
@@ -65,6 +70,8 @@ __all__ = [
     "replica_step",
     "Tally",
     "ServerSession",
+    "ServerEvent",
+    "Outcome",
     "Hub",
     "ServerLoop",
     "Ok",
@@ -74,6 +81,33 @@ __all__ = [
 ]
 
 _LOGGER = get_logger("ps.session")
+
+
+def decode_push(encoded, pool: dict, sparse: bool) -> dict:
+    """Decode codec-compressed shard payloads into flat gradients.
+
+    Dense payloads decode zero-copy (the ``none`` codec hands the server
+    the very array the worker packed, keeping that path bit-for-bit
+    identical to an uncompressed push); sparse/quantized payloads decode
+    into ``pool`` (shard → float64 scratch), so steady-state pushes stay
+    allocation-free.  With ``sparse`` (the applying optimizer's
+    ``sparse_runs``) a sparse payload stays as it is: the store turns it
+    into a sparse run and no scratch is ever allocated.  A worker's mirror
+    replays logged pushes through this too, with its own optimizer's answer
+    — the same one, so both sides run the same kernel on the same entry.
+    """
+    flat_gradients: dict = {}
+    for payload in encoded:
+        if sparse and payload.scheme == "sparse":
+            flat_gradients[payload.shard] = payload
+        elif payload.scheme == "dense":
+            flat_gradients[payload.shard] = decode_shard(payload)
+        else:
+            scratch = pool.get(payload.shard)
+            if scratch is None or scratch.size != payload.size:
+                scratch = pool[payload.shard] = np.empty(payload.size, dtype=np.float64)
+            flat_gradients[payload.shard] = decode_shard(payload, out=scratch)
+    return flat_gradients
 
 
 # ----------------------------------------------------------------------
@@ -238,31 +272,32 @@ def replica_step(worker: Worker) -> Step:
 
 
 class Tally:
-    """A worker's report, counted from the steps whose pushes it sent."""
+    """A worker's report from the steps whose pushes it sent: each iteration
+    once, by its clock (a replay replaces it), the bytes of every send."""
 
     def __init__(self) -> None:
-        self.iterations = self.samples = self.wire_bytes = self.raw_bytes = 0
-        self.loss = 0.0
+        self.steps: dict[int, tuple[int, float]] = {}  # clock → (samples, loss)
+        self.wire_bytes = self.raw_bytes = 0
 
-    def add(self, step: Step) -> None:
+    def add(self, step: Step, clock: int) -> None:
         computation = step.computation
         dense = computation.flat_gradients or computation.gradients
         raw = sum(np.asarray(gradient).nbytes for gradient in dense.values())
-        self.iterations += 1
-        self.samples += computation.samples
-        self.loss += computation.loss
+        self.steps[clock] = (computation.samples, computation.loss)
         self.raw_bytes += raw
         self.wire_bytes += raw if step.encoded is None else sum(p.nbytes for p in step.encoded)
 
     def report(self, worker_id: str, *, wait: float, compute: float, pulled: int) -> dict:
         """The :class:`~repro.ps.messages.WorkerReport` fields, as a dict."""
+        iterations = len(self.steps)
+        loss = sum(loss for _, loss in self.steps.values())
         return {
             "worker_id": worker_id,
-            "iterations": self.iterations,
-            "samples_processed": self.samples,
+            "iterations": iterations,
+            "samples_processed": sum(samples for samples, _ in self.steps.values()),
             "total_wait_time": wait,
             "total_compute_time": compute,
-            "mean_loss": self.loss / self.iterations if self.iterations else float("nan"),
+            "mean_loss": loss / iterations if iterations else float("nan"),
             "pushed_wire_bytes": self.wire_bytes,
             "pushed_raw_bytes": self.raw_bytes,
             "pulled_bytes": pulled,
@@ -363,7 +398,8 @@ class WorkerLoop:
         self._sent_at: float | None = None  # when the push awaiting its OK went out
         self._wait = self._compute = 0.0
         self._drawn = 0
-        self._tally = Tally()  # of the current replica: a rebuild starts afresh
+        self._tally = Tally()  # a rebuild keeps counting, and so do pulled bytes
+        self._retired_pulled = 0  # pulled bytes of replicas a rebuild retired
         self._profile = profile
         self._profiler = None
         self._exit_at = exit_at
@@ -376,6 +412,8 @@ class WorkerLoop:
     @classmethod
     def from_plan(cls, plan: WorkloadPlan, index: int, link: Link) -> "WorkerLoop":
         """The loop of ``worker-<index>``, its replica rebuilt from the plan."""
+        from repro.ps.plan import replica_builder  # the plan module builds sessions
+
         worker_id = f"worker-{index}"
 
         def build() -> Worker:
@@ -407,7 +445,7 @@ class WorkerLoop:
     def step(self) -> Step:
         """Run the next iteration and count it: its push is about to be sent."""
         step = self._steps()
-        self._tally.add(step)
+        self._tally.add(step, self._drawn)
         self._drawn += 1
         return step
 
@@ -443,9 +481,8 @@ class WorkerLoop:
         wait = self._wait
         if self._sent_at is not None:
             wait += self._clock() - self._sent_at
-        return self._tally.report(
-            self.worker_id, wait=wait, compute=self._compute, pulled=self.worker.pulled_bytes
-        )
+        pulled = self._retired_pulled + self.worker.pulled_bytes
+        return self._tally.report(self.worker_id, wait=wait, compute=self._compute, pulled=pulled)
 
     # -- the blocking driver ---------------------------------------------
     def run(self) -> dict | None:
@@ -478,10 +515,10 @@ class WorkerLoop:
                 self._profiler.detach()
                 self._profiler = None
             self._profile = self._profile and self.worker is None
+            self._retired_pulled += self.worker.pulled_bytes if self.worker is not None else 0
             self.worker = self._build()
             self.worker.loader.skip(resume.clock * self.worker.micro_batches)
             self._drawn = resume.clock
-            self._tally = Tally()
         if self._profile and self._profiler is None:
             from repro.utils.profiler import LayerProfiler
 
@@ -550,6 +587,50 @@ class WorkerLoop:
 # ----------------------------------------------------------------------
 # Server side
 # ----------------------------------------------------------------------
+class ServerEvent(NamedTuple):
+    """One thing that happened to the server, as :meth:`ServerSession.dispatch` takes it.
+
+    ``worker_id`` is the worker it concerns — for a message off a link, the
+    *owner of the connection* it came from, never a field of the message.
+    By ``kind``:
+
+    * ``"join"`` — ``message.get("chaos")``: the net-fault plan may tear its link;
+    * ``"push"`` — ``message`` is the push header (``base_version``,
+      ``timestamp``, optionally ``loss``, ``samples``, ``codec``, ``seq``),
+      ``payload`` the keywords ``buffers`` and exactly one of ``named``
+      (per-name arrays), ``flat`` (per-shard packed buffers), ``encoded``;
+    * ``"done"`` — ``message["report"]``, ``message.get("events")``, the
+      profile (or ``None``) as ``payload``;
+    * ``"departure"`` — ``message.get("reason")`` (``None``: an announced
+      leave), ``.get("events")``, ``.get("chaos")`` and ``.get("time")``;
+    * ``"failure"`` — the run cannot go on: ``message["reason"]``.
+    """
+
+    worker_id: str
+    kind: str
+    message: Mapping = MappingProxyType({})
+    payload: object = None
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What one event did (:meth:`ServerSession.dispatch`).
+
+    ``to_release``: the workers owed an OK now, in sending order — a pusher
+    the policy lets go on at once, then the blocked workers the event freed.
+    A push's store version after it and its staleness; ``duplicate``: a
+    retransmission, applied before; ``verbatim``: applied exactly as its
+    frames decode (no injected corruption, no aggregation window, no buffers).
+    """
+
+    worker_id: str
+    to_release: tuple[str, ...] = ()
+    new_version: int = 0
+    staleness: int = 0
+    duplicate: bool = False
+    verbatim: bool = False
+
+
 @dataclass(frozen=True)
 class Ok:
     """What one OK carries, as :meth:`ServerSession.reply` built it.
@@ -572,33 +653,55 @@ class Ok:
 
 
 class ServerSession:
-    """The server side of the step protocol around one :class:`ParameterServer`.
+    """The parameter server: the server side of the step protocol.
 
-    Single-threaded by contract: the process and tcp runtimes call it from
-    their :class:`ServerLoop`, the threaded runtime under its server lock
-    (except :meth:`apply`, which is as thread-safe as the store).
+    One message handler, as the paper's Algorithm 1 and Li OSDI14 describe
+    the server: :meth:`dispatch` takes an event, applies it and asks the
+    clock policy who may go on; :meth:`reply` builds each OK; :meth:`finish`
+    closes the run.  Those three are all a backend calls during a run.
+
+    Thread-safe: events and replies are handled under one lock, but a push's
+    gradient is applied before taking it when the store applies under its
+    own per-shard locks (``store.supports_concurrent_apply``).
     """
 
     def __init__(
         self,
-        server: ParameterServer,
-        worker_ids,
+        store: ShardedKeyValueStore,
+        optimizer: Optimizer,
+        policy: SynchronizationPolicy,
+        worker_ids=(),
         *,
+        gradient_scale: float | None = None,
+        learning_rate_schedule=None,
+        epoch_samples: int = 0,
+        aggregator: Aggregator | None = None,
+        fault_injector: FaultInjector | None = None,
         evaluate_fn=None,
         evaluate_every_pushes: int = 0,
         wait_timeout: float = 120.0,
         clock: Callable[[], float] = time.monotonic,
         batch_size: int = 0,
     ) -> None:
-        """Wrap ``server``; ``worker_ids`` is the expected membership.
+        """Create a server over ``store``; ``worker_ids`` is the expected membership.
 
-        ``evaluate_fn`` maps a full state to ``(accuracy, loss)``;
-        ``clock`` is the run's time source (the simulator's is virtual);
-        ``batch_size`` turns the result's updates/s into samples/s.
+        ``gradient_scale`` multiplies every pushed gradient (default
+        ``1 / registered workers``: a round of pushes is one large-batch
+        update, the paper's MXNet convention).  ``learning_rate_schedule``
+        sets the rate after the epochs of ``epoch_samples`` the pushes'
+        ``samples`` add up to.  A buffered ``aggregator`` applies each clock
+        window's robust combination as one update.  ``fault_injector``
+        corrupts byzantine pushes and keeps the fault event log.
+        ``evaluate_fn`` maps a full state to ``(accuracy, loss)``; ``clock``
+        is the run's time source; ``batch_size`` turns updates/s into samples/s.
         """
-        self.server = server
+        self.store = store
+        self.optimizer = optimizer
+        self.policy = policy
+        self.staleness_tracker = StalenessTracker()
+        self.aggregator = aggregator
+        self.fault_injector = fault_injector
         self.batch_size = int(batch_size)
-        self.worker_ids = list(worker_ids)
         self.evaluate_fn = evaluate_fn
         self.evaluate_every_pushes = int(evaluate_every_pushes)
         self.wait_timeout = float(wait_timeout)
@@ -606,25 +709,26 @@ class ServerSession:
         #: workload: a heavy model legitimately goes quiet for a whole
         #: iteration, so observed push intervals stretch it.
         self.idle_timeout = self.wait_timeout
-        injector = server.fault_injector
+        #: The one membership record: every expected or joined worker, the
+        #: expected ones first → ``True`` while registered, ``False`` once it
+        #: left, ``None`` before its first join.
+        self.members: dict[str, bool | None] = dict.fromkeys(worker_ids)
+        self._expected = len(self.members)
         #: One chronological event log: the fault injector's records and
         #: everything the runtime or the workers report land in this list.
-        self.events: list[dict] = injector.events if injector is not None else []
+        self.events: list[dict] = fault_injector.events if fault_injector is not None else []
         #: Highest sequence number applied per worker (exactly-once pushes).
         self.watermarks: dict[str, int] = {}
-        #: Every worker that ever joined, expected or not.
-        self.joined: set[str] = set()
         self.reports: dict[str, WorkerReport] = {}
         self.errors: list[str] = []
+        #: The reason of the first ``failure``: the run is over.
+        self.failure: str | None = None
         self.profile: dict | None = None
+        self.pushes_handled = 0
+        self.restarts = 0
         self.evaluation_times: list[float] = []
         self.evaluation_accuracies: list[float] = []
         self.evaluation_losses: list[float] = []
-        self._clock = clock
-        #: ``(at, store version)`` of the last recorded evaluation.
-        self._evaluated: tuple[float | None, int] = (None, server.store.version)
-        self._last_push_time: dict[str, float] = {}
-        self._start: float | None = None
         #: Set by a runtime whose links hold a :class:`Mirror` (one-shard
         #: store); ``None``: no OK is a log reply.
         self.update_log: UpdateLog | None = None
@@ -633,26 +737,46 @@ class ServerSession:
         self.pull_replies = Counter(
             log=0, delta=0, dense=0, log_bytes=0, delta_bytes=0, dense_bytes=0
         )
+        self._gradient_scale = gradient_scale
+        self._schedule = learning_rate_schedule
+        self._epoch_samples = max(int(epoch_samples), 1)
+        self._samples = 0
+        self._clock = clock
+        self._start: float | None = None
+        #: ``(at, store version)`` of the last recorded evaluation.
+        self._evaluated: tuple[float | None, int] = (None, store.version)
+        self._last_push_time: dict[str, float] = {}
+        self._restored: dict[str, int] = {}  # checkpointed clocks, before their rejoin
         self._mirrored: set[str] = set()
         self._bases: dict[str, int] = {}
-
-    @classmethod
-    def from_plan(cls, plan: TrainingPlan, store, workload) -> "ServerSession":
-        """The session a plan describes, over an already-built ``store``."""
-        return cls(
-            build_server(plan, store),
-            plan.worker_ids,
-            evaluate_fn=build_evaluator(plan, workload),
-            evaluate_every_pushes=plan.evaluate_every_pushes,
-            wait_timeout=plan.wait_timeout,
-            batch_size=plan.batch_size,
-        )
+        self._lock = threading.Lock()
+        # Per-thread decode scratch for codec-compressed pushes: concurrent
+        # applies on a sharded store would race on a shared one.
+        self._decode_scratch = threading.local()
+        # Buffered aggregation: staged per-worker copies of the window's
+        # pushes (pooled, reused across windows), the per-shard combine
+        # scratch, and the lock serializing staging with flushes.
+        self._buffered = aggregator is not None and aggregator.buffered
+        self._agg_lock = threading.Lock()
+        self._staged: dict[str, dict[int, np.ndarray]] = {}
+        self._stage_pool: dict[str, dict[int, np.ndarray]] = {}
+        self._combine_scratch: dict[int, np.ndarray] = {}
+        self._windows_applied = 0
 
     # -- lifecycle -----------------------------------------------------
-    def join(self, worker_id: str, clock: int = 0) -> None:
-        """Register ``worker_id`` with the policy at ``clock``."""
-        self.server.register_worker(worker_id, clock)
-        self.joined.add(worker_id)
+    @property
+    def registered(self) -> list[str]:
+        """The workers registered now."""
+        return [worker_id for worker_id, on in self.members.items() if on]
+
+    @property
+    def num_workers(self) -> int:
+        """Number of registered workers."""
+        return sum(1 for on in self.members.values() if on)
+
+    def clock(self, worker_id: str) -> int | None:
+        """``worker_id``'s policy clock; ``None`` when it is not registered."""
+        return self.policy.clock_table.clock(worker_id) if self.members.get(worker_id) else None
 
     def start(self) -> None:
         """The start line: run time counts from here."""
@@ -673,74 +797,166 @@ class ServerSession:
         A no-op for the ``(at, version)`` it last recorded: a run that ends
         at the instant of its last periodic evaluation adds no second point.
         """
-        point = (at, self.server.store.version)
+        point = (at, self.store.version)
         if self.evaluate_fn is None or point == self._evaluated:
             return
         self._evaluated = point
         # State views: the evaluation model copies them into its own arrays,
         # and copy-on-write keeps them stable meanwhile.
-        accuracy, loss = self.evaluate_fn(self.server.store.state_views())
+        accuracy, loss = self.evaluate_fn(self.store.state_views())
         self.evaluation_times.append(at)
         self.evaluation_accuracies.append(accuracy)
         self.evaluation_losses.append(loss)
 
-    # -- the per-push sequence -----------------------------------------
-    def apply(
-        self,
-        worker_id: str,
-        header: Mapping,
-        *,
-        named=None,
-        flat=None,
-        encoded=None,
-        buffers=None,
-    ) -> tuple[PushRequest, AppliedPush | None]:
-        """Storage half of a push; ``None`` applied marks a retransmission.
+    def gradient_scale(self) -> float:
+        """Scale applied to pushed gradients (default ``1 / num_workers``)."""
+        if self._gradient_scale is not None:
+            return self._gradient_scale
+        return 1.0 / max(self.num_workers, 1)
 
-        ``header`` carries ``base_version``, ``timestamp`` and optionally
-        ``loss``, ``codec`` and ``seq``; the gradient travels as exactly one
-        of per-name arrays, per-shard packed buffers or encoded frames.
-        Safe outside the session's serialization when the store applies
-        under its own locks (``store.supports_concurrent_apply``).
+    def set_progress(self, epochs: float) -> None:
+        """Set the learning rate the schedule gives after ``epochs`` of training."""
+        if self._schedule is not None:
+            self.optimizer.learning_rate = self._schedule.learning_rate(epochs)
+
+    # -- the one entry point -------------------------------------------
+    def dispatch(self, event: ServerEvent | tuple) -> Outcome:
+        """Handle one :class:`ServerEvent`; who it releases, and what a push did.
+
+        A ``join`` registers the worker at the clock it (re)starts at
+        (:meth:`clock` reads it back): 0 before the start line, its
+        checkpointed clock after a server restart, later just after its last
+        push the server owns (its watermark), 0 for a chaos-torn worker whose
+        first push was lost, the slowest clock for a new elastic joiner.  A
+        ``push`` is applied once — a retransmitted ``seq`` is only a
+        ``duplicate_push`` event — and the policy decides who goes on.  A
+        ``done`` deregisters the worker, so it stops counting in the policy's
+        membership and the buffered window target; a ``departure`` also
+        drops its staged push and is an error unless announced, its injected
+        crash due at its clock, or the net-fault plan may tear its link.  A
+        ``failure`` is an error and sets :attr:`failure`.
         """
-        seq = header.get("seq")
-        request = PushRequest(
-            worker_id=worker_id,
-            gradients=named or {},
-            base_version=int(header["base_version"]),
-            timestamp=float(header["timestamp"]),
-            buffers=buffers or {},
-            local_loss=header.get("loss"),
-            flat_gradients=flat,
-            encoded_gradients=encoded,
-            codec=header.get("codec"),
-            seq=None if seq is None else int(seq),
+        worker_id, kind, message, payload = event
+        if kind == "push":
+            if self._schedule is not None:  # the rate this push is applied at
+                with self._lock:
+                    self._samples += int(message.get("samples", 0))
+                    self.set_progress(self._samples / self._epoch_samples)
+            request = _request(worker_id, message, **(payload or {}))
+            if self.store.supports_concurrent_apply:
+                applied = self._apply(request)  # under the store's per-shard locks
+                with self._lock:
+                    return self._push(request, applied)
+            with self._lock:
+                return self._push(request, self._apply(request))
+        with self._lock:
+            # A worker's own events (chaos, retries) ride with its last word.
+            self.events.extend(dict(entry) for entry in message.get("events") or ())
+            if kind == "join":
+                return self._join(worker_id, bool(message.get("chaos")))
+            if kind == "done":
+                self.reports[worker_id] = WorkerReport(**message["report"])
+                if payload is not None:
+                    self.profile = payload
+                return Outcome(worker_id, self._release(worker_id))
+            if kind == "departure":
+                return Outcome(worker_id, self._depart(worker_id, message))
+            if kind == "failure":
+                self.errors.append(f"{worker_id}: {message['reason']}")
+                if self.failure is None:
+                    self.failure = str(message["reason"])
+                return Outcome(worker_id)
+        raise ValueError(f"unknown server event kind {kind!r}")
+
+    def _join(self, worker_id: str, chaos: bool) -> Outcome:
+        status = self.members.get(worker_id)
+        if status:
+            raise ValueError(f"worker {worker_id!r} already registered")
+        rejoining = status is not None
+        restored = self._restored.get(worker_id)
+        if restored is not None and not rejoining:
+            clock = restored
+        elif not self.started:
+            clock = 0
+        elif worker_id in self.watermarks:
+            clock = self.watermarks[worker_id] + 1
+        else:
+            clock = 0 if chaos else self.policy.clock_table.slowest_clock()
+        if self.fault_injector is not None and self.started and rejoining:
+            self.fault_injector.record("rejoin", worker_id, clock=clock)
+        elif rejoining or restored is not None:
+            self.events.append({"kind": "reconnect", "worker": worker_id, "clock": int(clock)})
+        self.members[worker_id] = True
+        self.policy.register_worker(worker_id, clock)
+        return Outcome(worker_id)
+
+    def _release(self, worker_id: str) -> tuple[str, ...]:
+        """Deregister ``worker_id`` (if registered); whom that unblocks."""
+        if not self.members.get(worker_id):
+            return ()
+        self.members[worker_id] = False
+        self.policy.deregister_worker(worker_id)
+        released = tuple(self.policy.pop_releasable())
+        if self._buffered:
+            # The departed worker's staged push (if any) still counts; what
+            # shrank is the window target.  Flush when the staged set now
+            # covers every remaining worker — including the case where the
+            # last worker left and the tail window must be applied.
+            with self._agg_lock:
+                self._stage_pool.pop(worker_id, None)
+                if self._staged and len(self._staged) >= max(self.num_workers, 1):
+                    self._flush_window_locked()
+        return released
+
+    def _depart(self, worker_id: str, message: Mapping) -> tuple[str, ...]:
+        injector, clock, reason = self.fault_injector, self.clock(worker_id), message.get("reason")
+        # The planned crash is due at its clock: an earlier death is a failure.
+        fault = injector.plan.for_worker(worker_id) if injector is not None else None
+        planned = fault is not None and fault.kind == "crash" and (
+            clock is not None and clock >= fault.after_clock
         )
+        if reason is not None and not (message.get("chaos") or planned):
+            self.errors.append(f"{worker_id}: {reason}")
+        if injector is not None:
+            details = {k: message[k] for k in ("reason", "time") if message.get(k) is not None}
+            injector.record("crash", worker_id, clock=clock or 0, **details)
+        # Its staged, not-yet-applied push may be the very corruption a
+        # robust aggregator exists to reject.
+        if self._buffered:
+            with self._agg_lock:
+                dropped = self._staged.pop(worker_id, None) is not None
+            if dropped and injector is not None:
+                reason = "worker died with a staged push"
+                injector.record("aggregator_rejection", worker_id, reason=reason)
+        return self._release(worker_id)
+
+    # -- the push, in two halves -----------------------------------------
+    def _apply(self, request: PushRequest) -> Outcome:
+        """The storage half of a push: dedupe, apply, log."""
+        worker_id = request.worker_id
+        if not self.members.get(worker_id):
+            raise KeyError(f"push from unregistered worker {worker_id!r}")
         self._bases[worker_id] = request.base_version
         watermark = self.watermarks.get(worker_id)
         if request.seq is not None and watermark is not None and request.seq <= watermark:
-            return request, None
-        server, log = self.server, self.update_log
-        if log is None:
-            return request, server.apply_push(request)
-        learning_rate, scale = server.optimizer.learning_rate, server.gradient_scale()
-        applied = server.apply_push(request)
-        frames = request.encoded_gradients if applied.verbatim else None
-        log.record(server.store.version, learning_rate, scale, frames, worker_id, request.seq)
-        return request, applied
-
-    def push(self, worker_id: str, header: Mapping, *, staged=None, **gradients) -> PushResponse:
-        """One push, start to finish; ``response.to_release`` gets the OKs.
-
-        ``staged`` is the result of an earlier :meth:`apply` for this push.
-        """
-        request, applied = staged or self.apply(worker_id, header, **gradients)
-        if applied is None:
             # Exactly-once: a retransmission of a push this server already
             # owns (the worker never saw its OK, or replayed after a
-            # reconnect).  Advance the policy clock — the worker's progress
-            # is real — but leave weights, optimizer and staleness untouched.
-            response = self.server.acknowledge_duplicate(request)
+            # reconnect).  Its progress is real, its gradient applied.
+            return Outcome(worker_id, new_version=self.store.version, duplicate=True)
+        log = self.update_log
+        if log is None:
+            return self.apply_push(request)
+        learning_rate, scale = self.optimizer.learning_rate, self.gradient_scale()
+        applied = self.apply_push(request)
+        frames = request.encoded_gradients if applied.verbatim else None
+        log.record(self.store.version, learning_rate, scale, frames, worker_id, request.seq)
+        return applied
+
+    def _push(self, request: PushRequest, applied: Outcome) -> Outcome:
+        """The synchronization half of a push, and its bookkeeping."""
+        outcome = self.finish_push(request, applied)
+        worker_id = request.worker_id
+        if applied.duplicate:
             self.events.append(
                 {
                     "kind": "duplicate_push",
@@ -749,11 +965,8 @@ class ServerSession:
                     "watermark": self.watermarks[worker_id],
                 }
             )
-        else:
-            response = self.server.finish_push(request, applied)
-            if request.seq is not None:
-                self.watermarks[worker_id] = request.seq
-
+        elif request.seq is not None:
+            self.watermarks[worker_id] = request.seq
         previous = self._last_push_time.get(worker_id)
         self._last_push_time[worker_id] = request.timestamp
         if previous is not None:
@@ -765,10 +978,168 @@ class ServerSession:
         # a staged push advances nothing and must not evaluate again.
         if (
             self.evaluate_every_pushes > 0
-            and self.server.store.version - self._evaluated[1] >= self.evaluate_every_pushes
+            and self.store.version - self._evaluated[1] >= self.evaluate_every_pushes
         ):
             self.evaluate(self.elapsed())
-        return response
+        return outcome
+
+    def apply_push(self, request: PushRequest) -> Outcome:
+        """Apply one push's gradient and measure its staleness.
+
+        Needs no lock when the store applies under its own
+        (``store.supports_concurrent_apply``); :meth:`finish_push` must still
+        follow, serialized with every other policy interaction.
+        """
+        if request.base_version > self.store.version:
+            raise ValueError(
+                "push base_version is newer than the store version "
+                f"({request.base_version} > {self.store.version})"
+            )
+        flat_gradients, encoded = request.flat_gradients, request.encoded_gradients
+        # Sparse frames stay sparse wherever the update is the frames' own:
+        # a pure function of (frames, optimizer), so a mirror replaying the
+        # logged push takes the same kernel.  A buffered window is dense,
+        # and so is what a fault injector looks at to decide.
+        sparse = self.optimizer.sparse_runs and not self._buffered
+        if encoded is not None:
+            flat_gradients = self._decode(encoded, sparse and self.fault_injector is None)
+        verbatim = encoded is not None and not request.buffers
+        if self.fault_injector is not None:
+            corrupted = self.fault_injector.corrupt_push(request.worker_id, flat_gradients)
+            if corrupted is not None:
+                flat_gradients, verbatim = corrupted, False
+            elif encoded is not None and sparse:
+                flat_gradients = self._decode(encoded, True)
+        if self._buffered:
+            applied = self._stage(request, flat_gradients)
+        else:
+            version = self.store.apply_gradients(
+                request.gradients,
+                self.optimizer,
+                scale=self.gradient_scale(),
+                flat_gradients=flat_gradients,
+            )
+            # Staleness is measured against the *global* version regardless
+            # of sharding: how many updates landed between the worker's pull
+            # and the version its own update produced.
+            applied = Outcome(
+                request.worker_id,
+                new_version=version,
+                staleness=version - 1 - request.base_version,
+                verbatim=verbatim,
+            )
+        if request.buffers:
+            self.store.update_buffers(request.buffers)
+        return applied
+
+    def finish_push(self, request: PushRequest, applied: Outcome) -> Outcome:
+        """Consult the policy on an applied (or duplicate) push; whom it releases.
+
+        A first delivery's staleness is recorded; a duplicate's is not, but
+        the policy clock advances all the same, so every wait resolves as it
+        did for the original delivery.
+        """
+        if not applied.duplicate:
+            self.staleness_tracker.record(applied.staleness)
+            self.pushes_handled += 1
+        decision = self.policy.on_push(request.worker_id, request.timestamp)
+        pusher = (request.worker_id,) if decision.release else ()
+        return replace(applied, to_release=(*pusher, *self.policy.pop_releasable()))
+
+    # Only perfbench/layers.py still calls this; ROADMAP item 5(b) removes it.
+    def handle_pull(self) -> PullReply:
+        """A dense, zero-copy snapshot of the global weights."""
+        return self.store.pull()
+
+    def _decode(self, encoded, sparse: bool) -> dict:
+        """Decode a push into this thread's pooled scratch (:func:`decode_push`)."""
+        pool = getattr(self._decode_scratch, "pool", None)
+        if pool is None:
+            pool = self._decode_scratch.pool = {}
+        return decode_push(encoded, pool, sparse)
+
+    # -- buffered aggregation ------------------------------------------
+    def _shard_sizes(self) -> dict[int, int]:
+        """Weight-block element count per shard (what a full push carries)."""
+        return {
+            shard: (segments[-1].hi if segments else 0)
+            for shard, segments in self.store.flat_layouts
+        }
+
+    def _stage(self, request: PushRequest, flat_gradients) -> Outcome:
+        """Stage one push into the current clock window.
+
+        The pushed buffers are copied into pooled per-worker scratch — the
+        dense push path aliases live worker memory — and the window is
+        applied once every registered worker has contributed.  A worker
+        lapping the window (ASP/SSP fast nodes) flushes the partial window
+        first, so no contribution is ever overwritten.
+        """
+        sizes = self._shard_sizes()
+        covered = flat_gradients is not None and all(
+            size == 0
+            or (
+                flat_gradients.get(shard) is not None
+                and flat_gradients[shard].size == size
+            )
+            for shard, size in sizes.items()
+        )
+        if not covered:
+            raise ValueError(
+                "buffered aggregation requires pushes carrying the full "
+                "packed flat gradient of every shard"
+            )
+        worker_id = request.worker_id
+        with self._agg_lock:
+            if worker_id in self._staged:
+                self._flush_window_locked()
+            pool = self._stage_pool.setdefault(worker_id, {})
+            staged: dict[int, np.ndarray] = {}
+            for shard, size in sizes.items():
+                if size == 0:
+                    continue
+                scratch = pool.get(shard)
+                if scratch is None or scratch.size != size:
+                    scratch = pool[shard] = np.empty(size, dtype=np.float64)
+                np.copyto(scratch, flat_gradients[shard], casting="unsafe")
+                staged[shard] = scratch
+            self._staged[worker_id] = staged
+            staleness = self.store.version - request.base_version
+            if len(self._staged) >= max(self.num_workers, 1):
+                self._flush_window_locked()
+            return Outcome(worker_id, new_version=self.store.version, staleness=staleness)
+
+    def _flush_window_locked(self) -> None:
+        """Aggregate and apply the staged window (``_agg_lock`` held).
+
+        Rows stack in sorted worker-id order so floating-point reduction
+        order — and therefore the stored weights — is independent of
+        runtime scheduling.  The combined gradient is applied with scale
+        ``gradient_scale() * window_size``, which reduces to exactly one
+        round's worth of mean updates under the default ``1/num_workers``
+        scale.
+        """
+        if not self._staged:
+            return
+        order = sorted(self._staged)
+        combined: dict[int, np.ndarray] = {}
+        for shard, size in self._shard_sizes().items():
+            if size == 0:
+                continue
+            stacked = np.stack([self._staged[worker][shard] for worker in order])
+            out = self._combine_scratch.get(shard)
+            if out is None or out.size != size:
+                out = self._combine_scratch[shard] = np.empty(size, dtype=np.float64)
+            combined[shard] = self.aggregator.combine(stacked, out)
+        count = len(order)
+        self._staged.clear()
+        self.store.apply_gradients(
+            {},
+            self.optimizer,
+            scale=self.gradient_scale() * count,
+            flat_gradients=combined,
+        )
+        self._windows_applied += 1
 
     # -- OKs: the update log, a delta, or the dense weights ---------------
     def reply(self, worker_id: str, *, welcome: bool = False) -> Ok:
@@ -788,121 +1159,156 @@ class ServerSession:
         empty).  Every kind is counted, with its payload bytes, in
         :attr:`pull_replies`.
         """
-        store = self.server.store
-        base = self._bases.get(worker_id)
-        if welcome:
-            reason = "welcome"
-        elif worker_id in self._mirrored:
-            version = store.version
-            entries, reason = self.update_log.since(-1 if base is None else base, version)
-            if entries is not None:
-                sent = (f.nbytes for entry in entries for f in entry.frames_for(worker_id))
-                self.pull_replies.update(log=1, log_bytes=sum(sent))
-                return Ok("log", version, entries=entries)
-            self._mirrored.discard(worker_id)
-            self.events.append({"kind": "dense_pull", "worker": worker_id, "reason": reason})
-        elif base is None:
-            reason = "no base"
-        else:
-            pull = store.pull(base)
-            self.pull_replies.update(delta=1, delta_bytes=pull.wire_nbytes)
-            return Ok("delta", pull.version, pull)
-        pull = store.pull()
-        nbytes = sum(payload.buffer.nbytes for payload in pull.flat_weights)
-        mirrored = welcome and self.update_log is not None
-        velocity = None
-        if mirrored:
-            self._mirrored.add(worker_id)
-            state = self.server.optimizer.state_dict().get("velocity")
-            if state:  # step_flat keeps a velocity for every packed segment
-                segments = (s for _, layout in store.flat_layouts for s in layout)
-                velocity = np.concatenate([state[s.name].ravel() for s in segments])
-                nbytes += velocity.nbytes
-        self.pull_replies.update(dense=1, dense_bytes=nbytes)
-        return Ok("dense", pull.version, pull, mirrored=mirrored, velocity=velocity, reason=reason)
+        store = self.store
+        with self._lock:
+            base = self._bases.get(worker_id)
+            if welcome:
+                reason = "welcome"
+            elif worker_id in self._mirrored:
+                version = store.version
+                entries, reason = self.update_log.since(-1 if base is None else base, version)
+                if entries is not None:
+                    sent = (f.nbytes for entry in entries for f in entry.frames_for(worker_id))
+                    self.pull_replies.update(log=1, log_bytes=sum(sent))
+                    return Ok("log", version, entries=entries)
+                self._mirrored.discard(worker_id)
+                self.events.append({"kind": "dense_pull", "worker": worker_id, "reason": reason})
+            elif base is None:
+                reason = "no base"
+            else:
+                pull = store.pull(base)
+                self.pull_replies.update(delta=1, delta_bytes=pull.wire_nbytes)
+                return Ok("delta", pull.version, pull)
+            pull = store.pull()
+            nbytes = sum(payload.buffer.nbytes for payload in pull.flat_weights)
+            mirrored = welcome and self.update_log is not None
+            velocity = None
+            if mirrored:
+                self._mirrored.add(worker_id)
+                state = self.optimizer.state_dict().get("velocity")
+                if state:  # step_flat keeps a velocity for every packed segment
+                    segments = (s for _, layout in store.flat_layouts for s in layout)
+                    velocity = np.concatenate([state[s.name].ravel() for s in segments])
+                    nbytes += velocity.nbytes
+            self.pull_replies.update(dense=1, dense_bytes=nbytes)
+            return Ok(
+                "dense", pull.version, pull, mirrored=mirrored, velocity=velocity, reason=reason
+            )
 
-    # -- membership changes --------------------------------------------
-    def release(self, worker_id: str) -> tuple[str, ...]:
-        """Deregister a finished or departed worker; who that unblocks."""
-        if worker_id not in self.server.worker_ids:
-            return ()
-        return self.server.deregister_worker(worker_id)
+    # -- persistence -----------------------------------------------------
+    def checkpoint(self, path, *, counters: Mapping = (), codec_states=None) -> None:
+        """Save the run atomically to ``path``.
 
-    def crash_planned(self, worker_id: str) -> bool:
-        """Whether ``worker_id`` leaving now is its injected crash: the fault
-        plan crashes it, and its clock has reached the crash's."""
-        injector = self.server.fault_injector
-        fault = injector.plan.for_worker(worker_id) if injector is not None else None
-        if fault is None or fault.kind != "crash":
-            return False
-        try:
-            return self.server.policy.clock_table.clock(worker_id) >= fault.after_clock
-        except KeyError:  # no longer a member: not this crash
-            return False
-
-    def leave(self, worker_id: str, events=(), **details) -> tuple[str, ...]:
-        """A worker left or died mid-run; returns who to release.
-
-        Its staged, not-yet-applied push is dropped (it may be the very
-        corruption a robust aggregator exists to reject), the membership
-        change re-bounds the policy over the survivors, and with a fault
-        injector present the death is logged as a ``crash`` event.
+        Weights and optimizer state, plus what a restarted session resumes
+        from: every worker's clock, the push watermarks (so it dedups
+        retransmissions consistently with the state it restores), and the
+        event history and counters, so the result spans every incarnation.
+        ``counters`` adds the runtime's own (e.g. its wire byte totals).
         """
-        self.events.extend(dict(event) for event in events or ())
-        injector = self.server.fault_injector
-        if injector is not None:
-            try:
-                clock = self.server.policy.clock_table.clock(worker_id)
-            except KeyError:
-                clock = 0
-            injector.record("crash", worker_id, clock=clock, **details)
-        self.server.discard_staged(worker_id)
-        return self.release(worker_id)
+        save_checkpoint(
+            path,
+            self.store,
+            self.optimizer,
+            paradigm=self.policy.name,
+            extra={
+                "worker_clocks": self.policy.clock_table.clocks(),
+                "push_watermarks": dict(self.watermarks),
+                "events": json_safe(list(self.events)),
+                "restarts": self.restarts,
+                "counters": {
+                    "policy": vars(self.policy.counters),
+                    "staleness": self.staleness_tracker.counts,
+                    "pull_replies": dict(self.pull_replies),
+                    **dict(counters),
+                },
+            },
+            codec_states=codec_states,
+        )
 
-    def done(self, worker_id: str, report: Mapping, events=(), profile=None) -> None:
-        """Record a worker's final report (and the events it shipped)."""
-        self.reports[worker_id] = WorkerReport(**report)
-        self.events.extend(dict(event) for event in events or ())
-        if profile is not None:
-            self.profile = profile
+    def restore(self, path) -> dict:
+        """Resume from the checkpoint at ``path``; its counters, for the runtime's own.
 
-    def finish(self, **extra_statistics) -> RunResult:
+        Each checkpointed worker rejoins at its clock, and the restart is a
+        ``server_restart`` event.
+        """
+        extra = restore_into(path, self.store, self.optimizer).extra
+        self._restored = {
+            str(worker): int(clock) for worker, clock in extra.get("worker_clocks", {}).items()
+        }
+        self.watermarks.update(
+            (str(worker), int(seq)) for worker, seq in extra.get("push_watermarks", {}).items()
+        )
+        self.events.extend(dict(event) for event in extra.get("events", []))
+        counters = extra.get("counters", {})
+        vars(self.policy.counters).update(counters.get("policy", {}))
+        self.staleness_tracker.counts[:] = counters.get("staleness", [])
+        self.pull_replies.update(counters.get("pull_replies", {}))
+        self.restarts = int(extra.get("restarts", 0)) + 1
+        self.events.append(
+            {
+                "kind": "server_restart",
+                "worker": "server",
+                "restart": self.restarts,
+                "version": int(self.store.version),
+                "clocks": dict(self._restored),
+            }
+        )
+        _LOGGER.info(
+            "restored checkpoint %s at version %d (clocks=%s, watermarks=%s)",
+            path, self.store.version, self._restored, self.watermarks,
+        )
+        return counters
+
+    # -- the end of the run ----------------------------------------------
+    def statistics(self) -> dict:
+        """Policy, store and aggregation counters for the run record."""
+        stats = self.policy.statistics()
+        stats["store_version"] = self.store.version
+        stats["store_nbytes"] = int(self.store.nbytes)
+        stats["learning_rate"] = self.optimizer.learning_rate
+        if self.aggregator is not None:
+            stats["aggregation"] = {
+                "name": self.aggregator.name,
+                "buffered": bool(self._buffered),
+                "windows_applied": self._windows_applied,
+            }
+        return stats
+
+    def finish(self, *, reports=(), profile: dict | None = None, **extra_statistics) -> RunResult:
         """Close the run: tail window, final evaluation, the run record.
 
-        ``extra_statistics`` are the runtime's own counters; every backend's
-        record carries the same keys, a counter its runtime lacks at 0.
+        ``reports`` are final worker reports handed over at the end (the
+        simulator's: it deregisters nobody), ``profile`` the first worker's
+        layer profile; ``extra_statistics`` are the runtime's own counters.
+        Every backend's record carries the same keys, a counter its runtime
+        lacks at 0.
         """
+        for report in reports:
+            self.reports[report["worker_id"]] = WorkerReport(**report)
+        if profile is not None:
+            self.profile = profile
         # Apply the tail window of a buffered robust aggregator before the
         # final evaluation sees the weights.
-        self.server.flush_staged()
+        if self._buffered:
+            with self._agg_lock:
+                self._flush_window_locked()
         wall_time = self.elapsed()
         self.evaluate(wall_time)
-        ordered = [*self.worker_ids, *sorted(self.joined - set(self.worker_ids))]
-        reports = [
-            self.reports.get(worker_id)
-            or WorkerReport(
-                worker_id=worker_id,
-                iterations=0,
-                samples_processed=0,
-                total_wait_time=0.0,
-                total_compute_time=0.0,
-                mean_loss=float("nan"),
-            )
-            for worker_id in ordered
-        ]
-        server = self.server
+        joined = list(self.members)
+        ordered = joined[: self._expected] + sorted(joined[self._expected :])
+        reports = [self.reports.get(worker_id) or WorkerReport(worker_id) for worker_id in ordered]
         statistics = {
-            **server.statistics(),
+            **self.statistics(),
             "pull_replies": dict(self.pull_replies),
             "cow_fallbacks": 0,
             "tcp_bytes_sent": 0,
             "tcp_bytes_received": 0,
             **extra_statistics,
         }
-        updates = server.store.version
+        updates = self.store.version
         return RunResult(
-            paradigm=server.policy.name,
-            paradigm_label=server.policy.label,
+            paradigm=self.policy.name,
+            paradigm_label=self.policy.label,
             times=self.evaluation_times,
             accuracies=self.evaluation_accuracies,
             losses=self.evaluation_losses,
@@ -911,7 +1317,7 @@ class ServerSession:
             throughput=iteration_throughput(
                 updates, max(wall_time, 1e-12), samples_per_update=self.batch_size
             ),
-            staleness=server.staleness_tracker.summary(),
+            staleness=self.staleness_tracker.summary(),
             worker_reports=reports,
             server_statistics=statistics,
             errors=self.errors,
@@ -920,26 +1326,31 @@ class ServerSession:
         )
 
 
+def _request(
+    worker_id: str, header: Mapping, *, named=None, flat=None, encoded=None, buffers=None
+) -> PushRequest:
+    """The :class:`PushRequest` of a push event's header and gradient keywords."""
+    seq = header.get("seq")
+    return PushRequest(
+        worker_id=worker_id,
+        gradients=named or {},
+        base_version=int(header["base_version"]),
+        timestamp=float(header["timestamp"]),
+        buffers=buffers or {},
+        local_loss=header.get("loss"),
+        flat_gradients=flat,
+        encoded_gradients=encoded,
+        codec=header.get("codec"),
+        seq=None if seq is None else int(seq),
+    )
+
+
 class Hub(Protocol):
     """The server end of a runtime's links — all a server runtime implements.
 
-    A hub turns its transport's traffic into events for :class:`ServerLoop`,
-    each a ``(worker_id, kind, message, payload)`` tuple whose ``worker_id``
-    is the *owner of the connection* it came from, never a field of the
-    message.  ``kind`` is one of:
-
-    * ``"push"`` — ``message`` is the push header, ``payload`` whatever
-      :meth:`gradients` needs;
-    * ``"done"`` — ``message["report"]`` and ``message.get("events")``, and
-      the worker's profile (or ``None``) as ``payload``;
-    * ``"join"`` — the hub registered (and welcomed) the worker itself;
-    * ``"departure"`` — the worker left the run: ``message.get("reason")``
-      (``None`` for an announced leave), ``message.get("events")``, and
-      ``message.get("chaos")`` when the net-fault plan may tear its link;
-    * ``"failure"`` — the run cannot go on: ``message["reason"]``.
-
-    Everything else on the wire (accepts, heartbeats, watchers) stays
-    inside the hub.
+    It turns its transport's traffic into :class:`ServerEvent` tuples, a
+    push's gradient unpacked into keywords; everything else on the wire
+    (accepts, heartbeats, watchers, welcomes) stays inside the hub.
     """
 
     def attach(self, loop: "ServerLoop") -> None:
@@ -947,11 +1358,8 @@ class Hub(Protocol):
 
     def receive(self, ready: Iterable[tuple]) -> Iterator[tuple]:
         """The events of the ``(conn, data)`` pairs ``loop.watch`` registered
-        that are ready to read — a generator: the loop handles each event
+        that are ready to read — a generator: the loop dispatches each event
         before the hub reads on, so code after a ``yield`` sees its effect."""
-
-    def gradients(self, worker_id: str, message: dict, payload) -> dict:
-        """The gradient keywords of :meth:`ServerSession.push` for one push."""
 
     def ok(self, worker_id: str) -> None:
         """Deliver ``worker_id``'s OK."""
@@ -967,18 +1375,13 @@ class Hub(Protocol):
 
 
 class ServerLoop:
-    """The server side of the step protocol over a :class:`Hub`.
+    """The process and tcp servers' loop: a :class:`Hub`'s events through
+    :meth:`ServerSession.dispatch`, and an OK to every worker it releases.
 
-    The process and tcp runtimes' one dispatch loop: a push goes through
-    :meth:`ServerSession.push` and the workers it releases get their OKs; a
-    ``done`` records the report and deregisters the worker, so a finished
-    worker stops counting in the policy's membership; a departure leaves
-    the membership elastically, recorded as an error unless it is the
-    worker's injected crash, due at its clock (:meth:`ServerSession.crash_planned`),
-    or the fault plan may tear its link; a failure records its reason and
-    aborts.  No push, join, done or departure for the session's
-    ``idle_timeout`` aborts a hung run.  The run is over once it started and
-    no worker is registered (or it aborted), unless the hub still waits.
+    A ``failure`` aborts the run, and so does no push, join, done or
+    departure for the session's ``idle_timeout``.  The run is over once it
+    started and no worker is registered (or it aborted), unless the hub
+    still waits.
     """
 
     def __init__(self, session: ServerSession, hub: Hub, *, poll: float | None = None) -> None:
@@ -991,7 +1394,6 @@ class ServerLoop:
         # measurably cheaper than building a selector per wait on the
         # per-push hot path (as ``multiprocessing.connection.wait`` does).
         self._selector = selectors.DefaultSelector()
-        self._progress = time.monotonic()
 
     def watch(self, conn, data=None) -> None:
         """Read ``conn`` from the next wait on; ``data`` rides along with it."""
@@ -1009,31 +1411,27 @@ class ServerLoop:
         session, hub = self.session, self.hub
         try:
             hub.attach(self)
-            self._progress = time.monotonic()
+            progress = time.monotonic()
             while not self._over():
                 ready = self._selector.select(self.poll or session.idle_timeout)
                 for event in hub.receive(self._live(ready)):
-                    self._progress = time.monotonic()
-                    self._dispatch(*event)
-                    if self.aborted:
+                    progress = time.monotonic()
+                    for worker_id in session.dispatch(event).to_release:
+                        hub.ok(worker_id)
+                    if session.failure is not None:
                         break
-                if not self.aborted and time.monotonic() - self._progress > session.idle_timeout:
-                    session.errors.append(
-                        f"server: no worker progress for {session.idle_timeout:.0f}s, aborting"
-                    )
-                    self.abort("no worker progress")
+                if session.failure is None and time.monotonic() - progress > session.idle_timeout:
+                    reason = f"no worker progress for {session.idle_timeout:.0f}s, aborting"
+                    session.dispatch(ServerEvent("server", "failure", {"reason": reason}))
+                if session.failure is not None and not self.aborted:
+                    self.aborted = True
+                    hub.abort(session.failure)
         finally:
             self._selector.close()
         return session.finish(**hub.statistics())
 
-    def abort(self, reason: str) -> None:
-        """Stop the run: every connected worker hears ``reason``."""
-        self.aborted = True
-        self.hub.abort(reason)
-
     def _over(self) -> bool:
-        session = self.session
-        ended = self.aborted or (session.started and not session.server.num_workers)
+        ended = self.aborted or (self.session.started and not self.session.num_workers)
         return ended and not self.hub.waiting()
 
     def _live(self, ready):
@@ -1042,27 +1440,3 @@ class ServerLoop:
         for key, _ in ready:
             if registered.get(key.fd) is key:
                 yield key.fileobj, key.data
-
-    def _dispatch(self, worker_id: str, kind: str, message: dict, payload) -> None:
-        session, hub = self.session, self.hub
-        if kind == "push":
-            gradients = hub.gradients(worker_id, message, payload)
-            released = session.push(worker_id, message, **gradients).to_release
-        elif kind == "done":
-            session.done(worker_id, message["report"], message.get("events"), payload)
-            released = session.release(worker_id)
-        elif kind == "departure":
-            reason = message.get("reason")
-            planned = message.get("chaos") or session.crash_planned(worker_id)
-            if reason is not None and not planned:
-                session.errors.append(f"{worker_id}: {reason}")
-            details = {} if reason is None else {"reason": reason}
-            released = session.leave(worker_id, message.get("events"), **details)
-        elif kind == "failure":
-            session.errors.append(f"{worker_id}: {message['reason']}")
-            self.abort(message["reason"])
-            return
-        else:  # "join": the hub registered the worker; it counts as progress
-            return
-        for released_id in released:
-            hub.ok(released_id)

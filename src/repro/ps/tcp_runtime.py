@@ -8,7 +8,7 @@ assumptions and speaks the length-prefixed socket protocol of
 
 * **One server process** runs the shared
   :class:`~repro.ps.session.ServerLoop` (a one-shard store from
-  :func:`~repro.ps.sharding.make_store`) behind a listening socket; its
+  :func:`~repro.ps.plan.build_store`) behind a listening socket; its
   hub, the server end of the links, owns accepts, ``join``/``welcome``,
   heartbeats, ``watch`` connections and the OK frames.  A message acts for
   the worker whose connection joined, whatever its header names.  The
@@ -78,14 +78,14 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.ps.checkpoint import load_codec_states, restore_into, save_checkpoint
+from repro.ps.checkpoint import load_codec_states
 from repro.ps.faults import NET_FAULT_KINDS
 from repro.ps.netfaults import ChaosConnection, NetFaultSchedule, RetryBudget
 from repro.ps.compression import EncodedShard, decode_shard
 from repro.ps.flatbuffer import Segment
 from repro.ps.messages import FlatPullPayload, PullReply
 from repro.ps.process_runtime import reap, resolve_context
-from repro.ps.plan import WorkloadPlan, build_optimizer, plan_codec
+from repro.ps.plan import WorkloadPlan, build_optimizer, build_server, build_store, plan_codec
 from repro.ps.result import RunResult, json_restore, json_safe
 from repro.ps.session import (
     LogEntry,
@@ -96,7 +96,6 @@ from repro.ps.session import (
     UpdateLog,
     WorkerLoop,
 )
-from repro.ps.sharding import make_store
 from repro.ps.transport import (
     ConnectionClosed,
     TcpConnection,
@@ -105,7 +104,6 @@ from repro.ps.transport import (
     parse_address,
 )
 from repro.utils.logging import get_logger
-from repro.utils.rng import RngStream
 
 __all__ = [
     "TcpTrainingPlan",
@@ -274,7 +272,7 @@ class _TcpHub:
     def __init__(self, plan: TcpTrainingPlan, session: ServerSession, listener=None, shutdown=None):
         self.plan, self.session = plan, session
         self._listener, self._shutdown = listener, shutdown
-        store = session.server.store
+        store = session.store
         self._codec = plan_codec(plan)
         self._layout = _layout_to_wire(store.flat_layouts[0][1])
         self._buffer_order = [
@@ -291,14 +289,16 @@ class _TcpHub:
         self._linger = 0.0
         self._sent = self._received = 0
         self._loop = None
-        self._restored: dict[str, int] = {}
         self.codec_states: dict[str, dict[str, np.ndarray]] = {}
-        self.restarts = 0
         self._checkpoint = (
             Path(plan.checkpoint_path).with_suffix(".npz") if plan.checkpoint_path else None
         )
         if self._checkpoint is not None and self._checkpoint.exists():
-            self._restore()
+            # Restart: the session resumes from the checkpoint, the hub takes
+            # back its wire totals and the workers' codec residuals.
+            counters = session.restore(self._checkpoint)
+            self._sent, self._received = counters.get("tcp_bytes", (0, 0))
+            self.codec_states = load_codec_states(self._checkpoint)
         if self._codec is not None:
             # Encoded pushes are small enough to answer pulls with; dense
             # ones never are, so a codec-less run keeps no log at all.
@@ -331,7 +331,8 @@ class _TcpHub:
                 self._depart(peer.worker_id, f"no heartbeat for {self.plan.heartbeat_timeout:.0f}s")
         yield from self._drain()
 
-    def gradients(self, worker_id, message, payload) -> dict:
+    def _gradients(self, worker_id, message, payload) -> dict:
+        """A push's gradient keywords, off its frames; its codec state is kept."""
         state = _codec_state(message, payload)
         if state:  # kept for the next checkpoint
             self.codec_states[worker_id] = state
@@ -419,9 +420,9 @@ class _TcpHub:
             return  # not a member (any more): e.g. a push racing a deregistration
         peer.last_seen = time.monotonic()
         if kind == "push":
-            yield peer.worker_id, kind, header, frames
+            yield peer.worker_id, kind, header, self._gradients(peer.worker_id, header, frames)
             every = self.plan.checkpoint_every_pushes
-            if every and self.session.server.pushes_handled % every == 0:
+            if every and self.session.pushes_handled % every == 0:
                 self.checkpoint()
         elif kind == "done":
             del self._peers[peer.worker_id]
@@ -449,33 +450,11 @@ class _TcpHub:
             self._send(conn, {"type": "reject", "reason": reason})
             self._retire(conn)
             return
-        rejoining = worker_id in session.joined
-        if worker_id in self._restored and not rejoining:
-            clock = self._restored[worker_id]
-        elif session.started:
-            # A returning worker resumes exactly after its last push the
-            # server owns (the exactly-once watermark); a brand-new elastic
-            # joiner starts at the cluster's slowest clock.
-            watermark = session.watermarks.get(worker_id)
-            if watermark is not None:
-                clock = watermark + 1
-            elif worker_id in self._chaos:
-                # A chaos-torn worker with no watermark lost its very first
-                # push: replay from zero so no work is dropped.
-                clock = 0
-            else:
-                clock = session.server.policy.clock_table.slowest_clock()
-        else:
-            clock = 0
-        injector = session.server.fault_injector
-        if injector is not None and session.started and rejoining:
-            injector.record("rejoin", worker_id, clock=clock)
-        elif rejoining or worker_id in self._restored:
-            session.events.append({"kind": "reconnect", "worker": worker_id, "clock": int(clock)})
-        session.join(worker_id, clock)
         self._peers[worker_id] = _Peer(conn=conn, worker_id=worker_id, last_seen=time.monotonic())
         conn.owner = worker_id
-
+        # The session registers the worker at the clock it resumes at.
+        yield worker_id, "join", {"chaos": worker_id in self._chaos}, None
+        clock = session.clock(worker_id)
         welcome = {
             "type": "welcome",
             "worker": worker_id,
@@ -494,7 +473,6 @@ class _TcpHub:
             for peer in list(self._peers.values()):
                 self._send(peer.conn, {"type": "start"}, worker_id=peer.worker_id)
             _LOGGER.info("all %d expected workers joined; training started", self.plan.num_workers)
-        yield worker_id, "join", header, None
 
     def _lost(self, conn) -> None:
         peer = self._peers.get(conn.owner)  # the join stamped the owner
@@ -511,7 +489,7 @@ class _TcpHub:
             return
         self._retire(peer.conn)
         chaos = worker_id in self._chaos
-        if chaos and self.session.server.fault_injector is None:
+        if chaos and self.session.fault_injector is None:
             self.session.events.append(
                 {"kind": "connection_lost", "worker": worker_id, "reason": reason}
             )
@@ -542,68 +520,17 @@ class _TcpHub:
         conn.close()
 
     # -- persistence and teardown --------------------------------------
-    def _restore(self) -> None:
-        """Restart path: weights, optimizer state, clocks, residuals, push
-        watermarks, and the event history and counters of previous incarnations."""
-        session, checkpoint = self.session, self._checkpoint
-        store = session.server.store
-        extra = restore_into(checkpoint, store, session.server.optimizer).extra
-        self._restored = {
-            str(worker): int(clock) for worker, clock in extra.get("worker_clocks", {}).items()
-        }
-        session.watermarks.update(
-            (str(worker), int(seq)) for worker, seq in extra.get("push_watermarks", {}).items()
-        )
-        self.codec_states = load_codec_states(checkpoint)
-        session.events.extend(dict(event) for event in extra.get("events", []))
-        counters = extra.get("counters", {})
-        vars(session.server.policy.counters).update(counters.get("policy", {}))
-        session.server.staleness_tracker.counts[:] = counters.get("staleness", [])
-        session.pull_replies.update(counters.get("pull_replies", {}))
-        self._sent, self._received = counters.get("tcp_bytes", (0, 0))
-        self.restarts = int(extra.get("restarts", 0)) + 1
-        session.events.append(
-            {
-                "kind": "server_restart",
-                "worker": "server",
-                "restart": self.restarts,
-                "version": int(store.version),
-                "clocks": dict(self._restored),
-            }
-        )
-        _LOGGER.info(
-            "restored checkpoint %s at version %d (clocks=%s, watermarks=%s)",
-            checkpoint, store.version, self._restored, session.watermarks,
-        )
-
     def checkpoint(self) -> None:
         """Save the run atomically (no checkpoint path: a no-op)."""
         if self._checkpoint is None:
             return
-        session = self.session
-        save_checkpoint(
+        self.session.checkpoint(
             self._checkpoint,
-            session.server.store,
-            session.server.optimizer,
-            paradigm=self.plan.paradigm,
-            extra={
-                "worker_clocks": session.server.policy.clock_table.clocks(),
-                # Watermarks, event history and counters travel with the
-                # weights so a restarted server dedups retransmissions
-                # consistently with the state it restored, and the result's
-                # event log and statistics span every incarnation.
-                "push_watermarks": dict(session.watermarks),
-                "events": json_safe(list(session.events)),
-                "restarts": self.restarts,
-                "counters": {
-                    "policy": vars(session.server.policy.counters),
-                    "staleness": session.server.staleness_tracker.counts,
-                    "pull_replies": dict(session.pull_replies),
-                    "tcp_bytes": [
-                        self._sent + sum(conn.bytes_sent for conn in self._conns),
-                        self._received + sum(conn.bytes_received for conn in self._conns),
-                    ],
-                },
+            counters={
+                "tcp_bytes": [
+                    self._sent + sum(conn.bytes_sent for conn in self._conns),
+                    self._received + sum(conn.bytes_received for conn in self._conns),
+                ]
             },
             codec_states=self.codec_states or None,
         )
@@ -648,13 +575,7 @@ class TcpServer:
     def serve(self) -> RunResult | None:
         plan = self.plan
         workload = plan.build_workload()
-        global_model = workload.model_builder(RngStream(plan.seed).get("init"))
-        store = make_store(
-            {name: parameter.data for name, parameter in global_model.named_parameters()},
-            global_model.buffers(),
-            dtype=plan.dtype,
-        )
-        self.session = session = ServerSession.from_plan(plan, store, workload)
+        self.session = session = build_server(plan, build_store(plan, workload), workload)
         host, port = parse_address(plan.address)
         listener = socket.create_server((host, port), backlog=64)  # SO_REUSEADDR on POSIX
         listener.setblocking(False)

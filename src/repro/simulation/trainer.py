@@ -13,13 +13,14 @@ simulator's own is *when* things happen, decided by a discrete-event loop:
    arrival* one simulated iteration later (compute time on its device plus
    push/pull time on its link);
 2. at the earliest push arrival the worker's gradient — computed *for real*
-   from the weights of its last OK — goes to ``session.push``, which applies
-   it, lets the policy decide whether the worker continues or waits, and
-   evaluates the global model on the plan's cadence;
-3. a released worker loads the OK the session builds (``session.reply``)
-   and schedules its next push; a blocked one is released (its wait
-   recorded) when a later push or a crash (``session.leave``) allows;
-4. ``session.finish`` closes the run exactly as it closes a wall-clock one.
+   from the weights of its last OK — goes to ``session.dispatch`` as a
+   ``push`` event: applied, the policy decides who goes on, the global
+   model is evaluated on the plan's cadence;
+3. each released worker (the pusher first) loads the OK the session builds
+   (``session.reply``) and schedules its next push; a blocked one waits
+   for a later push or a crash (a ``departure`` event);
+4. ``session.finish`` takes every report (nobody deregisters at the end)
+   and closes the run exactly as it closes a wall-clock one.
 
 Each worker side is the shared :class:`~repro.ps.session.WorkerLoop`,
 driven as a step machine on the virtual clock: this loop decides *when*
@@ -44,7 +45,7 @@ from repro.metrics.throughput import percentile_summary
 from repro.optim.schedules import MultiStepSchedule
 from repro.ps.plan import TrainingPlan, assemble, plan_codec
 from repro.ps.result import RunResult
-from repro.ps.session import ServerSession, WorkerLoop
+from repro.ps.session import ServerEvent, WorkerLoop
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.clock import VirtualClock
 from repro.simulation.events import Event, EventKind, EventQueue
@@ -193,8 +194,11 @@ class SimulatedTraining:
             schedule = MultiStepSchedule(
                 plan.learning_rate, options.lr_milestones, decay=options.lr_decay
             )
-        server, replicas, evaluator = assemble(plan, self.workload, schedule)
-        store = server.store
+        clock = VirtualClock()
+        session, replicas = assemble(
+            plan, self.workload, schedule=schedule, clock=lambda: clock.now
+        )
+        store = session.store
         workers = {worker.worker_id: worker for worker in replicas}
         # Mirror the store's packed layout in every replica so full pulls
         # move one buffer per shard instead of N named arrays.
@@ -246,17 +250,8 @@ class SimulatedTraining:
             quota = max(1, int(np.ceil(options.epochs * partition_size / plan.batch_size)))
             max_updates = options.max_updates or (quota * len(workers))
 
-        clock = VirtualClock()
         queue = EventQueue()
         push_trace: list[tuple[float, str, float]] = []
-        session = ServerSession(
-            server,
-            plan.worker_ids,
-            evaluate_fn=evaluator,
-            evaluate_every_pushes=plan.evaluate_every_pushes,
-            clock=lambda: clock.now,
-            batch_size=plan.batch_size,
-        )
 
         def iteration_time(worker_id: str, now: float) -> float:
             done = loops[worker_id].completed
@@ -310,7 +305,6 @@ class SimulatedTraining:
             session.evaluate(0.0)
             session.start()
 
-            samples = 0
             while queue and store.version < max_updates:
                 event = queue.pop()
                 now = clock.advance_to(event.time)
@@ -320,21 +314,17 @@ class SimulatedTraining:
                     # The worker dies at its fault clock: its push never lands,
                     # any staged (unapplied) contribution is rejected, and the
                     # policy re-bounds exactly as for a real runtime death.
-                    resume(session.leave(worker_id, time=now), now)
+                    departure = ServerEvent(worker_id, "departure", {"time": now})
+                    resume(session.dispatch(departure).to_release, now)
                     continue
                 step = loop.step()
                 computation = step.computation
-                samples += computation.samples
-                server.set_progress(samples / max(len(train_dataset), 1))
-                response = session.push(
-                    worker_id, loop.header(step), flat=step.flat, encoded=step.encoded,
-                    buffers=computation.buffers,
-                )
+                gradients = dict(flat=step.flat, encoded=step.encoded, buffers=computation.buffers)
+                push = ServerEvent(worker_id, "push", loop.header(step), gradients)
+                outcome = session.dispatch(push)
                 loop.sent()
                 push_trace.append((now, worker_id, float(computation.loss)))
-                if response.release_now:
-                    resume([worker_id], now)
-                resume(response.released_workers, now)
+                resume(outcome.to_release, now)
 
             profile = pool.profile
 
@@ -342,7 +332,8 @@ class SimulatedTraining:
         if profiler is not None:
             profiler.detach()
             profile = {"worker_id": replicas[0].worker_id, **profile}
-        for worker_id, loop in loops.items():
+        reports = []
+        for loop in loops.values():
             # A push still unanswered has waited until the final event.
             report = loop.report()
             # "Compute" is everything that was not synchronization waiting:
@@ -356,12 +347,13 @@ class SimulatedTraining:
                 report["pushed_wire_bytes"] = int(round(done * ring_wire))
                 report["pushed_raw_bytes"] = int(round(done * float(cost.parameter_bytes)))
                 report["pulled_bytes"] = 0
-            first = loop.worker is replicas[0]
-            session.done(worker_id, report, profile=profile if first else None)
+            reports.append(report)
         # The shared end of run: the buffered aggregator's tail window, then
         # the final evaluation (skipped when one already sits at this instant).
         result = replace(
-            session.finish(), queue_trace=list(time_model.state.queue_trace), push_trace=push_trace
+            session.finish(reports=reports, profile=profile),
+            queue_trace=list(time_model.state.queue_trace),
+            push_trace=push_trace,
         )
         # Tail statistics of iteration intervals: per-worker push-to-push
         # virtual time (the first interval measured from t=0), pooled across

@@ -24,8 +24,7 @@ from repro.ps.aggregation import (
     register_aggregator,
     validate_aggregation_spec,
 )
-from repro.ps.server import ParameterServer
-from repro.ps.session import ServerSession
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.sharding import ShardedKeyValueStore
 
 
@@ -199,27 +198,30 @@ def _make_server(aggregator=None, num_workers=3, num_shards=2):
         "layer2.weight": rng.normal(size=(4, 3)),
     }
     store = ShardedKeyValueStore(weights, num_shards=num_shards)
-    server = ParameterServer(
+    session = ServerSession(
         store, SGD(0.1), make_policy("asp"), aggregator=aggregator
     )
     for index in range(num_workers):
-        server.register_worker(f"worker-{index}")
-    return ServerSession(server, server.worker_ids), store
+        session.dispatch(ServerEvent(f"worker-{index}", "join"))
+    return session, store
 
 
 def _flat_push(session, worker_id, seed, base_version=0, num_flat=None):
     """Push random packed gradients for every shard (the first ``num_flat``)."""
-    store = session.server.store
+    store = session.store
     rng = np.random.default_rng(seed)
     flat = {
         shard: rng.normal(size=sum(segment.size for segment in layout))
         for shard, layout in store.flat_layouts
     }
-    return session.push(
-        worker_id,
-        {"base_version": base_version, "timestamp": 0.0},
-        named={name: np.zeros_like(value) for name, value in store.weights_snapshot().items()},
-        flat=dict(list(flat.items())[:num_flat]),
+    named = {name: np.zeros_like(value) for name, value in store.weights_snapshot().items()}
+    return session.dispatch(
+        ServerEvent(
+            worker_id,
+            "push",
+            {"base_version": base_version, "timestamp": 0.0},
+            {"named": named, "flat": dict(list(flat.items())[:num_flat])},
+        )
     )
 
 
@@ -239,7 +241,7 @@ class TestBufferedWindow:
             not np.array_equal(before[name], value)
             for name, value in store.weights_snapshot().items()
         )
-        assert session.server.statistics()["aggregation"] == {
+        assert session.statistics()["aggregation"] == {
             "name": "trimmed_mean",
             "buffered": True,
             "windows_applied": 1,
@@ -257,17 +259,17 @@ class TestBufferedWindow:
         session, store = _make_server(make_aggregator("median"))
         _flat_push(session, "worker-0", seed=1)
         assert store.version == 0
-        session.server.flush_staged()
+        session.finish()
         assert store.version == 1
-        session.server.flush_staged()  # idempotent on an empty window
+        session.finish()  # idempotent on an empty window
         assert store.version == 1
 
     def test_discard_staged_drops_a_dead_workers_push(self):
         session, store = _make_server(make_aggregator("median"))
         _flat_push(session, "worker-0", seed=1)
-        assert session.server.discard_staged("worker-0")
-        assert not session.server.discard_staged("worker-0")  # nothing left
-        session.server.flush_staged()
+        session.dispatch(ServerEvent("worker-0", "departure"))
+        session.dispatch(ServerEvent("worker-0", "departure"))  # nothing left
+        session.finish()
         assert store.version == 0  # the discarded push never landed
 
     def test_deregistration_shrinks_the_window_target(self):
@@ -276,7 +278,7 @@ class TestBufferedWindow:
         _flat_push(session, "worker-1", seed=2)
         # worker-2 dies before contributing: the staged pair now covers
         # every remaining worker and must flush.
-        session.server.deregister_worker("worker-2")
+        session.dispatch(ServerEvent("worker-2", "departure"))
         assert store.version == 1
 
     def test_buffered_push_requires_full_flat_gradients(self):
@@ -311,6 +313,6 @@ class TestMeanFastPath:
     def test_mean_server_reports_zero_windows(self):
         session, store = _make_server(make_aggregator("mean"))
         _flat_push(session, "worker-0", seed=1)
-        stats = session.server.statistics()["aggregation"]
+        stats = session.statistics()["aggregation"]
         assert stats == {"name": "mean", "buffered": False, "windows_applied": 0}
         assert store.version == 1  # applied immediately, never staged

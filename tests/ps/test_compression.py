@@ -31,8 +31,7 @@ from repro.ps.compression import (
     validate_codec_spec,
     write_encoded,
 )
-from repro.ps.server import ParameterServer
-from repro.ps.session import ServerSession
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.sharding import ShardedKeyValueStore
 
 
@@ -347,20 +346,22 @@ def _make_server(num_shards=2):
         "layer2.weight": rng.normal(size=(4, 3)),
     }
     store = ShardedKeyValueStore(weights, num_shards=num_shards)
-    server = ParameterServer(store, SGD(0.1), make_policy("asp"), gradient_scale=1.0)
-    server.register_worker("w0")
-    return ServerSession(server, ["w0"]), store
+    session = ServerSession(store, SGD(0.1), make_policy("asp"), gradient_scale=1.0)
+    session.dispatch(ServerEvent("w0", "join"))
+    return session, store
 
 
 def _push(session, base_version=0, **gradients):
     """One push from ``w0``, with the full named-gradient mapping of zeros
     the flat path validates names and shapes against."""
-    snapshot = session.server.store.weights_snapshot()
-    return session.push(
-        "w0",
-        {"base_version": base_version, "timestamp": 0.0},
-        named={name: np.zeros_like(value) for name, value in snapshot.items()},
-        **gradients,
+    snapshot = session.store.weights_snapshot()
+    return session.dispatch(
+        ServerEvent(
+            "w0",
+            "push",
+            {"base_version": base_version, "timestamp": 0.0},
+            {"named": {name: np.zeros_like(value) for name, value in snapshot.items()}, **gradients},
+        )
     )
 
 

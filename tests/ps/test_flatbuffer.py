@@ -20,7 +20,7 @@ from repro.ps.compression import decode_shard, make_codec
 from repro.ps.faults import FaultInjector, parse_fault_plan
 from repro.ps.flatbuffer import FlatLayout, FlatShard
 from repro.ps.messages import PushRequest
-from repro.ps.server import ParameterServer
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.sharding import ShardedKeyValueStore, make_store
 from repro.utils.rng import RngStream
 
@@ -555,8 +555,6 @@ class TestPackedGradientPush:
         from repro.data.loader import MiniBatchLoader
         from repro.models import mlp
         from repro.nn.losses import SoftmaxCrossEntropy
-        from repro.ps.server import ParameterServer
-        from repro.ps.session import ServerSession
         from repro.ps.worker import Worker
 
         rng = np.random.default_rng(0)
@@ -580,32 +578,29 @@ class TestPackedGradientPush:
                 {name: p.data for name, p in model.named_parameters()},
                 num_shards=2,
             )
-            server = ParameterServer(
+            server = ServerSession(
                 store=store,
                 optimizer=SGD(0.1, momentum=0.9, weight_decay=1e-4),
                 policy=make_policy("asp"),
                 gradient_scale=1.0,
             )
-            server.register_worker(worker_id)
-            return worker, ServerSession(server, [worker_id])
+            server.dispatch(ServerEvent(worker_id, "join"))
+            return worker, server
 
         packed, packed_session = build("packed")
         plain, plain_session = build("plain")
-        packed.attach_flat_layout(packed_session.server.store.flat_layouts)
+        packed.attach_flat_layout(packed_session.store.flat_layouts)
 
         for _ in range(3):
             for worker, session in ((packed, packed_session), (plain, plain_session)):
                 computation = worker.compute_gradients()
-                session.push(
-                    worker.worker_id,
-                    {"base_version": computation.base_version, "timestamp": 0.0},
-                    named=computation.gradients,
-                    flat=computation.flat_gradients,
-                )
+                header = {"base_version": computation.base_version, "timestamp": 0.0}
+                gradients = {"named": computation.gradients, "flat": computation.flat_gradients}
+                session.dispatch(ServerEvent(worker.worker_id, "push", header, gradients))
                 worker.load_reply(session.reply(worker.worker_id).pull)
         assert packed.compute_gradients().flat_gradients is not None
-        packed_state = packed_session.server.store.weights_snapshot()
-        plain_state = plain_session.server.store.weights_snapshot()
+        packed_state = packed_session.store.weights_snapshot()
+        plain_state = plain_session.store.weights_snapshot()
         for name in packed_state:
             assert np.array_equal(packed_state[name], plain_state[name]), name
 
@@ -615,21 +610,18 @@ class TestDeltaPullThroughServer:
         """A staged push leaves the store at its base: the OK is empty."""
         from repro.core.factory import make_policy
         from repro.ps.aggregation import make_aggregator
-        from repro.ps.server import ParameterServer
-        from repro.ps.session import ServerSession
-
         store = ShardedKeyValueStore(make_arrays(), num_shards=2)
-        server = ParameterServer(
+        session = ServerSession(
             store=store,
             optimizer=SGD(0.1),
             policy=make_policy("asp"),
             aggregator=make_aggregator("median"),
         )
         for worker_id in ("w0", "w1"):
-            server.register_worker(worker_id)
-        session = ServerSession(server, ["w0", "w1"])
+            session.dispatch(ServerEvent(worker_id, "join"))
         flat = {shard: np.ones(segments[-1].hi) for shard, segments in store.flat_layouts}
-        session.push("w0", {"base_version": 0, "timestamp": 0.0}, flat=flat)
+        header = {"base_version": 0, "timestamp": 0.0}
+        session.dispatch(ServerEvent("w0", "push", header, {"flat": flat}))
         ok = session.reply("w0")
         assert store.version == 0 and ok.kind == "delta"
         assert not ok.pull.weights and not ok.pull.flat_weights and ok.pull.wire_nbytes == 0
@@ -647,7 +639,7 @@ class CountingSGD(SGD):
 
 
 class TestSparsePushes:
-    """A sparse-coded push through ``ParameterServer.apply_push``: applied
+    """A sparse-coded push through ``ServerSession.apply_push``: applied
     as a sparse run where the update rule allows, densified everywhere else
     — either way the numbers of the dense decode applied densely.
 
@@ -660,8 +652,8 @@ class TestSparsePushes:
 
     def server(self, dtype="float64", **options):
         store = make_store(make_arrays(num=8), num_shards=self.NUM_SHARDS, dtype=dtype)
-        server = ParameterServer(store, policy=make_policy("asp"), **options)
-        server.register_worker("worker-0")
+        server = ServerSession(store, policy=make_policy("asp"), **options)
+        server.dispatch(ServerEvent("worker-0", "join"))
         return server
 
     def pushes(self, server, codec, count=3):

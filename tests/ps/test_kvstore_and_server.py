@@ -11,8 +11,7 @@ import pytest
 
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
-from repro.ps.server import ParameterServer
-from repro.ps.session import ServerSession
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.sharding import ShardedKeyValueStore, make_store
 
 
@@ -36,26 +35,28 @@ def store_factory(request):
 @pytest.fixture
 def make_server(store_factory):
     def factory(paradigm="asp", num_workers=2, **kwargs):
-        server = ParameterServer(
+        session = ServerSession(
             store=store_factory(),
             optimizer=SGD(learning_rate=0.1),
             policy=make_policy(paradigm, **kwargs),
         )
         for index in range(num_workers):
-            server.register_worker(f"w{index}")
-        return ServerSession(server, server.worker_ids)
+            session.dispatch(ServerEvent(f"w{index}", "join"))
+        return session
 
     return factory
 
 
 def push(session, worker_id, gradients=None, base_version=None, timestamp=0.0, **extra):
-    store = session.server.store
+    store = session.store
     header = {
         "base_version": store.version if base_version is None else base_version,
         "timestamp": timestamp,
     }
-    return session.push(
-        worker_id, header, named=gradients or {"w": np.array([1.0, 0.0])}, **extra
+    return session.dispatch(
+        ServerEvent(
+            worker_id, "push", header, {"named": gradients or {"w": np.array([1.0, 0.0])}, **extra}
+        )
     )
 
 
@@ -142,7 +143,7 @@ class TestParameterServer:
     def test_registration_validation(self, make_server):
         session = make_server()
         with pytest.raises(ValueError):
-            session.server.register_worker("w0")
+            session.dispatch(ServerEvent("w0", "join"))
         with pytest.raises(KeyError):
             push(session, "stranger")
 
@@ -150,17 +151,17 @@ class TestParameterServer:
         session = make_server(num_workers=2)
         push(session, "w0")
         # Default gradient scale is 1/num_workers = 0.5, learning rate 0.1.
-        assert np.allclose(session.server.store.weights_snapshot()["w"], [1.0 - 0.05, 1.0])
+        assert np.allclose(session.store.weights_snapshot()["w"], [1.0 - 0.05, 1.0])
 
     def test_explicit_gradient_scale(self, store_factory):
-        server = ParameterServer(
+        server = ServerSession(
             store=store_factory(),
             optimizer=SGD(learning_rate=0.1),
             policy=make_policy("asp"),
             gradient_scale=1.0,
         )
-        server.register_worker("w0")
-        push(ServerSession(server, ["w0"]), "w0")
+        server.dispatch(ServerEvent("w0", "join"))
+        push(server, "w0")
         assert np.allclose(server.store.weights_snapshot()["w"], [0.9, 1.0])
 
     def test_staleness_measured_against_base_version(self, make_server):
@@ -168,7 +169,7 @@ class TestParameterServer:
         push(session, "w0", base_version=0)
         response = push(session, "w1", base_version=0)
         assert response.staleness == 1
-        summary = session.server.staleness_tracker.summary()
+        summary = session.staleness_tracker.summary()
         assert summary.maximum == 1
 
     def test_future_base_version_rejected(self, make_server):
@@ -185,21 +186,21 @@ class TestParameterServer:
     def test_bsp_push_reports_released_workers(self, make_server):
         session = make_server(paradigm="bsp", num_workers=2)
         first = push(session, "w0", timestamp=1.0)
-        assert not first.release_now
+        assert "w0" not in first.to_release
         second = push(session, "w1", timestamp=2.0)
-        assert second.release_now
-        assert second.released_workers == ("w0",)
+        assert "w1" in second.to_release
+        assert second.to_release[1:] == ("w0",)
 
     def test_learning_rate_schedule_progress(self, store_factory):
         from repro.optim.schedules import MultiStepSchedule
 
-        server = ParameterServer(
+        server = ServerSession(
             store=store_factory(),
             optimizer=SGD(learning_rate=0.05),
             policy=make_policy("asp"),
             learning_rate_schedule=MultiStepSchedule(0.05, milestones=(10,), decay=0.1),
         )
-        server.register_worker("w0")
+        server.dispatch(ServerEvent("w0", "join"))
         server.set_progress(5)
         assert server.optimizer.learning_rate == pytest.approx(0.05)
         server.set_progress(15)
@@ -217,11 +218,11 @@ class TestParameterServer:
     def test_statistics_contains_policy_and_staleness(self, make_server):
         session = make_server(paradigm="ssp", staleness=2)
         push(session, "w0")
-        stats = session.server.statistics()
+        stats = session.statistics()
         assert stats["paradigm"] == "ssp"
         assert stats["store_version"] == 1
         assert session.finish().staleness.count == 1
-        assert session.server.pushes_handled == 1
+        assert session.pushes_handled == 1
 
     def test_delta_pull_through_server(self, make_server, store_factory):
         session = make_server(num_workers=2)

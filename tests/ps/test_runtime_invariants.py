@@ -7,6 +7,9 @@ BSP's lockstep rounds, and DSSP's wait-reduction relative to SSP at its
 lower threshold when a worker is artificially slowed down.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from repro.models import mlp
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.optim.sgd import SGD
 from repro.ps.runtime import ThreadedTrainer
-from repro.ps.server import ParameterServer
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
 
@@ -44,15 +47,16 @@ def build_trainer(
         initial_buffers=global_model.buffers(),
         num_shards=3 if store_layout == "sharded" else 1,
     )
-    server = ParameterServer(
+    server = ServerSession(
         store=store,
         optimizer=SGD(learning_rate=0.05),
         policy=make_policy(paradigm, **policy_kwargs),
+        wait_timeout=30.0,
     )
     workers = []
     for index in range(num_workers):
         worker_id = f"w{index}"
-        server.register_worker(worker_id)
+        server.dispatch(ServerEvent(worker_id, "join"))
         replica = build_model(np.random.default_rng(index + 1))
         replica.load_state_dict(global_model.state_dict())
         workers.append(
@@ -68,7 +72,6 @@ def build_trainer(
         workers=workers,
         iterations_per_worker=iterations,
         slowdowns=slowdowns or {},
-        wait_timeout=30.0,
     )
 
 
@@ -92,6 +95,29 @@ class TestThreadedInvariants:
             result = trainer.run()
             assert result.errors == []
             assert trainer.server.pushes_handled == 3 * 6
+
+    def test_the_session_lock_loses_no_update(self, tiny_flat_datasets, store_layout):
+        # More worker threads than cores and a switch every microsecond: every
+        # push and every OK is counted exactly once by the shared session
+        # (a counter bumped outside its lock would come up short).
+        train, _ = tiny_flat_datasets
+        num_workers, iterations = max(4, (os.cpu_count() or 1) + 2), 20
+        trainer = build_trainer(
+            train, "asp", num_workers=num_workers, iterations=iterations,
+            store_layout=store_layout,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = trainer.run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.errors == []
+        pushes = num_workers * iterations
+        assert trainer.server.store.version == trainer.server.pushes_handled == pushes
+        replies = result.server_statistics["pull_replies"]
+        assert (replies["dense"], replies["delta"]) == (num_workers, pushes)
+        assert sum(report.iterations for report in result.worker_reports) == pushes
 
     def test_bsp_update_staleness_bounded_by_one_round(self, tiny_flat_datasets, store_layout):
         train, _ = tiny_flat_datasets

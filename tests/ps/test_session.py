@@ -18,11 +18,18 @@ from repro.data.partitioner import partition_dataset, partition_indices
 from repro.experiments.config import TINY
 from repro.models import mlp
 from repro.ps.compression import make_codec
-from repro.ps.plan import TrainingPlan, assemble, build_evaluator, build_server, replica_builder
+from repro.ps.plan import TrainingPlan, assemble, build_server, replica_builder
 from repro.ps.process_runtime import ProcessTrainingPlan
 from repro.ps.runtime import ThreadedTrainer
 from repro.ps.faults import NET_FAULT_KINDS
-from repro.ps.session import Resume, ServerLoop, ServerSession, UpdateLog, WorkerLoop
+from repro.ps.session import (
+    Resume,
+    ServerEvent,
+    ServerLoop,
+    ServerSession,
+    UpdateLog,
+    WorkerLoop,
+)
 from repro.ps.sharding import make_store
 from repro.ps.tcp_runtime import TcpTrainingPlan
 from repro.utils.rng import RngStream
@@ -50,18 +57,21 @@ def make_store_for(plan, workload):
 
 def make_session(workload, **plan_fields):
     plan = TrainingPlan(batch_size=16, **plan_fields)
-    session = ServerSession.from_plan(plan, make_store_for(plan, workload), workload)
+    session = build_server(plan, make_store_for(plan, workload), workload)
     for worker_id in plan.worker_ids:
-        session.join(worker_id)
+        session.dispatch(ServerEvent(worker_id, "join"))
     return session
 
 
 def hand_push(session, worker_id, timestamp, **header):
-    size = session.server.store.flat_layouts[0][1][-1].hi
-    return session.push(
-        worker_id,
-        {"base_version": 0, "timestamp": timestamp, "loss": 1.0, **header},
-        flat={0: np.full(size, 0.125)},
+    size = session.store.flat_layouts[0][1][-1].hi
+    return session.dispatch(
+        ServerEvent(
+            worker_id,
+            "push",
+            {"base_version": 0, "timestamp": timestamp, "loss": 1.0, **header},
+            {"flat": {0: np.full(size, 0.125)}},
+        )
     )
 
 
@@ -151,7 +161,10 @@ class TestWorkerLoop:
         assert np.array_equal(link.pushed[3][1], link.pushed[1][1])
         assert np.array_equal(link.pushed[4][1], link.pushed[2][1])
         assert not np.array_equal(link.pushed[3][1], link.pushed[0][1])
-        assert report["iterations"] == 3  # the rebuilt replica's own count
+        # The report spans the rebuild: each of the four iterations once,
+        # every push's bytes, the replayed ones too.
+        assert report["iterations"] == 4
+        assert report["pushed_raw_bytes"] == sum(flat.nbytes for _, flat in link.pushed)
 
     def test_resume_at_the_clock_already_drawn_keeps_the_replica(self, workload):
         # The OK of push 1 was lost after the server applied it: resume at 2.
@@ -185,11 +198,10 @@ class TestStepMachine:
         plan = TrainingPlan(
             batch_size=16, paradigm="bsp", paradigm_kwargs={}, num_workers=2
         )
-        server, replicas, _ = assemble(plan, workload)
-        session = ServerSession(server, plan.worker_ids, clock=lambda: now[0])
+        session, replicas = assemble(plan, workload, clock=lambda: now[0])
         loops = {}
         for worker in replicas:
-            worker.attach_flat_layout(server.store.flat_layouts)
+            worker.attach_flat_layout(session.store.flat_layouts)
             worker.load_reply(session.reply(worker.worker_id, welcome=True).pull)
             loops[worker.worker_id] = WorkerLoop(
                 worker.worker_id, None, iterations=3, wait_timeout=1.0, worker=worker,
@@ -203,10 +215,10 @@ class TestStepMachine:
             step = loop.step()
             header = loop.header(step)
             assert header["timestamp"] == at and header["seq"] == loop.completed
-            response = session.push(
-                worker_id, header, flat=step.flat, encoded=step.encoded,
-                buffers=step.computation.buffers,
-            )
+            gradients = {
+                "flat": step.flat, "encoded": step.encoded, "buffers": step.computation.buffers
+            }
+            response = session.dispatch(ServerEvent(worker_id, "push", header, gradients))
             loop.sent()
             return response
 
@@ -214,9 +226,9 @@ class TestStepMachine:
             return loops[worker_id].deliver(session.reply(worker_id).pull)
 
         for blocked_at, round_at in ((1.0, 3.0), (4.0, 7.5)):
-            assert not push("worker-0", blocked_at).release_now
+            assert "worker-0" not in push("worker-0", blocked_at).to_release
             response = push("worker-1", round_at)
-            assert response.release_now and response.released_workers == ("worker-0",)
+            assert response.to_release == ("worker-1", "worker-0")
             assert deliver("worker-1") == 0.0
             assert deliver("worker-0") == round_at - blocked_at
         push("worker-0", 8.0)  # never answered: it waits until the end
@@ -247,7 +259,7 @@ class TestStepMachine:
 class TestServerSession:
     def test_retransmission_advances_the_clock_but_not_the_weights(self, workload):
         session = make_session(workload, paradigm="asp", paradigm_kwargs={}, num_workers=1)
-        store, clocks = session.server.store, session.server.policy.clock_table
+        store, clocks = session.store, session.policy.clock_table
         hand_push(session, "worker-0", 0.0, seq=0)
         applied_once = {name: value.copy() for name, value in store.snapshot().items()}
         assert store.version == 1 and session.watermarks == {"worker-0": 0}
@@ -282,7 +294,7 @@ class TestServerSession:
         hand_push(session, "worker-1", 0.0, seq=0)
         assert len(session.evaluation_times) == 2  # initial + version 2
         hand_push(session, "worker-1", 0.1, seq=0)
-        assert session.server.store.version == 2
+        assert session.store.version == 2
         assert len(session.evaluation_times) == 2
         hand_push(session, "worker-0", 0.2, seq=1)
         hand_push(session, "worker-1", 0.2, seq=1)
@@ -294,14 +306,10 @@ class TestServerSession:
             batch_size=16, paradigm="asp", paradigm_kwargs={}, num_workers=1,
             evaluate_every_pushes=1,
         )
-        session = ServerSession(
-            build_server(plan, make_store_for(plan, workload)),
-            plan.worker_ids,
-            evaluate_fn=build_evaluator(plan, workload),
-            evaluate_every_pushes=1,
-            clock=lambda: next(ticks),
+        session = build_server(
+            plan, make_store_for(plan, workload), workload, clock=lambda: next(ticks)
         )
-        session.join("worker-0")
+        session.dispatch(ServerEvent("worker-0", "join"))
         session.evaluate(0.0)
         session.start()
         hand_push(session, "worker-0", 1.5)
@@ -314,9 +322,10 @@ class TestServerSession:
         assert hand_push(session, "worker-0", 0.0).to_release == ()
         assert hand_push(session, "worker-1", 0.0).to_release == ()
         # The round was waiting on worker-2 alone: its departure completes it.
-        assert sorted(session.leave("worker-2")) == ["worker-0", "worker-1"]
-        assert session.server.worker_ids == ["worker-0", "worker-1"]
-        assert session.leave("worker-2") == ()  # already gone
+        leave = ServerEvent("worker-2", "departure")
+        assert sorted(session.dispatch(leave).to_release) == ["worker-0", "worker-1"]
+        assert session.registered == ["worker-0", "worker-1"]
+        assert session.dispatch(leave).to_release == ()  # already gone
 
     def test_idle_guard_stretches_with_observed_push_intervals(self, workload):
         session = make_session(
@@ -335,15 +344,13 @@ class TestServerSession:
         session.evaluate(0.0)
         session.start()
         hand_push(session, "worker-1", 0.0)
-        session.done(
-            "worker-1",
-            {
-                "worker_id": "worker-1", "iterations": 1, "samples_processed": 16,
-                "total_wait_time": 0.5, "total_compute_time": 0.25, "mean_loss": 1.0,
-            },
-            events=[{"kind": "retry", "worker": "worker-1"}],
-        )
-        session.join("worker-9")  # an elastic extra that dies silently
+        report = {
+            "worker_id": "worker-1", "iterations": 1, "samples_processed": 16,
+            "total_wait_time": 0.5, "total_compute_time": 0.25, "mean_loss": 1.0,
+        }
+        events = [{"kind": "retry", "worker": "worker-1"}]
+        session.dispatch(ServerEvent("worker-1", "done", {"report": report, "events": events}))
+        session.dispatch(ServerEvent("worker-9", "join"))  # an elastic extra that dies silently
         result = session.finish(extra=7)
         assert [r.worker_id for r in result.worker_reports] == [
             "worker-0", "worker-1", "worker-9",
@@ -374,9 +381,6 @@ class ScriptedHub:
     def receive(self, ready):
         while self.events:
             yield self.events.pop(0)
-
-    def gradients(self, worker_id, message, payload):
-        raise AssertionError("the script pushes nothing")
 
     def ok(self, worker_id):
         self.oks.append(worker_id)
@@ -435,11 +439,11 @@ class TestReply:
         store = make_store(
             {name: p.data for name, p in model.named_parameters()}, num_shards=num_shards
         )
-        session = ServerSession(build_server(plan, store), plan.worker_ids)
+        session = build_server(plan, store)
         if logged:
             session.update_log = UpdateLog(store.version, store.nbytes)
         for worker_id in plan.worker_ids:
-            session.join(worker_id)
+            session.dispatch(ServerEvent(worker_id, "join"))
             session.reply(worker_id, welcome=True).pull.release()
         codec, rng = make_codec("topk:0.1"), np.random.default_rng(0)
         pushed = {}
@@ -449,7 +453,7 @@ class TestReply:
                 for shard, segments in store.flat_layouts
             )
             header = {"base_version": 0, "timestamp": 0.0, "seq": 0}
-            session.push(worker_id, header, encoded=pushed[worker_id])
+            session.dispatch(ServerEvent(worker_id, "push", header, {"encoded": pushed[worker_id]}))
         return session, store, pushed
 
     @pytest.mark.parametrize("welcome", [True, False], ids=["welcome", "ok"])
@@ -485,7 +489,7 @@ class TestReply:
         assert ok.mirrored == (welcome and logged)
         dense_bytes = store.nbytes
         if ok.mirrored:  # the optimizer state a mirror is built from
-            velocity = session.server.optimizer.state_dict()["velocity"]
+            velocity = session.optimizer.state_dict()["velocity"]
             assert ok.velocity.size == sum(value.size for value in velocity.values())
             dense_bytes += ok.velocity.nbytes
         else:
@@ -500,7 +504,7 @@ class TestReply:
 
     def test_an_ok_before_any_push_is_dense(self, workload):
         session, store, _ = self.session(workload, num_shards=4, logged=False)
-        session.join("worker-9")
+        session.dispatch(ServerEvent("worker-9", "join"))
         ok = session.reply("worker-9")
         assert (ok.kind, ok.reason) == ("dense", "no base")
         ok.pull.release()

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
-from repro.ps.server import ParameterServer
 from repro.ps.sharding import ShardedKeyValueStore, ShardRouter, make_store
 
 
@@ -264,9 +263,11 @@ class TestConcurrency:
         assert ShardedKeyValueStore(weights, num_shards=2).supports_concurrent_apply
 
     def test_staged_push_matches_unstaged_push(self):
-        """``ServerSession.apply`` then ``push(staged=)`` — the threaded
-        runtime's split around its lock — lands what one ``push`` does."""
-        from repro.ps.session import ServerSession
+        """``ServerSession.apply_push`` then ``finish_push`` — the split a
+        sharded store's push takes around the session lock — lands what one
+        dispatched ``push`` does."""
+        from repro.ps.messages import PushRequest
+        from repro.ps.session import ServerEvent, ServerSession
 
         weights = make_arrays(num=4)
         rng = np.random.default_rng(1)
@@ -274,15 +275,17 @@ class TestConcurrency:
         header = {"base_version": 0, "timestamp": 0.0}
         outcomes = []
         for staged in (False, True):
-            server = ParameterServer(
+            server = session = ServerSession(
                 store=ShardedKeyValueStore(weights, num_shards=2),
                 optimizer=SGD(0.1),
                 policy=make_policy("asp"),
             )
-            server.register_worker("w0")
-            session = ServerSession(server, ["w0"])
-            stage = session.apply("w0", header, named=gradients) if staged else None
-            response = session.push("w0", header, staged=stage, named=gradients)
+            session.dispatch(ServerEvent("w0", "join"))
+            if staged:
+                request = PushRequest("w0", gradients, base_version=0, timestamp=0.0)
+                response = session.finish_push(request, session.apply_push(request))
+            else:
+                response = session.dispatch(ServerEvent("w0", "push", header, {"named": gradients}))
             assert (response.new_version, response.staleness) == (1, 0)
             assert server.pushes_handled == 1
             outcomes.append((response, server.store.weights_snapshot()))

@@ -242,7 +242,7 @@ class TestElasticMembership:
         flapper.recv(timeout=10.0)
 
         server = box["server"]
-        store, policy = server.session.server.store, server.session.server.policy
+        store, policy = server.session.store, server.session.policy
         records = policy.clock_table._records
         size = store.flat_layouts[0][1][-1].hi
         pushes = 0
@@ -271,7 +271,7 @@ class TestElasticMembership:
             flapper.close()
             assert wait_until(lambda: "worker-1" not in records)
             assert set(records) == {"worker-0"}
-            assert server.session.server.worker_ids == ["worker-0"]
+            assert server.session.registered == ["worker-0"]
             # The SSP bound re-computed over the survivor: its pushes keep
             # being released even far past the flapper's last clock.
             push_ok()
@@ -347,8 +347,8 @@ class TestElasticMembership:
             assert header["type"] == "start"
 
         server = box["server"]
-        records = server.session.server.policy.clock_table._records
-        size = server.session.server.store.flat_layouts[0][1][-1].hi
+        records = server.session.policy.clock_table._records
+        size = server.session.store.flat_layouts[0][1][-1].hi
 
         def report(worker_id):
             return {
@@ -368,7 +368,7 @@ class TestElasticMembership:
         spoofer.send(spoof)
         assert wait_until(lambda: "worker-0" not in records), sorted(records)
         assert set(records) == {"worker-1"}
-        assert server.session.server.worker_ids == ["worker-1"]
+        assert server.session.registered == ["worker-1"]
 
         for _ in range(3):
             victim.send(
@@ -576,10 +576,11 @@ class TestGracefulRestart:
         kinds = [event["kind"] for event in result.events]
         assert "server_restart" in kinds and "dense_pull" not in kinds
         assert result.server_statistics["store_version"] == 6
-        # The rebuilt replica counts from the rejoin: its pulls are these,
-        # less the first welcome.
+        # The worker's report spans the restart: both welcomes, every log
+        # OK, and each of its iterations once.
         (report,) = result.worker_reports
-        assert report.pulled_bytes == replies["dense_bytes"] - 39056 + replies["log_bytes"]
+        assert report.pulled_bytes == replies["dense_bytes"] + replies["log_bytes"]
+        assert report.iterations >= result.total_updates
 
 
 def _assert_checkpoints_match(reference_path, chaos_path):
@@ -682,7 +683,7 @@ class TestExactlyOnce:
             assert header["type"] == "start"
 
         server = box["server"]
-        size = server.session.server.store.flat_layouts[0][1][-1].hi
+        size = server.session.store.flat_layouts[0][1][-1].hi
 
         def push(seq):
             conn.send(
@@ -704,12 +705,12 @@ class TestExactlyOnce:
                     return reply
 
         push(seq=0)
-        assert server.session.server.store.version == 1
-        applied_once = {k: v.copy() for k, v in server.session.server.store.snapshot().items()}
+        assert server.session.store.version == 1
+        applied_once = {k: v.copy() for k, v in server.session.store.snapshot().items()}
 
         push(seq=0)  # retransmission: acked, weights untouched
-        assert server.session.server.store.version == 1
-        after_duplicate = server.session.server.store.snapshot()
+        assert server.session.store.version == 1
+        after_duplicate = server.session.store.snapshot()
         assert all(
             np.array_equal(applied_once[key], after_duplicate[key])
             for key in applied_once
@@ -717,7 +718,7 @@ class TestExactlyOnce:
         assert server.session.watermarks["worker-0"] == 0
 
         push(seq=1)  # progress resumes past the duplicate
-        assert server.session.server.store.version == 2
+        assert server.session.store.version == 2
         assert server.session.watermarks["worker-0"] == 1
 
         conn.close()

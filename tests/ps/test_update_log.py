@@ -19,12 +19,12 @@ from repro.models import mlp
 from repro.optim.sgd import SGD
 from repro.ps.compression import make_codec
 from repro.ps.plan import TrainingPlan, build_optimizer, build_server, replica_builder
-from repro.ps.server import ParameterServer
 from repro.ps.tcp_runtime import TcpTrainingPlan, _Peer, _TcpHub, _TcpLink
 from repro.ps.session import (
     LogEntry,
     Mirror,
     Resume,
+    ServerEvent,
     ServerSession,
     UpdateLog,
     WorkerLoop,
@@ -76,9 +76,8 @@ class Cluster:
         self.store = make_store(
             {name: p.data for name, p in model.named_parameters()}, buffers, dtype=dtype
         )
-        server = build_server(self.plan, self.store)
-        server.optimizer = self.make_optimizer()
-        self.session = ServerSession(server, self.plan.worker_ids)
+        self.session = build_server(self.plan, self.store)
+        self.session.optimizer = self.make_optimizer()
         self.session.update_log = UpdateLog(self.store.version, self.store.nbytes)
         self.layout = self.store.flat_layouts[0][1]
         self.size = self.layout[-1].hi
@@ -96,12 +95,13 @@ class Cluster:
             self.links[worker_id]._conn = Wire()
             self.hub._peers[worker_id] = _Peer(Wire(), worker_id, 0.0)
             self.join(worker_id)
+        self.session.start()  # a rejoiner resumes just after its last push
 
     def join(self, worker_id, clock=0):
         """Join and take the welcome: the dense weights and optimizer state
         a mirror is built from (with this cluster's optimizer, which a plan
         cannot always express)."""
-        self.session.join(worker_id, clock)
+        self.session.dispatch(ServerEvent(worker_id, "join"))
         self.seqs[worker_id] = clock
         ok = self.session.reply(worker_id, welcome=True)
         assert (ok.kind, ok.reason, ok.mirrored) == ("dense", "welcome", True)
@@ -128,7 +128,7 @@ class Cluster:
         self.links[worker_id].push(
             header, SimpleNamespace(buffers=None), None, gradients["encoded"]
         )
-        response = self.session.push(worker_id, header, **gradients)
+        response = self.session.dispatch(ServerEvent(worker_id, "push", header, gradients))
         for released in response.to_release:
             self.ok(released)
         return response
@@ -152,7 +152,7 @@ class Cluster:
         mirror = self.mirrors[worker_id]
         assert mirror.store.version == self.store.version
         assert weight_bytes(mirror.store) == weight_bytes(self.store)
-        assert velocity_bytes(mirror.optimizer) == velocity_bytes(self.session.server.optimizer)
+        assert velocity_bytes(mirror.optimizer) == velocity_bytes(self.session.optimizer)
 
     def dense_pull_events(self):
         return [e for e in self.session.events if e["kind"] == "dense_pull"]
@@ -166,7 +166,7 @@ def test_mirror_matches_the_store_after_every_ok(codec, optimizer):
     for _ in range(3):  # gradient scale 1/3
         for worker_id in (a, b, c):
             cluster.push(worker_id)
-    for released in cluster.session.leave(c):  # scale 1/3 -> 1/2, mid-log for a and b
+    for released in cluster.session.dispatch(ServerEvent(c, "departure")).to_release:  # scale 1/3 -> 1/2, mid-log for a and b
         cluster.ok(released)
     for _ in range(3):
         cluster.push(a)
@@ -444,5 +444,5 @@ def test_build_server_uses_the_one_optimizer_recipe():
     plan = TrainingPlan(momentum=0.5, weight_decay=0.01, learning_rate=0.2)
     store = make_store({"w": np.zeros(3)})
     server = build_server(plan, store)
-    assert isinstance(server, ParameterServer)
+    assert isinstance(server, ServerSession)
     assert server.optimizer.state_dict() == build_optimizer(plan).state_dict()

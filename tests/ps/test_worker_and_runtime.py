@@ -16,7 +16,7 @@ from repro.optim.sgd import SGD
 from repro.api import ClusterConfig, ExperimentSpec, run_experiment
 from repro.ps.plan import TrainingPlan, assemble
 from repro.ps.runtime import ThreadedTrainer
-from repro.ps.server import ParameterServer
+from repro.ps.session import ServerEvent, ServerSession
 from repro.ps.session import Tally, replica_step
 from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
@@ -87,8 +87,8 @@ class TestWorker:
         tally = Tally()
         assert np.isnan(tally.report("w0", wait=0.0, compute=0.0, pulled=0)["mean_loss"])
         steps = [replica_step(worker) for _ in range(2)]
-        for step in steps:
-            tally.add(step)
+        for clock, step in enumerate(steps):
+            tally.add(step, clock)
         report = tally.report("w0", wait=0.0, compute=0.0, pulled=0)
         losses = [step.computation.loss for step in steps]
         assert report["mean_loss"] == (0.0 + losses[0] + losses[1]) / 2
@@ -125,30 +125,30 @@ def build_threaded_trainer(
         initial_buffers=global_model.buffers(),
         num_shards=2 if store_layout == "sharded" else 1,
     )
-    server = ParameterServer(
-        store=store, optimizer=SGD(learning_rate=0.05, momentum=0.9),
-        policy=make_policy(paradigm, **policy_kwargs),
-    )
-    workers = []
-    for index in range(num_workers):
-        worker = make_worker(train, worker_id=f"w{index}", seed=index + 1)
-        worker.model.load_state_dict(global_model.state_dict())
-        server.register_worker(f"w{index}")
-        workers.append(worker)
-
     eval_model = build_model(np.random.default_rng(9), input_dim=train.inputs.shape[1])
 
     def evaluate(state):
         eval_model.load_state_dict(dict(state))
         return evaluate_model(eval_model, test, batch_size=32)
 
+    server = ServerSession(
+        store=store, optimizer=SGD(learning_rate=0.05, momentum=0.9),
+        policy=make_policy(paradigm, **policy_kwargs),
+        evaluate_fn=evaluate,
+        evaluate_every_pushes=4,
+        wait_timeout=30.0,
+    )
+    workers = []
+    for index in range(num_workers):
+        worker = make_worker(train, worker_id=f"w{index}", seed=index + 1)
+        worker.model.load_state_dict(global_model.state_dict())
+        server.dispatch(ServerEvent(f"w{index}", "join"))
+        workers.append(worker)
+
     return ThreadedTrainer(
         server=server,
         workers=workers,
         iterations_per_worker=iterations,
-        evaluate_fn=evaluate,
-        evaluate_every_pushes=4,
-        wait_timeout=30.0,
     )
 
 
@@ -162,7 +162,7 @@ class TestEntryLayerSkipsItsInputGradient:
     ):
         def replica(marked):
             plan = TrainingPlan(num_workers=1, batch_size=16, seed=3)
-            server, (worker,), _ = assemble(plan, build_workload(workload, TINY))
+            server, (worker,) = assemble(plan, build_workload(workload, TINY))
             worker.attach_flat_layout(server.store.flat_layouts)
             (layer,) = [
                 module for _, module in worker.model.named_modules() if module.input_grad_unused

@@ -26,7 +26,7 @@ from repro.simulation.pool import ReplicaPool
 def replicas(workload: str) -> tuple:
     """Two packed replicas of ``workload`` (one initial model, two partitions)."""
     plan = TrainingPlan(num_workers=2, batch_size=16, seed=0)
-    server, workers, _ = assemble(plan, build_workload(workload, TINY))
+    server, workers = assemble(plan, build_workload(workload, TINY))
     for worker in workers:
         worker.attach_flat_layout(server.store.flat_layouts)
     return server.store.flat_layouts, {worker.worker_id: worker for worker in workers}

@@ -85,8 +85,7 @@ class TestDistributedMatchesSingleMachineDirection:
         workers' mini-batches."""
         from repro.core.factory import make_policy
         from repro.ps.sharding import make_store
-        from repro.ps.server import ParameterServer
-        from repro.ps.session import ServerSession
+        from repro.ps.session import ServerEvent, ServerSession
 
         train, _ = image_problem
         model = downsized_alexnet(
@@ -99,20 +98,18 @@ class TestDistributedMatchesSingleMachineDirection:
         # Two workers, 8 samples each.
         batches = [(train.inputs[:8], train.labels[:8]), (train.inputs[8:16], train.labels[8:16])]
         store = make_store({name: p.data.copy() for name, p in model.named_parameters()})
-        server = ParameterServer(
+        server = session = ServerSession(
             store=store, optimizer=SGD(learning_rate=0.1), policy=make_policy("bsp")
         )
-        server.register_worker("w0")
-        server.register_worker("w1")
-        session = ServerSession(server, ["w0", "w1"])
+        session.dispatch(ServerEvent("w0", "join"))
+        session.dispatch(ServerEvent("w1", "join"))
         for worker_id, (inputs, labels) in zip(("w0", "w1"), batches):
             model.load_state_dict(initial)
             model.zero_grad()
             loss_fn.forward(model.forward(inputs), labels)
             model.backward(loss_fn.backward())
-            session.push(
-                worker_id, {"base_version": 0, "timestamp": 1.0}, named=model.gradients()
-            )
+            header = {"base_version": 0, "timestamp": 1.0}
+            session.dispatch(ServerEvent(worker_id, "push", header, {"named": model.gradients()}))
         distributed = server.store.weights_snapshot()
 
         # Large-batch reference step.

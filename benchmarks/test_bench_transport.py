@@ -1,19 +1,19 @@
-"""Transport comparison: shm vs pipe vs tcp-localhost gradient paths.
+"""Transport comparison: shm vs tcp-localhost gradient paths.
 
 Trains the same communication-leaning workload (small batches, wide FC
 layer, no micro-batching, so the per-push synchronization cost dominates)
-under ASP on every synchronization transport the runtimes offer, sweeping
-the worker count with and without a push codec, and records steps/sec and
-bytes-on-wire to ``BENCH_transport.json`` at the repository root.
+under ASP on the gradient path of each wall-clock backend that crosses a
+process boundary — the process backend's shared-memory mailboxes and the
+tcp backend's sockets — sweeping the worker count with and without a push
+codec, and records steps/sec and bytes-on-wire to ``BENCH_transport.json``
+at the repository root.
 
 What to expect from the numbers: ``shm`` ships gradients through
 shared-memory mailboxes (one memcpy, control message only on the pipe) and
-sets the throughput ceiling; ``pipe`` pickles the packed gradients through
-the worker pipe and pays a serialize/deserialize round per push; ``tcp``
-frames the same packed buffers onto a localhost socket — no pickle on the
-hot path, but a kernel socket round-trip and heartbeat traffic.  The
-``topk:0.01`` column shows how much a sparsifying codec buys back on the
-byte-counted transports: encoded frames cut the pickled/framed payloads by
+sets the throughput ceiling; ``tcp`` frames the same packed buffers onto a
+localhost socket — no pickle on the hot path, but a kernel socket
+round-trip and heartbeat traffic.  The ``topk:0.01`` column shows how much
+a sparsifying codec buys back: encoded frames cut the framed payloads by
 roughly the codec ratio, while shm mailboxes shrink to the codec's
 worst-case frame size.
 
@@ -39,7 +39,7 @@ from repro.ps.tcp_runtime import TcpTrainer, TcpTrainingPlan
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
 
 QUICK = os.environ.get("REPRO_BENCH_SCALE", "").strip().lower() == "tiny"
-TRANSPORTS = ("shm", "pipe", "tcp")
+TRANSPORTS = ("shm", "tcp")
 WORKER_COUNTS = (1, 2) if QUICK else (1, 2, 4)
 CODECS = (None, "topk:0.01")
 ITERATIONS_PER_WORKER = 4 if QUICK else 8
@@ -86,7 +86,6 @@ def run_point(transport: str, num_workers: int, codec: str | None) -> dict:
         plan = ProcessTrainingPlan(
             scale_fields=dataclasses.asdict(BENCH_SCALE),
             num_workers=num_workers,
-            transport=transport,
             compression=codec,
             **_COMMON,
         )
@@ -154,7 +153,7 @@ def test_sweep_and_record(sweep_results):
 
 
 def test_codec_cuts_bytes_on_every_transport(sweep_results):
-    """topk:0.01 must shrink the pushed bytes on all three transports."""
+    """topk:0.01 must shrink the pushed bytes on every transport."""
     by_key = {(row["num_workers"], row["codec"]): row for row in sweep_results}
     workers = max(WORKER_COUNTS)
     dense, coded = by_key[(workers, "none")], by_key[(workers, "topk:0.01")]
@@ -169,5 +168,5 @@ def test_transports_measure_same_work(sweep_results):
     for row in sweep_results:
         if row["codec"] != "none":
             continue
-        sizes = {row[t]["pushed_wire_bytes"] for t in ("shm", "pipe", "tcp")}
+        sizes = {row[t]["pushed_wire_bytes"] for t in TRANSPORTS}
         assert len(sizes) == 1, row

@@ -199,16 +199,6 @@ def _reject_simulator_only_fields(spec: ExperimentSpec, backend_name: str) -> No
         )
 
 
-def _reject_transport(spec: ExperimentSpec, backend_name: str) -> None:
-    """Fail loudly when a spec pins a transport this backend cannot honour."""
-    if spec.transport is not None:
-        raise ValueError(
-            f"the {backend_name} backend does not use a synchronization "
-            f"transport; remove transport={spec.transport!r} from the spec "
-            "or run on the process or tcp backend"
-        )
-
-
 def _reject_topology(spec: ExperimentSpec, backend_name: str) -> None:
     """Fail loudly on topology/pattern fields only the simulator can honour.
 
@@ -247,7 +237,7 @@ def plan_from_spec(
     epochs in :class:`~repro.simulation.trainer.SimulationOptions`.  A
     :class:`~repro.ps.plan.WorkloadPlan` also carries what lets its
     processes build the workload themselves; ``deployment`` holds the
-    runtime's own fields (transport, address, heartbeats, checkpoint).
+    runtime's own fields (address, heartbeats, checkpoint).
     """
     batch_size = spec.resolved_batch_size()
     partition_size = max(len(workload.train_dataset) // num_workers, 1)
@@ -303,7 +293,6 @@ class SimulatedBackend:
         profile: bool = False,
     ) -> RunResult:
         """Execute ``spec`` in the simulator."""
-        _reject_transport(spec, self.name)
         workload = workload or _build_workload(spec)
         cluster = cluster or spec.cluster.build()
 
@@ -339,7 +328,6 @@ class ThreadedBackend:
     ) -> RunResult:
         """Execute ``spec`` on the threaded runtime."""
         _reject_simulator_only_fields(spec, self.name)
-        _reject_transport(spec, self.name)
         _reject_topology(spec, self.name)
         workload = workload or _build_workload(spec)
         num_workers = cluster.num_workers if cluster is not None else (
@@ -371,14 +359,9 @@ class ProcessBackend:
       same build of it, so an injected pre-built :class:`Workload` object
       cannot be honoured and is rejected loudly.
 
-    ``transport`` selects how pushed gradients reach the server process:
-    ``"shm"`` (default) writes them straight into per-worker shared-memory
-    mailboxes; ``"pipe"`` ships the packed per-shard buffers through the
-    worker's pipe.  A spec that sets :attr:`ExperimentSpec.transport`
-    overrides the constructor's choice (``"tcp"`` is rejected with a
-    pointer at the ``tcp`` backend — sockets are a different execution
-    model, not a process-runtime mailbox).  ``context`` picks the
-    multiprocessing start method
+    Pushed gradients reach the server process through per-worker
+    shared-memory mailboxes.  ``context`` picks the multiprocessing start
+    method
     (default: :func:`repro.ps.process_runtime.default_context_name`).
     ``wait_timeout`` is the liveness guard on every blocking wait (OK
     signals, the server's idle polls, the start barrier); the runtime
@@ -390,14 +373,8 @@ class ProcessBackend:
 
     name = "process"
 
-    def __init__(
-        self,
-        transport: str = "shm",
-        context: str | None = None,
-        wait_timeout: float = 120.0,
-    ) -> None:
-        """Create the backend with a gradient transport, start method and timeout."""
-        self.transport = transport
+    def __init__(self, context: str | None = None, wait_timeout: float = 120.0) -> None:
+        """Create the backend with a start method and timeout."""
         self.context = context
         self.wait_timeout = float(wait_timeout)
 
@@ -421,18 +398,9 @@ class ProcessBackend:
         num_workers = cluster.num_workers if cluster is not None else (
             len(spec.cluster.worker_ids)
         )
-        transport = self.transport
-        if spec.transport is not None:
-            if spec.transport == "tcp":
-                raise ValueError(
-                    "transport 'tcp' is the socket runtime, not a "
-                    "process-backend mailbox; run the spec with the tcp "
-                    "backend (python -m repro run SPEC --backend tcp)"
-                )
-            transport = spec.transport
         plan = plan_from_spec(
             spec, _build_workload(spec), num_workers, plan_type=ProcessTrainingPlan,
-            profile=profile, wait_timeout=self.wait_timeout, transport=transport,
+            profile=profile, wait_timeout=self.wait_timeout,
         )
         trainer = ProcessTrainer(plan, context=self.context)
         return trainer.run()
@@ -457,12 +425,6 @@ def tcp_plan_from_spec(
     ``checkpoint_path`` enables periodic atomic checkpoints and
     restore-on-start.
     """
-    if spec.transport not in (None, "tcp"):
-        raise ValueError(
-            f"spec pins transport={spec.transport!r}; the tcp backend "
-            "speaks only its socket transport — drop the field or run on "
-            "the process backend"
-        )
     _reject_topology(spec, "tcp")
     if num_workers is None:
         num_workers = len(spec.cluster.worker_ids)

@@ -16,7 +16,7 @@ Subcommands:
   ``--output`` of ``run`` or ``serve``), as ``run`` printed it.
 * ``validate SPEC.json`` — parse and validate a spec without running it.
 * ``registry`` — list every name a spec or flag may use (backends,
-  paradigms, workloads, models, transports, scales, devices, networks,
+  paradigms, workloads, models, scales, devices, networks,
   topology presets, jitters, comm patterns, codecs, aggregators, fault and
   net-fault kinds), each builder with its parameters.
 """
@@ -48,7 +48,6 @@ from repro.ps.aggregation import AGGREGATORS
 from repro.ps.compression import CODECS
 from repro.ps.faults import FAULT_KIND_KEYS, NET_FAULT_EXAMPLES
 from repro.ps.result import RunResult
-from repro.ps.transport import TRANSPORTS
 from repro.simulation.profiles import GPU_CATALOGUE
 from repro.simulation.topology import COMM_PATTERNS, JITTERS, TOPOLOGY_PRESETS
 from repro.utils.registry import UnknownName
@@ -57,7 +56,7 @@ __all__ = ["main", "summarize", "REGISTRIES"]
 
 #: Every registry, in the order ``registry`` lists them.
 REGISTRIES = (
-    BACKENDS, POLICIES, WORKLOADS, MODELS, TRANSPORTS, NAMED_SCALES, GPU_CATALOGUE,
+    BACKENDS, POLICIES, WORKLOADS, MODELS, NAMED_SCALES, GPU_CATALOGUE,
     NETWORKS, TOPOLOGY_PRESETS, JITTERS, COMM_PATTERNS, CODECS, AGGREGATORS,
     FAULT_KIND_KEYS, NET_FAULT_EXAMPLES,
 )
@@ -110,14 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "int8, significance:2.0 or none (see 'registry' for the codec list)",
     )
     run.add_argument(
-        "--transport",
-        default=None,
-        type=_registered(TRANSPORTS),
-        help="override the spec's synchronization transport (shm/pipe select "
-        "the process backend's gradient mailbox; tcp is implied by "
-        "--backend tcp)",
-    )
-    run.add_argument(
         "--address",
         default=None,
         metavar="HOST:PORT",
@@ -129,8 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="[WORKER=]SPEC",
-        help="inject a deterministic network fault (tcp backend; the "
-        "process backend's pipe transport takes delay/drop): SPEC is "
+        help="inject a deterministic network fault (tcp backend only): SPEC is "
         "delay:MS, drop[:P[,N]], partition:START,DURATION or "
         "throttle:BYTES_PER_S, optionally prefixed with a worker index "
         "or id (e.g. --net-faults 'worker-1=drop:0.5'); repeatable",
@@ -309,8 +299,6 @@ def _command_run(arguments: argparse.Namespace) -> int:
         spec = spec.replace(seed=arguments.seed)
     if arguments.compression is not None:
         spec = spec.replace(compression=arguments.compression)
-    if arguments.transport is not None:
-        spec = spec.replace(transport=arguments.transport)
     if arguments.net_faults:
         spec = spec.replace(
             net_faults=tuple(

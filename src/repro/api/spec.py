@@ -32,7 +32,7 @@ from repro.experiments.config import DEFAULT, SMALL, TINY, ExperimentScale
 from repro.ps.aggregation import validate_aggregation_spec
 from repro.ps.compression import validate_codec_spec
 from repro.ps.faults import fault_entries, parse_fault_plan
-from repro.ps.transport import parse_address, validate_transport
+from repro.ps.transport import parse_address
 from repro.simulation.cluster import ClusterSpec, WorkerSpec
 from repro.simulation.network import GIGABIT_ETHERNET, INFINIBAND_EDR, LOCAL_PCIE
 from repro.simulation.profiles import get_device_profile
@@ -282,10 +282,9 @@ class ExperimentSpec:
         ``"partition:2,1"``, ``"throttle:1000000"``) and an optional
         ``worker`` target (index or id; omitted hits every worker).  The
         tcp backend injects every kind — faults tear real sockets and the
-        run survives via reconnect/retry; the process backend's ``pipe``
-        transport injects ``delay``/``drop`` only (a dropped push is a permanent
-        elastic death); the other backends and transports reject any
-        (each run's plan declares what its links support).  Both are
+        run survives via reconnect/retry; the other backends move pushes
+        through memory and reject any (each run's plan declares what its
+        links support).  Both are
         injected deterministically from ``seed``; the run's chaos history
         is returned as ``RunResult.events``.
     comm_pattern:
@@ -298,15 +297,6 @@ class ExperimentSpec:
         the server's sequential aggregate bit-for-bit on identical
         pushes — only the costed time and wire bytes differ.  The
         wall-clock backends reject non-default patterns.
-    transport:
-        Optional synchronization transport for the wall-clock runtimes
-        (:func:`repro.ps.transport.available_transports` lists the names).
-        ``"shm"``/``"pipe"`` select how the *process* backend ships pushed
-        gradients (shared-memory mailboxes vs pipes); ``"tcp"`` is the
-        socket transport and is implied by — and only valid with — the
-        ``tcp`` backend.  ``None`` (default) keeps each backend's native
-        default; the simulated and threaded backends reject specs that set
-        a transport rather than silently ignoring it.
     seed:
         Master seed for data order, initialization and timing jitter.
     """
@@ -336,7 +326,6 @@ class ExperimentSpec:
     aggregation: str | None = None
     faults: tuple = ()
     net_faults: tuple = ()
-    transport: str | None = None
     comm_pattern: str = "ps"
     seed: int = 0
 
@@ -363,10 +352,6 @@ class ExperimentSpec:
         net_faults = fault_entries(self.net_faults, "net fault")
         object.__setattr__(self, "net_faults", tuple(dict(entry) for entry in net_faults))
         parse_fault_plan(self.faults, self.net_faults, self.cluster.worker_ids)
-        if self.transport is not None:
-            object.__setattr__(
-                self, "transport", validate_transport(self.transport)
-            )
         if isinstance(self.scale, ExperimentScale):
             object.__setattr__(self, "scale", dataclasses.asdict(self.scale))
         validate_paradigm(self.paradigm, self.paradigm_kwargs)
@@ -478,7 +463,6 @@ class ExperimentSpec:
             "aggregation": self.aggregation,
             "faults": [dict(entry) for entry in self.faults],
             "net_faults": [dict(entry) for entry in self.net_faults],
-            "transport": self.transport,
             "comm_pattern": self.comm_pattern,
             "seed": self.seed,
         }

@@ -29,7 +29,7 @@ from repro.experiments.runner import run_paradigm_comparison
 from repro.experiments.workloads import Workload, alexnet_workload, mlp_workload, resnet_workload
 from repro.models.mlp import logistic_regression
 from repro.ps.plan import TrainingPlan
-from repro.simulation.cluster import ClusterSpec, heterogeneous_cluster, homogeneous_cluster
+from repro.simulation.cluster import heterogeneous_cluster, homogeneous_cluster
 from repro.simulation.trainer import SimulatedTraining, SimulationOptions
 from repro.simulation.topology import TopologyTimeModel, build_topology
 

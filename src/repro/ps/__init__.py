@@ -67,11 +67,9 @@ from repro.ps.transport import (
     ConnectionClosed,
     PipeConnection,
     TcpConnection,
-    available_transports,
     connect_tcp,
     format_address,
     parse_address,
-    validate_transport,
 )
 from repro.ps.shm import (
     SharedFlatShard,
@@ -127,11 +125,9 @@ __all__ = [
     "ConnectionClosed",
     "PipeConnection",
     "TcpConnection",
-    "available_transports",
     "connect_tcp",
     "format_address",
     "parse_address",
-    "validate_transport",
     "SharedSegment",
     "SharedStoreHandle",
     "SharedFlatShard",

@@ -34,7 +34,6 @@ without pickling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +85,9 @@ class EncodedShard:
 
     ``size`` is the dense element count of the shard's weight block (what
     :func:`decode_shard` reconstructs); ``arrays`` are the wire payload in
-    the order the ``scheme`` defines.  Plain ndarrays throughout, so the
-    pipe transport pickles it as-is and :func:`write_encoded` frames it
-    into shared memory without serialization.
+    the order the ``scheme`` defines.  Plain ndarrays throughout, so
+    :func:`write_encoded` frames it into shared memory or onto a socket
+    without serialization.
     """
 
     shard: int

@@ -1,4 +1,4 @@
-"""The network-fault mechanisms of the socket and pipe links.
+"""The network-fault mechanisms of the socket links.
 
 :mod:`repro.ps.faults` describes a run's network faults (``delay``,
 ``drop``, ``partition``, ``throttle``) as part of its one
@@ -10,9 +10,7 @@ between a healthy replica and a healthy server:
   per-push order, so two runs of one chaos spec produce identical decision
   sequences and identical event logs (partitions are wall-clock windows;
   their logged event carries the spec'd window, not a timing-dependent
-  push index).  The process backend's pipe link applies ``delay``/``drop``
-  from it directly; ``drop`` on a pipe is a permanent worker death because
-  pipes have no reconnect path.
+  push index).
 * :class:`ChaosConnection` — wraps a :class:`~repro.ps.transport.TcpConnection`
   and perturbs only data-plane ``push`` messages (control traffic — joins,
   heartbeats, done reports — passes through untouched).

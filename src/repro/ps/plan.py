@@ -194,12 +194,12 @@ class TrainingPlan:
     def net_fault_support(self) -> tuple[tuple[str, ...], str]:
         """The network-fault kinds this run's links can inject, and the links.
 
-        The threaded and simulated backends move pushes in-process: none.
+        The threaded, simulated and process backends move pushes through
+        memory, never across a connection: none.
         """
         return (), (
-            "the threaded and simulated backends, which have no network to "
-            "inject faults into (run on the tcp backend, or on the process "
-            "backend's pipe transport for delay/drop)"
+            "the threaded, simulated and process backends, which have no "
+            "network to inject faults into; use the tcp backend"
         )
 
     @property

@@ -10,14 +10,11 @@ keeps the hot path as flat as the thread version:
   shared-memory segment (:mod:`repro.ps.shm`); a worker leases the current
   copy-on-write slot, copies it straight into its packed replica (one
   vectorized copy per *changed* shard), and releases the lease.
-* **Pushes** use the pipe only as a control plane.  Under the default
-  ``"shm"`` transport each worker's packed gradient buffer is itself a
-  shared segment (the replica's ``grad`` views are rebound into it by
-  :meth:`repro.ps.worker.Worker.attach_flat_layout`), so the push message
-  carries a few scalars and the server applies the update by reading the
-  worker's memory directly.  The ``"pipe"`` transport ships the packed
-  buffers through the pipe instead (simpler, fully copying) and exists for
-  comparison and as a fallback.
+* **Pushes** use the pipe only as a control plane.  Each worker's packed
+  gradient buffer is itself a shared segment (the replica's ``grad`` views
+  are rebound into it by :meth:`repro.ps.worker.Worker.attach_flat_layout`),
+  so the push message carries a few scalars and the server applies the
+  update by reading the worker's memory directly.
 * **The server process** runs the shared
   :class:`~repro.ps.session.ServerLoop` over a pipe hub, the server end of
   the worker pipes.  An OK is one token on the worker's
@@ -36,32 +33,28 @@ runtime — one spec trains the same model on either substrate.
 
 Failure handling: a worker that raises reports the error over its pipe; a
 worker that *dies* is noticed as EOF on its pipe (or as a barrier timeout
-during setup).  The server aborts the remaining workers — except on the
-``"pipe"`` transport, where a dead worker leaves the membership
-elastically — the coordinator reaps every child, and the shared segments
-are unlinked in a ``finally`` block: crashes never leak ``/dev/shm``
-entries (pinned by ``tests/ps/test_process_runtime.py``).  The one
-unprotected window is a process dying while *holding* a shard lock
-(microseconds per operation); like the threaded runtime's lock, that is
-trusted code, not a failure domain the protocol defends against.
+during setup).  The server aborts the remaining workers, the coordinator
+reaps every child, and the shared segments are unlinked in a ``finally``
+block: crashes never leak ``/dev/shm`` entries (pinned by
+``tests/ps/test_process_runtime.py``).  The one unprotected window is a
+process dying while *holding* a shard lock (microseconds per operation);
+like the threaded runtime's lock, that is trusted code, not a failure
+domain the protocol defends against.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ps.compression import read_encoded, write_encoded
-from repro.ps.netfaults import NetFaultSchedule
 from repro.ps.plan import WorkloadPlan, build_server, plan_codec
 from repro.ps.result import RunResult
 from repro.ps.session import Resume, ServerEvent, ServerLoop, WorkerLoop
 from repro.ps.sharding import partition_state
-from repro.ps.transport import ConnectionClosed, PipeConnection, validate_transport
+from repro.ps.transport import ConnectionClosed, PipeConnection
 from repro.ps.shm import (
     SharedFlatStore,
     SharedSegment,
@@ -79,10 +72,6 @@ __all__ = [
 ]
 
 _LOGGER = get_logger("ps.process_runtime")
-
-#: Gradient paths this runtime supports, a subset of the transport registry
-#: (:mod:`repro.ps.transport`); ``"tcp"`` belongs to the socket runtime.
-_TRANSPORTS = ("shm", "pipe")
 
 
 def default_context_name() -> str:
@@ -117,48 +106,20 @@ def reap(processes) -> None:
             process.join(timeout=5.0)
 
 
-@dataclass(frozen=True, kw_only=True)
 class ProcessTrainingPlan(WorkloadPlan):
     """Picklable description of one multi-process training run.
 
-    Everything in :class:`~repro.ps.plan.WorkloadPlan`, plus the gradient
-    path:
-
-    Attributes
-    ----------
-    transport:
-        ``"shm"`` (gradient mailboxes in shared memory, default) or
-        ``"pipe"`` (packed gradients pickled through the worker's pipe).
-        With a ``compression`` codec the ``"shm"`` mailboxes shrink to the
-        codec's worst-case *encoded* frame size and carry self-describing
-        frames the server parses zero-copy; under ``"pipe"`` the encoded
-        arrays replace the packed buffers in the push message.
-    net_faults:
-        Only the ``"pipe"`` transport injects them, and only the ``delay``
-        and ``drop`` kinds (:meth:`net_fault_support`): a pipe can add
-        latency before a push, and a dropped push is a permanent elastic
-        death because pipes have no reconnect path.
-    faults:
-        Injected crashes leave gracefully — the worker announces its death
-        over the pipe and exits, so membership re-bounds elastically on
-        *both* transports — unlike the hard ``crash_at`` test hooks, which
-        exercise the unannounced-death protocol windows.
+    Everything in :class:`~repro.ps.plan.WorkloadPlan`.  Pushed gradients
+    travel through per-worker shared-memory mailboxes; with a
+    ``compression`` codec a mailbox shrinks to the codec's worst-case
+    *encoded* frame size and carries self-describing frames the server
+    parses zero-copy.  No push crosses a connection, so ``net_faults`` are
+    refused (the tcp backend injects every kind).  Injected crashes
+    (``faults``) leave gracefully: the worker announces its death over the
+    pipe and exits, so membership re-bounds elastically, unlike the hard
+    ``crash_at`` test hooks, which exercise the unannounced-death protocol
+    windows.
     """
-
-    transport: str = "shm"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        validate_transport(self.transport, allowed=_TRANSPORTS)
-
-    def net_fault_support(self) -> tuple[tuple[str, ...], str]:
-        if self.transport == "pipe":
-            return ("delay", "drop"), "the process pipe transport"
-        return (), (
-            "the process backend's shm transport: shm pushes never cross a "
-            "connection, so net_faults require transport='pipe'; use the tcp "
-            "backend for the full fault set"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -232,19 +193,15 @@ class _PipeHub:
 
     Messages arrive on each worker's pipe; an OK is one token on the
     worker's semaphore, an abort sets the shared event and wakes everyone.
-    A push's gradient sits in the worker's shared mailbox (``"shm"``) or
-    rides in the message (``"pipe"``).  EOF on a ``"pipe"`` link is an
-    elastic departure: everything the dead worker owned travelled through
-    that pipe.  On ``"shm"`` it is a failure, as is a reported error: a
-    worker dying inside the shared-memory store cannot be declared harmless
-    from here.
+    A push's gradient sits in the worker's shared mailbox.  EOF is a
+    failure, as is a reported error: a worker dying inside the
+    shared-memory store cannot be declared harmless from here.
     """
 
     def __init__(self, plan, handle, store, conns, mailboxes, oks, abort) -> None:
         self._store, self._abort = store, abort
         self._oks = dict(zip(plan.worker_ids, oks))
         self._conns = dict(zip(map(PipeConnection, conns), plan.worker_ids))
-        self._eof = "departure" if plan.transport == "pipe" else "failure"
         codec = plan_codec(plan)
         self._codec = codec.name if codec is not None else None
         self._mailboxes = {
@@ -264,26 +221,26 @@ class _PipeHub:
                 header, payload = conn.recv()
             except ConnectionClosed:
                 self._loop.forget(conn)
-                yield worker_id, self._eof, {"reason": "process died (connection lost)"}, None
+                yield worker_id, "failure", {"reason": "process died (connection lost)"}, None
                 continue
             kind = header["type"]
             if kind == "push":
-                payload = self._gradients(worker_id, header, payload)
+                payload = self._gradients(worker_id, header)
             else:  # done, leave and error are a worker's last word
                 self._loop.forget(conn)
             if kind == "error":
                 header["reason"] = header["message"]
             yield worker_id, _PIPE_KINDS.get(kind, kind), header, payload
 
-    def _gradients(self, worker_id, message, payload) -> dict:
-        """A push's gradient keywords: the mailbox's, or the message's own."""
+    def _gradients(self, worker_id, message) -> dict:
+        """A push's gradient keywords, read out of the worker's mailbox."""
         message["codec"] = self._codec
-        mailbox = self._mailboxes.get(worker_id)
+        mailbox = self._mailboxes[worker_id]
         if self._codec is None:
-            return {"flat": payload if mailbox is None else mailbox, "buffers": message["buffers"]}
-        if mailbox is not None:  # self-describing frames, parsed zero-copy
-            payload = tuple(read_encoded(mailbox[shard], shard) for shard in sorted(mailbox))
-        return {"encoded": payload, "buffers": message["buffers"]}
+            return {"flat": mailbox, "buffers": message["buffers"]}
+        # Self-describing frames, parsed zero-copy.
+        encoded = tuple(read_encoded(mailbox[shard], shard) for shard in sorted(mailbox))
+        return {"encoded": encoded, "buffers": message["buffers"]}
 
     def ok(self, worker_id) -> None:
         self._oks[worker_id].release()
@@ -303,7 +260,7 @@ class _PipeHub:
 
 
 #: Pipe message kinds as :class:`ServerLoop` events: an announced leave
-#: (injected crash, dropped push) departs elastically on both transports.
+#: (an injected crash) departs elastically.
 _PIPE_KINDS = {"leave": "departure", "error": "failure"}
 
 
@@ -324,9 +281,8 @@ def _server_main(
         session = build_server(plan, store, plan.build_workload())
         for worker_id in plan.worker_ids:
             session.dispatch(ServerEvent(worker_id, "join"))
-        if plan.transport == "shm":
-            for name in handle.grad_segments:
-                mailboxes.append(SharedSegment.attach(name))
+        for name in handle.grad_segments:
+            mailboxes.append(SharedSegment.attach(name))
         hub = _PipeHub(plan, handle, store, conns, mailboxes, oks, abort)
         session.evaluate(0.0)
         barrier.wait(timeout=plan.wait_timeout)
@@ -352,11 +308,10 @@ def _server_main(
 class _ProcessLink:
     """One worker process's link: pipe out, OK semaphore in, pulls from shm.
 
-    Pushes use the pipe as a control plane (and, under the ``"pipe"``
-    transport, as the data plane too); the OK is one semaphore token; pulls
-    lease the store's current copy-on-write slot straight out of shared
-    memory.  With the ``"shm"`` transport the replica's gradient side lives
-    in this worker's shared mailbox, so the push message carries scalars.
+    Pushes use the pipe as a control plane only; the OK is one semaphore
+    token; pulls lease the store's current copy-on-write slot straight out
+    of shared memory.  The replica's gradient side lives in this worker's
+    shared mailbox, so the push message carries scalars.
     """
 
     layouts = gradient_buffers = None
@@ -366,15 +321,6 @@ class _ProcessLink:
         self._conn, self._barrier, self._ok, self._abort = conn, barrier, ok, abort
         self._client = self._mailbox = None
         self._regions: dict[int, np.ndarray] = {}
-        worker_id = f"worker-{index}"
-        self._schedule = (
-            NetFaultSchedule(plan.fault_plan, worker_id, plan.seed)
-            if plan.fault_plan.net_for(worker_id)
-            else None
-        )
-
-    def _events(self) -> list:
-        return list(self._schedule.events) if self._schedule is not None else []
 
     def open(self) -> Resume:
         plan, handle = self._plan, self._handle
@@ -382,15 +328,14 @@ class _ProcessLink:
             (spec.index, spec.build_layout().weight_segments)
             for spec in handle.shard_specs
         )
-        if plan.transport == "shm":
-            self._mailbox = SharedSegment.attach(handle.grad_segments[self._index])
-            codec = plan_codec(plan)
-            self._regions = _mailbox(handle, self._mailbox, codec)
-            if codec is None:
-                # The replica's gradients live in the mailbox.  With a codec
-                # the replica keeps private gradient buffers and the encoder
-                # writes frames into the mailbox after each backward pass.
-                self.gradient_buffers = self._regions
+        self._mailbox = SharedSegment.attach(handle.grad_segments[self._index])
+        codec = plan_codec(plan)
+        self._regions = _mailbox(handle, self._mailbox, codec)
+        if codec is None:
+            # The replica's gradients live in the mailbox.  With a codec the
+            # replica keeps private gradient buffers and the encoder writes
+            # frames into the mailbox after each backward pass.
+            self.gradient_buffers = self._regions
         self._client = ShmStoreClient(handle)
         return Resume(0, self._client.pull_reply())
 
@@ -401,24 +346,9 @@ class _ProcessLink:
     def push(self, header, computation, flat, encoded) -> bool:
         if self._abort.is_set():
             return False
-        if self._plan.transport == "shm":
-            payload = None  # the gradient (or its frames) sits in the mailbox
-            for frame in encoded or ():
-                write_encoded(frame, self._regions[frame.shard])
-        else:
-            payload = encoded if encoded is not None else dict(flat or {})
-        if self._schedule is not None:
-            # Pipe transport supports delay/drop only (plan validation
-            # enforces it), so the throttle byte count is irrelevant.
-            decision = self._schedule.next_push(0)
-            if decision.delay > 0:
-                time.sleep(decision.delay)
-            if decision.drop is not None:
-                # A dropped push on a pipe is a permanent death: pipes
-                # have no reconnect path, so the worker announces the
-                # torn connection and leaves the membership elastically.
-                self.leave(header["seq"])
-                return False
+        # A dense gradient already sits in the mailbox; a codec's frames go there now.
+        for frame in encoded or ():
+            write_encoded(frame, self._regions[frame.shard])
         self._conn.send(
             {
                 "type": "push",
@@ -427,8 +357,7 @@ class _ProcessLink:
                 "loss": header["loss"],
                 "samples": header["samples"],
                 "buffers": dict(computation.buffers) or None,
-            },
-            payload,
+            }
         )
         return True
 
@@ -442,20 +371,10 @@ class _ProcessLink:
     def leave(self, clock: int, rejoin_after=None) -> None:
         # Announce the death so the server can deregister elastically; the
         # process then exits without a report.
-        message = {"type": "leave", "clock": clock}
-        if self._schedule is not None:
-            message["events"] = self._events()
-        self._conn.send(message)
+        self._conn.send({"type": "leave", "clock": clock})
 
     def done(self, report: dict, profile) -> None:
-        self._conn.send(
-            {
-                "type": "done",
-                "events": self._events(),
-                "report": report,
-            },
-            profile,
-        )
+        self._conn.send({"type": "done", "report": report}, profile)
 
     def error(self, message: str) -> None:
         try:
@@ -521,7 +440,7 @@ class ProcessTrainer:
         initial_buffers = global_model.buffers()
         codec = plan_codec(plan)
         grad_mailbox_nbytes = None
-        if codec is not None and plan.transport == "shm":
+        if codec is not None:
             grad_mailbox_nbytes = _codec_mailbox_nbytes(
                 plan, initial_weights, initial_buffers, codec
             )
@@ -533,7 +452,7 @@ class ProcessTrainer:
             dtype=plan.dtype,
             slots=plan.num_workers + 2,
             context=self.context,
-            grad_mailboxes=plan.num_workers if plan.transport == "shm" else 0,
+            grad_mailboxes=plan.num_workers,
             grad_mailbox_nbytes=grad_mailbox_nbytes,
         )
 

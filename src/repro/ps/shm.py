@@ -257,7 +257,7 @@ class SharedStoreHandle:
     from the runtime's multiprocessing context) — passed to worker and
     server processes as a plain ``Process`` argument.  ``grad_segments``
     maps each worker index to the segment holding that worker's per-shard
-    gradient mailboxes (present only under the ``"shm"`` push transport).
+    gradient mailboxes (none when the store was created without any).
     """
 
     header_segment: str

@@ -13,9 +13,9 @@ stop open-coding their plumbing:
 
 * :class:`PipeConnection` — a thin adapter over a ``multiprocessing`` pipe
   end.  Control dictionaries and payloads travel pickled, which is fine on
-  one machine between trusted processes; the shm transport of
-  :mod:`repro.ps.process_runtime` uses the pipe for control only and moves
-  gradients through shared memory.
+  one machine between trusted processes; :mod:`repro.ps.process_runtime`
+  uses the pipe for control only and moves gradients through shared
+  memory.
 * :class:`TcpConnection` — a length-prefixed binary protocol over a socket.
   Control messages are a JSON envelope; shard payloads are framed with the
   *same self-describing format the shared-memory mailboxes already use*
@@ -44,10 +44,6 @@ replica) and server (``_handle_push`` applies or stages a copy; codec state
 is ``np.array``-copied) both consume a message before asking for the next,
 and :meth:`TcpConnection.read_ready` returns at most one message per call
 so a selector loop cannot be handed two messages sharing one buffer.
-
-The module also owns the transport *registry* the spec layer validates
-against (``"shm"``/``"pipe"`` select the gradient path of the process
-backend; ``"tcp"`` is the socket backend's wire transport).
 """
 
 from __future__ import annotations
@@ -63,12 +59,8 @@ import time
 import numpy as np
 
 from repro.ps.compression import EncodedShard, encoded_parts, read_encoded
-from repro.utils.registry import Registry
 
 __all__ = [
-    "TRANSPORTS",
-    "available_transports",
-    "validate_transport",
     "ConnectionClosed",
     "PipeConnection",
     "TcpConnection",
@@ -76,36 +68,6 @@ __all__ = [
     "parse_address",
     "format_address",
 ]
-
-#: Registered transport names and what selects them.  ``shm``/``pipe`` are
-#: gradient paths of the process backend (``--backend process``); ``tcp``
-#: is the wire transport of the socket backend (``--backend tcp``).
-TRANSPORTS = Registry("transport", {
-    "shm": "process backend: gradients in shared-memory mailboxes (default)",
-    "pipe": "process backend: packed gradients pickled through the worker pipe",
-    "tcp": "tcp backend: length-prefixed socket framing, elastic membership",
-})
-
-
-def available_transports() -> tuple[str, ...]:
-    """Registered transport names, in registration order."""
-    return tuple(TRANSPORTS)
-
-
-def validate_transport(name: str, allowed: tuple[str, ...] | None = None) -> str:
-    """Check ``name`` against the registry (and optionally ``allowed``).
-
-    Returns the normalized name; raises ``ValueError`` naming the accepted
-    transports otherwise, so a typo in a spec or CLI flag fails loudly
-    before any training work starts.
-    """
-    key = TRANSPORTS.key(name)
-    if allowed is not None and key not in allowed:
-        raise ValueError(
-            f"transport {key!r} is not supported here; choose one of "
-            f"{', '.join(allowed)}"
-        )
-    return key
 
 
 class ConnectionClosed(ConnectionError):

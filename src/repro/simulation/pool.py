@@ -57,7 +57,7 @@ class ReplicaPool(contextlib.AbstractContextManager):
     forks ``REPAY`` times over, with ``fork``, a second core and no other
     thread: ``min(workers, 2 × cores)`` of them, replicas dealt round-robin.
     Weights and dense gradients stay in buffers shared before the fork, as
-    the shm transport's mailboxes are; pipes carry worker ids, losses,
+    the process backend's gradient mailboxes are; pipes carry worker ids, losses,
     BatchNorm buffers and codec frames.
     """
 

@@ -1,8 +1,8 @@
 """One name → entry table for everything a spec or the CLI refers to by name.
 
 Paradigms, codecs, aggregators, jitters, topology presets, comm patterns,
-transports, fault kinds, net-fault kinds, models, workloads, backends,
-devices, networks and scales are each one :class:`Registry`.  A registry
+fault kinds, net-fault kinds, models, workloads, backends, devices,
+networks and scales are each one :class:`Registry`.  A registry
 owns what every such table needs:
 
 * names match after ``strip().lower()`` (``"  BSP "`` is ``bsp``);

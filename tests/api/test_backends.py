@@ -171,10 +171,10 @@ class TestProcessBackend:
         with pytest.raises(ValueError, match="injected workload"):
             run_experiment(TINY_SPEC, "process", workload=workload)
 
-    def test_pipe_transport_equivalent_schema(self):
-        result = run_experiment(TINY_SPEC, ProcessBackend(transport="pipe"))
-        assert result.errors == []
-        assert result.total_updates == 20
+    def test_the_backend_alone_picks_the_gradient_path(self):
+        # Pushes go through shared-memory mailboxes; no knob selects another path.
+        with pytest.raises(TypeError, match="transport"):
+            ProcessBackend(transport="pipe")
 
     def test_no_shared_memory_leaked(self, process_result):
         import os
@@ -210,14 +210,6 @@ class TestTcpBackend:
             TestBackendParity.schema(process_result.to_dict())
         )
 
-    def test_transport_field_tcp_accepted(self):
-        result = run_experiment(TINY_SPEC.replace(transport="tcp"), "tcp")
-        assert result.errors == []
-
-    def test_transport_field_mailbox_rejected(self):
-        with pytest.raises(ValueError, match="tcp backend"):
-            run_experiment(TINY_SPEC.replace(transport="shm"), "tcp")
-
     def test_sharding_rejected(self):
         with pytest.raises(ValueError, match="monolithic"):
             run_experiment(TINY_SPEC.replace(num_shards=4), "tcp")
@@ -228,23 +220,6 @@ class TestTcpBackend:
         workload = build_workload("mlp", TINY_SPEC.resolved_scale())
         with pytest.raises(ValueError, match="injected workload"):
             run_experiment(TINY_SPEC, "tcp", workload=workload)
-
-
-class TestTransportSpecField:
-    def test_spec_transport_overrides_process_default(self):
-        # ProcessBackend defaults to shm; the spec can demand pipe.
-        result = run_experiment(TINY_SPEC.replace(transport="pipe"), "process")
-        assert result.errors == []
-        assert result.total_updates == 20
-
-    def test_spec_transport_tcp_rejected_on_process(self):
-        with pytest.raises(ValueError, match="tcp backend"):
-            run_experiment(TINY_SPEC.replace(transport="tcp"), "process")
-
-    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
-    def test_spec_transport_rejected_on_non_process(self, backend):
-        with pytest.raises(ValueError, match="transport"):
-            run_experiment(TINY_SPEC.replace(transport="shm"), backend)
 
 
 class TestBackendParity:
@@ -359,10 +334,8 @@ class TestCompression:
         assert result.total_updates == process_result.total_updates
         assert result.transfers.compression_ratio > 8.0
 
-    def test_int8_process_pipe_transport(self):
-        result = run_experiment(
-            TINY_SPEC.replace(compression="int8"), ProcessBackend(transport="pipe")
-        )
+    def test_int8_process_backend(self):
+        result = run_experiment(TINY_SPEC.replace(compression="int8"), ProcessBackend())
         assert result.errors == []
         assert 6.0 < result.transfers.compression_ratio < 9.0
 
@@ -472,50 +445,23 @@ class TestProfilePlumbing:
 
 
 class TestNetFaultsSpecField:
-    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
+    @pytest.mark.parametrize("backend", ["simulated", "threaded", "process"])
     def test_rejected_on_backends_without_network(self, backend):
         with pytest.raises(ValueError, match="no network"):
             run_experiment(
                 TINY_SPEC.replace(net_faults=({"spec": "delay:5"},)), backend
             )
 
-    def test_process_shm_transport_rejected(self):
-        # shm pushes never cross a connection: demand the pipe transport.
-        with pytest.raises(ValueError, match="transport='pipe'"):
-            run_experiment(
-                TINY_SPEC.replace(net_faults=({"spec": "delay:5"},)), "process"
-            )
-
-    def test_process_pipe_rejects_unsupported_kinds(self):
-        with pytest.raises(ValueError, match="pipe transport"):
-            run_experiment(
-                TINY_SPEC.replace(
-                    transport="pipe", net_faults=({"spec": "partition:1,1"},)
-                ),
-                "process",
-            )
-
-    def test_process_pipe_delay_runs_clean(self):
-        result = run_experiment(
-            TINY_SPEC.replace(transport="pipe", net_faults=({"spec": "delay:1"},)),
-            "process",
-        )
-        assert result.errors == []
-        assert result.total_updates == 20
-
-    def test_process_pipe_drop_is_a_permanent_leave(self):
-        # Pipes cannot reconnect, so a dropped worker leaves for good; the
-        # survivor finishes and the drop shows up as a structured event.
-        result = run_experiment(
-            TINY_SPEC.replace(
-                transport="pipe", net_faults=({"spec": "drop", "worker": 0},)
-            ),
-            "process",
-        )
-        assert result.errors == []
-        kinds = [event["kind"] for event in result.events]
-        assert "net_drop" in kinds
-        assert result.iterations_per_worker["worker-1"] == 10
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [("delay", "delay:5"), ("drop", "drop"), ("partition", "partition:1,1"),
+         ("throttle", "throttle:1000")],
+        ids=["delay", "drop", "partition", "throttle"],
+    )
+    def test_process_refuses_every_kind_and_points_at_tcp(self, kind, entry):
+        # Process pushes go through shared memory, never a connection.
+        with pytest.raises(ValueError, match=rf"\['{kind}'\].*use the tcp backend"):
+            run_experiment(TINY_SPEC.replace(net_faults=({"spec": entry},)), "process")
 
     def test_tcp_drop_reconnects_and_completes(self):
         result = run_experiment(

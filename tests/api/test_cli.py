@@ -142,9 +142,22 @@ class TestRegistry:
         listed = [line.strip() for line in backends_block.splitlines()[1:] if line.strip()]
         assert listed == ["simulated", "threaded", "process", "tcp"]
 
-    def test_lists_transports(self, capsys):
+    def test_lists_no_transports(self, capsys):
+        # The backend decides the gradient path: process pushes through
+        # shared memory, tcp through its sockets.
         assert main(["registry"]) == 0
-        assert "transports: shm, pipe, tcp" in capsys.readouterr().out
+        assert "transports:" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["run", "spec.json", "--transport", "shm"])
+
+
+class TestOldSpecFiles:
+    def test_a_spec_file_that_sets_transport_is_refused(self, spec_path, capsys):
+        data = json.loads(spec_path.read_text())
+        data["transport"] = "pipe"
+        spec_path.write_text(json.dumps(data))
+        assert main(["run", str(spec_path), "--backend", "process"]) == 2
+        assert "unknown spec key(s) ['transport']" in capsys.readouterr().err
 
 
 class TestRunProcessBackend:
@@ -164,42 +177,6 @@ class TestRunProcessBackend:
         with pytest.raises(SystemExit):
             main(["run", "spec.json", "--backend", "quantum"])
         assert "process" in capsys.readouterr().err
-
-
-class TestTransportFlag:
-    def test_run_process_with_pipe_transport(self, spec_path, tmp_path, capsys):
-        output = tmp_path / "result.json"
-        code = main(
-            ["run", str(spec_path), "--backend", "process",
-             "--transport", "pipe", "--output", str(output)]
-        )
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert payload["errors"] == []
-        assert payload["provenance"]["spec"]["transport"] == "pipe"
-
-    def test_tcp_transport_on_process_backend_redirects(self, spec_path, capsys):
-        code = main(
-            ["run", str(spec_path), "--backend", "process", "--transport", "tcp"]
-        )
-        assert code == 2
-        # The error points at the right invocation, not just "invalid".
-        assert "--backend tcp" in capsys.readouterr().err
-
-    def test_transport_rejected_on_simulated_backend(self, spec_path, capsys):
-        code = main(
-            ["run", str(spec_path), "--backend", "simulated", "--transport", "shm"]
-        )
-        assert code == 2
-        assert "transport" in capsys.readouterr().err
-
-    def test_address_requires_tcp_backend(self, spec_path, capsys):
-        code = main(
-            ["run", str(spec_path), "--backend", "process",
-             "--address", "127.0.0.1:5555"]
-        )
-        assert code == 2
-        assert "--backend tcp" in capsys.readouterr().err
 
 
 class TestTcpBackendCli:
@@ -247,6 +224,14 @@ class TestTcpBackendCli:
         code = main(["serve", str(spec_path), "--checkpoint-every", "5"])
         assert code == 2
         assert "--checkpoint" in capsys.readouterr().err
+
+    def test_address_requires_tcp_backend(self, spec_path, capsys):
+        code = main(
+            ["run", str(spec_path), "--backend", "process",
+             "--address", "127.0.0.1:5555"]
+        )
+        assert code == 2
+        assert "--backend tcp" in capsys.readouterr().err
 
 
 class TestNetFaultsFlag:

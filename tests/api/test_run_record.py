@@ -108,6 +108,19 @@ def test_show_prints_what_run_printed(tmp_path, capsys):
     assert shown.strip() and shown in printed
 
 
+def test_a_record_whose_spec_names_a_transport_still_loads_and_shows(records, tmp_path, capsys):
+    # Records written while specs still carried a ``transport`` field: the
+    # provenance spec is a plain dict, so reading it back never re-parses it.
+    record = json.loads(json.dumps(records("process")))
+    record["provenance"]["spec"]["transport"] = "pipe"
+    restored = RunResult.from_dict(record)
+    assert restored.provenance.spec["transport"] == "pipe"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(record))
+    assert main(["show", str(path)]) == 0
+    assert "process" in capsys.readouterr().out
+
+
 def test_worker_report_fields_survive_the_round_trip():
     result = RunResult.failed("")
     result.worker_reports = [

@@ -1,6 +1,7 @@
 """Tests for the declarative ExperimentSpec (validation + serialization)."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -201,17 +202,22 @@ class TestSpecValidation:
         assert restored.to_dict()["aggregation"] == "median"
         assert restored.faults[0]["mode"] == "sign_flip"
 
-    def test_transport_validated(self):
-        assert ExperimentSpec(transport="pipe").transport == "pipe"
-        assert ExperimentSpec(transport="  SHM ").transport == "shm"
-        assert ExperimentSpec().transport is None
-        with pytest.raises(ValueError, match="carrier-pigeon"):
-            ExperimentSpec(transport="carrier-pigeon")
+    def test_transport_is_not_a_spec_field(self):
+        # The backend decides the gradient path (process: shm, tcp: sockets).
+        assert "transport" not in ExperimentSpec().to_dict()
+        with pytest.raises(TypeError, match="transport"):
+            ExperimentSpec(transport="pipe")
 
-    def test_transport_survives_round_trip(self):
-        spec = ExperimentSpec(transport="pipe")
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-        assert spec.to_dict()["transport"] == "pipe"
+    @pytest.mark.parametrize("transport", [None, "pipe"], ids=["null", "pipe"])
+    def test_a_spec_that_sets_transport_fails_at_load(self, transport, tmp_path):
+        # Older spec files wrote ``"transport": null`` by default.
+        data = {**ExperimentSpec().to_dict(), "transport": transport}
+        with pytest.raises(ValueError, match=r"unknown spec key\(s\) \['transport'\]"):
+            ExperimentSpec.from_dict(data)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="transport"):
+            ExperimentSpec.load(path)
 
     def test_cluster_address_and_heartbeat_validated(self):
         cluster = ClusterConfig(address="0.0.0.0:5555", heartbeat_timeout=3.0)

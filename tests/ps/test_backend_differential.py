@@ -1,6 +1,6 @@
-"""Cross-backend differential: one spec, one seed, five ways to run it.
+"""Cross-backend differential: one spec, one seed, four ways to run it.
 
-The threaded, process (``shm`` and ``pipe``) and tcp runtimes and the
+The threaded, process and tcp runtimes and the
 simulator execute the same server protocol from the same plan recipes, so
 wherever the schedule is forced — one worker, or a buffered aggregator that
 combines each round in sorted worker order — they must agree bit for bit,
@@ -22,8 +22,7 @@ from repro.api import (
 
 CONFIGURATIONS = {
     "threaded": lambda: ThreadedBackend(),
-    "process-shm": lambda: ProcessBackend(transport="shm"),
-    "process-pipe": lambda: ProcessBackend(transport="pipe"),
+    "process": lambda: ProcessBackend(),
     "tcp": lambda: TcpBackend(),
 }
 

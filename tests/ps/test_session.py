@@ -594,8 +594,7 @@ NET_FAULT_EXAMPLE = {
 }
 NET_FAULT_SUPPORT = {
     "threaded": (PLAN_CLASSES["threaded"], {}, ()),
-    "process-shm": (PLAN_CLASSES["process"], {}, ()),
-    "process-pipe": (PLAN_CLASSES["process"], {"transport": "pipe"}, ("delay", "drop")),
+    "process": (PLAN_CLASSES["process"], {}, ()),
     "tcp": (PLAN_CLASSES["tcp"], {}, NET_FAULT_KINDS),
 }
 

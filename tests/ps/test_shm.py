@@ -262,6 +262,17 @@ class TestCrossProcessCow:
 
 
 class TestCleanup:
+    def test_no_mailboxes_means_no_gradient_segments(self):
+        # How callers that push nothing through shared memory create a store.
+        made = create_shared_store(
+            initial_weights={"x": np.ones(4)}, slots=2, context=CTX, grad_mailboxes=0
+        )
+        try:
+            assert made.grad_segments == ()
+            assert len(made.segment_names) == 1 + 1  # header + one shard
+        finally:
+            made.unlink_all()
+
     def test_unlink_all_removes_every_segment(self):
         made = create_shared_store(
             initial_weights={"x": np.ones(4)},

@@ -29,10 +29,8 @@ from repro.ps.transport import (
     ConnectionClosed,
     PipeConnection,
     TcpConnection,
-    available_transports,
     format_address,
     parse_address,
-    validate_transport,
 )
 
 
@@ -86,23 +84,6 @@ def pair():
     yield a, b
     a.close()
     b.close()
-
-
-class TestRegistry:
-    def test_registry_lists_all_three(self):
-        assert available_transports() == ("shm", "pipe", "tcp")
-
-    def test_validate_normalizes(self):
-        assert validate_transport("  TCP ") == "tcp"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="carrier-pigeon"):
-            validate_transport("carrier-pigeon")
-
-    def test_allowed_subset_enforced(self):
-        assert validate_transport("pipe", allowed=("shm", "pipe")) == "pipe"
-        with pytest.raises(ValueError, match="not supported here"):
-            validate_transport("tcp", allowed=("shm", "pipe"))
 
 
 class TestAddresses:

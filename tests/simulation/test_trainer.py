@@ -354,11 +354,10 @@ REJECTED = {
     "cluster_size": (
         {"num_workers": 2, "options": {"cluster": ONE}}, r"worker-0 … worker-\(n-1\)"
     ),
-    "net_faults_on_shm": (
+    "net_faults_on_process": (
         {"plan_type": ProcessTrainingPlan, "net_faults": ({"spec": "delay:5"},)},
-        "transport='pipe'",
+        "use the tcp backend",
     ),
-    "transport": ({"plan_type": ProcessTrainingPlan, "transport": "pigeon"}, "transport"),
     "tcp_shards": ({"plan_type": TcpTrainingPlan, "num_shards": 2}, "monolithic store"),
 }
 

@@ -13,7 +13,6 @@ from repro.models.registry import MODELS, build_model
 from repro.ps.aggregation import AGGREGATORS, make_aggregator
 from repro.ps.compression import CODECS, TopKCodec, make_codec
 from repro.ps.faults import FAULT_KIND_KEYS, NET_FAULT_EXAMPLES, parse_fault_plan, resolve_worker
-from repro.ps.transport import TRANSPORTS, validate_transport
 from repro.simulation.profiles import GPU_CATALOGUE, get_device_profile
 from repro.simulation.topology import (
     COMM_PATTERNS,
@@ -139,7 +138,6 @@ def test_parameters_listed_per_registry():
     assert WORKLOADS.parameters("alexnet") == ("seed=0",)  # ``scale`` is given
     assert "hidden_dims=(64,)" in MODELS.parameters("mlp")  # the spec's default
     assert BACKENDS.parameters("process") == ()  # a name alone selects a backend
-    assert TRANSPORTS.parameters("shm") == ()
 
 
 def test_every_public_front_normalises_names():
@@ -147,7 +145,6 @@ def test_every_public_front_normalises_names():
     assert isinstance(make_codec("TopK:0.02"), TopKCodec)
     assert make_aggregator("Trimmed_Mean:1").k == 1
     assert get_backend("TCP").name == "tcp"
-    assert validate_transport(" Pipe ") == "pipe"
     assert validate_comm_pattern("RING_ALLREDUCE") == "ring_allreduce"
     assert canonical_topology_spec("Two-Rack")["name"] == "two-rack"
     assert make_jitter("LogNormal:0.2").sigma == 0.2
@@ -165,7 +162,6 @@ FRONTS = {
     "paradigm": make_policy,
     "workload": lambda name: build_workload(name, TINY),
     "model": build_model,
-    "transport": validate_transport,
     "scale": lambda name: ExperimentSpec(scale=name),
     "device": get_device_profile,
     "network": lambda name: ClusterConfig(network=name).build(),
@@ -213,21 +209,17 @@ class TestCli:
         for expected in ("density", "staleness", "enforce_upper_bound=False", "hidden_dims"):
             assert expected in printed
         assert printed.startswith("backends:\n  simulated\n")
-        assert "\ntransports: shm, pipe, tcp\n" in printed
         assert "\nfault kinds: crash, byzantine, corrupt, flaky\n" in printed
 
     def test_flags_resolve_through_the_registry(self):
         arguments = _build_parser().parse_args(
-            ["run", "spec.json", "--backend", "TCP", "--transport", " Pipe",
-             "--comm-pattern", "PS"]
+            ["run", "spec.json", "--backend", "TCP", "--comm-pattern", "PS"]
         )
-        assert (arguments.backend, arguments.transport, arguments.comm_pattern) == (
-            "tcp", "pipe", "ps",
-        )
+        assert (arguments.backend, arguments.comm_pattern) == ("tcp", "ps")
 
     def test_a_bad_flag_value_names_the_choices(self, capsys):
         with pytest.raises(SystemExit):
-            _build_parser().parse_args(["run", "spec.json", "--transport", "carrier"])
-        assert "unknown transport 'carrier'; available transports: shm, pipe, tcp" in (
+            _build_parser().parse_args(["run", "spec.json", "--backend", "carrier"])
+        assert "unknown backend 'carrier'; available backends: simulated, threaded, process, tcp" in (
             capsys.readouterr().err
         )

@@ -24,7 +24,6 @@ of the suite; ``REPRO_BENCH_SCALE=tiny`` keeps the sweep small for CI.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import statistics
 from pathlib import Path
@@ -33,7 +32,7 @@ import pytest
 
 from benchmarks.conftest import record_result
 from repro.experiments.config import ExperimentScale
-from repro.ps.process_runtime import ProcessTrainer, ProcessTrainingPlan
+from repro.ps.process_runtime import ProcessTrainer, ProcessTrainingPlan, default_context_name
 from repro.ps.tcp_runtime import TcpTrainer, TcpTrainingPlan
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
@@ -136,9 +135,14 @@ def sweep_results():
     return results
 
 
-def test_sweep_and_record(sweep_results):
-    """Run the sweep, sanity-check it, and record the comparison JSON."""
-    payload = {
+def record(sweep_results) -> dict:
+    """The comparison JSON: the sweep and the conditions it ran under.
+
+    ``start_method`` is the one both runtimes resolve for their children
+    (``REPRO_PROCESS_CONTEXT``, else the platform default), not the global
+    multiprocessing setting, which nothing here sets.
+    """
+    return {
         "benchmark": "transport",
         "workload": "mlp (communication-leaning: small batches, no micro-batching)",
         "paradigm": "asp",
@@ -146,10 +150,25 @@ def test_sweep_and_record(sweep_results):
         "iterations_per_worker": ITERATIONS_PER_WORKER,
         "trials_per_point": TRIALS,
         "cpu_count": os.cpu_count(),
-        "start_method": multiprocessing.get_start_method(allow_none=True) or "default",
+        "start_method": default_context_name(),
         "sweep": sweep_results,
     }
-    record_result(RESULT_PATH, payload)
+
+
+def test_sweep_and_record(sweep_results):
+    """Run the sweep, sanity-check it, and record the comparison JSON."""
+    record_result(RESULT_PATH, record(sweep_results))
+
+
+@pytest.mark.parametrize("override", [None, "spawn"])
+def test_the_record_names_the_start_method_the_runs_use(monkeypatch, override):
+    if override is None:
+        monkeypatch.delenv("REPRO_PROCESS_CONTEXT", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_PROCESS_CONTEXT", override)
+    plan = ProcessTrainingPlan(scale_fields=dataclasses.asdict(BENCH_SCALE), **_COMMON)
+    used = ProcessTrainer(plan).context.get_start_method()
+    assert record([])["start_method"] == used == (override or used)
 
 
 def test_codec_cuts_bytes_on_every_transport(sweep_results):

@@ -1,11 +1,12 @@
-"""Quickstart: one declarative spec, two real backends.
+"""Quickstart: one declarative spec, any backend.
 
 This example describes a small DSSP training run as an
-:class:`repro.api.ExperimentSpec` — four worker threads, one artificially
-slowed so the dynamic threshold has something to adapt to — and executes it
-with the *threaded* backend (a real concurrent parameter server on this
-machine).  Flip ``--backend simulated`` to run the identical spec in the
-discrete-event simulator instead; the result schema is the same either way.
+:class:`repro.api.ExperimentSpec` — four workers, one artificially slowed
+so the dynamic threshold has something to adapt to — and executes it with
+the *process* backend (a real parameter server with one OS process per
+worker on this machine).  Flip ``--backend simulated`` to run the identical
+spec in the discrete-event simulator instead, or ``--backend tcp`` to run it
+over localhost sockets; the result schema is the same either way.
 
 Run with:
 
@@ -15,7 +16,7 @@ Run with:
 The spec is also written next to the script, so the equivalent command-line
 run is:
 
-    python -m repro run examples/quickstart_spec.json --backend threaded
+    python -m repro run examples/quickstart_spec.json --backend process
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.utils.timing import format_seconds
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=available_backends(), default="threaded")
+    parser.add_argument("--backend", choices=available_backends(), default="process")
     arguments = parser.parse_args()
 
     enable_console_logging()
@@ -53,23 +54,23 @@ def main() -> None:
         slowdowns={"worker-3": 0.01},
         seed=0,
     )
-    # The saved file always carries the threaded-backend semantics the
-    # module docstring advertises (slowdowns are seconds of sleep there).
+    # The saved file always carries the wall-clock semantics the module
+    # docstring advertises (slowdowns are seconds of sleep there).
     spec_path = spec.save(Path(__file__).resolve().parent / "quickstart_spec.json")
 
     # 2. Run it.  Swapping the backend string is the whole migration between
-    #    the simulator and the real threaded parameter server.  The one
+    #    the simulator and a real parameter server.  The one
     #    backend-interpreted field is `slowdowns` — the simulator reads the
     #    value as an iteration-time *multiplier*, so swap in an equivalent
     #    1.5x factor there (in memory only, the spec file is untouched).
     run_spec = (
         spec
-        if arguments.backend == "threaded"
+        if arguments.backend != "simulated"
         else spec.replace(slowdowns={"worker-3": 1.5})
     )
     result = run_experiment(run_spec, arguments.backend)
 
-    # 3. Report (every field below exists identically for both backends).
+    # 3. Report (every field below exists identically on every backend).
     print()
     print(f"spec file               : {spec_path}")
     print(f"backend                 : {result.backend}")

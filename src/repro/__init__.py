@@ -14,7 +14,7 @@ It contains, built from scratch:
 * ``repro.core`` — the synchronization paradigms: BSP, ASP, SSP and the
   paper's contribution DSSP with its synchronization controller.
 * ``repro.ps`` — a parameter-server framework (key-value store, server,
-  workers, thread-based runtime).
+  workers, process and tcp runtimes).
 * ``repro.simulation`` — a discrete-event cluster simulator (virtual clock,
   device profiles, network model) used to reproduce the paper's
   accuracy-vs-time results without GPU hardware.
@@ -22,7 +22,7 @@ It contains, built from scratch:
   that regenerates every table and figure of the paper's evaluation.
 * ``repro.api`` — the unified front door: a declarative
   :class:`~repro.api.ExperimentSpec` executed by pluggable backends
-  (simulated or threaded) into one :class:`~repro.api.RunResult` schema;
+  (simulated, process or tcp) into one :class:`~repro.api.RunResult` schema;
   also the ``python -m repro`` command line.
 """
 

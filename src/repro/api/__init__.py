@@ -8,15 +8,14 @@ result schema:
 * :class:`ExperimentSpec` — workload + model scale + cluster + paradigm +
   budget + evaluation cadence + store layout, serializable to/from JSON;
 * :class:`Backend` — the execution protocol, with :class:`SimulatedBackend`
-  (discrete-event simulator), :class:`ThreadedBackend` (thread-per-worker
-  parameter server), :class:`ProcessBackend` (process-per-worker over
+  (discrete-event simulator), :class:`ProcessBackend` (process-per-worker over
   shared memory) and :class:`TcpBackend` (socket parameter server with
   elastic membership) shipped, and :func:`register_backend` for more;
 * :class:`RunResult` — curves on a common time axis, worker reports,
   throughput, staleness and provenance, identical for every backend.
 
 The command line mirrors it: ``python -m repro run spec.json
-[--backend simulated|threaded|process]``.  ``docs/architecture.md``
+[--backend simulated|process|tcp]``.  ``docs/architecture.md``
 compares the backends; ``docs/spec-reference.md`` documents every spec
 field.
 """
@@ -28,7 +27,6 @@ from repro.api.backends import (
     ProcessBackend,
     SimulatedBackend,
     TcpBackend,
-    ThreadedBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -44,7 +42,6 @@ __all__ = [
     "RunResult",
     "Backend",
     "SimulatedBackend",
-    "ThreadedBackend",
     "ProcessBackend",
     "TcpBackend",
     "available_backends",

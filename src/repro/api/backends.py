@@ -1,14 +1,11 @@
 """Pluggable execution backends for :class:`~repro.api.ExperimentSpec`.
 
-A backend turns one spec into one :class:`~repro.api.RunResult`.  Four ship
+A backend turns one spec into one :class:`~repro.api.RunResult`.  Three ship
 with the reproduction:
 
 * :class:`SimulatedBackend` — the discrete-event simulator: virtual time,
   real gradients, device/network models (regenerates the paper's figures
   deterministically on a laptop).
-* :class:`ThreadedBackend` — the real concurrent parameter-server runtime:
-  one thread per worker, wall-clock time, genuine lock contention (compute
-  throughput remains GIL-bound).
 * :class:`ProcessBackend` — the multi-process runtime: one OS process per
   worker plus a server process, shards shared zero-copy through
   ``multiprocessing.shared_memory`` (:mod:`repro.ps.shm`), synchronization
@@ -23,8 +20,8 @@ with the reproduction:
 All adapt the existing engines (:mod:`repro.simulation.trainer` and
 :mod:`repro.ps`) rather than reimplementing them, and all produce
 schema-identical results, so the same spec JSON answers "what does the
-paradigm do in a modelled cluster?" and "what does it do on real threads or
-processes?" with a one-flag switch (see ``docs/architecture.md`` for the
+paradigm do in a modelled cluster?" and "what does it do on real processes
+or sockets?" with a one-flag switch (see ``docs/architecture.md`` for the
 backend comparison).  New backends register by name::
 
     @register_backend("ray")
@@ -46,7 +43,6 @@ from repro.experiments.workloads import WORKLOADS, Workload, build_workload
 from repro.ps.plan import TrainingPlan, WorkloadPlan
 from repro.ps.process_runtime import ProcessTrainer, ProcessTrainingPlan
 from repro.ps.result import Provenance, RunResult
-from repro.ps.runtime import ThreadedTrainer
 from repro.ps.tcp_runtime import TcpTrainer, TcpTrainingPlan
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.trainer import SimulatedTraining, SimulationOptions
@@ -56,7 +52,6 @@ from repro.version import __version__
 __all__ = [
     "Backend",
     "SimulatedBackend",
-    "ThreadedBackend",
     "ProcessBackend",
     "TcpBackend",
     "BACKENDS",
@@ -183,7 +178,7 @@ def _build_workload(spec: ExperimentSpec) -> Workload:
 def _reject_simulator_only_fields(spec: ExperimentSpec, backend_name: str) -> None:
     """Fail loudly on spec fields only the simulator can honour.
 
-    Shared by the threaded and process backends so the two can never drift
+    Shared by the process and tcp backends so the two can never drift
     on which fields they silently accept — one spec must not train
     differently per backend without saying so.
     """
@@ -229,7 +224,7 @@ def plan_from_spec(
     wait_timeout: float = 120.0,
     **deployment,
 ) -> TrainingPlan:
-    """The spec as the ``plan_type`` a backend runs: one translation for all four.
+    """The spec as the ``plan_type`` a backend runs: one translation for all three.
 
     So one spec cannot train differently per backend without saying so.
     The epoch budget becomes an equal per-worker iteration count — the same
@@ -312,49 +307,22 @@ class SimulatedBackend:
         return SimulatedTraining(plan, workload, options).run()
 
 
-@register_backend("threaded")
-class ThreadedBackend:
-    """Thread-per-worker parameter-server backend (wall-clock time)."""
-
-    name = "threaded"
-
-    def run(
-        self,
-        spec: ExperimentSpec,
-        *,
-        workload: Workload | None = None,
-        cluster: ClusterSpec | None = None,
-        profile: bool = False,
-    ) -> RunResult:
-        """Execute ``spec`` on the threaded runtime."""
-        _reject_simulator_only_fields(spec, self.name)
-        _reject_topology(spec, self.name)
-        workload = workload or _build_workload(spec)
-        num_workers = cluster.num_workers if cluster is not None else (
-            len(spec.cluster.worker_ids)
-        )
-
-        plan = plan_from_spec(spec, workload, num_workers, profile=profile)
-        trainer = ThreadedTrainer.from_plan(plan, workload)
-        return trainer.run(profile=plan.profile)
-
-
 @register_backend("process")
 class ProcessBackend:
     """Process-per-worker parameter-server backend (wall-clock time).
 
-    Same contract as :class:`ThreadedBackend` — one spec in, one
-    schema-identical :class:`~repro.api.RunResult` out, the same epoch →
-    per-worker-iteration conversion — but executed by
+    Same contract as every backend — one spec in, one schema-identical
+    :class:`~repro.api.RunResult` out, the same epoch →
+    per-worker-iteration conversion (:func:`plan_from_spec`) — executed by
     :class:`repro.ps.process_runtime.ProcessTrainer`: every worker is an OS
     process, the shards live in shared memory, and compute genuinely
-    parallelizes across cores instead of interleaving on the GIL.
+    parallelizes across cores.
 
     Two restrictions follow from the multi-process execution model:
 
-    * ``lr_milestones`` and ``max_updates`` are rejected exactly as the
-      threaded backend rejects them (one spec must not silently train
-      differently per backend);
+    * ``lr_milestones`` and ``max_updates`` are rejected, as the tcp
+      backend rejects them (one spec must not silently train differently
+      per backend);
     * the workload must be a *registered* name — every process uses the
       same build of it, so an injected pre-built :class:`Workload` object
       cannot be honoured and is rejected loudly.

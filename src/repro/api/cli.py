@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``run SPEC.json [--backend simulated|threaded|process|tcp]
+* ``run SPEC.json [--backend simulated|process|tcp]
   [--output OUT.json]`` — execute one experiment spec and print its summary
   (optionally an ASCII accuracy curve and a JSON result file).  With
   ``--backend tcp`` the run self-hosts a socket parameter server over

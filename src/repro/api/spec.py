@@ -4,8 +4,8 @@ An :class:`ExperimentSpec` is the single front door to the reproduction:
 one plain-data description of *what* to run — workload, model scale,
 cluster, synchronization paradigm, training budget, evaluation cadence and
 parameter-store layout — that every backend (the discrete-event simulator,
-the threaded parameter-server runtime, the multi-process shared-memory
-runtime, and whatever comes next) executes identically.  Field-by-field
+the multi-process shared-memory runtime, the tcp parameter server, and
+whatever comes next) executes identically.  Field-by-field
 reference with validation rules: ``docs/spec-reference.md``.  Specs serialize losslessly to dicts and JSON, so experiments
 can live in version-controlled files and be replayed byte-for-byte::
 
@@ -72,7 +72,7 @@ class ClusterConfig:
     machines (the paper's SOSCIP setup); ``kind="heterogeneous"`` gives each
     entry of ``devices`` its own machine (the paper's mixed-GPU Docker
     setup).  ``network`` names a profile from :data:`NETWORKS`.  The
-    threaded and process backends use only the worker *count* (their
+    process and tcp backends use only the worker *count* (their
     heterogeneity comes from :attr:`ExperimentSpec.slowdowns`); the
     simulated backend uses the full device and network models.
 
@@ -231,26 +231,26 @@ class ExperimentSpec:
         validated at construction.
     epochs, epoch_accounting, max_updates:
         Training budget.  ``epochs=None`` uses the scale's budget.  The
-        threaded backend always converts epochs into an equal per-worker
+        wall-clock backends always convert epochs into an equal per-worker
         iteration count (the same *total* budget as the simulator's
         ``"global"`` accounting, distributed evenly); ``epoch_accounting``
         selects how the simulator distributes the budget, and
-        ``max_updates`` is simulator-only (the threaded backend rejects
+        ``max_updates`` is simulator-only (the wall-clock backends reject
         specs that set it rather than silently ignoring the cap).
     batch_size, learning_rate, momentum, weight_decay, lr_milestones, lr_decay:
         Optimization hyper-parameters (``batch_size=None`` uses the scale's).
         ``lr_milestones``/``lr_decay`` are currently simulator-only: the
-        threaded backend rejects specs that set them rather than silently
+        wall-clock backends reject specs that set them rather than silently
         training with a different schedule.
     evaluate_every_updates:
         Evaluate the global model every N server updates (``None`` uses the
         scale's cadence; ``0`` disables periodic evaluation).  Must be
         non-negative, whether set here or by an inline ``scale``.
     num_shards, shard_strategy, dtype:
-        Parameter-store layout, identical semantics on both backends.
+        Parameter-store layout, identical semantics on every backend.
     slowdowns:
-        Per-worker heterogeneity knob keyed by worker id.  The threaded
-        backend sleeps that many *seconds* per iteration; the simulated
+        Per-worker heterogeneity knob keyed by worker id.  The wall-clock
+        backends sleep that many *seconds* per iteration; the simulated
         backend multiplies the worker's iteration time by the value.  Keys
         must name workers that exist in ``cluster``.
     compression:

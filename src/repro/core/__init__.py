@@ -12,7 +12,7 @@ compares against:
   threshold ``s_L`` so that its eventual wait is minimized.
 
 Policies are pure decision logic: they consume push events (worker id +
-timestamp) and emit release decisions.  Both the thread-based runtime in
+timestamp) and emit release decisions.  Both the wall-clock runtimes in
 :mod:`repro.ps` and the discrete-event simulator in :mod:`repro.simulation`
 drive the same policy objects, which is what makes the reproduction's timing
 results directly attributable to the paper's algorithms.

@@ -12,10 +12,10 @@ state:
 :class:`ClockTable` holds both.
 
 The table itself is runtime-agnostic shared state: the simulator feeds it
-virtual timestamps, the threaded runtime wall-clock timestamps, and the
-multi-process runtime (:mod:`repro.ps.process_runtime`) timestamps that
-originate in *different worker processes*.  The contract that makes all
-three work is the same: timestamps from one worker must be non-decreasing
+virtual timestamps, and the multi-process and tcp runtimes
+(:mod:`repro.ps.process_runtime`, :mod:`repro.ps.tcp_runtime`) wall-clock
+timestamps that originate in *different worker processes*.  The contract
+that makes them all work is the same: timestamps from one worker must be non-decreasing
 (each worker's pushes are ordered events on its own timeline), and
 timestamps from different workers need only share a commensurable origin —
 the controller (:mod:`repro.core.controller`) consumes *intervals*, which

@@ -12,7 +12,7 @@ nothing in this module needs editing to add one:
 
 :func:`make_policy` and :func:`available_policies` read from the registry,
 so every front end (the unified :mod:`repro.api`, the simulator, the
-threaded coordinator) picks the new paradigm up by name immediately.
+wall-clock runtimes) picks the new paradigm up by name immediately.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ workers, the runtime then calls :meth:`SynchronizationPolicy.pop_releasable`
 to collect every blocked worker whose release condition is now satisfied.
 
 This event-driven interface is deliberately free of threads and clocks so
-that the same policy object can be driven by the real thread-based runtime
+that the same policy object can be driven by the real wall-clock runtimes
 (:mod:`repro.ps`) and by the discrete-event simulator
 (:mod:`repro.simulation`).
 """

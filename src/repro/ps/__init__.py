@@ -24,12 +24,10 @@ This subpackage provides that framework built from scratch:
   (:mod:`repro.ps.plan`), the description every backend receives, with the
   one recipe that builds its server, evaluator and worker replicas.
 * :class:`WorkerLoop` / :class:`ServerSession` — the step protocol itself
-  (:mod:`repro.ps.session`), written once and shared by the three runtimes
-  below, which only move bytes and wake peers; the process and tcp servers
-  share one loop feeding the session their events too (``ServerLoop``).
-* :class:`ThreadedTrainer` — a real concurrent runtime in which every worker
-  is a Python thread, released by its own ``threading.Event``; useful to
-  demonstrate the framework end to end on one machine.
+  (:mod:`repro.ps.session`), written once and shared by the two runtimes
+  below and the simulator, which only move bytes and wake peers; the
+  process and tcp servers share one loop feeding the session their events
+  too (``ServerLoop``).
 * :class:`ProcessTrainer` — the multi-process runtime: one OS process per
   worker plus a server process, shards shared zero-copy through
   ``multiprocessing.shared_memory`` (:mod:`repro.ps.shm`), coordination
@@ -50,10 +48,9 @@ from repro.ps.messages import (
     WorkerReport,
 )
 from repro.ps.worker import Worker, GradientComputation
-from repro.ps.plan import TrainingPlan
+from repro.ps.plan import DistributedTrainingConfig, TrainingPlan, assemble_training
 from repro.ps.result import Provenance, RunResult
 from repro.ps.session import Outcome, ServerEvent, ServerSession, WorkerLoop
-from repro.ps.runtime import DistributedTrainingConfig, ThreadedTrainer, assemble_training
 from repro.ps.process_runtime import (
     ProcessTrainer,
     ProcessTrainingPlan,
@@ -116,7 +113,6 @@ __all__ = [
     "RunResult",
     "Provenance",
     "WorkerLoop",
-    "ThreadedTrainer",
     "ProcessTrainer",
     "ProcessTrainingPlan",
     "TcpServer",

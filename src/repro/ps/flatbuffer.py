@@ -35,7 +35,6 @@ segment for the process-per-worker runtime.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -220,19 +219,17 @@ class FlatShard:
     keeps the packing machinery of this class but relocates the buffer into
     a ``multiprocessing.shared_memory`` segment and the lease counters into
     its shared header, turning the same protocol cross-process.  The shard
-    also carries what the store keeps per shard: ``index``, the writer
-    ``lock`` and ``version`` (pushes that touched it).
+    also carries what the store keeps per shard: ``index`` and ``version``
+    (pushes that touched it).
     """
 
     __slots__ = (
         "key",
         "index",
-        "lock",
         "version",
         "layout",
         "_flat",
         "_leases",
-        "_lease_lock",
         "_dtype",
         "_scratch",
         "_full_segments",
@@ -252,10 +249,8 @@ class FlatShard:
         self._dtype = np.dtype(dtype)
         self.key = f"flatshard:{next(_SHARD_KEYS)}"
         # What the owning store keeps per shard: its position (the store
-        # renumbers it), the lock serializing writers, and the count of
-        # pushes that touched it.
+        # renumbers it) and the count of pushes that touched it.
         self.index = 0
-        self.lock = threading.RLock()
         self.version = 0
         self.layout = FlatLayout(
             {name: np.asarray(value).shape for name, value in weights.items()},
@@ -273,11 +268,6 @@ class FlatShard:
                 value, dtype=self._dtype
             ).ravel()
         self._leases = 0
-        # Guards the lease count (and the buffer swap that consumes it):
-        # releases arrive from worker threads outside the shard lock, and a
-        # lost lease increment would let materialize() skip the
-        # copy-on-write copy while a snapshot holder is still reading.
-        self._lease_lock = threading.Lock()
         # Pooled gradient-packing scratch (allocated on first push) and the
         # precomputed single run of a full-model push: reusing them keeps
         # the push hot path free of multi-megabyte allocations.
@@ -334,8 +324,7 @@ class FlatShard:
     # ------------------------------------------------------------------
     def lease(self) -> None:
         """Record one more outstanding snapshot of the current buffer."""
-        with self._lease_lock:
-            self._leases += 1
+        self._leases += 1
 
     def release(self, buffer: np.ndarray) -> None:
         """Drop one lease taken on ``buffer`` (the snapshot was consumed).
@@ -344,12 +333,10 @@ class FlatShard:
         then pins an old copy whose lifetime plain refcounting handles.  In
         the canonical *pull → load into replica → push* loop every lease is
         released before the push, so the steady state pays **no**
-        copy-on-write copies at all.  Releases arrive from worker threads
-        outside the shard lock, hence the dedicated lease lock.
+        copy-on-write copies at all.
         """
-        with self._lease_lock:
-            if buffer is self._flat and self._leases > 0:
-                self._leases -= 1
+        if buffer is self._flat and self._leases > 0:
+            self._leases -= 1
 
     def materialize(self) -> None:
         """Make the buffer privately writable before a mutation.
@@ -357,22 +344,18 @@ class FlatShard:
         If unreleased leases pin the current buffer, replace it with a fresh
         copy (one vectorized ``memcpy``); the leased views keep observing
         exactly the snapshot they were handed.  Only the store's writer path
-        calls this (serialized per shard by the shard lock / the caller's
-        contract); the lease lock is held across the check *and* the swap so
-        a concurrent lease either lands before the copy (holder keeps the
-        old buffer) or after it (holder snapshots the new one) — never in
-        between.
+        calls this.
         """
-        with self._lease_lock:
-            if self._leases:
-                self._flat = self._flat.copy()
-                self._leases = 0
+        if self._leases:
+            self._flat = self._flat.copy()
+            self._leases = 0
 
     def mark_mutated(self) -> None:
         """Signal a completed write to readers that poll for changes.
 
-        Nothing to do on the heap — threads read the store's shard stamps;
-        the shared-memory shard bumps a counter other processes can see.
+        Nothing to do on the heap — its readers read the store's shard
+        stamps; the shared-memory shard bumps a counter other processes
+        can see.
         """
 
     # ------------------------------------------------------------------

@@ -39,8 +39,8 @@ class PushRequest:
         The key-value store version from which the worker's local weights
         were pulled; the server uses it to measure update staleness.
     timestamp:
-        The worker-side time of the push (wall-clock seconds in the threaded
-        runtime, virtual seconds in the simulator).
+        The worker-side time of the push (wall-clock seconds in the process
+        and tcp runtimes, virtual seconds in the simulator).
     buffers:
         Optional non-trainable state (batch-norm statistics) to refresh on
         the server.

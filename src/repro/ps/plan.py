@@ -1,7 +1,7 @@
 """The run description every backend reads, and the recipe that builds it.
 
 A :class:`TrainingPlan` is one training run as plain, validated data: the
-threaded, process, tcp and simulated backends all receive one (the api
+process, tcp and simulated backends all receive one (the api
 layer's :func:`repro.api.backends.plan_from_spec` compiles a spec into it),
 its faults parsed into one :class:`~repro.ps.faults.FaultPlan`.
 :class:`WorkloadPlan` adds what lets a process build the workload for
@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.core.factory import make_policy, validate_paradigm
+from repro.data.dataset import ArrayDataset
 from repro.data.loader import MiniBatchLoader
 from repro.data.partitioner import partition_indices
 from repro.metrics.accuracy import evaluate_model
 from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.module import Module
 from repro.optim.sgd import SGD
 from repro.ps.aggregation import make_aggregator, validate_aggregation_spec
 from repro.ps.compression import make_codec, validate_codec_spec
@@ -43,6 +46,8 @@ __all__ = [
     "build_server",
     "build_evaluator",
     "assemble",
+    "DistributedTrainingConfig",
+    "assemble_training",
 ]
 
 
@@ -54,8 +59,8 @@ class TrainingPlan:
     """What every backend needs to know about one training run.
 
     Plain data, validated at construction so a typo fails before any
-    process, thread or socket exists.  The threaded trainer and the
-    simulator read it as it is; the process and tcp runtimes' plan classes
+    process or socket exists.  The simulator reads it as it is; the
+    process and tcp runtimes' plan classes
     (:class:`~repro.ps.process_runtime.ProcessTrainingPlan`,
     :class:`~repro.ps.tcp_runtime.TcpTrainingPlan`) extend it with
     deployment settings and the network faults their links can inject.  A
@@ -98,9 +103,8 @@ class TrainingPlan:
     num_shards, shard_strategy:
         Shards of the one store (:class:`repro.ps.sharding.ShardedKeyValueStore`)
         and their key partitioning, ``"size"`` (balanced) or ``"hash"``.
-        With more than one, pushes to disjoint shards apply concurrently on
-        the threaded runtime, and the most-loaded shard gates the
-        simulator's push/pull time.
+        With more than one, the most-loaded shard gates the simulator's
+        push/pull time.
     aggregation:
         Optional robust-aggregation spec (e.g. ``"trimmed_mean:1"``,
         ``"median"``; see :mod:`repro.ps.aggregation`).  ``None`` and
@@ -194,11 +198,11 @@ class TrainingPlan:
     def net_fault_support(self) -> tuple[tuple[str, ...], str]:
         """The network-fault kinds this run's links can inject, and the links.
 
-        The threaded, simulated and process backends move pushes through
-        memory, never across a connection: none.
+        The simulated and process backends move pushes through memory,
+        never across a connection: none.
         """
         return (), (
-            "the threaded, simulated and process backends, which have no "
+            "the simulated and process backends, which have no "
             "network to inject faults into; use the tcp backend"
         )
 
@@ -427,3 +431,26 @@ def assemble(plan: TrainingPlan, workload, *, schedule=None, clock=time.monotoni
         server.dispatch(ServerEvent(worker_id, "join"))
         workers.append(build(index))
     return server, workers
+
+
+# Only perfbench/layers.py still uses the two names below; ROADMAP item 6(b)
+# removes them.  A run's description is the plan itself.
+DistributedTrainingConfig = TrainingPlan
+
+
+def assemble_training(
+    config: TrainingPlan,
+    model_builder: Callable[[np.random.Generator], Module],
+    train_dataset: ArrayDataset,
+    test_dataset: ArrayDataset | None = None,
+) -> SimpleNamespace:
+    """:func:`assemble` over a workload given as its parts, for a caller
+    that drives the pieces itself: its ``server`` and ``workers``, each
+    replica packed to mirror the store's layout."""
+    workload = SimpleNamespace(
+        model_builder=model_builder, train_dataset=train_dataset, test_dataset=test_dataset
+    )
+    server, workers = assemble(config, workload)
+    for worker in workers:
+        worker.attach_flat_layout(server.store.flat_layouts)
+    return SimpleNamespace(server=server, workers=workers)

@@ -1,10 +1,9 @@
 """Multi-process parameter-server runtime: one OS process per worker.
 
-The threaded runtime (:mod:`repro.ps.runtime`) is genuinely concurrent but
-GIL-bound: its workers interleave on one interpreter, so compute throughput
-tops out near a single core no matter how many workers the spec names.  This
-runtime spawns **real processes** — one per worker plus one server — and
-keeps the hot path as flat as the thread version:
+Workers in one interpreter would interleave on the GIL, so compute
+throughput would top out near a single core no matter how many workers the
+spec names.  This runtime spawns **real processes** — one per worker plus
+one server — and keeps the hot path flat:
 
 * **Pulls** never touch a pipe.  Each shard's packed buffer lives in a
   shared-memory segment (:mod:`repro.ps.shm`); a worker leases the current
@@ -27,9 +26,9 @@ Determinism and fidelity: every process uses the same build of the
 registered workload (a ``fork`` child inherits the coordinator's, a
 ``spawn`` child builds the same bytes) and builds its pieces with the
 recipes of :mod:`repro.ps.plan`, so dataset, partitioning and replica
-initialization are byte-identical to what
-:meth:`repro.ps.runtime.ThreadedTrainer.from_plan` builds for the threaded
-runtime — one spec trains the same model on either substrate.
+initialization are byte-identical to what :func:`repro.ps.plan.assemble`
+builds in one process — one spec trains the same model on every
+backend.
 
 Failure handling: a worker that raises reports the error over its pipe; a
 worker that *dies* is noticed as EOF on its pipe (or as a barrier timeout
@@ -38,8 +37,7 @@ reaps every child, and the shared segments are unlinked in a ``finally``
 block: crashes never leak ``/dev/shm`` entries (pinned by
 ``tests/ps/test_process_runtime.py``).  The one unprotected window is a
 process dying while *holding* a shard lock (microseconds per operation);
-like the threaded runtime's lock, that is trusted code, not a failure
-domain the protocol defends against.
+that is trusted code, not a failure domain the protocol defends against.
 """
 
 from __future__ import annotations
@@ -406,8 +404,7 @@ def _worker_main(plan, handle, index, conn, barrier, ok, abort, unrelated=()) ->
 class ProcessTrainer:
     """Coordinates one multi-process training run from the calling process.
 
-    Mirrors :class:`repro.ps.runtime.ThreadedTrainer`'s role: build the
-    shared substrate, launch the children, collect one
+    Builds the shared substrate, launches the children, collects one
     :class:`~repro.ps.result.RunResult`.  The coordinator itself does no
     training work — after the start barrier it only waits for the server's
     result, reaps children, and guarantees segment cleanup.

@@ -1,7 +1,7 @@
 """The run record: one :class:`RunResult` per training run, on every backend.
 
 :meth:`repro.ps.session.ServerSession.finish` builds it at the end of every
-run — threaded, process, tcp and simulated alike — so the evaluation curve,
+run — process, tcp and simulated alike — so the evaluation curve,
 per-worker reports, staleness, throughput and the server's counters mean the
 same thing whoever ran the protocol.  The time axis starts at 0.0 (training
 start) and is virtual seconds in the simulator, wall-clock seconds

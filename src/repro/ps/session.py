@@ -3,8 +3,8 @@
 A worker computes a gradient, pushes it, waits for the server's OK — the
 synchronization policy (BSP, ASP, SSP, DSSP; :mod:`repro.core`) decides when
 that goes out — and pulls the fresh weights.  This module holds that
-protocol exactly once; the wall-clock runtimes (:mod:`repro.ps.runtime`,
-:mod:`repro.ps.process_runtime`, :mod:`repro.ps.tcp_runtime`) only move
+protocol exactly once; the wall-clock runtimes
+(:mod:`repro.ps.process_runtime`, :mod:`repro.ps.tcp_runtime`) only move
 bytes and wake peers, and the simulator (:mod:`repro.simulation.trainer`)
 drives the same :class:`ServerSession` under a virtual clock
 (``docs/architecture.md`` has the walk-through).
@@ -18,8 +18,8 @@ drives the same :class:`ServerSession` under a virtual clock
   (:meth:`ServerSession.finish`).
 * :class:`ServerLoop` feeds a session the events of a :class:`Hub` — the
   server end of the process and tcp runtimes' links, and the only thing
-  such a runtime implements for its server.  The threaded runtime and the
-  simulator dispatch their events directly.
+  such a runtime implements for its server.  The simulator dispatches its
+  events directly.
 
 What a run *is* — the :class:`~repro.ps.plan.TrainingPlan` and the recipe
 that builds its server, evaluator and replicas — lives in
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import selectors
-import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -660,9 +659,10 @@ class ServerSession:
     clock policy who may go on; :meth:`reply` builds each OK; :meth:`finish`
     closes the run.  Those three are all a backend calls during a run.
 
-    Thread-safe: events and replies are handled under one lock, but a push's
-    gradient is applied before taking it when the store applies under its
-    own per-shard locks (``store.supports_concurrent_apply``).
+    Single-threaded: every backend calls it from one thread (the process
+    and tcp servers' :class:`ServerLoop`, the simulator's event loop), so it
+    takes no lock.  Only the shared-memory store locks, against workers in
+    other processes pulling while the server writes.
     """
 
     def __init__(
@@ -749,15 +749,12 @@ class ServerSession:
         self._restored: dict[str, int] = {}  # checkpointed clocks, before their rejoin
         self._mirrored: set[str] = set()
         self._bases: dict[str, int] = {}
-        self._lock = threading.Lock()
-        # Per-thread decode scratch for codec-compressed pushes: concurrent
-        # applies on a sharded store would race on a shared one.
-        self._decode_scratch = threading.local()
+        # Pooled decode scratch for codec-compressed pushes (shard → array).
+        self._decode_scratch: dict[int, np.ndarray] = {}
         # Buffered aggregation: staged per-worker copies of the window's
-        # pushes (pooled, reused across windows), the per-shard combine
-        # scratch, and the lock serializing staging with flushes.
+        # pushes (pooled, reused across windows) and the per-shard combine
+        # scratch.
         self._buffered = aggregator is not None and aggregator.buffered
-        self._agg_lock = threading.Lock()
         self._staged: dict[str, dict[int, np.ndarray]] = {}
         self._stage_pool: dict[str, dict[int, np.ndarray]] = {}
         self._combine_scratch: dict[int, np.ndarray] = {}
@@ -839,33 +836,26 @@ class ServerSession:
         worker_id, kind, message, payload = event
         if kind == "push":
             if self._schedule is not None:  # the rate this push is applied at
-                with self._lock:
-                    self._samples += int(message.get("samples", 0))
-                    self.set_progress(self._samples / self._epoch_samples)
+                self._samples += int(message.get("samples", 0))
+                self.set_progress(self._samples / self._epoch_samples)
             request = _request(worker_id, message, **(payload or {}))
-            if self.store.supports_concurrent_apply:
-                applied = self._apply(request)  # under the store's per-shard locks
-                with self._lock:
-                    return self._push(request, applied)
-            with self._lock:
-                return self._push(request, self._apply(request))
-        with self._lock:
-            # A worker's own events (chaos, retries) ride with its last word.
-            self.events.extend(dict(entry) for entry in message.get("events") or ())
-            if kind == "join":
-                return self._join(worker_id, bool(message.get("chaos")))
-            if kind == "done":
-                self.reports[worker_id] = WorkerReport(**message["report"])
-                if payload is not None:
-                    self.profile = payload
-                return Outcome(worker_id, self._release(worker_id))
-            if kind == "departure":
-                return Outcome(worker_id, self._depart(worker_id, message))
-            if kind == "failure":
-                self.errors.append(f"{worker_id}: {message['reason']}")
-                if self.failure is None:
-                    self.failure = str(message["reason"])
-                return Outcome(worker_id)
+            return self._push(request, self._apply(request))
+        # A worker's own events (chaos, retries) ride with its last word.
+        self.events.extend(dict(entry) for entry in message.get("events") or ())
+        if kind == "join":
+            return self._join(worker_id, bool(message.get("chaos")))
+        if kind == "done":
+            self.reports[worker_id] = WorkerReport(**message["report"])
+            if payload is not None:
+                self.profile = payload
+            return Outcome(worker_id, self._release(worker_id))
+        if kind == "departure":
+            return Outcome(worker_id, self._depart(worker_id, message))
+        if kind == "failure":
+            self.errors.append(f"{worker_id}: {message['reason']}")
+            if self.failure is None:
+                self.failure = str(message["reason"])
+            return Outcome(worker_id)
         raise ValueError(f"unknown server event kind {kind!r}")
 
     def _join(self, worker_id: str, chaos: bool) -> Outcome:
@@ -902,10 +892,9 @@ class ServerSession:
             # shrank is the window target.  Flush when the staged set now
             # covers every remaining worker — including the case where the
             # last worker left and the tail window must be applied.
-            with self._agg_lock:
-                self._stage_pool.pop(worker_id, None)
-                if self._staged and len(self._staged) >= max(self.num_workers, 1):
-                    self._flush_window_locked()
+            self._stage_pool.pop(worker_id, None)
+            if self._staged and len(self._staged) >= max(self.num_workers, 1):
+                self._flush_window()
         return released
 
     def _depart(self, worker_id: str, message: Mapping) -> tuple[str, ...]:
@@ -923,8 +912,7 @@ class ServerSession:
         # Its staged, not-yet-applied push may be the very corruption a
         # robust aggregator exists to reject.
         if self._buffered:
-            with self._agg_lock:
-                dropped = self._staged.pop(worker_id, None) is not None
+            dropped = self._staged.pop(worker_id, None) is not None
             if dropped and injector is not None:
                 reason = "worker died with a staged push"
                 injector.record("aggregator_rejection", worker_id, reason=reason)
@@ -984,12 +972,8 @@ class ServerSession:
         return outcome
 
     def apply_push(self, request: PushRequest) -> Outcome:
-        """Apply one push's gradient and measure its staleness.
-
-        Needs no lock when the store applies under its own
-        (``store.supports_concurrent_apply``); :meth:`finish_push` must still
-        follow, serialized with every other policy interaction.
-        """
+        """Apply one push's gradient and measure its staleness;
+        :meth:`finish_push` consults the policy on it."""
         if request.base_version > self.store.version:
             raise ValueError(
                 "push base_version is newer than the store version "
@@ -1046,17 +1030,14 @@ class ServerSession:
         pusher = (request.worker_id,) if decision.release else ()
         return replace(applied, to_release=(*pusher, *self.policy.pop_releasable()))
 
-    # Only perfbench/layers.py still calls this; ROADMAP item 5(b) removes it.
+    # Only perfbench/layers.py still calls this; ROADMAP item 6(b) removes it.
     def handle_pull(self) -> PullReply:
         """A dense, zero-copy snapshot of the global weights."""
         return self.store.pull()
 
     def _decode(self, encoded, sparse: bool) -> dict:
-        """Decode a push into this thread's pooled scratch (:func:`decode_push`)."""
-        pool = getattr(self._decode_scratch, "pool", None)
-        if pool is None:
-            pool = self._decode_scratch.pool = {}
-        return decode_push(encoded, pool, sparse)
+        """Decode a push into the pooled scratch (:func:`decode_push`)."""
+        return decode_push(encoded, self._decode_scratch, sparse)
 
     # -- buffered aggregation ------------------------------------------
     def _shard_sizes(self) -> dict[int, int]:
@@ -1090,27 +1071,26 @@ class ServerSession:
                 "packed flat gradient of every shard"
             )
         worker_id = request.worker_id
-        with self._agg_lock:
-            if worker_id in self._staged:
-                self._flush_window_locked()
-            pool = self._stage_pool.setdefault(worker_id, {})
-            staged: dict[int, np.ndarray] = {}
-            for shard, size in sizes.items():
-                if size == 0:
-                    continue
-                scratch = pool.get(shard)
-                if scratch is None or scratch.size != size:
-                    scratch = pool[shard] = np.empty(size, dtype=np.float64)
-                np.copyto(scratch, flat_gradients[shard], casting="unsafe")
-                staged[shard] = scratch
-            self._staged[worker_id] = staged
-            staleness = self.store.version - request.base_version
-            if len(self._staged) >= max(self.num_workers, 1):
-                self._flush_window_locked()
-            return Outcome(worker_id, new_version=self.store.version, staleness=staleness)
+        if worker_id in self._staged:
+            self._flush_window()
+        pool = self._stage_pool.setdefault(worker_id, {})
+        staged: dict[int, np.ndarray] = {}
+        for shard, size in sizes.items():
+            if size == 0:
+                continue
+            scratch = pool.get(shard)
+            if scratch is None or scratch.size != size:
+                scratch = pool[shard] = np.empty(size, dtype=np.float64)
+            np.copyto(scratch, flat_gradients[shard], casting="unsafe")
+            staged[shard] = scratch
+        self._staged[worker_id] = staged
+        staleness = self.store.version - request.base_version
+        if len(self._staged) >= max(self.num_workers, 1):
+            self._flush_window()
+        return Outcome(worker_id, new_version=self.store.version, staleness=staleness)
 
-    def _flush_window_locked(self) -> None:
-        """Aggregate and apply the staged window (``_agg_lock`` held).
+    def _flush_window(self) -> None:
+        """Aggregate and apply the staged window.
 
         Rows stack in sorted worker-id order so floating-point reduction
         order — and therefore the stored weights — is independent of
@@ -1160,40 +1140,39 @@ class ServerSession:
         :attr:`pull_replies`.
         """
         store = self.store
-        with self._lock:
-            base = self._bases.get(worker_id)
-            if welcome:
-                reason = "welcome"
-            elif worker_id in self._mirrored:
-                version = store.version
-                entries, reason = self.update_log.since(-1 if base is None else base, version)
-                if entries is not None:
-                    sent = (f.nbytes for entry in entries for f in entry.frames_for(worker_id))
-                    self.pull_replies.update(log=1, log_bytes=sum(sent))
-                    return Ok("log", version, entries=entries)
-                self._mirrored.discard(worker_id)
-                self.events.append({"kind": "dense_pull", "worker": worker_id, "reason": reason})
-            elif base is None:
-                reason = "no base"
-            else:
-                pull = store.pull(base)
-                self.pull_replies.update(delta=1, delta_bytes=pull.wire_nbytes)
-                return Ok("delta", pull.version, pull)
-            pull = store.pull()
-            nbytes = sum(payload.buffer.nbytes for payload in pull.flat_weights)
-            mirrored = welcome and self.update_log is not None
-            velocity = None
-            if mirrored:
-                self._mirrored.add(worker_id)
-                state = self.optimizer.state_dict().get("velocity")
-                if state:  # step_flat keeps a velocity for every packed segment
-                    segments = (s for _, layout in store.flat_layouts for s in layout)
-                    velocity = np.concatenate([state[s.name].ravel() for s in segments])
-                    nbytes += velocity.nbytes
-            self.pull_replies.update(dense=1, dense_bytes=nbytes)
-            return Ok(
-                "dense", pull.version, pull, mirrored=mirrored, velocity=velocity, reason=reason
-            )
+        base = self._bases.get(worker_id)
+        if welcome:
+            reason = "welcome"
+        elif worker_id in self._mirrored:
+            version = store.version
+            entries, reason = self.update_log.since(-1 if base is None else base, version)
+            if entries is not None:
+                sent = (f.nbytes for entry in entries for f in entry.frames_for(worker_id))
+                self.pull_replies.update(log=1, log_bytes=sum(sent))
+                return Ok("log", version, entries=entries)
+            self._mirrored.discard(worker_id)
+            self.events.append({"kind": "dense_pull", "worker": worker_id, "reason": reason})
+        elif base is None:
+            reason = "no base"
+        else:
+            pull = store.pull(base)
+            self.pull_replies.update(delta=1, delta_bytes=pull.wire_nbytes)
+            return Ok("delta", pull.version, pull)
+        pull = store.pull()
+        nbytes = sum(payload.buffer.nbytes for payload in pull.flat_weights)
+        mirrored = welcome and self.update_log is not None
+        velocity = None
+        if mirrored:
+            self._mirrored.add(worker_id)
+            state = self.optimizer.state_dict().get("velocity")
+            if state:  # step_flat keeps a velocity for every packed segment
+                segments = (s for _, layout in store.flat_layouts for s in layout)
+                velocity = np.concatenate([state[s.name].ravel() for s in segments])
+                nbytes += velocity.nbytes
+        self.pull_replies.update(dense=1, dense_bytes=nbytes)
+        return Ok(
+            "dense", pull.version, pull, mirrored=mirrored, velocity=velocity, reason=reason
+        )
 
     # -- persistence -----------------------------------------------------
     def checkpoint(self, path, *, counters: Mapping = (), codec_states=None) -> None:
@@ -1290,8 +1269,7 @@ class ServerSession:
         # Apply the tail window of a buffered robust aggregator before the
         # final evaluation sees the weights.
         if self._buffered:
-            with self._agg_lock:
-                self._flush_window_locked()
+            self._flush_window()
         wall_time = self.elapsed()
         self.evaluate(wall_time)
         joined = list(self.members)

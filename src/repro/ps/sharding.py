@@ -11,12 +11,12 @@ reproduces that shape in-process:
   balancing (largest-tensor-first into the least-loaded shard);
 * :class:`ShardedKeyValueStore` — the one store implementation.  It keeps
   per-shard version counters (how many pushes touched each shard) next to
-  the global update counter, guards every shard with its own lock so pushes
-  to disjoint shards can be applied concurrently, and answers pulls with
-  **copy-on-write snapshots**.  A monolithic store is the same class over
+  the global update counter and answers pulls with **copy-on-write
+  snapshots**.  A monolithic store is the same class over
   one shard (``make_store(..., num_shards=1)``); the process runtime's
   store is the same class over shards that live in shared memory
-  (:class:`repro.ps.shm.SharedFlatStore`).
+  (:class:`repro.ps.shm.SharedFlatStore`), which alone takes locks: its
+  workers read from other processes while the server writes.
 
 Each shard's entries live in one contiguous packed buffer
 (:class:`repro.ps.flatbuffer.FlatShard`), which makes the hot path
@@ -40,11 +40,10 @@ that takes no lease and triggers no copy at all.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from collections import OrderedDict
 from collections.abc import Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -227,9 +226,6 @@ class ShardedKeyValueStore:
     * keys are partitioned across ``num_shards`` shards by a
       :class:`ShardRouter`, and each shard's entries are packed into one
       contiguous flat buffer (weights first, buffers after);
-    * each shard has its own lock, so :meth:`apply_gradients` calls whose
-      gradient keys live on disjoint shards run concurrently (the global
-      version counter is the only shared point, guarded by its own lock);
     * each shard counts the pushes that touched it (``shard_versions``);
       the global ``version`` counts every gradient application, so
       staleness measurement does not depend on the shard count;
@@ -240,7 +236,9 @@ class ShardedKeyValueStore:
 
     :func:`make_store` builds it on the heap (one shard is a monolithic
     store) and :class:`repro.ps.shm.SharedFlatStore` over shards attached
-    from a :class:`~repro.ps.shm.SharedStoreHandle`.
+    from a :class:`~repro.ps.shm.SharedStoreHandle`.  One thread uses a
+    store, so it takes no lock; the shared-memory store adds the
+    cross-process ones through :meth:`_guard`.
     """
 
     def __init__(
@@ -260,7 +258,6 @@ class ShardedKeyValueStore:
             shard.index = index
             shards.append(shard)
         self._version = 0
-        self._version_lock = threading.Lock()
         self._bind(shards, dtype, list(initial_weights), list(initial_buffers or {}))
 
     def _bind(
@@ -275,10 +272,6 @@ class ShardedKeyValueStore:
         self._dtype = dtype
         self._weight_names = weight_names
         self._buffer_names = buffer_names
-        #: Per-shard locks make concurrent ``apply_gradients`` safe, which
-        #: only means something with more than one shard; a one-shard store
-        #: is applied to serially.
-        self.supports_concurrent_apply = len(shards) > 1
         # Static name → (shard, segment) tables backing the lazy snapshot
         # mappings, so a full pull costs O(shards) instead of O(parameters).
         located = {
@@ -294,7 +287,7 @@ class ShardedKeyValueStore:
         self._weight_holders = [shard for shard in shards if shard.layout.weights_end]
         self._buffer_holders = [shard for shard in shards if shard.layout.buffer_names]
         # Per shard, the version of its last gradient apply and the version
-        # read under its lock at its last buffer write (see :meth:`pull`).
+        # at its last buffer write (see :meth:`pull`).
         self._weights_at = [0] * len(shards)
         self._buffers_at = [0] * len(shards)
 
@@ -353,21 +346,17 @@ class ShardedKeyValueStore:
     # ------------------------------------------------------------------
     # Leases
     # ------------------------------------------------------------------
-    @staticmethod
-    @contextmanager
-    def _locked(shards: list[FlatShard]):
-        """Hold the locks of ``shards`` (taken in index order) for the body."""
-        for shard in shards:
-            shard.lock.acquire()
-        try:
-            yield
-        finally:
-            for shard in reversed(shards):
-                shard.lock.release()
+    def _guard(self, shards: list[FlatShard]):
+        """Context held around every read or write of ``shards``.
+
+        One thread uses a heap store, so it holds nothing; the shared-memory
+        store takes those shards' cross-process locks here.
+        """
+        return nullcontext()
 
     @staticmethod
     def _lease(shards: list[FlatShard]) -> dict[int, np.ndarray]:
-        """Lease ``shards`` (caller holds their locks); shard index → leased buffer."""
+        """Lease ``shards``; shard index → leased buffer."""
         snapshot = {}
         for shard in shards:
             shard.lease()
@@ -389,12 +378,9 @@ class ShardedKeyValueStore:
         return release_fn
 
     def _lease_all(self) -> dict[int, np.ndarray]:
-        """Lease every shard in one lock acquisition: a point-in-time snapshot.
-
-        Consistent even while concurrent pushes are in flight; copy-on-write
-        keeps the captured buffers stable afterwards.
-        """
-        with self._locked(self._shards):
+        """Lease every shard: a point-in-time snapshot, which copy-on-write
+        keeps stable afterwards."""
+        with self._guard(self._shards):
             return self._lease(self._shards)
 
     # ------------------------------------------------------------------
@@ -482,7 +468,7 @@ class ShardedKeyValueStore:
         A worker already at the tip gets an empty reply that takes no lease.
         """
         base = -1 if known_version is None else int(known_version)
-        with self._locked(self._shards):
+        with self._guard(self._shards):
             weights, weight_entries = self._moved(
                 self._weight_entries, self._weight_holders, self._weights_at, base + 1
             )
@@ -517,8 +503,7 @@ class ShardedKeyValueStore:
     ) -> int:
         """Apply one gradient dictionary and bump the touched shards.
 
-        Only the shards owning the gradient's keys are locked, so pushes to
-        disjoint shards proceed concurrently.  Each touched shard packs its
+        Each shard owning some of the gradient's keys packs its
         share of the gradient into contiguous runs and the optimizer applies
         them as fused vectorized updates (one
         :meth:`~repro.optim.Optimizer.step_flat` call for the whole push); a
@@ -562,7 +547,7 @@ class ShardedKeyValueStore:
                 by_shard.setdefault(self.shard_of(name), {})[name] = gradients[name]
             touched = [self._shards[index] for index in sorted(by_shard)]
 
-        with self._locked(touched):
+        with self._guard(touched):
             updates = []
             for shard in touched:
                 # Copy-on-write: holders of earlier pull views keep the old
@@ -573,9 +558,8 @@ class ShardedKeyValueStore:
                 else:
                     updates.append(shard.make_update(by_shard[shard.index]))
             optimizer.step_flat(updates, scale=scale)
-            with self._version_lock:
-                self._version += 1
-                new_version = self._version
+            self._version += 1
+            new_version = self._version
             for shard in touched:
                 shard.version += 1
                 self._weights_at[shard.index] = new_version
@@ -587,12 +571,11 @@ class ShardedKeyValueStore:
 
         Every name and shape is checked before the first byte moves, so a
         rejected call leaves the store untouched.  A shard's entries are
-        written under its lock, after the copy-on-write that keeps
+        written under its :meth:`_guard`, after the copy-on-write that keeps
         outstanding pull views stable, and the shard's entry in ``stamps``
-        is set to the version read under that lock: any pull that completed
-        before the write saw a version <= the stamp, so the inclusive buffer
-        comparison in :meth:`pull` resends the shard's buffers on that
-        worker's next pull.
+        is set to the version read there: any pull before the write saw a
+        version <= the stamp, so the inclusive buffer comparison in
+        :meth:`pull` resends the shard's buffers on that worker's next pull.
         """
         self._check_writer()
         missing = set(values) - table.keys()
@@ -607,7 +590,7 @@ class ShardedKeyValueStore:
             by_shard.setdefault(index, []).append((name, value))
         for index, entries in by_shard.items():
             shard = self._shards[index]
-            with shard.lock:
+            with self._guard([shard]):
                 shard.materialize()
                 stamps[index] = self.version
                 for name, value in entries:
@@ -658,9 +641,8 @@ class ShardedKeyValueStore:
             raise ValueError(f"version must be >= 0, got {version}")
         if shard_versions is None or len(shard_versions) != len(self._shards):
             shard_versions = [version] * len(self._shards)
-        with self._locked(self._shards):
-            with self._version_lock:
-                self._version = int(version)
+        with self._guard(self._shards):
+            self._version = int(version)
             for shard, shard_version in zip(self._shards, shard_versions):
                 shard.version = int(shard_version)
             self._weights_at = [int(version)] * len(self._shards)

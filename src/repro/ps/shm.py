@@ -1,11 +1,10 @@
 """Shared-memory parameter storage for the multi-process runtime.
 
-The thread-based runtime shares one address space, so the packed flat
-buffers (:mod:`repro.ps.flatbuffer`) are visible to every worker for free.
-The *process* runtime (:mod:`repro.ps.process_runtime`) has no shared heap —
-but a packed shard is exactly one contiguous array, which is exactly the
-shape :mod:`multiprocessing.shared_memory` serves.  This module puts each
-shard's flat buffer in a named shared-memory segment so that
+A heap store (:mod:`repro.ps.sharding`) lives in the server's address
+space.  The *process* runtime (:mod:`repro.ps.process_runtime`) has no
+shared heap — but a packed shard is exactly one contiguous array, which is
+exactly the shape :mod:`multiprocessing.shared_memory` serves.  This module
+puts each shard's flat buffer in a named shared-memory segment so that
 
 * **pulls stay zero-copy across process boundaries** — a worker maps the
   server's live buffer and copies it straight into its packed replica
@@ -20,17 +19,19 @@ Three layers:
   the resource-tracker workaround described below), idempotent close and
   crash-safe unlink.
 * :class:`SharedFlatShard` — one shard's packed buffer in a segment, with
-  the **cross-process copy-on-write lease protocol**: the thread-level
+  the **cross-process copy-on-write lease protocol**: the heap
   refcounted leases of :class:`~repro.ps.flatbuffer.FlatShard` generalized
   to lease counters that live in the segment itself.
 * :class:`SharedFlatStore` — the store of :mod:`repro.ps.sharding`
-  constructed over those shards (the server attaches as the one writer);
+  constructed over those shards (the server attaches as the one writer),
+  and the only store that locks: its shard locks serialize the server's
+  writes against the workers' leases;
   :class:`ShmStoreClient` is a worker's read-only attachment of it.
 
 Cross-process copy-on-write
 ---------------------------
 
-A thread-level :class:`~repro.ps.flatbuffer.FlatShard` re-materializes a
+A heap :class:`~repro.ps.flatbuffer.FlatShard` re-materializes a
 leased buffer by *allocating a fresh copy* — impossible here, because every
 attached process holds a fixed mapping.  Instead each shard's segment holds
 ``slots`` equally-sized copies of the packed buffer plus a small int64
@@ -45,7 +46,7 @@ increment its counter under the shard lock, copy outside the lock, decrement
 current slot leased copies it into a lease-free slot and redirects
 ``current_slot`` there (:meth:`SharedFlatShard.materialize`): the readers
 keep observing exactly the snapshot they leased, one ``memcpy`` per update
-interval, identical in spirit to the thread-level protocol.  With
+interval, identical in spirit to the heap protocol.  With
 ``slots >= readers + 2`` a free slot always exists; if crashed readers ever
 pin every slot anyway, the writer falls back to mutating in place (counted
 in ``cow_fallbacks``) rather than stalling training for a dead process.
@@ -79,6 +80,7 @@ import os
 import secrets
 from collections import OrderedDict
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -263,7 +265,6 @@ class SharedStoreHandle:
     header_segment: str
     shard_specs: tuple[ShardSegmentSpec, ...]
     shard_locks: tuple
-    version_lock: object
     dtype: str
     grad_segments: tuple[str, ...] = ()
 
@@ -303,7 +304,7 @@ class SharedFlatShard(FlatShard):
     their copy (:meth:`release` takes it itself for the decrement).
     """
 
-    __slots__ = ("segment", "_header", "_slot_views", "_slots")
+    __slots__ = ("lock", "segment", "_header", "_slot_views", "_slots")
 
     def __init__(self, spec: ShardSegmentSpec, segment: SharedSegment, lock) -> None:
         """Bind to one shard's segment (created by :func:`create_shared_store`).
@@ -321,7 +322,6 @@ class SharedFlatShard(FlatShard):
         self._scratch = None
         self._full_segments = layout.weight_segments
         self._leases = 0  # unused: the shared header is authoritative
-        self._lease_lock = None  # unused: external multiprocessing lock
         self.index = spec.index
         self.lock = lock
         self.version = 0  # pushes applied through *this* attachment
@@ -380,7 +380,7 @@ class SharedFlatShard(FlatShard):
         self._header[_MUTATIONS] += 1
 
     # ------------------------------------------------------------------
-    # Copy-on-write (overrides the thread-level implementations)
+    # Copy-on-write (overrides the heap implementations)
     # ------------------------------------------------------------------
     def lease(self) -> None:
         """Lease the current slot and point :attr:`buffer` at it.
@@ -431,12 +431,15 @@ class SharedFlatStore(ShardedKeyValueStore):
     does here unchanged; this class only adds what the placement forces.
     The global version lives in the header segment, where every attached
     process can read it.  Exactly **one** process may attach with
-    ``writer=True`` (the server): the shard locks in the handle serialize
-    its mutations against reader leases taken by :class:`ShmStoreClient`
-    attachments in other processes, and the per-shard pull stamps and push
-    counters are that process's own.  And because slots are a finite
-    shared resource with no garbage collector to forgive a leaked lease,
-    the view accessors return copies;
+    ``writer=True`` (the server): every read and write of the store holds
+    the handle's locks of the shards it touches (:meth:`_guard`), which
+    serializes its mutations against reader leases taken by
+    :class:`ShmStoreClient` attachments in other processes; the global
+    version is written under the locks of the shards a push touches and
+    read under all of them.  The per-shard pull stamps and push counters
+    are the writer process's own.  And because slots are a finite shared
+    resource with no garbage collector to forgive a leaked lease, the view
+    accessors return copies;
     :meth:`~repro.ps.sharding.ShardedKeyValueStore.leased_state` is the
     zero-copy read.
 
@@ -450,7 +453,6 @@ class SharedFlatStore(ShardedKeyValueStore):
         self._writer = bool(writer)
         self._header_segment = SharedSegment.attach(handle.header_segment)
         self._version_view = self._header_segment.ndarray(np.int64, 1, offset=0)
-        self._version_lock = handle.version_lock
         shards = [
             SharedFlatShard(spec, SharedSegment.attach(spec.segment_name), lock)
             for spec, lock in zip(handle.shard_specs, handle.shard_locks)
@@ -472,6 +474,17 @@ class SharedFlatStore(ShardedKeyValueStore):
     @_version.setter
     def _version(self, value: int) -> None:
         self._version_view[0] = value
+
+    @contextmanager
+    def _guard(self, shards):
+        """Hold the locks of ``shards`` (taken in index order) for the body."""
+        for shard in shards:
+            shard.lock.acquire()
+        try:
+            yield
+        finally:
+            for shard in reversed(shards):
+                shard.lock.release()
 
     @property
     def cow_fallbacks(self) -> int:
@@ -504,7 +517,7 @@ class ShmStoreClient(SharedFlatStore):
     flat payloads are zero-copy views of leased slots, skipping shards
     whose mutation counter has not moved since this client's previous pull
     — so :meth:`repro.ps.worker.Worker.load_reply` consumes it exactly like
-    a threaded delta pull: one vectorized copy per *changed* shard, then
+    a store's delta pull: one vectorized copy per *changed* shard, then
     ``release()`` drops the leases.
     """
 
@@ -521,7 +534,7 @@ class ShmStoreClient(SharedFlatStore):
         same guarantee the store's own pulls give — and released before
         any data is copied.
         """
-        with self._locked(self._shards):
+        with self._guard(self._shards):
             version = self.version
             changed = [
                 shard
@@ -649,7 +662,6 @@ def create_shared_store(
         header_segment=header.name,
         shard_specs=tuple(specs),
         shard_locks=tuple(context.Lock() for _ in specs),
-        version_lock=context.Lock(),
         dtype=store_dtype.name,
         grad_segments=tuple(grad_names),
     )

@@ -164,7 +164,7 @@ class TcpTrainingPlan(WorkloadPlan):
         if self.num_shards != 1:
             raise ValueError(
                 "the tcp backend serves a monolithic store (num_shards=1); "
-                "use the threaded or process backend for sharded stores"
+                "use the process backend for sharded stores"
             )
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat interval and timeout must be positive")

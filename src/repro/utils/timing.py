@@ -1,4 +1,4 @@
-"""Small timing helpers used by the thread-based runtime and the examples."""
+"""Small timing helpers used by the examples."""
 
 from __future__ import annotations
 

@@ -10,7 +10,6 @@ from repro.api import (
     ProcessBackend,
     RunResult,
     SimulatedBackend,
-    ThreadedBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -37,22 +36,21 @@ def simulated_result():
 
 
 @pytest.fixture(scope="module")
-def threaded_result():
-    return run_experiment(TINY_SPEC, "threaded")
-
-
-@pytest.fixture(scope="module")
 def process_result():
     return run_experiment(TINY_SPEC, "process")
 
 
+@pytest.fixture(scope="module")
+def tcp_result():
+    return run_experiment(TINY_SPEC, "tcp")
+
+
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ["simulated", "threaded", "process", "tcp"]
+        assert available_backends() == ["simulated", "process", "tcp"]
 
     def test_get_backend_instances_protocol(self):
         assert isinstance(get_backend("simulated"), Backend)
-        assert isinstance(get_backend("threaded"), Backend)
         assert isinstance(get_backend("process"), Backend)
         assert isinstance(get_backend("tcp"), Backend)
 
@@ -110,38 +108,6 @@ class TestSimulatedBackend:
         assert sorted(report.samples_processed for report in reports) == [106, 107, 107]
 
 
-class TestThreadedBackend:
-    def test_runs_and_reports(self, threaded_result):
-        result = threaded_result
-        assert result.backend == "threaded"
-        assert result.errors == []
-        assert result.total_updates == 20  # 2 workers x 10 iterations
-        # Curve starts with the initial model and ends with the final one.
-        assert result.times[0] == 0.0
-        assert result.times[-1] == pytest.approx(result.total_time)
-        assert result.accuracies.size >= 2
-
-    def test_epochs_converted_to_iterations(self, threaded_result):
-        # tiny scale: 320 train samples, 2 workers, batch 16 -> 10 per worker.
-        assert threaded_result.iterations_per_worker == {
-            "worker-0": 10,
-            "worker-1": 10,
-        }
-
-    def test_lr_milestones_rejected_rather_than_silently_dropped(self):
-        spec = TINY_SPEC.replace(lr_milestones=(0.5,))
-        with pytest.raises(ValueError, match="lr_milestones"):
-            run_experiment(spec, "threaded")
-        # The simulated backend supports them.
-        assert run_experiment(spec, "simulated").total_updates > 0
-
-    def test_max_updates_rejected_rather_than_silently_dropped(self):
-        spec = TINY_SPEC.replace(max_updates=5)
-        with pytest.raises(ValueError, match="max_updates"):
-            run_experiment(spec, "threaded")
-        assert run_experiment(spec, "simulated").total_updates == 5
-
-
 class TestProcessBackend:
     def test_runs_and_reports(self, process_result):
         result = process_result
@@ -152,11 +118,6 @@ class TestProcessBackend:
         assert result.times[-1] == pytest.approx(result.total_time)
         assert result.accuracies.size >= 2
         assert result.iterations_per_worker == {"worker-0": 10, "worker-1": 10}
-
-    def test_schema_matches_threaded(self, process_result, threaded_result):
-        assert TestBackendParity.schema(process_result.to_dict()) == (
-            TestBackendParity.schema(threaded_result.to_dict())
-        )
 
     def test_lr_milestones_and_max_updates_rejected(self):
         with pytest.raises(ValueError, match="lr_milestones"):
@@ -191,10 +152,6 @@ class TestProcessBackend:
 
 
 class TestTcpBackend:
-    @pytest.fixture(scope="class")
-    def tcp_result(self):
-        return run_experiment(TINY_SPEC, "tcp")
-
     def test_runs_and_reports(self, tcp_result):
         result = tcp_result
         assert result.backend == "tcp"
@@ -209,6 +166,26 @@ class TestTcpBackend:
         assert TestBackendParity.schema(tcp_result.to_dict()) == (
             TestBackendParity.schema(process_result.to_dict())
         )
+
+    def test_epochs_converted_to_iterations(self, tcp_result):
+        # tiny scale: 320 train samples, 2 workers, batch 16 -> 10 per worker.
+        assert tcp_result.iterations_per_worker == {
+            "worker-0": 10,
+            "worker-1": 10,
+        }
+
+    def test_lr_milestones_rejected_rather_than_silently_dropped(self):
+        spec = TINY_SPEC.replace(lr_milestones=(0.5,))
+        with pytest.raises(ValueError, match="lr_milestones"):
+            run_experiment(spec, "tcp")
+        # The simulated backend supports them.
+        assert run_experiment(spec, "simulated").total_updates > 0
+
+    def test_max_updates_rejected_rather_than_silently_dropped(self):
+        spec = TINY_SPEC.replace(max_updates=5)
+        with pytest.raises(ValueError, match="max_updates"):
+            run_experiment(spec, "tcp")
+        assert run_experiment(spec, "simulated").total_updates == 5
 
     def test_sharding_rejected(self):
         with pytest.raises(ValueError, match="monolithic"):
@@ -237,49 +214,49 @@ class TestBackendParity:
             paths |= TestBackendParity.schema(payload[0], prefix=f"{prefix}[].")
         return paths
 
-    def test_schema_identical_field_for_field(self, simulated_result, threaded_result):
+    def test_schema_identical_field_for_field(self, simulated_result, process_result):
         simulated = simulated_result.to_dict()
-        threaded = threaded_result.to_dict()
-        assert self.schema(simulated) == self.schema(threaded)
+        process = process_result.to_dict()
+        assert self.schema(simulated) == self.schema(process)
 
-    def test_dataclass_fields_and_types_match(self, simulated_result, threaded_result):
+    def test_dataclass_fields_and_types_match(self, simulated_result, process_result):
         import dataclasses
 
-        assert type(simulated_result) is type(threaded_result) is RunResult
+        assert type(simulated_result) is type(process_result) is RunResult
         for entry in dataclasses.fields(RunResult):
             simulated_value = getattr(simulated_result, entry.name)
-            threaded_value = getattr(threaded_result, entry.name)
-            assert type(simulated_value) is type(threaded_value), entry.name
+            process_value = getattr(process_result, entry.name)
+            assert type(simulated_value) is type(process_value), entry.name
 
-    def test_same_workers_and_update_totals(self, simulated_result, threaded_result):
+    def test_same_workers_and_update_totals(self, simulated_result, process_result):
         assert set(simulated_result.wait_time_per_worker) == set(
-            threaded_result.wait_time_per_worker
+            process_result.wait_time_per_worker
         )
-        assert simulated_result.total_updates == threaded_result.total_updates
+        assert simulated_result.total_updates == process_result.total_updates
 
-    def test_staleness_and_throughput_shapes(self, simulated_result, threaded_result):
-        for result in (simulated_result, threaded_result):
+    def test_staleness_and_throughput_shapes(self, simulated_result, process_result):
+        for result in (simulated_result, process_result):
             assert result.staleness.count == result.total_updates
             assert result.throughput.updates_per_second > 0
             assert result.throughput.samples_per_second == pytest.approx(
                 result.throughput.updates_per_second * 16
             )
 
-    def test_provenance_differs_only_in_backend(self, simulated_result, threaded_result):
+    def test_provenance_differs_only_in_backend(self, simulated_result, process_result):
         simulated = simulated_result.provenance.to_dict()
-        threaded = threaded_result.provenance.to_dict()
+        process = process_result.provenance.to_dict()
         assert simulated.pop("backend") == "simulated"
-        assert threaded.pop("backend") == "threaded"
-        assert simulated == threaded
+        assert process.pop("backend") == "process"
+        assert simulated == process
 
 
 class TestCompression:
     """Push codecs thread through every backend (tentpole integration)."""
 
     def test_transfers_reported_by_all_backends(
-        self, simulated_result, threaded_result, process_result
+        self, simulated_result, process_result, tcp_result
     ):
-        for result in (simulated_result, threaded_result, process_result):
+        for result in (simulated_result, process_result, tcp_result):
             transfers = result.transfers
             assert transfers.pushed_wire_bytes > 0
             assert transfers.pushed_wire_bytes == transfers.pushed_raw_bytes
@@ -293,18 +270,18 @@ class TestCompression:
             assert payload["pushed_wire_bytes"] == transfers.pushed_wire_bytes
             assert payload["compression_ratio"] == 1.0
 
-    def test_none_codec_equivalent_threaded(self, threaded_result):
-        # The threaded runtime is wall-clock scheduled, so run-to-run curves
+    def test_none_codec_equivalent_process(self, process_result):
+        # The process runtime is wall-clock scheduled, so run-to-run curves
         # wobble slightly even without a codec; the bit-for-bit guarantee is
         # asserted on the deterministic simulator and at the server level
         # (tests/ps/test_compression.py).  Here: same work, same bytes, no
         # inflation of the wire size.
-        result = run_experiment(TINY_SPEC.replace(compression="none"), "threaded")
+        result = run_experiment(TINY_SPEC.replace(compression="none"), "process")
         assert result.errors == []
-        assert result.total_updates == threaded_result.total_updates
+        assert result.total_updates == process_result.total_updates
         assert result.transfers.compression_ratio == 1.0
         assert result.transfers.pushed_wire_bytes == (
-            threaded_result.transfers.pushed_wire_bytes
+            process_result.transfers.pushed_wire_bytes
         )
 
     def test_none_codec_bit_for_bit_simulated(self, simulated_result):
@@ -313,12 +290,12 @@ class TestCompression:
         np.testing.assert_array_equal(result.times, simulated_result.times)
         assert result.total_time == simulated_result.total_time
 
-    def test_topk_cuts_wire_bytes_threaded(self, threaded_result):
-        result = run_experiment(TINY_SPEC.replace(compression="topk:0.05"), "threaded")
+    def test_topk_cuts_wire_bytes_tcp(self, tcp_result):
+        result = run_experiment(TINY_SPEC.replace(compression="topk:0.05"), "tcp")
         assert result.errors == []
         assert result.transfers.compression_ratio > 8.0
         assert result.transfers.pushed_raw_bytes == (
-            threaded_result.transfers.pushed_raw_bytes
+            tcp_result.transfers.pushed_raw_bytes
         )
 
     def test_topk_cuts_wire_and_virtual_time_simulated(self, simulated_result):
@@ -362,9 +339,9 @@ class TestRobustness:
         ),
     )
 
-    def test_clean_runs_have_empty_events(self, simulated_result, threaded_result):
+    def test_clean_runs_have_empty_events(self, simulated_result, process_result):
         assert simulated_result.events == []
-        assert threaded_result.events == []
+        assert process_result.events == []
 
     def test_mean_aggregator_bit_for_bit_no_op_simulated(self, simulated_result):
         # The simulator is deterministic, so this is an exact gate: a spec
@@ -375,15 +352,15 @@ class TestRobustness:
         assert result.total_updates == simulated_result.total_updates
         assert result.server_statistics["aggregation"]["windows_applied"] == 0
 
-    def test_mean_aggregator_keeps_the_fast_path_threaded(self, threaded_result):
-        # Thread scheduling makes wall-clock runs non-replayable, so the
+    def test_mean_aggregator_keeps_the_fast_path_process(self, process_result):
+        # Process scheduling makes wall-clock runs non-replayable, so the
         # gate here is structural: no buffering, no events, same totals.
-        result = run_experiment(TINY_SPEC.replace(aggregation="mean"), "threaded")
+        result = run_experiment(TINY_SPEC.replace(aggregation="mean"), "process")
         assert result.errors == [] and result.events == []
-        assert result.total_updates == threaded_result.total_updates
+        assert result.total_updates == process_result.total_updates
         assert result.server_statistics["aggregation"]["windows_applied"] == 0
 
-    @pytest.mark.parametrize("backend", ["simulated", "threaded", "process", "tcp"])
+    @pytest.mark.parametrize("backend", ["simulated", "process", "tcp"])
     def test_chaos_run_reports_events(self, backend):
         result = run_experiment(self.CHAOS, backend)
         kinds = {event["kind"] for event in result.events}
@@ -412,12 +389,12 @@ class TestProfilePlumbing:
     PROFILE_KEYS = {"worker_id", "forward_seconds", "backward_seconds",
                     "total_seconds", "layers"}
 
-    def test_unprofiled_runs_record_none(self, simulated_result, threaded_result):
+    def test_unprofiled_runs_record_none(self, simulated_result, process_result):
         assert simulated_result.profile is None
-        assert threaded_result.profile is None
+        assert process_result.profile is None
         assert simulated_result.to_dict()["profile"] is None
 
-    @pytest.mark.parametrize("backend", ["simulated", "threaded", "process"])
+    @pytest.mark.parametrize("backend", ["simulated", "process", "tcp"])
     def test_profile_recorded_per_backend(self, backend):
         result = run_experiment(TINY_SPEC, backend, profile=True)
         profile = result.profile
@@ -445,7 +422,7 @@ class TestProfilePlumbing:
 
 
 class TestNetFaultsSpecField:
-    @pytest.mark.parametrize("backend", ["simulated", "threaded", "process"])
+    @pytest.mark.parametrize("backend", ["simulated", "process"])
     def test_rejected_on_backends_without_network(self, backend):
         with pytest.raises(ValueError, match="no network"):
             run_experiment(

@@ -39,15 +39,23 @@ class TestRun:
         assert payload["paradigm"] == "bsp"
         assert payload["provenance"]["spec"]["name"] == "cli-test"
 
-    def test_run_threaded(self, spec_path, capsys):
-        code = main(["run", str(spec_path), "--backend", "threaded"])
+    def test_run_process(self, spec_path, capsys):
+        code = main(["run", str(spec_path), "--backend", "process"])
         assert code == 0
-        assert "backend   : threaded" in capsys.readouterr().out
+        assert "backend   : process" in capsys.readouterr().out
+
+    def test_the_threaded_backend_is_an_unknown_name(self, spec_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(spec_path), "--backend", "threaded"])
+        assert exit_info.value.code != 0
+        assert "unknown backend 'threaded'; available backends: simulated, process, tcp" in (
+            capsys.readouterr().err
+        )
 
     def test_run_with_profile_prints_breakdown(self, spec_path, tmp_path, capsys):
         output = tmp_path / "result.json"
         code = main(
-            ["run", str(spec_path), "--backend", "threaded", "--profile",
+            ["run", str(spec_path), "--backend", "process", "--profile",
              "--output", str(output)]
         )
         assert code == 0
@@ -101,7 +109,7 @@ class TestCompressionFlag:
     def test_run_with_compression_reports_ratio(self, spec_path, tmp_path, capsys):
         output = tmp_path / "result.json"
         code = main(
-            ["run", str(spec_path), "--backend", "threaded",
+            ["run", str(spec_path), "--backend", "process",
              "--compression", "topk:0.05", "--output", str(output)]
         )
         assert code == 0
@@ -124,7 +132,7 @@ class TestRegistry:
     def test_lists_components(self, capsys):
         assert main(["registry"]) == 0
         printed = capsys.readouterr().out
-        for expected in ("simulated", "threaded", "dssp", "alexnet", "resnet110", "p100"):
+        for expected in ("simulated", "process", "dssp", "alexnet", "resnet110", "p100"):
             assert expected in printed
 
     def test_lists_codecs(self, capsys):
@@ -140,7 +148,7 @@ class TestRegistry:
         backends_block = printed.split("paradigms:")[0]
         assert backends_block.startswith("backends:")
         listed = [line.strip() for line in backends_block.splitlines()[1:] if line.strip()]
-        assert listed == ["simulated", "threaded", "process", "tcp"]
+        assert listed == ["simulated", "process", "tcp"]
 
     def test_lists_no_transports(self, capsys):
         # The backend decides the gradient path: process pushes through

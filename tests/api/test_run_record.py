@@ -24,7 +24,7 @@ SPEC = ExperimentSpec(
     evaluate_every_updates=4,
     seed=0,
 )
-BACKENDS = ("simulated", "threaded", "process", "tcp")
+BACKENDS = ("simulated", "process", "tcp")
 
 
 def key_paths(payload, prefix=""):
@@ -95,7 +95,7 @@ def test_simulator_traces_every_push_and_wall_clock_backends_none(records):
     simulated = RunResult.from_dict(records("simulated"))
     assert len(simulated.push_trace) == simulated.total_updates
     assert {worker for _, worker, _ in simulated.push_trace} == {"worker-0", "worker-1"}
-    assert records("threaded")["push_trace"] == []
+    assert records("process")["push_trace"] == []
 
 
 def test_show_prints_what_run_printed(tmp_path, capsys):

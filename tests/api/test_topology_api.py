@@ -107,12 +107,12 @@ class TestSpecValidation:
 
 
 class TestBackendBehaviour:
-    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
     def test_wall_clock_backends_reject_topology(self, backend):
         with pytest.raises(ValueError, match="topology"):
             run_experiment(tiny_spec(), backend)
 
-    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
     def test_wall_clock_backends_reject_ring(self, backend):
         spec = ExperimentSpec(**RING_DEFAULTS, comm_pattern="ring_allreduce")
         with pytest.raises(ValueError, match="comm_pattern"):
@@ -130,7 +130,7 @@ class TestBackendBehaviour:
 
     def test_wall_clock_percentiles_schema_stable(self):
         spec = ExperimentSpec(
-            name="flat-threaded",
+            name="flat-process",
             workload="mlp",
             scale="tiny",
             cluster=ClusterConfig(num_workers=2, gpus_per_worker=1),
@@ -140,7 +140,7 @@ class TestBackendBehaviour:
             evaluate_every_updates=0,
             seed=0,
         )
-        result = run_experiment(spec, "threaded")
+        result = run_experiment(spec, "process")
         payload = result.to_dict()["iteration_time_percentiles"]
         assert payload["count"] == 0
         assert payload["p99"] == 0.0

@@ -1,7 +1,6 @@
-"""Cross-backend differential: one spec, one seed, four ways to run it.
+"""Cross-backend differential: one spec, one seed, three ways to run it.
 
-The threaded, process and tcp runtimes and the
-simulator execute the same server protocol from the same plan recipes, so
+The process and tcp runtimes and the simulator execute the same server protocol from the same plan recipes, so
 wherever the schedule is forced — one worker, or a buffered aggregator that
 combines each round in sorted worker order — they must agree bit for bit,
 not approximately.  Plain-mean multi-worker runs depend on push arrival
@@ -17,11 +16,9 @@ from repro.api import (
     ProcessBackend,
     SimulatedBackend,
     TcpBackend,
-    ThreadedBackend,
 )
 
 CONFIGURATIONS = {
-    "threaded": lambda: ThreadedBackend(),
     "process": lambda: ProcessBackend(),
     "tcp": lambda: TcpBackend(),
 }
@@ -66,7 +63,7 @@ def test_single_worker_runs_are_bit_identical(compression):
         seed=0,
     )
     results = run_everywhere(spec, simulated=SimulatedBackend)
-    reference = results["threaded"]
+    reference = results["process"]
     assert len(reference.losses) >= 3
     for name, result in results.items():
         # A wall-clock run ends on a repeat of its last periodic point (the
@@ -82,6 +79,29 @@ def test_single_worker_runs_are_bit_identical(compression):
             report.pulled_bytes,
             report.iterations,
         ) == (PUSHED_WIRE_BYTES[compression], pulled_bytes(name, compression), 20), name
+
+
+def test_the_start_method_does_not_change_a_run():
+    """Children started by ``spawn`` re-import everything a forked child
+    inherits; the run they make is the same, bit for bit."""
+    spec = ExperimentSpec(
+        name="differential-spawn",
+        workload="mlp",
+        scale="tiny",
+        cluster=ClusterConfig(num_workers=1, gpus_per_worker=1),
+        paradigm="dssp",
+        paradigm_kwargs={"s_lower": 3, "s_upper": 15},
+        epochs=1.0,
+        batch_size=32,
+        evaluate_every_updates=5,
+        seed=0,
+    )
+    fork = ProcessBackend(context="fork").run(spec)
+    spawn = ProcessBackend(context="spawn").run(spec)
+    assert fork.errors == spawn.errors == []
+    assert fork.total_updates == spawn.total_updates == 10
+    assert np.array_equal(fork.losses, spawn.losses)
+    assert np.array_equal(fork.accuracies, spawn.accuracies)
 
 
 def test_bsp_median_runs_are_bit_identical():
@@ -102,7 +122,7 @@ def test_bsp_median_runs_are_bit_identical():
         seed=0,
     )
     results = run_everywhere(spec)
-    reference = results["threaded"]
+    reference = results["process"]
     assert len(reference.losses) >= 3
     for name, result in results.items():
         assert np.array_equal(result.losses, reference.losses), name

@@ -678,7 +678,7 @@ class TestSparsePushes:
 
     @staticmethod
     def decode_pool(server):
-        return getattr(server._decode_scratch, "pool", {})
+        return server._decode_scratch
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])

@@ -1,7 +1,5 @@
 """Tests for the shard router and the sharded copy-on-write store."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -50,10 +48,10 @@ class TestShardRouter:
 class TestMakeStore:
     def test_factory_selects_layout(self):
         weights = make_arrays(num=2)
-        # One shard is the same store under the same pull rule, applied to
-        # serially: nothing moved past the base, nothing is resent.
+        # One shard is the same store under the same pull rule: nothing
+        # moved past the base, nothing is resent.
         mono = make_store(weights, num_shards=1)
-        assert mono.num_shards == 1 and not mono.supports_concurrent_apply
+        assert mono.num_shards == 1
         assert mono.pull(known_version=0).wire_nbytes == 0
         mono.apply_gradients({name: np.ones(a.shape) for name, a in weights.items()}, SGD(0.1))
         moved = mono.pull(known_version=0)
@@ -215,57 +213,11 @@ class TestCopyOnWritePulls:
         assert set(store.pull(known_version=2).buffers) == set()
 
 
-class TestConcurrency:
-    def test_concurrent_disjoint_pushes_and_pulls(self):
-        weights = {f"p{i}": np.zeros((32, 8)) for i in range(8)}
-        store = ShardedKeyValueStore(weights, num_shards=8, strategy="size")
-        optimizer = SGD(1.0)
-        rounds = 100
-        errors = []
-
-        def pusher(name):
-            try:
-                gradient = {name: np.full((32, 8), -1.0)}
-                for _ in range(rounds):
-                    store.apply_gradients(gradient, optimizer)
-            except Exception as error:  # pragma: no cover - fails the test below
-                errors.append(error)
-
-        def puller():
-            try:
-                known = None
-                for _ in range(rounds):
-                    reply = store.pull(known)
-                    for value in reply.weights.values():
-                        flat = np.asarray(value).ravel()
-                        # A COW snapshot must be internally consistent: every
-                        # element of one array comes from the same update.
-                        assert np.all(flat == flat[0])
-                    known = reply.version
-            except Exception as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=pusher, args=(name,)) for name in weights
-        ] + [threading.Thread(target=puller) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert store.version == len(weights) * rounds
-        for name, value in store.weights_snapshot().items():
-            assert np.all(value == rounds)
-
-    def test_server_concurrent_apply_flags(self):
-        weights = make_arrays(num=2)
-        assert not make_store(weights).supports_concurrent_apply
-        assert ShardedKeyValueStore(weights, num_shards=2).supports_concurrent_apply
-
+class TestSplitPush:
     def test_staged_push_matches_unstaged_push(self):
         """``ServerSession.apply_push`` then ``finish_push`` — the split a
-        sharded store's push takes around the session lock — lands what one
-        dispatched ``push`` does."""
+        caller driving the pieces takes — lands what one dispatched ``push``
+        does."""
         from repro.ps.messages import PushRequest
         from repro.ps.session import ServerEvent, ServerSession
 

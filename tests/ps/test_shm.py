@@ -8,6 +8,7 @@ multi-process integration lives in test_process_runtime.py).
 
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -259,6 +260,85 @@ class TestCrossProcessCow:
             assert set(views) == {"a", "b", "running"}
             assert all(shard.leased for shard in store._shards)
         assert not any(shard.leased for shard in store._shards)
+
+
+def runs_only_after_release(lock, call) -> bool:
+    """Hold ``lock`` while ``call`` runs in a thread; did it wait for the release?"""
+    done = threading.Event()
+
+    def target():
+        call()
+        done.set()
+
+    thread = threading.Thread(target=target)
+    with lock:
+        thread.start()
+        waited = not done.wait(0.2)
+    thread.join(10)
+    return waited and done.is_set()
+
+
+def enter_leased_state(store, client):
+    context = store.leased_state()
+    context.__enter__()
+    return lambda: context.__exit__(None, None, None)
+
+
+#: Calls that read or write every shard of the store; each returns what
+#: hands its leases back (``release`` itself takes the shard lock, so the
+#: wait is measured on the lease alone).
+WHOLE_STORE_CALLS = {
+    "pull": lambda store, client: store.pull().release,
+    "leased_state": enter_leased_state,
+    "client_pull": lambda store, client: client.pull_reply().release,
+    "restore_version": lambda store, client: store.restore_version(3),
+}
+
+
+class TestShardLocks:
+    """The writer's reads and writes take the locks of the shards they touch.
+
+    Held here from the test's thread, as a worker process holds one for its
+    lease: the store's call must wait for it, and a call that touches only
+    the other shard must not.
+    """
+
+    @pytest.mark.parametrize("call", WHOLE_STORE_CALLS)
+    @pytest.mark.parametrize("held", [0, 1])
+    def test_whole_store_calls_wait_for_every_shard(self, handle, call, held):
+        store, client = SharedFlatStore(handle), ShmStoreClient(handle)
+        returned = []
+        assert runs_only_after_release(
+            handle.shard_locks[held],
+            lambda: returned.append(WHOLE_STORE_CALLS[call](store, client)),
+        )
+        if returned[0] is not None:
+            returned[0]()
+        assert not any(shard.leased for shard in store._shards)
+
+    def test_a_push_waits_only_for_the_shards_it_touches(self, handle):
+        store = SharedFlatStore(handle)
+        a, b = store.shard_of("a"), store.shard_of("b")
+        assert a != b
+        optimizer = SGD(learning_rate=0.1, momentum=0.0)
+
+        def push_a():
+            store.apply_gradients({"a": np.ones(3)}, optimizer)
+
+        assert runs_only_after_release(handle.shard_locks[a], push_a)
+        assert not runs_only_after_release(handle.shard_locks[b], push_a)
+        assert store.version == 2
+
+    def test_a_buffer_write_waits_only_for_its_shard(self, handle):
+        store = SharedFlatStore(handle)
+        held = store.shard_of("running")
+
+        def write():
+            store.update_buffers({"running": np.array([1.5])})
+
+        assert runs_only_after_release(handle.shard_locks[held], write)
+        assert not runs_only_after_release(handle.shard_locks[1 - held], write)
+        np.testing.assert_array_equal(store.state_views()["running"], [1.5])
 
 
 class TestCleanup:

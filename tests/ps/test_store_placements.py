@@ -98,11 +98,6 @@ class TestPlacementParity:
         assert stores["heap-1"].shard_versions == stores["shared-1"].shard_versions == [7]
         assert stores["heap-4"].shard_versions == stores["shared-4"].shard_versions
 
-    @pytest.mark.parametrize("placement", PLACEMENTS)
-    def test_capability_flags_follow_the_shard_count(self, build_store, placement):
-        store = build_store(placement, *make_state())
-        assert store.supports_concurrent_apply is (store.num_shards > 1)
-
     @pytest.mark.parametrize("placement", ["heap-1", "shared-1"])
     def test_one_shard_pull_follows_the_shard_rule(self, build_store, placement):
         weights, buffers = make_state()

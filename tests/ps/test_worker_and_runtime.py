@@ -1,24 +1,18 @@
-"""Tests for the worker logic and the threaded runtime."""
+"""Tests for the worker logic and the wall-clock runtimes."""
 
 import numpy as np
 import pytest
 
-from repro.core.factory import make_policy
 from repro.data.loader import MiniBatchLoader
-from repro.metrics.accuracy import evaluate_model
 from repro.experiments.config import TINY
 from repro.experiments.workloads import build_workload
 from repro.models import mlp
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.optim.sgd import SGD
 from repro.api import ClusterConfig, ExperimentSpec, run_experiment
-from repro.ps.plan import TrainingPlan, assemble
-from repro.ps.runtime import ThreadedTrainer
-from repro.ps.session import ServerEvent, ServerSession
+from repro.ps.plan import DistributedTrainingConfig, TrainingPlan, assemble, assemble_training
 from repro.ps.session import Tally, replica_step
-from repro.ps.sharding import make_store
 from repro.ps.worker import Worker
 
 
@@ -114,42 +108,36 @@ class TestWorker:
         assert worker.loss_fn._workspace.allocations == loss_baseline
 
 
-def build_threaded_trainer(
-    train, test, paradigm="bsp", num_workers=2, iterations=4,
-    store_layout="monolithic", **policy_kwargs,
+def wall_clock_run(
+    backend, paradigm="bsp", num_workers=2, iterations=4, num_shards=1, slowdowns=None,
+    **policy_kwargs,
 ):
-    seed_rng = np.random.default_rng(0)
-    global_model = build_model(seed_rng, input_dim=train.inputs.shape[1])
-    store = make_store(
-        initial_weights={name: p.data for name, p in global_model.named_parameters()},
-        initial_buffers=global_model.buffers(),
-        num_shards=2 if store_layout == "sharded" else 1,
+    """A run of the tiny MLP: 160-row partitions in batches of 16, so
+    ``iterations / 10`` epochs, evaluated every 4 pushes."""
+    spec = ExperimentSpec(
+        workload="mlp",
+        scale="tiny",
+        cluster=ClusterConfig(num_workers=num_workers),
+        paradigm=paradigm,
+        paradigm_kwargs=policy_kwargs,
+        epochs=iterations / 10,
+        batch_size=16,
+        learning_rate=0.05,
+        momentum=0.9,
+        evaluate_every_updates=4,
+        num_shards=num_shards,
+        slowdowns=slowdowns or {},
+        seed=0,
     )
-    eval_model = build_model(np.random.default_rng(9), input_dim=train.inputs.shape[1])
+    return run_experiment(spec, backend)
 
-    def evaluate(state):
-        eval_model.load_state_dict(dict(state))
-        return evaluate_model(eval_model, test, batch_size=32)
 
-    server = ServerSession(
-        store=store, optimizer=SGD(learning_rate=0.05, momentum=0.9),
-        policy=make_policy(paradigm, **policy_kwargs),
-        evaluate_fn=evaluate,
-        evaluate_every_pushes=4,
-        wait_timeout=30.0,
-    )
-    workers = []
-    for index in range(num_workers):
-        worker = make_worker(train, worker_id=f"w{index}", seed=index + 1)
-        worker.model.load_state_dict(global_model.state_dict())
-        server.dispatch(ServerEvent(f"w{index}", "join"))
-        workers.append(worker)
-
-    return ThreadedTrainer(
-        server=server,
-        workers=workers,
-        iterations_per_worker=iterations,
-    )
+#: (backend, shards): the tcp server holds a monolithic store only.
+LAYOUTS = {
+    "process-monolithic": ("process", 1),
+    "process-sharded": ("process", 2),
+    "tcp-monolithic": ("tcp", 1),
+}
 
 
 class TestEntryLayerSkipsItsInputGradient:
@@ -186,7 +174,7 @@ class TestEntryLayerSkipsItsInputGradient:
         assert marked.model.backward(marked.loss_fn.backward()) is None
 
 
-class TestThreadedTrainer:
+class TestWallClockRuns:
     @pytest.mark.parametrize(
         "paradigm,kwargs",
         [
@@ -196,95 +184,67 @@ class TestThreadedTrainer:
             ("dssp", {"s_lower": 1, "s_upper": 4}),
         ],
     )
-    @pytest.mark.parametrize("store_layout", ["monolithic", "sharded"])
-    def test_runs_to_completion_under_every_paradigm(
-        self, tiny_flat_datasets, paradigm, kwargs, store_layout
-    ):
-        train, test = tiny_flat_datasets
-        trainer = build_threaded_trainer(
-            train, test, paradigm=paradigm, store_layout=store_layout, **kwargs
-        )
-        result = trainer.run()
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_runs_to_completion_under_every_paradigm(self, paradigm, kwargs, layout):
+        backend, num_shards = layout
+        result = wall_clock_run(backend, paradigm=paradigm, num_shards=num_shards, **kwargs)
         assert result.errors == []
         assert result.total_time > 0
-        assert trainer.server.store.version == 2 * 4
+        assert result.server_statistics["store_version"] == 2 * 4
         assert all(report.iterations == 4 for report in result.worker_reports)
 
-    def test_finished_workers_leave_the_membership(self, tiny_flat_datasets):
-        # As under the process and tcp servers: a worker's done deregisters it.
-        train, test = tiny_flat_datasets
-        trainer = build_threaded_trainer(train, test, paradigm="asp", num_workers=3)
-        result = trainer.run()
-        assert result.errors == []
-        assert trainer.server.num_workers == 0
-
-    def test_evaluations_recorded(self, tiny_flat_datasets):
-        train, test = tiny_flat_datasets
-        trainer = build_threaded_trainer(train, test, paradigm="asp", iterations=6)
-        result = trainer.run()
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
+    def test_evaluations_recorded(self, backend):
+        result = wall_clock_run(backend, paradigm="asp", iterations=6)
         assert len(result.accuracies) >= 1
         assert 0.0 <= result.best_accuracy <= 1.0
         assert result.final_accuracy == result.accuracies[-1]
 
-    def test_slowdown_increases_waiting_of_fast_worker(self, tiny_flat_datasets):
-        train, test = tiny_flat_datasets
-        trainer = build_threaded_trainer(train, test, paradigm="bsp", iterations=5)
-        trainer.slowdowns = {"w1": 0.03}
-        result = trainer.run()
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
+    def test_slowdown_increases_waiting_of_fast_worker(self, backend):
+        result = wall_clock_run(
+            backend, paradigm="bsp", iterations=5, slowdowns={"worker-1": 0.03}
+        )
         waits = {report.worker_id: report.total_wait_time for report in result.worker_reports}
-        assert waits["w0"] > waits["w1"]
+        assert waits["worker-0"] > waits["worker-1"]
 
-    def test_training_reduces_loss(self, tiny_flat_datasets):
-        train, test = tiny_flat_datasets
-        trainer = build_threaded_trainer(train, test, paradigm="bsp", iterations=20)
-        result = trainer.run()
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
+    def test_training_reduces_loss(self, backend):
+        result = wall_clock_run(backend, paradigm="bsp", iterations=20)
         assert result.errors == []
         losses = [report.mean_loss for report in result.worker_reports]
         assert all(np.isfinite(losses))
-        # The model should fit the tiny 4-class problem far better than chance.
+        # The model should fit the tiny problem far better than chance.
         assert result.best_accuracy > 0.4
-
-    def test_validation_of_arguments(self, tiny_flat_datasets):
-        train, test = tiny_flat_datasets
-        trainer = build_threaded_trainer(train, test)
-        with pytest.raises(ValueError):
-            ThreadedTrainer(
-                server=trainer.server, workers=trainer.workers, iterations_per_worker=0
-            )
-        stranger = make_worker(train, worker_id="ghost")
-        with pytest.raises(ValueError):
-            ThreadedTrainer(
-                server=trainer.server, workers=[stranger], iterations_per_worker=1
-            )
 
 
 class TestCoordinator:
     def test_assembled_workers_always_have_arenas(self, tiny_flat_datasets):
-        from types import SimpleNamespace
-
         train, test = tiny_flat_datasets
-        config = TrainingPlan(
+        config = DistributedTrainingConfig(
             paradigm="asp",
             paradigm_kwargs={},
             num_workers=2,
             iterations_per_worker=2,
             batch_size=16,
         )
-        workload = SimpleNamespace(
-            model_builder=lambda rng: build_model(rng, input_dim=train.inputs.shape[1]),
-            train_dataset=train,
-            test_dataset=test,
+        trainer = assemble_training(
+            config,
+            lambda rng: build_model(rng, input_dim=train.inputs.shape[1]),
+            train,
+            test,
         )
-        trainer = ThreadedTrainer.from_plan(config, workload)
-        result = trainer.run()
-        assert result.errors == []
+        assert trainer.server.registered == ["worker-0", "worker-1"]
         for worker in trainer.workers:
+            # Packed to mirror the store, as a caller driving the pieces needs.
+            step = replica_step(worker)
+            assert step.flat is not None
             assert worker.model.workspace_stats()["allocations"] > 0
             assert worker.loss_fn._workspace.allocations > 0
 
     @staticmethod
-    def threaded_run(**fields):
-        """A 2-worker threaded run of the tiny MLP: 0.5 epochs of 160-sample
+    def two_worker_run(backend, **fields):
+        """A 2-worker run of the tiny MLP: 0.5 epochs of 160-sample
         partitions in batches of 16 is 5 pushes per worker."""
         spec = ExperimentSpec(
             workload="mlp",
@@ -296,17 +256,21 @@ class TestCoordinator:
             evaluate_every_updates=5,
             **fields,
         )
-        return run_experiment(spec, backend="threaded")
+        return run_experiment(spec, backend=backend)
 
-    def test_threaded_run_end_to_end(self):
-        result = self.threaded_run(paradigm="dssp", paradigm_kwargs={"s_lower": 1, "s_upper": 4})
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
+    def test_run_end_to_end(self, backend):
+        result = self.two_worker_run(
+            backend, paradigm="dssp", paradigm_kwargs={"s_lower": 1, "s_upper": 4}
+        )
         assert result.errors == []
         assert len(result.worker_reports) == 2
         assert len(result.accuracies) >= 1
 
-    def test_threaded_run_with_sharded_float32_store(self):
-        result = self.threaded_run(
-            paradigm="ssp", paradigm_kwargs={"staleness": 2}, num_shards=4, dtype="float32"
+    def test_process_run_with_sharded_float32_store(self):
+        result = self.two_worker_run(
+            "process", paradigm="ssp", paradigm_kwargs={"staleness": 2}, num_shards=4,
+            dtype="float32",
         )
         assert result.errors == []
         assert result.server_statistics["store_version"] == 2 * 5

@@ -1,9 +1,8 @@
-"""End-to-end learning sanity checks for the substrate and both runtimes.
+"""End-to-end learning sanity checks for the substrate and the simulator.
 
 These tests verify that the pieces genuinely learn when put together —
-single-machine SGD on each model family, the simulator, and the threaded
-parameter server all reduce the loss / raise the accuracy on a small
-synthetic problem well above chance.
+single-machine SGD on each model family and the simulator both reduce the
+loss / raise the accuracy on a small synthetic problem well above chance.
 """
 
 import numpy as np

@@ -220,6 +220,6 @@ class TestCli:
     def test_a_bad_flag_value_names_the_choices(self, capsys):
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["run", "spec.json", "--backend", "carrier"])
-        assert "unknown backend 'carrier'; available backends: simulated, threaded, process, tcp" in (
+        assert "unknown backend 'carrier'; available backends: simulated, process, tcp" in (
             capsys.readouterr().err
         )

@@ -24,6 +24,8 @@ of the suite; ``REPRO_BENCH_SCALE=tiny`` keeps the sweep small for CI.
 from __future__ import annotations
 
 import dataclasses
+import json
+import multiprocessing
 import os
 import statistics
 from pathlib import Path
@@ -169,6 +171,11 @@ def test_the_record_names_the_start_method_the_runs_use(monkeypatch, override):
     plan = ProcessTrainingPlan(scale_fields=dataclasses.asdict(BENCH_SCALE), **_COMMON)
     used = ProcessTrainer(plan).context.get_start_method()
     assert record([])["start_method"] == used == (override or used)
+
+
+def test_the_committed_record_names_a_real_start_method():
+    recorded = json.loads(RESULT_PATH.read_text())["start_method"]
+    assert recorded in multiprocessing.get_all_start_methods()
 
 
 def test_codec_cuts_bytes_on_every_transport(sweep_results):

@@ -195,22 +195,16 @@ def _reject_simulator_only_fields(spec: ExperimentSpec, backend_name: str) -> No
 
 
 def _reject_topology(spec: ExperimentSpec, backend_name: str) -> None:
-    """Fail loudly on topology/pattern fields only the simulator can honour.
+    """Fail loudly on a topology, which only the simulator can honour.
 
     The wall-clock runtimes time real transfers on real hardware; silently
-    ignoring a declared topology or collective pattern would make the same
-    spec mean different things per backend.
+    ignoring a declared topology would make the same spec mean different
+    things per backend.
     """
     if spec.cluster.topology is not None:
         raise ValueError(
             f"the {backend_name} backend cannot model a network topology; "
             "remove cluster.topology from the spec or use the simulated backend"
-        )
-    if spec.comm_pattern != "ps":
-        raise ValueError(
-            f"the {backend_name} backend only implements the 'ps' pattern; "
-            f"remove comm_pattern={spec.comm_pattern!r} from the spec or use "
-            "the simulated backend"
         )
 
 
@@ -302,7 +296,6 @@ class SimulatedBackend:
             timing_cost=workload.timing_cost,
             timing_batch_size=workload.paper_batch_size,
             topology=spec.cluster.topology,
-            comm_pattern=spec.comm_pattern,
         )
         return SimulatedTraining(plan, workload, options).run()
 

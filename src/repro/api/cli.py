@@ -49,7 +49,7 @@ from repro.ps.compression import CODECS
 from repro.ps.faults import FAULT_KIND_KEYS, NET_FAULT_EXAMPLES
 from repro.ps.result import RunResult
 from repro.simulation.profiles import GPU_CATALOGUE
-from repro.simulation.topology import COMM_PATTERNS, JITTERS, TOPOLOGY_PRESETS
+from repro.simulation.topology import JITTERS, TOPOLOGY_PRESETS
 from repro.utils.registry import UnknownName
 
 __all__ = ["main", "summarize", "REGISTRIES"]
@@ -57,7 +57,7 @@ __all__ = ["main", "summarize", "REGISTRIES"]
 #: Every registry, in the order ``registry`` lists them.
 REGISTRIES = (
     BACKENDS, POLICIES, WORKLOADS, MODELS, NAMED_SCALES, GPU_CATALOGUE,
-    NETWORKS, TOPOLOGY_PRESETS, JITTERS, COMM_PATTERNS, CODECS, AGGREGATORS,
+    NETWORKS, TOPOLOGY_PRESETS, JITTERS, CODECS, AGGREGATORS,
     FAULT_KIND_KEYS, NET_FAULT_EXAMPLES,
 )
 
@@ -130,13 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulated backend only: override the cluster's network "
         "topology preset (flat, two-rack, tail-heavy; see 'registry')",
-    )
-    run.add_argument(
-        "--comm-pattern",
-        default=None,
-        type=_registered(COMM_PATTERNS),
-        help="simulated backend only: override the communication pattern "
-        "(ps or ring_allreduce; ring requires paradigm bsp)",
     )
 
     serve = commands.add_parser(
@@ -307,8 +300,6 @@ def _command_run(arguments: argparse.Namespace) -> int:
         )
     if arguments.topology is not None:
         spec = spec.replace(cluster=spec.cluster.replace(topology=arguments.topology))
-    if arguments.comm_pattern is not None:
-        spec = spec.replace(comm_pattern=arguments.comm_pattern)
     if arguments.address is not None:
         if arguments.backend != "tcp":
             raise ValueError(

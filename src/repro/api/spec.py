@@ -36,11 +36,7 @@ from repro.ps.transport import parse_address
 from repro.simulation.cluster import ClusterSpec, WorkerSpec
 from repro.simulation.network import GIGABIT_ETHERNET, INFINIBAND_EDR, LOCAL_PCIE
 from repro.simulation.profiles import get_device_profile
-from repro.simulation.topology import (
-    canonical_topology_spec,
-    validate_comm_pattern,
-    validate_ring,
-)
+from repro.simulation.topology import canonical_topology_spec
 from repro.utils.registry import Registry
 
 __all__ = ["ClusterConfig", "ExperimentSpec", "NAMED_SCALES", "NETWORKS"]
@@ -287,16 +283,6 @@ class ExperimentSpec:
         links support).  Both are
         injected deterministically from ``seed``; the run's chaos history
         is returned as ``RunResult.events``.
-    comm_pattern:
-        Communication pattern the simulated backend costs: ``"ps"``
-        (default — push/pull against the parameter server) or
-        ``"ring_allreduce"`` (``2*(n-1)`` chunked ring steps per
-        synchronous round; requires the BSP paradigm, a single shard, and
-        no compression/aggregation/faults).  The gradient math is
-        unchanged — a ring reduce-scatter's sequential chunk sums equal
-        the server's sequential aggregate bit-for-bit on identical
-        pushes — only the costed time and wire bytes differ.  The
-        wall-clock backends reject non-default patterns.
     seed:
         Master seed for data order, initialization and timing jitter.
     """
@@ -326,23 +312,10 @@ class ExperimentSpec:
     aggregation: str | None = None
     faults: tuple = ()
     net_faults: tuple = ()
-    comm_pattern: str = "ps"
     seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lr_milestones", tuple(self.lr_milestones))
-        object.__setattr__(self, "comm_pattern", validate_comm_pattern(self.comm_pattern))
-        if self.comm_pattern == "ring_allreduce":
-            # The simulator's constraints, at spec construction: a bad spec
-            # file fails before any backend starts.
-            validate_ring(
-                self.paradigm,
-                len(self.cluster.worker_ids),
-                self.num_shards,
-                compression=self.compression,
-                aggregation=self.aggregation,
-                faults=self.faults,
-            )
         if self.compression is not None:
             validate_codec_spec(self.compression)
         if self.aggregation is not None:
@@ -463,7 +436,6 @@ class ExperimentSpec:
             "aggregation": self.aggregation,
             "faults": [dict(entry) for entry in self.faults],
             "net_faults": [dict(entry) for entry in self.net_faults],
-            "comm_pattern": self.comm_pattern,
             "seed": self.seed,
         }
 

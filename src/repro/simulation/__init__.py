@@ -24,8 +24,6 @@ from repro.simulation.topology import (
     TopologyTimeModel,
     TOPOLOGY_PRESETS,
     build_topology,
-    ring_allreduce,
-    ring_allreduce_wire_bytes,
     single_link_topology,
     rack_topology,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "TopologyTimeModel",
     "TOPOLOGY_PRESETS",
     "build_topology",
-    "ring_allreduce",
-    "ring_allreduce_wire_bytes",
     "single_link_topology",
     "rack_topology",
     "SimulationOptions",

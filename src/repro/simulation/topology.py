@@ -1,6 +1,6 @@
-"""The simulator's network cost model and the ring-allreduce pattern.
+"""The simulator's network cost model.
 
-Every simulated push, pull and ring step is priced here, on a link graph.
+Every simulated push and pull is priced here, on a link graph.
 A :class:`~repro.simulation.network.NetworkModel` (one worker's private
 latency+bandwidth link) cannot produce the two effects real clusters hit
 DSSP with: *rack bottlenecks* (many workers funneling through one shared
@@ -14,13 +14,10 @@ straggler regime the paper's dynamic staleness bound targets).  So:
 * shared links (``shared=True``) serve transfers FIFO — a transfer arriving
   while the link is busy waits for the queue to drain, and every wait is
   recorded in the state's queue trace;
-* a :class:`Topology` maps each worker to its uplink path (worker → server)
-  and derives worker→worker routes by tree routing (drop the common spine,
-  descend the destination's path);
+* a :class:`Topology` maps each worker to its uplink path (worker → server);
 * :class:`TopologyTimeModel` is the simulator's one time model: compute on
   the worker's device plus path traversals for the PS push/pull pair (split
-  across server shards when the store is sharded), or a synchronous
-  ``ring_allreduce`` collective (``2*(n-1)`` chunked steps).
+  across server shards when the store is sharded).
 
 ``topology: null`` means the ``flat`` preset: :func:`single_link_topology`
 gives each worker one private, lognormal-jittered link built from that
@@ -57,11 +54,6 @@ __all__ = [
     "canonical_topology_spec",
     "validate_topology_spec",
     "build_topology",
-    "COMM_PATTERNS",
-    "validate_comm_pattern",
-    "validate_ring",
-    "ring_allreduce",
-    "ring_allreduce_wire_bytes",
 ]
 
 
@@ -231,28 +223,6 @@ class Topology:
             raise KeyError(
                 f"topology {self.name!r} has no worker {worker_id!r}"
             ) from None
-
-    def worker_to_worker_path(self, src: str, dst: str) -> tuple[Link, ...]:
-        """Tree route between two workers.
-
-        Both uplink paths end at the server (the tree root); the route
-        climbs ``src``'s path, skips the spine the two paths share, and
-        descends ``dst``'s path.  In a two-rack topology same-rack
-        neighbours use ``(leaf_src, leaf_dst)``; cross-rack routes
-        additionally traverse both rack uplinks.
-        """
-        if src == dst:
-            raise ValueError("src and dst must differ")
-        up = self.worker_path(src)
-        down = self.worker_path(dst)
-        common = 0
-        while (
-            common < len(up)
-            and common < len(down)
-            and up[len(up) - 1 - common] is down[len(down) - 1 - common]
-        ):
-            common += 1
-        return up[: len(up) - common] + tuple(reversed(down[: len(down) - common]))
 
     def new_state(self) -> "TopologyState":
         """Fresh mutable queue state for one simulation run."""
@@ -555,103 +525,10 @@ def build_topology(
 
 
 # ----------------------------------------------------------------------
-# Communication patterns
-# ----------------------------------------------------------------------
-#: Communication patterns the simulated backend can cost.
-COMM_PATTERNS = Registry("comm_pattern", {
-    "ps": "push/pull against the parameter server",
-    "ring_allreduce": "2*(n-1) chunked ring steps per synchronous round (BSP only)",
-})
-#: Normalize and validate a communication pattern name.
-validate_comm_pattern = COMM_PATTERNS.key
-
-
-def validate_ring(paradigm: str, num_workers: int, num_shards: int, **unsupported) -> None:
-    """Raise unless a run can cost ``comm_pattern="ring_allreduce"``: a
-    synchronous dense collective over fixed members, so BSP, at least 2
-    workers, one server shard and none of ``unsupported`` set."""
-    if paradigm != "bsp":
-        raise ValueError(
-            "comm_pattern 'ring_allreduce' is a synchronous collective; "
-            f"it requires paradigm 'bsp', got {paradigm!r}"
-        )
-    if num_workers < 2:
-        raise ValueError("ring allreduce needs at least 2 workers")
-    for name, value in unsupported.items():
-        if value:
-            raise ValueError(f"comm_pattern 'ring_allreduce' does not compose with {name}")
-    if num_shards != 1:
-        raise ValueError("ring allreduce requires a single server shard (num_shards=1)")
-
-
-def ring_allreduce_wire_bytes(payload_nbytes: float, num_workers: int) -> float:
-    """Bytes each worker puts on the wire for one ring allreduce.
-
-    ``2*(n-1)`` steps of ``payload/n`` bytes each: ``2*(n-1)/n * payload``
-    per worker — bandwidth-optimal, independent of worker count in the
-    limit, and the quantity the property suite pins.
-    """
-    if num_workers < 2:
-        raise ValueError("ring allreduce needs at least 2 workers")
-    if payload_nbytes < 0:
-        raise ValueError("payload_nbytes must be >= 0")
-    return 2.0 * (num_workers - 1) / num_workers * payload_nbytes
-
-
-def ring_allreduce(arrays: Sequence[np.ndarray], average: bool = True) -> np.ndarray:
-    """Numerically execute a chunked ring allreduce over ``arrays``.
-
-    Reduce-scatter (``n-1`` steps, each hop *adding* the incoming partial
-    chunk) followed by allgather.  Each chunk's sum is accumulated
-    sequentially around the ring, so on identical inputs the result is
-    bit-for-bit equal to the server's sequential sum-then-divide — the
-    property the simulated ``ring_allreduce`` pattern relies on to keep
-    the PS apply path as its numerical substrate.
-    """
-    if not arrays:
-        raise ValueError("arrays must not be empty")
-    n = len(arrays)
-    first = np.asarray(arrays[0])
-    for array in arrays[1:]:
-        if np.asarray(array).shape != first.shape:
-            raise ValueError("all arrays must share one shape")
-    if n == 1:
-        result = np.array(first, dtype=np.float64)
-        return result
-    partials = [np.array(array, dtype=np.float64).ravel() for array in arrays]
-    # Chunk c covers bounds[c]:bounds[c+1]; np.array_split's balanced sizes.
-    size = partials[0].size
-    base, extra = divmod(size, n)
-    bounds = [0]
-    for c in range(n):
-        bounds.append(bounds[-1] + base + (1 if c < extra else 0))
-
-    def chunk(owner: int, c: int) -> np.ndarray:
-        return partials[owner][bounds[c] : bounds[c + 1]]
-
-    # Reduce-scatter: in step s worker i sends chunk (i - s) mod n to
-    # worker i+1, which accumulates it.  After n-1 steps worker
-    # (c + n - 1) mod n holds the full sum of chunk c.
-    for step in range(n - 1):
-        for i in range(n):
-            c = (i - step) % n
-            dst = (i + 1) % n
-            incoming = chunk(i, c)
-            chunk(dst, c)[:] = incoming + chunk(dst, c)
-    out = np.empty(size, dtype=np.float64)
-    for c in range(n):
-        owner = (c + n - 1) % n
-        out[bounds[c] : bounds[c + 1]] = chunk(owner, c)
-    if average:
-        out /= n
-    return out.reshape(first.shape)
-
-
-# ----------------------------------------------------------------------
 # The topology-aware iteration time model
 # ----------------------------------------------------------------------
 class TopologyTimeModel:
-    """Per-iteration times on a topology (PS push/pull or ring allreduce).
+    """Per-iteration times of the PS push/pull pair on a topology.
 
     The simulator's one time model: compute time comes from the worker's
     device profile, and transfers traverse the link graph (paying FIFO
@@ -675,12 +552,6 @@ class TopologyTimeModel:
     (:meth:`repro.ps.compression.GradientCodec.wire_fraction`); pulls stay
     dense.  Jitter draws go compute, then every push shard, then every pull
     shard.
-
-    For ``comm_pattern="ring_allreduce"`` the collective's cost is
-    computed once per synchronous round — ``2*(n-1)`` steps, each gated by
-    the slowest worker→neighbour chunk transfer, chunks queueing FIFO on
-    shared uplinks — and shared by every worker of that round (the round
-    is keyed by the worker's iteration count; BSP keeps those aligned).
     """
 
     def __init__(
@@ -692,8 +563,6 @@ class TopologyTimeModel:
         time_scale: float = 1.0,
         shard_fractions: Sequence[float] = (1.0,),
         push_wire_fraction: float = 1.0,
-        comm_pattern: str = "ps",
-        worker_ids: Sequence[str] | None = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -715,12 +584,7 @@ class TopologyTimeModel:
         self.time_scale = float(time_scale)
         self.shard_fractions = tuple(float(f) for f in shard_fractions)
         self.push_wire_fraction = float(push_wire_fraction)
-        self.comm_pattern = validate_comm_pattern(comm_pattern)
-        self.worker_ids = list(worker_ids or topology.worker_ids)
-        if self.comm_pattern == "ring_allreduce" and len(self.worker_ids) < 2:
-            raise ValueError("ring allreduce needs at least 2 workers")
         self.state = topology.new_state()
-        self._ring_round_times: dict[int, float] = {}
         payload = cost.parameter_bytes
         if self.shard_fractions == (1.0,):
             self._push_bytes = (payload * self.push_wire_fraction,)
@@ -755,45 +619,14 @@ class TopologyTimeModel:
         )
         return push + pull
 
-    def _ring_round_time(self, round_index: int, start: float, rng) -> float:
-        cached = self._ring_round_times.get(round_index)
-        if cached is not None:
-            return cached
-        n = len(self.worker_ids)
-        chunk_bytes = self.cost.parameter_bytes / n
-        elapsed = 0.0
-        for step in range(2 * (n - 1)):
-            step_time = 0.0
-            for index, worker_id in enumerate(self.worker_ids):
-                neighbour = self.worker_ids[(index + 1) % n]
-                duration = self.state.transfer(
-                    self.topology.worker_to_worker_path(worker_id, neighbour),
-                    chunk_bytes,
-                    start=start + elapsed,
-                    rng=rng,
-                    tag=f"{worker_id}:ring{round_index}.{step}",
-                )
-                if duration > step_time:
-                    step_time = duration
-            elapsed += step_time
-        self._ring_round_times[round_index] = elapsed
-        # The cache only needs the active round (BSP keeps rounds aligned);
-        # keep a couple behind it so a just-released straggler still hits.
-        for key in [k for k in self._ring_round_times if k < round_index - 2]:
-            del self._ring_round_times[key]
-        return elapsed
-
     def communication_time(
         self,
         spec,
         rng: np.random.Generator | None = None,
         now: float = 0.0,
-        round_index: int = 0,
     ) -> float:
         """Scaled communication time of one iteration starting at ``now``."""
         start = now / self.time_scale + self._raw_compute(spec, None)
-        if self.comm_pattern == "ring_allreduce":
-            return self.time_scale * self._ring_round_time(round_index, start, rng)
         return self.time_scale * self._ps_comm(spec.worker_id, start, rng)
 
     def iteration_time(
@@ -801,29 +634,18 @@ class TopologyTimeModel:
         spec,
         rng: np.random.Generator | None = None,
         now: float = 0.0,
-        round_index: int = 0,
     ) -> float:
         """Total busy time of one iteration (compute plus communication).
 
         ``now`` is the scaled virtual time the iteration starts (the
-        transfer joins the shared-link queues at ``now + compute``);
-        ``round_index`` keys the ring collective's once-per-round cost.
+        transfer joins the shared-link queues at ``now + compute``).
         """
         raw_compute = self._raw_compute(spec, rng)
         start = now / self.time_scale + raw_compute
-        if self.comm_pattern == "ring_allreduce":
-            comm = self._ring_round_time(round_index, start, rng)
-        else:
-            comm = self._ps_comm(spec.worker_id, start, rng)
+        comm = self._ps_comm(spec.worker_id, start, rng)
         return self.time_scale * raw_compute + self.time_scale * comm
 
     def compute_to_communication_ratio(self, spec) -> float:
         """The jitter-free ratio the paper's Section V-C discussion is based on."""
         return self.compute_time(spec) / max(self.communication_time(spec), 1e-12)
 
-    # -- accounting ------------------------------------------------------
-    def ring_wire_bytes_per_iteration(self) -> float:
-        """Model-costed bytes each worker wires per ring round."""
-        return ring_allreduce_wire_bytes(
-            self.cost.parameter_bytes, len(self.worker_ids)
-        )

@@ -3,7 +3,7 @@
 The simulator runs the one server protocol — the same
 :class:`repro.ps.session.ServerSession`, built from the same
 :class:`~repro.ps.plan.TrainingPlan` by the same recipe
-(:func:`repro.ps.plan.assemble`), as the three wall-clock runtimes — with
+(:func:`repro.ps.plan.assemble`), as the wall-clock runtimes — with
 a :class:`VirtualClock` as the session's time source, and
 :class:`SimulationOptions` for what only a simulation has: the modelled
 cluster, the time model and the epoch budget.  What is the
@@ -54,8 +54,6 @@ from repro.simulation.topology import (
     Topology,
     TopologyTimeModel,
     build_topology,
-    validate_comm_pattern,
-    validate_ring,
     validate_topology_spec,
 )
 from repro.simulation.workload import estimate_model_cost
@@ -117,13 +115,6 @@ class SimulationOptions:
         link per worker, from its own :class:`NetworkModel`.  Shared uplinks
         queue FIFO, and every delay lands in ``RunResult.queue_trace``.
         It models a single server endpoint, so the plan keeps one shard.
-    comm_pattern:
-        ``"ps"`` (default): a push and a pull per iteration.
-        ``"ring_allreduce"``: ``2*(n-1)`` chunked ring steps per BSP round
-        (:func:`~repro.simulation.topology.validate_ring` lists what it
-        excludes).  The gradient math still flows through the server, whose
-        sequential sum a ring reduce-scatter reproduces bit for bit; only
-        the costed time and wire bytes change.
     """
 
     cluster: ClusterSpec
@@ -137,10 +128,8 @@ class SimulationOptions:
     timing_batch_size: int | None = None
     slowdown_schedule: Callable[[str, float], float] | None = None
     topology: str | dict | Topology | None = None
-    comm_pattern: str = "ps"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "comm_pattern", validate_comm_pattern(self.comm_pattern))
         if self.topology is not None and not isinstance(self.topology, Topology):
             validate_topology_spec(self.topology)
         if self.epochs <= 0:
@@ -171,15 +160,6 @@ class SimulatedTraining:
             raise ValueError(
                 "topology-aware timing models a single server endpoint; "
                 "use num_shards=1 with a topology"
-            )
-        if options.comm_pattern == "ring_allreduce":
-            validate_ring(
-                plan.paradigm,
-                plan.num_workers,
-                plan.num_shards,
-                compression=plan.compression,
-                aggregation=plan.aggregation,
-                faults=plan.faults,
             )
         self.plan = plan
         self.workload = workload
@@ -235,8 +215,6 @@ class SimulatedTraining:
             ),
             shard_fractions=shard_fractions,
             push_wire_fraction=push_wire_fraction,
-            comm_pattern=options.comm_pattern,
-            worker_ids=plan.worker_ids,
         )
         timing_rng = RngStream(plan.seed).get("timing") if options.timing_jitter else None
 
@@ -256,7 +234,7 @@ class SimulatedTraining:
         def iteration_time(worker_id: str, now: float) -> float:
             done = loops[worker_id].completed
             duration = time_model.iteration_time(
-                options.cluster.worker(worker_id), rng=timing_rng, now=now, round_index=done
+                options.cluster.worker(worker_id), rng=timing_rng, now=now
             )
             factor = float(plan.slowdowns.get(worker_id, 1.0))
             if options.slowdown_schedule is not None:
@@ -339,14 +317,6 @@ class SimulatedTraining:
             # "Compute" is everything that was not synchronization waiting:
             # the simulator does not split a worker's busy time.
             report["total_compute_time"] = max(final_time - report["total_wait_time"], 0.0)
-            if options.comm_pattern == "ring_allreduce":
-                # Model-costed: 2*(n-1)/n * payload per round on the wire and
-                # no server pulls; raw bytes stay the dense payload.
-                done = report["iterations"]
-                ring_wire = time_model.ring_wire_bytes_per_iteration()
-                report["pushed_wire_bytes"] = int(round(done * ring_wire))
-                report["pushed_raw_bytes"] = int(round(done * float(cost.parameter_bytes)))
-                report["pulled_bytes"] = 0
             reports.append(report)
         # The shared end of run: the buffered aggregator's tail window, then
         # the final evaluation (skipped when one already sits at this instant).

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,21 +203,31 @@ class TestSpecValidation:
         assert restored.to_dict()["aggregation"] == "median"
         assert restored.faults[0]["mode"] == "sign_flip"
 
-    def test_transport_is_not_a_spec_field(self):
-        # The backend decides the gradient path (process: shm, tcp: sockets).
-        assert "transport" not in ExperimentSpec().to_dict()
-        with pytest.raises(TypeError, match="transport"):
-            ExperimentSpec(transport="pipe")
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("transport", "pipe"), ("comm_pattern", "ps")],
+        ids=["transport", "comm_pattern"],
+    )
+    def test_transport_is_not_a_spec_field(self, key, value):
+        # The backend decides the gradient path (process: shm, tcp: sockets),
+        # and every backend prices the parameter server's push and pull.
+        assert key not in ExperimentSpec().to_dict()
+        with pytest.raises(TypeError, match=key):
+            ExperimentSpec(**{key: value})
 
-    @pytest.mark.parametrize("transport", [None, "pipe"], ids=["null", "pipe"])
-    def test_a_spec_that_sets_transport_fails_at_load(self, transport, tmp_path):
-        # Older spec files wrote ``"transport": null`` by default.
-        data = {**ExperimentSpec().to_dict(), "transport": transport}
-        with pytest.raises(ValueError, match=r"unknown spec key\(s\) \['transport'\]"):
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("transport", None), ("transport", "pipe"), ("comm_pattern", "ps")],
+        ids=["null", "pipe", "comm_pattern"],
+    )
+    def test_a_spec_that_sets_transport_fails_at_load(self, key, value, tmp_path):
+        # Older spec files wrote ``"transport": null`` and ``"comm_pattern": "ps"`` by default.
+        data = {**ExperimentSpec().to_dict(), key: value}
+        with pytest.raises(ValueError, match=rf"unknown spec key\(s\) \['{key}'\]"):
             ExperimentSpec.from_dict(data)
         path = tmp_path / "old.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="transport"):
+        with pytest.raises(ValueError, match=key):
             ExperimentSpec.load(path)
 
     def test_cluster_address_and_heartbeat_validated(self):
@@ -286,6 +297,16 @@ class TestSpecSerialization:
         restored = ExperimentSpec.from_json(spec.to_json())
         assert restored.lr_milestones == (1.5, 2.0)
         assert isinstance(restored.lr_milestones, tuple)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parents[2] / "examples").rglob("*.json")),
+        ids=lambda path: path.stem,
+    )
+    def test_every_example_spec_loads(self, path):
+        # A spec field that goes away must go from the shipped examples too.
+        spec = ExperimentSpec.load(path)
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
 
 
 class TestNetFaultsField:

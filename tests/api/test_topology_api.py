@@ -1,29 +1,26 @@
-"""API surface of the topology and comm-pattern spec fields.
+"""API surface of the topology spec field.
 
 Construction-time validation, JSON round-trips, wall-clock backend
-rejection, the simulated backend's percentile reporting, ring-allreduce
-accounting, and the CLI overrides.
+rejection, the simulated backend's percentile reporting, and the CLI
+overrides.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api.backends import run_experiment
 from repro.api.cli import main
 from repro.api.spec import ClusterConfig, ExperimentSpec
+from repro.experiments.workloads import build_workload
 
-RING_DEFAULTS = dict(
-    name="ring",
-    workload="mlp",
-    scale="tiny",
-    cluster=ClusterConfig(num_workers=2, gpus_per_worker=1),
-    paradigm="bsp",
-    paradigm_kwargs={},
-    epochs=0.5,
-    evaluate_every_updates=0,
-    seed=0,
-)
+PARADIGMS = {
+    "bsp": {},
+    "asp": {},
+    "ssp": {"staleness": 3},
+    "dssp": {"s_lower": 3, "s_upper": 15},
+}
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -51,41 +48,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="kind"):
             ClusterConfig(num_workers=2, topology={"kind": "mesh"})
 
-    def test_unknown_comm_pattern_rejected(self):
-        with pytest.raises(ValueError, match="comm_pattern"):
-            tiny_spec(comm_pattern="tree")
-
-    def test_ring_requires_bsp(self):
-        with pytest.raises(ValueError, match="synchronous"):
-            ExperimentSpec(
-                **{**RING_DEFAULTS, "paradigm": "asp"}, comm_pattern="ring_allreduce"
-            )
-
-    def test_ring_requires_two_workers(self):
-        with pytest.raises(ValueError, match="2 workers"):
-            ExperimentSpec(
-                **{
-                    **RING_DEFAULTS,
-                    "cluster": ClusterConfig(num_workers=1, gpus_per_worker=1),
-                },
-                comm_pattern="ring_allreduce",
-            )
-
-    def test_ring_rejects_compression(self):
-        with pytest.raises(ValueError, match="compression"):
-            ExperimentSpec(
-                **RING_DEFAULTS, comm_pattern="ring_allreduce", compression="topk:0.1"
-            )
-
     def test_topology_rejects_sharding(self):
         with pytest.raises(ValueError, match="num_shards"):
             tiny_spec(num_shards=2)
 
     def test_round_trips_through_json(self):
-        spec = tiny_spec(comm_pattern="ring_allreduce")
+        spec = tiny_spec()
         clone = ExperimentSpec.from_json(spec.to_json())
         assert clone.cluster.topology == "flat"
-        assert clone.comm_pattern == "ring_allreduce"
         assert clone.to_dict() == spec.to_dict()
 
     def test_inline_topology_round_trips(self):
@@ -111,12 +81,6 @@ class TestBackendBehaviour:
     def test_wall_clock_backends_reject_topology(self, backend):
         with pytest.raises(ValueError, match="topology"):
             run_experiment(tiny_spec(), backend)
-
-    @pytest.mark.parametrize("backend", ["process", "tcp"])
-    def test_wall_clock_backends_reject_ring(self, backend):
-        spec = ExperimentSpec(**RING_DEFAULTS, comm_pattern="ring_allreduce")
-        with pytest.raises(ValueError, match="comm_pattern"):
-            run_experiment(spec, backend)
 
     def test_simulated_reports_percentiles(self):
         result = run_experiment(tiny_spec(), "simulated")
@@ -145,33 +109,36 @@ class TestBackendBehaviour:
         assert payload["count"] == 0
         assert payload["p99"] == 0.0
 
-    def test_ring_wire_accounting(self):
-        spec = ExperimentSpec(**RING_DEFAULTS, comm_pattern="ring_allreduce")
+    @pytest.mark.parametrize("topology", ["flat", "two-rack"])
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    def test_every_iteration_pushes_and_pulls_the_dense_payload(self, paradigm, topology):
+        spec = tiny_spec(
+            paradigm=paradigm,
+            paradigm_kwargs=PARADIGMS[paradigm],
+            cluster=ClusterConfig(num_workers=2, gpus_per_worker=1, topology=topology),
+        )
         result = run_experiment(spec, "simulated")
         assert not result.errors
-        reports = {r.worker_id: r for r in result.worker_reports}
-        for report in reports.values():
-            if report.iterations == 0:
-                continue
-            # 2*(n-1)/n of the dense payload per round, and no server pull.
-            per_round = report.pushed_wire_bytes / report.iterations
-            dense = report.pushed_raw_bytes / report.iterations
-            assert per_round == pytest.approx(dense, rel=1e-6)  # n=2: 1x payload
-            assert report.pulled_bytes == 0
+        workload = build_workload(spec.workload, spec.resolved_scale())
+        model = workload.model_builder(np.random.default_rng(0))
+        dense = model.num_parameters() * np.dtype(spec.dtype).itemsize
+        for report in result.worker_reports:
+            assert report.iterations > 0
+            assert report.pushed_wire_bytes == report.pushed_raw_bytes == report.iterations * dense
+            # One pull to start, then one whole-model reply per push.
+            assert report.pulled_bytes == (report.iterations + 1) * dense
 
-    def test_ring_deterministic_and_converges_like_ps(self):
-        ps = run_experiment(ExperimentSpec(**RING_DEFAULTS), "simulated")
-        ring_spec = ExperimentSpec(**RING_DEFAULTS, comm_pattern="ring_allreduce")
-        ring = run_experiment(ring_spec, "simulated")
-        again = run_experiment(ring_spec, "simulated")
-        # The ring reuses the PS apply path numerically, so the update
-        # budget matches and the trajectory replays exactly; only the
-        # round timing (and with it the within-round push arrival order)
-        # differs from the PS pattern, so the curves are close, not equal.
-        assert ring.total_updates == ps.total_updates
-        assert ring.accuracies.tolist() == again.accuracies.tolist()
-        assert ring.total_time == again.total_time
-        assert abs(ring.final_accuracy - ps.final_accuracy) < 0.1
+    @pytest.mark.parametrize("topology", ["flat", "two-rack", "tail-heavy"])
+    def test_a_topology_run_replays_exactly(self, topology):
+        spec = tiny_spec(
+            paradigm="dssp",
+            paradigm_kwargs=PARADIGMS["dssp"],
+            cluster=ClusterConfig(num_workers=4, gpus_per_worker=1, topology=topology),
+        )
+        first, again = run_experiment(spec, "simulated"), run_experiment(spec, "simulated")
+        assert first.total_time == again.total_time
+        assert first.accuracies.tolist() == again.accuracies.tolist()
+        assert first.iteration_time_percentiles == again.iteration_time_percentiles
 
 
 class TestCliOverrides:
@@ -202,15 +169,19 @@ class TestCliOverrides:
         assert payload["provenance"]["spec"]["cluster"]["topology"] == "two-rack"
         assert payload["iteration_time_percentiles"]["count"] > 0
 
-    def test_comm_pattern_flag_threads_through(self, spec_path, tmp_path):
-        output = tmp_path / "result.json"
-        code = main(
-            ["run", str(spec_path), "--backend", "simulated",
-             "--comm-pattern", "ring_allreduce", "--output", str(output)]
-        )
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert payload["provenance"]["spec"]["comm_pattern"] == "ring_allreduce"
+    def test_the_comm_pattern_flag_is_unrecognized(self, spec_path, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", str(spec_path), "--comm-pattern", "ps"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --comm-pattern ps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_a_spec_file_that_sets_comm_pattern_is_refused(self, spec_path, command, capsys):
+        # Older spec files wrote ``"comm_pattern": "ps"`` by default.
+        data = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**data, "comm_pattern": "ps"}))
+        assert main([command, str(spec_path)]) == 2
+        assert "unknown spec key(s) ['comm_pattern']" in capsys.readouterr().err
 
     def test_unknown_topology_flag_fails_cleanly(self, spec_path, capsys):
         code = main(
@@ -224,4 +195,3 @@ class TestCliOverrides:
         assert code == 0
         printed = capsys.readouterr().out
         assert "two-rack" in printed
-        assert "ring_allreduce" in printed

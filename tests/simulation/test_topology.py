@@ -1,4 +1,4 @@
-"""Unit tests for the topology-aware network model and ring allreduce."""
+"""Unit tests for the topology-aware network model."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,14 @@ from repro.metrics.throughput import (
     percentile,
     percentile_summary,
 )
+from repro.simulation.cluster import WorkerSpec
 from repro.simulation.network import NetworkModel
+from repro.simulation.profiles import DeviceProfile
 from repro.simulation.topology import (
     TOPOLOGY_PRESETS,
     Link,
     Topology,
+    TopologyTimeModel,
     available_jitters,
     available_topology_presets,
     build_topology,
@@ -20,11 +23,9 @@ from repro.simulation.topology import (
     make_jitter,
     parse_jitter_spec,
     rack_topology,
-    ring_allreduce,
-    ring_allreduce_wire_bytes,
     single_link_topology,
-    validate_comm_pattern,
 )
+from repro.simulation.workload import ModelCost
 
 
 class TestJitterSpecs:
@@ -129,25 +130,6 @@ class TestTopologyGraph:
             "leaf-d",
             "uplink-rack1",
         ]
-
-    def test_same_rack_route_skips_uplinks(self):
-        topo = two_rack_fixture()
-        route = topo.worker_to_worker_path("a", "b")
-        assert [link.name for link in route] == ["leaf-a", "leaf-b"]
-
-    def test_cross_rack_route_traverses_both_uplinks(self):
-        topo = two_rack_fixture()
-        route = topo.worker_to_worker_path("a", "c")
-        assert [link.name for link in route] == [
-            "leaf-a",
-            "uplink-rack0",
-            "uplink-rack1",
-            "leaf-c",
-        ]
-
-    def test_self_route_rejected(self):
-        with pytest.raises(ValueError, match="differ"):
-            two_rack_fixture().worker_to_worker_path("a", "a")
 
     def test_describe_round_trips_link_settings(self):
         described = two_rack_fixture().describe()
@@ -268,11 +250,120 @@ class TestTopologySpecs:
         with pytest.raises(ValueError, match="no path"):
             build_topology(topo, {"a": network, "missing": network})
 
-    def test_comm_pattern_validation(self):
-        assert validate_comm_pattern("PS") == "ps"
-        assert validate_comm_pattern(" ring_allreduce ") == "ring_allreduce"
-        with pytest.raises(ValueError, match="ring_allreduce"):
-            validate_comm_pattern("tree")
+
+#: A jitter-free device doing one FLOP per second: compute time is the FLOPs.
+UNIT_DEVICE = DeviceProfile(
+    name="unit", peak_flops=1.0, efficiency=1.0, per_iteration_overhead=0.0, jitter=0.0
+)
+#: Half a second of compute per one-sample batch, a 20-byte payload: on the
+#: two-rack fixture one leg is leaf 0.1 + 20/100 plus uplink 1.0 + 20/10 = 3.3.
+UNIT_COST = ModelCost(flops_per_sample=0.5, num_parameters=5, parameter_bytes=20)
+LEG = 3.3
+
+
+def unit_worker(worker_id: str) -> WorkerSpec:
+    network = NetworkModel(name="test", latency=1e-3, bandwidth_bytes_per_second=1e9, jitter=0.0)
+    return WorkerSpec(worker_id=worker_id, device=UNIT_DEVICE, network=network)
+
+
+def rack_time_model(**kwargs) -> TopologyTimeModel:
+    return TopologyTimeModel(UNIT_COST, batch_size=1, topology=two_rack_fixture(), **kwargs)
+
+
+class TestPsTimeModel:
+    """An iteration is compute, then a push and a pull on the worker's path."""
+
+    @pytest.mark.parametrize("worker_id", ["a", "b", "c", "d"])
+    def test_an_iteration_is_a_push_then_a_pull_up_the_worker_path(self, worker_id):
+        model = rack_time_model()
+        spec = unit_worker(worker_id)
+        assert model.compute_time(spec) == 0.5
+        assert model.iteration_time(spec) == pytest.approx(0.5 + 2 * LEG)
+        uplink = "uplink-rack0" if worker_id in "ab" else "uplink-rack1"
+        push, pull = model.state.queue_trace
+        assert (push["link"], push["tag"], push["nbytes"]) == (uplink, f"{worker_id}:push", 20.0)
+        assert (pull["link"], pull["tag"], pull["nbytes"]) == (uplink, f"{worker_id}:pull", 20.0)
+        # Each leg reaches the uplink after the leaf; the pull follows the push.
+        assert push["arrival"] == pytest.approx(0.5 + 0.3)
+        assert pull["arrival"] == pytest.approx(0.5 + LEG + 0.3)
+        assert push["wait"] == pull["wait"] == 0.0
+
+    @pytest.mark.parametrize(
+        "first,second,same_rack",
+        [("a", "b", True), ("c", "d", True), ("a", "c", False), ("b", "d", False)],
+        ids=["rack0", "rack1", "a-c", "b-d"],
+    )
+    def test_workers_of_one_rack_queue_on_its_uplink(self, first, second, same_rack):
+        model = rack_time_model()
+        alone = model.communication_time(unit_worker(first))
+        behind = model.communication_time(unit_worker(second))
+        waits = [e["wait"] for e in model.state.queue_trace if e["tag"].startswith(second)]
+        assert alone == pytest.approx(2 * LEG)
+        if same_rack:
+            # Transfers are booked in call order: the second push reaches the
+            # uplink at 0.8 s but waits until the first worker's pull has left
+            # it at 7.1 s; its own pull then finds the uplink free.
+            assert behind == pytest.approx(alone + 6.3)
+            assert waits == pytest.approx([6.3, 0.0])
+        else:
+            assert behind == alone
+            assert waits == [0.0, 0.0]
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
+    def test_a_codec_shrinks_the_push_and_not_the_pull(self, fraction):
+        model = rack_time_model(push_wire_fraction=fraction)
+        push = 0.1 + 20 * fraction / 100 + 1.0 + 20 * fraction / 10
+        assert model.communication_time(unit_worker("a")) == pytest.approx(push + LEG)
+        assert [e["nbytes"] for e in model.state.queue_trace] == [20 * fraction, 20.0]
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_a_push_fraction_outside_the_unit_interval_is_refused(self, fraction):
+        with pytest.raises(ValueError, match="push_wire_fraction"):
+            rack_time_model(push_wire_fraction=fraction)
+
+    @pytest.mark.parametrize("scale", [0.5, 4.0])
+    def test_time_scale_stretches_both_legs_and_not_the_queue(self, scale):
+        plain, scaled = rack_time_model(), rack_time_model(time_scale=scale)
+        # The second iteration starts at 1 s and queues behind the first's pull.
+        for now in (0.0, 1.0):
+            assert scaled.iteration_time(unit_worker("a"), now=now * scale) == pytest.approx(
+                scale * plain.iteration_time(unit_worker("a"), now=now)
+            )
+        assert scaled.state.queue_trace[2]["wait"] > 0.0
+        assert scaled.state.queue_trace == plain.state.queue_trace
+
+    def test_the_push_joins_the_queue_after_compute(self):
+        def push_wait(now):
+            model = rack_time_model()
+            # Holds uplink-rack0 until 0.3 + 3.0 s.
+            model.state.transfer(model.topology.worker_path("b"), 20, start=0.0)
+            model.communication_time(unit_worker("a"), now=now)
+            return model.state.queue_trace[1]["wait"]
+
+        # Compute ends at now + 0.5 and the leaf takes 0.3 more.
+        assert push_wait(0.0) == pytest.approx(LEG - 0.8)
+        assert push_wait(LEG - 0.8) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("fractions", [(1.0,), (0.25, 0.75)], ids=["one-shard", "two-shards"])
+    def test_jitter_draws_go_compute_then_pushes_then_pulls(self, fractions):
+        network = NetworkModel(name="jittery", latency=0.5, bandwidth_bytes_per_second=10.0, jitter=0.2)
+        device = DeviceProfile(
+            name="noisy", peak_flops=1.0, efficiency=1.0, per_iteration_overhead=0.0, jitter=0.3
+        )
+        spec = WorkerSpec(worker_id="w", device=device, network=network)
+        topology = build_topology("flat", {"w": network})
+        model = TopologyTimeModel(UNIT_COST, batch_size=1, topology=topology, shard_fractions=fractions)
+        shard_bytes = [20.0] if len(fractions) == 1 else [int(20 * f) for f in fractions]
+        draws = np.random.default_rng(3)
+        compute = 0.5 * float(np.exp(draws.normal(0.0, 0.3)))
+        push = max((0.5 + b / 10.0) * float(np.exp(draws.normal(0.0, 0.2))) for b in shard_bytes)
+        pull = max((0.5 + b / 10.0) * float(np.exp(draws.normal(0.0, 0.2))) for b in shard_bytes)
+        iteration = model.iteration_time(spec, rng=np.random.default_rng(3))
+        assert iteration == pytest.approx(compute + push + pull, rel=1e-12)
+
+    def test_a_worker_off_the_topology_is_named(self):
+        with pytest.raises(KeyError, match="no worker 'e'"):
+            rack_time_model().iteration_time(unit_worker("e"))
 
 
 class TestPercentiles:
@@ -310,57 +401,3 @@ class TestPercentiles:
             "mean": 0.0,
             "max": 0.0,
         }
-
-
-class TestRingAllreduce:
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
-    def test_wire_bytes_formula(self, n):
-        payload = 1_000_000.0
-        expected = 2.0 * (n - 1) / n * payload
-        assert ring_allreduce_wire_bytes(payload, n) == expected
-        # Strictly less than the PS pattern's dense push+pull (2x payload).
-        assert ring_allreduce_wire_bytes(payload, n) < 2.0 * payload
-
-    def test_wire_bytes_rejects_degenerate_rings(self):
-        with pytest.raises(ValueError):
-            ring_allreduce_wire_bytes(100.0, 1)
-        with pytest.raises(ValueError):
-            ring_allreduce_wire_bytes(-1.0, 4)
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    @pytest.mark.parametrize("size", [1, 3, 17, 64])
-    def test_matches_mean_numerically(self, rng, n, size):
-        if size < n:
-            pytest.skip("fewer elements than workers")
-        arrays = [rng.normal(size=size) for _ in range(n)]
-        out = ring_allreduce(arrays)
-        np.testing.assert_allclose(out, np.mean(arrays, axis=0), rtol=1e-12)
-
-    def test_two_workers_bit_for_bit_vs_sequential_sum(self, rng):
-        arrays = [rng.normal(size=33) for _ in range(2)]
-        out = ring_allreduce(arrays, average=False)
-        reference = arrays[0].astype(np.float64) + arrays[1].astype(np.float64)
-        assert out.tolist() == reference.tolist()
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_identical_pushes_bit_for_bit_vs_ps_sum(self, rng, n):
-        # On identical inputs every fold order produces the same bits, so
-        # the ring must agree exactly with the server's sequential
-        # sum-then-divide — the property the simulated ring pattern relies
-        # on to reuse the PS apply path unchanged.
-        push = rng.normal(size=50)
-        arrays = [push.copy() for _ in range(n)]
-        ring = ring_allreduce(arrays, average=True)
-        sequential = arrays[0].astype(np.float64)
-        for array in arrays[1:]:
-            sequential = sequential + array
-        sequential = sequential / n
-        assert ring.tolist() == sequential.tolist()
-
-    def test_shape_preserved_and_mismatch_rejected(self, rng):
-        arrays = [rng.normal(size=(4, 5)) for _ in range(3)]
-        assert ring_allreduce(arrays).shape == (4, 5)
-        with pytest.raises(ValueError, match="shape"):
-            ring_allreduce([np.zeros(3), np.zeros(4)])
-        with pytest.raises(ValueError, match="empty"):
-            ring_allreduce([])

@@ -305,7 +305,7 @@ class TestShardedSimulation:
         assert np.allclose(mono.accuracies, sharded.accuracies)
 
 
-ONE, TWO = homogeneous_cluster(num_workers=1), homogeneous_cluster(num_workers=2)
+ONE = homogeneous_cluster(num_workers=1)
 
 
 def _renamed_cluster():
@@ -334,15 +334,7 @@ REJECTED = {
     "epoch_accounting": (
         {"options": {"cluster": ONE, "epoch_accounting": "sometimes"}}, "epoch_accounting"
     ),
-    "comm_pattern": ({"options": {"cluster": ONE, "comm_pattern": "gossip"}}, "comm_pattern"),
     "topology": ({"options": {"cluster": ONE, "topology": "nowhere"}}, "topology"),
-    "ring_paradigm": (
-        {
-            "num_workers": 2, "paradigm": "asp", "paradigm_kwargs": {},
-            "options": {"cluster": TWO, "comm_pattern": "ring_allreduce"},
-        },
-        "requires paradigm 'bsp'",
-    ),
     "topology_with_shards": (
         {"num_workers": 1, "num_shards": 2, "options": {"cluster": ONE, "topology": "flat"}},
         "single server endpoint",

@@ -15,12 +15,10 @@ from repro.ps.compression import CODECS, TopKCodec, make_codec
 from repro.ps.faults import FAULT_KIND_KEYS, NET_FAULT_EXAMPLES, parse_fault_plan, resolve_worker
 from repro.simulation.profiles import GPU_CATALOGUE, get_device_profile
 from repro.simulation.topology import (
-    COMM_PATTERNS,
     JITTERS,
     TOPOLOGY_PRESETS,
     canonical_topology_spec,
     make_jitter,
-    validate_comm_pattern,
 )
 from repro.utils.registry import Registry, UnknownName
 
@@ -145,7 +143,6 @@ def test_every_public_front_normalises_names():
     assert isinstance(make_codec("TopK:0.02"), TopKCodec)
     assert make_aggregator("Trimmed_Mean:1").k == 1
     assert get_backend("TCP").name == "tcp"
-    assert validate_comm_pattern("RING_ALLREDUCE") == "ring_allreduce"
     assert canonical_topology_spec("Two-Rack")["name"] == "two-rack"
     assert make_jitter("LogNormal:0.2").sigma == 0.2
     assert get_device_profile("P100") is GPU_CATALOGUE["p100"]
@@ -167,7 +164,6 @@ FRONTS = {
     "network": lambda name: ClusterConfig(network=name).build(),
     "topology preset": canonical_topology_spec,
     "jitter": lambda name: make_jitter(f"{name}:0.1"),
-    "comm_pattern": validate_comm_pattern,
     "codec": make_codec,
     "aggregator": make_aggregator,
     "fault kind": lambda name: parse_fault_plan([{"worker": 0, "kind": name}], (), WORKERS),
@@ -212,10 +208,8 @@ class TestCli:
         assert "\nfault kinds: crash, byzantine, corrupt, flaky\n" in printed
 
     def test_flags_resolve_through_the_registry(self):
-        arguments = _build_parser().parse_args(
-            ["run", "spec.json", "--backend", "TCP", "--comm-pattern", "PS"]
-        )
-        assert (arguments.backend, arguments.comm_pattern) == ("tcp", "ps")
+        arguments = _build_parser().parse_args(["run", "spec.json", "--backend", "TCP"])
+        assert arguments.backend == "tcp"
 
     def test_a_bad_flag_value_names_the_choices(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,4 @@
-"""Simulator regression matrix: 27 specs, every reported number dumped as hex.
+"""Simulator regression matrix: 26 specs, every reported number dumped as hex.
 
 A refactor of the simulated backend must leave its outputs bit-identical.
 Dump the matrix on two checkouts and compare leaf by leaf::
@@ -10,11 +10,11 @@ Dump the matrix on two checkouts and compare leaf by leaf::
 Covers the four paradigms, 1 worker, the ``none``/``topk``/``int8`` codecs,
 4 shards (size and hash), float32, ``per_worker`` accounting, LR milestones,
 ``max_updates``, heterogeneous clusters, ``median``/``trimmed_mean``,
-slowdowns, the ``tail-heavy`` topology, ``ring_allreduce`` and
-crash/byzantine/corrupt/flaky faults, and two convolutional workloads (a
-heterogeneous ``resnet110`` and the max-pooling ``alexnet``) so the ``nn``
-conv, pooling and batch-norm kernels are covered too.  ``samples_processed``
-is left out of the dump (it was corrected on purpose once).
+slowdowns, the ``tail-heavy`` topology, crash/byzantine/corrupt/flaky
+faults, and two convolutional workloads (a heterogeneous ``resnet110`` and
+the max-pooling ``alexnet``) so the ``nn`` conv, pooling and batch-norm
+kernels are covered too.  ``samples_processed`` is left out of the dump (it
+was corrected on purpose once).
 """
 
 
@@ -68,7 +68,6 @@ MATRIX = {
     "trimmed-mean": dict(aggregation="trimmed_mean:1"),
     "slowdowns": dict(slowdowns={"worker-1": 3.0}),
     "tail-heavy": dict(cluster=TAIL, epochs=3.0, batch_size=16),
-    "ring": dict(paradigm="bsp", paradigm_kwargs={}, comm_pattern="ring_allreduce"),
     "crash": dict(faults=({"worker": 2, "kind": "crash", "after_clock": 4},), aggregation="trimmed_mean:1"),
     "byzantine": dict(
         faults=({"worker": 1, "kind": "byzantine", "mode": "noise", "after_clock": 2},),
@@ -81,7 +80,7 @@ MATRIX = {
     "resnet110-hetero": dict(workload="resnet110", cluster=HETERO, epochs=1.0, batch_size=16),
     "alexnet": dict(workload="alexnet", epochs=1.0, batch_size=16),
 }
-assert len(MATRIX) == 27
+assert len(MATRIX) == 26
 
 
 def hexed(value):

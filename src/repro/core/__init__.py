@@ -34,7 +34,6 @@ from repro.core.regret import (
 )
 from repro.core.factory import (
     POLICIES,
-    available_policies,
     make_policy,
     register_policy,
     validate_paradigm,
@@ -58,7 +57,6 @@ __all__ = [
     "empirical_regret",
     "regret_is_sublinear",
     "make_policy",
-    "available_policies",
     "POLICIES",
     "register_policy",
     "validate_paradigm",

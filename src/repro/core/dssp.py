@@ -34,7 +34,8 @@ the other hand, assumes the effective threshold never exceeds ``s_U``;
 constructing the policy with ``enforce_upper_bound=True`` enforces exactly
 that (credits are granted and consumed only while the lead stays below
 ``s_U``), at the cost of behaving more like SSP at ``s_U`` on very skewed
-clusters.  The ablation benchmarks compare both readings.
+clusters.  The seed table in docs/paradigms.md compares both readings on
+Figure 4's cluster.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ nothing in this module needs editing to add one:
     def _build_gossip(fanout):
         return GossipParallel(fanout=int(fanout))
 
-:func:`make_policy` and :func:`available_policies` read from the registry,
-so every front end (the unified :mod:`repro.api`, the simulator, the
-wall-clock runtimes) picks the new paradigm up by name immediately.
+:func:`make_policy` reads from the registry, so every front end (the
+unified :mod:`repro.api`, the simulator, the wall-clock runtimes) picks the
+new paradigm up by name immediately.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "POLICIES",
     "register_policy",
     "make_policy",
-    "available_policies",
     "validate_paradigm",
 ]
 
@@ -36,11 +35,6 @@ __all__ = [
 #: ``TypeError``).
 POLICIES = Registry("paradigm")
 register_policy = POLICIES.register
-
-
-def available_policies() -> list[str]:
-    """Names accepted by :func:`make_policy`, in registration order."""
-    return list(POLICIES)
 
 
 #: Construct a policy by name: ``make_policy("ssp", staleness=3)``.

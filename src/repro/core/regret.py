@@ -27,7 +27,6 @@ __all__ = [
     "dssp_regret_bound",
     "empirical_regret",
     "regret_is_sublinear",
-    "suggested_step_size",
 ]
 
 
@@ -70,24 +69,6 @@ def dssp_regret_bound(
         lipschitz_constant=lipschitz_constant,
         diameter_bound=diameter_bound,
     )
-
-
-def suggested_step_size(
-    iteration: int,
-    staleness: int,
-    num_workers: int,
-    lipschitz_constant: float = 1.0,
-    diameter_bound: float = 1.0,
-) -> float:
-    """The theorem's step size ``eta_t = sigma / sqrt(t)`` with
-    ``sigma = F / (L sqrt(2 (s + 1) P))``."""
-    if iteration < 1:
-        raise ValueError("iteration must be >= 1")
-    _check_bound_arguments(iteration, staleness, num_workers, lipschitz_constant, diameter_bound)
-    sigma = diameter_bound / (
-        lipschitz_constant * math.sqrt(2.0 * (staleness + 1) * num_workers)
-    )
-    return sigma / math.sqrt(iteration)
 
 
 def empirical_regret(losses: Sequence[float], optimal_loss: float) -> np.ndarray:

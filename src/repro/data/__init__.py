@@ -1,49 +1,31 @@
 """Datasets, partitioning and mini-batch loading.
 
 The paper uses CIFAR-10 and CIFAR-100.  Those binaries are not available in
-the offline reproduction environment, so the default datasets are synthetic
+the offline reproduction environment, so the datasets are synthetic
 image-classification problems (:func:`synthetic_cifar10`,
 :func:`synthetic_cifar100`) whose class structure and tensor geometry mirror
-CIFAR; real CIFAR files are loaded instead when present on disk
-(:func:`load_cifar_if_available`).  Data parallelism follows the paper:
-the training set is split into equal partitions, one per worker.
+CIFAR.  Data parallelism follows the paper: the training set is split into
+equal partitions, one per worker.
 """
 
-from repro.data.dataset import ArrayDataset, Dataset, train_test_split
+from repro.data.dataset import ArrayDataset, Dataset
 from repro.data.synthetic import (
     SyntheticImageConfig,
     make_synthetic_image_dataset,
     synthetic_cifar10,
     synthetic_cifar100,
-    make_convex_regression_dataset,
 )
-from repro.data.cifar import load_cifar_if_available
 from repro.data.partitioner import partition_dataset, partition_indices
 from repro.data.loader import MiniBatchLoader
-from repro.data.augmentation import (
-    random_horizontal_flip,
-    add_gaussian_noise,
-    random_channel_dropout,
-    random_rotation,
-    AugmentationPipeline,
-)
 
 __all__ = [
     "Dataset",
     "ArrayDataset",
-    "train_test_split",
     "SyntheticImageConfig",
     "make_synthetic_image_dataset",
     "synthetic_cifar10",
     "synthetic_cifar100",
-    "make_convex_regression_dataset",
-    "load_cifar_if_available",
     "partition_dataset",
     "partition_indices",
     "MiniBatchLoader",
-    "random_horizontal_flip",
-    "add_gaussian_noise",
-    "random_channel_dropout",
-    "random_rotation",
-    "AugmentationPipeline",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dataset", "ArrayDataset", "train_test_split"]
+__all__ = ["Dataset", "ArrayDataset"]
 
 
 class Dataset:
@@ -60,22 +60,3 @@ class ArrayDataset(Dataset):
     def sample_shape(self) -> tuple[int, ...]:
         """Shape of one input sample."""
         return tuple(self.inputs.shape[1:])
-
-
-def train_test_split(
-    dataset: ArrayDataset, test_fraction: float, rng: np.random.Generator
-) -> tuple[ArrayDataset, ArrayDataset]:
-    """Randomly split a dataset into train/test parts.
-
-    ``test_fraction`` must leave at least one sample on each side.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    count = len(dataset)
-    test_count = max(1, int(round(count * test_fraction)))
-    if test_count >= count:
-        raise ValueError("test_fraction leaves no training samples")
-    permutation = rng.permutation(count)
-    test_indices = permutation[:test_count]
-    train_indices = permutation[test_count:]
-    return dataset.subset(train_indices), dataset.subset(test_indices)

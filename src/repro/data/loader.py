@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class MiniBatchLoader:
         rng: np.random.Generator,
         shuffle: bool = True,
         drop_last: bool = False,
-        augmentation: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None,
         rows: np.ndarray | None = None,
     ) -> None:
         #: The dataset rows this loader draws from, in their given order.
@@ -44,7 +43,6 @@ class MiniBatchLoader:
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
         self.drop_last = bool(drop_last)
-        self.augmentation = augmentation
         self._rng = rng
         self._order = self.rows.copy()
         self._cursor = 0
@@ -62,8 +60,6 @@ class MiniBatchLoader:
         self._cursor = end
         inputs = self.dataset.inputs[indices]
         labels = self.dataset.labels[indices]
-        if self.augmentation is not None:
-            inputs = self.augmentation(inputs, self._rng)
         return inputs, labels
 
     def skip(self, batches: int) -> None:
@@ -72,17 +68,12 @@ class MiniBatchLoader:
         Fast-forward for deterministic replay: a worker rejoining a restarted
         server rebuilds its loader from the seed and skips to the resumed
         iteration, landing in exactly the state a worker that drew (and
-        trained on) those batches would be in.  With an ``augmentation``
-        hook the batches must be materialized anyway (the hook consumes RNG
-        draws per batch); otherwise only the cursor and the epoch reshuffles
-        advance.
+        trained on) those batches would be in: only the cursor and the epoch
+        reshuffles advance.
         """
         if batches < 0:
             raise ValueError("batches must be non-negative")
         for _ in range(batches):
-            if self.augmentation is not None:
-                self.next_batch()
-                continue
             if self._cursor >= len(self._order):
                 self._cursor = 0
                 if self.shuffle:
@@ -100,6 +91,4 @@ class MiniBatchLoader:
                 break
             inputs = self.dataset.inputs[indices]
             labels = self.dataset.labels[indices]
-            if self.augmentation is not None:
-                inputs = self.augmentation(inputs, self._rng)
             yield inputs, labels

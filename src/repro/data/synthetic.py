@@ -22,7 +22,6 @@ __all__ = [
     "make_synthetic_image_dataset",
     "synthetic_cifar10",
     "synthetic_cifar100",
-    "make_convex_regression_dataset",
 ]
 
 
@@ -149,23 +148,3 @@ def synthetic_cifar100(
         seed=seed,
     )
     return make_synthetic_image_dataset(config)
-
-
-def make_convex_regression_dataset(
-    num_samples: int = 1000,
-    num_features: int = 20,
-    noise_scale: float = 0.1,
-    seed: int = 0,
-) -> tuple[ArrayDataset, np.ndarray]:
-    """Linear-regression data for the convex regret-bound experiments.
-
-    Returns the dataset and the ground-truth weight vector so tests can
-    verify that distributed SGD converges towards it.
-    """
-    if num_samples < 2 or num_features < 1:
-        raise ValueError("num_samples must be >= 2 and num_features >= 1")
-    rng = np.random.default_rng(seed)
-    true_weights = rng.normal(0.0, 1.0, size=num_features)
-    inputs = rng.normal(0.0, 1.0, size=(num_samples, num_features))
-    targets = inputs @ true_weights + rng.normal(0.0, noise_scale, size=num_samples)
-    return ArrayDataset(inputs, targets.astype(np.float64)), true_weights

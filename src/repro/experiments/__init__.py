@@ -44,13 +44,7 @@ from repro.experiments.ablations import (
     throughput_ablation,
     dssp_range_ablation,
     regret_experiment,
-    staleness_distribution_ablation,
     fluctuating_environment_ablation,
-)
-from repro.experiments.export import (
-    export_figure_csv,
-    export_comparison_json,
-    load_comparison_json,
 )
 from repro.experiments.topology_sweep import (
     SWEEP_PARADIGMS,
@@ -90,11 +84,7 @@ __all__ = [
     "throughput_ablation",
     "dssp_range_ablation",
     "regret_experiment",
-    "staleness_distribution_ablation",
     "fluctuating_environment_ablation",
-    "export_figure_csv",
-    "export_comparison_json",
-    "load_comparison_json",
     "format_figure_result",
     "format_comparison_summary",
     "SWEEP_PARADIGMS",

@@ -7,8 +7,6 @@ These go beyond the paper's figures to exercise the discussion sections:
   FC-bearing and conv-only networks.
 * :func:`dssp_range_ablation` — sensitivity of DSSP to the threshold range
   ``[s_L, s_U]`` (the knob that replaces SSP's single threshold).
-* :func:`staleness_distribution_ablation` — realized update-staleness
-  distributions per paradigm (the mechanism behind ASP's accuracy loss).
 * :func:`regret_experiment` — empirical check of Theorems 1/2 on a convex
   problem: cumulative regret under SSP/DSSP stays below the bound and is
   sub-linear.
@@ -36,7 +34,6 @@ from repro.simulation.topology import TopologyTimeModel, build_topology
 __all__ = [
     "throughput_ablation",
     "dssp_range_ablation",
-    "staleness_distribution_ablation",
     "fluctuating_environment_ablation",
     "regret_experiment",
 ]
@@ -167,35 +164,6 @@ def dssp_range_ablation(
             )
         )
     return entries
-
-
-# ----------------------------------------------------------------------
-# Staleness-distribution ablation
-# ----------------------------------------------------------------------
-def staleness_distribution_ablation(
-    scale: ExperimentScale = DEFAULT, epochs: float | None = None, seed: int = 0
-) -> dict[str, object]:
-    """Realized update-staleness summaries per paradigm (heterogeneous cluster)."""
-    epochs = epochs if epochs is not None else max(scale.epochs / 2, 1.0)
-    workload = mlp_workload(scale, seed=seed)
-    cluster = heterogeneous_cluster()
-    paradigms = [
-        ("bsp", {}),
-        ("asp", {}),
-        ("ssp", {"staleness": 3}),
-        ("dssp", {"s_lower": 3, "s_upper": 15}),
-    ]
-    comparison = run_paradigm_comparison(
-        workload=workload,
-        cluster=cluster,
-        paradigms=paradigms,
-        epochs=epochs,
-        batch_size=scale.batch_size,
-        evaluate_every_updates=0,
-        seed=seed,
-        scale=scale,
-    )
-    return {label: result.staleness for label, result in comparison.results.items()}
 
 
 # ----------------------------------------------------------------------

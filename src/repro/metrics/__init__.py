@@ -1,11 +1,7 @@
 """Measurement utilities: accuracy, convergence, throughput."""
 
 from repro.metrics.accuracy import top1_accuracy, evaluate_model
-from repro.metrics.convergence import (
-    time_to_accuracy,
-    accuracy_at_time,
-    area_under_accuracy_curve,
-)
+from repro.metrics.convergence import time_to_accuracy
 from repro.metrics.throughput import (
     iteration_throughput,
     PercentileSummary,
@@ -21,8 +17,6 @@ __all__ = [
     "top1_accuracy",
     "evaluate_model",
     "time_to_accuracy",
-    "accuracy_at_time",
-    "area_under_accuracy_curve",
     "iteration_throughput",
     "PercentileSummary",
     "percentile",

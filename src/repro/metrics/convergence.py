@@ -1,7 +1,7 @@
 """Convergence measures used by the paper's evaluation.
 
-Table I reports *time to reach a target test accuracy*; the figures compare
-accuracy-vs-time curves.  These helpers compute both from recorded series.
+Table I reports *time to reach a target test accuracy*, computed here from a
+recorded accuracy-vs-time series.
 """
 
 from __future__ import annotations
@@ -10,17 +10,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["time_to_accuracy", "accuracy_at_time", "area_under_accuracy_curve"]
-
-
-def _validate_series(times: Sequence[float], accuracies: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    times = np.asarray(list(times), dtype=np.float64)
-    accuracies = np.asarray(list(accuracies), dtype=np.float64)
-    if times.shape != accuracies.shape or times.ndim != 1:
-        raise ValueError("times and accuracies must be 1-D sequences of equal length")
-    if times.size and np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
-    return times, accuracies
+__all__ = ["time_to_accuracy"]
 
 
 def time_to_accuracy(
@@ -31,47 +21,13 @@ def time_to_accuracy(
     Returns ``None`` when the target is never reached — rendered as "−" in
     the paper's Table I.
     """
-    times, accuracies = _validate_series(times, accuracies)
+    times = np.asarray(list(times), dtype=np.float64)
+    accuracies = np.asarray(list(accuracies), dtype=np.float64)
+    if times.shape != accuracies.shape or times.ndim != 1:
+        raise ValueError("times and accuracies must be 1-D sequences of equal length")
+    if times.size and np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing")
     reached = np.nonzero(accuracies >= target)[0]
     if reached.size == 0:
         return None
     return float(times[reached[0]])
-
-
-def accuracy_at_time(
-    times: Sequence[float], accuracies: Sequence[float], query_time: float
-) -> float:
-    """Best accuracy achieved at or before ``query_time`` (0.0 if none)."""
-    times, accuracies = _validate_series(times, accuracies)
-    mask = times <= query_time
-    if not np.any(mask):
-        return 0.0
-    return float(accuracies[mask].max())
-
-
-def area_under_accuracy_curve(
-    times: Sequence[float], accuracies: Sequence[float], horizon: float | None = None
-) -> float:
-    """Integral of the accuracy-vs-time curve, normalized by the horizon.
-
-    A compact scalar summary of "how quickly and how high" a paradigm
-    converges: larger is better.  When ``horizon`` is given the curve is
-    truncated (or extended at its final value) to that time.
-    """
-    times, accuracies = _validate_series(times, accuracies)
-    if times.size == 0:
-        return 0.0
-    if horizon is None:
-        horizon = float(times[-1])
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    mask = times <= horizon
-    times = times[mask]
-    accuracies = accuracies[mask]
-    if times.size == 0:
-        return 0.0
-    # Extend the curve to the horizon at its last value.
-    if times[-1] < horizon:
-        times = np.append(times, horizon)
-        accuracies = np.append(accuracies, accuracies[-1])
-    return float(np.trapezoid(accuracies, times) / horizon)

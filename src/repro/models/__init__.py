@@ -16,7 +16,7 @@ Every builder accepts ``rng`` for reproducible initialization and returns a
 from repro.models.mlp import mlp, logistic_regression
 from repro.models.alexnet import downsized_alexnet
 from repro.models.resnet import cifar_resnet, resnet20, resnet32, resnet56, resnet110, resnet50
-from repro.models.registry import MODELS, ModelSpec, build_model, register_model, available_models
+from repro.models.registry import MODELS, ModelSpec, register_model
 
 __all__ = [
     "MODELS",
@@ -30,7 +30,5 @@ __all__ = [
     "resnet110",
     "resnet50",
     "ModelSpec",
-    "build_model",
     "register_model",
-    "available_models",
 ]

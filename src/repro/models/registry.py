@@ -22,7 +22,7 @@ from repro.models.resnet import cifar_resnet, resnet20, resnet32, resnet50, resn
 from repro.nn.module import Module
 from repro.utils.registry import Registry
 
-__all__ = ["ModelSpec", "MODELS", "register_model", "build_model", "available_models"]
+__all__ = ["ModelSpec", "MODELS", "register_model"]
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,6 @@ class ModelSpec:
 #: Model name → :class:`ModelSpec`.
 MODELS = Registry("model", given=("rng",))
 register_model = MODELS.add
-
-
-def build_model(name: str, rng: np.random.Generator | None = None, **overrides) -> Module:
-    """Instantiate a registered model by name."""
-    return MODELS[name].build(rng=rng, **overrides)
-
-
-def available_models() -> dict[str, ModelSpec]:
-    """Copy of the registry keyed by model name."""
-    return dict(MODELS)
 
 
 for _spec in (

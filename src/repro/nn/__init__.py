@@ -18,7 +18,7 @@ from repro.nn.activations import ReLU, LeakyReLU, Sigmoid, Tanh
 from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
 from repro.nn.container import Sequential, Identity, Residual
-from repro.nn.losses import SoftmaxCrossEntropy, MeanSquaredError
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn import functional
 from repro.nn import initializers
 
@@ -44,7 +44,6 @@ __all__ = [
     "Identity",
     "Residual",
     "SoftmaxCrossEntropy",
-    "MeanSquaredError",
     "functional",
     "initializers",
 ]

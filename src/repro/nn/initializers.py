@@ -6,41 +6,31 @@ import math
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "zeros", "ones"]
+__all__ = ["kaiming_uniform", "kaiming_normal", "zeros", "ones"]
 
 
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    """Compute fan-in / fan-out for linear (out,in) or conv (out,in,kh,kw) shapes."""
+def _fan_in(shape: tuple[int, ...]) -> int:
+    """Fan-in of a linear (out,in) or conv (out,in,kh,kw) weight shape."""
     if len(shape) == 2:
-        fan_out, fan_in = shape
-        return fan_in, fan_out
+        return shape[1]
     if len(shape) == 4:
-        out_channels, in_channels, kernel_h, kernel_w = shape
-        receptive = kernel_h * kernel_w
-        return in_channels * receptive, out_channels * receptive
-    size = int(np.prod(shape)) if shape else 1
-    return size, size
+        _, in_channels, kernel_h, kernel_w = shape
+        return in_channels * kernel_h * kernel_w
+    return int(np.prod(shape)) if shape else 1
 
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform initialization (suited to ReLU networks)."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     bound = math.sqrt(6.0 / max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
 
 
 def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming normal initialization."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     std = math.sqrt(2.0 / max(fan_in, 1))
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialization (suited to tanh/sigmoid networks)."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:

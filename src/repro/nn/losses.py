@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.nn.workspace import Workspace
 
-__all__ = ["SoftmaxCrossEntropy", "MeanSquaredError"]
+__all__ = ["SoftmaxCrossEntropy"]
 
 
 class SoftmaxCrossEntropy:
@@ -67,37 +67,3 @@ class SoftmaxCrossEntropy:
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
-
-
-class MeanSquaredError:
-    """Mean squared error for regression targets."""
-
-    def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._workspace = Workspace()
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"predictions shape {predictions.shape} != targets shape {targets.shape}"
-            )
-        self._cache = (predictions, targets)
-        diff = self._workspace.get("diff", predictions.shape)
-        np.subtract(predictions, targets, out=diff)
-        np.multiply(diff, diff, out=diff)
-        return float(np.mean(diff))
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        predictions, targets = self._cache
-        grad = self._workspace.get("grad", predictions.shape)
-        np.subtract(predictions, targets, out=grad)
-        grad *= 2.0
-        grad /= predictions.size
-        return grad
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)

@@ -1,28 +1,11 @@
-"""Optimizers and learning-rate schedules.
+"""The optimizer and learning-rate schedule.
 
-The parameter server applies gradients with these optimizers on the *global*
+The parameter server applies gradients with :class:`SGD` on the *global*
 weights; workers only compute gradients.  This mirrors the paper's setup in
 which the server performs the weight update on every push.
 """
 
-from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
-from repro.optim.schedules import (
-    ConstantSchedule,
-    StepDecaySchedule,
-    MultiStepSchedule,
-    PolynomialDecaySchedule,
-    WarmupSchedule,
-)
-from repro.optim.staleness_aware import StalenessAwareSGD
+from repro.optim.schedules import MultiStepSchedule
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "ConstantSchedule",
-    "StepDecaySchedule",
-    "MultiStepSchedule",
-    "PolynomialDecaySchedule",
-    "WarmupSchedule",
-    "StalenessAwareSGD",
-]
+__all__ = ["SGD", "MultiStepSchedule"]

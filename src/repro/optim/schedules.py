@@ -10,48 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = [
-    "ConstantSchedule",
-    "StepDecaySchedule",
-    "MultiStepSchedule",
-    "PolynomialDecaySchedule",
-    "WarmupSchedule",
-]
-
-
-class ConstantSchedule:
-    """Always return the base learning rate."""
-
-    def __init__(self, base_learning_rate: float) -> None:
-        if base_learning_rate <= 0:
-            raise ValueError("base_learning_rate must be > 0")
-        self.base_learning_rate = float(base_learning_rate)
-
-    def learning_rate(self, progress: float) -> float:
-        """Learning rate at ``progress`` (epoch or fraction — unused)."""
-        del progress
-        return self.base_learning_rate
-
-    __call__ = learning_rate
-
-
-class StepDecaySchedule:
-    """Multiply the rate by ``decay`` every ``step_size`` units of progress."""
-
-    def __init__(self, base_learning_rate: float, step_size: float, decay: float) -> None:
-        if base_learning_rate <= 0 or step_size <= 0:
-            raise ValueError("base_learning_rate and step_size must be > 0")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.base_learning_rate = float(base_learning_rate)
-        self.step_size = float(step_size)
-        self.decay = float(decay)
-
-    def learning_rate(self, progress: float) -> float:
-        exponent = int(progress // self.step_size)
-        return self.base_learning_rate * (self.decay**exponent)
-
-    __call__ = learning_rate
+__all__ = ["MultiStepSchedule"]
 
 
 class MultiStepSchedule:
@@ -71,55 +30,5 @@ class MultiStepSchedule:
     def learning_rate(self, progress: float) -> float:
         passed = sum(1 for milestone in self.milestones if progress >= milestone)
         return self.base_learning_rate * (self.decay**passed)
-
-    __call__ = learning_rate
-
-
-class PolynomialDecaySchedule:
-    """Polynomial decay from the base rate to ``final`` over ``total`` progress."""
-
-    def __init__(
-        self,
-        base_learning_rate: float,
-        total: float,
-        final_learning_rate: float = 0.0,
-        power: float = 1.0,
-    ) -> None:
-        if base_learning_rate <= 0 or total <= 0 or power <= 0:
-            raise ValueError("base_learning_rate, total and power must be > 0")
-        if final_learning_rate < 0 or final_learning_rate > base_learning_rate:
-            raise ValueError("final_learning_rate must be in [0, base_learning_rate]")
-        self.base_learning_rate = float(base_learning_rate)
-        self.total = float(total)
-        self.final_learning_rate = float(final_learning_rate)
-        self.power = float(power)
-
-    def learning_rate(self, progress: float) -> float:
-        fraction = min(max(progress / self.total, 0.0), 1.0)
-        span = self.base_learning_rate - self.final_learning_rate
-        return self.final_learning_rate + span * (1.0 - fraction) ** self.power
-
-    __call__ = learning_rate
-
-
-class WarmupSchedule:
-    """Linear warm-up wrapper around another schedule.
-
-    For ``progress < warmup`` the rate ramps linearly from 0 to the wrapped
-    schedule's value at ``warmup``; afterwards the wrapped schedule is used
-    unchanged.
-    """
-
-    def __init__(self, schedule, warmup: float) -> None:
-        if warmup <= 0:
-            raise ValueError("warmup must be > 0")
-        self.schedule = schedule
-        self.warmup = float(warmup)
-
-    def learning_rate(self, progress: float) -> float:
-        if progress >= self.warmup:
-            return self.schedule.learning_rate(progress)
-        target = self.schedule.learning_rate(self.warmup)
-        return target * max(progress, 0.0) / self.warmup
 
     __call__ = learning_rate

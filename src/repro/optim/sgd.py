@@ -1,4 +1,16 @@
-"""Stochastic gradient descent with momentum and weight decay."""
+"""Stochastic gradient descent with momentum and weight decay.
+
+:class:`SGD` is the parameter server's one optimizer.  It updates a *state
+dictionary* ``{name: ndarray}`` in place given a gradient dictionary with
+matching keys (:meth:`SGD.step`), which is what the server does when a
+worker pushes an update.  Stores that pack their parameters into contiguous
+flat buffers (:mod:`repro.ps.flatbuffer`) call its vectorized sibling
+:meth:`SGD.step_flat` instead: one fused update over each contiguous
+gradient run rather than a Python loop over named tensors.  The two paths
+are numerically identical — the update rule is elementwise, so operating on
+a concatenation of the parameters produces bit-for-bit the same values as
+operating on them one by one.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +18,10 @@ from collections.abc import Mapping, MutableMapping, Sequence
 
 import numpy as np
 
-from repro.optim.optimizer import Optimizer
-
 __all__ = ["SGD"]
 
 
-class SGD(Optimizer):
+class SGD:
     """SGD with optional (Nesterov) momentum and L2 weight decay.
 
     This matches the update rule the paper uses (MXNet's SGD): for each
@@ -40,13 +50,17 @@ class SGD(Optimizer):
         weight_decay: float = 0.0,
         nesterov: bool = False,
     ) -> None:
-        super().__init__(learning_rate)
+        if learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         if nesterov and momentum == 0.0:
             raise ValueError("nesterov momentum requires momentum > 0")
+        self._base_learning_rate = float(learning_rate)
+        self._learning_rate = float(learning_rate)
+        self._step_count = 0
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.nesterov = bool(nesterov)
@@ -59,10 +73,60 @@ class SGD(Optimizer):
         self._chunk_scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
+    def learning_rate(self) -> float:
+        """Learning rate that will be used by the next :meth:`step` call."""
+        return self._learning_rate
+
+    @learning_rate.setter
+    def learning_rate(self, value: float) -> None:
+        if value <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {value}")
+        self._learning_rate = float(value)
+
+    @property
+    def base_learning_rate(self) -> float:
+        """Learning rate the optimizer was constructed with."""
+        return self._base_learning_rate
+
+    @property
+    def step_count(self) -> int:
+        """Number of :meth:`step` calls performed so far."""
+        return self._step_count
+
+    @property
     def sparse_runs(self) -> bool:
         # The decay term is dense whatever the gradient is, and Nesterov's
         # look-ahead has not been shown equal: those pushes are densified.
         return not (self.weight_decay or self.nesterov)
+
+    def step(
+        self,
+        weights: MutableMapping[str, np.ndarray],
+        gradients: Mapping[str, np.ndarray],
+        scale: float = 1.0,
+    ) -> None:
+        """Update ``weights`` in place using ``gradients``.
+
+        ``scale`` multiplies the gradients before the update; the parameter
+        server uses it to average gradients aggregated from several workers.
+        """
+        missing = set(gradients) - set(weights)
+        if missing:
+            raise KeyError(f"gradients refer to unknown weights: {sorted(missing)[:5]}")
+        self._apply(weights, gradients, scale)
+        self._step_count += 1
+
+    def step_flat(self, updates: Sequence, scale: float = 1.0) -> None:
+        """Apply one push as fused updates over packed flat segments.
+
+        ``updates`` is a sequence of :class:`repro.ps.flatbuffer.FlatUpdate`
+        objects (duck-typed: anything exposing ``key``, ``weights``,
+        ``velocity_size``, ``layout`` and ``runs``), one per touched shard.
+        Exactly one optimizer step: ``step_count`` advances once regardless
+        of how many shards the push touched.
+        """
+        self._apply_flat(updates, scale)
+        self._step_count += 1
 
     def _apply(
         self,
@@ -228,15 +292,23 @@ class SGD(Optimizer):
             weights[lo : lo + chunk] -= step
 
     def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["momentum"] = self.momentum
-        state["weight_decay"] = self.weight_decay
-        state["nesterov"] = self.nesterov
-        state["velocity"] = {name: np.array(v, copy=True) for name, v in self._velocity.items()}
-        return state
+        """Serializable optimizer state: step count, learning rates,
+        hyperparameters and the per-parameter momentum velocity."""
+        return {
+            "step_count": self._step_count,
+            "learning_rate": self._learning_rate,
+            "base_learning_rate": self._base_learning_rate,
+            "momentum": self.momentum,
+            "weight_decay": self.weight_decay,
+            "nesterov": self.nesterov,
+            "velocity": {name: np.array(v, copy=True) for name, v in self._velocity.items()},
+        }
 
     def load_state_dict(self, state: Mapping) -> None:
-        super().load_state_dict(state)
+        """Restore state produced by :meth:`state_dict`."""
+        self._step_count = int(state["step_count"])
+        self._learning_rate = float(state["learning_rate"])
+        self._base_learning_rate = float(state.get("base_learning_rate", self._learning_rate))
         self.momentum = float(state.get("momentum", self.momentum))
         self.weight_decay = float(state.get("weight_decay", self.weight_decay))
         self.nesterov = bool(state.get("nesterov", self.nesterov))

@@ -86,7 +86,6 @@ from repro.ps.checkpoint import (
 from repro.ps.compression import (
     EncodedShard,
     GradientCodec,
-    available_codecs,
     decode_shard,
     make_codec,
     validate_codec_spec,
@@ -139,7 +138,6 @@ __all__ = [
     "restore_into",
     "EncodedShard",
     "GradientCodec",
-    "available_codecs",
     "decode_shard",
     "make_codec",
     "validate_codec_spec",

@@ -1,7 +1,7 @@
 """Pluggable server-side aggregation of pushed gradients.
 
 The parameter server's default behavior applies every push the moment it
-arrives: one :meth:`~repro.optim.Optimizer.step_flat` per push, scaled by
+arrives: one :meth:`~repro.optim.SGD.step_flat` per push, scaled by
 ``1 / num_workers``.  That is exactly the arithmetic-mean update the paper's
 MXNet setup uses, and it is the bit-for-bit fast path this module preserves
 under the name ``mean``.
@@ -51,7 +51,6 @@ __all__ = [
     "ClipAggregator",
     "AGGREGATORS",
     "register_aggregator",
-    "available_aggregators",
     "parse_aggregation_spec",
     "make_aggregator",
     "validate_aggregation_spec",
@@ -91,11 +90,6 @@ class Aggregator:
 #: Aggregator name → aggregator class; its ``__init__`` is its parameters.
 AGGREGATORS = Registry("aggregator", field="aggregation")
 register_aggregator = AGGREGATORS.add
-
-
-def available_aggregators() -> tuple[str, ...]:
-    """Registered aggregator names, sorted."""
-    return tuple(sorted(AGGREGATORS))
 
 
 #: Parse an aggregation spec: ``trimmed_mean:1`` means ``trimmed_mean:k=1``.

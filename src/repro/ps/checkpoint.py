@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.optim.optimizer import Optimizer
+from repro.optim.sgd import SGD
 from repro.ps.sharding import ShardedKeyValueStore
 
 __all__ = [
@@ -72,7 +72,7 @@ class CheckpointMetadata:
 def save_checkpoint(
     path: str | Path,
     store: ShardedKeyValueStore,
-    optimizer: Optimizer,
+    optimizer: SGD,
     paradigm: str = "unknown",
     extra: dict | None = None,
     codec_states: dict[str, dict[str, np.ndarray]] | None = None,
@@ -197,7 +197,7 @@ def load_codec_states(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
 
 
 def restore_into(
-    path: str | Path, store: ShardedKeyValueStore, optimizer: Optimizer
+    path: str | Path, store: ShardedKeyValueStore, optimizer: SGD
 ) -> CheckpointMetadata:
     """Restore a checkpoint into an existing store and optimizer.
 

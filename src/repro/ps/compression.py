@@ -4,7 +4,7 @@ The hot path ships one packed float64 gradient buffer per shard (see
 :mod:`repro.ps.flatbuffer`).  This module compresses exactly that buffer —
 no pickle, no per-name gather — into an :class:`EncodedShard` the transport
 moves and the server decodes straight back into the fused
-:meth:`repro.optim.Optimizer.step_flat` path.
+:meth:`repro.optim.SGD.step_flat` path.
 
 Codecs, addressed by name through a registry (``make_codec("topk:0.01")``):
 
@@ -50,7 +50,6 @@ __all__ = [
     "SignificanceCodec",
     "CODECS",
     "register_codec",
-    "available_codecs",
     "parse_codec_spec",
     "validate_codec_spec",
     "make_codec",
@@ -153,11 +152,6 @@ class GradientCodec:
 #: Codec name → codec class; a class's ``__init__`` is its parameters.
 CODECS = Registry("codec", field="compression")
 register_codec = CODECS.add
-
-
-def available_codecs() -> tuple[str, ...]:
-    """Registered codec names, sorted."""
-    return tuple(sorted(CODECS))
 
 
 #: Parse a compression spec: ``topk:0.01`` means ``topk:density=0.01``.

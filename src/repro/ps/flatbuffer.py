@@ -15,7 +15,7 @@ provides that layer:
   with ``writeable=False``), a shard-level copy-on-write *lease* so views
   handed out by pulls stay stable snapshots, and run packing that turns a
   pushed gradient dictionary into the fewest possible contiguous segments.
-* :class:`FlatUpdate` — the unit :meth:`repro.optim.Optimizer.step_flat`
+* :class:`FlatUpdate` — the unit :meth:`repro.optim.SGD.step_flat`
   consumes: the shard's writable buffer, its weight layout, and the packed
   gradient runs to apply.
 
@@ -144,7 +144,7 @@ class FlatLayout:
 class FlatUpdate:
     """One shard's share of a fused gradient application.
 
-    Consumed by :meth:`repro.optim.Optimizer.step_flat`.  ``runs`` holds the
+    Consumed by :meth:`repro.optim.SGD.step_flat`.  ``runs`` holds the
     packed gradient as the fewest contiguous segments ``(lo, hi, grad)``
     where ``grad`` is a private scratch array the optimizer may mutate in
     place.  A *sparse* run carries the tuple ``(indices, values)`` instead:

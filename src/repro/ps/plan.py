@@ -76,8 +76,6 @@ class TrainingPlan:
     num_workers, iterations_per_worker, batch_size:
         Run shape; every worker performs the same number of push iterations
         (the invariant that keeps BSP rounds deadlock-free).
-    micro_batches:
-        Mini-batches aggregated per push (models multi-GPU workers).
     learning_rate, momentum, weight_decay:
         Server-side SGD hyper-parameters.
     slowdowns:
@@ -139,7 +137,6 @@ class TrainingPlan:
     num_workers: int = 4
     iterations_per_worker: int = 20
     batch_size: int = 32
-    micro_batches: int = 1
     learning_rate: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 0.0
@@ -163,9 +160,7 @@ class TrainingPlan:
             validate_codec_spec(self.compression)
         if self.aggregation is not None:
             validate_aggregation_spec(self.aggregation)
-        for name in (
-            "num_workers", "iterations_per_worker", "batch_size", "micro_batches", "num_shards"
-        ):
+        for name in ("num_workers", "iterations_per_worker", "batch_size", "num_shards"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.evaluate_every_pushes < 0:
@@ -326,7 +321,6 @@ def replica_builder(plan: TrainingPlan, workload) -> Callable[..., Worker]:
             model=replica,
             loader=loader,
             loss_fn=SoftmaxCrossEntropy(),
-            micro_batches=plan.micro_batches,
         )
         codec = plan_codec(plan)
         if codec is not None:

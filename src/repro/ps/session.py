@@ -45,7 +45,6 @@ import numpy as np
 from repro.core.policy import SynchronizationPolicy
 from repro.core.staleness import StalenessTracker
 from repro.metrics.throughput import iteration_throughput
-from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
 from repro.ps.aggregation import Aggregator
 from repro.ps.checkpoint import restore_into, save_checkpoint
@@ -516,7 +515,7 @@ class WorkerLoop:
             self._profile = self._profile and self.worker is None
             self._retired_pulled += self.worker.pulled_bytes if self.worker is not None else 0
             self.worker = self._build()
-            self.worker.loader.skip(resume.clock * self.worker.micro_batches)
+            self.worker.loader.skip(resume.clock)
             self._drawn = resume.clock
         if self._profile and self._profiler is None:
             from repro.utils.profiler import LayerProfiler
@@ -668,7 +667,7 @@ class ServerSession:
     def __init__(
         self,
         store: ShardedKeyValueStore,
-        optimizer: Optimizer,
+        optimizer: SGD,
         policy: SynchronizationPolicy,
         worker_ids=(),
         *,

@@ -47,7 +47,7 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from repro.optim.optimizer import Optimizer
+from repro.optim.sgd import SGD
 from repro.ps.flatbuffer import FlatShard, SnapshotViews
 from repro.ps.messages import FlatPullPayload, PullReply
 
@@ -211,8 +211,8 @@ class ShardedKeyValueStore:
     """The parameter store: versioned, key-partitioned, copy-on-write pulls.
 
     Two kinds of entries are stored: *weights* — trainable parameters,
-    updated by applying pushed gradients through an
-    :class:`repro.optim.Optimizer` — and *buffers* — non-trainable state
+    updated by applying pushed gradients through a
+    :class:`repro.optim.SGD` — and *buffers* — non-trainable state
     (e.g. batch-norm running statistics), overwritten wholesale when a
     worker pushes fresher values.  ``version`` counts the gradient
     applications, which is the quantity used to measure update staleness.
@@ -497,7 +497,7 @@ class ShardedKeyValueStore:
     def apply_gradients(
         self,
         gradients: Mapping[str, np.ndarray],
-        optimizer: Optimizer,
+        optimizer: SGD,
         scale: float = 1.0,
         flat_gradients: Mapping[int, np.ndarray] | None = None,
     ) -> int:
@@ -506,7 +506,7 @@ class ShardedKeyValueStore:
         Each shard owning some of the gradient's keys packs its
         share of the gradient into contiguous runs and the optimizer applies
         them as fused vectorized updates (one
-        :meth:`~repro.optim.Optimizer.step_flat` call for the whole push); a
+        :meth:`~repro.optim.SGD.step_flat` call for the whole push); a
         full-model push that already carries the per-shard packed buffers
         (``flat_gradients`` from a layout-attached worker, typically views
         straight into its shared-memory mailbox) skips both the per-name

@@ -54,15 +54,11 @@ class Worker:
         model: Module,
         loader: MiniBatchLoader,
         loss_fn,
-        micro_batches: int = 1,
     ) -> None:
-        if micro_batches <= 0:
-            raise ValueError("micro_batches must be positive")
         self.worker_id = worker_id
         self.model = model
         self.loader = loader
         self.loss_fn = loss_fn
-        self.micro_batches = int(micro_batches)
         # Nobody reads the gradient w.r.t. the replica's input: its entry
         # layer — the first child with parameters, through Sequentials only;
         # what sits before it has nothing to accumulate — skips that matmul.
@@ -251,12 +247,8 @@ class Worker:
     # Gradient computation
     # ------------------------------------------------------------------
     def compute_gradients(self) -> GradientComputation:
-        """Run one iteration: forward/backward over ``micro_batches`` batches.
+        """Run one iteration: forward/backward over the next mini-batch.
 
-        The returned gradients are averaged over the micro-batches, matching
-        the behaviour of a worker that averages the gradients produced by its
-        local GPUs before pushing.  Backward accumulates in place, so the
-        micro-batches run without re-zeroing and one scaling averages them.
         With a packed replica attached the gradient accumulates straight into
         the per-shard flat buffers (the rebound ``grad`` views), and the push
         carries those buffers; otherwise it is a copy per name.
@@ -267,25 +259,15 @@ class Worker:
             buffer[...] = 0.0
         if not packed:
             self.model.zero_grad()
-        total_loss = 0.0
-        total_samples = 0
-        for _ in range(self.micro_batches):
-            inputs, labels = self.loader.next_batch()
-            outputs = self.model.forward(inputs)
-            loss = self.loss_fn.forward(outputs, labels)
-            self.model.backward(self.loss_fn.backward())
-            total_loss += loss * inputs.shape[0]
-            total_samples += inputs.shape[0]
-        gradients = self._gradient_views if packed else self.model.gradients()
-        if self.micro_batches > 1:
-            inverse = 1.0 / self.micro_batches
-            for buffer in (packed or gradients).values():
-                buffer *= inverse
+        inputs, labels = self.loader.next_batch()
+        outputs = self.model.forward(inputs)
+        loss = self.loss_fn.forward(outputs, labels)
+        self.model.backward(self.loss_fn.backward())
         return GradientComputation(
-            gradients=gradients,
+            gradients=self._gradient_views if packed else self.model.gradients(),
             buffers=self.model.buffers(),
-            loss=total_loss / max(total_samples, 1),
-            samples=total_samples,
+            loss=loss,
+            samples=inputs.shape[0],
             base_version=self._local_version,
             flat_gradients=packed or None,
         )

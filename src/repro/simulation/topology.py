@@ -46,11 +46,9 @@ __all__ = [
     "JITTERS",
     "parse_jitter_spec",
     "make_jitter",
-    "available_jitters",
     "single_link_topology",
     "rack_topology",
     "TOPOLOGY_PRESETS",
-    "available_topology_presets",
     "canonical_topology_spec",
     "validate_topology_spec",
     "build_topology",
@@ -97,11 +95,6 @@ JITTERS = Registry("jitter", {
     "exponential": ExponentialTailJitter,
     "pareto": ParetoTailJitter,
 })
-
-
-def available_jitters() -> tuple[str, ...]:
-    """Registered jitter distribution names, sorted."""
-    return tuple(sorted(JITTERS))
 
 
 def parse_jitter_spec(spec: str) -> tuple[str, float | None]:
@@ -417,11 +410,6 @@ TOPOLOGY_PRESETS = Registry("topology preset", {
 
 _TOPOLOGY_KEYS = {"kind", "num_racks", "leaf", "uplink", "name"}
 _LINK_SPEC_KEYS = {"latency", "bandwidth", "jitter", "shared"}
-
-
-def available_topology_presets() -> tuple[str, ...]:
-    """Named topology presets, sorted."""
-    return tuple(sorted(TOPOLOGY_PRESETS))
 
 
 def _validate_link_spec(data: dict, context: str) -> None:

@@ -1,7 +1,7 @@
 """Deterministic random-number management.
 
 Every stochastic component in the library (data generation, weight
-initialization, simulated iteration-time jitter, augmentation) draws from an
+initialization, simulated iteration-time jitter) draws from an
 explicit :class:`numpy.random.Generator` rather than the global NumPy state,
 so experiments are reproducible and independent components do not perturb
 each other's streams.
@@ -9,34 +9,9 @@ each other's streams.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
-__all__ = ["RngStream", "seed_everything", "spawn_rng"]
-
-
-def seed_everything(seed: int) -> np.random.Generator:
-    """Seed Python's and NumPy's global RNGs and return a fresh generator.
-
-    The returned generator should be preferred over the globals; the globals
-    are seeded only as a safety net for third-party code.
-    """
-    random.seed(seed)
-    np.random.seed(seed % (2**32 - 1))
-    return np.random.default_rng(seed)
-
-
-def spawn_rng(parent: np.random.Generator, index: int) -> np.random.Generator:
-    """Derive a child generator from ``parent`` deterministically.
-
-    Children with different ``index`` values produce independent streams, and
-    the same ``(parent state, index)`` pair always yields the same child.
-    """
-    seed_seq = np.random.SeedSequence(
-        entropy=int(parent.integers(0, 2**31 - 1)), spawn_key=(index,)
-    )
-    return np.random.default_rng(seed_seq)
+__all__ = ["RngStream"]
 
 
 class RngStream:

@@ -1,48 +1,8 @@
-"""Small timing helpers used by the examples."""
+"""Duration formatting for the examples."""
 
 from __future__ import annotations
 
-import time
-
-__all__ = ["Stopwatch", "format_seconds"]
-
-
-class Stopwatch:
-    """Monotonic stopwatch with lap support.
-
-    >>> watch = Stopwatch()
-    >>> watch.start()
-    >>> elapsed = watch.elapsed()
-    >>> elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self._laps: list[float] = []
-
-    def start(self) -> "Stopwatch":
-        """Start (or restart) the stopwatch and clear laps."""
-        self._start = time.monotonic()
-        self._laps.clear()
-        return self
-
-    def elapsed(self) -> float:
-        """Seconds since :meth:`start`; 0.0 if never started."""
-        if self._start is None:
-            return 0.0
-        return time.monotonic() - self._start
-
-    def lap(self) -> float:
-        """Record and return the elapsed time as a lap."""
-        value = self.elapsed()
-        self._laps.append(value)
-        return value
-
-    @property
-    def laps(self) -> list[float]:
-        """All recorded lap times, in order."""
-        return list(self._laps)
+__all__ = ["format_seconds"]
 
 
 def format_seconds(seconds: float) -> str:

@@ -6,14 +6,14 @@ import pytest
 from repro.core.asp import AsynchronousParallel
 from repro.core.bsp import BulkSynchronousParallel
 from repro.core.dssp import DynamicStaleSynchronousParallel
-from repro.core.factory import available_policies, make_policy
+from repro.core.factory import POLICIES, make_policy
 from repro.core.ssp import StaleSynchronousParallel
 from repro.core.staleness import StalenessSummary, StalenessTracker
 
 
 class TestFactory:
     def test_available_policies(self):
-        assert available_policies() == ["bsp", "asp", "ssp", "dssp"]
+        assert list(POLICIES) == ["bsp", "asp", "ssp", "dssp"]
 
     def test_makes_each_paradigm(self):
         assert isinstance(make_policy("bsp"), BulkSynchronousParallel)

@@ -10,7 +10,6 @@ from repro.core.regret import (
     empirical_regret,
     regret_is_sublinear,
     ssp_regret_bound,
-    suggested_step_size,
 )
 
 
@@ -46,15 +45,24 @@ class TestBounds:
         with pytest.raises(ValueError):
             dssp_regret_bound(10, 1, -1, 2)
 
-    def test_step_size_decreases_with_iteration(self):
-        first = suggested_step_size(1, staleness=3, num_workers=4)
-        later = suggested_step_size(100, staleness=3, num_workers=4)
-        assert later < first
-        assert later == pytest.approx(first / 10.0)
+    def test_bound_scales_linearly_with_diameter_and_lipschitz_constant(self):
+        unit = ssp_regret_bound(400, staleness=2, num_workers=3)
+        scaled = ssp_regret_bound(
+            400, staleness=2, num_workers=3, lipschitz_constant=3.0, diameter_bound=2.0
+        )
+        assert scaled == pytest.approx(6.0 * unit)
 
-    def test_step_size_requires_valid_iteration(self):
-        with pytest.raises(ValueError):
-            suggested_step_size(0, 1, 1)
+    def test_dssp_without_extra_iterations_is_ssp_at_the_lower_threshold(self):
+        dssp = dssp_regret_bound(
+            num_iterations=250, s_lower=4, max_extra_iterations=0, num_workers=8
+        )
+        assert dssp == ssp_regret_bound(num_iterations=250, staleness=4, num_workers=8)
+
+    @pytest.mark.parametrize("constants", [(0.0, 1.0), (1.0, -2.0)])
+    def test_non_positive_constants_rejected(self, constants):
+        lipschitz, diameter = constants
+        with pytest.raises(ValueError, match="must be > 0"):
+            ssp_regret_bound(10, 1, 1, lipschitz_constant=lipschitz, diameter_bound=diameter)
 
 
 class TestEmpiricalRegret:
@@ -80,3 +88,12 @@ class TestEmpiricalRegret:
     def test_sublinear_requires_enough_points(self):
         with pytest.raises(ValueError):
             regret_is_sublinear(np.arange(4))
+
+    @pytest.mark.parametrize("window_fraction", [0.0, 0.6])
+    def test_window_fraction_outside_range_rejected(self, window_fraction):
+        with pytest.raises(ValueError, match="window_fraction"):
+            regret_is_sublinear(np.arange(16.0), window_fraction=window_fraction)
+
+    def test_two_dimensional_losses_rejected(self):
+        with pytest.raises(ValueError):
+            empirical_regret(np.ones((2, 3)), optimal_loss=0.0)

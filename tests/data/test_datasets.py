@@ -1,13 +1,11 @@
-"""Tests for datasets, the synthetic generators and the CIFAR loader stub."""
+"""Tests for datasets and the synthetic generators."""
 
 import numpy as np
 import pytest
 
-from repro.data.cifar import load_cifar_if_available
-from repro.data.dataset import ArrayDataset, train_test_split
+from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import (
     SyntheticImageConfig,
-    make_convex_regression_dataset,
     make_synthetic_image_dataset,
     synthetic_cifar10,
     synthetic_cifar100,
@@ -46,19 +44,6 @@ class TestArrayDataset:
         dataset = ArrayDataset(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(TypeError):
             _ = dataset.num_classes
-
-    def test_train_test_split(self):
-        dataset = ArrayDataset(np.arange(40).reshape(20, 2), np.arange(20))
-        train, test = train_test_split(dataset, 0.25, np.random.default_rng(0))
-        assert len(train) == 15
-        assert len(test) == 5
-        combined = np.sort(np.concatenate([train.labels, test.labels]))
-        assert np.array_equal(combined, np.arange(20))
-
-    def test_train_test_split_validates_fraction(self):
-        dataset = ArrayDataset(np.zeros((4, 1)), np.arange(4))
-        with pytest.raises(ValueError):
-            train_test_split(dataset, 0.0, np.random.default_rng(0))
 
 
 class TestSyntheticImages:
@@ -106,52 +91,3 @@ class TestSyntheticImages:
         distances = ((flat_test[:, None, :] - flat_protos[None, :, :]) ** 2).sum(axis=2)
         accuracy = float(np.mean(distances.argmin(axis=1) == test.labels))
         assert accuracy > 0.6
-
-    def test_convex_regression_dataset(self):
-        dataset, true_weights = make_convex_regression_dataset(
-            num_samples=200, num_features=10, noise_scale=0.01, seed=1
-        )
-        estimated, *_ = np.linalg.lstsq(dataset.inputs, dataset.labels, rcond=None)
-        assert np.allclose(estimated, true_weights, atol=0.05)
-
-    def test_convex_regression_validation(self):
-        with pytest.raises(ValueError):
-            make_convex_regression_dataset(num_samples=1)
-
-
-class TestCifarLoader:
-    def test_returns_none_when_files_absent(self, tmp_path):
-        assert load_cifar_if_available("cifar10", data_root=tmp_path) is None
-        assert load_cifar_if_available("cifar100", data_root=tmp_path) is None
-
-    def test_unknown_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_cifar_if_available("mnist", data_root=tmp_path)
-
-    def test_loads_cifar10_format_from_disk(self, tmp_path):
-        import pickle
-
-        root = tmp_path / "cifar-10-batches-py"
-        root.mkdir()
-        rng = np.random.default_rng(0)
-        for index in range(1, 6):
-            batch = {
-                b"data": rng.integers(0, 255, size=(4, 3 * 32 * 32), dtype=np.uint8),
-                b"labels": [0, 1, 2, 3],
-            }
-            with (root / f"data_batch_{index}").open("wb") as handle:
-                pickle.dump(batch, handle)
-        with (root / "test_batch").open("wb") as handle:
-            pickle.dump(
-                {
-                    b"data": rng.integers(0, 255, size=(2, 3072), dtype=np.uint8),
-                    b"labels": [5, 7],
-                },
-                handle,
-            )
-        loaded = load_cifar_if_available("cifar10", data_root=tmp_path)
-        assert loaded is not None
-        train, test = loaded
-        assert train.inputs.shape == (20, 3, 32, 32)
-        assert test.inputs.shape == (2, 3, 32, 32)
-        assert train.inputs.max() <= 1.0

@@ -1,17 +1,10 @@
-"""Tests for mini-batch loading, partitioning and augmentation."""
+"""Tests for mini-batch loading and partitioning."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.augmentation import (
-    AugmentationPipeline,
-    add_gaussian_noise,
-    random_channel_dropout,
-    random_horizontal_flip,
-    random_rotation,
-)
 from repro.data.dataset import ArrayDataset
 from repro.data.loader import MiniBatchLoader
 from repro.data.partitioner import partition_dataset, partition_indices
@@ -100,18 +93,6 @@ class TestMiniBatchLoader:
         inputs, _ = loader.next_batch()
         assert np.allclose(inputs, dataset.inputs)
 
-    def test_augmentation_applied(self):
-        dataset = make_dataset(8)
-        loader = MiniBatchLoader(
-            dataset,
-            batch_size=8,
-            rng=np.random.default_rng(0),
-            shuffle=False,
-            augmentation=lambda images, rng: images + 1.0,
-        )
-        inputs, _ = loader.next_batch()
-        assert np.allclose(inputs, dataset.inputs + 1.0)
-
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError):
             MiniBatchLoader(make_dataset(4), batch_size=0, rng=np.random.default_rng(0))
@@ -120,49 +101,58 @@ class TestMiniBatchLoader:
                 make_dataset(4), batch_size=8, rng=np.random.default_rng(0), drop_last=True
             )
 
+    @pytest.mark.parametrize("batches", [0, 1, 3, 4, 7])
+    def test_skip_lands_where_drawing_would(self, batches):
+        """10 rows in batches of 3: the skips cross partial batches and
+        epoch reshuffles, as a resumed worker's replay does."""
+        drawn = MiniBatchLoader(make_dataset(10), batch_size=3, rng=np.random.default_rng(4))
+        skipped = MiniBatchLoader(make_dataset(10), batch_size=3, rng=np.random.default_rng(4))
+        for _ in range(batches):
+            drawn.next_batch()
+        skipped.skip(batches)
+        for _ in range(5):
+            for a, b in zip(drawn.next_batch(), skipped.next_batch()):
+                assert np.array_equal(a, b)
 
-class TestAugmentation:
-    @pytest.fixture
-    def images(self):
-        return np.random.default_rng(0).normal(size=(6, 3, 8, 8))
+    def test_skip_rejects_a_negative_count(self):
+        loader = MiniBatchLoader(make_dataset(4), batch_size=2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-negative"):
+            loader.skip(-1)
 
-    def test_horizontal_flip_preserves_content(self, images):
-        flipped = random_horizontal_flip(images, np.random.default_rng(0), probability=1.0)
-        assert np.allclose(flipped, images[:, :, :, ::-1])
-
-    def test_flip_probability_zero_is_identity(self, images):
-        assert np.allclose(
-            random_horizontal_flip(images, np.random.default_rng(0), probability=0.0), images
+    def test_next_batch_returns_the_partial_tail_of_each_epoch(self):
+        loader = MiniBatchLoader(
+            make_dataset(10), batch_size=4, rng=np.random.default_rng(0), shuffle=False
         )
+        sizes = [loader.next_batch()[0].shape[0] for _ in range(6)]
+        assert sizes == [4, 4, 2, 4, 4, 2]
 
-    def test_gaussian_noise_changes_values(self, images):
-        noisy = add_gaussian_noise(images, np.random.default_rng(0), scale=0.1)
-        assert not np.allclose(noisy, images)
-        assert np.allclose(noisy, images, atol=1.0)
+    def test_inputs_and_labels_stay_paired_across_reshuffles(self):
+        count = 12
+        dataset = ArrayDataset(np.arange(count, dtype=float)[:, None] * 10.0, np.arange(count))
+        loader = MiniBatchLoader(dataset, batch_size=5, rng=np.random.default_rng(8))
+        for _ in range(9):
+            inputs, labels = loader.next_batch()
+            assert np.array_equal(inputs[:, 0], labels * 10.0)
 
-    def test_channel_dropout_zeroes_one_channel(self, images):
-        dropped = random_channel_dropout(images, np.random.default_rng(0), probability=1.0)
-        zero_channels = (np.abs(dropped).sum(axis=(2, 3)) == 0).sum(axis=1)
-        assert np.all(zero_channels >= 1)
+    def test_rows_restrict_the_loader_to_its_partition(self):
+        rows = np.array([7, 2, 11, 5])
+        dataset = make_dataset(12)
+        loader = MiniBatchLoader(dataset, batch_size=3, rng=np.random.default_rng(1), rows=rows)
+        seen = [loader.next_batch()[0] for _ in range(4)]
+        drawn = np.concatenate(seen)[:, 0] / dataset.inputs.shape[1]
+        assert set(drawn.astype(int)) == set(rows)
+        assert np.array_equal(loader.rows, rows)
 
-    def test_rotation_preserves_pixel_multiset(self, images):
-        rotated = random_rotation(images, np.random.default_rng(0))
-        assert np.allclose(np.sort(rotated.ravel()), np.sort(images.ravel()))
-
-    def test_pipeline_composes(self, images):
-        pipeline = AugmentationPipeline(
-            [
-                lambda batch, rng: batch + 1.0,
-                lambda batch, rng: batch * 2.0,
-            ]
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_a_rows_loader_draws_what_a_subset_loader_draws(self, shuffle):
+        rows = np.array([9, 0, 4, 13, 6, 2, 17])
+        dataset = make_dataset(20)
+        by_rows = MiniBatchLoader(
+            dataset, batch_size=3, rng=np.random.default_rng(6), shuffle=shuffle, rows=rows
         )
-        assert np.allclose(pipeline(images, np.random.default_rng(0)), (images + 1.0) * 2.0)
-
-    def test_invalid_probabilities_rejected(self, images):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_horizontal_flip(images, rng, probability=2.0)
-        with pytest.raises(ValueError):
-            add_gaussian_noise(images, rng, scale=-1.0)
-        with pytest.raises(ValueError):
-            random_channel_dropout(images, rng, probability=-0.5)
+        by_subset = MiniBatchLoader(
+            dataset.subset(rows), batch_size=3, rng=np.random.default_rng(6), shuffle=shuffle
+        )
+        for _ in range(8):
+            for a, b in zip(by_rows.next_batch(), by_subset.next_batch()):
+                assert a.tobytes() == b.tobytes()

@@ -113,6 +113,10 @@ class TestRunner:
         times = comparison.times_to_accuracy(2.0)
         assert all(value is None for value in times.values())
 
+    def test_bsp_staleness_never_exceeds_asp(self, comparison):
+        staleness = {label: comparison.result(label).staleness for label in comparison.labels}
+        assert staleness["BSP"].maximum <= staleness["ASP"].maximum
+
     def test_empty_paradigms_rejected(self):
         workload = mlp_workload(TINY)
         with pytest.raises(ValueError):

@@ -1,56 +1,10 @@
-"""Tests for result export (CSV/JSON) and ASCII plotting."""
+"""Tests for ASCII plotting and the supplementary simulated ablations."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.config import TINY
-from repro.experiments.export import (
-    export_comparison_json,
-    export_figure_csv,
-    load_comparison_json,
-)
-from repro.experiments.figures import figure2_waiting_time_prediction
-from repro.experiments.runner import run_paradigm_comparison
-from repro.experiments.workloads import mlp_workload
 from repro.metrics.plotting import ascii_curves
 from repro.simulation.cluster import homogeneous_cluster
-
-
-@pytest.fixture(scope="module")
-def comparison():
-    workload = mlp_workload(TINY)
-    return run_paradigm_comparison(
-        workload=workload,
-        cluster=homogeneous_cluster(num_workers=2, gpus_per_worker=1),
-        paradigms=[("bsp", {}), ("dssp", {"s_lower": 1, "s_upper": 4})],
-        epochs=1.0,
-        batch_size=16,
-        evaluate_every_updates=8,
-        seed=0,
-    )
-
-
-class TestExport:
-    def test_figure_csv_contains_all_series(self, tmp_path):
-        figure = figure2_waiting_time_prediction(r_max=4)
-        path = export_figure_csv(figure, tmp_path / "figure2.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "series,x,y"
-        assert len(lines) == 1 + 5  # header + r = 0..4
-
-    def test_comparison_json_round_trip(self, comparison, tmp_path):
-        path = export_comparison_json(comparison, tmp_path / "runs.json", targets=[0.5])
-        payload = load_comparison_json(path)
-        assert payload["workload"] == comparison.workload_name
-        assert set(payload["runs"]) == set(comparison.labels)
-        bsp = payload["runs"]["BSP"]
-        assert bsp["total_updates"] == comparison.result("BSP").total_updates
-        assert len(bsp["times"]) == len(bsp["accuracies"])
-        assert "0.500" in bsp["time_to_accuracy"]
-
-    def test_load_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_comparison_json(tmp_path / "missing.json")
 
 
 class TestAsciiCurves:

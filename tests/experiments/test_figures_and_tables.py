@@ -10,7 +10,6 @@ import pytest
 from repro.experiments.ablations import (
     dssp_range_ablation,
     regret_experiment,
-    staleness_distribution_ablation,
     throughput_ablation,
 )
 from repro.experiments.config import TINY
@@ -122,11 +121,6 @@ class TestAblations:
         degenerate, wide = entries
         assert degenerate.s_upper == 3 and wide.s_upper == 9
         assert wide.total_wait_time <= degenerate.total_wait_time + 1e-9
-
-    def test_staleness_distribution_ablation(self):
-        summaries = staleness_distribution_ablation(scale=TINY, epochs=1.0)
-        assert set(summaries) == {"BSP", "ASP", "SSP s=3", "DSSP s=3, r=12"}
-        assert summaries["BSP"].maximum <= summaries["ASP"].maximum
 
 
 class TestRegretExperiment:

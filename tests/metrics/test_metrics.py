@@ -5,11 +5,7 @@ import pytest
 
 from repro.data.dataset import ArrayDataset
 from repro.metrics.accuracy import evaluate_model, top1_accuracy
-from repro.metrics.convergence import (
-    accuracy_at_time,
-    area_under_accuracy_curve,
-    time_to_accuracy,
-)
+from repro.metrics.convergence import time_to_accuracy
 from repro.metrics.throughput import iteration_throughput
 from repro.models import mlp
 
@@ -68,28 +64,24 @@ class TestConvergence:
         assert time_to_accuracy(self.TIMES, self.ACCURACIES, 0.05) == 0.0
         assert time_to_accuracy(self.TIMES, self.ACCURACIES, 0.9) is None
 
-    def test_accuracy_at_time(self):
-        assert accuracy_at_time(self.TIMES, self.ACCURACIES, 15.0) == pytest.approx(0.4)
-        assert accuracy_at_time(self.TIMES, self.ACCURACIES, -1.0) == 0.0
-
-    def test_area_under_curve_prefers_faster_convergence(self):
-        fast = [0.1, 0.6, 0.65, 0.65]
-        slow = [0.1, 0.2, 0.3, 0.65]
-        assert area_under_accuracy_curve(self.TIMES, fast) > area_under_accuracy_curve(
-            self.TIMES, slow
-        )
-
-    def test_area_under_curve_with_horizon_extension(self):
-        value = area_under_accuracy_curve([0.0, 10.0], [0.5, 0.5], horizon=20.0)
-        assert value == pytest.approx(0.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             time_to_accuracy([0.0, 1.0], [0.1], 0.5)
         with pytest.raises(ValueError):
             time_to_accuracy([1.0, 0.0], [0.1, 0.2], 0.5)
-        with pytest.raises(ValueError):
-            area_under_accuracy_curve([0.0, 1.0], [0.1, 0.2], horizon=0.0)
+
+    def test_reaching_the_target_exactly_counts(self):
+        assert time_to_accuracy(self.TIMES, self.ACCURACIES, 0.6) == 20.0
+
+    def test_an_empty_series_never_reaches_a_target(self):
+        assert time_to_accuracy([], [], 0.1) is None
+
+    def test_the_first_crossing_wins_over_a_later_dip(self):
+        assert time_to_accuracy([0.0, 5.0, 5.0, 9.0], [0.2, 0.7, 0.4, 0.8], 0.6) == 5.0
+
+    def test_two_dimensional_series_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            time_to_accuracy([[0.0, 1.0]], [[0.1, 0.2]], 0.5)
 
 
 class TestThroughput:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.models import (
-    available_models,
-    build_model,
     cifar_resnet,
     downsized_alexnet,
     logistic_regression,
@@ -14,7 +12,7 @@ from repro.models import (
     resnet50,
     resnet110,
 )
-from repro.models.registry import ModelSpec, register_model
+from repro.models.registry import MODELS, ModelSpec, register_model
 from repro.nn import Conv2d, Linear, SoftmaxCrossEntropy
 
 
@@ -139,16 +137,16 @@ class TestMlp:
 
 class TestRegistry:
     def test_builtin_models_registered(self):
-        names = set(available_models())
+        names = set(MODELS)
         assert {"downsized_alexnet", "resnet110", "resnet50", "mlp"} <= names
 
     def test_build_model_applies_overrides(self, rng):
-        model = build_model("mlp", rng=rng, input_dim=6, hidden_dims=(4,), num_classes=3)
+        model = MODELS["mlp"].build(rng=rng, input_dim=6, hidden_dims=(4,), num_classes=3)
         assert model.forward(rng.normal(size=(2, 6))).shape == (2, 3)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError):
-            build_model("transformer")
+            MODELS["transformer"]
 
     def test_duplicate_registration_rejected(self):
         spec = ModelSpec(name="mlp", builder=mlp, description="duplicate")
@@ -156,13 +154,13 @@ class TestRegistry:
             register_model(spec)
 
     def test_spec_metadata(self):
-        spec = available_models()["downsized_alexnet"]
+        spec = MODELS["downsized_alexnet"]
         assert spec.has_fully_connected_hidden
-        assert not available_models()["resnet110"].has_fully_connected_hidden
+        assert not MODELS["resnet110"].has_fully_connected_hidden
 
     def test_same_seed_builds_identical_models(self):
-        first = build_model("mlp", rng=np.random.default_rng(7))
-        second = build_model("mlp", rng=np.random.default_rng(7))
+        first = MODELS["mlp"].build(rng=np.random.default_rng(7))
+        second = MODELS["mlp"].build(rng=np.random.default_rng(7))
         for (name_a, param_a), (name_b, param_b) in zip(
             first.named_parameters(), second.named_parameters()
         ):

@@ -289,18 +289,6 @@ class SoftmaxCrossEntropy(nn.SoftmaxCrossEntropy):
         return (probabilities - encoded) / logits.shape[0]
 
 
-class MeanSquaredError(nn.MeanSquaredError):
-    def forward(self, predictions, targets):
-        predictions = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        self._cache = (predictions, targets)
-        return float(np.mean((predictions - targets) ** 2))
-
-    def backward(self):
-        predictions, targets = self._cache
-        return 2.0 * (predictions - targets) / predictions.size
-
-
 _ORACLES = {
     oracle.__bases__[-1]: oracle
     for oracle in (

@@ -28,11 +28,6 @@ class TestInitializers:
         bound = np.sqrt(6.0 / (4 * 9))
         assert np.all(np.abs(weights) <= bound)
 
-    def test_xavier_uniform_bounds(self, rng):
-        weights = initializers.xavier_uniform((32, 64), rng)
-        bound = np.sqrt(6.0 / (32 + 64))
-        assert np.all(np.abs(weights) <= bound)
-
     def test_zeros_and_ones(self):
         assert np.all(initializers.zeros((3, 3)) == 0)
         assert np.all(initializers.ones((3,)) == 1)
@@ -41,6 +36,23 @@ class TestInitializers:
         a = initializers.kaiming_uniform((4, 4), np.random.default_rng(1))
         b = initializers.kaiming_uniform((4, 4), np.random.default_rng(2))
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize(
+        "shape,fan_in",
+        [((64,), 64), ((16, 32), 32), ((8, 4, 3, 3), 36), ((2, 3, 4), 24)],
+        ids=["vector", "linear", "conv", "other"],
+    )
+    def test_kaiming_uniform_bound_follows_the_fan_in(self, rng, shape, fan_in):
+        weights = initializers.kaiming_uniform(shape, rng)
+        bound = np.sqrt(6.0 / fan_in)
+        assert weights.shape == shape
+        assert np.all(np.abs(weights) <= bound)
+        assert np.abs(weights).max() > 0.9 * bound
+
+    def test_zeros_and_ones_are_float64_whatever_the_rng(self, rng):
+        for init in (initializers.zeros, initializers.ones):
+            assert init((2, 2)).dtype == np.float64
+            assert np.array_equal(init((2, 2), rng), init((2, 2)))
 
 
 class TestParameter:

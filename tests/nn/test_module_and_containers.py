@@ -7,7 +7,6 @@ from repro.nn import (
     BatchNorm1d,
     Identity,
     Linear,
-    MeanSquaredError,
     ReLU,
     Residual,
     Sequential,
@@ -190,19 +189,6 @@ class TestLosses:
         with pytest.raises(ValueError):
             loss.forward(np.zeros(3), np.array([0]))
 
-    def test_mse_value_and_gradient(self, rng):
-        loss = MeanSquaredError()
-        predictions = np.array([1.0, 2.0])
-        targets = np.array([0.0, 0.0])
-        assert loss.forward(predictions, targets) == pytest.approx(2.5)
-        assert np.allclose(loss.backward(), [1.0, 2.0])
-
-    def test_mse_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MeanSquaredError().forward(np.zeros(3), np.zeros(4))
-
     def test_backward_before_forward_rejected(self):
         with pytest.raises(RuntimeError):
             SoftmaxCrossEntropy().backward()
-        with pytest.raises(RuntimeError):
-            MeanSquaredError().backward()

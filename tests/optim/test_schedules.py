@@ -1,42 +1,10 @@
-"""Tests for the learning-rate schedules."""
+"""Tests for the learning-rate schedule."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optim.schedules import (
-    ConstantSchedule,
-    MultiStepSchedule,
-    PolynomialDecaySchedule,
-    StepDecaySchedule,
-    WarmupSchedule,
-)
-
-
-class TestConstant:
-    def test_always_base_rate(self):
-        schedule = ConstantSchedule(0.05)
-        assert schedule.learning_rate(0) == 0.05
-        assert schedule.learning_rate(1000) == 0.05
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(0.0)
-
-
-class TestStepDecay:
-    def test_decays_every_step_size(self):
-        schedule = StepDecaySchedule(1.0, step_size=10, decay=0.5)
-        assert schedule.learning_rate(0) == 1.0
-        assert schedule.learning_rate(9.9) == 1.0
-        assert schedule.learning_rate(10) == 0.5
-        assert schedule.learning_rate(25) == 0.25
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            StepDecaySchedule(1.0, step_size=0, decay=0.5)
-        with pytest.raises(ValueError):
-            StepDecaySchedule(1.0, step_size=1, decay=0.0)
+from repro.optim.schedules import MultiStepSchedule
 
 
 class TestMultiStep:
@@ -58,28 +26,36 @@ class TestMultiStep:
         schedule = MultiStepSchedule(0.05, milestones=(200, 250), decay=0.1)
         assert schedule.learning_rate(progress + 10) <= schedule.learning_rate(progress)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.05])
+    def test_non_positive_base_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="base_learning_rate"):
+            MultiStepSchedule(rate, milestones=(10,))
 
-class TestPolynomial:
-    def test_linear_decay_to_final(self):
-        schedule = PolynomialDecaySchedule(1.0, total=100, final_learning_rate=0.0)
-        assert schedule.learning_rate(0) == 1.0
-        assert schedule.learning_rate(50) == pytest.approx(0.5)
-        assert schedule.learning_rate(100) == pytest.approx(0.0)
-        assert schedule.learning_rate(200) == pytest.approx(0.0)
+    @pytest.mark.parametrize("decay", [0.0, -0.1, 1.5])
+    def test_decay_outside_unit_interval_rejected(self, decay):
+        with pytest.raises(ValueError, match="decay"):
+            MultiStepSchedule(0.05, milestones=(10,), decay=decay)
 
-    def test_invalid_final_rate(self):
-        with pytest.raises(ValueError):
-            PolynomialDecaySchedule(0.1, total=10, final_learning_rate=0.2)
+    def test_decay_of_one_holds_the_base_rate(self):
+        schedule = MultiStepSchedule(0.05, milestones=(200, 250), decay=1.0)
+        assert {schedule.learning_rate(p) for p in (0, 200, 250, 1e6)} == {0.05}
 
+    def test_no_milestones_holds_the_base_rate(self):
+        schedule = MultiStepSchedule(0.05, milestones=())
+        assert schedule.learning_rate(0) == schedule.learning_rate(1e6) == 0.05
 
-class TestWarmup:
-    def test_ramps_linearly_then_follows_wrapped(self):
-        schedule = WarmupSchedule(ConstantSchedule(0.1), warmup=10)
-        assert schedule.learning_rate(0) == pytest.approx(0.0)
-        assert schedule.learning_rate(5) == pytest.approx(0.05)
-        assert schedule.learning_rate(10) == pytest.approx(0.1)
-        assert schedule.learning_rate(50) == pytest.approx(0.1)
+    def test_calling_the_schedule_is_learning_rate(self):
+        schedule = MultiStepSchedule(0.05, milestones=(200, 250))
+        assert [schedule(p) for p in (0, 200, 300)] == [
+            schedule.learning_rate(p) for p in (0, 200, 300)
+        ]
 
-    def test_invalid_warmup(self):
-        with pytest.raises(ValueError):
-            WarmupSchedule(ConstantSchedule(0.1), warmup=0)
+    def test_a_repeated_milestone_decays_twice(self):
+        schedule = MultiStepSchedule(1.0, milestones=(10, 10), decay=0.5)
+        assert schedule.learning_rate(9.99) == 1.0
+        assert schedule.learning_rate(10) == pytest.approx(0.25)
+
+    def test_fractional_progress_switches_exactly_at_the_milestone(self):
+        schedule = MultiStepSchedule(1.0, milestones=(2.5,), decay=0.1)
+        assert schedule.learning_rate(2.4999) == 1.0
+        assert schedule.learning_rate(2.5) == pytest.approx(0.1)

@@ -1,11 +1,9 @@
-"""Tests for the SGD optimizer family."""
+"""Tests for the SGD optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
-from repro.optim.staleness_aware import StalenessAwareSGD
 from repro.ps.compression import EncodedShard, decode_shard, make_codec
 from repro.ps.flatbuffer import FlatShard
 
@@ -95,43 +93,101 @@ class TestPlainSgd:
             optimizer.step(weights, {"x": 2 * weights["x"]})
         assert abs(weights["x"][0]) < 1e-6
 
+    @pytest.mark.parametrize("nesterov", [False, True], ids=["heavy-ball", "nesterov"])
+    def test_steps_follow_the_documented_rule(self, nesterov):
+        """g += wd * w; v = m * v + g; w -= lr * v (or lr * (g + m * v))."""
+        lr, momentum, decay = 0.1, 0.9, 0.01
+        weights = {"w": np.array([1.0, -2.0])}
+        optimizer = SGD(lr, momentum=momentum, weight_decay=decay, nesterov=nesterov)
+        w, v = weights["w"].copy(), np.zeros(2)
+        for gradient in ([0.5, 1.0], [-1.0, 0.25], [2.0, 0.0]):
+            gradient = np.array(gradient)
+            optimizer.step(weights, {"w": gradient}, scale=0.5)
+            g = 0.5 * gradient + decay * w
+            v = momentum * v + g
+            w = w - lr * (g + momentum * v if nesterov else v)
+            assert np.allclose(weights["w"], w, rtol=0, atol=1e-15)
 
-class TestStalenessAwareSgd:
-    def test_zero_alpha_matches_plain_sgd(self):
-        plain, aware = make_weights(), make_weights()
-        SGD(learning_rate=0.1).step(plain, {"w": np.ones(2)})
-        optimizer = StalenessAwareSGD(learning_rate=0.1, alpha=0.0)
-        optimizer.set_staleness(10)
-        optimizer.step(aware, {"w": np.ones(2)})
-        assert np.allclose(plain["w"], aware["w"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_and_velocity_keep_their_dtype(self, dtype):
+        weights = {"w": np.ones(3, dtype=dtype)}
+        optimizer = SGD(0.1, momentum=0.9)
+        optimizer.step(weights, {"w": np.full(3, 0.5)})
+        assert weights["w"].dtype == dtype
+        assert optimizer.state_dict()["velocity"]["w"].dtype == dtype
 
-    def test_stale_updates_are_damped(self):
-        fresh, stale = make_weights(), make_weights()
-        optimizer = StalenessAwareSGD(learning_rate=0.1, alpha=1.0)
-        optimizer.set_staleness(0)
-        optimizer.step(fresh, {"w": np.ones(2)})
-        optimizer.set_staleness(4)
-        optimizer.step(stale, {"w": np.ones(2)})
-        fresh_step = 1.0 - fresh["w"][0]
-        stale_step = 1.0 - stale["w"][0]
-        assert stale_step == pytest.approx(fresh_step / 5)
+    def test_a_zero_scale_leaves_plain_sgd_weights_unchanged(self):
+        weights = make_weights()
+        SGD(0.1).step(weights, {"w": np.array([3.0, -4.0])}, scale=0.0)
+        assert np.array_equal(weights["w"], make_weights()["w"])
 
-    def test_staleness_resets_after_step(self):
-        optimizer = StalenessAwareSGD(learning_rate=0.1, alpha=1.0)
-        optimizer.set_staleness(9)
+
+class TestOptimizerState:
+    """Learning rate, step count and ``state_dict``: the bookkeeping a
+    checkpoint carries, kept key for key now the base class is folded in."""
+
+    def test_state_dict_carries_every_checkpoint_key(self):
+        state = SGD(0.1, momentum=0.5, weight_decay=1e-3).state_dict()
+        assert set(state) == {
+            "step_count", "learning_rate", "base_learning_rate",
+            "momentum", "weight_decay", "nesterov", "velocity",
+        }
+        assert (state["momentum"], state["weight_decay"], state["nesterov"]) == (0.5, 1e-3, False)
+        assert state["step_count"] == 0 and state["velocity"] == {}
+
+    def test_base_learning_rate_outlives_a_schedule_change(self):
+        optimizer = SGD(0.1)
+        optimizer.learning_rate = 0.01
+        assert (optimizer.base_learning_rate, optimizer.learning_rate) == (0.1, 0.01)
+        restored = SGD(1.0)
+        restored.load_state_dict(optimizer.state_dict())
+        assert (restored.base_learning_rate, restored.learning_rate) == (0.1, 0.01)
+
+    def test_a_new_learning_rate_applies_from_the_next_step(self):
+        weights = {"w": np.array([1.0])}
+        optimizer = SGD(0.1)
+        optimizer.step(weights, {"w": np.array([1.0])})
+        optimizer.learning_rate = 0.01
+        optimizer.step(weights, {"w": np.array([1.0])})
+        assert weights["w"][0] == pytest.approx(1.0 - 0.1 - 0.01)
+        assert optimizer.step_count == 2
+
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_learning_rate_setter_rejects_non_positive_values(self, value):
+        optimizer = SGD(0.1)
+        with pytest.raises(ValueError, match="learning_rate must be > 0"):
+            optimizer.learning_rate = value
+        assert optimizer.learning_rate == 0.1
+
+    def test_a_minimal_state_keeps_the_constructor_hyperparameters(self):
+        optimizer = SGD(0.5, momentum=0.9, weight_decay=1e-4)
+        optimizer.load_state_dict({"step_count": 7, "learning_rate": 0.2})
+        assert optimizer.step_count == 7
+        assert (optimizer.learning_rate, optimizer.base_learning_rate) == (0.2, 0.2)
+        assert (optimizer.momentum, optimizer.weight_decay, optimizer.nesterov) == (0.9, 1e-4, False)
+        assert optimizer.state_dict()["velocity"] == {}
+
+    def test_state_velocity_is_copied_both_ways(self):
+        optimizer = SGD(0.1, momentum=0.9)
         weights = make_weights()
         optimizer.step(weights, {"w": np.ones(2)})
-        assert optimizer.staleness_scale(0) == 1.0
-        before = weights["w"].copy()
-        optimizer.step(weights, {"w": np.ones(2)})
-        assert np.allclose(before - weights["w"], 0.1)
+        exported = optimizer.state_dict()
+        exported["velocity"]["w"][:] = 99.0
+        assert np.array_equal(optimizer.state_dict()["velocity"]["w"], np.ones(2))
+        source = {"step_count": 1, "learning_rate": 0.1, "velocity": {"w": np.ones(2)}}
+        restored = SGD(0.1, momentum=0.9)
+        restored.load_state_dict(source)
+        source["velocity"]["w"][:] = 99.0
+        assert np.array_equal(restored.state_dict()["velocity"]["w"], np.ones(2))
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            StalenessAwareSGD(0.1, alpha=-1)
-        optimizer = StalenessAwareSGD(0.1)
-        with pytest.raises(ValueError):
-            optimizer.set_staleness(-1)
+    def test_step_flat_counts_one_step_per_push_over_any_number_of_shards(self):
+        shards = [FlatShard({"a": np.ones(3)}), FlatShard({"b": np.ones(2)})]
+        optimizer = SGD(0.1)
+        optimizer.step_flat(
+            [shards[0].make_update({"a": np.ones(3)}), shards[1].make_update({"b": np.ones(2)})]
+        )
+        assert optimizer.step_count == 1
+        assert np.allclose(shards[0].view("a"), 0.9) and np.allclose(shards[1].view("b"), 0.9)
 
 
 class TestSparseRuns:
@@ -201,10 +257,8 @@ class TestSparseRuns:
 
     def test_only_plain_and_heavy_ball_sgd_take_sparse_runs(self):
         assert SGD(0.1).sparse_runs and SGD(0.1, momentum=0.9).sparse_runs
-        assert StalenessAwareSGD(0.1, momentum=0.9).sparse_runs
         assert not SGD(0.1, momentum=0.9, weight_decay=1e-4).sparse_runs
         assert not SGD(0.1, momentum=0.9, nesterov=True).sparse_runs
-        assert not Optimizer(0.1).sparse_runs
 
     @pytest.mark.parametrize(
         "indices", [[3, 1], [1, 1], [-1, 2], [2, 9]], ids=["unsorted", "duplicate", "negative", "beyond"]

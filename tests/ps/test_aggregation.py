@@ -13,12 +13,12 @@ import pytest
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
 from repro.ps.aggregation import (
+    AGGREGATORS,
     ClipAggregator,
     GeometricMedianAggregator,
     MeanAggregator,
     MedianAggregator,
     TrimmedMeanAggregator,
-    available_aggregators,
     make_aggregator,
     parse_aggregation_spec,
     register_aggregator,
@@ -38,7 +38,7 @@ def _combine(aggregator, rows):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_aggregators_registered(self):
-        assert available_aggregators() == (
+        assert tuple(sorted(AGGREGATORS)) == (
             "clip",
             "geomed",
             "mean",
@@ -102,7 +102,7 @@ class TestRegistry:
             make_aggregator("geomed:0")
 
     def test_only_mean_is_unbuffered(self):
-        for name in available_aggregators():
+        for name in AGGREGATORS:
             aggregator = make_aggregator(name)
             assert aggregator.buffered == (name != "mean")
 

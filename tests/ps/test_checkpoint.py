@@ -13,9 +13,15 @@ from repro.ps.checkpoint import (
 )
 from repro.ps.compression import TopKCodec, decode_shard
 from repro.ps.sharding import make_store
-from repro.utils.serialization import states_allclose
 
 INITIAL_SHAPES = {"layer.weight": (4, 3), "layer.bias": (3,)}
+
+
+def assert_states_close(left, right):
+    """Same names, element-wise close values."""
+    assert set(left) == set(right)
+    for name in left:
+        np.testing.assert_allclose(left[name], right[name], rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 def _initial_arrays(rng):
@@ -51,8 +57,8 @@ class TestSaveLoad:
         assert path.suffix == ".npz"
 
         weights, buffers, velocity, metadata = load_checkpoint(path)
-        assert states_allclose(weights, store.weights_snapshot())
-        assert states_allclose(buffers, store.buffers)
+        assert_states_close(weights, store.weights_snapshot())
+        assert_states_close(buffers, store.buffers)
         assert set(velocity) == {"layer.weight", "layer.bias"}
         assert metadata.version == 3
         assert metadata.paradigm == "dssp"
@@ -68,14 +74,14 @@ class TestSaveLoad:
         metadata = restore_into(path, fresh_store, fresh_optimizer)
         assert metadata.paradigm == "ssp"
         assert fresh_store.version == store.version == 3
-        assert states_allclose(fresh_store.weights_snapshot(), store.weights_snapshot())
+        assert_states_close(fresh_store.weights_snapshot(), store.weights_snapshot())
 
         # Applying the same gradient to both must give identical results,
         # which requires the momentum velocity to have been restored.
         gradient = {"layer.weight": rng.normal(size=(4, 3)), "layer.bias": rng.normal(size=3)}
         store.apply_gradients(dict(gradient), optimizer)
         fresh_store.apply_gradients(dict(gradient), fresh_optimizer)
-        assert states_allclose(fresh_store.weights_snapshot(), store.weights_snapshot())
+        assert_states_close(fresh_store.weights_snapshot(), store.weights_snapshot())
 
     def test_save_is_atomic(self, tmp_path, monkeypatch):
         # A crash mid-save must leave the previous checkpoint readable and
@@ -133,8 +139,8 @@ class TestShardedCheckpoints:
         assert metadata.version == 3
         assert fresh_store.version == 3
         assert fresh_store.shard_versions == saved_shard_versions
-        assert states_allclose(fresh_store.weights_snapshot(), store.weights_snapshot())
-        assert states_allclose(fresh_store.buffers, store.buffers)
+        assert_states_close(fresh_store.weights_snapshot(), store.weights_snapshot())
+        assert_states_close(fresh_store.buffers, store.buffers)
 
     def test_sharded_restore_resumes_identically(self, tmp_path):
         store, optimizer = make_store_and_optimizer(num_shards=2)
@@ -147,7 +153,7 @@ class TestShardedCheckpoints:
         gradient = {"layer.weight": rng.normal(size=(4, 3)), "layer.bias": rng.normal(size=3)}
         store.apply_gradients(dict(gradient), optimizer)
         fresh_store.apply_gradients(dict(gradient), fresh_optimizer)
-        assert states_allclose(fresh_store.weights_snapshot(), store.weights_snapshot())
+        assert_states_close(fresh_store.weights_snapshot(), store.weights_snapshot())
         assert fresh_store.version == store.version
 
     def test_monolithic_checkpoint_loads_into_sharded_store(self, tmp_path):
@@ -161,7 +167,7 @@ class TestShardedCheckpoints:
         # No per-shard counters in a monolithic checkpoint: every shard falls
         # back to the global version, a safe upper bound.
         assert sharded.shard_versions == [3, 3]
-        assert states_allclose(sharded.weights_snapshot(), store.weights_snapshot())
+        assert_states_close(sharded.weights_snapshot(), store.weights_snapshot())
         # The restored state must be resent in full on the next delta pull:
         # every shard's weights and buffers.
         delta = sharded.pull(known_version=0)
@@ -175,7 +181,7 @@ class TestShardedCheckpoints:
         metadata = restore_into(path, mono, SGD(learning_rate=0.05, momentum=0.9))
         assert metadata.extra["shard_versions"] == store.shard_versions
         assert mono.version == 3
-        assert states_allclose(mono.weights_snapshot(), store.weights_snapshot())
+        assert_states_close(mono.weights_snapshot(), store.weights_snapshot())
 
     def test_sharded_checkpoint_into_different_shard_count(self, tmp_path):
         store, optimizer = make_store_and_optimizer(num_shards=4)
@@ -184,7 +190,7 @@ class TestShardedCheckpoints:
         restore_into(path, other, SGD(learning_rate=0.05, momentum=0.9))
         assert other.version == 3
         assert other.shard_versions == [3, 3]
-        assert states_allclose(other.weights_snapshot(), store.weights_snapshot())
+        assert_states_close(other.weights_snapshot(), store.weights_snapshot())
 
 
 class TestCodecStates:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.factory import make_policy
 from repro.optim.sgd import SGD
-from repro.optim.staleness_aware import StalenessAwareSGD
 from repro.ps.aggregation import make_aggregator
 from repro.ps.checkpoint import restore_into, save_checkpoint
 from repro.ps.compression import decode_shard, make_codec
@@ -157,22 +156,6 @@ class TestFusedOptimizerParity:
         for name in weights:
             assert np.array_equal(shard.view(name), reference[name]), name
         assert flat_opt.step_count == dict_opt.step_count == 4
-
-    def test_staleness_aware_scales_once_per_push(self):
-        weights = make_arrays()
-        shard = FlatShard(weights)
-        reference = {name: value.copy() for name, value in weights.items()}
-        flat_opt = StalenessAwareSGD(0.1, alpha=0.5)
-        dict_opt = StalenessAwareSGD(0.1, alpha=0.5)
-        gradients = {name: np.ones(a.shape) for name, a in weights.items()}
-        flat_opt.set_staleness(4)
-        dict_opt.set_staleness(4)
-        flat_opt.step_flat([shard.make_update(gradients)])
-        dict_opt.step(reference, gradients)
-        for name in weights:
-            assert np.array_equal(shard.view(name), reference[name]), name
-        # The pending staleness is consumed by the step, not left behind.
-        assert flat_opt._pending_staleness == 0
 
     def test_velocity_checkpoint_roundtrip_between_paths(self):
         """Flat velocity exports per-name and reloads into either path."""
@@ -548,8 +531,7 @@ class TestLeaseRelease:
 class TestPackedGradientPush:
     """A packed worker's push must match a plain worker's bit-for-bit."""
 
-    @pytest.mark.parametrize("micro_batches", [1, 3])
-    def test_packed_and_plain_workers_train_identically(self, micro_batches):
+    def test_packed_and_plain_workers_train_identically(self):
         from repro.core.factory import make_policy
         from repro.data.dataset import ArrayDataset
         from repro.data.loader import MiniBatchLoader
@@ -570,10 +552,7 @@ class TestPackedGradientPush:
             loader = MiniBatchLoader(
                 dataset, batch_size=8, rng=np.random.default_rng(2)
             )
-            worker = Worker(
-                worker_id, model, loader, SoftmaxCrossEntropy(),
-                micro_batches=micro_batches,
-            )
+            worker = Worker(worker_id, model, loader, SoftmaxCrossEntropy())
             store = ShardedKeyValueStore(
                 {name: p.data for name, p in model.named_parameters()},
                 num_shards=2,

@@ -122,7 +122,7 @@ class ScriptedLink:
 
 
 def make_loop(workload, script=(), **loop_fields):
-    plan = TrainingPlan(num_workers=2, batch_size=16, micro_batches=2)
+    plan = TrainingPlan(num_workers=2, batch_size=16)
     link = ScriptedLink(make_store_for(plan, workload), script)
     loop = WorkerLoop(
         "worker-1",
@@ -142,7 +142,7 @@ class TestWorkerLoop:
         assert [seq for seq, _ in link.pushed] == [0, 1, 2, 3]
         assert link.reports == [report] and link.errors == []
         assert report["worker_id"] == "worker-1" and report["iterations"] == 4
-        assert report["samples_processed"] == 4 * 2 * 16
+        assert report["samples_processed"] == 4 * 16
         # One liveness guard: the plan's timeout plus four times this
         # worker's own compute time, slowdown included.
         assert all(timeout >= 5.0 + 4 * 0.01 for timeout in link.timeouts)
@@ -156,7 +156,7 @@ class TestWorkerLoop:
         assert rebuilt is not first and loop.worker is rebuilt
         # The weights never change here, so a gradient is a function of its
         # batches alone: the replayed iterations must redraw exactly the
-        # batches 1 x micro_batches .. of an uninterrupted run.
+        # batches 1 .. of an uninterrupted run.
         assert np.array_equal(link.pushed[3][1], link.pushed[1][1])
         assert np.array_equal(link.pushed[4][1], link.pushed[2][1])
         assert not np.array_equal(link.pushed[3][1], link.pushed[0][1])
@@ -588,7 +588,7 @@ PLAN_CLASSES = {
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ({"micro_batches": 0}, "micro_batches must be positive"),
+        ({"batch_size": 0}, "batch_size must be positive"),
         ({"slowdowns": {"worker-0": -0.5}}, "slowdowns must be non-negative"),
         ({"evaluate_every_pushes": -1}, "evaluate_every_pushes must be non-negative"),
         ({"wait_timeout": 0.0}, "wait_timeout must be positive"),

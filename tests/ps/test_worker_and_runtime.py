@@ -20,7 +20,7 @@ def build_model(rng, input_dim=192, num_classes=4):
     return mlp(input_dim=input_dim, hidden_dims=(16,), num_classes=num_classes, rng=rng)
 
 
-def make_worker(dataset, worker_id="w0", seed=0, micro_batches=1):
+def make_worker(dataset, worker_id="w0", seed=0):
     rng = np.random.default_rng(seed)
     model = build_model(rng, input_dim=dataset.inputs.shape[1])
     loader = MiniBatchLoader(dataset, batch_size=16, rng=np.random.default_rng(seed + 1))
@@ -29,7 +29,6 @@ def make_worker(dataset, worker_id="w0", seed=0, micro_batches=1):
         model=model,
         loader=loader,
         loss_fn=SoftmaxCrossEntropy(),
-        micro_batches=micro_batches,
     )
 
 
@@ -42,11 +41,26 @@ class TestWorker:
         assert computation.samples == 16
         assert np.isfinite(computation.loss)
 
-    def test_micro_batches_average_gradients(self, tiny_flat_datasets):
+    def test_compute_gradients_is_one_forward_backward_over_the_next_batch(
+        self, tiny_flat_datasets
+    ):
         train, _ = tiny_flat_datasets
-        worker = make_worker(train, micro_batches=3)
+        worker = make_worker(train, seed=3)
+        model = build_model(np.random.default_rng(3), input_dim=train.inputs.shape[1])
+        inputs, labels = MiniBatchLoader(
+            train, batch_size=16, rng=np.random.default_rng(4)
+        ).next_batch()
+        loss_fn = SoftmaxCrossEntropy()
+        model.train(True)
+        model.zero_grad()
+        expected_loss = loss_fn.forward(model.forward(inputs), labels)
+        model.backward(loss_fn.backward())
         computation = worker.compute_gradients()
-        assert computation.samples == 48
+        assert computation.loss == expected_loss
+        expected = model.gradients()
+        assert computation.gradients.keys() == expected.keys()
+        for name, gradient in expected.items():
+            assert np.array_equal(computation.gradients[name], gradient), name
 
     def test_load_weights_updates_version_and_values(self, tiny_flat_datasets):
         train, _ = tiny_flat_datasets
@@ -77,7 +91,7 @@ class TestWorker:
 
     def test_loss_history_statistics(self, tiny_flat_datasets):
         train, _ = tiny_flat_datasets
-        worker = make_worker(train, micro_batches=3)
+        worker = make_worker(train)
         tally = Tally()
         assert np.isnan(tally.report("w0", wait=0.0, compute=0.0, pulled=0)["mean_loss"])
         steps = [replica_step(worker) for _ in range(2)]
@@ -86,14 +100,9 @@ class TestWorker:
         report = tally.report("w0", wait=0.0, compute=0.0, pulled=0)
         losses = [step.computation.loss for step in steps]
         assert report["mean_loss"] == (0.0 + losses[0] + losses[1]) / 2
-        assert (report["iterations"], report["samples_processed"]) == (2, 96)
+        assert (report["iterations"], report["samples_processed"]) == (2, 32)
         dense = sum(parameter.data.nbytes for _, parameter in worker.model.named_parameters())
         assert report["pushed_raw_bytes"] == report["pushed_wire_bytes"] == 2 * dense
-
-    def test_invalid_micro_batches(self, tiny_flat_datasets):
-        train, _ = tiny_flat_datasets
-        with pytest.raises(ValueError):
-            make_worker(train, micro_batches=0)
 
     def test_workers_always_have_model_and_loss_arenas(self, tiny_flat_datasets):
         train, _ = tiny_flat_datasets

@@ -171,3 +171,19 @@ def test_killed_helper_is_a_run_error_naming_its_worker(monkeypatch):
     monkeypatch.setattr(pool_module, "replica_step", failing_step(kill=True))
     with pytest.raises(RuntimeError, match="replica helper of worker-1 died"):
         run_with(monkeypatch, spec_for("asp"), True)
+
+
+def test_compare_names_a_spec_only_one_dump_holds(tmp_path, capsys):
+    shared = {"total_time": "0x1.8p+1"}
+    payload = {"losses": ["0x1.5555555555555p-2"] * 40}
+    parent, change = tmp_path / "parent.json", tmp_path / "change.json"
+    parent.write_text(sim_matrix.json.dumps({"shared": shared, "deleted": payload}))
+    change.write_text(sim_matrix.json.dumps({"shared": shared, "added": payload}))
+    assert sim_matrix.compare(parent, change) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(maxsplit=1) for line in lines] == [
+        ["added", "ONLY IN CHANGE"],
+        ["deleted", "ONLY IN PARENT"],
+        ["shared", "IDENTICAL (1 values)"],
+        ["specs", "differing: 2 of 3"],
+    ]

@@ -9,7 +9,7 @@ from repro.core.dssp import DynamicStaleSynchronousParallel
 from repro.core.factory import POLICIES, make_policy, validate_paradigm
 from repro.experiments.config import TINY
 from repro.experiments.workloads import WORKLOADS, build_workload
-from repro.models.registry import MODELS, build_model
+from repro.models.registry import MODELS
 from repro.ps.aggregation import AGGREGATORS, make_aggregator
 from repro.ps.compression import CODECS, TopKCodec, make_codec
 from repro.ps.faults import FAULT_KIND_KEYS, NET_FAULT_EXAMPLES, parse_fault_plan, resolve_worker
@@ -147,7 +147,7 @@ def test_every_public_front_normalises_names():
     assert make_jitter("LogNormal:0.2").sigma == 0.2
     assert get_device_profile("P100") is GPU_CATALOGUE["p100"]
     assert ExperimentSpec(scale="TINY").resolved_scale() is NAMED_SCALES["tiny"]
-    assert build_model("MLP").forward is not None
+    assert MODELS["MLP"].build().forward is not None
     plan = parse_fault_plan([{"worker": 0, "kind": "Crash"}], [{"spec": "DELAY:5"}], WORKERS)
     assert plan.for_worker("worker-0").kind == "crash"
     assert plan.net_kinds() == ("delay",)
@@ -158,7 +158,7 @@ FRONTS = {
     "backend": get_backend,
     "paradigm": make_policy,
     "workload": lambda name: build_workload(name, TINY),
-    "model": build_model,
+    "model": lambda name: MODELS[name].build(),
     "scale": lambda name: ExperimentSpec(scale=name),
     "device": get_device_profile,
     "network": lambda name: ClusterConfig(network=name).build(),

@@ -144,17 +144,28 @@ def _leaves(x):
 
 
 def compare(path_a, path_b):
-    """Print one line per spec; return how many specs differ."""
+    """Print one line per spec of either dump; return how many specs differ.
+
+    A spec only one dump holds differs, and prints as ``ONLY IN PARENT``
+    (``path_a``) or ``ONLY IN CHANGE`` (``path_b``) without its payload.
+    """
     a, b = json.load(open(path_a)), json.load(open(path_b))
+    names = sorted(set(a) | set(b))
     differing = 0
-    for name in a:
-        found = _diff(a[name], b.get(name))
-        verdict = f"IDENTICAL ({_leaves(a[name])} values)" if not found else f"{len(found)} differences"
+    for name in names:
+        found = []
+        if name not in b:
+            verdict = "ONLY IN PARENT"
+        elif name not in a:
+            verdict = "ONLY IN CHANGE"
+        else:
+            found = _diff(a[name], b[name])
+            verdict = f"{len(found)} differences" if found else f"IDENTICAL ({_leaves(a[name])} values)"
         print(f"{name:22s}", verdict)
         for item in found[:6]:
             print("   ", item)
-        differing += bool(found)
-    print("specs differing:", differing, "of", len(a))
+        differing += not verdict.startswith("IDENTICAL")
+    print("specs differing:", differing, "of", len(names))
     return differing
 
 
